@@ -314,6 +314,16 @@ type FeedStats struct {
 	// MeanRefresh is the mean computing-job duration — the paper's
 	// refresh-period metric (Figure 26).
 	MeanRefresh time.Duration
+	// StateBuilds counts invocations of a SQL++ UDF that built
+	// enrichment state (hash tables, R-trees, ...) because reference
+	// data had changed since the previous batch; StateReuses counts
+	// those that reused the previous batch's state whole. AccessBuilds
+	// counts the individual structures the builds produced. A feed whose
+	// StateBuilds keeps pace with Invocations pays the rebuild on every
+	// batch.
+	StateBuilds  int64
+	StateReuses  int64
+	AccessBuilds int64
 	// Running reports whether the pipeline is still live; false means
 	// the counters are the feed's final numbers.
 	Running bool
@@ -366,6 +376,9 @@ func (f *Feed) Stats() (FeedStats, error) {
 		ParseErrors:    s.ParseErrors.Load(),
 		Invocations:    s.Invocations.Load(),
 		MeanRefresh:    s.RefreshPeriod(),
+		StateBuilds:    s.StateBuilds.Load(),
+		StateReuses:    s.StateReuses.Load(),
+		AccessBuilds:   s.AccessBuilds.Load(),
 		Running:        running,
 		SpilledFrames:  s.SpilledFrames.Load(),
 		SpilledRecords: s.SpilledRecords.Load(),

@@ -170,6 +170,12 @@ func TestEndToEndFeedWithEnrichment(t *testing.T) {
 	if stats.Invocations < 5 {
 		t.Errorf("invocations = %d", stats.Invocations)
 	}
+	// Nothing writes the reference data while the feed runs: the
+	// enrichment state is built once and reused by every later batch.
+	if stats.StateBuilds != 1 || stats.AccessBuilds == 0 || stats.StateReuses != stats.Invocations-1 {
+		t.Errorf("state builds=%d (structures %d) reuses=%d over %d invocations; want 1 build, the rest reuses",
+			stats.StateBuilds, stats.AccessBuilds, stats.StateReuses, stats.Invocations)
+	}
 	if !stats.Running {
 		t.Error("feed should report running before stop")
 	}

@@ -68,7 +68,9 @@ type Config struct {
 	Stats *Stats
 
 	// RecompilePerBatch disables the predeployed-job optimization: every
-	// invocation re-runs UDF compilation and pays full dispatch overhead
+	// invocation re-runs UDF compilation, rebuilds the enrichment state
+	// from scratch whether or not reference data changed, and pays full
+	// dispatch overhead — the paper's rebuild-every-batch baseline
 	// (ablation 2 in docs/ARCHITECTURE.md).
 	RecompilePerBatch bool
 	// FusedInsert disables the decoupled pipeline: each invocation is a
@@ -91,6 +93,16 @@ type Stats struct {
 	Invocations atomic.Int64
 	// BatchNanos accumulates computing-job wall time (refresh periods).
 	BatchNanos atomic.Int64
+	// StateBuilds counts invocations of a SQL++ UDF that built
+	// enrichment state — all of it, or the part whose reference data had
+	// changed — and StateReuses those that reused the previous
+	// invocation's state whole. AccessBuilds counts the hash tables,
+	// R-trees, scan shards and const-subquery results the builds
+	// produced. A feed whose StateBuilds tracks Invocations is paying
+	// the rebuild on every batch.
+	StateBuilds  atomic.Int64
+	StateReuses  atomic.Int64
+	AccessBuilds atomic.Int64
 
 	// SpilledFrames/SpilledRecords count intake overflow diverted to the
 	// disk spill lane (Spill policy; nothing is lost).
@@ -157,6 +169,11 @@ type Feed struct {
 	// RecompilePerBatch ablation rebuilds the spec every batch instead.
 	computeSpec *hyracks.JobSpec
 	curInv      atomic.Pointer[invocation]
+	// prepared is the SQL++ enrichment state the last invocation used,
+	// kept so the next can reuse it while its reference data is
+	// unchanged. AFM goroutine only; stays nil under RecompilePerBatch
+	// and is released when the AFM exits.
+	prepared *query.PreparedEnrich
 
 	eof []atomic.Bool // per pipeline partition: intake holder fully drained
 
@@ -633,27 +650,45 @@ type invocation struct {
 	records   atomic.Int64
 }
 
-// newInvocation performs the per-batch build phase: Prepare fresh SQL++
-// state from current snapshots, or re-initialize native instances so
-// resource-file updates are observed.
+// newInvocation performs the per-batch build phase: bring the SQL++
+// state up to date — reused whole when no dataset it read has changed
+// since it was built, rebuilt where one has (query.PreparedEnrich
+// states the rule) — or re-initialize native instances so resource-file
+// updates are observed.
 func (f *Feed) newInvocation() (*invocation, error) {
 	inv := &invocation{}
 	if f.plan != nil {
-		plan := f.plan
+		plan, prev := f.plan, f.prepared
 		if f.cfg.RecompilePerBatch {
 			// Ablation: repeat the whole compilation the predeployed-job
-			// technique would have cached.
+			// technique would have cached. A fresh plan has no state to
+			// carry over, so every batch also pays the full build.
 			fn, _ := f.cluster.Function(f.cfg.Function)
 			recompiled, err := query.CompileEnrich(fn.Name, fn.Params, fn.Body, f.cluster,
 				query.PlanOptions{DisableIndexes: f.cfg.DisableIndexes})
 			if err != nil {
 				return nil, err
 			}
-			plan = recompiled
+			plan, prev = recompiled, nil
 		}
-		pe, err := plan.Prepare(f.cluster)
+		var pe *query.PreparedEnrich
+		var err error
+		if prev == nil {
+			pe, err = plan.Prepare(f.cluster)
+		} else {
+			pe, err = prev.Refresh()
+		}
 		if err != nil {
 			return nil, err
+		}
+		if pe == prev {
+			f.stats.StateReuses.Add(1)
+		} else {
+			f.stats.StateBuilds.Add(1)
+			f.stats.AccessBuilds.Add(int64(pe.Built()))
+		}
+		if !f.cfg.RecompilePerBatch {
+			f.prepared = pe
 		}
 		inv.prepared = pe
 	}
@@ -870,6 +905,12 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 // offsets between batches, then shut the storage job down.
 func (f *Feed) runAFM() {
 	defer close(f.afmDone)
+	// The manager keeps a stopped feed around for its final counters;
+	// its enrichment state must not stay reachable with it.
+	defer func() {
+		f.prepared = nil
+		f.curInv.Store(nil)
+	}()
 	ckptEvery := f.cfg.CheckpointEvery
 	if ckptEvery <= 0 {
 		ckptEvery = 1

@@ -117,9 +117,18 @@ func Fig25EnrichmentUDFs(opts Options) (*Table, error) {
 	return table, nil
 }
 
+// rebuildNote explains the "rebuild every batch" columns of Figures 26
+// and 27.
+const rebuildNote = "rebuild every batch = the RecompilePerBatch ablation: the paper's behaviour " +
+	"(enrichment state rebuilt by every computing job) plus per-batch plan compilation and full job " +
+	"dispatch; the plain column reuses state for as long as the reference data is unchanged"
+
 // Fig26RefreshPeriods reproduces Figure 26: the per-batch execution time
 // (refresh period) of dynamic SQL++ enrichment under the three batch
-// sizes.
+// sizes. The reference data is static, so the predeployed pipeline
+// builds its state once and the refresh period is what evaluating a
+// batch costs; the "rebuild every batch" column keeps the paper's
+// shape, where every job rebuilds the state.
 func Fig26RefreshPeriods(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	tweets := opts.tweetCount(1_000_000)
@@ -130,21 +139,29 @@ func Fig26RefreshPeriods(opts Options) (*Table, error) {
 	}
 	table := &Table{
 		Title:   fmt.Sprintf("Figure 26: refresh periods, %d tweets on %d nodes", tweets, nodes),
-		Columns: []string{"use case", "batch", "refresh period", "invocations"},
+		Columns: []string{"use case", "batch", "refresh period", "refresh period (rebuild every batch)", "invocations"},
+		Notes:   []string{rebuildNote},
 	}
 	for _, fn := range fig25UseCases {
 		label := workload.UseCaseLabels[fn]
 		opts.logf("fig26: %s", label)
 		for _, bl := range batchLabels {
-			res, err := b.run(runSpec{
+			spec := runSpec{
 				name:   fmt.Sprintf("fig26-%s-%s", fn, bl.label),
 				tweets: tweets, fn: fn, batch: bl.size,
-			})
+			}
+			res, err := b.run(spec)
+			if err != nil {
+				return nil, err
+			}
+			spec.name += "-rebuild"
+			spec.recomp = true
+			rebuild, err := b.run(spec)
 			if err != nil {
 				return nil, err
 			}
 			table.Rows = append(table.Rows, []string{label, bl.label,
-				fmtDuration(res.refresh), fmt.Sprint(res.invocations)})
+				fmtDuration(res.refresh), fmtDuration(rebuild.refresh), fmt.Sprint(res.invocations)})
 		}
 	}
 	return table, nil
@@ -157,7 +174,9 @@ var fig27Rates = []int{0, 1, 10, 50, 100, 200, 400}
 // client upserts the reference data at increasing rates (100K tweets, 6
 // nodes). Updates activate the LSM memtables and contend with the
 // computing jobs' reads; the index-join use case degrades most at high
-// rates because it probes storage throughout each job.
+// rates because it probes storage throughout each job. With state
+// reuse only the batches that follow a reference write rebuild, so the
+// "rebuild every batch" column shows the paper's shape beside it.
 //
 // The paper's update rates (1..400/s) are ~half its enrichment
 // throughput (~800 rec/s on 2009 hardware). This in-process build is
@@ -181,9 +200,9 @@ func Fig27UpdateRates(opts Options) (*Table, error) {
 	}
 	table := &Table{
 		Title:   fmt.Sprintf("Figure 27: reference-data updates, %d tweets on %d nodes", tweets, nodes),
-		Columns: []string{"use case", "update rate (rec/s)", "throughput (rec/s)"},
+		Columns: []string{"use case", "update rate (rec/s)", "throughput (rec/s)", "throughput, rebuild every batch (rec/s)"},
 		Notes: []string{fmt.Sprintf(
-			"paper rates ×%.0f to preserve the update-to-ingest ratio at this scale", rateScale)},
+			"paper rates ×%.0f to preserve the update-to-ingest ratio at this scale", rateScale), rebuildNote},
 	}
 	for _, fn := range fig25UseCases {
 		label := workload.UseCaseLabels[fn]
@@ -201,8 +220,14 @@ func Fig27UpdateRates(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			spec.name += "-rebuild"
+			spec.recomp = true
+			rebuild, err := b.run(spec)
+			if err != nil {
+				return nil, err
+			}
 			table.Rows = append(table.Rows, []string{label, fmt.Sprint(eff),
-				fmtThroughput(res.throughput)})
+				fmtThroughput(res.throughput), fmtThroughput(rebuild.throughput)})
 		}
 	}
 	return table, nil

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/index"
@@ -343,6 +344,13 @@ func TestBlockCacheConcurrentReaders(t *testing.T) {
 
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
+	}
+	// WaitForFlush covers flushes only: the flusher may still be inside
+	// a compaction whose input cursors hold pins. Wait for it to finish
+	// before calling a pin leaked.
+	deadline := time.Now().Add(10 * time.Second)
+	for cache.Stats().Pinned != 0 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
 	}
 	if st := cache.Stats(); st.Pinned != 0 {
 		t.Fatalf("leaked pins after workload: %+v", st)

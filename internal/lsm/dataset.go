@@ -293,6 +293,19 @@ func (d *Dataset) prepare(rec adm.Value) (adm.Value, error) {
 	return d.datatype.Validate(rec)
 }
 
+// Epoch returns the per-partition mutation epochs (see Partition.Epoch).
+// Two equal results from the same *Dataset mean no record was written
+// or deleted in between. A dataset dropped and re-created under the
+// same name is a different *Dataset whose epochs may coincide, so
+// callers compare identity as well.
+func (d *Dataset) Epoch() []uint64 {
+	epoch := make([]uint64, len(d.partitions))
+	for i, p := range d.partitions {
+		epoch[i] = p.Epoch()
+	}
+	return epoch
+}
+
 // SnapshotAll captures one snapshot per partition (a consistent enough
 // view for a computing-job invocation: record-level consistency, as the
 // paper specifies).

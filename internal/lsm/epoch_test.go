@@ -1,0 +1,146 @@
+package lsm
+
+import (
+	"errors"
+	"slices"
+	"testing"
+
+	"github.com/ideadb/idea/internal/adm"
+)
+
+// TestEpochMovesOnWritesOnly pins the contract state caching rests on:
+// every kind of write moves the dataset's epoch, in-memory and durable
+// alike, and nothing that leaves the visible data alone does — another
+// reader's snapshot (a memtable freeze), a flush, a compaction.
+func TestEpochMovesOnWritesOnly(t *testing.T) {
+	open := map[string]func(t *testing.T) *Dataset{
+		"memory": func(t *testing.T) *Dataset {
+			ds, err := NewDataset("ref", nil, "id", 2, smallOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ds
+		},
+		"durable": func(t *testing.T) *Dataset {
+			ds, err := OpenDataset(NewMemFS(), "ref", "ref", nil, "id", 2, durableOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ds
+		},
+	}
+	for name, mk := range open {
+		t.Run(name, func(t *testing.T) {
+			ds := mk(t)
+			defer ds.Close()
+			last := ds.Epoch()
+			moved := func(what string) {
+				t.Helper()
+				now := ds.Epoch()
+				if slices.Equal(now, last) {
+					t.Fatalf("%s left the epoch at %v", what, now)
+				}
+				last = now
+			}
+			still := func(what string) {
+				t.Helper()
+				if now := ds.Epoch(); !slices.Equal(now, last) {
+					t.Fatalf("%s moved the epoch %v -> %v", what, last, now)
+				}
+			}
+
+			if err := ds.Upsert(rec(1, "v", adm.Int(1))); err != nil {
+				t.Fatal(err)
+			}
+			moved("Upsert")
+			if err := ds.Insert(rec(2, "v", adm.Int(1))); err != nil {
+				t.Fatal(err)
+			}
+			moved("Insert")
+			if err := ds.Insert(rec(2, "v", adm.Int(2))); err == nil {
+				t.Fatal("duplicate Insert succeeded")
+			}
+			still("a rejected Insert")
+			var batch []adm.Value
+			for i := int64(10); i < 400; i++ {
+				batch = append(batch, rec(i, "v", adm.Int(i)))
+			}
+			if err := ds.UpsertBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			moved("UpsertBatch")
+			ds.Delete(adm.Int(1))
+			moved("Delete")
+			if err := ds.PutCheckpoint("feed/0", 7); err != nil {
+				t.Fatal(err)
+			}
+			moved("PutCheckpoint")
+
+			ds.SnapshotAll()
+			still("Snapshot")
+			if _, ok := ds.Get(adm.Int(2)); !ok {
+				t.Fatal("Get(2) missed")
+			}
+			still("Get")
+			for i := 0; i < ds.NumPartitions(); i++ {
+				// Something for the freeze below to freeze: the snapshots
+				// above emptied the memtables.
+				ds.Partition(i).Upsert(adm.Int(1000+int64(i)), rec(1000+int64(i)))
+			}
+			last = ds.Epoch()
+			for i := 0; i < ds.NumPartitions(); i++ {
+				p := ds.Partition(i)
+				p.Flush()
+				if p.durable() {
+					if err := p.WaitForFlush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			still("freeze, flush and compaction")
+			if got := ds.Len(); got != 393 {
+				t.Fatalf("Len = %d, want 393", got)
+			}
+		})
+	}
+}
+
+// TestSnapshotErrReportsRunReadFault: a block read that fails mid-scan
+// ends the scan early and silently; Snapshot.Err is how a consumer
+// tells that partial scan from a complete one.
+func TestSnapshotErrReportsRunReadFault(t *testing.T) {
+	fsys := NewMemFS()
+	p, err := OpenPartition(fsys, "part", Options{MemBudget: 1 << 20, MaxComponents: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const n = 500
+	for i := int64(0); i < n; i++ {
+		p.Upsert(adm.Int(i), rec(i, "v", adm.Int(i)))
+	}
+	p.Flush()
+	if err := p.WaitForFlush(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Runs() == 0 {
+		t.Fatal("nothing was flushed to a run file")
+	}
+
+	snap := p.Snapshot()
+	if got := snap.Len(); got != n || snap.Err() != nil {
+		t.Fatalf("healthy scan: %d records, err %v", got, snap.Err())
+	}
+	fsys.FailReads(true)
+	if got := snap.Len(); got >= n {
+		t.Fatalf("scan under a read fault still returned %d records", got)
+	}
+	if err := snap.Err(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Snapshot.Err = %v, want the injected read fault", err)
+	}
+	// Sticky: the run stays failed for every snapshot that reaches it.
+	fsys.FailReads(false)
+	if err := p.Snapshot().Err(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("a later snapshot over the same run reports %v", err)
+	}
+}

@@ -806,12 +806,33 @@ func (p *Partition) Get(key adm.Value) (adm.Value, bool) {
 	return p.getLocked(key)
 }
 
+// Epoch returns the partition's mutation epoch: the WAL's last assigned
+// LSN. Every upsert, insert, delete and checkpoint bumps it under the
+// partition lock, in durable and in-memory mode alike, before its
+// effect is visible or acknowledged; nothing else does. Flushes and
+// compactions rewrite components without changing what a reader sees,
+// and another reader's Snapshot only freezes the memtable, so neither
+// moves the epoch.
+//
+// A reader that caches state derived from a Snapshot reads the epoch
+// BEFORE taking the snapshot and keeps both. While a later Epoch call
+// still returns that value no write has been logged since, so the
+// snapshot holds exactly the data a fresh one would. A write racing
+// the two reads lands in the snapshot but not in the stamp: the next
+// comparison fails and the reader rebuilds needlessly — never the
+// other way round.
+func (p *Partition) Epoch() uint64 { return p.wal.LSN() }
+
 // Snapshot freezes the current memtable (if non-empty) and returns a
-// stable view over the partition's immutable components. Computing jobs
-// take one snapshot per invocation, which is exactly the paper's
-// consistency rule: an invocation sees updates made to a referenced
-// record before the record is first accessed by the job, and later
-// updates are picked up by the next invocation.
+// stable view over the partition's immutable components. The view is
+// the paper's consistency rule for a computing job: it sees every
+// update acknowledged before it was taken, and later updates are picked
+// up by a later snapshot. A predeployed feed keeps the snapshots of its
+// reference datasets across invocations and takes new ones only once
+// Epoch has moved (see Epoch for the ordering that makes that safe), so
+// a quiescent reference dataset is frozen and scanned once, not once
+// per batch. Run files a compaction replaces stay readable for
+// snapshots that still reference them until the partition closes.
 func (p *Partition) Snapshot() *Snapshot {
 	p.mu.Lock()
 	p.stats.Scans++
@@ -882,9 +903,25 @@ func (s *Snapshot) Get(key adm.Value) (adm.Value, bool) {
 }
 
 // Scan visits every live record in primary-key order until fn returns
-// false.
+// false. A run-file read error also ends the scan early; callers that
+// must not mistake a partial scan for a complete one check Err after.
 func (s *Snapshot) Scan(fn func(key, rec adm.Value) bool) {
 	scanMerged(s.components, fn)
+}
+
+// Err returns the first sticky read error (I/O, CRC) among the
+// snapshot's run files, or nil. Scans and lookups degrade a failed
+// block read to "no more records"/"not found", so a consumer that
+// builds state from a scan checks Err once the scan returns.
+func (s *Snapshot) Err() error {
+	for _, c := range s.components {
+		if c.run != nil {
+			if err := c.run.err(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Cursor returns a pull iterator over the snapshot's live records in

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // FS is the filesystem seam under the durable LSM layer: the WAL,
@@ -199,6 +200,7 @@ type MemFS struct {
 	writeBudget int // -1: unlimited; 0: next write fails
 	tornBytes   int // bytes of the failing write that still land
 	syncFail    bool
+	readFail    atomic.Bool // not under mu: consulted on every ReadAt
 }
 
 type memFile struct {
@@ -230,6 +232,10 @@ func (m *MemFS) FailSyncs(fail bool) {
 	defer m.mu.Unlock()
 	m.syncFail = fail
 }
+
+// FailReads makes every ReadAt call fail with ErrInjected when fail is
+// true — a device that stopped answering under files already open.
+func (m *MemFS) FailReads(fail bool) { m.readFail.Store(fail) }
 
 // Writes reports the number of successful Write calls so far — a dry
 // run measures it, and the crash suite then arms FailWritesAfter at
@@ -359,6 +365,9 @@ func (h *memHandle) Write(p []byte) (int, error) {
 }
 
 func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
+	if h.fs.readFail.Load() {
+		return 0, fmt.Errorf("read at %d: %w", off, ErrInjected)
+	}
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
 	if off >= int64(len(h.f.data)) {

@@ -9,6 +9,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -62,10 +63,13 @@ type Catalog interface {
 }
 
 // Context carries evaluation state shared across one logical evaluation
-// scope (one query, or one computing-job invocation). Dataset snapshots
-// are pinned on first access, which implements the paper's record-level
-// consistency rule: an invocation sees updates made before it first
-// accesses the dataset, and later updates wait for the next invocation.
+// scope (one query, or the enrichment state of a feed's computing job).
+// Dataset snapshots are pinned on first access, which implements the
+// paper's record-level consistency rule: the scope sees updates made
+// before it first accesses the dataset, and later updates wait for the
+// next scope. Each pin carries the stamp (dataset identity + mutation
+// epoch) that lets an enrichment state outlive one invocation for as
+// long as its datasets do not change — see PreparedEnrich.
 type Context struct {
 	Catalog Catalog
 
@@ -87,13 +91,37 @@ type Context struct {
 	DisableIndexScan    bool
 	DisableParallelScan bool
 
-	mu        sync.Mutex
-	snapshots map[string][]*lsm.Snapshot
+	mu   sync.Mutex
+	pins map[string]*pin
+	// trace, while non-nil, collects every name passed to Pin (see
+	// traced).
+	trace map[string]struct{}
+}
+
+// pin is one dataset a Context has pinned: the snapshots every read in
+// the scope goes through, stamped with the dataset's identity and the
+// mutation epoch read just BEFORE the snapshots were taken. A write
+// racing the two lands in the snapshots but not in the stamp, so the
+// stamp can only look older than the data — a needless rebuild later,
+// never a stale reuse (lsm.Partition.Epoch has the full argument).
+type pin struct {
+	ds    *lsm.Dataset
+	epoch []uint64
+	snaps []*lsm.Snapshot
+}
+
+// current reports whether pinning name now would observe exactly the
+// data p holds: the catalog still resolves the name to the same dataset
+// object (DROP + CREATE makes a new one whose epochs may coincide) and
+// no partition has logged a write since the stamp.
+func (p *pin) current(cat Catalog, name string) bool {
+	ds, ok := cat.Dataset(name)
+	return ok && ds == p.ds && slices.Equal(ds.Epoch(), p.epoch)
 }
 
 // NewContext returns a fresh evaluation context over the catalog.
 func NewContext(cat Catalog) *Context {
-	return &Context{Catalog: cat, snapshots: make(map[string][]*lsm.Snapshot)}
+	return &Context{Catalog: cat, pins: make(map[string]*pin)}
 }
 
 // Err reports the cancellation state of the caller's context.
@@ -109,16 +137,39 @@ func (c *Context) Err() error {
 func (c *Context) Pin(name string) ([]*lsm.Snapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if snaps, ok := c.snapshots[name]; ok {
-		return snaps, nil
+	if c.trace != nil {
+		c.trace[name] = struct{}{}
+	}
+	if p, ok := c.pins[name]; ok {
+		return p.snaps, nil
 	}
 	ds, ok := c.Catalog.Dataset(name)
 	if !ok {
 		return nil, fmt.Errorf("query: unknown dataset %q", name)
 	}
-	snaps := ds.SnapshotAll()
-	c.snapshots[name] = snaps
-	return snaps, nil
+	p := &pin{ds: ds, epoch: ds.Epoch()} // stamp first, then snapshot
+	p.snaps = ds.SnapshotAll()
+	c.pins[name] = p
+	return p.snaps, nil
+}
+
+// traced runs build and returns the datasets it read through c — the
+// names it passed to Pin, whether or not they were pinned already. That
+// is what the state build produced depends on. Calls must not overlap;
+// build may fan out into goroutines that share c.
+func (c *Context) traced(build func() error) ([]string, error) {
+	c.mu.Lock()
+	c.trace = make(map[string]struct{})
+	c.mu.Unlock()
+	err := build()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	deps := make([]string, 0, len(c.trace))
+	for name := range c.trace {
+		deps = append(deps, name)
+	}
+	c.trace = nil
+	return deps, err
 }
 
 // evalState threads per-evaluation context through the evaluator without

@@ -18,11 +18,12 @@ type PlanOptions struct {
 
 // EnrichPlan is a compiled stateful enrichment UDF: the analysis is done
 // once (at CREATE FUNCTION / CONNECT FEED time — the predeployed-job
-// analog), and each computing-job invocation calls Prepare to rebuild
-// the batch-scoped state from fresh snapshots, then EvalRecord per
-// record. This realizes the paper's Model 2: intermediate states are
-// refreshed from batch to batch, so reference-data changes are observed,
-// while per-record work is a cheap probe.
+// analog). Prepare builds the enrichment state from fresh snapshots;
+// each later computing-job invocation Refreshes it — rebuilding only
+// what reference-data writes invalidated — then calls EvalRecord per
+// record. This realizes the paper's Model 2: every batch observes the
+// reference writes acknowledged before it began, while per-record work
+// is a cheap probe.
 type EnrichPlan struct {
 	// Name is the UDF name (diagnostics only).
 	Name  string

@@ -10,16 +10,40 @@ import (
 	"github.com/ideadb/idea/internal/sqlpp"
 )
 
-// PreparedEnrich is the batch-scoped state of an enrichment plan: the
-// paper's "intermediate states". One is built per computing-job
-// invocation (Prepare), used concurrently by every evaluator in the job
-// (EvalRecord is safe for parallel use), and discarded with the job — so
-// the next invocation observes reference-data updates.
+// PreparedEnrich is the enrichment state of a plan: the paper's
+// "intermediate states" — const-subquery results, hash tables, transient
+// R-trees, scan shards — together with the Context whose pins they were
+// built from. It is read-only once built (EvalRecord is safe for
+// parallel use by every evaluator in a job; only the Context's lazy
+// pins grow, under its lock).
+//
+// Model 2 requires that a batch observe every reference write
+// acknowledged before the batch began. A state meets that for as long
+// as every dataset its Context pinned is still the same object at the
+// same mutation epoch, so a predeployed feed keeps it across
+// invocations and calls Refresh at the start of each: unchanged, the
+// state is reused whole — no snapshot, no memtable freeze, no scan, no
+// build; changed, a successor is prepared that carries over the pins
+// and structures of the datasets that did not change and rebuilds only
+// the rest. Datasets pinned lazily at eval time (uncompiled subqueries)
+// carry stamps like any other and invalidate reuse the same way.
+// Prepare always builds everything afresh; the RecompilePerBatch
+// ablation and the static pipeline use only that.
 type PreparedEnrich struct {
 	plan   *EnrichPlan
 	ctx    *Context
-	consts map[*sqlpp.SelectExpr]adm.Value
+	consts map[*sqlpp.SelectExpr]*preparedConst
 	probes map[*sqlpp.SelectExpr]*preparedSub
+	// built counts the const results and access structures built for
+	// this state rather than carried over from its predecessor.
+	built int
+}
+
+// preparedConst is a const subquery's result and the datasets its
+// evaluation read.
+type preparedConst struct {
+	val  adm.Value
+	deps []string
 }
 
 type preparedSub struct {
@@ -34,6 +58,10 @@ type hashEntry struct {
 
 type preparedAccess struct {
 	plan *accessPlan
+	// deps are the datasets the build read: the access's own, plus any a
+	// build filter reached through a subquery or UDF. Empty for
+	// accessIndexNLJ, which keeps no copy of the data.
+	deps []string
 
 	hash map[uint64][]hashEntry // accessHash
 
@@ -45,34 +73,116 @@ type preparedAccess struct {
 	liveDataset *lsm.Dataset      // accessIndexNLJ (fresh point reads)
 }
 
-// Prepare builds the batch state from fresh snapshots, parallelizing the
+// reusable reports whether pa still answers probes as a fresh build
+// would, given the pins that are unchanged since it was built.
+func (pa *preparedAccess) reusable(cat Catalog, unchanged map[string]*pin) bool {
+	if pa.plan.kind == accessIndexNLJ {
+		// Probes read the live index and dataset; only identity can go
+		// stale.
+		ds, ok := cat.Dataset(pa.plan.dataset)
+		return ok && ds == pa.liveDataset
+	}
+	return allUnchanged(pa.deps, unchanged)
+}
+
+func allUnchanged(deps []string, unchanged map[string]*pin) bool {
+	for _, name := range deps {
+		if unchanged[name] == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// Prepare builds the whole state from fresh snapshots, parallelizing the
 // reference scans across partitions (the cluster's computing job runs
-// one build worker per node). It is the per-invocation cost the paper's
+// one build worker per node). It is the rebuild cost the paper's
 // batch-size experiments measure.
 func (plan *EnrichPlan) Prepare(cat Catalog) (*PreparedEnrich, error) {
+	return plan.prepare(cat, nil, nil)
+}
+
+// Refresh returns the state the next invocation must use: pe itself
+// when nothing it read has changed, otherwise a successor that shares
+// what is still current and rebuilds the rest. Call it between
+// invocations, never while pe is evaluating.
+func (pe *PreparedEnrich) Refresh() (*PreparedEnrich, error) {
+	cat := pe.ctx.Catalog
+	pe.ctx.mu.Lock()
+	unchanged := make(map[string]*pin, len(pe.ctx.pins))
+	for name, p := range pe.ctx.pins {
+		if p.current(cat, name) {
+			unchanged[name] = p
+		}
+	}
+	whole := len(unchanged) == len(pe.ctx.pins)
+	pe.ctx.mu.Unlock()
+	for _, ps := range pe.probes {
+		for _, pa := range ps.accesses {
+			whole = whole && pa.reusable(cat, unchanged)
+		}
+	}
+	if whole {
+		return pe, nil
+	}
+	return pe.plan.prepare(cat, pe, unchanged)
+}
+
+// Built reports how many const results and access structures were built
+// for this state, as opposed to carried over by Refresh.
+func (pe *PreparedEnrich) Built() int { return pe.built }
+
+// prepare builds a state, taking from prev (nil for a full build) every
+// pin in unchanged and every const result and access structure that
+// read nothing else.
+func (plan *EnrichPlan) prepare(cat Catalog, prev *PreparedEnrich, unchanged map[string]*pin) (*PreparedEnrich, error) {
 	pe := &PreparedEnrich{
 		plan:   plan,
 		ctx:    NewContext(cat),
-		consts: make(map[*sqlpp.SelectExpr]adm.Value),
+		consts: make(map[*sqlpp.SelectExpr]*preparedConst),
 		probes: make(map[*sqlpp.SelectExpr]*preparedSub),
+	}
+	for name, p := range unchanged {
+		pe.ctx.pins[name] = p
 	}
 	for _, sel := range plan.order {
 		sp := plan.subs[sel]
 		switch sp.kind {
 		case constSub:
-			v, err := ExecuteSelect(pe.ctx, nil, sel)
+			if prev != nil && allUnchanged(prev.consts[sel].deps, unchanged) {
+				pe.consts[sel] = prev.consts[sel]
+				continue
+			}
+			var val adm.Value
+			deps, err := pe.ctx.traced(func() (err error) {
+				val, err = ExecuteSelect(pe.ctx, nil, sel)
+				return err
+			})
 			if err != nil {
 				return nil, fmt.Errorf("query: %s: const subquery: %w", plan.Name, err)
 			}
-			pe.consts[sel] = v
+			pe.consts[sel] = &preparedConst{val: val, deps: deps}
+			pe.built++
 		case probeSub:
 			ps := &preparedSub{plan: sp}
 			for i := range sp.accesses {
-				pa, err := pe.buildAccess(&sp.accesses[i])
+				if prev != nil {
+					if pa := prev.probes[sel].accesses[i]; pa.reusable(cat, unchanged) {
+						ps.accesses = append(ps.accesses, pa)
+						continue
+					}
+				}
+				var pa *preparedAccess
+				deps, err := pe.ctx.traced(func() (err error) {
+					pa, err = pe.buildAccess(&sp.accesses[i])
+					return err
+				})
 				if err != nil {
 					return nil, fmt.Errorf("query: %s: build %s: %w", plan.Name, sp.accesses[i].dataset, err)
 				}
+				pa.deps = deps
 				ps.accesses = append(ps.accesses, pa)
+				pe.built++
 			}
 			pe.probes[sel] = ps
 		}
@@ -158,6 +268,12 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 				}
 				return true
 			})
+			// A run-file read error ends the scan early without a word;
+			// a partial shard must fail the build, all the more now that
+			// the structure may serve many batches.
+			if res.err == nil {
+				res.err = snap.Err()
+			}
 		}(i, snap)
 	}
 	wg.Wait()
@@ -217,8 +333,8 @@ func (pe *PreparedEnrich) Context() *Context { return pe.ctx }
 // evaluation. ok=false means the subquery was not compiled and the
 // caller should use the generic path.
 func (pe *PreparedEnrich) evalCompiled(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, bool, error) {
-	if v, isConst := pe.consts[sel]; isConst {
-		return v, true, nil
+	if pc, isConst := pe.consts[sel]; isConst {
+		return pc.val, true, nil
 	}
 	ps, isProbe := pe.probes[sel]
 	if !isProbe {
@@ -239,8 +355,8 @@ func (pe *PreparedEnrich) evalCompiled(st evalState, env *Env, sel *sqlpp.Select
 // evalCompiledExists intercepts EXISTS over a compiled subquery with
 // early termination at the first qualifying tuple.
 func (pe *PreparedEnrich) evalCompiledExists(st evalState, env *Env, sel *sqlpp.SelectExpr) (bool, bool, error) {
-	if v, isConst := pe.consts[sel]; isConst {
-		return len(v.ArrayVal()) > 0, true, nil
+	if pc, isConst := pe.consts[sel]; isConst {
+		return len(pc.val.ArrayVal()) > 0, true, nil
 	}
 	ps, isProbe := pe.probes[sel]
 	if !isProbe {
