@@ -3,8 +3,10 @@ package lsm
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -210,140 +212,12 @@ func TestGoldenRunFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rf.close()
-	if rf.version != runVersion {
-		t.Fatalf("version = %d, want %d", rf.version, runVersion)
-	}
+	// (openRun accepts no version byte but runVersion; see
+	// TestGoldenVersionBytes.)
 	if rf.bloom == nil {
 		t.Fatal("v2 run opened without a bloom filter")
 	}
 	checkGoldenRun(t, rf, items)
-}
-
-// TestGoldenRunFileV1Compat proves version-1 run files (written before
-// the bloom/fence sections existed) stay readable: testdata/run-v1.golden
-// is a frozen v1 fixture — it must never be regenerated — and the reader
-// must open it with no bloom filter, fences derived from the last block,
-// and identical lookup/scan results.
-func TestGoldenRunFileV1Compat(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "run-v1.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := NewMemFS()
-	f, err := fs.Create("runs/golden-v1.run")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rf, err := openRun(fs, "runs", "golden-v1.run", runEnv{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.close()
-	if rf.version != runVersionV1 {
-		t.Fatalf("version = %d, want %d", rf.version, runVersionV1)
-	}
-	if rf.bloom != nil {
-		t.Fatal("v1 run must open bloom-less")
-	}
-	checkGoldenRun(t, rf, goldenItems())
-}
-
-// TestCrashRecoveryMixedRunVersions: a partition whose manifest
-// references a version-1 run file (an upgrade in place) must recover,
-// serve the old run, flush new version-2 runs next to it, and survive a
-// crash with the mixed set on disk.
-func TestCrashRecoveryMixedRunVersions(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("testdata", "run-v1.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Build the pre-upgrade image by hand: the v1 run plus a manifest
-	// that references it. Pre-fence manifests carry no first/last keys,
-	// so the fence cross-check must be skipped for this run.
-	fs := NewMemFS()
-	f, err := fs.Create("part/run-000001.run")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	man := manifest{
-		Version: manifestVersion,
-		NextSeq: 2,
-		Runs:    []runMeta{{File: "run-000001.run", MaxLSN: 0, Entries: 4, Bytes: int64(len(v1))}},
-	}
-	if err := storeManifest(fs, "part", man); err != nil {
-		t.Fatal(err)
-	}
-
-	opts := Options{MemBudget: 8 << 20, MaxComponents: 8, WALSegBytes: 16 << 10}
-	checkV1Visible := func(p *Partition, tag string) {
-		t.Helper()
-		keys, recs := goldenValues()
-		for i, k := range keys {
-			got, ok := p.Get(k)
-			if recs[i].IsMissing() {
-				if ok {
-					t.Fatalf("%s: tombstoned key %v resurrected", tag, k)
-				}
-				continue
-			}
-			if !ok || adm.Compare(got, recs[i]) != 0 {
-				t.Fatalf("%s: v1 key %v = %v,%v", tag, k, got, ok)
-			}
-		}
-	}
-
-	p, err := OpenPartition(fs, "part", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkV1Visible(p, "after upgrade open")
-
-	// New writes flush as v2 runs next to the v1 run.
-	for i := 10; i < 20; i++ {
-		p.Upsert(adm.Int(int64(i)), adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(int64(i)))))
-	}
-	p.Flush()
-	if err := p.WaitForFlush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Runs(); got != 2 {
-		t.Fatalf("runs after flush = %d, want 2", got)
-	}
-
-	// Crash with the mixed v1/v2 set on disk and recover.
-	img := fs.Crash()
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rp, err := OpenPartition(img, "part", opts)
-	if err != nil {
-		t.Fatalf("mixed-version recovery: %v", err)
-	}
-	defer rp.Close()
-	checkV1Visible(rp, "after crash recovery")
-	for i := 10; i < 20; i++ {
-		if _, ok := rp.Get(adm.Int(int64(i))); !ok {
-			t.Fatalf("flushed key %d lost across mixed-version recovery", i)
-		}
-	}
-	if st := rp.Stats(); st.OpenRuns != 2 {
-		t.Fatalf("open runs after recovery = %d, want 2", st.OpenRuns)
-	}
 }
 
 // TestGoldenVersionBytes pins the version constants themselves: bumping
@@ -367,13 +241,25 @@ func TestGoldenVersionBytes(t *testing.T) {
 	if string(run[:len(runMagic)]) != runMagic || run[len(runMagic)] != runVersion {
 		t.Fatal("run golden header does not carry the current magic+version")
 	}
-	// The frozen v1 fixture keeps its original version byte; it backs the
-	// backward-compat test and must never be regenerated.
-	runV1, err := os.ReadFile(filepath.Join("testdata", "run-v1.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(runV1[:len(runMagic)]) != runMagic || runV1[len(runMagic)] != runVersionV1 {
-		t.Fatal("frozen run-v1 golden header drifted")
+	// Version 2 is the only run format: any other version byte — the
+	// retired v1 included — is refused at open, not guessed at.
+	for _, v := range []byte{1, 0xFF} {
+		other := append([]byte(nil), run...)
+		other[len(runMagic)] = v
+		fs := NewMemFS()
+		f, err := fs.Create("runs/other.run")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(other); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("unsupported version %d", v)
+		if _, err := openRun(fs, "runs", "other.run", runEnv{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("openRun(version byte %d) = %v, want %q", v, err, want)
+		}
 	}
 }

@@ -31,9 +31,8 @@ import (
 //	            bloomOff:uvarint bloomLen:uvarint lastKey:adm-binary
 //	footer   := indexOff:8B-LE "IDEARUNF"
 //
-// Version 1 files (no bloom section, ipayload stops after the block
-// entries) remain readable: the loader treats them as bloom-absent and
-// derives the last-key fence by decoding the final block once at open.
+// Version 2 is the only format read or written (version 1 lacked the
+// bloom section and the persisted last key; no release ever wrote it).
 // An empty run (a compaction that dropped every entry) writes
 // bloomOff=0 bloomLen=0 and a MISSING lastKey.
 //
@@ -43,7 +42,6 @@ import (
 const (
 	runMagic       = "IDEARUN"
 	runVersion     = 2
-	runVersionV1   = 1
 	runHeaderSize  = len(runMagic) + 1
 	runFooterMagic = "IDEARUNF"
 	runFooterSize  = 8 + len(runFooterMagic)
@@ -287,9 +285,8 @@ type runFile struct {
 	size    int64
 	blocks  []blockMeta
 	entries int
-	version byte
 
-	// bloom is the per-run key filter (nil for v1 files and empty runs).
+	// bloom is the per-run key filter (nil for empty runs).
 	// firstKey/lastKey fence the run's key range; valid when the run has
 	// at least one block.
 	bloom    *bloomFilter
@@ -350,9 +347,8 @@ func (r *runFile) load() error {
 	if string(hdr[:len(runMagic)]) != runMagic {
 		return fmt.Errorf("bad magic")
 	}
-	r.version = hdr[len(runMagic)]
-	if r.version != runVersion && r.version != runVersionV1 {
-		return fmt.Errorf("unsupported version %d", r.version)
+	if v := hdr[len(runMagic)]; v != runVersion {
+		return fmt.Errorf("unsupported version %d", v)
 	}
 	var footer [runFooterSize]byte
 	if _, err := r.f.ReadAt(footer[:], size-int64(runFooterSize)); err != nil {
@@ -398,9 +394,6 @@ func (r *runFile) load() error {
 		pos += kn
 		r.blocks = append(r.blocks, blockMeta{off: int64(off), length: int(length), firstKey: key})
 	}
-	if r.version == runVersionV1 {
-		return r.loadFencesV1()
-	}
 	return r.loadExtrasV2(payload[pos:], indexOff)
 }
 
@@ -438,25 +431,6 @@ func (r *runFile) loadExtrasV2(tail []byte, indexOff int64) error {
 		return err
 	}
 	r.bloom = bloom
-	return nil
-}
-
-// loadFencesV1 derives the fences for a version-1 file (no persisted
-// last key): firstKey from the block index, lastKey by decoding the
-// final block once at open. v1 files have no bloom filter.
-func (r *runFile) loadFencesV1() error {
-	if len(r.blocks) == 0 {
-		return nil
-	}
-	r.firstKey = r.blocks[0].firstKey
-	items, err := r.readBlock(len(r.blocks)-1, nil)
-	if err != nil {
-		return fmt.Errorf("last block: %w", err)
-	}
-	if len(items) == 0 {
-		return fmt.Errorf("last block: empty")
-	}
-	r.lastKey = items[len(items)-1].Key
 	return nil
 }
 

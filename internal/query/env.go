@@ -1,9 +1,12 @@
 // Package query implements SQL++ evaluation: a scalar expression
-// evaluator with the paper's builtin function library, a generic query
-// executor (scan → join → filter → group → order → limit → project), and
-// the enrichment planner that compiles a stateful UDF into the per-batch
-// build phase / per-record probe phase split described in Section 4.3 of
-// the paper.
+// evaluator with the paper's builtin function library, one pull-based
+// SELECT executor (scan → join → filter → group → order → project →
+// distinct → limit; stream.go, plan_select.go) that serves top-level
+// statements, subqueries and UDF bodies alike, and the enrichment
+// planner that compiles a stateful UDF into the per-batch build phase /
+// per-record probe phase split described in Section 4.3 of the paper —
+// only the FROM product of a compiled subquery is special to ingestion;
+// everything after it runs on the same executor.
 package query
 
 import (
@@ -135,22 +138,30 @@ func (c *Context) Err() error {
 // Pin returns the pinned per-partition snapshots of the named dataset,
 // taking them on first access.
 func (c *Context) Pin(name string) ([]*lsm.Snapshot, error) {
+	snaps, _, err := c.pin(name)
+	return snaps, err
+}
+
+// pin is Pin, also reporting whether this call took the snapshots — the
+// only moment the dataset's live secondary indexes are known to agree
+// with them.
+func (c *Context) pin(name string) (snaps []*lsm.Snapshot, took bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.trace != nil {
 		c.trace[name] = struct{}{}
 	}
 	if p, ok := c.pins[name]; ok {
-		return p.snaps, nil
+		return p.snaps, false, nil
 	}
 	ds, ok := c.Catalog.Dataset(name)
 	if !ok {
-		return nil, fmt.Errorf("query: unknown dataset %q", name)
+		return nil, false, fmt.Errorf("query: unknown dataset %q", name)
 	}
 	p := &pin{ds: ds, epoch: ds.Epoch()} // stamp first, then snapshot
 	p.snaps = ds.SnapshotAll()
 	c.pins[name] = p
-	return p.snaps, nil
+	return p.snaps, true, nil
 }
 
 // traced runs build and returns the datasets it read through c — the
@@ -173,38 +184,26 @@ func (c *Context) traced(build func() error) ([]string, error) {
 }
 
 // evalState threads per-evaluation context through the evaluator without
-// mutating shared state: st.group carries the current GROUP BY group for
-// aggregate calls; st.prepared intercepts compiled subqueries during
-// enrichment probing. evalState is passed by value.
+// mutating shared state: st.aggVals is the group context of a grouped
+// row (aggregate calls resolve to the values the hash aggregate folded;
+// nil outside one, where an aggregate call is a scalar function over an
+// array); st.prepared intercepts compiled subqueries during enrichment
+// probing; st.depth counts nested SELECT blocks and UDF calls.
+// evalState is passed by value.
 type evalState struct {
 	ctx      *Context
-	group    []*Env
-	groupSet bool // true inside a GROUP BY context, even for empty groups
 	aggVals  map[*sqlpp.Call]adm.Value
 	prepared *PreparedEnrich
 	depth    int
 }
 
-func (st evalState) withGroup(group []*Env) evalState {
-	st.group = group
-	st.groupSet = true
-	st.aggVals = nil
-	return st
-}
-
-// withAggVals enters a streaming-aggregation context: aggregate calls
-// resolve to pre-accumulated values instead of re-scanning a buffered
-// group (the streaming hash aggregate never keeps raw tuples around).
+// withAggVals enters the group context of one grouped row.
 func (st evalState) withAggVals(vals map[*sqlpp.Call]adm.Value) evalState {
-	st.group = nil
-	st.groupSet = true
 	st.aggVals = vals
 	return st
 }
 
 func (st evalState) noGroup() evalState {
-	st.group = nil
-	st.groupSet = false
 	st.aggVals = nil
 	return st
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Eval evaluates a SQL++ expression in the given environment. It is the
-// public entry point for ad-hoc expression evaluation; queries go
-// through ExecuteSelect.
+// public entry point for ad-hoc expression evaluation; a SELECT inside
+// the expression runs on the cursor engine like any other (runSelect).
 func Eval(ctx *Context, env *Env, e sqlpp.Expr) (adm.Value, error) {
 	return eval(evalState{ctx: ctx}, env, e)
 }
@@ -89,44 +89,49 @@ func eval(st evalState, env *Env, e sqlpp.Expr) (adm.Value, error) {
 	return adm.Value{}, fmt.Errorf("query: unsupported expression %T", e)
 }
 
-// evalSubquery routes a SELECT used as an expression either to the
-// prepared enrichment probe (when compiled) or to the generic executor.
+// evalSubquery evaluates a SELECT used as an expression: the prepared
+// enrichment probe supplies the FROM product of a compiled subquery,
+// anything else opens its own pipeline.
 func evalSubquery(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error) {
 	if st.prepared != nil {
 		if v, ok, err := st.prepared.evalCompiled(st, env, sel); ok || err != nil {
 			return v, err
 		}
 	}
-	return executeSelect(st.noGroup(), env, sel)
+	return runSelect(st, env, sel)
 }
 
 func evalCall(st evalState, env *Env, call *sqlpp.Call) (adm.Value, error) {
-	// Aggregates: only meaningful with a group context; as a scalar they
-	// fall through to the collection (array_*) interpretation below.
+	// Aggregates: in a group context the hash aggregate already folded
+	// the group into per-call accumulators; outside one the call is a
+	// scalar function over an array, folded through the same accumulator.
 	if call.Ns == "" && IsAggregate(strings.ToLower(call.Name)) {
 		if st.aggVals != nil {
-			// Streaming hash aggregate: the group was folded into
-			// per-call accumulators as tuples flowed by; a call missing
-			// from the map means the collector failed to enumerate it.
+			// A call missing from the map means the collector failed to
+			// enumerate it.
 			if v, ok := st.aggVals[call]; ok {
 				return v, nil
 			}
 			return adm.Value{}, fmt.Errorf("query: internal: aggregate %s not pre-accumulated", call.Name)
 		}
-		if st.groupSet {
-			return evalAggregate(st, call)
-		}
 		if call.Star {
 			return adm.Value{}, fmt.Errorf("query: %s(*) outside GROUP BY", call.Name)
 		}
-		arg, err := eval(st, env, call.Args[0])
+		acc, err := newAggAcc(call)
+		if err != nil {
+			return adm.Value{}, err
+		}
+		arg, err := eval(st, env, acc.arg)
 		if err != nil {
 			return adm.Value{}, err
 		}
 		if arg.Kind() != adm.KindArray {
 			return adm.Null(), nil
 		}
-		return aggregateOver(call.Name, arg.ArrayVal())
+		for _, v := range arg.ArrayVal() {
+			acc.fold(v)
+		}
+		return acc.final()
 	}
 
 	// Namespaced (library) call — the Java UDF escape hatch.
@@ -420,11 +425,18 @@ func evalExists(st evalState, env *Env, n *sqlpp.Exists) (adm.Value, error) {
 			return adm.Bool(found), nil
 		}
 	}
-	v, err := executeSelect(st.noGroup(), env, n.Sub)
+	// One row answers the question; closing the cursor there releases
+	// the scan (and its run-file pins) without reading the rest.
+	rc, err := openSelect(st, env, n.Sub, nil)
 	if err != nil {
 		return adm.Value{}, err
 	}
-	return adm.Bool(len(v.ArrayVal()) > 0), nil
+	_, found, err := rc.Next()
+	rc.Close()
+	if err != nil {
+		return adm.Value{}, err
+	}
+	return adm.Bool(found), nil
 }
 
 func evalIn(st evalState, env *Env, n *sqlpp.In) (adm.Value, error) {

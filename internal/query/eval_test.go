@@ -39,7 +39,7 @@ func (c *testCatalog) Native(ns, name string) (func([]adm.Value) (adm.Value, err
 	return f, ok
 }
 
-func (c *testCatalog) addDataset(t *testing.T, name, pk string, parts int, recs ...adm.Value) *lsm.Dataset {
+func (c *testCatalog) addDataset(t testing.TB, name, pk string, parts int, recs ...adm.Value) *lsm.Dataset {
 	t.Helper()
 	ds, err := lsm.NewDataset(name, nil, pk, parts, lsm.DefaultOptions())
 	if err != nil {
@@ -54,7 +54,19 @@ func (c *testCatalog) addDataset(t *testing.T, name, pk string, parts int, recs 
 	return ds
 }
 
-func (c *testCatalog) addSQLFunction(t *testing.T, ddl string) *Function {
+// flushAll moves every partition's memtable into a run file, so the
+// next scan reads blocks through the filesystem (and the block cache).
+func flushAll(t testing.TB, ds *lsm.Dataset) {
+	t.Helper()
+	for i := 0; i < ds.NumPartitions(); i++ {
+		ds.Partition(i).Flush()
+		if err := ds.Partition(i).WaitForFlush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func (c *testCatalog) addSQLFunction(t testing.TB, ddl string) *Function {
 	t.Helper()
 	stmts, err := sqlpp.Parse(ddl)
 	if err != nil {

@@ -2,331 +2,35 @@ package query
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/sqlpp"
 )
 
-// ExecuteSelect runs a query block with straightforward iterate-and-
-// filter semantics and returns its result collection. It is the general-
-// purpose path: analytical queries (the paper's Option 1), constant
-// subqueries during the enrichment build phase, and any construct the
-// specialized probe planner declines.
+// This file holds the materializing face of the SELECT executor and
+// the projection stage. There is one executor — the operator pipeline
+// of stream.go, planned in plan_select.go; running a query block to
+// completion is opening that pipeline and draining it.
+
+// ExecuteSelect runs a query block to completion and returns its result
+// collection.
 func ExecuteSelect(ctx *Context, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error) {
-	return executeSelect(evalState{ctx: ctx}, env, sel)
+	return runSelect(evalState{ctx: ctx}, env, sel)
 }
 
-func executeSelect(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error) {
-	st, err := st.deeper()
+// runSelect is a SELECT in expression position — a subquery, a UDF
+// body, a const-subquery of the enrichment build phase: open the
+// pipeline, drain it into an array.
+func runSelect(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error) {
+	rc, err := openSelect(st, env, sel, nil)
 	if err != nil {
 		return adm.Value{}, err
 	}
-	// Leading LETs (paper UDF style) bind before anything else.
-	for _, l := range sel.Lets {
-		v, err := eval(st, env, l.Expr)
-		if err != nil {
-			return adm.Value{}, err
-		}
-		env = Bind(env, l.Name, v)
-	}
-
-	// FROM fan-out: nested-loop tuple construction.
-	tuples := []*Env{env}
-	for _, fc := range sel.From {
-		var next []*Env
-		for _, tu := range tuples {
-			if err := st.ctx.Err(); err != nil {
-				return adm.Value{}, err
-			}
-			coll, err := fromCollection(st, tu, fc.Source)
-			if err != nil {
-				return adm.Value{}, err
-			}
-			for _, rec := range coll {
-				next = append(next, Bind(tu, fc.Alias, rec))
-			}
-		}
-		tuples = next
-	}
-
-	// FROM-position LETs bind per tuple.
-	for _, l := range sel.FromLets {
-		for i, tu := range tuples {
-			v, err := eval(st, tu, l.Expr)
-			if err != nil {
-				return adm.Value{}, err
-			}
-			tuples[i] = Bind(tu, l.Name, v)
-		}
-	}
-
-	// WHERE.
-	if sel.Where != nil {
-		kept := tuples[:0]
-		for _, tu := range tuples {
-			if err := st.ctx.Err(); err != nil {
-				return adm.Value{}, err
-			}
-			v, err := eval(st, tu, sel.Where)
-			if err != nil {
-				return adm.Value{}, err
-			}
-			if Truthy(v) {
-				kept = append(kept, tu)
-			}
-		}
-		tuples = kept
-	}
-
-	return finishSelect(st, sel, tuples)
+	return rc.drain()
 }
 
-// fromCollection resolves a FROM source into a record slice: an
-// in-scope binding (LET/parameter), a dataset scan over the pinned
-// snapshots, or any collection-valued expression.
-func fromCollection(st evalState, env *Env, src sqlpp.Expr) ([]adm.Value, error) {
-	if id, ok := src.(*sqlpp.Ident); ok {
-		if v, bound := env.Lookup(id.Name); bound {
-			return collectionElems(v, id.Name)
-		}
-		if st.ctx.Catalog != nil {
-			if _, isDS := st.ctx.Catalog.Dataset(id.Name); isDS {
-				snaps, err := st.ctx.Pin(id.Name)
-				if err != nil {
-					return nil, err
-				}
-				var recs []adm.Value
-				for _, s := range snaps {
-					s.Scan(func(_, rec adm.Value) bool {
-						recs = append(recs, rec)
-						return true
-					})
-				}
-				return recs, nil
-			}
-		}
-		return nil, fmt.Errorf("%w: FROM source %q is neither a binding nor a dataset", ErrUnknownDataset, id.Name)
-	}
-	v, err := eval(st, env, src)
-	if err != nil {
-		return nil, err
-	}
-	return collectionElems(v, "expression")
-}
-
-func collectionElems(v adm.Value, what string) ([]adm.Value, error) {
-	switch v.Kind() {
-	case adm.KindArray:
-		return v.ArrayVal(), nil
-	case adm.KindMissing, adm.KindNull:
-		return nil, nil
-	default:
-		// A single object iterates as a one-element collection, matching
-		// SQL++'s forgiving FROM semantics for non-arrays.
-		return []adm.Value{v}, nil
-	}
-}
-
-// finishSelect applies grouping, ordering, limiting, and projection to a
-// prepared tuple stream. The enrichment probe path calls this directly
-// with its candidate tuples.
-func finishSelect(st evalState, sel *sqlpp.SelectExpr, tuples []*Env) (adm.Value, error) {
-	type row struct {
-		env     *Env
-		group   []*Env
-		grouped bool
-	}
-	var rows []row
-
-	grouped := len(sel.GroupBy) > 0 || selectHasAggregate(sel)
-	if grouped {
-		groups, err := groupTuples(st, sel.GroupBy, tuples)
-		if err != nil {
-			return adm.Value{}, err
-		}
-		for _, g := range groups {
-			rows = append(rows, row{env: g.repEnv, group: g.tuples, grouped: true})
-		}
-	} else {
-		for _, tu := range tuples {
-			rows = append(rows, row{env: tu})
-		}
-	}
-
-	// rowState applies the group context only for grouped rows (an empty
-	// group must still evaluate aggregates as aggregates).
-	rowState := func(r row) evalState {
-		if r.grouped {
-			return st.withGroup(r.group)
-		}
-		return st.noGroup()
-	}
-
-	// ORDER BY.
-	if len(sel.OrderBy) > 0 {
-		type keyed struct {
-			r    row
-			keys []adm.Value
-		}
-		ks := make([]keyed, len(rows))
-		for i, r := range rows {
-			keys := make([]adm.Value, len(sel.OrderBy))
-			for j, ob := range sel.OrderBy {
-				v, err := eval(rowState(r), r.env, ob.Expr)
-				if err != nil {
-					return adm.Value{}, err
-				}
-				keys[j] = v
-			}
-			ks[i] = keyed{r, keys}
-		}
-		sort.SliceStable(ks, func(a, b int) bool {
-			for j, ob := range sel.OrderBy {
-				c := adm.Compare(ks[a].keys[j], ks[b].keys[j])
-				if c != 0 {
-					if ob.Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-		for i := range rows {
-			rows[i] = ks[i].r
-		}
-	}
-
-	// LIMIT. DISTINCT dedupes projected rows, so with DISTINCT the limit
-	// must apply after projection+dedupe (LIMIT n means n distinct rows);
-	// without it the limit truncates the row set before projecting.
-	limit := -1
-	if sel.Limit != nil {
-		lv, err := eval(st, nil, sel.Limit)
-		if err != nil {
-			return adm.Value{}, err
-		}
-		n, ok := lv.AsInt()
-		if !ok || n < 0 {
-			return adm.Value{}, fmt.Errorf("query: LIMIT must be a non-negative integer")
-		}
-		limit = int(n)
-	}
-	if limit >= 0 && !sel.Distinct && limit < len(rows) {
-		rows = rows[:limit]
-	}
-
-	// Projection.
-	out := make([]adm.Value, 0, len(rows))
-	for _, r := range rows {
-		if err := st.ctx.Err(); err != nil {
-			return adm.Value{}, err
-		}
-		v, err := projectRow(rowState(r), r.env, sel)
-		if err != nil {
-			return adm.Value{}, err
-		}
-		out = append(out, v)
-	}
-
-	if sel.Distinct {
-		out = dedupe(out)
-		if limit >= 0 && limit < len(out) {
-			out = out[:limit]
-		}
-	}
-	return adm.Array(out), nil
-}
-
-type groupInfo struct {
-	repEnv *Env
-	tuples []*Env
-}
-
-// groupTuples hashes tuples into groups by the GROUP BY keys. Grouping
-// aliases are bound in the representative env; select expressions that
-// reference the grouping expression re-evaluate it against the
-// representative tuple (valid because it is functionally dependent on
-// the key).
-func groupTuples(st evalState, keys []sqlpp.GroupKey, tuples []*Env) ([]groupInfo, error) {
-	if len(keys) == 0 {
-		// Aggregate query without GROUP BY: one group of everything.
-		var rep *Env
-		if len(tuples) > 0 {
-			rep = tuples[0]
-		}
-		return []groupInfo{{repEnv: rep, tuples: tuples}}, nil
-	}
-	index := make(map[uint64][]int)
-	var groups []groupInfo
-	var groupKeys [][]adm.Value
-	for _, tu := range tuples {
-		kv := make([]adm.Value, len(keys))
-		for i, k := range keys {
-			v, err := eval(st, tu, k.Expr)
-			if err != nil {
-				return nil, err
-			}
-			kv[i] = v
-		}
-		h := adm.Hash(adm.Array(kv))
-		found := -1
-		for _, gi := range index[h] {
-			if sameKeys(groupKeys[gi], kv) {
-				found = gi
-				break
-			}
-		}
-		if found < 0 {
-			rep := tu
-			for i, k := range keys {
-				if k.Alias != "" {
-					rep = Bind(rep, k.Alias, kv[i])
-				}
-			}
-			groups = append(groups, groupInfo{repEnv: rep})
-			groupKeys = append(groupKeys, kv)
-			found = len(groups) - 1
-			index[h] = append(index[h], found)
-		}
-		groups[found].tuples = append(groups[found].tuples, tu)
-	}
-	return groups, nil
-}
-
-func sameKeys(a, b []adm.Value) bool {
-	for i := range a {
-		if !adm.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func dedupe(vals []adm.Value) []adm.Value {
-	seen := make(map[uint64][]adm.Value)
-	out := vals[:0]
-	for _, v := range vals {
-		h := adm.Hash(v)
-		dup := false
-		for _, prev := range seen[h] {
-			if adm.Equal(prev, v) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen[h] = append(seen[h], v)
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// projectRow evaluates the SELECT clause for one row (st.group is set
-// for grouped rows so aggregates resolve).
+// projectRow evaluates the SELECT clause for one row (st carries the
+// group context of a grouped row so aggregates resolve).
 func projectRow(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error) {
 	if sel.SelectValue != nil {
 		return eval(st, env, sel.SelectValue)
@@ -394,166 +98,4 @@ func projectionName(proj sqlpp.Projection, pos int) string {
 		return e.Name
 	}
 	return fmt.Sprintf("$%d", pos+1)
-}
-
-// selectHasAggregate reports whether any projection, order key, or the
-// SELECT VALUE expression contains an aggregate call (which forces
-// single-group semantics when GROUP BY is absent).
-func selectHasAggregate(sel *sqlpp.SelectExpr) bool {
-	found := false
-	check := func(e sqlpp.Expr) {
-		if e != nil && exprHasAggregate(e) {
-			found = true
-		}
-	}
-	check(sel.SelectValue)
-	for _, p := range sel.Projections {
-		check(p.Expr)
-	}
-	for _, ob := range sel.OrderBy {
-		check(ob.Expr)
-	}
-	return found
-}
-
-// exprHasAggregate walks an expression looking for aggregate calls,
-// without descending into nested SELECT blocks (their aggregates are
-// theirs).
-func exprHasAggregate(e sqlpp.Expr) bool {
-	switch n := e.(type) {
-	case *sqlpp.Call:
-		if n.Ns == "" && IsAggregate(strings.ToLower(n.Name)) {
-			return true
-		}
-		for _, a := range n.Args {
-			if exprHasAggregate(a) {
-				return true
-			}
-		}
-	case *sqlpp.FieldAccess:
-		return exprHasAggregate(n.Base)
-	case *sqlpp.IndexAccess:
-		return exprHasAggregate(n.Base) || exprHasAggregate(n.Index)
-	case *sqlpp.Unary:
-		return exprHasAggregate(n.X)
-	case *sqlpp.Binary:
-		return exprHasAggregate(n.L) || exprHasAggregate(n.R)
-	case *sqlpp.CaseExpr:
-		if n.Operand != nil && exprHasAggregate(n.Operand) {
-			return true
-		}
-		for _, w := range n.Whens {
-			if exprHasAggregate(w.When) || exprHasAggregate(w.Then) {
-				return true
-			}
-		}
-		if n.Else != nil {
-			return exprHasAggregate(n.Else)
-		}
-	case *sqlpp.In:
-		return exprHasAggregate(n.X) || exprHasAggregate(n.Coll)
-	case *sqlpp.ArrayCtor:
-		for _, el := range n.Elems {
-			if exprHasAggregate(el) {
-				return true
-			}
-		}
-	case *sqlpp.ObjectCtor:
-		for _, f := range n.Fields {
-			if exprHasAggregate(f.Val) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// evalAggregate computes an aggregate call over the current group.
-func evalAggregate(st evalState, call *sqlpp.Call) (adm.Value, error) {
-	group := st.group
-	inner := st.noGroup()
-	if call.Star {
-		if strings.ToLower(call.Name) != "count" {
-			return adm.Value{}, fmt.Errorf("query: %s(*) is not a valid aggregate", call.Name)
-		}
-		return adm.Int(int64(len(group))), nil
-	}
-	if len(call.Args) != 1 {
-		return adm.Value{}, fmt.Errorf("query: aggregate %s expects 1 argument", call.Name)
-	}
-	vals := make([]adm.Value, 0, len(group))
-	for _, tu := range group {
-		v, err := eval(inner, tu, call.Args[0])
-		if err != nil {
-			return adm.Value{}, err
-		}
-		vals = append(vals, v)
-	}
-	return aggregateOver(call.Name, vals)
-}
-
-// aggregateOver folds an aggregate over a value slice, skipping unknown
-// values (SQL semantics).
-func aggregateOver(name string, vals []adm.Value) (adm.Value, error) {
-	name = strings.ToLower(name)
-	switch name {
-	case "count":
-		n := int64(0)
-		for _, v := range vals {
-			if !v.IsUnknown() {
-				n++
-			}
-		}
-		return adm.Int(n), nil
-	case "sum", "avg":
-		sum := 0.0
-		allInt := true
-		n := 0
-		for _, v := range vals {
-			if v.IsUnknown() {
-				continue
-			}
-			f, ok := v.AsDouble()
-			if !ok {
-				return adm.Null(), nil
-			}
-			if v.Kind() != adm.KindInt64 {
-				allInt = false
-			}
-			sum += f
-			n++
-		}
-		if n == 0 {
-			return adm.Null(), nil
-		}
-		if strings.ToLower(name) == "avg" {
-			return adm.Double(sum / float64(n)), nil
-		}
-		if allInt {
-			return adm.Int(int64(sum)), nil
-		}
-		return adm.Double(sum), nil
-	case "min", "max":
-		var best adm.Value
-		first := true
-		for _, v := range vals {
-			if v.IsUnknown() {
-				continue
-			}
-			if first {
-				best = v
-				first = false
-				continue
-			}
-			c := adm.Compare(v, best)
-			if (name == "min" && c < 0) || (name == "max" && c > 0) {
-				best = v
-			}
-		}
-		if first {
-			return adm.Null(), nil
-		}
-		return best, nil
-	}
-	return adm.Value{}, fmt.Errorf("query: unknown aggregate %q", name)
 }

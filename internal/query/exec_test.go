@@ -8,19 +8,22 @@ import (
 	"github.com/ideadb/idea/internal/sqlpp"
 )
 
+// execStr runs a query to completion on the engine and returns its
+// result collection — after checking it against the reference
+// implementation, so every case below is a differential case too.
 func execStr(t *testing.T, cat Catalog, env *Env, src string) adm.Value {
 	t.Helper()
-	e, err := sqlpp.ParseExpr(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	sel, ok := e.(*sqlpp.SelectExpr)
-	if !ok {
-		t.Fatalf("%q is not a query", src)
-	}
+	sel := mustSel(t, src)
 	v, err := ExecuteSelect(NewContext(cat), env, sel)
 	if err != nil {
 		t.Fatalf("exec %q: %v", src, err)
+	}
+	want, err := oracleSelect(NewContext(cat), env, sel)
+	if err != nil {
+		t.Fatalf("oracle %q: %v", src, err)
+	}
+	if !adm.Equal(v, want) {
+		t.Fatalf("%s:\n engine %s\n oracle %s", src, v, want)
 	}
 	return v
 }

@@ -22,7 +22,11 @@ import (
 //     secondary-index range probe resolved through the primary,
 //     instead of a full scan. The full WHERE stays as a residual
 //     filter, so over-approximate postings (cross-typed keys inside
-//     the range, stale-but-matching entries) never leak.
+//     the range, stale-but-matching entries) never leak. Only the
+//     outermost SELECT, and only when it pinned the dataset itself:
+//     the probe reads the live index, which agrees with the snapshots
+//     at the instant of the pin and not for a nested SELECT opened
+//     later against it.
 //  2. Parallel partition scan — a multi-partition dataset scanned by a
 //     blocking consumer (GROUP BY / ORDER BY) or an unbounded one
 //     (no LIMIT) scans its partitions concurrently. Partition-order
@@ -30,14 +34,35 @@ import (
 //     on the primary key ascending upgrades to a global key-order
 //     merge that replaces the sort; an order-insensitive aggregate
 //     (count/min/max, no GROUP BY) fans in unordered. Concurrency-safe
-//     WHERE conjuncts are evaluated inside the scan workers.
+//     WHERE conjuncts are evaluated inside the scan workers. Only the
+//     outermost SELECT of an evaluation scans in parallel: a nested
+//     one (subquery, UDF body) may run once per outer row, and a set of
+//     scan workers per row costs more than it overlaps.
 //  3. Serial scan — everything else.
 func ExecuteSelectCursor(ctx *Context, env *Env, sel *sqlpp.SelectExpr) (*RowCursor, error) {
-	st, err := evalState{ctx: ctx}.deeper()
+	return openSelect(evalState{ctx: ctx}, env, sel, &planLog{})
+}
+
+// planLog collects the operator names behind RowCursor.Plan. Only the
+// cursor ExecuteSelectCursor hands out can be asked for its plan; every
+// other pipeline passes nil and formats nothing.
+type planLog struct{ steps []string }
+
+func (p *planLog) stepf(format string, args ...any) {
+	if p != nil {
+		p.steps = append(p.steps, fmt.Sprintf(format, args...))
+	}
+}
+
+// openSelect enters a query block — one nesting level down, outside any
+// enclosing group context — binds its leading LETs and opens its
+// operator pipeline.
+func openSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, pl *planLog) (*RowCursor, error) {
+	st, err := st.deeper()
 	if err != nil {
 		return nil, err
 	}
-	rc := &RowCursor{st: st, sel: sel, limit: -1}
+	st = st.noGroup()
 	for _, l := range sel.Lets {
 		v, err := eval(st, env, l.Expr)
 		if err != nil {
@@ -45,6 +70,43 @@ func ExecuteSelectCursor(ctx *Context, env *Env, sel *sqlpp.SelectExpr) (*RowCur
 		}
 		env = Bind(env, l.Name, v)
 	}
+
+	// Pin the snapshots of every dataset named in FROM position now,
+	// before returning the cursor: the caller's consistency contract is
+	// "the data as of the Query call", not "as of the first Next".
+	// (Datasets touched only inside subqueries or UDFs pin on first
+	// access, per the Context rule.)
+	scope := env
+	livePin := false // this call took the first FROM dataset's snapshots
+	for i, fc := range sel.From {
+		if id, isIdent := fc.Source.(*sqlpp.Ident); isIdent {
+			if _, bound := scope.Lookup(id.Name); !bound && st.ctx.Catalog != nil {
+				if _, isDS := st.ctx.Catalog.Dataset(id.Name); isDS {
+					_, took, err := st.ctx.pin(id.Name)
+					if err != nil {
+						return nil, err
+					}
+					if i == 0 {
+						livePin = took
+					}
+				}
+			}
+		}
+		// Later FROM clauses may reference this alias; approximate the
+		// scope by binding it to MISSING (only presence matters here).
+		scope = Bind(scope, fc.Alias, adm.Missing())
+	}
+	return openPipeline(st, env, sel, nil, livePin, pl)
+}
+
+// openPipeline evaluates LIMIT, assembles the operators and wraps them
+// in the cursor that projects, dedupes and counts rows out. tuples,
+// when non-nil, is an already enumerated and filtered FROM product —
+// the enrichment probe's candidates — and stands in for the FROM, LET
+// and WHERE operators. livePin says the caller pinned the first FROM
+// dataset just now (see planScanLeaf).
+func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, tuples tupleCursor, livePin bool, pl *planLog) (*RowCursor, error) {
+	rc := &RowCursor{st: st, sel: sel, limit: -1}
 	if sel.Limit != nil {
 		lv, err := eval(st, nil, sel.Limit)
 		if err != nil {
@@ -56,109 +118,83 @@ func ExecuteSelectCursor(ctx *Context, env *Env, sel *sqlpp.SelectExpr) (*RowCur
 		}
 		rc.limit = n
 	}
-
-	// Pin the snapshots of every dataset named in FROM position now,
-	// before returning the cursor: the caller's consistency contract is
-	// "the data as of the Query call", not "as of the first Next".
-	// (Datasets touched only inside subqueries or UDFs pin on first
-	// access, per the Context rule.)
-	scope := env
-	for _, fc := range sel.From {
-		if id, isIdent := fc.Source.(*sqlpp.Ident); isIdent {
-			if _, bound := scope.Lookup(id.Name); !bound && ctx.Catalog != nil {
-				if _, isDS := ctx.Catalog.Dataset(id.Name); isDS {
-					if _, err := ctx.Pin(id.Name); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		// Later FROM clauses may reference this alias; approximate the
-		// scope by binding it to MISSING (only presence matters here).
-		scope = Bind(scope, fc.Alias, adm.Missing())
-	}
-
-	rows, plan, err := planSelect(st, env, sel, rc.limit)
+	rows, err := planSelect(st, env, sel, rc.limit, tuples, livePin, pl)
 	if err != nil {
 		return nil, err
 	}
 	rc.rows = rows
-	rc.plan = plan
 	if sel.Distinct {
 		rc.dedup = newValueDedup()
+	}
+	if pl != nil {
+		rc.plan = strings.Join(pl.steps, "→")
 	}
 	return rc, nil
 }
 
 // planSelect assembles the operator pipeline under the base env (with
-// leading LETs already bound) and returns it with its plan string.
-func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64) (rowSrc, string, error) {
-	grouped := len(sel.GroupBy) > 0 || selectHasAggregate(sel)
-	var aggCalls []*sqlpp.Call
-	if grouped {
-		aggCalls = collectSelectAggs(sel)
-	}
+// leading LETs already bound): FROM → LET → WHERE unless the caller
+// supplies the tuples, then aggregate and order.
+func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, cur tupleCursor, livePin bool, pl *planLog) (rowSrc, error) {
+	aggCalls := collectSelectAggs(sel)
+	grouped := len(sel.GroupBy) > 0 || len(aggCalls) > 0
 
-	var steps []string
-	var cur tupleCursor
-	wherePushed := false
 	orderHandled := false
 	reuse := false
-
-	if len(sel.From) > 0 {
-		leaf, desc, pushed, keyOrdered, ok, err := planScanLeaf(st, env, sel, grouped, aggCalls, limit)
-		if err != nil {
-			return nil, "", err
-		}
-		if ok {
-			// Env-reuse mode: the scan leaf recycles one binding box per
-			// record, so the bounded top-k heap and the streaming hash
-			// aggregate run allocation-flat. Only legal when nothing
-			// between the scan and the consumer retains an env without
-			// copying: single FROM, no FROM-LETs, a WHERE (if any) free
-			// of calls and subqueries, and a consumer that copies what it
-			// keeps — the top-k heap (copyEnv) or the hash aggregate
-			// (copyRep, one snapshot per new group).
-			safeWhere := sel.Where == nil || pushed || safeParallelPred(sel.Where)
-			topkReuse := !grouped && len(sel.OrderBy) > 0 && !keyOrdered &&
-				limit >= 0 && !sel.Distinct
-			reuse = len(sel.From) == 1 && len(sel.FromLets) == 0 && safeWhere &&
-				(topkReuse || grouped)
-			cur = &scanFromCursor{base: env, alias: sel.From[0].Alias, leaf: leaf, reuse: reuse}
-			steps = append(steps, desc)
-			wherePushed = pushed
-			orderHandled = keyOrdered
-		}
-	}
 	if cur == nil {
-		cur = &singleCursor{env: env}
-	}
-	for i, fc := range sel.From {
-		if i == 0 && len(steps) > 0 {
-			continue // planned leaf covers the first clause
+		wherePushed := false
+		from := sel.From
+		if len(from) > 0 {
+			leaf, pushed, keyOrdered, err := planScanLeaf(st, env, sel, grouped, aggCalls, limit, livePin, pl)
+			if err != nil {
+				return nil, err
+			}
+			if leaf != nil {
+				// Env-reuse mode: the scan leaf recycles one binding box per
+				// record, so the bounded top-k heap and the streaming hash
+				// aggregate run allocation-flat. Only legal when nothing
+				// between the scan and the consumer retains an env without
+				// copying: single FROM, no FROM-LETs, a WHERE (if any) free
+				// of calls and subqueries, and a consumer that copies what it
+				// keeps — the top-k heap (copyEnv) or the hash aggregate
+				// (copyRep, one snapshot per new group).
+				safeWhere := sel.Where == nil || pushed || safeParallelPred(sel.Where)
+				topkReuse := !grouped && len(sel.OrderBy) > 0 && !keyOrdered &&
+					limit >= 0 && !sel.Distinct
+				reuse = len(from) == 1 && len(sel.FromLets) == 0 && safeWhere &&
+					(topkReuse || grouped)
+				cur = &scanFromCursor{base: env, alias: from[0].Alias, leaf: leaf, reuse: reuse}
+				wherePushed, orderHandled = pushed, keyOrdered
+				from = from[1:] // the planned leaf covers the first clause
+			}
 		}
-		cur = &fromCursor{st: st, outer: cur, src: fc.Source, alias: fc.Alias}
-		steps = append(steps, "from("+fc.Alias+")")
-	}
-	if len(sel.FromLets) > 0 {
-		cur = &letCursor{st: st, inner: cur, lets: sel.FromLets}
-		steps = append(steps, "let")
-	}
-	if sel.Where != nil && !wherePushed {
-		cur = &filterCursor{st: st, inner: cur, pred: sel.Where}
-		steps = append(steps, "filter")
+		if cur == nil {
+			cur = &singleCursor{env: env}
+		}
+		for _, fc := range from {
+			cur = &fromCursor{st: st, outer: cur, src: fc.Source, alias: fc.Alias}
+			pl.stepf("from(%s)", fc.Alias)
+		}
+		if len(sel.FromLets) > 0 {
+			cur = &letCursor{st: st, inner: cur, lets: sel.FromLets}
+			pl.stepf("let")
+		}
+		if sel.Where != nil && !wherePushed {
+			cur = &filterCursor{st: st, inner: cur, pred: sel.Where}
+			pl.stepf("filter")
+		}
 	}
 
 	var rows rowSrc
 	if grouped {
 		rows = &aggRows{st: st, inner: cur, keys: sel.GroupBy, calls: aggCalls, copyRep: reuse}
-		steps = append(steps, fmt.Sprintf("aggregate(%dkeys,%daggs)", len(sel.GroupBy), len(aggCalls)))
+		pl.stepf("aggregate(%dkeys,%daggs)", len(sel.GroupBy), len(aggCalls))
 	} else {
 		rows = &tupleRows{inner: cur}
 	}
 	switch {
 	case orderHandled:
-		steps = append(steps, "ordered-by-key")
+		pl.stepf("ordered-by-key")
 	case len(sel.OrderBy) > 0:
 		k := int64(-1)
 		if limit >= 0 && !sel.Distinct {
@@ -170,58 +206,63 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64) (row
 		// representatives); only raw scan rows need copying on accept.
 		rows = &topkRows{st: st, inner: rows, orderBy: sel.OrderBy, k: k, copyEnv: reuse && !grouped}
 		if k >= 0 {
-			steps = append(steps, fmt.Sprintf("topk(%d)", k))
+			pl.stepf("topk(%d)", k)
 		} else {
-			steps = append(steps, "sort")
+			pl.stepf("sort")
 		}
 	}
-	steps = append(steps, "project")
+	pl.stepf("project")
 	if sel.Distinct {
-		steps = append(steps, "distinct")
+		pl.stepf("distinct")
 	}
 	if limit >= 0 {
-		steps = append(steps, fmt.Sprintf("limit(%d)", limit))
+		pl.stepf("limit(%d)", limit)
 	}
-	return rows, strings.Join(steps, "→"), nil
+	return rows, nil
 }
 
 // planScanLeaf builds the record stream for the first FROM clause when
 // it names a dataset: an index range probe, a parallel partition scan,
-// or a serial scan. ok=false means the clause is not a plannable
+// or a serial scan. A nil leaf means the clause is not a plannable
 // dataset scan (expression source, shadowed name) and the generic
 // fromCursor path applies.
-func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, aggCalls []*sqlpp.Call, limit int64) (leaf collCursor, desc string, pushed, keyOrdered, ok bool, err error) {
+//
+// The index probe reads the live B-tree, so it is sound only at the
+// instant the snapshots it resolves through were taken: the outermost
+// SELECT (depth 1) whose openSelect pinned the dataset itself (livePin).
+// A nested SELECT runs later, maybe once per outer row, against the
+// statement's or the batch's older pin — as does a block reached with
+// the dataset already pinned — and scans the snapshot instead.
+func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, aggCalls []*sqlpp.Call, limit int64, livePin bool, pl *planLog) (leaf collCursor, pushed, keyOrdered bool, err error) {
 	fc := sel.From[0]
 	id, isIdent := fc.Source.(*sqlpp.Ident)
 	if !isIdent || st.ctx.Catalog == nil {
-		return nil, "", false, false, false, nil
+		return nil, false, false, nil
 	}
 	if _, bound := env.Lookup(id.Name); bound {
-		return nil, "", false, false, false, nil
+		return nil, false, false, nil
 	}
 	ds, isDS := st.ctx.Catalog.Dataset(id.Name)
 	if !isDS {
-		return nil, "", false, false, false, nil
+		return nil, false, false, nil
 	}
 	snaps, err := st.ctx.Pin(id.Name)
 	if err != nil {
-		return nil, "", false, false, false, err
+		return nil, false, false, err
 	}
 
-	// 1. Index pushdown.
-	if !st.ctx.DisableIndexScan && sel.Where != nil {
+	// 1. Index pushdown (outermost SELECT on its own fresh pin only).
+	if !st.ctx.DisableIndexScan && st.depth == 1 && livePin && sel.Where != nil {
 		if field, idxName, idxs, lo, hi, found := pickIndexRange(st.ctx, ds, fc.Alias, sel.Where); found {
-			sc := lsm.NewIndexScanCursor(snaps, idxs, lo, hi)
-			return &indexScanColl{sc: sc},
-				fmt.Sprintf("iscan(%s.%s on %s)", id.Name, idxName, field),
-				false, false, true, nil
+			pl.stepf("iscan(%s.%s on %s)", id.Name, idxName, field)
+			return &indexScanColl{sc: lsm.NewIndexScanCursor(snaps, idxs, lo, hi), snaps: snaps}, false, false, nil
 		}
 	}
 
-	// 2. Parallel partition scan.
+	// 2. Parallel partition scan (outermost SELECT only).
 	parts := len(snaps)
 	blocking := grouped || len(sel.OrderBy) > 0
-	if !st.ctx.DisableParallelScan && parts > 1 && (blocking || limit < 0) {
+	if !st.ctx.DisableParallelScan && st.depth == 1 && parts > 1 && (blocking || limit < 0) {
 		order := lsm.PartitionOrder
 		if !grouped && orderByIsPkAsc(sel, fc.Alias, ds.PrimaryKey()) {
 			order = lsm.KeyOrder
@@ -230,6 +271,7 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 			order = lsm.Unordered
 		}
 		var filter func(key, rec adm.Value) (bool, error)
+		pushedMark := ""
 		if sel.Where != nil && len(sel.From) == 1 && len(sel.FromLets) == 0 && safeParallelPred(sel.Where) {
 			where, alias, base, fst := sel.Where, fc.Alias, env, st
 			// Workers call the filter concurrently; each call borrows a
@@ -246,19 +288,15 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 				}
 				return Truthy(v), nil
 			}
-			pushed = true
+			pushed, pushedMark = true, "+filter"
 		}
-		pc := lsm.NewParallelScanCursor(snaps, filter, order, 0)
-		desc = fmt.Sprintf("pscan(%s,%s,%d)", id.Name, orderName(order), parts)
-		if pushed {
-			desc += "+filter"
-		}
-		return &parallelColl{pc: pc}, desc, pushed, keyOrdered, true, nil
+		pl.stepf("pscan(%s,%s,%d)%s", id.Name, orderName(order), parts, pushedMark)
+		return &parallelColl{pc: lsm.NewParallelScanCursor(snaps, filter, order, 0), snaps: snaps}, pushed, keyOrdered, nil
 	}
 
 	// 3. Serial scan.
-	return &datasetCursor{sc: lsm.NewScanCursor(snaps)},
-		fmt.Sprintf("scan(%s)", id.Name), false, false, true, nil
+	pl.stepf("scan(%s)", id.Name)
+	return newDatasetCursor(snaps), false, false, nil
 }
 
 func orderName(o lsm.ScanOrder) string {

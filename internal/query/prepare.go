@@ -228,7 +228,9 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 			if acc.kind == accessRTree {
 				res.tree = index.NewRTree()
 			}
-			st := evalState{ctx: pe.ctx}
+			// depth 1, as in EvalRecord: a filter's subquery runs once per
+			// reference record and is no outermost SELECT.
+			st := evalState{ctx: pe.ctx, depth: 1}
 			snap.Scan(func(_, rec adm.Value) bool {
 				env := Bind(nil, acc.alias, rec)
 				for _, f := range acc.filters {
@@ -314,7 +316,10 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 // result collection is unwrapped to the record itself, which is what the
 // feed pipeline stores.
 func (pe *PreparedEnrich) EvalRecord(rec adm.Value) (adm.Value, error) {
-	st := evalState{ctx: pe.ctx, prepared: pe}
+	// depth 1: the feed's per-record loop is the outer query here, so no
+	// SELECT below it — the UDF body included — is outermost (and none
+	// starts a parallel scan per ingested record).
+	st := evalState{ctx: pe.ctx, prepared: pe, depth: 1}
 	env := Bind(nil, pe.plan.param, rec)
 	v, err := eval(st, env, pe.plan.body)
 	if err != nil {
@@ -348,7 +353,14 @@ func (pe *PreparedEnrich) evalCompiled(st evalState, env *Env, sel *sqlpp.Select
 	if err != nil {
 		return adm.Value{}, true, err
 	}
-	v, err := finishSelect(st.noGroup(), sel, tuples)
+	// From here on a compiled subquery is a SELECT like any other: the
+	// candidates replace FROM and WHERE, the shared pipeline aggregates,
+	// orders, projects, dedupes and limits them.
+	rc, err := openPipeline(st.noGroup(), nil, sel, &sliceTuples{envs: tuples}, false, nil)
+	if err != nil {
+		return adm.Value{}, true, err
+	}
+	v, err := rc.drain()
 	return v, true, err
 }
 

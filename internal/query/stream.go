@@ -23,16 +23,18 @@ import (
 //   - DISTINCT dedupes projected rows through a hash set as they are
 //     emitted.
 //
-// The plan — including index pushdown and parallel partition scans —
-// is chosen by ExecuteSelectCursor (see plan_select.go) and reported
-// by Plan. The eager executor (exec.go) remains for expression-position
-// subqueries and the enrichment probe path; top-level SELECTs never
-// fall back to it.
+// This is the only SELECT executor: top-level statements hold the
+// cursor (ExecuteSelectCursor) and pull it row by row; a SELECT in
+// expression position, a const-subquery of the enrichment build phase
+// and the enrichment probe open the same pipeline and drain it
+// (runSelect, evalCompiled), and EXISTS pulls it once. The plan —
+// including index pushdown and parallel partition scans — is chosen in
+// plan_select.go and reported by Plan.
 type RowCursor struct {
 	st   evalState
 	sel  *sqlpp.SelectExpr
 	rows rowSrc
-	plan string
+	plan string // set only on the cursor ExecuteSelectCursor hands out
 
 	limit int64 // rows still to emit; -1 = unlimited
 	dedup *valueDedup
@@ -97,6 +99,22 @@ func (rc *RowCursor) Close() {
 // inferring them from timing.
 func (rc *RowCursor) Plan() string { return rc.plan }
 
+// drain pulls the cursor to exhaustion: the collection a SELECT in
+// expression position evaluates to.
+func (rc *RowCursor) drain() (adm.Value, error) {
+	var out []adm.Value
+	for {
+		v, ok, err := rc.Next()
+		if err != nil {
+			return adm.Value{}, err
+		}
+		if !ok {
+			return adm.Array(out), nil
+		}
+		out = append(out, v)
+	}
+}
+
 // --- row operators (post-FROM exchange) ---
 
 // rowT is one output row candidate: its binding environment plus, for
@@ -130,10 +148,12 @@ func (t *tupleRows) close() { t.inner.close() }
 
 // --- streaming hash aggregation ---
 
-// aggAcc incrementally folds one aggregate call, replicating
-// aggregateOver's semantics (count skips unknowns, sum/avg go NULL on
-// a non-numeric, integer-only sums stay integer, avg is always double,
-// min/max use adm.Compare).
+// aggAcc incrementally folds one aggregate call; it is where the
+// semantics of count/sum/avg/min/max are written: unknown values are
+// skipped, sum/avg go NULL on a non-numeric, integer-only sums stay
+// integer, avg is always double, min/max use adm.Compare. Grouped
+// queries fold tuples into it (add); the scalar form over an array
+// folds the elements (fold).
 type aggAcc struct {
 	name string // lowercased
 	star bool
@@ -148,18 +168,18 @@ type aggAcc struct {
 	has     bool
 }
 
-func newAggAcc(call *sqlpp.Call) (*aggAcc, error) {
+func newAggAcc(call *sqlpp.Call) (aggAcc, error) {
 	name := strings.ToLower(call.Name)
 	if call.Star {
 		if name != "count" {
-			return nil, fmt.Errorf("query: %s(*) is not a valid aggregate", call.Name)
+			return aggAcc{}, fmt.Errorf("query: %s(*) is not a valid aggregate", call.Name)
 		}
-		return &aggAcc{name: name, star: true}, nil
+		return aggAcc{name: name, star: true}, nil
 	}
 	if len(call.Args) != 1 {
-		return nil, fmt.Errorf("query: aggregate %s expects 1 argument", call.Name)
+		return aggAcc{}, fmt.Errorf("query: aggregate %s expects 1 argument", call.Name)
 	}
-	return &aggAcc{name: name, allInt: true, arg: call.Args[0]}, nil
+	return aggAcc{name: name, allInt: true, arg: call.Args[0]}, nil
 }
 
 func (a *aggAcc) add(st evalState, tu *Env) error {
@@ -171,20 +191,25 @@ func (a *aggAcc) add(st evalState, tu *Env) error {
 	if err != nil {
 		return err
 	}
+	a.fold(v)
+	return nil
+}
+
+func (a *aggAcc) fold(v adm.Value) {
 	if v.IsUnknown() {
-		return nil
+		return
 	}
 	switch a.name {
 	case "count":
 		a.count++
 	case "sum", "avg":
 		if a.sumNull {
-			return nil
+			return
 		}
 		f, ok := v.AsDouble()
 		if !ok {
 			a.sumNull = true
-			return nil
+			return
 		}
 		if v.Kind() != adm.KindInt64 {
 			a.allInt = false
@@ -194,14 +219,13 @@ func (a *aggAcc) add(st evalState, tu *Env) error {
 	case "min", "max":
 		if !a.has {
 			a.best, a.has = v, true
-			return nil
+			return
 		}
 		c := adm.Compare(v, a.best)
 		if (a.name == "min" && c < 0) || (a.name == "max" && c > 0) {
 			a.best = v
 		}
 	}
-	return nil
 }
 
 func (a *aggAcc) final() (adm.Value, error) {
@@ -233,13 +257,13 @@ func (a *aggAcc) final() (adm.Value, error) {
 type aggGroup struct {
 	rep  *Env
 	kv   []adm.Value
-	accs []*aggAcc
+	accs []aggAcc
 }
 
 // aggRows is the streaming hash aggregate: tuples fold into per-group
-// accumulators as they arrive (first-seen group order, matching the
-// eager executor), and only the group table — representative env, key
-// values, accumulators — is retained. Raw tuples are never buffered.
+// accumulators as they arrive (groups come out in first-seen order),
+// and only the group table — representative env, key values,
+// accumulators — is retained. Raw tuples are never buffered.
 type aggRows struct {
 	st    evalState
 	inner tupleCursor
@@ -325,8 +349,8 @@ func (a *aggRows) build() error {
 			}
 			g = groups[found]
 		}
-		for _, acc := range g.accs {
-			if err := acc.add(inner, tu); err != nil {
+		for i := range g.accs {
+			if err := g.accs[i].add(inner, tu); err != nil {
 				return err
 			}
 		}
@@ -372,7 +396,7 @@ func (a *aggRows) newGroup(tu *Env, kv []adm.Value) (*aggGroup, error) {
 			}
 		}
 	}
-	g.accs = make([]*aggAcc, len(a.calls))
+	g.accs = make([]aggAcc, len(a.calls))
 	for i, call := range a.calls {
 		acc, err := newAggAcc(call)
 		if err != nil {
@@ -383,11 +407,21 @@ func (a *aggRows) newGroup(tu *Env, kv []adm.Value) (*aggGroup, error) {
 	return g, nil
 }
 
+func sameKeys(a, b []adm.Value) bool {
+	for i := range a {
+		if !adm.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // collectSelectAggs gathers the aggregate call sites a grouped query
 // evaluates — SELECT list/value and ORDER BY keys (the clauses that run
 // under the group context). Calls nested inside another aggregate's
 // argument are excluded: they evaluate as scalar collection functions
-// during accumulation, exactly as in the eager executor.
+// during accumulation. Nested SELECT blocks are not entered (their
+// aggregates are theirs).
 func collectSelectAggs(sel *sqlpp.SelectExpr) []*sqlpp.Call {
 	var out []*sqlpp.Call
 	collectAggCalls(sel.SelectValue, &out)
@@ -455,7 +489,7 @@ type topkEntry struct {
 // LIMIT-k sort costs O(n log k) time and O(k) memory. With k < 0 (no
 // LIMIT, or DISTINCT under the limit) every row is retained and sorted
 // — the graceful degeneration to a full sort. Ties preserve arrival
-// order, matching the eager executor's stable sort.
+// order (a stable sort).
 type topkRows struct {
 	st      evalState
 	inner   rowSrc
@@ -665,6 +699,23 @@ func (s *singleCursor) next() (*Env, bool, error) {
 
 func (s *singleCursor) close() {}
 
+// sliceTuples replays an already enumerated FROM product: the tuples
+// the enrichment probe drew from its hash tables and R-trees.
+type sliceTuples struct {
+	envs []*Env
+	pos  int
+}
+
+func (s *sliceTuples) next() (*Env, bool, error) {
+	if s.pos >= len(s.envs) {
+		return nil, false, nil
+	}
+	s.pos++
+	return s.envs[s.pos-1], true, nil
+}
+
+func (s *sliceTuples) close() {}
+
 // scanFromCursor is the planned leaf: it binds the first FROM clause's
 // alias over a pre-built record stream (serial scan, index range scan,
 // or parallel partition scan). In reuse mode it mutates one env box in
@@ -838,28 +889,55 @@ func (s *singleValueCursor) next() (adm.Value, bool, error) {
 
 func (s *singleValueCursor) close() {}
 
+// The three dataset leaves below report a run-file read fault when they
+// run dry. lsm degrades a failed block read (I/O, CRC) to "no more
+// records" / "not found" and parks the cause in the snapshot, so
+// exhaustion is the moment to ask: without it a faulted scan would pass
+// for a short result. An early-out consumer (LIMIT, EXISTS) that stops
+// before exhaustion read every row it used successfully.
+func scanErr(snaps []*lsm.Snapshot) error {
+	for _, s := range snaps {
+		if err := s.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // datasetCursor adapts an LSM scan cursor (which walks the pinned
 // snapshots' memtable trees and sorted runs in place) to a collection
 // cursor.
 type datasetCursor struct {
-	sc *lsm.ScanCursor
+	sc    *lsm.ScanCursor
+	snaps []*lsm.Snapshot
+}
+
+func newDatasetCursor(snaps []*lsm.Snapshot) *datasetCursor {
+	return &datasetCursor{sc: lsm.NewScanCursor(snaps), snaps: snaps}
 }
 
 func (d *datasetCursor) next() (adm.Value, bool, error) {
 	_, rec, ok := d.sc.Next()
-	return rec, ok, nil
+	if !ok {
+		return adm.Value{}, false, scanErr(d.snaps)
+	}
+	return rec, true, nil
 }
 
 func (d *datasetCursor) close() { d.sc.Close() }
 
 // indexScanColl adapts a secondary-index range scan.
 type indexScanColl struct {
-	sc *lsm.IndexScanCursor
+	sc    *lsm.IndexScanCursor
+	snaps []*lsm.Snapshot
 }
 
 func (c *indexScanColl) next() (adm.Value, bool, error) {
 	_, rec, ok := c.sc.Next()
-	return rec, ok, nil
+	if !ok {
+		return adm.Value{}, false, scanErr(c.snaps)
+	}
+	return rec, true, nil
 }
 
 func (c *indexScanColl) close() {}
@@ -867,11 +945,15 @@ func (c *indexScanColl) close() {}
 // parallelColl adapts a parallel partition scan; close stops and joins
 // the workers.
 type parallelColl struct {
-	pc *lsm.ParallelScanCursor
+	pc    *lsm.ParallelScanCursor
+	snaps []*lsm.Snapshot
 }
 
 func (c *parallelColl) next() (adm.Value, bool, error) {
 	_, rec, ok, err := c.pc.Next()
+	if !ok && err == nil {
+		err = scanErr(c.snaps)
+	}
 	return rec, ok, err
 }
 
@@ -879,8 +961,7 @@ func (c *parallelColl) close() { c.pc.Close() }
 
 // openFromSource resolves one FROM source into a streaming cursor: an
 // in-scope binding, a dataset scan over the pinned snapshots, or any
-// collection-valued expression. It mirrors fromCollection but never
-// copies a dataset into a slice.
+// collection-valued expression. A dataset is never copied into a slice.
 func openFromSource(st evalState, env *Env, src sqlpp.Expr) (collCursor, error) {
 	if id, ok := src.(*sqlpp.Ident); ok {
 		if v, bound := env.Lookup(id.Name); bound {
@@ -892,7 +973,7 @@ func openFromSource(st evalState, env *Env, src sqlpp.Expr) (collCursor, error) 
 				if err != nil {
 					return nil, err
 				}
-				return &datasetCursor{sc: lsm.NewScanCursor(snaps)}, nil
+				return newDatasetCursor(snaps), nil
 			}
 		}
 		return nil, fmt.Errorf("%w: FROM source %q is neither a binding nor a dataset", ErrUnknownDataset, id.Name)

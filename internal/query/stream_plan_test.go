@@ -15,7 +15,7 @@ import (
 // planCatalog builds the streaming-planner fixture: dataset R over 4
 // partitions, primary key id, a low-cardinality indexed field cat
 // ("c0".."c7", secondary B-tree index by_cat), and score in [0,97).
-func planCatalog(t *testing.T, n int) *testCatalog {
+func planCatalog(t testing.TB, n int) *testCatalog {
 	t.Helper()
 	cat := newTestCatalog()
 	var recs []adm.Value
@@ -33,7 +33,7 @@ func planCatalog(t *testing.T, n int) *testCatalog {
 	return cat
 }
 
-func mustSel(t *testing.T, q string) *sqlpp.SelectExpr {
+func mustSel(t testing.TB, q string) *sqlpp.SelectExpr {
 	t.Helper()
 	e, err := sqlpp.ParseExpr(q)
 	if err != nil {
@@ -183,6 +183,95 @@ func TestPlannerShapes(t *testing.T) {
 	}
 }
 
+// TestNestedSelectScansSerially: only the outermost SELECT of an
+// evaluation may fan out into scan workers. A nested one — a correlated
+// subquery runs once per outer row — plans the serial leaf for the very
+// query that gets a parallel scan on top.
+func TestNestedSelectScansSerially(t *testing.T) {
+	cat := planCatalog(t, 400)
+	sel := mustSel(t, `SELECT VALUE r.id FROM R r WHERE r.score > o.score`)
+	env := Bind(nil, "o", obj("score", adm.Int(90)))
+	for _, tc := range []struct {
+		outer evalState // the state the SELECT is reached from
+		want  string
+	}{
+		{evalState{}, "pscan(R,partition,4)+filter→project"},
+		{evalState{depth: 1}, "scan(R)→filter→project"},
+		{evalState{depth: 7}, "scan(R)→filter→project"},
+	} {
+		tc.outer.ctx = NewContext(cat)
+		rc, err := openSelect(tc.outer, env, sel, &planLog{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc.Plan() != tc.want {
+			t.Errorf("reached from depth %d: plan %q, want %q", tc.outer.depth, rc.Plan(), tc.want)
+		}
+		if got := len(drainCursor(t, rc)); got != 24 {
+			t.Errorf("reached from depth %d: %d rows, want 24", tc.outer.depth, got)
+		}
+	}
+
+	// An indexed predicate changes nothing below the top: the index
+	// probe reads the live B-tree, a nested SELECT an older pin.
+	indexed := mustSel(t, `SELECT VALUE r.id FROM R r WHERE r.cat = "c3"`)
+	for _, tc := range []struct {
+		outer  evalState
+		pinned bool // R already pinned when the SELECT is reached
+		want   string
+	}{
+		{evalState{}, false, "iscan(R.by_cat on cat)→filter→project"},
+		{evalState{}, true, "pscan(R,partition,4)+filter→project"},
+		{evalState{depth: 1}, false, "scan(R)→filter→project"},
+		{evalState{depth: 1}, true, "scan(R)→filter→project"},
+	} {
+		tc.outer.ctx = NewContext(cat)
+		if tc.pinned {
+			if _, err := tc.outer.ctx.Pin("R"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rc, err := openSelect(tc.outer, nil, indexed, &planLog{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc.Plan() != tc.want {
+			t.Errorf("indexed, depth %d, pinned %v: plan %q, want %q", tc.outer.depth, tc.pinned, rc.Plan(), tc.want)
+		}
+		if got := len(drainCursor(t, rc)); got != 50 {
+			t.Errorf("indexed, depth %d, pinned %v: %d rows, want 50", tc.outer.depth, tc.pinned, got)
+		}
+	}
+}
+
+// TestNestedSelectReadsStatementSnapshot: a subquery evaluated once per
+// outer row reads the data as of the statement's pin every time, also
+// when its predicate is indexed and the dataset is written between two
+// pulls of the outer cursor.
+func TestNestedSelectReadsStatementSnapshot(t *testing.T) {
+	cat := planCatalog(t, 400)
+	rc := openCursor(t, NewContext(cat),
+		`SELECT VALUE (SELECT VALUE count(*) FROM R r WHERE r.cat = "c3" AND r.score >= x)[0] FROM [0, 0] x`)
+	defer rc.Close()
+	pull := func() int64 {
+		t.Helper()
+		v, ok, err := rc.Next()
+		if err != nil || !ok {
+			t.Fatalf("Next: ok=%v err=%v", ok, err)
+		}
+		n, _ := v.AsInt()
+		return n
+	}
+	first := pull()
+	ds, _ := cat.Dataset("R")
+	if err := ds.Upsert(obj("id", adm.Int(3), "cat", adm.String("c4"), "score", adm.Int(3))); err != nil {
+		t.Fatal(err)
+	}
+	if second := pull(); first != 50 || second != 50 {
+		t.Errorf("rows %d then %d within one statement, want 50 and 50", first, second)
+	}
+}
+
 // TestIndexScanMatchesFullScan is the index-use acceptance check: the
 // same query planned through the secondary index and through a full
 // scan must return the same rows, with the plans proving which path
@@ -225,9 +314,10 @@ func TestIndexScanMatchesFullScan(t *testing.T) {
 // harness: a seeded generator produces query shapes across the whole
 // planner surface (index pushdown, parallel merge orders, top-k,
 // streaming aggregation, DISTINCT) and every one must agree with the
-// eager executor. Order is compared exactly unless the plan reorders
-// input without an ORDER BY to re-impose it (index scans emit
-// postings order), in which case the multisets must agree.
+// reference implementation (oracle_test.go). Order is compared exactly
+// unless the plan reorders input without an ORDER BY to re-impose it
+// (index scans emit postings order), in which case the multisets must
+// agree — see diffQuery.
 func TestCursorMatchesEagerRandomized(t *testing.T) {
 	cat := planCatalog(t, 400)
 	rng := rand.New(rand.NewSource(20260808)) // fixed seed: deterministic corpus
@@ -298,29 +388,7 @@ func TestCursorMatchesEagerRandomized(t *testing.T) {
 
 	for i := 0; i < 200; i++ {
 		q := gen()
-		rc := openCursor(t, NewContext(cat), q)
-		plan := rc.Plan()
-		if plan == "" {
-			t.Fatalf("%s: empty plan", q)
-		}
-		got := drainCursor(t, rc)
-		want := execStr(t, cat, nil, q).ArrayVal()
-
-		exact := !strings.Contains(plan, "iscan(") || strings.Contains(q, "ORDER BY")
-		if exact {
-			if len(got) != len(want) {
-				t.Errorf("%s:\n plan %s\n cursor %d rows, eager %d rows", q, plan, len(got), len(want))
-				continue
-			}
-			for j := range got {
-				if !adm.Equal(got[j], want[j]) {
-					t.Errorf("%s:\n plan %s\n row %d: cursor %s, eager %s", q, plan, j, got[j], want[j])
-					break
-				}
-			}
-		} else if !sameMultiset(got, want) {
-			t.Errorf("%s:\n plan %s\n cursor %v\n eager %v", q, plan, got, want)
-		}
+		diffQuery(t, NewContext(cat), q, mustSel(t, q))
 	}
 }
 

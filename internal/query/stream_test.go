@@ -43,56 +43,6 @@ func cursorStr(t *testing.T, cat Catalog, env *Env, src string) []adm.Value {
 	return drainCursor(t, rc)
 }
 
-// TestCursorMatchesEagerExecutor runs a spread of query shapes through
-// both the streaming cursor and the eager executor and requires
-// identical results — the streaming path must be a pure execution-
-// strategy change, never a semantic one.
-func TestCursorMatchesEagerExecutor(t *testing.T) {
-	cat := newTestCatalog()
-	var recs []adm.Value
-	for i := 0; i < 300; i++ {
-		recs = append(recs, obj(
-			"id", adm.Int(int64(i)),
-			"grp", adm.String(fmt.Sprintf("g%d", i%7)),
-			"score", adm.Int(int64(i%50)),
-		))
-	}
-	cat.addDataset(t, "Events", "id", 3, recs...)
-
-	queries := []string{
-		// Pipeline-able shapes (true streaming).
-		`SELECT VALUE e FROM Events e`,
-		`SELECT VALUE e.id FROM Events e WHERE e.score > 25`,
-		`SELECT VALUE e.id FROM Events e LIMIT 10`,
-		`SELECT VALUE e.id FROM Events e WHERE e.grp = "g3" LIMIT 4`,
-		`SELECT e.id AS id, e.score AS s FROM Events e WHERE e.score < 5`,
-		`SELECT e.*, "x" AS tag FROM Events e LIMIT 3`,
-		`SELECT VALUE [e.id, b] FROM Events e LET b = e.score * 2 WHERE b > 90`,
-		`LET cutoff = 40 SELECT VALUE e.id FROM Events e WHERE e.score > cutoff`,
-		`SELECT VALUE x FROM [1, 2, 3] x`,
-		`SELECT VALUE e.id FROM Events e WHERE e.id IN [1, 5, 250]`,
-		// Blocking shapes (streamed: top-k heap, hash aggregate, dedupe).
-		`SELECT VALUE e.id FROM Events e ORDER BY e.id DESC LIMIT 5`,
-		`SELECT e.grp AS g, count(*) AS n FROM Events e GROUP BY e.grp ORDER BY e.grp`,
-		`SELECT DISTINCT e.grp FROM Events e ORDER BY e.grp`,
-		`SELECT VALUE count(*) FROM Events e WHERE e.score = 0`,
-	}
-	for _, q := range queries {
-		want := execStr(t, cat, nil, q).ArrayVal()
-		got := cursorStr(t, cat, nil, q)
-		if len(got) != len(want) {
-			t.Errorf("%s:\n cursor %d rows, eager %d rows", q, len(got), len(want))
-			continue
-		}
-		for i := range got {
-			if !adm.Equal(got[i], want[i]) {
-				t.Errorf("%s:\n row %d: cursor %s, eager %s", q, i, got[i], want[i])
-				break
-			}
-		}
-	}
-}
-
 // TestCursorErrorsSurface verifies evaluation errors arrive through the
 // cursor rather than being swallowed mid-stream.
 func TestCursorErrorsSurface(t *testing.T) {
@@ -173,6 +123,56 @@ func TestCursorLimitStopsScan(t *testing.T) {
 	all := cursorStr(t, cat, nil, `SELECT VALUE b.id FROM Big b`)
 	if len(all) != 5000 {
 		t.Fatalf("full scan rows = %d", len(all))
+	}
+}
+
+// TestExistsStopsAtFirstRow: EXISTS over an uncompiled subquery pulls
+// one row and closes the cursor. Over a durable dataset of ~70 blocks
+// the three evaluations below read the one block that holds the first
+// match (materializing the subquery would read them all), and closing
+// mid-scan gives back the cursor's block-cache pins.
+func TestExistsStopsAtFirstRow(t *testing.T) {
+	cache := lsm.NewBlockCache(8 << 20)
+	ds, err := lsm.OpenDataset(lsm.NewMemFS(), "big", "Big", nil, "id", 2,
+		lsm.Options{MemBudget: 64 << 20, MaxComponents: 8, BlockCache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	recs := make([]adm.Value, 20_000)
+	for i := range recs {
+		recs[i] = obj("id", adm.Int(int64(i)), "cat", adm.String(fmt.Sprintf("c%d", i%8)))
+	}
+	if err := ds.UpsertBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	flushAll(t, ds)
+	cat := newTestCatalog()
+	cat.datasets["Big"] = ds
+
+	before := ds.Stats().BlockReads
+	got := cursorStr(t, cat, nil, `SELECT VALUE x FROM [1, 2, 3] x
+		WHERE EXISTS (SELECT b FROM Big b WHERE b.cat = "c5")`)
+	if len(got) != 3 {
+		t.Fatalf("rows = %v, want all three", got)
+	}
+	if reads := ds.Stats().BlockReads - before; reads > 2 {
+		t.Errorf("EXISTS read %d blocks; the first match sits in the first", reads)
+	}
+	if st := cache.Stats(); st.Pinned != 0 {
+		t.Errorf("%d block-cache pins left behind by the closed cursors", st.Pinned)
+	}
+
+	// Outermost, the subquery may scan in parallel; closing it after one
+	// row must still stop and join the workers and drop their pins.
+	if v := evalStr(t, cat, nil, `EXISTS (SELECT b FROM Big b WHERE b.cat = "c5")`); !v.BoolVal() {
+		t.Error("EXISTS = false")
+	}
+	if v := evalStr(t, cat, nil, `EXISTS (SELECT b FROM Big b WHERE b.cat = "nosuch")`); v.BoolVal() {
+		t.Error("EXISTS over no match = true")
+	}
+	if st := cache.Stats(); st.Pinned != 0 {
+		t.Errorf("%d block-cache pins left behind by the parallel scans", st.Pinned)
 	}
 }
 
