@@ -39,9 +39,6 @@ type Config struct {
 	HolderCapacity int
 	// FrameCapacity is records per frame (default 128).
 	FrameCapacity int
-	// WALGroupCommit is the storage-log group-commit window charged once
-	// per stored frame (default 0).
-	WALGroupCommit time.Duration
 	// DataDir, when set, makes storage durable: every dataset keeps an
 	// on-disk write-ahead log, flushed run files, and a manifest under
 	// DataDir, recovered on the next boot. Empty (the default) keeps
@@ -79,7 +76,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.FrameCapacity > 0 {
 		tuning.FrameCapacity = cfg.FrameCapacity
 	}
-	tuning.Storage.GroupCommit = cfg.WALGroupCommit
 	tuning.DataDir = cfg.DataDir
 	tuning.BlockCacheBytes = cfg.BlockCacheBytes
 	inner, err := cluster.New(cfg.Nodes, tuning)

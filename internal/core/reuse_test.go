@@ -197,9 +197,13 @@ func (l *refLog) write(t *testing.T, key string, del bool) {
 	seq := int64(len(l.events[key]))
 	l.mu.Unlock()
 	ev := refEvent{seq: seq, deleted: del, issued: time.Now()}
+	var err error
 	if del {
-		l.ds.Delete(adm.String(key))
-	} else if err := l.ds.Upsert(refRow(key, seq)); err != nil {
+		_, err = l.ds.Delete(adm.String(key))
+	} else {
+		err = l.ds.Upsert(refRow(key, seq))
+	}
+	if err != nil {
 		t.Error(err)
 	}
 	ev.acked = time.Now()

@@ -230,6 +230,14 @@ func (t *BTree) PutBatch(run []Item, onNew func(Item)) {
 	if len(run) == 0 {
 		return
 	}
+	if len(run) == 1 {
+		// A batch of one is a Put: one descent and an in-place shift
+		// instead of a leaf merge.
+		if !t.Put(run[0].Key, run[0].Val) && onNew != nil {
+			onNew(run[0])
+		}
+		return
+	}
 	if t.root == nil {
 		t.root = newNode()
 	}

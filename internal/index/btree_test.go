@@ -352,6 +352,13 @@ func TestBTreePutBatchReplaces(t *testing.T) {
 			t.Fatalf("Get(%d) = %v,%v want %d", i, v, ok, want)
 		}
 	}
+	// A run of one takes the point-put shortcut: same onNew contract.
+	newCount = 0
+	bt.PutBatch(sortedRun([]int64{149}, 1), func(Item) { newCount++ })
+	bt.PutBatch(sortedRun([]int64{150}, 1), func(Item) { newCount++ })
+	if v, _ := bt.Get(adm.Int(149)); newCount != 1 || bt.Len() != 151 || v.IntVal() != 150 {
+		t.Fatalf("runs of one: onNew fired %d times, Len = %d, Get(149) = %v; want 1, 151, 150", newCount, bt.Len(), v)
+	}
 }
 
 // Property test: interleaved batches, point puts, and deletes must agree

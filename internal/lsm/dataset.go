@@ -152,24 +152,33 @@ func (d *Dataset) KeyOf(rec adm.Value) (adm.Value, error) {
 	return pk, nil
 }
 
-// Upsert validates (when typed), routes, and stores the record.
+// keyed is the step every write entry point runs before routing: it
+// validates the record (when the dataset is typed) and extracts the
+// primary key of the validated form.
+func (d *Dataset) keyed(rec adm.Value) (pk, valid adm.Value, err error) {
+	if d.datatype != nil {
+		if rec, err = d.datatype.Validate(rec); err != nil {
+			return pk, rec, err
+		}
+	}
+	pk, err = d.KeyOf(rec)
+	return pk, rec, err
+}
+
+// Upsert validates (when typed), routes, and stores the record; the
+// error is the storage commit's.
 func (d *Dataset) Upsert(rec adm.Value) error {
-	rec, err := d.prepare(rec)
+	pk, rec, err := d.keyed(rec)
 	if err != nil {
 		return err
 	}
-	pk, err := d.KeyOf(rec)
-	if err != nil {
-		return err
-	}
-	d.partitions[d.Route(pk)].Upsert(pk, rec)
-	return nil
+	return d.partitions[d.Route(pk)].Upsert(pk, rec)
 }
 
 // UpsertBatch validates, routes, and stores a whole batch of records,
 // handing each touched partition one frame-granular UpsertBatch (one
 // WAL append+commit, one lock, one bulk memtable insert) instead of a
-// per-record Upsert. Validation runs for the entire batch before
+// batch of one per record. Validation runs for the entire batch before
 // anything is written, so a bad record fails the batch without leaving
 // a prefix behind. The caller keeps ownership of recs; the record
 // payloads are retained by storage.
@@ -184,11 +193,7 @@ func (d *Dataset) UpsertBatch(recs []adm.Value) error {
 		prepared := hyracks.GetRecordSlice(len(recs))
 		defer hyracks.PutRecordSlice(prepared)
 		for _, rec := range recs {
-			rec, err := d.prepare(rec)
-			if err != nil {
-				return err
-			}
-			pk, err := d.KeyOf(rec)
+			pk, rec, err := d.keyed(rec)
 			if err != nil {
 				return err
 			}
@@ -211,11 +216,7 @@ func (d *Dataset) UpsertBatch(recs []adm.Value) error {
 		}
 	}()
 	for _, rec := range recs {
-		rec, err := d.prepare(rec)
-		if err != nil {
-			return err
-		}
-		pk, err := d.KeyOf(rec)
+		pk, rec, err := d.keyed(rec)
 		if err != nil {
 			return err
 		}
@@ -265,32 +266,22 @@ func (d *Dataset) UpsertFrame(fr hyracks.Frame) error {
 
 // Insert is Upsert with duplicate-key rejection.
 func (d *Dataset) Insert(rec adm.Value) error {
-	rec, err := d.prepare(rec)
-	if err != nil {
-		return err
-	}
-	pk, err := d.KeyOf(rec)
+	pk, rec, err := d.keyed(rec)
 	if err != nil {
 		return err
 	}
 	return d.partitions[d.Route(pk)].Insert(pk, rec)
 }
 
-// Delete removes the record with the given primary key.
-func (d *Dataset) Delete(pk adm.Value) bool {
+// Delete removes the record with the given primary key and reports
+// whether a live record was visible before the delete.
+func (d *Dataset) Delete(pk adm.Value) (existed bool, err error) {
 	return d.partitions[d.Route(pk)].Delete(pk)
 }
 
 // Get returns the live record with the given primary key.
 func (d *Dataset) Get(pk adm.Value) (adm.Value, bool) {
 	return d.partitions[d.Route(pk)].Get(pk)
-}
-
-func (d *Dataset) prepare(rec adm.Value) (adm.Value, error) {
-	if d.datatype == nil {
-		return rec, nil
-	}
-	return d.datatype.Validate(rec)
 }
 
 // Epoch returns the per-partition mutation epochs (see Partition.Epoch).

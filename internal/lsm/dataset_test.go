@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/index"
 	"github.com/ideadb/idea/internal/spatial"
 )
 
@@ -44,8 +45,8 @@ func TestDatasetRouteAndCRUD(t *testing.T) {
 	if !ok || got.Field("monument_id").StringVal() != ascii(7) {
 		t.Fatalf("Get = %v,%v", got, ok)
 	}
-	if !ds.Delete(adm.String(ascii(7))) {
-		t.Error("delete failed")
+	if existed, err := ds.Delete(adm.String(ascii(7))); !existed || err != nil {
+		t.Errorf("Delete = %v, %v; want true, nil", existed, err)
 	}
 	if _, ok := ds.Get(adm.String(ascii(7))); ok {
 		t.Error("deleted record visible")
@@ -195,33 +196,35 @@ func TestBTreeIndexDirect(t *testing.T) {
 	mk := func(id int64, c string) adm.Value {
 		return adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(id), "country", adm.String(c)))
 	}
-	ix.Insert(adm.Int(1), mk(1, "US"))
-	ix.Insert(adm.Int(2), mk(2, "US"))
-	ix.Insert(adm.Int(3), mk(3, "FR"))
+	insert := func(id int64, r adm.Value) { ix.InsertBatch([]adm.Value{adm.Int(id)}, []adm.Value{r}) }
+	remove := func(id int64, r adm.Value) { ix.DeleteBatch([]adm.Value{adm.Int(id)}, []adm.Value{r}) }
+	insert(1, mk(1, "US"))
+	insert(2, mk(2, "US"))
+	insert(3, mk(3, "FR"))
 	if got := ix.Lookup(adm.String("US")); len(got) != 2 {
 		t.Fatalf("Lookup(US) = %d entries", len(got))
 	}
 	if got := ix.Lookup(adm.String("XX")); got != nil {
 		t.Fatalf("Lookup miss should be nil, got %v", got)
 	}
-	ix.Delete(adm.Int(1), mk(1, "US"))
+	remove(1, mk(1, "US"))
 	if got := ix.Lookup(adm.String("US")); len(got) != 1 || got[0].IntVal() != 2 {
 		t.Fatalf("after delete Lookup(US) = %v", got)
 	}
-	ix.Delete(adm.Int(3), mk(3, "FR"))
+	remove(3, mk(3, "FR"))
 	if got := ix.Lookup(adm.String("FR")); got != nil {
 		t.Fatal("empty posting list should be removed")
 	}
-	// Range lookup.
-	ix.Insert(adm.Int(4), mk(4, "AA"))
-	ix.Insert(adm.Int(5), mk(5, "MM"))
-	ix.Insert(adm.Int(6), mk(6, "ZZ"))
-	got := ix.LookupRange(adm.String("AA"), adm.String("US"))
-	if len(got) != 3 { // AA, MM, US(2)
-		t.Fatalf("LookupRange = %v", got)
+	// Range lookup, on the bounds the planner uses.
+	insert(4, mk(4, "AA"))
+	insert(5, mk(5, "MM"))
+	insert(6, mk(6, "ZZ"))
+	got := ix.LookupRangeBounds(index.Include(adm.String("AA")), index.Include(adm.String("US")))
+	if len(got) != 3 { // AA, MM, US
+		t.Fatalf("LookupRangeBounds[AA,US] = %v", got)
 	}
 	// Records without the field are skipped, not indexed.
-	ix.Insert(adm.Int(9), adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(9))))
+	insert(9, adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(9))))
 	if got := ix.Lookup(adm.Missing()); got != nil {
 		t.Error("missing key should not be indexed")
 	}

@@ -8,13 +8,41 @@ import (
 	"github.com/ideadb/idea/internal/adm"
 )
 
-// TestDurableDifferential: a randomized upsert/delete stream applied in
-// lockstep to three implementations — a durable partition that is
-// periodically closed and reopened (forcing recovery mid-stream), a
-// plain in-memory partition, and a shadow map — must agree on every
-// point lookup, the live count, and full ordered scans at every
-// checkpoint. Small budgets keep flushes, compactions, and WAL
-// rotation continuously in play.
+// diffVer builds version ver of record k. The indexed fields depend on
+// the version, so a replacement moves the record in both indexes.
+func diffVer(k, ver int64) adm.Value {
+	return rec(k, "ver", adm.Int(ver), "grp", adm.Int(ver%7), "loc", adm.Point(float64(ver%13), float64(k%11)))
+}
+
+// diffIndexes is the B-tree + R-tree pair the differential attaches.
+type diffIndexes struct {
+	bt *BTreeIndex
+	rt *RTreeIndex
+}
+
+func attachDiffIndexes(p *Partition) diffIndexes {
+	ix := diffIndexes{
+		bt: NewBTreeIndex("byGrp", FieldKeyExtractor("grp")),
+		rt: NewRTreeIndex("byLoc", FieldRectExtractor("loc")),
+	}
+	p.AttachIndex(ix.bt)
+	p.AttachIndex(ix.rt)
+	return ix
+}
+
+// TestDurableDifferential: a randomized write stream — single upserts,
+// inserts (fresh and duplicate), deletes, and small frames that may
+// repeat a key or carry tombstones — applied in lockstep to three
+// implementations — a durable partition that is periodically closed and
+// reopened (forcing recovery mid-stream), a plain in-memory partition,
+// and a shadow map — must agree on every point lookup, the live count,
+// and full ordered scans at every checkpoint. Both partitions carry a
+// B-tree and an R-tree index: the in-memory pair is maintained write by
+// write for the whole stream, the durable pair is re-attached (and so
+// back-filled from run files plus the replayed memtable) after every
+// reopen, and both must equal the brute-force oracle at every
+// checkpoint. Small budgets keep flushes, compactions, and WAL rotation
+// continuously in play.
 func TestDurableDifferential(t *testing.T) {
 	const (
 		seeds    = 8
@@ -33,6 +61,7 @@ func TestDurableDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			mem := NewPartition(opts)
+			durableIx, memIx := attachDiffIndexes(durable), attachDiffIndexes(mem)
 			shadow := make(map[int64]int64)
 
 			r := rand.New(rand.NewSource(seed))
@@ -42,8 +71,12 @@ func TestDurableDifferential(t *testing.T) {
 				k := r.Int63n(keySpace)
 				switch r.Intn(10) {
 				case 0, 1: // delete
-					durable.Delete(adm.Int(k))
-					mem.Delete(adm.Int(k))
+					_, live := shadow[k]
+					for _, p := range []*Partition{durable, mem} {
+						if existed, err := p.Delete(adm.Int(k)); err != nil || existed != live {
+							t.Fatalf("op %d: Delete(%d) = %v, %v; shadow says existed=%v", op, k, existed, err, live)
+						}
+					}
 					delete(shadow, k)
 				case 2: // batch upsert (a small frame)
 					n := 1 + r.Intn(8)
@@ -51,9 +84,17 @@ func TestDurableDifferential(t *testing.T) {
 					recs := make([]adm.Value, n)
 					for i := 0; i < n; i++ {
 						bk := r.Int63n(keySpace)
+						if i > 0 && r.Intn(4) == 0 {
+							bk = keys[r.Intn(i)].IntVal() // repeat a key: last occurrence wins
+						}
 						version++
 						keys[i] = adm.Int(bk)
-						recs[i] = rec(bk, "ver", adm.Int(version))
+						if r.Intn(5) == 0 {
+							recs[i] = adm.Missing() // a tombstone inside the frame
+							delete(shadow, bk)
+							continue
+						}
+						recs[i] = diffVer(bk, version)
 						shadow[bk] = version
 					}
 					if err := durable.UpsertBatch(keys, recs); err != nil {
@@ -62,10 +103,24 @@ func TestDurableDifferential(t *testing.T) {
 					if err := mem.UpsertBatch(keys, recs); err != nil {
 						t.Fatal(err)
 					}
+				case 3: // insert: succeeds only on a key with no live record
+					version++
+					_, live := shadow[k]
+					for _, p := range []*Partition{durable, mem} {
+						if err := p.Insert(adm.Int(k), diffVer(k, version)); (err != nil) != live {
+							t.Fatalf("op %d: Insert(%d) = %v; shadow says live=%v", op, k, err, live)
+						}
+					}
+					if !live {
+						shadow[k] = version
+					}
 				default: // single upsert
 					version++
-					durable.Upsert(adm.Int(k), rec(k, "ver", adm.Int(version)))
-					mem.Upsert(adm.Int(k), rec(k, "ver", adm.Int(version)))
+					for _, p := range []*Partition{durable, mem} {
+						if err := p.Upsert(adm.Int(k), diffVer(k, version)); err != nil {
+							t.Fatal(err)
+						}
+					}
 					shadow[k] = version
 				}
 
@@ -77,9 +132,12 @@ func TestDurableDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("op %d: reopen: %v", op, err)
 					}
+					durableIx = attachDiffIndexes(durable)
 				}
 				if op%25 == 0 || op == ops {
 					diffCheck(t, op, durable, mem, shadow)
+					checkIndexesAgainstScan(t, fmt.Sprintf("op %d durable", op), durable, durableIx.bt, durableIx.rt)
+					checkIndexesAgainstScan(t, fmt.Sprintf("op %d memory", op), mem, memIx.bt, memIx.rt)
 				}
 			}
 			if err := durable.Err(); err != nil {

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -274,30 +275,52 @@ func TestWALCommitCoalescing(t *testing.T) {
 	}
 }
 
-// TestDurableErrSticky: a WAL that cannot sync reports the failure from
-// the write path on, and stays failed.
+// TestDurableErrSticky: a WAL that cannot sync fails the write that
+// needed it — whichever of the storage entry points made it, on the
+// partition and through the dataset — and the partition stays failed.
 func TestDurableErrSticky(t *testing.T) {
-	fsys := NewMemFS()
-	p, err := OpenPartition(fsys, "part", Options{MemBudget: 1 << 20, MaxComponents: 8})
-	if err != nil {
-		t.Fatal(err)
+	type mutator struct {
+		name string
+		run  func(*Dataset) error
 	}
-	p.Upsert(adm.Int(1), rec(1))
-	if err := p.Err(); err != nil {
-		t.Fatalf("healthy partition reports %v", err)
+	var all []mutator
+	for _, m := range partitionMutators {
+		all = append(all, mutator{m.name, func(ds *Dataset) error { return m.run(ds.Partition(0)) }})
 	}
-	fsys.FailSyncs(true)
-	if err := p.UpsertBatch([]adm.Value{adm.Int(2)}, []adm.Value{rec(2)}); err == nil {
-		t.Fatal("commit with failing fsync must error")
+	all = append(all,
+		mutator{"Dataset.Upsert", func(ds *Dataset) error { return ds.Upsert(rec(100)) }},
+		mutator{"Dataset.Insert", func(ds *Dataset) error { return ds.Insert(rec(101)) }},
+		mutator{"Dataset.Delete", func(ds *Dataset) error { _, err := ds.Delete(adm.Int(1)); return err }},
+		mutator{"Dataset.UpsertBatch", func(ds *Dataset) error { return ds.UpsertBatch([]adm.Value{rec(102)}) }},
+	)
+	for _, m := range all {
+		t.Run(m.name, func(t *testing.T) {
+			fsys := NewMemFS()
+			ds, err := OpenDataset(fsys, "db", "d", nil, "id", 1, Options{MemBudget: 1 << 20, MaxComponents: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			p := ds.Partition(0)
+			if err := ds.Upsert(rec(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Err(); err != nil {
+				t.Fatalf("healthy partition reports %v", err)
+			}
+			fsys.FailSyncs(true)
+			if err := m.run(ds); !errors.Is(err, ErrInjected) {
+				t.Fatalf("write with failing fsync = %v, want the commit's error", err)
+			}
+			if err := p.Err(); err == nil {
+				t.Fatal("failure must be sticky")
+			}
+			fsys.FailSyncs(false)
+			if err := p.Err(); err == nil {
+				t.Fatal("sticky failure must not clear")
+			}
+		})
 	}
-	if err := p.Err(); err == nil {
-		t.Fatal("failure must be sticky")
-	}
-	fsys.FailSyncs(false)
-	if err := p.Err(); err == nil {
-		t.Fatal("sticky failure must not clear")
-	}
-	p.Close()
 }
 
 // TestOpenDatasetReopen: the dataset-level durable API round-trips

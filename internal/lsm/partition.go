@@ -24,11 +24,12 @@
 // retains the records (keeping their arena alive), the spines are
 // recycled on the storage side — UpsertFrame recycles them itself; a
 // writer calling UpsertBatch recycles after it returns — and the arena
-// is never reset. Per-record Upsert/Insert/Delete remain for point DML
-// and catalog maintenance.
+// is never reset. Upsert, Insert, Delete and PutCheckpoint are batches of
+// one on the same path (see Partition.write).
 package lsm
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -295,29 +296,9 @@ func checkpointScope(key adm.Value) (string, bool) {
 // then starts from zero after restart, which is correct: nothing was
 // durable).
 func (p *Partition) PutCheckpoint(scope string, off uint64) error {
-	key := adm.String(ckptKeyPrefix + scope)
-	rec := adm.Int(int64(off))
-	buf := p.encodeEntry(key, rec)
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		if buf != nil {
-			putEncBuf(buf)
-		}
-		return fmt.Errorf("lsm: partition closed")
-	}
-	p.logLocked(buf, 1)
-	if p.ckpts == nil {
-		p.ckpts = make(map[string]uint64)
-	}
-	if off > p.ckpts[scope] {
-		p.ckpts[scope] = off
-	}
-	p.mu.Unlock()
-	if buf != nil {
-		putEncBuf(buf)
-	}
-	return p.commitDurable()
+	key, rec := [1]adm.Value{adm.String(ckptKeyPrefix + scope)}, [1]adm.Value{adm.Int(int64(off))}
+	_, err := p.write(writeCheckpoint, key[:], rec[:])
+	return err
 }
 
 // Checkpoint returns the last durable checkpoint for scope (0 = none).
@@ -342,11 +323,10 @@ func (p *Partition) checkpointsSnapshot() map[string]uint64 {
 	return out
 }
 
-// restoreCheckpoint seeds the checkpoint table during recovery
-// (manifest first, then WAL replay; max wins).
-func (p *Partition) restoreCheckpoint(scope string, off uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// raiseCheckpointLocked applies one checkpoint entry: the highest offset
+// per scope wins. Recovery calls it on the unpublished partition
+// (manifest first, then WAL replay) without the lock.
+func (p *Partition) raiseCheckpointLocked(scope string, off uint64) {
 	if p.ckpts == nil {
 		p.ckpts = make(map[string]uint64)
 	}
@@ -355,15 +335,32 @@ func (p *Partition) restoreCheckpoint(scope string, off uint64) {
 	}
 }
 
+// backfillChunk bounds the scratch AttachIndex holds while it feeds
+// existing records to a new index: one frame's worth per InsertBatch.
+const backfillChunk = 1024
+
 // AttachIndex registers a secondary index. Existing records are
 // back-filled so an index created after a load is immediately complete.
+// The memtable joins the merge as a transient tree-backed run — read-only
+// under the write lock, so no freeze is needed.
 func (p *Partition) AttachIndex(idx SecondaryIndex) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.secondary = append(p.secondary, idx)
-	p.forEachLiveLocked(func(key, rec adm.Value) {
-		idx.Insert(key, rec)
+	box, keys, recs := getValuePairBatch(backfillChunk)
+	comps := append([]*component{{tree: p.mem}}, p.components...)
+	scanMergedItems(comps, true, func(it index.Item) bool {
+		keys, recs = append(keys, it.Key), append(recs, it.Val)
+		if len(keys) == backfillChunk {
+			idx.InsertBatch(keys, recs)
+			clear(keys) // the pool clears only up to the final length
+			clear(recs)
+			keys, recs = keys[:0], recs[:0]
+		}
+		return true
 	})
+	idx.InsertBatch(keys, recs)
+	putValuePairBatch(box, keys, recs)
 }
 
 // encBufPool recycles the WAL entry-encoding scratch used by the
@@ -381,46 +378,6 @@ func getEncBuf() *[]byte {
 }
 
 func putEncBuf(b *[]byte) { encBufPool.Put(b) }
-
-// encodeEntry appends one WAL entry (binary key then record; MISSING
-// record = tombstone) for durable partitions, or returns nil scratch
-// for in-memory ones.
-func (p *Partition) encodeEntry(key, rec adm.Value) *[]byte {
-	if !p.durable() {
-		return nil
-	}
-	buf := getEncBuf()
-	*buf = adm.AppendBinary(*buf, key)
-	*buf = adm.AppendBinary(*buf, rec)
-	return buf
-}
-
-// logLocked appends the encoded entries to the WAL under the partition
-// lock, which is the invariant that makes recovery exact: LSNs are
-// assigned in memtable apply order, so a freeze's LSN watermark covers
-// precisely the entries in the frozen tree.
-func (p *Partition) logLocked(buf *[]byte, n int) {
-	if buf == nil {
-		p.wal.appendEncoded(nil, n)
-		return
-	}
-	p.wal.appendEncoded(*buf, n)
-}
-
-// commitDurable group-commits a durable write and records the first
-// failure stickily (the in-memory state is ahead of the log at that
-// point, but so is a crashed process; recovery replays only what was
-// acknowledged).
-func (p *Partition) commitDurable() error {
-	if !p.durable() {
-		return nil
-	}
-	err := p.wal.Commit()
-	if err != nil {
-		p.fail(err)
-	}
-	return err
-}
 
 // fail records the first storage failure; later calls keep the first.
 func (p *Partition) fail(err error) {
@@ -445,61 +402,28 @@ func (p *Partition) Err() error {
 	return p.wal.Err()
 }
 
-// Upsert inserts or replaces the record under key. In durable mode the
-// call returns after the entry is group-committed; a commit failure is
-// recorded stickily (see Err).
-func (p *Partition) Upsert(key, rec adm.Value) {
-	buf := p.encodeEntry(key, rec)
-	p.mu.Lock()
-	p.logLocked(buf, 1)
-	p.stats.Upserts++
-	p.applyLocked(key, rec)
-	p.mu.Unlock()
-	if buf != nil {
-		putEncBuf(buf)
-	}
-	p.commitDurable()
+// Upsert inserts or replaces the record under key: a batch of one.
+func (p *Partition) Upsert(key, rec adm.Value) error {
+	k, r := [1]adm.Value{key}, [1]adm.Value{rec}
+	_, err := p.write(writeUpsert, k[:], r[:])
+	return err
 }
 
 // Insert stores the record, failing if the key already exists. This is
-// the INSERT (vs UPSERT) DML semantic. The duplicate check happens
-// before the WAL append — a failed insert must not leave an entry that
-// replay would apply.
+// the INSERT (vs UPSERT) DML semantic. A rejected insert logs nothing, so
+// replay cannot apply it and the epoch does not move.
 func (p *Partition) Insert(key, rec adm.Value) error {
-	buf := p.encodeEntry(key, rec)
-	p.mu.Lock()
-	if _, ok := p.getLocked(key); ok {
-		p.mu.Unlock()
-		if buf != nil {
-			putEncBuf(buf)
-		}
-		return fmt.Errorf("lsm: duplicate key %s", key)
-	}
-	p.logLocked(buf, 1)
-	p.stats.Upserts++
-	p.applyLocked(key, rec)
-	p.mu.Unlock()
-	if buf != nil {
-		putEncBuf(buf)
-	}
-	return p.commitDurable()
+	k, r := [1]adm.Value{key}, [1]adm.Value{rec}
+	_, err := p.write(writeInsert, k[:], r[:])
+	return err
 }
 
-// Delete removes the key by writing a tombstone. It reports whether a
-// live record was visible before the delete.
-func (p *Partition) Delete(key adm.Value) bool {
-	buf := p.encodeEntry(key, adm.Missing())
-	p.mu.Lock()
-	_, existed := p.getLocked(key)
-	p.logLocked(buf, 1)
-	p.stats.Deletes++
-	p.applyLocked(key, adm.Missing())
-	p.mu.Unlock()
-	if buf != nil {
-		putEncBuf(buf)
-	}
-	p.commitDurable()
-	return existed
+// Delete removes the key by writing a tombstone (a batch of one whose
+// record is MISSING). It reports whether a live record was visible
+// before the delete.
+func (p *Partition) Delete(key adm.Value) (existed bool, err error) {
+	k, r := [1]adm.Value{key}, [1]adm.Value{adm.Missing()}
+	return p.write(writeDelete, k[:], r[:])
 }
 
 // itemBatchPool recycles the sorted-run scratch built by UpsertBatch so
@@ -540,33 +464,109 @@ func putItemBatch(b *[]index.Item) {
 // memtable insert (BTree.PutBatch), one old-value lookup pass with
 // grouped per-index delete/insert batches, and one flush-threshold
 // check. Duplicate keys within the batch collapse to the last
-// occurrence, matching the record-at-a-time upsert order. The caller
-// keeps ownership of the keys/recs slices (their headers are copied
-// into the memtable), but the record payloads are retained by storage.
+// occurrence; a MISSING record is a tombstone. The caller keeps
+// ownership of the keys/recs slices (their headers are copied into the
+// memtable), but the record payloads are retained by storage.
 //
 // In durable mode the batch is WAL-framed as one record (encoded in
 // original order — replay applies sequentially, so last-wins dedupe is
 // reproduced) and the call returns after one group commit; the error is
 // that commit's result.
 func (p *Partition) UpsertBatch(keys, recs []adm.Value) error {
-	n := len(keys)
-	if n == 0 {
+	if len(keys) == 0 {
 		return nil
 	}
-	if n != len(recs) {
+	if len(keys) != len(recs) {
 		panic("lsm: UpsertBatch keys/recs length mismatch")
 	}
-	var enc *[]byte
+	_, err := p.write(writeUpsert, keys, recs)
+	return err
+}
+
+// writeMode selects the pre-check and the apply target of one write.
+type writeMode uint8
+
+const (
+	writeUpsert     writeMode = iota // insert or replace the batch
+	writeInsert                      // one record; a live duplicate fails the write
+	writeDelete                      // one tombstone; reports whether a live record was visible
+	writeCheckpoint                  // one feed-resume entry, applied to ckpts instead of the memtable
+)
+
+// write is the partition's one mutation sequence; every public mutator
+// is a thin caller. Encoding and sorting happen outside the lock. Under
+// p.mu: a closed partition or a failed pre-check returns before anything
+// is logged; otherwise the batch is appended to the WAL and applied —
+// in that order under the same lock, which is the invariant that makes
+// recovery exact: LSNs are assigned in memtable apply order, so a
+// freeze's LSN watermark covers precisely the entries in the frozen
+// tree. After the unlock comes one group commit, whose error is the
+// write's error and is recorded stickily (the in-memory state is ahead
+// of the log at that point, but so is a crashed process; recovery
+// replays only what was acknowledged).
+func (p *Partition) write(mode writeMode, keys, recs []adm.Value) (existed bool, err error) {
+	var enc []byte
+	var encBox *[]byte
 	if p.durable() {
-		enc = getEncBuf()
+		encBox = getEncBuf()
 		for i := range keys {
-			*enc = adm.AppendBinary(*enc, keys[i])
-			*enc = adm.AppendBinary(*enc, recs[i])
+			*encBox = adm.AppendBinary(*encBox, keys[i])
+			*encBox = adm.AppendBinary(*encBox, recs[i])
+		}
+		enc = *encBox
+	}
+	var batch *[]index.Item
+	var items []index.Item
+	if mode != writeCheckpoint {
+		batch, items = sortBatch(keys, recs)
+	}
+	p.mu.Lock()
+	switch {
+	case p.closed:
+		err = errClosed
+	case mode == writeInsert || mode == writeDelete:
+		if _, existed = p.getLocked(keys[0]); existed && mode == writeInsert {
+			err = fmt.Errorf("lsm: duplicate key %s", keys[0])
 		}
 	}
-	// Sort (and dedupe last-wins) outside the partition lock so
-	// concurrent readers only wait on the apply itself.
-	batch := getItemBatch(n)
+	if err == nil {
+		p.wal.appendEncoded(enc, len(keys))
+		switch mode {
+		case writeCheckpoint:
+			scope, _ := checkpointScope(keys[0])
+			p.raiseCheckpointLocked(scope, uint64(recs[0].IntVal()))
+		case writeDelete:
+			p.stats.Deletes++
+			p.applyBatchLocked(items)
+		default:
+			p.stats.Upserts += uint64(len(keys))
+			p.applyBatchLocked(items)
+		}
+	}
+	p.mu.Unlock()
+	if encBox != nil {
+		putEncBuf(encBox)
+	}
+	if batch != nil {
+		*batch = items[:len(keys)] // restore the written length for the clear
+		putItemBatch(batch)
+	}
+	if err != nil {
+		return existed, err
+	}
+	if err = p.wal.Commit(); err != nil {
+		p.fail(err)
+	}
+	return existed, err
+}
+
+var errClosed = errors.New("lsm: partition closed")
+
+// sortBatch builds the memtable run for a batch: items ascending by key
+// with duplicate keys collapsed to the last occurrence. The box comes
+// from itemBatchPool; the caller returns it at its written length.
+func sortBatch(keys, recs []adm.Value) (*[]index.Item, []index.Item) {
+	batch := getItemBatch(len(keys))
 	items := *batch
 	for i := range keys {
 		items = append(items, index.Item{Key: keys[i], Val: recs[i]})
@@ -595,21 +595,7 @@ func (p *Partition) UpsertBatch(keys, recs []adm.Value) error {
 		}
 		items = items[:w]
 	}
-	p.mu.Lock()
-	p.logLocked(enc, n)
-	p.stats.Upserts += uint64(n)
-	p.applyBatchLocked(items)
-	p.mu.Unlock()
-	if enc != nil {
-		putEncBuf(enc)
-	}
-	*batch = items[:n] // restore the written length for the clear
-	putItemBatch(batch)
-	err := p.wal.Commit() // one group commit per frame
-	if err != nil {
-		p.fail(err)
-	}
-	return err
+	return batch, items
 }
 
 // applyBatchLocked bulk-inserts the sorted, unique-keyed run into the
@@ -686,30 +672,6 @@ func putValuePairBatch(b *valuePair, keys, recs []adm.Value) {
 	clear(recs)
 	b.keys, b.recs = keys[:0], recs[:0]
 	valuePairPool.Put(b)
-}
-
-// applyLocked writes the mutation into the memtable, maintains secondary
-// indexes, and triggers flush/merge when thresholds are crossed.
-func (p *Partition) applyLocked(key, rec adm.Value) {
-	if len(p.secondary) > 0 {
-		if old, ok := p.getLocked(key); ok {
-			for _, idx := range p.secondary {
-				idx.Delete(key, old)
-			}
-		}
-		if !rec.IsMissing() {
-			for _, idx := range p.secondary {
-				idx.Insert(key, rec)
-			}
-		}
-	}
-	replaced := p.mem.Put(key, rec)
-	if !replaced {
-		p.memBytes += key.MemSize() + rec.MemSize()
-	}
-	if p.memBytes >= p.opts.MemBudget {
-		p.freezeLocked()
-	}
 }
 
 // freezeLocked turns the memtable into an immutable component. The
@@ -880,16 +842,6 @@ func (p *Partition) Stats() Stats {
 		}
 	}
 	return s
-}
-
-// forEachLiveLocked visits every live record (no snapshot; caller holds
-// the lock). The memtable is wrapped as a transient tree-backed run —
-// read-only under the write lock, so no freeze is needed.
-func (p *Partition) forEachLiveLocked(fn func(key, rec adm.Value)) {
-	comps := append([]*component{{tree: p.mem}}, p.components...)
-	for _, it := range mergeComponents(comps, true) {
-		fn(it.Key, it.Val)
-	}
 }
 
 // Snapshot is an immutable view of a partition at a point in time.

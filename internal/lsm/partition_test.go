@@ -49,14 +49,14 @@ func TestPartitionInsertDuplicate(t *testing.T) {
 func TestPartitionDelete(t *testing.T) {
 	p := NewPartition(smallOpts())
 	p.Upsert(adm.Int(1), rec(1))
-	if !p.Delete(adm.Int(1)) {
-		t.Error("delete of live record should report true")
+	if existed, err := p.Delete(adm.Int(1)); !existed || err != nil {
+		t.Errorf("delete of live record = %v, %v; want true, nil", existed, err)
 	}
 	if _, ok := p.Get(adm.Int(1)); ok {
 		t.Error("deleted key still visible")
 	}
-	if p.Delete(adm.Int(2)) {
-		t.Error("delete of absent key should report false")
+	if existed, err := p.Delete(adm.Int(2)); existed || err != nil {
+		t.Errorf("delete of absent key = %v, %v; want false, nil", existed, err)
 	}
 	// Deletes must also shadow flushed components.
 	for i := int64(0); i < 500; i++ {
@@ -209,8 +209,7 @@ func TestPartitionUpdateActivatesMemtable(t *testing.T) {
 
 func TestWALGroupCommit(t *testing.T) {
 	w := NewWAL(5 * time.Millisecond)
-	w.Append()
-	w.Append()
+	w.appendEncoded(nil, 2)
 	if w.LSN() != 2 {
 		t.Fatalf("LSN = %d", w.LSN())
 	}
@@ -227,7 +226,7 @@ func TestWALGroupCommit(t *testing.T) {
 	}
 	// Zero-latency WAL must not sleep.
 	w0 := NewWAL(0)
-	w0.Append()
+	w0.appendEncoded(nil, 1)
 	start = time.Now()
 	w0.Commit()
 	if time.Since(start) > 2*time.Millisecond {

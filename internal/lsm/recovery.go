@@ -79,7 +79,7 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 	// Feed-resume checkpoints: the manifest snapshot first, then the WAL
 	// tail may raise them further during replay below.
 	for scope, off := range man.Checkpoints {
-		p.restoreCheckpoint(scope, off)
+		p.raiseCheckpointLocked(scope, off)
 	}
 
 	// Replay applies straight to the fresh memtable: no locks are
@@ -91,7 +91,7 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 	err = wal.Replay(man.FlushedLSN, func(_ uint64, key, rec adm.Value) error {
 		if scope, ok := checkpointScope(key); ok {
 			if off, ok := rec.AsInt(); ok {
-				p.restoreCheckpoint(scope, uint64(off))
+				p.raiseCheckpointLocked(scope, uint64(off))
 			}
 			return nil
 		}

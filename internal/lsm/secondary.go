@@ -16,16 +16,11 @@ import (
 type SecondaryIndex interface {
 	// Name is the index name from CREATE INDEX.
 	Name() string
-	// Insert adds the (pk, record) entry.
-	Insert(pk, rec adm.Value)
-	// Delete removes the entry previously inserted for (pk, old record).
-	Delete(pk, rec adm.Value)
 	// InsertBatch adds every (pks[i], recs[i]) entry under a single
-	// lock acquisition — the frame-granular write path's grouped
-	// maintenance.
+	// lock acquisition — the write path's grouped maintenance.
 	InsertBatch(pks, recs []adm.Value)
-	// DeleteBatch removes every (pks[i], recs[i]) entry under a single
-	// lock acquisition.
+	// DeleteBatch removes the entry previously inserted for every
+	// (pks[i], old recs[i]) under a single lock acquisition.
 	DeleteBatch(pks, recs []adm.Value)
 }
 
@@ -73,35 +68,6 @@ func NewRTreeIndex(name string, extract RectExtractor) *RTreeIndex {
 // Name implements SecondaryIndex.
 func (ix *RTreeIndex) Name() string { return ix.name }
 
-// Insert implements SecondaryIndex.
-func (ix *RTreeIndex) Insert(pk, rec adm.Value) {
-	rect, ok := ix.extract(rec)
-	if !ok {
-		return
-	}
-	ix.mu.Lock()
-	ix.tree.Insert(rect, pk)
-	ix.mu.Unlock()
-}
-
-// Delete implements SecondaryIndex.
-func (ix *RTreeIndex) Delete(pk, rec adm.Value) {
-	rect, ok := ix.extract(rec)
-	if !ok {
-		return
-	}
-	ix.mu.Lock()
-	ix.deleteLocked(rect, pk)
-	ix.mu.Unlock()
-}
-
-func (ix *RTreeIndex) deleteLocked(rect spatial.Rect, pk adm.Value) {
-	ix.tree.Delete(rect, func(d any) bool {
-		v, isVal := d.(adm.Value)
-		return isVal && adm.Equal(v, pk)
-	})
-}
-
 // InsertBatch implements SecondaryIndex: one lock for the whole frame.
 func (ix *RTreeIndex) InsertBatch(pks, recs []adm.Value) {
 	if len(pks) == 0 {
@@ -124,7 +90,10 @@ func (ix *RTreeIndex) DeleteBatch(pks, recs []adm.Value) {
 	ix.mu.Lock()
 	for i, pk := range pks {
 		if rect, ok := ix.extract(recs[i]); ok {
-			ix.deleteLocked(rect, pk)
+			ix.tree.Delete(rect, func(d any) bool {
+				v, isVal := d.(adm.Value)
+				return isVal && adm.Equal(v, pk)
+			})
 		}
 	}
 	ix.mu.Unlock()
@@ -183,56 +152,6 @@ func NewBTreeIndex(name string, extract KeyExtractor) *BTreeIndex {
 // Name implements SecondaryIndex.
 func (ix *BTreeIndex) Name() string { return ix.name }
 
-// Insert implements SecondaryIndex.
-func (ix *BTreeIndex) Insert(pk, rec adm.Value) {
-	key, ok := ix.extract(rec)
-	if !ok {
-		return
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.insertLocked(key, pk)
-}
-
-func (ix *BTreeIndex) insertLocked(key, pk adm.Value) {
-	cur, _ := ix.tree.Get(key)
-	pks := append(append([]adm.Value(nil), cur.ArrayVal()...), pk)
-	ix.tree.Put(key, adm.Array(pks))
-}
-
-// Delete implements SecondaryIndex.
-func (ix *BTreeIndex) Delete(pk, rec adm.Value) {
-	key, ok := ix.extract(rec)
-	if !ok {
-		return
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.deleteLocked(key, pk)
-}
-
-func (ix *BTreeIndex) deleteLocked(key, pk adm.Value) {
-	cur, found := ix.tree.Get(key)
-	if !found {
-		return
-	}
-	elems := cur.ArrayVal()
-	out := make([]adm.Value, 0, len(elems))
-	removed := false
-	for _, e := range elems {
-		if !removed && adm.Equal(e, pk) {
-			removed = true
-			continue
-		}
-		out = append(out, e)
-	}
-	if len(out) == 0 {
-		ix.tree.Delete(key)
-	} else {
-		ix.tree.Put(key, adm.Array(out))
-	}
-}
-
 // groupPairs extracts the secondary key of every record and returns the
 // (key, pk) pairs sorted by key (stable, so pk order within a key
 // matches record order). The batch box comes from the shared item-batch
@@ -255,9 +174,8 @@ func (ix *BTreeIndex) groupPairs(pks, recs []adm.Value) (*[]index.Item, []index.
 // InsertBatch implements SecondaryIndex: one lock for the whole frame,
 // and — because entries are grouped by secondary key — one postings
 // rebuild per distinct key instead of one per record. For
-// low-cardinality keys (every tweet sharing a language) the per-record
-// path re-copied the whole postings array once per record; the grouped
-// path copies it once per frame.
+// low-cardinality keys (every tweet sharing a language) a batch of one
+// re-copies the whole postings array per record; a frame copies it once.
 func (ix *BTreeIndex) InsertBatch(pks, recs []adm.Value) {
 	if len(pks) == 0 {
 		return
@@ -286,7 +204,7 @@ func (ix *BTreeIndex) InsertBatch(pks, recs []adm.Value) {
 
 // DeleteBatch implements SecondaryIndex: one lock for the whole frame
 // and one postings rebuild per distinct key, removing one occurrence
-// per (key, pk) pair like repeated Delete calls would.
+// per (key, pk) pair.
 func (ix *BTreeIndex) DeleteBatch(pks, recs []adm.Value) {
 	if len(pks) == 0 {
 		return
@@ -372,18 +290,6 @@ func (ix *BTreeIndex) LookupRangeBounds(lo, hi index.Bound) []adm.Value {
 		}
 		pks = append(pks, it.Val.ArrayVal()...)
 	}
-}
-
-// LookupRange returns the primary keys with from <= key <= to.
-func (ix *BTreeIndex) LookupRange(from, to adm.Value) []adm.Value {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var pks []adm.Value
-	ix.tree.AscendRange(from, to, func(it index.Item) bool {
-		pks = append(pks, it.Val.ArrayVal()...)
-		return true
-	})
-	return pks
 }
 
 var (

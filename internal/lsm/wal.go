@@ -301,25 +301,11 @@ func decodeWALFrame(data []byte) (ok bool, firstLSN uint64, count int, entries [
 	return true, first, int(cnt), payload[n+cn:], walFrameHeader + plen
 }
 
-// Append records one log entry and returns its LSN (accounting only —
-// durable appends go through appendEncoded under the partition lock).
-func (w *WAL) Append() uint64 { return w.appendEncoded(nil, 1) }
-
-// AppendBatch records n log entries under one lock acquisition and
-// returns the LSN of the last one. Frame-granular storage writes use it
-// so a whole frame's worth of entries costs one mutex round-trip while
-// the per-record LSN accounting stays real.
-func (w *WAL) AppendBatch(n int) uint64 {
-	if n <= 0 {
-		return w.LSN()
-	}
-	return w.appendEncoded(nil, n)
-}
-
 // appendEncoded assigns n consecutive LSNs and, in durable mode,
 // frames enc (n concatenated binary key/record entry pairs) into the
-// pending buffer for the next commit. Partition write paths call it
-// while holding the partition lock, which is what keeps LSN order
+// pending buffer for the next commit (enc is nil in accounting mode).
+// It is the log's one append entry; Partition.write calls it while
+// holding the partition lock, which is what keeps LSN order
 // consistent with memtable apply order — a freeze observes an LSN
 // watermark that exactly covers its memtable.
 func (w *WAL) appendEncoded(enc []byte, n int) uint64 {

@@ -51,9 +51,33 @@ type preparedSub struct {
 	accesses []*preparedAccess
 }
 
+// hashEntry is one build-side record of a hash access. Entries are
+// stored in chunks that never move, so the table chains entries of one
+// key hash in place (next, in scan order) instead of copying each into a
+// per-key slice.
 type hashEntry struct {
-	key adm.Value
-	rec adm.Value
+	key  adm.Value
+	rec  adm.Value
+	next *hashEntry
+}
+
+// hashChunk is the most entries per storage chunk. A shard grows by
+// whole chunks, never by copying, so a build allocates its entries once
+// however many there are: what a rebuild after a reference update costs
+// is the table, not the growth of the slices that fed it.
+const hashChunk = 512
+
+func appendHashEntry(chunks [][]hashEntry, e hashEntry) [][]hashEntry {
+	if n := len(chunks); n == 0 || len(chunks[n-1]) == cap(chunks[n-1]) {
+		size := 16
+		if n > 0 {
+			size = min(2*cap(chunks[n-1]), hashChunk)
+		}
+		chunks = append(chunks, make([]hashEntry, 0, size))
+	}
+	last := &chunks[len(chunks)-1]
+	*last = append(*last, e)
+	return chunks
 }
 
 type preparedAccess struct {
@@ -63,7 +87,7 @@ type preparedAccess struct {
 	// accessIndexNLJ, which keeps no copy of the data.
 	deps []string
 
-	hash map[uint64][]hashEntry // accessHash
+	hash map[uint64]*hashEntry // accessHash: key hash → chain of entries
 
 	rtrees []*index.RTree // accessRTree, sharded per partition
 
@@ -213,9 +237,9 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 
 	// Scan partitions in parallel; each worker produces its shard.
 	type shardResult struct {
-		entries []hashEntry  // accessHash
-		tree    *index.RTree // accessRTree
-		recs    []adm.Value  // accessScan
+		entries [][]hashEntry // accessHash, in chunks
+		tree    *index.RTree  // accessRTree
+		recs    []adm.Value   // accessScan
 		err     error
 	}
 	results := make([]shardResult, len(snaps))
@@ -231,8 +255,11 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 			// depth 1, as in EvalRecord: a filter's subquery runs once per
 			// reference record and is no outermost SELECT.
 			st := evalState{ctx: pe.ctx, depth: 1}
+			// One binding, rebound per record: eval returns values, and
+			// no value refers to the environment it was computed in.
+			env := Bind(nil, acc.alias, adm.Value{})
 			snap.Scan(func(_, rec adm.Value) bool {
-				env := Bind(nil, acc.alias, rec)
+				env.val = rec
 				for _, f := range acc.filters {
 					v, err := eval(st, env, f)
 					if err != nil {
@@ -253,7 +280,7 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 					if key.IsUnknown() {
 						return true
 					}
-					res.entries = append(res.entries, hashEntry{key: key, rec: rec})
+					res.entries = appendHashEntry(res.entries, hashEntry{key: key, rec: rec})
 				case accessRTree:
 					g, err := eval(st, env, acc.buildRect)
 					if err != nil {
@@ -289,13 +316,22 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 	case accessHash:
 		total := 0
 		for i := range results {
-			total += len(results[i].entries)
+			for _, chunk := range results[i].entries {
+				total += len(chunk)
+			}
 		}
-		pa.hash = make(map[uint64][]hashEntry, total)
-		for i := range results {
-			for _, e := range results[i].entries {
-				h := adm.Hash(e.key)
-				pa.hash[h] = append(pa.hash[h], e)
+		// Link back to front, each entry ahead of its chain, so a chain
+		// reads in scan order: shard by shard, key order within a shard.
+		pa.hash = make(map[uint64]*hashEntry, total)
+		for i := len(results) - 1; i >= 0; i-- {
+			chunks := results[i].entries
+			for c := len(chunks) - 1; c >= 0; c-- {
+				for j := len(chunks[c]) - 1; j >= 0; j-- {
+					e := &chunks[c][j]
+					h := adm.Hash(e.key)
+					e.next = pa.hash[h]
+					pa.hash[h] = e
+				}
 			}
 		}
 	case accessRTree:
@@ -449,7 +485,7 @@ func (pa *preparedAccess) probe(st evalState, env *Env, fn func(adm.Value) bool)
 		if key.IsUnknown() {
 			return nil
 		}
-		for _, e := range pa.hash[adm.Hash(key)] {
+		for e := pa.hash[adm.Hash(key)]; e != nil; e = e.next {
 			if adm.Equal(e.key, key) {
 				if !fn(e.rec) {
 					return nil

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/lsm"
@@ -337,5 +338,64 @@ func TestPrepareFailsOnRunReadFault(t *testing.T) {
 	ds.Upsert(obj("country_code", adm.String("C000"), "safety_rating", adm.String("2")))
 	if _, err := pe.Refresh(); !errors.Is(err, lsm.ErrInjected) {
 		t.Fatalf("Refresh over an unreadable run returned %v, want the read fault", err)
+	}
+}
+
+// TestHashAccessChainsKeepScanOrder: a hash access stores its entries in
+// chunks and chains the entries of one key in place. With a join key
+// shared by hundreds of records spread over several chunks and two
+// partitions, a probe must yield exactly the matching records, in the
+// order a scan of the snapshots meets them, and the build must not pay
+// for growth: it allocates the entries about once.
+func TestHashAccessChainsKeepScanOrder(t *testing.T) {
+	const n, groups = 3*hashChunk + 7, 5
+	cat := newTestCatalog()
+	recs := make([]adm.Value, n)
+	for i := range recs {
+		recs[i] = obj("id", adm.Int(int64(i)), "grp", adm.Int(int64(i%groups)))
+	}
+	ds := cat.addDataset(t, "Members", "id", 2, recs...)
+	cat.addSQLFunction(t, `CREATE FUNCTION members(t) {
+		LET ids = (SELECT VALUE m.id FROM Members m WHERE m.grp = t.grp)
+		SELECT t.*, ids
+	};`)
+	plan := compilePaperUDF(t, cat, "members", PlanOptions{})
+	if got := plan.Describe(); len(got) != 1 || !strings.HasPrefix(got[0], "hash(Members)") {
+		t.Fatalf("plan %v, want one hash access", got)
+	}
+	pe, err := plan.Prepare(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g <= groups; g++ { // group 5 has no member
+		var want []int64
+		for _, snap := range ds.SnapshotAll() {
+			snap.Scan(func(_, rec adm.Value) bool {
+				if rec.Field("grp").IntVal() == int64(g) {
+					want = append(want, rec.Field("id").IntVal())
+				}
+				return true
+			})
+		}
+		var got []int64
+		for _, v := range mustEval(t, pe, obj("id", adm.Int(0), "grp", adm.Int(int64(g)))).Field("ids").ArrayVal() {
+			got = append(got, v.IntVal())
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("group %d: %d ids %v…, want %d ids %v…", g, len(got), got[:min(len(got), 8)], len(want), want[:min(len(want), 8)])
+		}
+	}
+
+	entryBytes := float64(n) * float64(unsafe.Sizeof(hashEntry{}))
+	perBuild := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := plan.Prepare(cat); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}).AllocedBytesPerOp()
+	if float64(perBuild) > 2*entryBytes {
+		t.Errorf("a build of %d entries (%.0f bytes) allocated %d bytes, want at most twice the entries", n, entryBytes, perBuild)
 	}
 }

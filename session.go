@@ -235,8 +235,9 @@ func (c *Cluster) executeInsert(ctx context.Context, ins *sqlpp.Insert, params m
 		return len(records), nil
 	}
 	for i, rec := range records {
-		// INSERT keeps the per-record path: duplicate-key rejection is
-		// checked against records earlier in the same statement too.
+		// INSERT keeps per-record statement semantics — duplicate-key
+		// rejection is checked against records earlier in the same
+		// statement too — by storing one batch of one per record.
 		if err := ds.Insert(rec); err != nil {
 			return i, err
 		}
