@@ -1,7 +1,10 @@
 package adm
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -68,4 +71,35 @@ func TestCoerceNeverPanics(t *testing.T) {
 			CoerceKind(v, k) //nolint:errcheck
 		}()
 	}
+}
+
+// FuzzDecodeBinary: arbitrary bytes decode or error, never panic, and a
+// decoded value is a fixed point of encode → decode → encode (the bytes
+// storage and the wire would write for it read back as themselves).
+func FuzzDecodeBinary(f *testing.F) {
+	r := rand.New(rand.NewSource(16))
+	for i := 0; i < 64; i++ {
+		f.Add(AppendBinary(nil, randomValue(r, 3)))
+	}
+	// The WAL fixture's first frame payload: LSN, count, then values.
+	if wal, err := os.ReadFile(filepath.FromSlash("../lsm/testdata/wal-v1.golden")); err == nil && len(wal) > 18 {
+		f.Add(wal[18:])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, n, err := DecodeBinary(data)
+		if err != nil {
+			return
+		}
+		if n <= 0 || n > len(data) {
+			t.Fatalf("decoded %d of %d bytes", n, len(data))
+		}
+		enc := AppendBinary(nil, v)
+		v2, n2, err := DecodeBinary(enc)
+		if err != nil || n2 != len(enc) {
+			t.Fatalf("re-decode of %x: %d of %d bytes, %v", enc, n2, len(enc), err)
+		}
+		if enc2 := AppendBinary(nil, v2); !bytes.Equal(enc, enc2) {
+			t.Fatalf("not a fixed point: %x then %x", enc, enc2)
+		}
+	})
 }

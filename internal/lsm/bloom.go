@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/frame"
 )
 
 // Per-run bloom filters: a v2 run file carries one filter over its key
@@ -99,13 +100,11 @@ func (f *bloomFilter) appendPayload(b []byte) []byte {
 
 // parseBloom decodes a bloom-section payload.
 func parseBloom(payload []byte) (*bloomFilter, error) {
-	nbits, n := binary.Uvarint(payload)
-	if n <= 0 || nbits == 0 || nbits%8 != 0 {
-		return nil, fmt.Errorf("bloom: bad bit count")
-	}
-	bits := payload[n:]
-	if uint64(len(bits)) != nbits/8 {
-		return nil, fmt.Errorf("bloom: %d bits but %d payload bytes", nbits, len(bits))
+	p := frame.NewReader(payload)
+	nbits := p.Uvarint()
+	bits := p.Take(p.Len())
+	if p.Err() != nil || nbits == 0 || nbits%8 != 0 || uint64(len(bits)) != nbits/8 {
+		return nil, fmt.Errorf("bloom: bad bit count %d for %d payload bytes", nbits, len(bits))
 	}
 	return &bloomFilter{nbits: nbits, bits: bits}, nil
 }

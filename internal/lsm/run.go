@@ -3,33 +3,34 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sync/atomic"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/frame"
 	"github.com/ideadb/idea/internal/index"
 )
 
 // Run files are the on-disk form of an immutable LSM component: the
 // sorted key/record items of a frozen memtable (or of a compaction
-// merge), laid out in CRC-framed blocks with a first-key block index
-// so point lookups touch one block and scans stream block by block
-// through the same runCursor/k-way merge machinery that walks
+// merge), laid out in framed blocks (internal/frame) with a first-key
+// block index so point lookups touch one block and scans stream block
+// by block through the same runCursor/k-way merge machinery that walks
 // in-memory components.
 //
 // # On-disk format (version 2)
 //
 //	run      := header block* bloom index footer
 //	header   := "IDEARUN" version:1B
-//	block    := payloadLen:4B-LE crc32c(payload):4B-LE payload
-//	payload  := count:uvarint (key:adm-binary record:adm-binary){count}
-//	bloom    := payloadLen:4B-LE crc32c(payload):4B-LE bpayload
-//	bpayload := nbits:uvarint bits:(nbits/8)B
-//	index    := payloadLen:4B-LE crc32c(payload):4B-LE ipayload
-//	ipayload := entries:uvarint blocks:uvarint
+//	block    := frame(count:uvarint (key:adm-binary record:adm-binary){count})
+//	bloom    := frame(nbits:uvarint bits:(nbits/8)B)
+//	index    := frame(entries:uvarint blocks:uvarint
 //	            (off:uvarint len:uvarint firstKey:adm-binary){blocks}
-//	            bloomOff:uvarint bloomLen:uvarint lastKey:adm-binary
+//	            bloomOff:uvarint bloomLen:uvarint lastKey:adm-binary)
 //	footer   := indexOff:8B-LE "IDEARUNF"
+//
+// frame(p) is the byte envelope of docs/ARCHITECTURE.md around p; every
+// off/len names a whole frame and lies between the header and the
+// index, which openRun checks before any block is read.
 //
 // Version 2 is the only format read or written (version 1 lacked the
 // bloom section and the persisted last key; no release ever wrote it).
@@ -45,7 +46,6 @@ const (
 	runHeaderSize  = len(runMagic) + 1
 	runFooterMagic = "IDEARUNF"
 	runFooterSize  = 8 + len(runFooterMagic)
-	runBlockHeader = 8 // payload length + CRC32C
 
 	// runBlockTarget is the block payload size a writer flushes at.
 	// Small enough that typical test datasets span multiple blocks.
@@ -133,33 +133,22 @@ func (w *runWriter) flushBlock() error {
 	if w.count == 0 {
 		return nil
 	}
-	w.frame = w.frame[:0]
-	w.frame = append(w.frame, 0, 0, 0, 0, 0, 0, 0, 0)
-	w.frame = binary.AppendUvarint(w.frame, uint64(w.count))
-	w.frame = append(w.frame, w.scratch...)
-	payload := w.frame[runBlockHeader:]
-	binary.LittleEndian.PutUint32(w.frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.frame[4:], crc32.Checksum(payload, crcTable))
-	if _, err := w.f.Write(w.frame); err != nil {
-		return err
-	}
 	firstKey, _, err := adm.DecodeBinary(w.first)
 	if err != nil {
 		return fmt.Errorf("lsm: run writer first key: %w", err)
 	}
+	w.frame = frame.Begin(w.frame[:0])
+	w.frame = binary.AppendUvarint(w.frame, uint64(w.count))
+	w.frame = append(w.frame, w.scratch...)
 	w.blocks = append(w.blocks, blockMeta{off: w.off, length: len(w.frame), firstKey: firstKey})
-	w.off += int64(len(w.frame))
 	w.scratch = w.scratch[:0]
 	w.count = 0
-	return nil
+	return w.writeFrame()
 }
 
-// writeFrame CRC-frames and writes one payload already assembled in
-// w.frame (which must start with 8 reserved header bytes).
+// writeFrame seals and writes the one frame assembled in w.frame.
 func (w *runWriter) writeFrame() error {
-	payload := w.frame[runBlockHeader:]
-	binary.LittleEndian.PutUint32(w.frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.frame[4:], crc32.Checksum(payload, crcTable))
+	frame.Seal(w.frame, 0)
 	if _, err := w.f.Write(w.frame); err != nil {
 		return err
 	}
@@ -184,15 +173,14 @@ func (w *runWriter) finish() (entries int, size int64, err error) {
 			filter.insert(h)
 		}
 		bloomOff = w.off
-		w.frame = append(w.frame[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-		w.frame = filter.appendPayload(w.frame)
+		w.frame = filter.appendPayload(frame.Begin(w.frame[:0]))
 		if err := w.writeFrame(); err != nil {
 			return 0, 0, err
 		}
 		bloomLen = w.off - bloomOff
 	}
 
-	w.frame = append(w.frame[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+	w.frame = frame.Begin(w.frame[:0])
 	w.frame = binary.AppendUvarint(w.frame, uint64(w.entries))
 	w.frame = binary.AppendUvarint(w.frame, uint64(len(w.blocks)))
 	for _, b := range w.blocks {
@@ -357,60 +345,39 @@ func (r *runFile) load() error {
 	if string(footer[8:]) != runFooterMagic {
 		return fmt.Errorf("bad footer magic (torn write?)")
 	}
+	footerOff := size - int64(runFooterSize)
 	indexOff := int64(binary.LittleEndian.Uint64(footer[:]))
-	if indexOff < int64(runHeaderSize) || indexOff >= size-int64(runFooterSize) {
+	if indexOff < int64(runHeaderSize) || indexOff >= footerOff {
 		return fmt.Errorf("index offset %d out of range", indexOff)
 	}
-	payload, err := r.readFrame(indexOff, size-int64(runFooterSize)-indexOff)
+	payload, err := frame.ReadAt(r.f, indexOff, footerOff-indexOff-frame.HeaderSize)
 	if err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
-	entries, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return fmt.Errorf("index: bad entry count")
+	p := frame.NewReader(payload)
+	// section consumes one off/len pair: a whole frame that lies between
+	// the header and the index (ok), or the 0/0 of an absent section.
+	section := func() (off int64, length int, ok bool) {
+		off, length = int64(p.Int(uint64(indexOff))), p.Int(uint64(indexOff))
+		return off, length, off >= int64(runHeaderSize) && length > frame.HeaderSize && off+int64(length) <= indexOff
 	}
-	nblocks, bn := binary.Uvarint(payload[n:])
-	if bn <= 0 || nblocks > uint64(size) {
-		return fmt.Errorf("index: bad block count")
-	}
-	r.entries = int(entries)
-	pos := n + bn
-	r.blocks = make([]blockMeta, 0, nblocks)
-	for i := uint64(0); i < nblocks; i++ {
-		off, on := binary.Uvarint(payload[pos:])
-		if on <= 0 {
-			return fmt.Errorf("index: block %d offset", i)
+	// An entry costs at least two block bytes, an index entry three.
+	r.entries = p.Int(uint64(indexOff) / 2)
+	r.blocks = make([]blockMeta, p.Count(3))
+	for i := range r.blocks {
+		off, length, ok := section()
+		r.blocks[i] = blockMeta{off: off, length: length, firstKey: p.Value()}
+		if p.Err() != nil {
+			break
 		}
-		pos += on
-		length, ln := binary.Uvarint(payload[pos:])
-		if ln <= 0 {
-			return fmt.Errorf("index: block %d length", i)
+		if !ok {
+			return fmt.Errorf("index: block %d (%d+%d) out of range", i, off, length)
 		}
-		pos += ln
-		key, kn, err := adm.DecodeBinary(payload[pos:])
-		if err != nil {
-			return fmt.Errorf("index: block %d first key: %w", i, err)
-		}
-		pos += kn
-		r.blocks = append(r.blocks, blockMeta{off: int64(off), length: int(length), firstKey: key})
 	}
-	return r.loadExtrasV2(payload[pos:], indexOff)
-}
-
-// loadExtrasV2 parses the v2 index tail (bloom location + last key) and
-// loads the bloom section.
-func (r *runFile) loadExtrasV2(tail []byte, indexOff int64) error {
-	bloomOff, n := binary.Uvarint(tail)
-	if n <= 0 {
-		return fmt.Errorf("index: bad bloom offset")
-	}
-	bloomLen, ln := binary.Uvarint(tail[n:])
-	if ln <= 0 {
-		return fmt.Errorf("index: bad bloom length")
-	}
-	lastKey, _, err := adm.DecodeBinary(tail[n+ln:])
-	if err != nil {
-		return fmt.Errorf("index: last key: %w", err)
+	bloomOff, bloomLen, ok := section()
+	lastKey := p.Value()
+	if err := p.Done(); err != nil {
+		return fmt.Errorf("index: %w", err)
 	}
 	if len(r.blocks) > 0 {
 		r.firstKey = r.blocks[0].firstKey
@@ -419,68 +386,31 @@ func (r *runFile) loadExtrasV2(tail []byte, indexOff int64) error {
 	if bloomLen == 0 {
 		return nil
 	}
-	if int64(bloomOff) < int64(runHeaderSize) || int64(bloomOff)+int64(bloomLen) > indexOff {
+	if !ok {
 		return fmt.Errorf("bloom section %d+%d out of range", bloomOff, bloomLen)
 	}
-	payload, err := r.readFrame(int64(bloomOff), int64(bloomLen))
+	payload, err = frame.ReadAt(r.f, bloomOff, int64(bloomLen)-frame.HeaderSize)
 	if err != nil {
 		return fmt.Errorf("bloom: %w", err)
 	}
-	bloom, err := parseBloom(payload)
-	if err != nil {
-		return err
-	}
-	r.bloom = bloom
-	return nil
-}
-
-// readFrame reads and CRC-validates one framed region (block or index)
-// of at most maxLen bytes starting at off, returning the payload.
-func (r *runFile) readFrame(off, maxLen int64) ([]byte, error) {
-	var hdr [runBlockHeader]byte
-	if _, err := r.f.ReadAt(hdr[:], off); err != nil {
-		return nil, err
-	}
-	plen := int64(binary.LittleEndian.Uint32(hdr[:]))
-	crc := binary.LittleEndian.Uint32(hdr[4:])
-	if plen <= 0 || plen > maxLen-runBlockHeader {
-		return nil, fmt.Errorf("frame length %d out of range", plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := r.f.ReadAt(payload, off+runBlockHeader); err != nil {
-		return nil, err
-	}
-	if crc32.Checksum(payload, crcTable) != crc {
-		return nil, fmt.Errorf("frame CRC mismatch at offset %d", off)
-	}
-	return payload, nil
+	r.bloom, err = parseBloom(payload)
+	return err
 }
 
 // readBlock decodes block i's items from the file, appending into dst.
 func (r *runFile) readBlock(i int, dst []index.Item) ([]index.Item, error) {
 	r.rs.blockReads.Add(1)
 	b := r.blocks[i]
-	payload, err := r.readFrame(b.off, int64(b.length))
+	payload, err := frame.ReadAt(r.f, b.off, int64(b.length)-frame.HeaderSize)
 	if err != nil {
 		return dst, err
 	}
-	count, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return dst, fmt.Errorf("block %d: bad count", i)
+	p := frame.NewReader(payload)
+	for n := p.Count(2); n > 0 && p.Err() == nil; n-- {
+		dst = append(dst, index.Item{Key: p.Value(), Val: p.Value()})
 	}
-	pos := n
-	for j := uint64(0); j < count; j++ {
-		key, kn, err := adm.DecodeBinary(payload[pos:])
-		if err != nil {
-			return dst, fmt.Errorf("block %d entry %d: %w", i, j, err)
-		}
-		pos += kn
-		val, vn, err := adm.DecodeBinary(payload[pos:])
-		if err != nil {
-			return dst, fmt.Errorf("block %d entry %d: %w", i, j, err)
-		}
-		pos += vn
-		dst = append(dst, index.Item{Key: key, Val: val})
+	if err := p.Done(); err != nil {
+		return dst, fmt.Errorf("block %d: %w", i, err)
 	}
 	return dst, nil
 }

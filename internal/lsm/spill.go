@@ -3,20 +3,21 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"sync"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/frame"
 	"github.com/ideadb/idea/internal/hyracks"
 )
 
 // SpillQueue is the disk-backed overflow lane behind a Spill-policy
 // intake holder (hyracks.FrameSpiller): a FIFO of frames encoded into a
-// single append-only file through the same FS seam and CRC framing as
-// the WAL. Spill takes ownership of the frame, encodes it (records in
-// adm binary, raw lines length-prefixed, offset provenance in the
-// header), and recycles it; Unspill decodes the oldest un-read frame
-// into fresh pooled spines/arena the caller owns.
+// single append-only file through the same FS seam and byte envelope
+// (internal/frame) as the WAL. Spill takes ownership of the frame,
+// encodes it (records in adm binary, raw lines length-prefixed, offset
+// provenance in the header), and recycles it; Unspill decodes the
+// oldest un-read frame into fresh pooled spines/arena the caller owns.
 //
 // Durability is deliberately NOT provided: spilled frames are by
 // definition not yet checkpointed, so after a crash they are replayed
@@ -25,8 +26,7 @@ import (
 // bytes) and the file is truncated back to zero whenever the lane
 // drains, reclaiming space without rotation bookkeeping.
 //
-// Frame format (little-endian, CRC32-C over the payload, mirroring the
-// WAL's frame = len:4 crc:4 payload):
+// Each frame's payload (the envelope is docs/ARCHITECTURE.md's):
 //
 //	payload := adapter:uvarint firstOff:uvarint lastOff:uvarint
 //	           nRecords:uvarint nRaw:uvarint
@@ -80,8 +80,7 @@ func (q *SpillQueue) Spill(f hyracks.Frame) error {
 		return fmt.Errorf("lsm: spill queue closed")
 	}
 
-	// Build the payload after an 8-byte len+crc placeholder.
-	buf := append(q.encBuf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+	buf := frame.Begin(q.encBuf[:0])
 	buf = binary.AppendUvarint(buf, uint64(f.Adapter))
 	buf = binary.AppendUvarint(buf, f.FirstOff)
 	buf = binary.AppendUvarint(buf, f.LastOff)
@@ -94,9 +93,7 @@ func (q *SpillQueue) Spill(f hyracks.Frame) error {
 		buf = binary.AppendUvarint(buf, uint64(len(line)))
 		buf = append(buf, line...)
 	}
-	payload := buf[8:]
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
+	frame.Seal(buf, 0)
 	q.encBuf = buf
 
 	if _, err := q.f.Write(buf); err != nil {
@@ -119,31 +116,17 @@ func (q *SpillQueue) Unspill() (hyracks.Frame, bool, error) {
 		return hyracks.Frame{}, false, nil
 	}
 
-	var hdr [8]byte
-	if _, err := q.f.ReadAt(hdr[:], q.readOff); err != nil {
-		return hyracks.Frame{}, false, fmt.Errorf("lsm: spill read header: %w", err)
+	// The limit is what the file still holds: a corrupt length field
+	// fails as a decode error, not as an enormous allocation.
+	payload, err := frame.ReadAt(q.f, q.readOff, q.writeAt-q.readOff-frame.HeaderSize)
+	if err != nil {
+		return hyracks.Frame{}, false, fmt.Errorf("lsm: spill frame at %d: %w", q.readOff, err)
 	}
-	plen := int(binary.LittleEndian.Uint32(hdr[:]))
-	crc := binary.LittleEndian.Uint32(hdr[4:])
-	// Validate the header length against what the file actually holds
-	// before allocating: a corrupt length field (up to 4GB) must fail as
-	// a decode error, not an enormous allocation.
-	if int64(plen) > q.writeAt-(q.readOff+8) {
-		return hyracks.Frame{}, false, fmt.Errorf("lsm: spill frame at %d: length %d exceeds file", q.readOff, plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := q.f.ReadAt(payload, q.readOff+8); err != nil {
-		return hyracks.Frame{}, false, fmt.Errorf("lsm: spill read payload: %w", err)
-	}
-	if crc32.Checksum(payload, crcTable) != crc {
-		return hyracks.Frame{}, false, fmt.Errorf("lsm: spill frame at %d: crc mismatch", q.readOff)
-	}
-
 	f, err := decodeSpillFrame(payload)
 	if err != nil {
 		return hyracks.Frame{}, false, err
 	}
-	q.readOff += int64(8 + plen)
+	q.readOff += int64(frame.HeaderSize + len(payload))
 	q.count--
 	if q.count == 0 {
 		// Lane drained: reclaim the file. Failure to truncate is not
@@ -158,65 +141,25 @@ func (q *SpillQueue) Unspill() (hyracks.Frame, bool, error) {
 }
 
 func decodeSpillFrame(payload []byte) (hyracks.Frame, error) {
-	var f hyracks.Frame
-	fields := [3]uint64{}
-	pos := 0
-	for i := range fields {
-		v, n := binary.Uvarint(payload[pos:])
-		if n <= 0 {
-			return f, fmt.Errorf("lsm: spill frame: truncated header")
-		}
-		fields[i], pos = v, pos+n
-	}
-	f.Adapter, f.FirstOff, f.LastOff = int(fields[0]), fields[1], fields[2]
-	nRec, n := binary.Uvarint(payload[pos:])
-	if n <= 0 {
-		return f, fmt.Errorf("lsm: spill frame: truncated record count")
-	}
-	pos += n
-	nRaw, n := binary.Uvarint(payload[pos:])
-	if n <= 0 {
-		return f, fmt.Errorf("lsm: spill frame: truncated raw count")
-	}
-	pos += n
-	// Every record and raw line costs at least one payload byte, so a
-	// count beyond the remaining bytes is corrupt — reject it before
-	// sizing slices from it. (Check each count first so the sum cannot
-	// wrap.)
-	rem := uint64(len(payload) - pos)
-	if nRec > rem || nRaw > rem || nRec+nRaw > rem {
-		return f, fmt.Errorf("lsm: spill frame: counts %d+%d exceed payload", nRec, nRaw)
-	}
-
+	r := frame.NewReader(payload)
+	f := hyracks.Frame{Adapter: r.Int(math.MaxInt32), FirstOff: r.Uvarint(), LastOff: r.Uvarint()}
+	// Every record and raw line costs at least one payload byte.
+	nRec, nRaw := r.Count(1), r.Count(1)
 	if nRec > 0 {
-		f.Records = hyracks.GetRecordSlice(int(nRec))
-		for i := uint64(0); i < nRec; i++ {
-			v, n, err := adm.DecodeBinary(payload[pos:])
-			if err != nil {
-				return f, fmt.Errorf("lsm: spill frame record %d: %w", i, err)
-			}
-			f.Records = append(f.Records, v)
-			pos += n
+		f.Records = hyracks.GetRecordSlice(nRec)
+		for ; nRec > 0 && r.Err() == nil; nRec-- {
+			f.Records = append(f.Records, r.Value())
 		}
 	}
 	if nRaw > 0 {
-		f.Raw = hyracks.GetRawSlice(int(nRaw))
+		f.Raw = hyracks.GetRawSlice(nRaw)
 		f.Arena = hyracks.GetArena()
-		for i := uint64(0); i < nRaw; i++ {
-			l, n := binary.Uvarint(payload[pos:])
-			if n <= 0 {
-				return f, fmt.Errorf("lsm: spill frame raw %d: truncated length", i)
-			}
-			pos += n
-			// Compare in uint64 before converting: int(l) for a length
-			// above MaxInt64 goes negative and would slip past an
-			// int-domain bounds check into a slice panic.
-			if l > uint64(len(payload)-pos) {
-				return f, fmt.Errorf("lsm: spill frame raw %d: truncated bytes", i)
-			}
-			f.Raw = append(f.Raw, f.Arena.AppendBytes(payload[pos:pos+int(l)]))
-			pos += int(l)
+		for ; nRaw > 0 && r.Err() == nil; nRaw-- {
+			f.Raw = append(f.Raw, f.Arena.AppendBytes(r.Take(r.Count(1))))
 		}
+	}
+	if err := r.Done(); err != nil {
+		return f, fmt.Errorf("lsm: spill frame: %w", err)
 	}
 	return f, nil
 }

@@ -3,13 +3,13 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/frame"
 )
 
 // WAL is the storage log a partition appends to before applying a
@@ -21,12 +21,12 @@ import (
 // The log has two modes. Accounting mode (NewWAL, no filesystem) keeps
 // the LSN bookkeeping and group-commit latency behaviour of the
 // original simulation: nothing is written anywhere. Durable mode
-// (OpenWAL) appends length-prefixed, CRC32C-framed records to a
-// sequence of on-disk segment files; each frame carries a whole
-// storage batch of binary-encoded key/record pairs (adm.AppendBinary),
-// so the one-fsync-per-frame group-commit economics of the batch write
-// path survive durability. Segments fully covered by flushed run files
-// are deleted by TruncateTo.
+// (OpenWAL) appends frames (internal/frame) to a sequence of on-disk
+// segment files; each frame carries a whole storage batch of
+// binary-encoded key/record pairs (adm.AppendBinary), so the
+// one-fsync-per-frame group-commit economics of the batch write path
+// survive durability. Segments fully covered by flushed run files are
+// deleted by TruncateTo.
 //
 // # Group commit
 //
@@ -42,16 +42,18 @@ import (
 //
 //	segment  := header frame*
 //	header   := "IDEAWAL" version:1B
-//	frame    := payloadLen:4B-LE crc32c(payload):4B-LE payload
+//	frame    := the byte envelope (docs/ARCHITECTURE.md) around payload
 //	payload  := firstLSN:uvarint count:uvarint entry{count}
 //	entry    := key:adm-binary record:adm-binary
 //
 // A tombstone entry's record is MISSING. Segments are named
 // wal-%06d.log; the first frame of each segment locates it in LSN
-// space. Replay validates every frame's CRC and treats a short or
-// corrupt frame at the tail of the last segment as a torn write: the
-// tail is truncated and recovery proceeds — committed frames are never
-// behind a torn one, because writes are sequential and fsync ordered.
+// space. Replay treats a frame the envelope rejects at the tail of the
+// last segment as a torn write: the tail is truncated and recovery
+// proceeds — committed frames are never behind a torn one, because
+// writes are sequential and fsync ordered. A rejected frame anywhere
+// else, or a verified frame whose payload does not parse, is
+// corruption.
 type WAL struct {
 	mu          sync.Mutex
 	groupCommit time.Duration
@@ -90,15 +92,11 @@ type walSegment struct {
 }
 
 const (
-	walMagic              = "IDEAWAL"
-	walVersion            = 1
-	walHeaderSize         = len(walMagic) + 1
-	walFrameHeader        = 8 // payload length + CRC32C
-	defaultWALSegBytes    = 4 << 20
-	maxWALEntriesPerFrame = 1 << 24 // sanity bound on a decoded frame's count
+	walMagic           = "IDEAWAL"
+	walVersion         = 1
+	walHeaderSize      = len(walMagic) + 1
+	defaultWALSegBytes = 4 << 20
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // NewWAL returns an accounting-mode log whose Commit call blocks for
 // the configured group-commit latency (0 disables the wait).
@@ -233,32 +231,21 @@ func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, apply func(
 	}
 	off := walHeaderSize
 	for off < len(data) {
-		frameStart := off
-		ok, first, count, entries, n := decodeWALFrame(data[off:])
-		if !ok {
+		// A frame cannot outgrow the segment that holds it.
+		payload, n, err := frame.Decode(data[off:], int64(len(data)))
+		if err != nil {
 			if last {
-				if err := truncateTo(frameStart); err != nil {
-					return maxLSN, firstLSN, err
-				}
-				return maxLSN, firstLSN, nil
+				return maxLSN, firstLSN, truncateTo(off)
 			}
-			return 0, 0, fmt.Errorf("lsm: wal segment %s: corrupt frame at offset %d", seg.name, frameStart)
+			return 0, 0, fmt.Errorf("lsm: wal segment %s: corrupt frame at offset %d: %w", seg.name, off, err)
 		}
-		if firstLSN == 0 {
-			firstLSN = first
-		}
-		entryOff := 0
+		r := frame.NewReader(payload)
+		first, count := r.Uvarint(), r.Count(2) // an entry is two values of >= 1 byte
 		for i := 0; i < count; i++ {
-			key, kn, err := adm.DecodeBinary(entries[entryOff:])
-			if err != nil {
-				return 0, 0, fmt.Errorf("lsm: wal segment %s frame at %d: %w", seg.name, frameStart, err)
+			key, rec := r.Value(), r.Value()
+			if r.Err() != nil {
+				break
 			}
-			entryOff += kn
-			rec, rn, err := adm.DecodeBinary(entries[entryOff:])
-			if err != nil {
-				return 0, 0, fmt.Errorf("lsm: wal segment %s frame at %d: %w", seg.name, frameStart, err)
-			}
-			entryOff += rn
 			lsn := first + uint64(i)
 			if lsn > maxLSN {
 				maxLSN = lsn
@@ -269,36 +256,15 @@ func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, apply func(
 				}
 			}
 		}
+		if err := r.Done(); err != nil {
+			return 0, 0, fmt.Errorf("lsm: wal segment %s frame at %d: %w", seg.name, off, err)
+		}
+		if firstLSN == 0 {
+			firstLSN = first
+		}
 		off += n
 	}
 	return maxLSN, firstLSN, nil
-}
-
-// decodeWALFrame decodes one frame from the front of data. ok=false
-// means the frame is short or fails its CRC (a torn tail when it is
-// the final frame of the final segment).
-func decodeWALFrame(data []byte) (ok bool, firstLSN uint64, count int, entries []byte, size int) {
-	if len(data) < walFrameHeader {
-		return false, 0, 0, nil, 0
-	}
-	plen := int(binary.LittleEndian.Uint32(data))
-	crc := binary.LittleEndian.Uint32(data[4:])
-	if plen <= 0 || len(data) < walFrameHeader+plen {
-		return false, 0, 0, nil, 0
-	}
-	payload := data[walFrameHeader : walFrameHeader+plen]
-	if crc32.Checksum(payload, crcTable) != crc {
-		return false, 0, 0, nil, 0
-	}
-	first, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return false, 0, 0, nil, 0
-	}
-	cnt, cn := binary.Uvarint(payload[n:])
-	if cn <= 0 || cnt > maxWALEntriesPerFrame {
-		return false, 0, 0, nil, 0
-	}
-	return true, first, int(cnt), payload[n+cn:], walFrameHeader + plen
 }
 
 // appendEncoded assigns n consecutive LSNs and, in durable mode,
@@ -318,13 +284,11 @@ func (w *WAL) appendEncoded(enc []byte, n int) uint64 {
 			w.pendingFirst = first
 		}
 		start := len(w.pending)
-		w.pending = append(w.pending, 0, 0, 0, 0, 0, 0, 0, 0)
+		w.pending = frame.Begin(w.pending)
 		w.pending = binary.AppendUvarint(w.pending, first)
 		w.pending = binary.AppendUvarint(w.pending, uint64(n))
 		w.pending = append(w.pending, enc...)
-		payload := w.pending[start+walFrameHeader:]
-		binary.LittleEndian.PutUint32(w.pending[start:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(w.pending[start+4:], crc32.Checksum(payload, crcTable))
+		frame.Seal(w.pending, start)
 	}
 	return w.lsn
 }

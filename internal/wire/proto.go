@@ -6,12 +6,16 @@ import (
 	"math"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/frame"
 )
 
 // Message encoders and decoders. Every Append* function extends dst and
-// returns it; every Parse* function consumes exactly the frame body it
-// is handed (trailing garbage is an error, so a drifted encoder cannot
-// go unnoticed).
+// returns it; every Parse* function reads the frame body it is handed
+// through a frame.Reader and consumes exactly that body (trailing
+// garbage is an error, so a drifted encoder cannot go unnoticed).
+
+// maxInt bounds a scalar that must fit an int on every platform.
+const maxInt = math.MaxInt32
 
 // Hello is the client's opening frame.
 type Hello struct {
@@ -31,22 +35,13 @@ func AppendHello(dst []byte, h Hello) []byte {
 
 // ParseHello decodes a Hello body.
 func ParseHello(body []byte) (Hello, error) {
-	r := reader{b: body}
-	magic, err := r.take(len(Magic))
-	if err != nil {
-		return Hello{}, fmt.Errorf("wire: hello: %w", err)
-	}
-	if string(magic) != Magic {
+	r := frame.NewReader(body)
+	magic := r.Take(len(Magic))
+	if r.Err() == nil && string(magic) != Magic {
 		return Hello{}, fmt.Errorf("wire: bad magic %q (not an idea client)", magic)
 	}
-	var h Hello
-	if h.Version, err = r.byte(); err != nil {
-		return Hello{}, fmt.Errorf("wire: hello: %w", err)
-	}
-	if h.Token, err = r.str(); err != nil {
-		return Hello{}, fmt.Errorf("wire: hello: %w", err)
-	}
-	return h, r.done("hello")
+	h := Hello{Version: r.Byte(), Token: r.Str()}
+	return h, wrap("hello", r.Done())
 }
 
 // Welcome is the server's handshake acceptance.
@@ -66,16 +61,9 @@ func AppendWelcome(dst []byte, w Welcome) []byte {
 
 // ParseWelcome decodes a Welcome body.
 func ParseWelcome(body []byte) (Welcome, error) {
-	r := reader{b: body}
-	var w Welcome
-	var err error
-	if w.Version, err = r.byte(); err != nil {
-		return Welcome{}, fmt.Errorf("wire: welcome: %w", err)
-	}
-	if w.Server, err = r.str(); err != nil {
-		return Welcome{}, fmt.Errorf("wire: welcome: %w", err)
-	}
-	return w, r.done("welcome")
+	r := frame.NewReader(body)
+	w := Welcome{Version: r.Byte(), Server: r.Str()}
+	return w, wrap("welcome", r.Done())
 }
 
 // Param is one bound statement parameter. Name is the parameter name
@@ -105,27 +93,13 @@ func AppendRequest(dst []byte, req Request) []byte {
 
 // ParseRequest decodes a Query/Execute body.
 func ParseRequest(body []byte) (Request, error) {
-	r := reader{b: body}
-	var req Request
-	var err error
-	if req.Text, err = r.str(); err != nil {
-		return Request{}, fmt.Errorf("wire: request: %w", err)
+	r := frame.NewReader(body)
+	req := Request{Text: r.Str()}
+	// A parameter is a name length and a value: at least two bytes.
+	for n := r.Count(2); n > 0 && r.Err() == nil; n-- {
+		req.Params = append(req.Params, Param{Name: r.Str(), Value: r.Value()})
 	}
-	n, err := r.count()
-	if err != nil {
-		return Request{}, fmt.Errorf("wire: request params: %w", err)
-	}
-	for i := 0; i < n; i++ {
-		var p Param
-		if p.Name, err = r.str(); err != nil {
-			return Request{}, fmt.Errorf("wire: request param %d: %w", i, err)
-		}
-		if p.Value, err = r.value(); err != nil {
-			return Request{}, fmt.Errorf("wire: request param %d: %w", i, err)
-		}
-		req.Params = append(req.Params, p)
-	}
-	return req, r.done("request")
+	return req, wrap("request", r.Done())
 }
 
 // Header announces a result set: its column names. The engine yields
@@ -147,20 +121,12 @@ func AppendHeader(dst []byte, h Header) []byte {
 
 // ParseHeader decodes a Header body.
 func ParseHeader(body []byte) (Header, error) {
-	r := reader{b: body}
-	n, err := r.count()
-	if err != nil {
-		return Header{}, fmt.Errorf("wire: header: %w", err)
+	r := frame.NewReader(body)
+	h := Header{Columns: make([]string, r.Count(1))}
+	for i := range h.Columns {
+		h.Columns[i] = r.Str()
 	}
-	h := Header{Columns: make([]string, 0, n)}
-	for i := 0; i < n; i++ {
-		c, err := r.str()
-		if err != nil {
-			return Header{}, fmt.Errorf("wire: header column %d: %w", i, err)
-		}
-		h.Columns = append(h.Columns, c)
-	}
-	return h, r.done("header")
+	return h, wrap("header", r.Done())
 }
 
 // AppendRowBatch encodes a batch of result rows.
@@ -177,21 +143,18 @@ func AppendRowBatch(dst []byte, rows []adm.Value) []byte {
 // decoding copies), so they outlive the buffer, but the BatchReader
 // itself must be exhausted before the next ReadFrame call.
 type BatchReader struct {
-	b   []byte
+	r   frame.Reader
 	rem int
 }
 
 // NewBatchReader wraps one RowBatch body.
 func NewBatchReader(body []byte) (*BatchReader, error) {
-	n, sz := binary.Uvarint(body)
-	if sz <= 0 {
-		return nil, fmt.Errorf("wire: row batch: truncated count")
+	r := frame.NewReader(body)
+	n := r.Count(1) // each value takes at least one byte
+	if err := r.Err(); err != nil {
+		return nil, wrap("row batch", err)
 	}
-	if n > uint64(len(body)-sz) {
-		// Each value takes at least one byte; a bigger count is corrupt.
-		return nil, fmt.Errorf("wire: row batch: count %d exceeds payload", n)
-	}
-	return &BatchReader{b: body[sz:], rem: int(n)}, nil
+	return &BatchReader{r: r, rem: n}, nil
 }
 
 // Len reports the rows remaining.
@@ -200,16 +163,12 @@ func (r *BatchReader) Len() int { return r.rem }
 // Next decodes the next row; ok is false at exhaustion.
 func (r *BatchReader) Next() (v adm.Value, ok bool, err error) {
 	if r.rem == 0 {
-		if len(r.b) != 0 {
-			return adm.Value{}, false, fmt.Errorf("wire: row batch: %d trailing bytes", len(r.b))
-		}
-		return adm.Value{}, false, nil
+		return adm.Value{}, false, wrap("row batch", r.r.Done())
 	}
-	v, n, err := adm.DecodeBinary(r.b)
-	if err != nil {
-		return adm.Value{}, false, fmt.Errorf("wire: row batch: %w", err)
+	v = r.r.Value()
+	if err := r.r.Err(); err != nil {
+		return adm.Value{}, false, wrap("row batch", err)
 	}
-	r.b = r.b[n:]
 	r.rem--
 	return v, true, nil
 }
@@ -227,12 +186,9 @@ func AppendTrailer(dst []byte, t Trailer) []byte {
 
 // ParseTrailer decodes a Trailer body.
 func ParseTrailer(body []byte) (Trailer, error) {
-	r := reader{b: body}
-	n, err := r.uvarint()
-	if err != nil {
-		return Trailer{}, fmt.Errorf("wire: trailer: %w", err)
-	}
-	return Trailer{Rows: n}, r.done("trailer")
+	r := frame.NewReader(body)
+	t := Trailer{Rows: r.Uvarint()}
+	return t, wrap("trailer", r.Done())
 }
 
 // ErrorMsg is a typed error frame. Code is one of the Code* constants;
@@ -263,32 +219,13 @@ func AppendError(dst []byte, e ErrorMsg) []byte {
 
 // ParseError decodes an Error body.
 func ParseError(body []byte) (ErrorMsg, error) {
-	r := reader{b: body}
-	var e ErrorMsg
-	var err error
-	if e.Code, err = r.str(); err != nil {
-		return ErrorMsg{}, fmt.Errorf("wire: error frame: %w", err)
-	}
-	if e.Message, err = r.str(); err != nil {
-		return ErrorMsg{}, fmt.Errorf("wire: error frame: %w", err)
-	}
-	flag, err := r.byte()
-	if err != nil {
-		return ErrorMsg{}, fmt.Errorf("wire: error frame: %w", err)
-	}
-	if flag != 0 {
+	r := frame.NewReader(body)
+	e := ErrorMsg{Code: r.Str(), Message: r.Str()}
+	if r.Byte() != 0 {
 		e.HasStmt = true
-		if e.Index, err = r.count(); err != nil {
-			return ErrorMsg{}, fmt.Errorf("wire: error frame index: %w", err)
-		}
-		if e.Pos, err = r.count(); err != nil {
-			return ErrorMsg{}, fmt.Errorf("wire: error frame pos: %w", err)
-		}
-		if e.Snippet, err = r.str(); err != nil {
-			return ErrorMsg{}, fmt.Errorf("wire: error frame snippet: %w", err)
-		}
+		e.Index, e.Pos, e.Snippet = r.Int(maxInt), r.Int(maxInt), r.Str()
 	}
-	return e, r.done("error frame")
+	return e, wrap("error frame", r.Done())
 }
 
 // StmtResult is the wire form of one idea.Result: what a statement of
@@ -316,29 +253,13 @@ func AppendExecResults(dst []byte, results []StmtResult) []byte {
 
 // ParseExecResults decodes an ExecResult body.
 func ParseExecResults(body []byte) ([]StmtResult, error) {
-	r := reader{b: body}
-	n, err := r.count()
-	if err != nil {
-		return nil, fmt.Errorf("wire: exec results: %w", err)
+	r := frame.NewReader(body)
+	// A result is two string lengths and two scalars: at least four bytes.
+	out := make([]StmtResult, r.Count(4))
+	for i := range out {
+		out[i] = StmtResult{Kind: r.Str(), Pos: r.Int(maxInt), RowsAffected: r.Int(maxInt), Feed: r.Str()}
 	}
-	out := make([]StmtResult, 0, n)
-	for i := 0; i < n; i++ {
-		var res StmtResult
-		if res.Kind, err = r.str(); err != nil {
-			return nil, fmt.Errorf("wire: exec result %d: %w", i, err)
-		}
-		if res.Pos, err = r.count(); err != nil {
-			return nil, fmt.Errorf("wire: exec result %d: %w", i, err)
-		}
-		if res.RowsAffected, err = r.count(); err != nil {
-			return nil, fmt.Errorf("wire: exec result %d: %w", i, err)
-		}
-		if res.Feed, err = r.str(); err != nil {
-			return nil, fmt.Errorf("wire: exec result %d: %w", i, err)
-		}
-		out = append(out, res)
-	}
-	return out, r.done("exec results")
+	return out, wrap("exec results", r.Done())
 }
 
 // AppendValue encodes one adm value (StatsReply bodies).
@@ -346,88 +267,20 @@ func AppendValue(dst []byte, v adm.Value) []byte { return adm.AppendBinary(dst, 
 
 // ParseValue decodes a body that is exactly one adm value.
 func ParseValue(body []byte) (adm.Value, error) {
-	v, n, err := adm.DecodeBinary(body)
-	if err != nil {
-		return adm.Value{}, err
-	}
-	if n != len(body) {
-		return adm.Value{}, fmt.Errorf("wire: value frame: %d trailing bytes", len(body)-n)
-	}
-	return v, nil
+	r := frame.NewReader(body)
+	v := r.Value()
+	return v, wrap("value frame", r.Done())
 }
-
-// --- body decoding primitives ---
 
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
-type reader struct{ b []byte }
-
-func (r *reader) take(n int) ([]byte, error) {
-	if len(r.b) < n {
-		return nil, fmt.Errorf("truncated (%d of %d bytes)", len(r.b), n)
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out, nil
-}
-
-func (r *reader) byte() (byte, error) {
-	b, err := r.take(1)
+// wrap names the message a payload error came from.
+func wrap(what string, err error) error {
 	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	u, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return 0, fmt.Errorf("truncated uvarint")
-	}
-	r.b = r.b[n:]
-	return u, nil
-}
-
-// count decodes a uvarint that must fit an int and stay sane as a
-// length/count (corrupt frames must not drive allocations).
-func (r *reader) count() (int, error) {
-	u, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if u > math.MaxInt32 {
-		return 0, fmt.Errorf("count %d out of range", u)
-	}
-	return int(u), nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.count()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.take(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func (r *reader) value() (adm.Value, error) {
-	v, n, err := adm.DecodeBinary(r.b)
-	if err != nil {
-		return adm.Value{}, err
-	}
-	r.b = r.b[n:]
-	return v, nil
-}
-
-func (r *reader) done(what string) error {
-	if len(r.b) != 0 {
-		return fmt.Errorf("wire: %s: %d trailing bytes", what, len(r.b))
+		return fmt.Errorf("wire: %s: %w", what, err)
 	}
 	return nil
 }

@@ -1,15 +1,16 @@
 // Package wire implements the ideaserver client/server protocol: a
-// length-prefixed, versioned binary framing shared by the server
+// framed, versioned binary protocol shared by the server
 // (internal/server) and the database/sql driver (driver). It reuses the
-// storage layer's framing discipline — every frame is length + CRC32C +
-// payload, exactly like a WAL frame — and the storage layer's value
-// serialization (adm.AppendBinary / adm.DecodeBinary, BinaryVersion 1)
-// for statement parameters and result rows, so a value round-trips the
-// network in the same bytes it would occupy in the write-ahead log.
+// storage layer's byte envelope (internal/frame — a wire frame is a WAL
+// frame) and the storage layer's value serialization (adm.AppendBinary
+// / adm.DecodeBinary, BinaryVersion 1) for statement parameters and
+// result rows, so a value round-trips the network in the same bytes it
+// would occupy in the write-ahead log.
 //
-// Frame grammar (integers little-endian, strings uvarint-length-prefixed):
+// Frame grammar (strings uvarint-length-prefixed; the envelope itself
+// is docs/ARCHITECTURE.md, "Byte envelope"):
 //
-//	frame    := payloadLen:4B crc32c(payload):4B payload
+//	frame    := envelope(payload)
 //	payload  := type:1B body
 //	string   := len:uvarint bytes
 //	value    := adm binary encoding (BinaryVersion 1)
@@ -42,14 +43,13 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"net"
 	"sync/atomic"
 	"time"
+
+	"github.com/ideadb/idea/internal/frame"
 )
 
 // Version is the wire-protocol version carried in the handshake. Bump
@@ -69,7 +69,7 @@ const (
 	// unauthenticated peer cannot make the server allocate.
 	MaxHandshakeFrame = 4 << 10
 
-	frameHeaderSize = 8 // payload length + CRC32C
+	frameHeaderSize = frame.HeaderSize // named by the golden and framing tests
 )
 
 // Type tags a frame payload.
@@ -148,26 +148,21 @@ const (
 	CodePartitionDown   = "partition_down"
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // ErrFrameTooLarge reports a frame whose declared payload exceeds the
 // caller's size bound — a corrupt length or a hostile peer.
-var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
+var ErrFrameTooLarge = frame.ErrTooLarge
 
 // ErrBadCRC reports a frame whose payload fails its checksum.
-var ErrBadCRC = errors.New("wire: frame CRC mismatch")
+var ErrBadCRC = frame.ErrCRC
 
 // AppendFrame appends one framed payload (type byte + body) to dst and
 // returns the extended slice. It is the single encoder behind
 // Conn.WriteFrame; golden tests use it directly to pin frame bytes.
 func AppendFrame(dst []byte, t Type, body []byte) []byte {
-	n := 1 + len(body)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	crcAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = append(dst, byte(t))
+	start := len(dst)
+	dst = append(frame.Begin(dst), byte(t))
 	dst = append(dst, body...)
-	binary.LittleEndian.PutUint32(dst[crcAt:], crc32.Checksum(dst[crcAt+4:], crcTable))
+	frame.Seal(dst, start)
 	return dst
 }
 
@@ -230,29 +225,12 @@ func (c *Conn) Flush() error { return c.bw.Flush() }
 // decode (or copy) before reading again. maxSize bounds the payload
 // (use MaxHandshakeFrame before auth, MaxFrame after).
 func (c *Conn) ReadFrame(maxSize int) (Type, []byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	payload, err := frame.Read(c.br, int64(maxSize), c.rbuf)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	if n == 0 {
-		return 0, nil, fmt.Errorf("wire: empty frame payload")
-	}
-	if int64(n) > int64(maxSize) {
-		return 0, nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, n, maxSize)
-	}
-	if cap(c.rbuf) < int(n) {
-		c.rbuf = make([]byte, n)
-	}
-	payload := c.rbuf[:n]
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return 0, nil, err
-	}
-	c.bytesIn.Add(int64(frameHeaderSize + n))
-	if crc32.Checksum(payload, crcTable) != crc {
-		return 0, nil, ErrBadCRC
-	}
+	c.rbuf = payload
+	c.bytesIn.Add(int64(frame.HeaderSize + len(payload)))
 	return Type(payload[0]), payload[1:], nil
 }
 
