@@ -28,7 +28,7 @@ import "unsafe"
 // Arena is owned by exactly one hyracks.Frame at a time, and frame
 // ownership transfer (Push) carries the arena with it.
 type Arena struct {
-	buf   []byte   // string / raw-record byte storage
+	buf   []byte   // current string / raw-record byte slab
 	objs  []Object // Object struct slab
 	vals  []Value  // object field-value spine slab
 	names []string // object field-name spine slab
@@ -40,7 +40,9 @@ type Arena struct {
 // recycled, so over-allocation would be retained, not pooled). When a
 // slab fills mid-frame a fresh one is started and the full one stays
 // alive through the values that reference it (Reset only reclaims the
-// current slab).
+// current slab). The byte slab follows the same rule without the cap
+// (see reserve): a pooled arena's byte slab converges on its frames'
+// size, and nothing is ever copied from a full slab to its successor.
 const (
 	minSlabSize = 64
 	maxSlabSize = 2048
@@ -55,11 +57,23 @@ func NewArena(bytesCap int) *Arena {
 	return &Arena{buf: make([]byte, 0, bytesCap)}
 }
 
-// Len reports the bytes currently stored in the byte buffer.
+// Len reports the bytes stored in the current byte slab.
 func (a *Arena) Len() int { return len(a.buf) }
 
-// Cap reports the byte buffer's capacity.
+// Cap reports the current byte slab's capacity.
 func (a *Arena) Cap() int { return cap(a.buf) }
+
+// reserve makes room for n more contiguous bytes: when the current byte
+// slab lacks it, a fresh slab of at least twice the capacity takes its
+// place. The full slab is not copied — growing by append would memmove
+// it whole at every doubling while the views already handed out keep
+// the old copy alive, several buffers allocated per frame staged — it
+// simply stays reachable through those views.
+func (a *Arena) reserve(n int) {
+	if cap(a.buf)-len(a.buf) < n {
+		a.buf = make([]byte, 0, max(2*cap(a.buf), n, minSlabSize))
+	}
+}
 
 // Reset forgets the arena's contents so it can back a new frame. Every
 // value previously parsed into the arena becomes invalid: its bytes
@@ -82,6 +96,7 @@ func (a *Arena) AppendBytes(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
 	}
+	a.reserve(len(b))
 	n := len(a.buf)
 	a.buf = append(a.buf, b...)
 	return a.buf[n:len(a.buf):len(a.buf)]
@@ -94,14 +109,16 @@ func (a *Arena) appendView(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
+	a.reserve(len(b))
 	n := len(a.buf)
 	a.buf = append(a.buf, b...)
 	return unsafe.String(&a.buf[n], len(b))
 }
 
-// viewFrom returns a string view of the bytes appended to the buffer
-// since mark (a previous Len result). The unescape path uses it to turn
-// in-place escape decoding into an arena-backed string.
+// viewFrom returns a string view of the bytes appended to the current
+// slab since mark (a Len result taken after the reserve that made room
+// for them). The unescape path uses it to turn in-place escape decoding
+// into an arena-backed string.
 func (a *Arena) viewFrom(mark int) string {
 	if len(a.buf) == mark {
 		return ""

@@ -1,6 +1,10 @@
 package adm
 
 import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -252,5 +256,69 @@ func TestArenaEscapeZeroAllocs(t *testing.T) {
 	}
 	if Compare(spine[0], want) != 0 {
 		t.Fatalf("arena unescape mismatch:\n got %v\nwant %v", spine[0], want)
+	}
+}
+
+// TestArenaByteSlabRollover: when the byte slab fills, a fresh one takes
+// over without copying — views taken before the roll-over still read
+// their own bytes, an escape-decoded string that straddles the fill
+// point lands whole in the new slab, and Reset reclaims only the
+// current slab.
+func TestArenaByteSlabRollover(t *testing.T) {
+	a := NewArena(64)
+	var views [][]byte
+	var want []string
+	for i := 0; len(views) < 40; i++ {
+		s := fmt.Sprintf("record-%02d-%s", i, strings.Repeat("x", i%7))
+		views = append(views, a.AppendBytes([]byte(s)))
+		want = append(want, s)
+	}
+	if a.Cap() <= 64 {
+		t.Fatalf("byte slab never rolled over (cap %d)", a.Cap())
+	}
+	for i, v := range views {
+		if string(v) != want[i] {
+			t.Fatalf("view %d reads %q after roll-overs, want %q", i, v, want[i])
+		}
+	}
+
+	// Leave 4 free bytes, then decode an escaped string that needs more.
+	a = NewArena(64)
+	head := a.AppendBytes(bytes.Repeat([]byte("h"), 60))
+	spine, err := ParseJSONInto([]byte(`{"s":"ab\ncdé and a tail that is longer than the slab had room for"}`), nil, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := spine[0].Field("s").StringVal(); got != "ab\ncdé and a tail that is longer than the slab had room for" {
+		t.Fatalf("escaped string across a roll-over decoded to %q", got)
+	}
+	if string(head) != strings.Repeat("h", 60) {
+		t.Fatalf("earlier view damaged by the roll-over: %q", head)
+	}
+	c := a.Cap()
+	a.Reset()
+	if a.Len() != 0 || a.Cap() != c {
+		t.Fatalf("Reset left len=%d cap=%d, want 0 and the current slab's %d", a.Len(), a.Cap(), c)
+	}
+}
+
+// TestArenaStagingBudget: staging one frame of raw lines (128 × 435 B
+// into a fresh 8 KB arena, what AddRawCopy does per frame) allocates at
+// most 1.5 × the bytes staged. Growing the buffer by append allocated
+// 4.0 × (223 872 B for these 55 680): every growth step copied the
+// prefix while the views handed out pinned the old buffer.
+func TestArenaStagingBudget(t *testing.T) {
+	line := bytes.Repeat([]byte("t"), 435)
+	const lines = 128
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a := NewArena(8 << 10)
+	for i := 0; i < lines; i++ {
+		a.AppendBytes(line)
+	}
+	runtime.ReadMemStats(&after)
+	staged := uint64(lines * len(line))
+	if got := after.TotalAlloc - before.TotalAlloc; got > staged*3/2 {
+		t.Fatalf("staging %d bytes allocated %d (%.2f×), want at most 1.5×", staged, got, float64(got)/float64(staged))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Binary encoding of Values — the storage serialization used by the LSM
@@ -224,6 +225,128 @@ func decodeBinary(data []byte, depth int) (Value, int, error) {
 		return ObjectValue(obj), pos, nil
 	}
 	return Value{}, 0, fmt.Errorf("adm: unknown binary kind tag 0x%02x", byte(kind))
+}
+
+// DecodeBinaryAlias is DecodeBinary for a caller that reads the value
+// only while data is unchanged: a top-level string aliases data instead
+// of copying it, flagged like an arena string so Materialize copies it
+// out. Every other kind decodes exactly as DecodeBinary does. The
+// compaction merge decodes each entry's key this way, so comparing
+// string keys costs no allocation per record.
+func DecodeBinaryAlias(data []byte) (Value, int, error) {
+	if len(data) == 0 || Kind(data[0]) != KindString {
+		return DecodeBinary(data)
+	}
+	l, n, err := decodeLen(data[1:], KindString)
+	if err != nil {
+		return Value{}, 0, err
+	}
+	pos := 1 + n
+	if len(data) < pos+l {
+		return Value{}, 0, errTruncated(KindString)
+	}
+	if l == 0 {
+		return String(""), pos, nil
+	}
+	return Value{kind: KindString, flags: flagArena, s: unsafe.String(&data[pos], l)}, pos + l, nil
+}
+
+// SkipBinary returns the encoded length of the value at the front of
+// data without building it. It accepts exactly the inputs DecodeBinary
+// accepts — the same kind tags, length and count bounds, duration range
+// and nesting limit — so bytes it passes over can be moved as they are
+// and will decode later.
+func SkipBinary(data []byte) (int, error) {
+	return skipBinary(data, 0)
+}
+
+func skipBinary(data []byte, depth int) (int, error) {
+	if depth > maxBinaryDepth {
+		return 0, fmt.Errorf("adm: binary value nested deeper than %d", maxBinaryDepth)
+	}
+	if len(data) == 0 {
+		return 0, fmt.Errorf("adm: truncated binary value: missing kind tag")
+	}
+	kind := Kind(data[0])
+	pos := 1
+	// fixed is the payload width of the fixed-size kinds.
+	fixed := -1
+	switch kind {
+	case KindMissing, KindNull:
+		fixed = 0
+	case KindBoolean:
+		fixed = 1
+	case KindDouble:
+		fixed = 8
+	case KindPoint:
+		fixed = 16
+	case KindCircle:
+		fixed = 24
+	case KindRectangle:
+		fixed = 32
+	case KindInt64, KindDateTime:
+		_, n := binary.Varint(data[pos:])
+		if n <= 0 {
+			return 0, errTruncated(kind)
+		}
+		return pos + n, nil
+	case KindDuration:
+		months, n := binary.Varint(data[pos:])
+		if n <= 0 {
+			return 0, errTruncated(kind)
+		}
+		pos += n
+		_, n = binary.Varint(data[pos:])
+		if n <= 0 {
+			return 0, errTruncated(kind)
+		}
+		if months < math.MinInt32 || months > math.MaxInt32 {
+			return 0, fmt.Errorf("adm: binary duration months %d out of range", months)
+		}
+		return pos + n, nil
+	case KindString:
+		l, n, err := decodeLen(data[pos:], kind)
+		if err != nil {
+			return 0, err
+		}
+		pos += n
+		fixed = l
+	case KindArray, KindObject:
+		count, n, err := decodeLen(data[pos:], kind)
+		if err != nil {
+			return 0, err
+		}
+		pos += n
+		// Every element takes at least one byte.
+		if count > len(data)-pos {
+			return 0, errTruncated(kind)
+		}
+		for i := 0; i < count; i++ {
+			if kind == KindObject {
+				l, n, err := decodeLen(data[pos:], kind)
+				if err != nil {
+					return 0, err
+				}
+				pos += n
+				if len(data) < pos+l {
+					return 0, errTruncated(kind)
+				}
+				pos += l
+			}
+			n, err := skipBinary(data[pos:], depth+1)
+			if err != nil {
+				return 0, err
+			}
+			pos += n
+		}
+		return pos, nil
+	default:
+		return 0, fmt.Errorf("adm: unknown binary kind tag 0x%02x", byte(kind))
+	}
+	if len(data) < pos+fixed {
+		return 0, errTruncated(kind)
+	}
+	return pos + fixed, nil
 }
 
 func decodeLen(data []byte, kind Kind) (int, int, error) {

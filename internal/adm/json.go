@@ -251,7 +251,6 @@ func (p *jsonParser) parseStringValue() (Value, error) {
 // per-string heap path.
 func (p *jsonParser) parseStringIntoArena() (string, error) {
 	a := p.arena
-	mark := a.Len()
 	p.pos++ // consume opening quote
 	start := p.pos
 	// Copy the escape-free prefix, then decode the rest in place.
@@ -262,6 +261,17 @@ func (p *jsonParser) parseStringIntoArena() (string, error) {
 		}
 		p.pos++
 	}
+	// Decoding never lengthens a string, so its raw extent — up to the
+	// closing quote — is room enough to keep the decoded bytes in one slab.
+	end := p.pos
+	for end < len(p.data) && p.data[end] != '"' {
+		if p.data[end] == '\\' {
+			end++
+		}
+		end++
+	}
+	a.reserve(min(end, len(p.data)) - start)
+	mark := a.Len()
 	buf, err := p.decodeStringTail(append(a.buf, p.data[start:p.pos]...))
 	if err != nil {
 		return "", err

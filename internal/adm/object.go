@@ -5,12 +5,12 @@ import "strings"
 // Object is an ordered collection of named fields: the ADM record type.
 // Field order is insertion order (matching how AsterixDB lays out closed
 // fields first, then open fields). Lookup is O(1) once the object grows
-// past a small threshold; small objects use linear scans to avoid the
-// map allocation that would otherwise dominate tweet-sized records.
+// past indexThreshold fields; smaller objects use linear scans to avoid
+// the map allocation that would otherwise dominate tweet-sized records.
 type Object struct {
 	names  []string
 	values []Value
-	index  map[string]int // built lazily once len(names) > indexThreshold
+	index  map[string]int // built by the Set that grows names past indexThreshold
 
 	// arena marks an object whose struct and field spines were carved
 	// from an Arena slab; arenaNames marks field-name strings that view
@@ -20,7 +20,16 @@ type Object struct {
 	arenaNames bool
 }
 
-const indexThreshold = 8
+// indexThreshold is the field count up to which lookups scan the names.
+// BenchmarkObjectGet/BenchmarkObjectBuild set it: through 16 fields the
+// map saves at most ≈ 7 ns on a lookup (last-field hit 21 vs 18 ns, miss
+// 22 vs 15 ns) and costs ≈ 0.8 µs and ≈ 1 KB to build for every object
+// parsed or decoded, most of which are never looked up at all; at 32
+// fields the scan takes twice the map's time. The map is built when the
+// object is, never on first lookup: decoded records are shared between
+// goroutines through the memtable and the block cache, and a read that
+// wrote the index would race.
+const indexThreshold = 16
 
 // NewObject returns an empty object with capacity for n fields.
 func NewObject(n int) *Object {

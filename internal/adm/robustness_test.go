@@ -76,6 +76,9 @@ func TestCoerceNeverPanics(t *testing.T) {
 // FuzzDecodeBinary: arbitrary bytes decode or error, never panic, and a
 // decoded value is a fixed point of encode → decode → encode (the bytes
 // storage and the wire would write for it read back as themselves).
+// SkipBinary and DecodeBinaryAlias — what compaction walks run blocks
+// with — accept exactly the inputs DecodeBinary accepts and agree with
+// it on the value's length (and, for the alias, on the value).
 func FuzzDecodeBinary(f *testing.F) {
 	r := rand.New(rand.NewSource(16))
 	for i := 0; i < 64; i++ {
@@ -87,6 +90,12 @@ func FuzzDecodeBinary(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, n, err := DecodeBinary(data)
+		if sn, serr := SkipBinary(data); (serr == nil) != (err == nil) || sn != n {
+			t.Fatalf("SkipBinary(%x) = %d, %v; DecodeBinary = %d, %v", data, sn, serr, n, err)
+		}
+		if av, an, aerr := DecodeBinaryAlias(data); (aerr == nil) != (err == nil) || an != n || Compare(av, v) != 0 {
+			t.Fatalf("DecodeBinaryAlias(%x) = %v, %d, %v; DecodeBinary = %v, %d, %v", data, av, an, aerr, v, n, err)
+		}
 		if err != nil {
 			return
 		}

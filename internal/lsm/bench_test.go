@@ -105,3 +105,24 @@ func BenchmarkStorageUpsertIndexed(b *testing.B) {
 		b.ReportMetric(float64(b.N*frameSize)/b.Elapsed().Seconds(), "records/s")
 	})
 }
+
+// BenchmarkCompaction merges 4 runs × 20 000 tweet-shaped records on
+// MemFS: the compaction layer's time and allocation per input byte.
+func BenchmarkCompaction(b *testing.B) {
+	fsys := NewMemFS()
+	runs := tweetRuns(b, fsys, 4, 20_000, runEnv{})
+	var size int64
+	for _, rf := range runs {
+		size += rf.size
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rf, err := writeRun(fsys, "runs", "out.run", runEnv{}, fillFromRuns(runs, true))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rf.close()
+	}
+}

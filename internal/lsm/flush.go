@@ -47,28 +47,23 @@ func (p *Partition) signalFlushLocked() {
 	}
 }
 
-// flusher is the background goroutine started by OpenPartition. It
-// drains flush work, then considers compaction, for every wake-up.
+// flusher is the background goroutine started by OpenPartition.
 func (p *Partition) flusher() {
 	defer close(p.flusherDone)
 	for range p.flushC {
+		p.flushAndCompact()
+	}
+}
+
+// flushAndCompact is one wake-up's work: drain flush work, then
+// compact while a window qualifies. The first error of either stops
+// that step and becomes the partition's sticky error.
+func (p *Partition) flushAndCompact() {
+	for _, step := range []func() (bool, error){p.flushOnce, p.compactOnce} {
 		for {
-			did, err := p.flushOnce()
-			if err != nil {
-				p.fail(err)
-				break
-			}
-			if !did {
-				break
-			}
-		}
-		for {
-			did, err := p.compactOnce()
-			if err != nil {
-				p.fail(err)
-				break
-			}
-			if !did {
+			did, err := step()
+			p.fail(err)
+			if err != nil || !did {
 				break
 			}
 		}
@@ -103,7 +98,7 @@ func (p *Partition) flushOnce() (bool, error) {
 	// The component is immutable; write it without any partition lock.
 	seq := p.man.NextSeq
 	name := runFileName(seq)
-	rf, err := writeRun(p.fs, p.dir, name, []*component{c}, false, p.renv)
+	rf, err := writeRun(p.fs, p.dir, name, p.renv, fillFromComponent(c))
 	if err != nil {
 		return false, fmt.Errorf("lsm: flush: %w", err)
 	}
@@ -177,7 +172,10 @@ func pickCompaction(runs []runMeta, maxRuns int) (lo, hi int, ok bool) {
 }
 
 // compactOnce merges one size-tiered window of adjacent run files into
-// a single run. It reports whether a compaction ran.
+// a single run. It reports whether a compaction ran. A merge that fails
+// — an input block that cannot be read, fails its checksum or does not
+// parse — changes nothing: no output file, the manifest, the inputs and
+// the components as they were.
 func (p *Partition) compactOnce() (bool, error) {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
@@ -201,9 +199,9 @@ func (p *Partition) compactOnce() (bool, error) {
 		return false, fmt.Errorf("lsm: compact: %d run components vs %d manifest runs", nRuns, len(p.man.Runs))
 	}
 	// Manifest index i lives at component index len(components)-1-i.
-	comps := make([]*component, 0, hi-lo)
+	runs := make([]*runFile, 0, hi-lo)
 	for i := hi - 1; i >= lo; i-- {
-		comps = append(comps, p.components[len(p.components)-1-i])
+		runs = append(runs, p.components[len(p.components)-1-i].run)
 	}
 	p.mu.RUnlock()
 
@@ -211,7 +209,7 @@ func (p *Partition) compactOnce() (bool, error) {
 	dropTombstones := lo == 0
 	seq := p.man.NextSeq
 	name := runFileName(seq)
-	rf, err := writeRun(p.fs, p.dir, name, comps, dropTombstones, p.renv)
+	rf, err := writeRun(p.fs, p.dir, name, p.renv, fillFromRuns(runs, dropTombstones))
 	if err != nil {
 		return false, fmt.Errorf("lsm: compact: %w", err)
 	}

@@ -194,7 +194,7 @@ func goldenItems() []index.Item {
 func TestGoldenRunFile(t *testing.T) {
 	items := goldenItems()
 	fs := NewMemFS()
-	rf, err := writeRun(fs, "runs", "golden.run", []*component{{items: items}}, false, runEnv{})
+	rf, err := writeRun(fs, "runs", "golden.run", runEnv{}, fillFromComponent(&component{items: items}))
 	if err != nil {
 		t.Fatal(err)
 	}

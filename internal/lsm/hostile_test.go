@@ -66,7 +66,7 @@ func TestOpenRunHostileIndex(t *testing.T) {
 		items[i] = index.Item{Key: adm.Int(int64(i)), Val: rec(int64(i), "pad", adm.String("0123456789012345678901234567890123456789"))}
 	}
 	fs := NewMemFS()
-	rf, err := writeRun(fs, "runs", "good.run", []*component{{items: items}}, false, runEnv{})
+	rf, err := writeRun(fs, "runs", "good.run", runEnv{}, fillFromComponent(&component{items: items}))
 	if err != nil {
 		t.Fatal(err)
 	}

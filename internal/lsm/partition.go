@@ -128,6 +128,7 @@ type runCursor struct {
 	pos   int
 	tc    *index.Cursor
 	fc    *runFileCursor
+	cur   index.Item // the entry the last advance stepped onto
 }
 
 func (c *component) cursor() runCursor {
@@ -153,6 +154,12 @@ func (rc *runCursor) next() (index.Item, bool) {
 	it := rc.items[rc.pos]
 	rc.pos++
 	return it, true
+}
+
+// advance makes runCursor a mergeInput: the merged entry is rc.cur.
+func (rc *runCursor) advance() (key adm.Value, tombstone, ok bool) {
+	rc.cur, ok = rc.next()
+	return rc.cur.Key, rc.cur.Val.IsMissing(), ok
 }
 
 // close releases run-file resources (cursor pin + file reference).
@@ -882,21 +889,21 @@ func (s *Snapshot) Err() error {
 // having touched only the prefix it asked for. The cursor allocates
 // O(components), never O(records).
 func (s *Snapshot) Cursor() *Cursor {
-	return &Cursor{m: newMergeCursor(s.components, true)}
+	return &Cursor{m: mergeComponentCursors(s.components, true)}
 }
 
 // Cursor streams a snapshot's live records.
 type Cursor struct {
-	m mergeCursor
+	m mergeCursor[*runCursor]
 }
 
 // Next returns the next live record in key order.
 func (cu *Cursor) Next() (key, rec adm.Value, ok bool) {
-	it, ok := cu.m.next()
+	rc, ok := cu.m.next()
 	if !ok {
 		return adm.Value{}, adm.Value{}, false
 	}
-	return it.Key, it.Val, true
+	return rc.cur.Key, rc.cur.Val, true
 }
 
 // Close releases the cursor's run-file resources (block-cache pins and
@@ -934,81 +941,111 @@ func scanMerged(comps []*component, fn func(key, rec adm.Value) bool) {
 }
 
 func scanMergedItems(comps []*component, dropTombstones bool, fn func(index.Item) bool) {
-	m := newMergeCursor(comps, dropTombstones)
+	m := mergeComponentCursors(comps, dropTombstones)
 	defer m.Close() // fn may stop the scan early
 	for {
-		it, ok := m.next()
+		rc, ok := m.next()
 		if !ok {
 			return
 		}
-		if !fn(it) {
+		if !fn(rc.cur) {
 			return
 		}
 	}
 }
 
-// mergeCursor is an incremental k-way merge over component runs: the
-// newest (lowest-index) version of each key wins, older versions are
-// skipped, tombstones are optionally dropped. It is the single merged-
-// read implementation under Snapshot.Scan, Snapshot.Cursor, and the
-// tiered merge.
-type mergeCursor struct {
-	runs           []runCursor
-	heads          []index.Item
-	live           []bool
+// mergeInput is one sorted input of a k-way merge: a component cursor
+// yielding decoded items (reads) or a raw run reader yielding encoded
+// bytes (compaction).
+type mergeInput interface {
+	// advance steps onto the input's next entry and reports its key and
+	// whether it is a tombstone; the input exposes the entry itself.
+	// ok=false means exhausted — or failed, which the input remembers.
+	advance() (key adm.Value, tombstone, ok bool)
+	close()
+}
+
+// mergeCursor is an incremental k-way merge over sorted inputs, newest
+// first: the newest (lowest-index) version of each key wins, older
+// versions are skipped, tombstones are optionally dropped. It is the
+// single statement of that rule — under Snapshot.Scan, Snapshot.Cursor,
+// the in-memory tiered merge and run-file compaction alike.
+type mergeCursor[I mergeInput] struct {
+	inputs         []I
+	heads          []mergeHead
 	dropTombstones bool
 }
 
-func newMergeCursor(comps []*component, dropTombstones bool) mergeCursor {
-	m := mergeCursor{
-		runs:           make([]runCursor, len(comps)),
-		heads:          make([]index.Item, len(comps)),
-		live:           make([]bool, len(comps)),
-		dropTombstones: dropTombstones,
-	}
-	for i, c := range comps {
-		m.runs[i] = c.cursor()
-		m.heads[i], m.live[i] = m.runs[i].next()
-	}
-	return m
+// mergeHead is the merge's view of one input's current entry.
+type mergeHead struct {
+	key       adm.Value
+	tombstone bool
+	live      bool
+	// fresh marks a head the merge has not moved past yet. Once it has,
+	// the input advances on the next call, not at once, so the entry a
+	// caller was handed stays readable until then.
+	fresh bool
 }
 
-func (m *mergeCursor) next() (index.Item, bool) {
+func newMergeCursor[I mergeInput](inputs []I, dropTombstones bool) mergeCursor[I] {
+	return mergeCursor[I]{
+		inputs:         inputs,
+		heads:          make([]mergeHead, len(inputs)),
+		dropTombstones: dropTombstones,
+	}
+}
+
+// mergeComponentCursors opens a merge over the components' cursors.
+func mergeComponentCursors(comps []*component, dropTombstones bool) mergeCursor[*runCursor] {
+	cursors := make([]runCursor, len(comps))
+	inputs := make([]*runCursor, len(comps))
+	for i, c := range comps {
+		cursors[i] = c.cursor()
+		inputs[i] = &cursors[i]
+	}
+	return newMergeCursor(inputs, dropTombstones)
+}
+
+// next returns the input standing on the next merged entry; the entry
+// is valid until the following call.
+func (m *mergeCursor[I]) next() (winner I, ok bool) {
 	for {
-		// Lowest key wins; among equal keys the first (newest) run wins
+		// Lowest key wins; among equal keys the first (newest) input wins
 		// because the scan takes the earliest index.
 		best := -1
-		for i := range m.runs {
-			if !m.live[i] {
-				continue
+		for i := range m.heads {
+			h := &m.heads[i]
+			if !h.fresh {
+				h.key, h.tombstone, h.live = m.inputs[i].advance()
+				h.fresh = true
 			}
-			if best == -1 || adm.Less(m.heads[i].Key, m.heads[best].Key) {
+			if h.live && (best == -1 || adm.Less(h.key, m.heads[best].key)) {
 				best = i
 			}
 		}
 		if best == -1 {
-			return index.Item{}, false
+			return winner, false
 		}
-		winner := m.heads[best]
-		// Advance every run holding this key (shadowed versions are
+		// Every input holding this key moves on (shadowed versions are
 		// consumed and dropped).
-		for i := range m.runs {
-			if m.live[i] && adm.Compare(m.heads[i].Key, winner.Key) == 0 {
-				m.heads[i], m.live[i] = m.runs[i].next()
+		for i := range m.heads {
+			h := &m.heads[i]
+			if h.live && (i == best || adm.Compare(h.key, m.heads[best].key) == 0) {
+				h.fresh = false
 			}
 		}
-		if winner.Val.IsMissing() && m.dropTombstones {
+		if m.heads[best].tombstone && m.dropTombstones {
 			continue
 		}
-		return winner, true
+		return m.inputs[best], true
 	}
 }
 
-// Close releases every input cursor's run-file resources. Exhausted
-// inputs have already released theirs; Close covers early-stopping
-// consumers. Idempotent.
-func (m *mergeCursor) Close() {
-	for i := range m.runs {
-		m.runs[i].close()
+// Close releases every input's run-file resources. Exhausted inputs
+// have already released theirs; Close covers early-stopping consumers.
+// Idempotent.
+func (m *mergeCursor[I]) Close() {
+	for _, in := range m.inputs {
+		in.close()
 	}
 }

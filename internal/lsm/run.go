@@ -111,16 +111,32 @@ func (w *runWriter) writeHeader() error {
 	return nil
 }
 
+// add encodes one item into the current block.
 func (w *runWriter) add(it index.Item) error {
-	keyStart := len(w.scratch)
+	start := len(w.scratch)
 	w.scratch = adm.AppendBinary(w.scratch, it.Key)
-	keyEnc := w.scratch[keyStart:]
+	keyLen := len(w.scratch) - start
+	w.scratch = adm.AppendBinary(w.scratch, it.Val)
+	return w.added(start, keyLen)
+}
+
+// addRaw appends one entry that is already encoded — compaction moves
+// the bytes an input run holds without decoding them.
+func (w *runWriter) addRaw(keyEnc, valEnc []byte) error {
+	start := len(w.scratch)
+	w.scratch = append(append(w.scratch, keyEnc...), valEnc...)
+	return w.added(start, len(keyEnc))
+}
+
+// added accounts for the entry just appended at w.scratch[start:],
+// whose first keyLen bytes are its key.
+func (w *runWriter) added(start, keyLen int) error {
+	keyEnc := w.scratch[start : start+keyLen]
 	if w.count == 0 {
 		w.first = append(w.first[:0], keyEnc...)
 	}
 	w.last = append(w.last[:0], keyEnc...)
 	w.hashes = append(w.hashes, bloomHash(keyEnc))
-	w.scratch = adm.AppendBinary(w.scratch, it.Val)
 	w.count++
 	w.entries++
 	if len(w.scratch) >= runBlockTarget {
@@ -212,43 +228,84 @@ func (w *runWriter) finish() (entries int, size int64, err error) {
 	return w.entries, w.off, nil
 }
 
-// writeRun streams a merge of comps (newest first) into a new run file
-// at pathname and makes it durable (file fsync + directory sync). It
-// returns an open reader over the written run, wired to env.
-func writeRun(fsys FS, dir, name string, comps []*component, dropTombstones bool, env runEnv) (*runFile, error) {
+// writeRun creates the run file name in dir from the entries fill adds
+// (in key order), makes it durable (file fsync + directory sync) and
+// returns an open reader over it, wired to env. On any error nothing
+// is left behind: the partial file is removed.
+func writeRun(fsys FS, dir, name string, env runEnv, fill func(*runWriter) error) (*runFile, error) {
 	pathname := joinPath(dir, name)
 	f, err := fsys.Create(pathname)
 	if err != nil {
 		return nil, err
 	}
 	w := newRunWriter(f)
-	if err := w.writeHeader(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	m := newMergeCursor(comps, dropTombstones)
-	defer m.Close()
-	for {
-		it, ok := m.next()
-		if !ok {
-			break
-		}
-		if err := w.add(it); err != nil {
-			f.Close()
-			return nil, err
+	if err = w.writeHeader(); err == nil {
+		if err = fill(w); err == nil {
+			_, _, err = w.finish()
 		}
 	}
-	if _, _, err := w.finish(); err != nil {
-		f.Close()
-		return nil, err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return nil, err
+	if err == nil {
+		err = fsys.SyncDir(dir)
 	}
-	if err := fsys.SyncDir(dir); err != nil {
+	if err != nil {
+		// Best effort: recovery also sweeps files the manifest does not name.
+		_ = fsys.Remove(pathname)
 		return nil, err
 	}
 	return openRun(fsys, dir, name, env)
+}
+
+// fillFromComponent is the flush: one immutable component's items,
+// tombstones included (they must shadow older runs), encoded in order.
+func fillFromComponent(c *component) func(*runWriter) error {
+	return func(w *runWriter) error {
+		rc := c.cursor()
+		defer rc.close()
+		for {
+			it, ok := rc.next()
+			if !ok {
+				return nil
+			}
+			if err := w.add(it); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// fillFromRuns is the compaction: a k-way merge of run files (newest
+// first) that moves every surviving entry as the bytes its input holds.
+// Keys are decoded to be compared; values are only walked (SkipBinary),
+// and a value's kind byte tells a tombstone. Any read, checksum or
+// structure error in an input fails the merge.
+func fillFromRuns(runs []*runFile, dropTombstones bool) func(*runWriter) error {
+	return func(w *runWriter) error {
+		readers := make([]*rawRunReader, len(runs))
+		for i, r := range runs {
+			readers[i] = r.rawReader()
+		}
+		m := newMergeCursor(readers, dropTombstones)
+		defer m.Close()
+		for {
+			rd, ok := m.next()
+			if !ok {
+				break
+			}
+			if err := w.addRaw(rd.key, rd.val); err != nil {
+				return err
+			}
+		}
+		// An input that failed looks exhausted to the merge.
+		for _, rd := range readers {
+			if rd.err != nil {
+				return rd.err
+			}
+		}
+		return nil
+	}
 }
 
 // runFile is an open, immutable on-disk run: the block index, bloom
@@ -616,4 +673,100 @@ func (c *runFileCursor) close() {
 	}
 	c.items = nil
 	c.r.decRef()
+}
+
+// rawRunReader streams a run's entries in key order as the encoded
+// bytes the file holds — compaction's input. Each block's frame is read
+// with one ReadAt into a buffer the reader reuses and CRC-verified;
+// entries are walked, not decoded, except for the key the merge
+// compares. It goes around the block cache in both directions: a
+// compaction reads every block of its inputs exactly once, so caching
+// them would only evict blocks queries want. It holds one run reference
+// until exhaustion, failure or close.
+type rawRunReader struct {
+	r      *runFile
+	block  int    // next block to read
+	buf    []byte // the current block's frame
+	rest   []byte // unread entries of the current block (aliases buf)
+	n      int    // entries left in rest
+	closed bool
+
+	// key and val are the current entry's encoded bytes, valid until the
+	// next advance; err is why the reader stopped early, if it did.
+	key, val []byte
+	err      error
+}
+
+func (r *runFile) rawReader() *rawRunReader {
+	r.incRef()
+	return &rawRunReader{r: r}
+}
+
+func (c *rawRunReader) advance() (key adm.Value, tombstone, ok bool) {
+	for c.n == 0 {
+		if len(c.rest) != 0 {
+			return c.fail(fmt.Errorf("block %d: %d trailing bytes", c.block-1, len(c.rest)))
+		}
+		if c.closed || c.block >= len(c.r.blocks) {
+			c.close()
+			return adm.Value{}, false, false
+		}
+		if err := c.readBlock(); err != nil {
+			return c.fail(err)
+		}
+	}
+	key, kn, err := adm.DecodeBinaryAlias(c.rest)
+	if err != nil {
+		return c.fail(fmt.Errorf("block %d: %w", c.block-1, err))
+	}
+	vn, err := adm.SkipBinary(c.rest[kn:])
+	if err != nil {
+		return c.fail(fmt.Errorf("block %d: %w", c.block-1, err))
+	}
+	c.key, c.val = c.rest[:kn], c.rest[kn:kn+vn]
+	c.rest = c.rest[kn+vn:]
+	c.n--
+	return key, adm.Kind(c.val[0]) == adm.KindMissing, true
+}
+
+// readBlock loads and verifies the next block's frame.
+func (c *rawRunReader) readBlock() error {
+	c.r.rs.blockReads.Add(1)
+	b := c.r.blocks[c.block]
+	if cap(c.buf) < b.length {
+		c.buf = make([]byte, b.length)
+	}
+	c.buf = c.buf[:b.length]
+	if n, err := c.r.f.ReadAt(c.buf, b.off); n < b.length {
+		return fmt.Errorf("block %d: read %d of %d bytes: %w", c.block, n, b.length, err)
+	}
+	payload, _, err := frame.Decode(c.buf, int64(b.length)-frame.HeaderSize)
+	if err != nil {
+		return fmt.Errorf("block %d: %w", c.block, err)
+	}
+	p := frame.NewReader(payload)
+	c.n = p.Count(2)
+	if err := p.Err(); err != nil {
+		return fmt.Errorf("block %d: %w", c.block, err)
+	}
+	c.rest = payload[len(payload)-p.Len():]
+	c.block++
+	return nil
+}
+
+// fail records err on the reader and its run and ends the stream.
+func (c *rawRunReader) fail(err error) (adm.Value, bool, bool) {
+	c.r.fail(err)
+	c.err = c.r.err()
+	c.close()
+	return adm.Value{}, false, false
+}
+
+// close releases the run reference. Idempotent.
+func (c *rawRunReader) close() {
+	if !c.closed {
+		c.closed = true
+		c.n, c.rest = 0, nil
+		c.r.decRef()
+	}
 }

@@ -237,6 +237,24 @@ func (m *MemFS) FailSyncs(fail bool) {
 // true — a device that stopped answering under files already open.
 func (m *MemFS) FailReads(fail bool) { m.readFail.Store(fail) }
 
+// Corrupt flips one bit of the byte at off in the named file — media
+// corruption under a file that may already be open.
+func (m *MemFS) Corrupt(name string, off int64) error {
+	m.mu.Lock()
+	f, ok := m.files[path.Clean(name)]
+	m.mu.Unlock()
+	if !ok {
+		return &fs.PathError{Op: "corrupt", Path: name, Err: fs.ErrNotExist}
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if off < 0 || off >= int64(len(f.data)) {
+		return &fs.PathError{Op: "corrupt", Path: name, Err: fs.ErrInvalid}
+	}
+	f.data[off] ^= 0x01
+	return nil
+}
+
 // Writes reports the number of successful Write calls so far — a dry
 // run measures it, and the crash suite then arms FailWritesAfter at
 // points sampled from [0, Writes()).
