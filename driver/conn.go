@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 
 	"github.com/ideadb/idea"
-	"github.com/ideadb/idea/internal/bridge"
+	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/wire"
 )
 
@@ -221,7 +221,7 @@ func (c *conn) serverStats(ctx context.Context) (idea.Value, error) {
 		if perr != nil {
 			return idea.Value{}, c.broken(perr)
 		}
-		return bridge.WrapValue(v).(idea.Value), nil
+		return idea.WrapADM(v), nil
 	case wire.TypeError:
 		return idea.Value{}, c.parseErrorFrame(reply)
 	default:
@@ -262,6 +262,8 @@ func ServerStats(ctx context.Context, sc *sql.Conn) (idea.Value, error) {
 
 // wireParams converts database/sql bindings to wire parameters:
 // sql.Named names bind $name, positional ordinals bind $1, $2, ....
+// []byte is treated as JSON — the inverse of adm.Value.DriverValue, so
+// composite values round-trip through parameters.
 func wireParams(args []driver.NamedValue) ([]wire.Param, error) {
 	if len(args) == 0 {
 		return nil, nil
@@ -272,7 +274,7 @@ func wireParams(args []driver.NamedValue) ([]wire.Param, error) {
 		if name == "" {
 			name = strconv.Itoa(a.Ordinal)
 		}
-		v, err := fromDriverValue(a.Value)
+		v, err := adm.FromGo(a.Value)
 		if err != nil {
 			return nil, fmt.Errorf("idea driver: argument $%s: %w", name, err)
 		}

@@ -3,6 +3,7 @@ package driver
 import (
 	"context"
 	"database/sql"
+	"database/sql/driver"
 	"errors"
 	"fmt"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"github.com/ideadb/idea"
+	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/server"
 )
 
@@ -235,6 +237,47 @@ func TestPipeDriver(t *testing.T) {
 
 // TestTCPDriver covers the acceptance path end to end over a real
 // socket: DDL + INSERT, a streamed SELECT with positional params.
+// TestDriverArgsUseTheConversionTable: a database/sql argument becomes
+// the value the in-process builders make of the same Go value — one
+// table behind both — the driver keeps its own error prefix, and a
+// composite survives argument → storage → column → Scan.
+func TestDriverArgsUseTheConversionTable(t *testing.T) {
+	when := time.Date(2019, 8, 26, 12, 0, 0, 0, time.UTC)
+	for _, x := range []any{nil, true, int64(-7), 2.5, "text", when, []byte(`{"a":[1,{"b":null}]}`)} {
+		params, err := wireParams([]driver.NamedValue{{Ordinal: 1, Value: x}})
+		if err != nil {
+			t.Fatalf("wireParams(%T): %v", x, err)
+		}
+		want := idea.UnwrapADM(idea.Arr(x).Index(0))
+		if got := params[0].Value; got.Kind() != want.Kind() || adm.Compare(got, want) != 0 {
+			t.Errorf("driver argument %T = %v, idea.Arr makes %v", x, got, want)
+		}
+	}
+	for _, bad := range []any{struct{}{}, []byte(`{"unterminated`)} {
+		_, err := wireParams([]driver.NamedValue{{Name: "n", Ordinal: 1, Value: bad}})
+		if err == nil || !strings.HasPrefix(err.Error(), "idea driver: argument $n: ") {
+			t.Errorf("wireParams(%T) error = %v, want the driver's prefix", bad, err)
+		}
+	}
+
+	_, db := pipeDB(t)
+	ctx := context.Background()
+	if _, err := db.ExecContext(ctx, testSchema); err != nil {
+		t.Fatal(err)
+	}
+	doc := idea.Obj("id", 1, "tags", idea.Arr("x", 2.5, nil), "at", when)
+	if _, err := db.ExecContext(ctx, `UPSERT INTO D ([$1]);`, doc); err != nil {
+		t.Fatal(err)
+	}
+	var back idea.Value
+	if err := db.QueryRowContext(ctx, `SELECT VALUE d FROM D d WHERE d.id = $1`, int64(1)).Scan(&back); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Field("tags"); got.Len() != 3 || got.Index(1).Float() != 2.5 || !got.Index(2).IsNull() {
+		t.Errorf("composite came back as %v", back)
+	}
+}
+
 func TestTCPDriver(t *testing.T) {
 	_, addr := startServer(t, server.Config{BatchRows: 4})
 	db := openDB(t, addr)

@@ -39,16 +39,13 @@ func (r *rows) Next(dest []driver.Value) error {
 				r.batch = nil
 				continue
 			}
-			dv, err := toDriverValue(v)
-			if err != nil {
-				r.done = true
-				return r.c.broken(err)
-			}
+			// Scalars as native Go types, composites as their JSON
+			// bytes; scanning a column into an idea.Value reverses it.
 			for i := range dest {
 				dest[i] = nil
 			}
 			if len(dest) > 0 {
-				dest[0] = dv
+				dest[0] = v.DriverValue()
 			}
 			return nil
 		}

@@ -63,6 +63,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}
+	// A zero Config overhead asks for the default but a zero Tuning
+	// overhead means none (experiments switch the simulated cost off
+	// that way), so those two map here; cluster.New defaults the sizes.
 	tuning := cluster.DefaultTuning()
 	if cfg.DispatchOverheadPerNode > 0 {
 		tuning.DispatchOverheadPerNode = cfg.DispatchOverheadPerNode
@@ -70,12 +73,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.InvokeOverheadPerNode > 0 {
 		tuning.InvokeOverheadPerNode = cfg.InvokeOverheadPerNode
 	}
-	if cfg.HolderCapacity > 0 {
-		tuning.HolderCapacity = cfg.HolderCapacity
-	}
-	if cfg.FrameCapacity > 0 {
-		tuning.FrameCapacity = cfg.FrameCapacity
-	}
+	tuning.HolderCapacity = cfg.HolderCapacity
+	tuning.FrameCapacity = cfg.FrameCapacity
 	tuning.DataDir = cfg.DataDir
 	tuning.BlockCacheBytes = cfg.BlockCacheBytes
 	inner, err := cluster.New(cfg.Nodes, tuning)
@@ -103,112 +102,49 @@ func (c *Cluster) KillNode(node int) { c.inner.KillNode(node) }
 // NodeAlive reports whether a node is still up.
 func (c *Cluster) NodeAlive(node int) bool { return c.inner.NodeAlive(node) }
 
-// FeedSource supplies raw records to a feed: Run emits one record per
-// call until the source is exhausted or ctx is canceled; emit blocks for
-// backpressure. It is the public face of the paper's feed adapter.
+// FeedSource supplies raw records to a feed — the public name of the
+// paper's feed adapter: Run emits one record per call until the source
+// is exhausted or ctx is canceled; emit blocks for backpressure.
 //
 // Emitted bytes travel the pipeline zero-copy: the feed retains each
 // slice until the record has been parsed, so Run must hand every emit
 // call its own slice (or one it will never mutate again). A source that
 // instead reuses a read buffer across emits must also implement
 // VolatileFeedSource, and the feed will copy each emit into a pooled
-// per-frame arena.
-type FeedSource interface {
-	Run(ctx context.Context, emit func(record []byte) error) error
-}
+// per-frame arena. (This and the two optional contracts below are the
+// engine's own interfaces: the feed honours whichever of them the value
+// a SetFeedSource factory returns implements.)
+type FeedSource = core.Adapter
 
 // VolatileFeedSource marks a FeedSource whose emitted slices are valid
-// only for the duration of the emit call (a recycled read buffer).
-type VolatileFeedSource interface {
-	FeedSource
-	// VolatileEmits reports that emitted bytes must be copied before
-	// the emit call returns.
-	VolatileEmits() bool
-}
+// only for the duration of the emit call (a recycled read buffer): it
+// adds VolatileEmits() bool.
+type VolatileFeedSource = core.VolatileAdapter
 
 // ResumableFeedSource is a FeedSource whose records live in a
 // replayable, monotonic offset space (offsets are dense and start
-// at 1). Feeds checkpoint the delivered offsets through the storage
-// write-ahead log, and a restarted feed — after a crash, a clean stop,
-// or partition failover — calls RunFrom with the last checkpoint so the
-// source resumes where durable storage left off. Records between the
-// checkpoint and the failure point are redelivered; last-wins upsert
-// makes that idempotent. This is the at-least-once delivery contract.
-type ResumableFeedSource interface {
-	FeedSource
-	RunFrom(ctx context.Context, from uint64, emit func(offset uint64, record []byte) error) error
-}
+// at 1): it adds RunFrom(ctx, from, emit). Feeds checkpoint the
+// delivered offsets through the storage write-ahead log, and a
+// restarted feed — after a crash, a clean stop, or partition failover —
+// calls RunFrom with the last checkpoint so the source resumes where
+// durable storage left off. Records between the checkpoint and the
+// failure point are redelivered; last-wins upsert makes that
+// idempotent. This is the at-least-once delivery contract.
+type ResumableFeedSource = core.ResumableAdapter
 
-// sourceAdapter bridges FeedSource to the internal adapter interface,
-// forwarding the volatility declaration when the source makes one.
-type sourceAdapter struct{ src FeedSource }
+// RecordsSource replays a fixed record slice, Records (bulk generators,
+// tests). It is resumable: record i has offset i+1.
+type RecordsSource = core.GeneratorAdapter
 
-func (a sourceAdapter) Run(ctx context.Context, emit func([]byte) error) error {
-	return a.src.Run(ctx, emit)
-}
-
-func (a sourceAdapter) VolatileEmits() bool {
-	if v, ok := a.src.(VolatileFeedSource); ok {
-		return v.VolatileEmits()
-	}
-	return false
-}
-
-// resumableSourceAdapter additionally exposes the resume contract; a
-// separate type so a plain FeedSource never accidentally satisfies the
-// internal ResumableAdapter interface.
-type resumableSourceAdapter struct {
-	sourceAdapter
-	rsrc ResumableFeedSource
-}
-
-func (a resumableSourceAdapter) RunFrom(ctx context.Context, from uint64, emit func(uint64, []byte) error) error {
-	return a.rsrc.RunFrom(ctx, from, emit)
-}
-
-// RecordsSource replays a fixed record slice (bulk generators, tests).
-// It is resumable: record i has offset i+1.
-type RecordsSource struct {
-	// Records are emitted in order.
-	Records [][]byte
-}
-
-// Run implements FeedSource.
-func (s *RecordsSource) Run(ctx context.Context, emit func([]byte) error) error {
-	return (&core.GeneratorAdapter{Records: s.Records}).Run(ctx, emit)
-}
-
-// RunFrom implements ResumableFeedSource.
-func (s *RecordsSource) RunFrom(ctx context.Context, from uint64, emit func(uint64, []byte) error) error {
-	return (&core.GeneratorAdapter{Records: s.Records}).RunFrom(ctx, from, emit)
-}
-
-// ChannelSource emits records pushed into C; close the channel to end
-// the feed gracefully.
-type ChannelSource struct {
-	// C supplies the records.
-	C <-chan []byte
-}
-
-// Run implements FeedSource.
-func (s *ChannelSource) Run(ctx context.Context, emit func([]byte) error) error {
-	return (&core.ChannelAdapter{C: s.C}).Run(ctx, emit)
-}
+// ChannelSource emits records pushed into its channel C; close the
+// channel to end the feed gracefully.
+type ChannelSource = core.ChannelAdapter
 
 // SetFeedSource installs the source factory for a declared feed whose
 // adapter is "channel_adapter" (socket feeds configure themselves from
 // the DDL). The factory is invoked once per intake node.
 func (c *Cluster) SetFeedSource(feed string, factory func(node int) (FeedSource, error)) error {
-	return c.mgr.SetAdapterFactory(feed, func(i int) (core.Adapter, error) {
-		src, err := factory(i)
-		if err != nil {
-			return nil, err
-		}
-		if rsrc, ok := src.(ResumableFeedSource); ok {
-			return resumableSourceAdapter{sourceAdapter{src}, rsrc}, nil
-		}
-		return sourceAdapter{src}, nil
-	})
+	return c.mgr.SetAdapterFactory(feed, factory)
 }
 
 // NativeUDF is the compiled-code UDF contract (the paper's Java UDF):
@@ -290,67 +226,25 @@ func (f *Feed) Stop() error { return f.c.mgr.StopFeed(f.name) }
 // stored (generator-style sources). Socket/channel feeds need Stop (or a
 // closed channel) to terminate.
 func (f *Feed) Wait() error {
-	inner, ok := f.c.mgr.Feed(f.name)
-	if !ok {
+	inner, running, _ := f.c.mgr.Lookup(f.name)
+	if !running {
 		return fmt.Errorf("%w: %q", ErrFeedNotRunning, f.name)
 	}
 	return inner.Wait()
 }
 
-// FeedStats is a snapshot of a feed pipeline's counters.
-type FeedStats struct {
-	// Ingested counts records consumed by computing jobs.
-	Ingested int64
-	// Stored counts records written to storage partitions.
-	Stored int64
-	// ParseErrors counts malformed records dropped at parse.
-	ParseErrors int64
-	// Invocations counts computing-job invocations.
-	Invocations int64
-	// MeanRefresh is the mean computing-job duration — the paper's
-	// refresh-period metric (Figure 26).
-	MeanRefresh time.Duration
-	// StateBuilds counts invocations of a SQL++ UDF that built
-	// enrichment state (hash tables, R-trees, ...) because reference
-	// data had changed since the previous batch; StateReuses counts
-	// those that reused the previous batch's state whole. AccessBuilds
-	// counts the individual structures the builds produced. A feed whose
-	// StateBuilds keeps pace with Invocations pays the rebuild on every
-	// batch.
-	StateBuilds  int64
-	StateReuses  int64
-	AccessBuilds int64
-	// Running reports whether the pipeline is still live; false means
-	// the counters are the feed's final numbers.
-	Running bool
-
-	// BufferedFrames is the number of frames currently queued in intake
-	// rings (a gauge; zero once the feed has drained).
-	BufferedFrames int
-	// SpillBacklog is the number of frames currently parked in the
-	// on-disk spill lane awaiting re-admission (a gauge).
-	SpillBacklog int
-	// SpilledFrames / SpilledRecords count frames diverted through the
-	// disk spill lane under the "spill" congestion policy. Spilled data
-	// is not lost — it re-enters the pipeline in FIFO order.
-	SpilledFrames  int64
-	SpilledRecords int64
-	// ShedFrames / ShedRecords count data deliberately dropped under the
-	// "shed" congestion policy (exact counts).
-	ShedFrames  int64
-	ShedRecords int64
-	// SampledFrames / SampledRecords count data deliberately dropped
-	// under the "sample" congestion policy (exact counts; the kept
-	// fraction approximates the configured rate).
-	SampledFrames  int64
-	SampledRecords int64
-	// LastCheckpoint is the highest source offset acknowledged durable
-	// across the feed's adapter slots; a resumed feed replays from here.
-	LastCheckpoint uint64
-	// Resumptions counts automatic pipeline restarts after partition
-	// failover.
-	Resumptions int64
+// Feeds returns a handle for every declared feed, sorted by name.
+func (c *Cluster) Feeds() []*Feed {
+	names := c.mgr.FeedNames()
+	feeds := make([]*Feed, len(names))
+	for i, name := range names {
+		feeds[i] = &Feed{name: name, c: c}
+	}
+	return feeds
 }
+
+// FeedStats is a snapshot of a feed pipeline's counters.
+type FeedStats = core.FeedStats
 
 // Stats reports the feed's counters. A running feed reports live
 // numbers; a stopped feed reports its final numbers (Running false).
@@ -365,72 +259,18 @@ func (f *Feed) Stats() (FeedStats, error) {
 	if inner == nil {
 		return FeedStats{}, fmt.Errorf("%w: %q never started", ErrFeedNotRunning, f.name)
 	}
-	s := inner.Stats()
-	out := FeedStats{
-		Ingested:       s.Ingested.Load(),
-		Stored:         s.Stored.Load(),
-		ParseErrors:    s.ParseErrors.Load(),
-		Invocations:    s.Invocations.Load(),
-		MeanRefresh:    s.RefreshPeriod(),
-		StateBuilds:    s.StateBuilds.Load(),
-		StateReuses:    s.StateReuses.Load(),
-		AccessBuilds:   s.AccessBuilds.Load(),
-		Running:        running,
-		SpilledFrames:  s.SpilledFrames.Load(),
-		SpilledRecords: s.SpilledRecords.Load(),
-		ShedFrames:     s.ShedFrames.Load(),
-		ShedRecords:    s.ShedRecords.Load(),
-		SampledFrames:  s.SampledFrames.Load(),
-		SampledRecords: s.SampledRecords.Load(),
-		LastCheckpoint: s.LastCheckpoint.Load(),
-		Resumptions:    s.Resumptions.Load(),
-	}
-	if running {
-		out.BufferedFrames = inner.Buffered()
-		out.SpillBacklog = inner.SpillBacklog()
-	}
-	return out, nil
+	return inner.Snapshot(running), nil
 }
 
-// StorageStats is a point-in-time snapshot of the durable read path:
-// the shared block cache plus the fence/bloom/block-read counters
-// summed over every dataset. All zero for in-memory clusters.
-type StorageStats struct {
-	// Block cache counters (zero when caching is disabled).
-	BlockCacheHits      uint64
-	BlockCacheMisses    uint64
-	BlockCacheEvictions uint64
-	BlockCacheEntries   int
-	BlockCachePinned    int
-	BlockCacheBytes     int64
-	// FenceSkips counts point lookups rejected by a run's key-range
-	// fences; BloomSkips those rejected by its bloom filter — both
-	// without touching a block. BlockReads counts framed block reads
-	// that reached the filesystem.
-	FenceSkips uint64
-	BloomSkips uint64
-	BlockReads uint64
-	// OpenRunFiles gauges the open on-disk run files (including retired
-	// ones kept alive by snapshots or cursors).
-	OpenRunFiles int
-}
+// StorageStats is a point-in-time snapshot of the cluster's storage:
+// the shared block cache (BlockCacheHits, ...) and every dataset
+// partition's counters summed (Flushes, Merges, FenceSkips,
+// BloomSkips, BlockReads, OpenRunFiles, ...). The read-path counters
+// are all zero for in-memory clusters.
+type StorageStats = cluster.StorageStats
 
-// StorageStats reports the cluster's durable read-path counters.
-func (c *Cluster) StorageStats() StorageStats {
-	s := c.inner.StorageStats()
-	return StorageStats{
-		BlockCacheHits:      s.BlockCacheHits,
-		BlockCacheMisses:    s.BlockCacheMisses,
-		BlockCacheEvictions: s.BlockCacheEvictions,
-		BlockCacheEntries:   s.BlockCacheEntries,
-		BlockCachePinned:    s.BlockCachePinned,
-		BlockCacheBytes:     s.BlockCacheBytes,
-		FenceSkips:          s.FenceSkips,
-		BloomSkips:          s.BloomSkips,
-		BlockReads:          s.BlockReads,
-		OpenRunFiles:        s.OpenRunFiles,
-	}
-}
+// StorageStats reports the cluster's storage counters.
+func (c *Cluster) StorageStats() StorageStats { return c.inner.StorageStats() }
 
 // DatasetLen returns the number of live records in a dataset.
 func (c *Cluster) DatasetLen(name string) (int, error) {

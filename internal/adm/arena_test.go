@@ -39,21 +39,6 @@ func TestArenaParsing(t *testing.T) {
 	if !got.Field("user").Field("tags").ArenaBacked() {
 		t.Fatal("array element spine should be carved from the arena")
 	}
-	// Stateless arena parse: field names are arena views too.
-	spine2, err := ParseJSONInto(doc, nil, NewArena(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Compare(spine2[0], want) != 0 {
-		t.Fatal("stateless arena parse mismatch")
-	}
-	if !spine2[0].ObjectVal().arenaNames {
-		t.Fatal("stateless arena parse should flag arena names")
-	}
-	// Interning parser: names are canonical heap strings.
-	if got.ObjectVal().arenaNames {
-		t.Fatal("interning parser should keep names off the arena")
-	}
 }
 
 // TestArenaReset: resetting an arena invalidates the views parsed into
@@ -101,24 +86,6 @@ func TestMaterialize(t *testing.T) {
 	}
 	if m.ArenaBacked() || m.Field("text").ArenaBacked() {
 		t.Fatal("materialized value still flagged arena-backed")
-	}
-}
-
-// TestMaterializeStatelessNames: with no interning parser, field names
-// are arena views and must be cloned on materialize.
-func TestMaterializeStatelessNames(t *testing.T) {
-	a := NewArena(64)
-	spine, err := ParseJSONInto([]byte(`{"alpha":1}`), nil, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := spine[0].Materialize()
-	a.Reset()
-	if _, err := ParseJSONInto([]byte(`{"omega":2}`), nil, a); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.ObjectVal().Name(0); got != "alpha" {
-		t.Fatalf("materialized field name = %q, want alpha", got)
 	}
 }
 
@@ -285,7 +252,7 @@ func TestArenaByteSlabRollover(t *testing.T) {
 	// Leave 4 free bytes, then decode an escaped string that needs more.
 	a = NewArena(64)
 	head := a.AppendBytes(bytes.Repeat([]byte("h"), 60))
-	spine, err := ParseJSONInto([]byte(`{"s":"ab\ncdé and a tail that is longer than the slab had room for"}`), nil, a)
+	spine, err := NewParser().ParseInto([]byte(`{"s":"ab\ncdé and a tail that is longer than the slab had room for"}`), nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func TestBinaryDecodeCorrupt(t *testing.T) {
 // parse arena.
 func TestBinaryArenaValues(t *testing.T) {
 	ar := NewArena(1 << 12)
-	vals, err := ParseJSONInto([]byte(`{"id": 7, "text": "tweet with éscapes", "tags": ["x", "y"]}`), nil, ar)
+	vals, err := NewParser().ParseInto([]byte(`{"id": 7, "text": "tweet with éscapes", "tags": ["x", "y"]}`), nil, ar)
 	if err != nil {
 		t.Fatal(err)
 	}

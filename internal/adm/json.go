@@ -134,12 +134,9 @@ func (p *jsonParser) parseObject() (Value, error) {
 		if p.pos >= len(p.data) || p.data[p.pos] != '"' {
 			return Value{}, p.errorf("expected object key string")
 		}
-		key, keyInArena, err := p.parseKey()
+		key, err := p.parseKey()
 		if err != nil {
 			return Value{}, err
-		}
-		if keyInArena {
-			obj.arenaNames = true
 		}
 		p.skipSpace()
 		if p.pos >= len(p.data) || p.data[p.pos] != ':' {
@@ -172,13 +169,12 @@ func (p *jsonParser) parseObject() (Value, error) {
 	}
 }
 
-// parseKey parses an object field name; inArena reports that the
-// returned string views arena bytes. Escape-free names (the common case
-// by far) are interned straight from the input bytes without an
-// intermediate allocation; an interning Parser wins over the arena
-// because its canonical names are stable heap strings shared across
-// records, so they never need materializing.
-func (p *jsonParser) parseKey() (key string, inArena bool, err error) {
+// parseKey parses an object field name. Escape-free names (the common
+// case by far) are interned straight from the input bytes without an
+// intermediate allocation; an interning Parser's canonical names are
+// stable heap strings shared across records, so names never view an
+// arena and never need materializing.
+func (p *jsonParser) parseKey() (string, error) {
 	start := p.pos + 1
 	for i := start; i < len(p.data); i++ {
 		c := p.data[i]
@@ -186,12 +182,9 @@ func (p *jsonParser) parseKey() (key string, inArena bool, err error) {
 			b := p.data[start:i]
 			p.pos = i + 1
 			if p.owner != nil {
-				return p.owner.internBytes(b), false, nil
+				return p.owner.internBytes(b), nil
 			}
-			if p.arena != nil {
-				return p.arena.appendView(b), true, nil
-			}
-			return string(b), false, nil
+			return string(b), nil
 		}
 		if c == '\\' || c < 0x20 {
 			break
@@ -199,12 +192,12 @@ func (p *jsonParser) parseKey() (key string, inArena bool, err error) {
 	}
 	s, err := p.parseString()
 	if err != nil {
-		return "", false, err
+		return "", err
 	}
 	if p.owner != nil {
-		return p.owner.internString(s), false, nil
+		return p.owner.internString(s), nil
 	}
-	return s, false, nil
+	return s, nil
 }
 
 // parseStringValue parses a JSON string into a Value. Escape-free

@@ -1,7 +1,5 @@
 package adm
 
-import "strings"
-
 // Object is an ordered collection of named fields: the ADM record type.
 // Field order is insertion order (matching how AsterixDB lays out closed
 // fields first, then open fields). Lookup is O(1) once the object grows
@@ -13,11 +11,11 @@ type Object struct {
 	index  map[string]int // built by the Set that grows names past indexThreshold
 
 	// arena marks an object whose struct and field spines were carved
-	// from an Arena slab; arenaNames marks field-name strings that view
-	// arena bytes. Either way the object is only valid while its arena
+	// from an Arena slab: the object is only valid while its arena
 	// lives — Value.Materialize rebuilds flagged objects on copy-out.
-	arena      bool
-	arenaNames bool
+	// Field names are never arena views (parsers intern them, decoders
+	// allocate them).
+	arena bool
 }
 
 // indexThreshold is the field count up to which lookups scan the names.
@@ -78,14 +76,6 @@ func (o *Object) Get(name string) (Value, bool) {
 	return Value{}, false
 }
 
-// GetOr returns the named field or the fallback when absent.
-func (o *Object) GetOr(name string, fallback Value) Value {
-	if v, ok := o.Get(name); ok {
-		return v
-	}
-	return fallback
-}
-
 // Set adds the field or replaces an existing field of the same name,
 // preserving its position.
 func (o *Object) Set(name string, v Value) {
@@ -117,8 +107,7 @@ func (o *Object) Delete(name string) bool {
 }
 
 // Clone returns a deep copy of the object. The copy's struct and spines
-// are heap-allocated, but string payloads (including arena-backed field
-// names) stay shared, so the arenaNames marker carries over; use
+// are heap-allocated, but string payloads stay shared; use
 // Value.Materialize to sever an object from its arena entirely.
 func (o *Object) Clone() *Object {
 	c := NewObject(len(o.names))
@@ -127,7 +116,6 @@ func (o *Object) Clone() *Object {
 	for i, v := range o.values {
 		c.values[i] = v.Clone()
 	}
-	c.arenaNames = o.arenaNames
 	if len(c.names) > indexThreshold {
 		c.buildIndex()
 	}
@@ -139,9 +127,8 @@ func (o *Object) Clone() *Object {
 // "SELECT t.*, extra" output without deep-copying the input record.
 func (o *Object) CopyShallow() *Object {
 	c := &Object{
-		names:      append([]string(nil), o.names...),
-		values:     append([]Value(nil), o.values...),
-		arenaNames: o.arenaNames,
+		names:  append([]string(nil), o.names...),
+		values: append([]Value(nil), o.values...),
 	}
 	if len(c.names) > indexThreshold {
 		c.buildIndex()
@@ -152,7 +139,7 @@ func (o *Object) CopyShallow() *Object {
 // materialize returns an arena-free copy of the object, or (o, false)
 // when neither the object nor anything it reaches touches an arena.
 func (o *Object) materialize() (*Object, bool) {
-	changed := o.arena || o.arenaNames
+	changed := o.arena
 	var vals []Value
 	for i, v := range o.values {
 		m, ch := v.materialize()
@@ -168,14 +155,7 @@ func (o *Object) materialize() (*Object, bool) {
 	if !changed {
 		return o, false
 	}
-	c := &Object{names: make([]string, len(o.names))}
-	if o.arenaNames {
-		for i, n := range o.names {
-			c.names[i] = strings.Clone(n)
-		}
-	} else {
-		copy(c.names, o.names)
-	}
+	c := &Object{names: append([]string(nil), o.names...)}
 	if vals == nil {
 		vals = make([]Value, len(o.values))
 		copy(vals, o.values)

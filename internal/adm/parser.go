@@ -71,18 +71,6 @@ func (pp *Parser) ParseInto(data []byte, dst []Value, arena *Arena) ([]Value, er
 	return append(dst, v), nil
 }
 
-// ParseJSONInto is ParseInto without parser state: it parses data and
-// appends the result to the caller-owned dst, writing string bytes into
-// the caller's arena when one is supplied.
-func ParseJSONInto(data []byte, dst []Value, arena *Arena) ([]Value, error) {
-	p := jsonParser{data: data, arena: arena}
-	v, err := p.parseDocument()
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, v), nil
-}
-
 // internBytes returns the canonical string for a field name given as raw
 // bytes, allocating only the first time a name is seen. The m[string(b)]
 // lookup form compiles to a no-allocation map access.

@@ -119,7 +119,7 @@ func TestParseInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spine, err = ParseJSONInto([]byte(`{"id":2}`), spine, nil)
+	spine, err = NewParser().ParseInto([]byte(`{"id":2}`), spine, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -276,7 +276,7 @@ func (v Value) ArenaBacked() bool {
 	case KindArray:
 		return v.flags&flagArenaSpine != 0
 	case KindObject:
-		return v.obj != nil && (v.obj.arena || v.obj.arenaNames)
+		return v.obj != nil && v.obj.arena
 	}
 	return false
 }
@@ -286,9 +286,9 @@ func (v Value) ArenaBacked() bool {
 // containers on the path to them are rebuilt. Values that reference no
 // arena are returned unchanged with no allocation, so calling it on
 // already-safe data is cheap. Consumers that retain a value past the
-// life of the frame/arena that produced it (broadcast-frame readers,
-// anything that stashes values across batches) must materialize first;
-// see docs/ARCHITECTURE.md.
+// life of the frame/arena that produced it (anything that stashes
+// values across batches) must materialize first; see
+// docs/ARCHITECTURE.md.
 func (v Value) Materialize() Value {
 	out, _ := v.materialize()
 	return out

@@ -170,7 +170,7 @@ func TestCloneIsDeep(t *testing.T) {
 	cp.ObjectVal().Get("nested")
 	nested, _ := cp.ObjectVal().Get("nested")
 	nested.ObjectVal().Set("k", Int(99))
-	if inner.GetOr("k", Missing()).IntVal() != 1 {
+	if v, _ := inner.Get("k"); v.IntVal() != 1 {
 		t.Error("Clone shared nested object")
 	}
 

@@ -184,45 +184,27 @@ func (c *Cluster) LiveNodes() []int {
 // Tuning returns the cluster's tuning.
 func (c *Cluster) Tuning() Tuning { return c.tuning }
 
-// StorageStats aggregates the durable read path's counters across the
-// cluster: the shared block cache plus every dataset's fence/bloom/
-// block-read totals. All zero for in-memory storage.
+// StorageStats is the cluster-wide storage snapshot: the shared block
+// cache's counters and every dataset partition's counters summed, both
+// embedded as their packages declare them (the public idea.StorageStats
+// is this type, and the STATS verb is generated from it). The read-path
+// half is all zero for in-memory storage.
 type StorageStats struct {
-	// Block cache (zero when caching is disabled).
-	BlockCacheHits      uint64
-	BlockCacheMisses    uint64
-	BlockCacheEvictions uint64
-	BlockCacheEntries   int
-	BlockCachePinned    int
-	BlockCacheBytes     int64
-	// Read-path work across all datasets.
-	FenceSkips   uint64
-	BloomSkips   uint64
-	BlockReads   uint64
-	OpenRunFiles int
+	lsm.CacheStats
+	lsm.Stats
 }
 
-// StorageStats returns a point-in-time snapshot of the read-path
+// StorageStats returns a point-in-time snapshot of the storage
 // counters.
 func (c *Cluster) StorageStats() StorageStats {
 	var st StorageStats
 	if c.cache != nil {
-		cs := c.cache.Stats()
-		st.BlockCacheHits = cs.Hits
-		st.BlockCacheMisses = cs.Misses
-		st.BlockCacheEvictions = cs.Evictions
-		st.BlockCacheEntries = cs.Entries
-		st.BlockCachePinned = cs.Pinned
-		st.BlockCacheBytes = cs.Bytes
+		st.CacheStats = c.cache.Stats()
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, ds := range c.datasets {
-		s := ds.Stats()
-		st.FenceSkips += s.FenceSkips
-		st.BloomSkips += s.BloomSkips
-		st.BlockReads += s.BlockReads
-		st.OpenRunFiles += s.OpenRuns
+		st.Stats.Add(ds.Stats())
 	}
 	return st
 }
@@ -312,16 +294,19 @@ func (c *Cluster) Dataset(name string) (*lsm.Dataset, bool) {
 	return ds, ok
 }
 
-// DropDataset removes a dataset (experiments recreate target datasets
-// between runs).
+// DropDataset removes a dataset from the catalog, shuts its storage
+// down and, on a durable cluster, deletes its files — a dataset
+// created under the same name afterwards starts empty (experiments
+// recreate target datasets between runs).
 func (c *Cluster) DropDataset(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.datasets[name]; !ok {
+	ds, ok := c.datasets[name]
+	if !ok {
 		return fmt.Errorf("cluster: unknown dataset %q", name)
 	}
 	delete(c.datasets, name)
-	return nil
+	return ds.Drop()
 }
 
 // CreateIndex creates a secondary index: kind is "BTREE" or "RTREE".

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -289,5 +290,67 @@ func TestStorageStatsDurable(t *testing.T) {
 	defer c2.Close()
 	if c2.cache != nil {
 		t.Fatal("negative budget still built a cache")
+	}
+}
+
+// TestDropDatasetReleasesStorage: DROP shuts the dataset's storage down
+// and deletes its files. Every partition's flusher goroutine exits, its
+// run files close, and a dataset created under the same name afterwards
+// starts empty instead of recovering the dropped rows from disk.
+func TestDropDatasetReleasesStorage(t *testing.T) {
+	tuning := DefaultTuning()
+	tuning.DataDir = "data"
+	tuning.StorageFS = lsm.NewMemFS()
+	c, err := New(2, tuning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	goroutines := runtime.NumGoroutine()
+
+	ds, err := c.CreateDataset("D", "", "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	upsert := func(lo, hi int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if err := ds.Upsert(adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(int64(i))))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	upsert(0, 200)
+	for i := 0; i < ds.NumPartitions(); i++ {
+		ds.Partition(i).Flush()
+		if err := ds.Partition(i).WaitForFlush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	upsert(200, 250) // a WAL tail beside the flushed runs
+	if open := ds.Stats().OpenRunFiles; open == 0 {
+		t.Fatal("flush produced no run file; the test would prove nothing")
+	}
+
+	if err := c.DropDataset("D"); err != nil {
+		t.Fatal(err)
+	}
+	if open := ds.Stats().OpenRunFiles; open != 0 {
+		t.Errorf("dropped dataset still holds %d open run files", open)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after drop, %d before create: flushers leaked", n, goroutines)
+	}
+
+	again, err := c.CreateDataset("D", "", "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := again.Len(); n != 0 {
+		t.Errorf("re-created dataset recovered %d dropped rows", n)
 	}
 }

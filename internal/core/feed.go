@@ -133,6 +133,96 @@ func (s *Stats) RefreshPeriod() time.Duration {
 	return time.Duration(s.BatchNanos.Load() / inv)
 }
 
+// FeedStats is a point-in-time snapshot of a feed: the live counter
+// block copied out, plus the gauges only a running pipeline has. It is
+// the one declaration of the feed report — the public idea.FeedStats is
+// this type and the STATS verb is generated from it, so a field added
+// here (and to Snapshot below) needs no further edit.
+type FeedStats struct {
+	// Ingested counts records consumed by computing jobs.
+	Ingested int64
+	// Stored counts records written to storage partitions.
+	Stored int64
+	// ParseErrors counts malformed records dropped at parse.
+	ParseErrors int64
+	// Invocations counts computing-job invocations.
+	Invocations int64
+	// MeanRefresh is the mean computing-job duration — the paper's
+	// refresh-period metric (Figure 26).
+	MeanRefresh time.Duration
+	// StateBuilds counts invocations of a SQL++ UDF that built
+	// enrichment state (hash tables, R-trees, ...) because reference
+	// data had changed since the previous batch; StateReuses counts
+	// those that reused the previous batch's state whole. AccessBuilds
+	// counts the individual structures the builds produced. A feed whose
+	// StateBuilds keeps pace with Invocations pays the rebuild on every
+	// batch.
+	StateBuilds  int64
+	StateReuses  int64
+	AccessBuilds int64
+	// Running reports whether the pipeline is still live; false means
+	// the counters are the feed's final numbers.
+	Running bool
+
+	// BufferedFrames is the number of frames currently queued in intake
+	// rings (a gauge; zero once the feed has drained).
+	BufferedFrames int
+	// SpillBacklog is the number of frames currently parked in the
+	// on-disk spill lane awaiting re-admission (a gauge).
+	SpillBacklog int
+	// SpilledFrames / SpilledRecords count frames diverted through the
+	// disk spill lane under the "spill" congestion policy. Spilled data
+	// is not lost — it re-enters the pipeline in FIFO order.
+	SpilledFrames  int64
+	SpilledRecords int64
+	// ShedFrames / ShedRecords count data deliberately dropped under the
+	// "shed" congestion policy (exact counts).
+	ShedFrames  int64
+	ShedRecords int64
+	// SampledFrames / SampledRecords count data deliberately dropped
+	// under the "sample" congestion policy (exact counts; the kept
+	// fraction approximates the configured rate).
+	SampledFrames  int64
+	SampledRecords int64
+	// LastCheckpoint is the highest source offset acknowledged durable
+	// across the feed's adapter slots; a resumed feed replays from here.
+	LastCheckpoint uint64
+	// Resumptions counts automatic pipeline restarts after partition
+	// failover.
+	Resumptions int64
+}
+
+// Snapshot copies the feed's counters out. running is the manager's
+// verdict on whether this pipeline is still the feed's live one; only
+// then are the ring and spill-lane gauges read.
+func (f *Feed) Snapshot(running bool) FeedStats {
+	s := f.stats
+	st := FeedStats{
+		Ingested:       s.Ingested.Load(),
+		Stored:         s.Stored.Load(),
+		ParseErrors:    s.ParseErrors.Load(),
+		Invocations:    s.Invocations.Load(),
+		MeanRefresh:    s.RefreshPeriod(),
+		StateBuilds:    s.StateBuilds.Load(),
+		StateReuses:    s.StateReuses.Load(),
+		AccessBuilds:   s.AccessBuilds.Load(),
+		Running:        running,
+		SpilledFrames:  s.SpilledFrames.Load(),
+		SpilledRecords: s.SpilledRecords.Load(),
+		ShedFrames:     s.ShedFrames.Load(),
+		ShedRecords:    s.ShedRecords.Load(),
+		SampledFrames:  s.SampledFrames.Load(),
+		SampledRecords: s.SampledRecords.Load(),
+		LastCheckpoint: s.LastCheckpoint.Load(),
+		Resumptions:    s.Resumptions.Load(),
+	}
+	if running {
+		st.BufferedFrames = f.Buffered()
+		st.SpillBacklog = f.SpillBacklog()
+	}
+	return st
+}
+
 // defaultMaxSpilledFrames bounds the spill lane when the config does
 // not: at the default 128-record frames this is ~0.5M records of
 // overflow per intake partition before the feed declares overload.

@@ -427,7 +427,7 @@ func TestManagerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.Feed("TweetFeed"); !ok {
+	if _, running, _ := m.Lookup("TweetFeed"); !running {
 		t.Error("running feed not tracked")
 	}
 	if err := f.Wait(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -46,32 +47,26 @@ type managedFeed struct {
 	restartErr error
 }
 
-// feedConfig builds the Config the WITH-clause describes. Caller holds
-// m.mu.
+// feedConfig builds the Config the WITH-clause describes; an absent key
+// leaves its field zero, which Start defaults. Caller holds m.mu.
 func (mf *managedFeed) feedConfig(natives *udf.Registry) Config {
-	cfg := Config{
-		Name:       mf.name,
-		Dataset:    mf.dataset,
-		Function:   mf.fn,
-		NewAdapter: mf.adapter,
-		Natives:    natives,
+	intKey := func(key string) int {
+		n, _ := mf.config.Field(key).AsInt()
+		return int(n)
 	}
-	if bs, ok := mf.config.Field("batch-size").AsInt(); ok {
-		cfg.BatchSize = int(bs)
+	rate, _ := mf.config.Field("sample-rate").AsDouble()
+	return Config{
+		Name:             mf.name,
+		Dataset:          mf.dataset,
+		Function:         mf.fn,
+		NewAdapter:       mf.adapter,
+		Natives:          natives,
+		BatchSize:        intKey("batch-size"),
+		Congestion:       mf.config.Field("congestion-policy").StringVal(),
+		SampleRate:       rate,
+		CheckpointEvery:  intKey("checkpoint-every"),
+		MaxSpilledFrames: intKey("max-spilled-frames"),
 	}
-	if s := mf.config.Field("congestion-policy").StringVal(); s != "" {
-		cfg.Congestion = s
-	}
-	if r, ok := mf.config.Field("sample-rate").AsDouble(); ok {
-		cfg.SampleRate = r
-	}
-	if n, ok := mf.config.Field("checkpoint-every").AsInt(); ok {
-		cfg.CheckpointEvery = int(n)
-	}
-	if n, ok := mf.config.Field("max-spilled-frames").AsInt(); ok {
-		cfg.MaxSpilledFrames = int(n)
-	}
-	return cfg
 }
 
 // NewManager returns a Manager bound to the cluster.
@@ -84,6 +79,18 @@ func NewManager(c *cluster.Cluster) *Manager {
 	}
 }
 
+// feedKeys is every key CREATE FEED ... WITH understands; anything else
+// is rejected at declaration instead of silently running at a default.
+// type-name, format and address-type are accepted as the paper's
+// Figure 4 spells them and consulted by nothing: records are JSON, the
+// type is the connected dataset's, and sockets are IP.
+var feedKeys = map[string]bool{
+	"adapter-name": true, "sockets": true,
+	"type-name": true, "format": true, "address-type": true,
+	"batch-size": true, "congestion-policy": true, "sample-rate": true,
+	"checkpoint-every": true, "max-spilled-frames": true, "failover": true,
+}
+
 // CreateFeed declares a feed from its WITH-config. Supported adapters:
 // "socket_adapter" (config key "sockets") and "channel_adapter" (the
 // caller supplies the channel via SetAdapterFactory).
@@ -92,6 +99,13 @@ func (m *Manager) CreateFeed(name string, config adm.Value) error {
 	defer m.mu.Unlock()
 	if _, dup := m.feeds[name]; dup {
 		return fmt.Errorf("core: feed %q exists", name)
+	}
+	if o := config.ObjectVal(); o != nil {
+		for i := 0; i < o.Len(); i++ {
+			if !feedKeys[o.Name(i)] {
+				return fmt.Errorf("core: feed %q: unknown WITH key %q", name, o.Name(i))
+			}
+		}
 	}
 	mf := &managedFeed{name: name, config: config}
 	switch adapterName := config.Field("adapter-name").StringVal(); adapterName {
@@ -108,6 +122,18 @@ func (m *Manager) CreateFeed(name string, config adm.Value) error {
 	}
 	m.feeds[name] = mf
 	return nil
+}
+
+// FeedNames lists the declared feeds, sorted.
+func (m *Manager) FeedNames() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	names := make([]string, 0, len(m.feeds))
+	for name := range m.feeds {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // SetAdapterFactory installs a programmatic adapter factory for a feed
@@ -277,18 +303,7 @@ func (m *Manager) StopFeed(name string) error {
 	return f.Wait()
 }
 
-// Feed returns the running pipeline of a feed, if any.
-func (m *Manager) Feed(name string) (*Feed, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mf, ok := m.feeds[name]
-	if !ok || mf.running == nil {
-		return nil, false
-	}
-	return mf.running, true
-}
-
-// Lookup resolves a feed by name for statistics: it returns the
+// Lookup resolves a feed by name: it returns the
 // running pipeline, or — after a stop — the most recent one, so final
 // counters remain readable. known is false for names never declared
 // via CREATE FEED; f may be nil for a declared feed that never

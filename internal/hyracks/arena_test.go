@@ -10,8 +10,8 @@ import (
 
 // TestDetachedValuesSurviveArenaReuse is the arena-lifetime regression
 // test: one goroutine reuses a frame's arena (the recycle path) while
-// another concurrently reads values that were Detached from the frame
-// beforehand. If Detach/Materialize ever stops copying arena-backed
+// another concurrently reads values that were Materialized out of the
+// frame beforehand. If Materialize ever stops copying arena-backed
 // payloads, the reader and the writer touch the same bytes and the race
 // detector fails the build (the value assertion catches it even without
 // -race).
@@ -23,7 +23,7 @@ func TestDetachedValuesSurviveArenaReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := Frame{Records: spine, Arena: arena}
-	detached := Detach(f)
+	detached := spine[0].Materialize()
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -47,7 +47,7 @@ func TestDetachedValuesSurviveArenaReuse(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
-			if got := detached.Records[0].Field("text").StringVal(); got != "detached payload" {
+			if got := detached.Field("text").StringVal(); got != "detached payload" {
 				t.Errorf("detached value corrupted: %q", got)
 				return
 			}

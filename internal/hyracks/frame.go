@@ -35,23 +35,17 @@
 //     frame (MapPipe, single-target hash flushes) move the Arena to
 //     the output frame so it travels with the values that reference
 //     it.
-//   - Broadcast connectors deliver one frame to many consumers; such
-//     frames are marked Shared and both recycle calls ignore them, so
-//     no consumer can pull the backing memory out from under another.
-//     Retaining a value from a Shared frame is safe (the arena is
-//     never reset) but pins the whole frame; Materialize (or Detach
-//     for a whole frame) releases the pin.
+//   - A frame has exactly one consumer (no connector replicates
+//     frames), so whoever holds it may recycle it under these rules.
 //   - Record values are never pooled: adm.Value payloads are
 //     immutable-by-convention. Arena-backed payloads may outlive any
 //     frame via RecycleFrameSpines; heap payloads always may.
-//   - Handing a frame to the storage layer (lsm.Dataset.UpsertFrame,
-//     or a storage writer calling lsm.Partition.UpsertBatch) transfers
-//     ownership like a Push: storage retains the records, the storage
-//     side recycles the spines (UpsertFrame itself; the writer after
-//     UpsertBatch returns), and nobody resets the arena — it stays
+//   - Handing a frame to the storage layer (a storage writer calling
+//     lsm.Partition.UpsertBatch) transfers ownership like a Push:
+//     storage retains the records, the writer recycles the spines
+//     after UpsertBatch returns, and nobody resets the arena — it stays
 //     alive through the retained values. The producer must not touch
-//     the frame after the call; on an UpsertFrame error the frame is
-//     NOT consumed and ownership stays with the caller.
+//     the frame after the call.
 package hyracks
 
 import (
@@ -74,9 +68,6 @@ type Frame struct {
 	// It moves with the frame (see the package comment's ownership
 	// rules) and is reset + pooled by RecycleFrame.
 	Arena *adm.Arena
-	// Shared marks a frame delivered to multiple consumers (broadcast
-	// routing); RecycleFrame refuses shared frames.
-	Shared bool
 
 	// Adapter and FirstOff/LastOff locate the frame in its source
 	// adapter's offset space for at-least-once checkpointing: the frame
@@ -228,11 +219,8 @@ func PutArena(a *adm.Arena) {
 // pools. Only the frame's final consumer may call it, and only after
 // dropping or Materializing every record — the arena is reset and its
 // bytes will be overwritten (see the package comment for the ownership
-// rules). No-op for shared frames.
+// rules).
 func RecycleFrame(f Frame) {
-	if f.Shared {
-		return
-	}
 	RecycleFrameSpines(f)
 	PutArena(f.Arena)
 }
@@ -241,40 +229,14 @@ func RecycleFrame(f Frame) {
 // pools, leaving the arena untouched. Consumers that retain the frame's
 // records un-materialized (the storage writer after its WAL commit)
 // use this: the retained values keep the arena alive and the garbage
-// collector reclaims it when the last of them dies. No-op for shared
-// frames.
+// collector reclaims it when the last of them dies.
 func RecycleFrameSpines(f Frame) {
-	if f.Shared {
-		return
-	}
 	if f.Records != nil {
 		PutRecordSlice(f.Records)
 	}
 	if f.Raw != nil {
 		PutRawSlice(f.Raw)
 	}
-}
-
-// Detach returns a copy of the frame whose records and raw bytes share
-// no memory with the original's arena or spines: records are
-// Materialized and raw lines copied. Use it when a consumer of a Shared
-// (broadcast) frame — or any frame it does not own — needs to retain
-// the data past the push call.
-func Detach(f Frame) Frame {
-	out := Frame{Adapter: f.Adapter, FirstOff: f.FirstOff, LastOff: f.LastOff}
-	if len(f.Records) > 0 {
-		out.Records = make([]adm.Value, len(f.Records))
-		for i, r := range f.Records {
-			out.Records[i] = r.Materialize()
-		}
-	}
-	if len(f.Raw) > 0 {
-		out.Raw = make([][]byte, len(f.Raw))
-		for i, b := range f.Raw {
-			out.Raw[i] = append([]byte(nil), b...)
-		}
-	}
-	return out
 }
 
 // FrameBuilder accumulates records and emits full frames to a Writer.

@@ -118,18 +118,6 @@ func TestFrameBuilderReusesPooledBuffers(t *testing.T) {
 	}
 }
 
-// TestRecycleFrameSharedNoOp: broadcast-shared frames must survive one
-// consumer recycling while another still reads.
-func TestRecycleFrameSharedNoOp(t *testing.T) {
-	recs := GetRecordSlice(4)
-	recs = append(recs, adm.Int(42))
-	f := Frame{Records: recs, Shared: true}
-	RecycleFrame(f)
-	if f.Records[0].IntVal() != 42 {
-		t.Fatal("shared frame was recycled")
-	}
-}
-
 // TestRawLane covers AddRaw/PullFrames: raw bytes must flow through
 // builder, holder, and pull without copying or corruption.
 func TestRawLane(t *testing.T) {

@@ -546,67 +546,48 @@ func (h *ActiveHolder) Run(tc *TaskContext, out Writer) error {
 }
 
 // HolderManager is the per-node registry partition holders register
-// with, so jobs can locate their peers' endpoints ("jobs sending/
-// receiving data to/from another job can locate the corresponding
-// partition holders through local partition holder managers").
+// with: it keeps one feed from claiming another's endpoint ids and lets
+// a dying node fail every holder it hosts. Passive and active holders
+// have separate id namespaces.
 type HolderManager struct {
 	mu      sync.Mutex
-	passive map[string]*PassiveHolder
-	active  map[string]*ActiveHolder
+	holders map[string]failer // "passive/"+id, "active/"+id
 }
+
+// failer is what the registry needs of a holder of either kind.
+type failer interface{ Fail(error) }
 
 // NewHolderManager returns an empty registry.
 func NewHolderManager() *HolderManager {
-	return &HolderManager{
-		passive: make(map[string]*PassiveHolder),
-		active:  make(map[string]*ActiveHolder),
+	return &HolderManager{holders: make(map[string]failer)}
+}
+
+func (m *HolderManager) register(kind, id string, h failer) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, dup := m.holders[kind+"/"+id]; dup {
+		return fmt.Errorf("hyracks: %s holder %q already registered", kind, id)
 	}
+	m.holders[kind+"/"+id] = h
+	return nil
 }
 
 // RegisterPassive adds a passive holder under id.
 func (m *HolderManager) RegisterPassive(id string, h *PassiveHolder) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, dup := m.passive[id]; dup {
-		return fmt.Errorf("hyracks: passive holder %q already registered", id)
-	}
-	m.passive[id] = h
-	return nil
+	return m.register("passive", id, h)
 }
 
 // RegisterActive adds an active holder under id.
 func (m *HolderManager) RegisterActive(id string, h *ActiveHolder) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, dup := m.active[id]; dup {
-		return fmt.Errorf("hyracks: active holder %q already registered", id)
-	}
-	m.active[id] = h
-	return nil
+	return m.register("active", id, h)
 }
 
-// Passive looks up a passive holder.
-func (m *HolderManager) Passive(id string) (*PassiveHolder, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.passive[id]
-	return h, ok
-}
-
-// Active looks up an active holder.
-func (m *HolderManager) Active(id string) (*ActiveHolder, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.active[id]
-	return h, ok
-}
-
-// Unregister removes a holder id from both tables (feed teardown).
+// Unregister removes a holder id from both namespaces (feed teardown).
 func (m *HolderManager) Unregister(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.passive, id)
-	delete(m.active, id)
+	delete(m.holders, "passive/"+id)
+	delete(m.holders, "active/"+id)
 }
 
 // FailAll poisons every registered holder with err — the node died.
@@ -615,10 +596,7 @@ func (m *HolderManager) Unregister(id string) {
 func (m *HolderManager) FailAll(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, h := range m.passive {
-		h.Fail(err)
-	}
-	for _, h := range m.active {
+	for _, h := range m.holders {
 		h.Fail(err)
 	}
 }

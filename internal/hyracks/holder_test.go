@@ -185,18 +185,13 @@ func TestHolderManager(t *testing.T) {
 	if err := m.RegisterActive("feed1/0", a); err != nil {
 		t.Fatal(err) // active and passive namespaces are separate
 	}
-	if got, ok := m.Passive("feed1/0"); !ok || got != p {
-		t.Error("passive lookup failed")
-	}
-	if got, ok := m.Active("feed1/0"); !ok || got != a {
-		t.Error("active lookup failed")
-	}
-	if _, ok := m.Passive("nope"); ok {
-		t.Error("lookup miss expected")
-	}
+	// Unregister frees the id in both namespaces.
 	m.Unregister("feed1/0")
-	if _, ok := m.Passive("feed1/0"); ok {
-		t.Error("unregister failed")
+	if err := m.RegisterPassive("feed1/0", p); err != nil {
+		t.Errorf("passive id not freed by Unregister: %v", err)
+	}
+	if err := m.RegisterActive("feed1/0", a); err != nil {
+		t.Errorf("active id not freed by Unregister: %v", err)
 	}
 }
 

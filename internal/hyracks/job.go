@@ -21,8 +21,6 @@ const (
 	// HashPartition routes each record by a key hash — the storage job
 	// uses it to send records to the partition owning their primary key.
 	HashPartition
-	// Broadcast replicates every frame to all target partitions.
-	Broadcast
 )
 
 // TaskContext is handed to each operator instance.
@@ -355,16 +353,6 @@ func (w *connectorWriter) Push(f Frame) error {
 		t := w.rr % len(w.targets)
 		w.rr++
 		return w.send(t, f)
-	case Broadcast:
-		// Each target shares the frame; mark it so no consumer recycles
-		// the backing arrays out from under the others.
-		f.Shared = true
-		for t := range w.targets {
-			if err := w.send(t, f); err != nil {
-				return err
-			}
-		}
-		return nil
 	default: // HashPartition
 		if len(f.Raw) > 0 {
 			// Hash routing keys off parsed records; forwarding would
@@ -393,7 +381,7 @@ func (w *connectorWriter) Push(f Frame) error {
 				single = false
 			}
 		}
-		if single && !f.Shared {
+		if single {
 			return w.send(targets[0], f)
 		}
 		// Mixed-target frame: build a per-target histogram so each

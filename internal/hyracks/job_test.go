@@ -198,32 +198,6 @@ func TestJobHashMixedFrameOrder(t *testing.T) {
 	}
 }
 
-func TestJobBroadcast(t *testing.T) {
-	const parts = 3
-	spec := NewJobSpec()
-	src := spec.AddOperator(&Descriptor{
-		Name: "src", Parallelism: 1,
-		NewSource: func(int) (Source, error) {
-			return &SliceSource{Records: intRecords(100), FrameCap: 16}, nil
-		},
-	})
-	var collectors [parts]Collector
-	sink := spec.AddOperator(&Descriptor{
-		Name: "sink", Parallelism: parts,
-		NewPipe: func(p int) (Pipe, error) { return collectors[p].Sink(), nil },
-	})
-	spec.Connect(src, sink, Broadcast, nil)
-	job, _ := spec.Run(context.Background(), "bc")
-	if err := job.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < parts; p++ {
-		if collectors[p].Len() != 100 {
-			t.Errorf("partition %d got %d, want 100", p, collectors[p].Len())
-		}
-	}
-}
-
 func TestJobErrorPropagation(t *testing.T) {
 	spec := NewJobSpec()
 	src := spec.AddOperator(&Descriptor{

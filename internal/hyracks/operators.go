@@ -40,15 +40,9 @@ func (m *MapPipe) Push(_ *TaskContext, f Frame, out Writer) error {
 	}
 	// Output values may reference the input frame's arena (the no-UDF
 	// pass-through forwards records verbatim; enrichment outputs embed
-	// input fields), so the arena migrates to the output frame. Shared
-	// frames keep theirs: it is never recycled, so references stay
-	// valid without a transfer.
+	// input fields), so the arena migrates to the output frame.
 	arena := f.Arena
-	if f.Shared {
-		arena = nil
-	} else {
-		f.Arena = nil
-	}
+	f.Arena = nil
 	RecycleFrameSpines(f)
 	if len(outRecs) == 0 {
 		// Every record dropped: nothing references the arena anymore.

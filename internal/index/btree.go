@@ -671,83 +671,3 @@ func (n *btreeNode) max() Item {
 	}
 	return n.items[len(n.items)-1]
 }
-
-// Ascend visits every item in key order until fn returns false.
-func (t *BTree) Ascend(fn func(Item) bool) {
-	if t.root != nil {
-		t.root.ascend(adm.Value{}, false, fn)
-	}
-}
-
-// AscendRange visits items with from <= key <= to in order until fn
-// returns false.
-func (t *BTree) AscendRange(from, to adm.Value, fn func(Item) bool) {
-	if t.root == nil {
-		return
-	}
-	t.root.ascend(from, true, func(it Item) bool {
-		if adm.Less(to, it.Key) {
-			return false
-		}
-		return fn(it)
-	})
-}
-
-func (n *btreeNode) ascend(from adm.Value, bounded bool, fn func(Item) bool) bool {
-	start := 0
-	if bounded {
-		start, _ = n.find(from)
-	}
-	if n.leaf() {
-		for _, it := range n.items[start:] {
-			if !fn(it) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := start; i <= len(n.items); i++ {
-		if !n.children[i].ascend(from, bounded && i == start, fn) {
-			return false
-		}
-		if i < len(n.items) {
-			if bounded && i == start && adm.Less(n.items[i].Key, from) {
-				continue
-			}
-			if !fn(n.items[i]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Min returns the smallest item, if any.
-func (t *BTree) Min() (Item, bool) {
-	if t.root == nil {
-		return Item{}, false
-	}
-	n := t.root
-	for !n.leaf() {
-		n = n.children[0]
-	}
-	return n.items[0], true
-}
-
-// Max returns the largest item, if any.
-func (t *BTree) Max() (Item, bool) {
-	if t.root == nil {
-		return Item{}, false
-	}
-	return t.root.max(), true
-}
-
-// Items returns all items in key order (a fresh slice).
-func (t *BTree) Items() []Item {
-	out := make([]Item, 0, t.size)
-	t.Ascend(func(it Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out
-}

@@ -8,6 +8,19 @@ import (
 	"github.com/ideadb/idea/internal/adm"
 )
 
+// items drains a full-range cursor: the tree's one iteration mechanism.
+func items(bt *BTree) []Item {
+	var out []Item
+	cu := bt.Cursor()
+	for {
+		it, ok := cu.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, it)
+	}
+}
+
 func TestBTreeBasicPutGet(t *testing.T) {
 	bt := NewBTree()
 	if _, ok := bt.Get(adm.Int(1)); ok {
@@ -41,8 +54,8 @@ func TestBTreeManyKeysOrdered(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", bt.Len(), n)
 	}
 	prev := int64(-1)
-	count := 0
-	bt.Ascend(func(it Item) bool {
+	all := items(bt)
+	for _, it := range all {
 		k := it.Key.IntVal()
 		if k <= prev {
 			t.Fatalf("out of order: %d after %d", k, prev)
@@ -51,11 +64,9 @@ func TestBTreeManyKeysOrdered(t *testing.T) {
 			t.Fatalf("wrong value for %d", k)
 		}
 		prev = k
-		count++
-		return true
-	})
-	if count != n {
-		t.Fatalf("Ascend visited %d, want %d", count, n)
+	}
+	if len(all) != n {
+		t.Fatalf("cursor visited %d, want %d", len(all), n)
 	}
 	for i := 0; i < n; i += 37 {
 		if v, ok := bt.Get(adm.Int(int64(i))); !ok || v.IntVal() != int64(i*10) {
@@ -95,13 +106,12 @@ func TestBTreeDelete(t *testing.T) {
 	}
 	// Order must survive deletions.
 	prev := int64(-1)
-	bt.Ascend(func(it Item) bool {
+	for _, it := range items(bt) {
 		if it.Key.IntVal() <= prev {
 			t.Fatalf("order violated after deletes")
 		}
 		prev = it.Key.IntVal()
-		return true
-	})
+	}
 }
 
 func TestBTreeDeleteAll(t *testing.T) {
@@ -117,8 +127,8 @@ func TestBTreeDeleteAll(t *testing.T) {
 	if bt.Len() != 0 {
 		t.Fatalf("Len = %d after deleting all", bt.Len())
 	}
-	if _, ok := bt.Min(); ok {
-		t.Error("Min on empty tree")
+	if _, ok := bt.Cursor().Next(); ok {
+		t.Error("cursor yields an item on an empty tree")
 	}
 	// Tree must be reusable after emptying.
 	bt.Put(adm.Int(1), adm.Null())
@@ -127,55 +137,14 @@ func TestBTreeDeleteAll(t *testing.T) {
 	}
 }
 
-func TestBTreeAscendRange(t *testing.T) {
-	bt := NewBTree()
-	for i := 0; i < 100; i++ {
-		bt.Put(adm.Int(int64(i*2)), adm.Int(int64(i))) // even keys 0..198
-	}
-	var got []int64
-	bt.AscendRange(adm.Int(10), adm.Int(20), func(it Item) bool {
-		got = append(got, it.Key.IntVal())
-		return true
-	})
-	want := []int64{10, 12, 14, 16, 18, 20}
-	if len(got) != len(want) {
-		t.Fatalf("range = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range = %v, want %v", got, want)
-		}
-	}
-	// Bounds not present in the tree.
-	got = got[:0]
-	bt.AscendRange(adm.Int(11), adm.Int(15), func(it Item) bool {
-		got = append(got, it.Key.IntVal())
-		return true
-	})
-	if len(got) != 2 || got[0] != 12 || got[1] != 14 {
-		t.Fatalf("open range = %v", got)
-	}
-	// Early termination.
-	count := 0
-	bt.AscendRange(adm.Int(0), adm.Int(1000), func(it Item) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("early stop visited %d", count)
-	}
-}
-
 func TestBTreeMinMax(t *testing.T) {
 	bt := NewBTree()
 	for _, k := range []int64{5, 1, 9, 3} {
 		bt.Put(adm.Int(k), adm.Null())
 	}
-	if mn, ok := bt.Min(); !ok || mn.Key.IntVal() != 1 {
-		t.Errorf("Min = %v", mn)
-	}
-	if mx, ok := bt.Max(); !ok || mx.Key.IntVal() != 9 {
-		t.Errorf("Max = %v", mx)
+	all := items(bt)
+	if mn, mx := all[0].Key.IntVal(), all[len(all)-1].Key.IntVal(); mn != 1 || mx != 9 {
+		t.Errorf("iteration runs from %d to %d, want 1 to 9", mn, mx)
 	}
 }
 
@@ -188,9 +157,9 @@ func TestBTreeStringKeys(t *testing.T) {
 	if v, ok := bt.Get(adm.String("JP")); !ok || v.IntVal() != 3 {
 		t.Errorf("string key lookup failed: %v %v", v, ok)
 	}
-	items := bt.Items()
-	for i := 1; i < len(items); i++ {
-		if !adm.Less(items[i-1].Key, items[i].Key) {
+	sorted := items(bt)
+	for i := 1; i < len(sorted); i++ {
+		if !adm.Less(sorted[i-1].Key, sorted[i].Key) {
 			t.Fatal("string keys out of order")
 		}
 	}
@@ -412,13 +381,12 @@ func TestBTreePutBatchMatchesMapModel(t *testing.T) {
 		}
 	}
 	prev := int64(-1)
-	bt.Ascend(func(it Item) bool {
+	for _, it := range items(bt) {
 		if it.Key.IntVal() <= prev {
 			t.Fatal("order violated after batches")
 		}
 		prev = it.Key.IntVal()
-		return true
-	})
+	}
 }
 
 func BenchmarkBTreePut(b *testing.B) {
@@ -441,34 +409,31 @@ func BenchmarkBTreeGet(b *testing.B) {
 	}
 }
 
+// TestBTreeCursorMatchesAscend: the cursor yields exactly the distinct
+// keys put, in ascending order, across tree shapes from empty to
+// several levels.
 func TestBTreeCursorMatchesAscend(t *testing.T) {
 	for _, n := range []int{0, 1, 7, btreeDegree, 500, 5000} {
 		bt := NewBTree()
+		distinct := map[int64]bool{}
 		for i := 0; i < n; i++ {
 			// Shuffled-ish insertion order to exercise splits.
 			k := int64((i * 2654435761) % (n*3 + 1))
 			bt.Put(adm.Int(k), adm.Int(k))
+			distinct[k] = true
 		}
-		var want []int64
-		bt.Ascend(func(it Item) bool {
-			want = append(want, it.Key.IntVal())
-			return true
-		})
-		cu := bt.Cursor()
-		var got []int64
-		for {
-			it, ok := cu.Next()
-			if !ok {
-				break
-			}
-			got = append(got, it.Key.IntVal())
+		want := make([]int64, 0, len(distinct))
+		for k := range distinct {
+			want = append(want, k)
 		}
+		slices.Sort(want)
+		got := items(bt)
 		if len(got) != len(want) {
-			t.Fatalf("n=%d: cursor yielded %d items, Ascend %d", n, len(got), len(want))
+			t.Fatalf("n=%d: cursor yielded %d items, want %d", n, len(got), len(want))
 		}
 		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: item %d = %d, want %d", n, i, got[i], want[i])
+			if got[i].Key.IntVal() != want[i] {
+				t.Fatalf("n=%d: item %d = %d, want %d", n, i, got[i].Key.IntVal(), want[i])
 			}
 		}
 	}

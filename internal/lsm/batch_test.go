@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
-	"github.com/ideadb/idea/internal/hyracks"
 	"github.com/ideadb/idea/internal/index"
 	"github.com/ideadb/idea/internal/spatial"
 )
@@ -304,31 +303,5 @@ func TestDatasetUpsertBatch(t *testing.T) {
 	}
 	if got := ds2.Len(); got != 0 {
 		t.Fatalf("failed batch wrote %d records, want 0", got)
-	}
-}
-
-// TestDatasetUpsertFrame: the frame API consumes the frame (spines
-// recycled, arena left to the retained records) and rejects raw-lane
-// frames.
-func TestDatasetUpsertFrame(t *testing.T) {
-	ds, err := NewDataset("d", nil, "id", 2, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spine := hyracks.GetRecordSlice(8)
-	for i := int64(0); i < 8; i++ {
-		spine = append(spine, rec(i, "v", adm.Int(i*10)))
-	}
-	if err := ds.UpsertFrame(hyracks.Frame{Records: spine}); err != nil {
-		t.Fatal(err)
-	}
-	if got := ds.Len(); got != 8 {
-		t.Fatalf("Len = %d, want 8", got)
-	}
-	if v, ok := ds.Get(adm.Int(3)); !ok || v.Field("v").IntVal() != 30 {
-		t.Fatalf("Get(3) = %v,%v", v, ok)
-	}
-	if err := ds.UpsertFrame(hyracks.Frame{Raw: [][]byte{[]byte(`{"id":1}`)}}); err == nil {
-		t.Fatal("raw-lane frame must be rejected")
 	}
 }

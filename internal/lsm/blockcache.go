@@ -44,16 +44,19 @@ const blockCacheShards = 8
 // not set one explicitly.
 const DefaultBlockCacheBytes = 64 << 20
 
-// CacheStats is a point-in-time snapshot of BlockCache counters.
+// CacheStats is a point-in-time snapshot of BlockCache counters. The
+// fields carry the cache's name because the snapshot is embedded, as
+// is, in the cluster-wide storage snapshot and from there reaches the
+// public API and the STATS verb (block_cache_hits, ...).
 type CacheStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
+	BlockCacheHits      uint64
+	BlockCacheMisses    uint64
+	BlockCacheEvictions uint64
 	// Entries / Bytes gauge the cached population; Pinned counts entries
 	// currently held by readers.
-	Entries int
-	Pinned  int
-	Bytes   int64
+	BlockCacheEntries int
+	BlockCachePinned  int
+	BlockCacheBytes   int64
 }
 
 type blockKey struct {
@@ -206,16 +209,16 @@ func (c *BlockCache) evictLocked(s *cacheShard) {
 // Stats snapshots the cache counters and gauges.
 func (c *BlockCache) Stats() CacheStats {
 	st := CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
+		BlockCacheHits:      c.hits.Load(),
+		BlockCacheMisses:    c.misses.Load(),
+		BlockCacheEvictions: c.evictions.Load(),
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		st.Entries += len(s.entries)
-		st.Pinned += s.pinned
-		st.Bytes += s.used
+		st.BlockCacheEntries += len(s.entries)
+		st.BlockCachePinned += s.pinned
+		st.BlockCacheBytes += s.used
 		s.mu.Unlock()
 	}
 	return st

@@ -24,7 +24,7 @@ func TestBlockCacheOps(t *testing.T) {
 	}
 	e := c.insert(1, 0, items)
 	st := c.Stats()
-	if st.Entries != 1 || st.Pinned != 1 || st.Misses != 1 {
+	if st.BlockCacheEntries != 1 || st.BlockCachePinned != 1 || st.BlockCacheMisses != 1 {
 		t.Fatalf("after insert: %+v", st)
 	}
 	// A second acquire shares the entry and stacks a pin.
@@ -35,13 +35,13 @@ func TestBlockCacheOps(t *testing.T) {
 	c.release(e2)
 	c.release(e)
 	st = c.Stats()
-	if st.Pinned != 0 || st.Entries != 1 || st.Hits != 1 {
+	if st.BlockCachePinned != 0 || st.BlockCacheEntries != 1 || st.BlockCacheHits != 1 {
 		t.Fatalf("after releases: %+v", st)
 	}
 
 	// dropRun on an unpinned entry frees it immediately.
 	c.dropRun(1)
-	if st = c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+	if st = c.Stats(); st.BlockCacheEntries != 0 || st.BlockCacheBytes != 0 {
 		t.Fatalf("after dropRun: %+v", st)
 	}
 
@@ -49,14 +49,14 @@ func TestBlockCacheOps(t *testing.T) {
 	// readable until release, and release must not corrupt accounting.
 	e = c.insert(2, 0, items)
 	c.dropRun(2)
-	if st = c.Stats(); st.Entries != 0 || st.Pinned != 0 {
+	if st = c.Stats(); st.BlockCacheEntries != 0 || st.BlockCachePinned != 0 {
 		t.Fatalf("after dropRun of pinned: %+v", st)
 	}
 	if len(e.items) != 1 || adm.Compare(e.items[0].Key, adm.Int(1)) != 0 {
 		t.Fatal("dead entry's items were reclaimed while pinned")
 	}
 	c.release(e)
-	if st = c.Stats(); st.Pinned != 0 || st.Bytes != 0 {
+	if st = c.Stats(); st.BlockCachePinned != 0 || st.BlockCacheBytes != 0 {
 		t.Fatalf("after releasing dead entry: %+v", st)
 	}
 
@@ -71,7 +71,7 @@ func TestBlockCacheOps(t *testing.T) {
 		t.Fatal("pinned entry was evicted")
 	}
 	st = c.Stats()
-	if st.Evictions == 0 {
+	if st.BlockCacheEvictions == 0 {
 		t.Fatalf("no evictions under %dx budget pressure: %+v", 64, st)
 	}
 	c.release(repin)
@@ -131,7 +131,7 @@ func TestBlockCacheEvictionPinning(t *testing.T) {
 	if !rf.closed.Load() {
 		t.Fatal("retired run still open after its last cursor finished")
 	}
-	if st := cache.Stats(); st.Pinned != 0 {
+	if st := cache.Stats(); st.BlockCachePinned != 0 {
 		t.Fatalf("leaked pins: %+v", st)
 	}
 }
@@ -239,7 +239,7 @@ func TestBlockCacheDifferential(t *testing.T) {
 	}
 	checkScan("final")
 	st := pOn.Stats()
-	if st.BlockReads == 0 || cache.Stats().Hits == 0 {
+	if st.BlockReads == 0 || cache.Stats().BlockCacheHits == 0 {
 		t.Fatalf("workload never exercised the cache: part=%+v cache=%+v", st, cache.Stats())
 	}
 
@@ -349,10 +349,10 @@ func TestBlockCacheConcurrentReaders(t *testing.T) {
 	// a compaction whose input cursors hold pins. Wait for it to finish
 	// before calling a pin leaked.
 	deadline := time.Now().Add(10 * time.Second)
-	for cache.Stats().Pinned != 0 && time.Now().Before(deadline) {
+	for cache.Stats().BlockCachePinned != 0 && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if st := cache.Stats(); st.Pinned != 0 {
+	if st := cache.Stats(); st.BlockCachePinned != 0 {
 		t.Fatalf("leaked pins after workload: %+v", st)
 	}
 }

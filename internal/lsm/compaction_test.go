@@ -268,8 +268,8 @@ func TestCompactionBypassesBlockCache(t *testing.T) {
 		t.Fatal("Get(5) missed")
 	}
 	before := cache.Stats()
-	if before.Entries != 1 {
-		t.Fatalf("cache holds %d blocks after one lookup, want 1", before.Entries)
+	if before.BlockCacheEntries != 1 {
+		t.Fatalf("cache holds %d blocks after one lookup, want 1", before.BlockCacheEntries)
 	}
 	forceCompaction(p)
 	if err := p.Err(); err != nil {
@@ -279,12 +279,12 @@ func TestCompactionBypassesBlockCache(t *testing.T) {
 		t.Fatalf("Runs = %d after compaction, want 1", p.Runs())
 	}
 	after := cache.Stats()
-	if after.Hits != before.Hits || after.Misses != before.Misses || after.Evictions != before.Evictions {
+	if after.BlockCacheHits != before.BlockCacheHits || after.BlockCacheMisses != before.BlockCacheMisses || after.BlockCacheEvictions != before.BlockCacheEvictions {
 		t.Fatalf("compaction touched the cache: %+v -> %+v", before, after)
 	}
 	// The inputs' blocks were purged with their runs; nothing took their place.
-	if after.Entries != 0 || after.Bytes != 0 {
-		t.Fatalf("cache holds %d blocks (%d bytes) after compaction, want none", after.Entries, after.Bytes)
+	if after.BlockCacheEntries != 0 || after.BlockCacheBytes != 0 {
+		t.Fatalf("cache holds %d blocks (%d bytes) after compaction, want none", after.BlockCacheEntries, after.BlockCacheBytes)
 	}
 	if got := p.Len(); got != 1200 {
 		t.Fatalf("Len = %d, want 1200", got)

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -19,34 +20,21 @@ type Dataset struct {
 	partitions []*Partition
 
 	mu      sync.RWMutex
-	indexes map[string]indexSpec // index name → builder (one instance per partition)
+	indexes []indexSpec // in creation order: the first declared over a field wins
 }
 
 type indexSpec struct {
-	field        string // indexed field name ("" for custom extractors)
+	name         string
+	field        string // indexed top-level field
 	perPartition []SecondaryIndex
 }
 
 // NewDataset creates a dataset with the given number of storage
 // partitions (one per storage node in the simulated cluster).
 func NewDataset(name string, dt *adm.Datatype, primaryKey string, numPartitions int, opts Options) (*Dataset, error) {
-	if numPartitions <= 0 {
-		return nil, fmt.Errorf("lsm: dataset %s: need at least one partition", name)
-	}
-	if primaryKey == "" {
-		return nil, fmt.Errorf("lsm: dataset %s: primary key required", name)
-	}
-	ds := &Dataset{
-		name:       name,
-		datatype:   dt,
-		primaryKey: primaryKey,
-		partitions: make([]*Partition, numPartitions),
-		indexes:    make(map[string]indexSpec),
-	}
-	for i := range ds.partitions {
-		ds.partitions[i] = NewPartition(opts)
-	}
-	return ds, nil
+	return newDataset(name, dt, primaryKey, numPartitions, func(int) (*Partition, error) {
+		return NewPartition(opts), nil
+	})
 }
 
 // OpenDataset opens (or creates) a durable dataset rooted at dir: one
@@ -57,6 +45,12 @@ func NewDataset(name string, dt *adm.Datatype, primaryKey string, numPartitions 
 // dataset was created with; it is not stored, the caller's catalog owns
 // that.
 func OpenDataset(fsys FS, dir, name string, dt *adm.Datatype, primaryKey string, numPartitions int, opts Options) (*Dataset, error) {
+	return newDataset(name, dt, primaryKey, numPartitions, func(i int) (*Partition, error) {
+		return OpenPartition(fsys, joinPath(dir, fmt.Sprintf("p%03d", i)), opts)
+	})
+}
+
+func newDataset(name string, dt *adm.Datatype, primaryKey string, numPartitions int, open func(i int) (*Partition, error)) (*Dataset, error) {
 	if numPartitions <= 0 {
 		return nil, fmt.Errorf("lsm: dataset %s: need at least one partition", name)
 	}
@@ -68,10 +62,9 @@ func OpenDataset(fsys FS, dir, name string, dt *adm.Datatype, primaryKey string,
 		datatype:   dt,
 		primaryKey: primaryKey,
 		partitions: make([]*Partition, numPartitions),
-		indexes:    make(map[string]indexSpec),
 	}
 	for i := range ds.partitions {
-		p, err := OpenPartition(fsys, joinPath(dir, fmt.Sprintf("p%03d", i)), opts)
+		p, err := open(i)
 		if err != nil {
 			for _, opened := range ds.partitions[:i] {
 				opened.Close()
@@ -93,6 +86,16 @@ func (d *Dataset) Close() error {
 		}
 	}
 	return firstErr
+}
+
+// Drop closes every partition and deletes its files (see
+// Partition.Drop): DROP DATASET. In-memory datasets just close.
+func (d *Dataset) Drop() error {
+	var err error
+	for _, p := range d.partitions {
+		err = errors.Join(err, p.Drop())
+	}
+	return err
 }
 
 // Name returns the dataset name.
@@ -247,23 +250,6 @@ func (d *Dataset) UpsertBatch(recs []adm.Value) error {
 	return firstErr
 }
 
-// UpsertFrame stores a whole dataflow frame. On success the frame is
-// consumed: storage retains its records, so UpsertFrame recycles the
-// spines itself (never the arena — retained values keep it alive) and
-// the caller must not touch the frame afterwards. On error the caller
-// still owns the frame. Raw-lane frames are rejected: records must be
-// parsed before they reach storage.
-func (d *Dataset) UpsertFrame(fr hyracks.Frame) error {
-	if len(fr.Raw) > 0 {
-		return fmt.Errorf("lsm: dataset %s: raw-lane frame reached storage; parse records first", d.name)
-	}
-	if err := d.UpsertBatch(fr.Records); err != nil {
-		return err
-	}
-	hyracks.RecycleFrameSpines(fr)
-	return nil
-}
-
 // Insert is Upsert with duplicate-key rejection.
 func (d *Dataset) Insert(rec adm.Value) error {
 	pk, rec, err := d.keyed(rec)
@@ -390,175 +376,81 @@ func (d *Dataset) Len() int {
 }
 
 // CreateSpatialIndex attaches a spatial secondary index over a named
-// point/rectangle/circle field (one local tree per partition), recording
-// the field so the enrichment planner can match predicates to it.
+// point/rectangle/circle field (one local tree per partition,
+// back-filled from existing records), recording the field so the
+// enrichment planner can match predicates to it.
 func (d *Dataset) CreateSpatialIndex(name, field string) error {
-	return d.createRTreeIndex(name, field, FieldRectExtractor(field))
-}
-
-// CreateRTreeIndex attaches a spatial secondary index with a custom
-// extractor (one local tree per partition), back-filling existing
-// records.
-func (d *Dataset) CreateRTreeIndex(name string, extract RectExtractor) error {
-	return d.createRTreeIndex(name, "", extract)
-}
-
-func (d *Dataset) createRTreeIndex(name, field string, extract RectExtractor) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, dup := d.indexes[name]; dup {
-		return fmt.Errorf("lsm: dataset %s: duplicate index %q", d.name, name)
-	}
-	spec := indexSpec{field: field, perPartition: make([]SecondaryIndex, len(d.partitions))}
-	for i, p := range d.partitions {
-		ix := NewRTreeIndex(name, extract)
-		spec.perPartition[i] = ix
-		p.AttachIndex(ix)
-	}
-	d.indexes[name] = spec
-	return nil
-}
-
-// RTreeIndexForField returns the per-partition spatial indexes declared
-// over the named field, or nil when none exists. The enrichment planner
-// uses this to choose index-NLJ over a per-batch R-tree build.
-func (d *Dataset) RTreeIndexForField(field string) []*RTreeIndex {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for name, spec := range d.indexes {
-		if spec.field == field {
-			if out := d.rtreeLocked(name); out != nil {
-				return out
-			}
-		}
-	}
-	return nil
-}
-
-// CreateBTreeIndex attaches an ordered secondary index with a custom
-// extractor (one per partition), back-filling existing records.
-func (d *Dataset) CreateBTreeIndex(name string, extract KeyExtractor) error {
-	return d.createBTreeIndex(name, "", extract)
+	return d.createIndex(name, field, func() SecondaryIndex {
+		return NewRTreeIndex(name, FieldRectExtractor(field))
+	})
 }
 
 // CreateFieldBTreeIndex attaches an ordered secondary index over a
 // named top-level field, recording the field so the query planner can
 // route WHERE predicates on it to an index range scan.
 func (d *Dataset) CreateFieldBTreeIndex(name, field string) error {
-	return d.createBTreeIndex(name, field, FieldKeyExtractor(field))
+	return d.createIndex(name, field, func() SecondaryIndex {
+		return NewBTreeIndex(name, FieldKeyExtractor(field))
+	})
 }
 
-func (d *Dataset) createBTreeIndex(name, field string, extract KeyExtractor) error {
+func (d *Dataset) createIndex(name, field string, build func() SecondaryIndex) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, dup := d.indexes[name]; dup {
-		return fmt.Errorf("lsm: dataset %s: duplicate index %q", d.name, name)
+	for _, spec := range d.indexes {
+		if spec.name == name {
+			return fmt.Errorf("lsm: dataset %s: duplicate index %q", d.name, name)
+		}
 	}
-	spec := indexSpec{field: field, perPartition: make([]SecondaryIndex, len(d.partitions))}
+	spec := indexSpec{name: name, field: field, perPartition: make([]SecondaryIndex, len(d.partitions))}
 	for i, p := range d.partitions {
-		ix := NewBTreeIndex(name, extract)
-		spec.perPartition[i] = ix
-		p.AttachIndex(ix)
+		spec.perPartition[i] = build()
+		p.AttachIndex(spec.perPartition[i])
 	}
-	d.indexes[name] = spec
+	d.indexes = append(d.indexes, spec)
 	return nil
+}
+
+// indexForField returns the name and per-partition instances of the
+// first-declared index of concrete type T over the named field, or
+// ("", nil) when none exists. Every instance of one spec has the same
+// type, so the first decides.
+func indexForField[T SecondaryIndex](d *Dataset, field string) (string, []T) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for _, spec := range d.indexes {
+		if _, isT := spec.perPartition[0].(T); !isT || spec.field != field {
+			continue
+		}
+		out := make([]T, len(spec.perPartition))
+		for i, ix := range spec.perPartition {
+			out[i] = ix.(T)
+		}
+		return spec.name, out
+	}
+	return "", nil
+}
+
+// RTreeIndexForField returns the per-partition spatial indexes declared
+// over the named field, or nil when none exists. The enrichment planner
+// uses this to choose index-NLJ over a per-batch R-tree build.
+func (d *Dataset) RTreeIndexForField(field string) []*RTreeIndex {
+	_, out := indexForField[*RTreeIndex](d, field)
+	return out
 }
 
 // BTreeIndexForField returns the name and per-partition instances of an
 // ordered index declared over the named field, or ("", nil) when none
 // exists — the query planner's pushdown probe.
 func (d *Dataset) BTreeIndexForField(field string) (string, []*BTreeIndex) {
-	if field == "" {
-		return "", nil
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for name, spec := range d.indexes {
-		if spec.field != field {
-			continue
-		}
-		out := make([]*BTreeIndex, 0, len(spec.perPartition))
-		for _, ix := range spec.perPartition {
-			bt, isBT := ix.(*BTreeIndex)
-			if !isBT {
-				out = nil
-				break
-			}
-			out = append(out, bt)
-		}
-		if out != nil {
-			return name, out
-		}
-	}
-	return "", nil
-}
-
-// RTreeIndexes returns the per-partition instances of the named spatial
-// index, or nil when it does not exist (or is not spatial).
-func (d *Dataset) RTreeIndexes(name string) []*RTreeIndex {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	spec, ok := d.indexes[name]
-	if !ok {
-		return nil
-	}
-	out := make([]*RTreeIndex, 0, len(spec.perPartition))
-	for _, ix := range spec.perPartition {
-		rt, isRT := ix.(*RTreeIndex)
-		if !isRT {
-			return nil
-		}
-		out = append(out, rt)
-	}
-	return out
-}
-
-// FirstRTreeIndex returns the per-partition instances of any spatial
-// index on the dataset, preferring one whose extractor was registered
-// for the given field; nil when none exists. The enrichment planner uses
-// it to decide between index-NLJ and per-batch R-tree builds.
-func (d *Dataset) FirstRTreeIndex() []*RTreeIndex {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for name := range d.indexes {
-		if out := d.rtreeLocked(name); out != nil {
-			return out
-		}
-	}
-	return nil
-}
-
-func (d *Dataset) rtreeLocked(name string) []*RTreeIndex {
-	spec := d.indexes[name]
-	out := make([]*RTreeIndex, 0, len(spec.perPartition))
-	for _, ix := range spec.perPartition {
-		rt, isRT := ix.(*RTreeIndex)
-		if !isRT {
-			return nil
-		}
-		out = append(out, rt)
-	}
-	return out
+	return indexForField[*BTreeIndex](d, field)
 }
 
 // Stats aggregates partition stats.
 func (d *Dataset) Stats() Stats {
 	var total Stats
 	for _, p := range d.partitions {
-		s := p.Stats()
-		total.Gets += s.Gets
-		total.Scans += s.Scans
-		total.Upserts += s.Upserts
-		total.Deletes += s.Deletes
-		total.Flushes += s.Flushes
-		total.Merges += s.Merges
-		total.FlushedRuns += s.FlushedRuns
-		total.Components += s.Components
-		total.MemEntries += s.MemEntries
-		total.FenceSkips += s.FenceSkips
-		total.BloomSkips += s.BloomSkips
-		total.BlockReads += s.BlockReads
-		total.OpenRuns += s.OpenRuns
+		total.Add(p.Stats())
 	}
 	return total
 }

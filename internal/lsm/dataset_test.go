@@ -95,13 +95,13 @@ func TestDatasetRTreeIndex(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		ds.Upsert(monument(ascii(i), float64(i%20), float64(i/20)))
 	}
-	if err := ds.CreateRTreeIndex("mloc", FieldRectExtractor("monument_location")); err != nil {
+	if err := ds.CreateSpatialIndex("mloc", "monument_location"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.CreateRTreeIndex("mloc", FieldRectExtractor("monument_location")); err == nil {
+	if err := ds.CreateSpatialIndex("mloc", "monument_location"); err == nil {
 		t.Error("duplicate index name must be rejected")
 	}
-	idxs := ds.RTreeIndexes("mloc")
+	idxs := ds.RTreeIndexForField("monument_location")
 	if len(idxs) != 3 {
 		t.Fatalf("expected 3 per-partition indexes, got %d", len(idxs))
 	}
@@ -143,10 +143,6 @@ func TestDatasetRTreeIndex(t *testing.T) {
 	if found != 1 {
 		t.Errorf("moved monument should be indexed once at new location, found %d", found)
 	}
-	// FirstRTreeIndex finds it.
-	if got := ds.FirstRTreeIndex(); len(got) != 3 {
-		t.Errorf("FirstRTreeIndex returned %d partitions", len(got))
-	}
 }
 
 func TestDatasetBTreeIndex(t *testing.T) {
@@ -162,7 +158,7 @@ func TestDatasetBTreeIndex(t *testing.T) {
 	ds.Upsert(mk("US", "3"))
 	ds.Upsert(mk("FR", "4"))
 	ds.Upsert(mk("DE", "4"))
-	if err := ds.CreateBTreeIndex("byRating", FieldKeyExtractor("safety_rating")); err != nil {
+	if err := ds.CreateFieldBTreeIndex("byRating", "safety_rating"); err != nil {
 		t.Fatal(err)
 	}
 	// Collect across partitions.

@@ -15,17 +15,16 @@
 // # Frame-granular batch writes
 //
 // The write path is frame-granular: storage consumers hand a whole
-// dataflow frame's records to Partition.UpsertBatch (or a frame to
-// Dataset.UpsertFrame), which costs one WAL append+commit, one
-// partition lock acquisition, one sort, one bulk memtable insert
-// (index.BTree.PutBatch), grouped secondary-index maintenance, and one
-// flush-threshold check for the entire frame. Ownership follows the
-// hyracks frame rules: the call transfers the frame downstream, storage
-// retains the records (keeping their arena alive), the spines are
-// recycled on the storage side — UpsertFrame recycles them itself; a
-// writer calling UpsertBatch recycles after it returns — and the arena
-// is never reset. Upsert, Insert, Delete and PutCheckpoint are batches of
-// one on the same path (see Partition.write).
+// dataflow frame's records to Partition.UpsertBatch, which costs one
+// WAL append+commit, one partition lock acquisition, one sort, one bulk
+// memtable insert (index.BTree.PutBatch), grouped secondary-index
+// maintenance, and one flush-threshold check for the entire frame.
+// Ownership follows the hyracks frame rules: the call transfers the
+// frame downstream, storage retains the records (keeping their arena
+// alive), the writer recycles the spines after UpsertBatch returns,
+// and the arena is never reset. Upsert, Insert, Delete and
+// PutCheckpoint are batches of one on the same path (see
+// Partition.write).
 package lsm
 
 import (
@@ -34,7 +33,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -170,8 +168,10 @@ func (rc *runCursor) close() {
 	}
 }
 
-// Stats is a point-in-time copy of partition activity counters;
-// experiments read these to explain throughput shapes.
+// Stats is a point-in-time copy of partition activity counters. It is
+// the one declaration of the storage counters: datasets and the cluster
+// sum it (Add), and the cluster-wide snapshot embeds the sum, so a
+// field added here reaches the public API and the STATS verb unaided.
 type Stats struct {
 	Gets    uint64
 	Scans   uint64
@@ -190,15 +190,27 @@ type Stats struct {
 	FenceSkips uint64
 	BloomSkips uint64
 	BlockReads uint64
-	// OpenRuns gauges run files currently open (component-backed plus
-	// retired-but-referenced).
-	OpenRuns int
+	// OpenRunFiles gauges run files currently open (component-backed
+	// plus retired-but-referenced).
+	OpenRunFiles int
 }
 
-// liveStats holds the counters that are written while only a read lock
-// is held (point lookups), so they must be atomic.
-type liveStats struct {
-	gets atomic.Uint64
+// Add accumulates o into s: a dataset sums its partitions, a cluster
+// its datasets.
+func (s *Stats) Add(o Stats) {
+	s.Gets += o.Gets
+	s.Scans += o.Scans
+	s.Upserts += o.Upserts
+	s.Deletes += o.Deletes
+	s.Flushes += o.Flushes
+	s.Merges += o.Merges
+	s.FlushedRuns += o.FlushedRuns
+	s.Components += o.Components
+	s.MemEntries += o.MemEntries
+	s.FenceSkips += o.FenceSkips
+	s.BloomSkips += o.BloomSkips
+	s.BlockReads += o.BlockReads
+	s.OpenRunFiles += o.OpenRunFiles
 }
 
 // Partition is a single LSM storage partition: one primary-key-ordered
@@ -207,8 +219,6 @@ type liveStats struct {
 type Partition struct {
 	opts Options
 	wal  *WAL
-
-	live liveStats
 
 	mu         sync.RWMutex
 	mem        *index.BTree
@@ -234,7 +244,8 @@ type Partition struct {
 	fs  FS
 	dir string
 	// renv is the read-path environment (shared block cache + this
-	// partition's read counters) threaded into every run file opened.
+	// partition's lock-free counters) threaded into every run file
+	// opened.
 	renv runEnv
 	// flushMu serializes the flusher's work units (flush, compaction,
 	// manifest stores) against Close. man is flusher-owned: read or
@@ -263,7 +274,7 @@ func NewPartition(opts Options) *Partition {
 		opts: opts,
 		wal:  NewWAL(opts.GroupCommit),
 		mem:  index.NewBTree(),
-		renv: runEnv{rs: new(readStats)},
+		renv: runEnv{ctr: new(counters)},
 	}
 	p.onNew = func(it index.Item) {
 		p.memBytes += it.Key.MemSize() + it.Val.MemSize()
@@ -769,7 +780,7 @@ func lookupComponents(comps []*component, key adm.Value) (adm.Value, bool) {
 
 // Get returns the live record stored under key.
 func (p *Partition) Get(key adm.Value) (adm.Value, bool) {
-	p.live.gets.Add(1)
+	p.renv.ctr.gets.Add(1)
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.getLocked(key)
@@ -832,20 +843,21 @@ func (p *Partition) Stats() Stats {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	s := p.stats
-	s.Gets = p.live.gets.Load()
+	ctr := p.renv.ctr
+	s.Gets = ctr.gets.Load()
+	s.FenceSkips = ctr.fenceSkips.Load()
+	s.BloomSkips = ctr.bloomSkips.Load()
+	s.BlockReads = ctr.blockReads.Load()
 	s.Components = len(p.components)
 	s.MemEntries = p.mem.Len()
-	s.FenceSkips = p.renv.rs.fenceSkips.Load()
-	s.BloomSkips = p.renv.rs.bloomSkips.Load()
-	s.BlockReads = p.renv.rs.blockReads.Load()
 	for _, c := range p.components {
 		if c.run != nil && !c.run.closed.Load() {
-			s.OpenRuns++
+			s.OpenRunFiles++
 		}
 	}
 	for _, rf := range p.retired {
 		if !rf.closed.Load() {
-			s.OpenRuns++
+			s.OpenRunFiles++
 		}
 	}
 	return s

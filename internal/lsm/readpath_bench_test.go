@@ -55,7 +55,7 @@ func BenchmarkPointLookupDurable(b *testing.B) {
 			for i := 0; i < 1000; i++ {
 				p.Get(key(i))
 			}
-			before := p.renv.rs.blockReads.Load()
+			before := p.renv.ctr.blockReads.Load()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -65,7 +65,7 @@ func BenchmarkPointLookupDurable(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			reads := p.renv.rs.blockReads.Load() - before
+			reads := p.renv.ctr.blockReads.Load() - before
 			b.ReportMetric(float64(reads)/float64(b.N), "block_reads/op")
 			if wantNoReads && reads != 0 {
 				b.Fatalf("%d filesystem block reads, want 0", reads)
@@ -115,7 +115,7 @@ func BenchmarkScanWarmCache(b *testing.B) {
 			if got := scan(); got != n { // warms the cache
 				b.Fatalf("scan saw %d records, want %d", got, n)
 			}
-			before := p.renv.rs.blockReads.Load()
+			before := p.renv.ctr.blockReads.Load()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -124,7 +124,7 @@ func BenchmarkScanWarmCache(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			reads := p.renv.rs.blockReads.Load() - before
+			reads := p.renv.ctr.blockReads.Load() - before
 			b.ReportMetric(float64(reads)/float64(b.N), "block_reads/op")
 			if tc.cache != nil && reads != 0 {
 				b.Fatalf("warm scan did %d filesystem block reads, want 0", reads)

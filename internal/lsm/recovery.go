@@ -1,7 +1,9 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/index"
@@ -43,7 +45,7 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 		fs:          fsys,
 		dir:         dir,
 		man:         man,
-		renv:        runEnv{cache: opts.BlockCache, rs: new(readStats)},
+		renv:        runEnv{cache: opts.BlockCache, ctr: new(counters)},
 		flushC:      make(chan struct{}, 1),
 		flusherDone: make(chan struct{}),
 	}
@@ -218,4 +220,35 @@ func (p *Partition) Close() error {
 	}
 	p.mu.Unlock()
 	return err
+}
+
+// Drop closes the partition and deletes its files, so a partition
+// opened in the same directory afterwards starts empty. WAL segments go
+// first, then the manifest, then the run files: a crash in between
+// reopens cleanly at every point, because without a manifest the run
+// files are orphans that recovery removes. Close's error is reported
+// but does not stop the removal.
+func (p *Partition) Drop() error {
+	err := p.Close()
+	if !p.durable() {
+		return err
+	}
+	names, lerr := p.fs.List(p.dir)
+	if lerr != nil {
+		return errors.Join(err, lerr)
+	}
+	rank := func(name string) int {
+		if _, isWAL := parseWALSegmentName(name); isWAL {
+			return 0
+		}
+		if name == manifestName {
+			return 1
+		}
+		return 2
+	}
+	slices.SortStableFunc(names, func(a, b string) int { return rank(a) - rank(b) })
+	for _, name := range names {
+		err = errors.Join(err, p.fs.Remove(joinPath(p.dir, name)))
+	}
+	return errors.Join(err, p.fs.SyncDir(p.dir))
 }

@@ -57,12 +57,15 @@ const (
 // run can never alias a newer file.
 var runFileSeq atomic.Uint64
 
-// readStats counts the read-path work of one partition's run files:
-// lookups skipped by key-range fences, lookups skipped by bloom
-// filters, and framed block reads that actually hit the filesystem.
-// Shared by every run the partition opens (including retired ones), so
-// the counters survive compaction.
-type readStats struct {
+// counters is the one block of partition counters written without the
+// partition's write lock, so every field is atomic: point lookups
+// (bumped under the read lock), and the read-path work of the
+// partition's run files — lookups skipped by key-range fences, lookups
+// skipped by bloom filters, and framed block reads that actually hit
+// the filesystem. Shared by every run the partition opens (including
+// retired ones), so the counts survive compaction.
+type counters struct {
+	gets       atomic.Uint64
 	fenceSkips atomic.Uint64
 	bloomSkips atomic.Uint64
 	blockReads atomic.Uint64
@@ -70,11 +73,11 @@ type readStats struct {
 
 // runEnv is the read-path environment threaded into every run file a
 // partition opens: the (cluster-shared) block cache and the partition's
-// read counters. The zero value — no cache, private counters — is what
+// counters. The zero value — no cache, private counters — is what
 // standalone opens (tests) get.
 type runEnv struct {
 	cache *BlockCache
-	rs    *readStats
+	ctr   *counters
 }
 
 // runWriter streams sorted items into a run file.
@@ -339,7 +342,7 @@ type runFile struct {
 	lastKey  adm.Value
 
 	cache *BlockCache
-	rs    *readStats
+	ctr   *counters
 
 	refs   atomic.Int32
 	closed atomic.Bool
@@ -357,15 +360,15 @@ func openRun(fsys FS, dir, name string, env runEnv) (*runFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	if env.rs == nil {
-		env.rs = new(readStats)
+	if env.ctr == nil {
+		env.ctr = new(counters)
 	}
 	r := &runFile{
 		name:  name,
 		f:     f,
 		id:    runFileSeq.Add(1),
 		cache: env.cache,
-		rs:    env.rs,
+		ctr:   env.ctr,
 	}
 	r.refs.Store(1) // owner reference
 	if err := r.load(); err != nil {
@@ -456,7 +459,7 @@ func (r *runFile) load() error {
 
 // readBlock decodes block i's items from the file, appending into dst.
 func (r *runFile) readBlock(i int, dst []index.Item) ([]index.Item, error) {
-	r.rs.blockReads.Add(1)
+	r.ctr.blockReads.Add(1)
 	b := r.blocks[i]
 	payload, err := frame.ReadAt(r.f, b.off, int64(b.length)-frame.HeaderSize)
 	if err != nil {
@@ -512,11 +515,11 @@ func (r *runFile) get(kp *pointProbe) (adm.Value, bool) {
 	}
 	key := kp.key
 	if adm.Compare(key, r.firstKey) < 0 || adm.Compare(key, r.lastKey) > 0 {
-		r.rs.fenceSkips.Add(1)
+		r.ctr.fenceSkips.Add(1)
 		return adm.Value{}, false
 	}
 	if r.bloom != nil && !r.bloom.mayContain(kp.keyHash()) {
-		r.rs.bloomSkips.Add(1)
+		r.ctr.bloomSkips.Add(1)
 		return adm.Value{}, false
 	}
 	lo, hi := 0, len(r.blocks)
@@ -731,7 +734,7 @@ func (c *rawRunReader) advance() (key adm.Value, tombstone, ok bool) {
 
 // readBlock loads and verifies the next block's frame.
 func (c *rawRunReader) readBlock() error {
-	c.r.rs.blockReads.Add(1)
+	c.r.ctr.blockReads.Add(1)
 	b := c.r.blocks[c.block]
 	if cap(c.buf) < b.length {
 		c.buf = make([]byte, b.length)

@@ -58,16 +58,6 @@ func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
 	}
 }
 
-// Matched counts the postings captured by the probe (before snapshot
-// resolution) — the observable selectivity of the pushdown.
-func (c *IndexScanCursor) Matched() int {
-	n := 0
-	for _, p := range c.pks {
-		n += len(p)
-	}
-	return n
-}
-
 // ScanOrder selects how a parallel scan's partition streams are
 // combined.
 type ScanOrder int

@@ -40,8 +40,8 @@ func TestFieldBTreeIndexForField(t *testing.T) {
 	if err := ds.CreateFieldBTreeIndex("by_cat", "cat"); err != nil {
 		t.Fatal(err)
 	}
-	// A custom-extractor index records no field and must not match.
-	if err := ds.CreateBTreeIndex("custom", FieldKeyExtractor("score")); err != nil {
+	// An index of another kind on another field must not match.
+	if err := ds.CreateSpatialIndex("by_score", "score"); err != nil {
 		t.Fatal(err)
 	}
 	name, idxs := ds.BTreeIndexForField("cat")
@@ -49,7 +49,24 @@ func TestFieldBTreeIndexForField(t *testing.T) {
 		t.Fatalf("probe = %q, %d instances", name, len(idxs))
 	}
 	if name, idxs := ds.BTreeIndexForField("score"); name != "" || idxs != nil {
-		t.Fatalf("custom-extractor index leaked into field probe: %q %v", name, idxs)
+		t.Fatalf("spatial index leaked into the B-tree field probe: %q %v", name, idxs)
+	}
+}
+
+// TestIndexForFieldPicksFirstDeclared: with several indexes over one
+// field the probe answers with the first one declared, every time — the
+// plan string naming it must not change from run to run.
+func TestIndexForFieldPicksFirstDeclared(t *testing.T) {
+	ds := scanDataset(t, 50, 2)
+	for _, name := range []string{"first", "second", "third"} {
+		if err := ds.CreateFieldBTreeIndex(name, "cat"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if name, _ := ds.BTreeIndexForField("cat"); name != "first" {
+			t.Fatalf("probe %d chose %q, want the first declared", i, name)
+		}
 	}
 }
 

@@ -159,8 +159,8 @@ func TestExistsStopsAtFirstRow(t *testing.T) {
 	if reads := ds.Stats().BlockReads - before; reads > 2 {
 		t.Errorf("EXISTS read %d blocks; the first match sits in the first", reads)
 	}
-	if st := cache.Stats(); st.Pinned != 0 {
-		t.Errorf("%d block-cache pins left behind by the closed cursors", st.Pinned)
+	if st := cache.Stats(); st.BlockCachePinned != 0 {
+		t.Errorf("%d block-cache pins left behind by the closed cursors", st.BlockCachePinned)
 	}
 
 	// Outermost, the subquery may scan in parallel; closing it after one
@@ -171,8 +171,8 @@ func TestExistsStopsAtFirstRow(t *testing.T) {
 	if v := evalStr(t, cat, nil, `EXISTS (SELECT b FROM Big b WHERE b.cat = "nosuch")`); v.BoolVal() {
 		t.Error("EXISTS over no match = true")
 	}
-	if st := cache.Stats(); st.Pinned != 0 {
-		t.Errorf("%d block-cache pins left behind by the parallel scans", st.Pinned)
+	if st := cache.Stats(); st.BlockCachePinned != 0 {
+		t.Errorf("%d block-cache pins left behind by the parallel scans", st.BlockCachePinned)
 	}
 }
 

@@ -3,12 +3,12 @@ package server
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"sync/atomic"
 	"time"
 
 	"github.com/ideadb/idea"
 	"github.com/ideadb/idea/internal/adm"
-	"github.com/ideadb/idea/internal/bridge"
 	"github.com/ideadb/idea/internal/wire"
 )
 
@@ -266,8 +266,7 @@ func (c *conn) handleQuery(body []byte) error {
 				exhausted = true
 				break
 			}
-			v, _ := bridge.UnwrapValue(rows.Value())
-			c.batch = append(c.batch, v)
+			c.batch = append(c.batch, idea.UnwrapADM(rows.Value()))
 		}
 		if len(c.batch) > 0 {
 			c.body = wire.AppendRowBatch(c.body[:0], c.batch)
@@ -297,35 +296,9 @@ func (c *conn) writeTrailer(rows uint64) error {
 	return c.flush()
 }
 
-// statsReply serializes the server counters as one adm object.
+// statsReply serializes the server's snapshot as one adm object.
 func (c *conn) statsReply() error {
-	st := c.srv.Stats()
-	o := adm.ObjectFromPairs(
-		"server", adm.String(c.srv.cfg.ServerName),
-		"uptime_ms", adm.Int(time.Since(c.srv.start).Milliseconds()),
-		"nodes", adm.Int(int64(c.srv.cluster.Nodes())),
-		"conns_accepted", adm.Int(st.ConnsAccepted),
-		"conns_rejected", adm.Int(st.ConnsRejected),
-		"auth_failures", adm.Int(st.AuthFailures),
-		"sessions_active", adm.Int(st.SessionsActive),
-		"queries", adm.Int(st.Queries),
-		"statements", adm.Int(st.Statements),
-		"rows_sent", adm.Int(st.RowsSent),
-		"bytes_sent", adm.Int(st.BytesSent),
-		"bytes_received", adm.Int(st.BytesReceived),
-		"errors", adm.Int(st.Errors),
-		"open_cursors", adm.Int(st.OpenCursors),
-		"block_cache_hits", adm.Int(int64(st.Storage.BlockCacheHits)),
-		"block_cache_misses", adm.Int(int64(st.Storage.BlockCacheMisses)),
-		"block_cache_evictions", adm.Int(int64(st.Storage.BlockCacheEvictions)),
-		"block_cache_entries", adm.Int(int64(st.Storage.BlockCacheEntries)),
-		"block_cache_bytes", adm.Int(st.Storage.BlockCacheBytes),
-		"bloom_skips", adm.Int(int64(st.Storage.BloomSkips)),
-		"fence_skips", adm.Int(int64(st.Storage.FenceSkips)),
-		"block_reads", adm.Int(int64(st.Storage.BlockReads)),
-		"open_run_files", adm.Int(int64(st.Storage.OpenRunFiles)),
-	)
-	c.body = wire.AppendValue(c.body[:0], adm.ObjectValue(o))
+	c.body = wire.AppendValue(c.body[:0], statsValue(reflect.ValueOf(c.srv.Stats())))
 	if err := c.wc.WriteFrame(wire.TypeStatsReply, c.body); err != nil {
 		return err
 	}
@@ -363,16 +336,16 @@ func (c *conn) flush() error {
 	return err
 }
 
-// requestArgs converts wire parameters into public-API arguments; the
-// bridge boxes each adm value as an idea.Value so named binding and
-// validation run exactly as they do in-process.
+// requestArgs converts wire parameters into public-API arguments: each
+// adm value travels as an idea.Value, so named binding and validation
+// run exactly as they do in-process.
 func requestArgs(req wire.Request) []any {
 	if len(req.Params) == 0 {
 		return nil
 	}
 	args := make([]any, 0, len(req.Params))
 	for _, p := range req.Params {
-		args = append(args, idea.Named(p.Name, bridge.WrapValue(p.Value)))
+		args = append(args, idea.Named(p.Name, idea.WrapADM(p.Value)))
 	}
 	return args
 }

@@ -76,9 +76,15 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Stats is a snapshot of the server's counters (the STATS admin verb
-// serializes the same numbers).
+// Stats is the server's snapshot. The STATS admin verb is generated from
+// this declaration (see statsValue): every field below, of the storage
+// snapshot and of each feed's, is on the wire under its snake_case name.
 type Stats struct {
+	// Server is the announced server name; UptimeMs the milliseconds
+	// since New; Nodes the cluster size.
+	Server   string
+	UptimeMs int64
+	Nodes    int
 	// ConnsAccepted counts connections that completed the handshake.
 	ConnsAccepted int64
 	// ConnsRejected counts connections refused (session limit, bad
@@ -102,10 +108,19 @@ type Stats struct {
 	// open — the leak detector: it must return to zero when no query is
 	// streaming, including after abrupt client death.
 	OpenCursors int64
-	// Storage holds the cluster's durable read-path counters (block
-	// cache, bloom/fence skips, block reads). All zero for in-memory
-	// clusters.
+	// Storage holds the cluster's storage counters (block cache,
+	// bloom/fence skips, block reads, flushes, merges, ...); its fields
+	// sit beside the server's own in the reply.
 	Storage idea.StorageStats
+	// Feeds holds one snapshot per declared feed, sorted by name; a feed
+	// that was never started reports zeros.
+	Feeds []FeedStats
+}
+
+// FeedStats is one entry of Stats.Feeds: a feed's name and snapshot.
+type FeedStats struct {
+	Name string
+	idea.FeedStats
 }
 
 // Server serves the wire protocol over an idea.Cluster. Create with
@@ -159,23 +174,14 @@ func New(cluster *idea.Cluster, cfg Config) *Server {
 	return s
 }
 
-// Stats snapshots the server counters. Byte totals include live
-// connections (each connection's counters fold into the server's when
-// it ends).
+// Stats snapshots the server, its cluster's storage and its feeds. Byte
+// totals include live connections (each connection's counters fold into
+// the server's when it ends).
 func (s *Server) Stats() Stats {
-	st := s.counters()
-	s.mu.Lock()
-	for c := range s.conns {
-		st.BytesSent += c.wc.BytesWritten()
-		st.BytesReceived += c.wc.BytesRead()
-	}
-	s.mu.Unlock()
-	st.Storage = s.cluster.StorageStats()
-	return st
-}
-
-func (s *Server) counters() Stats {
-	return Stats{
+	st := Stats{
+		Server:         s.cfg.ServerName,
+		UptimeMs:       time.Since(s.start).Milliseconds(),
+		Nodes:          s.cluster.Nodes(),
 		ConnsAccepted:  s.connsAccepted.Load(),
 		ConnsRejected:  s.connsRejected.Load(),
 		AuthFailures:   s.authFailures.Load(),
@@ -187,7 +193,21 @@ func (s *Server) counters() Stats {
 		BytesReceived:  s.bytesRecv.Load(),
 		Errors:         s.errorsSent.Load(),
 		OpenCursors:    s.openCursors.Load(),
+		Storage:        s.cluster.StorageStats(),
 	}
+	s.mu.Lock()
+	for c := range s.conns {
+		st.BytesSent += c.wc.BytesWritten()
+		st.BytesReceived += c.wc.BytesRead()
+	}
+	s.mu.Unlock()
+	for _, f := range s.cluster.Feeds() {
+		// A declared feed that never started has no counters yet: the
+		// error says so, and its entry stays zero.
+		fs, _ := f.Stats()
+		st.Feeds = append(st.Feeds, FeedStats{Name: f.Name(), FeedStats: fs})
+	}
+	return st
 }
 
 func (s *Server) logf(format string, args ...any) {

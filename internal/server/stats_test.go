@@ -1,0 +1,130 @@
+package server
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"github.com/ideadb/idea"
+	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/wire"
+)
+
+// legacyStatsKeys are the 23 keys the STATS verb served when its reply
+// was typed by hand; clients (driver.ServerStats users) read them by
+// name, so the generated reply must keep every one.
+var legacyStatsKeys = []string{
+	"server", "uptime_ms", "nodes",
+	"conns_accepted", "conns_rejected", "auth_failures", "sessions_active",
+	"queries", "statements", "rows_sent", "bytes_sent", "bytes_received",
+	"errors", "open_cursors",
+	"block_cache_hits", "block_cache_misses", "block_cache_evictions",
+	"block_cache_entries", "block_cache_bytes",
+	"bloom_skips", "fence_skips", "block_reads", "open_run_files",
+}
+
+func TestSnakeCase(t *testing.T) {
+	for name, want := range map[string]string{
+		"Nodes":          "nodes",
+		"UptimeMs":       "uptime_ms",
+		"BlockCacheHits": "block_cache_hits",
+		"OpenRunFiles":   "open_run_files",
+		"WALCommits":     "wal_commits",
+	} {
+		if got := snakeCase(name); got != want {
+			t.Errorf("snakeCase(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
+// numericFields lists the wire keys of every exported numeric field of
+// a snapshot type, descending into struct-typed fields the way the
+// reply flattens them.
+func numericFields(typ reflect.Type) []string {
+	var keys []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch k := f.Type.Kind(); {
+		case k == reflect.Struct:
+			keys = append(keys, numericFields(f.Type)...)
+		case k >= reflect.Int && k <= reflect.Float64 && k != reflect.Uintptr:
+			keys = append(keys, snakeCase(f.Name))
+		}
+	}
+	return keys
+}
+
+// TestStatsReplyCoversEverySnapshotField: the reply is generated from
+// the snapshot declarations, so every numeric field of server.Stats —
+// the storage snapshot's included — and of each feed's snapshot is on
+// the wire under its snake_case name, no two fields collide on a key,
+// and the keys served before the generator keep their names.
+func TestStatsReplyCoversEverySnapshotField(t *testing.T) {
+	c := newCluster(t, idea.Config{})
+	c.MustExecute(testSchema + `
+		CREATE FEED Ran WITH { "adapter-name": "channel_adapter", "batch-size": 10 };
+		CONNECT FEED Ran TO DATASET D;
+		CREATE FEED Idle WITH { "adapter-name": "channel_adapter" };
+	`)
+	const n = 50
+	records := make([][]byte, n)
+	for i := range records {
+		records[i] = []byte(fmt.Sprintf(`{"id":%d}`, i))
+	}
+	if err := c.SetFeedSource("Ran", func(int) (idea.FeedSource, error) {
+		return &idea.RecordsSource{Records: records}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MustExecute(`START FEED Ran;`).Feeds()[0].Wait(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, addr := startServer(t, c, Config{})
+	rt, rb := call(t, wireDial(t, addr, ""), wire.TypeStats, nil)
+	if rt != wire.TypeStatsReply {
+		t.Fatalf("stats answered %v", rt)
+	}
+	v, err := wire.ParseValue(rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, key := range legacyStatsKeys {
+		if v.Field(key).IsMissing() {
+			t.Errorf("reply lost the key %q", key)
+		}
+	}
+	top := numericFields(reflect.TypeOf(Stats{}))
+	for _, key := range append(top, "block_cache_pinned", "flushes", "merges") {
+		if v.Field(key).Kind() != adm.KindInt64 {
+			t.Errorf("reply has no integer %q: %v", key, v.Field(key))
+		}
+	}
+	// server, the numeric fields, feeds: a collision between two
+	// flattened structs would leave fewer keys than fields.
+	if got, want := v.ObjectVal().Len(), len(top)+2; got != want {
+		t.Errorf("reply has %d keys for %d fields: %v", got, want, v)
+	}
+
+	feeds := v.Field("feeds").ArrayVal()
+	if len(feeds) != 2 || feeds[0].Field("name").StringVal() != "Idle" || feeds[1].Field("name").StringVal() != "Ran" {
+		t.Fatalf("feeds = %v, want Idle and Ran in name order", v.Field("feeds"))
+	}
+	for _, feed := range feeds {
+		for _, key := range numericFields(reflect.TypeOf(idea.FeedStats{})) {
+			if feed.Field(key).Kind() != adm.KindInt64 {
+				t.Errorf("feed %v has no integer %q", feed.Field("name"), key)
+			}
+		}
+		if feed.Field("running").Kind() != adm.KindBoolean {
+			t.Errorf("feed %v has no boolean running", feed.Field("name"))
+		}
+	}
+	if got := feeds[1].Field("stored").IntVal(); got != n {
+		t.Errorf("feed Ran reports stored = %d, want %d", got, n)
+	}
+	if got := feeds[0].Field("stored").IntVal(); got != 0 {
+		t.Errorf("never-started feed Idle reports stored = %d", got)
+	}
+}

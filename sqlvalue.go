@@ -3,7 +3,6 @@ package idea
 import (
 	"database/sql/driver"
 	"fmt"
-	"time"
 
 	"github.com/ideadb/idea/internal/adm"
 )
@@ -23,50 +22,16 @@ import (
 
 // Value implements database/sql/driver.Valuer: scalar kinds convert to
 // their native driver representation, everything else to JSON bytes.
-func (v Value) Value() (driver.Value, error) {
-	switch v.v.Kind() {
-	case adm.KindMissing, adm.KindNull:
-		return nil, nil
-	case adm.KindBoolean:
-		return v.v.BoolVal(), nil
-	case adm.KindInt64:
-		return v.v.IntVal(), nil
-	case adm.KindDouble:
-		return v.v.DoubleVal(), nil
-	case adm.KindString:
-		return v.v.StringVal(), nil
-	case adm.KindDateTime:
-		return v.v.Time(), nil
-	default:
-		return v.JSON(), nil
-	}
-}
+func (v Value) Value() (driver.Value, error) { return v.v.DriverValue(), nil }
 
 // Scan implements database/sql.Scanner: the inverse of Value. []byte
 // sources parse as JSON (the composite encoding above); string sources
 // stay strings.
 func (v *Value) Scan(src any) error {
-	switch t := src.(type) {
-	case nil:
-		v.v = adm.Null()
-	case bool:
-		v.v = adm.Bool(t)
-	case int64:
-		v.v = adm.Int(t)
-	case float64:
-		v.v = adm.Double(t)
-	case string:
-		v.v = adm.String(t)
-	case time.Time:
-		v.v = adm.DateTime(t)
-	case []byte:
-		parsed, err := adm.ParseJSON(t)
-		if err != nil {
-			return fmt.Errorf("idea: Scan: bad JSON column value: %w", err)
-		}
-		v.v = parsed
-	default:
-		return fmt.Errorf("idea: Scan: cannot convert %T to a Value", src)
+	parsed, err := adm.FromGo(src)
+	if err != nil {
+		return fmt.Errorf("idea: Scan: %w", err)
 	}
+	v.v = parsed
 	return nil
 }

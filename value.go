@@ -15,6 +15,15 @@ type Value struct {
 	v adm.Value
 }
 
+// WrapADM and UnwrapADM convert between Value and the engine's value
+// type. Their signatures name an internal package, so only this module
+// — the wire server and the database/sql driver, which sit on top of
+// the public API but speak adm.Value on the wire — can call them.
+func WrapADM(v adm.Value) Value { return Value{v} }
+
+// UnwrapADM — see WrapADM.
+func UnwrapADM(v Value) adm.Value { return v.v }
+
 // FromJSON parses a JSON document into a Value.
 func FromJSON(data []byte) (Value, error) {
 	v, err := adm.ParseJSON(data)
@@ -114,18 +123,6 @@ func (v Value) Native() any { return toNative(v.v) }
 
 func toNative(v adm.Value) any {
 	switch v.Kind() {
-	case adm.KindMissing, adm.KindNull:
-		return nil
-	case adm.KindBoolean:
-		return v.BoolVal()
-	case adm.KindInt64:
-		return v.IntVal()
-	case adm.KindDouble:
-		return v.DoubleVal()
-	case adm.KindString:
-		return v.StringVal()
-	case adm.KindDateTime:
-		return v.Time()
 	case adm.KindArray:
 		arr := v.ArrayVal()
 		out := make([]any, len(arr))
@@ -140,9 +137,11 @@ func toNative(v adm.Value) any {
 			out[o.Name(i)] = toNative(o.At(i))
 		}
 		return out
-	default:
-		return v.String()
 	}
+	if x, ok := v.Scalar(); ok {
+		return x
+	}
+	return v.String()
 }
 
 // Obj builds an object Value from alternating field-name / value pairs;
@@ -200,32 +199,11 @@ func fromAny(x any) adm.Value {
 }
 
 // valueFromAny is the non-panicking conversion behind the builders and
-// statement-parameter binding.
+// statement-parameter binding: a Value passes through, anything else
+// goes through the engine's one Go → ADM table.
 func valueFromAny(x any) (adm.Value, error) {
-	switch t := x.(type) {
-	case Value:
-		return t.v, nil
-	case nil:
-		return adm.Null(), nil
-	case bool:
-		return adm.Bool(t), nil
-	case int:
-		return adm.Int(int64(t)), nil
-	case int64:
-		return adm.Int(t), nil
-	case float64:
-		return adm.Double(t), nil
-	case string:
-		return adm.String(t), nil
-	case time.Time:
-		return adm.DateTime(t), nil
-	case []byte:
-		v, err := adm.ParseJSON(t)
-		if err != nil {
-			return adm.Value{}, fmt.Errorf("bad JSON literal: %v", err)
-		}
-		return v, nil
-	default:
-		return adm.Value{}, fmt.Errorf("cannot convert %T to a Value", x)
+	if v, ok := x.(Value); ok {
+		return v.v, nil
 	}
+	return adm.FromGo(x)
 }
