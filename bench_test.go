@@ -198,6 +198,8 @@ func BenchmarkFeedThroughputNoUDF(b *testing.B) {
 			b.Fatal(err)
 		}
 		total += n
+		b.StopTimer()
+		c.Close() // every partition owns a flusher goroutine
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "records/s")
 }

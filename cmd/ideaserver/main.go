@@ -1,8 +1,8 @@
 // Command ideaserver serves an idea cluster over the network: it boots
-// a cluster (in-memory, or durable with -data-dir), optionally runs a
-// bootstrap SQL++ script, and speaks the ideaserver wire protocol on
-// TCP (TLS with -tls-cert/-tls-key). Any Go program can then reach the
-// engine through database/sql:
+// a cluster (storage in process memory, or under -data-dir), optionally
+// runs a bootstrap SQL++ script, and speaks the ideaserver wire protocol
+// on TCP (TLS with -tls-cert/-tls-key). Any Go program can then reach
+// the engine through database/sql:
 //
 //	import _ "github.com/ideadb/idea/driver"
 //	db, err := sql.Open("idea", "127.0.0.1:7654")
@@ -34,8 +34,8 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":7654", "TCP listen address (host:port; port 0 picks a free port)")
 		nodes        = flag.Int("nodes", 1, "simulated cluster size")
-		dataDir      = flag.String("data-dir", "", "durable storage directory (empty: in-memory)")
-		blockCacheMB = flag.Int64("block-cache-mb", 0, "block cache budget in MiB for durable storage (0: default 64, negative: disabled)")
+		dataDir      = flag.String("data-dir", "", "storage directory (empty: the files live in process memory)")
+		blockCacheMB = flag.Int64("block-cache-mb", 0, "block cache budget in MiB (0: default 64, negative: disabled)")
 		initScript   = flag.String("init", "", "SQL++ script file executed at boot (DDL, feeds)")
 		tlsCert      = flag.String("tls-cert", "", "TLS certificate file (with -tls-key enables TLS)")
 		tlsKey       = flag.String("tls-key", "", "TLS private key file")

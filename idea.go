@@ -39,15 +39,16 @@ type Config struct {
 	HolderCapacity int
 	// FrameCapacity is records per frame (default 128).
 	FrameCapacity int
-	// DataDir, when set, makes storage durable: every dataset keeps an
-	// on-disk write-ahead log, flushed run files, and a manifest under
-	// DataDir, recovered on the next boot. Empty (the default) keeps
-	// storage in memory — the original simulation behaviour.
+	// DataDir chooses where the storage engine keeps its files — there
+	// is one engine either way. Set, every dataset's write-ahead log, run
+	// files and manifest live under DataDir and are recovered on the
+	// next boot. Empty (the default) keeps the same files in process
+	// memory: the cluster then holds encoded runs plus the shared block
+	// cache rather than decoded trees, and loses them when it goes.
 	DataDir string
-	// BlockCacheBytes budgets the durable read path's block cache,
-	// shared across every dataset partition. 0 selects the default
-	// (64 MiB); a negative value disables caching. Only meaningful with
-	// DataDir set.
+	// BlockCacheBytes budgets the read path's block cache, shared across
+	// every dataset partition. 0 selects the default (64 MiB); a
+	// negative value disables caching.
 	BlockCacheBytes int64
 }
 

@@ -40,6 +40,7 @@ func newTestClusterN(t *testing.T, nodes int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	return c
 }
 
@@ -331,6 +332,7 @@ func newCongestedCluster(t *testing.T, nodes int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	return c
 }
 

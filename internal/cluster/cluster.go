@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,20 +42,21 @@ type Tuning struct {
 	FrameCapacity int
 	// Storage configures each LSM partition.
 	Storage lsm.Options
-	// DataDir, when set, makes every dataset durable: partitions keep
-	// an on-disk WAL, flushed run files, and a manifest under
-	// DataDir/<dataset>/pNNN, and CreateDataset recovers existing state
-	// from disk. Empty means in-memory storage (the default).
+	// DataDir chooses where the storage engine's files live: every
+	// partition keeps its WAL, run files and manifest under
+	// DataDir/<dataset>/pNNN, and CreateDataset recovers what is already
+	// there. Empty (the default) keeps the same files in a filesystem
+	// private to the cluster, in process memory; they go with it.
 	DataDir string
-	// StorageFS overrides the filesystem under DataDir (tests inject
-	// MemFS for crash simulation). Nil with a DataDir set means the
-	// real filesystem.
+	// StorageFS overrides the filesystem (tests inject MemFS for crash
+	// simulation). Nil selects the real filesystem when DataDir is set
+	// and a fresh lsm.NewMemFS otherwise; New resolves it, so Tuning()
+	// always reports the filesystem in use.
 	StorageFS lsm.FS
-	// BlockCacheBytes is the cluster-wide byte budget of the durable
-	// read path's block cache, shared by every dataset partition. 0
-	// selects the default (lsm.DefaultBlockCacheBytes); negative
-	// disables caching. Ignored for in-memory storage (no DataDir) and
-	// when Storage.BlockCache is already set.
+	// BlockCacheBytes is the cluster-wide byte budget of the read path's
+	// block cache, shared by every dataset partition. 0 selects the
+	// default (lsm.DefaultBlockCacheBytes); negative disables caching.
+	// Ignored when Storage.BlockCache is already set.
 	BlockCacheBytes int64
 }
 
@@ -107,6 +109,7 @@ type Cluster struct {
 	mu          sync.RWMutex
 	datatypes   map[string]*adm.Datatype
 	datasets    map[string]*lsm.Dataset
+	opening     map[string]bool // dataset names CreateDataset has reserved
 	functions   map[string]*query.Function
 	natives     map[string]func([]adm.Value) (adm.Value, error)
 	predeployed map[string]bool
@@ -123,7 +126,14 @@ func New(numNodes int, tuning Tuning) (*Cluster, error) {
 	if tuning.FrameCapacity <= 0 {
 		tuning.FrameCapacity = DefaultTuning().FrameCapacity
 	}
-	if tuning.DataDir != "" && tuning.Storage.BlockCache == nil && tuning.BlockCacheBytes >= 0 {
+	if tuning.StorageFS == nil {
+		if tuning.DataDir != "" {
+			tuning.StorageFS = lsm.NewOSFS()
+		} else {
+			tuning.StorageFS = lsm.NewMemFS()
+		}
+	}
+	if tuning.Storage.BlockCache == nil && tuning.BlockCacheBytes >= 0 {
 		budget := tuning.BlockCacheBytes
 		if budget == 0 {
 			budget = lsm.DefaultBlockCacheBytes
@@ -135,6 +145,7 @@ func New(numNodes int, tuning Tuning) (*Cluster, error) {
 		cache:       tuning.Storage.BlockCache,
 		datatypes:   make(map[string]*adm.Datatype),
 		datasets:    make(map[string]*lsm.Dataset),
+		opening:     make(map[string]bool),
 		functions:   make(map[string]*query.Function),
 		natives:     make(map[string]func([]adm.Value) (adm.Value, error)),
 		predeployed: make(map[string]bool),
@@ -187,8 +198,7 @@ func (c *Cluster) Tuning() Tuning { return c.tuning }
 // StorageStats is the cluster-wide storage snapshot: the shared block
 // cache's counters and every dataset partition's counters summed, both
 // embedded as their packages declare them (the public idea.StorageStats
-// is this type, and the STATS verb is generated from it). The read-path
-// half is all zero for in-memory storage.
+// is this type, and the STATS verb is generated from it).
 type StorageStats struct {
 	lsm.CacheStats
 	lsm.Stats
@@ -230,32 +240,37 @@ func (c *Cluster) Datatype(name string) (*adm.Datatype, bool) {
 	return dt, ok
 }
 
-// CreateDataset creates a dataset with one storage partition per node.
+// CreateDataset creates a dataset with one storage partition per node,
+// recovering whatever its directory already holds. The name is reserved
+// under the catalog lock and the storage opened outside it: recovery
+// (manifest load, run opens, WAL replay, per partition) must not stall
+// the Dataset and Function lookups of running statements and feeds.
 func (c *Cluster) CreateDataset(name, typeName, primaryKey string) (*lsm.Dataset, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.datasets[name]; dup {
-		return nil, fmt.Errorf("cluster: dataset %q exists", name)
-	}
-	var dt *adm.Datatype
-	if typeName != "" {
-		var ok bool
-		dt, ok = c.datatypes[typeName]
-		if !ok {
-			return nil, fmt.Errorf("cluster: unknown datatype %q", typeName)
-		}
-	}
-	var ds *lsm.Dataset
+	_, dup := c.datasets[name]
+	dt, typed := c.datatypes[typeName]
 	var err error
-	if c.tuning.DataDir != "" {
-		fsys := c.tuning.StorageFS
-		if fsys == nil {
-			fsys = lsm.NewOSFS()
-		}
-		dir := c.tuning.DataDir + "/" + name
-		ds, err = lsm.OpenDataset(fsys, dir, name, dt, primaryKey, len(c.nodes), c.tuning.Storage)
-	} else {
-		ds, err = lsm.NewDataset(name, dt, primaryKey, len(c.nodes), c.tuning.Storage)
+	switch {
+	case dup || c.opening[name]:
+		err = fmt.Errorf("cluster: dataset %q exists", name)
+	case typeName != "" && !typed:
+		err = fmt.Errorf("cluster: unknown datatype %q", typeName)
+	default:
+		c.opening[name] = true
+	}
+	c.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+
+	ds, err := lsm.OpenDataset(c.tuning.StorageFS, path.Join(c.tuning.DataDir, name), name, dt, primaryKey, len(c.nodes), c.tuning.Storage)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.opening, name)
+	if err == nil && c.closed.Load() {
+		// Close ran meanwhile and will not come back for this dataset.
+		err = errors.Join(ErrClosed, ds.Close())
 	}
 	if err != nil {
 		return nil, err
@@ -264,8 +279,8 @@ func (c *Cluster) CreateDataset(name, typeName, primaryKey string) (*lsm.Dataset
 	return ds, nil
 }
 
-// Close shuts down every dataset's storage (durable partitions drain
-// their flushers, commit and close their WALs, and close run files).
+// Close shuts down every dataset's storage (partitions drain their
+// flushers, commit and close their WALs, and close run files).
 // The cluster must not execute statements afterwards. Close is
 // idempotent: a second call is a no-op.
 func (c *Cluster) Close() error {
@@ -295,9 +310,9 @@ func (c *Cluster) Dataset(name string) (*lsm.Dataset, bool) {
 }
 
 // DropDataset removes a dataset from the catalog, shuts its storage
-// down and, on a durable cluster, deletes its files — a dataset
-// created under the same name afterwards starts empty (experiments
-// recreate target datasets between runs).
+// down and deletes its files — a dataset created under the same name
+// afterwards starts empty (experiments recreate target datasets between
+// runs).
 func (c *Cluster) DropDataset(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

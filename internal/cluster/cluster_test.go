@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,6 +23,7 @@ func newTestCluster(t *testing.T, nodes int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	return c
 }
 
@@ -352,5 +355,169 @@ func TestDropDatasetReleasesStorage(t *testing.T) {
 	}
 	if n := again.Len(); n != 0 {
 		t.Errorf("re-created dataset recovered %d dropped rows", n)
+	}
+}
+
+// parkingFS parks every Open on gate while it is armed, and fails it
+// with fail (when set) once released — a dataset whose recovery takes as
+// long as the test wants.
+type parkingFS struct {
+	lsm.FS
+	mu      sync.Mutex
+	gate    chan struct{} // nil: not armed
+	entered chan struct{} // closed by the first parked Open
+	fail    error
+}
+
+func (p *parkingFS) arm(fail error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.gate, p.entered, p.fail = make(chan struct{}), make(chan struct{}), fail
+}
+
+func (p *parkingFS) Open(name string) (lsm.File, error) {
+	p.mu.Lock()
+	gate, entered, fail := p.gate, p.entered, p.fail
+	if gate != nil {
+		select {
+		case <-entered:
+		default:
+			close(entered)
+		}
+	}
+	p.mu.Unlock()
+	if gate != nil {
+		<-gate
+		if fail != nil {
+			return nil, fail
+		}
+	}
+	return p.FS.Open(name)
+}
+
+// TestCreateDatasetRecoversOutsideTheCatalogLock: while one dataset is
+// being opened (manifest load, run opens, WAL replay), catalog lookups —
+// every running statement, every feed batch's Refresh — go through, the
+// name is reserved, and a failed open gives the name back.
+func TestCreateDatasetRecoversOutsideTheCatalogLock(t *testing.T) {
+	fsys := &parkingFS{FS: lsm.NewMemFS()}
+	tuning := DefaultTuning()
+	tuning.DataDir, tuning.StorageFS = "data", fsys
+	c, err := New(2, tuning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.CreateDataset("other", "", "id"); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, openErr := range []error{errors.New("disk on fire"), nil} {
+		fsys.arm(openErr)
+		gate := fsys.gate
+		created := make(chan error, 1)
+		go func() {
+			_, err := c.CreateDataset("slow", "", "id")
+			created <- err
+		}()
+		<-fsys.entered // the create is parked inside lsm.OpenDataset
+
+		looked := make(chan bool, 1)
+		go func() {
+			_, ok := c.Dataset("other")
+			_, none := c.Function("nope")
+			looked <- ok && !none
+		}()
+		select {
+		case ok := <-looked:
+			if !ok {
+				t.Fatal("lookups beside a parked create returned the wrong answers")
+			}
+		case <-time.After(5 * time.Second):
+			close(gate) // let the create finish, or the deferred Close waits for it
+			t.Fatal("Dataset(\"other\") waited for another dataset's recovery: CreateDataset holds the catalog lock across lsm.OpenDataset")
+		}
+		if _, ok := c.Dataset("slow"); ok {
+			t.Fatal("a dataset still being opened is already published")
+		}
+		if _, err := c.CreateDataset("slow", "", "id"); err == nil {
+			t.Fatal("a second create of a name being opened succeeded")
+		}
+
+		close(gate)
+		if err := <-created; !errors.Is(err, openErr) {
+			t.Fatalf("CreateDataset = %v, want %v", err, openErr)
+		}
+		if _, ok := c.Dataset("slow"); ok != (openErr == nil) {
+			t.Fatalf("after CreateDataset = %v: published = %v", openErr, ok)
+		}
+	}
+}
+
+// TestInMemoryClusterRunsTheOneEngine: a cluster with no DataDir runs
+// the same engine as one with — memtables past MemBudget are flushed to
+// run files (in its private filesystem), reads come back as block reads
+// through the shared cache — and gives everything back: a dropped
+// dataset's name starts empty, Close ends every flusher.
+func TestInMemoryClusterRunsTheOneEngine(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	tuning := DefaultTuning()
+	tuning.Storage.MemBudget = 8 << 10
+	c, err := New(2, tuning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ds, err := c.CreateDataset("D", "", "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []adm.Value
+	for i := 0; i < 2000; i++ {
+		batch = append(batch, adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(int64(i)), "pad", adm.String("pppppppppppppppppppppppppppppppp"))))
+	}
+	for lo := 0; lo < len(batch); lo += 100 {
+		if err := ds.UpsertBatch(batch[lo : lo+100]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < ds.NumPartitions(); i++ {
+		if err := ds.Partition(i).WaitForFlush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One scan fills the cache and the next hits it — once background
+	// compaction has stopped replacing the runs in between.
+	st := c.StorageStats()
+	for deadline := time.Now().Add(5 * time.Second); st.BlockCacheHits == 0 && time.Now().Before(deadline); st = c.StorageStats() {
+		if n := ds.Len(); n != len(batch) {
+			t.Fatalf("Len = %d, want %d", n, len(batch))
+		}
+	}
+	if st.FlushedRuns == 0 || st.OpenRunFiles == 0 || st.BlockReads == 0 || st.BlockCacheHits == 0 {
+		t.Fatalf("flushed runs %d, open run files %d, block reads %d, cache hits %d: want all positive",
+			st.FlushedRuns, st.OpenRunFiles, st.BlockReads, st.BlockCacheHits)
+	}
+
+	if err := c.DropDataset("D"); err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.CreateDataset("D", "", "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := again.Len(); n != 0 {
+		t.Fatalf("re-created dataset holds %d dropped rows", n)
+	}
+
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("%d goroutines after Close, %d before New: flushers leaked", n, goroutines)
 	}
 }

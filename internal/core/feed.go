@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -432,32 +433,19 @@ func (f *Feed) markDelivered(fr hyracks.Frame) {
 	f.trackers[fr.Adapter].mark(fr.FirstOff, fr.LastOff)
 }
 
-// newSpillQueue builds the disk lane for intake partition p through the
-// same FS seam as the storage layer: the tuning's injected FS (crash
-// tests), the real filesystem under DataDir, or a private MemFS for
-// fully in-memory clusters (where spilling buys bounded *feed* memory,
-// not durability — which spill never promises anyway).
+// newSpillQueue builds the spill lane for intake partition p on the
+// cluster's filesystem, beside the datasets (in process memory for a
+// cluster without a DataDir, where spilling buys a bounded intake ring,
+// not durability — which the lane never promises anyway).
 func (f *Feed) newSpillQueue(p int) (*lsm.SpillQueue, error) {
 	tuning := f.cluster.Tuning()
-	fsys := tuning.StorageFS
-	base := tuning.DataDir
-	if fsys == nil {
-		if base != "" {
-			fsys = lsm.NewOSFS()
-		} else {
-			fsys = lsm.NewMemFS()
-		}
-	}
-	dir := ".spill/" + f.cfg.Name
-	if base != "" {
-		dir = base + "/" + dir
-	}
-	return lsm.NewSpillQueue(fsys, dir, fmt.Sprintf("p%03d.spill", p))
+	dir := path.Join(tuning.DataDir, ".spill", f.cfg.Name)
+	return lsm.NewSpillQueue(tuning.StorageFS, dir, fmt.Sprintf("p%03d.spill", p))
 }
 
 // Start launches the full dynamic pipeline: storage job, intake job,
 // predeployed computing job, and the Active Feed Manager loop.
-func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (*Feed, error) {
+func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 420 // the paper's 1X
 	}
@@ -518,6 +506,12 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (*Feed, error) {
 		// this incarnation's stores relative to this snapshot.
 		storedBase: stats.Stored.Load(),
 	}
+	defer func() {
+		if err != nil {
+			f.teardownHolders()
+			jobCancel()
+		}
+	}()
 	f.quota = cfg.BatchSize / n
 	if f.quota < 1 {
 		f.quota = 1
@@ -550,20 +544,14 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (*Feed, error) {
 	for p := 0; p < n; p++ {
 		opts, err := f.congestionOptions(p)
 		if err != nil {
-			f.teardownHolders()
-			jobCancel()
 			return nil, err
 		}
 		ih := hyracks.NewPassiveHolderOpts(opts)
 		sh := hyracks.NewActiveHolder(tuning.HolderCapacity)
 		if err := c.Node(f.nodes[p]).Holders.RegisterPassive(cfg.Name, ih); err != nil {
-			f.teardownHolders()
-			jobCancel()
 			return nil, err
 		}
 		if err := c.Node(f.nodes[p]).Holders.RegisterActive(cfg.Name, sh); err != nil {
-			f.teardownHolders()
-			jobCancel()
 			return nil, err
 		}
 		f.intakeHolders = append(f.intakeHolders, ih)
@@ -576,8 +564,6 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (*Feed, error) {
 		storageSpec := f.buildStorageSpec()
 		f.storageJob, err = c.StartJob(jobCtx, storageSpec, cfg.Name+"-storage")
 		if err != nil {
-			f.teardownHolders()
-			jobCancel()
 			return nil, err
 		}
 	}
@@ -588,8 +574,6 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (*Feed, error) {
 		f.intakeJob, err = c.StartJob(jobCtx, intakeSpec, cfg.Name+"-intake")
 	}
 	if err != nil {
-		f.teardownHolders()
-		jobCancel()
 		return nil, err
 	}
 
@@ -600,13 +584,13 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (*Feed, error) {
 	if f.storageJob != nil {
 		go func() {
 			if werr := f.storageJob.Wait(); werr != nil {
-				f.failAsync(werr)
+				f.fail(werr)
 			}
 		}()
 	}
 	go func() {
 		if werr := f.intakeJob.Wait(); werr != nil {
-			f.failAsync(werr)
+			f.fail(werr)
 		}
 	}()
 
@@ -617,8 +601,6 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (*Feed, error) {
 	// curInv, honoring the paper's predeployed-job optimization.
 	if !cfg.RecompilePerBatch {
 		if err := c.Predeploy(f.computeID); err != nil {
-			f.teardownHolders()
-			jobCancel()
 			return nil, err
 		}
 		f.computeSpec = f.buildComputeSpec()
@@ -783,16 +765,59 @@ func (f *Feed) newInvocation() (*invocation, error) {
 		inv.prepared = pe
 	}
 	if f.native != nil {
-		inv.instances = make([]udf.Instance, len(f.nodes))
-		for p := range inv.instances {
-			inst := f.native.New()
-			if err := inst.Initialize(p); err != nil {
-				return nil, err
-			}
-			inv.instances[p] = inst
+		var err error
+		if inv.instances, err = newInstances(f.native, len(f.nodes)); err != nil {
+			return nil, err
 		}
 	}
 	return inv, nil
+}
+
+// The steps below are shared with the static pipeline (static.go): the
+// two frameworks differ in when UDF state is built, not in what happens
+// to a record.
+
+// admit decides whether a record enters the pipeline: one that failed to
+// parse (perr) or violates the dataset's datatype is dropped and counted
+// as a parse error; any other comes back in its validated form.
+func admit(dt *adm.Datatype, stats *Stats, rec adm.Value, perr error) (adm.Value, bool) {
+	if perr == nil && dt != nil {
+		rec, perr = dt.Validate(rec)
+	}
+	if perr != nil {
+		stats.ParseErrors.Add(1)
+		return adm.Value{}, false
+	}
+	return rec, true
+}
+
+// newInstances creates and initializes one native UDF instance per
+// evaluator partition.
+func newInstances(native *udf.Native, n int) ([]udf.Instance, error) {
+	instances := make([]udf.Instance, n)
+	for p := range instances {
+		instances[p] = native.New()
+		if err := instances[p].Initialize(p); err != nil {
+			return nil, err
+		}
+	}
+	return instances, nil
+}
+
+// newEvaluator is evaluator partition p's UDF step: the prepared SQL++
+// enrichment, the partition's native instance, or — with no function
+// attached — the identity.
+func newEvaluator(prepared *query.PreparedEnrich, instances []udf.Instance, p int) *hyracks.MapPipe {
+	return &hyracks.MapPipe{Fn: func(rec adm.Value) (adm.Value, bool, error) {
+		var err error
+		switch {
+		case prepared != nil:
+			rec, err = prepared.EvalRecord(rec)
+		case instances != nil:
+			rec, err = instances[p].Evaluate(rec)
+		}
+		return rec, err == nil, err
+	}}
 }
 
 // buildComputeSpec assembles the computing job: collector+parser → UDF
@@ -866,24 +891,15 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 					f.markDelivered(fr)
 					for _, raw := range fr.Raw {
 						n := len(spine)
+						var rec adm.Value
 						var perr error
-						spine, perr = parser.ParseInto(raw, spine, arena)
-						if perr != nil {
-							f.stats.ParseErrors.Add(1)
-							continue
+						if spine, perr = parser.ParseInto(raw, spine, arena); perr == nil {
+							rec, spine = spine[n], spine[:n]
 						}
-						rec := spine[n]
-						spine = spine[:n]
-						if f.dt != nil {
-							v, verr := f.dt.Validate(rec)
-							if verr != nil {
-								f.stats.ParseErrors.Add(1)
-								continue
+						if rec, ok := admit(f.dt, f.stats, rec, perr); ok {
+							if err := emit(rec); err != nil {
+								return err
 							}
-							rec = v
-						}
-						if err := emit(rec); err != nil {
-							return err
 						}
 					}
 					// Parsed (record-lane) frames reaching the intake
@@ -894,16 +910,10 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 					// copied into our arena — and recycle completely,
 					// returning the adapter's line arena to the pool.
 					for _, rec := range fr.Records {
-						if f.dt != nil {
-							v, verr := f.dt.Validate(rec)
-							if verr != nil {
-								f.stats.ParseErrors.Add(1)
-								continue
+						if rec, ok := admit(f.dt, f.stats, rec, nil); ok {
+							if err := emit(rec); err != nil {
+								return err
 							}
-							rec = v
-						}
-						if err := emit(rec); err != nil {
-							return err
 						}
 					}
 					if len(fr.Records) > 0 {
@@ -928,24 +938,7 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 		NodeOf:      nodeOf,
 		NewPipe: func(p int) (hyracks.Pipe, error) {
 			inv := f.curInv.Load()
-			return &hyracks.MapPipe{Fn: func(rec adm.Value) (adm.Value, bool, error) {
-				switch {
-				case inv.prepared != nil:
-					v, err := inv.prepared.EvalRecord(rec)
-					if err != nil {
-						return adm.Value{}, false, err
-					}
-					return v, true, nil
-				case inv.instances != nil:
-					v, err := inv.instances[p].Evaluate(rec)
-					if err != nil {
-						return adm.Value{}, false, err
-					}
-					return v, true, nil
-				default:
-					return rec, true, nil
-				}
-			}}, nil
+			return newEvaluator(inv.prepared, inv.instances, p), nil
 		},
 	})
 
@@ -1125,10 +1118,6 @@ func (f *Feed) err() error {
 	}
 	return nil
 }
-
-// failAsync records a failure from outside the AFM goroutine (the
-// storage and intake watchdogs).
-func (f *Feed) failAsync(err error) { f.fail(err) }
 
 // Stop gracefully ends the feed: adapters stop taking new data, the
 // remaining batches drain, then the storage job finishes.

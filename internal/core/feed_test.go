@@ -26,6 +26,7 @@ func testCluster(t *testing.T, nodes int) (*cluster.Cluster, *workload.Generator
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	g, err := workload.Setup(c, 42, workload.Scaled(0.002))
 	if err != nil {
 		t.Fatal(err)

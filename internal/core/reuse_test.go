@@ -30,6 +30,7 @@ func reuseCluster(t *testing.T) *cluster.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	for _, ds := range []struct{ name, pk string }{{"Out", "id"}, {"Ratings", "k"}, {"Tags", "k"}} {
 		if _, err := c.CreateDataset(ds.name, "", ds.pk); err != nil {
 			t.Fatal(err)

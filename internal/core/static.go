@@ -79,14 +79,9 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 	}
 	var instances []udf.Instance
 	if native != nil {
-		instances = make([]udf.Instance, n)
-		for p := range instances {
-			inst := native.New()
-			if err := inst.Initialize(p); err != nil {
-				cancel()
-				return nil, err
-			}
-			instances[p] = inst
+		if instances, err = newInstances(native, n); err != nil {
+			cancel()
+			return nil, err
 		}
 	}
 
@@ -115,16 +110,9 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 				parser := adm.NewParser()
 				err := adapter.Run(sf.adaptCtx, func(raw []byte) error {
 					rec, perr := parser.Parse(raw)
-					if perr != nil {
-						sf.stats.ParseErrors.Add(1)
+					rec, ok := admit(dt, &sf.stats, rec, perr)
+					if !ok {
 						return nil
-					}
-					if dt != nil {
-						rec, perr = dt.Validate(rec)
-						if perr != nil {
-							sf.stats.ParseErrors.Add(1)
-							return nil
-						}
 					}
 					sf.stats.Ingested.Add(1)
 					return b.Add(rec)
@@ -142,24 +130,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 		Name:        "stream-udf-evaluator",
 		Parallelism: n,
 		NewPipe: func(p int) (hyracks.Pipe, error) {
-			return &hyracks.MapPipe{Fn: func(rec adm.Value) (adm.Value, bool, error) {
-				switch {
-				case prepared != nil:
-					v, err := prepared.EvalRecord(rec)
-					if err != nil {
-						return adm.Value{}, false, err
-					}
-					return v, true, nil
-				case instances != nil:
-					v, err := instances[p].Evaluate(rec)
-					if err != nil {
-						return adm.Value{}, false, err
-					}
-					return v, true, nil
-				default:
-					return rec, true, nil
-				}
-			}}, nil
+			return newEvaluator(prepared, instances, p), nil
 		},
 	})
 

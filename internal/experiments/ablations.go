@@ -32,6 +32,7 @@ func ApproachesComparison(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer b.cluster.Close()
 	table := &Table{
 		Title:   fmt.Sprintf("Section 4.2: ingestion approaches (%d tweets, Q1, %d nodes)", tweets, nodes),
 		Columns: []string{"approach", "throughput (rec/s)", "bytes written"},
@@ -171,6 +172,7 @@ func AblationStaticVsDynamic(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer b.cluster.Close()
 	table := &Table{
 		Title:   fmt.Sprintf("Ablation: static vs dynamic state (%d tweets, Q1, %d nodes)", tweets, nodes),
 		Columns: []string{"mode", "throughput (rec/s)"},
@@ -213,6 +215,7 @@ func AblationPredeployed(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer b.cluster.Close()
 	table := &Table{
 		Title:   fmt.Sprintf("Ablation: predeployed jobs — plan and state kept vs recompiled and rebuilt per batch (%d tweets, Q1, %d nodes)", tweets, nodes),
 		Columns: []string{"batch", "mode", "throughput (rec/s)", "refresh period"},
@@ -248,6 +251,7 @@ func AblationDecoupled(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer b.cluster.Close()
 	table := &Table{
 		Title:   fmt.Sprintf("Ablation: decoupled vs fused insert job (%d tweets, Q1, %d nodes)", tweets, nodes),
 		Columns: []string{"batch", "pipeline", "throughput (rec/s)"},
@@ -313,6 +317,7 @@ func AblationFailover(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer b.cluster.Close()
 	table := &Table{
 		Title:   fmt.Sprintf("Failover: kill a node mid-ingest (%d tweets, %d nodes)", tweets, nodes),
 		Columns: []string{"run", "stored", "redelivered", "resumptions", "elapsed"},
@@ -414,6 +419,7 @@ func AblationQueueCapacity(opts Options) (*Table, error) {
 			return nil, err
 		}
 		table.Rows = append(table.Rows, []string{fmt.Sprint(capacity), fmtThroughput(res.throughput)})
+		b.cluster.Close()
 	}
 	return table, nil
 }

@@ -54,6 +54,7 @@ func Fig24BasicIngestion(opts Options) (*Table, error) {
 			table.Rows = append(table.Rows, []string{
 				fmt.Sprint(nodes), m.label, fmtThroughput(res.throughput)})
 		}
+		b.cluster.Close()
 	}
 	return table, nil
 }
@@ -74,6 +75,7 @@ func Fig25EnrichmentUDFs(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer b.cluster.Close()
 	table := &Table{
 		Title:   fmt.Sprintf("Figure 25: %d tweets enrichment on %d nodes", tweets, nodes),
 		Columns: []string{"use case", "mode", "throughput (rec/s)"},
@@ -137,6 +139,7 @@ func Fig26RefreshPeriods(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer b.cluster.Close()
 	table := &Table{
 		Title:   fmt.Sprintf("Figure 26: refresh periods, %d tweets on %d nodes", tweets, nodes),
 		Columns: []string{"use case", "batch", "refresh period", "refresh period (rebuild every batch)", "invocations"},
@@ -198,6 +201,7 @@ func Fig27UpdateRates(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer b.cluster.Close()
 	table := &Table{
 		Title:   fmt.Sprintf("Figure 27: reference-data updates, %d tweets on %d nodes", tweets, nodes),
 		Columns: []string{"use case", "update rate (rec/s)", "throughput (rec/s)", "throughput, rebuild every batch (rec/s)"},
@@ -263,6 +267,7 @@ func Fig28RefScaleOut(opts Options) (*Table, error) {
 				fmt.Sprint(nodes), fmt.Sprintf("%dX", mult),
 				workload.UseCaseLabels[fn], fmtThroughput(res.throughput)})
 		}
+		b.cluster.Close()
 	}
 	return table, nil
 }
@@ -283,6 +288,7 @@ func Fig29Complexity(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer b.cluster.Close()
 	table := &Table{
 		Title:   fmt.Sprintf("Figure 29: UDF complexity, %d tweets on %d nodes", tweets, nodes),
 		Columns: []string{"use case", "batch", "throughput (rec/s)"},
@@ -346,6 +352,7 @@ func Fig30SpeedUp(opts Options) (*Table, error) {
 				}
 			}
 		}
+		b.cluster.Close()
 	}
 	table := &Table{
 		Title: fmt.Sprintf("Figure 30: %d vs %d node speed-up (%d tweets)",
@@ -403,6 +410,7 @@ func Fig31ComplexScaleOut(opts Options) (*Table, error) {
 			}
 			tput[v.label][nodes] = res.throughput
 		}
+		b.cluster.Close()
 	}
 	table := &Table{
 		Title:   fmt.Sprintf("Figure 31: complex-UDF scale-out (%d tweets, batch 16X)", tweets),

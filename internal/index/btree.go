@@ -47,14 +47,10 @@ func NewBTree() *BTree { return &BTree{} }
 // item never reallocates.
 const poolItemCap = maxItems + 1
 
-// nodePool recycles node structs and their canonical-capacity item
-// arrays across tree lifetimes. The LSM memtable is the hot client:
-// every freeze retires a whole tree wholesale at the next merge, and
-// every fresh memtable rebuilds nodes at the same ~127-items-per-node
-// rate, so Release/newNode round-trips replace the largest steady-state
-// allocation block with reuse. Children arrays are not pooled (internal
-// nodes are 1/64th of the tree); item arrays grown past the canonical
-// capacity mid-batch are dropped for the GC at release.
+// nodePool recycles the node structs and canonical-capacity item arrays
+// that deletes retire (releaseNode). Children arrays are not pooled
+// (internal nodes are 1/64th of the tree); item arrays grown past the
+// canonical capacity mid-batch are dropped for the GC at release.
 var nodePool sync.Pool
 
 func newNode() *btreeNode {
@@ -81,25 +77,6 @@ func releaseNode(n *btreeNode) {
 	}
 	n.children = nil
 	nodePool.Put(n)
-}
-
-// Release returns every node of the tree to the shared pool and empties
-// the tree. The caller must guarantee no cursor, snapshot, or concurrent
-// reader still references the tree: the LSM layer calls it when a merge
-// retires a frozen memtable that no Snapshot ever observed.
-func (t *BTree) Release() {
-	if t.root != nil {
-		releaseSubtree(t.root)
-	}
-	t.root = nil
-	t.size = 0
-}
-
-func releaseSubtree(n *btreeNode) {
-	for _, c := range n.children {
-		releaseSubtree(c)
-	}
-	releaseNode(n)
 }
 
 // Len returns the number of stored items.
@@ -366,8 +343,8 @@ func (n *btreeNode) mergeLeaf(run []Item, onNew func(Item)) int {
 //
 // Each sibling copies its chunk into a singly-owned (pool-drawn) array
 // rather than aliasing the overfull node's storage: single ownership is
-// the precondition for Release recycling nodes, and the copy is part of
-// the same linear pass, so the anti-quadratic property is unchanged.
+// the precondition for releaseNode recycling nodes, and the copy is part
+// of the same linear pass, so the anti-quadratic property is unchanged.
 func splitOverfull(n *btreeNode) (promoted []Item, siblings []*btreeNode) {
 	items := n.items
 	children := n.children

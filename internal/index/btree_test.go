@@ -570,10 +570,10 @@ func TestBTreeCursorRange(t *testing.T) {
 	}
 }
 
-// TestBTreeReleaseReuse releases trees back to the node pool and
-// verifies freshly built trees stay correct — the memtable freeze/merge
-// recycling loop in miniature. A released node whose array still
-// aliased another tree's storage would corrupt this immediately.
+// TestBTreeReleaseReuse empties trees key by key — deletes are what
+// return nodes to the pool — and verifies trees then built from the
+// pooled nodes stay correct. A released node whose array still aliased
+// another node's storage would corrupt this immediately.
 func TestBTreeReleaseReuse(t *testing.T) {
 	model := make(map[int64]int64)
 	for round := 0; round < 6; round++ {
@@ -633,9 +633,13 @@ func TestBTreeReleaseReuse(t *testing.T) {
 		if n != len(model) {
 			t.Fatalf("round %d: cursor yielded %d items, want %d", round, n, len(model))
 		}
-		bt.Release()
+		for k := range model {
+			if !bt.Delete(adm.Int(k)) {
+				t.Fatalf("round %d: Delete(%d) missed a present key", round, k)
+			}
+		}
 		if bt.Len() != 0 {
-			t.Fatalf("round %d: Release left Len = %d", round, bt.Len())
+			t.Fatalf("round %d: deleting every key left Len = %d", round, bt.Len())
 		}
 	}
 }

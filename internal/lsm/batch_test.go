@@ -16,7 +16,7 @@ import (
 // inside one batch (last occurrence wins), tombstones inside a batch,
 // and replacements of earlier batches — and scan it in key order.
 func TestUpsertBatchMatchesModel(t *testing.T) {
-	p := NewPartition(smallOpts())
+	p := memPartition(t, smallOpts())
 	r := rand.New(rand.NewSource(7))
 	model := map[int64]int64{}
 	for round := 0; round < 40; round++ {
@@ -68,7 +68,7 @@ func TestUpsertBatchMatchesModel(t *testing.T) {
 // TestUpsertBatchWAL: one batch is one WAL commit but len(batch) log
 // entries — the group-commit amortization the paper describes.
 func TestUpsertBatchWAL(t *testing.T) {
-	p := NewPartition(DefaultOptions())
+	p := memPartition(t, DefaultOptions())
 	keys := []adm.Value{adm.Int(1), adm.Int(2), adm.Int(3)}
 	recs := []adm.Value{rec(1), rec(2), rec(3)}
 	p.UpsertBatch(keys, recs)
@@ -90,7 +90,7 @@ func TestUpsertBatchWAL(t *testing.T) {
 // batch triggers exactly one freeze, checked per batch rather than per
 // record.
 func TestUpsertBatchFlushThreshold(t *testing.T) {
-	p := NewPartition(Options{MemBudget: 4 << 10, MaxComponents: 64})
+	p := memPartition(t, Options{MemBudget: 4 << 10, MaxComponents: 64})
 	const n = 64
 	keys := make([]adm.Value, n)
 	recs := make([]adm.Value, n)
@@ -192,7 +192,7 @@ func checkIndexesAgainstScan(t *testing.T, label string, p *Partition, bt *BTree
 // (maintained batch by batch) or after them (back-filled in more than
 // one chunk, from the memtable and frozen components together).
 func TestUpsertBatchSecondaryIndexes(t *testing.T) {
-	p := NewPartition(Options{MemBudget: 64 << 10, MaxComponents: 64})
+	p := memPartition(t, Options{MemBudget: 64 << 10, MaxComponents: 64})
 	bt := NewBTreeIndex("byCountry", FieldKeyExtractor("country"))
 	rt := NewRTreeIndex("byLoc", FieldRectExtractor("loc"))
 	p.AttachIndex(bt)
@@ -273,10 +273,7 @@ func TestDatasetUpsertBatch(t *testing.T) {
 	dt := adm.MustDatatype("T", true, []adm.FieldDef{
 		{Name: "id", Kind: adm.KindString},
 	})
-	ds, err := NewDataset("d", dt, "id", 4, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := memDataset(t, "d", dt, "id", 4, smallOpts())
 	recs := make([]adm.Value, 50)
 	for i := range recs {
 		recs[i] = adm.ObjectValue(adm.ObjectFromPairs(
@@ -297,7 +294,7 @@ func TestDatasetUpsertBatch(t *testing.T) {
 	// A record failing validation rejects the batch before any write.
 	bad := append([]adm.Value{}, recs...)
 	bad[25] = adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(99)))
-	ds2, _ := NewDataset("d2", dt, "id", 4, smallOpts())
+	ds2 := memDataset(t, "d2", dt, "id", 4, smallOpts())
 	if err := ds2.UpsertBatch(bad); err == nil {
 		t.Fatal("batch with invalid record must fail")
 	}

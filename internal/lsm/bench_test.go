@@ -35,7 +35,7 @@ func BenchmarkStorageUpsert(b *testing.B) {
 	const keySpace = 64 * frameSize
 
 	b.Run("batches-of-one", func(b *testing.B) {
-		p := NewPartition(DefaultOptions())
+		p := memPartition(b, DefaultOptions())
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.StopTimer()
@@ -51,7 +51,7 @@ func BenchmarkStorageUpsert(b *testing.B) {
 	})
 
 	b.Run("batch", func(b *testing.B) {
-		p := NewPartition(DefaultOptions())
+		p := memPartition(b, DefaultOptions())
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.StopTimer()
@@ -68,42 +68,51 @@ func BenchmarkStorageUpsert(b *testing.B) {
 // BenchmarkStorageUpsertIndexed is the same comparison with a secondary
 // B-tree index attached, adding the get-before-put old-value pass and
 // index maintenance to both sides (a batch of one rebuilds its key's
-// postings once per record, a frame once per distinct key).
+// postings once per record, a frame once per distinct key). The old
+// values are read back from run files: the plain sub-benchmarks open the
+// partition bare, as DefaultOptions leaves it, and decode a block per
+// lookup; the -cached ones wire the block cache every cluster partition
+// has (cachedOptions).
 func BenchmarkStorageUpsertIndexed(b *testing.B) {
 	const frameSize = 1000
 	const keySpace = 64 * frameSize
 
-	b.Run("batches-of-one", func(b *testing.B) {
-		p := NewPartition(DefaultOptions())
-		p.AttachIndex(NewBTreeIndex("byLang", FieldKeyExtractor("lang")))
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.StopTimer()
-		for i := 0; i < b.N; i++ {
-			keys, recs := storageFrame(int64(i*frameSize%keySpace), frameSize)
-			b.StartTimer()
-			for j := range keys {
-				p.Upsert(keys[j], recs[j])
+	for _, cfg := range []struct {
+		suffix string
+		opts   Options
+	}{{"", DefaultOptions()}, {"-cached", cachedOptions()}} {
+		b.Run("batches-of-one"+cfg.suffix, func(b *testing.B) {
+			p := memPartition(b, cfg.opts)
+			p.AttachIndex(NewBTreeIndex("byLang", FieldKeyExtractor("lang")))
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				keys, recs := storageFrame(int64(i*frameSize%keySpace), frameSize)
+				b.StartTimer()
+				for j := range keys {
+					p.Upsert(keys[j], recs[j])
+				}
+				b.StopTimer()
 			}
-			b.StopTimer()
-		}
-		b.ReportMetric(float64(b.N*frameSize)/b.Elapsed().Seconds(), "records/s")
-	})
+			b.ReportMetric(float64(b.N*frameSize)/b.Elapsed().Seconds(), "records/s")
+		})
 
-	b.Run("batch", func(b *testing.B) {
-		p := NewPartition(DefaultOptions())
-		p.AttachIndex(NewBTreeIndex("byLang", FieldKeyExtractor("lang")))
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.StopTimer()
-		for i := 0; i < b.N; i++ {
-			keys, recs := storageFrame(int64(i*frameSize%keySpace), frameSize)
-			b.StartTimer()
-			p.UpsertBatch(keys, recs)
+		b.Run("batch"+cfg.suffix, func(b *testing.B) {
+			p := memPartition(b, cfg.opts)
+			p.AttachIndex(NewBTreeIndex("byLang", FieldKeyExtractor("lang")))
+			b.ReportAllocs()
+			b.ResetTimer()
 			b.StopTimer()
-		}
-		b.ReportMetric(float64(b.N*frameSize)/b.Elapsed().Seconds(), "records/s")
-	})
+			for i := 0; i < b.N; i++ {
+				keys, recs := storageFrame(int64(i*frameSize%keySpace), frameSize)
+				b.StartTimer()
+				p.UpsertBatch(keys, recs)
+				b.StopTimer()
+			}
+			b.ReportMetric(float64(b.N*frameSize)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
 }
 
 // BenchmarkCompaction merges 4 runs × 20 000 tweet-shaped records on

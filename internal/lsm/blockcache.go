@@ -40,8 +40,8 @@ type BlockCache struct {
 
 const blockCacheShards = 8
 
-// DefaultBlockCacheBytes is the budget used when a durable cluster does
-// not set one explicitly.
+// DefaultBlockCacheBytes is the budget used when a cluster does not set
+// one explicitly.
 const DefaultBlockCacheBytes = 64 << 20
 
 // CacheStats is a point-in-time snapshot of BlockCache counters. The

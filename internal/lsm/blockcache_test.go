@@ -89,7 +89,7 @@ func TestBlockCacheEvictionPinning(t *testing.T) {
 	for i := range items {
 		items[i] = index.Item{Key: adm.Int(int64(i)), Val: adm.String("payload-payload-payload-payload-payload-payload-payload-payload")}
 	}
-	rf, err := writeRun(fs, "runs", "pin.run", runEnv{cache: cache}, fillFromComponent(&component{items: items}))
+	rf, err := writeRun(fs, "runs", "pin.run", runEnv{cache: cache}, fillItems(items))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,10 +60,22 @@ func tweetRec(id int64) adm.Value {
 	))
 }
 
+// fillItems encodes items (ascending by key) in order, as a flush would.
+func fillItems(items []index.Item) func(*runWriter) error {
+	return func(w *runWriter) error {
+		for _, it := range items {
+			if err := w.add(it); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // writeTestRun writes items (ascending by key) as a run file.
 func writeTestRun(t testing.TB, fsys FS, name string, items []index.Item, env runEnv) *runFile {
 	t.Helper()
-	rf, err := writeRun(fsys, "runs", name, env, fillFromComponent(&component{items: items}))
+	rf, err := writeRun(fsys, "runs", name, env, fillItems(items))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,7 +226,7 @@ func TestCrashRecoveryDoubleCrash(t *testing.T) {
 // frame and truncates the garbage, and the log accepts appends after.
 func TestWALReplayTornTail(t *testing.T) {
 	fs := NewMemFS()
-	w, err := OpenWAL(fs, "wal", 0, 1<<20)
+	w, err := OpenWAL(fs, "wal", 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestWALReplayTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	w2, err := OpenWAL(fs, "wal", 0, 1<<20)
+	w2, err := OpenWAL(fs, "wal", 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestWALReplayTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w3, err := OpenWAL(fs, "wal", 0, 1<<20)
+	w3, err := OpenWAL(fs, "wal", 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

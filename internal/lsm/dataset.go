@@ -29,28 +29,14 @@ type indexSpec struct {
 	perPartition []SecondaryIndex
 }
 
-// NewDataset creates a dataset with the given number of storage
-// partitions (one per storage node in the simulated cluster).
-func NewDataset(name string, dt *adm.Datatype, primaryKey string, numPartitions int, opts Options) (*Dataset, error) {
-	return newDataset(name, dt, primaryKey, numPartitions, func(int) (*Partition, error) {
-		return NewPartition(opts), nil
-	})
-}
-
-// OpenDataset opens (or creates) a durable dataset rooted at dir: one
-// durable partition per storage node, each in its own subdirectory
-// (p000, p001, ...) with its own WAL, run files, and manifest. Reopening
-// an existing directory recovers every partition (run files + WAL
-// replay) before returning. The partition count must match the one the
-// dataset was created with; it is not stored, the caller's catalog owns
-// that.
+// OpenDataset opens (or creates) the dataset rooted at dir on fsys: one
+// partition per storage node (in the simulated cluster), each in its own
+// subdirectory (p000, p001, ...) with its own WAL, run files, and
+// manifest. Reopening an existing directory recovers every partition
+// (run files + WAL replay) before returning. The partition count must
+// match the one the dataset was created with; it is not stored, the
+// caller's catalog owns that.
 func OpenDataset(fsys FS, dir, name string, dt *adm.Datatype, primaryKey string, numPartitions int, opts Options) (*Dataset, error) {
-	return newDataset(name, dt, primaryKey, numPartitions, func(i int) (*Partition, error) {
-		return OpenPartition(fsys, joinPath(dir, fmt.Sprintf("p%03d", i)), opts)
-	})
-}
-
-func newDataset(name string, dt *adm.Datatype, primaryKey string, numPartitions int, open func(i int) (*Partition, error)) (*Dataset, error) {
 	if numPartitions <= 0 {
 		return nil, fmt.Errorf("lsm: dataset %s: need at least one partition", name)
 	}
@@ -64,7 +50,7 @@ func newDataset(name string, dt *adm.Datatype, primaryKey string, numPartitions 
 		partitions: make([]*Partition, numPartitions),
 	}
 	for i := range ds.partitions {
-		p, err := open(i)
+		p, err := OpenPartition(fsys, joinPath(dir, fmt.Sprintf("p%03d", i)), opts)
 		if err != nil {
 			for _, opened := range ds.partitions[:i] {
 				opened.Close()
@@ -77,7 +63,7 @@ func newDataset(name string, dt *adm.Datatype, primaryKey string, numPartitions 
 }
 
 // Close shuts down every partition (flusher drained, WAL committed and
-// closed, run files closed). In-memory datasets close trivially.
+// closed, run files closed).
 func (d *Dataset) Close() error {
 	var firstErr error
 	for _, p := range d.partitions {
@@ -89,7 +75,7 @@ func (d *Dataset) Close() error {
 }
 
 // Drop closes every partition and deletes its files (see
-// Partition.Drop): DROP DATASET. In-memory datasets just close.
+// Partition.Drop): DROP DATASET.
 func (d *Dataset) Drop() error {
 	var err error
 	for _, p := range d.partitions {

@@ -23,10 +23,7 @@ func monument(id string, x, y float64) adm.Value {
 }
 
 func TestDatasetRouteAndCRUD(t *testing.T) {
-	ds, err := NewDataset("monumentList", monumentType(), "monument_id", 4, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := memDataset(t, "monumentList", monumentType(), "monument_id", 4, DefaultOptions())
 	for i := 0; i < 100; i++ {
 		if err := ds.Upsert(monument(ascii(i), float64(i), float64(i))); err != nil {
 			t.Fatal(err)
@@ -56,7 +53,7 @@ func TestDatasetRouteAndCRUD(t *testing.T) {
 func ascii(i int) string { return string(rune('A'+i/26)) + string(rune('a'+i%26)) }
 
 func TestDatasetValidationOnWrite(t *testing.T) {
-	ds, _ := NewDataset("m", monumentType(), "monument_id", 2, DefaultOptions())
+	ds := memDataset(t, "m", monumentType(), "monument_id", 2, DefaultOptions())
 	// Coercion: JSON-ish [x,y] array becomes a point.
 	rec := adm.ObjectValue(adm.ObjectFromPairs(
 		"monument_id", adm.String("x"),
@@ -82,16 +79,16 @@ func TestDatasetValidationOnWrite(t *testing.T) {
 }
 
 func TestDatasetConstructorValidation(t *testing.T) {
-	if _, err := NewDataset("d", nil, "id", 0, DefaultOptions()); err == nil {
+	if _, err := OpenDataset(NewMemFS(), "d", "d", nil, "id", 0, DefaultOptions()); err == nil {
 		t.Error("zero partitions must be rejected")
 	}
-	if _, err := NewDataset("d", nil, "", 2, DefaultOptions()); err == nil {
+	if _, err := OpenDataset(NewMemFS(), "d", "d", nil, "", 2, DefaultOptions()); err == nil {
 		t.Error("empty primary key must be rejected")
 	}
 }
 
 func TestDatasetRTreeIndex(t *testing.T) {
-	ds, _ := NewDataset("monumentList", monumentType(), "monument_id", 3, DefaultOptions())
+	ds := memDataset(t, "monumentList", monumentType(), "monument_id", 3, DefaultOptions())
 	for i := 0; i < 200; i++ {
 		ds.Upsert(monument(ascii(i), float64(i%20), float64(i/20)))
 	}
@@ -150,7 +147,7 @@ func TestDatasetBTreeIndex(t *testing.T) {
 		{Name: "country_code", Kind: adm.KindString},
 		{Name: "safety_rating", Kind: adm.KindString},
 	})
-	ds, _ := NewDataset("SafetyRatings", dt, "country_code", 2, DefaultOptions())
+	ds := memDataset(t, "SafetyRatings", dt, "country_code", 2, DefaultOptions())
 	mk := func(cc, rating string) adm.Value {
 		return adm.ObjectValue(adm.ObjectFromPairs(
 			"country_code", adm.String(cc), "safety_rating", adm.String(rating)))
@@ -227,7 +224,7 @@ func TestBTreeIndexDirect(t *testing.T) {
 }
 
 func TestDatasetSnapshotAllStable(t *testing.T) {
-	ds, _ := NewDataset("m", monumentType(), "monument_id", 3, DefaultOptions())
+	ds := memDataset(t, "m", monumentType(), "monument_id", 3, DefaultOptions())
 	for i := 0; i < 90; i++ {
 		ds.Upsert(monument(ascii(i), 1, 1))
 	}
@@ -248,7 +245,7 @@ func TestDatasetSnapshotAllStable(t *testing.T) {
 }
 
 func TestDatasetStatsAggregation(t *testing.T) {
-	ds, _ := NewDataset("m", monumentType(), "monument_id", 2, DefaultOptions())
+	ds := memDataset(t, "m", monumentType(), "monument_id", 2, DefaultOptions())
 	ds.Upsert(monument("a", 0, 0))
 	ds.Upsert(monument("b", 1, 1))
 	ds.Get(adm.String("a"))
@@ -259,10 +256,7 @@ func TestDatasetStatsAggregation(t *testing.T) {
 }
 
 func TestDatasetScanCursor(t *testing.T) {
-	ds, err := NewDataset("D", nil, "id", 3, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := memDataset(t, "D", nil, "id", 3, smallOpts())
 	for i := int64(0); i < 400; i++ {
 		if err := ds.Upsert(rec(i)); err != nil {
 			t.Fatal(err)

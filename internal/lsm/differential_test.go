@@ -32,17 +32,17 @@ func attachDiffIndexes(p *Partition) diffIndexes {
 
 // TestDurableDifferential: a randomized write stream — single upserts,
 // inserts (fresh and duplicate), deletes, and small frames that may
-// repeat a key or carry tombstones — applied in lockstep to three
-// implementations — a durable partition that is periodically closed and
-// reopened (forcing recovery mid-stream), a plain in-memory partition,
-// and a shadow map — must agree on every point lookup, the live count,
-// and full ordered scans at every checkpoint. Both partitions carry a
-// B-tree and an R-tree index: the in-memory pair is maintained write by
-// write for the whole stream, the durable pair is re-attached (and so
-// back-filled from run files plus the replayed memtable) after every
-// reopen, and both must equal the brute-force oracle at every
-// checkpoint. Small budgets keep flushes, compactions, and WAL rotation
-// continuously in play.
+// repeat a key or carry tombstones — applied in lockstep to three arms —
+// a partition that is closed and reopened every N ops (forcing recovery
+// mid-stream), a partition that is never reopened, and a shadow map,
+// which is the oracle — must agree on every point lookup, the live
+// count, and full ordered scans at every checkpoint. Both partitions
+// carry a B-tree and an R-tree index: the never-reopened pair is
+// maintained write by write for the whole stream, the reopened pair is
+// re-attached (and so back-filled from run files plus the replayed
+// memtable) after every reopen, and both must equal the brute-force
+// oracle at every checkpoint. Small budgets keep flushes, compactions,
+// and WAL rotation continuously in play.
 func TestDurableDifferential(t *testing.T) {
 	const (
 		seeds    = 8
@@ -60,8 +60,8 @@ func TestDurableDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mem := NewPartition(opts)
-			durableIx, memIx := attachDiffIndexes(durable), attachDiffIndexes(mem)
+			steady := memPartition(t, opts)
+			durableIx, steadyIx := attachDiffIndexes(durable), attachDiffIndexes(steady)
 			shadow := make(map[int64]int64)
 
 			r := rand.New(rand.NewSource(seed))
@@ -72,7 +72,7 @@ func TestDurableDifferential(t *testing.T) {
 				switch r.Intn(10) {
 				case 0, 1: // delete
 					_, live := shadow[k]
-					for _, p := range []*Partition{durable, mem} {
+					for _, p := range []*Partition{durable, steady} {
 						if existed, err := p.Delete(adm.Int(k)); err != nil || existed != live {
 							t.Fatalf("op %d: Delete(%d) = %v, %v; shadow says existed=%v", op, k, existed, err, live)
 						}
@@ -100,13 +100,13 @@ func TestDurableDifferential(t *testing.T) {
 					if err := durable.UpsertBatch(keys, recs); err != nil {
 						t.Fatal(err)
 					}
-					if err := mem.UpsertBatch(keys, recs); err != nil {
+					if err := steady.UpsertBatch(keys, recs); err != nil {
 						t.Fatal(err)
 					}
 				case 3: // insert: succeeds only on a key with no live record
 					version++
 					_, live := shadow[k]
-					for _, p := range []*Partition{durable, mem} {
+					for _, p := range []*Partition{durable, steady} {
 						if err := p.Insert(adm.Int(k), diffVer(k, version)); (err != nil) != live {
 							t.Fatalf("op %d: Insert(%d) = %v; shadow says live=%v", op, k, err, live)
 						}
@@ -116,7 +116,7 @@ func TestDurableDifferential(t *testing.T) {
 					}
 				default: // single upsert
 					version++
-					for _, p := range []*Partition{durable, mem} {
+					for _, p := range []*Partition{durable, steady} {
 						if err := p.Upsert(adm.Int(k), diffVer(k, version)); err != nil {
 							t.Fatal(err)
 						}
@@ -135,9 +135,9 @@ func TestDurableDifferential(t *testing.T) {
 					durableIx = attachDiffIndexes(durable)
 				}
 				if op%25 == 0 || op == ops {
-					diffCheck(t, op, durable, mem, shadow)
-					checkIndexesAgainstScan(t, fmt.Sprintf("op %d durable", op), durable, durableIx.bt, durableIx.rt)
-					checkIndexesAgainstScan(t, fmt.Sprintf("op %d memory", op), mem, memIx.bt, memIx.rt)
+					diffCheck(t, op, durable, steady, shadow)
+					checkIndexesAgainstScan(t, fmt.Sprintf("op %d reopened", op), durable, durableIx.bt, durableIx.rt)
+					checkIndexesAgainstScan(t, fmt.Sprintf("op %d never reopened", op), steady, steadyIx.bt, steadyIx.rt)
 				}
 			}
 			if err := durable.Err(); err != nil {
@@ -150,39 +150,39 @@ func TestDurableDifferential(t *testing.T) {
 	}
 }
 
-// diffCheck compares the three implementations exhaustively.
-func diffCheck(t *testing.T, op int, durable, mem *Partition, shadow map[int64]int64) {
+// diffCheck compares the three arms exhaustively.
+func diffCheck(t *testing.T, op int, reopened, steady *Partition, shadow map[int64]int64) {
 	t.Helper()
-	if got, want := durable.Len(), len(shadow); got != want {
-		t.Fatalf("op %d: durable Len = %d, shadow %d", op, got, want)
+	if got, want := reopened.Len(), len(shadow); got != want {
+		t.Fatalf("op %d: reopened Len = %d, shadow %d", op, got, want)
 	}
-	if got, want := mem.Len(), len(shadow); got != want {
-		t.Fatalf("op %d: memory Len = %d, shadow %d", op, got, want)
+	if got, want := steady.Len(), len(shadow); got != want {
+		t.Fatalf("op %d: never-reopened Len = %d, shadow %d", op, got, want)
 	}
 	for k, v := range shadow {
-		dg, dok := durable.Get(adm.Int(k))
-		mg, mok := mem.Get(adm.Int(k))
-		if !dok || dg.Field("ver").IntVal() != v {
-			t.Fatalf("op %d: durable Get(%d) = %v,%v want ver=%d", op, k, dg, dok, v)
+		rg, rok := reopened.Get(adm.Int(k))
+		sg, sok := steady.Get(adm.Int(k))
+		if !rok || rg.Field("ver").IntVal() != v {
+			t.Fatalf("op %d: reopened Get(%d) = %v,%v want ver=%d", op, k, rg, rok, v)
 		}
-		if !mok || mg.Field("ver").IntVal() != v {
-			t.Fatalf("op %d: memory Get(%d) = %v,%v want ver=%d", op, k, mg, mok, v)
+		if !sok || sg.Field("ver").IntVal() != v {
+			t.Fatalf("op %d: never-reopened Get(%d) = %v,%v want ver=%d", op, k, sg, sok, v)
 		}
 	}
 	// Ordered scans must agree element for element.
-	dc := durable.Snapshot().Cursor()
-	mc := mem.Snapshot().Cursor()
+	rc := reopened.Snapshot().Cursor()
+	sc := steady.Snapshot().Cursor()
 	for i := 0; ; i++ {
-		dk, dv, dok := dc.Next()
-		mk, mv, mok := mc.Next()
-		if dok != mok {
-			t.Fatalf("op %d: scan lengths diverge at %d (durable=%v memory=%v)", op, i, dok, mok)
+		rk, rv, rok := rc.Next()
+		sk, sv, sok := sc.Next()
+		if rok != sok {
+			t.Fatalf("op %d: scan lengths diverge at %d (reopened=%v never-reopened=%v)", op, i, rok, sok)
 		}
-		if !dok {
+		if !rok {
 			break
 		}
-		if adm.Compare(dk, mk) != 0 || adm.Compare(dv, mv) != 0 {
-			t.Fatalf("op %d: scan item %d diverges: %s=%s vs %s=%s", op, i, dk, dv, mk, mv)
+		if adm.Compare(rk, sk) != 0 || adm.Compare(rv, sv) != 0 {
+			t.Fatalf("op %d: scan item %d diverges: %s=%s vs %s=%s", op, i, rk, rv, sk, sv)
 		}
 	}
 }

@@ -237,38 +237,48 @@ func TestWALSegmentTruncation(t *testing.T) {
 	}
 }
 
-// TestWALCommitCoalescing: N goroutines each append one record and
-// commit concurrently; coalescing must release them all in far fewer
-// durability points than commit calls.
+// TestWALCommitCoalescing: writers that arrive while a commit's fsync
+// is outstanding are all released by the one fsync that follows it —
+// far fewer durability points than commit calls.
 func TestWALCommitCoalescing(t *testing.T) {
-	fsys := NewMemFS()
-	p, err := OpenPartition(fsys, "part", Options{
-		MemBudget:     1 << 20,
-		MaxComponents: 8,
-		GroupCommit:   2 * time.Millisecond,
-	})
+	fsys := newGatedFS()
+	p, err := OpenPartition(fsys, "part", Options{MemBudget: 1 << 20, MaxComponents: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	const writers = 32
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int64) {
-			defer wg.Done()
-			p.Upsert(adm.Int(g), rec(g))
-		}(int64(g))
+	if err := p.Upsert(adm.Int(-1), rec(-1)); err != nil { // creates the segment
+		t.Fatal(err)
 	}
-	wg.Wait()
 	w := p.WAL()
+	base := w.Commits()
+
+	const writers = 32
+	fsys.hold()
+	var wg sync.WaitGroup
+	write := func(g int64) {
+		defer wg.Done()
+		if err := p.Upsert(adm.Int(g), rec(g)); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Add(writers)
+	go write(0)
+	<-fsys.entered // writer 0 leads and is parked in its fsync
+	for g := int64(1); g < writers; g++ {
+		go write(g)
+	}
+	for w.LSN() < writers+1 { // every writer has appended
+		time.Sleep(100 * time.Microsecond)
+	}
+	fsys.release()
+	wg.Wait()
+
 	if got, want := w.Committed(), w.LSN(); got != want {
 		t.Fatalf("Committed = %d, want %d (every writer returned)", got, want)
 	}
-	if commits := w.Commits(); commits >= writers {
-		t.Fatalf("Commits = %d for %d concurrent writers: no coalescing happened", commits, writers)
-	} else {
-		t.Logf("%d writers coalesced into %d group commits", writers, commits)
+	if commits := w.Commits() - base; commits != 2 {
+		t.Fatalf("%d group commits for %d concurrent writers, want 2: the parked leader's and one for all who followed", commits, writers)
 	}
 	if err := w.Err(); err != nil {
 		t.Fatal(err)

@@ -9,20 +9,16 @@ import (
 )
 
 // TestEpochMovesOnWritesOnly pins the contract state caching rests on:
-// every kind of write moves the dataset's epoch, in-memory and durable
-// alike, and nothing that leaves the visible data alone does — another
+// every kind of write moves the dataset's epoch, on either filesystem,
+// and nothing that leaves the visible data alone does — another
 // reader's snapshot (a memtable freeze), a flush, a compaction.
 func TestEpochMovesOnWritesOnly(t *testing.T) {
 	open := map[string]func(t *testing.T) *Dataset{
 		"memory": func(t *testing.T) *Dataset {
-			ds, err := NewDataset("ref", nil, "id", 2, smallOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ds
+			return memDataset(t, "ref", nil, "id", 2, smallOpts())
 		},
 		"durable": func(t *testing.T) *Dataset {
-			ds, err := OpenDataset(NewMemFS(), "ref", "ref", nil, "id", 2, durableOpts())
+			ds, err := OpenDataset(NewOSFS(), t.TempDir(), "ref", nil, "id", 2, durableOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,11 +87,7 @@ func TestEpochMovesOnWritesOnly(t *testing.T) {
 			for i := 0; i < ds.NumPartitions(); i++ {
 				p := ds.Partition(i)
 				p.Flush()
-				if p.durable() {
-					if err := p.WaitForFlush(); err != nil {
-						t.Fatal(err)
-					}
-				}
+				settle(t, p)
 			}
 			still("freeze, flush and compaction")
 			if got := ds.Len(); got != 393 {

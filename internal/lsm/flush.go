@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Background flush and compaction for durable partitions.
+// Background flush and compaction.
 //
 // The flusher goroutine owns every manifest write, which gives the
 // durability protocol a single serialization point:
@@ -237,18 +237,11 @@ func (p *Partition) compactOnce() (bool, error) {
 	loC := len(p.components) - hi // component index of manifest run hi-1
 	hiC := len(p.components) - lo // one past manifest run lo
 	for _, pc := range p.components[loC:hiC] {
-		if pc.shared {
-			// A snapshot observed this component and snapshots carry no
-			// close protocol, so the file must stay open until partition
-			// Close.
-			p.retired = append(p.retired, pc.run)
-		} else {
-			// No snapshot can reach it and point lookups hold p.mu (we
-			// hold it exclusively); any cursor mid-run keeps its own file
-			// reference. Drop the owner reference now so the file closes
-			// as soon as the last reader finishes.
-			pc.run.retire()
-		}
+		// Point lookups hold p.mu (we hold it exclusively); a snapshot
+		// that reaches the run and a cursor mid-run each keep their own
+		// reference. Drop the owner's, so the file closes with its last
+		// reader.
+		pc.run.retire()
 	}
 	spliced := make([]*component, 0, len(p.components)-(hi-lo)+1)
 	spliced = append(spliced, p.components[:loC]...)
@@ -258,8 +251,8 @@ func (p *Partition) compactOnce() (bool, error) {
 	p.stats.Merges++
 	p.mu.Unlock()
 
-	// The manifest no longer references the inputs; open handles (ours
-	// in retired, any live snapshot's) keep reading the unlinked files.
+	// The manifest no longer references the inputs; open handles (a live
+	// snapshot's, a cursor's) keep reading the unlinked files.
 	for _, rm := range oldRuns {
 		if err := p.fs.Remove(joinPath(p.dir, rm.File)); err != nil {
 			return false, fmt.Errorf("lsm: compact: %w", err)
@@ -269,7 +262,7 @@ func (p *Partition) compactOnce() (bool, error) {
 }
 
 // Flush freezes the current memtable (if non-empty) and signals the
-// flusher. Durable partitions only.
+// flusher.
 func (p *Partition) Flush() {
 	p.mu.Lock()
 	p.freezeLocked()
@@ -302,7 +295,7 @@ func (p *Partition) FlushedLSN() uint64 {
 	return p.man.FlushedLSN
 }
 
-// Runs reports how many on-disk run files back the partition.
+// Runs reports how many run files back the partition.
 func (p *Partition) Runs() int {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()

@@ -75,7 +75,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // CRCs, and the adm binary encoding of the entries.
 func TestGoldenWALSegment(t *testing.T) {
 	fs := NewMemFS()
-	w, err := OpenWAL(fs, "wal", 0, 1<<20)
+	w, err := OpenWAL(fs, "wal", 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestGoldenWALSegment(t *testing.T) {
 
 func w2Replay(t *testing.T, fs FS, fn func(uint64, adm.Value, adm.Value)) error {
 	t.Helper()
-	w, err := OpenWAL(fs, "wal", 0, 1<<20)
+	w, err := OpenWAL(fs, "wal", 1<<20)
 	if err != nil {
 		return err
 	}
@@ -194,7 +194,7 @@ func goldenItems() []index.Item {
 func TestGoldenRunFile(t *testing.T) {
 	items := goldenItems()
 	fs := NewMemFS()
-	rf, err := writeRun(fs, "runs", "golden.run", runEnv{}, fillFromComponent(&component{items: items}))
+	rf, err := writeRun(fs, "runs", "golden.run", runEnv{}, fillItems(items))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestOpenRunHostileIndex(t *testing.T) {
 		items[i] = index.Item{Key: adm.Int(int64(i)), Val: rec(int64(i), "pad", adm.String("0123456789012345678901234567890123456789"))}
 	}
 	fs := NewMemFS()
-	rf, err := writeRun(fs, "runs", "good.run", runEnv{}, fillFromComponent(&component{items: items}))
+	rf, err := writeRun(fs, "runs", "good.run", runEnv{}, fillItems(items))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func FuzzWALReplay(f *testing.F) {
 			writeFile(t, fs, "wal/"+walSegmentName(2), append([]byte(walMagic), walVersion))
 		}
 		replay := func() (n int, err error) {
-			w, err := OpenWAL(fs, "wal", 0, 1<<20)
+			w, err := OpenWAL(fs, "wal", 1<<20)
 			if err != nil {
 				t.Fatal(err)
 			}

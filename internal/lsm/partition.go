@@ -1,16 +1,19 @@
 // Package lsm implements the storage engine underneath datasets: one
 // log-structured merge (LSM) partition per storage node, with a mutable
-// B-tree memtable, immutable sorted components, snapshot scans, flush
-// and tiered merge, a write-ahead log with group commit, and
-// synchronously-maintained secondary indexes.
+// B-tree memtable, a write-ahead log with group commit, a background
+// flusher that persists frozen memtables as run files and compacts them
+// by size tier, snapshot scans through a shared block cache, and
+// synchronously-maintained secondary indexes. There is one engine; the
+// FS a partition is opened on decides only where its files live — a
+// directory (NewOSFS) or process memory (NewMemFS).
 //
 // The paper's Section 7.3 behaviour — "updates to a dataset will
 // activate the in-memory component of its LSM structure and thereby
 // change how the system accesses data even at the low rate of one record
 // per second" — falls out of this design: a quiescent partition serves
 // reads from frozen components with no memtable in the path, while any
-// update stream keeps a live memtable (and periodic freezes and merges)
-// in every reader's way.
+// update stream keeps a live memtable (and periodic freezes, flushes and
+// compactions) in every reader's way.
 //
 // # Frame-granular batch writes
 //
@@ -30,10 +33,10 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/index"
@@ -42,25 +45,23 @@ import (
 // Options tunes one partition.
 type Options struct {
 	// MemBudget is the approximate memtable size in bytes that triggers
-	// a flush to an immutable component.
+	// a freeze, and with it a flush to a run file.
 	MemBudget int
-	// MaxComponents is the number of immutable components that triggers
-	// a full (tiered) merge.
+	// MaxComponents is the number of run files past which the whole level
+	// is compacted into one regardless of size tiers (the
+	// read-amplification backstop, see pickCompaction).
 	MaxComponents int
-	// GroupCommit is the WAL group-commit window (see WAL).
-	GroupCommit time.Duration
-	// WALSegBytes caps one durable WAL segment file (0 = default 4 MiB).
-	// Only durable partitions (OpenPartition) consult it.
+	// WALSegBytes caps one WAL segment file (0 = default 4 MiB).
 	WALSegBytes int64
 	// BlockCache, when non-nil, caches decoded run-file blocks across
 	// every partition sharing it (the cluster wires one shared cache).
-	// Nil reads every block from the filesystem. Only durable
-	// partitions consult it.
+	// Nil reads every block from the filesystem.
 	BlockCache *BlockCache
 }
 
 // DefaultOptions are sized for the in-process simulation: small enough
-// to exercise flushes and merges in tests, large enough not to dominate.
+// to exercise flushes and compactions in tests, large enough not to
+// dominate.
 func DefaultOptions() Options {
 	return Options{
 		MemBudget:     8 << 20,
@@ -69,89 +70,44 @@ func DefaultOptions() Options {
 }
 
 // component is one immutable sorted run: a frozen memtable B-tree
-// (freeze is O(1) — the tree is detached, never copied), a flat item
-// slice (the output of an in-memory tiered merge), or an on-disk run
-// file (the output of a durable flush or compaction).
+// (freeze is O(1) — the tree is detached, never copied) until the
+// flusher has written it out, a run file (the output of a flush or a
+// compaction) from then on. Tombstones are MISSING values.
 type component struct {
-	items []index.Item // ascending by key; tombstones are MISSING values
-	tree  *index.BTree // frozen memtable; nil for slice-backed runs
-	run   *runFile     // on-disk run; nil for memory-backed components
+	tree *index.BTree // frozen memtable awaiting its flush
+	run  *runFile     // run file; nil while tree-backed
 
 	// upToLSN is the highest WAL sequence number whose effect the
 	// component (together with everything older) contains. The flusher
 	// uses it as the durable watermark: once this component is a run
-	// file, WAL segments at or below upToLSN are dead. Zero in
-	// non-durable partitions.
+	// file, WAL segments at or below upToLSN are dead.
 	upToLSN uint64
 	// bytes is the on-disk size of a run-backed component (compaction
 	// tiering input).
 	bytes int64
-
-	// shared marks components handed out to a Snapshot (set under the
-	// partition lock). A tiered merge may recycle the nodes of a frozen
-	// tree it retires — but only when no Snapshot ever observed it.
-	shared bool
 }
 
-func (c *component) get(key adm.Value) (adm.Value, bool) {
-	if c.run != nil {
-		kp := getProbe(key)
-		v, ok := c.run.get(kp)
-		putProbe(kp)
-		return v, ok
-	}
-	if c.tree != nil {
-		return c.tree.Get(key)
-	}
-	lo, hi := 0, len(c.items)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if adm.Less(c.items[mid].Key, key) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(c.items) && adm.Compare(c.items[lo].Key, key) == 0 {
-		return c.items[lo].Val, true
-	}
-	return adm.Value{}, false
-}
-
-// runCursor streams one component in key order: a slice walk, an
-// index.BTree cursor, or a block-streaming run-file cursor, depending
-// on how the run is backed.
+// runCursor streams one component in key order: an index.BTree cursor
+// or a block-streaming run-file cursor, depending on how the component
+// is backed.
 type runCursor struct {
-	items []index.Item
-	pos   int
-	tc    *index.Cursor
-	fc    *runFileCursor
-	cur   index.Item // the entry the last advance stepped onto
+	tc  *index.Cursor
+	fc  *runFileCursor
+	cur index.Item // the entry the last advance stepped onto
 }
 
 func (c *component) cursor() runCursor {
 	if c.run != nil {
 		return runCursor{fc: c.run.cursor()}
 	}
-	if c.tree != nil {
-		return runCursor{tc: c.tree.Cursor()}
-	}
-	return runCursor{items: c.items}
+	return runCursor{tc: c.tree.Cursor()}
 }
 
 func (rc *runCursor) next() (index.Item, bool) {
 	if rc.fc != nil {
 		return rc.fc.next()
 	}
-	if rc.tc != nil {
-		return rc.tc.Next()
-	}
-	if rc.pos >= len(rc.items) {
-		return index.Item{}, false
-	}
-	it := rc.items[rc.pos]
-	rc.pos++
-	return it, true
+	return rc.tc.Next()
 }
 
 // advance makes runCursor a mergeInput: the merged entry is rc.cur.
@@ -179,19 +135,18 @@ type Stats struct {
 	Deletes uint64
 	Flushes uint64
 	Merges  uint64
-	// FlushedRuns counts frozen memtables persisted as on-disk run
-	// files (durable partitions only).
+	// FlushedRuns counts frozen memtables persisted as run files.
 	FlushedRuns uint64
 	Components  int
 	MemEntries  int
-	// Read-path skip counters (durable partitions): point lookups
-	// rejected by a run's key-range fence or bloom filter without any
-	// block read, and framed block reads that did hit the filesystem.
+	// Read-path skip counters: point lookups rejected by a run's
+	// key-range fence or bloom filter without any block read, and framed
+	// block reads that did hit the filesystem.
 	FenceSkips uint64
 	BloomSkips uint64
 	BlockReads uint64
-	// OpenRunFiles gauges run files currently open (component-backed
-	// plus retired-but-referenced).
+	// OpenRunFiles gauges run files currently open: the run-backed
+	// components plus replaced runs a snapshot or cursor still reads.
 	OpenRunFiles int
 }
 
@@ -240,7 +195,6 @@ type Partition struct {
 	// closure per frame.
 	onNew func(index.Item)
 
-	// Durable state (OpenPartition); fs == nil means in-memory only.
 	fs  FS
 	dir string
 	// renv is the read-path environment (shared block cache + this
@@ -254,32 +208,6 @@ type Partition struct {
 	man         manifest
 	flushC      chan struct{}
 	flusherDone chan struct{}
-	// retired holds run files replaced by compaction; live snapshots may
-	// still read them, so they are closed only at partition Close.
-	retired []*runFile
-}
-
-// durable reports whether the partition persists to a filesystem.
-func (p *Partition) durable() bool { return p.fs != nil }
-
-// NewPartition returns an empty partition.
-func NewPartition(opts Options) *Partition {
-	if opts.MemBudget <= 0 {
-		opts.MemBudget = DefaultOptions().MemBudget
-	}
-	if opts.MaxComponents <= 0 {
-		opts.MaxComponents = DefaultOptions().MaxComponents
-	}
-	p := &Partition{
-		opts: opts,
-		wal:  NewWAL(opts.GroupCommit),
-		mem:  index.NewBTree(),
-		renv: runEnv{ctr: new(counters)},
-	}
-	p.onNew = func(it index.Item) {
-		p.memBytes += it.Key.MemSize() + it.Val.MemSize()
-	}
-	return p
 }
 
 // WAL exposes the partition's log so storage jobs can group-commit once
@@ -309,10 +237,7 @@ func checkpointScope(key adm.Value) (string, bool) {
 // committed like a data write, so when PutCheckpoint returns nil every
 // record the caller stored before it is at least as durable as the
 // checkpoint itself (same log, earlier LSNs). Offsets are monotonic per
-// scope; a stale offset is logged but does not regress the table. For
-// in-memory partitions the table is updated without logging (resume
-// then starts from zero after restart, which is correct: nothing was
-// durable).
+// scope; a stale offset is logged but does not regress the table.
 func (p *Partition) PutCheckpoint(scope string, off uint64) error {
 	key, rec := [1]adm.Value{adm.String(ckptKeyPrefix + scope)}, [1]adm.Value{adm.Int(int64(off))}
 	_, err := p.write(writeCheckpoint, key[:], rec[:])
@@ -367,8 +292,8 @@ func (p *Partition) AttachIndex(idx SecondaryIndex) {
 	p.secondary = append(p.secondary, idx)
 	box, keys, recs := getValuePairBatch(backfillChunk)
 	comps := append([]*component{{tree: p.mem}}, p.components...)
-	scanMergedItems(comps, true, func(it index.Item) bool {
-		keys, recs = append(keys, it.Key), append(recs, it.Val)
+	scanMerged(comps, func(key, rec adm.Value) bool {
+		keys, recs = append(keys, key), append(recs, rec)
 		if len(keys) == backfillChunk {
 			idx.InsertBatch(keys, recs)
 			clear(keys) // the pool clears only up to the final length
@@ -381,9 +306,9 @@ func (p *Partition) AttachIndex(idx SecondaryIndex) {
 	putValuePairBatch(box, keys, recs)
 }
 
-// encBufPool recycles the WAL entry-encoding scratch used by the
-// durable write paths (the encoding happens outside the partition lock;
-// only the LSN assignment is inside it).
+// encBufPool recycles the WAL entry-encoding scratch of the write path
+// (the encoding happens outside the partition lock; only the LSN
+// assignment is inside it).
 var encBufPool sync.Pool
 
 func getEncBuf() *[]byte {
@@ -412,8 +337,8 @@ func (p *Partition) fail(err error) {
 // Err returns the sticky storage failure, if any: a WAL write that
 // could not be made durable, or a failed flush/compaction.
 func (p *Partition) Err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	if p.perr != nil {
 		return p.perr
 	}
@@ -486,10 +411,10 @@ func putItemBatch(b *[]index.Item) {
 // ownership of the keys/recs slices (their headers are copied into the
 // memtable), but the record payloads are retained by storage.
 //
-// In durable mode the batch is WAL-framed as one record (encoded in
-// original order — replay applies sequentially, so last-wins dedupe is
-// reproduced) and the call returns after one group commit; the error is
-// that commit's result.
+// The batch is WAL-framed as one record (encoded in original order —
+// replay applies sequentially, so last-wins dedupe is reproduced) and
+// the call returns after one group commit; the error is that commit's
+// result.
 func (p *Partition) UpsertBatch(keys, recs []adm.Value) error {
 	if len(keys) == 0 {
 		return nil
@@ -523,15 +448,10 @@ const (
 // of the log at that point, but so is a crashed process; recovery
 // replays only what was acknowledged).
 func (p *Partition) write(mode writeMode, keys, recs []adm.Value) (existed bool, err error) {
-	var enc []byte
-	var encBox *[]byte
-	if p.durable() {
-		encBox = getEncBuf()
-		for i := range keys {
-			*encBox = adm.AppendBinary(*encBox, keys[i])
-			*encBox = adm.AppendBinary(*encBox, recs[i])
-		}
-		enc = *encBox
+	encBox := getEncBuf()
+	for i := range keys {
+		*encBox = adm.AppendBinary(*encBox, keys[i])
+		*encBox = adm.AppendBinary(*encBox, recs[i])
 	}
 	var batch *[]index.Item
 	var items []index.Item
@@ -548,7 +468,7 @@ func (p *Partition) write(mode writeMode, keys, recs []adm.Value) (existed bool,
 		}
 	}
 	if err == nil {
-		p.wal.appendEncoded(enc, len(keys))
+		p.wal.appendEncoded(*encBox, len(keys))
 		switch mode {
 		case writeCheckpoint:
 			scope, _ := checkpointScope(keys[0])
@@ -562,9 +482,7 @@ func (p *Partition) write(mode writeMode, keys, recs []adm.Value) (existed bool,
 		}
 	}
 	p.mu.Unlock()
-	if encBox != nil {
-		putEncBuf(encBox)
-	}
+	putEncBuf(encBox)
 	if batch != nil {
 		*batch = items[:len(keys)] // restore the written length for the clear
 		putItemBatch(batch)
@@ -692,10 +610,11 @@ func putValuePairBatch(b *valuePair, keys, recs []adm.Value) {
 	valuePairPool.Put(b)
 }
 
-// freezeLocked turns the memtable into an immutable component. The
-// tree itself is detached as the component (no item copy): writers get
-// a fresh memtable and the frozen tree is never mutated again, so
-// snapshots and scans can walk it concurrently via index.BTree cursors.
+// freezeLocked turns the memtable into an immutable component and wakes
+// the flusher to write it out. The tree itself is detached as the
+// component (no item copy): writers get a fresh memtable and the frozen
+// tree is never mutated again, so snapshots and scans can walk it
+// concurrently via index.BTree cursors.
 func (p *Partition) freezeLocked() {
 	if p.mem.Len() == 0 {
 		return
@@ -708,29 +627,7 @@ func (p *Partition) freezeLocked() {
 	p.components = append([]*component{c}, p.components...)
 	p.mem = index.NewBTree()
 	p.memBytes = 0
-	if p.durable() {
-		p.signalFlushLocked()
-		return
-	}
-	if len(p.components) > p.opts.MaxComponents {
-		p.mergeLocked()
-	}
-}
-
-// mergeLocked compacts every component into one, dropping shadowed
-// versions and tombstones (a full tiered merge). Frozen memtable trees
-// that no Snapshot ever observed are released back to the B-tree node
-// pool — the memtable's node free-list recycled across freezes.
-func (p *Partition) mergeLocked() {
-	p.stats.Merges++
-	merged := mergeComponents(p.components, true)
-	for _, c := range p.components {
-		if c.tree != nil && !c.shared {
-			c.tree.Release()
-			c.tree = nil
-		}
-	}
-	p.components = []*component{{items: merged}}
+	p.signalFlushLocked()
 }
 
 // getLocked performs a point lookup across memtable and components,
@@ -760,7 +657,7 @@ func lookupComponents(comps []*component, key adm.Value) (adm.Value, bool) {
 			}
 			v, ok = c.run.get(kp)
 		} else {
-			v, ok = c.get(key)
+			v, ok = c.tree.Get(key)
 		}
 		if ok {
 			if kp != nil {
@@ -788,11 +685,10 @@ func (p *Partition) Get(key adm.Value) (adm.Value, bool) {
 
 // Epoch returns the partition's mutation epoch: the WAL's last assigned
 // LSN. Every upsert, insert, delete and checkpoint bumps it under the
-// partition lock, in durable and in-memory mode alike, before its
-// effect is visible or acknowledged; nothing else does. Flushes and
-// compactions rewrite components without changing what a reader sees,
-// and another reader's Snapshot only freezes the memtable, so neither
-// moves the epoch.
+// partition lock before its effect is visible or acknowledged; nothing
+// else does. Flushes and compactions rewrite components without
+// changing what a reader sees, and another reader's Snapshot only
+// freezes the memtable, so neither moves the epoch.
 //
 // A reader that caches state derived from a Snapshot reads the epoch
 // BEFORE taking the snapshot and keeps both. While a later Epoch call
@@ -811,21 +707,41 @@ func (p *Partition) Epoch() uint64 { return p.wal.LSN() }
 // reference datasets across invocations and takes new ones only once
 // Epoch has moved (see Epoch for the ordering that makes that safe), so
 // a quiescent reference dataset is frozen and scanned once, not once
-// per batch. Run files a compaction replaces stay readable for
-// snapshots that still reference them until the partition closes.
+// per batch.
+//
+// The snapshot holds one reference on every run file it can reach, so a
+// run that compaction replaces stays readable for as long as the
+// snapshot is. There is no release call: the references drop when the
+// garbage collector finds the *Snapshot unreachable — the rule a frozen
+// tree component already lives by.
 func (p *Partition) Snapshot() *Snapshot {
 	p.mu.Lock()
 	p.stats.Scans++
 	p.freezeLocked()
-	comps := make([]*component, len(p.components))
-	copy(comps, p.components)
+	comps := slices.Clone(p.components)
+	pinned := false
 	for _, c := range comps {
-		// A component a snapshot can reach must never have its tree
-		// recycled by a later merge.
-		c.shared = true
+		if c.run != nil {
+			// Under p.mu the partition still owns the run, so it is open.
+			c.run.incRef()
+			pinned = true
+		}
 	}
 	p.mu.Unlock()
-	return &Snapshot{components: comps}
+	s := &Snapshot{components: comps}
+	if pinned {
+		runtime.AddCleanup(s, unpinRuns, comps)
+	}
+	return s
+}
+
+// unpinRuns drops the run references a collected Snapshot held.
+func unpinRuns(comps []*component) {
+	for _, c := range comps {
+		if c.run != nil {
+			c.run.decRef()
+		}
+	}
 }
 
 // Len returns the number of live records (scanning all components).
@@ -848,29 +764,25 @@ func (p *Partition) Stats() Stats {
 	s.FenceSkips = ctr.fenceSkips.Load()
 	s.BloomSkips = ctr.bloomSkips.Load()
 	s.BlockReads = ctr.blockReads.Load()
+	s.OpenRunFiles = int(ctr.openRuns.Load())
 	s.Components = len(p.components)
 	s.MemEntries = p.mem.Len()
-	for _, c := range p.components {
-		if c.run != nil && !c.run.closed.Load() {
-			s.OpenRunFiles++
-		}
-	}
-	for _, rf := range p.retired {
-		if !rf.closed.Load() {
-			s.OpenRunFiles++
-		}
-	}
 	return s
 }
 
-// Snapshot is an immutable view of a partition at a point in time.
+// Snapshot is an immutable view of a partition at a point in time. Its
+// methods end in runtime.KeepAlive: the collector may otherwise find the
+// receiver dead once its fields are loaded and drop the run references
+// under a read in progress.
 type Snapshot struct {
 	components []*component // newest first
 }
 
 // Get performs a point lookup in the snapshot.
 func (s *Snapshot) Get(key adm.Value) (adm.Value, bool) {
-	return lookupComponents(s.components, key)
+	v, ok := lookupComponents(s.components, key)
+	runtime.KeepAlive(s)
+	return v, ok
 }
 
 // Scan visits every live record in primary-key order until fn returns
@@ -878,6 +790,7 @@ func (s *Snapshot) Get(key adm.Value) (adm.Value, bool) {
 // must not mistake a partial scan for a complete one check Err after.
 func (s *Snapshot) Scan(fn func(key, rec adm.Value) bool) {
 	scanMerged(s.components, fn)
+	runtime.KeepAlive(s)
 }
 
 // Err returns the first sticky read error (I/O, CRC) among the
@@ -899,9 +812,12 @@ func (s *Snapshot) Err() error {
 // primary-key order. Unlike Scan it hands control to the caller between
 // records, so a consumer (e.g. a LIMIT-k query) can stop after k pulls
 // having touched only the prefix it asked for. The cursor allocates
-// O(components), never O(records).
+// O(components), never O(records). Its run-file cursors hold their own
+// references, so it may outlive the snapshot.
 func (s *Snapshot) Cursor() *Cursor {
-	return &Cursor{m: mergeComponentCursors(s.components, true)}
+	cu := &Cursor{m: mergeComponentCursors(s.components, true)}
+	runtime.KeepAlive(s)
+	return cu
 }
 
 // Cursor streams a snapshot's live records.
@@ -935,32 +851,14 @@ func (s *Snapshot) Len() int {
 // (observable cost of update activity).
 func (s *Snapshot) Components() int { return len(s.components) }
 
-// mergeComponents k-way merges the sorted runs (newest first wins per
-// key). When dropTombstones is set, deleted keys vanish from the output.
-func mergeComponents(comps []*component, dropTombstones bool) []index.Item {
-	var out []index.Item
-	scanMergedItems(comps, dropTombstones, func(it index.Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out
-}
-
+// scanMerged visits the live records of the merged components in key
+// order until fn returns false.
 func scanMerged(comps []*component, fn func(key, rec adm.Value) bool) {
-	scanMergedItems(comps, true, func(it index.Item) bool {
-		return fn(it.Key, it.Val)
-	})
-}
-
-func scanMergedItems(comps []*component, dropTombstones bool, fn func(index.Item) bool) {
-	m := mergeComponentCursors(comps, dropTombstones)
+	m := mergeComponentCursors(comps, true)
 	defer m.Close() // fn may stop the scan early
 	for {
 		rc, ok := m.next()
-		if !ok {
-			return
-		}
-		if !fn(rc.cur) {
+		if !ok || !fn(rc.cur.Key, rc.cur.Val) {
 			return
 		}
 	}
@@ -980,8 +878,8 @@ type mergeInput interface {
 // mergeCursor is an incremental k-way merge over sorted inputs, newest
 // first: the newest (lowest-index) version of each key wins, older
 // versions are skipped, tombstones are optionally dropped. It is the
-// single statement of that rule — under Snapshot.Scan, Snapshot.Cursor,
-// the in-memory tiered merge and run-file compaction alike.
+// single statement of that rule — under Snapshot.Scan, Snapshot.Cursor
+// and run-file compaction alike.
 type mergeCursor[I mergeInput] struct {
 	inputs         []I
 	heads          []mergeHead

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,8 +20,57 @@ func smallOpts() Options {
 	return Options{MemBudget: 16 << 10, MaxComponents: 4}
 }
 
+// memPartition opens a partition on a private MemFS and closes it with
+// the test: every partition owns a flusher goroutine.
+func memPartition(t testing.TB, opts Options) *Partition {
+	t.Helper()
+	p, err := OpenPartition(NewMemFS(), "part", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+// cachedOptions is DefaultOptions plus what cluster.New adds to every
+// partition it opens: a block cache of the default budget.
+func cachedOptions() Options {
+	opts := DefaultOptions()
+	opts.BlockCache = NewBlockCache(DefaultBlockCacheBytes)
+	return opts
+}
+
+// memDataset is memPartition for a whole dataset.
+func memDataset(t testing.TB, name string, dt *adm.Datatype, primaryKey string, parts int, opts Options) *Dataset {
+	t.Helper()
+	ds, err := OpenDataset(NewMemFS(), name, name, dt, primaryKey, parts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	return ds
+}
+
+// settle waits until the flusher has nothing left to do: every frozen
+// memtable is a run file and no compaction window qualifies.
+func settle(t testing.TB, p *Partition) {
+	t.Helper()
+	for {
+		if err := p.WaitForFlush(); err != nil {
+			t.Fatal(err)
+		}
+		p.flushMu.Lock()
+		_, _, more := pickCompaction(p.man.Runs, p.opts.MaxComponents)
+		p.flushMu.Unlock()
+		if !more {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func TestPartitionUpsertGet(t *testing.T) {
-	p := NewPartition(DefaultOptions())
+	p := memPartition(t, DefaultOptions())
 	p.Upsert(adm.Int(1), rec(1, "v", adm.String("a")))
 	got, ok := p.Get(adm.Int(1))
 	if !ok || got.Field("v").StringVal() != "a" {
@@ -37,7 +87,7 @@ func TestPartitionUpsertGet(t *testing.T) {
 }
 
 func TestPartitionInsertDuplicate(t *testing.T) {
-	p := NewPartition(DefaultOptions())
+	p := memPartition(t, DefaultOptions())
 	if err := p.Insert(adm.Int(1), rec(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +97,7 @@ func TestPartitionInsertDuplicate(t *testing.T) {
 }
 
 func TestPartitionDelete(t *testing.T) {
-	p := NewPartition(smallOpts())
+	p := memPartition(t, smallOpts())
 	p.Upsert(adm.Int(1), rec(1))
 	if existed, err := p.Delete(adm.Int(1)); !existed || err != nil {
 		t.Errorf("delete of live record = %v, %v; want true, nil", existed, err)
@@ -74,20 +124,21 @@ func TestPartitionDelete(t *testing.T) {
 }
 
 func TestPartitionFlushAndMerge(t *testing.T) {
-	p := NewPartition(smallOpts())
+	p := memPartition(t, smallOpts())
 	const n = 2000
 	for i := int64(0); i < n; i++ {
 		p.Upsert(adm.Int(i), rec(i, "pad", adm.String("xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")))
 	}
+	settle(t, p)
 	st := p.Stats()
-	if st.Flushes == 0 {
-		t.Error("expected flushes under small mem budget")
+	if st.Flushes == 0 || st.FlushedRuns != st.Flushes {
+		t.Errorf("Flushes = %d, FlushedRuns = %d: expected freezes under small mem budget, each flushed to a run", st.Flushes, st.FlushedRuns)
 	}
 	if st.Merges == 0 {
 		t.Error("expected merges under small component cap")
 	}
-	if st.Components > smallOpts().MaxComponents+1 {
-		t.Errorf("components = %d, exceeds cap", st.Components)
+	if st.Components > smallOpts().MaxComponents || st.Components != p.Runs() {
+		t.Errorf("components = %d (%d runs), cap %d", st.Components, p.Runs(), smallOpts().MaxComponents)
 	}
 	// All records still visible.
 	for i := int64(0); i < n; i += 97 {
@@ -101,7 +152,7 @@ func TestPartitionFlushAndMerge(t *testing.T) {
 }
 
 func TestSnapshotIsStable(t *testing.T) {
-	p := NewPartition(DefaultOptions())
+	p := memPartition(t, DefaultOptions())
 	for i := int64(0); i < 100; i++ {
 		p.Upsert(adm.Int(i), rec(i, "v", adm.Int(0)))
 	}
@@ -132,7 +183,7 @@ func TestSnapshotIsStable(t *testing.T) {
 }
 
 func TestSnapshotScanOrderedDeduped(t *testing.T) {
-	p := NewPartition(smallOpts())
+	p := memPartition(t, smallOpts())
 	// Write keys in shuffled order with several overwrites, forcing
 	// multiple components.
 	r := rand.New(rand.NewSource(3))
@@ -167,7 +218,7 @@ func TestSnapshotScanOrderedDeduped(t *testing.T) {
 }
 
 func TestSnapshotGetAcrossComponents(t *testing.T) {
-	p := NewPartition(DefaultOptions())
+	p := memPartition(t, DefaultOptions())
 	p.Upsert(adm.Int(1), rec(1, "v", adm.Int(1)))
 	p.Snapshot()
 	p.Upsert(adm.Int(1), rec(1, "v", adm.Int(2)))
@@ -184,7 +235,7 @@ func TestSnapshotGetAcrossComponents(t *testing.T) {
 func TestPartitionUpdateActivatesMemtable(t *testing.T) {
 	// The Fig 27 mechanism: a quiescent partition has everything frozen;
 	// a single update puts a live memtable back in the read path.
-	p := NewPartition(DefaultOptions())
+	p := memPartition(t, DefaultOptions())
 	for i := int64(0); i < 100; i++ {
 		p.Upsert(adm.Int(i), rec(i))
 	}
@@ -201,41 +252,137 @@ func TestPartitionUpdateActivatesMemtable(t *testing.T) {
 		p.Upsert(adm.Int(int64(i)), rec(int64(i), "v", adm.Int(2)))
 		p.Snapshot()
 	}
+	settle(t, p)
 	st := p.Stats()
 	if st.Merges == 0 {
 		t.Error("update+snapshot churn should have triggered merges")
 	}
 }
 
+// gatedFS is a MemFS whose Sync calls park while the gate is held — the
+// slow disk that makes commit coalescing deterministic.
+type gatedFS struct {
+	*MemFS
+	mu      sync.Mutex
+	gate    chan struct{} // nil: open
+	syncs   atomic.Int64  // Sync calls that went through
+	entered chan struct{} // one token per Sync that found the gate held
+}
+
+func newGatedFS() *gatedFS {
+	return &gatedFS{MemFS: NewMemFS(), entered: make(chan struct{}, 64)} // room for every parked Sync a test provokes
+}
+
+func (g *gatedFS) hold() {
+	g.mu.Lock()
+	g.gate = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *gatedFS) release() {
+	g.mu.Lock()
+	close(g.gate)
+	g.gate = nil
+	g.mu.Unlock()
+}
+
+func (g *gatedFS) Create(name string) (File, error) {
+	f, err := g.MemFS.Create(name)
+	return &gatedFile{File: f, g: g}, err
+}
+
+func (g *gatedFS) Open(name string) (File, error) {
+	f, err := g.MemFS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedFile{File: f, g: g}, nil
+}
+
+type gatedFile struct {
+	File
+	g *gatedFS
+}
+
+func (f *gatedFile) Sync() error {
+	f.g.mu.Lock()
+	gate := f.g.gate
+	f.g.mu.Unlock()
+	if gate != nil {
+		f.g.entered <- struct{}{}
+		<-gate
+	}
+	f.g.syncs.Add(1)
+	return f.File.Sync()
+}
+
+// TestWALGroupCommit: Commit is the wait for the log's fsync — nothing
+// is committed before it, everything appended is after it — and
+// committers that arrive while a leader is in its fsync follow: one of
+// them leads the next round and its fsync covers them all.
 func TestWALGroupCommit(t *testing.T) {
-	w := NewWAL(5 * time.Millisecond)
-	w.appendEncoded(nil, 2)
-	if w.LSN() != 2 {
-		t.Fatalf("LSN = %d", w.LSN())
+	fsys := newGatedFS()
+	w, err := OpenWAL(fsys, "wal", 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w.Committed() != 0 {
-		t.Fatal("nothing committed yet")
+	if err := w.Replay(0, func(uint64, adm.Value, adm.Value) error { return nil }); err != nil {
+		t.Fatal(err)
 	}
-	start := time.Now()
-	w.Commit()
-	if elapsed := time.Since(start); elapsed < 4*time.Millisecond {
-		t.Errorf("group commit returned too fast: %v", elapsed)
+	entry := adm.AppendBinary(adm.AppendBinary(nil, adm.Int(1)), rec(1))
+	two := append(append([]byte(nil), entry...), entry...)
+
+	// The first commit creates the segment (header fsync) before its own.
+	w.appendEncoded(two, 2)
+	if w.LSN() != 2 || w.Committed() != 0 {
+		t.Fatalf("after append: LSN = %d, Committed = %d; want 2, 0", w.LSN(), w.Committed())
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
 	}
 	if w.Committed() != 2 || w.Commits() != 1 {
-		t.Errorf("Committed=%d Commits=%d", w.Committed(), w.Commits())
+		t.Fatalf("Committed=%d Commits=%d, want 2, 1", w.Committed(), w.Commits())
 	}
-	// Zero-latency WAL must not sleep.
-	w0 := NewWAL(0)
-	w0.appendEncoded(nil, 1)
-	start = time.Now()
-	w0.Commit()
-	if time.Since(start) > 2*time.Millisecond {
-		t.Error("zero group commit should be immediate")
+
+	// A leader parked in its fsync has committed nothing yet; two more
+	// committers follow it.
+	base := fsys.syncs.Load()
+	fsys.hold()
+	done := make(chan error, 3) // one result per committer
+	w.appendEncoded(entry, 1)
+	go func() { done <- w.Commit() }()
+	<-fsys.entered
+	for i := 0; i < 2; i++ {
+		w.appendEncoded(entry, 1)
+		go func() { done <- w.Commit() }()
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Commit returned (%v) while the fsync was still outstanding", err)
+	case <-time.After(5 * time.Millisecond):
+	}
+	if got := w.Committed(); got != 2 {
+		t.Fatalf("Committed = %d during the fsync, want 2", got)
+	}
+	fsys.release()
+	for i := 0; i < 3; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.Committed() != 5 || w.Commits() != 3 {
+		t.Fatalf("Committed=%d Commits=%d, want 5, 3", w.Committed(), w.Commits())
+	}
+	if got := fsys.syncs.Load() - base; got != 2 {
+		t.Fatalf("%d fsyncs for a leader and its two followers, want 2", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestPartitionConcurrentReadersAndWriters(t *testing.T) {
-	p := NewPartition(Options{MemBudget: 64 << 10, MaxComponents: 4})
+	p := memPartition(t, Options{MemBudget: 64 << 10, MaxComponents: 4})
 	for i := int64(0); i < 1000; i++ {
 		p.Upsert(adm.Int(i), rec(i))
 	}
@@ -298,7 +445,7 @@ func TestPartitionConcurrentReadersAndWriters(t *testing.T) {
 func TestMergePreservesModel(t *testing.T) {
 	// Randomized model check: upserts/deletes with frequent freezes must
 	// always agree with a plain map.
-	p := NewPartition(Options{MemBudget: 1 << 10, MaxComponents: 3})
+	p := memPartition(t, Options{MemBudget: 1 << 10, MaxComponents: 3})
 	model := map[int64]int64{}
 	r := rand.New(rand.NewSource(77))
 	for op := 0; op < 5000; op++ {
@@ -335,7 +482,7 @@ func TestMergePreservesModel(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	p := NewPartition(DefaultOptions())
+	p := memPartition(t, DefaultOptions())
 	p.Upsert(adm.Int(1), rec(1))
 	p.Get(adm.Int(1))
 	p.Get(adm.Int(2))
@@ -348,7 +495,7 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func BenchmarkPartitionUpsert(b *testing.B) {
-	p := NewPartition(DefaultOptions())
+	p := memPartition(b, DefaultOptions())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := int64(i % 100000)
@@ -356,23 +503,35 @@ func BenchmarkPartitionUpsert(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotScan100k scans 100 k records out of run files: bare
+// (DefaultOptions: every block is read and decoded again) and with the
+// block cache every cluster partition has.
 func BenchmarkSnapshotScan100k(b *testing.B) {
-	p := NewPartition(DefaultOptions())
-	for i := int64(0); i < 100000; i++ {
-		p.Upsert(adm.Int(i), rec(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		p.Snapshot().Scan(func(adm.Value, adm.Value) bool { n++; return true })
-		if n != 100000 {
-			b.Fatalf("scan saw %d", n)
-		}
+	for _, cfg := range []struct {
+		name string
+		opts Options
+	}{{"bare", DefaultOptions()}, {"cached", cachedOptions()}} {
+		b.Run(cfg.name, func(b *testing.B) {
+			p := memPartition(b, cfg.opts)
+			for i := int64(0); i < 100000; i++ {
+				p.Upsert(adm.Int(i), rec(i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				p.Snapshot().Scan(func(adm.Value, adm.Value) bool { n++; return true })
+				if n != 100000 {
+					b.Fatalf("scan saw %d", n)
+				}
+			}
+		})
 	}
 }
 
 func ExamplePartition() {
-	p := NewPartition(DefaultOptions())
+	p, _ := OpenPartition(NewMemFS(), "part", DefaultOptions())
+	defer p.Close()
 	p.Upsert(adm.Int(1), rec(1, "text", adm.String("let there be light")))
 	v, _ := p.Get(adm.Int(1))
 	fmt.Println(v.Field("text").StringVal())
@@ -381,9 +540,9 @@ func ExamplePartition() {
 
 // TestSnapshotCursorMatchesScan cross-checks the pull cursor against
 // the callback scan over a partition with overwrites, deletes, and
-// multiple frozen components (both tree-backed and merged slice runs).
+// multiple components (frozen trees and run files).
 func TestSnapshotCursorMatchesScan(t *testing.T) {
-	p := NewPartition(smallOpts())
+	p := memPartition(t, smallOpts())
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 3000; i++ {
 		k := int64(r.Intn(800))
@@ -423,7 +582,7 @@ func TestSnapshotCursorMatchesScan(t *testing.T) {
 // TestSnapshotCursorEarlyStop verifies a cursor abandoned after k pulls
 // leaves the partition fully usable (nothing is locked or consumed).
 func TestSnapshotCursorEarlyStop(t *testing.T) {
-	p := NewPartition(smallOpts())
+	p := memPartition(t, smallOpts())
 	for i := int64(0); i < 500; i++ {
 		p.Upsert(adm.Int(i), rec(i))
 	}
@@ -445,7 +604,7 @@ func TestSnapshotCursorEarlyStop(t *testing.T) {
 // land in a fresh memtable and do not disturb an open cursor over the
 // frozen tree.
 func TestFrozenTreeComponentImmutable(t *testing.T) {
-	p := NewPartition(smallOpts())
+	p := memPartition(t, smallOpts())
 	for i := int64(0); i < 100; i++ {
 		p.Upsert(adm.Int(i), rec(i, "v", adm.String("old")))
 	}

@@ -9,8 +9,10 @@ import (
 	"github.com/ideadb/idea/internal/index"
 )
 
-// OpenPartition opens (or creates) a durable partition rooted at dir.
-// Recovery runs before the partition accepts work:
+// OpenPartition opens (or creates) the partition rooted at dir on fsys —
+// NewOSFS for one that outlives the process, a NewMemFS for one that
+// lives in its memory; nothing else differs. Recovery runs before the
+// partition accepts work:
 //
 //  1. load the manifest (absent = fresh partition);
 //  2. delete orphans — run files and temp manifests the manifest does
@@ -73,7 +75,7 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 		p.components = append(p.components, &component{run: rf, upToLSN: rm.MaxLSN, bytes: rf.size})
 	}
 
-	wal, err := OpenWAL(fsys, dir, opts.GroupCommit, opts.WALSegBytes)
+	wal, err := OpenWAL(fsys, dir, opts.WALSegBytes)
 	if err != nil {
 		p.closeRunsLocked()
 		return nil, err
@@ -166,9 +168,10 @@ func removeOrphans(fsys FS, dir string, man manifest) error {
 	return nil
 }
 
-// closeRunsLocked closes every run-backed component and retired run
-// file. Only used on open failure and at Close (no lock is actually
-// held in the open-failure path; the partition is unpublished).
+// closeRunsLocked force-closes every run-backed component's file,
+// whatever references snapshots and cursors still hold on it. Only used
+// on open failure and at Close (no lock is actually held in the
+// open-failure path; the partition is unpublished).
 func (p *Partition) closeRunsLocked() error {
 	var err error
 	for _, c := range p.components {
@@ -181,18 +184,14 @@ func (p *Partition) closeRunsLocked() error {
 			}
 		}
 	}
-	for _, rf := range p.retired {
-		if cerr := rf.close(); err == nil {
-			err = cerr
-		}
-	}
-	p.retired = nil
 	return err
 }
 
 // Close shuts the partition down: the flusher drains and exits, the
-// WAL commits its tail and closes, run files close. The partition must
-// not be used afterwards. Close does NOT force a final memtable flush —
+// WAL commits its tail and closes, the components' run files close. A
+// run compaction had already replaced is not the partition's any more:
+// it closes with its last reader (see runFile). The partition must not
+// be used afterwards. Close does NOT force a final memtable flush —
 // the WAL already holds everything, and reopening replays it; that keeps
 // Close cheap and crash-equivalent (closing and crashing recover
 // identically).
@@ -205,9 +204,6 @@ func (p *Partition) Close() error {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	if !p.durable() {
-		return nil
-	}
 	close(p.flushC)
 	<-p.flusherDone
 	err := p.wal.Close()
@@ -230,9 +226,6 @@ func (p *Partition) Close() error {
 // but does not stop the removal.
 func (p *Partition) Drop() error {
 	err := p.Close()
-	if !p.durable() {
-		return err
-	}
 	names, lerr := p.fs.List(p.dir)
 	if lerr != nil {
 		return errors.Join(err, lerr)

@@ -63,12 +63,14 @@ var runFileSeq atomic.Uint64
 // partition's run files — lookups skipped by key-range fences, lookups
 // skipped by bloom filters, and framed block reads that actually hit
 // the filesystem. Shared by every run the partition opens (including
-// retired ones), so the counts survive compaction.
+// replaced ones), so the counts survive compaction. openRuns gauges the
+// partition's run files not yet closed.
 type counters struct {
 	gets       atomic.Uint64
 	fenceSkips atomic.Uint64
 	bloomSkips atomic.Uint64
 	blockReads atomic.Uint64
+	openRuns   atomic.Int64
 }
 
 // runEnv is the read-path environment threaded into every run file a
@@ -320,12 +322,15 @@ func fillFromRuns(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 // # Lifecycle
 //
 // refs counts reasons the file must stay open: 1 for the owner (the
-// partition component or retired list) plus one per live runFileCursor.
-// retire drops the owner reference — compaction uses it for runs no
-// snapshot can reach — and the file closes when the count hits zero, so
-// a cursor mid-run keeps a retired file readable until it finishes.
-// close force-closes regardless (partition Close); both paths purge the
-// run's block-cache entries and are idempotent.
+// partition component), one per Snapshot that can reach the run (dropped
+// when the snapshot is garbage-collected, see Partition.Snapshot) and
+// one per live cursor or raw reader (dropped at exhaustion or close).
+// retire drops the owner reference — compaction calls it for every run
+// it replaces — and the file closes when the count hits zero, so a
+// replaced run lives exactly as long as its last reader. close
+// force-closes regardless (partition Close, for the runs it still
+// owns); both paths purge the run's block-cache entries and are
+// idempotent.
 type runFile struct {
 	name    string
 	f       File
@@ -376,6 +381,7 @@ func openRun(fsys FS, dir, name string, env runEnv) (*runFile, error) {
 		r.closed.Store(true)
 		return nil, fmt.Errorf("lsm: run %s: %w", name, err)
 	}
+	r.ctr.openRuns.Add(1)
 	return r, nil
 }
 
@@ -587,9 +593,9 @@ func (r *runFile) decRef() {
 	}
 }
 
-// retire drops the owner reference: compaction calls it for replaced
-// runs that no snapshot can reach. The file closes now if no cursor is
-// mid-run, or when the last cursor finishes.
+// retire drops the owner reference: compaction calls it for the runs it
+// replaced. The file closes now if nothing is reading it, or with its
+// last snapshot or cursor.
 func (r *runFile) retire() { r.decRef() }
 
 // close force-closes the file and purges its block-cache entries.
@@ -598,6 +604,7 @@ func (r *runFile) close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
+	r.ctr.openRuns.Add(-1)
 	if r.cache != nil {
 		r.cache.dropRun(r.id)
 	}
@@ -608,9 +615,9 @@ func (r *runFile) close() error {
 // cursor holds one run reference for its lifetime and (with a cache
 // wired) one pinned cache entry for its current block; both are
 // released at exhaustion or close. Abandoning an unexhausted cursor
-// without close leaks the reference until partition Close — the query
-// layer closes its cursors (rowSrc close chain), and merge consumers
-// run to exhaustion.
+// without close leaks the reference (partition Close still force-closes
+// a run it owns) — the query layer closes its cursors (rowSrc close
+// chain), and merge consumers run to exhaustion.
 type runFileCursor struct {
 	r      *runFile
 	block  int

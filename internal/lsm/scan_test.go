@@ -14,10 +14,7 @@ import (
 // integer pk "id", a low-cardinality string "cat", and an int "score".
 func scanDataset(t testing.TB, n, parts int) *Dataset {
 	t.Helper()
-	ds, err := NewDataset("S", nil, "id", parts, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := memDataset(t, "S", nil, "id", parts, DefaultOptions())
 	recs := make([]adm.Value, n)
 	for i := range recs {
 		recs[i] = adm.ObjectValue(adm.ObjectFromPairs(
@@ -254,39 +251,6 @@ func TestParallelScanCloseMidScan(t *testing.T) {
 			if _, _, ok, _ := cur.Next(); ok {
 				t.Fatalf("order %d: Next yielded after Close", order)
 			}
-		}
-	}
-}
-
-// TestMergeRecyclesUnsharedTrees drives a partition through enough
-// freeze/merge cycles to recycle frozen memtable trees, interleaving
-// snapshots (which pin components and must keep reading correctly after
-// the merge releases its unshared peers).
-func TestMergeRecyclesUnsharedTrees(t *testing.T) {
-	opts := Options{MemBudget: 1 << 12, MaxComponents: 3}
-	p := NewPartition(opts)
-	var pinned []*Snapshot
-	for i := 0; i < 2_000; i++ {
-		rec := adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(int64(i)), "pad", adm.String("xxxxxxxxxxxxxxxx")))
-		p.Upsert(adm.Int(int64(i)), rec)
-		if i%301 == 0 {
-			pinned = append(pinned, p.Snapshot())
-		}
-	}
-	if p.Stats().Merges == 0 {
-		t.Fatal("test did not exercise a merge; shrink the budget")
-	}
-	// The latest state reads correctly post-recycling...
-	for i := 0; i < 2_000; i += 97 {
-		if _, ok := p.Get(adm.Int(int64(i))); !ok {
-			t.Fatalf("Get(%d) missed after merges", i)
-		}
-	}
-	// ...and every pinned snapshot still serves its point-in-time view.
-	for si, s := range pinned {
-		wantLen := si*301 + 1 // records upserted before the snapshot
-		if got := s.Len(); got != wantLen {
-			t.Fatalf("snapshot %d: Len = %d, want %d", si, got, wantLen)
 		}
 	}
 }

@@ -13,11 +13,12 @@ import (
 	"sync/atomic"
 )
 
-// FS is the filesystem seam under the durable LSM layer: the WAL,
-// run-file, and manifest writers perform every filesystem operation
-// through it. Production uses NewOSFS; tests substitute MemFS, whose
-// synced-prefix crash model and fault injection (fail after N writes,
-// torn final write, failing fsync) drive the crash-recovery suite.
+// FS is the filesystem seam under the LSM layer: the WAL, run-file, and
+// manifest writers perform every filesystem operation through it. A
+// cluster with a data directory runs on NewOSFS, one without on a
+// private MemFS — whose synced-prefix crash model and fault injection
+// (fail after N writes, torn final write, failing fsync) also drive the
+// crash-recovery suite.
 //
 // All paths are slash-separated and interpreted by the implementation
 // (absolute OS paths for NewOSFS, an internal namespace for MemFS).
@@ -203,10 +204,30 @@ type MemFS struct {
 	readFail    atomic.Bool // not under mu: consulted on every ReadAt
 }
 
+// memFile holds its bytes in chunks of at most memChunk, so that an
+// append never copies what the file already holds — a cluster without a
+// data directory keeps its whole storage in these.
 type memFile struct {
 	mu     sync.Mutex
-	data   []byte
+	chunks [][]byte // each memChunk long except the last
+	size   int
 	synced int
+}
+
+const memChunk = 64 << 10
+
+// write appends p; the caller holds f.mu.
+func (f *memFile) write(p []byte) {
+	for len(p) > 0 {
+		if f.size%memChunk == 0 {
+			f.chunks = append(f.chunks, nil)
+		}
+		last := &f.chunks[len(f.chunks)-1]
+		n := min(len(p), memChunk-len(*last))
+		*last = append(*last, p[:n]...)
+		f.size += n
+		p = p[n:]
+	}
 }
 
 // NewMemFS returns an empty in-memory filesystem with no faults armed.
@@ -248,10 +269,10 @@ func (m *MemFS) Corrupt(name string, off int64) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if off < 0 || off >= int64(len(f.data)) {
+	if off < 0 || off >= int64(f.size) {
 		return &fs.PathError{Op: "corrupt", Path: name, Err: fs.ErrInvalid}
 	}
-	f.data[off] ^= 0x01
+	f.chunks[off/memChunk][off%memChunk] ^= 0x01
 	return nil
 }
 
@@ -274,11 +295,14 @@ func (m *MemFS) Crash() *MemFS {
 	defer m.mu.Unlock()
 	out := NewMemFS()
 	for name, f := range m.files {
+		image := &memFile{}
 		f.mu.Lock()
-		data := make([]byte, f.synced)
-		copy(data, f.data[:f.synced])
+		for _, c := range f.chunks {
+			image.write(c[:min(len(c), f.synced-image.size)])
+		}
 		f.mu.Unlock()
-		out.files[name] = &memFile{data: data, synced: len(data)}
+		image.synced = image.size
+		out.files[name] = image
 	}
 	return out
 }
@@ -374,7 +398,7 @@ type memHandle struct {
 func (h *memHandle) Write(p []byte) (int, error) {
 	applied, failed := h.fs.chargeWrite(len(p))
 	h.f.mu.Lock()
-	h.f.data = append(h.f.data, p[:applied]...)
+	h.f.write(p[:applied])
 	h.f.mu.Unlock()
 	if failed {
 		return applied, fmt.Errorf("write of %d bytes (%d applied): %w", len(p), applied, ErrInjected)
@@ -388,10 +412,13 @@ func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 	}
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
-	if off >= int64(len(h.f.data)) {
-		return 0, fmt.Errorf("read at %d past end %d: %w", off, len(h.f.data), fs.ErrInvalid)
+	if off >= int64(h.f.size) {
+		return 0, fmt.Errorf("read at %d past end %d: %w", off, h.f.size, fs.ErrInvalid)
 	}
-	n := copy(p, h.f.data[off:])
+	n := 0
+	for at := int(off); n < len(p) && at < h.f.size; at = int(off) + n {
+		n += copy(p[n:], h.f.chunks[at/memChunk][at%memChunk:])
+	}
 	if n < len(p) {
 		return n, fmt.Errorf("short read at %d: %w", off, fs.ErrInvalid)
 	}
@@ -401,17 +428,19 @@ func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 func (h *memHandle) Size() (int64, error) {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
-	return int64(len(h.f.data)), nil
+	return int64(h.f.size), nil
 }
 
 func (h *memHandle) Truncate(size int64) error {
-	h.f.mu.Lock()
-	defer h.f.mu.Unlock()
-	if size < int64(len(h.f.data)) {
-		h.f.data = h.f.data[:size]
-	}
-	if h.f.synced > int(size) {
-		h.f.synced = int(size)
+	f := h.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := int(size); n < f.size {
+		f.chunks = f.chunks[:(n+memChunk-1)/memChunk]
+		if tail := n % memChunk; tail != 0 {
+			f.chunks[len(f.chunks)-1] = f.chunks[len(f.chunks)-1][:tail]
+		}
+		f.size, f.synced = n, min(f.synced, n)
 	}
 	return nil
 }
@@ -421,7 +450,7 @@ func (h *memHandle) Sync() error {
 		return fmt.Errorf("fsync: %w", ErrInjected)
 	}
 	h.f.mu.Lock()
-	h.f.synced = len(h.f.data)
+	h.f.synced = h.f.size
 	h.f.mu.Unlock()
 	return nil
 }

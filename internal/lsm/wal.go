@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/frame"
@@ -15,28 +14,21 @@ import (
 // WAL is the storage log a partition appends to before applying a
 // mutation. The paper notes that "the evaluation of an insert job ...
 // will have to wait for the storage log to be flushed to finish
-// properly"; Commit models that wait — and, in durable mode, performs
-// it for real.
+// properly"; Commit is that wait.
 //
-// The log has two modes. Accounting mode (NewWAL, no filesystem) keeps
-// the LSN bookkeeping and group-commit latency behaviour of the
-// original simulation: nothing is written anywhere. Durable mode
-// (OpenWAL) appends frames (internal/frame) to a sequence of on-disk
-// segment files; each frame carries a whole storage batch of
-// binary-encoded key/record pairs (adm.AppendBinary), so the
-// one-fsync-per-frame group-commit economics of the batch write path
-// survive durability. Segments fully covered by flushed run files are
+// The log appends frames (internal/frame) to a sequence of segment
+// files; each frame carries a whole storage batch of binary-encoded
+// key/record pairs (adm.AppendBinary), so one storage batch costs one
+// write and one fsync. Segments fully covered by flushed run files are
 // deleted by TruncateTo.
 //
 // # Group commit
 //
 // Commit coalesces concurrent committers: the first caller becomes the
-// leader, waits out the (single) group-commit window, writes and
-// fsyncs everything appended by then, and releases every waiter whose
-// entries that durability point covers. Followers never sleep their
-// own window and never issue their own fsync — they block until a
-// durability point at or past their last append, exactly one timer and
-// one fsync per group.
+// leader, writes and fsyncs everything appended so far, and releases
+// every waiter whose entries that durability point covers. Followers
+// never issue their own fsync — they block until a durability point at
+// or past their last append: one fsync per group.
 //
 // # On-disk format (version 1)
 //
@@ -55,20 +47,18 @@ import (
 // else, or a verified frame whose payload does not parse, is
 // corruption.
 type WAL struct {
-	mu          sync.Mutex
-	groupCommit time.Duration
-	lsn         uint64
-	committed   uint64
-	commits     uint64
+	mu        sync.Mutex
+	lsn       uint64
+	committed uint64
+	commits   uint64
 
 	// Group-commit coalescing: flushing marks a leader in the write
 	// window; flushDone is closed (and replaced) at each durability
 	// point to release the waiting followers.
 	flushing  bool
 	flushDone chan struct{}
-	werr      error // sticky durable-write failure
+	werr      error // sticky write failure
 
-	// Durable state; fs == nil means accounting mode.
 	fs           FS
 	dir          string
 	segLimit     int64
@@ -98,27 +88,17 @@ const (
 	defaultWALSegBytes = 4 << 20
 )
 
-// NewWAL returns an accounting-mode log whose Commit call blocks for
-// the configured group-commit latency (0 disables the wait).
-func NewWAL(groupCommit time.Duration) *WAL {
-	return &WAL{groupCommit: groupCommit, flushDone: make(chan struct{})}
-}
-
-// OpenWAL opens (or starts) the durable log in dir. The caller must
-// Replay before the first append: replay scans the existing segments,
-// rebuilds the LSN position, and truncates any torn tail.
-func OpenWAL(fsys FS, dir string, groupCommit time.Duration, segLimit int64) (*WAL, error) {
+// OpenWAL opens (or starts) the log in dir. The caller must Replay
+// before the first append: replay scans the existing segments, rebuilds
+// the LSN position, and truncates any torn tail.
+func OpenWAL(fsys FS, dir string, segLimit int64) (*WAL, error) {
 	if segLimit <= 0 {
 		segLimit = defaultWALSegBytes
 	}
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	w := NewWAL(groupCommit)
-	w.fs = fsys
-	w.dir = dir
-	w.segLimit = segLimit
-	return w, nil
+	return &WAL{flushDone: make(chan struct{}), fs: fsys, dir: dir, segLimit: segLimit}, nil
 }
 
 func walSegmentName(index int) string { return fmt.Sprintf("wal-%06d.log", index) }
@@ -140,9 +120,6 @@ func parseWALSegmentName(name string) (int, bool) {
 // away (a crash mid-write); corruption anywhere else fails recovery
 // loudly. Replay must be called exactly once, before any append.
 func (w *WAL) Replay(from uint64, apply func(lsn uint64, key, rec adm.Value) error) error {
-	if w.fs == nil {
-		return nil
-	}
 	names, err := w.fs.List(w.dir)
 	if err != nil {
 		return err
@@ -267,29 +244,26 @@ func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, apply func(
 	return maxLSN, firstLSN, nil
 }
 
-// appendEncoded assigns n consecutive LSNs and, in durable mode,
-// frames enc (n concatenated binary key/record entry pairs) into the
-// pending buffer for the next commit (enc is nil in accounting mode).
-// It is the log's one append entry; Partition.write calls it while
-// holding the partition lock, which is what keeps LSN order
-// consistent with memtable apply order — a freeze observes an LSN
-// watermark that exactly covers its memtable.
+// appendEncoded assigns n consecutive LSNs and frames enc (n
+// concatenated binary key/record entry pairs) into the pending buffer
+// for the next commit. It is the log's one append entry;
+// Partition.write calls it while holding the partition lock, which is
+// what keeps LSN order consistent with memtable apply order — a freeze
+// observes an LSN watermark that exactly covers its memtable.
 func (w *WAL) appendEncoded(enc []byte, n int) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	first := w.lsn + 1
 	w.lsn += uint64(n)
-	if w.fs != nil && enc != nil && n > 0 {
-		if w.pendingFirst == 0 {
-			w.pendingFirst = first
-		}
-		start := len(w.pending)
-		w.pending = frame.Begin(w.pending)
-		w.pending = binary.AppendUvarint(w.pending, first)
-		w.pending = binary.AppendUvarint(w.pending, uint64(n))
-		w.pending = append(w.pending, enc...)
-		frame.Seal(w.pending, start)
+	if w.pendingFirst == 0 {
+		w.pendingFirst = first
 	}
+	start := len(w.pending)
+	w.pending = frame.Begin(w.pending)
+	w.pending = binary.AppendUvarint(w.pending, first)
+	w.pending = binary.AppendUvarint(w.pending, uint64(n))
+	w.pending = append(w.pending, enc...)
+	frame.Seal(w.pending, start)
 	return w.lsn
 }
 
@@ -297,7 +271,7 @@ func (w *WAL) appendEncoded(enc []byte, n int) uint64 {
 // write error the log ever hit (sticky: a log that failed to write is
 // permanently failed). Concurrent committers coalesce — see the type
 // comment. Storage jobs call it once per frame, so larger frames
-// amortize both the group-commit window and the fsync.
+// amortize the fsync.
 func (w *WAL) Commit() error {
 	w.mu.Lock()
 	target := w.lsn
@@ -312,14 +286,8 @@ func (w *WAL) Commit() error {
 			return nil
 		}
 		if !w.flushing {
-			// Become the leader: run one group-commit window, then make
-			// everything appended by the end of it durable.
+			// Become the leader: make everything appended so far durable.
 			w.flushing = true
-			w.mu.Unlock()
-			if w.groupCommit > 0 {
-				time.Sleep(w.groupCommit)
-			}
-			w.mu.Lock()
 			buf := w.pending
 			first := w.pendingFirst
 			upto := w.lsn
@@ -355,7 +323,7 @@ func (w *WAL) Commit() error {
 // the segment is full) and fsyncs. Called only by the commit leader,
 // serialized by ioMu against truncation.
 func (w *WAL) writeAndSync(buf []byte, firstLSN uint64) error {
-	if w.fs == nil || len(buf) == 0 {
+	if len(buf) == 0 {
 		return nil
 	}
 	w.ioMu.Lock()
@@ -416,9 +384,6 @@ func (w *WAL) rotate(firstLSN uint64) error {
 // whose entire LSN range is at or below upto is dead weight. The
 // current segment is never deleted.
 func (w *WAL) TruncateTo(upto uint64) error {
-	if w.fs == nil {
-		return nil
-	}
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
 	w.mu.Lock()
@@ -483,7 +448,7 @@ func (w *WAL) Commits() uint64 {
 	return w.commits
 }
 
-// Err returns the sticky durable-write failure, if any.
+// Err returns the sticky write failure, if any.
 func (w *WAL) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -23,24 +23,24 @@ var partitionMutators = []struct {
 	}},
 }
 
-// openModes opens a fresh partition in each storage mode.
+// openModes opens a fresh partition on each filesystem.
 var openModes = []struct {
 	name string
 	open func(t *testing.T) *Partition
 }{
-	{"memory", func(*testing.T) *Partition { return NewPartition(DefaultOptions()) }},
+	{"memory", func(t *testing.T) *Partition { return memPartition(t, DefaultOptions()) }},
 	{"durable", func(t *testing.T) *Partition {
-		p, err := OpenPartition(NewMemFS(), "part", DefaultOptions())
+		p, err := OpenPartition(NewOSFS(), t.TempDir(), DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { p.Close() })
 		return p
 	}},
 }
 
 // TestWriteCommitRule: every mutator that returns nil has committed what
-// it appended — in-memory partitions included, so Committed never trails
-// LSN on a quiescent partition.
+// it appended, so Committed never trails LSN on a quiescent partition.
 func TestWriteCommitRule(t *testing.T) {
 	for _, mode := range openModes {
 		p := mode.open(t)

@@ -15,10 +15,7 @@ import (
 func benchCatalog(b *testing.B, n int) (*testCatalog, *lsm.Dataset) {
 	b.Helper()
 	cat := newTestCatalog()
-	ds, err := lsm.NewDataset("SafetyRatings", nil, "country_code", 4, lsm.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds := memDataset(b, "SafetyRatings", "country_code", 4, lsm.DefaultOptions())
 	for i := 0; i < n; i++ {
 		rec := adm.ObjectFromPairs(
 			"country_code", adm.String(fmt.Sprintf("C%06d", i)),

@@ -39,12 +39,23 @@ func (c *testCatalog) Native(ns, name string) (func([]adm.Value) (adm.Value, err
 	return f, ok
 }
 
-func (c *testCatalog) addDataset(t testing.TB, name, pk string, parts int, recs ...adm.Value) *lsm.Dataset {
+// memDataset opens an untyped dataset as a cluster without a data
+// directory does — on a private in-memory filesystem, behind a block
+// cache — and closes it with the test.
+func memDataset(t testing.TB, name, pk string, parts int, opts lsm.Options) *lsm.Dataset {
 	t.Helper()
-	ds, err := lsm.NewDataset(name, nil, pk, parts, lsm.DefaultOptions())
+	opts.BlockCache = lsm.NewBlockCache(lsm.DefaultBlockCacheBytes)
+	ds, err := lsm.OpenDataset(lsm.NewMemFS(), name, name, nil, pk, parts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ds.Close() })
+	return ds
+}
+
+func (c *testCatalog) addDataset(t testing.TB, name, pk string, parts int, recs ...adm.Value) *lsm.Dataset {
+	t.Helper()
+	ds := memDataset(t, name, pk, parts, lsm.DefaultOptions())
 	for _, r := range recs {
 		if err := ds.Upsert(r); err != nil {
 			t.Fatal(err)

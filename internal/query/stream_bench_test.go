@@ -17,10 +17,7 @@ import (
 func benchStreamCatalog(b *testing.B, n int) *testCatalog {
 	b.Helper()
 	cat := newTestCatalog()
-	ds, err := lsm.NewDataset("R", nil, "id", 4, lsm.Options{MemBudget: 1 << 30, MaxComponents: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds := memDataset(b, "R", "id", 4, lsm.Options{MemBudget: 1 << 30, MaxComponents: 64})
 	recs := make([]adm.Value, n)
 	for i := range recs {
 		recs[i] = obj(

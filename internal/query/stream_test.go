@@ -184,10 +184,7 @@ func BenchmarkQueryStream(b *testing.B) {
 	for _, size := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("limit10/size=%d", size), func(b *testing.B) {
 			cat := newTestCatalog()
-			ds, err := lsm.NewDataset("Big", nil, "id", 4, lsm.DefaultOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
+			ds := memDataset(b, "Big", "id", 4, lsm.DefaultOptions())
 			recs := make([]adm.Value, size)
 			for i := range recs {
 				recs[i] = obj("id", adm.Int(int64(i)), "score", adm.Int(int64(i%97)))

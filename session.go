@@ -110,12 +110,12 @@ func (c *Cluster) Execute(ctx context.Context, script string, args ...any) (Resu
 	return results, nil
 }
 
-// Close shuts the cluster's storage down cleanly: durable datasets
-// drain their background flushers, group-commit their WAL tails, and
-// close their run files; in-memory datasets close trivially. A durable
-// cluster that is closed (or killed) reopens to exactly the committed
-// state on the next NewCluster with the same DataDir. The cluster must
-// not execute statements or run feeds after Close.
+// Close shuts the cluster's storage down cleanly: datasets drain their
+// background flushers, group-commit their WAL tails, and close their
+// run files. A cluster with a DataDir that is closed (or killed) reopens
+// to exactly the committed state on the next NewCluster with the same
+// DataDir. The cluster must not execute statements or run feeds after
+// Close.
 func (c *Cluster) Close() error {
 	return c.inner.Close()
 }
