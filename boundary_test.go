@@ -73,8 +73,9 @@ func TestOneConversionTable(t *testing.T) {
 	}
 }
 
-// Three user-defined sources, each implementing one more of the feed
-// contracts. None embeds or wraps anything from this module.
+// Three user-defined sources: two plain ones and one that also
+// implements the resumable contract. None embeds or wraps anything from
+// this module.
 type plainSource struct{ n int }
 
 func (s plainSource) Run(ctx context.Context, emit func([]byte) error) error {
@@ -87,10 +88,9 @@ func (s plainSource) Run(ctx context.Context, emit func([]byte) error) error {
 }
 
 // bufferSource emits every record out of one reused buffer, which is
-// only sound if the feed copies each emit before the call returns.
+// sound because the feed copies each emit before the call returns.
 type bufferSource struct{ n int }
 
-func (s bufferSource) VolatileEmits() bool { return true }
 func (s bufferSource) Run(ctx context.Context, emit func([]byte) error) error {
 	buf := make([]byte, 0, 64)
 	for i := 0; i < s.n; i++ {
@@ -126,10 +126,11 @@ func (s *offsetSource) RunFrom(ctx context.Context, from uint64, emit func(uint6
 	return nil
 }
 
-// TestFeedSourceContractsNeedNoWrapper: FeedSource, VolatileFeedSource
-// and ResumableFeedSource are the engine's own interfaces, so a user
-// type is honoured for exactly the methods it has — SetFeedSource hands
-// the factory's value to the feed as is.
+// TestFeedSourceContractsNeedNoWrapper: FeedSource and
+// ResumableFeedSource are the engine's own interfaces, so a user type is
+// honoured for exactly the methods it has — SetFeedSource hands the
+// factory's value to the feed as is — and any source may reuse its
+// buffer across emits without declaring it.
 func TestFeedSourceContractsNeedNoWrapper(t *testing.T) {
 	const n = 300
 	run := func(t *testing.T, src FeedSource) *Cluster {
@@ -155,7 +156,7 @@ func TestFeedSourceContractsNeedNoWrapper(t *testing.T) {
 		return c
 	}
 	t.Run("Run", func(t *testing.T) { run(t, plainSource{n}) })
-	t.Run("VolatileEmits", func(t *testing.T) {
+	t.Run("ReusedBuffer", func(t *testing.T) {
 		// Without the copy every stored record would alias the buffer's
 		// last content and ids would be missing.
 		run(t, bufferSource{n})
@@ -382,4 +383,95 @@ func (s *heldOpenSource) RunFrom(ctx context.Context, from uint64, emit func(uin
 	}
 	<-ctx.Done()
 	return nil
+}
+
+// TestDeepRecordNeverReachesTheWAL: a value nested deeper than the
+// storage decoder accepts is refused at every entrance — a JSON
+// argument, a value built in Go, a SQL++ constructor, a line on a feed —
+// before anything is logged, so what was acknowledged is exactly what a
+// reopened data directory holds. (The decoder alone used to enforce the
+// bound: the write was acknowledged and the next open failed in WAL
+// replay.)
+func TestDeepRecordNeverReachesTheWAL(t *testing.T) {
+	const schema = `
+		CREATE TYPE T AS OPEN { id: int64 };
+		CREATE DATASET D(T) PRIMARY KEY id;
+		CREATE FEED F WITH { "adapter-name": "channel_adapter", "batch-size": 2 };
+		CONNECT FEED F TO DATASET D;`
+	// line is record id with a scalar inside n arrays inside the record.
+	line := func(id, n int) []byte {
+		return []byte(fmt.Sprintf(`{"id":%d,"v":%s7%s}`, id, strings.Repeat("[", n), strings.Repeat("]", n)))
+	}
+	const deepest = adm.MaxDepth - 1 // arrays that still fit inside the record object
+	dir := t.TempDir()
+	open := func() *Cluster {
+		t.Helper()
+		c, err := NewCluster(Config{DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Execute(context.Background(), schema); err != nil {
+			c.Close()
+			t.Fatalf("script on an existing data directory: %v", err)
+		}
+		return c
+	}
+	c := open()
+	ctx := context.Background()
+	acked := map[int64]bool{}
+	upsert := func(id int64, stmt string, args ...any) {
+		t.Helper()
+		if _, err := c.Execute(ctx, stmt, args...); err == nil {
+			acked[id] = true
+		}
+	}
+	built := Arr(7)
+	for i := 0; i < deepest+1; i++ {
+		built = Arr(built)
+	}
+	upsert(1, `UPSERT INTO D ($1);`, line(1, deepest))
+	upsert(2, `UPSERT INTO D ($1);`, line(2, deepest+1))
+	upsert(3, `UPSERT INTO D ($1);`, Obj("id", 3, "v", built))
+	upsert(4, `UPSERT INTO D ([`+string(line(4, deepest+1))+`]);`)
+	upsert(5, `UPSERT INTO D ([{"id": 5}]);`)
+	if !acked[1] || acked[2] || acked[3] || acked[4] || !acked[5] {
+		t.Fatalf("acknowledged upserts %v, want exactly ids 1 and 5", acked)
+	}
+
+	if err := c.SetFeedSource("F", func(int) (FeedSource, error) {
+		return &RecordsSource{Records: [][]byte{line(10, 3), line(11, 300), line(12, deepest), line(13, deepest+1), line(14, 0)}}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	feed := c.MustExecute(`START FEED F;`).Feeds()[0]
+	if err := feed.Wait(); err != nil {
+		t.Fatalf("feed died of a deep line: %v", err)
+	}
+	if st, _ := feed.Stats(); st.ParseErrors != 2 || st.Stored != 3 {
+		t.Fatalf("feed stored %d records with %d parse errors, want 3 and 2", st.Stored, st.ParseErrors)
+	}
+	acked[10], acked[12], acked[14] = true, true, true
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c = open()
+	defer c.Close()
+	rows, err := c.Query(ctx, `SELECT VALUE d.id FROM D d;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	got := map[int64]bool{}
+	for rows.Next() {
+		got[rows.Value().Int()] = true
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(1); id <= 14; id++ {
+		if got[id] != acked[id] {
+			t.Errorf("id %d: stored %v, acknowledged %v", id, got[id], acked[id])
+		}
+	}
 }

@@ -8,7 +8,7 @@
 // storage pipeline, whose per-batch state refresh lets stateful
 // enrichment observe reference-data updates. See README.md for a
 // walkthrough and docs/ARCHITECTURE.md for the architecture and the
-// frame/arena ownership model.
+// frame ownership model.
 package idea
 
 import (
@@ -107,20 +107,11 @@ func (c *Cluster) NodeAlive(node int) bool { return c.inner.NodeAlive(node) }
 // paper's feed adapter: Run emits one record per call until the source
 // is exhausted or ctx is canceled; emit blocks for backpressure.
 //
-// Emitted bytes travel the pipeline zero-copy: the feed retains each
-// slice until the record has been parsed, so Run must hand every emit
-// call its own slice (or one it will never mutate again). A source that
-// instead reuses a read buffer across emits must also implement
-// VolatileFeedSource, and the feed will copy each emit into a pooled
-// per-frame arena. (This and the two optional contracts below are the
-// engine's own interfaces: the feed honours whichever of them the value
-// a SetFeedSource factory returns implements.)
+// Emitted bytes are copied before emit returns, so Run may reuse its
+// read buffer across emits. (This and the optional contract below are
+// the engine's own interfaces: the feed honours ResumableFeedSource
+// when the value a SetFeedSource factory returns implements it.)
 type FeedSource = core.Adapter
-
-// VolatileFeedSource marks a FeedSource whose emitted slices are valid
-// only for the duration of the emit call (a recycled read buffer): it
-// adds VolatileEmits() bool.
-type VolatileFeedSource = core.VolatileAdapter
 
 // ResumableFeedSource is a FeedSource whose records live in a
 // replayable, monotonic offset space (offsets are dense and start

@@ -2,47 +2,41 @@ package adm
 
 import "unsafe"
 
-// Arena is a frame-scoped allocation region for parsed record payloads:
-// string bytes, field-name bytes, Object structs, and object field
-// spines all come out of a handful of growable slabs instead of
-// individual heap allocations. Parsing a record into an Arena therefore
-// costs O(1) allocations amortized over many records, and recycling is
-// a single Reset instead of garbage-collecting one small object per
-// string.
+// Arena is a slab allocator for parsed record payloads: string bytes,
+// Object structs and object field spines come out of a handful of
+// growable slabs instead of individual heap allocations, so parsing a
+// record into an Arena costs O(1) allocations amortized over a frame.
 //
-// The trade is a lifetime contract (see docs/ARCHITECTURE.md and the
-// hyracks package comment for the normative rules):
+// Values parsed into an arena are ordinary values. They share its slabs
+// and keep them alive; the garbage collector reclaims a slab when the
+// last value referencing it dies (so one long-lived record pins its
+// frame's slabs). Nothing in the engine resets an arena that values
+// were parsed into: the feed's collector parses every frame into a
+// fresh arena (Successor) and drops its reference when the frame is
+// pushed. Reset exists for arenas whose contents are provably dead —
+// the raw-lane line arenas hyracks pools, and benchmarks that parse and
+// discard.
 //
-//   - Every value parsed into an Arena references the arena's memory.
-//     The values are valid only while the arena is live and un-Reset.
-//   - Reset invalidates every value previously parsed into the arena;
-//     reading one afterwards observes whatever bytes the next frame
-//     wrote. A consumer that retains a value past the arena's reset
-//     must copy it out first with Value.Materialize.
-//   - Alternatively the consumer may simply retain the values without
-//     resetting the arena (the storage writer does this): the values
-//     keep the slabs alive and the garbage collector reclaims them
-//     when the last value dies.
-//
-// An Arena is not safe for concurrent use. In the feed pipeline each
-// Arena is owned by exactly one hyracks.Frame at a time, and frame
-// ownership transfer (Push) carries the arena with it.
+// An Arena is not safe for concurrent use.
 type Arena struct {
-	buf   []byte   // current string / raw-record byte slab
+	buf   []byte   // current string / raw-line byte slab
 	objs  []Object // Object struct slab
-	vals  []Value  // object field-value spine slab
+	vals  []Value  // object field-value and array element spine slab
 	names []string // object field-name spine slab
+
+	// Lengths of the slabs already filled and replaced, per kind, so
+	// Successor knows what the whole frame used.
+	spentBuf, spentObjs, spentVals, spentNames int
 }
 
 // Slab sizing: slabs start small and double each time one fills, up to
 // a cap, so an arena backing a frame of tiny records does not commit
-// kilobytes it will never touch (arenas adopted by storage are not
-// recycled, so over-allocation would be retained, not pooled). When a
-// slab fills mid-frame a fresh one is started and the full one stays
-// alive through the values that reference it (Reset only reclaims the
-// current slab). The byte slab follows the same rule without the cap
-// (see reserve): a pooled arena's byte slab converges on its frames'
-// size, and nothing is ever copied from a full slab to its successor.
+// kilobytes it will never touch. When a slab fills mid-frame a fresh
+// one is started and the full one stays alive through the values that
+// reference it (Reset only reclaims the current slab). The byte slab
+// follows the same rule without the cap (see reserve): a pooled line
+// arena's byte slab converges on its frames' size, and nothing is ever
+// copied from a full slab to its successor.
 const (
 	minSlabSize = 64
 	maxSlabSize = 2048
@@ -55,6 +49,26 @@ func NewArena(bytesCap int) *Arena {
 		bytesCap = 0
 	}
 	return &Arena{buf: make([]byte, 0, bytesCap)}
+}
+
+// Successor returns an empty arena whose slabs start at the sizes a's
+// contents reached, plus an eighth: a stream of similar frames
+// allocates each slab once per frame instead of re-growing it from
+// minSlabSize, and a frame slightly larger than the last does not spill
+// a few values into a second, doubled slab. An arena nothing was parsed
+// into is its own successor.
+func (a *Arena) Successor() *Arena {
+	nb, no := a.spentBuf+len(a.buf), a.spentObjs+len(a.objs)
+	nv, nn := a.spentVals+len(a.vals), a.spentNames+len(a.names)
+	if nb+no+nv+nn == 0 {
+		return a
+	}
+	return &Arena{
+		buf:   make([]byte, 0, nb+nb/8),
+		objs:  make([]Object, 0, no+no/8),
+		vals:  make([]Value, 0, nv+nv/8),
+		names: make([]string, 0, nn+nn/8),
+	}
 }
 
 // Len reports the bytes stored in the current byte slab.
@@ -71,15 +85,18 @@ func (a *Arena) Cap() int { return cap(a.buf) }
 // simply stays reachable through those views.
 func (a *Arena) reserve(n int) {
 	if cap(a.buf)-len(a.buf) < n {
+		a.spentBuf += len(a.buf)
 		a.buf = make([]byte, 0, max(2*cap(a.buf), n, minSlabSize))
 	}
 }
 
-// Reset forgets the arena's contents so it can back a new frame. Every
-// value previously parsed into the arena becomes invalid: its bytes
-// will be overwritten by the next records. The pointer-bearing slabs
-// are cleared so a pooled arena does not pin dead payloads.
+// Reset forgets the arena's contents so its current slabs can be
+// reused. Only the owner of every byte and value in the arena may call
+// it: whatever still references them reads the next contents. The
+// pointer-bearing slabs are cleared so a pooled arena does not pin dead
+// payloads.
 func (a *Arena) Reset() {
+	a.spentBuf, a.spentObjs, a.spentVals, a.spentNames = 0, 0, 0, 0
 	a.buf = a.buf[:0]
 	clear(a.objs[:cap(a.objs)])
 	a.objs = a.objs[:0]
@@ -90,8 +107,8 @@ func (a *Arena) Reset() {
 }
 
 // AppendBytes copies b into the arena and returns the arena-owned copy.
-// The view is valid until Reset. Adapters use this to stage volatile
-// read-buffer lines (raw-lane frames) without a per-line allocation.
+// The view is valid until Reset. The raw lane stages adapter lines this
+// way (hyracks.FrameBuilder.AddRawCopy): no per-line allocation.
 func (a *Arena) AppendBytes(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
@@ -104,7 +121,7 @@ func (a *Arena) AppendBytes(b []byte) []byte {
 
 // appendView copies b into the byte buffer and returns a string view of
 // the arena-owned copy without allocating a string header payload. The
-// view aliases arena memory — hence the Reset contract above.
+// view aliases arena memory.
 func (a *Arena) appendView(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -126,19 +143,8 @@ func (a *Arena) viewFrom(mark int) string {
 	return unsafe.String(&a.buf[mark], len(a.buf)-mark)
 }
 
-// stringValue copies b into the arena and returns a string Value whose
-// payload references arena memory, flagged so Materialize knows to copy
-// it out.
-func (a *Arena) stringValue(b []byte) Value {
-	if len(b) == 0 {
-		return String("")
-	}
-	return Value{kind: KindString, flags: flagArena, s: a.appendView(b)}
-}
-
 // newObject allocates an Object from the slab with room for hint fields
-// carved out of the spine slabs. The object is flagged arena-backed so
-// Materialize rebuilds it on copy-out.
+// carved out of the spine slabs.
 func (a *Arena) newObject(hint int) *Object {
 	if hint < 1 {
 		hint = 1
@@ -146,6 +152,7 @@ func (a *Arena) newObject(hint int) *Object {
 	if len(a.objs) == cap(a.objs) {
 		// Slab full: start a fresh, larger one. The full slab stays
 		// reachable through the *Object pointers already handed out.
+		a.spentObjs += len(a.objs)
 		a.objs = make([]Object, 0, nextSlabSize(cap(a.objs)))
 	}
 	a.objs = a.objs[:len(a.objs)+1]
@@ -153,7 +160,6 @@ func (a *Arena) newObject(hint int) *Object {
 	*o = Object{
 		names:  a.nameSpan(hint),
 		values: a.valueSpan(hint),
-		arena:  true,
 	}
 	return o
 }
@@ -180,6 +186,7 @@ func (a *Arena) valueSpan(n int) []Value {
 		if c < n {
 			c = n
 		}
+		a.spentVals += len(a.vals)
 		a.vals = make([]Value, 0, c)
 	}
 	m := len(a.vals)
@@ -194,6 +201,7 @@ func (a *Arena) nameSpan(n int) []string {
 		if c < n {
 			c = n
 		}
+		a.spentNames += len(a.names)
 		a.names = make([]string, 0, c)
 	}
 	m := len(a.names)

@@ -27,24 +27,13 @@ func TestArenaParsing(t *testing.T) {
 	if Compare(got, want) != 0 {
 		t.Fatalf("arena parse mismatch:\n got %v\nwant %v", got, want)
 	}
-	if !got.ArenaBacked() {
-		t.Fatal("arena-parsed object not flagged arena-backed")
-	}
-	if !got.Field("text").ArenaBacked() {
-		t.Fatal("clean string should be an arena view")
-	}
-	if !got.Field("esc").ArenaBacked() {
-		t.Fatal("escape-decoded string should decode into the arena's unescape buffer")
-	}
-	if !got.Field("user").Field("tags").ArenaBacked() {
-		t.Fatal("array element spine should be carved from the arena")
-	}
 }
 
 // TestArenaReset: resetting an arena invalidates the views parsed into
 // it — the next record's bytes overwrite them. This pins down the
-// aliasing that makes Materialize necessary (if this test ever fails
-// because views stopped aliasing, the zero-allocation claim broke too).
+// aliasing that is why the engine never resets a parse arena (if this
+// test ever fails because views stopped aliasing, the zero-allocation
+// claim broke too).
 func TestArenaReset(t *testing.T) {
 	p := NewParser()
 	a := NewArena(64)
@@ -62,61 +51,42 @@ func TestArenaReset(t *testing.T) {
 	}
 }
 
-// TestMaterialize: a materialized value shares no memory with the arena
-// — it must survive the arena being reset and overwritten.
-func TestMaterialize(t *testing.T) {
-	doc := []byte(`{"id":1,"text":"keep me","user":{"name":"ann"},"tags":["a","b"]}`)
+// TestArenaSuccessor: an arena sized from what the previous frame used
+// parses an identical frame without allocating again — every slab is
+// drawn once, up front — including slabs the first frame outgrew.
+func TestArenaSuccessor(t *testing.T) {
 	p := NewParser()
-	a := NewArena(128)
-	spine, err := p.ParseInto(doc, nil, a)
-	if err != nil {
-		t.Fatal(err)
+	const records = 300 // more objects than one maxSlabSize-ramp slab holds
+	frame := func(a *Arena) []Value {
+		spine := make([]Value, 0, records)
+		for i := 0; i < records; i++ {
+			var err error
+			if spine, err = p.ParseInto(tweetJSON, spine, a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return spine
 	}
-	want, err := ParseJSON(doc) // heap reference copy
-	if err != nil {
-		t.Fatal(err)
+	first := NewArena(0)
+	want := frame(first)
+	next := first.Successor()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := frame(next)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 1 { // the spine
+		t.Fatalf("parsing into a successor arena made %d allocations, want only the record spine", n)
 	}
-	m := spine[0].Materialize()
-	a.Reset()
-	if _, err := p.ParseInto([]byte(`{"id":9,"text":"clobber!","user":{"name":"zzz"},"tags":["q","r"]}`), nil, a); err != nil {
-		t.Fatal(err)
+	for i := range want {
+		if !Equal(got[i], want[i]) {
+			t.Fatalf("record %d differs between the arena and its successor", i)
+		}
 	}
-	if Compare(m, want) != 0 {
-		t.Fatalf("materialized value corrupted by arena reuse:\n got %v\nwant %v", m, want)
-	}
-	if m.ArenaBacked() || m.Field("text").ArenaBacked() {
-		t.Fatal("materialized value still flagged arena-backed")
-	}
-}
-
-// TestMaterializeHeapIdentity: heap values materialize to themselves —
-// same object pointer, no allocation.
-func TestMaterializeHeapIdentity(t *testing.T) {
-	v, err := ParseJSON([]byte(`{"id":1,"text":"heap","arr":[1,2]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := v.Materialize()
-	if m.ObjectVal() != v.ObjectVal() {
-		t.Fatal("materializing a heap value should be the identity")
-	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = v.Materialize() }); allocs != 0 {
-		t.Fatalf("materializing a heap value allocated %v times", allocs)
-	}
-	// A heap container holding an arena child must still be rebuilt —
-	// the walk cannot trust container flags.
-	a := NewArena(64)
-	spine, err := NewParser().ParseInto([]byte(`"arena leaf"`), nil, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := ObjectValue(ObjectFromPairs("leaf", spine[0]))
-	if wrapped.ArenaBacked() {
-		t.Fatal("hand-built container should not report arena-backed (shallow check)")
-	}
-	mw := wrapped.Materialize()
-	if mw.Field("leaf").ArenaBacked() {
-		t.Fatal("materialize missed an arena leaf inside a heap container")
+	// An arena nothing was parsed into keeps its sizing: it is its own
+	// successor (the collector renews at the end of every invocation,
+	// which often comes right after a push).
+	if unused := next.Successor().Successor(); unused.Successor() != unused {
+		t.Fatal("an untouched arena was replaced")
 	}
 }
 

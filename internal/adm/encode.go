@@ -95,13 +95,57 @@ func DecodeBinary(data []byte) (Value, int, error) {
 	return v, n, nil
 }
 
-// maxBinaryDepth bounds container nesting so corrupt counts cannot
-// recurse unboundedly.
-const maxBinaryDepth = 200
+// MaxDepth bounds container nesting: no value sits inside more than
+// MaxDepth arrays and objects. Every entrance enforces it — the JSON
+// parser, DecodeBinary/SkipBinary (so corrupt counts cannot recurse
+// unboundedly) and, through CheckDepth, the storage write path — so
+// whatever is stored decodes again.
+const MaxDepth = 200
+
+var errTooDeep = fmt.Errorf("adm: value nested deeper than %d", MaxDepth)
+
+// CheckDepth returns an error when v nests deeper than MaxDepth, i.e.
+// exactly when DecodeBinary would refuse v's encoding.
+func CheckDepth(v Value) error {
+	if !v.nestsWithin(MaxDepth) {
+		return errTooDeep
+	}
+	return nil
+}
+
+func (v Value) nestsWithin(depth int) bool {
+	if depth < 0 {
+		return false
+	}
+	switch v.kind {
+	case KindArray:
+		for _, e := range v.arr {
+			if !e.nestsWithin(depth - 1) {
+				return false
+			}
+		}
+	case KindObject:
+		if v.obj != nil {
+			for _, f := range v.obj.values {
+				if !f.nestsWithin(depth - 1) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// maxDecodePrealloc caps the capacity a container's count may reserve
+// before its elements are decoded; append follows the elements actually
+// present. A count is bounded only by the bytes left, at every nesting
+// level, so trusting it would let a crafted payload ask for MaxDepth
+// times its own length in Values before failing as truncated.
+const maxDecodePrealloc = 64
 
 func decodeBinary(data []byte, depth int) (Value, int, error) {
-	if depth > maxBinaryDepth {
-		return Value{}, 0, fmt.Errorf("adm: binary value nested deeper than %d", maxBinaryDepth)
+	if depth > MaxDepth {
+		return Value{}, 0, errTooDeep
 	}
 	if len(data) == 0 {
 		return Value{}, 0, fmt.Errorf("adm: truncated binary value: missing kind tag")
@@ -180,11 +224,11 @@ func decodeBinary(data []byte, depth int) (Value, int, error) {
 			return EmptyArray(), pos, nil
 		}
 		// A corrupt count could claim more elements than the buffer can
-		// possibly hold (each takes >= 1 byte); cap the allocation.
+		// possibly hold (each takes >= 1 byte).
 		if count > len(data)-pos {
 			return Value{}, 0, errTruncated(kind)
 		}
-		elems := make([]Value, 0, count)
+		elems := make([]Value, 0, min(count, maxDecodePrealloc))
 		for i := 0; i < count; i++ {
 			e, n, err := decodeBinary(data[pos:], depth+1)
 			if err != nil {
@@ -203,7 +247,7 @@ func decodeBinary(data []byte, depth int) (Value, int, error) {
 		if count > len(data)-pos {
 			return Value{}, 0, errTruncated(kind)
 		}
-		obj := NewObject(count)
+		obj := NewObject(min(count, maxDecodePrealloc))
 		for i := 0; i < count; i++ {
 			l, n, err := decodeLen(data[pos:], kind)
 			if err != nil {
@@ -229,9 +273,8 @@ func decodeBinary(data []byte, depth int) (Value, int, error) {
 
 // DecodeBinaryAlias is DecodeBinary for a caller that reads the value
 // only while data is unchanged: a top-level string aliases data instead
-// of copying it, flagged like an arena string so Materialize copies it
-// out. Every other kind decodes exactly as DecodeBinary does. The
-// compaction merge decodes each entry's key this way, so comparing
+// of copying it. Every other kind decodes exactly as DecodeBinary does.
+// The compaction merge decodes each entry's key this way, so comparing
 // string keys costs no allocation per record.
 func DecodeBinaryAlias(data []byte) (Value, int, error) {
 	if len(data) == 0 || Kind(data[0]) != KindString {
@@ -248,7 +291,7 @@ func DecodeBinaryAlias(data []byte) (Value, int, error) {
 	if l == 0 {
 		return String(""), pos, nil
 	}
-	return Value{kind: KindString, flags: flagArena, s: unsafe.String(&data[pos], l)}, pos + l, nil
+	return String(unsafe.String(&data[pos], l)), pos + l, nil
 }
 
 // SkipBinary returns the encoded length of the value at the front of
@@ -261,8 +304,8 @@ func SkipBinary(data []byte) (int, error) {
 }
 
 func skipBinary(data []byte, depth int) (int, error) {
-	if depth > maxBinaryDepth {
-		return 0, fmt.Errorf("adm: binary value nested deeper than %d", maxBinaryDepth)
+	if depth > MaxDepth {
+		return 0, errTooDeep
 	}
 	if len(data) == 0 {
 		return 0, fmt.Errorf("adm: truncated binary value: missing kind tag")

@@ -108,19 +108,20 @@ func TestBinaryDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// TestBinaryArenaValues ensures arena-backed values encode identically
-// to their materialized twins — storage serializes straight off the
+// TestBinaryArenaValues ensures arena-parsed values encode identically
+// to their heap-parsed twins — storage serializes straight off the
 // parse arena.
 func TestBinaryArenaValues(t *testing.T) {
-	ar := NewArena(1 << 12)
-	vals, err := NewParser().ParseInto([]byte(`{"id": 7, "text": "tweet with éscapes", "tags": ["x", "y"]}`), nil, ar)
+	doc := []byte(`{"id": 7, "text": "tweet with éscapes", "tags": ["x", "y"]}`)
+	vals, err := NewParser().ParseInto(doc, nil, NewArena(1<<12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := vals[0]
-	got := AppendBinary(nil, rec)
-	want := AppendBinary(nil, rec.Materialize())
-	if !bytes.Equal(got, want) {
-		t.Fatal("arena-backed value encoded differently from materialized copy")
+	heap, err := ParseJSON(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(AppendBinary(nil, vals[0]), AppendBinary(nil, heap)) {
+		t.Fatal("arena-parsed value encoded differently from its heap-parsed twin")
 	}
 }

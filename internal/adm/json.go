@@ -27,16 +27,19 @@ const defaultObjectHint = 8
 const defaultArrayHint = 4
 
 type jsonParser struct {
-	data     []byte
-	pos      int
+	data []byte
+	pos  int
+	// depth and arrDepth count the objects and the arrays around the
+	// value being parsed: separately they index the Parser's size hints,
+	// together they are the nesting MaxDepth bounds.
 	depth    int
 	arrDepth int
 	// owner, when non-nil, supplies the field-name intern table and
 	// object size hints of a reusable Parser.
 	owner *Parser
 	// arena, when non-nil, receives string payloads, objects, and field
-	// spines: parsed values reference arena memory instead of owning
-	// heap allocations (see Arena for the lifetime contract).
+	// spines: parsed values share its slabs instead of owning one heap
+	// allocation each.
 	arena *Arena
 }
 
@@ -71,6 +74,9 @@ func (p *jsonParser) skipSpace() {
 func (p *jsonParser) parseValue() (Value, error) {
 	if p.pos >= len(p.data) {
 		return Value{}, p.errorf("unexpected end of input")
+	}
+	if p.depth+p.arrDepth > MaxDepth {
+		return Value{}, p.errorf("value nested deeper than %d", MaxDepth)
 	}
 	switch c := p.data[p.pos]; {
 	case c == '{':
@@ -173,7 +179,7 @@ func (p *jsonParser) parseObject() (Value, error) {
 // case by far) are interned straight from the input bytes without an
 // intermediate allocation; an interning Parser's canonical names are
 // stable heap strings shared across records, so names never view an
-// arena and never need materializing.
+// arena.
 func (p *jsonParser) parseKey() (string, error) {
 	start := p.pos + 1
 	for i := start; i < len(p.data); i++ {
@@ -213,7 +219,7 @@ func (p *jsonParser) parseStringValue() (Value, error) {
 			b := p.data[start:i]
 			p.pos = i + 1
 			if p.arena != nil {
-				return p.arena.stringValue(b), nil
+				return String(p.arena.appendView(b)), nil
 			}
 			return String(string(b)), nil
 		}
@@ -223,19 +229,10 @@ func (p *jsonParser) parseStringValue() (Value, error) {
 	}
 	if p.arena != nil {
 		s, err := p.parseStringIntoArena()
-		if err != nil {
-			return Value{}, err
-		}
-		if s == "" {
-			return String(""), nil
-		}
-		return Value{kind: KindString, flags: flagArena, s: s}, nil
+		return String(s), err
 	}
 	s, err := p.parseString()
-	if err != nil {
-		return Value{}, err
-	}
-	return String(s), nil
+	return String(s), err
 }
 
 // parseStringIntoArena decodes a string (escapes included) directly
@@ -286,9 +283,8 @@ func (p *jsonParser) parseArray() (Value, error) {
 	// the hinted length; arrays that outgrow the span fall back to heap
 	// growth (the hints make that rare), which is correct, just slower.
 	var elems []Value
-	hint := 0
 	if p.arena != nil {
-		hint = defaultArrayHint
+		hint := defaultArrayHint
 		if p.owner != nil {
 			hint = p.owner.arrayHint(depth)
 		}
@@ -315,11 +311,6 @@ func (p *jsonParser) parseArray() (Value, error) {
 			p.arrDepth--
 			if p.owner != nil {
 				p.owner.observeArray(depth, len(elems))
-			}
-			// cap(elems) == hint means every append stayed inside the
-			// arena span; growth would have reallocated to the heap.
-			if hint > 0 && cap(elems) == hint {
-				return Value{kind: KindArray, flags: flagArenaSpine, arr: elems}, nil
 			}
 			return Array(elems), nil
 		default:

@@ -10,14 +10,10 @@
 // # Arenas
 //
 // On the feed hot path, values are parsed into an Arena: string
-// payloads, object structs, and field spines reference frame-scoped
-// slabs instead of individual heap allocations, so a warmed record
-// parses with zero allocations. Arena-backed values are valid only
-// while their arena is live and un-Reset; Value.Materialize copies one
-// out before it escapes that lifetime. The Arena type documents the
-// contract; the internal/hyracks package comment states the frame-level
-// ownership rules; docs/ARCHITECTURE.md walks through both with
-// examples.
+// payloads, object structs, and field spines share a few per-frame
+// slabs instead of costing one heap allocation each. They are ordinary
+// values — the garbage collector reclaims a slab with the last value in
+// it — and no pipeline step invalidates them; see the Arena type.
 package adm
 
 // Kind identifies the runtime type of a Value. The order of the

@@ -9,13 +9,6 @@ type Object struct {
 	names  []string
 	values []Value
 	index  map[string]int // built by the Set that grows names past indexThreshold
-
-	// arena marks an object whose struct and field spines were carved
-	// from an Arena slab: the object is only valid while its arena
-	// lives — Value.Materialize rebuilds flagged objects on copy-out.
-	// Field names are never arena views (parsers intern them, decoders
-	// allocate them).
-	arena bool
 }
 
 // indexThreshold is the field count up to which lookups scan the names.
@@ -106,9 +99,7 @@ func (o *Object) Delete(name string) bool {
 	return true
 }
 
-// Clone returns a deep copy of the object. The copy's struct and spines
-// are heap-allocated, but string payloads stay shared; use
-// Value.Materialize to sever an object from its arena entirely.
+// Clone returns a deep copy of the object; string payloads stay shared.
 func (o *Object) Clone() *Object {
 	c := NewObject(len(o.names))
 	c.names = append(c.names, o.names...)
@@ -134,37 +125,6 @@ func (o *Object) CopyShallow() *Object {
 		c.buildIndex()
 	}
 	return c
-}
-
-// materialize returns an arena-free copy of the object, or (o, false)
-// when neither the object nor anything it reaches touches an arena.
-func (o *Object) materialize() (*Object, bool) {
-	changed := o.arena
-	var vals []Value
-	for i, v := range o.values {
-		m, ch := v.materialize()
-		if (ch || changed) && vals == nil {
-			vals = make([]Value, len(o.values))
-			copy(vals, o.values[:i])
-		}
-		if vals != nil {
-			vals[i] = m
-		}
-		changed = changed || ch
-	}
-	if !changed {
-		return o, false
-	}
-	c := &Object{names: append([]string(nil), o.names...)}
-	if vals == nil {
-		vals = make([]Value, len(o.values))
-		copy(vals, o.values)
-	}
-	c.values = vals
-	if len(c.names) > indexThreshold {
-		c.buildIndex()
-	}
-	return c, true
 }
 
 func (o *Object) find(name string) int {

@@ -56,12 +56,10 @@ func (pp *Parser) Parse(data []byte) (Value, error) {
 // ParseInto parses one JSON value and appends it to dst, the
 // caller-owned record spine (typically a pooled frame slice), returning
 // the extended slice. When arena is non-nil, string payloads, objects,
-// and field spines are carved from it instead of the heap, making the
-// parsed value arena-backed: valid only while the arena lives un-Reset,
-// and requiring Value.Materialize before escaping that lifetime. A nil
-// arena keeps the old heap behavior. On a parse error dst is returned
-// unchanged (the arena may still have grown; wasted bytes are reclaimed
-// at the next Reset).
+// and field spines are carved from it instead of the heap: the value
+// stays valid for as long as it is referenced, unless its holder Resets
+// the arena. A nil arena parses to the heap. On a parse error dst is
+// returned unchanged (the arena may still have grown).
 func (pp *Parser) ParseInto(data []byte, dst []Value, arena *Arena) ([]Value, error) {
 	p := jsonParser{data: data, owner: pp, arena: arena}
 	v, err := p.parseDocument()

@@ -2,9 +2,12 @@ package adm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -109,6 +112,122 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		if enc2 := AppendBinary(nil, v2); !bytes.Equal(enc, enc2) {
 			t.Fatalf("not a fixed point: %x then %x", enc, enc2)
+		}
+	})
+}
+
+// nestedJSON wraps a scalar in n arrays.
+func nestedJSON(n int) []byte {
+	return []byte(strings.Repeat("[", n) + "1" + strings.Repeat("]", n))
+}
+
+// TestParseDepthBounded: the JSON parser accepts MaxDepth containers
+// around a value and refuses one more, heap or arena; ten megabytes of
+// '[' are an error, not a stack overflow (which no recover can catch).
+func TestParseDepthBounded(t *testing.T) {
+	p := NewParser()
+	for _, tc := range []struct {
+		name string
+		doc  []byte
+		ok   bool
+	}{
+		{"at the limit", nestedJSON(MaxDepth), true},
+		{"one past the limit", nestedJSON(MaxDepth + 1), false},
+		{"objects count too", []byte(strings.Repeat(`{"a":`, MaxDepth+1) + "1" + strings.Repeat("}", MaxDepth+1)), false},
+		{"10 MB of [", bytes.Repeat([]byte("["), 10<<20), false},
+	} {
+		v, err := ParseJSON(tc.doc)
+		_, aerr := p.ParseInto(tc.doc, nil, NewArena(0))
+		if (err == nil) != tc.ok || (aerr == nil) != tc.ok {
+			t.Fatalf("%s: heap parse err %v, arena parse err %v, want ok=%v", tc.name, err, aerr, tc.ok)
+		}
+		if !tc.ok {
+			continue
+		}
+		if err := CheckDepth(v); err != nil {
+			t.Fatalf("%s: parsed value fails CheckDepth: %v", tc.name, err)
+		}
+		if _, _, err := DecodeBinary(AppendBinary(nil, v)); err != nil {
+			t.Fatalf("%s: parsed value does not decode again: %v", tc.name, err)
+		}
+	}
+	// CheckDepth is DecodeBinary's verdict for values no parser built.
+	deep := Int(1)
+	for i := 0; i <= MaxDepth; i++ {
+		deep = Array([]Value{deep})
+		_, _, derr := DecodeBinary(AppendBinary(nil, deep))
+		if cerr := CheckDepth(deep); (cerr == nil) != (derr == nil) {
+			t.Fatalf("%d arrays deep: CheckDepth %v, DecodeBinary %v", i+1, cerr, derr)
+		}
+	}
+	if CheckDepth(deep) == nil {
+		t.Fatalf("%d arrays deep passed CheckDepth", MaxDepth+1)
+	}
+}
+
+// TestDecodeBinaryAllocationIndependentOfNesting: a payload of nested
+// arrays each claiming as many elements as bytes remain fails as
+// truncated after allocating a small multiple of its own length —
+// whether the claim is made once or at every one of MaxDepth levels.
+func TestDecodeBinaryAllocationIndependentOfNesting(t *testing.T) {
+	const size = 64 << 10
+	for _, depth := range []int{1, MaxDepth} {
+		data := make([]byte, 0, size)
+		for i := 0; i < depth; i++ {
+			data = append(data, byte(KindArray))
+			data = binary.AppendUvarint(data, uint64(size-len(data)-3))
+		}
+		// Two-byte booleans: half as many elements as the innermost count claims.
+		data = append(data, bytes.Repeat([]byte{byte(KindBoolean)}, size-len(data))...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodeBinary(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("depth %d: overclaiming payload decoded", depth)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 256*size {
+			t.Fatalf("depth %d: decoding %d hostile bytes allocated %d (%d×)", depth, size, got, got/size)
+		}
+	}
+}
+
+// FuzzParseJSON: arbitrary bytes parse or error, never panic; the heap
+// parse and the arena parse agree; and an accepted value survives both
+// serializations — the storage encoding (what MaxDepth guarantees) and
+// JSON.
+func FuzzParseJSON(f *testing.F) {
+	for _, doc := range [][]byte{
+		tweetJSON, escapeHeavyJSON,
+		[]byte(`{"id":123,"text":"hello","nested":{"a":[1,2.5,true,null]},"u":"é𝄞"}`),
+		[]byte(`[{"k":"v"},[],{},[null]]`),
+		[]byte(`-123.456e-7`),
+		[]byte(`"escapes \" \\ \n \t A 😀"`),
+		[]byte(`{"a":1,"a":2}`),
+		[]byte(`{"id": 7, "tags": ["x", "y"]} trailing`),
+		nestedJSON(MaxDepth + 1),
+	} {
+		f.Add(doc)
+	}
+	p := NewParser()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := ParseJSON(data)
+		spine, aerr := p.ParseInto(data, nil, NewArena(0))
+		if (err == nil) != (aerr == nil) {
+			t.Fatalf("heap parse: %v; arena parse: %v", err, aerr)
+		}
+		if err != nil {
+			return
+		}
+		if !Equal(v, spine[0]) {
+			t.Fatalf("heap parse %v, arena parse %v", v, spine[0])
+		}
+		enc := AppendBinary(nil, v)
+		if back, n, err := DecodeBinary(enc); err != nil || n != len(enc) || !Equal(back, v) {
+			t.Fatalf("binary round trip of %v: %v, %d of %d bytes, %v", v, back, n, len(enc), err)
+		}
+		if back, err := ParseJSON(AppendJSON(nil, v)); err != nil || !Equal(back, v) {
+			t.Fatalf("JSON round trip of %v: %v, %v", v, back, err)
 		}
 	})
 }

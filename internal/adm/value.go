@@ -13,32 +13,16 @@ import (
 // machine words); the heap payloads (strings, arrays, objects, geometry)
 // are shared on copy, so callers must treat reachable data as immutable
 // and use Clone before mutating.
-//
-// A value parsed into an Arena references the arena's memory instead of
-// owning heap allocations; such values are only valid while the arena
-// is live and un-Reset. Use Materialize to copy a value out of its
-// arena before retaining it past the frame that carries it (see the
-// Arena doc and docs/ARCHITECTURE.md for the ownership rules).
 type Value struct {
-	kind  Kind
-	flags uint8       // flagArena: string payload references an Arena
-	aux   int32       // Duration: months component
-	i     int64       // Int64, Boolean (0/1), DateTime millis, Duration millis
-	f     float64     // Double
-	s     string      // String
-	arr   []Value     // Array elements
-	obj   *Object     // Object fields
-	geo   *[4]float64 // Point(x,y), Rectangle(x1,y1,x2,y2), Circle(cx,cy,r)
+	kind Kind
+	aux  int32       // Duration: months component
+	i    int64       // Int64, Boolean (0/1), DateTime millis, Duration millis
+	f    float64     // Double
+	s    string      // String
+	arr  []Value     // Array elements
+	obj  *Object     // Object fields
+	geo  *[4]float64 // Point(x,y), Rectangle(x1,y1,x2,y2), Circle(cx,cy,r)
 }
-
-// flagArena marks a string value whose payload aliases Arena memory.
-// Objects carry their own arena markers — see Object.
-const flagArena uint8 = 1 << 0
-
-// flagArenaSpine marks an array value whose element spine was carved
-// from an Arena's value slab; Materialize must rebuild the spine even
-// when every element is heap-safe.
-const flagArenaSpine uint8 = 1 << 1
 
 // Canonical singletons for the two unknown values and the booleans.
 var (
@@ -261,82 +245,6 @@ func (v Value) Clone() Value {
 		return v
 	default:
 		return v
-	}
-}
-
-// ArenaBacked reports whether this value's own payload references Arena
-// memory: a string view, or an object allocated from an arena slab. It
-// is a shallow check — a heap-built container can hold arena-backed
-// children without reporting true, which is why Materialize always
-// walks the full value instead of trusting this flag on containers.
-func (v Value) ArenaBacked() bool {
-	switch v.kind {
-	case KindString:
-		return v.flags&flagArena != 0
-	case KindArray:
-		return v.flags&flagArenaSpine != 0
-	case KindObject:
-		return v.obj != nil && v.obj.arena
-	}
-	return false
-}
-
-// Materialize returns a value equivalent to v that shares no memory
-// with any Arena: arena-backed strings are copied to the heap and
-// containers on the path to them are rebuilt. Values that reference no
-// arena are returned unchanged with no allocation, so calling it on
-// already-safe data is cheap. Consumers that retain a value past the
-// life of the frame/arena that produced it (anything that stashes
-// values across batches) must materialize first; see
-// docs/ARCHITECTURE.md.
-func (v Value) Materialize() Value {
-	out, _ := v.materialize()
-	return out
-}
-
-// materialize reports whether a copy was needed, so containers rebuild
-// only the paths that actually touch an arena.
-func (v Value) materialize() (Value, bool) {
-	switch v.kind {
-	case KindString:
-		if v.flags&flagArena != 0 {
-			return Value{kind: KindString, s: strings.Clone(v.s)}, true
-		}
-		return v, false
-	case KindArray:
-		// An arena-carved spine must be rebuilt even when every element
-		// is already heap-safe.
-		changed := v.flags&flagArenaSpine != 0
-		var out []Value
-		if changed && v.arr != nil {
-			out = make([]Value, len(v.arr))
-		}
-		for i, e := range v.arr {
-			m, ch := e.materialize()
-			if ch && out == nil {
-				out = make([]Value, len(v.arr))
-				copy(out, v.arr[:i])
-			}
-			if out != nil {
-				out[i] = m
-			}
-			changed = changed || ch
-		}
-		if !changed {
-			return v, false
-		}
-		return Value{kind: KindArray, arr: out}, true
-	case KindObject:
-		if v.obj == nil {
-			return v, false
-		}
-		o, ch := v.obj.materialize()
-		if !ch {
-			return v, false
-		}
-		return Value{kind: KindObject, obj: o}, true
-	default:
-		return v, false
 	}
 }
 

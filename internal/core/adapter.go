@@ -30,26 +30,11 @@ import (
 // one record per emit call. Run returns when the source is exhausted or
 // ctx is canceled; emit blocks for backpressure.
 //
-// Emitted bytes travel the pipeline zero-copy by default: the feed
-// retains the slice until the record has been parsed, so an adapter
-// must hand each emit call its own slice (or one it will never mutate
-// again) — it must not reuse a read buffer across emits. An adapter
-// that *does* scan into a recycled buffer implements VolatileAdapter
-// instead, and the feed stages each emit into a pooled per-frame line
-// arena (one memcpy, no per-record allocation).
+// Emitted bytes are copied before emit returns (into a pooled per-frame
+// line arena: one memcpy, no per-record allocation), so an adapter may
+// reuse its read buffer across emits.
 type Adapter interface {
 	Run(ctx context.Context, emit func(raw []byte) error) error
-}
-
-// VolatileAdapter is implemented by adapters whose emitted slices are
-// valid only for the duration of the emit call (reused read buffers).
-// The feed copies such emits into the frame's arena before they are
-// retained; see hyracks.FrameBuilder.AddRawCopy.
-type VolatileAdapter interface {
-	Adapter
-	// VolatileEmits reports that emitted bytes must be copied before
-	// the emit call returns.
-	VolatileEmits() bool
 }
 
 // ResumableAdapter is an Adapter whose source has a replayable,
@@ -122,10 +107,6 @@ func (a *ChannelAdapter) Run(ctx context.Context, emit func([]byte) error) error
 // records — the paper's socket_adapter. It serves any number of
 // sequential or concurrent connections; Run ends when the listener is
 // closed (StopFeed) or ctx is canceled.
-//
-// It emits straight out of each connection's scanner buffer and
-// declares VolatileEmits, so the feed stages lines into a pooled frame
-// arena instead of this adapter allocating a copy per line.
 type SocketAdapter struct {
 	// Addr is the listen address, e.g. "127.0.0.1:10001".
 	Addr string
@@ -164,10 +145,6 @@ func (a *SocketAdapter) Run(ctx context.Context, emit func([]byte) error) error 
 			sc := bufio.NewScanner(conn)
 			sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 			for sc.Scan() {
-				// Zero-copy into emit: the scanner buffer is reused
-				// across lines, which VolatileEmits warns the feed
-				// about — it copies into a frame arena before
-				// retaining.
 				line := sc.Bytes()
 				if len(line) == 0 {
 					continue
@@ -188,10 +165,6 @@ func (a *SocketAdapter) Run(ctx context.Context, emit func([]byte) error) error 
 	}
 	return connErr
 }
-
-// VolatileEmits implements VolatileAdapter: lines alias the scanner's
-// recycled read buffer.
-func (a *SocketAdapter) VolatileEmits() bool { return true }
 
 // Stop closes the listener, ending Run once in-flight connections
 // finish.

@@ -250,10 +250,14 @@ type Feed struct {
 	storageJob     *hyracks.Job
 
 	// parsers[p] is partition p's reusable JSON parser; its field-name
-	// intern table and size hints stay warm across invocations. Each is
-	// only touched by the collector instance for partition p, and
+	// intern table and size hints stay warm across invocations.
+	// arenas[p] is the empty arena the partition's next outgoing frame
+	// is parsed into, sized from what the previous frame used; it is
+	// never pooled or reset — its slabs leave with the records. Both
+	// are only touched by the collector instance for partition p, and
 	// invocations run sequentially, so no locking is needed.
 	parsers []*adm.Parser
+	arenas  []*adm.Arena
 
 	// computeSpec is the predeployed computing job's spec skeleton,
 	// built once at start; per-invocation state lives in curInv. The
@@ -517,8 +521,10 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 		f.quota = 1
 	}
 	f.parsers = make([]*adm.Parser, n)
+	f.arenas = make([]*adm.Arena, n)
 	for p := range f.parsers {
 		f.parsers[p] = adm.NewParser()
+		f.arenas[p] = adm.NewArena(0)
 	}
 
 	// Resume state: one tracker per adapter slot, seeded from the last
@@ -616,10 +622,10 @@ func (f *Feed) buildIntakeSpec() (*hyracks.JobSpec, error) {
 	spec := hyracks.NewJobSpec()
 	spec.QueueCapacity = f.cluster.Tuning().HolderCapacity
 	cfg := f.cfg
-	// The collector consumes whole frames (PullFrames never splits one,
-	// so arenas travel intact), which makes the intake frame size the
-	// batch-size granularity: cap it at the per-node quota so a small
-	// BatchSize still yields small, frequent computing-job batches.
+	// The collector consumes whole frames (PullFrames never splits one),
+	// which makes the intake frame size the batch-size granularity: cap
+	// it at the per-node quota so a small BatchSize still yields small,
+	// frequent computing-job batches.
 	intakeCap := f.frameCap
 	if f.quota < intakeCap {
 		intakeCap = f.quota
@@ -637,17 +643,10 @@ func (f *Feed) buildIntakeSpec() (*hyracks.JobSpec, error) {
 				if err := out.Open(); err != nil {
 					return err
 				}
+				// Every emit is staged into the frame's pooled line arena
+				// (one memcpy, no per-record allocation) and rides the
+				// raw lane to the collector's parser.
 				b := hyracks.NewFrameBuilder(intakeCap, out)
-				// Raw record bytes ride the frame's raw lane untouched —
-				// no string wrapping, no copy; the collector's parser
-				// reads them directly. Adapters that recycle their read
-				// buffer (VolatileEmits) get staged into the frame's
-				// pooled line arena instead: still no per-record
-				// allocation, just one memcpy.
-				emit := b.AddRaw
-				if v, ok := adapter.(VolatileAdapter); ok && v.VolatileEmits() {
-					emit = b.AddRawCopy
-				}
 				var err error
 				if ra, ok := adapter.(ResumableAdapter); ok {
 					// Resume past everything already checkpointed; each
@@ -657,10 +656,10 @@ func (f *Feed) buildIntakeSpec() (*hyracks.JobSpec, error) {
 					from := f.trackers[p].cut()
 					err = ra.RunFrom(f.adaptCtx, from, func(off uint64, raw []byte) error {
 						b.NoteOffset(off)
-						return emit(raw)
+						return b.AddRawCopy(raw)
 					})
 				} else {
-					err = adapter.Run(f.adaptCtx, emit)
+					err = adapter.Run(f.adaptCtx, b.AddRawCopy)
 				}
 				if err != nil && !(errors.Is(err, context.Canceled) && f.adaptCtx.Err() != nil) {
 					return err
@@ -846,9 +845,6 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 				if f.eof[p].Load() {
 					return nil
 				}
-				// Pull whole frames: nothing is copied out of them and
-				// each input frame's arena (the socket adapter's line
-				// bytes) stays attached until its records are parsed.
 				frames, eof, err := f.intakeHolders[p].PullFrames(tc.Ctx, f.quota)
 				if err != nil {
 					return err
@@ -856,31 +852,16 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 				if eof {
 					f.eof[p].Store(true)
 				}
-				// Parse straight into a pooled record spine + byte
-				// arena that together become the outgoing frame:
-				// ParseInto appends each record to the caller-owned
-				// spine and writes string/object payloads into the
-				// caller's arena, so a record costs no per-value
-				// allocations.
+				// Parse into a pooled record spine and the partition's
+				// fresh arena: ParseInto writes string/object payloads
+				// into the arena, so a record costs no per-value
+				// allocations. A full spine is pushed on as a frame of
+				// ordinary values, and the next frame gets its own arena.
 				parser := f.parsers[p]
 				spine := hyracks.GetRecordSlice(f.frameCap)
-				arena := hyracks.GetArena()
-				emit := func(rec adm.Value) error {
-					spine = append(spine, rec)
-					inv.records.Add(1)
-					if len(spine) < f.frameCap {
-						return nil
-					}
-					// Push transfers spine+arena ownership even when it
-					// fails; draw replacements only on success so a
-					// failed batch doesn't strand fresh pool objects.
-					if err := out.Push(hyracks.Frame{Records: spine, Arena: arena}); err != nil {
-						spine, arena = nil, nil
-						return err
-					}
-					spine = hyracks.GetRecordSlice(f.frameCap)
-					arena = hyracks.GetArena()
-					return nil
+				push := func() error {
+					f.arenas[p] = f.arenas[p].Successor()
+					return out.Push(hyracks.Frame{Records: spine})
 				}
 				for _, fr := range frames {
 					// Collection is the delivery point for offset
@@ -893,41 +874,34 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 						n := len(spine)
 						var rec adm.Value
 						var perr error
-						if spine, perr = parser.ParseInto(raw, spine, arena); perr == nil {
+						if spine, perr = parser.ParseInto(raw, spine, f.arenas[p]); perr == nil {
 							rec, spine = spine[n], spine[:n]
 						}
-						if rec, ok := admit(f.dt, f.stats, rec, perr); ok {
-							if err := emit(rec); err != nil {
+						rec, ok := admit(f.dt, f.stats, rec, perr)
+						if !ok {
+							continue
+						}
+						spine = append(spine, rec)
+						inv.records.Add(1)
+						if len(spine) == f.frameCap {
+							if err := push(); err != nil {
 								return err
 							}
+							spine = hyracks.GetRecordSlice(f.frameCap)
 						}
 					}
-					// Parsed (record-lane) frames reaching the intake
-					// holder are forwarded record by record too; their
-					// headers keep referencing the input frame's arena,
-					// so only its spines recycle. Raw-only frames are
-					// fully consumed by the parse above — strings were
-					// copied into our arena — and recycle completely,
-					// returning the adapter's line arena to the pool.
-					for _, rec := range fr.Records {
-						if rec, ok := admit(f.dt, f.stats, rec, nil); ok {
-							if err := emit(rec); err != nil {
-								return err
-							}
-						}
-					}
-					if len(fr.Records) > 0 {
-						hyracks.RecycleFrameSpines(fr)
-					} else {
-						hyracks.RecycleFrame(fr)
-					}
+					// The lines are parsed (strings were copied into the
+					// parse arena), so the line arena goes back to the
+					// pool for the adapter's next frame.
+					hyracks.RecycleFrame(fr)
 				}
 				if len(spine) == 0 {
+					// Rejected lines may have left garbage in the arena.
 					hyracks.PutRecordSlice(spine)
-					hyracks.PutArena(arena)
+					f.arenas[p] = f.arenas[p].Successor()
 					return nil
 				}
-				return out.Push(hyracks.Frame{Records: spine, Arena: arena})
+				return push()
 			}), nil
 		},
 	})

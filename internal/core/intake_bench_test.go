@@ -25,11 +25,11 @@ func (w *pushWriter) Close() error { return nil }
 // BenchmarkIntakePath measures the intake→parse half of the feed in
 // isolation: adapter bytes ride raw frames through a partition holder
 // and come out as parsed ADM records — no UDF, no storage, no cluster
-// simulation. This is the path the zero-copy refactor targets: raw
-// bytes are never wrapped in strings or copied, whole frames (arena
-// included) are pulled without copying record headers, and records are
-// parsed into a pooled byte arena so string values and objects cost no
-// per-value allocations.
+// simulation: lines are staged into pooled line arenas, whole frames
+// are pulled without copying record headers, and records are parsed
+// into a fresh per-frame arena sized from the previous frame, as the
+// collector does, so string values and objects cost no per-value
+// allocations.
 func BenchmarkIntakePath(b *testing.B) {
 	const n = 10_000
 	records := make([][]byte, n)
@@ -47,7 +47,7 @@ func BenchmarkIntakePath(b *testing.B) {
 		adapter := &GeneratorAdapter{Records: records}
 		go func() {
 			builder := hyracks.NewFrameBuilder(128, &pushWriter{ctx: ctx, h: h})
-			if err := adapter.Run(ctx, builder.AddRaw); err != nil {
+			if err := adapter.Run(ctx, builder.AddRawCopy); err != nil {
 				b.Error(err)
 				return
 			}
@@ -60,7 +60,7 @@ func BenchmarkIntakePath(b *testing.B) {
 		parser := adm.NewParser()
 		parsed := 0
 		spine := hyracks.GetRecordSlice(128)
-		arena := hyracks.GetArena()
+		arena := adm.NewArena(0)
 		for {
 			frames, eof, err := h.PullFrames(ctx, 420)
 			if err != nil {
@@ -76,17 +76,16 @@ func BenchmarkIntakePath(b *testing.B) {
 					parsed++
 				}
 				hyracks.RecycleFrame(fr)
-				// A real collector would push {spine, arena} downstream
-				// here; the isolated benchmark recycles them in place.
+				// A real collector would push the spine downstream here
+				// and let the records keep the arena's slabs alive.
 				spine = spine[:0]
-				arena.Reset()
+				arena = arena.Successor()
 			}
 			if eof {
 				break
 			}
 		}
 		hyracks.PutRecordSlice(spine)
-		hyracks.PutArena(arena)
 		if parsed != n {
 			b.Fatalf("parsed %d records, want %d", parsed, n)
 		}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -580,5 +583,101 @@ func TestFeedStartOnDeadNodeFails(t *testing.T) {
 	}
 	if err := f.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNativeUDFMayRetainRecords: parsed records are ordinary values, so
+// a stateful native UDF may keep every record it is given. The feed runs
+// several frames, the UDF fails on the last record — MapPipe's error
+// path, which recycles the frame it was evaluating — and every stashed
+// record still equals the line it was parsed from. (When record frames
+// carried a pooled parse arena, that recycle zeroed the last frame's
+// objects under the UDF.)
+func TestNativeUDFMayRetainRecords(t *testing.T) {
+	const n, batch = 300, 50
+	lines := make([][]byte, n)
+	for i := range lines {
+		lines[i] = []byte(fmt.Sprintf(`{"id":%d,"text":"keep me %d","user":{"name":"u%d","tags":["a","b"]}}`, i, i, i))
+	}
+	boom := errors.New("last record refused")
+	for _, tc := range []struct {
+		name    string
+		adapter func(t *testing.T) (Adapter, func())
+	}{
+		{"RecordsSource", func(*testing.T) (Adapter, func()) {
+			return &GeneratorAdapter{Records: lines}, func() {}
+		}},
+		{"socket_adapter", func(t *testing.T) (Adapter, func()) {
+			const addr = "127.0.0.1:19923"
+			return &SocketAdapter{Addr: addr}, func() {
+				var conn net.Conn
+				var err error
+				for i := 0; i < 200; i++ {
+					if conn, err = net.Dial("tcp", addr); err == nil {
+						break
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer conn.Close()
+				// n is a multiple of the intake frame size, so the last
+				// frame fills and flushes without a Stop.
+				if _, err := conn.Write(append(bytes.Join(lines, []byte("\n")), '\n')); err != nil {
+					t.Error(err)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := testCluster(t, 1)
+			var mu sync.Mutex
+			var stash []adm.Value
+			reg := udf.NewRegistry()
+			if err := reg.Register(&udf.Native{
+				Name: "hoarder", Stateful: true,
+				New: func() udf.Instance {
+					return &udf.FuncInstance{EvalFn: func(rec adm.Value) (adm.Value, error) {
+						mu.Lock()
+						stash = append(stash, rec)
+						mu.Unlock()
+						if rec.Field("id").IntVal() == n-1 {
+							return adm.Value{}, boom
+						}
+						return rec, nil
+					}}
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			adapter, send := tc.adapter(t)
+			f, err := Start(context.Background(), c, Config{
+				Name: "hoard", Dataset: "Tweets", Function: "hoarder", Natives: reg, BatchSize: batch,
+				NewAdapter: func(int) (Adapter, error) { return adapter, nil },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			send()
+			if err := f.Wait(); !errors.Is(err, boom) {
+				t.Fatalf("Wait = %v, want the UDF's error", err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(stash) != n {
+				t.Fatalf("UDF saw %d records, want %d", len(stash), n)
+			}
+			for i, rec := range stash {
+				want, err := adm.ParseJSON(lines[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !adm.Equal(rec, want) {
+					t.Fatalf("stashed record %d reads %v, want %v", i, rec, want)
+				}
+			}
+		})
 	}
 }

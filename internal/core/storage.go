@@ -18,11 +18,8 @@ import (
 // insert into the memtable, and grouped secondary-index maintenance —
 // instead of paying each of those per record.
 //
-// The writer is the frame's final consumer. Storage retains the records
-// themselves, so only the spines recycle; the frame's arena stays alive
-// through the retained values and the garbage collector reclaims it
-// with them (the hyracks package comment is the normative statement of
-// this rule).
+// The writer is the frame's final consumer: storage retains the
+// records, the spine recycles.
 func newStorageWriter(part *lsm.Partition, pk string, stored *atomic.Int64) *hyracks.SinkPipe {
 	// The key scratch persists across frames: a pipe instance is driven
 	// by one goroutine, so no pooling (or locking) is needed and a
@@ -53,7 +50,7 @@ func newStorageWriter(part *lsm.Partition, pk string, stored *atomic.Int64) *hyr
 			}
 			clear(keys) // key headers were copied into the memtable
 			stored.Add(int64(len(fr.Records)))
-			hyracks.RecycleFrameSpines(fr)
+			hyracks.RecycleFrame(fr)
 			return nil
 		},
 	}

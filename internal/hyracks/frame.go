@@ -12,40 +12,19 @@
 //
 // # Frame ownership and recycling
 //
-// Frame slices and byte arenas are pooled to keep the ingestion hot
-// path allocation-lean. This comment is the normative statement of the
-// discipline; docs/ARCHITECTURE.md walks through it with examples.
+// Bytes are pooled, values are garbage-collected. Three rules:
 //
-//   - Pushing a frame into a Writer or holder transfers ownership of
-//     its Records/Raw slices and its Arena downstream; the producer
-//     must not touch them afterwards.
-//   - A frame's Arena backs its payloads: raw-lane line bytes and the
-//     string/object memory of records parsed into it (adm.Arena). The
-//     records are valid only while the arena is live and un-Reset.
-//   - RecycleFrame is the full recycle — spines and arena go back to
-//     their pools. Only a consumer that has dropped or Materialized
-//     every record (and copied every raw line it needs) may call it;
-//     the arena will be reset and its bytes overwritten by the next
-//     frame.
-//   - RecycleFrameSpines recycles only the slice spines. A consumer
-//     that retains records un-materialized (the storage writer, the
-//     test Collector) uses it: the retained values keep the arena
-//     alive and the garbage collector reclaims it when they die.
-//   - Operators that forward values from an input frame to an output
-//     frame (MapPipe, single-target hash flushes) move the Arena to
-//     the output frame so it travels with the values that reference
-//     it.
-//   - A frame has exactly one consumer (no connector replicates
-//     frames), so whoever holds it may recycle it under these rules.
-//   - Record values are never pooled: adm.Value payloads are
-//     immutable-by-convention. Arena-backed payloads may outlive any
-//     frame via RecycleFrameSpines; heap payloads always may.
-//   - Handing a frame to the storage layer (a storage writer calling
-//     lsm.Partition.UpsertBatch) transfers ownership like a Push:
-//     storage retains the records, the writer recycles the spines
-//     after UpsertBatch returns, and nobody resets the arena — it stays
-//     alive through the retained values. The producer must not touch
-//     the frame after the call.
+//   - Pushing a frame into a Writer or holder (or handing it to the
+//     storage layer) transfers ownership of its Records/Raw slices and
+//     its Arena downstream; the producer must not touch them
+//     afterwards. A frame has exactly one consumer.
+//   - A raw frame's Arena backs its Raw lines and nothing else. The
+//     lines are valid until the frame's consumer calls RecycleFrame,
+//     which is always safe on a frame it consumed: the spines and the
+//     line arena go back to their pools.
+//   - Record values are never pooled and never invalidated: adm.Value
+//     payloads are immutable-by-convention and live as long as anything
+//     references them, so operators, UDFs and storage may keep them.
 package hyracks
 
 import (
@@ -62,11 +41,9 @@ import (
 type Frame struct {
 	Records []adm.Value
 	Raw     [][]byte
-	// Arena, when non-nil, owns the byte/object memory backing this
-	// frame's payloads: raw-lane lines staged from volatile adapter
-	// buffers, or the string/object storage of records parsed into it.
-	// It moves with the frame (see the package comment's ownership
-	// rules) and is reset + pooled by RecycleFrame.
+	// Arena, when non-nil, owns the bytes of the Raw lines (and only
+	// those). It moves with the frame and is reset + pooled by
+	// RecycleFrame.
 	Arena *adm.Arena
 
 	// Adapter and FirstOff/LastOff locate the frame in its source
@@ -205,8 +182,7 @@ func GetArena() *adm.Arena {
 }
 
 // PutArena resets an arena and returns it to the pool. The caller must
-// guarantee no live value still references the arena's memory: the next
-// frame will overwrite it.
+// own everything in it: the next frame will overwrite it.
 func PutArena(a *adm.Arena) {
 	if a == nil {
 		return
@@ -215,28 +191,16 @@ func PutArena(a *adm.Arena) {
 	arenaPool.Put(a)
 }
 
-// RecycleFrame is the full recycle: spines and arena back to their
-// pools. Only the frame's final consumer may call it, and only after
-// dropping or Materializing every record — the arena is reset and its
-// bytes will be overwritten (see the package comment for the ownership
-// rules).
+// RecycleFrame returns a consumed frame's spines and line arena to
+// their pools. The frame's records stay valid; its raw lines do not.
 func RecycleFrame(f Frame) {
-	RecycleFrameSpines(f)
-	PutArena(f.Arena)
-}
-
-// RecycleFrameSpines returns only the frame's slice spines to their
-// pools, leaving the arena untouched. Consumers that retain the frame's
-// records un-materialized (the storage writer after its WAL commit)
-// use this: the retained values keep the arena alive and the garbage
-// collector reclaims it when the last of them dies.
-func RecycleFrameSpines(f Frame) {
 	if f.Records != nil {
 		PutRecordSlice(f.Records)
 	}
 	if f.Raw != nil {
 		PutRawSlice(f.Raw)
 	}
+	PutArena(f.Arena)
 }
 
 // FrameBuilder accumulates records and emits full frames to a Writer.
@@ -263,7 +227,7 @@ func (b *FrameBuilder) SetAdapter(slot int) { b.adapter = slot }
 
 // NoteOffset records the source offset of the record about to be added.
 // Offsets must be dense and ascending within a frame; callers invoke it
-// immediately before the Add/AddRaw call for that record so a flush
+// immediately before the Add/AddRawCopy call for that record so a flush
 // triggered by the add carries the right range.
 func (b *FrameBuilder) NoteOffset(off uint64) {
 	if b.firstOff == 0 {
@@ -293,36 +257,26 @@ func (b *FrameBuilder) Add(rec adm.Value) error {
 	return nil
 }
 
-// AddRaw appends one raw record's bytes (not copied — the caller must
-// not mutate them afterwards), flushing when the frame is full.
-func (b *FrameBuilder) AddRaw(rec []byte) error {
+// AddRawCopy stages one raw record: the bytes are copied into the
+// frame's pooled line arena (one memcpy, no per-record allocation) and
+// the copy rides the raw lane, so the caller may reuse its buffer as
+// soon as the call returns. The frame flushes when full.
+func (b *FrameBuilder) AddRawCopy(rec []byte) error {
 	if b.raw == nil {
 		b.raw = GetRawSlice(b.capacity)
+		b.arena = GetArena()
 	}
-	b.raw = append(b.raw, rec)
+	b.raw = append(b.raw, b.arena.AppendBytes(rec))
 	if len(b.buf)+len(b.raw) >= b.capacity {
 		return b.Flush()
 	}
 	return nil
 }
 
-// AddRawCopy stages one raw record from a volatile buffer: the bytes
-// are copied into the frame's pooled arena (one memcpy, no per-record
-// allocation) and the arena-owned copy rides the raw lane. The caller
-// may reuse its buffer immediately — this is the emit path for adapters
-// that scan into a recycled read buffer (core.SocketAdapter).
-func (b *FrameBuilder) AddRawCopy(rec []byte) error {
-	if b.arena == nil {
-		b.arena = GetArena()
-	}
-	return b.AddRaw(b.arena.AppendBytes(rec))
-}
-
 // Flush emits any buffered records as a frame, transferring buffer and
 // arena ownership downstream.
 func (b *FrameBuilder) Flush() error {
 	if len(b.buf) == 0 && len(b.raw) == 0 {
-		// A drawn but unused arena is kept for the next frame.
 		return nil
 	}
 	f := Frame{

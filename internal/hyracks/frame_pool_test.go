@@ -67,8 +67,7 @@ func TestFramePoolOwnership(t *testing.T) {
 				counts[v]++
 			}
 			total += len(f.Records)
-			// Payloads are value types (no arena); full recycle feeds
-			// the producers' GetRecordSlice draws.
+			// Recycling feeds the producers' GetRecordSlice draws.
 			RecycleFrame(f)
 		}
 		if eof {
@@ -118,8 +117,8 @@ func TestFrameBuilderReusesPooledBuffers(t *testing.T) {
 	}
 }
 
-// TestRawLane covers AddRaw/PullFrames: raw bytes must flow through
-// builder, holder, and pull without copying or corruption.
+// TestRawLane covers AddRawCopy/PullFrames: raw bytes must flow through
+// builder, holder, and pull without corruption.
 func TestRawLane(t *testing.T) {
 	ctx := context.Background()
 	h := NewPassiveHolder(8)
@@ -131,7 +130,7 @@ func TestRawLane(t *testing.T) {
 		[]byte(`{"id":4}`), []byte(`{"id":5}`),
 	}
 	for _, p := range payloads {
-		if err := b.AddRaw(p); err != nil {
+		if err := b.AddRawCopy(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,9 +145,10 @@ func TestRawLane(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range frames {
-			got = append(got, f.Raw...)
-			// Raw views retained below; spines only.
-			RecycleFrameSpines(f)
+			for _, line := range f.Raw {
+				got = append(got, append([]byte(nil), line...))
+			}
+			RecycleFrame(f)
 		}
 		if eof {
 			break
@@ -161,10 +161,6 @@ func TestRawLane(t *testing.T) {
 		if string(got[i]) != string(p) {
 			t.Fatalf("raw record %d = %q, want %q", i, got[i], p)
 		}
-	}
-	// Zero-copy: the pulled slices must alias the originals.
-	if &got[0][0] != &payloads[0][0] {
-		t.Fatal("raw record bytes were copied on the way through")
 	}
 }
 

@@ -409,11 +409,11 @@ func (h *PassiveHolder) PushFrame(ctx context.Context, f Frame) error {
 // blocks until at least one frame is available (or input is closed),
 // then drains without blocking until the pulled frames total at least
 // max records. Frames are never split, so nothing is copied and each
-// frame's arena travels intact with its records — the batch may
+// frame's line arena travels with its lines — the batch may
 // overshoot max by up to one frame's worth (producers size their frames
 // to the batch quota; see core.buildIntakeSpec). Ring frames drain
 // before spilled frames (FIFO across lanes). The caller takes ownership
-// of every returned frame (recycle each per the package rules). eof
+// of every returned frame (RecycleFrame each once consumed). eof
 // reports closed *and* fully drained.
 func (h *PassiveHolder) PullFrames(ctx context.Context, max int) (frames []Frame, eof bool, err error) {
 	c := &h.core

@@ -365,10 +365,10 @@ func (w *connectorWriter) Push(f Frame) error {
 		}
 		// Hash every record once into a reused scratch; when the whole
 		// frame lands on one target (always true for single-partition
-		// jobs, common for skewed keys) it is forwarded wholesale —
-		// spine, arena and all — with no per-record copying. Buffers
-		// are always empty between Pushes (every partial flushes at
-		// frame end), so wholesale forwarding cannot reorder records.
+		// jobs, common for skewed keys) it is forwarded wholesale with
+		// no per-record copying. Buffers are always empty between
+		// Pushes (every partial flushes at frame end), so wholesale
+		// forwarding cannot reorder records.
 		if cap(w.scratch) < len(f.Records) {
 			w.scratch = make([]int, len(f.Records))
 		}
@@ -427,12 +427,7 @@ func (w *connectorWriter) Push(f Frame) error {
 				return err
 			}
 		}
-		// The input frame's record headers have been copied into
-		// per-target buffers, but they still reference the input
-		// frame's arena — only the spine goes back to the pool; the
-		// arena's ownership passes to the re-bucketed records (the
-		// garbage collector reclaims it when the last one dies).
-		RecycleFrameSpines(f)
+		RecycleFrame(f)
 		return nil
 	}
 }

@@ -7,11 +7,8 @@ import (
 	"github.com/ideadb/idea/internal/adm"
 )
 
-// MapPipe applies fn to each record. A nil result drops the record
-// (filtering). Fn must not retain input values past the call without
-// Materializing them: output values may share the input frame's arena,
-// which MapPipe moves to the output frame, but anything stashed aside
-// would dangle once the pipeline recycles that frame.
+// MapPipe applies Fn to each record; keep=false drops the record
+// (filtering). Fn may retain what it is given.
 type MapPipe struct {
 	Fn func(adm.Value) (adm.Value, bool, error)
 }
@@ -38,19 +35,12 @@ func (m *MapPipe) Push(_ *TaskContext, f Frame, out Writer) error {
 			outRecs = append(outRecs, v)
 		}
 	}
-	// Output values may reference the input frame's arena (the no-UDF
-	// pass-through forwards records verbatim; enrichment outputs embed
-	// input fields), so the arena migrates to the output frame.
-	arena := f.Arena
-	f.Arena = nil
-	RecycleFrameSpines(f)
+	RecycleFrame(f)
 	if len(outRecs) == 0 {
-		// Every record dropped: nothing references the arena anymore.
 		PutRecordSlice(outRecs)
-		PutArena(arena)
 		return nil
 	}
-	return out.Push(Frame{Records: outRecs, Arena: arena})
+	return out.Push(Frame{Records: outRecs})
 }
 
 // Close implements Pipe.
@@ -110,15 +100,13 @@ type Collector struct {
 	recs []adm.Value
 }
 
-// Sink returns a SinkPipe appending into the collector. The collector
-// retains the records, so only the frame spines are recycled; any
-// arenas stay alive through the retained values.
+// Sink returns a SinkPipe appending into the collector.
 func (c *Collector) Sink() *SinkPipe {
 	return &SinkPipe{Fn: func(_ *TaskContext, f Frame) error {
 		c.mu.Lock()
 		c.recs = append(c.recs, f.Records...)
 		c.mu.Unlock()
-		RecycleFrameSpines(f)
+		RecycleFrame(f)
 		return nil
 	}}
 }

@@ -437,7 +437,9 @@ const (
 )
 
 // write is the partition's one mutation sequence; every public mutator
-// is a thin caller. Encoding and sorting happen outside the lock. Under
+// is a thin caller. Encoding and sorting happen outside the lock; a
+// value the decoder would refuse (adm.MaxDepth) is refused here, before
+// anything is appended, or recovery could not read the log back. Under
 // p.mu: a closed partition or a failed pre-check returns before anything
 // is logged; otherwise the batch is appended to the WAL and applied —
 // in that order under the same lock, which is the invariant that makes
@@ -448,6 +450,14 @@ const (
 // of the log at that point, but so is a crashed process; recovery
 // replays only what was acknowledged).
 func (p *Partition) write(mode writeMode, keys, recs []adm.Value) (existed bool, err error) {
+	for i := range keys {
+		if err = adm.CheckDepth(keys[i]); err == nil {
+			err = adm.CheckDepth(recs[i])
+		}
+		if err != nil {
+			return false, fmt.Errorf("lsm: write refused: %w", err)
+		}
+	}
 	encBox := getEncBuf()
 	for i := range keys {
 		*encBox = adm.AppendBinary(*encBox, keys[i])

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/frame"
 	"github.com/ideadb/idea/internal/hyracks"
 )
@@ -15,9 +14,10 @@ import (
 // intake holder (hyracks.FrameSpiller): a FIFO of frames encoded into a
 // single append-only file through the same FS seam and byte envelope
 // (internal/frame) as the WAL. Spill takes ownership of the frame,
-// encodes it (records in adm binary, raw lines length-prefixed, offset
-// provenance in the header), and recycles it; Unspill decodes the
-// oldest un-read frame into fresh pooled spines/arena the caller owns.
+// encodes it (raw lines length-prefixed, offset provenance in the
+// header — intake frames are raw-only), and recycles it; Unspill
+// decodes the oldest un-read frame into a pooled spine and line arena
+// the caller owns.
 //
 // Durability is deliberately NOT provided: spilled frames are by
 // definition not yet checkpointed, so after a crash they are replayed
@@ -29,9 +29,7 @@ import (
 // Each frame's payload (the envelope is docs/ARCHITECTURE.md's):
 //
 //	payload := adapter:uvarint firstOff:uvarint lastOff:uvarint
-//	           nRecords:uvarint nRaw:uvarint
-//	           record*   (adm binary)
-//	           rawLine*  (len:uvarint bytes)
+//	           nRaw:uvarint rawLine*  (len:uvarint bytes)
 //
 // The holder serializes Spill against Unspill (see
 // hyracks.FrameSpiller); the internal mutex exists so Len and Close are
@@ -71,24 +69,22 @@ func (q *SpillQueue) Len() int {
 }
 
 // Spill appends the frame to the lane, taking ownership: the frame is
-// fully encoded before return and recycled (records are copied into the
-// file, so the arena is safe to reset).
+// fully encoded before return and recycled.
 func (q *SpillQueue) Spill(f hyracks.Frame) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return fmt.Errorf("lsm: spill queue closed")
 	}
+	if len(f.Records) > 0 {
+		return fmt.Errorf("lsm: spill: record-lane frame (the intake lane is raw-only)")
+	}
 
 	buf := frame.Begin(q.encBuf[:0])
 	buf = binary.AppendUvarint(buf, uint64(f.Adapter))
 	buf = binary.AppendUvarint(buf, f.FirstOff)
 	buf = binary.AppendUvarint(buf, f.LastOff)
-	buf = binary.AppendUvarint(buf, uint64(len(f.Records)))
 	buf = binary.AppendUvarint(buf, uint64(len(f.Raw)))
-	for _, r := range f.Records {
-		buf = adm.AppendBinary(buf, r)
-	}
 	for _, line := range f.Raw {
 		buf = binary.AppendUvarint(buf, uint64(len(line)))
 		buf = append(buf, line...)
@@ -143,15 +139,8 @@ func (q *SpillQueue) Unspill() (hyracks.Frame, bool, error) {
 func decodeSpillFrame(payload []byte) (hyracks.Frame, error) {
 	r := frame.NewReader(payload)
 	f := hyracks.Frame{Adapter: r.Int(math.MaxInt32), FirstOff: r.Uvarint(), LastOff: r.Uvarint()}
-	// Every record and raw line costs at least one payload byte.
-	nRec, nRaw := r.Count(1), r.Count(1)
-	if nRec > 0 {
-		f.Records = hyracks.GetRecordSlice(nRec)
-		for ; nRec > 0 && r.Err() == nil; nRec-- {
-			f.Records = append(f.Records, r.Value())
-		}
-	}
-	if nRaw > 0 {
+	// Every raw line costs at least one payload byte.
+	if nRaw := r.Count(1); nRaw > 0 {
 		f.Raw = hyracks.GetRawSlice(nRaw)
 		f.Arena = hyracks.GetArena()
 		for ; nRaw > 0 && r.Err() == nil; nRaw-- {

@@ -106,7 +106,7 @@ func (s *Server) serveConn(nc net.Conn) {
 // unauthenticated peer cannot make the server allocate.
 func (c *conn) handshake() bool {
 	nc := c.wc.NetConn()
-	nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout))
+	nc.SetReadDeadline(time.Now().Add(c.srv.frameTimeout))
 	t, body, err := c.wc.ReadFrame(wire.MaxHandshakeFrame)
 	nc.SetReadDeadline(time.Time{})
 	if err != nil {
@@ -135,7 +135,7 @@ func (c *conn) handshake() bool {
 	}
 	c.body = wire.AppendWelcome(c.body[:0], wire.Welcome{
 		Version: wire.Version,
-		Server:  c.srv.cfg.ServerName,
+		Server:  serverName,
 	})
 	if err := c.wc.WriteFrame(wire.TypeWelcome, c.body); err != nil {
 		return false
@@ -245,7 +245,7 @@ func (c *conn) handleQuery(body []byte) error {
 		// throttle the stream.
 		if c.wc.Buffered() > 0 || time.Since(lastPoll) >= pollEvery {
 			lastPoll = time.Now()
-			t, _, got, err := c.wc.PollFrame(wire.MaxFrame, pollWait, c.srv.cfg.ReadTimeout)
+			t, _, got, err := c.wc.PollFrame(wire.MaxFrame, pollWait, c.srv.frameTimeout)
 			if err != nil {
 				// Client died mid-stream; the deferred Close unwinds the
 				// cursor and its partition scans.
@@ -330,7 +330,7 @@ func (c *conn) refuse(code, msg string) {
 // that stops draining cannot wedge the session goroutine.
 func (c *conn) flush() error {
 	nc := c.wc.NetConn()
-	nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
+	nc.SetWriteDeadline(time.Now().Add(c.srv.frameTimeout))
 	err := c.wc.Flush()
 	nc.SetWriteDeadline(time.Time{})
 	return err

@@ -35,20 +35,10 @@ type Config struct {
 	// IdleTimeout closes a connection that sends no request for this
 	// long (default 5m).
 	IdleTimeout time.Duration
-	// ReadTimeout bounds reading one frame once its first byte has
-	// arrived, and the handshake (default 30s).
-	ReadTimeout time.Duration
-	// WriteTimeout bounds writing one response frame batch (default
-	// 30s) — a client that stops draining a stream cannot wedge the
-	// server.
-	WriteTimeout time.Duration
 	// BatchRows is the number of result rows per RowBatch frame
 	// (default 256). Each batch is flushed as soon as it is full, so
 	// the first rows reach a slow-consuming client immediately.
 	BatchRows int
-	// ServerName is announced in the Welcome frame (default
-	// "ideaserver").
-	ServerName string
 	// Logf, when set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -61,20 +51,14 @@ func (c *Config) withDefaults() Config {
 	if out.IdleTimeout <= 0 {
 		out.IdleTimeout = 5 * time.Minute
 	}
-	if out.ReadTimeout <= 0 {
-		out.ReadTimeout = 30 * time.Second
-	}
-	if out.WriteTimeout <= 0 {
-		out.WriteTimeout = 30 * time.Second
-	}
 	if out.BatchRows <= 0 {
 		out.BatchRows = 256
 	}
-	if out.ServerName == "" {
-		out.ServerName = "ideaserver"
-	}
 	return out
 }
+
+// serverName is announced in the Welcome frame and the STATS reply.
+const serverName = "ideaserver"
 
 // Stats is the server's snapshot. The STATS admin verb is generated from
 // this declaration (see statsValue): every field below, of the storage
@@ -131,6 +115,12 @@ type Server struct {
 	cfg     Config
 	tokens  map[string]struct{}
 	start   time.Time
+	// frameTimeout bounds moving one frame once it has begun: reading
+	// the handshake or a frame whose first byte has arrived, and writing
+	// one response batch — a client that stops draining a stream cannot
+	// wedge its session. Not configuration; a field so that a test can
+	// shorten it before Serve.
+	frameTimeout time.Duration
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -159,14 +149,15 @@ type Server struct {
 func New(cluster *idea.Cluster, cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cluster:   cluster,
-		cfg:       cfg.withDefaults(),
-		tokens:    make(map[string]struct{}, len(cfg.AuthTokens)),
-		start:     time.Now(),
-		baseCtx:   ctx,
-		cancel:    cancel,
-		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[*conn]struct{}),
+		cluster:      cluster,
+		cfg:          cfg.withDefaults(),
+		tokens:       make(map[string]struct{}, len(cfg.AuthTokens)),
+		start:        time.Now(),
+		frameTimeout: 30 * time.Second,
+		baseCtx:      ctx,
+		cancel:       cancel,
+		listeners:    make(map[net.Listener]struct{}),
+		conns:        make(map[*conn]struct{}),
 	}
 	for _, tok := range cfg.AuthTokens {
 		s.tokens[tok] = struct{}{}
@@ -179,7 +170,7 @@ func New(cluster *idea.Cluster, cfg Config) *Server {
 // the server's when it ends).
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Server:         s.cfg.ServerName,
+		Server:         serverName,
 		UptimeMs:       time.Since(s.start).Milliseconds(),
 		Nodes:          s.cluster.Nodes(),
 		ConnsAccepted:  s.connsAccepted.Load(),

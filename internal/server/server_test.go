@@ -13,6 +13,7 @@ import (
 	"math/big"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -666,4 +667,138 @@ func selfSigned(t *testing.T) tls.Certificate {
 		t.Fatal(err)
 	}
 	return cert
+}
+
+// TestServerConfigKnobs: every field of Config changes something a
+// client or operator can observe — each row probes one server under two
+// values of one field and states both outcomes. A field that cannot earn
+// a row here does not belong in the struct (idea.Config has the same
+// table in TestConfigKnobs).
+func TestServerConfigKnobs(t *testing.T) {
+	// welcomed reports whether a token-less handshake is accepted.
+	welcomed := func(t *testing.T, addr string) int {
+		wc, msg, err := tryDial(addr, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg != nil {
+			return 0
+		}
+		t.Cleanup(func() { wc.Close() })
+		return 1
+	}
+	var diagnostics atomic.Int64
+	for _, row := range []struct {
+		field, what  string
+		a, b         Config
+		probe        func(t *testing.T, addr string) int
+		wantA, wantB int
+	}{
+		{"AuthTokens", "a token-less handshake is welcomed, or refused",
+			Config{}, Config{AuthTokens: []string{"good"}}, welcomed, 1, 0},
+		{"MaxSessions", "a second session is refused, or welcomed",
+			Config{MaxSessions: 1}, Config{MaxSessions: 2},
+			func(t *testing.T, addr string) int {
+				wireDial(t, addr, "") // holds the first slot
+				return welcomed(t, addr)
+			}, 0, 1},
+		{"IdleTimeout", "a session silent for 300ms is cut, or still answers",
+			Config{IdleTimeout: 50 * time.Millisecond}, Config{},
+			func(t *testing.T, addr string) int {
+				wc := wireDial(t, addr, "")
+				time.Sleep(300 * time.Millisecond)
+				if wc.WriteFrame(wire.TypePing, nil) != nil || wc.Flush() != nil {
+					return 0
+				}
+				if rt, _, err := wc.ReadFrame(wire.MaxFrame); err != nil || rt != wire.TypePong {
+					return 0
+				}
+				return 1
+			}, 0, 1},
+		{"BatchRows", "16 rows arrive in 8 frames, or in 2",
+			Config{BatchRows: 2}, Config{BatchRows: 8},
+			func(t *testing.T, addr string) int {
+				wc := wireDial(t, addr, "")
+				mustExec(t, wc, testSchema)
+				mustExec(t, wc, insertScript(16))
+				if rt, _ := call(t, wc, wire.TypeQuery, wire.AppendRequest(nil, wire.Request{Text: `SELECT VALUE d FROM D d`})); rt != wire.TypeHeader {
+					t.Fatalf("query answered %v", rt)
+				}
+				frames := 0
+				for {
+					rt, _, err := wc.ReadFrame(wire.MaxFrame)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rt == wire.TypeTrailer {
+						return frames
+					}
+					frames++
+				}
+			}, 8, 2},
+		{"Logf", "a session ended by a protocol violation is reported, or not",
+			Config{Logf: func(string, ...any) { diagnostics.Add(1) }}, Config{},
+			func(t *testing.T, addr string) int {
+				before := diagnostics.Load()
+				wc := wireDial(t, addr, "")
+				if rt, _ := call(t, wc, wire.TypeWelcome, nil); rt != wire.TypeError {
+					t.Fatalf("a Welcome from the client was answered with %v", rt)
+				}
+				// The server logs, then closes: EOF means the count is final.
+				if _, _, err := wc.ReadFrame(wire.MaxFrame); err == nil {
+					t.Fatal("session survived a protocol violation")
+				}
+				return int(diagnostics.Load() - before)
+			}, 1, 0},
+	} {
+		t.Run(row.field, func(t *testing.T) {
+			for i, side := range []struct {
+				cfg  Config
+				want int
+			}{{row.a, row.wantA}, {row.b, row.wantB}} {
+				_, addr := startServer(t, newCluster(t, idea.Config{}), side.cfg)
+				if got := row.probe(t, addr); got != side.want {
+					t.Errorf("%s: value %d observed %d, want %d", row.what, i+1, got, side.want)
+				}
+			}
+		})
+	}
+
+	// The write deadline is not a field (nothing ever set it), but it is
+	// what keeps a client that stops reading from wedging its session:
+	// the stalled write times out, the session ends and its cursor closes.
+	t.Run("StalledReader", func(t *testing.T) {
+		srv := New(newCluster(t, idea.Config{}), Config{BatchRows: 2})
+		srv.frameTimeout = 100 * time.Millisecond
+		client, server := net.Pipe() // unbuffered: an unread frame blocks the writer at once
+		defer client.Close()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.ServeConn(server)
+		}()
+		wc := wire.NewConn(client)
+		if err := handshake(wc, wire.Hello{Version: wire.Version}); err != nil {
+			t.Fatal(err)
+		}
+		if rt, _, err := wc.ReadFrame(wire.MaxHandshakeFrame); err != nil || rt != wire.TypeWelcome {
+			t.Fatalf("handshake: %v %v", rt, err)
+		}
+		mustExec(t, wc, testSchema)
+		mustExec(t, wc, insertScript(200))
+		if rt, _ := call(t, wc, wire.TypeQuery, wire.AppendRequest(nil, wire.Request{Text: `SELECT VALUE d FROM D d`})); rt != wire.TypeHeader {
+			t.Fatalf("query answered %v", rt)
+		}
+		if got := srv.Stats().OpenCursors; got != 1 {
+			t.Fatalf("OpenCursors = %d mid-stream, want 1", got)
+		}
+		select { // read nothing more
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("session still wedged on a client that stopped reading")
+		}
+		if got := srv.Stats().OpenCursors; got != 0 {
+			t.Fatalf("OpenCursors = %d after the stalled session ended", got)
+		}
+	})
 }

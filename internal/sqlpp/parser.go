@@ -56,8 +56,31 @@ func ParseExpr(src string) (Expr, error) {
 }
 
 type parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // expression nesting, bounded by maxNesting
+}
+
+// maxNesting bounds how deep expressions may nest (parentheses,
+// constructors, subqueries, call arguments, NOT and unary-minus chains).
+// The parser is recursive descent and statements arrive from the
+// network, so without a bound a few megabytes of '(' overflow the stack,
+// which no recover can catch. At adm.MaxDepth, a constructor that
+// parses never builds a value nested deeper than storage accepts.
+const maxNesting = adm.MaxDepth
+
+// nested runs the production parse one nesting level down. Every
+// recursive cycle of the grammar passes through a call to it: NOT and
+// unary minus recurse on themselves, and all else re-enters the
+// expression grammar through a primary.
+func (p *parser) nested(parse func() (Expr, error)) (Expr, error) {
+	if p.depth >= maxNesting {
+		return nil, p.errorf("expression nested deeper than %d", maxNesting)
+	}
+	p.depth++
+	e, err := parse()
+	p.depth--
+	return e, err
 }
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }
@@ -655,7 +678,7 @@ func (p *parser) parseAnd() (Expr, error) {
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.accept(TokKeyword, "NOT") {
-		x, err := p.parseNot()
+		x, err := p.nested(p.parseNot)
 		if err != nil {
 			return nil, err
 		}
@@ -735,7 +758,7 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 func (p *parser) parseUnary() (Expr, error) {
 	if p.at(TokOp, "-") {
 		p.next()
-		x, err := p.parseUnary()
+		x, err := p.nested(p.parseUnary)
 		if err != nil {
 			return nil, err
 		}
@@ -751,7 +774,7 @@ func (p *parser) parsePostfixOnlyExpr() (Expr, error) {
 }
 
 func (p *parser) parsePostfix() (Expr, error) {
-	e, err := p.parsePrimary()
+	e, err := p.nested(p.parsePrimary)
 	if err != nil {
 		return nil, err
 	}

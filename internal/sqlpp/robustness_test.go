@@ -2,6 +2,8 @@ package sqlpp
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -92,4 +94,69 @@ func TestLexNoiseTotal(t *testing.T) {
 			Lex(sb.String()) //nolint:errcheck
 		}()
 	}
+}
+
+// TestParseDepthBounded: expressions nest maxNesting deep and no deeper,
+// whichever production does the nesting, and the error says where; a
+// megabyte of '(' (a million levels — the parser used to die of stack
+// overflow there, which no recover catches) is an error like any other.
+func TestParseDepthBounded(t *testing.T) {
+	wrap := func(open, close string, n int) string {
+		return "SELECT VALUE " + strings.Repeat(open, n) + "1" + strings.Repeat(close, n) + ";"
+	}
+	for _, tc := range []struct{ name, open, close string }{
+		{"parentheses", "(", ")"},
+		{"array constructors", "[", "]"},
+		{"NOT", "NOT ", ""},
+		{"unary minus", "- ", ""},
+		{"subqueries", "(SELECT VALUE ", ")"},
+		{"calls", "f(", ")"},
+	} {
+		// The literal is itself a primary, one level inside the wrappers.
+		if _, err := Parse(wrap(tc.open, tc.close, maxNesting-1)); err != nil {
+			t.Errorf("%s: %d levels refused: %v", tc.name, maxNesting, err)
+		}
+		_, err := Parse(wrap(tc.open, tc.close, maxNesting))
+		if err == nil || !strings.Contains(err.Error(), "parse error at offset") {
+			t.Errorf("%s: %d levels: err = %v, want a positioned parse error", tc.name, maxNesting+1, err)
+		}
+	}
+	if _, err := Parse(strings.Repeat("(", 1<<20)); err == nil {
+		t.Error("1 MB of '(' parsed")
+	}
+	if _, err := ParseExpr(strings.Repeat("NOT ", 1<<18)); err == nil {
+		t.Error("a quarter million NOTs parsed")
+	}
+}
+
+// FuzzSqlppParse: any input parses or returns an error that says where —
+// never a panic, and (bounded nesting) never a stack overflow.
+func FuzzSqlppParse(f *testing.F) {
+	for _, src := range corpus {
+		f.Add(src)
+	}
+	// The statements of the parser tests and of the examples' scripts:
+	// the raw string literals of those files.
+	files, _ := filepath.Glob("../../examples/*/main.go")
+	for _, name := range append(files, "parser_test.go") {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i, lit := range strings.Split(string(src), "`") {
+			if i%2 == 1 {
+				f.Add(lit)
+			}
+		}
+	}
+	f.Add(strings.Repeat("(", maxNesting+1))
+	f.Fuzz(func(t *testing.T, src string) {
+		_, err := Parse(src)
+		if err != nil && !strings.Contains(err.Error(), " at ") {
+			t.Fatalf("error without a position: %v", err)
+		}
+		if _, err := ParseExpr(src); err != nil && !strings.Contains(err.Error(), " at ") {
+			t.Fatalf("ParseExpr error without a position: %v", err)
+		}
+	})
 }
