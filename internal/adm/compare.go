@@ -73,7 +73,7 @@ func Compare(a, b Value) int {
 		}
 		return cmpInt(len(a.arr), len(b.arr))
 	case KindObject:
-		return compareObjects(a.obj, b.obj)
+		return compareObjects(a.object(), b.object())
 	}
 	return 0
 }
@@ -227,10 +227,10 @@ func hashInto(h *maphash.Hash, v Value) {
 		}
 	case KindObject:
 		h.WriteByte(11)
-		if v.obj != nil {
-			for i := 0; i < v.obj.Len(); i++ {
-				h.WriteString(v.obj.Name(i))
-				hashInto(h, v.obj.At(i))
+		if o := v.object(); o != nil {
+			for i := 0; i < o.Len(); i++ {
+				h.WriteString(o.Name(i))
+				hashInto(h, o.At(i))
 			}
 		}
 	}

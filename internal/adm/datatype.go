@@ -69,10 +69,12 @@ var ErrNotObject = errors.New("adm: record is not an object")
 // This is the feed parser's second half: JSON only has strings, numbers,
 // arrays, and objects; the datatype supplies the richer ADM typing.
 func (dt *Datatype) Validate(v Value) (Value, error) {
-	if v.Kind() != KindObject || v.ObjectVal() == nil {
+	obj := v.ObjectVal()
+	if obj == nil {
 		return v, ErrNotObject
 	}
-	obj := v.ObjectVal()
+	// A view validates as its decoded copy, which coercion may rewrite.
+	v = ObjectValue(obj)
 	for _, f := range dt.Fields {
 		fv, ok := obj.Get(f.Name)
 		if !ok || fv.IsMissing() {

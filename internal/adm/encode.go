@@ -25,6 +25,9 @@ const BinaryVersion = 1
 // AppendBinary appends the binary encoding of v to dst and returns the
 // extended slice. It never fails: every Value kind is encodable.
 func AppendBinary(dst []byte, v Value) []byte {
+	if v.isView() {
+		return append(dst, v.s...)
+	}
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
 	case KindMissing, KindNull:
@@ -125,6 +128,11 @@ func (v Value) nestsWithin(depth int) bool {
 			}
 		}
 	case KindObject:
+		if v.isView() {
+			// Decoding nests at depth d exactly when nestsWithin(MaxDepth-d).
+			_, err := skipBinary(v.encoded(), MaxDepth-depth)
+			return err == nil
+		}
 		if v.obj != nil {
 			for _, f := range v.obj.values {
 				if !f.nestsWithin(depth - 1) {
@@ -294,6 +302,33 @@ func DecodeBinaryAlias(data []byte) (Value, int, error) {
 	return String(unsafe.String(&data[pos], l)), pos + l, nil
 }
 
+// CompareBinary is Compare(a, v) for the value a that enc encodes (enc
+// as SkipBinary accepts it). When both are int64s or both strings — the
+// kinds primary keys have — a is compared where it lies; a block's key
+// search builds no Value per probe.
+func CompareBinary(enc []byte, v Value) int {
+	if len(enc) > 1 && Kind(enc[0]) == v.kind {
+		switch v.kind {
+		case KindInt64:
+			i, _ := binary.Varint(enc[1:])
+			return cmpInt64(i, v.i)
+		case KindString:
+			if l, n, err := decodeLen(enc[1:], KindString); err == nil && len(enc)-1-n >= l {
+				a := enc[1+n : 1+n+l]
+				switch {
+				case string(a) < v.s:
+					return -1
+				case string(a) > v.s:
+					return 1
+				}
+				return 0
+			}
+		}
+	}
+	a, _, _ := DecodeBinaryAlias(enc)
+	return Compare(a, v)
+}
+
 // SkipBinary returns the encoded length of the value at the front of
 // data without building it. It accepts exactly the inputs DecodeBinary
 // accepts — the same kind tags, length and count bounds, duration range
@@ -393,6 +428,9 @@ func skipBinary(data []byte, depth int) (int, error) {
 }
 
 func decodeLen(data []byte, kind Kind) (int, int, error) {
+	if len(data) > 0 && data[0] < 0x80 {
+		return int(data[0]), 1, nil // field names, counts, short strings: one byte
+	}
 	u, n := binary.Uvarint(data)
 	if n <= 0 {
 		return 0, 0, errTruncated(kind)

@@ -576,14 +576,14 @@ func AppendJSON(dst []byte, v Value) []byte {
 		return append(dst, ']')
 	case KindObject:
 		dst = append(dst, '{')
-		if v.obj != nil {
-			for i := 0; i < v.obj.Len(); i++ {
+		if o := v.object(); o != nil {
+			for i := 0; i < o.Len(); i++ {
 				if i > 0 {
 					dst = append(dst, ',')
 				}
-				dst = appendJSONString(dst, v.obj.Name(i))
+				dst = appendJSONString(dst, o.Name(i))
 				dst = append(dst, ':')
-				dst = AppendJSON(dst, v.obj.At(i))
+				dst = AppendJSON(dst, o.At(i))
 			}
 		}
 		return append(dst, '}')

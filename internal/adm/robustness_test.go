@@ -81,7 +81,9 @@ func TestCoerceNeverPanics(t *testing.T) {
 // storage and the wire would write for it read back as themselves).
 // SkipBinary and DecodeBinaryAlias — what compaction walks run blocks
 // with — accept exactly the inputs DecodeBinary accepts and agree with
-// it on the value's length (and, for the alias, on the value).
+// it on the value's length (and, for the alias, on the value). And an
+// object read in place — the view storage hands up — says what the
+// decoded object says, however it is asked (checkViewAgrees).
 func FuzzDecodeBinary(f *testing.F) {
 	r := rand.New(rand.NewSource(16))
 	for i := 0; i < 64; i++ {
@@ -90,6 +92,9 @@ func FuzzDecodeBinary(f *testing.F) {
 	// The WAL fixture's first frame payload: LSN, count, then values.
 	if wal, err := os.ReadFile(filepath.FromSlash("../lsm/testdata/wal-v1.golden")); err == nil && len(wal) > 18 {
 		f.Add(wal[18:])
+	}
+	for _, seed := range viewSeeds() {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, n, err := DecodeBinary(data)
@@ -102,6 +107,11 @@ func FuzzDecodeBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
+		for _, x := range []Value{v, Int(0), String("m")} {
+			if got, want := CompareBinary(data[:n], x), Compare(v, x); got != want {
+				t.Fatalf("CompareBinary(%x, %v) = %d, Compare = %d", data[:n], x, got, want)
+			}
+		}
 		if n <= 0 || n > len(data) {
 			t.Fatalf("decoded %d of %d bytes", n, len(data))
 		}
@@ -112,6 +122,9 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		if enc2 := AppendBinary(nil, v2); !bytes.Equal(enc, enc2) {
 			t.Fatalf("not a fixed point: %x then %x", enc, enc2)
+		}
+		if v.Kind() == KindObject {
+			checkViewAgrees(t, data[:n], v)
 		}
 	})
 }

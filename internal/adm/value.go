@@ -18,9 +18,9 @@ type Value struct {
 	aux  int32       // Duration: months component
 	i    int64       // Int64, Boolean (0/1), DateTime millis, Duration millis
 	f    float64     // Double
-	s    string      // String
+	s    string      // String; the encoded bytes of an object view (view.go)
 	arr  []Value     // Array elements
-	obj  *Object     // Object fields
+	obj  *Object     // Object fields (nil for a view)
 	geo  *[4]float64 // Point(x,y), Rectangle(x1,y1,x2,y2), Circle(cx,cy,r)
 }
 
@@ -146,8 +146,13 @@ func (v Value) AsInt() (int64, bool) {
 	return 0, false
 }
 
-// StringVal returns the string payload (only meaningful for KindString).
-func (v Value) StringVal() string { return v.s }
+// StringVal returns the string payload; "" for non-strings.
+func (v Value) StringVal() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return v.s
+}
 
 // DateTimeVal returns the timestamp as epoch milliseconds.
 func (v Value) DateTimeVal() int64 { return v.i }
@@ -187,12 +192,13 @@ func (v Value) ArrayVal() []Value {
 	return v.arr
 }
 
-// ObjectVal returns the object payload, or nil for non-objects.
+// ObjectVal returns the object payload, or nil for non-objects. A view
+// decodes on every call, into an Object the caller owns.
 func (v Value) ObjectVal() *Object {
 	if v.kind != KindObject {
 		return nil
 	}
-	return v.obj
+	return v.object()
 }
 
 // Index returns element i of an array, or MISSING when v is not an
@@ -208,6 +214,9 @@ func (v Value) Index(i int) Value {
 // Field returns the named field of an object, or MISSING when v is not
 // an object or the field is absent — SQL++ path-access semantics.
 func (v Value) Field(name string) Value {
+	if v.isView() {
+		return v.viewField(name)
+	}
 	if v.kind != KindObject || v.obj == nil {
 		return missingValue
 	}
@@ -232,6 +241,9 @@ func (v Value) Clone() Value {
 		}
 		return Array(elems)
 	case KindObject:
+		if v.isView() {
+			return ObjectValue(v.object()) // decoded afresh: already unshared
+		}
 		if v.obj == nil {
 			return v
 		}
@@ -263,6 +275,7 @@ func (v Value) MemSize() int {
 			size += e.MemSize()
 		}
 	case KindObject:
+		size += len(v.s) // a view: its bytes
 		if v.obj != nil {
 			for i := 0; i < v.obj.Len(); i++ {
 				size += len(v.obj.Name(i)) + 16
@@ -328,14 +341,14 @@ func (v Value) format(b *strings.Builder) {
 		b.WriteByte(']')
 	case KindObject:
 		b.WriteByte('{')
-		if v.obj != nil {
-			for i := 0; i < v.obj.Len(); i++ {
+		if o := v.object(); o != nil {
+			for i := 0; i < o.Len(); i++ {
 				if i > 0 {
 					b.WriteString(", ")
 				}
-				b.WriteString(strconv.Quote(v.obj.Name(i)))
+				b.WriteString(strconv.Quote(o.Name(i)))
 				b.WriteString(": ")
-				v.obj.At(i).format(b)
+				o.At(i).format(b)
 			}
 		}
 		b.WriteByte('}')

@@ -1,0 +1,105 @@
+package adm
+
+import (
+	"strings"
+	"unsafe"
+)
+
+// A view is an object Value that carries its binary encoding instead of
+// an *Object: kind is KindObject, obj is nil and s holds the encoded
+// bytes, kind tag included (an encoded object is never empty, so no
+// other object has a non-empty s). Storage hands a stored record up as a
+// view over the run-file block it lies in, and the record is decoded one
+// field at a time, when and if something asks:
+//
+//   - Field walks the encoding to the named field. A scalar or array
+//     field is decoded owning its memory, as DecodeBinary does; an object
+//     field comes back as a sub-view. The last of several fields with one
+//     name wins, as Object.Set lets it.
+//   - AppendBinary copies the bytes.
+//   - ObjectVal, Compare, Hash, AppendJSON, Clone, String decode the whole
+//     object into a fresh value nothing else shares. Nothing is memoised:
+//     a view is immutable and safe to read from any number of goroutines.
+//
+// The bytes are checked once, when View's caller loads them; after that
+// no operation on the view fails or panics. Retaining a view is always
+// correct — the bytes it aliases are immutable and garbage-collected —
+// but keeps the whole buffer they are part of alive; a long-lived holder
+// keeps Detached() instead.
+
+// View returns the value enc encodes. enc must be exactly one value
+// SkipBinary accepts, and must never change afterwards. An object is not
+// decoded: the result is a view aliasing enc. Any other kind decodes as
+// DecodeBinary does and owns its memory.
+func View(enc []byte) Value {
+	if len(enc) > 0 && Kind(enc[0]) == KindObject {
+		return Value{kind: KindObject, s: unsafe.String(&enc[0], len(enc))}
+	}
+	v, _, _ := DecodeBinary(enc)
+	return v
+}
+
+func (v Value) isView() bool {
+	return v.kind == KindObject && v.obj == nil && len(v.s) > 0
+}
+
+// encoded returns a view's bytes. They back a string: read-only.
+func (v Value) encoded() []byte {
+	return unsafe.Slice(unsafe.StringData(v.s), len(v.s))
+}
+
+// object returns the fields of an object value — a view's decoded, into
+// an Object of its own — or nil when there are none.
+func (v Value) object() *Object {
+	if !v.isView() {
+		return v.obj
+	}
+	d, _, _ := decodeBinary(v.encoded(), 0)
+	return d.obj
+}
+
+// Detached returns v, or for a view an equal view over a private copy of
+// its bytes, so that keeping it keeps nothing else alive.
+func (v Value) Detached() Value {
+	if v.isView() {
+		v.s = strings.Clone(v.s)
+	}
+	return v
+}
+
+// viewField is Field on a view: one pass over the object's fields,
+// comparing names in place and stepping over values.
+func (v Value) viewField(name string) Value {
+	data := v.encoded()
+	count, n, err := decodeLen(data[1:], KindObject)
+	if err != nil {
+		return missingValue
+	}
+	pos := 1 + n
+	at, size := -1, 0
+	for i := 0; i < count; i++ {
+		l, n, err := decodeLen(data[pos:], KindObject)
+		if err != nil || len(data)-pos-n < l {
+			return missingValue
+		}
+		pos += n
+		match := string(data[pos:pos+l]) == name
+		pos += l
+		vn, err := skipBinary(data[pos:], 0)
+		if err != nil {
+			return missingValue
+		}
+		if match {
+			at, size = pos, vn
+		}
+		pos += vn
+	}
+	if at < 0 {
+		return missingValue
+	}
+	if Kind(data[at]) == KindObject {
+		return Value{kind: KindObject, s: v.s[at : at+size]}
+	}
+	f, _, _ := decodeBinary(data[at:at+size], 0)
+	return f
+}

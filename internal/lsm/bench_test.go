@@ -70,7 +70,7 @@ func BenchmarkStorageUpsert(b *testing.B) {
 // index maintenance to both sides (a batch of one rebuilds its key's
 // postings once per record, a frame once per distinct key). The old
 // values are read back from run files: the plain sub-benchmarks open the
-// partition bare, as DefaultOptions leaves it, and decode a block per
+// partition bare, as DefaultOptions leaves it, and load a block per
 // lookup; the -cached ones wire the block cache every cluster partition
 // has (cachedOptions).
 func BenchmarkStorageUpsertIndexed(b *testing.B) {

@@ -3,16 +3,16 @@ package lsm
 import (
 	"sync"
 	"sync/atomic"
-
-	"github.com/ideadb/idea/internal/index"
 )
 
-// BlockCache caches decoded run-file blocks ([]index.Item slices) so
-// warm point lookups and scans touch no filesystem and decode nothing.
-// One cache is shared by every partition of a cluster (the budget is a
-// deployment-level knob, like a buffer pool), keyed by (run file id,
-// block index) — run ids are process-unique, so a retired run's entries
-// can never be confused with its successor's.
+// BlockCache caches run-file blocks as the bytes the file holds (plus an
+// entry-offset table, see block), so warm point lookups and scans touch
+// no filesystem, and — records being handed up as views of those bytes —
+// decode nothing either. An entry costs exactly the bytes it holds, so
+// the budget is exact. One cache is shared by every partition of a
+// cluster (the budget is a deployment-level knob, like a buffer pool),
+// keyed by (run file id, block index) — run ids are process-unique, so a
+// retired run's entries can never be confused with its successor's.
 //
 // The cache is sharded to keep the lock off the read hot path's
 // profile; each shard runs its own LRU list under its own mutex within
@@ -20,13 +20,14 @@ import (
 //
 // # Pinning
 //
-// acquire/insert return the entry pinned: the caller may read
-// entry.items without holding any lock until it calls release. Pinned
-// entries are skipped by eviction, so a cursor parked mid-block cannot
-// have its items reclaimed, and a run retired by compaction
-// (BlockCache.dropRun) stays readable through outstanding pins — the
-// entry is unlinked from the cache immediately but its memory lives
-// until the last release. The budget is enforced at admission time:
+// acquire/insert return the entry pinned until release. A pin protects
+// residency, not memory: block bytes are garbage-collected, so a view
+// outlives eviction, dropRun and the cache itself. What the pin buys is
+// that the block a cursor is parked on is skipped by eviction — readers
+// arriving meanwhile share it instead of loading a second copy — and
+// that BlockCachePinned counts readers mid-block (a leaked cursor shows
+// there). A run retired by compaction (dropRun) has its entries unlinked
+// at once, pinned or not. The budget is enforced at admission time:
 // inserts evict from the cold end until the shard fits, and a shard
 // whose entries are all pinned may transiently exceed its split.
 type BlockCache struct {
@@ -64,12 +65,11 @@ type blockKey struct {
 	block int
 }
 
-// blockEntry is one cached decoded block. items is immutable once
-// published. pins and the LRU links are owned by the shard lock.
+// blockEntry is one cached block. blk is immutable once published. pins
+// and the LRU links are owned by the shard lock.
 type blockEntry struct {
-	key   blockKey
-	items []index.Item
-	size  int64
+	key blockKey
+	blk block
 
 	pins int
 	// dead marks an entry unlinked while pinned (dropRun of a retired
@@ -129,12 +129,11 @@ func (c *BlockCache) acquire(run uint64, block int) (*blockEntry, bool) {
 	return e, true
 }
 
-// insert publishes a freshly decoded block and returns its entry
-// pinned. If another reader raced the same block in, the existing entry
-// wins (and is returned) so concurrent readers share one copy.
-func (c *BlockCache) insert(run uint64, block int, items []index.Item) *blockEntry {
+// insert publishes a freshly loaded block and returns its entry pinned.
+// If another reader raced the same block in, the existing entry wins
+// (and is returned) so concurrent readers share one copy.
+func (c *BlockCache) insert(run uint64, block int, blk block) *blockEntry {
 	k := blockKey{run: run, block: block}
-	size := itemsSize(items)
 	s := c.shard(k)
 	s.mu.Lock()
 	if e, ok := s.entries[k]; ok {
@@ -146,17 +145,17 @@ func (c *BlockCache) insert(run uint64, block int, items []index.Item) *blockEnt
 		s.mu.Unlock()
 		return e
 	}
-	e := &blockEntry{key: k, items: items, size: size, pins: 1}
+	e := &blockEntry{key: k, blk: blk, pins: 1}
 	s.entries[k] = e
 	s.pushFront(e)
 	s.pinned++
-	s.used += size
+	s.used += blk.size()
 	c.evictLocked(s)
 	s.mu.Unlock()
 	return e
 }
 
-// release drops one pin. The caller must not touch entry.items after.
+// release drops one pin.
 func (c *BlockCache) release(e *blockEntry) {
 	s := c.shard(e.key)
 	s.mu.Lock()
@@ -167,9 +166,8 @@ func (c *BlockCache) release(e *blockEntry) {
 	s.mu.Unlock()
 }
 
-// dropRun unlinks every entry of a retired run. Unpinned entries free
-// immediately; pinned ones are marked dead and their memory lives until
-// the holder releases.
+// dropRun unlinks every entry of a retired run; a pinned one is marked
+// dead so that its release leaves the shard's accounting alone.
 func (c *BlockCache) dropRun(run uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -180,7 +178,7 @@ func (c *BlockCache) dropRun(run uint64) {
 			}
 			delete(s.entries, k)
 			s.unlink(e)
-			s.used -= e.size
+			s.used -= e.blk.size()
 			if e.pins > 0 {
 				s.pinned--
 				e.dead = true
@@ -199,7 +197,7 @@ func (c *BlockCache) evictLocked(s *cacheShard) {
 		if e.pins == 0 {
 			delete(s.entries, e.key)
 			s.unlink(e)
-			s.used -= e.size
+			s.used -= e.blk.size()
 			c.evictions.Add(1)
 		}
 		e = prev
@@ -256,14 +254,4 @@ func (s *cacheShard) moveToFront(e *blockEntry) {
 	}
 	s.unlink(e)
 	s.pushFront(e)
-}
-
-// itemsSize approximates a decoded block's memory footprint: the item
-// headers plus each value's payload.
-func itemsSize(items []index.Item) int64 {
-	size := int64(len(items)) * 16 // two Value headers' slice overhead
-	for _, it := range items {
-		size += int64(it.Key.MemSize() + it.Val.MemSize())
-	}
-	return size
 }

@@ -15,14 +15,14 @@ import (
 // pinning, release, LRU eviction under budget pressure, and dropRun
 // semantics for pinned (dead) entries.
 func TestBlockCacheOps(t *testing.T) {
-	items := []index.Item{{Key: adm.Int(1), Val: adm.String("x")}}
-	perEntry := itemsSize(items)
+	blk := loadTestBlock(t, []index.Item{{Key: adm.Int(1), Val: adm.String("x")}})
+	perEntry := blk.size()
 
 	c := NewBlockCache(perEntry * blockCacheShards * 2) // 2 entries per shard
 	if _, ok := c.acquire(1, 0); ok {
 		t.Fatal("acquire on empty cache hit")
 	}
-	e := c.insert(1, 0, items)
+	e := c.insert(1, 0, blk)
 	st := c.Stats()
 	if st.BlockCacheEntries != 1 || st.BlockCachePinned != 1 || st.BlockCacheMisses != 1 {
 		t.Fatalf("after insert: %+v", st)
@@ -45,15 +45,15 @@ func TestBlockCacheOps(t *testing.T) {
 		t.Fatalf("after dropRun: %+v", st)
 	}
 
-	// dropRun while pinned: the entry leaves the cache but its items stay
-	// readable until release, and release must not corrupt accounting.
-	e = c.insert(2, 0, items)
+	// dropRun while pinned: the entry leaves the cache but its block stays
+	// readable, and release must not corrupt accounting.
+	e = c.insert(2, 0, blk)
 	c.dropRun(2)
 	if st = c.Stats(); st.BlockCacheEntries != 0 || st.BlockCachePinned != 0 {
 		t.Fatalf("after dropRun of pinned: %+v", st)
 	}
-	if len(e.items) != 1 || adm.Compare(e.items[0].Key, adm.Int(1)) != 0 {
-		t.Fatal("dead entry's items were reclaimed while pinned")
+	if k, _, err := adm.DecodeBinary(e.blk.key(0)); e.blk.entries() != 1 || err != nil || adm.Compare(k, adm.Int(1)) != 0 {
+		t.Fatal("dead entry's block was reclaimed while pinned")
 	}
 	c.release(e)
 	if st = c.Stats(); st.BlockCachePinned != 0 || st.BlockCacheBytes != 0 {
@@ -62,9 +62,9 @@ func TestBlockCacheOps(t *testing.T) {
 
 	// Budget pressure evicts cold unpinned entries; pinned entries are
 	// skipped even at the cold end.
-	pinned := c.insert(3, 0, items)
+	pinned := c.insert(3, 0, blk)
 	for i := 1; i < 64; i++ {
-		c.release(c.insert(3, i, items))
+		c.release(c.insert(3, i, blk))
 	}
 	repin, ok := c.acquire(3, 0)
 	if !ok {
@@ -76,6 +76,21 @@ func TestBlockCacheOps(t *testing.T) {
 	}
 	c.release(repin)
 	c.release(pinned)
+}
+
+// loadTestBlock writes items as a one-block run and loads that block.
+func loadTestBlock(t *testing.T, items []index.Item) block {
+	t.Helper()
+	rf, err := writeRun(NewMemFS(), "runs", "b.run", runEnv{}, fillItems(items))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.close()
+	blk, err := rf.loadBlock(0, block{})
+	if err != nil || len(rf.blocks) != 1 {
+		t.Fatalf("%d blocks, %v", len(rf.blocks), err)
+	}
+	return blk
 }
 
 // TestBlockCacheEvictionPinning proves the retire protocol end to end on

@@ -14,9 +14,9 @@ import (
 )
 
 // fillDecoded is the compaction the engine ran before it merged bytes,
-// kept as the oracle: every record of every input is decoded through
-// the component cursors, the decoded items are merged, and the
-// survivors are encoded again.
+// kept as the oracle: every record of every input is decoded (the
+// component cursors yield views; Clone decodes them in full), the
+// decoded items are merged, and the survivors are encoded again.
 func fillDecoded(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 	return func(w *runWriter) error {
 		comps := make([]*component, len(runs))
@@ -30,7 +30,7 @@ func fillDecoded(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 			if !ok {
 				break
 			}
-			if err := w.add(rc.cur); err != nil {
+			if err := w.add(index.Item{Key: rc.cur.Key, Val: rc.cur.Val.Clone()}); err != nil {
 				return err
 			}
 		}

@@ -123,6 +123,60 @@ func TestOpenRunHostileIndex(t *testing.T) {
 	}
 }
 
+// TestLoadBlockHostileStructure: a block whose checksum holds but whose
+// entries do not — an unknown kind tag inside a record, a count that
+// leaves bytes over or runs short — is refused whole when it is loaded,
+// by queries and by compaction alike: the lookup misses, the scan stops,
+// the merge aborts, and the run's sticky error says why. Nothing is
+// handed up from it, so no view is ever asked to read bad bytes.
+func TestLoadBlockHostileStructure(t *testing.T) {
+	items := make([]index.Item, 100) // one block, a one-byte count
+	for i := range items {
+		items[i] = index.Item{Key: adm.Int(int64(i)), Val: rec(int64(i), "pad", adm.String("0123456789012345678901234567890123456789"))}
+	}
+	fs := NewMemFS()
+	rf, err := writeRun(fs, "runs", "good.run", runEnv{}, fillItems(items))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := rf.blocks[0]
+	rf.close()
+	good, err := readFileAll(fs, "runs/good.run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloadAt := int(first.off) + frame.HeaderSize
+	for name, edit := range map[string]func(payload []byte){
+		"unknown kind tag in a record": func(p []byte) { p[3] = 0xEE }, // count, key tag, key varint, record tag
+		"count one short":              func(p []byte) { p[0]-- },
+		"count one over":               func(p []byte) { p[0]++ },
+	} {
+		bad := append([]byte(nil), good...)
+		edit(bad[payloadAt : int(first.off)+first.length])
+		frame.Seal(bad[:int(first.off)+first.length], int(first.off))
+		writeFile(t, fs, "runs/bad.run", bad)
+		rf, err := openRun(fs, "runs", "bad.run", runEnv{cache: NewBlockCache(1 << 20)})
+		if err != nil {
+			t.Fatalf("%s: openRun: %v", name, err)
+		}
+		if v, ok := probeGet(rf, adm.Int(1)); ok {
+			t.Errorf("%s: lookup returned %v", name, v)
+		}
+		if rf.err() == nil {
+			t.Errorf("%s: lookup left no error", name)
+		}
+		c := rf.cursor()
+		if it, ok := c.next(); ok {
+			t.Errorf("%s: cursor yielded %v", name, it)
+		}
+		raw := rf.rawReader()
+		if _, _, ok := raw.advance(); ok || raw.err == nil {
+			t.Errorf("%s: raw reader advanced (err %v)", name, raw.err)
+		}
+		rf.close()
+	}
+}
+
 func goldenFile(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -169,8 +223,12 @@ func FuzzOpenRun(f *testing.F) {
 		}
 		defer rf.close()
 		if grew := heapGrowth(func() {
+			// Structure is checked when a block loads: whatever the cursor
+			// yields reads to the end without failing.
 			c := rf.cursor()
-			for _, ok := c.next(); ok; _, ok = c.next() {
+			for it, ok := c.next(); ok; it, ok = c.next() {
+				it.Val.Field("v")
+				adm.Hash(it.Val)
 			}
 			probeGet(rf, rf.firstKey)
 			probeGet(rf, rf.lastKey)

@@ -53,9 +53,9 @@ type Options struct {
 	MaxComponents int
 	// WALSegBytes caps one WAL segment file (0 = default 4 MiB).
 	WALSegBytes int64
-	// BlockCache, when non-nil, caches decoded run-file blocks across
-	// every partition sharing it (the cluster wires one shared cache).
-	// Nil reads every block from the filesystem.
+	// BlockCache, when non-nil, caches run-file blocks across every
+	// partition sharing it (the cluster wires one shared cache). Nil
+	// reads every block from the filesystem.
 	BlockCache *BlockCache
 }
 
@@ -515,7 +515,9 @@ func sortBatch(keys, recs []adm.Value) (*[]index.Item, []index.Item) {
 	batch := getItemBatch(len(keys))
 	items := *batch
 	for i := range keys {
-		items = append(items, index.Item{Key: keys[i], Val: recs[i]})
+		// A record read out of a run file (INSERT ... SELECT) is a view of
+		// that run's block; the memtable keeps a copy of its own.
+		items = append(items, index.Item{Key: keys[i], Val: recs[i].Detached()})
 	}
 	// Frames from ordered sources often arrive already sorted; a linear
 	// pre-check skips the sort (and the dedupe, since strictly
@@ -875,8 +877,8 @@ func scanMerged(comps []*component, fn func(key, rec adm.Value) bool) {
 }
 
 // mergeInput is one sorted input of a k-way merge: a component cursor
-// yielding decoded items (reads) or a raw run reader yielding encoded
-// bytes (compaction).
+// yielding items (reads: a memtable's records, a run's record views) or
+// a raw run reader yielding encoded bytes (compaction).
 type mergeInput interface {
 	// advance steps onto the input's next entry and reports its key and
 	// whether it is a tombstone; the input exposes the entry itself.

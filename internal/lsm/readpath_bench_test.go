@@ -83,8 +83,8 @@ func BenchmarkPointLookupDurable(b *testing.B) {
 	// Warm cache hits: every probed block is resident, so the lookup
 	// does zero filesystem reads and no allocation.
 	run("hit/warm", NewBlockCache(DefaultBlockCacheBytes), func(i int) adm.Value { return adm.Int(int64(2 * (i % 1000))) }, true, true)
-	// Cache-off baseline: every hit decodes its block from the
-	// filesystem (into a pooled scratch).
+	// Cache-off baseline: every hit loads its block from the
+	// filesystem (its bytes and offset table, two allocations).
 	run("hit/nocache", nil, func(i int) adm.Value { return adm.Int(int64(2 * (i % 1000))) }, true, false)
 }
 

@@ -3,6 +3,7 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -314,8 +315,9 @@ func fillFromRuns(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 }
 
 // runFile is an open, immutable on-disk run: the block index, bloom
-// filter, and key-range fences live in memory; records are decoded from
-// blocks on demand (through the block cache when one is wired). Point
+// filter, and key-range fences live in memory; blocks are loaded on
+// demand (through the block cache when one is wired) and their records
+// handed up as views, never decoded here. Point
 // lookups and cursors are safe for concurrent use (reads go through
 // ReadAt).
 //
@@ -463,38 +465,93 @@ func (r *runFile) load() error {
 	return err
 }
 
-// readBlock decodes block i's items from the file, appending into dst.
-func (r *runFile) readBlock(i int, dst []index.Item) ([]index.Item, error) {
-	r.ctr.blockReads.Add(1)
-	b := r.blocks[i]
-	payload, err := frame.ReadAt(r.f, b.off, int64(b.length)-frame.HeaderSize)
-	if err != nil {
-		return dst, err
-	}
-	p := frame.NewReader(payload)
-	for n := p.Count(2); n > 0 && p.Err() == nil; n-- {
-		dst = append(dst, index.Item{Key: p.Value(), Val: p.Value()})
-	}
-	if err := p.Done(); err != nil {
-		return dst, fmt.Errorf("block %d: %w", i, err)
-	}
-	return dst, nil
+// block is one run-file block in memory: the frame exactly as the file
+// holds it, checksum-verified, plus the offsets of its entries. data is
+// never written after loadBlock returns, and a block handed to queries
+// is garbage-collected, never pooled: the record views a lookup or
+// cursor returns alias it for as long as anything keeps them.
+type block struct {
+	data []byte
+	// offs locates entry i in data: its key starts at offs[2i], its record
+	// at offs[2i+1], and it ends where the next begins (offs[2i+2]; the
+	// last offset is the end of the payload).
+	offs []uint32
 }
 
-// cachedBlock returns block i's decoded items through the block cache:
-// a hit pins and returns the resident entry; a miss decodes from the
-// file and publishes the result pinned. The caller must release the
-// returned entry when done with items.
-func (r *runFile) cachedBlock(i int) ([]index.Item, *blockEntry, error) {
-	if e, ok := r.cache.acquire(r.id, i); ok {
-		return e.items, e, nil
+func (b block) entries() int     { return len(b.offs) / 2 }
+func (b block) key(i int) []byte { return b.data[b.offs[2*i]:b.offs[2*i+1]] }
+func (b block) val(i int) []byte { return b.data[b.offs[2*i+1]:b.offs[2*i+2]] }
+
+// size is what a resident block costs: its bytes and its offset table.
+func (b block) size() int64 { return int64(len(b.data)) + 4*int64(len(b.offs)) }
+
+// loadBlock is the one block reader, under queries and compaction alike:
+// one ReadAt of the whole frame, the checksum, then one walk that checks
+// the structure of every key and record (adm.SkipBinary) and refuses
+// trailing bytes. Whatever reads the block afterwards — a key compare, a
+// field of a record view — cannot fail. reuse lends its buffers to a
+// caller that hands out nothing aliasing them (compaction); queries pass
+// the zero block and get memory of their own.
+func (r *runFile) loadBlock(i int, reuse block) (block, error) {
+	r.ctr.blockReads.Add(1)
+	m := r.blocks[i]
+	if m.length > math.MaxInt32 {
+		return block{}, fmt.Errorf("block %d: %d bytes is no block", i, m.length)
 	}
-	items, err := r.readBlock(i, nil)
+	data := reuse.data
+	if cap(data) < m.length {
+		data = make([]byte, m.length)
+	}
+	data = data[:m.length]
+	if n, err := r.f.ReadAt(data, m.off); n < m.length {
+		return block{}, fmt.Errorf("block %d: read %d of %d bytes: %w", i, n, m.length, err)
+	}
+	payload, size, err := frame.Decode(data, int64(m.length)-frame.HeaderSize)
 	if err != nil {
-		return nil, nil, err
+		return block{}, fmt.Errorf("block %d: %w", i, err)
 	}
-	e := r.cache.insert(r.id, i, items)
-	return e.items, e, nil
+	p := frame.NewReader(payload)
+	n := p.Count(2)
+	if err := p.Err(); err != nil {
+		return block{}, fmt.Errorf("block %d: %w", i, err)
+	}
+	offs := reuse.offs[:0]
+	if cap(offs) < 2*n+1 {
+		offs = make([]uint32, 0, 2*n+1)
+	}
+	pos := size - p.Len()
+	for range 2 * n { // key, record, key, record, ...
+		offs = append(offs, uint32(pos))
+		vn, err := adm.SkipBinary(data[pos:size])
+		if err != nil {
+			return block{}, fmt.Errorf("block %d: offset %d: %w", i, pos, err)
+		}
+		pos += vn
+	}
+	if pos != size {
+		return block{}, fmt.Errorf("block %d: %d trailing bytes", i, size-pos)
+	}
+	return block{data: data[:size], offs: append(offs, uint32(pos))}, nil
+}
+
+// block returns block i, through the cache when one is wired: a hit
+// pins and returns the resident entry, a miss loads the block and
+// publishes it pinned. The caller releases a non-nil entry when it has
+// moved off the block.
+func (r *runFile) block(i int) (block, *blockEntry, error) {
+	if r.cache == nil {
+		b, err := r.loadBlock(i, block{})
+		return b, nil, err
+	}
+	if e, ok := r.cache.acquire(r.id, i); ok {
+		return e.blk, e, nil
+	}
+	b, err := r.loadBlock(i, block{})
+	if err != nil {
+		return block{}, nil, err
+	}
+	e := r.cache.insert(r.id, i, b)
+	return e.blk, e, nil
 }
 
 func (r *runFile) fail(err error) {
@@ -512,9 +569,9 @@ func (r *runFile) err() error {
 
 // get performs a point lookup: reject by key-range fence, then by bloom
 // filter, then binary-search the block index for the last block whose
-// first key is <= key and scan that one block (cache-resident when a
-// cache is wired; a pooled scratch otherwise, so the steady-state
-// lookup allocates nothing either way).
+// first key is <= key and binary-search that block's encoded keys. The
+// record comes back as a view of the block's bytes, so a hit on a
+// resident block decodes and allocates nothing.
 func (r *runFile) get(kp *pointProbe) (adm.Value, bool) {
 	if len(r.blocks) == 0 {
 		return adm.Value{}, false
@@ -540,45 +597,30 @@ func (r *runFile) get(kp *pointProbe) (adm.Value, bool) {
 	if lo == 0 {
 		return adm.Value{}, false
 	}
-	var (
-		items   []index.Item
-		ent     *blockEntry
-		scratch *[]index.Item
-		err     error
-	)
-	if r.cache != nil {
-		items, ent, err = r.cachedBlock(lo - 1)
-	} else {
-		scratch = getItemBatch(0)
-		items, err = r.readBlock(lo-1, (*scratch)[:0])
-		*scratch = items
-	}
+	blk, ent, err := r.block(lo - 1)
 	if err != nil {
-		if scratch != nil {
-			putItemBatch(scratch)
-		}
 		r.fail(err)
 		return adm.Value{}, false
 	}
-	a, b := 0, len(items)
+	// The first entry whose key is >= key; loadBlock checked every key.
+	a, b := 0, blk.entries()
+	cmp := -1
 	for a < b {
 		mid := (a + b) / 2
-		if adm.Less(items[mid].Key, key) {
+		if c := adm.CompareBinary(blk.key(mid), key); c < 0 {
 			a = mid + 1
 		} else {
 			b = mid
+			cmp = c
 		}
 	}
 	var val adm.Value
-	found := false
-	if a < len(items) && adm.Compare(items[a].Key, key) == 0 {
-		val, found = items[a].Val, true
+	found := a < blk.entries() && cmp == 0
+	if found {
+		val = adm.View(blk.val(a))
 	}
 	if ent != nil {
 		r.cache.release(ent)
-	}
-	if scratch != nil {
-		putItemBatch(scratch)
 	}
 	return val, found
 }
@@ -611,7 +653,8 @@ func (r *runFile) close() error {
 	return r.f.Close()
 }
 
-// runFileCursor streams a run's items block by block in key order. The
+// runFileCursor streams a run's items block by block in key order: the
+// key decoded (it owns its memory), the record a view of the block. The
 // cursor holds one run reference for its lifetime and (with a cache
 // wired) one pinned cache entry for its current block; both are
 // released at exhaustion or close. Abandoning an unexhausted cursor
@@ -620,11 +663,10 @@ func (r *runFile) close() error {
 // chain), and merge consumers run to exhaustion.
 type runFileCursor struct {
 	r      *runFile
-	block  int
-	items  []index.Item
+	block  int // next block to load
+	blk    block
 	pos    int
-	ent    *blockEntry  // pinned cache entry backing items, if any
-	own    []index.Item // reusable decode buffer (cache-off path)
+	ent    *blockEntry // pinned cache entry holding blk, if any
 	closed bool
 }
 
@@ -634,12 +676,7 @@ func (r *runFile) cursor() *runFileCursor {
 }
 
 func (c *runFileCursor) next() (index.Item, bool) {
-	for {
-		if c.pos < len(c.items) {
-			it := c.items[c.pos]
-			c.pos++
-			return it, true
-		}
+	for c.pos == c.blk.entries() {
 		if c.closed || c.block >= len(c.r.blocks) {
 			c.close()
 			return index.Item{}, false
@@ -648,26 +685,19 @@ func (c *runFileCursor) next() (index.Item, bool) {
 			c.r.cache.release(c.ent)
 			c.ent = nil
 		}
-		if c.r.cache != nil {
-			items, ent, err := c.r.cachedBlock(c.block)
-			if err != nil {
-				c.r.fail(err)
-				c.close()
-				return index.Item{}, false
-			}
-			c.items, c.ent = items, ent
-		} else {
-			items, err := c.r.readBlock(c.block, c.own[:0])
-			if err != nil {
-				c.r.fail(err)
-				c.close()
-				return index.Item{}, false
-			}
-			c.own, c.items = items, items
+		blk, ent, err := c.r.block(c.block)
+		if err != nil {
+			c.r.fail(err)
+			c.close()
+			return index.Item{}, false
 		}
-		c.pos = 0
+		c.blk, c.ent, c.pos = blk, ent, 0
 		c.block++
 	}
+	key, _, _ := adm.DecodeBinary(c.blk.key(c.pos))
+	it := index.Item{Key: key, Val: adm.View(c.blk.val(c.pos))}
+	c.pos++
+	return it, true
 }
 
 // close releases the cursor's pin and run reference. Idempotent; next
@@ -681,24 +711,21 @@ func (c *runFileCursor) close() {
 		c.r.cache.release(c.ent)
 		c.ent = nil
 	}
-	c.items = nil
+	c.blk, c.pos = block{}, 0
 	c.r.decRef()
 }
 
 // rawRunReader streams a run's entries in key order as the encoded
-// bytes the file holds — compaction's input. Each block's frame is read
-// with one ReadAt into a buffer the reader reuses and CRC-verified;
-// entries are walked, not decoded, except for the key the merge
-// compares. It goes around the block cache in both directions: a
-// compaction reads every block of its inputs exactly once, so caching
-// them would only evict blocks queries want. It holds one run reference
-// until exhaustion, failure or close.
+// bytes the file holds — compaction's input. It loads blocks as queries
+// do (loadBlock), but into buffers it reuses, and goes around the block
+// cache in both directions: a compaction reads every block of its inputs
+// exactly once, so caching them would only evict blocks queries want. It
+// holds one run reference until exhaustion, failure or close.
 type rawRunReader struct {
 	r      *runFile
-	block  int    // next block to read
-	buf    []byte // the current block's frame
-	rest   []byte // unread entries of the current block (aliases buf)
-	n      int    // entries left in rest
+	block  int   // next block to load
+	blk    block // the current block, in the reader's own buffers
+	pos    int
 	closed bool
 
 	// key and val are the current entry's encoded bytes, valid until the
@@ -713,70 +740,34 @@ func (r *runFile) rawReader() *rawRunReader {
 }
 
 func (c *rawRunReader) advance() (key adm.Value, tombstone, ok bool) {
-	for c.n == 0 {
-		if len(c.rest) != 0 {
-			return c.fail(fmt.Errorf("block %d: %d trailing bytes", c.block-1, len(c.rest)))
-		}
+	for c.pos == c.blk.entries() {
 		if c.closed || c.block >= len(c.r.blocks) {
 			c.close()
 			return adm.Value{}, false, false
 		}
-		if err := c.readBlock(); err != nil {
-			return c.fail(err)
+		blk, err := c.r.loadBlock(c.block, c.blk)
+		if err != nil {
+			c.r.fail(err)
+			c.err = c.r.err()
+			c.close()
+			return adm.Value{}, false, false
 		}
+		c.blk, c.pos = blk, 0
+		c.block++
 	}
-	key, kn, err := adm.DecodeBinaryAlias(c.rest)
-	if err != nil {
-		return c.fail(fmt.Errorf("block %d: %w", c.block-1, err))
-	}
-	vn, err := adm.SkipBinary(c.rest[kn:])
-	if err != nil {
-		return c.fail(fmt.Errorf("block %d: %w", c.block-1, err))
-	}
-	c.key, c.val = c.rest[:kn], c.rest[kn:kn+vn]
-	c.rest = c.rest[kn+vn:]
-	c.n--
+	c.key, c.val = c.blk.key(c.pos), c.blk.val(c.pos)
+	c.pos++
+	// A string key aliases the block buffer: valid, like key and val,
+	// until the next advance.
+	key, _, _ = adm.DecodeBinaryAlias(c.key)
 	return key, adm.Kind(c.val[0]) == adm.KindMissing, true
-}
-
-// readBlock loads and verifies the next block's frame.
-func (c *rawRunReader) readBlock() error {
-	c.r.ctr.blockReads.Add(1)
-	b := c.r.blocks[c.block]
-	if cap(c.buf) < b.length {
-		c.buf = make([]byte, b.length)
-	}
-	c.buf = c.buf[:b.length]
-	if n, err := c.r.f.ReadAt(c.buf, b.off); n < b.length {
-		return fmt.Errorf("block %d: read %d of %d bytes: %w", c.block, n, b.length, err)
-	}
-	payload, _, err := frame.Decode(c.buf, int64(b.length)-frame.HeaderSize)
-	if err != nil {
-		return fmt.Errorf("block %d: %w", c.block, err)
-	}
-	p := frame.NewReader(payload)
-	c.n = p.Count(2)
-	if err := p.Err(); err != nil {
-		return fmt.Errorf("block %d: %w", c.block, err)
-	}
-	c.rest = payload[len(payload)-p.Len():]
-	c.block++
-	return nil
-}
-
-// fail records err on the reader and its run and ends the stream.
-func (c *rawRunReader) fail(err error) (adm.Value, bool, bool) {
-	c.r.fail(err)
-	c.err = c.r.err()
-	c.close()
-	return adm.Value{}, false, false
 }
 
 // close releases the run reference. Idempotent.
 func (c *rawRunReader) close() {
 	if !c.closed {
 		c.closed = true
-		c.n, c.rest = 0, nil
+		c.pos = c.blk.entries()
 		c.r.decRef()
 	}
 }

@@ -123,14 +123,17 @@ func (ix *RTreeIndex) Len() int {
 // record (e.g. the field is missing).
 type KeyExtractor func(rec adm.Value) (adm.Value, bool)
 
-// FieldKeyExtractor indexes a top-level field by value.
+// FieldKeyExtractor indexes a top-level field by value. The index keeps
+// the value for good, so it must keep nothing else alive: a field of a
+// stored record already owns its memory unless it is an object, and
+// that one is detached from the record's block.
 func FieldKeyExtractor(field string) KeyExtractor {
 	return func(rec adm.Value) (adm.Value, bool) {
 		v := rec.Field(field)
 		if v.IsUnknown() {
 			return adm.Value{}, false
 		}
-		return v, true
+		return v.Detached(), true
 	}
 }
 

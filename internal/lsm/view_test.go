@@ -1,0 +1,248 @@
+package lsm
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/index"
+)
+
+// viewRec is a record wide enough (≈ 300 encoded bytes) that keeping its
+// block alive by mistake shows in a heap measurement.
+func viewRec(i int) adm.Value {
+	return adm.ObjectValue(adm.ObjectFromPairs(
+		"id", adm.Int(int64(i)),
+		"cat", adm.String(fmt.Sprintf("c%04d", i%1000)),
+		"user", adm.ObjectValue(adm.ObjectFromPairs("name", adm.String(fmt.Sprintf("u%d", i)))),
+		"pad", adm.String(fmt.Sprintf("%0256d", i)),
+	))
+}
+
+// flushedPartition opens a partition on opts, stores n viewRecs and
+// flushes them to one run file.
+func flushedPartition(t testing.TB, opts Options, n int) *Partition {
+	t.Helper()
+	p := memPartition(t, opts)
+	keys, recs := make([]adm.Value, n), make([]adm.Value, n)
+	for i := range keys {
+		keys[i], recs[i] = adm.Int(int64(i)), viewRec(i)
+	}
+	if err := p.UpsertBatch(keys, recs); err != nil {
+		t.Fatal(err)
+	}
+	p.Flush()
+	if err := p.WaitForFlush(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// partitionRuns returns the partition's run files, newest first.
+func partitionRuns(p *Partition) []*runFile {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	var runs []*runFile
+	for _, c := range p.components {
+		if c.run != nil {
+			runs = append(runs, c.run)
+		}
+	}
+	return runs
+}
+
+// TestBlockCacheBudgetIsExact: a cached block costs the bytes it holds —
+// its frame as the file stores it plus four bytes per entry offset — so
+// BlockCacheBytes is a sum one can do by hand, and a 64 KiB budget holds
+// three 16 KiB blocks. (Budgeted as decoded objects, ≈ 6× their stored
+// size, that cache held none of them.)
+func TestBlockCacheBudgetIsExact(t *testing.T) {
+	opts := cachedOptions()
+	p := flushedPartition(t, opts, 2000)
+	run := partitionRuns(p)[0]
+	if n := p.Snapshot().Len(); n != 2000 {
+		t.Fatalf("scanned %d records", n)
+	}
+	var want int64
+	for i, m := range run.blocks {
+		blk, err := run.loadBlock(i, block{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += int64(m.length) + 4*int64(2*blk.entries()+1)
+	}
+	st := opts.BlockCache.Stats()
+	if st.BlockCacheBytes != want || st.BlockCacheEntries != len(run.blocks) || st.BlockCacheEvictions != 0 {
+		t.Fatalf("cache holds %d bytes in %d entries (%d evictions), want %d bytes in %d", st.BlockCacheBytes, st.BlockCacheEntries, st.BlockCacheEvictions, want, len(run.blocks))
+	}
+
+	// One shard's worth: 64 KiB takes three blocks of the 16 KiB target
+	// (each a little over it, plus its table) and evicts for the fourth.
+	c := NewBlockCache(64 << 10 * blockCacheShards)
+	blk, err := run.loadBlock(0, block{})
+	if err != nil || blk.size() < runBlockTarget || blk.size() > 64<<10/3 {
+		t.Fatalf("block 0 costs %d bytes, %v", blk.size(), err)
+	}
+	for i := 0; i < 4; i++ {
+		c.release(c.insert(1, i*blockCacheShards, blk)) // same shard
+		if st := c.Stats(); st.BlockCacheEntries != min(i+1, 3) {
+			t.Fatalf("after %d inserts: %+v", i+1, st)
+		}
+	}
+}
+
+// TestReadPathAllocations pins what the read path allocates: nothing for
+// a point lookup that hits a resident block (the record is a view of the
+// block, the key compare decodes in place), and for a scan that must
+// load every block no more than the block's bytes, its offset table and
+// its cache entry — never anything per record.
+func TestReadPathAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts at random under -race")
+	}
+	opts := cachedOptions()
+	opts.MemBudget = 1 << 30
+	p := flushedPartition(t, opts, 4000)
+	run := partitionRuns(p)[0]
+	blocks := len(run.blocks)
+	if blocks < 50 {
+		t.Fatalf("only %d blocks", blocks)
+	}
+	s := p.Snapshot()
+	drain := func() {
+		cur := s.Cursor()
+		n := 0
+		for _, _, ok := cur.Next(); ok; _, _, ok = cur.Next() {
+			n++
+		}
+		if n != 4000 {
+			t.Fatalf("scanned %d records", n)
+		}
+	}
+	drain()
+	key := adm.Int(1234)
+	if n := testing.AllocsPerRun(200, func() {
+		if rec, ok := s.Get(key); !ok || rec.Field("id").IntVal() != 1234 {
+			t.Fatal("lookup failed")
+		}
+	}); n != 0 {
+		t.Errorf("warm Snapshot.Get: %v allocations, want 0", n)
+	}
+	warm := testing.AllocsPerRun(5, drain)
+	cold := testing.AllocsPerRun(5, func() {
+		opts.BlockCache.dropRun(run.id)
+		drain()
+	})
+	if perBlock := (cold - warm) / float64(blocks); perBlock > 3 {
+		t.Errorf("cold scan: %.0f allocations over %d blocks (warm %.0f): %.2f per block, want <= 3", cold, blocks, warm, perBlock)
+	}
+	if warm > 20 {
+		t.Errorf("warm scan of 4000 records: %.0f allocations", warm)
+	}
+
+	// Without a cache there is no entry to allocate.
+	bare := flushedPartition(t, Options{MemBudget: 1 << 30, MaxComponents: 8}, 4000)
+	s = bare.Snapshot()
+	if n := testing.AllocsPerRun(5, drain); n > warm+2*float64(blocks) {
+		t.Errorf("uncached scan: %.0f allocations over %d blocks, want <= 2 per block", n, blocks)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// heapAfterGC is the live heap once garbage is gone.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestIndexBackfillRetainsNoBlockMemory is the retention rule for the
+// longest-lived holder there is. A secondary index back-filled from run
+// files keeps the primary key and the extracted field — scalars that own
+// their memory, or a detached copy of an object field — and nothing of
+// the blocks they were read from: with the cache purged, the index costs
+// no more heap than the same index back-filled from a memtable, give or
+// take the 16-byte copies of its string keys (the memtable arm shares
+// those with the records). An index that kept one view or one aliased
+// string per record would hold every block: ≈ 300 bytes a record here.
+func TestIndexBackfillRetainsNoBlockMemory(t *testing.T) {
+	const n = 20_000
+	const margin = 64 * n // bytes; a leak is ≥ 300*n
+	for _, field := range []string{"cat", "user"} {
+		cost := func(flushed bool) int64 {
+			opts := Options{MemBudget: 1 << 30, MaxComponents: 8, BlockCache: NewBlockCache(DefaultBlockCacheBytes)}
+			var p *Partition
+			if flushed {
+				p = flushedPartition(t, opts, n)
+			} else {
+				p = memPartition(t, opts)
+				for i := 0; i < n; i++ {
+					if err := p.Upsert(adm.Int(int64(i)), viewRec(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			before := heapAfterGC()
+			ix := NewBTreeIndex("ix", FieldKeyExtractor(field))
+			p.AttachIndex(ix)
+			for _, r := range partitionRuns(p) {
+				opts.BlockCache.dropRun(r.id)
+			}
+			after := heapAfterGC()
+			if got := len(ix.LookupRangeBounds(index.Unbounded(), index.Unbounded())); got != n {
+				t.Fatalf("index on %s holds %d entries", field, got)
+			}
+			runtime.KeepAlive(p)
+			return int64(after) - int64(before)
+		}
+		fromRuns, fromMemtable := cost(true), cost(false)
+		t.Logf("index on %s: %d bytes back-filled from run files, %d from a memtable", field, fromRuns, fromMemtable)
+		if fromRuns > fromMemtable+margin {
+			t.Errorf("index on %s: %d bytes live after a back-fill from run files, %d from a memtable (margin %d): block memory is retained",
+				field, fromRuns, fromMemtable, margin)
+		}
+	}
+}
+
+// TestWriteDetachesViews: a record read out of one partition and written
+// into another (INSERT ... SELECT) is stored as a copy of its bytes —
+// the block it was read from is collectable while the memtable that
+// received it is still alive and still answers.
+func TestWriteDetachesViews(t *testing.T) {
+	src := flushedPartition(t, Options{MemBudget: 1 << 30, MaxComponents: 8}, 100) // no cache: the view alone holds its block
+	run := partitionRuns(src)[0]
+	dst := memPartition(t, Options{MemBudget: 1 << 30, MaxComponents: 8})
+
+	collected := make(chan struct{})
+	func() {
+		blk, err := run.loadBlock(0, block{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(&blk.data[0], func(*byte) { close(collected) })
+		for i := 0; i < blk.entries(); i++ {
+			key, _, _ := adm.DecodeBinary(blk.key(i))
+			if err := dst.Upsert(key, adm.View(blk.val(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			rec, ok := dst.Get(adm.Int(7))
+			if !ok || !adm.Equal(rec, viewRec(7)) {
+				t.Fatalf("stored copy reads %v, %v", rec, ok)
+			}
+			return
+		default:
+		}
+	}
+	t.Fatal("the source block is still reachable from the memtable it was copied into")
+}

@@ -126,10 +126,13 @@ var diffCorpus = []string{
 //
 // An engine run cut short by ctx's deadline is skipped, not compared:
 // the oracle has no cancellation and would materialize the same blow-up.
-func diffQuery(t testing.TB, ctx *Context, q string, sel *sqlpp.SelectExpr) {
+//
+// The oracle reads every stored record fully decoded (fromCollection
+// clones it), so this is also the differential of the record view
+// against the decoded object, under every operator. The engine's rows
+// and plan are returned so that two arms can be held to each other.
+func diffQuery(t testing.TB, ctx *Context, q string, sel *sqlpp.SelectExpr) (got []adm.Value, plan string) {
 	t.Helper()
-	var got []adm.Value
-	plan := ""
 	rc, err := ExecuteSelectCursor(ctx, nil, sel)
 	if err == nil {
 		plan = rc.Plan()
@@ -150,43 +153,79 @@ func diffQuery(t testing.TB, ctx *Context, q string, sel *sqlpp.SelectExpr) {
 	wantV, wantErr := oracleSelect(octx, nil, sel)
 	switch {
 	case wantErr != nil && err != nil:
-		return
+		return got, plan
 	case wantErr != nil:
 		if !errors.As(wantErr, new(oracleSkippable)) {
 			t.Errorf("%s:\n plan %s\n oracle failed (%v), engine returned %d rows", q, plan, wantErr, len(got))
 		}
-		return
+		return got, plan
 	case err != nil:
 		t.Errorf("%s:\n plan %s\n engine failed (%v), oracle returned %s", q, plan, err, wantV)
-		return
+		return got, plan
 	}
 	want := wantV.ArrayVal()
 	if strings.Contains(plan, "iscan(") && !strings.Contains(strings.ToUpper(q), "ORDER BY") {
 		if !sameMultiset(got, want) {
 			t.Errorf("%s:\n plan %s\n engine %v\n oracle %v", q, plan, got, want)
 		}
-		return
+		return got, plan
 	}
 	if len(got) != len(want) {
 		t.Errorf("%s:\n plan %s\n engine %d rows, oracle %d rows", q, plan, len(got), len(want))
-		return
+		return got, plan
 	}
 	for i := range got {
 		if !adm.Equal(got[i], want[i]) {
 			t.Errorf("%s:\n plan %s\n row %d: engine %s, oracle %s", q, plan, i, got[i], want[i])
-			return
+			return got, plan
 		}
 	}
+	return got, plan
 }
 
 // TestCursorMatchesEagerExecutor runs the fixed corpus — every operator,
 // and every way a SELECT nests inside another — through the engine and
 // the reference implementation and requires identical results: the
 // pipeline is an execution strategy, never a semantic.
+//
+// It runs twice over: on the catalog as loaded (records still decoded in
+// memtables, until the flush the first snapshot triggers lands) and on
+// one flushed to run files beforehand (every record a view of its
+// block), and the two arms must return the same rows under the same plan.
 func TestCursorMatchesEagerExecutor(t *testing.T) {
-	cat := diffCatalog(t)
+	loaded, flushed := diffCatalog(t), flushedDiffCatalog(t)
 	for _, q := range diffCorpus {
-		diffQuery(t, NewContext(cat), q, mustSel(t, q))
+		sel := mustSel(t, q)
+		rows, plan := diffQuery(t, NewContext(loaded), q, sel)
+		frows, fplan := diffQuery(t, NewContext(flushed), q, sel)
+		sameArms(t, q, rows, plan, frows, fplan)
+	}
+}
+
+func flushedDiffCatalog(t testing.TB) *testCatalog {
+	cat := diffCatalog(t)
+	for _, ds := range cat.datasets {
+		flushAll(t, ds)
+	}
+	return cat
+}
+
+// sameArms fails t unless two runs of one query agree row for row and
+// on the plan.
+func sameArms(t testing.TB, q string, rows []adm.Value, plan string, frows []adm.Value, fplan string) {
+	t.Helper()
+	if plan != fplan {
+		t.Errorf("%s:\n plan as loaded %s\n plan flushed   %s", q, plan, fplan)
+	}
+	if len(rows) != len(frows) {
+		t.Errorf("%s: %d rows as loaded, %d flushed", q, len(rows), len(frows))
+		return
+	}
+	for i := range rows {
+		if !adm.Equal(rows[i], frows[i]) {
+			t.Errorf("%s: row %d: as loaded %s, flushed %s", q, i, rows[i], frows[i])
+			return
+		}
 	}
 }
 
@@ -201,7 +240,7 @@ func TestCursorMatchesEagerExecutor(t *testing.T) {
 // a LIMIT prefix over one comparable. TestIndexScanMatchesFullScan and
 // the randomized differential cover that leaf.
 func FuzzSelectMatchesOracle(f *testing.F) {
-	cat := diffCatalog(f)
+	loaded, flushed := diffCatalog(f), flushedDiffCatalog(f)
 	for _, q := range diffCorpus {
 		f.Add(q)
 	}
@@ -216,9 +255,14 @@ func FuzzSelectMatchesOracle(f *testing.F) {
 		}
 		std, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		ctx := NewContext(cat)
-		ctx.Std = std
-		ctx.DisableIndexScan = true
-		diffQuery(t, ctx, q, sel)
+		arm := func(cat *testCatalog) ([]adm.Value, string) {
+			ctx := NewContext(cat)
+			ctx.Std = std
+			ctx.DisableIndexScan = true
+			return diffQuery(t, ctx, q, sel)
+		}
+		rows, plan := arm(loaded)
+		frows, fplan := arm(flushed)
+		sameArms(t, q, rows, plan, frows, fplan)
 	})
 }

@@ -232,6 +232,21 @@ func TestEvalRecursionGuard(t *testing.T) {
 	}
 }
 
+// TestEvalLongestChain: the longest operator and accessor chains the
+// parser lets through (sqlpp's maxChainLinks) evaluate; the recursion
+// they cost is what that bound exists to keep affordable.
+func TestEvalLongestChain(t *testing.T) {
+	const links = 10_000
+	cat := newTestCatalog()
+	if v := evalStr(t, cat, nil, "1"+strings.Repeat("+1", links)); v.IntVal() != links+1 {
+		t.Errorf("sum of %d ones = %v", links+1, v)
+	}
+	env := Bind(nil, "t", obj("a", adm.Int(1)))
+	if v := evalStr(t, cat, env, "t"+strings.Repeat(".a", links)); !v.IsMissing() {
+		t.Errorf("t.a.a... = %v", v)
+	}
+}
+
 func TestAggregateAsScalarOverArray(t *testing.T) {
 	cat := newTestCatalog()
 	env := Bind(nil, "xs", adm.Array([]adm.Value{adm.Int(1), adm.Int(2), adm.Int(3), adm.Null()}))

@@ -124,8 +124,9 @@ func (o oracle) execSelect(env *Env, sel *sqlpp.SelectExpr) (_ adm.Value, err er
 
 // fromCollection resolves a FROM source into a record slice: an
 // in-scope binding, a dataset (copied whole out of the pinned
-// snapshots, partition by partition in key order), or any
-// collection-valued expression.
+// snapshots, partition by partition in key order, every record decoded
+// in full — the oracle never reads a record in place, which the engine
+// does), or any collection-valued expression.
 func (o oracle) fromCollection(env *Env, src sqlpp.Expr) ([]adm.Value, error) {
 	if id, ok := src.(*sqlpp.Ident); ok {
 		if v, bound := env.Lookup(id.Name); bound {
@@ -140,7 +141,7 @@ func (o oracle) fromCollection(env *Env, src sqlpp.Expr) ([]adm.Value, error) {
 				var recs []adm.Value
 				for _, s := range snaps {
 					s.Scan(func(_, rec adm.Value) bool {
-						recs = append(recs, rec)
+						recs = append(recs, rec.Clone())
 						return true
 					})
 				}

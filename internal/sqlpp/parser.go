@@ -22,6 +22,7 @@ func Parse(src string) ([]Statement, error) {
 			continue
 		}
 		at := p.cur().Pos
+		p.links = 0
 		s, err := p.parseStatement()
 		if err != nil {
 			return nil, err
@@ -59,6 +60,7 @@ type parser struct {
 	toks  []Token
 	pos   int
 	depth int // expression nesting, bounded by maxNesting
+	links int // chain links of the current statement, bounded by maxChainLinks
 }
 
 // maxNesting bounds how deep expressions may nest (parentheses,
@@ -81,6 +83,22 @@ func (p *parser) nested(parse func() (Expr, error)) (Expr, error) {
 	e, err := parse()
 	p.depth--
 	return e, err
+}
+
+// maxChainLinks bounds the operator and accessor chain links of one
+// statement (a+b+c, x AND y AND z, r.a.b[0]). The loops that parse them
+// build a left-deep tree as deep as the chain is long without passing
+// through nested, and eval and freeVarsExpr recurse once per link: a
+// megabyte of "+1" used to parse and then overflow the stack. With this
+// cap no tree is deeper than maxNesting + maxChainLinks.
+const maxChainLinks = 10_000
+
+// link counts one chain link; every chain loop calls it per iteration.
+func (p *parser) link() error {
+	if p.links++; p.links > maxChainLinks {
+		return p.errorf("more than %d chained operators and accessors in one statement", maxChainLinks)
+	}
+	return nil
 }
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }
@@ -652,6 +670,9 @@ func (p *parser) parseOr() (Expr, error) {
 		return nil, err
 	}
 	for p.accept(TokKeyword, "OR") {
+		if err := p.link(); err != nil {
+			return nil, err
+		}
 		r, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -667,6 +688,9 @@ func (p *parser) parseAnd() (Expr, error) {
 		return nil, err
 	}
 	for p.accept(TokKeyword, "AND") {
+		if err := p.link(); err != nil {
+			return nil, err
+		}
 		r, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -729,6 +753,9 @@ func (p *parser) parseAdditive() (Expr, error) {
 		return nil, err
 	}
 	for p.at(TokOp, "+") || p.at(TokOp, "-") {
+		if err := p.link(); err != nil {
+			return nil, err
+		}
 		op := p.next().Text
 		r, err := p.parseMultiplicative()
 		if err != nil {
@@ -745,6 +772,9 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 		return nil, err
 	}
 	for p.at(TokOp, "*") || p.at(TokOp, "/") || p.at(TokOp, "%") {
+		if err := p.link(); err != nil {
+			return nil, err
+		}
 		op := p.next().Text
 		r, err := p.parseUnary()
 		if err != nil {
@@ -785,6 +815,9 @@ func (p *parser) parsePostfix() (Expr, error) {
 			if p.toks[p.pos+1].Kind == TokOp && p.toks[p.pos+1].Text == "*" {
 				return e, nil
 			}
+			if err := p.link(); err != nil {
+				return nil, err
+			}
 			p.next()
 			name, err := p.fieldName()
 			if err != nil {
@@ -792,6 +825,9 @@ func (p *parser) parsePostfix() (Expr, error) {
 			}
 			e = &FieldAccess{Base: e, Field: name}
 		case p.at(TokOp, "["):
+			if err := p.link(); err != nil {
+				return nil, err
+			}
 			p.next()
 			idx, err := p.parseExpr()
 			if err != nil {

@@ -129,6 +129,41 @@ func TestParseDepthBounded(t *testing.T) {
 	}
 }
 
+// TestParseChainsBounded: a statement holds maxChainLinks operator and
+// accessor links and no more, whichever loop parses them, so the
+// left-deep tree a chain builds is never deeper than the evaluator can
+// recurse. A megabyte of "+1" or ".a" (half a million links — both used
+// to parse and then kill the process with a stack overflow in eval or
+// freeVarsExpr) is a positioned parse error.
+func TestParseChainsBounded(t *testing.T) {
+	for _, tc := range []struct{ name, first, link string }{
+		{"additive", "1", "+1"},
+		{"multiplicative", "1", "*1"},
+		{"AND", "true", " AND true"},
+		{"OR", "false", " OR false"},
+		{"field access", "a", ".a"},
+		{"index access", "a", "[0]"},
+	} {
+		if _, err := ParseExpr(tc.first + strings.Repeat(tc.link, maxChainLinks)); err != nil {
+			t.Errorf("%s: %d links refused: %v", tc.name, maxChainLinks, err)
+		}
+		_, err := ParseExpr(tc.first + strings.Repeat(tc.link, maxChainLinks+1))
+		if err == nil || !strings.Contains(err.Error(), "parse error at offset") {
+			t.Errorf("%s: %d links: err = %v, want a positioned parse error", tc.name, maxChainLinks+1, err)
+		}
+	}
+	for _, link := range []string{"+1", ".a"} {
+		if _, err := Parse("SELECT VALUE a" + strings.Repeat(link, 1<<19) + ";"); err == nil {
+			t.Errorf("1 MB of %q parsed", link)
+		}
+	}
+	// The budget is per statement.
+	long := "SELECT VALUE 1" + strings.Repeat("+1", maxChainLinks) + ";"
+	if _, err := Parse(long + long); err != nil {
+		t.Error(err)
+	}
+}
+
 // FuzzSqlppParse: any input parses or returns an error that says where —
 // never a panic, and (bounded nesting) never a stack overflow.
 func FuzzSqlppParse(f *testing.F) {
@@ -150,6 +185,8 @@ func FuzzSqlppParse(f *testing.F) {
 		}
 	}
 	f.Add(strings.Repeat("(", maxNesting+1))
+	f.Add("SELECT VALUE a" + strings.Repeat("+1", 1<<19))
+	f.Add("SELECT VALUE a" + strings.Repeat(".a", 1<<19))
 	f.Fuzz(func(t *testing.T, src string) {
 		_, err := Parse(src)
 		if err != nil && !strings.Contains(err.Error(), " at ") {

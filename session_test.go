@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestQueryParamBinding(t *testing.T) {
@@ -85,6 +86,62 @@ func TestExecuteParamsInDML(t *testing.T) {
 	rec, found, err := c.Get("D", Int64(7))
 	if err != nil || !found || rec.Field("tag").Str() != "bound" {
 		t.Fatalf("Get = %v %v %v", rec, found, err)
+	}
+}
+
+// TestInsertSelectFromFlushedDataset: records read out of run files are
+// views of their blocks, and INSERT/UPSERT ... SELECT hands those views
+// to another dataset's validation and write path. The copy must equal
+// the source field for field — including a field the target's datatype
+// coerces (a string the source stored as text becomes a datetime), which
+// a view cannot be rewritten for in place.
+func TestInsertSelectFromFlushedDataset(t *testing.T) {
+	c := newTestCluster(t)
+	c.MustExecute(`
+		CREATE TYPE Loose AS OPEN { id: int64 };
+		CREATE DATASET Src(Loose) PRIMARY KEY id;
+		CREATE TYPE Strict AS OPEN { id: int64, at: datetime };
+		CREATE DATASET Dst(Strict) PRIMARY KEY id;
+	`)
+	const n = 500
+	rows := make([]any, n)
+	for i := range rows {
+		rows[i] = Obj("id", int64(i), "at", "2019-08-26T10:00:00.000Z", "user", Obj("name", fmt.Sprintf("u%d", i)), "pad", strings.Repeat("p", 100))
+	}
+	ctx := context.Background()
+	if _, err := c.Execute(ctx, `UPSERT INTO Src ($rows)`, Named("rows", Arr(rows...))); err != nil {
+		t.Fatal(err)
+	}
+	// Any snapshot freezes the memtables; wait for the flush behind it.
+	for deadline := time.Now().Add(10 * time.Second); c.StorageStats().FlushedRuns < 2; {
+		if _, err := c.DatasetLen("Src"); err != nil || time.Now().After(deadline) {
+			t.Fatalf("Src never flushed: %+v, %v", c.StorageStats(), err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	res, err := c.Execute(ctx, `UPSERT INTO Dst (SELECT VALUE s FROM Src s)`)
+	if err != nil || res.RowsAffected() != n {
+		t.Fatalf("UPSERT ... SELECT: %d rows, %v", res.RowsAffected(), err)
+	}
+	for _, id := range []int64{0, 17, n - 1} {
+		src, _, _ := c.Get("Src", Int64(id))
+		dst, found, err := c.Get("Dst", Int64(id))
+		if err != nil || !found {
+			t.Fatalf("Dst[%d]: %v %v", id, found, err)
+		}
+		if got := dst.Field("at").Time(); !got.Equal(time.Date(2019, 8, 26, 10, 0, 0, 0, time.UTC)) {
+			t.Errorf("Dst[%d].at = %v: not coerced to the declared datetime", id, dst.Field("at"))
+		}
+		if src.Field("at").Str() == "" || dst.Field("user").Field("name").Str() != fmt.Sprintf("u%d", id) || dst.Field("pad").Str() != src.Field("pad").Str() || dst.Len() != src.Len() {
+			t.Errorf("Dst[%d] = %v, Src = %v", id, dst, src)
+		}
+	}
+	// Copying records onto their own keys changes nothing.
+	if res, err = c.Execute(ctx, `UPSERT INTO Src (SELECT VALUE s FROM Src s WHERE s.id < 10)`); err != nil || res.RowsAffected() != 10 {
+		t.Fatalf("self-copy: %d rows, %v", res.RowsAffected(), err)
+	}
+	if got, err := c.DatasetLen("Src"); err != nil || got != n {
+		t.Fatalf("Src holds %d records, %v", got, err)
 	}
 }
 
