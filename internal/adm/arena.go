@@ -7,15 +7,16 @@ import "unsafe"
 // growable slabs instead of individual heap allocations, so parsing a
 // record into an Arena costs O(1) allocations amortized over a frame.
 //
-// Values parsed into an arena are ordinary values. They share its slabs
-// and keep them alive; the garbage collector reclaims a slab when the
-// last value referencing it dies (so one long-lived record pins its
-// frame's slabs). Nothing in the engine resets an arena that values
-// were parsed into: the feed's collector parses every frame into a
-// fresh arena (Successor) and drops its reference when the frame is
-// pushed. Reset exists for arenas whose contents are provably dead —
-// the raw-lane line arenas hyracks pools, and benchmarks that parse and
-// discard.
+// Values parsed into an arena share its slabs, and Reset hands those
+// slabs to the next parse: an arena is its owner's scratch, and only an
+// owner of provably dead contents resets it. The engine has two. The
+// feed's collector parses a line, validates the tree, encodes it
+// (AppendBinary) and resets — the record that travels on is a view of
+// the encoding, and the parse tree never leaves the loop body. The
+// raw-lane line arenas hyracks pools hold staged lines, dead once they
+// are parsed. Anything else that parses into an arena and keeps the
+// values (a test, a benchmark) simply never resets it: the values stay
+// ordinary garbage-collected values that keep their slabs alive.
 //
 // An Arena is not safe for concurrent use.
 type Arena struct {
@@ -23,10 +24,6 @@ type Arena struct {
 	objs  []Object // Object struct slab
 	vals  []Value  // object field-value and array element spine slab
 	names []string // object field-name spine slab
-
-	// Lengths of the slabs already filled and replaced, per kind, so
-	// Successor knows what the whole frame used.
-	spentBuf, spentObjs, spentVals, spentNames int
 }
 
 // Slab sizing: slabs start small and double each time one fills, up to
@@ -51,26 +48,6 @@ func NewArena(bytesCap int) *Arena {
 	return &Arena{buf: make([]byte, 0, bytesCap)}
 }
 
-// Successor returns an empty arena whose slabs start at the sizes a's
-// contents reached, plus an eighth: a stream of similar frames
-// allocates each slab once per frame instead of re-growing it from
-// minSlabSize, and a frame slightly larger than the last does not spill
-// a few values into a second, doubled slab. An arena nothing was parsed
-// into is its own successor.
-func (a *Arena) Successor() *Arena {
-	nb, no := a.spentBuf+len(a.buf), a.spentObjs+len(a.objs)
-	nv, nn := a.spentVals+len(a.vals), a.spentNames+len(a.names)
-	if nb+no+nv+nn == 0 {
-		return a
-	}
-	return &Arena{
-		buf:   make([]byte, 0, nb+nb/8),
-		objs:  make([]Object, 0, no+no/8),
-		vals:  make([]Value, 0, nv+nv/8),
-		names: make([]string, 0, nn+nn/8),
-	}
-}
-
 // Len reports the bytes stored in the current byte slab.
 func (a *Arena) Len() int { return len(a.buf) }
 
@@ -85,7 +62,6 @@ func (a *Arena) Cap() int { return cap(a.buf) }
 // simply stays reachable through those views.
 func (a *Arena) reserve(n int) {
 	if cap(a.buf)-len(a.buf) < n {
-		a.spentBuf += len(a.buf)
 		a.buf = make([]byte, 0, max(2*cap(a.buf), n, minSlabSize))
 	}
 }
@@ -93,16 +69,16 @@ func (a *Arena) reserve(n int) {
 // Reset forgets the arena's contents so its current slabs can be
 // reused. Only the owner of every byte and value in the arena may call
 // it: whatever still references them reads the next contents. The
-// pointer-bearing slabs are cleared so a pooled arena does not pin dead
-// payloads.
+// pointer-bearing slabs are cleared so a reused arena does not pin dead
+// payloads — up to their lengths, which is all that was ever written:
+// slabs are zeroed when made and filled from the front.
 func (a *Arena) Reset() {
-	a.spentBuf, a.spentObjs, a.spentVals, a.spentNames = 0, 0, 0, 0
 	a.buf = a.buf[:0]
-	clear(a.objs[:cap(a.objs)])
+	clear(a.objs)
 	a.objs = a.objs[:0]
-	clear(a.vals[:cap(a.vals)])
+	clear(a.vals)
 	a.vals = a.vals[:0]
-	clear(a.names[:cap(a.names)])
+	clear(a.names)
 	a.names = a.names[:0]
 }
 
@@ -152,7 +128,6 @@ func (a *Arena) newObject(hint int) *Object {
 	if len(a.objs) == cap(a.objs) {
 		// Slab full: start a fresh, larger one. The full slab stays
 		// reachable through the *Object pointers already handed out.
-		a.spentObjs += len(a.objs)
 		a.objs = make([]Object, 0, nextSlabSize(cap(a.objs)))
 	}
 	a.objs = a.objs[:len(a.objs)+1]
@@ -186,7 +161,6 @@ func (a *Arena) valueSpan(n int) []Value {
 		if c < n {
 			c = n
 		}
-		a.spentVals += len(a.vals)
 		a.vals = make([]Value, 0, c)
 	}
 	m := len(a.vals)
@@ -201,7 +175,6 @@ func (a *Arena) nameSpan(n int) []string {
 		if c < n {
 			c = n
 		}
-		a.spentNames += len(a.names)
 		a.names = make([]string, 0, c)
 	}
 	m := len(a.names)

@@ -31,9 +31,10 @@ func TestArenaParsing(t *testing.T) {
 
 // TestArenaReset: resetting an arena invalidates the views parsed into
 // it — the next record's bytes overwrite them. This pins down the
-// aliasing that is why the engine never resets a parse arena (if this
-// test ever fails because views stopped aliasing, the zero-allocation
-// claim broke too).
+// aliasing that is why only the owner of provably dead contents resets
+// an arena: the feed's collector, which has encoded the record before it
+// does (if this test ever fails because views stopped aliasing, the
+// zero-allocation claim broke too).
 func TestArenaReset(t *testing.T) {
 	p := NewParser()
 	a := NewArena(64)
@@ -48,45 +49,6 @@ func TestArenaReset(t *testing.T) {
 	}
 	if got := stale.StringVal(); got != "BBBB" {
 		t.Fatalf("stale view reads %q; expected it to alias the overwritten arena bytes (BBBB)", got)
-	}
-}
-
-// TestArenaSuccessor: an arena sized from what the previous frame used
-// parses an identical frame without allocating again — every slab is
-// drawn once, up front — including slabs the first frame outgrew.
-func TestArenaSuccessor(t *testing.T) {
-	p := NewParser()
-	const records = 300 // more objects than one maxSlabSize-ramp slab holds
-	frame := func(a *Arena) []Value {
-		spine := make([]Value, 0, records)
-		for i := 0; i < records; i++ {
-			var err error
-			if spine, err = p.ParseInto(tweetJSON, spine, a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return spine
-	}
-	first := NewArena(0)
-	want := frame(first)
-	next := first.Successor()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	got := frame(next)
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n > 1 { // the spine
-		t.Fatalf("parsing into a successor arena made %d allocations, want only the record spine", n)
-	}
-	for i := range want {
-		if !Equal(got[i], want[i]) {
-			t.Fatalf("record %d differs between the arena and its successor", i)
-		}
-	}
-	// An arena nothing was parsed into keeps its sizing: it is its own
-	// successor (the collector renews at the end of every invocation,
-	// which often comes right after a push).
-	if unused := next.Successor().Successor(); unused.Successor() != unused {
-		t.Fatal("an untouched arena was replaced")
 	}
 }
 

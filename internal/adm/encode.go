@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"unsafe"
 )
 
@@ -74,6 +75,54 @@ func AppendBinary(dst []byte, v Value) []byte {
 	}
 	return dst
 }
+
+// BinarySize returns len(AppendBinary(nil, v)) without encoding: a
+// caller that sizes its buffer with it appends without ever moving what
+// it has already written. A view answers in O(1).
+func BinarySize(v Value) int {
+	if v.isView() {
+		return len(v.s)
+	}
+	switch v.kind {
+	case KindBoolean:
+		return 2
+	case KindInt64, KindDateTime:
+		return 1 + varintLen(v.i)
+	case KindDouble:
+		return 9
+	case KindString:
+		return 1 + uvarintLen(len(v.s)) + len(v.s)
+	case KindDuration:
+		return 1 + varintLen(int64(v.aux)) + varintLen(v.i)
+	case KindPoint:
+		return 17
+	case KindCircle:
+		return 25
+	case KindRectangle:
+		return 33
+	case KindArray:
+		n := 1 + uvarintLen(len(v.arr))
+		for _, e := range v.arr {
+			n += BinarySize(e)
+		}
+		return n
+	case KindObject:
+		if v.obj == nil {
+			return 2
+		}
+		n := 1 + uvarintLen(v.obj.Len())
+		for i, name := range v.obj.names {
+			n += uvarintLen(len(name)) + len(name) + BinarySize(v.obj.values[i])
+		}
+		return n
+	}
+	return 1 // MISSING, NULL: the tag
+}
+
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
+
+// varintLen is the width of binary.AppendVarint's zig-zag encoding.
+func varintLen(i int64) int { return (bits.Len64(uint64(i<<1)^uint64(i>>63)|1) + 6) / 7 }
 
 func appendGeo(dst []byte, geo *[4]float64, n int) []byte {
 	var zero [4]float64

@@ -83,7 +83,9 @@ func TestCoerceNeverPanics(t *testing.T) {
 // with — accept exactly the inputs DecodeBinary accepts and agree with
 // it on the value's length (and, for the alias, on the value). And an
 // object read in place — the view storage hands up — says what the
-// decoded object says, however it is asked (checkViewAgrees).
+// decoded object says, however it is asked (checkViewAgrees), and one
+// more field spliced onto its bytes is the row Object.Set would build
+// (checkSpliceAgrees).
 func FuzzDecodeBinary(f *testing.F) {
 	r := rand.New(rand.NewSource(16))
 	for i := 0; i < 64; i++ {
@@ -123,8 +125,13 @@ func FuzzDecodeBinary(f *testing.F) {
 		if enc2 := AppendBinary(nil, v2); !bytes.Equal(enc, enc2) {
 			t.Fatalf("not a fixed point: %x then %x", enc, enc2)
 		}
+		if got := BinarySize(v); got != len(enc) {
+			t.Fatalf("BinarySize(%v) = %d, AppendBinary wrote %d", v, got, len(enc))
+		}
 		if v.Kind() == KindObject {
 			checkViewAgrees(t, data[:n], v)
+			// `SELECT t.*, m` over the view, as bytes and as an Object.
+			checkSpliceAgrees(t, []RowPart{{Val: View(data[:n]), Star: true}, {Name: "m", Val: String("extra")}})
 		}
 	})
 }

@@ -1,0 +1,175 @@
+package adm
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// setRow is the row SpliceRow must agree with: an Object filled field
+// by field, a later value of one name replacing the earlier in place.
+func setRow(parts []RowPart) Value {
+	o := NewObject(len(parts))
+	for _, p := range parts {
+		if !p.Star {
+			o.Set(p.Name, p.Val)
+			continue
+		}
+		if src := p.Val.ObjectVal(); src != nil {
+			for i := 0; i < src.Len(); i++ {
+				o.Set(src.Name(i), src.At(i))
+			}
+		}
+	}
+	return ObjectValue(o)
+}
+
+// checkSpliceAgrees holds SpliceRow(parts) to setRow(parts): when the
+// row is built from bytes it is a view, byte-identical under
+// AppendBinary to the Object-built row and equal to it however it is
+// read; and it declines only a row the bytes cannot express. It returns
+// whether the byte path was taken.
+func checkSpliceAgrees(t *testing.T, parts []RowPart) bool {
+	t.Helper()
+	want := setRow(parts)
+	got, ok := SpliceRow(parts)
+	if !ok {
+		// Declining needs a reason: a source that is a tree, an extra too
+		// deep for a row to hold, or a name the Object saw twice.
+		fields, reason := 0, false
+		for _, p := range parts {
+			switch {
+			case !p.Star:
+				fields++
+				reason = reason || !p.Val.nestsWithin(MaxDepth-1)
+			case p.Val.isView():
+				count, _, _ := decodeLen(p.Val.encoded()[1:], KindObject)
+				fields += count
+			default:
+				reason = true
+			}
+		}
+		if !reason && fields == want.ObjectVal().Len() {
+			t.Fatalf("SpliceRow declined a row of %d distinct names over views: %v", fields, want)
+		}
+		return false
+	}
+	if !got.isView() {
+		t.Fatalf("SpliceRow built %v, not a view", got)
+	}
+	// Bytes our encoder wrote come back as themselves; a view over bytes
+	// it would have written otherwise (a boolean payload of 0x30, an
+	// overlong varint — only a hostile file holds those) keeps them, and
+	// is held to the Object-built row by value alone.
+	canonical := true
+	for _, p := range parts {
+		if p.Val.isView() {
+			canonical = canonical && bytes.Equal(AppendBinary(nil, p.Val.Clone()), p.Val.encoded())
+		}
+	}
+	if enc, wantEnc := AppendBinary(nil, got), AppendBinary(nil, want); canonical && !bytes.Equal(enc, wantEnc) {
+		t.Fatalf("spliced row encodes to %x, the Object-built row to %x", enc, wantEnc)
+	}
+	if n, err := SkipBinary(got.encoded()); err != nil || n != len(got.s) {
+		t.Fatalf("spliced row is no valid view: SkipBinary = %d, %v", n, err)
+	}
+	if Compare(got, want) != 0 || Hash(got) != Hash(want) {
+		t.Fatalf("spliced row %v, Object-built row %v (hash %x vs %x)", got, want, Hash(got), Hash(want))
+	}
+	if a, b := AppendJSON(nil, got), AppendJSON(nil, want); !bytes.Equal(a, b) {
+		t.Fatalf("spliced row JSON %s, Object-built row %s", a, b)
+	}
+	return true
+}
+
+func viewOf(v Value) Value { return View(AppendBinary(nil, v)) }
+
+func wideObject(n int) Value {
+	o := NewObject(n)
+	for i := 0; i < n; i++ {
+		o.Set(fmt.Sprintf("f%03d", i), Int(int64(i)))
+	}
+	return ObjectValue(o)
+}
+
+// TestSpliceRowMatchesObjectSet: `SELECT t.*, extra…` built from the
+// encodings agrees with the row built by Object.Set, case by case and
+// over random bases and extras.
+func TestSpliceRowMatchesObjectSet(t *testing.T) {
+	nested := ObjectValue(ObjectFromPairs("a", Int(1), "b", Array([]Value{String("x"), Null()})))
+	tweet := viewOf(benchTweet())
+	for _, tc := range []struct {
+		name  string
+		parts []RowPart
+		bytes bool // the byte path must (not) be taken
+	}{
+		{"empty base", []RowPart{{Val: viewOf(ObjectValue(NewObject(0))), Star: true}, {Name: "x", Val: Int(1)}}, true},
+		{"no extra", []RowPart{{Val: tweet, Star: true}}, true},
+		{"126 fields + 1", []RowPart{{Val: viewOf(wideObject(126)), Star: true}, {Name: "x", Val: Int(1)}}, true},
+		{"127 fields + 1: the count grows a byte", []RowPart{{Val: viewOf(wideObject(127)), Star: true}, {Name: "x", Val: Int(1)}}, true},
+		{"128 fields + 1", []RowPart{{Val: viewOf(wideObject(128)), Star: true}, {Name: "x", Val: Int(1)}}, true},
+		{"MISSING extra", []RowPart{{Val: tweet, Star: true}, {Name: "x", Val: Missing()}}, true},
+		{"nested object extra", []RowPart{{Val: tweet, Star: true}, {Name: "x", Val: nested}}, true},
+		{"sub-view extra", []RowPart{{Val: tweet, Star: true}, {Name: "x", Val: tweet.Field("user")}}, true},
+		{"extra first", []RowPart{{Name: "x", Val: String("first")}, {Val: tweet, Star: true}}, true},
+		{"two star sources", []RowPart{{Val: tweet, Star: true}, {Val: viewOf(ObjectValue(ObjectFromPairs("p", Int(1), "q", nested))), Star: true}, {Name: "x", Val: Int(2)}}, true},
+		{"extra named like a base field", []RowPart{{Val: tweet, Star: true}, {Name: "lang", Val: String("fr")}}, false},
+		{"two extras with one name", []RowPart{{Val: tweet, Star: true}, {Name: "x", Val: Int(1)}, {Name: "x", Val: Int(2)}}, false},
+		{"two star sources sharing a name", []RowPart{{Val: tweet, Star: true}, {Val: viewOf(ObjectValue(ObjectFromPairs("id", Int(9)))), Star: true}}, false},
+		{"a name repeated inside the source", []RowPart{{Val: View(viewSeeds()[0]), Star: true}, {Name: "x", Val: Int(1)}}, false},
+		{"tree source", []RowPart{{Val: benchTweet(), Star: true}, {Name: "x", Val: Int(1)}}, false},
+		{"extra at the depth limit", []RowPart{{Val: tweet, Star: true}, {Name: "x", Val: View(viewSeeds()[3])}}, false},
+	} {
+		if took := checkSpliceAgrees(t, tc.parts); took != tc.bytes {
+			t.Errorf("%s: byte path taken = %v, want %v", tc.name, took, tc.bytes)
+		}
+	}
+
+	r := rand.New(rand.NewSource(23))
+	took := 0
+	for i := 0; i < 2000; i++ {
+		var parts []RowPart
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			switch r.Intn(3) {
+			case 0:
+				parts = append(parts, RowPart{Name: randomString(r), Val: randomValue(r, 2)})
+			default:
+				o := NewObject(4)
+				for f := r.Intn(6); f > 0; f-- {
+					o.Set(randomString(r)+string(rune('a'+r.Intn(26))), randomValue(r, 2))
+				}
+				src := ObjectValue(o)
+				if r.Intn(8) > 0 {
+					src = viewOf(src)
+				}
+				parts = append(parts, RowPart{Val: src, Star: true})
+			}
+		}
+		if checkSpliceAgrees(t, parts) {
+			took++
+		}
+	}
+	if took < 200 {
+		t.Fatalf("only %d of 2000 random rows took the byte path", took)
+	}
+}
+
+// TestBinarySizeIsEncodedLength: BinarySize says what AppendBinary will
+// write, for trees, views and every varint width.
+func TestBinarySizeIsEncodedLength(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	vals := []Value{
+		Int(0), Int(-1), Int(63), Int(64), Int(-65), Int(1 << 62), Int(-1 << 63), Duration(-3, -1<<40),
+		String(string(make([]byte, 127))), String(string(make([]byte, 128))), wideObject(128),
+		ObjectValue(nil), EmptyArray(), viewOf(benchTweet()), benchTweet(),
+	}
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, randomValue(r, 3))
+	}
+	for _, v := range vals {
+		if got, want := BinarySize(v), len(AppendBinary(nil, v)); got != want {
+			t.Fatalf("BinarySize(%v) = %d, AppendBinary wrote %d", v, got, want)
+		}
+	}
+}

@@ -260,32 +260,6 @@ func (v Value) Clone() Value {
 	}
 }
 
-// MemSize estimates the in-memory footprint of the value in bytes. The
-// LSM memtable uses it for flush accounting.
-func (v Value) MemSize() int {
-	const header = 80 // approximate sizeof(Value)
-	size := header
-	switch v.kind {
-	case KindString:
-		size += len(v.s)
-	case KindPoint, KindRectangle, KindCircle:
-		size += 32
-	case KindArray:
-		for _, e := range v.arr {
-			size += e.MemSize()
-		}
-	case KindObject:
-		size += len(v.s) // a view: its bytes
-		if v.obj != nil {
-			for i := 0; i < v.obj.Len(); i++ {
-				size += len(v.obj.Name(i)) + 16
-				size += v.obj.At(i).MemSize()
-			}
-		}
-	}
-	return size
-}
-
 // String renders the value in ADM literal syntax; it is meant for
 // logging and test failure messages, not for wire serialization (see
 // SerializeJSON for that).

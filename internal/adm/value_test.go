@@ -197,14 +197,6 @@ func TestValueStringRendering(t *testing.T) {
 	}
 }
 
-func TestMemSizeGrowsWithPayload(t *testing.T) {
-	small := ObjectValue(ObjectFromPairs("a", Int(1)))
-	big := ObjectValue(ObjectFromPairs("a", String(string(make([]byte, 10_000)))))
-	if small.MemSize() >= big.MemSize() {
-		t.Errorf("MemSize: small=%d big=%d", small.MemSize(), big.MemSize())
-	}
-}
-
 func TestObjectSetReplaceDelete(t *testing.T) {
 	o := NewObject(2)
 	o.Set("x", Int(1))

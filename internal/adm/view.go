@@ -1,6 +1,7 @@
 package adm
 
 import (
+	"encoding/binary"
 	"strings"
 	"unsafe"
 )
@@ -102,4 +103,111 @@ func (v Value) viewField(name string) Value {
 	}
 	f, _, _ := decodeBinary(data[at:at+size], 0)
 	return f
+}
+
+// RowPart is one item of a SELECT clause evaluated for a row: a named
+// value, or — Star — an object whose fields take its place (`t.*`).
+type RowPart struct {
+	Name string // the output field; unused when Star
+	Val  Value
+	Star bool
+}
+
+// spliceScan is how many field names SpliceRow compares pairwise before
+// it builds a set instead.
+const spliceScan = 32
+
+// SpliceRow builds the object a SELECT clause denotes from the encodings
+// of its parts: object tag, summed field count, each star source's field
+// bytes and each named value's AppendBinary, in order. The result is a
+// view, byte for byte the encoding of the object that setting every
+// field in turn (Object.Set) would build. ok is false, and the caller
+// builds that object, when a star source is not a view, when a name
+// would repeat — Set replaces in place, which bytes cannot — or when the
+// row would nest deeper than MaxDepth and so be no valid view.
+func SpliceRow(parts []RowPart) (row Value, ok bool) {
+	var scan [spliceScan]string
+	names := scan[:0]
+	size := 1 + binary.MaxVarintLen32
+	for _, p := range parts {
+		if !p.Star {
+			if !p.Val.nestsWithin(MaxDepth - 1) {
+				return Value{}, false
+			}
+			names = append(names, p.Name)
+			size += len(p.Name) + 16 // a guess at the value; append regrows past it
+			continue
+		}
+		if !p.Val.isView() {
+			return Value{}, false
+		}
+		if names, ok = p.Val.appendFieldNames(names); !ok {
+			return Value{}, false
+		}
+		size += len(p.Val.s)
+	}
+	if !distinct(names) {
+		return Value{}, false
+	}
+	enc := append(make([]byte, 0, size), byte(KindObject))
+	enc = binary.AppendUvarint(enc, uint64(len(names)))
+	for _, p := range parts {
+		if p.Star {
+			src := p.Val.encoded()
+			_, n, _ := decodeLen(src[1:], KindObject)
+			enc = append(enc, src[1+n:]...)
+			continue
+		}
+		enc = binary.AppendUvarint(enc, uint64(len(p.Name)))
+		enc = append(enc, p.Name...)
+		enc = AppendBinary(enc, p.Val)
+	}
+	return View(enc), true
+}
+
+// appendFieldNames appends the field names of a view, aliasing it.
+func (v Value) appendFieldNames(names []string) ([]string, bool) {
+	enc := v.encoded()
+	count, n, err := decodeLen(enc[1:], KindObject)
+	if err != nil {
+		return names, false
+	}
+	pos := 1 + n
+	for i := 0; i < count; i++ {
+		l, n, err := decodeLen(enc[pos:], KindObject)
+		if err != nil || len(enc)-pos-n < l {
+			return names, false
+		}
+		pos += n
+		names = append(names, v.s[pos:pos+l])
+		pos += l
+		vn, err := skipBinary(enc[pos:], 0)
+		if err != nil {
+			return names, false
+		}
+		pos += vn
+	}
+	return names, true
+}
+
+// distinct reports whether no name occurs twice.
+func distinct(names []string) bool {
+	if len(names) <= spliceScan {
+		for i, a := range names {
+			for _, b := range names[:i] {
+				if a == b {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	seen := make(map[string]struct{}, len(names))
+	for _, name := range names {
+		if _, dup := seen[name]; dup {
+			return false
+		}
+		seen[name] = struct{}{}
+	}
+	return true
 }

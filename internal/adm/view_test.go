@@ -40,8 +40,8 @@ func checkViewAgrees(t *testing.T, enc []byte, v Value) {
 	if err := CheckDepth(view); err != nil {
 		t.Fatalf("View(%x): %v", enc, err)
 	}
-	if size := view.MemSize(); size < len(enc) || size > len(enc)+1024 {
-		t.Fatalf("View(%x).MemSize() = %d", enc, size)
+	if size := BinarySize(view); size != len(enc) {
+		t.Fatalf("BinarySize(View(%x)) = %d", enc, size)
 	}
 	if c := view.Clone(); Compare(c, v) != 0 || c.isView() {
 		t.Fatalf("View(%x).Clone() = %v", enc, c)

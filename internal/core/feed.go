@@ -249,15 +249,11 @@ type Feed struct {
 	intakeJob      *hyracks.Job
 	storageJob     *hyracks.Job
 
-	// parsers[p] is partition p's reusable JSON parser; its field-name
-	// intern table and size hints stay warm across invocations.
-	// arenas[p] is the empty arena the partition's next outgoing frame
-	// is parsed into, sized from what the previous frame used; it is
-	// never pooled or reset — its slabs leave with the records. Both
-	// are only touched by the collector instance for partition p, and
-	// invocations run sequentially, so no locking is needed.
-	parsers []*adm.Parser
-	arenas  []*adm.Arena
+	// encoders[p] is partition p's line-to-record step (parser, parse
+	// arena, the current frame's slab). Only the collector instance for
+	// partition p touches it, and invocations run sequentially, so no
+	// locking is needed.
+	encoders []recordEncoder
 
 	// computeSpec is the predeployed computing job's spec skeleton,
 	// built once at start; per-invocation state lives in curInv. The
@@ -520,11 +516,9 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	if f.quota < 1 {
 		f.quota = 1
 	}
-	f.parsers = make([]*adm.Parser, n)
-	f.arenas = make([]*adm.Arena, n)
-	for p := range f.parsers {
-		f.parsers[p] = adm.NewParser()
-		f.arenas[p] = adm.NewArena(0)
+	f.encoders = make([]recordEncoder, n)
+	for p := range f.encoders {
+		f.encoders[p] = newRecordEncoder()
 	}
 
 	// Resume state: one tracker per adapter slot, seeded from the last
@@ -790,6 +784,70 @@ func admit(dt *adm.Datatype, stats *Stats, rec adm.Value, perr error) (adm.Value
 	return rec, true
 }
 
+// recordEncoder turns a source line into the record that travels: the
+// line is parsed into the arena, admitted (validated and coerced) as a
+// tree, encoded once into the current frame's slab, and handed on as a
+// view of those bytes — the encoding the WAL and the run file will hold.
+// The parse tree is scratch: the arena is reset for the next line.
+//
+// A slab is garbage-collected memory that is only ever appended to: it
+// is sized for the frame it serves (the previous frame's bytes per
+// record plus an eighth), a record that does not fit starts a fresh one
+// rather than moving what views already alias, and none is pooled or
+// rewritten. So whoever is handed a record may keep it for as long as
+// it likes; it keeps its frame's slab with it.
+type recordEncoder struct {
+	parser *adm.Parser // field-name intern table and size hints stay warm
+	arena  *adm.Arena
+	spine  []adm.Value // ParseInto's one-record destination
+	slab   []byte
+	// perRecord is the slab bytes provided per expected record, taken
+	// from the last frame that held any; expect, encoded and used are
+	// the current frame's records expected, records held and their bytes.
+	perRecord, expect, encoded, used int
+}
+
+func newRecordEncoder() recordEncoder {
+	return recordEncoder{parser: adm.NewParser(), arena: adm.NewArena(0), spine: make([]adm.Value, 0, 1)}
+}
+
+// beginFrame starts the slab of a frame expected to hold records records.
+func (e *recordEncoder) beginFrame(records int) {
+	if e.encoded > 0 {
+		per := e.used / e.encoded
+		e.perRecord = per + per/8 + 1
+	}
+	e.expect, e.encoded, e.used = records, 0, 0
+	e.slab = make([]byte, 0, records*e.perRecord)
+}
+
+// encode returns the record raw holds, or false when the line was
+// rejected (and counted in stats.ParseErrors).
+func (e *recordEncoder) encode(raw []byte, dt *adm.Datatype, stats *Stats) (adm.Value, bool) {
+	var rec adm.Value
+	spine, perr := e.parser.ParseInto(raw, e.spine, e.arena)
+	if perr == nil {
+		rec = spine[0]
+	}
+	rec, ok := admit(dt, stats, rec, perr)
+	if ok {
+		// A record the slab has no room for starts a fresh one for the
+		// rest of the frame (the first frame learns its size this way);
+		// the full slab stays as it is under the views of it.
+		if size := adm.BinarySize(rec); cap(e.slab)-len(e.slab) < size {
+			e.slab = make([]byte, 0, size*max(e.expect-e.encoded, 1))
+		}
+		at := len(e.slab)
+		e.slab = adm.AppendBinary(e.slab, rec)
+		rec = adm.View(e.slab[at:])
+		e.used += len(e.slab) - at
+		e.encoded++
+	}
+	clear(spine)
+	e.arena.Reset()
+	return rec, ok
+}
+
 // newInstances creates and initializes one native UDF instance per
 // evaluator partition.
 func newInstances(native *udf.Native, n int) ([]udf.Instance, error) {
@@ -852,17 +910,16 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 				if eof {
 					f.eof[p].Store(true)
 				}
-				// Parse into a pooled record spine and the partition's
-				// fresh arena: ParseInto writes string/object payloads
-				// into the arena, so a record costs no per-value
-				// allocations. A full spine is pushed on as a frame of
-				// ordinary values, and the next frame gets its own arena.
-				parser := f.parsers[p]
-				spine := hyracks.GetRecordSlice(f.frameCap)
-				push := func() error {
-					f.arenas[p] = f.arenas[p].Successor()
-					return out.Push(hyracks.Frame{Records: spine})
+				// Each line becomes a view of its encoding in the frame's
+				// slab (recordEncoder); a full pooled spine of them is
+				// pushed on as a frame.
+				enc := &f.encoders[p]
+				pending := 0
+				for _, fr := range frames {
+					pending += len(fr.Raw)
 				}
+				spine := hyracks.GetRecordSlice(f.frameCap)
+				enc.beginFrame(min(pending, f.frameCap))
 				for _, fr := range frames {
 					// Collection is the delivery point for offset
 					// accounting: once this invocation finishes, every
@@ -871,37 +928,30 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 					// sunk) covers the rest of the path.
 					f.markDelivered(fr)
 					for _, raw := range fr.Raw {
-						n := len(spine)
-						var rec adm.Value
-						var perr error
-						if spine, perr = parser.ParseInto(raw, spine, f.arenas[p]); perr == nil {
-							rec, spine = spine[n], spine[:n]
-						}
-						rec, ok := admit(f.dt, f.stats, rec, perr)
+						pending--
+						rec, ok := enc.encode(raw, f.dt, f.stats)
 						if !ok {
 							continue
 						}
 						spine = append(spine, rec)
 						inv.records.Add(1)
 						if len(spine) == f.frameCap {
-							if err := push(); err != nil {
+							if err := out.Push(hyracks.Frame{Records: spine}); err != nil {
 								return err
 							}
 							spine = hyracks.GetRecordSlice(f.frameCap)
+							enc.beginFrame(min(pending, f.frameCap))
 						}
 					}
-					// The lines are parsed (strings were copied into the
-					// parse arena), so the line arena goes back to the
-					// pool for the adapter's next frame.
+					// The lines are encoded, so the line arena goes back
+					// to the pool for the adapter's next frame.
 					hyracks.RecycleFrame(fr)
 				}
 				if len(spine) == 0 {
-					// Rejected lines may have left garbage in the arena.
 					hyracks.PutRecordSlice(spine)
-					f.arenas[p] = f.arenas[p].Successor()
 					return nil
 				}
-				return push()
+				return out.Push(hyracks.Frame{Records: spine})
 			}), nil
 		},
 	})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/hyracks"
 )
 
@@ -26,10 +25,9 @@ func (w *pushWriter) Close() error { return nil }
 // isolation: adapter bytes ride raw frames through a partition holder
 // and come out as parsed ADM records — no UDF, no storage, no cluster
 // simulation: lines are staged into pooled line arenas, whole frames
-// are pulled without copying record headers, and records are parsed
-// into a fresh per-frame arena sized from the previous frame, as the
-// collector does, so string values and objects cost no per-value
-// allocations.
+// are pulled without copying record headers, and each line is parsed,
+// encoded into its frame's slab and handed on as a view (recordEncoder),
+// as the collector does, so a record costs no allocation of its own.
 func BenchmarkIntakePath(b *testing.B) {
 	const n = 10_000
 	records := make([][]byte, n)
@@ -57,29 +55,29 @@ func BenchmarkIntakePath(b *testing.B) {
 			}
 			h.CloseInput()
 		}()
-		parser := adm.NewParser()
+		enc := newRecordEncoder()
+		var stats Stats
 		parsed := 0
 		spine := hyracks.GetRecordSlice(128)
-		arena := adm.NewArena(0)
 		for {
 			frames, eof, err := h.PullFrames(ctx, 420)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for _, fr := range frames {
+				enc.beginFrame(len(fr.Raw))
 				for _, raw := range fr.Raw {
-					var perr error
-					spine, perr = parser.ParseInto(raw, spine, arena)
-					if perr != nil {
-						b.Fatal(perr)
+					rec, ok := enc.encode(raw, nil, &stats)
+					if !ok {
+						b.Fatal("line rejected")
 					}
+					spine = append(spine, rec)
 					parsed++
 				}
 				hyracks.RecycleFrame(fr)
 				// A real collector would push the spine downstream here
-				// and let the records keep the arena's slabs alive.
+				// and let the records keep the frame's slab alive.
 				spine = spine[:0]
-				arena = arena.Successor()
 			}
 			if eof {
 				break

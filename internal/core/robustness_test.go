@@ -586,15 +586,18 @@ func TestFeedStartOnDeadNodeFails(t *testing.T) {
 	}
 }
 
-// TestNativeUDFMayRetainRecords: parsed records are ordinary values, so
-// a stateful native UDF may keep every record it is given. The feed runs
-// several frames, the UDF fails on the last record — MapPipe's error
-// path, which recycles the frame it was evaluating — and every stashed
-// record still equals the line it was parsed from. (When record frames
-// carried a pooled parse arena, that recycle zeroed the last frame's
-// objects under the UDF.)
+// TestNativeUDFMayRetainRecords: a record the feed hands on is a view of
+// its frame's slab — garbage-collected bytes nothing pools or rewrites —
+// so a stateful native UDF may keep every record it is given. It keeps
+// the first 300 and the last; a hundred further frames go by (each would
+// overwrite a slab that was reused); the UDF fails on the last record —
+// MapPipe's error path, which recycles the frame it was evaluating — and
+// every stashed record still equals the line it was parsed from. (When
+// record frames carried a pooled parse arena, that recycle zeroed the
+// last frame's objects under the UDF.)
 func TestNativeUDFMayRetainRecords(t *testing.T) {
-	const n, batch = 300, 50
+	const kept, batch = 300, 50
+	const n = kept + 100*batch
 	lines := make([][]byte, n)
 	for i := range lines {
 		lines[i] = []byte(fmt.Sprintf(`{"id":%d,"text":"keep me %d","user":{"name":"u%d","tags":["a","b"]}}`, i, i, i))
@@ -640,10 +643,13 @@ func TestNativeUDFMayRetainRecords(t *testing.T) {
 				Name: "hoarder", Stateful: true,
 				New: func() udf.Instance {
 					return &udf.FuncInstance{EvalFn: func(rec adm.Value) (adm.Value, error) {
-						mu.Lock()
-						stash = append(stash, rec)
-						mu.Unlock()
-						if rec.Field("id").IntVal() == n-1 {
+						id := rec.Field("id").IntVal()
+						if id < kept || id == n-1 {
+							mu.Lock()
+							stash = append(stash, rec)
+							mu.Unlock()
+						}
+						if id == n-1 {
 							return adm.Value{}, boom
 						}
 						return rec, nil
@@ -666,10 +672,13 @@ func TestNativeUDFMayRetainRecords(t *testing.T) {
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			if len(stash) != n {
-				t.Fatalf("UDF saw %d records, want %d", len(stash), n)
+			if len(stash) != kept+1 {
+				t.Fatalf("UDF kept %d records, want %d", len(stash), kept+1)
 			}
 			for i, rec := range stash {
+				if i == kept {
+					i = n - 1
+				}
 				want, err := adm.ParseJSON(lines[i])
 				if err != nil {
 					t.Fatal(err)

@@ -119,3 +119,18 @@ func (r *Reader) Value() adm.Value {
 	r.b = r.b[n:]
 	return v
 }
+
+// View consumes one adm binary value without decoding it: an object
+// comes back as a view aliasing the payload (which must never change
+// afterwards), any other kind as Value returns it.
+func (r *Reader) View() adm.Value {
+	if r.err != nil {
+		return adm.Value{}
+	}
+	n, err := adm.SkipBinary(r.b)
+	if err != nil {
+		r.fail("%w", err)
+		return adm.Value{}
+	}
+	return adm.View(r.Take(n))
+}

@@ -1,0 +1,249 @@
+package lsm
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"github.com/ideadb/idea/internal/adm"
+)
+
+// padRec is a four-field record whose encoding is a little over pad
+// bytes.
+func padRec(i, pad int) adm.Value {
+	return adm.ObjectValue(adm.ObjectFromPairs(
+		"id", adm.Int(int64(i)),
+		"cat", adm.String(fmt.Sprintf("c%04d", i%1000)),
+		"n", adm.Int(int64(i%7)),
+		"pad", adm.String(strings.Repeat("p", pad)),
+	))
+}
+
+// viewFrames builds frames of 128 records with ascending keys, each
+// record a view of its own encoding — a frame as the feed delivers it.
+func viewFrames(frames, pad int, views bool) (keys, recs [][]adm.Value) {
+	const frame = 128
+	for f := 0; f < frames; f++ {
+		ks, rs := make([]adm.Value, frame), make([]adm.Value, frame)
+		for i := range ks {
+			id := f*frame + i
+			ks[i], rs[i] = adm.Int(int64(id)), padRec(id, pad)
+			if views {
+				rs[i] = adm.View(adm.AppendBinary(nil, rs[i]))
+			}
+		}
+		keys, recs = append(keys, ks), append(recs, rs)
+	}
+	return keys, recs
+}
+
+// TestMemBudgetCountsHeldBytes: the memtable is charged what it holds —
+// the encoded key and record bytes of every entry written, replaced ones
+// included, plus memItemOverhead each — and a partition reopened over
+// the same WAL is charged the same, so MemBudget means one thing live
+// and recovered and a restart neither freezes early nor late.
+func TestMemBudgetCountsHeldBytes(t *testing.T) {
+	fsys := NewMemFS()
+	opts := Options{MemBudget: 1 << 30, MaxComponents: 8}
+	p, err := OpenPartition(fsys, "part", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	charge := func(key, rec adm.Value) {
+		want += adm.BinarySize(key) + adm.BinarySize(rec) + memItemOverhead
+	}
+	keys, recs := viewFrames(4, 300, true)
+	for f := range keys {
+		if err := p.UpsertBatch(keys[f], recs[f]); err != nil {
+			t.Fatal(err)
+		}
+		for i := range keys[f] {
+			charge(keys[f][i], recs[f][i])
+		}
+	}
+	// Trees, a replacement, a string key, a delete and a checkpoint (which
+	// lives outside the memtable and is not charged to it).
+	for i := 0; i < 10; i++ {
+		key, rec := adm.Int(int64(i)), padRec(i, 40)
+		if err := p.Upsert(key, rec); err != nil {
+			t.Fatal(err)
+		}
+		charge(key, rec)
+	}
+	if err := p.Upsert(adm.String("k"), padRec(1, 10)); err != nil {
+		t.Fatal(err)
+	}
+	charge(adm.String("k"), padRec(1, 10))
+	if _, err := p.Delete(adm.Int(3)); err != nil {
+		t.Fatal(err)
+	}
+	charge(adm.Int(3), adm.Missing())
+	if err := p.PutCheckpoint("feed", 42); err != nil {
+		t.Fatal(err)
+	}
+	held := func(p *Partition) int {
+		p.mu.RLock()
+		defer p.mu.RUnlock()
+		return p.memBytes
+	}
+	if got := held(p); got != want {
+		t.Fatalf("live memtable charged %d bytes, holds %d", got, want)
+	}
+	p = reopen(t, p, fsys, "part", opts)
+	defer p.Close()
+	if got := held(p); got != want {
+		t.Fatalf("recovered memtable charged %d bytes, the live one was charged %d", got, want)
+	}
+	if st := p.Stats(); st.Flushes != 0 || st.MemEntries != 4*128+1 {
+		t.Fatalf("recovered partition: %d freezes, %d memtable entries", st.Flushes, st.MemEntries)
+	}
+	rec, ok := p.Get(adm.Int(200))
+	if !ok || !adm.Equal(rec, padRec(200, 300)) {
+		t.Fatalf("recovered record 200 = %v, %v", rec, ok)
+	}
+	if _, ok := p.Get(adm.Int(3)); ok {
+		t.Fatal("deleted key 3 is back after recovery")
+	}
+}
+
+// upsertBatchCost reports the allocations and bytes one UpsertBatch of a
+// 128-record frame costs, averaged over frames.
+func upsertBatchCost(t testing.TB, keys, recs [][]adm.Value) (allocs, bytes float64) {
+	opts := Options{MemBudget: 1 << 30, MaxComponents: 8}
+	p, err := OpenPartition(NewOSFS(), t.TempDir(), opts) // MemFS would allocate the file's own chunks
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const warm = 2 // the WAL's two commit buffers reach a frame's size
+	for f := 0; f < warm; f++ {
+		if err := p.UpsertBatch(keys[f], recs[f]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for f := warm; f < len(keys); f++ {
+		if err := p.UpsertBatch(keys[f], recs[f]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(len(keys) - warm)
+	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+}
+
+// TestUpsertBatchAllocations: storing a frame of views allocates the
+// batch's one buffer and the memtable's B-tree nodes — a count that does
+// not depend on how wide the records are, and bytes that grow by one
+// copy of the records (the WAL's commit buffers are reused).
+func TestUpsertBatchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const frames, narrow, wide = 34, 100, 2100
+	nk, nr := viewFrames(frames, narrow, true)
+	wk, wr := viewFrames(frames, wide, true)
+	na, nb := upsertBatchCost(t, nk, nr)
+	wa, wb := upsertBatchCost(t, wk, wr)
+	t.Logf("narrow: %.1f allocations, %.0f bytes per frame; wide: %.1f allocations, %.0f bytes per frame", na, nb, wa, wb)
+	// (A wide frame's share of a WAL segment rotation is the fraction.)
+	if diff := wa - na; diff > 2 || diff < -2 || na > 16 {
+		t.Fatalf("%.1f allocations per narrow frame, %.1f per wide one; want the same, at most 16", na, wa)
+	}
+	if grew, copyOf := wb-nb, float64(128*(wide-narrow)); grew < copyOf || grew > copyOf*5/4 {
+		t.Fatalf("%.0f more bytes of records per frame cost %.0f more bytes allocated, want one copy", copyOf, grew)
+	}
+}
+
+// TestRecoveredTailIsFlushedThroughTheCache: the records a restart finds
+// in the WAL are read once, at open; when the first snapshot freezes
+// them and the flusher writes them out, their blocks are published in
+// the block cache, so the statements that follow read them without
+// going back to the file just written. A memtable frozen in the ordinary
+// course is not: nobody may ever read it.
+func TestRecoveredTailIsFlushedThroughTheCache(t *testing.T) {
+	fsys := NewMemFS()
+	opts := cachedOptions()
+	p, err := OpenPartition(fsys, "part", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, recs := viewFrames(8, 300, true)
+	for f := range keys {
+		if err := p.UpsertBatch(keys[f], recs[f]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func(p *Partition) {
+		t.Helper()
+		n := 0
+		p.Snapshot().Scan(func(key, rec adm.Value) bool {
+			if !adm.Equal(rec, padRec(int(key.IntVal()), 300)) {
+				t.Fatalf("record %v reads %v", key, rec)
+			}
+			n++
+			return true
+		})
+		if n != 8*128 {
+			t.Fatalf("scan saw %d records, want %d", n, 8*128)
+		}
+	}
+	// Live: the snapshot's freeze is flushed, and the next scan reads the
+	// run's blocks from the file.
+	scan(p)
+	settle(t, p)
+	scan(p)
+	if st := p.Stats(); st.FlushedRuns != 1 || st.BlockReads == 0 {
+		t.Fatalf("live partition: %d runs flushed, %d block reads", st.FlushedRuns, st.BlockReads)
+	}
+
+	// Recovered: the same records, this time from the WAL tail.
+	fsys2 := NewMemFS()
+	p2, err := OpenPartition(fsys2, "part", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := range keys {
+		if err := p2.UpsertBatch(keys[f], recs[f]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p2 = reopen(t, p2, fsys2, "part", opts)
+	defer p2.Close()
+	defer p.Close()
+	scan(p2)
+	settle(t, p2)
+	scan(p2)
+	scan(p2)
+	if st := p2.Stats(); st.FlushedRuns != 1 || st.BlockReads != 0 {
+		t.Fatalf("recovered partition: %d runs flushed, %d block reads, want 1 and 0", st.FlushedRuns, st.BlockReads)
+	}
+}
+
+// BenchmarkUpsertBatch prices storing a 128-record frame of tweet-sized
+// records that arrive as views (a feed's frames: one buffer, one memcpy
+// per record) and as trees (a statement's rows: encoded once, into the
+// same buffer).
+func BenchmarkUpsertBatch(b *testing.B) {
+	for _, arm := range []struct {
+		name  string
+		views bool
+	}{{"views", true}, {"trees", false}} {
+		b.Run(arm.name, func(b *testing.B) {
+			const frames = 256
+			keys, recs := viewFrames(frames, 400, arm.views)
+			p := memPartition(b, DefaultOptions())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.UpsertBatch(keys[i%frames], recs[i%frames]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*128)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
+}

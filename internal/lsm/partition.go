@@ -23,9 +23,10 @@
 // memtable insert (index.BTree.PutBatch), grouped secondary-index
 // maintenance, and one flush-threshold check for the entire frame.
 // Ownership follows the hyracks frame rules: the call transfers the
-// frame downstream, storage retains the records (keeping their arena
-// alive), the writer recycles the spines after UpsertBatch returns,
-// and the arena is never reset. Upsert, Insert, Delete and
+// frame downstream, storage keeps a copy of the records' encodings (one
+// buffer per batch, which the WAL is handed and the memtable's records
+// are views of) and nothing of the caller's, and the writer recycles
+// the spines after UpsertBatch returns. Upsert, Insert, Delete and
 // PutCheckpoint are batches of one on the same path (see
 // Partition.write).
 package lsm
@@ -37,6 +38,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/index"
@@ -44,8 +46,15 @@ import (
 
 // Options tunes one partition.
 type Options struct {
-	// MemBudget is the approximate memtable size in bytes that triggers
-	// a freeze, and with it a flush to a run file.
+	// MemBudget is the memtable size in bytes that triggers a freeze,
+	// and with it a flush to a run file. The memtable is charged what it
+	// holds — the encoded bytes of every key and record written since
+	// the last freeze plus memItemOverhead per entry, the same live and
+	// recovered — which for an enriched tweet is ≈ 650 B where the
+	// decoded tree it used to hold was estimated at ≈ 1.9 KB: the same
+	// budget holds ≈ 3× the records, so flushes are fewer and larger,
+	// and (Close does not flush) more of a small dataset is still in the
+	// WAL when the process exits.
 	MemBudget int
 	// MaxComponents is the number of run files past which the whole level
 	// is compacted into one regardless of size tiers (the
@@ -85,6 +94,9 @@ type component struct {
 	// bytes is the on-disk size of a run-backed component (compaction
 	// tiering input).
 	bytes int64
+	// warm marks the memtable recovery rebuilt from the WAL: its run is
+	// written through the block cache (see fillFromComponent).
+	warm bool
 }
 
 // runCursor streams one component in key order: an index.BTree cursor
@@ -175,9 +187,15 @@ type Partition struct {
 	opts Options
 	wal  *WAL
 
-	mu         sync.RWMutex
-	mem        *index.BTree
+	mu  sync.RWMutex
+	mem *index.BTree
+	// memBytes is what the memtable holds: the encoded bytes of every
+	// entry written since the last freeze plus memItemOverhead each —
+	// replaced entries included, their bytes are still in their batch's
+	// buffer. recovered is set while the memtable is the one WAL replay
+	// rebuilt.
 	memBytes   int
+	recovered  bool
 	components []*component // newest first
 	secondary  []SecondaryIndex
 	stats      Stats
@@ -189,11 +207,6 @@ type Partition struct {
 	// but live here instead of the memtable, and survive WAL truncation
 	// via the manifest's Checkpoints snapshot.
 	ckpts map[string]uint64
-
-	// onNew is the memtable byte-accounting hook handed to
-	// BTree.PutBatch; built once so batch upserts don't allocate a
-	// closure per frame.
-	onNew func(index.Item)
 
 	fs  FS
 	dir string
@@ -306,22 +319,6 @@ func (p *Partition) AttachIndex(idx SecondaryIndex) {
 	putValuePairBatch(box, keys, recs)
 }
 
-// encBufPool recycles the WAL entry-encoding scratch of the write path
-// (the encoding happens outside the partition lock; only the LSN
-// assignment is inside it).
-var encBufPool sync.Pool
-
-func getEncBuf() *[]byte {
-	if v := encBufPool.Get(); v != nil {
-		b := v.(*[]byte)
-		*b = (*b)[:0]
-		return b
-	}
-	return new([]byte)
-}
-
-func putEncBuf(b *[]byte) { encBufPool.Put(b) }
-
 // fail records the first storage failure; later calls keep the first.
 func (p *Partition) fail(err error) {
 	if err == nil {
@@ -408,8 +405,9 @@ func putItemBatch(b *[]index.Item) {
 // grouped per-index delete/insert batches, and one flush-threshold
 // check. Duplicate keys within the batch collapse to the last
 // occurrence; a MISSING record is a tombstone. The caller keeps
-// ownership of the keys/recs slices (their headers are copied into the
-// memtable), but the record payloads are retained by storage.
+// ownership of the keys/recs slices and of the records: storage keeps
+// its own copy of their encodings (the keys' headers are copied into
+// the memtable as they are).
 //
 // The batch is WAL-framed as one record (encoded in original order —
 // replay applies sequentially, so last-wins dedupe is reproduced) and
@@ -436,20 +434,30 @@ const (
 	writeCheckpoint                  // one feed-resume entry, applied to ckpts instead of the memtable
 )
 
+// memItemOverhead is what the memtable is charged per entry on top of
+// the entry's encoded bytes: the B-tree item that points at them.
+const memItemOverhead = int(unsafe.Sizeof(index.Item{}))
+
 // write is the partition's one mutation sequence; every public mutator
 // is a thin caller. Encoding and sorting happen outside the lock; a
 // value the decoder would refuse (adm.MaxDepth) is refused here, before
-// anything is appended, or recovery could not read the log back. Under
-// p.mu: a closed partition or a failed pre-check returns before anything
-// is logged; otherwise the batch is appended to the WAL and applied —
-// in that order under the same lock, which is the invariant that makes
-// recovery exact: LSNs are assigned in memtable apply order, so a
-// freeze's LSN watermark covers precisely the entries in the frozen
-// tree. After the unlock comes one group commit, whose error is the
-// write's error and is recorded stickily (the in-memory state is ahead
-// of the log at that point, but so is a crashed process; recovery
-// replays only what was acknowledged).
+// anything is appended, or recovery could not read the log back. The
+// batch is encoded once, into one garbage-collected buffer sized
+// exactly: the WAL is handed those bytes and the memtable's records are
+// views of them (a record that arrives as a view is copied in, so
+// nothing the caller read it from stays reachable), which is also what
+// a flush copies into its run file and what recovery rebuilds over the
+// log's own bytes. Under p.mu: a closed partition or a failed pre-check
+// returns before anything is logged; otherwise the batch is appended to
+// the WAL and applied — in that order under the same lock, which is the
+// invariant that makes recovery exact: LSNs are assigned in memtable
+// apply order, so a freeze's LSN watermark covers precisely the entries
+// in the frozen tree. After the unlock comes one group commit, whose
+// error is the write's error and is recorded stickily (the in-memory
+// state is ahead of the log at that point, but so is a crashed process;
+// recovery replays only what was acknowledged).
 func (p *Partition) write(mode writeMode, keys, recs []adm.Value) (existed bool, err error) {
+	size := 0
 	for i := range keys {
 		if err = adm.CheckDepth(keys[i]); err == nil {
 			err = adm.CheckDepth(recs[i])
@@ -457,17 +465,25 @@ func (p *Partition) write(mode writeMode, keys, recs []adm.Value) (existed bool,
 		if err != nil {
 			return false, fmt.Errorf("lsm: write refused: %w", err)
 		}
+		size += adm.BinarySize(keys[i]) + adm.BinarySize(recs[i])
 	}
-	encBox := getEncBuf()
-	for i := range keys {
-		*encBox = adm.AppendBinary(*encBox, keys[i])
-		*encBox = adm.AppendBinary(*encBox, recs[i])
-	}
+	enc := make([]byte, 0, size)
 	var batch *[]index.Item
 	var items []index.Item
 	if mode != writeCheckpoint {
-		batch, items = sortBatch(keys, recs)
+		batch = getItemBatch(len(keys))
+		items = *batch
 	}
+	for i := range keys {
+		enc = adm.AppendBinary(enc, keys[i])
+		at := len(enc)
+		enc = adm.AppendBinary(enc, recs[i])
+		if batch != nil {
+			items = append(items, index.Item{Key: keys[i], Val: adm.View(enc[at:])})
+		}
+	}
+	items = sortBatch(items)
+	held := len(enc) + len(keys)*memItemOverhead
 	p.mu.Lock()
 	switch {
 	case p.closed:
@@ -478,21 +494,20 @@ func (p *Partition) write(mode writeMode, keys, recs []adm.Value) (existed bool,
 		}
 	}
 	if err == nil {
-		p.wal.appendEncoded(*encBox, len(keys))
+		p.wal.appendEncoded(enc, len(keys))
 		switch mode {
 		case writeCheckpoint:
 			scope, _ := checkpointScope(keys[0])
 			p.raiseCheckpointLocked(scope, uint64(recs[0].IntVal()))
 		case writeDelete:
 			p.stats.Deletes++
-			p.applyBatchLocked(items)
+			p.applyBatchLocked(items, held)
 		default:
 			p.stats.Upserts += uint64(len(keys))
-			p.applyBatchLocked(items)
+			p.applyBatchLocked(items, held)
 		}
 	}
 	p.mu.Unlock()
-	putEncBuf(encBox)
 	if batch != nil {
 		*batch = items[:len(keys)] // restore the written length for the clear
 		putItemBatch(batch)
@@ -508,17 +523,9 @@ func (p *Partition) write(mode writeMode, keys, recs []adm.Value) (existed bool,
 
 var errClosed = errors.New("lsm: partition closed")
 
-// sortBatch builds the memtable run for a batch: items ascending by key
-// with duplicate keys collapsed to the last occurrence. The box comes
-// from itemBatchPool; the caller returns it at its written length.
-func sortBatch(keys, recs []adm.Value) (*[]index.Item, []index.Item) {
-	batch := getItemBatch(len(keys))
-	items := *batch
-	for i := range keys {
-		// A record read out of a run file (INSERT ... SELECT) is a view of
-		// that run's block; the memtable keeps a copy of its own.
-		items = append(items, index.Item{Key: keys[i], Val: recs[i].Detached()})
-	}
+// sortBatch orders a batch's memtable items ascending by key, with
+// duplicate keys collapsed to the last occurrence.
+func sortBatch(items []index.Item) []index.Item {
 	// Frames from ordered sources often arrive already sorted; a linear
 	// pre-check skips the sort (and the dedupe, since strictly
 	// ascending keys cannot repeat).
@@ -543,17 +550,19 @@ func sortBatch(keys, recs []adm.Value) (*[]index.Item, []index.Item) {
 		}
 		items = items[:w]
 	}
-	return batch, items
+	return items
 }
 
 // applyBatchLocked bulk-inserts the sorted, unique-keyed run into the
-// memtable, maintains secondary indexes with grouped batches, and
-// checks the flush threshold once for the whole batch.
-func (p *Partition) applyBatchLocked(items []index.Item) {
+// memtable, maintains secondary indexes with grouped batches, charges
+// the memtable the held bytes the batch brings, and checks the flush
+// threshold once for the whole batch.
+func (p *Partition) applyBatchLocked(items []index.Item, held int) {
 	if len(p.secondary) > 0 {
 		p.maintainIndexesBatchLocked(items)
 	}
-	p.mem.PutBatch(items, p.onNew)
+	p.mem.PutBatch(items, nil)
+	p.memBytes += held
 	if p.memBytes >= p.opts.MemBudget {
 		p.freezeLocked()
 	}
@@ -635,7 +644,8 @@ func (p *Partition) freezeLocked() {
 	// The watermark is exact because every WAL append happens under the
 	// partition lock we hold: the frozen tree contains precisely the
 	// effects of LSNs <= upToLSN not already in older components.
-	c := &component{tree: p.mem, upToLSN: p.wal.LSN()}
+	c := &component{tree: p.mem, upToLSN: p.wal.LSN(), warm: p.recovered && p.renv.cache != nil}
+	p.recovered = false
 	p.components = append([]*component{c}, p.components...)
 	p.mem = index.NewBTree()
 	p.memBytes = 0

@@ -51,9 +51,6 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 		flushC:      make(chan struct{}, 1),
 		flusherDone: make(chan struct{}),
 	}
-	p.onNew = func(it index.Item) {
-		p.memBytes += it.Key.MemSize() + it.Val.MemSize()
-	}
 
 	if err := removeOrphans(fsys, dir, man); err != nil {
 		return nil, err
@@ -88,10 +85,12 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 
 	// Replay applies straight to the fresh memtable: no locks are
 	// needed (the partition is not yet published) and no re-logging
-	// happens (the entries are already in the WAL). Tombstones stay in
-	// the memtable as MISSING so they shadow older runs. Checkpoint
-	// entries (reserved key prefix) route to the checkpoint table
-	// instead of the memtable.
+	// happens (the entries are already in the WAL). A record is a view
+	// of the segment bytes replay read, charged what the write that
+	// logged it was charged, so a recovered memtable is the live one
+	// over again. Tombstones stay in the memtable as MISSING so they
+	// shadow older runs. Checkpoint entries (reserved key prefix) route
+	// to the checkpoint table instead of the memtable.
 	err = wal.Replay(man.FlushedLSN, func(_ uint64, key, rec adm.Value) error {
 		if scope, ok := checkpointScope(key); ok {
 			if off, ok := rec.AsInt(); ok {
@@ -99,9 +98,8 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 			}
 			return nil
 		}
-		if !p.mem.Put(key, rec) {
-			p.memBytes += key.MemSize() + rec.MemSize()
-		}
+		p.mem.Put(key, rec)
+		p.memBytes += adm.BinarySize(key) + adm.BinarySize(rec) + memItemOverhead
 		return nil
 	})
 	if err != nil {
@@ -109,6 +107,7 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 		return nil, fmt.Errorf("lsm: recovery: %w", err)
 	}
 	p.wal = wal
+	p.recovered = p.mem.Len() > 0
 
 	go p.flusher()
 	// A replayed tail larger than the budget freezes immediately (the

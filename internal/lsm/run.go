@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -95,6 +96,13 @@ type runWriter struct {
 	blocks  []blockMeta
 	entries int
 	hashes  []uint64 // bloom hash per entry, in add order
+
+	// keep asks for every block as the cache would hold it (kept; offs is
+	// the offset table of the block being built): writeRun publishes them
+	// under the new run, so its first readers find them resident.
+	keep bool
+	offs []uint32
+	kept []block
 }
 
 // blockMeta locates one block and remembers its first key.
@@ -143,6 +151,9 @@ func (w *runWriter) added(start, keyLen int) error {
 	}
 	w.last = append(w.last[:0], keyEnc...)
 	w.hashes = append(w.hashes, bloomHash(keyEnc))
+	if w.keep {
+		w.offs = append(w.offs, uint32(start), uint32(start+keyLen))
+	}
 	w.count++
 	w.entries++
 	if len(w.scratch) >= runBlockTarget {
@@ -161,11 +172,21 @@ func (w *runWriter) flushBlock() error {
 	}
 	w.frame = frame.Begin(w.frame[:0])
 	w.frame = binary.AppendUvarint(w.frame, uint64(w.count))
+	base := uint32(len(w.frame)) // of the entries, which offs locates within scratch
 	w.frame = append(w.frame, w.scratch...)
 	w.blocks = append(w.blocks, blockMeta{off: w.off, length: len(w.frame), firstKey: firstKey})
 	w.scratch = w.scratch[:0]
 	w.count = 0
-	return w.writeFrame()
+	if err := w.writeFrame(); err != nil || !w.keep {
+		return err
+	}
+	offs := make([]uint32, 0, len(w.offs)+1)
+	for _, o := range w.offs {
+		offs = append(offs, base+o)
+	}
+	w.kept = append(w.kept, block{data: bytes.Clone(w.frame), offs: append(offs, uint32(len(w.frame)))})
+	w.offs = w.offs[:0]
+	return nil
 }
 
 // writeFrame seals and writes the one frame assembled in w.frame.
@@ -261,13 +282,25 @@ func writeRun(fsys FS, dir, name string, env runEnv, fill func(*runWriter) error
 		_ = fsys.Remove(pathname)
 		return nil, err
 	}
-	return openRun(fsys, dir, name, env)
+	rf, err := openRun(fsys, dir, name, env)
+	if err == nil {
+		for i, blk := range w.kept {
+			env.cache.release(env.cache.insert(rf.id, i, blk))
+		}
+	}
+	return rf, err
 }
 
 // fillFromComponent is the flush: one immutable component's items,
 // tombstones included (they must shadow older runs), encoded in order.
+// The run of a recovered memtable goes through the block cache. A
+// restart leaves up to a memtable's worth of records in the WAL; they
+// are read once at open, flushed when the first reader's snapshot
+// freezes them, and would then be fetched a block at a time from the
+// file just written, by the very statements the restart was for.
 func fillFromComponent(c *component) func(*runWriter) error {
 	return func(w *runWriter) error {
+		w.keep = c.warm
 		rc := c.cursor()
 		defer rc.close()
 		for {

@@ -78,8 +78,11 @@ func TestLineArenasRoundTrip(t *testing.T) {
 		t.Skip("sync.Pool drops a quarter of its Puts at random under -race")
 	}
 	// A collection empties sync.Pool, and whether one falls inside the
-	// measured rounds depends on the garbage other tests left behind.
+	// measured rounds depends on the garbage other tests left behind —
+	// including a cycle already under way when collection is switched
+	// off, which the forced one waits out.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
 	const frames, lines = 32, 128
 	line := bytes.Repeat([]byte("t"), 435)
 	frameBytes := uint64(lines * len(line))

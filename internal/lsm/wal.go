@@ -116,6 +116,8 @@ func parseWALSegmentName(name string) (int, bool) {
 
 // Replay scans the on-disk segments in order, invoking apply for every
 // entry with LSN > from, and leaves the log positioned for appending.
+// key is decoded and owns its memory; an object rec is a view of the
+// segment's bytes, which replay read into memory nothing else writes.
 // A torn or corrupt frame at the tail of the last segment is truncated
 // away (a crash mid-write); corruption anywhere else fails recovery
 // loudly. Replay must be called exactly once, before any append.
@@ -219,7 +221,7 @@ func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, apply func(
 		r := frame.NewReader(payload)
 		first, count := r.Uvarint(), r.Count(2) // an entry is two values of >= 1 byte
 		for i := 0; i < count; i++ {
-			key, rec := r.Value(), r.Value()
+			key, rec := r.Value(), r.View()
 			if r.Err() != nil {
 				break
 			}

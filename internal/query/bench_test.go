@@ -12,7 +12,7 @@ import (
 
 // benchCatalog builds a catalog with a SafetyRatings-shaped reference
 // dataset of n rows.
-func benchCatalog(b *testing.B, n int) (*testCatalog, *lsm.Dataset) {
+func benchCatalog(b testing.TB, n int) (*testCatalog, *lsm.Dataset) {
 	b.Helper()
 	cat := newTestCatalog()
 	ds := memDataset(b, "SafetyRatings", "country_code", 4, lsm.DefaultOptions())
@@ -35,7 +35,7 @@ const q1DDL = `CREATE FUNCTION q1(t) {
 	SELECT t.*, safety_rating
 };`
 
-func benchPlan(b *testing.B, cat *testCatalog) *EnrichPlan {
+func benchPlan(b testing.TB, cat *testCatalog) *EnrichPlan {
 	b.Helper()
 	stmts, err := parseFunc(q1DDL)
 	if err != nil {

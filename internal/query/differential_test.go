@@ -51,6 +51,16 @@ var diffCorpus = []string{
 	`SELECT VALUE x FROM [1, 2, 3] x`,
 	`SELECT VALUE e.id FROM Events e WHERE e.id IN [1, 5, 250]`,
 	`SELECT * FROM Events e, [1, 2] n WHERE e.id < 2`,
+	// `SELECT t.*, extra…` — an enrichment UDF's shape: spliced from the
+	// stored records' bytes, or, when a name repeats or a source is a
+	// constructed object, filled field by field.
+	`SELECT e.*, e.nosuch AS gone, {"a": e.id, "b": [e.grp]} AS nested FROM Events e WHERE e.id < 3`,
+	`SELECT e.*, (SELECT VALUE r.cat FROM R r WHERE r.id = e.id) AS cats FROM Events e WHERE e.id < 3`,
+	`SELECT "first" AS tag, e.* FROM Events e WHERE e.id < 3`,
+	`SELECT e.*, e.score + 1 AS score FROM Events e WHERE e.id < 3`,
+	`SELECT e.*, 1 AS x, 2 AS x FROM Events e WHERE e.id < 3`,
+	`SELECT e.*, r.* FROM Events e, R r WHERE e.id < 3 AND r.id = e.id`,
+	`SELECT x.*, e.* FROM Events e, [{"k": 1}] x WHERE e.id < 2`,
 	// Blocking shapes (streamed: top-k heap, hash aggregate, dedupe).
 	`SELECT VALUE e.id FROM Events e ORDER BY e.id DESC LIMIT 5`,
 	`SELECT e.grp AS g, count(*) AS n FROM Events e GROUP BY e.grp ORDER BY e.grp`,
@@ -188,10 +198,11 @@ func diffQuery(t testing.TB, ctx *Context, q string, sel *sqlpp.SelectExpr) (got
 // the reference implementation and requires identical results: the
 // pipeline is an execution strategy, never a semantic.
 //
-// It runs twice over: on the catalog as loaded (records still decoded in
-// memtables, until the flush the first snapshot triggers lands) and on
-// one flushed to run files beforehand (every record a view of its
-// block), and the two arms must return the same rows under the same plan.
+// It runs twice over: on the catalog as loaded (records in memtables,
+// views of the buffers their batches were written from, until the flush
+// the first snapshot triggers lands) and on one flushed to run files
+// beforehand (every record a view of its block), and the two arms must
+// return the same rows under the same plan.
 func TestCursorMatchesEagerExecutor(t *testing.T) {
 	loaded, flushed := diffCatalog(t), flushedDiffCatalog(t)
 	for _, q := range diffCorpus {

@@ -30,12 +30,18 @@ func runSelect(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error)
 }
 
 // projectRow evaluates the SELECT clause for one row (st carries the
-// group context of a grouped row so aggregates resolve).
+// group context of a grouped row so aggregates resolve). What the row is
+// built from decides how: star sources that are views of stored or
+// ingested records are spliced as bytes and the row is a view too
+// (adm.SpliceRow — `SELECT t.*, extra` is every enrichment UDF's body);
+// anything else, and any row in which a name repeats, is an Object
+// filled field by field. Both encode to the same bytes.
 func projectRow(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error) {
 	if sel.SelectValue != nil {
 		return eval(st, env, sel.SelectValue)
 	}
-	obj := adm.NewObject(len(sel.Projections))
+	var few [4]adm.RowPart
+	parts := few[:0]
 	for i, proj := range sel.Projections {
 		switch {
 		case proj.Star && proj.Expr == nil:
@@ -46,16 +52,12 @@ func projectRow(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error
 				if !ok {
 					return adm.Value{}, fmt.Errorf("query: alias %q not bound", sel.From[0].Alias)
 				}
-				if v.Kind() == adm.KindObject {
-					spliceInto(obj, v)
-					continue
-				}
-				obj.Set(sel.From[0].Alias, v)
+				parts = append(parts, adm.RowPart{Name: sel.From[0].Alias, Val: v, Star: v.Kind() == adm.KindObject})
 				continue
 			}
 			for _, fc := range sel.From {
 				if v, ok := env.Lookup(fc.Alias); ok {
-					obj.Set(fc.Alias, v)
+					parts = append(parts, adm.RowPart{Name: fc.Alias, Val: v})
 				}
 			}
 		case proj.Star:
@@ -66,21 +68,45 @@ func projectRow(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error
 			if v.Kind() != adm.KindObject {
 				return adm.Value{}, fmt.Errorf("query: .* requires an object, got %s", v.Kind())
 			}
-			spliceInto(obj, v)
+			parts = append(parts, adm.RowPart{Val: v, Star: true})
 		default:
 			v, err := eval(st, env, proj.Expr)
 			if err != nil {
 				return adm.Value{}, err
 			}
-			obj.Set(projectionName(proj, i), v)
+			parts = append(parts, adm.RowPart{Name: projectionName(proj, i), Val: v})
 		}
+	}
+	if row, ok := adm.SpliceRow(parts); ok {
+		return row, nil
+	}
+	// Size the object before filling it, so its spines are allocated
+	// once; a star source that is a view is decoded here, once.
+	n := len(parts)
+	for i := range parts {
+		if p := &parts[i]; p.Star {
+			o := p.Val.ObjectVal()
+			p.Val = adm.ObjectValue(o)
+			n-- // the star itself is no field
+			if o != nil {
+				n += o.Len()
+			}
+		}
+	}
+	obj := adm.NewObject(n)
+	for _, p := range parts {
+		if p.Star {
+			spliceInto(obj, p.Val)
+			continue
+		}
+		obj.Set(p.Name, p.Val)
 	}
 	return adm.ObjectValue(obj), nil
 }
 
 func spliceInto(dst *adm.Object, src adm.Value) {
 	o := src.ObjectVal()
-	for i := 0; i < o.Len(); i++ {
+	for i := 0; o != nil && i < o.Len(); i++ {
 		dst.Set(o.Name(i), o.At(i))
 	}
 }

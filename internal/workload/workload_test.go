@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -290,5 +291,53 @@ func TestNativeUDFsMirrorSQLPP(t *testing.T) {
 	}
 	if !adm.Equal(nOut, sOut) {
 		t.Errorf("native and SQL++ outputs differ:\n%s\n%s", nOut, sOut)
+	}
+}
+
+// TestUDFBodiesAgreeOverViewsAndTrees: each of the ten enrichment UDFs
+// (`SELECT t.*, extra…`) returns the same record, byte for byte, when
+// its tweet arrives as a view of its encoding — what a feed hands it,
+// and the row is spliced from bytes — and as a parsed tree, where the
+// row is an Object filled field by field.
+func TestUDFBodiesAgreeOverViewsAndTrees(t *testing.T) {
+	c, g := newLoadedCluster(t)
+	names := append([]string{"tweetSafetyCheck", "USTweetSafetyCheck"}, UDFNames...)
+	for _, name := range names {
+		fn, ok := c.Function(name)
+		if !ok {
+			t.Fatalf("function %s missing", name)
+		}
+		plan, err := query.CompileEnrich(fn.Name, fn.Params, fn.Body, c, query.PlanOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		pe, err := plan.Prepare(c)
+		if err != nil {
+			t.Fatalf("%s prepare: %v", name, err)
+		}
+		for id := int64(1); id <= 20; id++ {
+			tree, err := adm.ParseJSON(g.TweetJSON(id))
+			if err == nil {
+				tree, err = TweetType().Validate(tree)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromTree, err := pe.EvalRecord(tree)
+			if err != nil {
+				t.Fatalf("%s over a tree: %v", name, err)
+			}
+			fromView, err := pe.EvalRecord(adm.View(adm.AppendBinary(nil, tree)))
+			if err != nil {
+				t.Fatalf("%s over a view: %v", name, err)
+			}
+			a, b := adm.AppendBinary(nil, fromView), adm.AppendBinary(nil, fromTree)
+			if !bytes.Equal(a, b) || !adm.Equal(fromView, fromTree) || adm.Hash(fromView) != adm.Hash(fromTree) {
+				t.Fatalf("%s, tweet %d:\n over a view %v\n over a tree %v", name, id, fromView, fromTree)
+			}
+			if fromView.ObjectVal().Len() <= tree.ObjectVal().Len() {
+				t.Fatalf("%s, tweet %d: nothing was added to the tweet", name, id)
+			}
+		}
 	}
 }
