@@ -35,9 +35,10 @@ func checkSpliceAgrees(t *testing.T, parts []RowPart) bool {
 	want := setRow(parts)
 	got, ok := SpliceRow(parts)
 	if !ok {
-		// Declining needs a reason: a source that is a tree, an extra too
-		// deep for a row to hold, or a name the Object saw twice.
-		fields, reason := 0, false
+		// Declining needs a reason: no star source to splice, one that is
+		// a tree, an extra too deep for a row to hold, or a name the
+		// Object saw twice.
+		fields, stars, reason := 0, 0, false
 		for _, p := range parts {
 			switch {
 			case !p.Star:
@@ -46,11 +47,12 @@ func checkSpliceAgrees(t *testing.T, parts []RowPart) bool {
 			case p.Val.isView():
 				count, _, _ := decodeLen(p.Val.encoded()[1:], KindObject)
 				fields += count
+				stars++
 			default:
 				reason = true
 			}
 		}
-		if !reason && fields == want.ObjectVal().Len() {
+		if !reason && stars > 0 && fields == want.ObjectVal().Len() {
 			t.Fatalf("SpliceRow declined a row of %d distinct names over views: %v", fields, want)
 		}
 		return false
@@ -119,6 +121,7 @@ func TestSpliceRowMatchesObjectSet(t *testing.T) {
 		{"two star sources sharing a name", []RowPart{{Val: tweet, Star: true}, {Val: viewOf(ObjectValue(ObjectFromPairs("id", Int(9)))), Star: true}}, false},
 		{"a name repeated inside the source", []RowPart{{Val: View(viewSeeds()[0]), Star: true}, {Name: "x", Val: Int(1)}}, false},
 		{"tree source", []RowPart{{Val: benchTweet(), Star: true}, {Name: "x", Val: Int(1)}}, false},
+		{"no star source: named values only", []RowPart{{Name: "lang", Val: tweet.Field("lang")}, {Name: "n", Val: Int(3)}}, false},
 		{"extra at the depth limit", []RowPart{{Val: tweet, Star: true}, {Name: "x", Val: View(viewSeeds()[3])}}, false},
 	} {
 		if took := checkSpliceAgrees(t, tc.parts); took != tc.bytes {

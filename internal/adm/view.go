@@ -113,22 +113,20 @@ type RowPart struct {
 	Star bool
 }
 
-// spliceScan is how many field names SpliceRow compares pairwise before
-// it builds a set instead.
-const spliceScan = 32
-
 // SpliceRow builds the object a SELECT clause denotes from the encodings
 // of its parts: object tag, summed field count, each star source's field
 // bytes and each named value's AppendBinary, in order. The result is a
 // view, byte for byte the encoding of the object that setting every
 // field in turn (Object.Set) would build. ok is false, and the caller
-// builds that object, when a star source is not a view, when a name
-// would repeat — Set replaces in place, which bytes cannot — or when the
-// row would nest deeper than MaxDepth and so be no valid view.
+// builds that object, when there is nothing to splice — no star source,
+// or one that is not a view — when a name would repeat (Set replaces in
+// place, which bytes cannot), or when the row would nest deeper than
+// MaxDepth and so be no valid view.
 func SpliceRow(parts []RowPart) (row Value, ok bool) {
-	var scan [spliceScan]string
-	names := scan[:0]
+	var few [32]string // wider rows take their names from the heap
+	names := few[:0]
 	size := 1 + binary.MaxVarintLen32
+	spliced := false
 	for _, p := range parts {
 		if !p.Star {
 			if !p.Val.nestsWithin(MaxDepth - 1) {
@@ -145,8 +143,9 @@ func SpliceRow(parts []RowPart) (row Value, ok bool) {
 			return Value{}, false
 		}
 		size += len(p.Val.s)
+		spliced = true
 	}
-	if !distinct(names) {
+	if !spliced || !distinct(names) {
 		return Value{}, false
 	}
 	enc := append(make([]byte, 0, size), byte(KindObject))
@@ -190,24 +189,15 @@ func (v Value) appendFieldNames(names []string) ([]string, bool) {
 	return names, true
 }
 
-// distinct reports whether no name occurs twice.
+// distinct reports whether no name occurs twice. Rows are a handful of
+// fields wide, so every pair is compared.
 func distinct(names []string) bool {
-	if len(names) <= spliceScan {
-		for i, a := range names {
-			for _, b := range names[:i] {
-				if a == b {
-					return false
-				}
+	for i, a := range names {
+		for _, b := range names[:i] {
+			if a == b {
+				return false
 			}
 		}
-		return true
-	}
-	seen := make(map[string]struct{}, len(names))
-	for _, name := range names {
-		if _, dup := seen[name]; dup {
-			return false
-		}
-		seen[name] = struct{}{}
 	}
 	return true
 }

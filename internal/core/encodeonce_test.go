@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/query"
@@ -154,5 +155,60 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 	}
 	if bytes > float64(size)*5/4 {
 		t.Fatalf("%.0f bytes allocated per frame whose records encode to %d", bytes, size)
+	}
+}
+
+// TestOutsizedLineDoesNotMultiplyTheSlab: a line far larger than its
+// neighbours — the socket adapter admits 16 MiB — costs the frame that
+// holds it about its own bytes again, wherever in the frame it falls
+// and whether or not the encoder has seen a frame before; it is not
+// taken for the size of every record still expected.
+func TestOutsizedLineDoesNotMultiplyTheSlab(t *testing.T) {
+	const frame = 128
+	small := func(i int) []byte {
+		return fmt.Appendf(nil, `{"id":%d,"text":"%0300d","lang":"en","user":{"id":%d,"screen_name":"bench"}}`, i, i, i%97)
+	}
+	big := fmt.Appendf(nil, `{"id":-1,"text":"%01048576d"}`, 0)
+	for _, at := range []int{0, 1, 5, frame / 2, frame - 1} {
+		for _, learned := range []bool{false, true} {
+			enc := newRecordEncoder()
+			var stats Stats
+			// slabs sums the capacity of every slab a frame was given.
+			collect := func(outlier int) (slabs, encoded int) {
+				enc.beginFrame(frame)
+				last := unsafe.SliceData(enc.slab[:cap(enc.slab)])
+				slabs = cap(enc.slab)
+				for i := range frame {
+					line := small(i)
+					if i == outlier {
+						line = big
+					}
+					rec, ok := enc.encode(line, nil, &stats)
+					if !ok {
+						t.Fatal("line rejected")
+					}
+					if want, _ := adm.ParseJSON(line); !adm.Equal(rec, want) {
+						t.Fatalf("record %d reads back differently", i)
+					}
+					if cur := unsafe.SliceData(enc.slab[:cap(enc.slab)]); cur != last {
+						last, slabs = cur, slabs+cap(enc.slab)
+					}
+					encoded += adm.BinarySize(rec)
+				}
+				return slabs, encoded
+			}
+			if learned {
+				collect(-1)
+			}
+			slabs, encoded := collect(at)
+			t.Logf("outlier at %d, learned=%v: %d slab bytes for %d encoded", at, learned, slabs, encoded)
+			if slabs > 3*encoded {
+				t.Fatalf("outlier at %d, learned=%v: the frame was given %d slab bytes for %d encoded", at, learned, slabs, encoded)
+			}
+			// The frame after it is sized from that frame's bytes, no more.
+			if next, _ := collect(-1); next > 2*encoded {
+				t.Fatalf("outlier at %d, learned=%v: the next frame was given %d slab bytes after one of %d", at, learned, next, encoded)
+			}
+		}
 	}
 }

@@ -793,7 +793,8 @@ func admit(dt *adm.Datatype, stats *Stats, rec adm.Value, perr error) (adm.Value
 // A slab is garbage-collected memory that is only ever appended to: it
 // is sized for the frame it serves (the previous frame's bytes per
 // record plus an eighth), a record that does not fit starts a fresh one
-// rather than moving what views already alias, and none is pooled or
+// rather than moving what views already alias — at most doubling what
+// the frame holds, however large the record — and none is pooled or
 // rewritten. So whoever is handed a record may keep it for as long as
 // it likes; it keeps its frame's slab with it.
 type recordEncoder struct {
@@ -831,11 +832,20 @@ func (e *recordEncoder) encode(raw []byte, dt *adm.Datatype, stats *Stats) (adm.
 	}
 	rec, ok := admit(dt, stats, rec, perr)
 	if ok {
-		// A record the slab has no room for starts a fresh one for the
-		// rest of the frame (the first frame learns its size this way);
-		// the full slab stays as it is under the views of it.
+		// A record the slab has no room for starts a fresh one; the full
+		// slab stays as it is under the views of it. The fresh slab is
+		// sized from what the frame has shown, not from the record that
+		// overflowed: room for it plus the records still expected at the
+		// frame's average so far, and for no more than the frame already
+		// holds — so the first frame learns its size by doubling, and one
+		// outsized line costs its own bytes about twice, not once per
+		// record still to come.
 		if size := adm.BinarySize(rec); cap(e.slab)-len(e.slab) < size {
-			e.slab = make([]byte, 0, size*max(e.expect-e.encoded, 1))
+			rest := 0
+			if e.encoded > 0 {
+				rest = (e.expect - e.encoded - 1) * (e.used / e.encoded)
+			}
+			e.slab = make([]byte, 0, size+min(max(rest, 0), e.used+size))
 		}
 		at := len(e.slab)
 		e.slab = adm.AppendBinary(e.slab, rec)

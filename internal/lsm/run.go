@@ -97,11 +97,10 @@ type runWriter struct {
 	entries int
 	hashes  []uint64 // bloom hash per entry, in add order
 
-	// keep asks for every block as the cache would hold it (kept; offs is
-	// the offset table of the block being built): writeRun publishes them
-	// under the new run, so its first readers find them resident.
+	// keep asks for a copy of every block as a reader would load it:
+	// writeRun publishes them in the cache under the new run, so its
+	// first readers find them resident.
 	keep bool
-	offs []uint32
 	kept []block
 }
 
@@ -151,9 +150,6 @@ func (w *runWriter) added(start, keyLen int) error {
 	}
 	w.last = append(w.last[:0], keyEnc...)
 	w.hashes = append(w.hashes, bloomHash(keyEnc))
-	if w.keep {
-		w.offs = append(w.offs, uint32(start), uint32(start+keyLen))
-	}
 	w.count++
 	w.entries++
 	if len(w.scratch) >= runBlockTarget {
@@ -172,7 +168,6 @@ func (w *runWriter) flushBlock() error {
 	}
 	w.frame = frame.Begin(w.frame[:0])
 	w.frame = binary.AppendUvarint(w.frame, uint64(w.count))
-	base := uint32(len(w.frame)) // of the entries, which offs locates within scratch
 	w.frame = append(w.frame, w.scratch...)
 	w.blocks = append(w.blocks, blockMeta{off: w.off, length: len(w.frame), firstKey: firstKey})
 	w.scratch = w.scratch[:0]
@@ -180,13 +175,9 @@ func (w *runWriter) flushBlock() error {
 	if err := w.writeFrame(); err != nil || !w.keep {
 		return err
 	}
-	offs := make([]uint32, 0, len(w.offs)+1)
-	for _, o := range w.offs {
-		offs = append(offs, base+o)
-	}
-	w.kept = append(w.kept, block{data: bytes.Clone(w.frame), offs: append(offs, uint32(len(w.frame)))})
-	w.offs = w.offs[:0]
-	return nil
+	blk, err := parseBlock(bytes.Clone(w.frame), nil)
+	w.kept = append(w.kept, blk)
+	return err
 }
 
 // writeFrame seals and writes the one frame assembled in w.frame.
@@ -539,16 +530,26 @@ func (r *runFile) loadBlock(i int, reuse block) (block, error) {
 	if n, err := r.f.ReadAt(data, m.off); n < m.length {
 		return block{}, fmt.Errorf("block %d: read %d of %d bytes: %w", i, n, m.length, err)
 	}
-	payload, size, err := frame.Decode(data, int64(m.length)-frame.HeaderSize)
+	b, err := parseBlock(data, reuse.offs)
 	if err != nil {
 		return block{}, fmt.Errorf("block %d: %w", i, err)
+	}
+	return b, nil
+}
+
+// parseBlock makes a block of one sealed frame: it verifies the checksum
+// and builds the offset table, into offs when that has the room.
+func parseBlock(data []byte, offs []uint32) (block, error) {
+	payload, size, err := frame.Decode(data, int64(len(data))-frame.HeaderSize)
+	if err != nil {
+		return block{}, err
 	}
 	p := frame.NewReader(payload)
 	n := p.Count(2)
 	if err := p.Err(); err != nil {
-		return block{}, fmt.Errorf("block %d: %w", i, err)
+		return block{}, err
 	}
-	offs := reuse.offs[:0]
+	offs = offs[:0]
 	if cap(offs) < 2*n+1 {
 		offs = make([]uint32, 0, 2*n+1)
 	}
@@ -557,12 +558,12 @@ func (r *runFile) loadBlock(i int, reuse block) (block, error) {
 		offs = append(offs, uint32(pos))
 		vn, err := adm.SkipBinary(data[pos:size])
 		if err != nil {
-			return block{}, fmt.Errorf("block %d: offset %d: %w", i, pos, err)
+			return block{}, fmt.Errorf("offset %d: %w", pos, err)
 		}
 		pos += vn
 	}
 	if pos != size {
-		return block{}, fmt.Errorf("block %d: %d trailing bytes", i, size-pos)
+		return block{}, fmt.Errorf("%d trailing bytes", size-pos)
 	}
 	return block{data: data[:size], offs: append(offs, uint32(pos))}, nil
 }

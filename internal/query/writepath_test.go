@@ -48,6 +48,27 @@ func TestProjectRowSizesItsObject(t *testing.T) {
 	}
 }
 
+// TestStarlessProjectionIsAnObject: the byte path is for rows that have
+// encodings to splice. `SELECT t.country AS country, x` — the shape of a
+// GROUP BY projection — has none, so even over a view it is an Object
+// whose readers decode nothing; encoding it only to decode it again
+// would be work for no copy saved.
+func TestStarlessProjectionIsAnObject(t *testing.T) {
+	sel := benchSel(t, `SELECT t.country AS country, x`)
+	view := adm.View(adm.AppendBinary(nil, tenFieldRecord(1, 40)))
+	st := evalState{ctx: NewContext(newTestCatalog())}
+	row, err := projectRow(st, Bind(Bind(nil, "t", view), "x", adm.Int(7)), sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := row.ObjectVal(), row.ObjectVal(); a != b { // a view decodes a fresh Object per call
+		t.Fatalf("a projection without a star source came back as a view: %v", row)
+	}
+	if row.ObjectVal().Len() != 2 || row.Field("country").StringVal() != "C000001" || row.Field("x").IntVal() != 7 {
+		t.Fatalf("row = %v", row)
+	}
+}
+
 // evalRecordCost reports the allocations and bytes one EvalRecord of Q1
 // costs over recs.
 func evalRecordCost(t testing.TB, pe *PreparedEnrich, recs []adm.Value) (allocs, bytes float64) {
