@@ -267,13 +267,13 @@ func TestStorageStatsDurable(t *testing.T) {
 	if st.BlockCacheHits == 0 || st.BlockCacheEntries == 0 || st.BlockCacheBytes == 0 {
 		t.Fatalf("cache never hit: %+v", st)
 	}
-	// Pinned is a gauge: background compaction holds pins while its merge
-	// cursors stream, so wait for it to drain rather than asserting zero
-	// at an arbitrary instant.
+	// The lookups' readers are gone: once a compaction in flight has
+	// finished and the collector has run, only the components' own run
+	// files are open.
 	deadline := time.Now().Add(5 * time.Second)
-	for c.StorageStats().BlockCachePinned != 0 {
+	for runtime.GC(); c.StorageStats().OpenRunFiles != c.StorageStats().Components; runtime.GC() {
 		if time.Now().After(deadline) {
-			t.Fatalf("pins leaked: %+v", c.StorageStats())
+			t.Fatalf("run files outlive their readers: %+v", c.StorageStats())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -40,16 +40,10 @@ func viewFrames(frames, pad int, views bool) (keys, recs [][]adm.Value) {
 
 // TestMemBudgetCountsHeldBytes: the memtable is charged what it holds —
 // the encoded key and record bytes of every entry written, replaced ones
-// included, plus memItemOverhead each — and a partition reopened over
-// the same WAL is charged the same, so MemBudget means one thing live
-// and recovered and a restart neither freezes early nor late.
+// included, plus memItemOverhead each. (A reopened partition holds
+// nothing: see TestReopenEndsQuiescent.)
 func TestMemBudgetCountsHeldBytes(t *testing.T) {
-	fsys := NewMemFS()
-	opts := Options{MemBudget: 1 << 30, MaxComponents: 8}
-	p, err := OpenPartition(fsys, "part", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := memPartition(t, Options{MemBudget: 1 << 30, MaxComponents: 8})
 	want := 0
 	charge := func(key, rec adm.Value) {
 		want += adm.BinarySize(key) + adm.BinarySize(rec) + memItemOverhead
@@ -83,28 +77,11 @@ func TestMemBudgetCountsHeldBytes(t *testing.T) {
 	if err := p.PutCheckpoint("feed", 42); err != nil {
 		t.Fatal(err)
 	}
-	held := func(p *Partition) int {
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-		return p.memBytes
-	}
-	if got := held(p); got != want {
-		t.Fatalf("live memtable charged %d bytes, holds %d", got, want)
-	}
-	p = reopen(t, p, fsys, "part", opts)
-	defer p.Close()
-	if got := held(p); got != want {
-		t.Fatalf("recovered memtable charged %d bytes, the live one was charged %d", got, want)
-	}
-	if st := p.Stats(); st.Flushes != 0 || st.MemEntries != 4*128+1 {
-		t.Fatalf("recovered partition: %d freezes, %d memtable entries", st.Flushes, st.MemEntries)
-	}
-	rec, ok := p.Get(adm.Int(200))
-	if !ok || !adm.Equal(rec, padRec(200, 300)) {
-		t.Fatalf("recovered record 200 = %v, %v", rec, ok)
-	}
-	if _, ok := p.Get(adm.Int(3)); ok {
-		t.Fatal("deleted key 3 is back after recovery")
+	p.mu.RLock()
+	got := p.memBytes
+	p.mu.RUnlock()
+	if got != want {
+		t.Fatalf("memtable charged %d bytes, holds %d", got, want)
 	}
 }
 
@@ -155,71 +132,6 @@ func TestUpsertBatchAllocations(t *testing.T) {
 	}
 	if grew, copyOf := wb-nb, float64(128*(wide-narrow)); grew < copyOf || grew > copyOf*5/4 {
 		t.Fatalf("%.0f more bytes of records per frame cost %.0f more bytes allocated, want one copy", copyOf, grew)
-	}
-}
-
-// TestRecoveredTailIsFlushedThroughTheCache: the records a restart finds
-// in the WAL are read once, at open; when the first snapshot freezes
-// them and the flusher writes them out, their blocks are published in
-// the block cache, so the statements that follow read them without
-// going back to the file just written. A memtable frozen in the ordinary
-// course is not: nobody may ever read it.
-func TestRecoveredTailIsFlushedThroughTheCache(t *testing.T) {
-	fsys := NewMemFS()
-	opts := cachedOptions()
-	p, err := OpenPartition(fsys, "part", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, recs := viewFrames(8, 300, true)
-	for f := range keys {
-		if err := p.UpsertBatch(keys[f], recs[f]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	scan := func(p *Partition) {
-		t.Helper()
-		n := 0
-		p.Snapshot().Scan(func(key, rec adm.Value) bool {
-			if !adm.Equal(rec, padRec(int(key.IntVal()), 300)) {
-				t.Fatalf("record %v reads %v", key, rec)
-			}
-			n++
-			return true
-		})
-		if n != 8*128 {
-			t.Fatalf("scan saw %d records, want %d", n, 8*128)
-		}
-	}
-	// Live: the snapshot's freeze is flushed, and the next scan reads the
-	// run's blocks from the file.
-	scan(p)
-	settle(t, p)
-	scan(p)
-	if st := p.Stats(); st.FlushedRuns != 1 || st.BlockReads == 0 {
-		t.Fatalf("live partition: %d runs flushed, %d block reads", st.FlushedRuns, st.BlockReads)
-	}
-
-	// Recovered: the same records, this time from the WAL tail.
-	fsys2 := NewMemFS()
-	p2, err := OpenPartition(fsys2, "part", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f := range keys {
-		if err := p2.UpsertBatch(keys[f], recs[f]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p2 = reopen(t, p2, fsys2, "part", opts)
-	defer p2.Close()
-	defer p.Close()
-	scan(p2)
-	settle(t, p2)
-	scan(p2)
-	scan(p2)
-	if st := p2.Stats(); st.FlushedRuns != 1 || st.BlockReads != 0 {
-		t.Fatalf("recovered partition: %d runs flushed, %d block reads, want 1 and 0", st.FlushedRuns, st.BlockReads)
 	}
 }
 

@@ -18,18 +18,12 @@ import (
 // profile; each shard runs its own LRU list under its own mutex within
 // an even split of the byte budget.
 //
-// # Pinning
-//
-// acquire/insert return the entry pinned until release. A pin protects
-// residency, not memory: block bytes are garbage-collected, so a view
-// outlives eviction, dropRun and the cache itself. What the pin buys is
-// that the block a cursor is parked on is skipped by eviction — readers
-// arriving meanwhile share it instead of loading a second copy — and
-// that BlockCachePinned counts readers mid-block (a leaked cursor shows
-// there). A run retired by compaction (dropRun) has its entries unlinked
-// at once, pinned or not. The budget is enforced at admission time:
-// inserts evict from the cold end until the shard fits, and a shard
-// whose entries are all pinned may transiently exceed its split.
+// Residency is all the cache decides. Block bytes are garbage-collected,
+// so a reader keeps the block it was handed — and every view into it —
+// through eviction, dropRun and the cache itself, and there is nothing
+// to give back. The budget is enforced at admission time: an insert
+// evicts from the cold end until the shard fits, the block just inserted
+// included when it alone exceeds the shard's split.
 type BlockCache struct {
 	shardBudget int64
 	shards      [blockCacheShards]cacheShard
@@ -53,10 +47,8 @@ type CacheStats struct {
 	BlockCacheHits      uint64
 	BlockCacheMisses    uint64
 	BlockCacheEvictions uint64
-	// Entries / Bytes gauge the cached population; Pinned counts entries
-	// currently held by readers.
+	// Entries / Bytes gauge the cached population.
 	BlockCacheEntries int
-	BlockCachePinned  int
 	BlockCacheBytes   int64
 }
 
@@ -65,16 +57,11 @@ type blockKey struct {
 	block int
 }
 
-// blockEntry is one cached block. blk is immutable once published. pins
-// and the LRU links are owned by the shard lock.
+// blockEntry is one cached block. blk is immutable once published; the
+// LRU links are owned by the shard lock.
 type blockEntry struct {
-	key blockKey
-	blk block
-
-	pins int
-	// dead marks an entry unlinked while pinned (dropRun of a retired
-	// run); release must not touch shard accounting for it again.
-	dead       bool
+	key        blockKey
+	blk        block
 	prev, next *blockEntry
 }
 
@@ -85,7 +72,6 @@ type cacheShard struct {
 	entries map[blockKey]*blockEntry
 	head    *blockEntry
 	tail    *blockEntry
-	pinned  int
 }
 
 // NewBlockCache creates a cache with the given byte budget across all
@@ -108,100 +94,65 @@ func (c *BlockCache) shard(k blockKey) *cacheShard {
 	return &c.shards[(k.run*31+uint64(k.block))%blockCacheShards]
 }
 
-// acquire returns the cached entry pinned, or (nil, false) on a miss.
-func (c *BlockCache) acquire(run uint64, block int) (*blockEntry, bool) {
-	k := blockKey{run: run, block: block}
+// get returns the resident block, or false on a miss.
+func (c *BlockCache) get(run uint64, i int) (block, bool) {
+	k := blockKey{run: run, block: i}
 	s := c.shard(k)
 	s.mu.Lock()
 	e, ok := s.entries[k]
 	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
-		return nil, false
+		return block{}, false
 	}
-	if e.pins == 0 {
-		s.pinned++
-	}
-	e.pins++
 	s.moveToFront(e)
 	s.mu.Unlock()
 	c.hits.Add(1)
-	return e, true
+	return e.blk, true
 }
 
-// insert publishes a freshly loaded block and returns its entry pinned.
-// If another reader raced the same block in, the existing entry wins
-// (and is returned) so concurrent readers share one copy.
-func (c *BlockCache) insert(run uint64, block int, blk block) *blockEntry {
-	k := blockKey{run: run, block: block}
+// insert publishes a freshly loaded block and returns the block to read.
+// If another reader raced the same block in, the resident copy wins (and
+// is returned) so concurrent readers share one.
+func (c *BlockCache) insert(run uint64, i int, blk block) block {
+	k := blockKey{run: run, block: i}
 	s := c.shard(k)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if e, ok := s.entries[k]; ok {
-		if e.pins == 0 {
-			s.pinned++
-		}
-		e.pins++
 		s.moveToFront(e)
-		s.mu.Unlock()
-		return e
+		return e.blk
 	}
-	e := &blockEntry{key: k, blk: blk, pins: 1}
+	e := &blockEntry{key: k, blk: blk}
 	s.entries[k] = e
 	s.pushFront(e)
-	s.pinned++
 	s.used += blk.size()
-	c.evictLocked(s)
-	s.mu.Unlock()
-	return e
-}
-
-// release drops one pin.
-func (c *BlockCache) release(e *blockEntry) {
-	s := c.shard(e.key)
-	s.mu.Lock()
-	e.pins--
-	if e.pins == 0 && !e.dead {
-		s.pinned--
+	for s.used > c.shardBudget {
+		s.remove(s.tail)
+		c.evictions.Add(1)
 	}
-	s.mu.Unlock()
+	return blk
 }
 
-// dropRun unlinks every entry of a retired run; a pinned one is marked
-// dead so that its release leaves the shard's accounting alone.
+// dropRun unlinks every entry of a retired run.
 func (c *BlockCache) dropRun(run uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for k, e := range s.entries {
-			if k.run != run {
-				continue
-			}
-			delete(s.entries, k)
-			s.unlink(e)
-			s.used -= e.blk.size()
-			if e.pins > 0 {
-				s.pinned--
-				e.dead = true
+			if k.run == run {
+				s.remove(e)
 			}
 		}
 		s.mu.Unlock()
 	}
 }
 
-// evictLocked trims the shard's cold end (skipping pinned entries)
-// until it fits its budget split. Caller holds s.mu.
-func (c *BlockCache) evictLocked(s *cacheShard) {
-	e := s.tail
-	for s.used > c.shardBudget && e != nil {
-		prev := e.prev
-		if e.pins == 0 {
-			delete(s.entries, e.key)
-			s.unlink(e)
-			s.used -= e.blk.size()
-			c.evictions.Add(1)
-		}
-		e = prev
-	}
+// remove takes e out of the shard: map, list and byte count.
+func (s *cacheShard) remove(e *blockEntry) {
+	delete(s.entries, e.key)
+	s.unlink(e)
+	s.used -= e.blk.size()
 }
 
 // Stats snapshots the cache counters and gauges.
@@ -215,7 +166,6 @@ func (c *BlockCache) Stats() CacheStats {
 		s := &c.shards[i]
 		s.mu.Lock()
 		st.BlockCacheEntries += len(s.entries)
-		st.BlockCachePinned += s.pinned
 		st.BlockCacheBytes += s.used
 		s.mu.Unlock()
 	}

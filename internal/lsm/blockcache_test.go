@@ -5,77 +5,89 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/index"
 )
 
-// TestBlockCacheOps unit-tests the shard accounting: acquire/insert
-// pinning, release, LRU eviction under budget pressure, and dropRun
-// semantics for pinned (dead) entries.
+// TestBlockCacheOps unit-tests the shard accounting: get/insert, LRU
+// eviction under budget pressure, dropRun, and a block no shard can hold.
 func TestBlockCacheOps(t *testing.T) {
 	blk := loadTestBlock(t, []index.Item{{Key: adm.Int(1), Val: adm.String("x")}})
 	perEntry := blk.size()
 
 	c := NewBlockCache(perEntry * blockCacheShards * 2) // 2 entries per shard
-	if _, ok := c.acquire(1, 0); ok {
-		t.Fatal("acquire on empty cache hit")
+	if _, ok := c.get(1, 0); ok {
+		t.Fatal("get on empty cache hit")
 	}
-	e := c.insert(1, 0, blk)
+	c.insert(1, 0, blk)
 	st := c.Stats()
-	if st.BlockCacheEntries != 1 || st.BlockCachePinned != 1 || st.BlockCacheMisses != 1 {
+	if st.BlockCacheEntries != 1 || st.BlockCacheBytes != perEntry || st.BlockCacheMisses != 1 {
 		t.Fatalf("after insert: %+v", st)
 	}
-	// A second acquire shares the entry and stacks a pin.
-	e2, ok := c.acquire(1, 0)
-	if !ok || e2 != e {
-		t.Fatal("acquire did not return the resident entry")
+	// A second reader gets the resident block; a racing insert of the same
+	// block does too, and adds nothing.
+	other := loadTestBlock(t, []index.Item{{Key: adm.Int(1), Val: adm.String("x")}})
+	got, ok := c.get(1, 0)
+	if !ok || &got.data[0] != &blk.data[0] {
+		t.Fatal("get did not return the resident block")
 	}
-	c.release(e2)
-	c.release(e)
-	st = c.Stats()
-	if st.BlockCachePinned != 0 || st.BlockCacheEntries != 1 || st.BlockCacheHits != 1 {
-		t.Fatalf("after releases: %+v", st)
+	if got = c.insert(1, 0, other); &got.data[0] != &blk.data[0] {
+		t.Fatal("a racing insert replaced the resident block")
+	}
+	if st = c.Stats(); st.BlockCacheEntries != 1 || st.BlockCacheBytes != perEntry || st.BlockCacheHits != 1 {
+		t.Fatalf("after the second reader: %+v", st)
 	}
 
-	// dropRun on an unpinned entry frees it immediately.
+	// dropRun frees the run's entries; the block a reader holds stays
+	// readable, its bytes being garbage-collected, not the cache's.
 	c.dropRun(1)
 	if st = c.Stats(); st.BlockCacheEntries != 0 || st.BlockCacheBytes != 0 {
 		t.Fatalf("after dropRun: %+v", st)
 	}
-
-	// dropRun while pinned: the entry leaves the cache but its block stays
-	// readable, and release must not corrupt accounting.
-	e = c.insert(2, 0, blk)
-	c.dropRun(2)
-	if st = c.Stats(); st.BlockCacheEntries != 0 || st.BlockCachePinned != 0 {
-		t.Fatalf("after dropRun of pinned: %+v", st)
-	}
-	if k, _, err := adm.DecodeBinary(e.blk.key(0)); e.blk.entries() != 1 || err != nil || adm.Compare(k, adm.Int(1)) != 0 {
-		t.Fatal("dead entry's block was reclaimed while pinned")
-	}
-	c.release(e)
-	if st = c.Stats(); st.BlockCachePinned != 0 || st.BlockCacheBytes != 0 {
-		t.Fatalf("after releasing dead entry: %+v", st)
+	if k, _, err := adm.DecodeBinary(got.key(0)); got.entries() != 1 || err != nil || adm.Compare(k, adm.Int(1)) != 0 {
+		t.Fatal("a dropped run's block is no longer readable")
 	}
 
-	// Budget pressure evicts cold unpinned entries; pinned entries are
-	// skipped even at the cold end.
-	pinned := c.insert(3, 0, blk)
+	// Budget pressure evicts from the cold end, and a get warms: the block
+	// touched before every insert survives 64 of them.
+	c.insert(3, 0, blk)
 	for i := 1; i < 64; i++ {
-		c.release(c.insert(3, i, blk))
-	}
-	repin, ok := c.acquire(3, 0)
-	if !ok {
-		t.Fatal("pinned entry was evicted")
+		if _, ok := c.get(3, 0); !ok {
+			t.Fatalf("the hottest block was evicted at insert %d", i)
+		}
+		c.insert(3, i, blk)
 	}
 	st = c.Stats()
-	if st.BlockCacheEvictions == 0 {
-		t.Fatalf("no evictions under %dx budget pressure: %+v", 64, st)
+	if st.BlockCacheEvictions == 0 || st.BlockCacheBytes > perEntry*blockCacheShards*2 {
+		t.Fatalf("under %dx budget pressure: %+v", 64, st)
 	}
-	c.release(repin)
-	c.release(pinned)
+
+	// A block larger than a shard's split is handed back to its reader and
+	// is not resident afterwards; what the shard held goes with it and the
+	// list stays usable.
+	items := make([]index.Item, 8)
+	for i := range items {
+		items[i] = index.Item{Key: adm.Int(int64(i)), Val: adm.String("payload-payload-payload-payload")}
+	}
+	big := loadTestBlock(t, items)
+	if big.size() <= 2*perEntry {
+		t.Fatalf("the large block is %d bytes, a shard's split %d", big.size(), 2*perEntry)
+	}
+	if got = c.insert(4, 0, big); got.entries() != len(items) {
+		t.Fatalf("insert returned a block of %d entries, want %d", got.entries(), len(items))
+	}
+	if _, ok := c.get(4, 0); ok {
+		t.Fatal("a block larger than its shard's split stayed resident")
+	}
+	s := c.shard(blockKey{run: 4, block: 0})
+	if s.used != 0 || len(s.entries) != 0 || s.head != nil || s.tail != nil {
+		t.Fatalf("the shard after the large block: used %d, %d entries, head %v, tail %v", s.used, len(s.entries), s.head, s.tail)
+	}
+	c.insert(4, 8, blk) // the same shard: (4*31+8) % 8 == (4*31+0) % 8
+	if _, ok := c.get(4, 8); !ok || s.head == nil || s.head != s.tail || s.used != perEntry {
+		t.Fatalf("the shard does not take a block after the large one: used %d", s.used)
+	}
 }
 
 // loadTestBlock writes items as a one-block run and loads that block.
@@ -91,64 +103,6 @@ func loadTestBlock(t *testing.T, items []index.Item) block {
 		t.Fatalf("%d blocks, %v", len(rf.blocks), err)
 	}
 	return blk
-}
-
-// TestBlockCacheEvictionPinning proves the retire protocol end to end on
-// a real run file: a cursor parked mid-block keeps (a) its cache entry's
-// items alive through dropRun and (b) the retired file open until the
-// cursor finishes — only then does the file close.
-func TestBlockCacheEvictionPinning(t *testing.T) {
-	fs := NewMemFS()
-	cache := NewBlockCache(1) // clamped to minimum: every insert evicts
-	items := make([]index.Item, 600)
-	for i := range items {
-		items[i] = index.Item{Key: adm.Int(int64(i)), Val: adm.String("payload-payload-payload-payload-payload-payload-payload-payload")}
-	}
-	rf, err := writeRun(fs, "runs", "pin.run", runEnv{cache: cache}, fillItems(items))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rf.blocks) < 2 {
-		t.Fatalf("need multiple blocks, got %d", len(rf.blocks))
-	}
-
-	cur := rf.cursor()
-	it, ok := cur.next() // parks the cursor on block 0's pinned entry
-	if !ok || adm.Compare(it.Key, items[0].Key) != 0 {
-		t.Fatalf("cursor first item = %v,%v", it, ok)
-	}
-
-	// Retire the run while the cursor is mid-block: the owner reference
-	// drops and the cache entries are dropped, but the file must stay
-	// open for the cursor.
-	rf.retire()
-	if rf.closed.Load() {
-		t.Fatal("retired run closed while a cursor is mid-run")
-	}
-
-	// The cursor must still drain every item correctly from the retired,
-	// cache-dropped run.
-	n := 1
-	for {
-		it, ok := cur.next()
-		if !ok {
-			break
-		}
-		if adm.Compare(it.Key, items[n].Key) != 0 {
-			t.Fatalf("item %d mismatch after retire", n)
-		}
-		n++
-	}
-	if n != len(items) {
-		t.Fatalf("drained %d items, want %d", n, len(items))
-	}
-	// Exhaustion auto-closes the cursor, releasing the last reference.
-	if !rf.closed.Load() {
-		t.Fatal("retired run still open after its last cursor finished")
-	}
-	if st := cache.Stats(); st.BlockCachePinned != 0 {
-		t.Fatalf("leaked pins: %+v", st)
-	}
 }
 
 // diffOp drives one deterministic mixed workload step.
@@ -170,7 +124,10 @@ func TestBlockCacheDifferential(t *testing.T) {
 	opts := func(cache *BlockCache) Options {
 		return Options{MemBudget: 4 << 10, MaxComponents: 6, WALSegBytes: 16 << 10, BlockCache: cache}
 	}
-	cache := NewBlockCache(8 << 10) // a few blocks; constant eviction
+	// 8 KiB a shard: a flush's block fits, a compaction's 16 KiB block
+	// never does, so eviction is constant. (A smaller cache holds nothing:
+	// a block larger than its shard's split does not stay.)
+	cache := NewBlockCache(64 << 10)
 	fsOn, fsOff := NewMemFS(), NewMemFS()
 	pOn, err := OpenPartition(fsOn, "part", opts(cache))
 	if err != nil {
@@ -254,7 +211,7 @@ func TestBlockCacheDifferential(t *testing.T) {
 	}
 	checkScan("final")
 	st := pOn.Stats()
-	if st.BlockReads == 0 || cache.Stats().BlockCacheHits == 0 {
+	if cs := cache.Stats(); st.BlockReads == 0 || cs.BlockCacheHits == 0 || cs.BlockCacheEvictions == 0 {
 		t.Fatalf("workload never exercised the cache: part=%+v cache=%+v", st, cache.Stats())
 	}
 
@@ -263,7 +220,7 @@ func TestBlockCacheDifferential(t *testing.T) {
 	if err := pOn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenPartition(fsOn.Crash(), "part", opts(NewBlockCache(8<<10)))
+	reopened, err := OpenPartition(fsOn.Crash(), "part", opts(NewBlockCache(64<<10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +297,7 @@ func TestBlockCacheConcurrentReaders(t *testing.T) {
 						return
 					}
 				}
-				if it%50 == 0 { // partial scans exercise cursor pins + early close
+				if it%50 == 0 { // partial scans: a cursor stopped early, over runs compaction retires
 					cur := p.Snapshot().Cursor()
 					for i := 0; i < 40; i++ {
 						if _, _, ok := cur.Next(); !ok {
@@ -359,15 +316,5 @@ func TestBlockCacheConcurrentReaders(t *testing.T) {
 
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
-	}
-	// WaitForFlush covers flushes only: the flusher may still be inside
-	// a compaction whose input cursors hold pins. Wait for it to finish
-	// before calling a pin leaked.
-	deadline := time.Now().Add(10 * time.Second)
-	for cache.Stats().BlockCachePinned != 0 && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
-	if st := cache.Stats(); st.BlockCachePinned != 0 {
-		t.Fatalf("leaked pins after workload: %+v", st)
 	}
 }

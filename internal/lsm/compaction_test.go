@@ -24,7 +24,6 @@ func fillDecoded(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 			comps[i] = &component{run: r}
 		}
 		m := mergeComponentCursors(comps, dropTombstones)
-		defer m.Close()
 		for {
 			rc, ok := m.next()
 			if !ok {

@@ -1,8 +1,10 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"path"
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -23,6 +25,9 @@ import (
 // The same write counter covers WAL appends, run-file flushes, manifest
 // stores, and compactions, so the sampled injection points land in
 // every phase of the storage lifecycle that the workload reaches.
+// Recovery writes too — it flushes the tail it replayed — so every image
+// is also recovered by a process that is itself killed at a sampled
+// write, and then once more.
 
 // crashWorkload drives one deterministic workload against p, returning
 // the acknowledged model (key → version; deletions removed). Update
@@ -172,52 +177,114 @@ func TestCrashRecovery(t *testing.T) {
 					// is taken; its writes no longer matter.
 					p.Close()
 
+					killed := img.Crash() // a second copy of the image
 					rp, err := OpenPartition(img, "part", tc.opts)
 					if err != nil {
 						t.Fatalf("%s: recovery failed: %v", tag, err)
 					}
+					recoveryWrites := img.Writes()
 					verifyRecovered(t, rp, acked, tag)
 					if err := rp.Close(); err != nil {
 						t.Fatalf("%s: close after recovery: %v", tag, err)
 					}
+
+					// The same recovery, killed inside its own flush.
+					k := r.Intn(recoveryWrites + 1)
+					tag = fmt.Sprintf("%s, recovery killed@%d/%d", tag, k, recoveryWrites)
+					killed.FailWritesAfter(k, torn)
+					if rp, err := OpenPartition(killed, "part", tc.opts); err == nil {
+						rp.Close()
+					}
+					rp, err = OpenPartition(killed.Crash(), "part", tc.opts)
+					if err != nil {
+						t.Fatalf("%s: recovery failed: %v", tag, err)
+					}
+					verifyRecovered(t, rp, acked, tag)
+					rp.Close()
 				}
 			}
 		})
 	}
 }
 
-// TestCrashRecoveryDoubleCrash: recovery itself is crash-safe — kill
-// the process during its recovery writes (orphan cleanup, WAL
-// truncation), recover again, and the acknowledged state must still be
-// intact.
-func TestCrashRecoveryDoubleCrash(t *testing.T) {
-	opts := Options{MemBudget: 8 << 10, MaxComponents: 4, WALSegBytes: 8 << 10}
-	fs := NewMemFS()
-	p, err := OpenPartition(fs, "part", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.FailWritesAfter(300, 0)
-	acked := crashWorkload(p, 40, 12)
-	img := fs.Crash()
-	p.Close()
+// keepWALFS refuses to remove WAL segments: the filesystem of a process
+// that dies after the flush stored its manifest and before it truncated
+// the log.
+type keepWALFS struct{ *MemFS }
 
-	// Crash the first recovery attempt at several points; none of them
-	// may damage the image for the attempt after it.
-	for _, n := range []int{0, 1, 2, 5, 10} {
-		attempt := img.Crash() // fresh copy of the image
-		attempt.FailWritesAfter(n, 0)
-		rp, err := OpenPartition(attempt, "part", opts)
-		if err == nil {
-			// Recovery survived the injection (not all points write).
+func (f keepWALFS) Remove(name string) error {
+	if _, isWAL := parseWALSegmentName(path.Base(name)); isWAL {
+		return fmt.Errorf("remove %s: %w", name, ErrInjected)
+	}
+	return f.MemFS.Remove(name)
+}
+
+// TestCrashRecoveryDoubleCrash: recovery itself is crash-safe — kill
+// the process at every write of its recovery (the tail's run file block
+// by block, then the manifest that names it: a kill at the last leaves
+// the run written and not yet in the manifest) and between the manifest
+// and the log's truncation, recover again, and the acknowledged state
+// must still be intact.
+func TestCrashRecoveryDoubleCrash(t *testing.T) {
+	cases := map[string]Options{
+		// Runs, a manifest and a tail of under a memtable.
+		"flushed": {MemBudget: 8 << 10, MaxComponents: 4, WALSegBytes: 8 << 10},
+		// Nothing flushed: the whole workload is the tail, in segments
+		// recovery's flush leaves all but the last of behind it.
+		"tail-only": {MemBudget: 8 << 20, MaxComponents: 4, WALSegBytes: 2 << 10},
+	}
+	for name, opts := range cases {
+		t.Run(name, func(t *testing.T) {
+			fs := NewMemFS()
+			p, err := OpenPartition(fs, "part", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs.FailWritesAfter(300, 0)
+			acked := crashWorkload(p, 40, 12)
+			img := fs.Crash()
+			p.Close()
+
+			recoverAfter := func(attempt *MemFS, tag string) {
+				t.Helper()
+				final, err := OpenPartition(attempt.Crash(), "part", opts)
+				if err != nil {
+					t.Fatalf("recovery after killed recovery (%s): %v", tag, err)
+				}
+				verifyRecovered(t, final, acked, "double-crash "+tag)
+				final.Close()
+			}
+			dry := img.Crash() // fresh copy of the image
+			rp, err := OpenPartition(dry, "part", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writes, flushed := dry.Writes(), rp.Stats().FlushedRuns
 			rp.Close()
-		}
-		final, err := OpenPartition(attempt.Crash(), "part", opts)
-		if err != nil {
-			t.Fatalf("recovery after killed recovery (n=%d): %v", n, err)
-		}
-		verifyRecovered(t, final, acked, fmt.Sprintf("double-crash n=%d", n))
-		final.Close()
+			if flushed != 1 || writes < 3 {
+				t.Fatalf("recovery flushed %d runs in %d writes: the image has no tail, the test proves nothing", flushed, writes)
+			}
+			// Crash the first recovery attempt at each of its writes; none of
+			// them may damage the image for the attempt after it.
+			for n := 0; n <= writes; n++ {
+				attempt := img.Crash()
+				attempt.FailWritesAfter(n, 0)
+				rp, err := OpenPartition(attempt, "part", opts)
+				if err == nil {
+					// Recovery survived the injection (the last point is past it).
+					rp.Close()
+				}
+				recoverAfter(attempt, fmt.Sprintf("n=%d/%d", n, writes))
+			}
+			attempt := img.Crash()
+			if rp, err = OpenPartition(keepWALFS{attempt}, "part", opts); err == nil {
+				rp.Close() // the tail lay in one segment: nothing to truncate
+			}
+			if name == "tail-only" && !errors.Is(err, ErrInjected) {
+				t.Fatalf("recovery over a log it cannot truncate: %v; the test proves nothing", err)
+			}
+			recoverAfter(attempt, "manifest stored, log not truncated")
+		})
 	}
 }
 

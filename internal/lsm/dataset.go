@@ -338,19 +338,10 @@ func (sc *ScanCursor) Next() (key, rec adm.Value, ok bool) {
 	}
 }
 
-// Close releases the cursor's run-file resources (block-cache pins and
-// file references held by the partition currently being streamed). A
-// fully drained cursor has already released everything; Close matters
-// for consumers that stop early (LIMIT-k) — the query layer calls it
-// through the rowSrc close chain. Idempotent; Next after Close reports
-// exhaustion.
-func (sc *ScanCursor) Close() {
-	if sc.cur != nil {
-		sc.cur.Close()
-		sc.cur = nil
-	}
-	sc.i = len(sc.snaps)
-}
+// Close stops the cursor and drops its snapshots: Next reports
+// exhaustion from then on. Idempotent. A cursor holds nothing but
+// memory, so one that is dropped unclosed leaks nothing.
+func (sc *ScanCursor) Close() { sc.snaps, sc.cur, sc.i = nil, nil, 0 }
 
 // Len counts live records across all partitions.
 func (d *Dataset) Len() int {

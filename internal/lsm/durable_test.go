@@ -3,6 +3,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -27,6 +28,127 @@ func reopen(t *testing.T, p *Partition, fsys FS, dir string, opts Options) *Part
 		t.Fatalf("reopen: %v", err)
 	}
 	return np
+}
+
+// dirImage reads every file of dir: what a reopen may not change.
+func dirImage(t testing.TB, fsys FS, dir string) map[string]string {
+	t.Helper()
+	names, err := fsys.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := make(map[string]string, len(names))
+	for _, name := range names {
+		data, err := readFileAll(fsys, joinPath(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		image[name] = string(data)
+	}
+	return image
+}
+
+// TestReopenEndsQuiescent: recovery replays the WAL tail and then flushes
+// it as the flusher would, before the partition serves anything. A
+// reopened partition has an empty memtable, one more run than it closed
+// with when there was a tail (none when there was not), its log covered
+// by the manifest and nothing published in the block cache; a second
+// reopen finds nothing to apply and writes no file.
+func TestReopenEndsQuiescent(t *testing.T) {
+	filesystems := map[string]func(t *testing.T) (FS, string){
+		"MemFS": func(*testing.T) (FS, string) { return NewMemFS(), "part" },
+		"OSFS":  func(t *testing.T) (FS, string) { return NewOSFS(), t.TempDir() },
+	}
+	for name, mk := range filesystems {
+		t.Run(name, func(t *testing.T) {
+			fsys, dir := mk(t)
+			opts := cachedOptions() // as a cluster opens it
+			p, err := OpenPartition(fsys, dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p = reopen(t, p, fsys, dir, opts)
+			if st := p.Stats(); p.Runs() != 0 || st.Flushes != 0 {
+				t.Fatalf("an empty partition reopened to %d runs after %d freezes", p.Runs(), st.Flushes)
+			}
+
+			model := map[int64]int64{}
+			write := func(lo, hi int64) {
+				for k := lo; k < hi; k++ {
+					if err := p.Upsert(adm.Int(k), rec(k, "v", adm.Int(k+hi), "pad", adm.String("xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"))); err != nil {
+						t.Fatal(err)
+					}
+					model[k] = k + hi
+				}
+				if _, err := p.Delete(adm.Int(lo + 7)); err != nil {
+					t.Fatal(err)
+				}
+				delete(model, lo+7)
+				if err := p.PutCheckpoint("feed", uint64(hi)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(when string) {
+				t.Helper()
+				n := 0
+				s := p.Snapshot()
+				s.Scan(func(key, rec adm.Value) bool {
+					if want, ok := model[key.IntVal()]; !ok || rec.Field("v").IntVal() != want {
+						t.Fatalf("%s: key %s = %s, model says %d (present %v)", when, key, rec, want, ok)
+					}
+					n++
+					return true
+				})
+				if err := s.Err(); err != nil || n != len(model) {
+					t.Fatalf("%s: scanned %d of %d records, err %v", when, n, len(model), err)
+				}
+				if got := p.Checkpoint("feed"); got != 900 {
+					t.Fatalf("%s: checkpoint %d, want 900", when, got)
+				}
+			}
+			// One run from the flusher, then a tail that overwrites part of
+			// it and is still in the log when the partition closes.
+			write(0, 600)
+			p.Flush()
+			settle(t, p)
+			write(300, 900)
+			runs := p.Runs()
+			if runs != 1 || p.Stats().MemEntries == 0 {
+				t.Fatalf("closing with %d runs and %d memtable entries, want 1 and a tail", runs, p.Stats().MemEntries)
+			}
+
+			p = reopen(t, p, fsys, dir, opts)
+			st := p.Stats()
+			if st.MemEntries != 0 || p.Runs() != runs+1 || st.Components != runs+1 || st.FlushedRuns != 1 {
+				t.Fatalf("reopened over a tail: %d memtable entries, %d runs (closed with %d), %d components, %d runs flushed", st.MemEntries, p.Runs(), runs, st.Components, st.FlushedRuns)
+			}
+			if p.FlushedLSN() != p.Epoch() {
+				t.Fatalf("the manifest covers LSN %d of %d", p.FlushedLSN(), p.Epoch())
+			}
+			if cs := opts.BlockCache.Stats(); cs.BlockCacheEntries != 0 {
+				t.Fatalf("recovery left %d blocks in the cache", cs.BlockCacheEntries)
+			}
+			check("reopened")
+
+			settle(t, p)
+			runs = p.Runs()
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			image := dirImage(t, fsys, dir)
+			if p, err = OpenPartition(fsys, dir, opts); err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if st := p.Stats(); st.MemEntries != 0 || st.Flushes != 0 || st.FlushedRuns != 0 || p.Runs() != runs {
+				t.Fatalf("second reopen: %d memtable entries, %d freezes, %d runs flushed, %d runs (closed with %d)", st.MemEntries, st.Flushes, st.FlushedRuns, p.Runs(), runs)
+			}
+			if !maps.Equal(image, dirImage(t, fsys, dir)) {
+				t.Fatal("a reopen with nothing to recover changed the directory")
+			}
+			check("reopened twice")
+		})
+	}
 }
 
 // TestDurableBasicReopen: committed writes survive a clean close and

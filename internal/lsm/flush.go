@@ -238,9 +238,8 @@ func (p *Partition) compactOnce() (bool, error) {
 	hiC := len(p.components) - lo // one past manifest run lo
 	for _, pc := range p.components[loC:hiC] {
 		// Point lookups hold p.mu (we hold it exclusively); a snapshot
-		// that reaches the run and a cursor mid-run each keep their own
-		// reference. Drop the owner's, so the file closes with its last
-		// reader.
+		// that reaches the run keeps its own reference. Drop the owner's,
+		// so the file closes with the last of them.
 		pc.run.retire()
 	}
 	spliced := make([]*component, 0, len(p.components)-(hi-lo)+1)
@@ -251,8 +250,8 @@ func (p *Partition) compactOnce() (bool, error) {
 	p.stats.Merges++
 	p.mu.Unlock()
 
-	// The manifest no longer references the inputs; open handles (a live
-	// snapshot's, a cursor's) keep reading the unlinked files.
+	// The manifest no longer references the inputs; a live snapshot's
+	// open handles keep reading the unlinked files.
 	for _, rm := range oldRuns {
 		if err := p.fs.Remove(joinPath(p.dir, rm.File)); err != nil {
 			return false, fmt.Errorf("lsm: compact: %w", err)

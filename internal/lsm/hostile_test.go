@@ -1,10 +1,15 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -285,6 +290,226 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if again, err := replay(); err != nil || again != n {
 			t.Fatalf("second replay: %d entries, %v; the first returned %d", again, err, n)
+		}
+	})
+}
+
+// manifestFixture is a partition directory "p" whose valid manifest
+// names one run holding the first half of ops; its one WAL segment (the
+// current one, which truncation never removes) holds all of them. Beside
+// it, in "q", lies a copy of the run that is none of the partition's
+// business.
+type manifestFixture struct {
+	files   map[string][]byte // path -> content, MANIFEST included
+	ops     []index.Item      // ops[i] was logged at LSN i+1; MISSING deletes
+	runUpTo uint64            // the run holds ops[:runUpTo]
+	valid   manifest
+}
+
+const (
+	fixtureRun = "p/run-000001.run"
+	fixtureWAL = "p/wal-000001.log"
+	bystander  = "q/run-000001.run"
+)
+
+func newManifestFixture(t testing.TB) *manifestFixture {
+	t.Helper()
+	fs := NewMemFS()
+	opts := Options{MemBudget: 1 << 30, MaxComponents: 8, WALSegBytes: 1 << 30}
+	p, err := OpenPartition(fs, "p", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := &manifestFixture{files: map[string][]byte{}}
+	write := func(lo, hi int64) {
+		for i := lo; i < hi; i++ {
+			it := index.Item{Key: adm.Int(i % 40), Val: rec(i%40, "v", adm.Int(i))}
+			if i%11 == 10 {
+				it.Val = adm.Missing()
+			}
+			if err := p.UpsertBatch([]adm.Value{it.Key}, []adm.Value{it.Val}); err != nil {
+				t.Fatal(err)
+			}
+			fx.ops = append(fx.ops, it)
+		}
+	}
+	write(0, 60)
+	p.Flush()
+	if err := p.WaitForFlush(); err != nil {
+		t.Fatal(err)
+	}
+	fx.runUpTo = p.FlushedLSN()
+	write(60, 100)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range dirImage(t, fs, "p") {
+		fx.files["p/"+name] = []byte(data)
+	}
+	fx.files[bystander] = fx.files[fixtureRun]
+	if fx.valid, err = loadManifest(fs, "p"); err != nil || len(fx.files) != 4 || fx.runUpTo != 60 || len(fx.valid.Runs) != 1 {
+		t.Fatalf("fixture: %d files, run up to LSN %d, manifest %+v, %v", len(fx.files), fx.runUpTo, fx.valid, err)
+	}
+	return fx
+}
+
+// fs returns a fresh filesystem holding the fixture, with manifest as
+// p/MANIFEST.
+func (fx *manifestFixture) fs(t testing.TB, manifest []byte) *MemFS {
+	fs := NewMemFS()
+	for name, data := range fx.files {
+		writeFile(t, fs, name, data)
+	}
+	writeFile(t, fs, "p/"+manifestName, manifest)
+	return fs
+}
+
+// intact reports whether the named fixture file is still there, byte for
+// byte.
+func (fx *manifestFixture) intact(fs *MemFS, name string) bool {
+	data, err := readFileAll(fs, name)
+	return err == nil && bytes.Equal(data, fx.files[name])
+}
+
+// state is what a manifest with the given watermark recovers to: the
+// run's ops if it names the run, then every op the log holds past the
+// watermark.
+func (fx *manifestFixture) state(namesRun bool, flushedLSN uint64) map[int64]int64 {
+	ops := fx.ops[min(flushedLSN, uint64(len(fx.ops))):]
+	if namesRun {
+		ops = append(fx.ops[:fx.runUpTo:fx.runUpTo], ops...)
+	}
+	state := map[int64]int64{}
+	for _, op := range ops {
+		if op.Val.IsMissing() {
+			delete(state, op.Key.IntVal())
+		} else {
+			state[op.Key.IntVal()] = op.Val.Field("v").IntVal()
+		}
+	}
+	return state
+}
+
+// A hostileManifest is an edit that makes the fixture's manifest one no
+// flush or compaction could have written, with what the refusal must say.
+type hostileManifest struct {
+	refusal string
+	edit    func(*manifest)
+}
+
+func hostileManifests(valid manifest) []hostileManifest {
+	second := func(file string, maxLSN uint64) func(*manifest) {
+		return func(m *manifest) {
+			m.NextSeq = 3
+			m.Runs = append(m.Runs, runMeta{File: file, MaxLSN: maxLSN})
+		}
+	}
+	return []hostileManifest{
+		// The next flush — recovery's own — would create, and so truncate,
+		// the run the manifest names.
+		{"next_file_seq 1", func(m *manifest) { m.NextSeq = 1 }},
+		// Out of the directory and back in, and into another.
+		{"runs[0].file", func(m *manifest) { m.Runs[0].File = "../p/run-000001.run" }},
+		{"runs[1].file", second("../q/run-000001.run", valid.FlushedLSN)},
+		{"runs[0].file", func(m *manifest) { m.Runs[0].File = "run-1.run" }},
+		{"runs[1].file \"run-000001.run\" is named twice", second("run-000001.run", valid.FlushedLSN)},
+		{"runs[0].max_lsn", func(m *manifest) { m.Runs[0].MaxLSN = valid.FlushedLSN + 1 }},
+		{"runs[1].max_lsn", second("run-000002.run", valid.FlushedLSN-1)},
+	}
+}
+
+// edited returns the fixture's manifest after edit.
+func (fx *manifestFixture) edited(t testing.TB, edit func(*manifest)) []byte {
+	m := fx.valid
+	m.Runs = slices.Clone(m.Runs)
+	edit(&m)
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestManifestRefusesInconsistentState: recovery deletes what the
+// manifest does not name and writes a run where the manifest says the
+// next one goes, so a manifest that could send either at a file it names
+// — or out of the directory — is refused, by the field that is wrong,
+// before anything is touched.
+func TestManifestRefusesInconsistentState(t *testing.T) {
+	fx := newManifestFixture(t)
+	p, err := OpenPartition(fx.fs(t, fx.edited(t, func(*manifest) {})), "p", DefaultOptions())
+	if err != nil {
+		t.Fatalf("the fixture's own manifest: %v", err)
+	}
+	p.Close()
+	for _, hostile := range hostileManifests(fx.valid) {
+		data := fx.edited(t, hostile.edit)
+		fs := fx.fs(t, data)
+		before := dirImage(t, fs, "p")
+		p, err := OpenPartition(fs, "p", DefaultOptions())
+		if err == nil {
+			p.Close()
+			t.Errorf("%s opened, want a refusal naming %s", data, hostile.refusal)
+			continue
+		}
+		if !strings.Contains(err.Error(), hostile.refusal) {
+			t.Errorf("%s refused without naming %s: %v", data, hostile.refusal, err)
+		}
+		if !maps.Equal(before, dirImage(t, fs, "p")) || !fx.intact(fs, bystander) {
+			t.Errorf("refusing %s changed files", data)
+		}
+	}
+}
+
+// FuzzLoadManifest opens the fixture partition under arbitrary bytes as
+// its manifest. Whatever they say, the open does not panic, leaves the
+// log and the file outside the directory alone, and either fails with
+// the named run untouched or recovers exactly what that manifest
+// describes — the run if it names it, the log past its watermark — into
+// an empty memtable, without having written over the run.
+func FuzzLoadManifest(f *testing.F) {
+	fx := newManifestFixture(f)
+	f.Add(fx.edited(f, func(*manifest) {}))
+	for _, hostile := range hostileManifests(fx.valid) {
+		f.Add(fx.edited(f, hostile.edit))
+	}
+	f.Add([]byte(`{"version":1,"next_file_seq":7,"runs":[]}`))
+	f.Add([]byte(`{"version":1,"flushed_lsn":80,"runs":null,"checkpoints":{"feed":3}}`))
+	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte(`{`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := fx.fs(t, data)
+		p, err := OpenPartition(fs, "p", DefaultOptions())
+		if !fx.intact(fs, fixtureWAL) || !fx.intact(fs, bystander) {
+			t.Fatal("the open changed the log or a file outside the directory")
+		}
+		if err != nil {
+			if !fx.intact(fs, fixtureRun) {
+				t.Fatalf("a refused open (%v) changed the run", err)
+			}
+			return
+		}
+		defer p.Close()
+		var m manifest
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatalf("opened under a manifest that does not decode: %v", err)
+		}
+		namesRun := len(m.Runs) > 0
+		if namesRun && !fx.intact(fs, fixtureRun) {
+			t.Fatal("the open wrote over the run its manifest names")
+		}
+		want := fx.state(namesRun, m.FlushedLSN)
+		n := 0
+		s := p.Snapshot()
+		s.Scan(func(key, rec adm.Value) bool {
+			if v, ok := want[key.IntVal()]; !ok || rec.Field("v").IntVal() != v {
+				t.Fatalf("key %s = %s, the manifest describes %d (present %v)", key, rec, v, ok)
+			}
+			n++
+			return true
+		})
+		if err := s.Err(); err != nil || n != len(want) || p.Stats().MemEntries != 0 {
+			t.Fatalf("scanned %d of %d records, err %v, %d memtable entries", n, len(want), err, p.Stats().MemEntries)
 		}
 	})
 }

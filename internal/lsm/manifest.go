@@ -64,8 +64,40 @@ func runMetaFor(name string, maxLSN uint64, rf *runFile) runMeta {
 	return rm
 }
 
-// loadManifest reads the manifest from dir. A missing manifest is a
-// fresh partition and yields an empty manifest, not an error.
+// check refuses a manifest no flush or compaction could have written.
+// Recovery acts on the manifest's word — it deletes every run file not
+// named here and its flush creates run NextSeq — so a name that leaves
+// the directory or a NextSeq that collides with a named run would have
+// it open, truncate or (at the next compaction) delete a file that is
+// not this manifest's to touch.
+func (m manifest) check() error {
+	named := make(map[string]bool, len(m.Runs))
+	var lsn uint64
+	for i, rm := range m.Runs {
+		var seq uint64
+		if _, err := fmt.Sscanf(rm.File, "run-%d.run", &seq); err != nil || runFileName(seq) != rm.File {
+			return fmt.Errorf("runs[%d].file %q is not a run file name", i, rm.File)
+		}
+		if seq >= m.NextSeq {
+			return fmt.Errorf("runs[%d].file %q is not below next_file_seq %d", i, rm.File, m.NextSeq)
+		}
+		if named[rm.File] {
+			return fmt.Errorf("runs[%d].file %q is named twice", i, rm.File)
+		}
+		named[rm.File] = true
+		if rm.MaxLSN < lsn {
+			return fmt.Errorf("runs[%d].max_lsn %d is below its predecessor's %d", i, rm.MaxLSN, lsn)
+		}
+		if lsn = rm.MaxLSN; lsn > m.FlushedLSN {
+			return fmt.Errorf("runs[%d].max_lsn %d is above flushed_lsn %d", i, lsn, m.FlushedLSN)
+		}
+	}
+	return nil
+}
+
+// loadManifest reads and checks the manifest from dir. A missing
+// manifest is a fresh partition and yields an empty manifest, not an
+// error.
 func loadManifest(fsys FS, dir string) (manifest, error) {
 	var m manifest
 	data, err := readFileAll(fsys, joinPath(dir, manifestName))
@@ -85,6 +117,9 @@ func loadManifest(fsys FS, dir string) (manifest, error) {
 	}
 	if m.NextSeq == 0 {
 		m.NextSeq = 1
+	}
+	if err := m.check(); err != nil {
+		return m, fmt.Errorf("lsm: manifest: %w", err)
 	}
 	return m, nil
 }

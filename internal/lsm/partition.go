@@ -49,12 +49,12 @@ type Options struct {
 	// MemBudget is the memtable size in bytes that triggers a freeze,
 	// and with it a flush to a run file. The memtable is charged what it
 	// holds — the encoded bytes of every key and record written since
-	// the last freeze plus memItemOverhead per entry, the same live and
-	// recovered — which for an enriched tweet is ≈ 650 B where the
-	// decoded tree it used to hold was estimated at ≈ 1.9 KB: the same
-	// budget holds ≈ 3× the records, so flushes are fewer and larger,
-	// and (Close does not flush) more of a small dataset is still in the
-	// WAL when the process exits.
+	// the last freeze plus memItemOverhead per entry — which for an
+	// enriched tweet is ≈ 650 B where the decoded tree it used to hold
+	// was estimated at ≈ 1.9 KB: the same budget holds ≈ 3× the records,
+	// so flushes are fewer and larger, and (Close does not flush) more of
+	// a small dataset is still in the WAL when the process exits; the
+	// next open flushes that tail before it serves anything.
 	MemBudget int
 	// MaxComponents is the number of run files past which the whole level
 	// is compacted into one regardless of size tiers (the
@@ -94,9 +94,6 @@ type component struct {
 	// bytes is the on-disk size of a run-backed component (compaction
 	// tiering input).
 	bytes int64
-	// warm marks the memtable recovery rebuilt from the WAL: its run is
-	// written through the block cache (see fillFromComponent).
-	warm bool
 }
 
 // runCursor streams one component in key order: an index.BTree cursor
@@ -128,14 +125,6 @@ func (rc *runCursor) advance() (key adm.Value, tombstone, ok bool) {
 	return rc.cur.Key, rc.cur.Val.IsMissing(), ok
 }
 
-// close releases run-file resources (cursor pin + file reference).
-// Memory-backed cursors have nothing to release. Idempotent.
-func (rc *runCursor) close() {
-	if rc.fc != nil {
-		rc.fc.close()
-	}
-}
-
 // Stats is a point-in-time copy of partition activity counters. It is
 // the one declaration of the storage counters: datasets and the cluster
 // sum it (Add), and the cluster-wide snapshot embeds the sum, so a
@@ -158,7 +147,7 @@ type Stats struct {
 	BloomSkips uint64
 	BlockReads uint64
 	// OpenRunFiles gauges run files currently open: the run-backed
-	// components plus replaced runs a snapshot or cursor still reads.
+	// components plus replaced runs a snapshot still reaches.
 	OpenRunFiles int
 }
 
@@ -192,10 +181,8 @@ type Partition struct {
 	// memBytes is what the memtable holds: the encoded bytes of every
 	// entry written since the last freeze plus memItemOverhead each —
 	// replaced entries included, their bytes are still in their batch's
-	// buffer. recovered is set while the memtable is the one WAL replay
-	// rebuilt.
+	// buffer.
 	memBytes   int
-	recovered  bool
 	components []*component // newest first
 	secondary  []SecondaryIndex
 	stats      Stats
@@ -644,8 +631,7 @@ func (p *Partition) freezeLocked() {
 	// The watermark is exact because every WAL append happens under the
 	// partition lock we hold: the frozen tree contains precisely the
 	// effects of LSNs <= upToLSN not already in older components.
-	c := &component{tree: p.mem, upToLSN: p.wal.LSN(), warm: p.recovered && p.renv.cache != nil}
-	p.recovered = false
+	c := &component{tree: p.mem, upToLSN: p.wal.LSN()}
 	p.components = append([]*component{c}, p.components...)
 	p.mem = index.NewBTree()
 	p.memBytes = 0
@@ -741,24 +727,24 @@ func (p *Partition) Snapshot() *Snapshot {
 	p.stats.Scans++
 	p.freezeLocked()
 	comps := slices.Clone(p.components)
-	pinned := false
+	holdsRuns := false
 	for _, c := range comps {
 		if c.run != nil {
 			// Under p.mu the partition still owns the run, so it is open.
 			c.run.incRef()
-			pinned = true
+			holdsRuns = true
 		}
 	}
 	p.mu.Unlock()
 	s := &Snapshot{components: comps}
-	if pinned {
-		runtime.AddCleanup(s, unpinRuns, comps)
+	if holdsRuns {
+		runtime.AddCleanup(s, dropRunRefs, comps)
 	}
 	return s
 }
 
-// unpinRuns drops the run references a collected Snapshot held.
-func unpinRuns(comps []*component) {
+// dropRunRefs drops the run references a collected Snapshot held.
+func dropRunRefs(comps []*component) {
 	for _, c := range comps {
 		if c.run != nil {
 			c.run.decRef()
@@ -834,33 +820,34 @@ func (s *Snapshot) Err() error {
 // primary-key order. Unlike Scan it hands control to the caller between
 // records, so a consumer (e.g. a LIMIT-k query) can stop after k pulls
 // having touched only the prefix it asked for. The cursor allocates
-// O(components), never O(records). Its run-file cursors hold their own
-// references, so it may outlive the snapshot.
+// O(components), never O(records), and keeps the snapshot reachable —
+// and so its run files open — until it is drained or closed.
 func (s *Snapshot) Cursor() *Cursor {
-	cu := &Cursor{m: mergeComponentCursors(s.components, true)}
-	runtime.KeepAlive(s)
-	return cu
+	return &Cursor{snap: s, m: mergeComponentCursors(s.components, true)}
 }
 
 // Cursor streams a snapshot's live records.
 type Cursor struct {
-	m mergeCursor[*runCursor]
+	snap *Snapshot // what keeps the runs under m open
+	m    mergeCursor[*runCursor]
 }
 
 // Next returns the next live record in key order.
 func (cu *Cursor) Next() (key, rec adm.Value, ok bool) {
 	rc, ok := cu.m.next()
 	if !ok {
+		cu.Close()
 		return adm.Value{}, adm.Value{}, false
 	}
-	return rc.cur.Key, rc.cur.Val, true
+	key, rec = rc.cur.Key, rc.cur.Val
+	runtime.KeepAlive(cu) // see Snapshot: cu.snap must outlive the read
+	return key, rec, true
 }
 
-// Close releases the cursor's run-file resources (block-cache pins and
-// file references). A fully drained cursor has already released them;
-// Close matters for consumers that stop early (LIMIT-k) and is
-// idempotent.
-func (cu *Cursor) Close() { cu.m.Close() }
+// Close stops the cursor — Next reports exhaustion from then on — and
+// lets go of the snapshot. A cursor holds nothing else, so one that is
+// simply dropped leaks nothing.
+func (cu *Cursor) Close() { cu.snap, cu.m = nil, mergeCursor[*runCursor]{} }
 
 // Len counts live records in the snapshot.
 func (s *Snapshot) Len() int {
@@ -877,7 +864,6 @@ func (s *Snapshot) Components() int { return len(s.components) }
 // order until fn returns false.
 func scanMerged(comps []*component, fn func(key, rec adm.Value) bool) {
 	m := mergeComponentCursors(comps, true)
-	defer m.Close() // fn may stop the scan early
 	for {
 		rc, ok := m.next()
 		if !ok || !fn(rc.cur.Key, rc.cur.Val) {
@@ -894,7 +880,6 @@ type mergeInput interface {
 	// whether it is a tombstone; the input exposes the entry itself.
 	// ok=false means exhausted — or failed, which the input remembers.
 	advance() (key adm.Value, tombstone, ok bool)
-	close()
 }
 
 // mergeCursor is an incremental k-way merge over sorted inputs, newest
@@ -970,14 +955,5 @@ func (m *mergeCursor[I]) next() (winner I, ok bool) {
 			continue
 		}
 		return m.inputs[best], true
-	}
-}
-
-// Close releases every input's run-file resources. Exhausted inputs
-// have already released theirs; Close covers early-stopping consumers.
-// Idempotent.
-func (m *mergeCursor[I]) Close() {
-	for _, in := range m.inputs {
-		in.close()
 	}
 }

@@ -14,19 +14,24 @@ import (
 // lives in its memory; nothing else differs. Recovery runs before the
 // partition accepts work:
 //
-//  1. load the manifest (absent = fresh partition);
-//  2. delete orphans — run files and temp manifests the manifest does
-//     not reference, left behind by a crash mid-flush or mid-compaction;
-//  3. open the manifest's run files as the component suffix (newest
+//  1. load the manifest (absent = fresh partition; one no flush could
+//     have written is refused, see manifest.check);
+//  2. open the manifest's run files as the component suffix (newest
 //     first);
+//  3. delete orphans — run files and temp manifests the manifest does
+//     not reference, left behind by a crash mid-flush or mid-compaction
+//     — once every file it does reference has checked out;
 //  4. replay the WAL tail — every entry past the manifest's flushed
-//     watermark — into a fresh memtable;
+//     watermark — into a fresh memtable, then freeze and flush it as the
+//     flusher would (flushOnce), so an open partition starts quiescent:
+//     empty memtable, the tail in an ordinary run, the log truncated;
 //  5. start the background flusher.
 //
-// A partition that crashed at any point reopens to exactly the state
-// covered by acknowledged commits: run files hold LSNs <= FlushedLSN,
-// the WAL holds the rest, and the one frame a crash may have torn is
-// all-or-nothing by CRC framing.
+// A partition that crashed at any point — inside step 4's flush
+// included — reopens to exactly the state covered by acknowledged
+// commits: run files hold LSNs <= FlushedLSN, the WAL holds the rest,
+// and the one frame a crash may have torn is all-or-nothing by CRC
+// framing.
 func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 	if opts.MemBudget <= 0 {
 		opts.MemBudget = DefaultOptions().MemBudget
@@ -52,10 +57,6 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 		flusherDone: make(chan struct{}),
 	}
 
-	if err := removeOrphans(fsys, dir, man); err != nil {
-		return nil, err
-	}
-
 	// Manifest runs are oldest first; components are newest first.
 	for i := len(man.Runs) - 1; i >= 0; i-- {
 		rm := man.Runs[i]
@@ -70,6 +71,10 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 			return nil, err
 		}
 		p.components = append(p.components, &component{run: rf, upToLSN: rm.MaxLSN, bytes: rf.size})
+	}
+	if err := removeOrphans(fsys, dir, man); err != nil {
+		p.closeRunsLocked()
+		return nil, err
 	}
 
 	wal, err := OpenWAL(fsys, dir, opts.WALSegBytes)
@@ -86,11 +91,9 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 	// Replay applies straight to the fresh memtable: no locks are
 	// needed (the partition is not yet published) and no re-logging
 	// happens (the entries are already in the WAL). A record is a view
-	// of the segment bytes replay read, charged what the write that
-	// logged it was charged, so a recovered memtable is the live one
-	// over again. Tombstones stay in the memtable as MISSING so they
-	// shadow older runs. Checkpoint entries (reserved key prefix) route
-	// to the checkpoint table instead of the memtable.
+	// of the segment bytes replay read. Tombstones stay in the memtable
+	// as MISSING so they shadow older runs. Checkpoint entries (reserved
+	// key prefix) route to the checkpoint table instead of the memtable.
 	err = wal.Replay(man.FlushedLSN, func(_ uint64, key, rec adm.Value) error {
 		if scope, ok := checkpointScope(key); ok {
 			if off, ok := rec.AsInt(); ok {
@@ -99,7 +102,6 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 			return nil
 		}
 		p.mem.Put(key, rec)
-		p.memBytes += adm.BinarySize(key) + adm.BinarySize(rec) + memItemOverhead
 		return nil
 	})
 	if err != nil {
@@ -107,16 +109,16 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 		return nil, fmt.Errorf("lsm: recovery: %w", err)
 	}
 	p.wal = wal
-	p.recovered = p.mem.Len() > 0
-
-	go p.flusher()
-	// A replayed tail larger than the budget freezes immediately (the
-	// WAL position is final now, so the watermark is correct).
-	p.mu.Lock()
-	if p.memBytes >= p.opts.MemBudget {
-		p.freezeLocked()
+	// The WAL position is final now, so the freeze's watermark is correct.
+	// The wake-up it queues lets the flusher look for a compaction once it
+	// starts.
+	p.freezeLocked()
+	if _, err := p.flushOnce(); err != nil {
+		wal.Close()
+		p.closeRunsLocked()
+		return nil, fmt.Errorf("lsm: recovery: %w", err)
 	}
-	p.mu.Unlock()
+	go p.flusher()
 	return p, nil
 }
 
@@ -168,7 +170,7 @@ func removeOrphans(fsys FS, dir string, man manifest) error {
 }
 
 // closeRunsLocked force-closes every run-backed component's file,
-// whatever references snapshots and cursors still hold on it. Only used
+// whatever references snapshots still hold on it. Only used
 // on open failure and at Close (no lock is actually held in the
 // open-failure path; the partition is unpublished).
 func (p *Partition) closeRunsLocked() error {
@@ -191,9 +193,9 @@ func (p *Partition) closeRunsLocked() error {
 // run compaction had already replaced is not the partition's any more:
 // it closes with its last reader (see runFile). The partition must not
 // be used afterwards. Close does NOT force a final memtable flush —
-// the WAL already holds everything, and reopening replays it; that keeps
-// Close cheap and crash-equivalent (closing and crashing recover
-// identically).
+// the WAL already holds everything, and reopening replays and flushes
+// it; that keeps Close cheap and crash-equivalent (closing and crashing
+// recover identically, through the one path tested against crashes).
 func (p *Partition) Close() error {
 	p.mu.Lock()
 	if p.closed {

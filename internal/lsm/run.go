@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -96,12 +95,6 @@ type runWriter struct {
 	blocks  []blockMeta
 	entries int
 	hashes  []uint64 // bloom hash per entry, in add order
-
-	// keep asks for a copy of every block as a reader would load it:
-	// writeRun publishes them in the cache under the new run, so its
-	// first readers find them resident.
-	keep bool
-	kept []block
 }
 
 // blockMeta locates one block and remembers its first key.
@@ -172,12 +165,7 @@ func (w *runWriter) flushBlock() error {
 	w.blocks = append(w.blocks, blockMeta{off: w.off, length: len(w.frame), firstKey: firstKey})
 	w.scratch = w.scratch[:0]
 	w.count = 0
-	if err := w.writeFrame(); err != nil || !w.keep {
-		return err
-	}
-	blk, err := parseBlock(bytes.Clone(w.frame), nil)
-	w.kept = append(w.kept, blk)
-	return err
+	return w.writeFrame()
 }
 
 // writeFrame seals and writes the one frame assembled in w.frame.
@@ -273,27 +261,14 @@ func writeRun(fsys FS, dir, name string, env runEnv, fill func(*runWriter) error
 		_ = fsys.Remove(pathname)
 		return nil, err
 	}
-	rf, err := openRun(fsys, dir, name, env)
-	if err == nil {
-		for i, blk := range w.kept {
-			env.cache.release(env.cache.insert(rf.id, i, blk))
-		}
-	}
-	return rf, err
+	return openRun(fsys, dir, name, env)
 }
 
 // fillFromComponent is the flush: one immutable component's items,
 // tombstones included (they must shadow older runs), encoded in order.
-// The run of a recovered memtable goes through the block cache. A
-// restart leaves up to a memtable's worth of records in the WAL; they
-// are read once at open, flushed when the first reader's snapshot
-// freezes them, and would then be fetched a block at a time from the
-// file just written, by the very statements the restart was for.
 func fillFromComponent(c *component) func(*runWriter) error {
 	return func(w *runWriter) error {
-		w.keep = c.warm
 		rc := c.cursor()
-		defer rc.close()
 		for {
 			it, ok := rc.next()
 			if !ok {
@@ -318,7 +293,6 @@ func fillFromRuns(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 			readers[i] = r.rawReader()
 		}
 		m := newMergeCursor(readers, dropTombstones)
-		defer m.Close()
 		for {
 			rd, ok := m.next()
 			if !ok {
@@ -348,15 +322,16 @@ func fillFromRuns(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 // # Lifecycle
 //
 // refs counts reasons the file must stay open: 1 for the owner (the
-// partition component), one per Snapshot that can reach the run (dropped
-// when the snapshot is garbage-collected, see Partition.Snapshot) and
-// one per live cursor or raw reader (dropped at exhaustion or close).
-// retire drops the owner reference — compaction calls it for every run
-// it replaces — and the file closes when the count hits zero, so a
-// replaced run lives exactly as long as its last reader. close
-// force-closes regardless (partition Close, for the runs it still
-// owns); both paths purge the run's block-cache entries and are
-// idempotent.
+// partition component) and one per Snapshot that can reach the run
+// (dropped when the snapshot is garbage-collected, see
+// Partition.Snapshot). Nothing else counts: a cursor keeps the snapshot
+// it was made from reachable, and compaction reads runs the partition
+// owns, under flushMu. retire drops the owner reference — compaction
+// calls it for every run it replaces — and the file closes when the
+// count hits zero, so a replaced run lives exactly as long as the last
+// snapshot that reaches it. close force-closes regardless (partition
+// Close, for the runs it still owns); both paths purge the run's
+// block-cache entries and are idempotent.
 type runFile struct {
 	name    string
 	f       File
@@ -569,23 +544,19 @@ func parseBlock(data []byte, offs []uint32) (block, error) {
 }
 
 // block returns block i, through the cache when one is wired: a hit
-// pins and returns the resident entry, a miss loads the block and
-// publishes it pinned. The caller releases a non-nil entry when it has
-// moved off the block.
-func (r *runFile) block(i int) (block, *blockEntry, error) {
+// returns the resident block, a miss loads it and publishes it.
+func (r *runFile) block(i int) (block, error) {
 	if r.cache == nil {
-		b, err := r.loadBlock(i, block{})
-		return b, nil, err
+		return r.loadBlock(i, block{})
 	}
-	if e, ok := r.cache.acquire(r.id, i); ok {
-		return e.blk, e, nil
+	if b, ok := r.cache.get(r.id, i); ok {
+		return b, nil
 	}
 	b, err := r.loadBlock(i, block{})
 	if err != nil {
-		return block{}, nil, err
+		return block{}, err
 	}
-	e := r.cache.insert(r.id, i, b)
-	return e.blk, e, nil
+	return r.cache.insert(r.id, i, b), nil
 }
 
 func (r *runFile) fail(err error) {
@@ -631,7 +602,7 @@ func (r *runFile) get(kp *pointProbe) (adm.Value, bool) {
 	if lo == 0 {
 		return adm.Value{}, false
 	}
-	blk, ent, err := r.block(lo - 1)
+	blk, err := r.block(lo - 1)
 	if err != nil {
 		r.fail(err)
 		return adm.Value{}, false
@@ -648,18 +619,13 @@ func (r *runFile) get(kp *pointProbe) (adm.Value, bool) {
 			cmp = c
 		}
 	}
-	var val adm.Value
-	found := a < blk.entries() && cmp == 0
-	if found {
-		val = adm.View(blk.val(a))
+	if a < blk.entries() && cmp == 0 {
+		return adm.View(blk.val(a)), true
 	}
-	if ent != nil {
-		r.cache.release(ent)
-	}
-	return val, found
+	return adm.Value{}, false
 }
 
-// incRef adds a keep-open reason (a cursor).
+// incRef adds a keep-open reason (a snapshot).
 func (r *runFile) incRef() { r.refs.Add(1) }
 
 // decRef drops one reason; the last one out closes the file.
@@ -670,8 +636,8 @@ func (r *runFile) decRef() {
 }
 
 // retire drops the owner reference: compaction calls it for the runs it
-// replaced. The file closes now if nothing is reading it, or with its
-// last snapshot or cursor.
+// replaced. The file closes now if no snapshot reaches it, or with the
+// last one that does.
 func (r *runFile) retire() { r.decRef() }
 
 // close force-closes the file and purges its block-cache entries.
@@ -688,44 +654,30 @@ func (r *runFile) close() error {
 }
 
 // runFileCursor streams a run's items block by block in key order: the
-// key decoded (it owns its memory), the record a view of the block. The
-// cursor holds one run reference for its lifetime and (with a cache
-// wired) one pinned cache entry for its current block; both are
-// released at exhaustion or close. Abandoning an unexhausted cursor
-// without close leaks the reference (partition Close still force-closes
-// a run it owns) — the query layer closes its cursors (rowSrc close
-// chain), and merge consumers run to exhaustion.
+// key decoded (it owns its memory), the record a view of the block. It
+// holds nothing to give back: whoever made it keeps the run open (see
+// runFile).
 type runFileCursor struct {
-	r      *runFile
-	block  int // next block to load
-	blk    block
-	pos    int
-	ent    *blockEntry // pinned cache entry holding blk, if any
-	closed bool
+	r     *runFile
+	block int // next block to load
+	blk   block
+	pos   int
 }
 
-func (r *runFile) cursor() *runFileCursor {
-	r.incRef()
-	return &runFileCursor{r: r}
-}
+func (r *runFile) cursor() *runFileCursor { return &runFileCursor{r: r} }
 
 func (c *runFileCursor) next() (index.Item, bool) {
 	for c.pos == c.blk.entries() {
-		if c.closed || c.block >= len(c.r.blocks) {
-			c.close()
+		if c.block >= len(c.r.blocks) {
 			return index.Item{}, false
 		}
-		if c.ent != nil {
-			c.r.cache.release(c.ent)
-			c.ent = nil
-		}
-		blk, ent, err := c.r.block(c.block)
+		blk, err := c.r.block(c.block)
 		if err != nil {
 			c.r.fail(err)
-			c.close()
+			c.block = len(c.r.blocks)
 			return index.Item{}, false
 		}
-		c.blk, c.ent, c.pos = blk, ent, 0
+		c.blk, c.pos = blk, 0
 		c.block++
 	}
 	key, _, _ := adm.DecodeBinary(c.blk.key(c.pos))
@@ -734,33 +686,16 @@ func (c *runFileCursor) next() (index.Item, bool) {
 	return it, true
 }
 
-// close releases the cursor's pin and run reference. Idempotent; next
-// after close reports exhaustion.
-func (c *runFileCursor) close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	if c.ent != nil {
-		c.r.cache.release(c.ent)
-		c.ent = nil
-	}
-	c.blk, c.pos = block{}, 0
-	c.r.decRef()
-}
-
 // rawRunReader streams a run's entries in key order as the encoded
 // bytes the file holds — compaction's input. It loads blocks as queries
 // do (loadBlock), but into buffers it reuses, and goes around the block
 // cache in both directions: a compaction reads every block of its inputs
-// exactly once, so caching them would only evict blocks queries want. It
-// holds one run reference until exhaustion, failure or close.
+// exactly once, so caching them would only evict blocks queries want.
 type rawRunReader struct {
-	r      *runFile
-	block  int   // next block to load
-	blk    block // the current block, in the reader's own buffers
-	pos    int
-	closed bool
+	r     *runFile
+	block int   // next block to load
+	blk   block // the current block, in the reader's own buffers
+	pos   int
 
 	// key and val are the current entry's encoded bytes, valid until the
 	// next advance; err is why the reader stopped early, if it did.
@@ -768,22 +703,18 @@ type rawRunReader struct {
 	err      error
 }
 
-func (r *runFile) rawReader() *rawRunReader {
-	r.incRef()
-	return &rawRunReader{r: r}
-}
+func (r *runFile) rawReader() *rawRunReader { return &rawRunReader{r: r} }
 
 func (c *rawRunReader) advance() (key adm.Value, tombstone, ok bool) {
 	for c.pos == c.blk.entries() {
-		if c.closed || c.block >= len(c.r.blocks) {
-			c.close()
+		if c.block >= len(c.r.blocks) {
 			return adm.Value{}, false, false
 		}
 		blk, err := c.r.loadBlock(c.block, c.blk)
 		if err != nil {
 			c.r.fail(err)
 			c.err = c.r.err()
-			c.close()
+			c.block = len(c.r.blocks)
 			return adm.Value{}, false, false
 		}
 		c.blk, c.pos = blk, 0
@@ -795,13 +726,4 @@ func (c *rawRunReader) advance() (key adm.Value, tombstone, ok bool) {
 	// until the next advance.
 	key, _, _ = adm.DecodeBinaryAlias(c.key)
 	return key, adm.Kind(c.val[0]) == adm.KindMissing, true
-}
-
-// close releases the run reference. Idempotent.
-func (c *rawRunReader) close() {
-	if !c.closed {
-		c.closed = true
-		c.pos = c.blk.entries()
-		c.r.decRef()
-	}
 }

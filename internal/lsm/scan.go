@@ -176,9 +176,6 @@ func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Va
 		defer close(out)
 	}
 	cur := s.Cursor()
-	// A Close-torn-down worker abandons its cursor mid-run: release its
-	// block-cache pin and run-file references.
-	defer cur.Close()
 	getBatch := func() []parItem {
 		select {
 		case b := <-c.free:
@@ -207,13 +204,13 @@ func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Va
 			return
 		}
 		if filter != nil {
-			keep, err := filter(k, r)
+			pass, err := filter(k, r)
 			if err != nil {
 				batch = append(batch, parItem{err: err})
 				flush()
 				return
 			}
-			if !keep {
+			if !pass {
 				continue
 			}
 		}

@@ -425,8 +425,8 @@ func evalExists(st evalState, env *Env, n *sqlpp.Exists) (adm.Value, error) {
 			return adm.Bool(found), nil
 		}
 	}
-	// One row answers the question; closing the cursor there releases
-	// the scan (and its run-file pins) without reading the rest.
+	// One row answers the question; closing the cursor there stops the
+	// scan (and any scan workers) without reading the rest.
 	rc, err := openSelect(st, env, n.Sub, nil)
 	if err != nil {
 		return adm.Value{}, err

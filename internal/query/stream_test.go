@@ -2,8 +2,10 @@ package query
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/lsm"
@@ -129,12 +131,12 @@ func TestCursorLimitStopsScan(t *testing.T) {
 // TestExistsStopsAtFirstRow: EXISTS over an uncompiled subquery pulls
 // one row and closes the cursor. Over a durable dataset of ~70 blocks
 // the three evaluations below read the one block that holds the first
-// match (materializing the subquery would read them all), and closing
-// mid-scan gives back the cursor's block-cache pins.
+// match (materializing the subquery would read them all), and a cursor
+// closed mid-scan holds nothing: once the collector has run, only the
+// components' own run files are open.
 func TestExistsStopsAtFirstRow(t *testing.T) {
-	cache := lsm.NewBlockCache(8 << 20)
 	ds, err := lsm.OpenDataset(lsm.NewMemFS(), "big", "Big", nil, "id", 2,
-		lsm.Options{MemBudget: 64 << 20, MaxComponents: 8, BlockCache: cache})
+		lsm.Options{MemBudget: 64 << 20, MaxComponents: 8, BlockCache: lsm.NewBlockCache(8 << 20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,21 +161,28 @@ func TestExistsStopsAtFirstRow(t *testing.T) {
 	if reads := ds.Stats().BlockReads - before; reads > 2 {
 		t.Errorf("EXISTS read %d blocks; the first match sits in the first", reads)
 	}
-	if st := cache.Stats(); st.BlockCachePinned != 0 {
-		t.Errorf("%d block-cache pins left behind by the closed cursors", st.BlockCachePinned)
+	readersGone := func(whose string) {
+		t.Helper()
+		st := ds.Stats()
+		for deadline := time.Now().Add(5 * time.Second); st.OpenRunFiles != st.Components && time.Now().Before(deadline); st = ds.Stats() {
+			runtime.GC() // snapshot references drop on collection
+			time.Sleep(time.Millisecond)
+		}
+		if st.OpenRunFiles != st.Components {
+			t.Errorf("%d run files open for %d components after %s", st.OpenRunFiles, st.Components, whose)
+		}
 	}
+	readersGone("the closed cursors")
 
 	// Outermost, the subquery may scan in parallel; closing it after one
-	// row must still stop and join the workers and drop their pins.
+	// row must still stop and join the workers.
 	if v := evalStr(t, cat, nil, `EXISTS (SELECT b FROM Big b WHERE b.cat = "c5")`); !v.BoolVal() {
 		t.Error("EXISTS = false")
 	}
 	if v := evalStr(t, cat, nil, `EXISTS (SELECT b FROM Big b WHERE b.cat = "nosuch")`); v.BoolVal() {
 		t.Error("EXISTS over no match = true")
 	}
-	if st := cache.Stats(); st.BlockCachePinned != 0 {
-		t.Errorf("%d block-cache pins left behind by the parallel scans", st.BlockCachePinned)
-	}
+	readersGone("the parallel scans")
 }
 
 // BenchmarkQueryStream is the acceptance benchmark for the streaming

@@ -96,7 +96,7 @@ func TestStatsReplyCoversEverySnapshotField(t *testing.T) {
 		}
 	}
 	top := numericFields(reflect.TypeOf(Stats{}))
-	for _, key := range append(top, "block_cache_pinned", "flushes", "merges") {
+	for _, key := range append(top, "components", "flushes", "merges") {
 		if v.Field(key).Kind() != adm.KindInt64 {
 			t.Errorf("reply has no integer %q: %v", key, v.Field(key))
 		}

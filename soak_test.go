@@ -77,11 +77,11 @@ func soak(t *testing.T, dataDir string) {
 		var st StorageStats
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
 			runtime.GC() // snapshot references drop on collection
-			if st = c.StorageStats(); st.OpenRunFiles == st.Components && st.BlockCachePinned == 0 {
+			if st = c.StorageStats(); st.OpenRunFiles == st.Components {
 				return st
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d open run files for %d components, %d pinned cache blocks", when, st.OpenRunFiles, st.Components, st.BlockCachePinned)
+				t.Fatalf("%s: %d open run files for %d components", when, st.OpenRunFiles, st.Components)
 			}
 		}
 	}
