@@ -1,9 +1,6 @@
 package adm
 
-import (
-	"hash/maphash"
-	"math"
-)
+import "math"
 
 // kindRank maps each kind to its position in the cross-kind total order.
 // Numerics share a rank so int64 and double interleave numerically,
@@ -173,75 +170,101 @@ func cmpFloat(a, b float64) int {
 	}
 }
 
-var hashSeed = maphash.MakeSeed()
-
 // Hash returns a 64-bit hash of the value consistent with Compare
 // equality: Equal(a, b) implies Hash(a) == Hash(b). It backs the hash
-// join tables and the M:N hash partitioner.
+// join tables and every partitioner — including the one that decides
+// which storage partition holds a primary key, so the value must not
+// change between processes: a key routed elsewhere after a restart would
+// miss its record and leave two live versions on the next upsert. It is
+// a fixed-seed hash, finished with splitmix64's avalanche so that
+// Hash % partitions stays balanced.
 func Hash(v Value) uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	hashInto(&h, v)
-	return h.Sum64()
+	h := hasher(hashSeed)
+	h.value(v)
+	z := uint64(h)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
-func hashInto(h *maphash.Hash, v Value) {
+const (
+	hashSeed = 0x243f6a8885a308d3 // pi's fraction: any fixed value
+	hashMul  = 0x9e3779b97f4a7c15 // odd, so each step is a bijection
+)
+
+// hasher folds 64-bit words into its state: xor, multiply by an odd
+// constant, then fold the high half down so later words mix with every
+// bit of earlier ones.
+type hasher uint64
+
+func (h *hasher) word(u uint64) {
+	x := (uint64(*h) ^ u) * hashMul
+	*h = hasher(x ^ x>>32)
+}
+
+// string folds s eight bytes at a time; the last word carries the tail
+// and its length.
+func (h *hasher) string(s string) {
+	for ; len(s) >= 8; s = s[8:] {
+		h.word(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56)
+	}
+	tail := uint64(len(s)) << 56
+	for i := 0; i < len(s); i++ {
+		tail |= uint64(s[i]) << (8 * i)
+	}
+	h.word(tail)
+}
+
+func (h *hasher) value(v Value) {
 	switch v.kind {
 	case KindMissing:
-		h.WriteByte(0)
+		h.word(0)
 	case KindNull:
-		h.WriteByte(1)
+		h.word(1)
 	case KindBoolean:
-		h.WriteByte(2)
-		h.WriteByte(byte(v.i))
+		h.word(2)
+		h.word(uint64(v.i))
 	case KindInt64, KindDouble:
 		// Numeric promotion: 3 and 3.0 must hash identically.
-		h.WriteByte(3)
+		h.word(3)
 		f, _ := v.AsDouble()
 		if f == math.Trunc(f) && !math.IsInf(f, 0) {
-			writeUint64(h, uint64(int64(f)))
+			h.word(uint64(int64(f)))
 		} else {
-			writeUint64(h, math.Float64bits(f))
+			h.word(math.Float64bits(f))
 		}
 	case KindString:
-		h.WriteByte(4)
-		h.WriteString(v.s)
+		h.word(4)
+		h.string(v.s)
 	case KindDateTime:
-		h.WriteByte(5)
-		writeUint64(h, uint64(v.i))
+		h.word(5)
+		h.word(uint64(v.i))
 	case KindDuration:
-		h.WriteByte(6)
-		writeUint64(h, uint64(v.aux))
-		writeUint64(h, uint64(v.i))
+		h.word(6)
+		h.word(uint64(v.aux))
+		h.word(uint64(v.i))
 	case KindPoint, KindRectangle, KindCircle:
-		h.WriteByte(7 + byte(v.kind-KindPoint))
+		h.word(7 + uint64(v.kind-KindPoint))
 		if v.geo != nil {
 			for _, f := range v.geo {
-				writeUint64(h, math.Float64bits(f))
+				h.word(math.Float64bits(f))
 			}
 		}
 	case KindArray:
-		h.WriteByte(10)
+		h.word(10)
 		for _, e := range v.arr {
-			hashInto(h, e)
+			h.value(e)
 		}
 	case KindObject:
-		h.WriteByte(11)
+		h.word(11)
 		if o := v.object(); o != nil {
 			for i := 0; i < o.Len(); i++ {
-				h.WriteString(o.Name(i))
-				hashInto(h, o.At(i))
+				h.string(o.Name(i))
+				h.value(o.At(i))
 			}
 		}
 	}
-}
-
-func writeUint64(h *maphash.Hash, u uint64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(u >> (8 * i))
-	}
-	h.Write(buf[:])
 }
 
 func min(a, b int) int {

@@ -186,6 +186,34 @@ func TestHashConsistentWithEqual(t *testing.T) {
 	}
 }
 
+// TestHashIsStable pins Hash's values: storage routes a primary key to
+// the partition Hash picks, so a value that changed between processes —
+// a per-process seed, or an edit to the function — would send existing
+// keys to partitions that never stored them. Hashing allocates nothing
+// (a view is decoded first, as the view.go comment says).
+func TestHashIsStable(t *testing.T) {
+	obj := ObjectValue(ObjectFromPairs("id", Int(7), "name", String("x")))
+	for _, tc := range []struct {
+		v    Value
+		want uint64
+	}{
+		{Int(42), 0xc2fe9dc53ecb3559},
+		{Double(42), 0xc2fe9dc53ecb3559},
+		{Int(-1), 0x2198171a7d28ab7c},
+		{String("tweet-00042"), 0xbaef252622c2cbfc},
+		{Array([]Value{Int(1), String("a")}), 0x7798a8cc416e36b7},
+		{obj, 0x57083a7d97153ec},
+		{View(AppendBinary(nil, obj)), 0x57083a7d97153ec},
+	} {
+		if got := Hash(tc.v); got != tc.want {
+			t.Errorf("Hash(%v) = %#x, want %#x", tc.v, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = Hash(tc.v) }); n != 0 && !tc.v.isView() {
+			t.Errorf("Hash(%v) allocates %v times", tc.v, n)
+		}
+	}
+}
+
 func TestHashSpreads(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := 0; i < 1000; i++ {

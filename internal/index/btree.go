@@ -10,7 +10,6 @@ package index
 
 import (
 	"slices"
-	"sync"
 
 	"github.com/ideadb/idea/internal/adm"
 )
@@ -18,7 +17,10 @@ import (
 // btreeDegree 64 gives wide nodes (max 127 items, min 63): the
 // frame-granular storage path merges whole sorted runs into leaves, so
 // fat leaves amortize split/merge churn across far more records, and
-// point lookups still binary-search within a node.
+// point lookups still binary-search within a node. A node's item array
+// holds maxItems items, and nodes on the right spine split full (see
+// chunk), so a tree built from ascending keys — a memtable fed in key
+// order — costs about one Item per stored item.
 const btreeDegree = 64
 
 // Item is one key/value pair stored in a B-tree.
@@ -42,41 +44,20 @@ type BTree struct {
 // NewBTree returns an empty tree.
 func NewBTree() *BTree { return &BTree{} }
 
-// poolItemCap is the canonical item-array capacity for pooled nodes:
-// maxItems plus one slot of headroom so an in-place merge of a single
-// item never reallocates.
-const poolItemCap = maxItems + 1
+const (
+	maxItems = 2*btreeDegree - 1
+	minItems = btreeDegree - 1
+)
 
-// nodePool recycles the node structs and canonical-capacity item arrays
-// that deletes retire (releaseNode). Children arrays are not pooled
-// (internal nodes are 1/64th of the tree); item arrays grown past the
-// canonical capacity mid-batch are dropped for the GC at release.
-var nodePool sync.Pool
-
-func newNode() *btreeNode {
-	n, _ := nodePool.Get().(*btreeNode)
-	if n == nil {
-		n = &btreeNode{}
-	}
-	if n.items == nil {
-		n.items = make([]Item, 0, poolItemCap)
+// newNode allocates a node with room for maxItems items — with the
+// allocator's 8-byte header, 127 Items fill one 20 KiB size class
+// exactly — and, for an internal node, their maxItems+1 children.
+func newNode(internal bool) *btreeNode {
+	n := &btreeNode{items: make([]Item, 0, maxItems)}
+	if internal {
+		n.children = make([]*btreeNode, 0, maxItems+1)
 	}
 	return n
-}
-
-// releaseNode returns a dead node to the pool. The caller guarantees
-// nothing references the node; its item array is cleared to full
-// capacity so pooled storage never pins record payloads.
-func releaseNode(n *btreeNode) {
-	if cap(n.items) == poolItemCap {
-		full := n.items[:poolItemCap]
-		clear(full)
-		n.items = full[:0]
-	} else {
-		n.items = nil
-	}
-	n.children = nil
-	nodePool.Put(n)
 }
 
 // Len returns the number of stored items.
@@ -102,9 +83,6 @@ func (n *btreeNode) find(key adm.Value) (int, bool) {
 	return lo, false
 }
 
-const maxItems = 2*btreeDegree - 1
-const minItems = btreeDegree - 1
-
 // Get returns the value stored under key.
 func (t *BTree) Get(key adm.Value) (adm.Value, bool) {
 	n := t.root
@@ -125,73 +103,60 @@ func (t *BTree) Get(key adm.Value) (adm.Value, bool) {
 // whether an existing item was replaced.
 func (t *BTree) Put(key, val adm.Value) bool {
 	if t.root == nil {
-		n := newNode()
-		n.items = append(n.items, Item{key, val})
-		t.root = n
-		t.size = 1
-		return false
+		t.root = newNode(false)
 	}
-	if len(t.root.items) >= maxItems {
-		mid, right := t.root.split(maxItems / 2)
-		parent := newNode()
-		parent.items = append(parent.items, mid)
-		parent.children = append(parent.children, t.root, right)
-		t.root = parent
-	}
-	replaced := t.root.insert(key, val)
+	replaced, promoted, siblings := t.root.insert(key, val, true)
+	t.grow(promoted, siblings)
 	if !replaced {
 		t.size++
 	}
 	return replaced
 }
 
-// split divides the node at item index i, returning the promoted item
-// and the new right sibling.
-func (n *btreeNode) split(i int) (Item, *btreeNode) {
-	mid := n.items[i]
-	right := newNode()
-	right.items = append(right.items, n.items[i+1:]...)
-	clear(n.items[i:]) // don't pin the moved items through n's array
-	n.items = n.items[:i]
-	if !n.leaf() {
-		right.children = append(right.children, n.children[i+1:]...)
-		clear(n.children[i+1:])
-		n.children = n.children[:i+1]
+// insert adds key/val to the subtree rooted at n, which is on the right
+// spine when edge is set, and reports whether an existing key was
+// replaced. A node the insert overflows splits on the way back up and
+// returns the separators and new right siblings for its parent to
+// adopt.
+func (n *btreeNode) insert(key, val adm.Value, edge bool) (bool, []Item, []*btreeNode) {
+	i, found := n.find(key)
+	switch {
+	case found:
+		n.items[i].Val = val
+		return true, nil, nil
+	case !n.leaf():
+		replaced, promoted, siblings := n.children[i].insert(key, val, edge && i == len(n.items))
+		n.adopt(i, promoted, siblings)
+		promoted, siblings = n.splitOverfull(edge)
+		return replaced, promoted, siblings
+	case len(n.items) < maxItems:
+		n.items = slices.Insert(n.items, i, Item{key, val})
+		return false, nil, nil
+	default:
+		// A full leaf splits as the merge of a batch of one does, so its
+		// array never grows.
+		_, promoted, siblings := n.mergeLeaf([]Item{{key, val}}, nil, edge)
+		return false, promoted, siblings
 	}
-	return mid, right
 }
 
-// insert adds key/val into the subtree rooted at n, which is guaranteed
-// non-full. Reports whether an existing key was replaced.
-func (n *btreeNode) insert(key, val adm.Value) bool {
-	i, found := n.find(key)
-	if found {
-		n.items[i].Val = val
-		return true
+// adopt splices in the separators and new right siblings child i split
+// into, right after it.
+func (n *btreeNode) adopt(i int, promoted []Item, siblings []*btreeNode) {
+	n.items = slices.Insert(n.items, i, promoted...)
+	n.children = slices.Insert(n.children, i+1, siblings...)
+}
+
+// grow roots the tree above the old root and the siblings it split into,
+// one level per pass while the new root overflows too.
+func (t *BTree) grow(promoted []Item, siblings []*btreeNode) {
+	for len(siblings) > 0 {
+		root := newNode(true)
+		root.items = append(root.items, promoted...)
+		root.children = append(append(root.children, t.root), siblings...)
+		t.root = root
+		promoted, siblings = root.splitOverfull(true)
 	}
-	if n.leaf() {
-		n.items = append(n.items, Item{})
-		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = Item{key, val}
-		return false
-	}
-	if len(n.children[i].items) >= maxItems {
-		mid, right := n.children[i].split(maxItems / 2)
-		n.items = append(n.items, Item{})
-		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = mid
-		n.children = append(n.children, nil)
-		copy(n.children[i+2:], n.children[i+1:])
-		n.children[i+1] = right
-		switch c := adm.Compare(key, mid.Key); {
-		case c == 0:
-			n.items[i].Val = val
-			return true
-		case c > 0:
-			i++
-		}
-	}
-	return n.children[i].insert(key, val)
 }
 
 // PutBatch merges run — ascending by key, with unique keys — into the
@@ -216,29 +181,20 @@ func (t *BTree) PutBatch(run []Item, onNew func(Item)) {
 		return
 	}
 	if t.root == nil {
-		t.root = newNode()
+		t.root = newNode(false)
 	}
-	t.size += t.root.insertBatch(run, onNew)
-	// The root may come back overfull; split it into as many levels as
-	// the batch requires.
-	for len(t.root.items) > maxItems {
-		promoted, siblings := splitOverfull(t.root)
-		nr := newNode()
-		nr.items = append(nr.items, promoted...)
-		nr.children = make([]*btreeNode, 0, len(siblings)+1)
-		nr.children = append(nr.children, t.root)
-		nr.children = append(nr.children, siblings...)
-		t.root = nr
-	}
+	inserted, promoted, siblings := t.root.insertBatch(run, onNew, true)
+	t.size += inserted
+	t.grow(promoted, siblings)
 }
 
-// insertBatch merges the sorted run into the subtree rooted at n and
-// returns the number of newly created entries. The node may be left
-// overfull (more than maxItems items); the caller splits it via
-// splitOverfull.
-func (n *btreeNode) insertBatch(run []Item, onNew func(Item)) int {
+// insertBatch merges the sorted run into the subtree rooted at n, which
+// is on the right spine when edge is set, and returns the number of
+// newly created entries. Like insert, a node that overflows splits and
+// returns the separators and new right siblings for its parent.
+func (n *btreeNode) insertBatch(run []Item, onNew func(Item), edge bool) (int, []Item, []*btreeNode) {
 	if n.leaf() {
-		return n.mergeLeaf(run, onNew)
+		return n.mergeLeaf(run, onNew, edge)
 	}
 	// Segment the run across children, replacing items that match
 	// separators in place. Segments are gathered first and processed
@@ -262,25 +218,28 @@ func (n *btreeNode) insertBatch(run []Item, onNew func(Item)) int {
 		segs = append(segs, segment{child: c, lo: i, hi: j})
 		i = j
 	}
+	last := len(n.items) // the last child's index, before any splice
 	inserted := 0
 	for k := len(segs) - 1; k >= 0; k-- {
 		s := segs[k]
-		child := n.children[s.child]
-		inserted += child.insertBatch(run[s.lo:s.hi], onNew)
-		if len(child.items) > maxItems {
-			promoted, siblings := splitOverfull(child)
-			n.items = slices.Insert(n.items, s.child, promoted...)
-			n.children = slices.Insert(n.children, s.child+1, siblings...)
-		}
+		added, promoted, siblings := n.children[s.child].insertBatch(run[s.lo:s.hi], onNew, edge && s.child == last)
+		inserted += added
+		n.adopt(s.child, promoted, siblings)
 	}
-	return inserted
+	promoted, siblings := n.splitOverfull(edge)
+	return inserted, promoted, siblings
 }
 
 // mergeLeaf merges the sorted run into the leaf's sorted items in one
-// backward pass, returning the number of newly inserted items. The leaf
-// may be left overfull.
-func (n *btreeNode) mergeLeaf(run []Item, onNew func(Item)) int {
-	// Count the keys not already present to size the tail extension.
+// backward pass and returns the number of newly inserted items. When
+// the merged items overflow the leaf, the same pass splits it (chunk
+// sets the sizes) by writing every item straight to its final place:
+// later chunks fill new right siblings, the separators between them are
+// returned with them, and the leftmost chunk goes back into the leaf's
+// own array — safe, because the read index never passes the write
+// index. No array ever holds more than one node's items.
+func (n *btreeNode) mergeLeaf(run []Item, onNew func(Item), edge bool) (int, []Item, []*btreeNode) {
+	// Count the keys not already present to size the result.
 	newCount := 0
 	i, j := 0, 0
 	for i < len(n.items) && j < len(run) {
@@ -302,82 +261,120 @@ func (n *btreeNode) mergeLeaf(run []Item, onNew func(Item)) int {
 			at, _ := n.find(it.Key)
 			n.items[at].Val = it.Val
 		}
-		return 0
+		return 0, nil, nil
 	}
 	old := len(n.items)
-	n.items = slices.Grow(n.items, newCount)[:old+newCount]
-	// Merge from the back so existing items shift right exactly once.
+	total := old + newCount
+	first := chunk(total, edge)
+	n.items = n.items[:max(old, first)]
+	// The destinations, left to right: the leaf's own chunk, then each
+	// separator and the new sibling it precedes.
+	dsts := append(make([][]Item, 0, 8), n.items[:first])
+	var siblings []*btreeNode
+	for pos := first; pos < total; {
+		s := newNode(false)
+		s.items = s.items[:chunk(total-pos-1, edge)]
+		siblings = append(siblings, s)
+		pos += 1 + len(s.items)
+	}
+	promoted := make([]Item, len(siblings))
+	for k, s := range siblings {
+		dsts = append(dsts, promoted[k:k+1], s.items)
+	}
 	i, j = old-1, len(run)-1
-	for w := old + newCount - 1; j >= 0; w-- {
-		if i >= 0 {
-			switch c := adm.Compare(n.items[i].Key, run[j].Key); {
+	for d := len(dsts) - 1; d >= 0; d-- {
+		dst := dsts[d]
+		// In the leaf's own chunk, once the run is used up the items
+		// left are already in place.
+		for w := len(dst) - 1; w >= 0 && (d > 0 || j >= 0); w-- {
+			c := 1 // the run is used up: take the leaf's next item
+			if j >= 0 {
+				c = -1
+				if i >= 0 {
+					c = adm.Compare(n.items[i].Key, run[j].Key)
+				}
+			}
+			switch {
 			case c > 0:
-				n.items[w] = n.items[i]
+				dst[w] = n.items[i]
 				i--
-				continue
 			case c == 0:
 				// Replacement keeps the existing key header, like Put.
-				n.items[w] = Item{n.items[i].Key, run[j].Val}
+				dst[w] = Item{n.items[i].Key, run[j].Val}
 				i--
 				j--
-				continue
+			default:
+				dst[w] = run[j]
+				if onNew != nil {
+					onNew(run[j])
+				}
+				j--
 			}
 		}
-		n.items[w] = run[j]
-		if onNew != nil {
-			onNew(run[j])
-		}
-		j--
 	}
-	return newCount
+	clear(n.items[first:]) // moved to siblings; don't pin them here
+	n.items = n.items[:first]
+	return newCount, promoted, siblings
 }
 
-// splitOverfull splits a node holding more than maxItems into as many
-// nodes as it needs in one pass: n keeps the leftmost chunk and each
-// further chunk becomes a new right sibling, with promoted[k]
-// separating siblings[k] from what precedes it. Every resulting node
-// holds between minItems and maxItems items, so B-tree invariants need
-// no further rebalancing. The single pass matters: chaining ordinary
-// binary splits would re-copy the remaining tail once per split, going
-// quadratic exactly when a large sorted run lands in one leaf.
-//
-// Each sibling copies its chunk into a singly-owned (pool-drawn) array
-// rather than aliasing the overfull node's storage: single ownership is
-// the precondition for releaseNode recycling nodes, and the copy is part
-// of the same linear pass, so the anti-quadratic property is unchanged.
-func splitOverfull(n *btreeNode) (promoted []Item, siblings []*btreeNode) {
-	items := n.items
-	children := n.children
-	const chunk = maxItems / 2 // half-full, like an ordinary split
-	est := len(items) / (chunk + 1)
-	promoted = make([]Item, 0, est)
-	siblings = make([]*btreeNode, 0, est)
-	pos := chunk
-	for pos < len(items) {
+// chunk returns how many of the rem items a split still has to place
+// the next node takes: all of them once they fit in one node; otherwise
+// half a node, as in any B-tree — except on the right spine, where the
+// node takes a full node's worth and leaves the next a separator and at
+// least one item. Ascending keys all arrive at the right spine, so a
+// node split half-full there would never be filled; the spine's last
+// node may hold fewer than minItems, as in a bulk-loaded tree.
+func chunk(rem int, edge bool) int {
+	switch {
+	case rem <= maxItems:
+		return rem
+	case edge:
+		return min(maxItems, rem-2)
+	default:
+		return minItems
+	}
+}
+
+// splitOverfull splits an internal node holding more than maxItems
+// items — the separators its children's splits spliced in — into as
+// many nodes as it needs in one pass, and returns nothing for a node
+// that fits. (A leaf never overflows: mergeLeaf splits as it merges.) n
+// keeps the leftmost chunk and each further chunk becomes a new right
+// sibling, with promoted[k] separating siblings[k] from what precedes
+// it; chunk sets the sizes. The single pass matters: chaining binary
+// splits would re-copy the remaining tail once per split, going
+// quadratic exactly when a large sorted run lands in one node.
+func (n *btreeNode) splitOverfull(edge bool) (promoted []Item, siblings []*btreeNode) {
+	items, children := n.items, n.children
+	if len(items) <= maxItems {
+		return nil, nil
+	}
+	first := chunk(len(items), edge)
+	for pos := first; pos < len(items); {
 		promoted = append(promoted, items[pos])
 		pos++
-		size := chunk
-		if rem := len(items) - pos; rem <= maxItems {
-			size = rem // the final sibling takes the whole remainder
-		}
-		s := newNode()
+		size := chunk(len(items)-pos, edge)
+		s := newNode(true)
 		s.items = append(s.items, items[pos:pos+size]...)
-		if len(children) > 0 {
-			s.children = append(s.children, children[pos:pos+size+1]...)
-		}
+		s.children = append(s.children, children[pos:pos+size+1]...)
 		siblings = append(siblings, s)
 		pos += size
 	}
-	// n keeps sole ownership of the original (possibly oversized) array,
-	// truncated to the leftmost chunk; the moved tail is cleared so it
-	// never pins the copied items.
-	clear(items[chunk:])
-	n.items = items[:chunk]
-	if len(children) > 0 {
-		clear(children[chunk+1:])
-		n.children = children[:chunk+1]
-	}
+	n.items = truncate(items, first, maxItems)
+	n.children = truncate(children, first+1, maxItems+1)
 	return promoted, siblings
+}
+
+// truncate cuts s to its first k elements, clearing the rest — they
+// moved to siblings, and this array must not keep them reachable. An
+// array a batch's splices grew past limit is replaced by a node-sized
+// copy, so no oversized array outlives the split.
+func truncate[E any](s []E, k, limit int) []E {
+	if cap(s) > limit {
+		return append(make([]E, 0, limit), s[:k]...)
+	}
+	clear(s[k:])
+	return s[:k]
 }
 
 // Cursor returns a pull iterator positioned before the smallest item.
@@ -547,15 +544,11 @@ func (t *BTree) Delete(key adm.Value) bool {
 	}
 	removed := t.root.remove(key)
 	if len(t.root.items) == 0 && !t.root.leaf() {
-		old := t.root
 		t.root = t.root.children[0]
-		old.children = nil // keep the promoted child out of the release
-		releaseNode(old)
 	}
 	if removed {
 		t.size--
 		if t.size == 0 {
-			releaseNode(t.root)
 			t.root = nil
 		}
 	}
@@ -587,9 +580,11 @@ func (n *btreeNode) remove(key adm.Value) bool {
 	return child.remove(key)
 }
 
-// growChildIfNeeded ensures the child the removal will descend into has
-// more than minItems, borrowing from siblings or merging. It returns the
-// child to descend into (which may have changed due to merging).
+// growChildIfNeeded ensures the child the removal will descend into can
+// lose an item, borrowing from siblings or merging: it has more than
+// minItems, or — a right-spine node, which may hold fewer — one more
+// than it had. It returns the child to descend into (which may have
+// changed due to merging).
 func (n *btreeNode) growChildIfNeeded(i int, key adm.Value) *btreeNode {
 	if i > len(n.items) {
 		i = len(n.items)
@@ -637,8 +632,6 @@ func (n *btreeNode) growChildIfNeeded(i int, key adm.Value) *btreeNode {
 	child.children = append(child.children, right.children...)
 	n.items = append(n.items[:i], n.items[i+1:]...)
 	n.children = append(n.children[:i+1], n.children[i+2:]...)
-	right.children = nil // contents were copied into child; recycle the shell
-	releaseNode(right)
 	return child
 }
 

@@ -2,8 +2,10 @@ package index
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/ideadb/idea/internal/adm"
 )
@@ -198,8 +200,9 @@ func TestBTreeMatchesMapModel(t *testing.T) {
 }
 
 // checkInvariants walks the whole tree verifying the B-tree shape:
-// sorted items, uniform leaf depth, fill bounds on every non-root node,
-// child counts, and separator ordering.
+// sorted items, uniform leaf depth, fill bounds on every non-root node
+// (1..maxItems on the right spine, minItems..maxItems elsewhere), no
+// array larger than a node, child counts, and separator ordering.
 func checkInvariants(t *testing.T, bt *BTree) {
 	t.Helper()
 	if bt.root == nil {
@@ -210,13 +213,20 @@ func checkInvariants(t *testing.T, bt *BTree) {
 	}
 	leafDepth := -1
 	counted := 0
-	var walk func(n *btreeNode, depth int, min, max *adm.Value)
-	walk = func(n *btreeNode, depth int, min, max *adm.Value) {
-		if depth > 0 && (len(n.items) < minItems || len(n.items) > maxItems) {
-			t.Fatalf("node at depth %d has %d items (want %d..%d)", depth, len(n.items), minItems, maxItems)
+	var walk func(n *btreeNode, depth int, edge bool, min, max *adm.Value)
+	walk = func(n *btreeNode, depth int, edge bool, min, max *adm.Value) {
+		least := minItems
+		if edge {
+			least = 1
+		}
+		if depth > 0 && (len(n.items) < least || len(n.items) > maxItems) {
+			t.Fatalf("node at depth %d (right spine: %v) has %d items (want %d..%d)", depth, edge, len(n.items), least, maxItems)
 		}
 		if depth == 0 && len(n.items) > maxItems {
 			t.Fatalf("root has %d items (max %d)", len(n.items), maxItems)
+		}
+		if cap(n.items) > maxItems || cap(n.children) > maxItems+1 {
+			t.Fatalf("node at depth %d has arrays of %d items and %d children (max %d, %d)", depth, cap(n.items), cap(n.children), maxItems, maxItems+1)
 		}
 		counted += len(n.items)
 		for i, it := range n.items {
@@ -249,10 +259,10 @@ func checkInvariants(t *testing.T, bt *BTree) {
 			if i < len(n.items) {
 				hi = &n.items[i].Key
 			}
-			walk(c, depth+1, lo, hi)
+			walk(c, depth+1, edge && i == len(n.items), lo, hi)
 		}
 	}
-	walk(bt.root, 0, nil, nil)
+	walk(bt.root, 0, true, nil, nil)
 	if counted != bt.size {
 		t.Fatalf("size = %d but tree holds %d items", bt.size, counted)
 	}
@@ -330,16 +340,29 @@ func TestBTreePutBatchReplaces(t *testing.T) {
 	}
 }
 
-// Property test: interleaved batches, point puts, and deletes must agree
-// with a reference map, and the tree shape must stay legal after every
-// batch.
+// keyRange returns the keys lo, lo+1, ..., hi-1.
+func keyRange(lo, hi int64) []int64 {
+	keys := make([]int64, 0, hi-lo)
+	for k := lo; k < hi; k++ {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// Property test: batches, point puts, and deletes must agree with a
+// reference map, and the tree shape must stay legal, whether batches
+// land anywhere (random), at the right edge (ascending, re-sending the
+// last few keys now and then), or mostly there — two ascending streams
+// whose batches sometimes arrive swapped, as frames from two collectors
+// reach a storage partition (interleaved).
 func TestBTreePutBatchMatchesMapModel(t *testing.T) {
-	bt := NewBTree()
-	model := map[int64]int64{}
-	r := rand.New(rand.NewSource(41))
-	for round := 0; round < 300; round++ {
-		switch r.Intn(4) {
-		case 0, 1: // sorted batch of random size at a random offset
+	for _, arm := range []struct {
+		name string
+		// batches returns one round's sorted batches, in arrival order,
+		// advancing *next past every key ever sent.
+		batches func(r *rand.Rand, next *int64) [][]int64
+	}{
+		{"random", func(r *rand.Rand, next *int64) [][]int64 {
 			n := 1 + r.Intn(400)
 			base := r.Int63n(3000)
 			seen := map[int64]bool{}
@@ -352,40 +375,184 @@ func TestBTreePutBatchMatchesMapModel(t *testing.T) {
 				}
 			}
 			slices.Sort(keys)
-			val := r.Int63n(1 << 30)
-			run := sortedRun(keys, val)
-			bt.PutBatch(run, nil)
-			for _, k := range keys {
-				model[k] = k + val
+			*next = max(*next, keys[len(keys)-1]+1)
+			return [][]int64{keys}
+		}},
+		{"ascending", func(r *rand.Rand, next *int64) [][]int64 {
+			lo := max(0, *next-r.Int63n(8))
+			*next += 1 + r.Int63n(400)
+			return [][]int64{keyRange(lo, *next)}
+		}},
+		{"interleaved", func(r *rand.Rand, next *int64) [][]int64 {
+			mid := *next + 1 + r.Int63n(200)
+			hi := mid + 1 + r.Int63n(200)
+			a, b := keyRange(*next, mid), keyRange(mid, hi)
+			*next = hi
+			if r.Intn(3) == 0 {
+				return [][]int64{b, a}
 			}
-		case 2: // point put
-			k, v := r.Int63n(3600), r.Int63()
-			bt.Put(adm.Int(k), adm.Int(v))
-			model[k] = v
-		default: // delete
-			k := r.Int63n(3600)
-			_, inModel := model[k]
-			if bt.Delete(adm.Int(k)) != inModel {
-				t.Fatalf("round %d: delete mismatch for %d", round, k)
+			return [][]int64{a, b}
+		}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			bt := NewBTree()
+			model := map[int64]int64{}
+			r := rand.New(rand.NewSource(41))
+			next := int64(0)
+			for round := 0; round < 300; round++ {
+				switch r.Intn(4) {
+				case 0, 1:
+					for _, keys := range arm.batches(r, &next) {
+						val := r.Int63n(1 << 30)
+						bt.PutBatch(sortedRun(keys, val), nil)
+						for _, k := range keys {
+							model[k] = k + val
+						}
+					}
+				case 2: // point put
+					k, v := r.Int63n(next+600), r.Int63()
+					bt.Put(adm.Int(k), adm.Int(v))
+					model[k] = v
+				default: // deletes between batches
+					for range 1 + r.Intn(8) {
+						k := r.Int63n(next + 1)
+						_, inModel := model[k]
+						if bt.Delete(adm.Int(k)) != inModel {
+							t.Fatalf("round %d: delete mismatch for %d", round, k)
+						}
+						delete(model, k)
+					}
+				}
+				if bt.Len() != len(model) {
+					t.Fatalf("round %d: len %d vs model %d", round, bt.Len(), len(model))
+				}
+				if round%10 == 0 {
+					checkInvariants(t, bt)
+				}
 			}
-			delete(model, k)
+			checkInvariants(t, bt)
+			for k, mv := range model {
+				if v, ok := bt.Get(adm.Int(k)); !ok || v.IntVal() != mv {
+					t.Fatalf("Get(%d) = %v,%v want %d", k, v, ok, mv)
+				}
+			}
+			prev := int64(-1)
+			for _, it := range items(bt) {
+				if it.Key.IntVal() <= prev {
+					t.Fatal("order violated after batches")
+				}
+				prev = it.Key.IntVal()
+			}
+		})
+	}
+}
+
+// leafFill walks the tree and returns the item count of every leaf off
+// the right spine.
+func leafFill(bt *BTree) []int {
+	var fill []int
+	var walk func(n *btreeNode, edge bool)
+	walk = func(n *btreeNode, edge bool) {
+		if n.leaf() {
+			if !edge {
+				fill = append(fill, len(n.items))
+			}
+			return
 		}
-		if bt.Len() != len(model) {
-			t.Fatalf("round %d: len %d vs model %d", round, bt.Len(), len(model))
+		for i, c := range n.children {
+			walk(c, edge && i == len(n.items))
 		}
 	}
+	if bt.root != nil {
+		walk(bt.root, true)
+	}
+	return fill
+}
+
+// buildCost builds a tree from the batches and returns it with the
+// bytes allocated per item stored.
+func buildCost(batches [][]Item) (*BTree, float64) {
+	bt := NewBTree()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, run := range batches {
+		bt.PutBatch(run, nil)
+	}
+	runtime.ReadMemStats(&after)
+	return bt, float64(after.TotalAlloc-before.TotalAlloc) / float64(bt.Len())
+}
+
+// inBatches cuts run into consecutive batches of size.
+func inBatches(run []Item, size int) [][]Item {
+	var out [][]Item
+	for lo := 0; lo < len(run); lo += size {
+		out = append(out, run[lo:min(lo+size, len(run))])
+	}
+	return out
+}
+
+// randomBatches cuts a seeded permutation of 0..n-1 into sorted batches
+// of size.
+func randomBatches(n, size int, seed int64) [][]Item {
+	keys := rand.New(rand.NewSource(seed)).Perm(n)
+	var out [][]Item
+	for lo := 0; lo < n; lo += size {
+		batch := make([]int64, 0, size)
+		for _, k := range keys[lo:min(lo+size, n)] {
+			batch = append(batch, int64(k))
+		}
+		slices.Sort(batch)
+		out = append(out, sortedRun(batch, 0))
+	}
+	return out
+}
+
+// TestBTreeAscendingBatchesPackLeaves: keys arriving in key order — a
+// memtable fed by a feed — fill every leaf they leave behind, so the
+// tree allocates about one Item per item whatever the batch size: no
+// half-full split at the right edge, no leaf array grown by a merge and
+// kept. A split that has exactly one item more than a node holds leaves
+// maxItems-1 (the separator and a non-empty right sibling take the
+// rest), which is every split when the keys arrive one at a time.
+func TestBTreeAscendingBatchesPackLeaves(t *testing.T) {
+	const n = 200_000
+	run := sortedRun(keyRange(0, n), 0)
+	limit := 1.15 * float64(unsafe.Sizeof(Item{}))
+	for _, size := range []int{1, 64, 1680} {
+		bt, perItem := buildCost(inBatches(run, size))
+		checkInvariants(t, bt)
+		fill := leafFill(bt)
+		short := 0
+		for _, f := range fill {
+			if f < maxItems-1 || (size == 1 && f != maxItems-1) {
+				t.Fatalf("batches of %d: a leaf off the right spine holds %d items, want %d", size, f, maxItems)
+			}
+			if f < maxItems {
+				short++
+			}
+		}
+		t.Logf("batches of %d: %.0f bytes per item, %d leaves, %d of them one short", size, perItem, len(fill), short)
+		if size > 1 && short > len(fill)/100 {
+			t.Fatalf("batches of %d: %d of %d leaves off the right spine are not full", size, short, len(fill))
+		}
+		if perItem > limit {
+			t.Fatalf("batches of %d: %.0f bytes allocated per %d-byte item, want at most %.0f", size, perItem, unsafe.Sizeof(Item{}), limit)
+		}
+	}
+}
+
+// TestBTreeRandomBatchesStayHalfFull: keys that land anywhere keep the
+// half-full split off the right spine — every node there holds at least
+// minItems (checkInvariants) — and the tree allocates no more per item
+// than a tree of half-full nodes holds.
+func TestBTreeRandomBatchesStayHalfFull(t *testing.T) {
+	const n, size = 100_000, 500
+	bt, perItem := buildCost(randomBatches(n, size, 7))
 	checkInvariants(t, bt)
-	for k, mv := range model {
-		if v, ok := bt.Get(adm.Int(k)); !ok || v.IntVal() != mv {
-			t.Fatalf("Get(%d) = %v,%v want %d", k, v, ok, mv)
-		}
-	}
-	prev := int64(-1)
-	for _, it := range items(bt) {
-		if it.Key.IntVal() <= prev {
-			t.Fatal("order violated after batches")
-		}
-		prev = it.Key.IntVal()
+	limit := float64(maxItems*unsafe.Sizeof(Item{})) / minItems
+	t.Logf("%.0f bytes per item, half-full bound %.0f", perItem, limit)
+	if bt.Len() != n || perItem > limit {
+		t.Fatalf("%d items, %.0f bytes allocated per item; want %d, at most %.0f", bt.Len(), perItem, n, limit)
 	}
 }
 
@@ -406,6 +573,34 @@ func BenchmarkBTreeGet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bt.Get(adm.Int(int64(i % 100000)))
+	}
+}
+
+// BenchmarkBTreePutBatch builds a 64 Ki-item tree from 128-item batches
+// (a storage frame) per iteration: keys in order, in order but with
+// every third pair of batches swapped (two collectors' frames), and
+// random. B/item is what the tree allocated per item stored.
+func BenchmarkBTreePutBatch(b *testing.B) {
+	const n, size = 1 << 16, 128
+	asc := inBatches(sortedRun(keyRange(0, n), 0), size)
+	interleaved := slices.Clone(asc)
+	for i := 0; i+1 < len(interleaved); i += 6 {
+		interleaved[i], interleaved[i+1] = interleaved[i+1], interleaved[i]
+	}
+	random := randomBatches(n, size, 3)
+	for _, arm := range []struct {
+		name    string
+		batches [][]Item
+	}{{"ascending", asc}, {"interleaved", interleaved}, {"random", random}} {
+		b.Run(arm.name, func(b *testing.B) {
+			var bytes float64
+			for i := 0; i < b.N; i++ {
+				_, perItem := buildCost(arm.batches)
+				bytes += perItem
+			}
+			b.ReportMetric(bytes/float64(b.N), "B/item")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/item")
+		})
 	}
 }
 
@@ -566,80 +761,6 @@ func TestBTreeCursorRange(t *testing.T) {
 			if !slices.Equal(got, tc.want) {
 				t.Errorf("batch=%v CursorRange(%v,%v) = %v, want %v", batch, tc.lo, tc.hi, got, tc.want)
 			}
-		}
-	}
-}
-
-// TestBTreeReleaseReuse empties trees key by key — deletes are what
-// return nodes to the pool — and verifies trees then built from the
-// pooled nodes stay correct. A released node whose array still aliased
-// another node's storage would corrupt this immediately.
-func TestBTreeReleaseReuse(t *testing.T) {
-	model := make(map[int64]int64)
-	for round := 0; round < 6; round++ {
-		bt := NewBTree()
-		clear(model)
-		// Mix batch and point inserts so both construction paths draw
-		// from the pool.
-		run := make([]Item, 0, 3000)
-		for i := 0; i < 3000; i++ {
-			k := int64((i*7 + round) % 5000)
-			if _, dup := model[k]; dup {
-				continue
-			}
-			model[k] = int64(round*10000 + i)
-			run = append(run, Item{adm.Int(k), adm.Int(model[k])})
-		}
-		slices.SortFunc(run, func(a, b Item) int { return adm.Compare(a.Key, b.Key) })
-		bt.PutBatch(run, nil)
-		for i := 0; i < 500; i++ {
-			k := int64(6000 + i)
-			model[k] = int64(i)
-			bt.Put(adm.Int(k), adm.Int(int64(i)))
-		}
-		for i := 0; i < 200; i++ {
-			k := int64((i*13 + round) % 5000)
-			if bt.Delete(adm.Int(k)) {
-				delete(model, k)
-			} else if _, present := model[k]; present {
-				t.Fatalf("round %d: Delete(%d) missed a present key", round, k)
-			}
-		}
-		if bt.Len() != len(model) {
-			t.Fatalf("round %d: Len = %d, want %d", round, bt.Len(), len(model))
-		}
-		for k, v := range model {
-			got, ok := bt.Get(adm.Int(k))
-			if !ok || got.IntVal() != v {
-				t.Fatalf("round %d: Get(%d) = %v,%v want %d", round, k, got, ok, v)
-			}
-		}
-		// Ordered walk must match the sorted model too.
-		var prev adm.Value
-		first := true
-		n := 0
-		cur := bt.Cursor()
-		for {
-			it, ok := cur.Next()
-			if !ok {
-				break
-			}
-			if !first && !adm.Less(prev, it.Key) {
-				t.Fatalf("round %d: cursor out of order", round)
-			}
-			prev, first = it.Key, false
-			n++
-		}
-		if n != len(model) {
-			t.Fatalf("round %d: cursor yielded %d items, want %d", round, n, len(model))
-		}
-		for k := range model {
-			if !bt.Delete(adm.Int(k)) {
-				t.Fatalf("round %d: Delete(%d) missed a present key", round, k)
-			}
-		}
-		if bt.Len() != 0 {
-			t.Fatalf("round %d: deleting every key left Len = %d", round, bt.Len())
 		}
 	}
 }

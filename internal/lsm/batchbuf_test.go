@@ -85,6 +85,57 @@ func TestMemBudgetCountsHeldBytes(t *testing.T) {
 	}
 }
 
+// TestMemtableCostsWhatItIsCharged: the memtable's charge — each entry's
+// encoded bytes plus memItemOverhead, one B-tree Item — is what it
+// keeps alive. After ascending frames, as a feed delivers them, the live
+// heap the memtable grew by is at most 1.25× the bytes it was charged:
+// its tree fills the leaves the keys leave behind rather than keeping
+// half-full ones, and no leaf keeps an array a merge grew.
+func TestMemtableCostsWhatItIsCharged(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	// MemFS would keep the WAL's bytes on the heap too.
+	p, err := OpenPartition(NewOSFS(), t.TempDir(), Options{MemBudget: 1 << 30, MaxComponents: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const frames, frame = 200, 128
+	write := func(f int) {
+		keys, recs := make([]adm.Value, frame), make([]adm.Value, frame)
+		for i := range keys {
+			id := f*frame + i
+			keys[i], recs[i] = adm.Int(int64(id)), adm.View(adm.AppendBinary(nil, padRec(id, 100)))
+		}
+		if err := p.UpsertBatch(keys, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := func() (heap uint64, charged int) {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		p.mu.RLock()
+		defer p.mu.RUnlock()
+		return ms.HeapAlloc, p.memBytes
+	}
+	const warm = 2 // the WAL's two commit buffers reach a frame's size
+	for f := 0; f < warm; f++ {
+		write(f)
+	}
+	heap0, charged0 := held()
+	for f := warm; f < frames; f++ {
+		write(f)
+	}
+	heap1, charged1 := held()
+	live, charged := float64(heap1)-float64(heap0), float64(charged1-charged0)
+	t.Logf("%d entries: %.0f bytes charged, %.0f live (%.2f×)", (frames-warm)*frame, charged, live, live/charged)
+	if p.Stats().MemEntries != frames*frame || live > 1.25*charged {
+		t.Fatalf("%d memtable entries hold %.0f live bytes, charged %.0f; want %d entries, at most 1.25×", p.Stats().MemEntries, live, charged, frames*frame)
+	}
+}
+
 // upsertBatchCost reports the allocations and bytes one UpsertBatch of a
 // 128-record frame costs, averaged over frames.
 func upsertBatchCost(t testing.TB, keys, recs [][]adm.Value) (allocs, bytes float64) {

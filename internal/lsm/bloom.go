@@ -14,7 +14,8 @@ import (
 // the block read entirely for keys the run cannot contain.
 //
 // The hash must be stable across processes — the filter is persisted —
-// so it cannot reuse adm.Hash (maphash, per-process seed). Keys hash as
+// and is part of the run format, so it is not adm.Hash (a hash of
+// decoded values that no file records). Keys hash as
 // FNV-1a 64 over their adm binary encoding (the same canonical bytes
 // the run file stores), and the filter derives its k probe positions by
 // double hashing: g_i = h1 + i*h2 with h2 an odd mix of h1.

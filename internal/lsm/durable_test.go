@@ -2,8 +2,11 @@ package lsm
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"maps"
+	"os"
+	"os/exec"
 	"sync"
 	"testing"
 	"time"
@@ -484,6 +487,59 @@ func TestOpenDatasetReopen(t *testing.T) {
 		got, ok := ds.Get(adm.Int(i))
 		if !ok || got.Field("text").StringVal() != fmt.Sprintf("tweet %d", i) {
 			t.Fatalf("Get(%d) = %v,%v", i, got, ok)
+		}
+	}
+}
+
+// TestRoutingSurvivesRestart: a key routes to the partition that stored
+// it in every process, not only in the one that wrote it. This test
+// binary re-executes itself to write a durable four-partition dataset;
+// this process then reopens it and upserts every key again, and must
+// still hold one version of each — a per-process hash would send most
+// keys to a partition that never stored them, so Get would miss them and
+// the upserts would leave second versions for the scan to count.
+func TestRoutingSurvivesRestart(t *testing.T) {
+	const keys = 400
+	open := func(dir string) *Dataset {
+		ds, err := OpenDataset(NewOSFS(), dir, "tweets", nil, "id", 4, durableOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	if args := flag.Args(); len(args) == 2 && args[0] == "routing-writer" {
+		ds := open(args[1])
+		for i := int64(0); i < keys; i++ {
+			if err := ds.Upsert(rec(i, "v", adm.Int(1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Skipf("cannot re-execute the test binary: %v", err)
+	}
+	dir := t.TempDir()
+	if out, err := exec.Command(exe, "-test.run=^TestRoutingSurvivesRestart$", "-test.count=1", "routing-writer", dir).CombinedOutput(); err != nil {
+		t.Fatalf("writer process: %v\n%s", err, out)
+	}
+	ds := open(dir)
+	defer ds.Close()
+	for i := int64(0); i < keys; i++ {
+		if err := ds.Upsert(rec(i, "v", adm.Int(2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := ds.Len(); n != keys {
+		t.Fatalf("the scan counts %d records after upserting %d keys again, want %d", n, keys, keys)
+	}
+	for i := int64(0); i < keys; i++ {
+		if got, ok := ds.Get(adm.Int(i)); !ok || got.Field("v").IntVal() != 2 {
+			t.Fatalf("Get(%d) = %v, %v; want the second version", i, got, ok)
 		}
 	}
 }

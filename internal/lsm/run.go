@@ -94,7 +94,7 @@ type runWriter struct {
 	frame   []byte // assembly buffer for framed blocks
 	blocks  []blockMeta
 	entries int
-	hashes  []uint64 // bloom hash per entry, in add order
+	hashes  []uint64 // bloom hash per entry, in add order; the fill sizes it
 }
 
 // blockMeta locates one block and remembers its first key.
@@ -268,6 +268,7 @@ func writeRun(fsys FS, dir, name string, env runEnv, fill func(*runWriter) error
 // tombstones included (they must shadow older runs), encoded in order.
 func fillFromComponent(c *component) func(*runWriter) error {
 	return func(w *runWriter) error {
+		w.hashes = make([]uint64, 0, c.tree.Len())
 		rc := c.cursor()
 		for {
 			it, ok := rc.next()
@@ -289,9 +290,12 @@ func fillFromComponent(c *component) func(*runWriter) error {
 func fillFromRuns(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 	return func(w *runWriter) error {
 		readers := make([]*rawRunReader, len(runs))
+		entries := 0
 		for i, r := range runs {
 			readers[i] = r.rawReader()
+			entries += r.entries
 		}
+		w.hashes = make([]uint64, 0, entries) // an upper bound: the merge may drop some
 		m := newMergeCursor(readers, dropTombstones)
 		for {
 			rd, ok := m.next()
