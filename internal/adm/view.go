@@ -44,6 +44,17 @@ func (v Value) isView() bool {
 	return v.kind == KindObject && v.obj == nil && len(v.s) > 0
 }
 
+// ViewAt reports whether v is a view of enc[off:] — its bytes start at
+// enc[off] and end inside enc — and how many bytes it spans. Storage asks
+// it to take a frame's records as the very bytes the frame carries.
+func ViewAt(v Value, enc []byte, off int) (n int, ok bool) {
+	if !v.isView() || off < 0 || off >= len(enc) || len(v.s) > len(enc)-off ||
+		unsafe.StringData(v.s) != &enc[off] {
+		return 0, false
+	}
+	return len(v.s), true
+}
+
 // encoded returns a view's bytes. They back a string: read-only.
 func (v Value) encoded() []byte {
 	return unsafe.Slice(unsafe.StringData(v.s), len(v.s))

@@ -222,3 +222,32 @@ func BenchmarkFieldView(b *testing.B) {
 		})
 	}
 }
+
+// TestViewAt: a record is taken as lying at an offset of a buffer only
+// when it is a view whose bytes start there — not a decoded object, not
+// an equal view of other bytes, not at another offset.
+func TestViewAt(t *testing.T) {
+	obj := ObjectValue(ObjectFromPairs("id", Int(7), "s", String("x")))
+	enc := AppendBinary(AppendBinary(nil, Int(7)), obj)
+	at := BinarySize(Int(7))
+	v := View(enc[at:])
+	if n, ok := ViewAt(v, enc, at); !ok || n != len(enc)-at {
+		t.Fatalf("ViewAt(view, enc, %d) = %d, %v; want %d, true", at, n, ok, len(enc)-at)
+	}
+	for _, c := range []struct {
+		name string
+		v    Value
+		off  int
+	}{
+		{"a decoded object", obj, at},
+		{"an equal view of other bytes", View(AppendBinary(nil, obj)), at},
+		{"another offset", v, 0},
+		{"an offset past the end", v, len(enc)},
+		{"a negative offset", v, -1},
+		{"a scalar", Int(7), 0},
+	} {
+		if _, ok := ViewAt(c.v, enc, c.off); ok {
+			t.Errorf("%s is taken as a view of the buffer at %d", c.name, c.off)
+		}
+	}
+}

@@ -5,11 +5,15 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/cluster"
+	"github.com/ideadb/idea/internal/hyracks"
 	"github.com/ideadb/idea/internal/query"
+	"github.com/ideadb/idea/internal/udf"
 	"github.com/ideadb/idea/internal/workload"
 )
 
@@ -104,111 +108,337 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 	}
 }
 
+// frameSink collects the frames an encoder pushes.
+type frameSink struct{ frames []hyracks.Frame }
+
+func (*frameSink) Open() error                   { return nil }
+func (s *frameSink) Push(fr hyracks.Frame) error { s.frames = append(s.frames, fr); return nil }
+func (*frameSink) Close() error                  { return nil }
+
+// recycle hands the collected frames' spines back to the pool, as the
+// storage writer does.
+func (s *frameSink) recycle() {
+	for _, fr := range s.frames {
+		hyracks.RecycleFrame(fr)
+	}
+	s.frames = s.frames[:0]
+}
+
+// encoderArm is one way a collector frames records.
+type encoderArm struct {
+	name  string
+	route func(adm.Value) int
+}
+
+// encoderArms are the two: one frame of records (a function follows),
+// and routed per storage partition.
+func encoderArms(targets int) []encoderArm {
+	return []encoderArm{
+		{"one frame", nil},
+		{fmt.Sprintf("routed over %d", targets), func(k adm.Value) int { return int(adm.Hash(k) % uint64(targets)) }},
+	}
+}
+
+// checkRouted fails unless every frame is what storage takes as its log
+// payload: Enc holds each record's key, then the record as a view of the
+// bytes that follow, and nothing else; and every key routes to the
+// frame's target, the same for all its records.
+func checkRouted(t *testing.T, frames []hyracks.Frame, pk string, route func(adm.Value) int) {
+	t.Helper()
+	for _, fr := range frames {
+		if route == nil {
+			if fr.Enc != nil {
+				t.Fatal("an unrouted frame carries a slab")
+			}
+			continue
+		}
+		off := 0
+		for _, rec := range fr.Records {
+			key := rec.Field(pk)
+			if route(key) != route(fr.Records[0].Field(pk)) {
+				t.Fatal("a routed frame's records go to different partitions")
+			}
+			k := adm.AppendBinary(nil, key)
+			if !bytes.HasPrefix(fr.Enc[off:], k) {
+				t.Fatalf("key %v is not at offset %d of its frame's slab", key, off)
+			}
+			n, ok := adm.ViewAt(rec, fr.Enc, off+len(k))
+			if !ok {
+				t.Fatalf("record %v is not a view of the slab after its key", key)
+			}
+			off += len(k) + n
+		}
+		if off != len(fr.Enc) {
+			t.Fatalf("a frame's slab holds %d bytes past its records", len(fr.Enc)-off)
+		}
+	}
+}
+
 // TestCollectorAllocatesPerFrame: in steady state turning lines into
-// records costs the frame's slab and nothing per record — the parse tree
-// lives in an arena that is reset line by line, and the record handed on
-// is a view of the slab.
+// records costs each frame its slab and nothing per record — the parse
+// tree lives in an arena that is reset line by line, and the record
+// handed on is a view of the slab. Routed, that holds per storage
+// partition: a batch costs a slab per partition (two when a partition's
+// share overflows its first), and the slabs hold the records' and keys'
+// bytes with little to spare.
 func TestCollectorAllocatesPerFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	const frame = 128
-	lines := make([][]byte, frame)
+	const frame, targets = 128, 4
+	lines := make([][]byte, frame*targets)
 	for i := range lines {
 		lines[i] = fmt.Appendf(nil, `{"id":%d,"text":"a tweet with some padding text in it","lang":"en","user":{"id":%d,"screen_name":"bench"},"tags":["a","b"]}`, i, i%97)
 	}
-	enc := newRecordEncoder()
-	var stats Stats
-	spine := make([]adm.Value, 0, frame)
-	collect := func() {
-		spine = spine[:0]
-		enc.beginFrame(frame)
-		for _, line := range lines {
-			rec, ok := enc.encode(line, nil, &stats)
-			if !ok {
-				t.Fatal("line rejected")
+	for _, arm := range encoderArms(targets) {
+		t.Run(arm.name, func(t *testing.T) {
+			enc := newRecordEncoder(frame, targets, "id", arm.route)
+			var stats Stats
+			var sink frameSink
+			collect := func() {
+				sink.recycle()
+				enc.begin(len(lines))
+				for _, line := range lines {
+					if ok, err := enc.encode(line, nil, &stats, &sink); !ok || err != nil {
+						t.Fatalf("line rejected (%v)", err)
+					}
+				}
+				if err := enc.flush(&sink); err != nil {
+					t.Fatal(err)
+				}
 			}
-			spine = append(spine, rec)
-		}
-	}
-	collect() // learns the slab size; warms the parser's tables and the arena
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const frames = 50
-	for range frames {
-		collect()
-	}
-	runtime.ReadMemStats(&after)
-	want, err := adm.ParseJSON(lines[frame-1])
-	if err != nil || !adm.Equal(spine[frame-1], want) {
-		t.Fatalf("last record reads %v, want %v (%v)", spine[frame-1], want, err)
-	}
-	size := 0
-	for _, rec := range spine {
-		size += adm.BinarySize(rec)
-	}
-	allocs := float64(after.Mallocs-before.Mallocs) / frames
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / frames
-	t.Logf("%.1f allocations and %.0f bytes per frame of %d records (%d bytes encoded)", allocs, bytes, frame, size)
-	if allocs > 2 {
-		t.Fatalf("%.1f allocations per frame of %d records, want the slab alone", allocs, frame)
-	}
-	if bytes > float64(size)*5/4 {
-		t.Fatalf("%.0f bytes allocated per frame whose records encode to %d", bytes, size)
+			// Spines come from a sync.Pool, which a collection empties and
+			// which keeps a list per P: keep both from refilling it
+			// mid-measurement.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			collect() // learns the slab sizes; warms the parser's tables, the arena and the spine pool
+			collect()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const batches = 20
+			for range batches {
+				collect()
+			}
+			runtime.ReadMemStats(&after)
+			checkRouted(t, sink.frames, "id", arm.route)
+			size, records := 0, 0
+			for _, fr := range sink.frames {
+				for _, rec := range fr.Records {
+					want, err := adm.ParseJSON(lines[rec.Field("id").IntVal()])
+					if err != nil || !adm.Equal(rec, want) {
+						t.Fatalf("record reads %v, want %v (%v)", rec, want, err)
+					}
+					size += adm.BinarySize(rec)
+					if arm.route != nil {
+						size += adm.BinarySize(rec.Field("id"))
+					}
+				}
+				records += len(fr.Records)
+			}
+			if records != len(lines) {
+				t.Fatalf("%d records framed, want %d", records, len(lines))
+			}
+			allocs := float64(after.Mallocs-before.Mallocs) / batches
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / batches
+			t.Logf("%.1f allocations and %.0f bytes per batch of %d records in %d frames (%d bytes encoded)", allocs, bytes, len(lines), len(sink.frames), size)
+			if allocs > float64(2*len(lines)/frame) {
+				t.Fatalf("%.1f allocations per batch of %d records, want a slab or two per frame", allocs, len(lines))
+			}
+			if bytes > float64(size)*5/4 {
+				t.Fatalf("%.0f bytes allocated per batch whose slabs hold %d", bytes, size)
+			}
+		})
 	}
 }
 
 // TestOutsizedLineDoesNotMultiplyTheSlab: a line far larger than its
-// neighbours — the socket adapter admits 16 MiB — costs the frame that
-// holds it about its own bytes again, wherever in the frame it falls
-// and whether or not the encoder has seen a frame before; it is not
-// taken for the size of every record still expected.
+// neighbours — the socket adapter admits 16 MiB — costs the batch that
+// holds it about its own bytes again, wherever in the batch it falls,
+// whichever partition it routes to, and whether or not the encoder has
+// seen a batch before; it is taken neither for the size of every record
+// still expected nor, once its frame is gone, for the size of the next
+// frame's records.
 func TestOutsizedLineDoesNotMultiplyTheSlab(t *testing.T) {
-	const frame = 128
+	const frame, targets = 128, 4
 	small := func(i int) []byte {
 		return fmt.Appendf(nil, `{"id":%d,"text":"%0300d","lang":"en","user":{"id":%d,"screen_name":"bench"}}`, i, i, i%97)
 	}
 	big := fmt.Appendf(nil, `{"id":-1,"text":"%01048576d"}`, 0)
-	for _, at := range []int{0, 1, 5, frame / 2, frame - 1} {
-		for _, learned := range []bool{false, true} {
-			enc := newRecordEncoder()
-			var stats Stats
-			// slabs sums the capacity of every slab a frame was given.
-			collect := func(outlier int) (slabs, encoded int) {
-				enc.beginFrame(frame)
-				last := unsafe.SliceData(enc.slab[:cap(enc.slab)])
-				slabs = cap(enc.slab)
-				for i := range frame {
-					line := small(i)
-					if i == outlier {
-						line = big
+	for _, arm := range encoderArms(targets) {
+		for _, at := range []int{0, 1, 5, frame / 2, frame - 1} {
+			for _, learned := range []bool{false, true} {
+				enc := newRecordEncoder(frame, targets, "id", arm.route)
+				var stats Stats
+				var sink frameSink
+				// slabs sums the capacity of every slab the batch was given.
+				collect := func(outlier int) (slabs, encoded int) {
+					last := make([]*byte, len(enc.parts))
+					enc.begin(frame)
+					for i := range frame {
+						line := small(i)
+						if i == outlier {
+							line = big
+						}
+						if ok, err := enc.encode(line, nil, &stats, &sink); !ok || err != nil {
+							t.Fatalf("line rejected (%v)", err)
+						}
+						for p := range enc.parts {
+							slab := enc.parts[p].slab
+							if cur := unsafe.SliceData(slab); slab != nil && cur != last[p] {
+								last[p], slabs = cur, slabs+cap(slab)
+							}
+						}
 					}
-					rec, ok := enc.encode(line, nil, &stats)
-					if !ok {
-						t.Fatal("line rejected")
+					if err := enc.flush(&sink); err != nil {
+						t.Fatal(err)
 					}
-					if want, _ := adm.ParseJSON(line); !adm.Equal(rec, want) {
-						t.Fatalf("record %d reads back differently", i)
+					checkRouted(t, sink.frames, "id", arm.route)
+					for _, fr := range sink.frames {
+						for _, rec := range fr.Records {
+							id := rec.Field("id").IntVal()
+							line := big
+							if id >= 0 {
+								line = small(int(id))
+							}
+							if want, _ := adm.ParseJSON(line); !adm.Equal(rec, want) {
+								t.Fatalf("record %d reads back differently", id)
+							}
+							encoded += adm.BinarySize(rec)
+							if arm.route != nil {
+								encoded += adm.BinarySize(rec.Field("id"))
+							}
+						}
 					}
-					if cur := unsafe.SliceData(enc.slab[:cap(enc.slab)]); cur != last {
-						last, slabs = cur, slabs+cap(enc.slab)
-					}
-					encoded += adm.BinarySize(rec)
+					sink.recycle()
+					return slabs, encoded
 				}
-				return slabs, encoded
+				if learned {
+					collect(-1)
+				}
+				slabs, encoded := collect(at)
+				t.Logf("%s, outlier at %d, learned=%v: %d slab bytes for %d encoded", arm.name, at, learned, slabs, encoded)
+				if slabs > 3*encoded {
+					t.Fatalf("%s, outlier at %d, learned=%v: the batch was given %d slab bytes for %d encoded", arm.name, at, learned, slabs, encoded)
+				}
+				// The batch after it is sized from what its own records need.
+				if next, encoded := collect(-1); next > 2*encoded {
+					t.Fatalf("%s, outlier at %d, learned=%v: the next batch was given %d slab bytes for %d encoded", arm.name, at, learned, next, encoded)
+				}
 			}
-			if learned {
-				collect(-1)
-			}
-			slabs, encoded := collect(at)
-			t.Logf("outlier at %d, learned=%v: %d slab bytes for %d encoded", at, learned, slabs, encoded)
-			if slabs > 3*encoded {
-				t.Fatalf("outlier at %d, learned=%v: the frame was given %d slab bytes for %d encoded", at, learned, slabs, encoded)
-			}
-			// The frame after it is sized from that frame's bytes, no more.
-			if next, _ := collect(-1); next > 2*encoded {
-				t.Fatalf("outlier at %d, learned=%v: the next frame was given %d slab bytes after one of %d", at, learned, next, encoded)
-			}
+		}
+	}
+}
+
+// TestCollectorRoutesLikeTheConnector: over int and string primary keys
+// and one to four storage partitions, every frame a function-less feed's
+// collector emits is single-target at the storage job's HashPartition —
+// each of its records hashes, as the connector hashes it, to the frame's
+// partition — so the connector forwards it whole, slab and all; and the
+// feed stores, byte for byte, what a feed through an identity function
+// (whose frames are not routed and are copied into storage) stores from
+// the same lines.
+func TestCollectorRoutesLikeTheConnector(t *testing.T) {
+	const n = 700
+	reg := udf.NewRegistry()
+	if err := reg.Register(&udf.Native{
+		Name: "identity",
+		New: func() udf.Instance {
+			return &udf.FuncInstance{EvalFn: func(rec adm.Value) (adm.Value, error) { return rec, nil }}
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for nodes := 1; nodes <= 4; nodes++ {
+		for _, key := range []struct {
+			name string
+			of   func(i int) string
+		}{
+			{"int", func(i int) string { return fmt.Sprint(i * 7919) }},
+			{"string", func(i int) string { return fmt.Sprintf(`"user-%d"`, i) }},
+		} {
+			t.Run(fmt.Sprintf("%s keys over %d", key.name, nodes), func(t *testing.T) {
+				tuning := cluster.DefaultTuning()
+				tuning.DispatchOverheadPerNode, tuning.InvokeOverheadPerNode = 0, 0
+				c, err := cluster.New(nodes, tuning)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				lines := make([][]byte, n)
+				for i := range lines {
+					lines[i] = fmt.Appendf(nil, `{"k":%s,"text":"%0*d","n":%d}`, key.of(i), i%90, i, i%13)
+				}
+				routed, err := c.CreateDataset("Routed", "", "k")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.CreateDataset("Copied", "", "k"); err != nil {
+					t.Fatal(err)
+				}
+
+				// What the collector emits, against the storage exchange's hash.
+				enc := newRecordEncoder(128, routed.NumPartitions(), "k", routed.Route)
+				var stats Stats
+				var sink frameSink
+				enc.begin(n)
+				for _, line := range lines {
+					if ok, err := enc.encode(line, nil, &stats, &sink); !ok || err != nil {
+						t.Fatalf("line rejected (%v)", err)
+					}
+				}
+				if err := enc.flush(&sink); err != nil {
+					t.Fatal(err)
+				}
+				checkRouted(t, sink.frames, "k", routed.Route)
+				hash, framed := keyHash("k"), 0
+				for _, fr := range sink.frames {
+					target := hash(fr.Records[0]) % uint64(routed.NumPartitions())
+					for _, rec := range fr.Records {
+						if hash(rec)%uint64(routed.NumPartitions()) != target {
+							t.Fatalf("a routed frame splits at the connector: %v", rec)
+						}
+					}
+					framed += len(fr.Records)
+				}
+				if framed != n {
+					t.Fatalf("%d records framed, want %d", framed, n)
+				}
+				sink.recycle()
+
+				// The two feeds store the same bytes.
+				for _, feed := range []Config{
+					{Name: "routed", Dataset: "Routed"},
+					{Name: "copied", Dataset: "Copied", Function: "identity", Natives: reg},
+				} {
+					feed.BatchSize = 96
+					feed.NewAdapter = func(int) (Adapter, error) { return &GeneratorAdapter{Records: lines}, nil }
+					f, err := Start(context.Background(), c, feed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := f.Wait(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				scan := func(name string) (out [][]byte) {
+					ds, _ := c.Dataset(name)
+					ds.ScanAll(func(k, rec adm.Value) bool {
+						out = append(out, adm.AppendBinary(adm.AppendBinary(nil, k), rec))
+						return true
+					})
+					return out
+				}
+				got, want := scan("Routed"), scan("Copied")
+				if len(got) != n || len(want) != n {
+					t.Fatalf("stored %d routed and %d copied records, want %d", len(got), len(want), n)
+				}
+				for i := range got {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("entry %d: routed\n %x\ncopied\n %x", i, got[i], want[i])
+					}
+				}
+			})
 		}
 	}
 }

@@ -516,9 +516,15 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	if f.quota < 1 {
 		f.quota = 1
 	}
+	// With no function the collector routes each record to the storage
+	// partition that owns its key (recordEncoder).
+	var route func(adm.Value) int
+	if plan == nil && native == nil {
+		route = ds.Route
+	}
 	f.encoders = make([]recordEncoder, n)
 	for p := range f.encoders {
-		f.encoders[p] = newRecordEncoder()
+		f.encoders[p] = newRecordEncoder(f.frameCap, ds.NumPartitions(), ds.PrimaryKey(), route)
 	}
 
 	// Resume state: one tracker per adapter slot, seeded from the last
@@ -702,9 +708,7 @@ func (f *Feed) buildStorageSpec() *hyracks.JobSpec {
 			return newStorageWriter(f.ds.Partition(p), pk, &f.stats.Stored), nil
 		},
 	})
-	spec.Connect(holderOp, writerOp, hyracks.HashPartition, func(rec adm.Value) uint64 {
-		return adm.Hash(rec.Field(pk))
-	})
+	spec.Connect(holderOp, writerOp, hyracks.HashPartition, keyHash(pk))
 	return spec
 }
 
@@ -784,78 +788,168 @@ func admit(dt *adm.Datatype, stats *Stats, rec adm.Value, perr error) (adm.Value
 	return rec, true
 }
 
-// recordEncoder turns a source line into the record that travels: the
-// line is parsed into the arena, admitted (validated and coerced) as a
-// tree, encoded once into the current frame's slab, and handed on as a
-// view of those bytes — the encoding the WAL and the run file will hold.
-// The parse tree is scratch: the arena is reset for the next line.
+// recordEncoder turns a collector partition's lines into the frames that
+// travel: each line is parsed into the arena, admitted (validated and
+// coerced) as a tree, encoded once into its frame's slab, and handed on
+// as a view of those bytes — the encoding the WAL and the run file will
+// hold. The parse tree is scratch: the arena is reset for the next line.
 //
-// A slab is garbage-collected memory that is only ever appended to: it
-// is sized for the frame it serves (the previous frame's bytes per
-// record plus an eighth), a record that does not fit starts a fresh one
-// rather than moving what views already alias — at most doubling what
-// the frame holds, however large the record — and none is pooled or
-// rewritten. So whoever is handed a record may keep it for as long as
-// it likes; it keeps its frame's slab with it.
+// A feed with no function routes where it encodes. The record's primary
+// key is read off the tree and hashed to its storage partition with the
+// dataset's own Route — what the storage job's hash connector computes
+// from the record — and each partition has a frame of its own whose slab
+// holds key, record, key, record, ...: byte for byte the payload its WAL
+// logs. Such a frame carries the slab as hyracks.Frame.Enc, the
+// connector forwards it whole, and the partition logs and keeps the slab
+// instead of copying the records into a buffer of its own
+// (lsm.Partition.UpsertFrame). A feed with a function has one frame of
+// records; the evaluator's output is what storage sees.
+//
+// One frame, one slab. A slab is garbage-collected memory that is only
+// ever appended to, never pooled or rewritten, so whoever is handed a
+// record may keep it for as long as it likes; it keeps its frame's slab
+// with it. A record the slab has no room for closes its frame early, and
+// the fresh slab is sized from the partition's bytes per record times
+// the records still expected for it — plus the record itself, which is
+// never taken for the size of the others (see open).
 type recordEncoder struct {
 	parser *adm.Parser // field-name intern table and size hints stay warm
 	arena  *adm.Arena
 	spine  []adm.Value // ParseInto's one-record destination
-	slab   []byte
-	// perRecord is the slab bytes provided per expected record, taken
-	// from the last frame that held any; expect, encoded and used are
-	// the current frame's records expected, records held and their bytes.
-	perRecord, expect, encoded, used int
+	// pk and route are set when the feed has no function: route maps a
+	// primary key to the storage partition that owns it.
+	pk       string
+	route    func(key adm.Value) int
+	frameCap int
+	parts    []partFrame // one per storage partition when routing, else one
+	// pending counts the lines of the current batch not yet encoded.
+	pending int
 }
 
-func newRecordEncoder() recordEncoder {
-	return recordEncoder{parser: adm.NewParser(), arena: adm.NewArena(0), spine: make([]adm.Value, 0, 1)}
+// partFrame is the frame under construction for one target: its records
+// and the slab they are views of.
+type partFrame struct {
+	recs []adm.Value
+	slab []byte
+	// largest is the most slab bytes one record of the frame took.
+	largest int
+	// perRecord is the slab bytes to provide per expected record: the
+	// target's last frame of two or more records showed this many on
+	// average, leaving its largest record out, plus an eighth.
+	perRecord int
 }
 
-// beginFrame starts the slab of a frame expected to hold records records.
-func (e *recordEncoder) beginFrame(records int) {
-	if e.encoded > 0 {
-		per := e.used / e.encoded
-		e.perRecord = per + per/8 + 1
+// newRecordEncoder returns the encoder of a collector partition whose
+// frames hold up to frameCap records. With a route, records are keyed by
+// pk and framed per target (one of targets); without, there is one frame.
+func newRecordEncoder(frameCap, targets int, pk string, route func(adm.Value) int) recordEncoder {
+	if route == nil {
+		targets = 1
 	}
-	e.expect, e.encoded, e.used = records, 0, 0
-	e.slab = make([]byte, 0, records*e.perRecord)
+	return recordEncoder{
+		parser: adm.NewParser(), arena: adm.NewArena(0), spine: make([]adm.Value, 0, 1),
+		pk: pk, route: route, frameCap: frameCap, parts: make([]partFrame, targets),
+	}
 }
 
-// encode returns the record raw holds, or false when the line was
-// rejected (and counted in stats.ParseErrors).
-func (e *recordEncoder) encode(raw []byte, dt *adm.Datatype, stats *Stats) (adm.Value, bool) {
+// begin starts a batch of lines lines.
+func (e *recordEncoder) begin(lines int) { e.pending = lines }
+
+// encode turns raw into a record of its target's frame, pushing frames
+// that fill (or that it does not fit) to out. ok is false when the line
+// was rejected (and counted in stats.ParseErrors).
+func (e *recordEncoder) encode(raw []byte, dt *adm.Datatype, stats *Stats, out hyracks.Writer) (ok bool, err error) {
 	var rec adm.Value
 	spine, perr := e.parser.ParseInto(raw, e.spine, e.arena)
 	if perr == nil {
 		rec = spine[0]
 	}
-	rec, ok := admit(dt, stats, rec, perr)
+	rec, ok = admit(dt, stats, rec, perr)
 	if ok {
-		// A record the slab has no room for starts a fresh one; the full
-		// slab stays as it is under the views of it. The fresh slab is
-		// sized from what the frame has shown, not from the record that
-		// overflowed: room for it plus the records still expected at the
-		// frame's average so far, and for no more than the frame already
-		// holds — so the first frame learns its size by doubling, and one
-		// outsized line costs its own bytes about twice, not once per
-		// record still to come.
-		if size := adm.BinarySize(rec); cap(e.slab)-len(e.slab) < size {
-			rest := 0
-			if e.encoded > 0 {
-				rest = (e.expect - e.encoded - 1) * (e.used / e.encoded)
-			}
-			e.slab = make([]byte, 0, size+min(max(rest, 0), e.used+size))
-		}
-		at := len(e.slab)
-		e.slab = adm.AppendBinary(e.slab, rec)
-		rec = adm.View(e.slab[at:])
-		e.used += len(e.slab) - at
-		e.encoded++
+		err = e.add(rec, out)
 	}
+	e.pending--
 	clear(spine)
 	e.arena.Reset()
-	return rec, ok
+	return ok, err
+}
+
+// add encodes rec, a tree, into its target's frame.
+func (e *recordEncoder) add(rec adm.Value, out hyracks.Writer) error {
+	t, key, size := 0, adm.Value{}, adm.BinarySize(rec)
+	if e.route != nil {
+		key = rec.Field(e.pk)
+		t = e.route(key)
+		size += adm.BinarySize(key)
+	}
+	pf := &e.parts[t]
+	if cap(pf.slab)-len(pf.slab) < size {
+		if len(pf.recs) > 0 {
+			if err := e.push(pf, out); err != nil {
+				return err
+			}
+		}
+		e.open(pf, size)
+	}
+	at := len(pf.slab)
+	if e.route != nil {
+		pf.slab = adm.AppendBinary(pf.slab, key)
+	}
+	view := len(pf.slab)
+	pf.slab = adm.AppendBinary(pf.slab, rec)
+	if pf.recs == nil {
+		pf.recs = hyracks.GetRecordSlice(e.frameCap)
+	}
+	pf.recs = append(pf.recs, adm.View(pf.slab[view:]))
+	pf.largest = max(pf.largest, len(pf.slab)-at)
+	if len(pf.recs) == e.frameCap {
+		return e.push(pf, out)
+	}
+	return nil
+}
+
+// open gives an empty frame the slab it will hold, starting with a
+// record of size bytes. The rest of the slab is room for the records the
+// target can still expect this batch — its share of the pending lines,
+// up to a frame — at its learned bytes per record. A target that has
+// learned nothing yet gets room for one more record like this one; so
+// the first frame learns from two records, and an outsized record costs
+// its own bytes, at most twice, never once per record still to come.
+func (e *recordEncoder) open(pf *partFrame, size int) {
+	room := size
+	if pf.perRecord > 0 {
+		expect := min(e.frameCap, (e.pending+len(e.parts)-1)/len(e.parts))
+		room = pf.perRecord * max(expect-1, 0)
+	}
+	pf.slab = make([]byte, 0, size+room)
+}
+
+// push sends pf's frame to out and leaves pf empty, learning the
+// target's bytes per record from the frame first.
+func (e *recordEncoder) push(pf *partFrame, out hyracks.Writer) error {
+	if n := len(pf.recs); n > 1 {
+		per := (len(pf.slab) - pf.largest) / (n - 1)
+		pf.perRecord = per + per/8 + 1
+	}
+	fr := hyracks.Frame{Records: pf.recs}
+	if e.route != nil {
+		fr.Enc = pf.slab
+	}
+	pf.recs, pf.slab, pf.largest = nil, nil, 0
+	return out.Push(fr)
+}
+
+// flush pushes every frame that holds records: a batch's records all
+// reach storage within its invocation.
+func (e *recordEncoder) flush(out hyracks.Writer) error {
+	for t := range e.parts {
+		if pf := &e.parts[t]; len(pf.recs) > 0 {
+			if err := e.push(pf, out); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // newInstances creates and initializes one native UDF instance per
@@ -890,10 +984,11 @@ func newEvaluator(prepared *query.PreparedEnrich, instances []udf.Instance, p in
 // buildComputeSpec assembles the computing job: collector+parser → UDF
 // evaluator → feed pipeline sink, one instance per live node, no
 // cross-node exchange (the storage job's hash partitioner does the
-// routing). The spec is a reusable skeleton: operator factories resolve
-// the current per-batch state through f.curInv when an invocation
-// instantiates them, so the predeployed path builds it once and reuses
-// it for every batch.
+// routing; with no function there is no evaluator, and the collector's
+// frames are already routed). The spec is a reusable skeleton: operator
+// factories resolve the current per-batch state through f.curInv when an
+// invocation instantiates them, so the predeployed path builds it once
+// and reuses it for every batch.
 func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 	spec := hyracks.NewJobSpec()
 	spec.QueueCapacity = f.cluster.Tuning().HolderCapacity
@@ -920,16 +1015,14 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 				if eof {
 					f.eof[p].Store(true)
 				}
-				// Each line becomes a view of its encoding in the frame's
-				// slab (recordEncoder); a full pooled spine of them is
-				// pushed on as a frame.
+				// Each line becomes a view of its encoding in its frame's
+				// slab (recordEncoder), and full frames are pushed on.
 				enc := &f.encoders[p]
-				pending := 0
+				lines := 0
 				for _, fr := range frames {
-					pending += len(fr.Raw)
+					lines += len(fr.Raw)
 				}
-				spine := hyracks.GetRecordSlice(f.frameCap)
-				enc.beginFrame(min(pending, f.frameCap))
+				enc.begin(lines)
 				for _, fr := range frames {
 					// Collection is the delivery point for offset
 					// accounting: once this invocation finishes, every
@@ -938,45 +1031,38 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 					// sunk) covers the rest of the path.
 					f.markDelivered(fr)
 					for _, raw := range fr.Raw {
-						pending--
-						rec, ok := enc.encode(raw, f.dt, f.stats)
-						if !ok {
-							continue
+						ok, err := enc.encode(raw, f.dt, f.stats, out)
+						if err != nil {
+							return err
 						}
-						spine = append(spine, rec)
-						inv.records.Add(1)
-						if len(spine) == f.frameCap {
-							if err := out.Push(hyracks.Frame{Records: spine}); err != nil {
-								return err
-							}
-							spine = hyracks.GetRecordSlice(f.frameCap)
-							enc.beginFrame(min(pending, f.frameCap))
+						if ok {
+							inv.records.Add(1)
 						}
 					}
 					// The lines are encoded, so the line arena goes back
 					// to the pool for the adapter's next frame.
 					hyracks.RecycleFrame(fr)
 				}
-				if len(spine) == 0 {
-					hyracks.PutRecordSlice(spine)
-					return nil
-				}
-				return out.Push(hyracks.Frame{Records: spine})
+				return enc.flush(out)
 			}), nil
 		},
 	})
 
-	evalOp := spec.AddOperator(&hyracks.Descriptor{
-		Name:        "udf-evaluator",
-		Parallelism: n,
-		NodeOf:      nodeOf,
-		NewPipe: func(p int) (hyracks.Pipe, error) {
-			inv := f.curInv.Load()
-			return newEvaluator(inv.prepared, inv.instances, p), nil
-		},
-	})
-
-	spec.Connect(collectorOp, evalOp, hyracks.OneToOne, nil)
+	// A feed with no function has nothing to evaluate: its collector's
+	// routed frames go straight on, Enc and all.
+	last := collectorOp
+	if f.plan != nil || f.native != nil {
+		last = spec.AddOperator(&hyracks.Descriptor{
+			Name:        "udf-evaluator",
+			Parallelism: n,
+			NodeOf:      nodeOf,
+			NewPipe: func(p int) (hyracks.Pipe, error) {
+				inv := f.curInv.Load()
+				return newEvaluator(inv.prepared, inv.instances, p), nil
+			},
+		})
+		spec.Connect(collectorOp, last, hyracks.OneToOne, nil)
+	}
 
 	if f.cfg.FusedInsert {
 		// Section 5.1's insert job: UDF evaluation and storage write in
@@ -990,9 +1076,7 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 				return newStorageWriter(f.ds.Partition(p), pk, &f.stats.Stored), nil
 			},
 		})
-		spec.Connect(evalOp, writerOp, hyracks.HashPartition, func(rec adm.Value) uint64 {
-			return adm.Hash(rec.Field(pk))
-		})
+		spec.Connect(last, writerOp, hyracks.HashPartition, keyHash(pk))
 		return spec
 	}
 
@@ -1013,7 +1097,7 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 			}, nil
 		},
 	})
-	spec.Connect(evalOp, sinkOp, hyracks.OneToOne, nil)
+	spec.Connect(last, sinkOp, hyracks.OneToOne, nil)
 	return spec
 }
 

@@ -55,35 +55,35 @@ func BenchmarkIntakePath(b *testing.B) {
 			}
 			h.CloseInput()
 		}()
-		enc := newRecordEncoder()
+		enc := newRecordEncoder(128, 1, "", nil)
 		var stats Stats
+		var sink frameSink
 		parsed := 0
-		spine := hyracks.GetRecordSlice(128)
 		for {
 			frames, eof, err := h.PullFrames(ctx, 420)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for _, fr := range frames {
-				enc.beginFrame(len(fr.Raw))
+				enc.begin(len(fr.Raw))
 				for _, raw := range fr.Raw {
-					rec, ok := enc.encode(raw, nil, &stats)
-					if !ok {
-						b.Fatal("line rejected")
+					if ok, err := enc.encode(raw, nil, &stats, &sink); !ok || err != nil {
+						b.Fatalf("line rejected (%v)", err)
 					}
-					spine = append(spine, rec)
 					parsed++
 				}
 				hyracks.RecycleFrame(fr)
-				// A real collector would push the spine downstream here
-				// and let the records keep the frame's slab alive.
-				spine = spine[:0]
+				if err := enc.flush(&sink); err != nil {
+					b.Fatal(err)
+				}
+				// A real collector pushes its frames downstream, and the
+				// records keep their frame's slab alive.
+				sink.recycle()
 			}
 			if eof {
 				break
 			}
 		}
-		hyracks.PutRecordSlice(spine)
 		if parsed != n {
 			b.Fatalf("parsed %d records, want %d", parsed, n)
 		}

@@ -144,9 +144,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 	})
 
 	spec.Connect(adapterOp, evalOp, hyracks.RoundRobin, nil)
-	spec.Connect(evalOp, writerOp, hyracks.HashPartition, func(rec adm.Value) uint64 {
-		return adm.Hash(rec.Field(pk))
-	})
+	spec.Connect(evalOp, writerOp, hyracks.HashPartition, keyHash(pk))
 
 	sf.job, err = c.StartJob(jobCtx, spec, cfg.Name+"-static")
 	if err != nil {

@@ -13,13 +13,15 @@ import (
 // by the feed storage job, the fused-insert ablation, and the static
 // pipeline. Each incoming frame becomes one storage operation: the
 // primary keys are extracted in a single pass into a pooled scratch and
-// the whole frame goes through Partition.UpsertBatch — one WAL append
+// the whole frame goes through Partition.UpsertFrame — one WAL append
 // and group commit, one partition lock acquisition, one sorted bulk
 // insert into the memtable, and grouped secondary-index maintenance —
-// instead of paying each of those per record.
+// instead of paying each of those per record. A frame a function-less
+// feed's collector routed carries its slab (Frame.Enc), which the
+// partition logs and keeps as it is; any other frame is copied.
 //
 // The writer is the frame's final consumer: storage retains the
-// records, the spine recycles.
+// records (and a routed frame's slab), the spine recycles.
 func newStorageWriter(part *lsm.Partition, pk string, stored *atomic.Int64) *hyracks.SinkPipe {
 	// The key scratch persists across frames: a pipe instance is driven
 	// by one goroutine, so no pooling (or locking) is needed and a
@@ -45,7 +47,7 @@ func newStorageWriter(part *lsm.Partition, pk string, stored *atomic.Int64) *hyr
 				}
 				keys = append(keys, key)
 			}
-			if err := part.UpsertBatch(keys, fr.Records); err != nil {
+			if err := part.UpsertFrame(keys, fr.Records, fr.Enc); err != nil {
 				return err
 			}
 			clear(keys) // key headers were copied into the memtable
@@ -54,4 +56,13 @@ func newStorageWriter(part *lsm.Partition, pk string, stored *atomic.Int64) *hyr
 			return nil
 		},
 	}
+}
+
+// keyHash is the storage exchange's key function: the record's primary
+// key through adm.Hash. The hash connector takes it modulo the writer
+// count, the dataset's partition count, which is what Dataset.Route
+// computes from the key — so every frame a function-less feed's
+// collector routes is single-target here and forwarded whole.
+func keyHash(pk string) func(adm.Value) uint64 {
+	return func(rec adm.Value) uint64 { return adm.Hash(rec.Field(pk)) }
 }

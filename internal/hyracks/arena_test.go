@@ -2,6 +2,7 @@ package hyracks
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -147,5 +148,34 @@ func TestHashConnectorWholesaleForwarding(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFreshArenaStartsAtFrameSize: when the pool has no arena to give, a
+// builder's next frame starts one at the line bytes its previous frame
+// staged plus a quarter, so the frame is staged without doubling its way
+// up from 8 KiB.
+func TestFreshArenaStartsAtFrameSize(t *testing.T) {
+	var got []Frame
+	b := NewFrameBuilder(64, writerFunc(func(f Frame) error {
+		got = append(got, f)
+		return nil
+	}))
+	line := make([]byte, 900)
+	stage := func() {
+		for range 64 {
+			if err := b.AddRawCopy(line); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stage()
+	// Two collections empty sync.Pool (its victim cache included).
+	runtime.GC()
+	runtime.GC()
+	stage()
+	staged := 64 * len(line)
+	if got := got[1].Arena.Cap(); got != staged+staged/4 {
+		t.Fatalf("a fresh arena of %d bytes after a frame of %d, want %d", got, staged, staged+staged/4)
 	}
 }

@@ -45,6 +45,16 @@ type Frame struct {
 	// those). It moves with the frame and is reset + pooled by
 	// RecycleFrame.
 	Arena *adm.Arena
+	// Enc, when non-nil, is the byte slab the Records are views of, laid
+	// out as a storage partition logs them: each record's primary key
+	// encoding, then the record's, pair after pair, nothing else. A feed
+	// with no function emits such frames, one per storage partition
+	// (core's collector); the storage writer hands Enc to the partition
+	// as the write's log payload. Enc is a hint the partition verifies,
+	// never trusts. It is garbage-collected like the records, never
+	// pooled, and anything that rebuilds a frame's Records (a hash
+	// connector splitting it, a MapPipe) drops it.
+	Enc []byte
 
 	// Adapter and FirstOff/LastOff locate the frame in its source
 	// adapter's offset space for at-least-once checkpointing: the frame
@@ -167,18 +177,25 @@ func PutRawSlice(s [][]byte) {
 	rawSlicePool.put(s)
 }
 
-// defaultArenaBytes sizes a fresh pooled arena's byte buffer; arenas
-// converge on whatever their frames actually need as they recirculate.
+// defaultArenaBytes sizes a fresh pooled arena's byte buffer when nothing
+// says better; arenas converge on whatever their frames actually need as
+// they recirculate.
 const defaultArenaBytes = 8 << 10
 
 var arenaPool = sync.Pool{}
 
 // GetArena returns a reset arena from the pool, or a fresh one.
-func GetArena() *adm.Arena {
+func GetArena() *adm.Arena { return getArena(defaultArenaBytes) }
+
+// getArena is GetArena with the byte capacity a fresh arena should start
+// at. Each of the ~300 frames a feed has in flight warms up its own
+// arena, so starting one at the size its frame will need saves the
+// doublings that would get it there.
+func getArena(size int) *adm.Arena {
 	if v := arenaPool.Get(); v != nil {
 		return v.(*adm.Arena)
 	}
-	return adm.NewArena(defaultArenaBytes)
+	return adm.NewArena(size)
 }
 
 // PutArena resets an arena and returns it to the pool. The caller must
@@ -212,6 +229,9 @@ type FrameBuilder struct {
 	raw      [][]byte
 	arena    *adm.Arena
 	out      Writer
+	// staged and lastStaged are the line bytes staged into the frame
+	// under construction and into the one before it.
+	staged, lastStaged int
 
 	// Offset provenance for the frame under construction (see
 	// Frame.Adapter/FirstOff/LastOff). adapter is stamped on every frame;
@@ -260,12 +280,19 @@ func (b *FrameBuilder) Add(rec adm.Value) error {
 // AddRawCopy stages one raw record: the bytes are copied into the
 // frame's pooled line arena (one memcpy, no per-record allocation) and
 // the copy rides the raw lane, so the caller may reuse its buffer as
-// soon as the call returns. The frame flushes when full.
+// soon as the call returns. The frame flushes when full. When the pool
+// has no arena to give, a fresh one starts at the previous frame's line
+// bytes plus a quarter.
 func (b *FrameBuilder) AddRawCopy(rec []byte) error {
 	if b.raw == nil {
 		b.raw = GetRawSlice(b.capacity)
-		b.arena = GetArena()
+		size := defaultArenaBytes
+		if b.lastStaged > 0 {
+			size = b.lastStaged + b.lastStaged/4
+		}
+		b.arena = getArena(size)
 	}
+	b.staged += len(rec)
 	b.raw = append(b.raw, b.arena.AppendBytes(rec))
 	if len(b.buf)+len(b.raw) >= b.capacity {
 		return b.Flush()
@@ -285,5 +312,8 @@ func (b *FrameBuilder) Flush() error {
 	}
 	b.buf, b.raw, b.arena = nil, nil, nil
 	b.firstOff, b.lastOff = 0, 0
+	if b.staged > 0 {
+		b.lastStaged, b.staged = b.staged, 0
+	}
 	return b.out.Push(f)
 }

@@ -365,8 +365,9 @@ func (w *connectorWriter) Push(f Frame) error {
 		}
 		// Hash every record once into a reused scratch; when the whole
 		// frame lands on one target (always true for single-partition
-		// jobs, common for skewed keys) it is forwarded wholesale with
-		// no per-record copying. Buffers are always empty between
+		// jobs and for a feed collector's routed frames, common for
+		// skewed keys) it is forwarded wholesale, Enc included, with no
+		// per-record copying. Buffers are always empty between
 		// Pushes (every partial flushes at frame end), so wholesale
 		// forwarding cannot reorder records.
 		if cap(w.scratch) < len(f.Records) {
@@ -387,6 +388,8 @@ func (w *connectorWriter) Push(f Frame) error {
 		// Mixed-target frame: build a per-target histogram so each
 		// target's buffer is drawn and sized exactly once, then copy
 		// runs of same-target records instead of appending one by one.
+		// The frames this builds carry no Enc: no slab holds exactly
+		// their records.
 		if cap(w.counts) < len(w.targets) {
 			w.counts = make([]int, len(w.targets))
 		}

@@ -1,8 +1,10 @@
 package lsm
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -77,12 +79,42 @@ func TestMemBudgetCountsHeldBytes(t *testing.T) {
 	if err := p.PutCheckpoint("feed", 42); err != nil {
 		t.Fatal(err)
 	}
+	// A routed frame is charged its slab's capacity, spare room included:
+	// the memtable keeps the whole slab alive.
+	rk, rr := viewFrames(1, 200, false)
+	for i := range rk[0] {
+		rk[0][i] = adm.Int(int64(1000 + i))
+	}
+	enc, views := routedFrame(rk[0], rr[0], 777)
+	if err := p.UpsertFrame(rk[0], views, enc); err != nil {
+		t.Fatal(err)
+	}
+	want += cap(enc) + len(views)*memItemOverhead
 	p.mu.RLock()
 	got := p.memBytes
 	p.mu.RUnlock()
 	if got != want {
 		t.Fatalf("memtable charged %d bytes, holds %d", got, want)
 	}
+}
+
+// routedFrame lays keys and recs out as a collector routes them: one
+// slab of key, record pairs with spare bytes of room left over, and the
+// records as views of it.
+func routedFrame(keys, recs []adm.Value, spare int) (enc []byte, views []adm.Value) {
+	size := 0
+	for i := range keys {
+		size += adm.BinarySize(keys[i]) + adm.BinarySize(recs[i])
+	}
+	enc = make([]byte, 0, size+spare)
+	views = make([]adm.Value, len(recs))
+	for i := range keys {
+		enc = adm.AppendBinary(enc, keys[i])
+		at := len(enc)
+		enc = adm.AppendBinary(enc, recs[i])
+		views[i] = adm.View(enc[at:])
+	}
+	return enc, views
 }
 
 // TestMemtableCostsWhatItIsCharged: the memtable's charge — each entry's
@@ -207,6 +239,156 @@ func BenchmarkUpsertBatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.N*128)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
+}
+
+// routedCost reports the allocations and bytes one UpsertFrame of a
+// routed frame costs, averaged over rounds that rewrite keys already in
+// the memtable — so the B-tree replaces items in place and what is left
+// is the write itself.
+func routedCost(t *testing.T, records, pad int) (allocs, bytes float64) {
+	p, err := OpenPartition(NewOSFS(), t.TempDir(), Options{MemBudget: 1 << 30, MaxComponents: 8, WALSegBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const frames = 4
+	type routed struct {
+		keys, recs []adm.Value
+		enc        []byte
+	}
+	var fs []routed
+	for f := 0; f < frames; f++ {
+		keys, recs := make([]adm.Value, records), make([]adm.Value, records)
+		for i := range keys {
+			id := f*records + i
+			keys[i], recs[i] = adm.Int(int64(id)), padRec(id, pad)
+		}
+		enc, views := routedFrame(keys, recs, 0)
+		fs = append(fs, routed{keys, views, enc})
+	}
+	write := func() {
+		for _, fr := range fs {
+			if err := p.UpsertFrame(fr.keys, fr.recs, fr.enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The batch's item scratch comes from a sync.Pool, which a collection
+	// empties and which keeps a list per P: keep both from refilling it
+	// mid-measurement.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	write() // the keys enter the memtable; the WAL's commit buffers reach a frame's size
+	write()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 8
+	for range rounds {
+		write()
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(rounds * frames)
+	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+}
+
+// TestRoutedFrameWritesNoCopy: a frame that arrives as its own log
+// payload is logged and kept as it stands, so writing it allocates the
+// same few objects and bytes however many records it holds and however
+// wide they are — no buffer, no per-record copy. (The copy path's one
+// buffer is TestUpsertBatchAllocations'.)
+func TestRoutedFrameWritesNoCopy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, c := range []struct{ records, pad int }{{64, 100}, {64, 2100}, {512, 100}, {512, 2100}} {
+		allocs, bytes := routedCost(t, c.records, c.pad)
+		t.Logf("%d records of %d padding bytes: %.1f allocations, %.0f bytes per frame", c.records, c.pad, allocs, bytes)
+		if allocs > 4 || bytes > 512 {
+			t.Fatalf("%d records of %d padding bytes: %.1f allocations and %.0f bytes per frame, want a handful of fixed-size objects", c.records, c.pad, allocs, bytes)
+		}
+	}
+}
+
+// TestRoutedFrameLayoutFallback: the partition verifies a frame's slab
+// before it logs it. A slab of the wrong length, a record that is not a
+// view of the slab, a key whose bytes differ and a frame cut short of its
+// slab all take the copy path — each logs exactly what UpsertBatch logs
+// and is charged what UpsertBatch charges — and a well-formed frame logs
+// the same bytes while the memtable keeps its slab.
+func TestRoutedFrameLayoutFallback(t *testing.T) {
+	const n = 16
+	keys, recs := make([]adm.Value, n), make([]adm.Value, n)
+	for i := range keys {
+		keys[i], recs[i] = adm.Int(int64(i)), padRec(i, 30)
+	}
+	good, views := routedFrame(keys, recs, 5)
+	long, longViews := routedFrame(keys, recs, 1)
+	long = append(long, 0)
+	otherKeys := append([]adm.Value(nil), keys...)
+	otherKeys[n/2] = adm.Int(-1)
+	copied := make([]adm.Value, n)
+	for i := range recs {
+		copied[i] = adm.View(adm.AppendBinary(nil, recs[i]))
+	}
+	for _, c := range []struct {
+		name       string
+		keys, recs []adm.Value
+		enc        []byte
+		routed     bool
+	}{
+		{"well-formed", keys, views, good, true},
+		{"slab of the wrong length", keys, longViews, long, false},
+		{"records not views of the slab", keys, copied, good, false},
+		{"a key that differs", otherKeys, views, good, false},
+		{"split by a connector that kept the slab", keys[:n/2], views[:n/2], good, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			framedFS, copiedFS := NewMemFS(), NewMemFS()
+			pf, err := OpenPartition(framedFS, "part", Options{MemBudget: 1 << 30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pf.Close()
+			pc, err := OpenPartition(copiedFS, "part", Options{MemBudget: 1 << 30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pc.Close()
+			if err := pf.UpsertFrame(c.keys, c.recs, c.enc); err != nil {
+				t.Fatal(err)
+			}
+			if err := pc.UpsertBatch(c.keys, c.recs); err != nil {
+				t.Fatal(err)
+			}
+			got, err := readFileAll(framedFS, "part/"+walSegmentName(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := readFileAll(copiedFS, "part/"+walSegmentName(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("the frame logged\n %x\nUpsertBatch logs\n %x", got, want)
+			}
+			charged := func(p *Partition) int {
+				p.mu.RLock()
+				defer p.mu.RUnlock()
+				return p.memBytes
+			}
+			wantCharge := charged(pc)
+			if c.routed {
+				wantCharge += cap(c.enc) - len(c.enc) // the slab's spare room is held too
+			}
+			if got := charged(pf); got != wantCharge {
+				t.Fatalf("charged %d, want %d", got, wantCharge)
+			}
+			v, ok := pf.Get(c.keys[0])
+			if _, kept := adm.ViewAt(v, c.enc, adm.BinarySize(c.keys[0])); !ok || kept != c.routed {
+				t.Fatalf("the memtable keeps the frame's slab: %v, want %v", kept, c.routed)
+			}
 		})
 	}
 }

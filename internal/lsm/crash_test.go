@@ -297,7 +297,7 @@ func TestWALReplayTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Replay(0, func(uint64, adm.Value, adm.Value) error { return nil }); err != nil {
+	if err := w.Replay(0, func(uint64, []adm.Value, []adm.Value) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	var enc []byte
@@ -332,8 +332,10 @@ func TestWALReplayTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []int64
-	err = w2.Replay(0, func(lsn uint64, key, _ adm.Value) error {
-		got = append(got, key.IntVal())
+	err = w2.Replay(0, func(_ uint64, keys, _ []adm.Value) error {
+		for _, key := range keys {
+			got = append(got, key.IntVal())
+		}
 		return nil
 	})
 	if err != nil {
@@ -361,11 +363,41 @@ func TestWALReplayTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := w3.Replay(0, func(uint64, adm.Value, adm.Value) error { count++; return nil }); err != nil {
+	if err := w3.Replay(0, func(_ uint64, keys, _ []adm.Value) error { count += len(keys); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 6 {
 		t.Fatalf("final replay saw %d entries, want 6", count)
 	}
 	w3.Close()
+}
+
+// TestFlushPersistsOnlyCommittedEntries: a batch reaches the memtable
+// before its commit, so a frozen tree can hold one the log failed to make
+// durable — never acknowledged. Flushing that tree would put it in a run
+// file, where a crash at the right write (the run and manifest stored,
+// then the log write killed) would recover it; the flusher makes the log
+// durable first, and a log that cannot be stops the flush.
+func TestFlushPersistsOnlyCommittedEntries(t *testing.T) {
+	fs := NewMemFS()
+	p, err := OpenPartition(fs, "part", Options{MemBudget: 1 << 30, MaxComponents: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.wal.mu.Lock()
+	p.wal.werr = errors.New("injected log failure")
+	p.wal.mu.Unlock()
+	if err := p.Upsert(adm.Int(1), rec(1)); err == nil {
+		t.Fatal("an upsert was acknowledged over a failed log")
+	}
+	p.mu.Lock()
+	p.freezeLocked()
+	p.mu.Unlock()
+	if _, err := p.flushOnce(); err == nil {
+		t.Fatal("a tree holding an uncommitted batch was flushed")
+	}
+	if runs := p.Runs(); runs != 0 {
+		t.Fatalf("%d run files hold what the log never made durable", runs)
+	}
 }

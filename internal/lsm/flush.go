@@ -94,6 +94,13 @@ func (p *Partition) flushOnce() (bool, error) {
 	if c == nil {
 		return false, nil
 	}
+	// A batch is applied before its commit, so a frozen tree can hold one
+	// whose commit failed: never acknowledged, it must not reach a run.
+	// The log is made durable past the component first, and a log that
+	// cannot be stops the flush.
+	if err := p.wal.Commit(); err != nil {
+		return false, fmt.Errorf("lsm: flush: %w", err)
+	}
 
 	// The component is immutable; write it without any partition lock.
 	seq := p.man.NextSeq

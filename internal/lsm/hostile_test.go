@@ -277,7 +277,7 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			err = w.Replay(0, func(uint64, adm.Value, adm.Value) error { n++; return nil })
+			err = w.Replay(0, func(_ uint64, keys, _ []adm.Value) error { n += len(keys); return nil })
 			return n, err
 		}
 		var n int

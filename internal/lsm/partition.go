@@ -23,15 +23,19 @@
 // memtable insert (index.BTree.PutBatch), grouped secondary-index
 // maintenance, and one flush-threshold check for the entire frame.
 // Ownership follows the hyracks frame rules: the call transfers the
-// frame downstream, storage keeps a copy of the records' encodings (one
-// buffer per batch, which the WAL is handed and the memtable's records
-// are views of) and nothing of the caller's, and the writer recycles
-// the spines after UpsertBatch returns. Upsert, Insert, Delete and
+// frame downstream, storage keeps one buffer per batch, which the WAL is
+// handed and the memtable's records are views of, and the writer
+// recycles the spines after UpsertBatch returns. That buffer is a copy
+// of the records' encodings, so nothing of the caller's is kept —
+// unless the frame arrives as its own log payload (UpsertFrame: a feed
+// with no function routes and encodes its records that way), when the
+// buffer is the frame's slab itself. Upsert, Insert, Delete and
 // PutCheckpoint are batches of one on the same path (see
 // Partition.write).
 package lsm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -49,7 +53,8 @@ type Options struct {
 	// MemBudget is the memtable size in bytes that triggers a freeze,
 	// and with it a flush to a run file. The memtable is charged what it
 	// holds — the encoded bytes of every key and record written since
-	// the last freeze plus memItemOverhead per entry — which for an
+	// the last freeze plus memItemOverhead per entry, or for a routed
+	// frame (UpsertFrame) its slab's capacity — which for an
 	// enriched tweet is ≈ 650 B where the decoded tree it used to hold
 	// was estimated at ≈ 1.9 KB: the same budget holds ≈ 3× the records,
 	// so flushes are fewer and larger, and (Close does not flush) more of
@@ -181,7 +186,8 @@ type Partition struct {
 	// memBytes is what the memtable holds: the encoded bytes of every
 	// entry written since the last freeze plus memItemOverhead each —
 	// replaced entries included, their bytes are still in their batch's
-	// buffer.
+	// buffer. A routed frame's buffer is charged its capacity: the
+	// memtable keeps the whole slab alive.
 	memBytes   int
 	components []*component // newest first
 	secondary  []SecondaryIndex
@@ -240,7 +246,7 @@ func checkpointScope(key adm.Value) (string, bool) {
 // scope; a stale offset is logged but does not regress the table.
 func (p *Partition) PutCheckpoint(scope string, off uint64) error {
 	key, rec := [1]adm.Value{adm.String(ckptKeyPrefix + scope)}, [1]adm.Value{adm.Int(int64(off))}
-	_, err := p.write(writeCheckpoint, key[:], rec[:])
+	_, err := p.write(writeCheckpoint, key[:], rec[:], nil)
 	return err
 }
 
@@ -332,7 +338,7 @@ func (p *Partition) Err() error {
 // Upsert inserts or replaces the record under key: a batch of one.
 func (p *Partition) Upsert(key, rec adm.Value) error {
 	k, r := [1]adm.Value{key}, [1]adm.Value{rec}
-	_, err := p.write(writeUpsert, k[:], r[:])
+	_, err := p.write(writeUpsert, k[:], r[:], nil)
 	return err
 }
 
@@ -341,7 +347,7 @@ func (p *Partition) Upsert(key, rec adm.Value) error {
 // replay cannot apply it and the epoch does not move.
 func (p *Partition) Insert(key, rec adm.Value) error {
 	k, r := [1]adm.Value{key}, [1]adm.Value{rec}
-	_, err := p.write(writeInsert, k[:], r[:])
+	_, err := p.write(writeInsert, k[:], r[:], nil)
 	return err
 }
 
@@ -350,7 +356,7 @@ func (p *Partition) Insert(key, rec adm.Value) error {
 // before the delete.
 func (p *Partition) Delete(key adm.Value) (existed bool, err error) {
 	k, r := [1]adm.Value{key}, [1]adm.Value{adm.Missing()}
-	return p.write(writeDelete, k[:], r[:])
+	return p.write(writeDelete, k[:], r[:], nil)
 }
 
 // itemBatchPool recycles the sorted-run scratch built by UpsertBatch so
@@ -401,14 +407,49 @@ func putItemBatch(b *[]index.Item) {
 // the call returns after one group commit; the error is that commit's
 // result.
 func (p *Partition) UpsertBatch(keys, recs []adm.Value) error {
+	return p.UpsertFrame(keys, recs, nil)
+}
+
+// UpsertFrame is UpsertBatch for a frame that may carry its own
+// encoding (hyracks.Frame.Enc): keys[0]'s encoding, then recs[0] as a
+// view of the bytes right after it, and so on to the end of enc. Such a
+// frame is logged as it stands and the memtable keeps its records where
+// they lie — enc is the write's one buffer, and the memtable is charged
+// its capacity, since it keeps the whole slab alive. The layout is
+// verified, not trusted: an enc it does not match (or nil) costs the copy
+// UpsertBatch makes, never a different result. The caller must not
+// change enc afterwards.
+func (p *Partition) UpsertFrame(keys, recs []adm.Value, enc []byte) error {
 	if len(keys) == 0 {
 		return nil
 	}
 	if len(keys) != len(recs) {
 		panic("lsm: UpsertBatch keys/recs length mismatch")
 	}
-	_, err := p.write(writeUpsert, keys, recs)
+	_, err := p.write(writeUpsert, keys, recs, enc)
 	return err
+}
+
+// framedBy reports whether enc is exactly the log payload of keys and
+// recs: for each pair, the key's encoding, then the record as a view of
+// the bytes that follow it, with nothing left over. A key is compared
+// through a stack buffer, so checking a frame allocates nothing unless a
+// key encodes to more than its 64 bytes.
+func framedBy(enc []byte, keys, recs []adm.Value) bool {
+	var kb [64]byte
+	off := 0
+	for i := range keys {
+		k := adm.AppendBinary(kb[:0], keys[i])
+		if !bytes.HasPrefix(enc[off:], k) {
+			return false
+		}
+		n, ok := adm.ViewAt(recs[i], enc, off+len(k))
+		if !ok {
+			return false
+		}
+		off += len(k) + n
+	}
+	return off == len(enc)
 }
 
 // writeMode selects the pre-check and the apply target of one write.
@@ -429,12 +470,14 @@ const memItemOverhead = int(unsafe.Sizeof(index.Item{}))
 // is a thin caller. Encoding and sorting happen outside the lock; a
 // value the decoder would refuse (adm.MaxDepth) is refused here, before
 // anything is appended, or recovery could not read the log back. The
-// batch is encoded once, into one garbage-collected buffer sized
-// exactly: the WAL is handed those bytes and the memtable's records are
-// views of them (a record that arrives as a view is copied in, so
-// nothing the caller read it from stays reachable), which is also what
-// a flush copies into its run file and what recovery rebuilds over the
-// log's own bytes. Under p.mu: a closed partition or a failed pre-check
+// batch lives in one garbage-collected buffer: the WAL is handed those
+// bytes and the memtable's records are views of them, which is also
+// what a flush copies into its run file and what recovery rebuilds over
+// the log's own bytes. That buffer is routed when it already is the
+// batch's log payload (see UpsertFrame); otherwise the batch is encoded
+// into a fresh one sized exactly (a record that arrives as a view is
+// copied in, so nothing the caller read it from stays reachable). Under
+// p.mu: a closed partition or a failed pre-check
 // returns before anything is logged; otherwise the batch is appended to
 // the WAL and applied — in that order under the same lock, which is the
 // invariant that makes recovery exact: LSNs are assigned in memtable
@@ -443,7 +486,7 @@ const memItemOverhead = int(unsafe.Sizeof(index.Item{}))
 // error is the write's error and is recorded stickily (the in-memory
 // state is ahead of the log at that point, but so is a crashed process;
 // recovery replays only what was acknowledged).
-func (p *Partition) write(mode writeMode, keys, recs []adm.Value) (existed bool, err error) {
+func (p *Partition) write(mode writeMode, keys, recs []adm.Value, routed []byte) (existed bool, err error) {
 	size := 0
 	for i := range keys {
 		if err = adm.CheckDepth(keys[i]); err == nil {
@@ -454,23 +497,35 @@ func (p *Partition) write(mode writeMode, keys, recs []adm.Value) (existed bool,
 		}
 		size += adm.BinarySize(keys[i]) + adm.BinarySize(recs[i])
 	}
-	enc := make([]byte, 0, size)
 	var batch *[]index.Item
 	var items []index.Item
 	if mode != writeCheckpoint {
 		batch = getItemBatch(len(keys))
 		items = *batch
 	}
-	for i := range keys {
-		enc = adm.AppendBinary(enc, keys[i])
-		at := len(enc)
-		enc = adm.AppendBinary(enc, recs[i])
+	var enc []byte
+	held := len(keys) * memItemOverhead
+	if routed != nil && framedBy(routed, keys, recs) {
+		enc = routed
+		held += cap(enc)
 		if batch != nil {
-			items = append(items, index.Item{Key: keys[i], Val: adm.View(enc[at:])})
+			for i := range keys {
+				items = append(items, index.Item{Key: keys[i], Val: recs[i]})
+			}
 		}
+	} else {
+		enc = make([]byte, 0, size)
+		for i := range keys {
+			enc = adm.AppendBinary(enc, keys[i])
+			at := len(enc)
+			enc = adm.AppendBinary(enc, recs[i])
+			if batch != nil {
+				items = append(items, index.Item{Key: keys[i], Val: adm.View(enc[at:])})
+			}
+		}
+		held += len(enc)
 	}
 	items = sortBatch(items)
-	held := len(enc) + len(keys)*memItemOverhead
 	p.mu.Lock()
 	switch {
 	case p.closed:

@@ -326,7 +326,7 @@ func TestWALGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Replay(0, func(uint64, adm.Value, adm.Value) error { return nil }); err != nil {
+	if err := w.Replay(0, func(uint64, []adm.Value, []adm.Value) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	entry := adm.AppendBinary(adm.AppendBinary(nil, adm.Int(1)), rec(1))

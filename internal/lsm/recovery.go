@@ -90,20 +90,31 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 
 	// Replay applies straight to the fresh memtable: no locks are
 	// needed (the partition is not yet published) and no re-logging
-	// happens (the entries are already in the WAL). A record is a view
-	// of the segment bytes replay read. Tombstones stay in the memtable
-	// as MISSING so they shadow older runs. Checkpoint entries (reserved
-	// key prefix) route to the checkpoint table instead of the memtable.
-	err = wal.Replay(man.FlushedLSN, func(_ uint64, key, rec adm.Value) error {
-		if scope, ok := checkpointScope(key); ok {
-			if off, ok := rec.AsInt(); ok {
-				p.raiseCheckpointLocked(scope, uint64(off))
+	// happens (the entries are already in the WAL). Each logged frame is
+	// applied as the write that logged it was — sorted, duplicate keys
+	// collapsed to the last, one PutBatch. A record is a view of the
+	// segment bytes replay read. Tombstones stay in the memtable as
+	// MISSING so they shadow older runs. Checkpoint entries (reserved key
+	// prefix) route to the checkpoint table instead of the memtable.
+	batch := getItemBatch(0)
+	items, written := *batch, 0
+	err = wal.Replay(man.FlushedLSN, func(_ uint64, keys, recs []adm.Value) error {
+		items = items[:0]
+		for i, key := range keys {
+			if scope, ok := checkpointScope(key); ok {
+				if off, ok := recs[i].AsInt(); ok {
+					p.raiseCheckpointLocked(scope, uint64(off))
+				}
+				continue
 			}
-			return nil
+			items = append(items, index.Item{Key: key, Val: recs[i]})
 		}
-		p.mem.Put(key, rec)
+		written = max(written, len(items))
+		p.mem.PutBatch(sortBatch(items), nil)
 		return nil
 	})
+	*batch = items[:written] // the high-water length, for the pool's clear
+	putItemBatch(batch)
 	if err != nil {
 		p.closeRunsLocked()
 		return nil, fmt.Errorf("lsm: recovery: %w", err)

@@ -70,9 +70,9 @@ func TestSpillQueueRoundTrip(t *testing.T) {
 }
 
 // TestLineArenasRoundTrip: a line arena travels adapter → holder
-// (→ spill lane) → collector → pool → adapter, so after a warm-up frame
-// staging more frames allocates no line storage; through the spill lane
-// the only per-frame allocation is the codec's payload read.
+// (→ spill lane) → collector → pool → adapter, so after warm-up staging
+// more frames draws no line storage; through the spill lane the only
+// per-frame allocation is the codec's payload read.
 func TestLineArenasRoundTrip(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts at random under -race")
@@ -134,8 +134,13 @@ func TestLineArenasRoundTrip(t *testing.T) {
 					}
 				}
 			}
-			// Warm the pools; an arena's byte slab reaches a whole
-			// frame's size on its second use (it doubles, never copies).
+			// sync.Pool keeps a free list per P, and a goroutine that
+			// moves to another P between a Put and the next Get misses
+			// the arena it returned: one fresh frame-sized arena, more
+			// than the budget. With one P there is nowhere to move.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			// Warm the pools; a fresh arena starts at the size of the
+			// builder's previous frame plus a quarter.
 			round()
 			round()
 			var before, after runtime.MemStats

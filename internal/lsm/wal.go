@@ -3,6 +3,7 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -114,14 +115,17 @@ func parseWALSegmentName(name string) (int, bool) {
 	return index, true
 }
 
-// Replay scans the on-disk segments in order, invoking apply for every
-// entry with LSN > from, and leaves the log positioned for appending.
-// key is decoded and owns its memory; an object rec is a view of the
-// segment's bytes, which replay read into memory nothing else writes.
-// A torn or corrupt frame at the tail of the last segment is truncated
-// away (a crash mid-write); corruption anywhere else fails recovery
-// loudly. Replay must be called exactly once, before any append.
-func (w *WAL) Replay(from uint64, apply func(lsn uint64, key, rec adm.Value) error) error {
+// Replay scans the on-disk segments in order, invoking apply once per
+// logged frame — one storage batch — with the frame's entries whose LSN
+// is > from, in log order (lsn is keys[0]'s; the rest follow densely),
+// and leaves the log positioned for appending. A key is decoded and owns
+// its memory; an object rec is a view of the segment's bytes, which
+// replay read into memory nothing else writes. The keys and recs slices
+// are reused from one call to the next. A torn or corrupt frame at the
+// tail of the last segment is truncated away (a crash mid-write);
+// corruption anywhere else fails recovery loudly. Replay must be called
+// exactly once, before any append.
+func (w *WAL) Replay(from uint64, apply func(lsn uint64, keys, recs []adm.Value) error) error {
 	names, err := w.fs.List(w.dir)
 	if err != nil {
 		return err
@@ -135,9 +139,10 @@ func (w *WAL) Replay(from uint64, apply func(lsn uint64, key, rec adm.Value) err
 	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
 
 	maxLSN := from
+	var batch walBatch
 	for i := range segs {
 		last := i == len(segs)-1
-		lsn, first, err := w.replaySegment(&segs[i], last, from, apply)
+		lsn, first, err := w.replaySegment(&segs[i], last, from, &batch, apply)
 		if err != nil {
 			return err
 		}
@@ -172,10 +177,13 @@ func (w *WAL) Replay(from uint64, apply func(lsn uint64, key, rec adm.Value) err
 	return nil
 }
 
-// replaySegment reads one segment, applying entries past from. It
-// returns the highest LSN seen and the segment's first LSN. Torn
-// tails are truncated when last is set.
-func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, apply func(uint64, adm.Value, adm.Value) error) (maxLSN, firstLSN uint64, err error) {
+// walBatch is the scratch Replay decodes one frame's entries into.
+type walBatch struct{ keys, recs []adm.Value }
+
+// replaySegment reads one segment, applying each frame's entries past
+// from. It returns the highest LSN seen and the segment's first LSN.
+// Torn tails are truncated when last is set.
+func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, b *walBatch, apply func(uint64, []adm.Value, []adm.Value) error) (maxLSN, firstLSN uint64, err error) {
 	pathname := joinPath(w.dir, seg.name)
 	data, err := readFileAll(w.fs, pathname)
 	if err != nil {
@@ -220,6 +228,10 @@ func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, apply func(
 		}
 		r := frame.NewReader(payload)
 		first, count := r.Uvarint(), r.Count(2) // an entry is two values of >= 1 byte
+		clear(b.keys)
+		clear(b.recs)
+		b.keys, b.recs = slices.Grow(b.keys[:0], count), slices.Grow(b.recs[:0], count)
+		applyFrom := first
 		for i := 0; i < count; i++ {
 			key, rec := r.Value(), r.View()
 			if r.Err() != nil {
@@ -230,13 +242,19 @@ func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, apply func(
 				maxLSN = lsn
 			}
 			if lsn > from {
-				if err := apply(lsn, key, rec); err != nil {
-					return 0, 0, err
+				if len(b.keys) == 0 {
+					applyFrom = lsn
 				}
+				b.keys, b.recs = append(b.keys, key), append(b.recs, rec)
 			}
 		}
 		if err := r.Done(); err != nil {
 			return 0, 0, fmt.Errorf("lsm: wal segment %s frame at %d: %w", seg.name, off, err)
+		}
+		if len(b.keys) > 0 {
+			if err := apply(applyFrom, b.keys, b.recs); err != nil {
+				return 0, 0, err
+			}
 		}
 		if firstLSN == 0 {
 			firstLSN = first
