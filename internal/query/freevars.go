@@ -15,57 +15,36 @@ func FreeVars(e sqlpp.Expr) map[string]bool {
 	return out
 }
 
+// freeVarsExpr adds to out the names e references that bound does not
+// hold. A SELECT block binds names for its later clauses, so the walk
+// hands each one to freeVarsSelect instead of entering it.
 func freeVarsExpr(e sqlpp.Expr, bound map[string]bool, out map[string]bool) {
-	switch n := e.(type) {
-	case nil:
-		return
-	case *sqlpp.Literal:
-	case *sqlpp.Ident:
-		if !bound[n.Name] {
-			out[n.Name] = true
+	sqlpp.Inspect(e, func(e sqlpp.Expr) bool {
+		switch n := e.(type) {
+		case *sqlpp.Ident:
+			if !bound[n.Name] {
+				out[n.Name] = true
+			}
+		case *sqlpp.Exists:
+			freeVarsSelect(n.Sub, bound, out)
+			return false
+		case *sqlpp.SubqueryExpr:
+			freeVarsSelect(n.Sel, bound, out)
+			return false
+		case *sqlpp.SelectExpr:
+			freeVarsSelect(n, bound, out)
+			return false
 		}
-	case *sqlpp.FieldAccess:
-		freeVarsExpr(n.Base, bound, out)
-	case *sqlpp.IndexAccess:
-		freeVarsExpr(n.Base, bound, out)
-		freeVarsExpr(n.Index, bound, out)
-	case *sqlpp.Call:
-		for _, a := range n.Args {
-			freeVarsExpr(a, bound, out)
-		}
-	case *sqlpp.Unary:
-		freeVarsExpr(n.X, bound, out)
-	case *sqlpp.Binary:
-		freeVarsExpr(n.L, bound, out)
-		freeVarsExpr(n.R, bound, out)
-	case *sqlpp.CaseExpr:
-		freeVarsExpr(n.Operand, bound, out)
-		for _, w := range n.Whens {
-			freeVarsExpr(w.When, bound, out)
-			freeVarsExpr(w.Then, bound, out)
-		}
-		freeVarsExpr(n.Else, bound, out)
-	case *sqlpp.Exists:
-		freeVarsSelect(n.Sub, bound, out)
-	case *sqlpp.In:
-		freeVarsExpr(n.X, bound, out)
-		freeVarsExpr(n.Coll, bound, out)
-	case *sqlpp.SubqueryExpr:
-		freeVarsSelect(n.Sel, bound, out)
-	case *sqlpp.ArrayCtor:
-		for _, el := range n.Elems {
-			freeVarsExpr(el, bound, out)
-		}
-	case *sqlpp.ObjectCtor:
-		for _, f := range n.Fields {
-			freeVarsExpr(f.Val, bound, out)
-		}
-	case *sqlpp.SelectExpr:
-		freeVarsSelect(n, bound, out)
-	}
+		return true
+	})
 }
 
+// freeVarsSelect walks a SELECT block's clauses in scoping order: LETs,
+// FROM aliases and GROUP BY aliases bind names for the clauses after them.
 func freeVarsSelect(sel *sqlpp.SelectExpr, bound map[string]bool, out map[string]bool) {
+	if sel == nil {
+		return
+	}
 	local := make(map[string]bool, len(bound)+4)
 	for k := range bound {
 		local[k] = true

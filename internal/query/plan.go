@@ -125,47 +125,19 @@ func CompileEnrich(name string, params []string, body sqlpp.Expr, cat Catalog, o
 
 // collectSubqueries gathers outermost SELECT blocks used as expressions.
 func collectSubqueries(e sqlpp.Expr, out *[]*sqlpp.SelectExpr) {
-	switch n := e.(type) {
-	case nil:
-	case *sqlpp.SubqueryExpr:
-		*out = append(*out, n.Sel)
-	case *sqlpp.Exists:
-		*out = append(*out, n.Sub)
-	case *sqlpp.SelectExpr:
-		*out = append(*out, n)
-	case *sqlpp.FieldAccess:
-		collectSubqueries(n.Base, out)
-	case *sqlpp.IndexAccess:
-		collectSubqueries(n.Base, out)
-		collectSubqueries(n.Index, out)
-	case *sqlpp.Call:
-		for _, a := range n.Args {
-			collectSubqueries(a, out)
+	sqlpp.Inspect(e, func(e sqlpp.Expr) bool {
+		switch n := e.(type) {
+		case *sqlpp.SubqueryExpr:
+			*out = append(*out, n.Sel)
+		case *sqlpp.Exists:
+			*out = append(*out, n.Sub)
+		case *sqlpp.SelectExpr:
+			*out = append(*out, n)
+		default:
+			return true
 		}
-	case *sqlpp.Unary:
-		collectSubqueries(n.X, out)
-	case *sqlpp.Binary:
-		collectSubqueries(n.L, out)
-		collectSubqueries(n.R, out)
-	case *sqlpp.CaseExpr:
-		collectSubqueries(n.Operand, out)
-		for _, w := range n.Whens {
-			collectSubqueries(w.When, out)
-			collectSubqueries(w.Then, out)
-		}
-		collectSubqueries(n.Else, out)
-	case *sqlpp.In:
-		collectSubqueries(n.X, out)
-		collectSubqueries(n.Coll, out)
-	case *sqlpp.ArrayCtor:
-		for _, el := range n.Elems {
-			collectSubqueries(el, out)
-		}
-	case *sqlpp.ObjectCtor:
-		for _, f := range n.Fields {
-			collectSubqueries(f.Val, out)
-		}
-	}
+		return false
+	})
 }
 
 // classify decides const / probe / generic (nil) for one subquery.

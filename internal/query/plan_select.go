@@ -351,37 +351,22 @@ func unorderedSafe(sel *sqlpp.SelectExpr, aggCalls []*sqlpp.Call) bool {
 // touching the row environment — aggregate calls count as row-free
 // (they resolve from accumulators), bare identifiers do not.
 func exprRowFree(e sqlpp.Expr) bool {
-	switch n := e.(type) {
-	case nil:
-		return true
-	case *sqlpp.Literal, *sqlpp.Param:
-		return true
-	case *sqlpp.Call:
-		if n.Ns == "" && IsAggregate(strings.ToLower(n.Name)) {
-			return true
-		}
-		for _, a := range n.Args {
-			if !exprRowFree(a) {
-				return false
+	free := true
+	sqlpp.Inspect(e, func(e sqlpp.Expr) bool {
+		switch n := e.(type) {
+		case *sqlpp.Literal, *sqlpp.Param, *sqlpp.Unary, *sqlpp.Binary, *sqlpp.CaseExpr:
+		case *sqlpp.Call:
+			if n.Ns != "" {
+				free = false // library calls may be stateful; keep them serial
+			} else if IsAggregate(strings.ToLower(n.Name)) {
+				return false // an aggregate resolves from its accumulator
 			}
+		default:
+			free = false
 		}
-		return n.Ns == "" // library calls may be stateful; keep them serial
-	case *sqlpp.Unary:
-		return exprRowFree(n.X)
-	case *sqlpp.Binary:
-		return exprRowFree(n.L) && exprRowFree(n.R)
-	case *sqlpp.CaseExpr:
-		if n.Operand != nil && !exprRowFree(n.Operand) {
-			return false
-		}
-		for _, w := range n.Whens {
-			if !exprRowFree(w.When) || !exprRowFree(w.Then) {
-				return false
-			}
-		}
-		return n.Else == nil || exprRowFree(n.Else)
-	}
-	return false
+		return free
+	})
+	return free
 }
 
 // safeParallelPred reports whether a predicate may be evaluated inside
@@ -389,47 +374,17 @@ func exprRowFree(e sqlpp.Expr) bool {
 // the row and constants. Calls (UDFs may be stateful), EXISTS, and
 // subqueries stay on the consumer side.
 func safeParallelPred(e sqlpp.Expr) bool {
-	switch n := e.(type) {
-	case nil:
-		return true
-	case *sqlpp.Literal, *sqlpp.Ident, *sqlpp.Param:
-		return true
-	case *sqlpp.FieldAccess:
-		return safeParallelPred(n.Base)
-	case *sqlpp.IndexAccess:
-		return safeParallelPred(n.Base) && safeParallelPred(n.Index)
-	case *sqlpp.Unary:
-		return safeParallelPred(n.X)
-	case *sqlpp.Binary:
-		return safeParallelPred(n.L) && safeParallelPred(n.R)
-	case *sqlpp.CaseExpr:
-		if n.Operand != nil && !safeParallelPred(n.Operand) {
-			return false
+	safe := true
+	sqlpp.Inspect(e, func(e sqlpp.Expr) bool {
+		switch e.(type) {
+		case *sqlpp.Literal, *sqlpp.Ident, *sqlpp.Param, *sqlpp.FieldAccess, *sqlpp.IndexAccess,
+			*sqlpp.Unary, *sqlpp.Binary, *sqlpp.CaseExpr, *sqlpp.In, *sqlpp.ArrayCtor, *sqlpp.ObjectCtor:
+		default:
+			safe = false
 		}
-		for _, w := range n.Whens {
-			if !safeParallelPred(w.When) || !safeParallelPred(w.Then) {
-				return false
-			}
-		}
-		return n.Else == nil || safeParallelPred(n.Else)
-	case *sqlpp.In:
-		return safeParallelPred(n.X) && safeParallelPred(n.Coll)
-	case *sqlpp.ArrayCtor:
-		for _, el := range n.Elems {
-			if !safeParallelPred(el) {
-				return false
-			}
-		}
-		return true
-	case *sqlpp.ObjectCtor:
-		for _, f := range n.Fields {
-			if !safeParallelPred(f.Val) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+		return safe
+	})
+	return safe
 }
 
 // --- sargable predicate extraction ---

@@ -435,44 +435,18 @@ func collectSelectAggs(sel *sqlpp.SelectExpr) []*sqlpp.Call {
 }
 
 func collectAggCalls(e sqlpp.Expr, out *[]*sqlpp.Call) {
-	switch n := e.(type) {
-	case *sqlpp.Call:
-		if n.Ns == "" && IsAggregate(strings.ToLower(n.Name)) {
-			*out = append(*out, n)
-			return
+	sqlpp.Inspect(e, func(e sqlpp.Expr) bool {
+		switch n := e.(type) {
+		case *sqlpp.Call:
+			if n.Ns == "" && IsAggregate(strings.ToLower(n.Name)) {
+				*out = append(*out, n)
+				return false
+			}
+		case *sqlpp.Exists, *sqlpp.SubqueryExpr, *sqlpp.SelectExpr:
+			return false
 		}
-		for _, a := range n.Args {
-			collectAggCalls(a, out)
-		}
-	case *sqlpp.FieldAccess:
-		collectAggCalls(n.Base, out)
-	case *sqlpp.IndexAccess:
-		collectAggCalls(n.Base, out)
-		collectAggCalls(n.Index, out)
-	case *sqlpp.Unary:
-		collectAggCalls(n.X, out)
-	case *sqlpp.Binary:
-		collectAggCalls(n.L, out)
-		collectAggCalls(n.R, out)
-	case *sqlpp.CaseExpr:
-		collectAggCalls(n.Operand, out)
-		for _, w := range n.Whens {
-			collectAggCalls(w.When, out)
-			collectAggCalls(w.Then, out)
-		}
-		collectAggCalls(n.Else, out)
-	case *sqlpp.In:
-		collectAggCalls(n.X, out)
-		collectAggCalls(n.Coll, out)
-	case *sqlpp.ArrayCtor:
-		for _, el := range n.Elems {
-			collectAggCalls(el, out)
-		}
-	case *sqlpp.ObjectCtor:
-		for _, f := range n.Fields {
-			collectAggCalls(f.Val, out)
-		}
-	}
+		return true
+	})
 }
 
 // --- bounded top-k ordering ---

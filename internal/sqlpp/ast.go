@@ -174,6 +174,85 @@ type SelectExpr struct {
 
 func (*SelectExpr) exprNode() {}
 
+// Inspect walks the tree rooted at e depth-first in source order: it
+// calls f(n) for each node n and, if f returns true, walks n's children
+// next. A SELECT block's children are its clauses' expressions in the
+// order Lets, SelectValue, Projections, From, FromLets, Where, GroupBy,
+// OrderBy, Limit. Nil children, and nil selects under Exists and
+// SubqueryExpr, are skipped.
+//
+// Inspect is the one place that knows which expressions each node holds:
+// parameter collection and every planner analysis walk through it.
+func Inspect(e Expr, f func(Expr) bool) {
+	if e == nil || !f(e) {
+		return
+	}
+	switch n := e.(type) {
+	case *FieldAccess:
+		Inspect(n.Base, f)
+	case *IndexAccess:
+		Inspect(n.Base, f)
+		Inspect(n.Index, f)
+	case *Call:
+		for _, a := range n.Args {
+			Inspect(a, f)
+		}
+	case *Unary:
+		Inspect(n.X, f)
+	case *Binary:
+		Inspect(n.L, f)
+		Inspect(n.R, f)
+	case *CaseExpr:
+		Inspect(n.Operand, f)
+		for _, w := range n.Whens {
+			Inspect(w.When, f)
+			Inspect(w.Then, f)
+		}
+		Inspect(n.Else, f)
+	case *Exists:
+		if n.Sub != nil {
+			Inspect(n.Sub, f)
+		}
+	case *In:
+		Inspect(n.X, f)
+		Inspect(n.Coll, f)
+	case *SubqueryExpr:
+		if n.Sel != nil {
+			Inspect(n.Sel, f)
+		}
+	case *ArrayCtor:
+		for _, el := range n.Elems {
+			Inspect(el, f)
+		}
+	case *ObjectCtor:
+		for _, fld := range n.Fields {
+			Inspect(fld.Val, f)
+		}
+	case *SelectExpr:
+		for _, l := range n.Lets {
+			Inspect(l.Expr, f)
+		}
+		Inspect(n.SelectValue, f)
+		for _, p := range n.Projections {
+			Inspect(p.Expr, f)
+		}
+		for _, fc := range n.From {
+			Inspect(fc.Source, f)
+		}
+		for _, l := range n.FromLets {
+			Inspect(l.Expr, f)
+		}
+		Inspect(n.Where, f)
+		for _, gk := range n.GroupBy {
+			Inspect(gk.Expr, f)
+		}
+		for _, ob := range n.OrderBy {
+			Inspect(ob.Expr, f)
+		}
+		Inspect(n.Limit, f)
+	}
+}
+
 // Statement is any top-level parsed statement. Pos reports the byte
 // offset of the statement's first token in the parsed source, so
 // executors can point errors at the failing statement.

@@ -11,9 +11,11 @@ func CollectParams(stmts []Statement) []string {
 	for _, s := range stmts {
 		switch n := s.(type) {
 		case *Insert:
-			c.expr(n.Source)
+			Inspect(n.Source, c.visit)
 		case *Query:
-			c.sel(n.Sel)
+			if n.Sel != nil {
+				Inspect(n.Sel, c.visit)
+			}
 		}
 		// CreateFunction bodies are deliberately NOT walked: a stored
 		// function outlives the Execute call, so a binding supplied now
@@ -28,7 +30,7 @@ func CollectParams(stmts []Statement) []string {
 // (stored CREATE FUNCTION bodies).
 func CollectExprParams(e Expr) []string {
 	c := &paramCollector{seen: make(map[string]bool)}
-	c.expr(e)
+	Inspect(e, c.visit)
 	return c.names
 }
 
@@ -37,82 +39,10 @@ type paramCollector struct {
 	seen  map[string]bool
 }
 
-func (c *paramCollector) add(name string) {
-	if !c.seen[name] {
-		c.seen[name] = true
-		c.names = append(c.names, name)
+func (c *paramCollector) visit(e Expr) bool {
+	if p, ok := e.(*Param); ok && !c.seen[p.Name] {
+		c.seen[p.Name] = true
+		c.names = append(c.names, p.Name)
 	}
-}
-
-func (c *paramCollector) expr(e Expr) {
-	switch n := e.(type) {
-	case nil:
-	case *Param:
-		c.add(n.Name)
-	case *FieldAccess:
-		c.expr(n.Base)
-	case *IndexAccess:
-		c.expr(n.Base)
-		c.expr(n.Index)
-	case *Call:
-		for _, a := range n.Args {
-			c.expr(a)
-		}
-	case *Unary:
-		c.expr(n.X)
-	case *Binary:
-		c.expr(n.L)
-		c.expr(n.R)
-	case *CaseExpr:
-		c.expr(n.Operand)
-		for _, w := range n.Whens {
-			c.expr(w.When)
-			c.expr(w.Then)
-		}
-		c.expr(n.Else)
-	case *Exists:
-		c.sel(n.Sub)
-	case *In:
-		c.expr(n.X)
-		c.expr(n.Coll)
-	case *SubqueryExpr:
-		c.sel(n.Sel)
-	case *ArrayCtor:
-		for _, el := range n.Elems {
-			c.expr(el)
-		}
-	case *ObjectCtor:
-		for _, f := range n.Fields {
-			c.expr(f.Val)
-		}
-	case *SelectExpr:
-		c.sel(n)
-	}
-}
-
-func (c *paramCollector) sel(sel *SelectExpr) {
-	if sel == nil {
-		return
-	}
-	for _, l := range sel.Lets {
-		c.expr(l.Expr)
-	}
-	c.expr(sel.SelectValue)
-	for _, p := range sel.Projections {
-		c.expr(p.Expr)
-	}
-	for _, fc := range sel.From {
-		c.expr(fc.Source)
-	}
-	for _, l := range sel.FromLets {
-		c.expr(l.Expr)
-	}
-	c.expr(sel.Where)
-	for _, gk := range sel.GroupBy {
-		c.expr(gk.Expr)
-	}
-	for _, ob := range sel.OrderBy {
-		c.expr(ob.Expr)
-	}
-	c.expr(sel.Limit)
+	return true
 }

@@ -88,7 +88,7 @@ func (p *parser) nested(parse func() (Expr, error)) (Expr, error) {
 // maxChainLinks bounds the operator and accessor chain links of one
 // statement (a+b+c, x AND y AND z, r.a.b[0]). The loops that parse them
 // build a left-deep tree as deep as the chain is long without passing
-// through nested, and eval and freeVarsExpr recurse once per link: a
+// through nested, and eval and Inspect recurse once per link: a
 // megabyte of "+1" used to parse and then overflow the stack. With this
 // cap no tree is deeper than maxNesting + maxChainLinks.
 const maxChainLinks = 10_000

@@ -134,7 +134,7 @@ func TestParseDepthBounded(t *testing.T) {
 // left-deep tree a chain builds is never deeper than the evaluator can
 // recurse. A megabyte of "+1" or ".a" (half a million links — both used
 // to parse and then kill the process with a stack overflow in eval or
-// freeVarsExpr) is a positioned parse error.
+// Inspect) is a positioned parse error.
 func TestParseChainsBounded(t *testing.T) {
 	for _, tc := range []struct{ name, first, link string }{
 		{"additive", "1", "+1"},
