@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // setRow is the row SpliceRow must agree with: an Object filled field
@@ -155,6 +156,75 @@ func TestSpliceRowMatchesObjectSet(t *testing.T) {
 	}
 	if took < 200 {
 		t.Fatalf("only %d of 2000 random rows took the byte path", took)
+	}
+}
+
+// TestAppendRowNeverRegrowsDst: AppendRow writes SpliceRow's bytes. Into
+// a dst with room it writes them in place, after dst's own bytes, which
+// it leaves alone; into one without room it writes nothing and gives the
+// row one allocation of its exact size — so does a named value wider
+// than any guess, which used to cost the row a second allocation.
+func TestAppendRowNeverRegrowsDst(t *testing.T) {
+	tweet := viewOf(benchTweet())
+	tags := make([]Value, 20)
+	for i := range tags {
+		tags[i] = String(fmt.Sprintf("tag-%05d", i))
+	}
+	for _, tc := range []struct {
+		name  string
+		parts []RowPart
+	}{
+		{"t.*, x", []RowPart{{Val: tweet, Star: true}, {Name: "x", Val: Int(7)}}},
+		{"x, t.*", []RowPart{{Name: "x", Val: String("first")}, {Val: tweet, Star: true}}},
+		{"t.*, a 200-byte array", []RowPart{{Val: tweet, Star: true}, {Name: "tags", Val: Array(tags)}}},
+		{"t.*, a 200-byte array view", []RowPart{{Val: tweet, Star: true}, {Name: "tags", Val: viewOf(Array(tags))}}},
+	} {
+		want, ok := SpliceRow(tc.parts)
+		if !ok {
+			t.Fatalf("%s: SpliceRow declined", tc.name)
+		}
+		size := len(want.s)
+		prefix := []byte("key bytes")
+
+		// Room to spare: in place, right after the prefix.
+		dst := append(make([]byte, 0, len(prefix)+size+5), prefix...)
+		out, row, ok := AppendRow(dst, tc.parts)
+		if !ok || len(out) != len(prefix)+size || unsafe.SliceData(out) != unsafe.SliceData(dst) {
+			t.Fatalf("%s: AppendRow into room for the row = %d bytes at %p, ok=%v; want %d at %p", tc.name, len(out), unsafe.SliceData(out), ok, len(prefix)+size, unsafe.SliceData(dst))
+		}
+		if n, at := ViewAt(row, out, len(prefix)); !at || n != size {
+			t.Fatalf("%s: the row is not a view of the bytes after dst's", tc.name)
+		}
+		if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], want.encoded()) {
+			t.Fatalf("%s: in place, dst reads %x, want %s then %x", tc.name, out, prefix, want.encoded())
+		}
+
+		// Exactly enough room still fits; one byte less does not.
+		exact := append(make([]byte, 0, len(prefix)+size), prefix...)
+		if out, _, _ := AppendRow(exact, tc.parts); len(out) != len(prefix)+size {
+			t.Fatalf("%s: a dst with exactly the row's room was not written", tc.name)
+		}
+		short := append(make([]byte, 0, len(prefix)+size-1), prefix...)
+		out, row, ok = AppendRow(short, tc.parts)
+		if !ok || len(out) != len(short) || cap(out) != cap(short) || unsafe.SliceData(out) != unsafe.SliceData(short) {
+			t.Fatalf("%s: AppendRow changed a dst without room", tc.name)
+		}
+		if !bytes.Equal(short[:cap(short)][len(prefix):], make([]byte, cap(short)-len(prefix))) {
+			t.Fatalf("%s: AppendRow wrote into a dst without room", tc.name)
+		}
+		if !bytes.Equal(AppendBinary(nil, row), want.encoded()) {
+			t.Fatalf("%s: the row made aside encodes to %x, want %x", tc.name, AppendBinary(nil, row), want.encoded())
+		}
+
+		// One allocation, of the row's size, however wide its values.
+		for _, dst := range [][]byte{nil, short} {
+			if n := testing.AllocsPerRun(100, func() { _, benchSink, _ = AppendRow(dst, tc.parts) }); n != 1 {
+				t.Fatalf("%s: a row made aside cost %v allocations, want 1", tc.name, n)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { _, benchSink, _ = AppendRow(dst[:len(prefix)], tc.parts) }); n != 0 {
+			t.Fatalf("%s: a row written in place cost %v allocations, want 0", tc.name, n)
+		}
 	}
 }
 

@@ -134,32 +134,52 @@ type RowPart struct {
 // place, which bytes cannot), or when the row would nest deeper than
 // MaxDepth and so be no valid view.
 func SpliceRow(parts []RowPart) (row Value, ok bool) {
+	_, row, ok = AppendRow(nil, parts)
+	return row, ok
+}
+
+// AppendRow is SpliceRow into dst's spare capacity. When dst has room
+// for the row, its bytes are written right after dst's, row is a view of
+// them and out is dst extended over them. Otherwise the row is given an
+// allocation of exactly its size and out is dst as it was. dst is never
+// regrown, so views of its earlier bytes stay views of them; when ok is
+// false (SpliceRow's reasons) nothing is written and out is dst.
+func AppendRow(dst []byte, parts []RowPart) (out []byte, row Value, ok bool) {
 	var few [32]string // wider rows take their names from the heap
 	names := few[:0]
-	size := 1 + binary.MaxVarintLen32
+	size := 0 // the fields' bytes; the object header is added below
 	spliced := false
 	for _, p := range parts {
 		if !p.Star {
 			if !p.Val.nestsWithin(MaxDepth - 1) {
-				return Value{}, false
+				return dst, Value{}, false
 			}
 			names = append(names, p.Name)
-			size += len(p.Name) + 16 // a guess at the value; append regrows past it
+			size += uvarintLen(len(p.Name)) + len(p.Name) + BinarySize(p.Val)
 			continue
 		}
 		if !p.Val.isView() {
-			return Value{}, false
+			return dst, Value{}, false
 		}
 		if names, ok = p.Val.appendFieldNames(names); !ok {
-			return Value{}, false
+			return dst, Value{}, false
 		}
-		size += len(p.Val.s)
+		_, n, _ := decodeLen(p.Val.encoded()[1:], KindObject)
+		size += len(p.Val.s) - 1 - n
 		spliced = true
 	}
 	if !spliced || !distinct(names) {
-		return Value{}, false
+		return dst, Value{}, false
 	}
-	enc := append(make([]byte, 0, size), byte(KindObject))
+	size += 1 + uvarintLen(len(names))
+	var enc []byte
+	inPlace := cap(dst)-len(dst) >= size
+	if inPlace {
+		enc = dst[len(dst) : len(dst) : len(dst)+size]
+	} else {
+		enc = make([]byte, 0, size)
+	}
+	enc = append(enc, byte(KindObject))
 	enc = binary.AppendUvarint(enc, uint64(len(names)))
 	for _, p := range parts {
 		if p.Star {
@@ -172,7 +192,10 @@ func SpliceRow(parts []RowPart) (row Value, ok bool) {
 		enc = append(enc, p.Name...)
 		enc = AppendBinary(enc, p.Val)
 	}
-	return View(enc), true
+	if inPlace {
+		dst = dst[:len(dst)+len(enc)]
+	}
+	return dst, View(enc), true
 }
 
 // appendFieldNames appends the field names of a view, aliasing it.

@@ -18,25 +18,51 @@ import (
 )
 
 // TestFeedStoresOracleBytes: a record travels from the collector to the
-// memtable as bytes — encoded once in the collector, spliced by the UDF,
-// copied into its batch's buffer — and what is stored under its key is,
-// byte for byte, what the tree-at-a-time route produces: parse the line,
-// validate (and coerce) the tree, enrich the tree, encode the result.
-// TestModel2Invariant holds the ablation arms to each other; this holds
-// each of them to that oracle.
+// memtable as bytes — encoded once in the collector, its enriched row
+// spliced into the slab its storage partition logs — and what is stored
+// under its key is, byte for byte, what the tree-at-a-time route
+// produces: parse the line, validate (and coerce) the tree, enrich the
+// tree, encode the result. TestModel2Invariant holds the ablation arms
+// to each other; this holds each of them to that oracle, and so does
+// every function whose rows the evaluator cannot keep where they were
+// spliced: a row with another key, an Object row, a native UDF's row. A
+// function whose result has no key — a row without it, or two rows —
+// fails the feed as storage finds it.
 func TestFeedStoresOracleBytes(t *testing.T) {
 	const n = 300
+	natives := udf.NewRegistry()
+	if err := natives.Register(&udf.Native{
+		Name: "tagged",
+		New:  func() udf.Instance { return &udf.FuncInstance{EvalFn: tagged} },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const keyless = `storage-partition-writer: core: record missing primary key "id"`
 	for _, arm := range []struct {
 		name             string
+		function, ddl    string // ddl declares function unless it is enrichTweetQ1 or native
 		recompile, fused bool
+		fails            string // the feed's error, when it stores nothing to compare
 	}{
-		{"predeployed, decoupled", false, false},
-		{"RecompilePerBatch (no state reuse)", true, false},
-		{"FusedInsert", false, true},
-		{"RecompilePerBatch + FusedInsert", true, true},
+		{name: "predeployed, decoupled", function: "enrichTweetQ1"},
+		{name: "RecompilePerBatch (no state reuse)", function: "enrichTweetQ1", recompile: true},
+		{name: "FusedInsert", function: "enrichTweetQ1", fused: true},
+		{name: "RecompilePerBatch + FusedInsert", function: "enrichTweetQ1", recompile: true, fused: true},
+		{name: "a row under another key", function: "moveKey",
+			ddl: `CREATE FUNCTION moveKey(t) { SELECT t.user.*, t.id + t.id % 2 * 1000000 AS id };`},
+		{name: "a row with no star source", function: "starless",
+			ddl: `CREATE FUNCTION starless(t) { SELECT t.id AS id, t.country AS country, t.text AS text };`},
+		{name: "a native UDF", function: "tagged"},
+		{name: "two rows", function: "twice", fails: keyless,
+			ddl: `CREATE FUNCTION twice(t) { SELECT t.*, x FROM [1, 2] x };`},
+		{name: "a row without the key", function: "keyless", fails: keyless,
+			ddl: `CREATE FUNCTION keyless(t) { SELECT t.user.*, t.text AS text };`},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			c, g := testCluster(t, 2)
+			if arm.ddl != "" {
+				createFunction(t, c, arm.ddl)
+			}
 			lines := g.Tweets(0, n)
 			// What a feed must cope with beside well-formed tweets: a line
 			// that is not JSON, a tweet whose id is missing (rejected by
@@ -47,11 +73,11 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 				[]byte(`{"id": 1, "text": `),
 				[]byte(`{"text": "no key"}`),
 				[]byte(`[1, 2, 3]`),
-				[]byte(`{"id": 900001, "text": "coerced", "country": "C000001", "latitude": 33, "longitude": -117, "extra": {"open": [1, {"deep": null}]}}`),
+				[]byte(`{"id": 900001, "text": "coerced", "country": "C000001", "user": {"name": "n"}, "latitude": 33, "longitude": -117, "extra": {"open": [1, {"deep": null}]}}`),
 				bytes.Replace(lines[7], []byte(`"text":"`), []byte(`"text":"again `), 1),
 			)
 			cfg := Config{
-				Name: "oracle", Dataset: "EnrichedTweets", Function: "enrichTweetQ1", BatchSize: 64,
+				Name: "oracle", Dataset: "EnrichedTweets", Function: arm.function, Natives: natives, BatchSize: 64,
 				RecompilePerBatch: arm.recompile, FusedInsert: arm.fused,
 				NewAdapter: func(int) (Adapter, error) { return &GeneratorAdapter{Records: lines}, nil },
 			}
@@ -59,20 +85,30 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := f.Wait(); err != nil {
+			err = f.Wait()
+			if arm.fails != "" {
+				if err == nil || err.Error() != arm.fails {
+					t.Fatalf("the feed ended with %v, want %q", err, arm.fails)
+				}
+				return
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 
-			fn, _ := c.Function("enrichTweetQ1")
-			plan, err := query.CompileEnrich(fn.Name, fn.Params, fn.Body, c, query.PlanOptions{})
-			if err != nil {
-				t.Fatal(err)
+			enrich := tagged
+			if fn, ok := c.Function(arm.function); ok {
+				plan, err := query.CompileEnrich(fn.Name, fn.Params, fn.Body, c, query.PlanOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pe, err := plan.Prepare(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				enrich = func(rec adm.Value) (adm.Value, error) { return pe.EvalRecord(rec) }
 			}
-			pe, err := plan.Prepare(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := map[int64][]byte{}
+			want := map[string][]byte{}
 			rejected := 0
 			for _, line := range lines {
 				rec, err := adm.ParseJSON(line)
@@ -83,11 +119,11 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 					rejected++
 					continue
 				}
-				out, err := pe.EvalRecord(rec)
+				out, err := enrich(rec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[rec.Field("id").IntVal()] = adm.AppendBinary(nil, out)
+				want[out.Field("id").String()] = adm.AppendBinary(nil, out)
 			}
 			if got := f.Stats().ParseErrors.Load(); int(got) != rejected || rejected != 3 {
 				t.Fatalf("feed rejected %d lines, the oracle %d, want 3", got, rejected)
@@ -96,8 +132,8 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 			stored := 0
 			ds.ScanAll(func(key, rec adm.Value) bool {
 				stored++
-				if got := adm.AppendBinary(nil, rec); !bytes.Equal(got, want[key.IntVal()]) {
-					t.Fatalf("key %v stores\n %x\nthe oracle encodes\n %x", key, got, want[key.IntVal()])
+				if got := adm.AppendBinary(nil, rec); !bytes.Equal(got, want[key.String()]) {
+					t.Fatalf("key %v stores\n %x\nthe oracle encodes\n %x", key, got, want[key.String()])
 				}
 				return true
 			})
@@ -106,6 +142,17 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tagged is a native UDF: the record as a tree, with one field added.
+func tagged(rec adm.Value) (adm.Value, error) {
+	src := rec.ObjectVal()
+	o := adm.NewObject(src.Len() + 1)
+	for i := 0; i < src.Len(); i++ {
+		o.Set(src.Name(i), src.At(i))
+	}
+	o.Set("tag", adm.Int(rec.Field("id").IntVal()%7))
+	return adm.ObjectValue(o), nil
 }
 
 // frameSink collects the frames an encoder pushes.
@@ -170,6 +217,101 @@ func checkRouted(t *testing.T, frames []hyracks.Frame, pk string, route func(adm
 		}
 		if off != len(fr.Enc) {
 			t.Fatalf("a frame's slab holds %d bytes past its records", len(fr.Enc)-off)
+		}
+	}
+}
+
+// TestEvaluatorRoutesLikeTheConnector: every frame a function feed's
+// evaluator pushes is single-target at the storage job's HashPartition
+// and carries a slab laid out key, record, ... — what storage logs as it
+// stands — whether its rows were spliced where they lie (Q1) or framed
+// apart: a row under another key, an Object row, a native UDF's row. And
+// every row still reads what the function makes of its record, however
+// many rows were written into the same slabs after it.
+func TestEvaluatorRoutesLikeTheConnector(t *testing.T) {
+	const n = 700
+	for nodes := 1; nodes <= 4; nodes++ {
+		c, g := testCluster(t, nodes)
+		createFunction(t, c, `CREATE FUNCTION moveKey(t) { SELECT t.user.*, t.id + t.id % 5 * 1000000 AS id };`)
+		createFunction(t, c, `CREATE FUNCTION starless(t) { SELECT t.id AS id, t.country AS country, t.text AS text };`)
+		ds, _ := c.Dataset("EnrichedTweets")
+		lines := g.Tweets(0, n)
+		for _, function := range []string{"enrichTweetQ1", "moveKey", "starless", "tagged"} {
+			t.Run(fmt.Sprintf("%s over %d", function, nodes), func(t *testing.T) {
+				ev := &evaluator{router: new(frameRouter), instance: &udf.FuncInstance{EvalFn: tagged}}
+				*ev.router = newFrameRouter(128, ds.NumPartitions(), "id", ds.Route)
+				enrich := tagged
+				if fn, ok := c.Function(function); ok {
+					plan, err := query.CompileEnrich(fn.Name, fn.Params, fn.Body, c, query.PlanOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ev.prepared, err = plan.Prepare(c); err != nil {
+						t.Fatal(err)
+					}
+					enrich = func(rec adm.Value) (adm.Value, error) { return ev.prepared.EvalRecord(rec) }
+				}
+
+				// The collector's frames of records, each one batch here.
+				collector := newRecordEncoder(128, 1, "", nil)
+				var stats Stats
+				var in, out frameSink
+				collector.begin(n)
+				for _, line := range lines {
+					if ok, err := collector.encode(line, workload.TweetType(), &stats, &in); !ok || err != nil {
+						t.Fatalf("line rejected (%v)", err)
+					}
+				}
+				if err := collector.flush(&in); err != nil {
+					t.Fatal(err)
+				}
+				want := map[string][]byte{}
+				for _, fr := range in.frames {
+					for _, rec := range fr.Records {
+						row, err := enrich(rec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want[row.Field("id").String()] = adm.AppendBinary(nil, row)
+					}
+					ev.router.begin(len(fr.Records))
+					if err := ev.Push(nil, fr, &out); err != nil {
+						t.Fatal(err)
+					}
+					if err := ev.Close(nil, &out); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				checkRouted(t, out.frames, "id", ds.Route)
+				hash, framed := keyHash("id"), 0
+				for _, fr := range out.frames {
+					if fr.Enc == nil {
+						t.Fatal("a frame carries no slab")
+					}
+					target := hash(fr.Records[0]) % uint64(ds.NumPartitions())
+					for _, rec := range fr.Records {
+						if hash(rec)%uint64(ds.NumPartitions()) != target {
+							t.Fatalf("a routed frame splits at the connector: %v", rec)
+						}
+						key := rec.Field("id").String()
+						if got := adm.AppendBinary(nil, rec); !bytes.Equal(got, want[key]) {
+							t.Fatalf("key %s reads\n %x\nthe function makes\n %x", key, got, want[key])
+						}
+					}
+					framed += len(fr.Records)
+				}
+				if framed != n || len(want) != n {
+					t.Fatalf("%d rows framed of %d records, want %d", framed, len(want), n)
+				}
+				// A batch's rows fill a frame or two per partition: one row
+				// that had to be sealed off does not cost each row after it
+				// a frame of its own.
+				if most := len(in.frames) * (2*ds.NumPartitions() + 1); len(out.frames) > most {
+					t.Fatalf("%d batches of rows took %d frames, want at most %d", len(in.frames), len(out.frames), most)
+				}
+				out.recycle()
+			})
 		}
 	}
 }
@@ -336,7 +478,7 @@ func TestOutsizedLineDoesNotMultiplyTheSlab(t *testing.T) {
 // each of its records hashes, as the connector hashes it, to the frame's
 // partition — so the connector forwards it whole, slab and all; and the
 // feed stores, byte for byte, what a feed through an identity function
-// (whose frames are not routed and are copied into storage) stores from
+// (whose evaluator copies each record into slabs of its own) stores from
 // the same lines.
 func TestCollectorRoutesLikeTheConnector(t *testing.T) {
 	const n = 700

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -254,6 +255,12 @@ type Feed struct {
 	// partition p touches it, and invocations run sequentially, so no
 	// locking is needed.
 	encoders []recordEncoder
+	// routers[p] frames evaluator partition p's results per storage
+	// partition when a function is attached. Like encoders it outlives
+	// the invocation, so what it learned of its rows' size does too; the
+	// collector for partition p starts its batch (begin) before pushing
+	// the evaluator anything, and only the evaluator touches it after.
+	routers []frameRouter
 
 	// computeSpec is the predeployed computing job's spec skeleton,
 	// built once at start; per-invocation state lives in curInv. The
@@ -517,10 +524,16 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 		f.quota = 1
 	}
 	// With no function the collector routes each record to the storage
-	// partition that owns its key (recordEncoder).
+	// partition that owns its key (recordEncoder); with one, the
+	// evaluator routes what the function makes of it (evaluator).
 	var route func(adm.Value) int
 	if plan == nil && native == nil {
 		route = ds.Route
+	} else {
+		f.routers = make([]frameRouter, n)
+		for p := range f.routers {
+			f.routers[p] = newFrameRouter(f.frameCap, ds.NumPartitions(), ds.PrimaryKey(), ds.Route)
+		}
 	}
 	f.encoders = make([]recordEncoder, n)
 	for p := range f.encoders {
@@ -793,67 +806,25 @@ func admit(dt *adm.Datatype, stats *Stats, rec adm.Value, perr error) (adm.Value
 // coerced) as a tree, encoded once into its frame's slab, and handed on
 // as a view of those bytes — the encoding the WAL and the run file will
 // hold. The parse tree is scratch: the arena is reset for the next line.
-//
-// A feed with no function routes where it encodes. The record's primary
-// key is read off the tree and hashed to its storage partition with the
-// dataset's own Route — what the storage job's hash connector computes
-// from the record — and each partition has a frame of its own whose slab
-// holds key, record, key, record, ...: byte for byte the payload its WAL
-// logs. Such a frame carries the slab as hyracks.Frame.Enc, the
-// connector forwards it whole, and the partition logs and keeps the slab
-// instead of copying the records into a buffer of its own
-// (lsm.Partition.UpsertFrame). A feed with a function has one frame of
-// records; the evaluator's output is what storage sees.
-//
-// One frame, one slab. A slab is garbage-collected memory that is only
-// ever appended to, never pooled or rewritten, so whoever is handed a
-// record may keep it for as long as it likes; it keeps its frame's slab
-// with it. A record the slab has no room for closes its frame early, and
-// the fresh slab is sized from the partition's bytes per record times
-// the records still expected for it — plus the record itself, which is
-// never taken for the size of the others (see open).
+// A feed with no function routes where it encodes (frameRouter); a feed
+// with a function has one frame of records, and its evaluator routes
+// what the function makes of them.
 type recordEncoder struct {
 	parser *adm.Parser // field-name intern table and size hints stay warm
 	arena  *adm.Arena
 	spine  []adm.Value // ParseInto's one-record destination
-	// pk and route are set when the feed has no function: route maps a
-	// primary key to the storage partition that owns it.
-	pk       string
-	route    func(key adm.Value) int
-	frameCap int
-	parts    []partFrame // one per storage partition when routing, else one
-	// pending counts the lines of the current batch not yet encoded.
-	pending int
-}
-
-// partFrame is the frame under construction for one target: its records
-// and the slab they are views of.
-type partFrame struct {
-	recs []adm.Value
-	slab []byte
-	// largest is the most slab bytes one record of the frame took.
-	largest int
-	// perRecord is the slab bytes to provide per expected record: the
-	// target's last frame of two or more records showed this many on
-	// average, leaving its largest record out, plus an eighth.
-	perRecord int
+	frameRouter
 }
 
 // newRecordEncoder returns the encoder of a collector partition whose
 // frames hold up to frameCap records. With a route, records are keyed by
 // pk and framed per target (one of targets); without, there is one frame.
 func newRecordEncoder(frameCap, targets int, pk string, route func(adm.Value) int) recordEncoder {
-	if route == nil {
-		targets = 1
-	}
 	return recordEncoder{
 		parser: adm.NewParser(), arena: adm.NewArena(0), spine: make([]adm.Value, 0, 1),
-		pk: pk, route: route, frameCap: frameCap, parts: make([]partFrame, targets),
+		frameRouter: newFrameRouter(frameCap, targets, pk, route),
 	}
 }
-
-// begin starts a batch of lines lines.
-func (e *recordEncoder) begin(lines int) { e.pending = lines }
 
 // encode turns raw into a record of its target's frame, pushing frames
 // that fill (or that it does not fit) to out. ok is false when the line
@@ -874,51 +845,186 @@ func (e *recordEncoder) encode(raw []byte, dt *adm.Datatype, stats *Stats, out h
 	return ok, err
 }
 
-// add encodes rec, a tree, into its target's frame.
-func (e *recordEncoder) add(rec adm.Value, out hyracks.Writer) error {
+// frameRouter frames records for their targets, each record encoded into
+// its frame's slab and handed on as a view of those bytes.
+//
+// Routed, it frames where storage will log. A record's primary key is
+// hashed to its storage partition with the dataset's own Route — what
+// the storage job's hash connector computes from the record — and each
+// partition has a frame of its own whose slab holds key, record, key,
+// record, ...: byte for byte the payload its WAL logs. Such a frame
+// carries the slab as hyracks.Frame.Enc, the connector forwards it
+// whole, and the partition logs and keeps the slab instead of copying
+// the records into a buffer of its own (lsm.Partition.UpsertFrame). A
+// function-less feed's collector routes the records it parses; a
+// function feed's evaluator routes the rows its function returns, and a
+// SQL++ row is spliced into the slab where it will stay (splice).
+//
+// One frame, one slab. A slab is garbage-collected memory that is only
+// ever appended to, never pooled or rewritten, so whoever is handed a
+// record may keep it for as long as it likes; it keeps its frame's slab
+// with it. A record the slab has no room for closes its frame early, and
+// the fresh slab is sized from the partition's bytes per record times
+// the records still expected for it — plus the record itself, which is
+// never taken for the size of the others (see open).
+type frameRouter struct {
+	// pk and route are set when routing: route maps a primary key to the
+	// storage partition that owns it.
+	pk       string
+	route    func(key adm.Value) int
+	frameCap int
+	parts    []partFrame // one per storage partition when routing, else one
+	// pending counts the records of the current batch not yet framed.
+	pending int
+	// apart is set once a spliced row had to be sealed off this batch
+	// (splice): the batch's remaining rows are built apart.
+	apart bool
+}
+
+// partFrame is the frame under construction for one target: its records
+// and the slab they are views of.
+type partFrame struct {
+	recs []adm.Value
+	slab []byte
+	// largest is the most slab bytes one record of the frame took.
+	largest int
+	// perRecord is the slab bytes to provide per expected record: the
+	// target's last frame of two or more records showed this many on
+	// average, leaving its largest record out, plus an eighth.
+	perRecord int
+}
+
+// newFrameRouter returns a router of frames of up to frameCap records.
+// With a route, records are keyed by pk and framed per target (one of
+// targets); without, there is one frame.
+func newFrameRouter(frameCap, targets int, pk string, route func(adm.Value) int) frameRouter {
+	if route == nil {
+		targets = 1
+	}
+	return frameRouter{pk: pk, route: route, frameCap: frameCap, parts: make([]partFrame, targets)}
+}
+
+// begin starts a batch of n records.
+func (r *frameRouter) begin(n int) { r.pending, r.apart = n, false }
+
+// add encodes rec into its target's frame.
+func (r *frameRouter) add(rec adm.Value, out hyracks.Writer) error {
 	t, key, size := 0, adm.Value{}, adm.BinarySize(rec)
-	if e.route != nil {
-		key = rec.Field(e.pk)
-		t = e.route(key)
+	if r.route != nil {
+		key = rec.Field(r.pk)
+		t = r.route(key)
 		size += adm.BinarySize(key)
 	}
-	pf := &e.parts[t]
-	if cap(pf.slab)-len(pf.slab) < size {
-		if len(pf.recs) > 0 {
-			if err := e.push(pf, out); err != nil {
-				return err
-			}
-		}
-		e.open(pf, size)
+	pf := &r.parts[t]
+	if err := r.reserve(pf, size, out); err != nil {
+		return err
 	}
 	at := len(pf.slab)
-	if e.route != nil {
+	if r.route != nil {
 		pf.slab = adm.AppendBinary(pf.slab, key)
 	}
 	view := len(pf.slab)
 	pf.slab = adm.AppendBinary(pf.slab, rec)
-	if pf.recs == nil {
-		pf.recs = hyracks.GetRecordSlice(e.frameCap)
+	return r.keep(pf, adm.View(pf.slab[view:]), at, out)
+}
+
+// splice frames what pe makes of rec, having the row written where
+// storage will log it: rec's key goes into its target's slab and the UDF
+// body's projection splices the row right after it (EvalRecord's
+// destination). The row stays there if it is a view that ends the slab
+// and whose own key encodes to the bytes guessed. Anything else — a row
+// with another key, an Object row, several rows, a row that did not fit —
+// goes through add. If nothing was written past the key, the key is
+// taken back; otherwise the frame is sealed before it, so no byte a view
+// may alias is ever rewritten, and the batch's remaining rows are built
+// apart.
+func (r *frameRouter) splice(pe *query.PreparedEnrich, rec adm.Value, out hyracks.Writer) error {
+	if r.apart {
+		row, err := pe.EvalRecord(rec)
+		if err != nil {
+			return err
+		}
+		return r.add(row, out)
 	}
-	pf.recs = append(pf.recs, adm.View(pf.slab[view:]))
+	key := rec.Field(r.pk)
+	pf := &r.parts[r.route(key)]
+	need := pf.perRecord
+	if need == 0 { // nothing learned: room for a row twice the record
+		need = adm.BinarySize(key) + 2*adm.BinarySize(rec)
+	}
+	if err := r.reserve(pf, need, out); err != nil {
+		return err
+	}
+	at := len(pf.slab)
+	pf.slab = adm.AppendBinary(pf.slab, key)
+	view := len(pf.slab)
+	row, err := pe.EvalRecord(rec, &pf.slab)
+	if err != nil {
+		return err
+	}
+	if n, ok := adm.ViewAt(row, pf.slab, view); ok && view+n == len(pf.slab) && encodesTo(row.Field(r.pk), pf.slab[at:view]) {
+		return r.keep(pf, row, at, out)
+	}
+	spliced := len(pf.slab) > view
+	pf.slab = pf.slab[:at]
+	if spliced {
+		r.apart = true
+		if len(pf.recs) == 0 {
+			pf.slab = nil
+		} else if err := r.push(pf, out); err != nil {
+			return err
+		}
+	}
+	return r.add(row, out)
+}
+
+// encodesTo reports whether v's encoding is enc, comparing through a
+// stack buffer.
+func encodesTo(v adm.Value, enc []byte) bool {
+	var buf [64]byte
+	return bytes.Equal(adm.AppendBinary(buf[:0], v), enc)
+}
+
+// reserve makes sure pf's slab has room for size more bytes, closing its
+// frame early and giving it a fresh slab when it has not.
+func (r *frameRouter) reserve(pf *partFrame, size int, out hyracks.Writer) error {
+	if cap(pf.slab)-len(pf.slab) >= size {
+		return nil
+	}
+	if len(pf.recs) > 0 {
+		if err := r.push(pf, out); err != nil {
+			return err
+		}
+	}
+	r.open(pf, size)
+	return nil
+}
+
+// keep adds rec, whose bytes (its key's included) start at slab offset
+// at and end the slab, to pf's frame, pushing the frame once it is full.
+func (r *frameRouter) keep(pf *partFrame, rec adm.Value, at int, out hyracks.Writer) error {
+	if pf.recs == nil {
+		pf.recs = hyracks.GetRecordSlice(r.frameCap)
+	}
+	pf.recs = append(pf.recs, rec)
 	pf.largest = max(pf.largest, len(pf.slab)-at)
-	if len(pf.recs) == e.frameCap {
-		return e.push(pf, out)
+	if len(pf.recs) == r.frameCap {
+		return r.push(pf, out)
 	}
 	return nil
 }
 
 // open gives an empty frame the slab it will hold, starting with a
 // record of size bytes. The rest of the slab is room for the records the
-// target can still expect this batch — its share of the pending lines,
+// target can still expect this batch — its share of the pending records,
 // up to a frame — at its learned bytes per record. A target that has
 // learned nothing yet gets room for one more record like this one; so
 // the first frame learns from two records, and an outsized record costs
 // its own bytes, at most twice, never once per record still to come.
-func (e *recordEncoder) open(pf *partFrame, size int) {
+func (r *frameRouter) open(pf *partFrame, size int) {
 	room := size
 	if pf.perRecord > 0 {
-		expect := min(e.frameCap, (e.pending+len(e.parts)-1)/len(e.parts))
+		expect := min(r.frameCap, (r.pending+len(r.parts)-1)/len(r.parts))
 		room = pf.perRecord * max(expect-1, 0)
 	}
 	pf.slab = make([]byte, 0, size+room)
@@ -926,13 +1032,13 @@ func (e *recordEncoder) open(pf *partFrame, size int) {
 
 // push sends pf's frame to out and leaves pf empty, learning the
 // target's bytes per record from the frame first.
-func (e *recordEncoder) push(pf *partFrame, out hyracks.Writer) error {
+func (r *frameRouter) push(pf *partFrame, out hyracks.Writer) error {
 	if n := len(pf.recs); n > 1 {
 		per := (len(pf.slab) - pf.largest) / (n - 1)
 		pf.perRecord = per + per/8 + 1
 	}
 	fr := hyracks.Frame{Records: pf.recs}
-	if e.route != nil {
+	if r.route != nil {
 		fr.Enc = pf.slab
 	}
 	pf.recs, pf.slab, pf.largest = nil, nil, 0
@@ -941,10 +1047,10 @@ func (e *recordEncoder) push(pf *partFrame, out hyracks.Writer) error {
 
 // flush pushes every frame that holds records: a batch's records all
 // reach storage within its invocation.
-func (e *recordEncoder) flush(out hyracks.Writer) error {
-	for t := range e.parts {
-		if pf := &e.parts[t]; len(pf.recs) > 0 {
-			if err := e.push(pf, out); err != nil {
+func (r *frameRouter) flush(out hyracks.Writer) error {
+	for t := range r.parts {
+		if pf := &r.parts[t]; len(pf.recs) > 0 {
+			if err := r.push(pf, out); err != nil {
 				return err
 			}
 		}
@@ -965,9 +1071,54 @@ func newInstances(native *udf.Native, n int) ([]udf.Instance, error) {
 	return instances, nil
 }
 
-// newEvaluator is evaluator partition p's UDF step: the prepared SQL++
-// enrichment, the partition's native instance, or — with no function
-// attached — the identity.
+// evaluator is a function feed's UDF step for one partition: each record
+// is enriched by the prepared SQL++ function or run through the
+// partition's native instance, and the result is framed for the storage
+// partition that owns its key by the partition's router, which outlives
+// the invocation (Feed.routers). A SQL++ row is spliced into its frame's
+// slab (frameRouter.splice), a native UDF's result encoded into it, so
+// every frame carries the slab storage logs.
+type evaluator struct {
+	router   *frameRouter
+	prepared *query.PreparedEnrich
+	instance udf.Instance
+}
+
+// Open implements hyracks.Pipe.
+func (ev *evaluator) Open(*hyracks.TaskContext, hyracks.Writer) error { return nil }
+
+// Push implements hyracks.Pipe.
+func (ev *evaluator) Push(_ *hyracks.TaskContext, fr hyracks.Frame, out hyracks.Writer) error {
+	defer hyracks.RecycleFrame(fr)
+	if len(fr.Raw) > 0 {
+		return errors.New("core: raw-lane frame reached the UDF evaluator; parse records first")
+	}
+	for _, rec := range fr.Records {
+		var err error
+		if ev.prepared != nil {
+			err = ev.router.splice(ev.prepared, rec, out)
+		} else {
+			var row adm.Value
+			if row, err = ev.instance.Evaluate(rec); err == nil {
+				err = ev.router.add(row, out)
+			}
+		}
+		ev.router.pending--
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Close implements hyracks.Pipe: the batch's frames all go on.
+func (ev *evaluator) Close(_ *hyracks.TaskContext, out hyracks.Writer) error {
+	return ev.router.flush(out)
+}
+
+// newEvaluator is the static pipeline's UDF step for partition p: the
+// prepared SQL++ enrichment, the partition's native instance, or — with
+// no function attached — the identity.
 func newEvaluator(prepared *query.PreparedEnrich, instances []udf.Instance, p int) *hyracks.MapPipe {
 	return &hyracks.MapPipe{Fn: func(rec adm.Value) (adm.Value, bool, error) {
 		var err error
@@ -983,12 +1134,12 @@ func newEvaluator(prepared *query.PreparedEnrich, instances []udf.Instance, p in
 
 // buildComputeSpec assembles the computing job: collector+parser → UDF
 // evaluator → feed pipeline sink, one instance per live node, no
-// cross-node exchange (the storage job's hash partitioner does the
-// routing; with no function there is no evaluator, and the collector's
-// frames are already routed). The spec is a reusable skeleton: operator
-// factories resolve the current per-batch state through f.curInv when an
-// invocation instantiates them, so the predeployed path builds it once
-// and reuses it for every batch.
+// cross-node exchange (the frames are routed before the storage job's
+// hash partitioner sees them: by the evaluator, or with no function —
+// and no evaluator — by the collector). The spec is a reusable
+// skeleton: operator factories resolve the current per-batch state
+// through f.curInv when an invocation instantiates them, so the
+// predeployed path builds it once and reuses it for every batch.
 func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 	spec := hyracks.NewJobSpec()
 	spec.QueueCapacity = f.cluster.Tuning().HolderCapacity
@@ -1023,6 +1174,9 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 					lines += len(fr.Raw)
 				}
 				enc.begin(lines)
+				if f.routers != nil {
+					f.routers[p].begin(lines)
+				}
 				for _, fr := range frames {
 					// Collection is the delivery point for offset
 					// accounting: once this invocation finishes, every
@@ -1049,7 +1203,8 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 	})
 
 	// A feed with no function has nothing to evaluate: its collector's
-	// routed frames go straight on, Enc and all.
+	// routed frames go straight on, Enc and all. A function feed's
+	// evaluator routes its own.
 	last := collectorOp
 	if f.plan != nil || f.native != nil {
 		last = spec.AddOperator(&hyracks.Descriptor{
@@ -1058,7 +1213,11 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 			NodeOf:      nodeOf,
 			NewPipe: func(p int) (hyracks.Pipe, error) {
 				inv := f.curInv.Load()
-				return newEvaluator(inv.prepared, inv.instances, p), nil
+				ev := &evaluator{router: &f.routers[p], prepared: inv.prepared}
+				if inv.instances != nil {
+					ev.instance = inv.instances[p]
+				}
+				return ev, nil
 			},
 		})
 		spec.Connect(collectorOp, last, hyracks.OneToOne, nil)

@@ -591,7 +591,7 @@ func TestFeedStartOnDeadNodeFails(t *testing.T) {
 // so a stateful native UDF may keep every record it is given. It keeps
 // the first 300 and the last; a hundred further frames go by (each would
 // overwrite a slab that was reused); the UDF fails on the last record —
-// MapPipe's error path, which recycles the frame it was evaluating — and
+// the evaluator's error path, which recycles the frame it was evaluating — and
 // every stashed record still equals the line it was parsed from. (When
 // record frames carried a pooled parse arena, that recycle zeroed the
 // last frame's objects under the UDF.)

@@ -16,9 +16,10 @@ import (
 // the whole frame goes through Partition.UpsertFrame — one WAL append
 // and group commit, one partition lock acquisition, one sorted bulk
 // insert into the memtable, and grouped secondary-index maintenance —
-// instead of paying each of those per record. A frame a function-less
-// feed's collector routed carries its slab (Frame.Enc), which the
-// partition logs and keeps as it is; any other frame is copied.
+// instead of paying each of those per record. A frame a feed routed —
+// its collector with no function, its evaluator with one — carries its
+// slab (Frame.Enc), which the partition logs and keeps as it is; any
+// other frame is copied.
 //
 // The writer is the frame's final consumer: storage retains the
 // records (and a routed frame's slab), the spine recycles.
@@ -61,8 +62,8 @@ func newStorageWriter(part *lsm.Partition, pk string, stored *atomic.Int64) *hyr
 // keyHash is the storage exchange's key function: the record's primary
 // key through adm.Hash. The hash connector takes it modulo the writer
 // count, the dataset's partition count, which is what Dataset.Route
-// computes from the key — so every frame a function-less feed's
-// collector routes is single-target here and forwarded whole.
+// computes from the key — so every frame a feed's collector or
+// evaluator routes is single-target here and forwarded whole.
 func keyHash(pk string) func(adm.Value) uint64 {
 	return func(rec adm.Value) uint64 { return adm.Hash(rec.Field(pk)) }
 }

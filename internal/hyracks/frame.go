@@ -48,12 +48,12 @@ type Frame struct {
 	// Enc, when non-nil, is the byte slab the Records are views of, laid
 	// out as a storage partition logs them: each record's primary key
 	// encoding, then the record's, pair after pair, nothing else. A feed
-	// with no function emits such frames, one per storage partition
-	// (core's collector); the storage writer hands Enc to the partition
-	// as the write's log payload. Enc is a hint the partition verifies,
-	// never trusts. It is garbage-collected like the records, never
-	// pooled, and anything that rebuilds a frame's Records (a hash
-	// connector splitting it, a MapPipe) drops it.
+	// emits such frames, one per storage partition (core's collector with
+	// no function, its evaluator with one); the storage writer hands Enc
+	// to the partition as the write's log payload. Enc is a hint the
+	// partition verifies, never trusts. It is garbage-collected like the
+	// records, never pooled, and anything that rebuilds a frame's Records
+	// (a hash connector splitting it, a MapPipe) drops it.
 	Enc []byte
 
 	// Adapter and FirstOff/LastOff locate the frame in its source

@@ -365,7 +365,7 @@ func (w *connectorWriter) Push(f Frame) error {
 		}
 		// Hash every record once into a reused scratch; when the whole
 		// frame lands on one target (always true for single-partition
-		// jobs and for a feed collector's routed frames, common for
+		// jobs and for a feed's routed frames, common for
 		// skewed keys) it is forwarded wholesale, Enc included, with no
 		// per-record copying. Buffers are always empty between
 		// Pushes (every partial flushes at frame end), so wholesale

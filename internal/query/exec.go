@@ -35,8 +35,10 @@ func runSelect(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error)
 // ingested records are spliced as bytes and the row is a view too
 // (adm.SpliceRow — `SELECT t.*, extra` is every enrichment UDF's body);
 // anything else, and any row in which a name repeats, is an Object
-// filled field by field. Both encode to the same bytes.
-func projectRow(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error) {
+// filled field by field. Both encode to the same bytes. A spliced row is
+// written into *dst's spare capacity when dst is non-nil and has room
+// for it, and *dst is extended over it (adm.AppendRow).
+func projectRow(st evalState, env *Env, sel *sqlpp.SelectExpr, dst *[]byte) (adm.Value, error) {
 	if sel.SelectValue != nil {
 		return eval(st, env, sel.SelectValue)
 	}
@@ -77,7 +79,14 @@ func projectRow(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error
 			parts = append(parts, adm.RowPart{Name: projectionName(proj, i), Val: v})
 		}
 	}
-	if row, ok := adm.SpliceRow(parts); ok {
+	var buf []byte
+	if dst != nil {
+		buf = *dst
+	}
+	if buf, row, ok := adm.AppendRow(buf, parts); ok {
+		if dst != nil {
+			*dst = buf
+		}
 		return row, nil
 	}
 	// Size the object before filling it, so its spines are allocated

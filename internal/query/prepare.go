@@ -348,23 +348,80 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 	return pa, nil
 }
 
-// EvalRecord enriches one record: the probe phase. A single-element
-// result collection is unwrapped to the record itself, which is what the
-// feed pipeline stores.
-func (pe *PreparedEnrich) EvalRecord(rec adm.Value) (adm.Value, error) {
+// EvalRecord enriches one record: the probe phase. A body that is a
+// query block is pulled row by row: one row is the result — the record
+// the feed pipeline stores — no rows an empty array, several an array of
+// them. Any other body's value is the result, a one-element array
+// unwrapped to its element.
+//
+// dst, when given and non-nil, is where the body's projection writes a
+// row it splices from encodings (adm.AppendRow): in *dst's spare
+// capacity, *dst extended over it, when the row fits, and nowhere in
+// *dst otherwise; *dst is never regrown, and a SELECT nested in the body
+// never writes to it. The caller finds what was written past the length
+// it passed. dst is variadic only so that EvalRecord(rec) still builds
+// every row apart.
+func (pe *PreparedEnrich) EvalRecord(rec adm.Value, dst ...*[]byte) (adm.Value, error) {
 	// depth 1: the feed's per-record loop is the outer query here, so no
 	// SELECT below it — the UDF body included — is outermost (and none
 	// starts a parallel scan per ingested record).
 	st := evalState{ctx: pe.ctx, prepared: pe, depth: 1}
 	env := Bind(nil, pe.plan.param, rec)
-	v, err := eval(st, env, pe.plan.body)
+	rc, err := pe.openBody(st, env)
 	if err != nil {
 		return adm.Value{}, err
 	}
-	if v.Kind() == adm.KindArray && len(v.ArrayVal()) == 1 {
-		return v.Index(0), nil
+	if rc == nil {
+		v, err := eval(st, env, pe.plan.body)
+		if err != nil {
+			return adm.Value{}, err
+		}
+		if v.Kind() == adm.KindArray && len(v.ArrayVal()) == 1 {
+			return v.Index(0), nil
+		}
+		return v, nil
 	}
-	return v, nil
+	if len(dst) > 0 {
+		rc.dst = dst[0]
+	}
+	var first adm.Value
+	var rows []adm.Value // from the second row on
+	n := 0
+	for ; ; n++ {
+		v, ok, err := rc.Next()
+		if err != nil {
+			return adm.Value{}, err
+		}
+		if !ok {
+			break
+		}
+		switch n {
+		case 0:
+			first = v
+		case 1:
+			rows = append(rows, first, v)
+		default:
+			rows = append(rows, v)
+		}
+	}
+	if n == 1 {
+		return first, nil
+	}
+	return adm.Array(rows), nil
+}
+
+// openBody opens the cursor of a UDF body that is a query block — over
+// the candidates its prepared probe yields when it was compiled into one
+// — or returns nil for any other body, a constant one included.
+func (pe *PreparedEnrich) openBody(st evalState, env *Env) (*RowCursor, error) {
+	sel, ok := pe.plan.body.(*sqlpp.SelectExpr)
+	if !ok || pe.consts[sel] != nil {
+		return nil, nil
+	}
+	if rc, ok, err := pe.openCompiled(st, env, sel); ok || err != nil {
+		return rc, err
+	}
+	return openSelect(st, env, sel, nil)
 }
 
 // Context exposes the pinned evaluation context (tests inspect it).
@@ -377,27 +434,35 @@ func (pe *PreparedEnrich) evalCompiled(st evalState, env *Env, sel *sqlpp.Select
 	if pc, isConst := pe.consts[sel]; isConst {
 		return pc.val, true, nil
 	}
+	rc, ok, err := pe.openCompiled(st, env, sel)
+	if !ok || err != nil {
+		return adm.Value{}, ok, err
+	}
+	v, err := rc.drain()
+	return v, true, err
+}
+
+// openCompiled opens the pipeline of a compiled probe subquery over the
+// candidate tuples its prepared accesses yield. ok=false means sel was
+// not compiled into a probe.
+func (pe *PreparedEnrich) openCompiled(st evalState, env *Env, sel *sqlpp.SelectExpr) (rc *RowCursor, ok bool, err error) {
 	ps, isProbe := pe.probes[sel]
 	if !isProbe {
-		return adm.Value{}, false, nil
+		return nil, false, nil
 	}
 	var tuples []*Env
-	err := ps.forEachTuple(st, env, func(tu *Env) bool {
+	err = ps.forEachTuple(st, env, func(tu *Env) bool {
 		tuples = append(tuples, tu)
 		return true
 	})
 	if err != nil {
-		return adm.Value{}, true, err
+		return nil, true, err
 	}
 	// From here on a compiled subquery is a SELECT like any other: the
 	// candidates replace FROM and WHERE, the shared pipeline aggregates,
 	// orders, projects, dedupes and limits them.
-	rc, err := openPipeline(st.noGroup(), nil, sel, &sliceTuples{envs: tuples}, false, nil)
-	if err != nil {
-		return adm.Value{}, true, err
-	}
-	v, err := rc.drain()
-	return v, true, err
+	rc, err = openPipeline(st.noGroup(), nil, sel, &sliceTuples{envs: tuples}, false, nil)
+	return rc, true, err
 }
 
 // evalCompiledExists intercepts EXISTS over a compiled subquery with

@@ -27,7 +27,8 @@ import (
 // cursor (ExecuteSelectCursor) and pull it row by row; a SELECT in
 // expression position, a const-subquery of the enrichment build phase
 // and the enrichment probe open the same pipeline and drain it
-// (runSelect, evalCompiled), and EXISTS pulls it once. The plan —
+// (runSelect, evalCompiled), EXISTS pulls it once, and an enrichment
+// UDF's body is pulled row by row (EvalRecord). The plan —
 // including index pushdown and parallel partition scans — is chosen in
 // plan_select.go and reported by Plan.
 type RowCursor struct {
@@ -39,6 +40,10 @@ type RowCursor struct {
 	limit int64 // rows still to emit; -1 = unlimited
 	dedup *valueDedup
 	done  bool
+	// dst, when set, is where the projection writes spliced rows
+	// (projectRow). Only the cursor of an enrichment UDF's body has one
+	// (EvalRecord); a SELECT nested in it builds its rows apart.
+	dst *[]byte
 }
 
 // Next returns the next result row. After ok=false (exhaustion or
@@ -59,12 +64,19 @@ func (rc *RowCursor) Next() (adm.Value, bool, error) {
 			rc.Close()
 			return adm.Value{}, false, err
 		}
-		v, err := projectRow(rc.rowState(r), r.env, rc.sel)
+		written := 0
+		if rc.dst != nil {
+			written = len(*rc.dst)
+		}
+		v, err := projectRow(rc.rowState(r), r.env, rc.sel, rc.dst)
 		if err != nil {
 			rc.Close()
 			return adm.Value{}, false, err
 		}
 		if rc.dedup != nil && !rc.dedup.add(v) {
+			if rc.dst != nil {
+				*rc.dst = (*rc.dst)[:written] // a repeat leaves no bytes behind
+			}
 			continue
 		}
 		if rc.limit > 0 {
