@@ -27,7 +27,9 @@ import (
 // every function whose rows the evaluator cannot keep where they were
 // spliced: a row with another key, an Object row, a native UDF's row. A
 // function whose result has no key — a row without it, or two rows —
-// fails the feed as storage finds it.
+// fails the feed as storage finds it. The static pipeline frames records
+// with the same steps, so it is held to the same oracle and fails the
+// same way.
 func TestFeedStoresOracleBytes(t *testing.T) {
 	const n = 300
 	natives := udf.NewRegistry()
@@ -42,6 +44,7 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 		name             string
 		function, ddl    string // ddl declares function unless it is enrichTweetQ1 or native
 		recompile, fused bool
+		static           bool   // run StartStatic instead of Start
 		fails            string // the feed's error, when it stores nothing to compare
 	}{
 		{name: "predeployed, decoupled", function: "enrichTweetQ1"},
@@ -56,6 +59,14 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 		{name: "two rows", function: "twice", fails: keyless,
 			ddl: `CREATE FUNCTION twice(t) { SELECT t.*, x FROM [1, 2] x };`},
 		{name: "a row without the key", function: "keyless", fails: keyless,
+			ddl: `CREATE FUNCTION keyless(t) { SELECT t.user.*, t.text AS text };`},
+		{name: "static, no function", static: true},
+		{name: "static, a row under another key", function: "moveKey", static: true,
+			ddl: `CREATE FUNCTION moveKey(t) { SELECT t.user.*, t.id + t.id % 2 * 1000000 AS id };`},
+		{name: "static, a row with no star source", function: "starless", static: true,
+			ddl: `CREATE FUNCTION starless(t) { SELECT t.id AS id, t.country AS country, t.text AS text };`},
+		{name: "static, a native UDF", function: "tagged", static: true},
+		{name: "static, a row without the key", function: "keyless", static: true, fails: keyless,
 			ddl: `CREATE FUNCTION keyless(t) { SELECT t.user.*, t.text AS text };`},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
@@ -81,11 +92,22 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 				RecompilePerBatch: arm.recompile, FusedInsert: arm.fused,
 				NewAdapter: func(int) (Adapter, error) { return &GeneratorAdapter{Records: lines}, nil },
 			}
-			f, err := Start(context.Background(), c, cfg)
-			if err != nil {
-				t.Fatal(err)
+			var stats *Stats
+			var wait func() error
+			if arm.static {
+				sf, err := StartStatic(context.Background(), c, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats, wait = sf.Stats(), sf.Wait
+			} else {
+				f, err := Start(context.Background(), c, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats, wait = f.Stats(), f.Wait
 			}
-			err = f.Wait()
+			err := wait()
 			if arm.fails != "" {
 				if err == nil || err.Error() != arm.fails {
 					t.Fatalf("the feed ended with %v, want %q", err, arm.fails)
@@ -97,6 +119,9 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 			}
 
 			enrich := tagged
+			if arm.function == "" {
+				enrich = func(rec adm.Value) (adm.Value, error) { return rec, nil }
+			}
 			if fn, ok := c.Function(arm.function); ok {
 				plan, err := query.CompileEnrich(fn.Name, fn.Params, fn.Body, c, query.PlanOptions{})
 				if err != nil {
@@ -125,7 +150,7 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 				}
 				want[out.Field("id").String()] = adm.AppendBinary(nil, out)
 			}
-			if got := f.Stats().ParseErrors.Load(); int(got) != rejected || rejected != 3 {
+			if got := stats.ParseErrors.Load(); int(got) != rejected || rejected != 3 {
 				t.Fatalf("feed rejected %d lines, the oracle %d, want 3", got, rejected)
 			}
 			ds, _ := c.Dataset("EnrichedTweets")

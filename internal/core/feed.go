@@ -710,18 +710,7 @@ func (f *Feed) buildStorageSpec() *hyracks.JobSpec {
 			return f.storageHolders[p], nil
 		},
 	})
-	pk := f.ds.PrimaryKey()
-	writerOp := spec.AddOperator(&hyracks.Descriptor{
-		Name:        "storage-partition-writer",
-		Parallelism: f.ds.NumPartitions(),
-		NodeOf:      func(p int) int { return f.nodes[p%len(f.nodes)] },
-		NewPipe: func(p int) (hyracks.Pipe, error) {
-			// Each frame lands in the memtable as one batch operation
-			// (one WAL append+commit, one lock); see newStorageWriter.
-			return newStorageWriter(f.ds.Partition(p), pk, &f.stats.Stored), nil
-		},
-	})
-	spec.Connect(holderOp, writerOp, hyracks.HashPartition, keyHash(pk))
+	connectStorage(spec, holderOp, "storage-partition-writer", f.ds, f.nodes, &f.stats.Stored)
 	return spec
 }
 
@@ -783,9 +772,10 @@ func (f *Feed) newInvocation() (*invocation, error) {
 	return inv, nil
 }
 
-// The steps below are shared with the static pipeline (static.go): the
-// two frameworks differ in when UDF state is built, not in what happens
-// to a record.
+// The steps below — admit, recordEncoder, frameRouter, evaluator and
+// the storage writers — are shared with the static pipeline (static.go):
+// the two frameworks differ in when UDF state is built, not in what
+// happens to a record.
 
 // admit decides whether a record enters the pipeline: one that failed to
 // parse (perr) or violates the dataset's datatype is dropped and counted
@@ -1116,22 +1106,6 @@ func (ev *evaluator) Close(_ *hyracks.TaskContext, out hyracks.Writer) error {
 	return ev.router.flush(out)
 }
 
-// newEvaluator is the static pipeline's UDF step for partition p: the
-// prepared SQL++ enrichment, the partition's native instance, or — with
-// no function attached — the identity.
-func newEvaluator(prepared *query.PreparedEnrich, instances []udf.Instance, p int) *hyracks.MapPipe {
-	return &hyracks.MapPipe{Fn: func(rec adm.Value) (adm.Value, bool, error) {
-		var err error
-		switch {
-		case prepared != nil:
-			rec, err = prepared.EvalRecord(rec)
-		case instances != nil:
-			rec, err = instances[p].Evaluate(rec)
-		}
-		return rec, err == nil, err
-	}}
-}
-
 // buildComputeSpec assembles the computing job: collector+parser → UDF
 // evaluator → feed pipeline sink, one instance per live node, no
 // cross-node exchange (the frames are routed before the storage job's
@@ -1226,16 +1200,7 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 	if f.cfg.FusedInsert {
 		// Section 5.1's insert job: UDF evaluation and storage write in
 		// one job — the write (and its log flush) gates the invocation.
-		pk := f.ds.PrimaryKey()
-		writerOp := spec.AddOperator(&hyracks.Descriptor{
-			Name:        "fused-storage-writer",
-			Parallelism: f.ds.NumPartitions(),
-			NodeOf:      func(p int) int { return f.nodes[p%len(f.nodes)] },
-			NewPipe: func(p int) (hyracks.Pipe, error) {
-				return newStorageWriter(f.ds.Partition(p), pk, &f.stats.Stored), nil
-			},
-		})
-		spec.Connect(last, writerOp, hyracks.HashPartition, keyHash(pk))
+		connectStorage(spec, last, "fused-storage-writer", f.ds, f.nodes, &f.stats.Stored)
 		return spec
 	}
 

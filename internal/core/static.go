@@ -63,7 +63,10 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 		cfg: cfg, cluster: c, cancel: cancel,
 		adaptCtx: adaptCtx, adaptStop: adaptStop,
 	}
-	n := c.NumNodes()
+	nodes := make([]int, c.NumNodes())
+	for i := range nodes {
+		nodes[i] = i
+	}
 	tuning := c.Tuning()
 	dt := ds.Datatype()
 	pk := ds.PrimaryKey()
@@ -79,7 +82,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 	}
 	var instances []udf.Instance
 	if native != nil {
-		if instances, err = newInstances(native, n); err != nil {
+		if instances, err = newInstances(native, len(nodes)); err != nil {
 			cancel()
 			return nil, err
 		}
@@ -89,7 +92,14 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 	spec.QueueCapacity = tuning.HolderCapacity
 
 	// Adapter + parser, coupled on the intake node(s) — the old
-	// framework's bottleneck when there is a single intake node.
+	// framework's bottleneck when there is a single intake node. Lines
+	// become records as in the dynamic feed's collector (recordEncoder):
+	// with no function, framed per storage partition; with one, in one
+	// frame for the evaluator.
+	var route func(adm.Value) int
+	if plan == nil && native == nil {
+		route = ds.Route
+	}
 	adapterOp := spec.AddOperator(&hyracks.Descriptor{
 		Name:        "adapter-parser",
 		Parallelism: len(cfg.IntakeNodes),
@@ -103,48 +113,45 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 				if err := out.Open(); err != nil {
 					return err
 				}
-				b := hyracks.NewFrameBuilder(tuning.FrameCapacity, out)
-				// One interning parser per adapter instance: the
-				// adapter-parser coupling is the point of the static
-				// baseline, but it need not re-allocate field names.
-				parser := adm.NewParser()
+				enc := newRecordEncoder(tuning.FrameCapacity, ds.NumPartitions(), pk, route)
 				err := adapter.Run(sf.adaptCtx, func(raw []byte) error {
-					rec, perr := parser.Parse(raw)
-					rec, ok := admit(dt, &sf.stats, rec, perr)
-					if !ok {
-						return nil
+					// A stream has no batch size: every target may expect a
+					// full frame more.
+					enc.begin(tuning.FrameCapacity * len(enc.parts))
+					ok, err := enc.encode(raw, dt, &sf.stats, out)
+					if ok {
+						sf.stats.Ingested.Add(1)
 					}
-					sf.stats.Ingested.Add(1)
-					return b.Add(rec)
+					return err
 				})
 				if err != nil && !(errors.Is(err, context.Canceled) && sf.adaptCtx.Err() != nil) {
 					return err
 				}
-				return b.Flush()
+				return enc.flush(out)
 			}), nil
 		},
 	})
 
-	// UDF evaluator with frozen state, spread over all nodes.
-	evalOp := spec.AddOperator(&hyracks.Descriptor{
-		Name:        "stream-udf-evaluator",
-		Parallelism: n,
-		NewPipe: func(p int) (hyracks.Pipe, error) {
-			return newEvaluator(prepared, instances, p), nil
-		},
-	})
-
-	writerOp := spec.AddOperator(&hyracks.Descriptor{
-		Name:        "storage-partition-writer",
-		Parallelism: n,
-		NewPipe: func(p int) (hyracks.Pipe, error) {
-			// Frame-granular batch writes, same as the dynamic feed.
-			return newStorageWriter(ds.Partition(p), pk, &sf.stats.Stored), nil
-		},
-	})
-
-	spec.Connect(adapterOp, evalOp, hyracks.RoundRobin, nil)
-	spec.Connect(evalOp, writerOp, hyracks.HashPartition, keyHash(pk))
+	// UDF evaluator with frozen state, spread over all nodes; it routes
+	// what the function makes of each record.
+	last := adapterOp
+	if route == nil {
+		last = spec.AddOperator(&hyracks.Descriptor{
+			Name:        "stream-udf-evaluator",
+			Parallelism: len(nodes),
+			NewPipe: func(p int) (hyracks.Pipe, error) {
+				router := newFrameRouter(tuning.FrameCapacity, ds.NumPartitions(), pk, ds.Route)
+				ev := &frameEvaluator{evaluator{router: &router, prepared: prepared}}
+				if instances != nil {
+					ev.instance = instances[p]
+				}
+				return ev, nil
+			},
+		})
+		spec.Connect(adapterOp, last, hyracks.RoundRobin, nil)
+	}
+	// Frame-granular batch writes, same as the dynamic feed.
+	connectStorage(spec, last, "storage-partition-writer", ds, nodes, &sf.stats.Stored)
 
 	sf.job, err = c.StartJob(jobCtx, spec, cfg.Name+"-static")
 	if err != nil {
@@ -152,6 +159,20 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 		return nil, err
 	}
 	return sf, nil
+}
+
+// frameEvaluator is the dynamic feed's evaluator in a continuous job:
+// each input frame is a batch of its own, so its rows go on to storage
+// before the next frame is read.
+type frameEvaluator struct{ evaluator }
+
+// Push implements hyracks.Pipe.
+func (ev *frameEvaluator) Push(tc *hyracks.TaskContext, fr hyracks.Frame, out hyracks.Writer) error {
+	ev.router.begin(len(fr.Records))
+	if err := ev.evaluator.Push(tc, fr, out); err != nil {
+		return err
+	}
+	return ev.router.flush(out)
 }
 
 // Stop gracefully stops the adapters; in-flight data drains.

@@ -11,15 +11,15 @@ import (
 
 // newStorageWriter returns the frame-granular LSM storage writer shared
 // by the feed storage job, the fused-insert ablation, and the static
-// pipeline. Each incoming frame becomes one storage operation: the
-// primary keys are extracted in a single pass into a pooled scratch and
-// the whole frame goes through Partition.UpsertFrame — one WAL append
-// and group commit, one partition lock acquisition, one sorted bulk
-// insert into the memtable, and grouped secondary-index maintenance —
-// instead of paying each of those per record. A frame a feed routed —
-// its collector with no function, its evaluator with one — carries its
-// slab (Frame.Enc), which the partition logs and keeps as it is; any
-// other frame is copied.
+// pipeline (connectStorage). Each incoming frame becomes one storage
+// operation: the primary keys are extracted in a single pass into a
+// pooled scratch and the whole frame goes through Partition.UpsertFrame
+// — one WAL append and group commit, one partition lock acquisition, one
+// sorted bulk insert into the memtable, and grouped secondary-index
+// maintenance — instead of paying each of those per record. Every frame
+// that reaches it was routed — by a collector or static adapter-parser
+// with no function, by an evaluator with one — and carries its slab
+// (Frame.Enc), which the partition logs and keeps as it is.
 //
 // The writer is the frame's final consumer: storage retains the
 // records (and a routed frame's slab), the spine recycles.
@@ -59,11 +59,29 @@ func newStorageWriter(part *lsm.Partition, pk string, stored *atomic.Int64) *hyr
 	}
 }
 
+// connectStorage adds the storage writers to spec — one per partition of
+// ds, partition p's on nodes[p%len(nodes)] — and connects from to them
+// through the storage exchange. Every frame from must be routed
+// (frameRouter): the exchange forwards it whole to the writer its
+// records hash to.
+func connectStorage(spec *hyracks.JobSpec, from int, name string, ds *lsm.Dataset, nodes []int, stored *atomic.Int64) {
+	pk := ds.PrimaryKey()
+	writerOp := spec.AddOperator(&hyracks.Descriptor{
+		Name:        name,
+		Parallelism: ds.NumPartitions(),
+		NodeOf:      func(p int) int { return nodes[p%len(nodes)] },
+		NewPipe: func(p int) (hyracks.Pipe, error) {
+			return newStorageWriter(ds.Partition(p), pk, stored), nil
+		},
+	})
+	spec.Connect(from, writerOp, hyracks.HashPartition, keyHash(pk))
+}
+
 // keyHash is the storage exchange's key function: the record's primary
 // key through adm.Hash. The hash connector takes it modulo the writer
 // count, the dataset's partition count, which is what Dataset.Route
-// computes from the key — so every frame a feed's collector or
-// evaluator routes is single-target here and forwarded whole.
+// computes from the key — so every frame a collector, adapter-parser
+// or evaluator routes is single-target here and forwarded whole.
 func keyHash(pk string) func(adm.Value) uint64 {
 	return func(rec adm.Value) uint64 { return adm.Hash(rec.Field(pk)) }
 }

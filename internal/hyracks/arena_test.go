@@ -95,8 +95,7 @@ func TestAddRawCopyStagesVolatileBuffers(t *testing.T) {
 }
 
 // TestHashConnectorWholesaleForwarding: a frame whose records all hash
-// to one target must be forwarded untouched — same spine — while mixed
-// frames are re-bucketed.
+// to one target is forwarded untouched — same spine, Enc kept.
 func TestHashConnectorWholesaleForwarding(t *testing.T) {
 	targets := []chan Frame{make(chan Frame, 8), make(chan Frame, 8)}
 	var done sync.WaitGroup
@@ -107,9 +106,8 @@ func TestHashConnectorWholesaleForwarding(t *testing.T) {
 			routing: HashPartition,
 			hashKey: func(v adm.Value) uint64 { return uint64(v.IntVal()) },
 		},
-		targets:  targets,
-		capacity: 8,
-		done:     &done,
+		targets: targets,
+		done:    &done,
 	}
 	if err := w.Open(); err != nil {
 		t.Fatal(err)
@@ -117,7 +115,8 @@ func TestHashConnectorWholesaleForwarding(t *testing.T) {
 
 	single := GetRecordSlice(4)
 	single = append(single, adm.Int(1), adm.Int(3), adm.Int(5)) // all hash to 1
-	if err := w.Push(Frame{Records: single}); err != nil {
+	enc := []byte("slab")
+	if err := w.Push(Frame{Records: single, Enc: enc}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -125,26 +124,12 @@ func TestHashConnectorWholesaleForwarding(t *testing.T) {
 		if len(f.Records) != 3 || &f.Records[0] != &single[0] {
 			t.Fatal("single-target frame was copied instead of forwarded")
 		}
+		if &f.Enc[0] != &enc[0] {
+			t.Fatal("single-target frame lost its Enc")
+		}
 		RecycleFrame(f)
 	default:
 		t.Fatal("single-target frame not delivered")
-	}
-
-	mixed := GetRecordSlice(4)
-	mixed = append(mixed, adm.Int(2), adm.Int(7))
-	if err := w.Push(Frame{Records: mixed}); err != nil {
-		t.Fatal(err)
-	}
-	for tgt, want := range map[int]int64{0: 2, 1: 7} {
-		select {
-		case f := <-targets[tgt]:
-			if len(f.Records) != 1 || f.Records[0].IntVal() != want {
-				t.Fatalf("target %d got %v, want [%d]", tgt, f.Records, want)
-			}
-			RecycleFrame(f)
-		default:
-			t.Fatalf("target %d got nothing", tgt)
-		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

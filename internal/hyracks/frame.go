@@ -2,8 +2,8 @@
 // the ingestion framework runs on, mirroring the architecture of the
 // Hyracks engine underneath AsterixDB: jobs are DAGs of operators and
 // connectors; data flows in frames of records; each operator runs one
-// instance per partition; connectors route frames between partitions
-// (one-to-one, round-robin, hash, broadcast).
+// instance per partition; connectors move whole frames between
+// partitions (one-to-one, round-robin, hash).
 //
 // It also provides the paper's partition holders: queue-guarded
 // endpoints that let one job hand frames to another at runtime, which
@@ -34,10 +34,10 @@ import (
 )
 
 // Frame is a batch of records moving through a dataflow, the unit of
-// transfer between operators. It has two lanes: Records carries parsed
-// ADM values; Raw carries unparsed record bytes so adapters can ship
-// data to the parser without copying or wrapping it. A frame normally
-// uses exactly one lane.
+// transfer between operators. It uses one of two lanes: Raw carries an
+// adapter's unparsed lines, staged by a FrameBuilder, so they reach the
+// parser without being copied or wrapped again; Records carries ADM
+// values — what a parser, an evaluator or a SliceSource emits.
 type Frame struct {
 	Records []adm.Value
 	Raw     [][]byte
@@ -53,7 +53,7 @@ type Frame struct {
 	// to the partition as the write's log payload. Enc is a hint the
 	// partition verifies, never trusts. It is garbage-collected like the
 	// records, never pooled, and anything that rebuilds a frame's Records
-	// (a hash connector splitting it, a MapPipe) drops it.
+	// (a MapPipe) drops it; a hash connector forwards it with the frame.
 	Enc []byte
 
 	// Adapter and FirstOff/LastOff locate the frame in its source
@@ -220,12 +220,12 @@ func RecycleFrame(f Frame) {
 	PutArena(f.Arena)
 }
 
-// FrameBuilder accumulates records and emits full frames to a Writer.
-// Its buffers come from the frame pool; each Flush transfers the buffer
-// downstream and the next Add draws a fresh (usually recycled) one.
+// FrameBuilder stages an adapter's lines into raw frames and emits full
+// frames to a Writer. Its spines and arenas come from the pools; each
+// Flush transfers them downstream and the next AddRawCopy draws fresh
+// (usually recycled) ones.
 type FrameBuilder struct {
 	capacity int
-	buf      []adm.Value
 	raw      [][]byte
 	arena    *adm.Arena
 	out      Writer
@@ -247,7 +247,7 @@ func (b *FrameBuilder) SetAdapter(slot int) { b.adapter = slot }
 
 // NoteOffset records the source offset of the record about to be added.
 // Offsets must be dense and ascending within a frame; callers invoke it
-// immediately before the Add/AddRawCopy call for that record so a flush
+// immediately before the AddRawCopy call for that record so a flush
 // triggered by the add carries the right range.
 func (b *FrameBuilder) NoteOffset(off uint64) {
 	if b.firstOff == 0 {
@@ -263,18 +263,6 @@ func NewFrameBuilder(capacity int, out Writer) *FrameBuilder {
 		capacity = 128
 	}
 	return &FrameBuilder{capacity: capacity, out: out}
-}
-
-// Add appends one parsed record, flushing when the frame is full.
-func (b *FrameBuilder) Add(rec adm.Value) error {
-	if b.buf == nil {
-		b.buf = GetRecordSlice(b.capacity)
-	}
-	b.buf = append(b.buf, rec)
-	if len(b.buf)+len(b.raw) >= b.capacity {
-		return b.Flush()
-	}
-	return nil
 }
 
 // AddRawCopy stages one raw record: the bytes are copied into the
@@ -294,23 +282,23 @@ func (b *FrameBuilder) AddRawCopy(rec []byte) error {
 	}
 	b.staged += len(rec)
 	b.raw = append(b.raw, b.arena.AppendBytes(rec))
-	if len(b.buf)+len(b.raw) >= b.capacity {
+	if len(b.raw) >= b.capacity {
 		return b.Flush()
 	}
 	return nil
 }
 
-// Flush emits any buffered records as a frame, transferring buffer and
-// arena ownership downstream.
+// Flush emits any staged lines as a frame, transferring spine and arena
+// ownership downstream.
 func (b *FrameBuilder) Flush() error {
-	if len(b.buf) == 0 && len(b.raw) == 0 {
+	if len(b.raw) == 0 {
 		return nil
 	}
 	f := Frame{
-		Records: b.buf, Raw: b.raw, Arena: b.arena,
+		Raw: b.raw, Arena: b.arena,
 		Adapter: b.adapter, FirstOff: b.firstOff, LastOff: b.lastOff,
 	}
-	b.buf, b.raw, b.arena = nil, nil, nil
+	b.raw, b.arena = nil, nil
 	b.firstOff, b.lastOff = 0, 0
 	if b.staged > 0 {
 		b.lastStaged, b.staged = b.staged, 0

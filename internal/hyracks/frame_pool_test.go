@@ -2,6 +2,7 @@ package hyracks
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -91,8 +92,12 @@ func TestFramePoolOwnership(t *testing.T) {
 func TestFrameBuilderReusesPooledBuffers(t *testing.T) {
 	var got []int64
 	sink := writerFunc(func(f Frame) error {
-		for _, r := range f.Records {
-			got = append(got, r.IntVal())
+		for _, line := range f.Raw {
+			v, err := strconv.ParseInt(string(line), 10, 64)
+			if err != nil {
+				return err
+			}
+			got = append(got, v)
 		}
 		RecycleFrame(f) // consumer owns the frame after Push
 		return nil
@@ -100,7 +105,7 @@ func TestFrameBuilderReusesPooledBuffers(t *testing.T) {
 	b := NewFrameBuilder(4, sink)
 	const n = 103
 	for i := 0; i < n; i++ {
-		if err := b.Add(adm.Int(int64(i))); err != nil {
+		if err := b.AddRawCopy(strconv.AppendInt(nil, int64(i), 10)); err != nil {
 			t.Fatal(err)
 		}
 	}

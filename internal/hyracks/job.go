@@ -2,6 +2,7 @@ package hyracks
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -18,8 +19,11 @@ const (
 	// RoundRobin spreads frames evenly over target partitions — the
 	// intake job uses it so expensive UDF work is balanced (Section 6.2).
 	RoundRobin
-	// HashPartition routes each record by a key hash — the storage job
-	// uses it to send records to the partition owning their primary key.
+	// HashPartition sends each frame to the partition its records' key
+	// hash names — the storage exchange, into the partition that owns
+	// their primary key. Its producers route: every record of a frame
+	// must hash to the same target, or the job fails with
+	// ErrUnroutedFrame.
 	HashPartition
 )
 
@@ -179,12 +183,11 @@ func (s *JobSpec) Run(parent context.Context, jobID string) (*Job, error) {
 		for p := 0; p < from.Parallelism; p++ {
 			fans[c.to].senders.Add(1)
 			outputs[c.from][p] = &connectorWriter{
-				ctx:      ctx,
-				spec:     c,
-				targets:  inputs[c.to],
-				srcPart:  p,
-				capacity: s.QueueCapacity,
-				done:     &fans[c.to].senders,
+				ctx:     ctx,
+				spec:    c,
+				targets: inputs[c.to],
+				srcPart: p,
+				done:    &fans[c.to].senders,
 			}
 		}
 	}
@@ -312,29 +315,25 @@ func (s *JobSpec) validate() error {
 	return nil
 }
 
+// ErrUnroutedFrame fails a job whose hash connector is pushed a frame
+// whose records hash to more than one target. The connector moves whole
+// frames; deciding which record goes where is the producer's job.
+var ErrUnroutedFrame = errors.New("hyracks: a frame's records hash to different targets; route records before a hash connector")
+
 // connectorWriter routes one upstream partition's frames to the target
 // partitions' channels.
 type connectorWriter struct {
-	ctx      context.Context
-	spec     connectorSpec
-	targets  []chan Frame
-	srcPart  int
-	capacity int
-	done     *sync.WaitGroup
+	ctx     context.Context
+	spec    connectorSpec
+	targets []chan Frame
+	srcPart int
+	done    *sync.WaitGroup
 
-	rr      int           // round-robin cursor
-	buffers [][]adm.Value // per-target buffers for hash routing
-	scratch []int         // per-record hash targets, reused across frames
-	counts  []int         // per-target histogram, reused across frames
-	closed  bool
+	rr     int // round-robin cursor
+	closed bool
 }
 
-func (w *connectorWriter) Open() error {
-	if w.spec.routing == HashPartition {
-		w.buffers = make([][]adm.Value, len(w.targets))
-	}
-	return nil
-}
+func (w *connectorWriter) Open() error { return nil }
 
 func (w *connectorWriter) send(target int, f Frame) error {
 	select {
@@ -363,100 +362,27 @@ func (w *connectorWriter) Push(f Frame) error {
 			RecycleFrame(f)
 			return nil
 		}
-		// Hash every record once into a reused scratch; when the whole
-		// frame lands on one target (always true for single-partition
-		// jobs and for a feed's routed frames, common for
-		// skewed keys) it is forwarded wholesale, Enc included, with no
-		// per-record copying. Buffers are always empty between
-		// Pushes (every partial flushes at frame end), so wholesale
-		// forwarding cannot reorder records.
-		if cap(w.scratch) < len(f.Records) {
-			w.scratch = make([]int, len(f.Records))
-		}
-		targets := w.scratch[:len(f.Records)]
-		single := true
-		for i, rec := range f.Records {
-			t := int(w.spec.hashKey(rec) % uint64(len(w.targets)))
-			targets[i] = t
-			if t != targets[0] {
-				single = false
+		// Every record is hashed as the check that its producer routed
+		// it here; the frame then goes on whole, Enc included.
+		t := w.target(f.Records[0])
+		for _, rec := range f.Records[1:] {
+			if w.target(rec) != t {
+				return ErrUnroutedFrame
 			}
 		}
-		if single {
-			return w.send(targets[0], f)
-		}
-		// Mixed-target frame: build a per-target histogram so each
-		// target's buffer is drawn and sized exactly once, then copy
-		// runs of same-target records instead of appending one by one.
-		// The frames this builds carry no Enc: no slab holds exactly
-		// their records.
-		if cap(w.counts) < len(w.targets) {
-			w.counts = make([]int, len(w.targets))
-		}
-		counts := w.counts[:len(w.targets)]
-		clear(counts)
-		for _, t := range targets {
-			counts[t]++
-		}
-		for t, c := range counts {
-			if c == 0 {
-				continue
-			}
-			need := len(w.buffers[t]) + c
-			if w.buffers[t] == nil {
-				w.buffers[t] = GetRecordSlice(max(w.capacity, c))
-			} else if cap(w.buffers[t]) < need {
-				grown := GetRecordSlice(need)
-				grown = append(grown, w.buffers[t]...)
-				PutRecordSlice(w.buffers[t])
-				w.buffers[t] = grown
-			}
-		}
-		for i := 0; i < len(f.Records); {
-			t := targets[i]
-			j := i + 1
-			for j < len(f.Records) && targets[j] == t {
-				j++
-			}
-			w.buffers[t] = append(w.buffers[t], f.Records[i:j]...)
-			i = j
-		}
-		// Flush every buffer at the end of the input frame: long-running
-		// jobs (the storage job) must not hold records hostage waiting
-		// for a full output frame, and flushing everything keeps each
-		// frame's records one batch for the storage writer downstream.
-		for t := range w.buffers {
-			if err := w.flushTarget(t); err != nil {
-				return err
-			}
-		}
-		RecycleFrame(f)
-		return nil
+		return w.send(t, f)
 	}
 }
 
-func (w *connectorWriter) flushTarget(t int) error {
-	if len(w.buffers[t]) == 0 {
-		return nil
-	}
-	f := Frame{Records: w.buffers[t]}
-	w.buffers[t] = nil
-	return w.send(t, f)
+// target is the partition a record hashes to.
+func (w *connectorWriter) target(rec adm.Value) int {
+	return int(w.spec.hashKey(rec) % uint64(len(w.targets)))
 }
 
 func (w *connectorWriter) Close() error {
-	if w.closed {
-		return nil
+	if !w.closed {
+		w.closed = true
+		w.done.Done()
 	}
-	w.closed = true
-	var firstErr error
-	if w.spec.routing == HashPartition {
-		for t := range w.targets {
-			if err := w.flushTarget(t); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	w.done.Done()
-	return firstErr
+	return nil
 }

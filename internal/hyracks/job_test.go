@@ -107,13 +107,36 @@ func TestJobRoundRobinBalances(t *testing.T) {
 	}
 }
 
+// routedSource emits records as a hash connector's producer must: each
+// frame holds records of one target only.
+func routedSource(recs []adm.Value, frameCap, targets int, keyFn func(adm.Value) uint64) Source {
+	return SourceFunc(func(tc *TaskContext, out Writer) error {
+		if err := out.Open(); err != nil {
+			return err
+		}
+		for t := 0; t < targets; t++ {
+			var mine []adm.Value
+			for _, rec := range recs {
+				if int(keyFn(rec)%uint64(targets)) == t {
+					mine = append(mine, rec)
+				}
+			}
+			if err := (&SliceSource{Records: mine, FrameCap: frameCap}).Run(tc, out); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 func TestJobHashPartitioning(t *testing.T) {
 	const parts = 3
+	keyFn := func(rec adm.Value) uint64 { return adm.Hash(rec.Field("id")) }
 	spec := NewJobSpec()
 	src := spec.AddOperator(&Descriptor{
 		Name: "src", Parallelism: 2,
 		NewSource: func(p int) (Source, error) {
-			return &SliceSource{Records: intRecords(999), FrameCap: 32}, nil
+			return routedSource(intRecords(999), 32, parts, keyFn), nil
 		},
 	})
 	var collectors [parts]Collector
@@ -121,7 +144,6 @@ func TestJobHashPartitioning(t *testing.T) {
 		Name: "sink", Parallelism: parts,
 		NewPipe: func(p int) (Pipe, error) { return collectors[p].Sink(), nil },
 	})
-	keyFn := func(rec adm.Value) uint64 { return adm.Hash(rec.Field("id")) }
 	spec.Connect(src, sink, HashPartition, keyFn)
 	job, err := spec.Run(context.Background(), "hash")
 	if err != nil {
@@ -146,21 +168,17 @@ func TestJobHashPartitioning(t *testing.T) {
 	}
 }
 
-// TestJobHashMixedFrameOrder pins the histogram/run-copy re-bucketing
-// of mixed-target frames: every record must still land on its hash
-// target, and the relative order of records bound for the same target
-// must survive exactly (the storage layer's last-wins upsert semantics
-// depend on it).
-func TestJobHashMixedFrameOrder(t *testing.T) {
-	const parts = 4
-	const n = 5000
+// TestHashConnectorRejectsUnroutedFrame: a frame whose records hash to
+// two targets fails the job with ErrUnroutedFrame, and nothing reaches
+// any target — the connector moves frames, it does not split them.
+func TestHashConnectorRejectsUnroutedFrame(t *testing.T) {
+	const parts = 2
+	keyFn := func(rec adm.Value) uint64 { return uint64(rec.Field("id").IntVal()) }
 	spec := NewJobSpec()
 	src := spec.AddOperator(&Descriptor{
 		Name: "src", Parallelism: 1,
-		NewSource: func(p int) (Source, error) {
-			// Sequential ids hash to interleaved targets, so every frame
-			// is mixed-target.
-			return &SliceSource{Records: intRecords(n), FrameCap: 64}, nil
+		NewSource: func(int) (Source, error) {
+			return &SliceSource{Records: intRecords(2), FrameCap: 64}, nil // ids 0 and 1
 		},
 	})
 	var collectors [parts]Collector
@@ -168,33 +186,18 @@ func TestJobHashMixedFrameOrder(t *testing.T) {
 		Name: "sink", Parallelism: parts,
 		NewPipe: func(p int) (Pipe, error) { return collectors[p].Sink(), nil },
 	})
-	keyFn := func(rec adm.Value) uint64 { return adm.Hash(rec.Field("id")) }
 	spec.Connect(src, sink, HashPartition, keyFn)
-	job, err := spec.Run(context.Background(), "hash-mixed")
+	job, err := spec.Run(context.Background(), "unrouted")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := job.Wait(); err != nil {
-		t.Fatal(err)
+	if err := job.Wait(); !errors.Is(err, ErrUnroutedFrame) {
+		t.Fatalf("Wait = %v, want ErrUnroutedFrame", err)
 	}
-	total := 0
-	for p := 0; p < parts; p++ {
-		recs := collectors[p].Records()
-		total += len(recs)
-		prev := int64(-1)
-		for _, r := range recs {
-			if int(keyFn(r)%parts) != p {
-				t.Fatalf("record %v routed to wrong partition %d", r, p)
-			}
-			id := r.Field("id").IntVal()
-			if id <= prev {
-				t.Fatalf("partition %d: order broken, id %d after %d", p, id, prev)
-			}
-			prev = id
+	for p := range collectors {
+		if n := collectors[p].Len(); n != 0 {
+			t.Fatalf("target %d received %d records of an unrouted frame", p, n)
 		}
-	}
-	if total != n {
-		t.Fatalf("total = %d, want %d", total, n)
 	}
 }
 
@@ -305,34 +308,25 @@ func TestJobSpecValidation(t *testing.T) {
 }
 
 func TestFrameBuilder(t *testing.T) {
-	var col Collector
-	sink := col.Sink()
-	w := &pipeAsWriter{pipe: sink}
-	b := NewFrameBuilder(3, w)
+	var frames, lines int
+	b := NewFrameBuilder(3, writerFunc(func(f Frame) error {
+		frames++
+		lines += f.Len()
+		RecycleFrame(f)
+		return nil
+	}))
 	for i := 0; i < 7; i++ {
-		if err := b.Add(adm.Int(int64(i))); err != nil {
+		if err := b.AddRawCopy([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Len() != 7 {
-		t.Errorf("collected %d", col.Len())
+	if frames != 3 || lines != 7 {
+		t.Errorf("%d lines in %d frames, want 7 in 3", lines, frames)
 	}
 }
-
-// pipeAsWriter adapts a Pipe to a Writer for direct tests.
-type pipeAsWriter struct {
-	pipe Pipe
-	tc   TaskContext
-}
-
-func (p *pipeAsWriter) Open() error { return p.pipe.Open(&p.tc, Discard) }
-func (p *pipeAsWriter) Push(f Frame) error {
-	return p.pipe.Push(&p.tc, f, Discard)
-}
-func (p *pipeAsWriter) Close() error { return p.pipe.Close(&p.tc, Discard) }
 
 func ExampleJobSpec() {
 	spec := NewJobSpec()

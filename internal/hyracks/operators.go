@@ -68,7 +68,8 @@ func (s *SinkPipe) Close(tc *TaskContext, _ Writer) error {
 	return nil
 }
 
-// SliceSource emits a record slice as frames (tests and bulk loads).
+// SliceSource emits a record slice, in order, as frames of up to
+// FrameCap records (default 128) (tests and bulk loads).
 type SliceSource struct {
 	Records  []adm.Value
 	FrameCap int
@@ -79,18 +80,21 @@ func (s *SliceSource) Run(tc *TaskContext, out Writer) error {
 	if err := out.Open(); err != nil {
 		return err
 	}
-	b := NewFrameBuilder(s.FrameCap, out)
-	for _, rec := range s.Records {
-		select {
-		case <-tc.Ctx.Done():
-			return tc.Ctx.Err()
-		default:
-		}
-		if err := b.Add(rec); err != nil {
+	frameCap := s.FrameCap
+	if frameCap <= 0 {
+		frameCap = 128
+	}
+	for recs := s.Records; len(recs) > 0; {
+		if err := tc.Ctx.Err(); err != nil {
 			return err
 		}
+		n := min(frameCap, len(recs))
+		if err := out.Push(Frame{Records: append(GetRecordSlice(n), recs[:n]...)}); err != nil {
+			return err
+		}
+		recs = recs[n:]
 	}
-	return b.Flush()
+	return nil
 }
 
 // Collector is a concurrency-safe record sink used by tests and result

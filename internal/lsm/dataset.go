@@ -175,22 +175,6 @@ func (d *Dataset) UpsertBatch(recs []adm.Value) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	// Fast path: one partition means no routing and no regrouping.
-	if len(d.partitions) == 1 {
-		keys := hyracks.GetRecordSlice(len(recs))
-		defer hyracks.PutRecordSlice(keys)
-		prepared := hyracks.GetRecordSlice(len(recs))
-		defer hyracks.PutRecordSlice(prepared)
-		for _, rec := range recs {
-			pk, rec, err := d.keyed(rec)
-			if err != nil {
-				return err
-			}
-			keys = append(keys, pk)
-			prepared = append(prepared, rec)
-		}
-		return d.partitions[0].UpsertBatch(keys, prepared)
-	}
 	perKeys := make([][]adm.Value, len(d.partitions))
 	perRecs := make([][]adm.Value, len(d.partitions))
 	// Return every drawn scratch to the pool on all paths — including a

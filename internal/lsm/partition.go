@@ -424,7 +424,7 @@ func (p *Partition) UpsertFrame(keys, recs []adm.Value, enc []byte) error {
 		return nil
 	}
 	if len(keys) != len(recs) {
-		panic("lsm: UpsertBatch keys/recs length mismatch")
+		panic("lsm: UpsertFrame keys/recs length mismatch")
 	}
 	_, err := p.write(writeUpsert, keys, recs, enc)
 	return err
