@@ -8,7 +8,7 @@ import (
 	"unsafe"
 )
 
-// setRow is the row SpliceRow must agree with: an Object filled field
+// setRow is the row AppendRow must agree with: an Object filled field
 // by field, a later value of one name replacing the earlier in place.
 func setRow(parts []RowPart) Value {
 	o := NewObject(len(parts))
@@ -26,7 +26,7 @@ func setRow(parts []RowPart) Value {
 	return ObjectValue(o)
 }
 
-// checkSpliceAgrees holds SpliceRow(parts) to setRow(parts): when the
+// checkSpliceAgrees holds AppendRow(nil, parts) to setRow(parts): when the
 // row is built from bytes it is a view, byte-identical under
 // AppendBinary to the Object-built row and equal to it however it is
 // read; and it declines only a row the bytes cannot express. It returns
@@ -34,7 +34,7 @@ func setRow(parts []RowPart) Value {
 func checkSpliceAgrees(t *testing.T, parts []RowPart) bool {
 	t.Helper()
 	want := setRow(parts)
-	got, ok := SpliceRow(parts)
+	_, got, ok := AppendRow(nil, parts)
 	if !ok {
 		// Declining needs a reason: no star source to splice, one that is
 		// a tree, an extra too deep for a row to hold, or a name the
@@ -54,12 +54,12 @@ func checkSpliceAgrees(t *testing.T, parts []RowPart) bool {
 			}
 		}
 		if !reason && stars > 0 && fields == want.ObjectVal().Len() {
-			t.Fatalf("SpliceRow declined a row of %d distinct names over views: %v", fields, want)
+			t.Fatalf("AppendRow declined a row of %d distinct names over views: %v", fields, want)
 		}
 		return false
 	}
 	if !got.isView() {
-		t.Fatalf("SpliceRow built %v, not a view", got)
+		t.Fatalf("AppendRow built %v, not a view", got)
 	}
 	// Bytes our encoder wrote come back as themselves; a view over bytes
 	// it would have written otherwise (a boolean payload of 0x30, an
@@ -159,7 +159,7 @@ func TestSpliceRowMatchesObjectSet(t *testing.T) {
 	}
 }
 
-// TestAppendRowNeverRegrowsDst: AppendRow writes SpliceRow's bytes. Into
+// TestAppendRowNeverRegrowsDst: AppendRow writes the row's bytes. Into
 // a dst with room it writes them in place, after dst's own bytes, which
 // it leaves alone; into one without room it writes nothing and gives the
 // row one allocation of its exact size — so does a named value wider
@@ -179,9 +179,9 @@ func TestAppendRowNeverRegrowsDst(t *testing.T) {
 		{"t.*, a 200-byte array", []RowPart{{Val: tweet, Star: true}, {Name: "tags", Val: Array(tags)}}},
 		{"t.*, a 200-byte array view", []RowPart{{Val: tweet, Star: true}, {Name: "tags", Val: viewOf(Array(tags))}}},
 	} {
-		want, ok := SpliceRow(tc.parts)
+		_, want, ok := AppendRow(nil, tc.parts)
 		if !ok {
-			t.Fatalf("%s: SpliceRow declined", tc.name)
+			t.Fatalf("%s: AppendRow declined", tc.name)
 		}
 		size := len(want.s)
 		prefix := []byte("key bytes")

@@ -124,26 +124,21 @@ type RowPart struct {
 	Star bool
 }
 
-// SpliceRow builds the object a SELECT clause denotes from the encodings
+// AppendRow builds the object a SELECT clause denotes from the encodings
 // of its parts: object tag, summed field count, each star source's field
-// bytes and each named value's AppendBinary, in order. The result is a
+// bytes and each named value's AppendBinary, in order. The row is a
 // view, byte for byte the encoding of the object that setting every
-// field in turn (Object.Set) would build. ok is false, and the caller
-// builds that object, when there is nothing to splice — no star source,
-// or one that is not a view — when a name would repeat (Set replaces in
-// place, which bytes cannot), or when the row would nest deeper than
-// MaxDepth and so be no valid view.
-func SpliceRow(parts []RowPart) (row Value, ok bool) {
-	_, row, ok = AppendRow(nil, parts)
-	return row, ok
-}
-
-// AppendRow is SpliceRow into dst's spare capacity. When dst has room
-// for the row, its bytes are written right after dst's, row is a view of
-// them and out is dst extended over them. Otherwise the row is given an
-// allocation of exactly its size and out is dst as it was. dst is never
-// regrown, so views of its earlier bytes stay views of them; when ok is
-// false (SpliceRow's reasons) nothing is written and out is dst.
+// field in turn (Object.Set) would build. ok is false, nothing is
+// written, out is dst and the caller builds that object, when there is
+// nothing to splice — no star source, or one that is not a view — when a
+// name would repeat (Set replaces in place, which bytes cannot), or when
+// the row would nest deeper than MaxDepth and so be no valid view.
+//
+// The bytes go into dst's spare capacity: when dst has room for the
+// row, they are written right after dst's, row is a view of them and out
+// is dst extended over them. Otherwise the row is given an allocation of
+// exactly its size and out is dst as it was. dst is never regrown, so
+// views of its earlier bytes stay views of them.
 func AppendRow(dst []byte, parts []RowPart) (out []byte, row Value, ok bool) {
 	var few [32]string // wider rows take their names from the heap
 	names := few[:0]

@@ -245,7 +245,7 @@ type Feed struct {
 	nodes []int
 
 	intakeHolders  []*hyracks.PassiveHolder
-	storageHolders []*hyracks.ActiveHolder
+	storageHolders []*hyracks.PassiveHolder
 	spillers       []*lsm.SpillQueue // per intake partition; nil entries when not spilling
 	intakeJob      *hyracks.Job
 	storageJob     *hyracks.Job
@@ -566,11 +566,11 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 			return nil, err
 		}
 		ih := hyracks.NewPassiveHolderOpts(opts)
-		sh := hyracks.NewActiveHolder(tuning.HolderCapacity)
-		if err := c.Node(f.nodes[p]).Holders.RegisterPassive(cfg.Name, ih); err != nil {
+		sh := hyracks.NewPassiveHolder(tuning.HolderCapacity)
+		if err := c.Node(f.nodes[p]).Holders.Register(cfg.Name+"/intake", ih); err != nil {
 			return nil, err
 		}
-		if err := c.Node(f.nodes[p]).Holders.RegisterActive(cfg.Name, sh); err != nil {
+		if err := c.Node(f.nodes[p]).Holders.Register(cfg.Name+"/storage", sh); err != nil {
 			return nil, err
 		}
 		f.intakeHolders = append(f.intakeHolders, ih)
@@ -693,8 +693,9 @@ func (f *Feed) buildIntakeSpec() (*hyracks.JobSpec, error) {
 	return spec, nil
 }
 
-// buildStorageSpec assembles active storage holders → hash partitioner →
-// LSM partition writers. Holder parallelism follows the live nodes;
+// buildStorageSpec assembles storage holders (each heading the job as
+// its Source) → hash partitioner → LSM partition writers. Holder
+// parallelism follows the live nodes;
 // writer parallelism always equals the dataset's partition count so
 // primary-key routing is stable across failover (dead nodes' partitions
 // stay writable through the shared-storage model — surviving nodes host
@@ -1216,7 +1217,7 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 					// needs sunk >= every record the sink ever handed
 					// to storage.
 					f.sunk.Add(int64(fr.Len()))
-					return f.storageHolders[p].Push(tc.Ctx, fr)
+					return f.storageHolders[p].PushFrame(tc.Ctx, fr)
 				},
 			}, nil
 		},
@@ -1405,7 +1406,8 @@ func (f *Feed) waitInner() error {
 
 func (f *Feed) teardownHolders() {
 	for _, node := range f.nodes {
-		f.cluster.Node(node).Holders.Unregister(f.cfg.Name)
+		f.cluster.Node(node).Holders.Unregister(f.cfg.Name + "/intake")
+		f.cluster.Node(node).Holders.Unregister(f.cfg.Name + "/storage")
 	}
 	f.closeSpillers()
 }

@@ -8,7 +8,10 @@
 // It also provides the paper's partition holders: queue-guarded
 // endpoints that let one job hand frames to another at runtime, which
 // plain Hyracks jobs cannot do ("data exchanges in Hyracks are limited
-// to being within the scope of a job").
+// to being within the scope of a job"). One type, PassiveHolder, serves
+// both of the paper's kinds: a job ends in a holder that another job
+// pulls from (PullFrames), or starts at one that other jobs push into
+// (Run makes it the job's Source).
 //
 // # Frame ownership and recycling
 //

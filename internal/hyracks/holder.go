@@ -98,17 +98,27 @@ type HolderOptions struct {
 	OnDrop func(f Frame, sampled bool)
 }
 
-// holderCore is the bounded ring + close/failure protocol shared by
-// both holder kinds.
+// PassiveHolder is the paper's partition holder: it guards a runtime
+// partition with a bounded frame ring (plus an optional spill lane) so
+// that frames can cross job boundaries. The paper's two kinds are the
+// two ways a job attaches to one:
+//
+//   - passive: the owning job pushes frames in (the holder is its sink,
+//     a Pipe) and other jobs pull batches out with PullFrames. The
+//     intake job ends in one so computing jobs can collect their input.
+//   - active: the holder heads its own job (Run makes it the job's
+//     Source) and other jobs push frames in with PushFrame. The storage
+//     job starts at one, fed by the computing jobs' sinks.
 //
 // The queue channel is the fixed-size ring and is never closed:
 // end-of-input is signaled by the done channel instead, so a push
 // racing CloseInput can never panic with "send on closed channel". The
-// inflight counter tracks pushes that are past their closed-check;
-// drains wait those out before reporting EOF. Together they give the
-// holder invariant: a push either returns an error, or succeeds and
-// its frame is drained before EOF is reported — never a panic, never a
-// silent drop (Shed/Sample drops are deliberate and routed to OnDrop).
+// inflight counter tracks pushes that are past their closed-check; next
+// waits those out before reporting EOF, for PullFrames and Run alike.
+// Together they give the holder invariant: a push either returns an
+// error, or succeeds and its frame is drained before EOF is reported —
+// never a panic, never a silent drop (Shed/Sample drops are deliberate
+// and routed to OnDrop).
 //
 // FIFO across the two lanes: ring frames are always older than spilled
 // frames. A producer spills whenever the spill lane is non-empty (even
@@ -117,7 +127,7 @@ type HolderOptions struct {
 // holders' actual concurrency: one pushing goroutine (the intake job's
 // holder task) and one pulling goroutine (the collector; invocations
 // run sequentially).
-type holderCore struct {
+type PassiveHolder struct {
 	queue    chan Frame
 	done     chan struct{}
 	once     sync.Once
@@ -142,7 +152,15 @@ type holderCore struct {
 	failedC  chan struct{}
 }
 
-func newHolderCore(opts HolderOptions) holderCore {
+// NewPassiveHolder returns a backpressure holder with the given ring
+// capacity.
+func NewPassiveHolder(capacity int) *PassiveHolder {
+	return NewPassiveHolderOpts(HolderOptions{Capacity: capacity})
+}
+
+// NewPassiveHolderOpts returns a holder with a full congestion
+// configuration (policy, spill lane, drop callbacks).
+func NewPassiveHolderOpts(opts HolderOptions) *PassiveHolder {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 64
 	}
@@ -156,7 +174,7 @@ func newHolderCore(opts HolderOptions) holderCore {
 			opts.Policy = Backpressure
 		}
 	}
-	return holderCore{
+	return &PassiveHolder{
 		queue:   make(chan Frame, opts.Capacity),
 		done:    make(chan struct{}),
 		opts:    opts,
@@ -165,221 +183,12 @@ func newHolderCore(opts HolderOptions) holderCore {
 	}
 }
 
-// closeInput marks the input finished (idempotent).
-func (c *holderCore) closeInput() {
-	c.once.Do(func() { close(c.done) })
-}
-
-// fail poisons the holder (the node hosting it died): every later push
-// or pull returns err. Idempotent; the first error wins.
-func (c *holderCore) fail(err error) {
-	c.failOnce.Do(func() {
-		c.failMu.Lock()
-		c.failErr = err
-		c.failMu.Unlock()
-		close(c.failedC)
-	})
-}
-
-// failed returns the poisoning error, or nil.
-func (c *holderCore) failed() error {
-	select {
-	case <-c.failedC:
-		c.failMu.Lock()
-		defer c.failMu.Unlock()
-		return c.failErr
-	default:
-		return nil
-	}
-}
-
-// push enqueues under the close protocol and the congestion policy.
-func (c *holderCore) push(ctx context.Context, f Frame) error {
-	c.inflight.Add(1)
-	defer c.inflight.Add(-1)
-	if err := c.failed(); err != nil {
-		return err
-	}
-	select {
-	case <-c.done:
-		return ErrHolderClosed
-	default:
-	}
-	switch c.opts.Policy {
-	case Spill:
-		return c.pushSpill(f)
-	case Shed:
-		return c.pushShed(f)
-	case Sample:
-		return c.pushSample(ctx, f)
-	}
-	return c.pushBlocking(ctx, f)
-}
-
-// pushBlocking is the Backpressure path: block until the ring has room.
-func (c *holderCore) pushBlocking(ctx context.Context, f Frame) error {
-	select {
-	case c.queue <- f:
-		return nil
-	case <-c.done:
-		return ErrHolderClosed
-	case <-c.failedC:
-		return c.failed()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// pushSpill diverts overflow to the spill lane. The lane stays in use
-// until drained even if the ring has room again — that is the FIFO
-// invariant (ring frames older than lane frames).
-func (c *holderCore) pushSpill(f Frame) error {
-	c.spillMu.Lock()
-	if c.opts.Spiller.Len() > 0 {
-		err := c.spillLocked(f)
-		c.spillMu.Unlock()
-		return err
-	}
-	c.spillMu.Unlock()
-	select {
-	case c.queue <- f:
-		return nil
-	default:
-	}
-	c.spillMu.Lock()
-	defer c.spillMu.Unlock()
-	return c.spillLocked(f)
-}
-
-func (c *holderCore) spillLocked(f Frame) error {
-	if m := c.opts.MaxSpilledFrames; m > 0 && c.opts.Spiller.Len() >= m {
-		err := fmt.Errorf("hyracks: spill lane full (%d frames)", m)
-		if c.opts.Overloaded != nil {
-			err = fmt.Errorf("%w: spill lane full (%d frames)", c.opts.Overloaded, m)
-		}
-		return err
-	}
-	records := f.Len()
-	if err := c.opts.Spiller.Spill(f); err != nil {
-		return err
-	}
-	if c.opts.OnSpill != nil {
-		c.opts.OnSpill(records)
-	}
-	select {
-	case c.spillC <- struct{}{}:
-	default:
-	}
-	return nil
-}
-
-// pushShed drops the frame when the ring is full.
-func (c *holderCore) pushShed(f Frame) error {
-	select {
-	case c.queue <- f:
-		return nil
-	default:
-	}
-	c.drop(f, false)
-	return nil
-}
-
-// pushSample keeps ~SampleRate of congested arrivals (kept frames wait
-// for ring room like Backpressure) and drops the rest.
-func (c *holderCore) pushSample(ctx context.Context, f Frame) error {
-	select {
-	case c.queue <- f:
-		return nil
-	default:
-	}
-	c.sampleAcc += c.opts.SampleRate
-	if c.sampleAcc >= 1 {
-		c.sampleAcc--
-		return c.pushBlocking(ctx, f)
-	}
-	c.drop(f, true)
-	return nil
-}
-
-func (c *holderCore) drop(f Frame, sampled bool) {
-	if c.opts.OnDrop != nil {
-		c.opts.OnDrop(f, sampled)
-		return
-	}
-	RecycleFrame(f)
-}
-
-// takeNB takes the next frame without blocking, honoring lane order:
-// ring first, then spill lane.
-func (c *holderCore) takeNB() (Frame, bool, error) {
-	select {
-	case f := <-c.queue:
-		return f, true, nil
-	default:
-	}
-	if sp := c.opts.Spiller; sp != nil {
-		c.spillMu.Lock()
-		f, ok, err := sp.Unspill()
-		c.spillMu.Unlock()
-		if err != nil || ok {
-			return f, ok, err
-		}
-	}
-	return Frame{}, false, nil
-}
-
-// recvAfterClose takes a frame after the input was closed, waiting out
-// pushes that are past their closed-check (they either enqueue/spill
-// promptly or fail — done is closed, so none can block). ok=false means
-// the holder is fully drained: nothing ringed, nothing spilled, no
-// in-flight push.
-func (c *holderCore) recvAfterClose() (Frame, bool, error) {
-	for {
-		f, ok, err := c.takeNB()
-		if err != nil || ok {
-			return f, ok, err
-		}
-		if c.inflight.Load() == 0 {
-			// A push may have landed its frame and decremented inflight
-			// between our poll above and the load — one final poll
-			// closes that window, keeping the "never a silent drop"
-			// invariant.
-			return c.takeNB()
-		}
-		runtime.Gosched()
-	}
-}
-
-// PassiveHolder is the paper's passive partition holder: it guards a
-// runtime partition with a bounded frame ring (plus an optional spill
-// lane); the owning job pushes frames in (implementing Pipe as the
-// job's sink), and *other* jobs pull frame batches out. The intake job
-// ends in one of these so computing jobs can collect their input
-// batches. See holderCore for the close/congestion protocol.
-type PassiveHolder struct {
-	core holderCore
-}
-
-// NewPassiveHolder returns a legacy backpressure holder with the given
-// ring capacity.
-func NewPassiveHolder(capacity int) *PassiveHolder {
-	return NewPassiveHolderOpts(HolderOptions{Capacity: capacity})
-}
-
-// NewPassiveHolderOpts returns a holder with a full congestion
-// configuration (policy, spill lane, drop callbacks).
-func NewPassiveHolderOpts(opts HolderOptions) *PassiveHolder {
-	return &PassiveHolder{core: newHolderCore(opts)}
-}
-
 // Open implements Pipe.
 func (h *PassiveHolder) Open(*TaskContext, Writer) error { return nil }
 
-// Push implements Pipe: enqueue the frame under the close protocol and
-// the holder's congestion policy (Backpressure blocks when full; Spill
-// diverts to the lane; Shed/Sample may drop).
+// Push implements Pipe: PushFrame under the task's context.
 func (h *PassiveHolder) Push(tc *TaskContext, f Frame, _ Writer) error {
-	return h.core.push(tc.Ctx, f)
+	return h.PushFrame(tc.Ctx, f)
 }
 
 // Close implements Pipe: marks end of input. Pulls drain the ring and
@@ -390,19 +199,208 @@ func (h *PassiveHolder) Close(*TaskContext, Writer) error {
 }
 
 // CloseInput marks the holder's input as finished (the "EOF record" of
-// the paper's stop-feed protocol).
-func (h *PassiveHolder) CloseInput() { h.core.closeInput() }
+// the paper's stop-feed protocol). Idempotent.
+func (h *PassiveHolder) CloseInput() {
+	h.once.Do(func() { close(h.done) })
+}
 
 // Fail poisons the holder (partition failover): every subsequent push
 // or pull returns err, so jobs wired to this holder fail fast instead
-// of wedging on a dead partition.
-func (h *PassiveHolder) Fail(err error) { h.core.fail(err) }
+// of wedging on a dead partition. Idempotent; the first error wins.
+func (h *PassiveHolder) Fail(err error) {
+	h.failOnce.Do(func() {
+		h.failMu.Lock()
+		h.failErr = err
+		h.failMu.Unlock()
+		close(h.failedC)
+	})
+}
 
-// PushFrame enqueues a frame from outside a dataflow (adapters use it),
-// transferring ownership of the frame's slices to the holder, under the
-// same close/congestion protocol as Push.
+// failed returns the poisoning error, or nil.
+func (h *PassiveHolder) failed() error {
+	select {
+	case <-h.failedC:
+		h.failMu.Lock()
+		defer h.failMu.Unlock()
+		return h.failErr
+	default:
+		return nil
+	}
+}
+
+// PushFrame enqueues a frame, transferring ownership of its slices to
+// the holder, under the close protocol and the holder's congestion
+// policy (Backpressure blocks when full; Spill diverts to the lane;
+// Shed/Sample may drop). A push racing CloseInput either lands — and is
+// drained before EOF — or reports ErrHolderClosed.
 func (h *PassiveHolder) PushFrame(ctx context.Context, f Frame) error {
-	return h.core.push(ctx, f)
+	h.inflight.Add(1)
+	defer h.inflight.Add(-1)
+	if err := h.failed(); err != nil {
+		return err
+	}
+	select {
+	case <-h.done:
+		return ErrHolderClosed
+	default:
+	}
+	switch h.opts.Policy {
+	case Spill:
+		return h.pushSpill(f)
+	case Shed:
+		return h.pushShed(f)
+	case Sample:
+		return h.pushSample(ctx, f)
+	}
+	return h.pushBlocking(ctx, f)
+}
+
+// pushBlocking is the Backpressure path: block until the ring has room.
+func (h *PassiveHolder) pushBlocking(ctx context.Context, f Frame) error {
+	select {
+	case h.queue <- f:
+		return nil
+	case <-h.done:
+		return ErrHolderClosed
+	case <-h.failedC:
+		return h.failed()
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// pushSpill diverts overflow to the spill lane. The lane stays in use
+// until drained even if the ring has room again — that is the FIFO
+// invariant (ring frames older than lane frames).
+func (h *PassiveHolder) pushSpill(f Frame) error {
+	h.spillMu.Lock()
+	if h.opts.Spiller.Len() > 0 {
+		err := h.spillLocked(f)
+		h.spillMu.Unlock()
+		return err
+	}
+	h.spillMu.Unlock()
+	select {
+	case h.queue <- f:
+		return nil
+	default:
+	}
+	h.spillMu.Lock()
+	defer h.spillMu.Unlock()
+	return h.spillLocked(f)
+}
+
+func (h *PassiveHolder) spillLocked(f Frame) error {
+	if m := h.opts.MaxSpilledFrames; m > 0 && h.opts.Spiller.Len() >= m {
+		err := fmt.Errorf("hyracks: spill lane full (%d frames)", m)
+		if h.opts.Overloaded != nil {
+			err = fmt.Errorf("%w: spill lane full (%d frames)", h.opts.Overloaded, m)
+		}
+		return err
+	}
+	records := f.Len()
+	if err := h.opts.Spiller.Spill(f); err != nil {
+		return err
+	}
+	if h.opts.OnSpill != nil {
+		h.opts.OnSpill(records)
+	}
+	select {
+	case h.spillC <- struct{}{}:
+	default:
+	}
+	return nil
+}
+
+// pushShed drops the frame when the ring is full.
+func (h *PassiveHolder) pushShed(f Frame) error {
+	select {
+	case h.queue <- f:
+		return nil
+	default:
+	}
+	h.drop(f, false)
+	return nil
+}
+
+// pushSample keeps ~SampleRate of congested arrivals (kept frames wait
+// for ring room like Backpressure) and drops the rest.
+func (h *PassiveHolder) pushSample(ctx context.Context, f Frame) error {
+	select {
+	case h.queue <- f:
+		return nil
+	default:
+	}
+	h.sampleAcc += h.opts.SampleRate
+	if h.sampleAcc >= 1 {
+		h.sampleAcc--
+		return h.pushBlocking(ctx, f)
+	}
+	h.drop(f, true)
+	return nil
+}
+
+func (h *PassiveHolder) drop(f Frame, sampled bool) {
+	if h.opts.OnDrop != nil {
+		h.opts.OnDrop(f, sampled)
+		return
+	}
+	RecycleFrame(f)
+}
+
+// takeNB takes the next frame without blocking, honoring lane order:
+// ring first, then spill lane.
+func (h *PassiveHolder) takeNB() (Frame, bool, error) {
+	select {
+	case f := <-h.queue:
+		return f, true, nil
+	default:
+	}
+	if sp := h.opts.Spiller; sp != nil {
+		h.spillMu.Lock()
+		f, ok, err := sp.Unspill()
+		h.spillMu.Unlock()
+		if err != nil || ok {
+			return f, ok, err
+		}
+	}
+	return Frame{}, false, nil
+}
+
+// next blocks for the next frame. ok=false means EOF: the input is
+// closed and the holder fully drained — nothing ringed, nothing
+// spilled, no push in flight. Once done is closed no push can block,
+// so the pushes past their closed-check either land promptly or fail;
+// next polls until the in-flight count reaches zero, then polls once
+// more, because a push may land its frame and decrement between the
+// poll and the load.
+func (h *PassiveHolder) next(ctx context.Context) (Frame, bool, error) {
+	for {
+		if err := h.failed(); err != nil {
+			return Frame{}, false, err
+		}
+		if f, ok, err := h.takeNB(); err != nil || ok {
+			return f, ok, err
+		}
+		select {
+		case f := <-h.queue:
+			return f, true, nil
+		case <-h.spillC:
+			// The lane became non-empty; loop and take from it.
+		case <-h.done:
+			for h.inflight.Load() != 0 {
+				if f, ok, err := h.takeNB(); err != nil || ok {
+					return f, ok, err
+				}
+				runtime.Gosched()
+			}
+			return h.takeNB()
+		case <-h.failedC:
+			return Frame{}, false, h.failed()
+		case <-ctx.Done():
+			return Frame{}, false, ctx.Err()
+		}
+	}
 }
 
 // PullFrames collects whole frames for a computing-job invocation: it
@@ -416,178 +414,80 @@ func (h *PassiveHolder) PushFrame(ctx context.Context, f Frame) error {
 // of every returned frame (RecycleFrame each once consumed). eof
 // reports closed *and* fully drained.
 func (h *PassiveHolder) PullFrames(ctx context.Context, max int) (frames []Frame, eof bool, err error) {
-	c := &h.core
-	total := 0
-	take := func(f Frame) {
-		frames = append(frames, f)
-		total += f.Len()
+	f, ok, err := h.next(ctx)
+	if err != nil || !ok {
+		return nil, err == nil, err
 	}
-	for len(frames) == 0 {
-		if err := c.failed(); err != nil {
-			return nil, false, err
-		}
-		f, ok, err := c.takeNB()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			take(f)
-			break
-		}
-		select {
-		case f := <-c.queue:
-			take(f)
-		case <-c.spillC:
-			// The lane became non-empty; loop and take from it.
-		case <-c.done:
-			f, ok, err := c.recvAfterClose()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				return nil, true, nil
-			}
-			take(f)
-		case <-c.failedC:
-			return nil, false, c.failed()
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	}
-	for total < max {
-		f, ok, err := c.takeNB()
-		if err != nil {
+	frames = append(frames, f)
+	for total := f.Len(); total < max; total += f.Len() {
+		if f, ok, err = h.takeNB(); err != nil || !ok {
 			return frames, false, err
 		}
-		if !ok {
-			break
-		}
-		take(f)
+		frames = append(frames, f)
 	}
 	return frames, false, nil
+}
+
+// Run implements Source: the holder heads its job, forwarding every
+// frame pushed into it downstream until the input is closed and drained
+// (pushes in flight at close included), or it fails.
+func (h *PassiveHolder) Run(tc *TaskContext, out Writer) error {
+	if err := out.Open(); err != nil {
+		return err
+	}
+	for {
+		f, ok, err := h.next(tc.Ctx)
+		if err != nil || !ok {
+			return err
+		}
+		if err := out.Push(f); err != nil {
+			return err
+		}
+	}
 }
 
 // Pending reports frames ringed in memory (indicative only; a frame
 // holds many records). Spilled frames are NOT included — Pending is the
 // bounded-intake gauge, never exceeding the ring capacity.
-func (h *PassiveHolder) Pending() int { return len(h.core.queue) }
+func (h *PassiveHolder) Pending() int { return len(h.queue) }
 
 // SpilledPending reports frames currently parked in the spill lane.
 func (h *PassiveHolder) SpilledPending() int {
-	if h.core.opts.Spiller == nil {
+	if h.opts.Spiller == nil {
 		return 0
 	}
-	return h.core.opts.Spiller.Len()
-}
-
-// ActiveHolder is the paper's active partition holder: it heads the
-// storage job, receiving frames pushed by computing jobs and actively
-// forwarding them into its own job's dataflow. It is a Source from its
-// job's perspective. See holderCore for the close protocol.
-type ActiveHolder struct {
-	core holderCore
-}
-
-// NewActiveHolder returns a holder with the given ring capacity
-// (storage holders keep the Backpressure policy: the paper's storage
-// back-pressure is what the AFM batching responds to).
-func NewActiveHolder(capacity int) *ActiveHolder {
-	return &ActiveHolder{core: newHolderCore(HolderOptions{Capacity: capacity})}
-}
-
-// Push delivers a frame from another job (computing jobs call this),
-// transferring ownership of the frame's slices. It blocks when the
-// ring is full. A Push racing CloseInput either enqueues — and Run is
-// guaranteed to forward the frame before returning — or reports
-// ErrHolderClosed.
-func (h *ActiveHolder) Push(ctx context.Context, f Frame) error {
-	return h.core.push(ctx, f)
-}
-
-// CloseInput ends the stream; the owning job's Run drains and returns.
-func (h *ActiveHolder) CloseInput() { h.core.closeInput() }
-
-// Fail poisons the holder — see PassiveHolder.Fail.
-func (h *ActiveHolder) Fail(err error) { h.core.fail(err) }
-
-// Run implements Source: forward queued frames downstream until the
-// input is closed, then drain what remains (including pushes still in
-// flight at close time).
-func (h *ActiveHolder) Run(tc *TaskContext, out Writer) error {
-	if err := out.Open(); err != nil {
-		return err
-	}
-	c := &h.core
-	for {
-		select {
-		case f := <-c.queue:
-			if err := out.Push(f); err != nil {
-				return err
-			}
-		case <-c.done:
-			for {
-				f, ok, err := c.recvAfterClose()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				if err := out.Push(f); err != nil {
-					return err
-				}
-			}
-		case <-c.failedC:
-			return c.failed()
-		case <-tc.Ctx.Done():
-			return tc.Ctx.Err()
-		}
-	}
+	return h.opts.Spiller.Len()
 }
 
 // HolderManager is the per-node registry partition holders register
 // with: it keeps one feed from claiming another's endpoint ids and lets
-// a dying node fail every holder it hosts. Passive and active holders
-// have separate id namespaces.
+// a dying node fail every holder it hosts.
 type HolderManager struct {
 	mu      sync.Mutex
-	holders map[string]failer // "passive/"+id, "active/"+id
+	holders map[string]*PassiveHolder
 }
-
-// failer is what the registry needs of a holder of either kind.
-type failer interface{ Fail(error) }
 
 // NewHolderManager returns an empty registry.
 func NewHolderManager() *HolderManager {
-	return &HolderManager{holders: make(map[string]failer)}
+	return &HolderManager{holders: make(map[string]*PassiveHolder)}
 }
 
-func (m *HolderManager) register(kind, id string, h failer) error {
+// Register adds a holder under id.
+func (m *HolderManager) Register(id string, h *PassiveHolder) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, dup := m.holders[kind+"/"+id]; dup {
-		return fmt.Errorf("hyracks: %s holder %q already registered", kind, id)
+	if _, dup := m.holders[id]; dup {
+		return fmt.Errorf("hyracks: holder %q already registered", id)
 	}
-	m.holders[kind+"/"+id] = h
+	m.holders[id] = h
 	return nil
 }
 
-// RegisterPassive adds a passive holder under id.
-func (m *HolderManager) RegisterPassive(id string, h *PassiveHolder) error {
-	return m.register("passive", id, h)
-}
-
-// RegisterActive adds an active holder under id.
-func (m *HolderManager) RegisterActive(id string, h *ActiveHolder) error {
-	return m.register("active", id, h)
-}
-
-// Unregister removes a holder id from both namespaces (feed teardown).
+// Unregister removes a holder id (feed teardown).
 func (m *HolderManager) Unregister(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.holders, "passive/"+id)
-	delete(m.holders, "active/"+id)
+	delete(m.holders, id)
 }
 
 // FailAll poisons every registered holder with err — the node died.

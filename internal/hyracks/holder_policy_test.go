@@ -309,16 +309,28 @@ func TestHolderFailPoisons(t *testing.T) {
 func TestHolderManagerFailAll(t *testing.T) {
 	boom := errors.New("node died")
 	m := NewHolderManager()
-	p := NewPassiveHolder(4)
-	a := NewActiveHolder(4)
-	m.RegisterPassive("f/0", p)
-	m.RegisterActive("f/0", a)
+	intake, storage := NewPassiveHolder(4), NewPassiveHolder(4)
+	m.Register("f/intake", intake)
+	m.Register("f/storage", storage)
+	// The storage holder heads a job, as a feed's does.
+	ran := make(chan error, 1)
+	go func() { ran <- storage.Run(&TaskContext{Ctx: context.Background()}, Discard) }()
 	m.FailAll(boom)
 	ctx := context.Background()
-	if err := p.PushFrame(ctx, Frame{}); !errors.Is(err, boom) {
-		t.Errorf("passive push = %v", err)
+	for _, h := range []*PassiveHolder{intake, storage} {
+		if err := h.PushFrame(ctx, Frame{}); !errors.Is(err, boom) {
+			t.Errorf("push = %v", err)
+		}
 	}
-	if err := a.Push(ctx, Frame{}); !errors.Is(err, boom) {
-		t.Errorf("active push = %v", err)
+	if _, _, err := intake.PullFrames(ctx, 1); !errors.Is(err, boom) {
+		t.Errorf("pull = %v", err)
+	}
+	select {
+	case err := <-ran:
+		if !errors.Is(err, boom) {
+			t.Errorf("Run = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("FailAll did not stop a holder heading its job")
 	}
 }

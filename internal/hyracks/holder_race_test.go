@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestPushFrameCloseInputRace is the regression test for the
@@ -81,39 +82,113 @@ func TestPushFrameCloseInputRace(t *testing.T) {
 	}
 }
 
-// TestActiveHolderPushCloseRace is the same hammer for ActiveHolder,
-// which had the identical unlock-then-send window.
-func TestActiveHolderPushCloseRace(t *testing.T) {
+// TestPassiveHolderRunPushCloseRace is the same hammer for a holder
+// heading its job (the storage job's shape): Run must return cleanly
+// having forwarded exactly the successful pushes.
+func TestPassiveHolderRunPushCloseRace(t *testing.T) {
 	ctx := context.Background()
 	for iter := 0; iter < 200; iter++ {
-		h := NewActiveHolder(4)
+		h := NewPassiveHolder(4)
 		var wg sync.WaitGroup
 		start := make(chan struct{})
+		pushed := make(chan int, 8)
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				<-start
+				n := 0
 				for i := 0; i < 50; i++ {
-					if err := h.Push(ctx, Frame{Records: intRecords(1)}); err != nil {
+					if err := h.PushFrame(ctx, Frame{Records: intRecords(1)}); err != nil {
 						if !errors.Is(err, ErrHolderClosed) {
-							t.Errorf("Push: %v", err)
+							t.Errorf("PushFrame: %v", err)
 						}
-						return
+						break
 					}
+					n++
 				}
+				pushed <- n
 			}()
 		}
+		var out countingWriter
 		done := make(chan error, 1)
 		go func() {
 			tc := &TaskContext{Ctx: ctx}
-			done <- h.Run(tc, Discard)
+			done <- h.Run(tc, &out)
 		}()
 		close(start)
 		h.CloseInput()
 		wg.Wait()
 		if err := <-done; err != nil {
 			t.Fatalf("iter %d: Run: %v", iter, err)
+		}
+		close(pushed)
+		want := 0
+		for n := range pushed {
+			want += n
+		}
+		if out.records != want {
+			t.Fatalf("iter %d: Run forwarded %d records, want %d (successful pushes)", iter, out.records, want)
+		}
+	}
+}
+
+// countingWriter counts the records pushed into it.
+type countingWriter struct{ records int }
+
+func (w *countingWriter) Open() error { return nil }
+func (w *countingWriter) Push(f Frame) error {
+	w.records += f.Len()
+	return nil
+}
+func (w *countingWriter) Close() error { return nil }
+
+// TestEOFWaitsForInFlightPush pins the wait the hammers above can only
+// hit by luck: a push that passed its closed-check before CloseInput
+// may land its frame afterwards, and neither way out of a holder —
+// PullFrames nor Run — may report EOF until it has, nor lose the frame.
+func TestEOFWaitsForInFlightPush(t *testing.T) {
+	for _, via := range []string{"PullFrames", "Run"} {
+		h := NewPassiveHolder(4)
+		h.inflight.Add(1) // a push between its closed-check and its send
+		h.CloseInput()
+		got := make(chan int, 1)
+		go func() {
+			if via == "Run" {
+				var out countingWriter
+				if err := h.Run(&TaskContext{Ctx: context.Background()}, &out); err != nil {
+					t.Error(err)
+				}
+				got <- out.records
+				return
+			}
+			n := 0
+			for {
+				frames, eof, err := h.PullFrames(context.Background(), 16)
+				if err != nil {
+					t.Error(err)
+				}
+				n += frameRecords(frames)
+				if eof || err != nil {
+					got <- n
+					return
+				}
+			}
+		}()
+		select {
+		case n := <-got:
+			t.Fatalf("%s reported EOF after %d records with a push in flight", via, n)
+		case <-time.After(20 * time.Millisecond):
+		}
+		h.queue <- Frame{Records: intRecords(3)}
+		h.inflight.Add(-1)
+		select {
+		case n := <-got:
+			if n != 3 {
+				t.Fatalf("%s drained %d records, want the in-flight push's 3", via, n)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never reported EOF once the push landed", via)
 		}
 	}
 }

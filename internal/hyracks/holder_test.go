@@ -127,8 +127,11 @@ func TestPassiveHolderBackpressure(t *testing.T) {
 	}
 }
 
-func TestActiveHolderForwarding(t *testing.T) {
-	h := NewActiveHolder(8)
+// TestPassiveHolderRunForwarding: a holder heading its job (the storage
+// job's shape) forwards what concurrent pushers hand it, drains after
+// close, and refuses pushes once closed.
+func TestPassiveHolderRunForwarding(t *testing.T) {
+	h := NewPassiveHolder(8)
 	spec := NewJobSpec()
 	src := spec.AddOperator(&Descriptor{
 		Name: "storage-holder", Parallelism: 1,
@@ -152,7 +155,7 @@ func TestActiveHolderForwarding(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if err := h.Push(ctx, Frame{Records: intRecords(4)}); err != nil {
+				if err := h.PushFrame(ctx, Frame{Records: intRecords(4)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -167,43 +170,42 @@ func TestActiveHolderForwarding(t *testing.T) {
 	if col.Len() != 4*25*4 {
 		t.Errorf("stored %d records, want 400", col.Len())
 	}
-	if err := h.Push(ctx, Frame{}); !errors.Is(err, ErrHolderClosed) {
+	if err := h.PushFrame(ctx, Frame{}); !errors.Is(err, ErrHolderClosed) {
 		t.Errorf("push after close = %v", err)
 	}
 }
 
+// TestHolderManager: one id namespace, whichever way a job attaches to
+// the holder; Unregister frees the id.
 func TestHolderManager(t *testing.T) {
 	m := NewHolderManager()
-	p := NewPassiveHolder(4)
-	a := NewActiveHolder(4)
-	if err := m.RegisterPassive("feed1/0", p); err != nil {
+	intake, storage := NewPassiveHolder(4), NewPassiveHolder(4)
+	if err := m.Register("feed1/intake", intake); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RegisterPassive("feed1/0", p); err == nil {
+	if err := m.Register("feed1/intake", storage); err == nil {
 		t.Error("duplicate registration should fail")
 	}
-	if err := m.RegisterActive("feed1/0", a); err != nil {
-		t.Fatal(err) // active and passive namespaces are separate
+	if err := m.Register("feed1/storage", storage); err != nil {
+		t.Fatal(err)
 	}
-	// Unregister frees the id in both namespaces.
-	m.Unregister("feed1/0")
-	if err := m.RegisterPassive("feed1/0", p); err != nil {
-		t.Errorf("passive id not freed by Unregister: %v", err)
+	m.Unregister("feed1/intake")
+	if err := m.Register("feed1/intake", intake); err != nil {
+		t.Errorf("id not freed by Unregister: %v", err)
 	}
-	if err := m.RegisterActive("feed1/0", a); err != nil {
-		t.Errorf("active id not freed by Unregister: %v", err)
+	if err := m.Register("feed1/storage", storage); err == nil {
+		t.Error("Unregister of one id freed another")
 	}
 }
 
 // TestIntakeComputeStoragePattern wires the paper's three-job layering
-// in miniature: an intake job ends in passive holders; computing
-// "invocations" pull batches, transform, and push into an active holder
-// heading a storage job.
+// in miniature: an intake job ends in holders; computing "invocations"
+// pull batches and push them into a holder heading a storage job.
 func TestIntakeComputeStoragePattern(t *testing.T) {
 	ctx := context.Background()
 	const total = 500
 
-	// Intake job: source → round robin → passive holders (2 partitions).
+	// Intake job: source → round robin → holders (2 partitions).
 	intake := NewJobSpec()
 	isrc := intake.AddOperator(&Descriptor{
 		Name: "adapter", Parallelism: 1,
@@ -222,8 +224,8 @@ func TestIntakeComputeStoragePattern(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Storage job: active holder → collector.
-	storageHolder := NewActiveHolder(16)
+	// Storage job: holder → collector.
+	storageHolder := NewPassiveHolder(16)
 	storage := NewJobSpec()
 	ssrc := storage.AddOperator(&Descriptor{
 		Name: "storage-holder", Parallelism: 1,
@@ -251,7 +253,7 @@ func TestIntakeComputeStoragePattern(t *testing.T) {
 			}
 			for _, f := range frames {
 				// Whole frames forward into the storage job untouched.
-				if err := storageHolder.Push(ctx, f); err != nil {
+				if err := storageHolder.PushFrame(ctx, f); err != nil {
 					t.Fatal(err)
 				}
 			}

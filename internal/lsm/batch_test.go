@@ -195,8 +195,12 @@ func TestUpsertBatchSecondaryIndexes(t *testing.T) {
 	p := memPartition(t, Options{MemBudget: 64 << 10, MaxComponents: 64})
 	bt := NewBTreeIndex("byCountry", FieldKeyExtractor("country"))
 	rt := NewRTreeIndex("byLoc", FieldRectExtractor("loc"))
-	p.AttachIndex(bt)
-	p.AttachIndex(rt)
+	if err := p.AttachIndex(bt); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AttachIndex(rt); err != nil {
+		t.Fatal(err)
+	}
 
 	mk := func(id int64, country string, x float64) adm.Value {
 		return rec(id, "country", adm.String(country), "loc", adm.Point(x, x))
@@ -262,8 +266,12 @@ func TestUpsertBatchSecondaryIndexes(t *testing.T) {
 	checkIndexesAgainstScan(t, "maintained across flushes", p, bt, rt)
 	lateBT := NewBTreeIndex("lateCountry", FieldKeyExtractor("country"))
 	lateRT := NewRTreeIndex("lateLoc", FieldRectExtractor("loc"))
-	p.AttachIndex(lateBT)
-	p.AttachIndex(lateRT)
+	if err := p.AttachIndex(lateBT); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AttachIndex(lateRT); err != nil {
+		t.Fatal(err)
+	}
 	checkIndexesAgainstScan(t, "back-filled", p, lateBT, lateRT)
 }
 

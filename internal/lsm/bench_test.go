@@ -83,7 +83,9 @@ func BenchmarkStorageUpsertIndexed(b *testing.B) {
 	}{{"", DefaultOptions()}, {"-cached", cachedOptions()}} {
 		b.Run("batches-of-one"+cfg.suffix, func(b *testing.B) {
 			p := memPartition(b, cfg.opts)
-			p.AttachIndex(NewBTreeIndex("byLang", FieldKeyExtractor("lang")))
+			if err := p.AttachIndex(NewBTreeIndex("byLang", FieldKeyExtractor("lang"))); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.StopTimer()
@@ -100,7 +102,9 @@ func BenchmarkStorageUpsertIndexed(b *testing.B) {
 
 		b.Run("batch"+cfg.suffix, func(b *testing.B) {
 			p := memPartition(b, cfg.opts)
-			p.AttachIndex(NewBTreeIndex("byLang", FieldKeyExtractor("lang")))
+			if err := p.AttachIndex(NewBTreeIndex("byLang", FieldKeyExtractor("lang"))); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.StopTimer()

@@ -366,7 +366,12 @@ func (d *Dataset) createIndex(name, field string, build func() SecondaryIndex) e
 	spec := indexSpec{name: name, field: field, perPartition: make([]SecondaryIndex, len(d.partitions))}
 	for i, p := range d.partitions {
 		spec.perPartition[i] = build()
-		p.AttachIndex(spec.perPartition[i])
+		if err := p.AttachIndex(spec.perPartition[i]); err != nil {
+			for j := range i {
+				d.partitions[j].detachIndex(spec.perPartition[j])
+			}
+			return fmt.Errorf("lsm: dataset %s: index %q: %w", d.name, name, err)
+		}
 	}
 	d.indexes = append(d.indexes, spec)
 	return nil

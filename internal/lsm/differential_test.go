@@ -20,13 +20,17 @@ type diffIndexes struct {
 	rt *RTreeIndex
 }
 
-func attachDiffIndexes(p *Partition) diffIndexes {
+func attachDiffIndexes(t testing.TB, p *Partition) diffIndexes {
+	t.Helper()
 	ix := diffIndexes{
 		bt: NewBTreeIndex("byGrp", FieldKeyExtractor("grp")),
 		rt: NewRTreeIndex("byLoc", FieldRectExtractor("loc")),
 	}
-	p.AttachIndex(ix.bt)
-	p.AttachIndex(ix.rt)
+	for _, idx := range []SecondaryIndex{ix.bt, ix.rt} {
+		if err := p.AttachIndex(idx); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return ix
 }
 
@@ -61,7 +65,7 @@ func TestDurableDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			steady := memPartition(t, opts)
-			durableIx, steadyIx := attachDiffIndexes(durable), attachDiffIndexes(steady)
+			durableIx, steadyIx := attachDiffIndexes(t, durable), attachDiffIndexes(t, steady)
 			shadow := make(map[int64]int64)
 
 			r := rand.New(rand.NewSource(seed))
@@ -132,7 +136,7 @@ func TestDurableDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("op %d: reopen: %v", op, err)
 					}
-					durableIx = attachDiffIndexes(durable)
+					durableIx = attachDiffIndexes(t, durable)
 				}
 				if op%25 == 0 || op == ops {
 					diffCheck(t, op, durable, steady, shadow)

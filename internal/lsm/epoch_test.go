@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -134,5 +135,51 @@ func TestSnapshotErrReportsRunReadFault(t *testing.T) {
 	fsys.FailReads(false)
 	if err := p.Snapshot().Err(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("a later snapshot over the same run reports %v", err)
+	}
+}
+
+// TestCreateIndexFailsOverUnreadableRun: the back-fill reads existing
+// records through the same merge as a scan, so a run it cannot read
+// ends it early. CREATE INDEX must then fail with the read error and
+// leave no partition holding the partial index — including a partition
+// whose own back-fill (memtable only) succeeded.
+func TestCreateIndexFailsOverUnreadableRun(t *testing.T) {
+	fsys := NewMemFS()
+	ds, err := OpenDataset(fsys, "D", "D", nil, "id", 2, Options{MemBudget: 1 << 20, MaxComponents: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	const n = 2_000
+	recs := make([]adm.Value, n)
+	for i := range recs {
+		recs[i] = rec(int64(i), "cat", adm.String(fmt.Sprintf("c%02d", i%40)))
+	}
+	if err := ds.UpsertBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	// Partition 1 reads from a run, partition 0 from its memtable alone.
+	last := ds.Partition(1)
+	last.Flush()
+	if err := last.WaitForFlush(); err != nil {
+		t.Fatal(err)
+	}
+	if ds.Partition(0).Runs() != 0 || last.Runs() == 0 {
+		t.Fatalf("runs = %d, %d; want partition 1 alone flushed", ds.Partition(0).Runs(), last.Runs())
+	}
+
+	fsys.FailReads(true)
+	err = ds.CreateFieldBTreeIndex("by_cat", "cat")
+	fsys.FailReads(false)
+	if !errors.Is(err, ErrInjected) {
+		t.Fatalf("CreateFieldBTreeIndex over an unreadable run = %v, want the injected read fault", err)
+	}
+	if name, _ := ds.BTreeIndexForField("cat"); name != "" {
+		t.Fatalf("the failed index %q is declared", name)
+	}
+	for i := range ds.NumPartitions() {
+		if got := len(ds.Partition(i).secondary); got != 0 {
+			t.Fatalf("partition %d keeps %d secondary indexes after the failed CREATE INDEX", i, got)
+		}
 	}
 }

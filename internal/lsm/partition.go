@@ -291,11 +291,12 @@ const backfillChunk = 1024
 // AttachIndex registers a secondary index. Existing records are
 // back-filled so an index created after a load is immediately complete.
 // The memtable joins the merge as a transient tree-backed run — read-only
-// under the write lock, so no freeze is needed.
-func (p *Partition) AttachIndex(idx SecondaryIndex) {
+// under the write lock, so no freeze is needed. A run the back-fill could
+// not read ends the merge early, so then the index is not attached and
+// the run's read error is returned.
+func (p *Partition) AttachIndex(idx SecondaryIndex) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.secondary = append(p.secondary, idx)
 	box, keys, recs := getValuePairBatch(backfillChunk)
 	comps := append([]*component{{tree: p.mem}}, p.components...)
 	scanMerged(comps, func(key, rec adm.Value) bool {
@@ -310,6 +311,19 @@ func (p *Partition) AttachIndex(idx SecondaryIndex) {
 	})
 	idx.InsertBatch(keys, recs)
 	putValuePairBatch(box, keys, recs)
+	if err := runsErr(comps); err != nil {
+		return err
+	}
+	p.secondary = append(p.secondary, idx)
+	return nil
+}
+
+// detachIndex removes an attached index: CREATE INDEX undoing the
+// partitions it reached before one failed.
+func (p *Partition) detachIndex(idx SecondaryIndex) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.secondary = slices.DeleteFunc(p.secondary, func(s SecondaryIndex) bool { return s == idx })
 }
 
 // fail records the first storage failure; later calls keep the first.
@@ -860,8 +874,12 @@ func (s *Snapshot) Scan(fn func(key, rec adm.Value) bool) {
 // snapshot's run files, or nil. Scans and lookups degrade a failed
 // block read to "no more records"/"not found", so a consumer that
 // builds state from a scan checks Err once the scan returns.
-func (s *Snapshot) Err() error {
-	for _, c := range s.components {
+func (s *Snapshot) Err() error { return runsErr(s.components) }
+
+// runsErr returns the first sticky read error among the components' run
+// files, or nil.
+func runsErr(comps []*component) error {
+	for _, c := range comps {
 		if c.run != nil {
 			if err := c.run.err(); err != nil {
 				return err

@@ -93,6 +93,10 @@ type parItem struct {
 // the exchange slower than a serial scan.
 const scanBatchSize = 128
 
+// scanChanBatches bounds each scan channel, in batches: enough to keep
+// workers ahead of the consumer without buffering whole partitions.
+const scanChanBatches = 8
+
 // ParallelScanCursor scans partition snapshots concurrently: one
 // goroutine per partition walks its Snapshot.Cursor (optionally
 // applying a pushed-down filter) and feeds a bounded channel in
@@ -122,14 +126,8 @@ type ParallelScanCursor struct {
 // NewParallelScanCursor starts one scan worker per snapshot. filter,
 // when non-nil, runs inside the workers — it must be safe for
 // concurrent calls — and drops records it returns false for; an error
-// aborts the scan and surfaces from Next. buf is the per-channel bound
-// in batches of scanBatchSize records (<=0 selects a default sized to
-// keep workers ahead of the consumer without buffering whole
-// partitions).
-func NewParallelScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (bool, error), order ScanOrder, buf int) *ParallelScanCursor {
-	if buf <= 0 {
-		buf = 8
-	}
+// aborts the scan and surfaces from Next.
+func NewParallelScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (bool, error), order ScanOrder) *ParallelScanCursor {
 	c := &ParallelScanCursor{order: order, done: make(chan struct{})}
 	nchans := len(snaps)
 	if order == Unordered {
@@ -137,14 +135,14 @@ func NewParallelScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (b
 	}
 	c.chans = make([]chan []parItem, nchans)
 	for i := range c.chans {
-		c.chans[i] = make(chan []parItem, buf)
+		c.chans[i] = make(chan []parItem, scanChanBatches)
 	}
 	// The free list is prefilled with the in-flight maximum (channel
 	// buffers + one per worker + one per consumer stream + transit
 	// slack), carved from one backing array: workers recycle drained
 	// batches instead of allocating, so a scan's allocation count is a
 	// small constant independent of partition size.
-	nbatch := nchans*buf + len(snaps) + nchans + 2
+	nbatch := nchans*scanChanBatches + len(snaps) + nchans + 2
 	c.free = make(chan []parItem, nbatch)
 	backing := make([]parItem, nbatch*scanBatchSize)
 	for i := 0; i < nbatch; i++ {

@@ -138,7 +138,7 @@ func TestParallelScanOrders(t *testing.T) {
 
 	drain := func(order ScanOrder) []int64 {
 		t.Helper()
-		cur := NewParallelScanCursor(snaps, nil, order, 0)
+		cur := NewParallelScanCursor(snaps, nil, order)
 		defer cur.Close()
 		var out []int64
 		for {
@@ -180,7 +180,7 @@ func TestParallelScanFilterAndErrors(t *testing.T) {
 	keep := func(_, rec adm.Value) (bool, error) {
 		return rec.Field("score").IntVal() < 10, nil
 	}
-	cur := NewParallelScanCursor(snaps, keep, PartitionOrder, 0)
+	cur := NewParallelScanCursor(snaps, keep, PartitionOrder)
 	n := 0
 	for {
 		_, rec, ok, err := cur.Next()
@@ -213,7 +213,7 @@ func TestParallelScanFilterAndErrors(t *testing.T) {
 		}
 		return true, nil
 	}
-	cur = NewParallelScanCursor(snaps, failing, PartitionOrder, 0)
+	cur = NewParallelScanCursor(snaps, failing, PartitionOrder)
 	defer cur.Close()
 	for {
 		_, _, ok, err := cur.Next()
@@ -234,13 +234,22 @@ func TestParallelScanFilterAndErrors(t *testing.T) {
 
 // TestParallelScanCloseMidScan abandons scans at various points (the
 // Rows.Close teardown path); with -race this doubles as the clean
-// teardown check. Closing twice must be safe.
+// teardown check. Closing twice must be safe. Each partition holds more
+// records than its channel, the batch in the worker's hand and the
+// consumer's batch together, so workers sit blocked on a full channel
+// when Close comes.
 func TestParallelScanCloseMidScan(t *testing.T) {
-	ds := scanDataset(t, 2_000, 4)
+	const parts, perPart = 4, (scanChanBatches + 3) * scanBatchSize
+	ds := scanDataset(t, parts*perPart, parts)
 	snaps := ds.SnapshotAll()
+	for i, s := range snaps {
+		if n := s.Len(); n <= (scanChanBatches+2)*scanBatchSize {
+			t.Fatalf("partition %d holds %d records: too few to block its worker", i, n)
+		}
+	}
 	for _, order := range []ScanOrder{PartitionOrder, KeyOrder, Unordered} {
 		for _, stop := range []int{0, 1, 7, 500} {
-			cur := NewParallelScanCursor(snaps, nil, order, 4)
+			cur := NewParallelScanCursor(snaps, nil, order)
 			for i := 0; i < stop; i++ {
 				if _, _, ok, err := cur.Next(); !ok || err != nil {
 					t.Fatalf("order %d: premature end at %d (%v)", order, i, err)

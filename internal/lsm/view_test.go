@@ -189,7 +189,9 @@ func TestIndexBackfillRetainsNoBlockMemory(t *testing.T) {
 			}
 			before := heapAfterGC()
 			ix := NewBTreeIndex("ix", FieldKeyExtractor(field))
-			p.AttachIndex(ix)
+			if err := p.AttachIndex(ix); err != nil {
+				t.Fatal(err)
+			}
 			for _, r := range partitionRuns(p) {
 				opts.BlockCache.dropRun(r.id)
 			}

@@ -68,7 +68,9 @@ func TestWriteClosedPartition(t *testing.T) {
 			t.Run(mode.name+"/"+m.name, func(t *testing.T) {
 				p := mode.open(t)
 				bt := NewBTreeIndex("byGrp", FieldKeyExtractor("grp"))
-				p.AttachIndex(bt)
+				if err := p.AttachIndex(bt); err != nil {
+					t.Fatal(err)
+				}
 				if err := p.Upsert(adm.Int(1), rec(1, "grp", adm.Int(1))); err != nil {
 					t.Fatal(err)
 				}

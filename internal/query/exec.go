@@ -33,11 +33,11 @@ func runSelect(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error)
 // group context of a grouped row so aggregates resolve). What the row is
 // built from decides how: star sources that are views of stored or
 // ingested records are spliced as bytes and the row is a view too
-// (adm.SpliceRow — `SELECT t.*, extra` is every enrichment UDF's body);
+// (adm.AppendRow — `SELECT t.*, extra` is every enrichment UDF's body);
 // anything else, and any row in which a name repeats, is an Object
 // filled field by field. Both encode to the same bytes. A spliced row is
 // written into *dst's spare capacity when dst is non-nil and has room
-// for it, and *dst is extended over it (adm.AppendRow).
+// for it, and *dst is extended over it.
 func projectRow(st evalState, env *Env, sel *sqlpp.SelectExpr, dst *[]byte) (adm.Value, error) {
 	if sel.SelectValue != nil {
 		return eval(st, env, sel.SelectValue)

@@ -428,14 +428,14 @@ func (plan *EnrichPlan) spatialAccess(alias, dataset string, aliasExpr, probeExp
 // fieldWithRadius recognizes the two indexable alias-side shapes:
 // alias.field (radius 0) and create_circle(alias.field, const).
 func fieldWithRadius(e sqlpp.Expr, alias string) (string, float64, bool) {
-	if fa, ok := simpleField(e, alias); ok {
+	if fa, ok := aliasField(e, alias); ok {
 		return fa, 0, true
 	}
 	call, ok := e.(*sqlpp.Call)
 	if !ok || call.Ns != "" || strings.ToLower(call.Name) != "create_circle" || len(call.Args) != 2 {
 		return "", 0, false
 	}
-	field, ok := simpleField(call.Args[0], alias)
+	field, ok := aliasField(call.Args[0], alias)
 	if !ok {
 		return "", 0, false
 	}
@@ -448,18 +448,6 @@ func fieldWithRadius(e sqlpp.Expr, alias string) (string, float64, bool) {
 		return "", 0, false
 	}
 	return field, r, true
-}
-
-func simpleField(e sqlpp.Expr, alias string) (string, bool) {
-	fa, ok := e.(*sqlpp.FieldAccess)
-	if !ok {
-		return "", false
-	}
-	id, ok := fa.Base.(*sqlpp.Ident)
-	if !ok || id.Name != alias {
-		return "", false
-	}
-	return fa.Field, true
 }
 
 // Describe reports the chosen strategy per compiled subquery — the

@@ -291,7 +291,7 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 			pushed, pushedMark = true, "+filter"
 		}
 		pl.stepf("pscan(%s,%s,%d)%s", id.Name, orderName(order), parts, pushedMark)
-		return &parallelColl{pc: lsm.NewParallelScanCursor(snaps, filter, order, 0), snaps: snaps}, pushed, keyOrdered, nil
+		return &parallelColl{pc: lsm.NewParallelScanCursor(snaps, filter, order), snaps: snaps}, pushed, keyOrdered, nil
 	}
 
 	// 3. Serial scan.
@@ -454,6 +454,9 @@ func sargable(e sqlpp.Expr, alias string, params map[string]adm.Value) (field, o
 	return "", "", adm.Value{}, false
 }
 
+// aliasField matches `alias.field` and returns the field name — the one
+// shape of a field reference both planners (index pushdown here, the
+// enrichment planner's index-NLJ) match on.
 func aliasField(e sqlpp.Expr, alias string) (string, bool) {
 	fa, ok := e.(*sqlpp.FieldAccess)
 	if !ok {
