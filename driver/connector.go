@@ -27,18 +27,6 @@ func WithDialer(d Dialer) Option {
 	return func(c *Connector) { c.dial = d }
 }
 
-// WithToken sets the auth token presented in the handshake,
-// overriding the DSN's.
-func WithToken(token string) Option {
-	return func(c *Connector) { c.token = token }
-}
-
-// WithTLS enables TLS with the given config (nil config leaves TLS
-// off). Overrides the DSN's tls parameters.
-func WithTLS(conf *tls.Config) Option {
-	return func(c *Connector) { c.tlsConf = conf }
-}
-
 // Connector implements database/sql/driver.Connector: a parsed DSN
 // plus dial configuration. Safe for concurrent use; database/sql calls
 // Connect whenever its pool grows.

@@ -160,12 +160,10 @@ func (s nativeShim) Evaluate(rec adm.Value) (adm.Value, error) {
 }
 
 // RegisterNativeUDF registers a compiled UDF usable in CONNECT FEED ...
-// APPLY FUNCTION. stateful declares that Initialize builds state that
-// must be refreshed to observe updates.
-func (c *Cluster) RegisterNativeUDF(name string, stateful bool, newInstance func() NativeUDF) error {
+// APPLY FUNCTION.
+func (c *Cluster) RegisterNativeUDF(name string, newInstance func() NativeUDF) error {
 	return c.mgr.Natives.Register(&udf.Native{
-		Name:     name,
-		Stateful: stateful,
+		Name: name,
 		New: func() udf.Instance {
 			return nativeShim{impl: newInstance()}
 		},

@@ -195,7 +195,7 @@ func TestNativeUDFViaPublicAPI(t *testing.T) {
 		CONNECT FEED F TO DATASET Out APPLY FUNCTION marker;
 	`)
 	c.PutResource("tag", []byte("alpha\n"))
-	err := c.RegisterNativeUDF("marker", true, func() NativeUDF {
+	err := c.RegisterNativeUDF("marker", func() NativeUDF {
 		return &markerUDF{c: c}
 	})
 	if err != nil {
@@ -352,7 +352,7 @@ func TestFeedCongestionPoliciesViaPublicAPI(t *testing.T) {
 				};
 				CONNECT FEED EventFeed TO DATASET Events APPLY FUNCTION slow;
 			`, policy))
-			if err := c.RegisterNativeUDF("slow", true, func() NativeUDF {
+			if err := c.RegisterNativeUDF("slow", func() NativeUDF {
 				return &slowUDF{delay: 30 * time.Microsecond}
 			}); err != nil {
 				t.Fatal(err)
@@ -425,7 +425,7 @@ func TestFeedOverloadedViaPublicAPI(t *testing.T) {
 		};
 		CONNECT FEED EventFeed TO DATASET Events APPLY FUNCTION slow;
 	`)
-	if err := c.RegisterNativeUDF("slow", true, func() NativeUDF {
+	if err := c.RegisterNativeUDF("slow", func() NativeUDF {
 		return &slowUDF{delay: 2 * time.Millisecond}
 	}); err != nil {
 		t.Fatal(err)

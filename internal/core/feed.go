@@ -351,18 +351,6 @@ func resolveFunction(c *cluster.Cluster, cfg Config) (*query.EnrichPlan, *udf.Na
 	if !ok {
 		return nil, nil, fmt.Errorf("core: unknown function %q", cfg.Function)
 	}
-	if fn.Native != nil {
-		// A scalar native catalog function applied record-wise.
-		n := &udf.Native{
-			Name: fn.Name,
-			New: func() udf.Instance {
-				return &udf.FuncInstance{EvalFn: func(rec adm.Value) (adm.Value, error) {
-					return fn.Native([]adm.Value{rec})
-				}}
-			},
-		}
-		return nil, n, nil
-	}
 	plan, err := query.CompileEnrich(fn.Name, fn.Params, fn.Body, c,
 		query.PlanOptions{DisableIndexes: cfg.DisableIndexes})
 	if err != nil {

@@ -120,8 +120,7 @@ func TestFeedWithNativeUDF(t *testing.T) {
 	reg := udf.NewRegistry()
 	initCount := 0
 	if err := reg.Register(&udf.Native{
-		Name:     "flagger",
-		Stateful: true,
+		Name: "flagger",
 		New: func() udf.Instance {
 			return &udf.FuncInstance{
 				InitFn: func(int) error { initCount++; return nil },
@@ -293,7 +292,7 @@ func TestStaticNativeUDFStateIsStale(t *testing.T) {
 	resources.Put("keywords", []byte("red\n"))
 	reg := udf.NewRegistry()
 	err := reg.Register(&udf.Native{
-		Name: "keyworder", Stateful: true,
+		Name: "keyworder",
 		New: func() udf.Instance {
 			var words []string
 			return &udf.FuncInstance{

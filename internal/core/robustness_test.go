@@ -640,7 +640,7 @@ func TestNativeUDFMayRetainRecords(t *testing.T) {
 			var stash []adm.Value
 			reg := udf.NewRegistry()
 			if err := reg.Register(&udf.Native{
-				Name: "hoarder", Stateful: true,
+				Name: "hoarder",
 				New: func() udf.Instance {
 					return &udf.FuncInstance{EvalFn: func(rec adm.Value) (adm.Value, error) {
 						id := rec.Field("id").IntVal()

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/frame"
 	"github.com/ideadb/idea/internal/hyracks"
 )
 
@@ -259,6 +261,79 @@ func TestDecodeSpillFrameCorrupt(t *testing.T) {
 	if _, err := decodeSpillFrame(p); err == nil {
 		t.Fatal("oversized line count decoded without error")
 	}
+}
+
+// spilledPayload is the payload Spill writes to the lane for fr.
+func spilledPayload(t testing.TB, fr hyracks.Frame) []byte {
+	t.Helper()
+	q, err := NewSpillQueue(NewMemFS(), "spill", "seed.spill")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if err := q.Spill(fr); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := frame.ReadAt(q.f, 0, q.writeAt-frame.HeaderSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// FuzzSpillFrame decodes arbitrary bytes as a spill-lane payload. The
+// decoder never panics and never sizes the raw-line spine from a count
+// the payload does not back (a line costs at least its length byte), and
+// a frame it accepts is one Spill can write: spilling it and unspilling
+// the result gives back the same adapter, offsets and lines.
+func FuzzSpillFrame(f *testing.F) {
+	for _, fr := range []hyracks.Frame{
+		spillFrame(0, 0, 0, 0),
+		spillFrame(2, 1, 4, 4),
+		spillFrame(math.MaxInt32, 1<<40, 1<<40+99, 100),
+		{Adapter: 1, FirstOff: 7, LastOff: 9, Raw: [][]byte{{}, bytes.Repeat([]byte("x"), 300), []byte("{}")}},
+	} {
+		f.Add(spilledPayload(f, fr))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var got hyracks.Frame
+		var err error
+		// A slot is 24 bytes; the arena's slabs at most double past the
+		// line bytes they hold, and a fresh arena starts at 8 KiB.
+		if grew := heapGrowth(func() { got, err = decodeSpillFrame(payload) }); grew > 1<<16+32*uint64(len(payload)) {
+			t.Fatalf("decoding a %d-byte payload allocated %d bytes", len(payload), grew)
+		}
+		if err != nil {
+			return
+		}
+		// Spill recycles the frame's arena, which its lines alias.
+		want := hyracks.Frame{Adapter: got.Adapter, FirstOff: got.FirstOff, LastOff: got.LastOff}
+		for _, line := range got.Raw {
+			want.Raw = append(want.Raw, bytes.Clone(line))
+		}
+		q, err := NewSpillQueue(NewMemFS(), "spill", "fuzz.spill")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		if err := q.Spill(got); err != nil {
+			t.Fatalf("Spill of a decoded frame: %v", err)
+		}
+		back, ok, err := q.Unspill()
+		if err != nil || !ok {
+			t.Fatalf("Unspill: ok=%v err=%v", ok, err)
+		}
+		defer hyracks.RecycleFrame(back)
+		if back.Adapter != want.Adapter || back.FirstOff != want.FirstOff || back.LastOff != want.LastOff || len(back.Raw) != len(want.Raw) {
+			t.Fatalf("round trip: adapter %d offsets %d..%d, %d lines; want %d %d..%d, %d lines",
+				back.Adapter, back.FirstOff, back.LastOff, len(back.Raw), want.Adapter, want.FirstOff, want.LastOff, len(want.Raw))
+		}
+		for i := range want.Raw {
+			if !bytes.Equal(back.Raw[i], want.Raw[i]) {
+				t.Fatalf("round trip: line %d = %q, want %q", i, back.Raw[i], want.Raw[i])
+			}
+		}
+	})
 }
 
 // BenchmarkIntakeSpill measures the spill lane round trip — encode one

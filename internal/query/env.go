@@ -4,9 +4,11 @@
 // distinct → limit; stream.go, plan_select.go) that serves top-level
 // statements, subqueries and UDF bodies alike, and the enrichment
 // planner that compiles a stateful UDF into the per-batch build phase /
-// per-record probe phase split described in Section 4.3 of the paper —
-// only the FROM product of a compiled subquery is special to ingestion;
-// everything after it runs on the same executor.
+// per-record probe phase split described in Section 4.3 of the paper.
+// The probe is that executor too: a compiled subquery's FROM product is
+// a chain of accessCursors over the prepared structures (prepare.go),
+// pulled by the same LET, filter, aggregate, order and project
+// operators as any other.
 package query
 
 import (
@@ -45,13 +47,13 @@ func (e *Env) Lookup(name string) (adm.Value, bool) {
 	return adm.Value{}, false
 }
 
-// Function is a catalog-registered UDF: either a SQL++ body or a native
-// Go implementation (the "Java UDF" analog).
+// Function is a catalog-registered SQL++ UDF. Native Go functions are
+// reached as library calls (ns#name) through Catalog.Native, or attached
+// to a feed from its udf.Registry.
 type Function struct {
 	Name   string
 	Params []string
-	Body   sqlpp.Expr                           // SQL++ functions
-	Native func([]adm.Value) (adm.Value, error) // native functions
+	Body   sqlpp.Expr
 }
 
 // Catalog resolves names during evaluation. The cluster's metadata node
@@ -187,8 +189,9 @@ func (c *Context) traced(build func() error) ([]string, error) {
 // mutating shared state: st.aggVals is the group context of a grouped
 // row (aggregate calls resolve to the values the hash aggregate folded;
 // nil outside one, where an aggregate call is a scalar function over an
-// array); st.prepared intercepts compiled subqueries during enrichment
-// probing; st.depth counts nested SELECT blocks and UDF calls.
+// array); st.prepared is the enrichment state whose const results and
+// probes answer its compiled subqueries; st.depth counts nested SELECT
+// blocks and UDF calls.
 // evalState is passed by value.
 type evalState struct {
 	ctx      *Context

@@ -89,13 +89,14 @@ func eval(st evalState, env *Env, e sqlpp.Expr) (adm.Value, error) {
 	return adm.Value{}, fmt.Errorf("query: unsupported expression %T", e)
 }
 
-// evalSubquery evaluates a SELECT used as an expression: the prepared
-// enrichment probe supplies the FROM product of a compiled subquery,
-// anything else opens its own pipeline.
+// evalSubquery evaluates a SELECT used as an expression: a const
+// subquery of the enrichment state is the result its build phase
+// computed; anything else, a compiled probe included, opens its
+// pipeline and drains it.
 func evalSubquery(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error) {
 	if st.prepared != nil {
-		if v, ok, err := st.prepared.evalCompiled(st, env, sel); ok || err != nil {
-			return v, err
+		if pc := st.prepared.consts[sel]; pc != nil {
+			return pc.val, nil
 		}
 	}
 	return runSelect(st, env, sel)
@@ -155,7 +156,7 @@ func evalCall(st evalState, env *Env, call *sqlpp.Call) (adm.Value, error) {
 		return fn(args)
 	}
 
-	// Catalog UDF (SQL++ or native).
+	// Catalog UDF.
 	if st.ctx.Catalog != nil {
 		if udf, ok := st.ctx.Catalog.Function(call.Name); ok {
 			args, err := evalArgs(st, env, call.Args)
@@ -187,12 +188,9 @@ func Call(cat Catalog, fn *Function, args []adm.Value) (adm.Value, error) {
 }
 
 // CallFunction invokes a catalog function with already-evaluated
-// arguments. SQL++ bodies evaluate in a fresh environment containing
-// only the parameters (UDFs close over nothing).
+// arguments. Its body evaluates in a fresh environment containing only
+// the parameters (UDFs close over nothing).
 func CallFunction(st evalState, fn *Function, args []adm.Value) (adm.Value, error) {
-	if fn.Native != nil {
-		return fn.Native(args)
-	}
 	if len(args) != len(fn.Params) {
 		return adm.Value{}, fmt.Errorf("query: function %s expects %d args, got %d",
 			fn.Name, len(fn.Params), len(args))
@@ -418,15 +416,13 @@ func evalCase(st evalState, env *Env, n *sqlpp.CaseExpr) (adm.Value, error) {
 
 func evalExists(st evalState, env *Env, n *sqlpp.Exists) (adm.Value, error) {
 	if st.prepared != nil {
-		if found, ok, err := st.prepared.evalCompiledExists(st, env, n.Sub); ok || err != nil {
-			if err != nil {
-				return adm.Value{}, err
-			}
-			return adm.Bool(found), nil
+		if pc := st.prepared.consts[n.Sub]; pc != nil {
+			return adm.Bool(len(pc.val.ArrayVal()) > 0), nil
 		}
 	}
 	// One row answers the question; closing the cursor there stops the
-	// scan (and any scan workers) without reading the rest.
+	// scan (and any scan workers), or a compiled probe, without reading
+	// the rest.
 	rc, err := openSelect(st, env, n.Sub, nil)
 	if err != nil {
 		return adm.Value{}, err

@@ -738,8 +738,6 @@ func (o oracle) evalCall(env *Env, call *sqlpp.Call) (adm.Value, error) {
 	switch {
 	case native != nil:
 		return native(args)
-	case udf.Native != nil:
-		return udf.Native(args)
 	case len(args) != len(udf.Params):
 		return adm.Value{}, fmt.Errorf("oracle: function %s expects %d args, got %d", udf.Name, len(udf.Params), len(args))
 	}

@@ -450,8 +450,8 @@ func fieldWithRadius(e sqlpp.Expr, alias string) (string, float64, bool) {
 	return field, r, true
 }
 
-// Describe reports the chosen strategy per compiled subquery — the
-// experiments print it, and tests assert on it.
+// Describe reports the chosen strategy per compiled subquery; tests
+// assert on it.
 func (plan *EnrichPlan) Describe() []string {
 	var out []string
 	for _, sel := range plan.order {
@@ -480,9 +480,6 @@ func (plan *EnrichPlan) Describe() []string {
 	}
 	return out
 }
-
-// Param returns the UDF's parameter name.
-func (plan *EnrichPlan) Param() string { return plan.param }
 
 // Stateless reports whether the UDF touches no reference data at all —
 // the paper's stateless class, the only kind the old streaming pipeline

@@ -56,8 +56,21 @@ func (p *planLog) stepf(format string, args ...any) {
 
 // openSelect enters a query block — one nesting level down, outside any
 // enclosing group context — binds its leading LETs and opens its
-// operator pipeline.
+// operator pipeline. A block the enrichment state compiled into a probe
+// is the one exception, and this is the only place that knows it: its
+// prepared accesses supply the FROM product (no LETs, no pins) at the
+// level of the expression that opened it.
 func openSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, pl *planLog) (*RowCursor, error) {
+	if st.prepared != nil {
+		if ps := st.prepared.probes[sel]; ps != nil {
+			st = st.noGroup()
+			tuples, err := ps.open(st, env)
+			if err != nil {
+				return nil, err
+			}
+			return openPipeline(st, env, sel, tuples, false, pl)
+		}
+	}
 	st, err := st.deeper()
 	if err != nil {
 		return nil, err
@@ -101,10 +114,10 @@ func openSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, pl *planLog) (*Ro
 
 // openPipeline evaluates LIMIT, assembles the operators and wraps them
 // in the cursor that projects, dedupes and counts rows out. tuples,
-// when non-nil, is an already enumerated and filtered FROM product —
-// the enrichment probe's candidates — and stands in for the FROM, LET
-// and WHERE operators. livePin says the caller pinned the first FROM
-// dataset just now (see planScanLeaf).
+// when non-nil, is a compiled enrichment probe's FROM product
+// (preparedSub.open) and stands in for the FROM, LET and WHERE
+// operators. livePin says the caller pinned the first FROM dataset just
+// now (see planScanLeaf).
 func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, tuples tupleCursor, livePin bool, pl *planLog) (*RowCursor, error) {
 	rc := &RowCursor{st: st, sel: sel, limit: -1}
 	if sel.Limit != nil {

@@ -565,6 +565,88 @@ func TestEnrichExistsUDF2(t *testing.T) {
 	}
 }
 
+// TestCompiledExistsStopsAtFirstCandidate: EXISTS over a compiled probe
+// is the probe's pipeline pulled once, and the probe draws a candidate
+// only when it is pulled. An index-NLJ probe that finds fifty keys reads
+// one record; a hash probe costs the same whether its key's chain holds
+// one row or two hundred.
+func TestCompiledExistsStopsAtFirstCandidate(t *testing.T) {
+	compile := func(t *testing.T, cat *testCatalog, ddl, want string) *PreparedEnrich {
+		t.Helper()
+		plan := compilePaperUDF(t, cat, cat.addSQLFunction(t, ddl).Name, PlanOptions{})
+		if d := plan.Describe(); len(d) != 1 || !strings.HasPrefix(d[0], want) {
+			t.Fatalf("plan = %v, want %s", d, want)
+		}
+		pe, err := plan.Prepare(cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pe
+	}
+
+	t.Run("index-NLJ", func(t *testing.T) {
+		cat := newTestCatalog()
+		var monuments []adm.Value
+		for i := range 50 {
+			monuments = append(monuments, obj("id", adm.Int(int64(i)), "loc", adm.Point(10, 10)))
+		}
+		ds := cat.addDataset(t, "Monuments", "id", 3, monuments...)
+		if err := ds.CreateSpatialIndex("mloc", "loc"); err != nil {
+			t.Fatal(err)
+		}
+		const near = `WHERE spatial_intersect(m.loc, create_circle(create_point(t.x, t.y), 1.0))`
+		exists := compile(t, cat, `CREATE FUNCTION anyNear(t) {
+			LET near = EXISTS(SELECT m FROM Monuments m `+near+`)
+			SELECT t.*, near };`, "indexnlj(Monuments.loc)")
+		all := compile(t, cat, `CREATE FUNCTION allNear(t) {
+			LET near = (SELECT VALUE m.id FROM Monuments m `+near+`)
+			SELECT t.*, near };`, "indexnlj(Monuments.loc)")
+		tweet := obj("id", adm.Int(1), "x", adm.Double(10), "y", adm.Double(10))
+		for _, tc := range []struct {
+			pe   *PreparedEnrich
+			gets uint64
+		}{{exists, 1}, {all, 50}} {
+			before := ds.Stats().Gets
+			v, err := tc.pe.EvalRecord(tweet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ds.Stats().Gets - before; got != tc.gets {
+				t.Errorf("%s read %d records, want %d (near = %v)", tc.pe.plan.Name, got, tc.gets, v.Field("near"))
+			}
+		}
+	})
+
+	t.Run("hash", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("the race detector allocates")
+		}
+		cat := newTestCatalog()
+		words := []adm.Value{obj("id", adm.Int(0), "grp", adm.String("k001"))}
+		for i := 1; i <= 200; i++ {
+			words = append(words, obj("id", adm.Int(int64(i)), "grp", adm.String("k200")))
+		}
+		cat.addDataset(t, "Words", "id", 3, words...)
+		pe := compile(t, cat, `CREATE FUNCTION flagged(t) {
+			LET hit = EXISTS(SELECT w FROM Words w WHERE w.grp = t.grp)
+			SELECT t.*, hit };`, "hash(Words)")
+		cost := func(grp string) float64 {
+			rec := obj("id", adm.Int(1), "grp", adm.String(grp))
+			if v, err := pe.EvalRecord(rec); err != nil || !v.Field("hit").BoolVal() {
+				t.Fatalf("EvalRecord = %v, %v", v, err)
+			}
+			return testing.AllocsPerRun(100, func() {
+				if _, err := pe.EvalRecord(rec); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if one, many := cost("k001"), cost("k200"); one != many {
+			t.Fatalf("EXISTS over a chain of 1 row cost %v allocations, of 200 rows %v", one, many)
+		}
+	})
+}
+
 // TestEnrichStatelessUDF1: a stateless UDF compiles with no subplans and
 // never touches the catalog during EvalRecord.
 func TestEnrichStatelessUDF1(t *testing.T) {

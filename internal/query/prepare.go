@@ -12,7 +12,7 @@ import (
 
 // PreparedEnrich is the enrichment state of a plan: the paper's
 // "intermediate states" — const-subquery results, hash tables, transient
-// R-trees, scan shards — together with the Context whose pins they were
+// R-trees, scanned records — together with the Context whose pins they were
 // built from. It is read-only once built (EvalRecord is safe for
 // parallel use by every evaluator in a job; only the Context's lazy
 // pins grow, under its lock).
@@ -91,7 +91,7 @@ type preparedAccess struct {
 
 	rtrees []*index.RTree // accessRTree, sharded per partition
 
-	shards [][]adm.Value // accessScan
+	recs []adm.Value // accessScan: every record, partition by partition
 
 	liveIndexes []*lsm.RTreeIndex // accessIndexNLJ
 	liveDataset *lsm.Dataset      // accessIndexNLJ (fresh point reads)
@@ -340,9 +340,13 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 			pa.rtrees[i] = results[i].tree
 		}
 	default:
-		pa.shards = make([][]adm.Value, len(results))
+		total := 0
 		for i := range results {
-			pa.shards[i] = results[i].recs
+			total += len(results[i].recs)
+		}
+		pa.recs = make([]adm.Value, 0, total)
+		for i := range results {
+			pa.recs = append(pa.recs, results[i].recs...)
 		}
 	}
 	return pa, nil
@@ -410,16 +414,13 @@ func (pe *PreparedEnrich) EvalRecord(rec adm.Value, dst ...*[]byte) (adm.Value, 
 	return adm.Array(rows), nil
 }
 
-// openBody opens the cursor of a UDF body that is a query block — over
-// the candidates its prepared probe yields when it was compiled into one
-// — or returns nil for any other body, a constant one included.
+// openBody opens the cursor of a UDF body that is a query block, or
+// returns nil for any other body, a constant one included. A body
+// compiled into a probe is opened like any other (openSelect knows it).
 func (pe *PreparedEnrich) openBody(st evalState, env *Env) (*RowCursor, error) {
 	sel, ok := pe.plan.body.(*sqlpp.SelectExpr)
 	if !ok || pe.consts[sel] != nil {
 		return nil, nil
-	}
-	if rc, ok, err := pe.openCompiled(st, env, sel); ok || err != nil {
-		return rc, err
 	}
 	return openSelect(st, env, sel, nil)
 }
@@ -427,138 +428,95 @@ func (pe *PreparedEnrich) openBody(st evalState, env *Env) (*RowCursor, error) {
 // Context exposes the pinned evaluation context (tests inspect it).
 func (pe *PreparedEnrich) Context() *Context { return pe.ctx }
 
-// evalCompiled intercepts a compiled subquery during expression
-// evaluation. ok=false means the subquery was not compiled and the
-// caller should use the generic path.
-func (pe *PreparedEnrich) evalCompiled(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, bool, error) {
-	if pc, isConst := pe.consts[sel]; isConst {
-		return pc.val, true, nil
+// open chains the FROM product of a compiled probe over one outer
+// binding: an accessCursor per access — the anchor probed here, for env
+// — then the FROM-LETs and a filter per residual. It stands in for the
+// FROM, LET and WHERE operators of the subquery's pipeline.
+func (ps *preparedSub) open(st evalState, env *Env) (tupleCursor, error) {
+	anchor := &accessCursor{st: st, pa: ps.accesses[0]}
+	if err := anchor.probe(env); err != nil {
+		return nil, err
 	}
-	rc, ok, err := pe.openCompiled(st, env, sel)
-	if !ok || err != nil {
-		return adm.Value{}, ok, err
+	var cur tupleCursor = anchor
+	for _, pa := range ps.accesses[1:] {
+		cur = &accessCursor{st: st, outer: cur, pa: pa}
 	}
-	v, err := rc.drain()
-	return v, true, err
+	if lets := ps.plan.sel.FromLets; len(lets) > 0 {
+		cur = &letCursor{st: st, inner: cur, lets: lets}
+	}
+	for _, r := range ps.plan.residuals {
+		cur = &filterCursor{st: st, inner: cur, pred: r}
+	}
+	return cur, nil
 }
 
-// openCompiled opens the pipeline of a compiled probe subquery over the
-// candidate tuples its prepared accesses yield. ok=false means sel was
-// not compiled into a probe.
-func (pe *PreparedEnrich) openCompiled(st evalState, env *Env, sel *sqlpp.SelectExpr) (rc *RowCursor, ok bool, err error) {
-	ps, isProbe := pe.probes[sel]
-	if !isProbe {
-		return nil, false, nil
-	}
-	var tuples []*Env
-	err = ps.forEachTuple(st, env, func(tu *Env) bool {
-		tuples = append(tuples, tu)
-		return true
-	})
-	if err != nil {
-		return nil, true, err
-	}
-	// From here on a compiled subquery is a SELECT like any other: the
-	// candidates replace FROM and WHERE, the shared pipeline aggregates,
-	// orders, projects, dedupes and limits them.
-	rc, err = openPipeline(st.noGroup(), nil, sel, &sliceTuples{envs: tuples}, false, nil)
-	return rc, true, err
+// accessCursor streams one prepared access, the twin of fromCursor: for
+// every outer tuple it probes the hash chain, the transient R-trees, the
+// live spatial index or the scan records, and yields one extended tuple
+// per record. A chain entry is compared, and a live record read, only
+// when it is pulled, so a consumer that stops early (EXISTS, LIMIT)
+// touches nothing past its last row.
+type accessCursor struct {
+	st    evalState
+	outer tupleCursor // nil for the anchor, whose one outer tuple open probed
+	pa    *preparedAccess
+
+	env   *Env       // the outer tuple being probed; nil = draw the next
+	key   adm.Value  // accessHash: the probe key
+	chain *hashEntry // accessHash: the rest of its chain
+	// recs are the candidates of the other kinds — R-tree hits, the live
+	// index's primary keys, the scan records — and pos the next of them.
+	recs []adm.Value
+	pos  int
 }
 
-// evalCompiledExists intercepts EXISTS over a compiled subquery with
-// early termination at the first qualifying tuple.
-func (pe *PreparedEnrich) evalCompiledExists(st evalState, env *Env, sel *sqlpp.SelectExpr) (bool, bool, error) {
-	if pc, isConst := pe.consts[sel]; isConst {
-		return len(pc.val.ArrayVal()) > 0, true, nil
-	}
-	ps, isProbe := pe.probes[sel]
-	if !isProbe {
-		return false, false, nil
-	}
-	found := false
-	err := ps.forEachTuple(st, env, func(*Env) bool {
-		found = true
-		return false
-	})
-	return found, true, err
-}
-
-// forEachTuple streams candidate tuples: anchor probe, join expansion,
-// FROM-LET binding, then residual filtering. fn returning false stops
-// the enumeration (EXISTS early-out).
-func (ps *preparedSub) forEachTuple(st evalState, env *Env, fn func(*Env) bool) error {
-	st = st.noGroup()
-	var expand func(level int, tu *Env) (bool, error)
-	expand = func(level int, tu *Env) (bool, error) {
-		if level == len(ps.accesses) {
-			for _, l := range ps.plan.sel.FromLets {
-				v, err := eval(st, tu, l.Expr)
-				if err != nil {
-					return false, err
-				}
-				tu = Bind(tu, l.Name, v)
+func (a *accessCursor) next() (*Env, bool, error) {
+	for {
+		for a.env == nil {
+			if a.outer == nil {
+				return nil, false, nil
 			}
-			for _, r := range ps.plan.residuals {
-				v, err := eval(st, tu, r)
-				if err != nil {
-					return false, err
-				}
-				if !Truthy(v) {
-					return true, nil
-				}
+			oe, ok, err := a.outer.next()
+			if err != nil || !ok {
+				return nil, false, err
 			}
-			return fn(tu), nil
+			if err := a.probe(oe); err != nil {
+				return nil, false, err
+			}
 		}
-		pa := ps.accesses[level]
-		cont := true
-		var inner error
-		err := pa.probe(st, tu, func(rec adm.Value) bool {
-			keepGoing, perr := expand(level+1, Bind(tu, pa.plan.alias, rec))
-			if perr != nil {
-				inner = perr
-				cont = false
-				return false
-			}
-			if !keepGoing {
-				cont = false
-				return false
-			}
-			return true
-		})
+		rec, ok, err := a.draw()
 		if err != nil {
-			return false, err
+			return nil, false, err
 		}
-		if inner != nil {
-			return false, inner
+		if ok {
+			return Bind(a.env, a.pa.plan.alias, rec), true, nil
 		}
-		return cont, nil
+		a.env = nil
 	}
-	_, err := expand(0, env)
-	return err
 }
 
-// probe enumerates the records this access yields for the current outer
-// bindings.
-func (pa *preparedAccess) probe(st evalState, env *Env, fn func(adm.Value) bool) error {
+func (a *accessCursor) close() {
+	if a.outer != nil {
+		a.outer.close()
+	}
+}
+
+// probe starts probing for the outer tuple env. A probe that matches
+// nothing — an unknown key, a geometry with no bounds — leaves env nil,
+// so next draws the following outer tuple.
+func (a *accessCursor) probe(env *Env) error {
+	pa := a.pa
 	acc := pa.plan
+	a.env, a.chain, a.pos = nil, nil, 0
 	switch acc.kind {
 	case accessHash:
-		key, err := eval(st, env, acc.probeKey)
-		if err != nil {
+		key, err := eval(a.st, env, acc.probeKey)
+		if err != nil || key.IsUnknown() {
 			return err
 		}
-		if key.IsUnknown() {
-			return nil
-		}
-		for e := pa.hash[adm.Hash(key)]; e != nil; e = e.next {
-			if adm.Equal(e.key, key) {
-				if !fn(e.rec) {
-					return nil
-				}
-			}
-		}
-	case accessRTree:
-		g, err := eval(st, env, acc.probeRect)
+		a.key, a.chain = key, pa.hash[adm.Hash(key)]
+	case accessRTree, accessIndexNLJ:
+		g, err := eval(a.st, env, acc.probeRect)
 		if err != nil {
 			return err
 		}
@@ -566,57 +524,57 @@ func (pa *preparedAccess) probe(st evalState, env *Env, fn func(adm.Value) bool)
 		if !ok {
 			return nil
 		}
-		for _, tree := range pa.rtrees {
-			stopped := false
-			tree.Search(rect, func(e index.RTreeEntry) bool {
-				if !fn(e.Data.(adm.Value)) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			if stopped {
-				return nil
+		a.recs = a.recs[:0]
+		if acc.kind == accessRTree {
+			for _, tree := range pa.rtrees {
+				tree.Search(rect, func(e index.RTreeEntry) bool {
+					a.recs = append(a.recs, e.Data.(adm.Value))
+					return true
+				})
 			}
-		}
-	case accessIndexNLJ:
-		g, err := eval(st, env, acc.probeRect)
-		if err != nil {
-			return err
-		}
-		rect, ok := GeometryBounds(g)
-		if !ok {
-			return nil
+			break
 		}
 		if acc.expand > 0 {
 			rect = rect.Expand(acc.expand)
 		}
 		for _, ix := range pa.liveIndexes {
-			for _, pk := range ix.Search(rect) {
-				rec, found := pa.liveDataset.Get(pk) // fresh read, per paper
-				if !found {
-					continue
-				}
-				if keep, err := pa.passesFilters(st, rec); err != nil {
-					return err
-				} else if !keep {
-					continue
-				}
-				if !fn(rec) {
-					return nil
-				}
-			}
+			a.recs = append(a.recs, ix.Search(rect)...)
 		}
 	default: // accessScan
-		for _, shard := range pa.shards {
-			for _, rec := range shard {
-				if !fn(rec) {
-					return nil
-				}
+		a.recs = pa.recs
+	}
+	a.env = env
+	return nil
+}
+
+// draw returns the next record the current probe yields.
+func (a *accessCursor) draw() (adm.Value, bool, error) {
+	pa := a.pa
+	if pa.plan.kind == accessHash {
+		for e := a.chain; e != nil; e = e.next {
+			if adm.Equal(e.key, a.key) {
+				a.chain = e.next
+				return e.rec, true, nil
 			}
 		}
+		a.chain = nil
+		return adm.Value{}, false, nil
 	}
-	return nil
+	for a.pos < len(a.recs) {
+		v := a.recs[a.pos]
+		a.pos++
+		if pa.plan.kind != accessIndexNLJ {
+			return v, true, nil
+		}
+		rec, found := pa.liveDataset.Get(v) // fresh read, per paper
+		if !found {
+			continue
+		}
+		if keep, err := pa.passesFilters(a.st, rec); err != nil || keep {
+			return rec, keep, err
+		}
+	}
+	return adm.Value{}, false, nil
 }
 
 // passesFilters applies alias-only filters at probe time (index-NLJ

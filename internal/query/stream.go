@@ -25,12 +25,14 @@ import (
 //
 // This is the only SELECT executor: top-level statements hold the
 // cursor (ExecuteSelectCursor) and pull it row by row; a SELECT in
-// expression position, a const-subquery of the enrichment build phase
-// and the enrichment probe open the same pipeline and drain it
-// (runSelect, evalCompiled), EXISTS pulls it once, and an enrichment
-// UDF's body is pulled row by row (EvalRecord). The plan —
-// including index pushdown and parallel partition scans — is chosen in
-// plan_select.go and reported by Plan.
+// expression position and a const-subquery of the enrichment build
+// phase open the same pipeline and drain it (runSelect), EXISTS pulls
+// it once, and an enrichment UDF's body is pulled row by row
+// (EvalRecord). A subquery compiled into an enrichment probe is one of
+// these too: only its FROM product differs — accessCursors over the
+// prepared hash tables, R-trees, live index or scanned records
+// (openSelect). The plan — including index pushdown and parallel
+// partition scans — is chosen in plan_select.go and reported by Plan.
 type RowCursor struct {
 	st   evalState
 	sel  *sqlpp.SelectExpr
@@ -684,23 +686,6 @@ func (s *singleCursor) next() (*Env, bool, error) {
 }
 
 func (s *singleCursor) close() {}
-
-// sliceTuples replays an already enumerated FROM product: the tuples
-// the enrichment probe drew from its hash tables and R-trees.
-type sliceTuples struct {
-	envs []*Env
-	pos  int
-}
-
-func (s *sliceTuples) next() (*Env, bool, error) {
-	if s.pos >= len(s.envs) {
-		return nil, false, nil
-	}
-	s.pos++
-	return s.envs[s.pos-1], true, nil
-}
-
-func (s *sliceTuples) close() {}
 
 // scanFromCursor is the planned leaf: it binds the first FROM clause's
 // alias over a pre-built record stream (serial scan, index range scan,

@@ -124,8 +124,8 @@ func TestEvalRecordAllocations(t *testing.T) {
 	na, nb := evalRecordCost(t, tenFieldViews(narrow), eval)
 	wa, wb := evalRecordCost(t, tenFieldViews(wide), eval)
 	t.Logf("narrow: %.0f allocations, %.0f bytes; wide: %.0f allocations, %.0f bytes", na, nb, wa, wb)
-	if na != wa || na > 14 {
-		t.Fatalf("%v allocations for a narrow record, %v for a wide one; want the same, at most 14", na, wa)
+	if na != wa || na > 12 {
+		t.Fatalf("%v allocations for a narrow record, %v for a wide one; want the same, at most 12", na, wa)
 	}
 	// One copy of the record: the size classes a 4 KB row falls into round
 	// up by at most an eighth.
@@ -176,8 +176,8 @@ func TestEvalRecordIntoSlabAllocates(t *testing.T) {
 	na, nb := evalRecordCost(t, tenFieldViews(narrow), eval)
 	wa, wb := evalRecordCost(t, tenFieldViews(wide), eval)
 	t.Logf("narrow: %.0f allocations, %.0f bytes; wide: %.0f allocations, %.0f bytes", na, nb, wa, wb)
-	if na != wa || na > 12 {
-		t.Fatalf("%v allocations for a narrow record, %v for a wide one; want the same, at most 12", na, wa)
+	if na != wa || na > 11 {
+		t.Fatalf("%v allocations for a narrow record, %v for a wide one; want the same, at most 11", na, wa)
 	}
 	if grew := wb - nb; grew > 16 {
 		t.Fatalf("%d more bytes of record cost %.0f more bytes allocated, want none", wide-narrow, grew)

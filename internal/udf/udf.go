@@ -79,15 +79,12 @@ type Instance interface {
 	Evaluate(rec adm.Value) (adm.Value, error)
 }
 
-// Native is a compiled ("Java") UDF: a factory of instances plus its
-// statefulness declaration.
+// Native is a compiled ("Java") UDF: a factory of instances. Whatever
+// state Initialize builds from resources, the static pipeline keeps for
+// the feed's life and the dynamic pipeline rebuilds per batch.
 type Native struct {
 	// Name is the function's registered name.
 	Name string
-	// Stateful declares that Initialize builds state from resources; the
-	// static pipeline then serves stale state, and the dynamic pipeline
-	// re-initializes per batch.
-	Stateful bool
 	// New creates an instance.
 	New func() Instance
 }

@@ -83,9 +83,8 @@ func TestFuncInstanceLifecycle(t *testing.T) {
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	n := &Native{
-		Name:     "clean",
-		Stateful: true,
-		New:      func() Instance { return &FuncInstance{} },
+		Name: "clean",
+		New:  func() Instance { return &FuncInstance{} },
 	}
 	if err := r.Register(n); err != nil {
 		t.Fatal(err)

@@ -275,8 +275,7 @@ func NativeUDFs(c *cluster.Cluster) (*udf.Registry, error) {
 		}
 		nativeName := fmt.Sprintf("nativeQ%d", i+1)
 		if err := reg.Register(&udf.Native{
-			Name:     nativeName,
-			Stateful: true,
+			Name: nativeName,
 			New: func() udf.Instance {
 				return &nativeEnrich{cluster: c, plan: plan}
 			},

@@ -268,8 +268,8 @@ func TestNativeUDFsMirrorSQLPP(t *testing.T) {
 		t.Fatal(err)
 	}
 	native, ok := reg.Lookup("nativeQ1")
-	if !ok || !native.Stateful {
-		t.Fatal("nativeQ1 missing or stateless")
+	if !ok {
+		t.Fatal("nativeQ1 missing")
 	}
 	inst := native.New()
 	if err := inst.Initialize(0); err != nil {

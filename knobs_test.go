@@ -48,7 +48,7 @@ func TestConfigKnobs(t *testing.T) {
 			apply := ""
 			if udfDelay > 0 {
 				apply = " APPLY FUNCTION slow"
-				if err := c.RegisterNativeUDF("slow", true, func() NativeUDF { return &slowUDF{delay: udfDelay} }); err != nil {
+				if err := c.RegisterNativeUDF("slow", func() NativeUDF { return &slowUDF{delay: udfDelay} }); err != nil {
 					t.Fatal(err)
 				}
 			}
