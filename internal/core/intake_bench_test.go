@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"github.com/ideadb/idea/internal/cluster"
 	"github.com/ideadb/idea/internal/hyracks"
+	"github.com/ideadb/idea/internal/query"
 )
 
 // pushWriter bridges a FrameBuilder to a PassiveHolder for the intake
@@ -90,4 +93,43 @@ func BenchmarkIntakePath(b *testing.B) {
 		total += parsed
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkInvokeComputeJob prices one invocation of a function feed's
+// own predeployed computing job — buildComputeSpec's collector, UDF
+// evaluator and sink on each of two nodes — over a batch of no records
+// (every collector's intake is at EOF). Like cluster's
+// BenchmarkInvokePredeployed, what is left is the machinery an
+// invocation builds, here with the feed's closures and queue capacity,
+// plus the simulated invocation message of DefaultTuning.
+func BenchmarkInvokeComputeJob(b *testing.B) {
+	const nodes = 2
+	c, err := cluster.New(nodes, cluster.DefaultTuning())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	f := &Feed{cluster: c, plan: &query.EnrichPlan{}, nodes: []int{0, 1}, computeID: "compute",
+		eof: make([]atomic.Bool, nodes), encoders: make([]recordEncoder, nodes),
+		routers: make([]frameRouter, nodes), stats: &Stats{}}
+	for p := range f.eof {
+		f.eof[p].Store(true)
+	}
+	f.curInv.Store(&invocation{})
+	spec := f.buildComputeSpec()
+	if err := c.Predeploy(f.computeID); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job, err := c.InvokePredeployed(ctx, f.computeID, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := job.Wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -190,13 +190,16 @@ func (c *Context) traced(build func() error) ([]string, error) {
 // row (aggregate calls resolve to the values the hash aggregate folded;
 // nil outside one, where an aggregate call is a scalar function over an
 // array); st.prepared is the enrichment state whose const results and
-// probes answer its compiled subqueries; st.depth counts nested SELECT
-// blocks and UDF calls.
+// probes answer its compiled subqueries; st.scratch, set only while
+// EvalRecord enriches a record, keeps the pipelines of the body and the
+// probes across records; st.depth counts nested SELECT blocks and UDF
+// calls.
 // evalState is passed by value.
 type evalState struct {
 	ctx      *Context
 	aggVals  map[*sqlpp.Call]adm.Value
 	prepared *PreparedEnrich
+	scratch  *recordScratch
 	depth    int
 }
 

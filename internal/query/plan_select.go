@@ -59,17 +59,24 @@ func (p *planLog) stepf(format string, args ...any) {
 // operator pipeline. A block the enrichment state compiled into a probe
 // is the one exception, and this is the only place that knows it: its
 // prepared accesses supply the FROM product (no LETs, no pins) at the
-// level of the expression that opened it.
+// level of the expression that opened it. While a record is enriched,
+// the body's and each probe's pipeline is kept and rewound instead of
+// opened anew (keptPipeline).
 func openSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, pl *planLog) (*RowCursor, error) {
+	var ps *preparedSub
 	if st.prepared != nil {
-		if ps := st.prepared.probes[sel]; ps != nil {
-			st = st.noGroup()
-			tuples, err := ps.open(st, env)
-			if err != nil {
-				return nil, err
-			}
-			return openPipeline(st, env, sel, tuples, false, pl)
-		}
+		ps = st.prepared.probes[sel]
+	}
+	if kp := st.scratch.pipeline(sel, ps); kp != nil {
+		return kp.open(st, env, sel, ps)
+	}
+	return openBlock(st, env, sel, ps, pl)
+}
+
+// openBlock is openSelect with no kept pipeline: every operator is built.
+func openBlock(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, pl *planLog) (*RowCursor, error) {
+	if ps != nil {
+		return openPipeline(st.noGroup(), env, sel, ps, false, pl)
 	}
 	st, err := st.deeper()
 	if err != nil {
@@ -113,12 +120,12 @@ func openSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, pl *planLog) (*Ro
 }
 
 // openPipeline evaluates LIMIT, assembles the operators and wraps them
-// in the cursor that projects, dedupes and counts rows out. tuples,
-// when non-nil, is a compiled enrichment probe's FROM product
-// (preparedSub.open) and stands in for the FROM, LET and WHERE
-// operators. livePin says the caller pinned the first FROM dataset just
-// now (see planScanLeaf).
-func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, tuples tupleCursor, livePin bool, pl *planLog) (*RowCursor, error) {
+// in the cursor that projects, dedupes and counts rows out. ps, when
+// non-nil, is a compiled enrichment probe whose FROM product
+// (preparedSub.open) stands in for the FROM, LET and WHERE operators.
+// livePin says the caller pinned the first FROM dataset just now (see
+// planScanLeaf).
+func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, livePin bool, pl *planLog) (*RowCursor, error) {
 	rc := &RowCursor{st: st, sel: sel, limit: -1}
 	if sel.Limit != nil {
 		lv, err := eval(st, nil, sel.Limit)
@@ -131,7 +138,8 @@ func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, tuples tupleCur
 		}
 		rc.limit = n
 	}
-	rows, err := planSelect(st, env, sel, rc.limit, tuples, livePin, pl)
+	rc.limit0 = rc.limit
+	rows, err := planSelect(st, env, sel, rc.limit, ps, livePin, pl)
 	if err != nil {
 		return nil, err
 	}
@@ -146,15 +154,24 @@ func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, tuples tupleCur
 }
 
 // planSelect assembles the operator pipeline under the base env (with
-// leading LETs already bound): FROM → LET → WHERE unless the caller
-// supplies the tuples, then aggregate and order.
-func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, cur tupleCursor, livePin bool, pl *planLog) (rowSrc, error) {
+// leading LETs already bound): FROM → LET → WHERE, or a compiled probe's
+// FROM product when ps is non-nil, then aggregate and order.
+func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *preparedSub, livePin bool, pl *planLog) (rowSrc, error) {
 	aggCalls := collectSelectAggs(sel)
 	grouped := len(sel.GroupBy) > 0 || len(aggCalls) > 0
 
 	orderHandled := false
 	reuse := false
-	if cur == nil {
+	var cur tupleCursor
+	if ps != nil {
+		// A plain projection retains no env at all, so the probe's
+		// accessCursors may recycle their candidate boxes under any FROM.
+		reuse = envReuse(sel, grouped, limit, false, false) || !grouped && len(sel.OrderBy) == 0
+		var err error
+		if cur, err = ps.open(st, env, reuse); err != nil {
+			return nil, err
+		}
+	} else {
 		wherePushed := false
 		from := sel.From
 		if len(from) > 0 {
@@ -163,19 +180,7 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, cur 
 				return nil, err
 			}
 			if leaf != nil {
-				// Env-reuse mode: the scan leaf recycles one binding box per
-				// record, so the bounded top-k heap and the streaming hash
-				// aggregate run allocation-flat. Only legal when nothing
-				// between the scan and the consumer retains an env without
-				// copying: single FROM, no FROM-LETs, a WHERE (if any) free
-				// of calls and subqueries, and a consumer that copies what it
-				// keeps — the top-k heap (copyEnv) or the hash aggregate
-				// (copyRep, one snapshot per new group).
-				safeWhere := sel.Where == nil || pushed || safeParallelPred(sel.Where)
-				topkReuse := !grouped && len(sel.OrderBy) > 0 && !keyOrdered &&
-					limit >= 0 && !sel.Distinct
-				reuse = len(from) == 1 && len(sel.FromLets) == 0 && safeWhere &&
-					(topkReuse || grouped)
+				reuse = envReuse(sel, grouped, limit, pushed, keyOrdered)
 				cur = &scanFromCursor{base: env, alias: from[0].Alias, leaf: leaf, reuse: reuse}
 				wherePushed, orderHandled = pushed, keyOrdered
 				from = from[1:] // the planned leaf covers the first clause
@@ -232,6 +237,20 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, cur 
 		pl.stepf("limit(%d)", limit)
 	}
 	return rows, nil
+}
+
+// envReuse is the env-reuse rule: the FROM leaf — a scan, or a compiled
+// probe's accessCursor — recycles one binding box per record, so the
+// bounded top-k heap and the streaming hash aggregate run
+// allocation-flat. Only legal when nothing between the leaf and the
+// consumer retains an env without copying: single FROM, no FROM-LETs, a
+// WHERE (if any) pushed into the scan or free of calls and subqueries,
+// and a consumer that copies what it keeps — the top-k heap (copyEnv) or
+// the hash aggregate (copyRep, one snapshot per new group).
+func envReuse(sel *sqlpp.SelectExpr, grouped bool, limit int64, wherePushed, keyOrdered bool) bool {
+	safeWhere := sel.Where == nil || wherePushed || safeParallelPred(sel.Where)
+	topkReuse := !grouped && len(sel.OrderBy) > 0 && !keyOrdered && limit >= 0 && !sel.Distinct
+	return len(sel.From) == 1 && len(sel.FromLets) == 0 && safeWhere && (topkReuse || grouped)
 }
 
 // planScanLeaf builds the record stream for the first FROM clause when

@@ -29,6 +29,29 @@ import (
 // carry stamps like any other and invalidate reuse the same way.
 // Prepare always builds everything afresh; the RecompilePerBatch
 // ablation and the static pipeline use only that.
+//
+// The probe phase is compiled once and invoked per record too: each
+// EvalRecord borrows a recordScratch from the state's pool, and the
+// scratch keeps the operator pipeline of the body and of every compiled
+// probe, rewinding it for the next record (RowCursor.reset) instead of
+// building it again. Four rules make that safe:
+//
+//  1. Lifetime. No value EvalRecord returns aliases the scratch once it
+//     returns. Values never refer to a binding; a spliced row aliases
+//     the caller's slab, and an Object row may hold a LET's array, so a
+//     drained subquery's array is allocated per record.
+//  2. Candidate binding. A probe's accessCursor rebinds one box per
+//     candidate only where nothing downstream retains an env: the
+//     planner's env-reuse rule (envReuse), or a plain projection. Every
+//     other candidate is a new binding.
+//  3. Re-entry. A kept pipeline is busy while it is open, and serves
+//     only the evaluation depth it was first opened at. A block opened
+//     again while busy — a UDF that reaches its own body through
+//     CallFunction, whose AST the plan shares — or at another depth is
+//     opened fresh, as every block is outside EvalRecord.
+//  4. Pinning. A scratch goes back to the pool with its boxes, the
+//     probes' candidates, the DISTINCT sets and the destination
+//     cleared, so a pooled scratch pins no record or frame slab.
 type PreparedEnrich struct {
 	plan   *EnrichPlan
 	ctx    *Context
@@ -37,6 +60,8 @@ type PreparedEnrich struct {
 	// built counts the const results and access structures built for
 	// this state rather than carried over from its predecessor.
 	built int
+	// scratch pools the *recordScratch each EvalRecord borrows.
+	scratch sync.Pool
 }
 
 // preparedConst is a const subquery's result and the datasets its
@@ -49,6 +74,7 @@ type preparedConst struct {
 type preparedSub struct {
 	plan     *subPlan
 	accesses []*preparedAccess
+	slot     int // its pipeline's index in recordScratch.kept
 }
 
 // hashEntry is one build-side record of a hash access. Entries are
@@ -188,7 +214,7 @@ func (plan *EnrichPlan) prepare(cat Catalog, prev *PreparedEnrich, unchanged map
 			pe.consts[sel] = &preparedConst{val: val, deps: deps}
 			pe.built++
 		case probeSub:
-			ps := &preparedSub{plan: sp}
+			ps := &preparedSub{plan: sp, slot: len(pe.probes) + 1}
 			for i := range sp.accesses {
 				if prev != nil {
 					if pa := prev.probes[sel].accesses[i]; pa.reusable(cat, unchanged) {
@@ -366,11 +392,17 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 // it passed. dst is variadic only so that EvalRecord(rec) still builds
 // every row apart.
 func (pe *PreparedEnrich) EvalRecord(rec adm.Value, dst ...*[]byte) (adm.Value, error) {
+	s, _ := pe.scratch.Get().(*recordScratch)
+	if s == nil {
+		s = pe.newScratch()
+	}
+	defer pe.putScratch(s)
 	// depth 1: the feed's per-record loop is the outer query here, so no
 	// SELECT below it — the UDF body included — is outermost (and none
 	// starts a parallel scan per ingested record).
-	st := evalState{ctx: pe.ctx, prepared: pe, depth: 1}
-	env := Bind(nil, pe.plan.param, rec)
+	st := evalState{ctx: pe.ctx, prepared: pe, scratch: s, depth: 1}
+	s.param.val = rec
+	env := &s.param
 	rc, err := pe.openBody(st, env)
 	if err != nil {
 		return adm.Value{}, err
@@ -428,18 +460,103 @@ func (pe *PreparedEnrich) openBody(st evalState, env *Env) (*RowCursor, error) {
 // Context exposes the pinned evaluation context (tests inspect it).
 func (pe *PreparedEnrich) Context() *Context { return pe.ctx }
 
+// recordScratch is what one EvalRecord call borrows from its state: the
+// parameter's binding box and the pipelines kept across records, the
+// body's at kept[0] and each compiled probe's at its slot.
+type recordScratch struct {
+	param Env
+	body  *sqlpp.SelectExpr // the body, when it is a query block
+	kept  []keptPipeline
+}
+
+func (pe *PreparedEnrich) newScratch() *recordScratch {
+	s := &recordScratch{param: Env{name: pe.plan.param}, kept: make([]keptPipeline, len(pe.probes)+1)}
+	s.body, _ = pe.plan.body.(*sqlpp.SelectExpr)
+	return s
+}
+
+// putScratch returns s to the pool holding no record, candidate, row or
+// destination (rule 4).
+func (pe *PreparedEnrich) putScratch(s *recordScratch) {
+	s.param.val = adm.Value{}
+	for i := range s.kept {
+		kp := &s.kept[i]
+		clear(kp.lets)
+		if kp.rc != nil {
+			kp.rc.Close()
+			kp.rc.forget()
+		}
+	}
+	pe.scratch.Put(s)
+}
+
+// pipeline returns the kept pipeline of sel — the body, or the compiled
+// probe ps — or nil when no record is being enriched or sel is neither.
+func (s *recordScratch) pipeline(sel *sqlpp.SelectExpr, ps *preparedSub) *keptPipeline {
+	switch {
+	case s == nil:
+		return nil
+	case ps != nil:
+		return &s.kept[ps.slot]
+	case sel == s.body:
+		return &s.kept[0]
+	}
+	return nil
+}
+
+// keptPipeline is one query block's operator pipeline, kept so that the
+// next record rewinds it instead of building it (rule 3 says when).
+// Whether it can be kept is decided once, at its first open: a pipeline
+// with a dataset scan leaf, a hash aggregate or a top-k heap cannot
+// (rewindable), and that block is opened fresh for every record.
+type keptPipeline struct {
+	rc    *RowCursor
+	depth int   // the evaluation depth rc serves
+	lets  []Env // the block's leading LETs, rebound per record
+	never bool  // the first open was not rewindable
+}
+
+func (kp *keptPipeline) open(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub) (*RowCursor, error) {
+	rc := kp.rc
+	if rc == nil || !rc.done || kp.depth != st.depth {
+		fresh, err := openBlock(st, env, sel, ps, nil)
+		if err == nil && rc == nil && !kp.never {
+			if kp.never = !rewindable(fresh.rows); !kp.never {
+				kp.rc, kp.depth, kp.lets = fresh, st.depth, make([]Env, len(sel.Lets))
+			}
+		}
+		return fresh, err
+	}
+	rc.done = false // busy until Close
+	for i, l := range sel.Lets {
+		v, err := eval(rc.st, env, l.Expr)
+		if err != nil {
+			rc.Close()
+			return nil, err
+		}
+		kp.lets[i] = Env{parent: env, name: l.Name, val: v}
+		env = &kp.lets[i]
+	}
+	if err := rc.reset(env); err != nil {
+		rc.Close()
+		return nil, err
+	}
+	return rc, nil
+}
+
 // open chains the FROM product of a compiled probe over one outer
 // binding: an accessCursor per access — the anchor probed here, for env
 // — then the FROM-LETs and a filter per residual. It stands in for the
-// FROM, LET and WHERE operators of the subquery's pipeline.
-func (ps *preparedSub) open(st evalState, env *Env) (tupleCursor, error) {
-	anchor := &accessCursor{st: st, pa: ps.accesses[0]}
+// FROM, LET and WHERE operators of the subquery's pipeline. reuse lets
+// each accessCursor rebind one box per candidate (rule 2).
+func (ps *preparedSub) open(st evalState, env *Env, reuse bool) (tupleCursor, error) {
+	anchor := &accessCursor{st: st, pa: ps.accesses[0], reuse: reuse}
 	if err := anchor.probe(env); err != nil {
 		return nil, err
 	}
 	var cur tupleCursor = anchor
 	for _, pa := range ps.accesses[1:] {
-		cur = &accessCursor{st: st, outer: cur, pa: pa}
+		cur = &accessCursor{st: st, outer: cur, pa: pa, reuse: reuse}
 	}
 	if lets := ps.plan.sel.FromLets; len(lets) > 0 {
 		cur = &letCursor{st: st, inner: cur, lets: lets}
@@ -460,6 +577,8 @@ type accessCursor struct {
 	st    evalState
 	outer tupleCursor // nil for the anchor, whose one outer tuple open probed
 	pa    *preparedAccess
+	reuse bool // yield every candidate in box (rule 2)
+	box   Env
 
 	env   *Env       // the outer tuple being probed; nil = draw the next
 	key   adm.Value  // accessHash: the probe key
@@ -489,16 +608,38 @@ func (a *accessCursor) next() (*Env, bool, error) {
 			return nil, false, err
 		}
 		if ok {
+			if a.reuse {
+				a.box = Env{parent: a.env, name: a.pa.plan.alias, val: rec}
+				return &a.box, true, nil
+			}
 			return Bind(a.env, a.pa.plan.alias, rec), true, nil
 		}
 		a.env = nil
 	}
 }
 
+// close drops what the last probe held — its outer tuple, key and
+// candidates — so a kept pipeline pins no record between records.
 func (a *accessCursor) close() {
+	a.env, a.key, a.chain, a.box.val = nil, adm.Value{}, nil, adm.Value{}
+	if a.pa.plan.kind == accessScan {
+		a.recs = nil // the prepared records themselves
+	} else {
+		clear(a.recs[:cap(a.recs)])
+		a.recs = a.recs[:0]
+	}
 	if a.outer != nil {
 		a.outer.close()
 	}
+}
+
+// reset probes env again (the anchor) or lets the next pull draw the
+// outer chain's first tuple.
+func (a *accessCursor) reset(env *Env) error {
+	if a.outer != nil {
+		return a.outer.(rewinder).reset(env)
+	}
+	return a.probe(env)
 }
 
 // probe starts probing for the outer tuple env. A probe that matches

@@ -39,9 +39,12 @@ type RowCursor struct {
 	rows rowSrc
 	plan string // set only on the cursor ExecuteSelectCursor hands out
 
-	limit int64 // rows still to emit; -1 = unlimited
-	dedup *valueDedup
-	done  bool
+	limit  int64 // rows still to emit; -1 = unlimited
+	limit0 int64 // limit as opened, restored by reset
+	dedup  *valueDedup
+	// done is set once the cursor is exhausted or closed. A pipeline kept
+	// across records (PreparedEnrich) is busy exactly while it is not.
+	done bool
 	// dst, when set, is where the projection writes spliced rows
 	// (projectRow). Only the cursor of an enrichment UDF's body has one
 	// (EvalRecord); a SELECT nested in it builds its rows apart.
@@ -107,6 +110,61 @@ func (rc *RowCursor) Close() {
 	}
 }
 
+// reset rewinds a closed cursor whose pipeline is rewindable to what
+// opening its query block over the base env env would return, without
+// building a single operator. The caller has claimed it (done = false).
+func (rc *RowCursor) reset(env *Env) error {
+	rc.forget()
+	rc.limit = rc.limit0
+	return rc.rows.(rewinder).reset(env)
+}
+
+// forget drops the rows a closed cursor emitted — its DISTINCT set —
+// and its destination.
+func (rc *RowCursor) forget() {
+	rc.dst = nil
+	if rc.dedup != nil {
+		clear(rc.dedup.seen)
+	}
+}
+
+// rewinder is an operator that a pipeline kept across records
+// (PreparedEnrich) rewinds for each record instead of rebuilding: reset,
+// called on a closed pipeline, makes it what opening it over the base
+// env env would make it.
+type rewinder interface {
+	reset(env *Env) error
+}
+
+// rewindable reports whether every operator of rows is a rewinder. A
+// dataset scan leaf, the hash aggregate and the top-k heap are not: they
+// own snapshots, workers or buffers that an open builds.
+func rewindable(rows rowSrc) bool {
+	t, ok := rows.(*tupleRows)
+	if !ok {
+		return false
+	}
+	for cur := t.inner; ; {
+		switch c := cur.(type) {
+		case *singleCursor:
+			return true
+		case *accessCursor:
+			if c.outer == nil {
+				return true
+			}
+			cur = c.outer
+		case *fromCursor:
+			cur = c.outer
+		case *letCursor:
+			cur = c.inner
+		case *filterCursor:
+			cur = c.inner
+		default:
+			return false
+		}
+	}
+}
+
 // Plan describes the operator pipeline this cursor executes, e.g.
 // "iscan(Events.by_grp on grp)→filter→project→limit(4)". Tests assert
 // planner decisions (index use, parallelism) against it rather than
@@ -159,6 +217,8 @@ func (t *tupleRows) next() (rowT, bool, error) {
 }
 
 func (t *tupleRows) close() { t.inner.close() }
+
+func (t *tupleRows) reset(env *Env) error { return t.inner.(rewinder).reset(env) }
 
 // --- streaming hash aggregation ---
 
@@ -687,6 +747,11 @@ func (s *singleCursor) next() (*Env, bool, error) {
 
 func (s *singleCursor) close() {}
 
+func (s *singleCursor) reset(env *Env) error {
+	s.env, s.used = env, false
+	return nil
+}
+
 // scanFromCursor is the planned leaf: it binds the first FROM clause's
 // alias over a pre-built record stream (serial scan, index range scan,
 // or parallel partition scan). In reuse mode it mutates one env box in
@@ -764,8 +829,11 @@ func (f *fromCursor) close() {
 		f.cur.close()
 		f.cur = nil
 	}
+	f.curEnv = nil
 	f.outer.close()
 }
+
+func (f *fromCursor) reset(env *Env) error { return f.outer.(rewinder).reset(env) }
 
 // letCursor binds FROM-position LETs on each tuple as it flows past.
 type letCursor struct {
@@ -790,6 +858,8 @@ func (l *letCursor) next() (*Env, bool, error) {
 }
 
 func (l *letCursor) close() { l.inner.close() }
+
+func (l *letCursor) reset(env *Env) error { return l.inner.(rewinder).reset(env) }
 
 // filterCursor drops tuples whose predicate is not TRUE. It polls for
 // cancellation per candidate so a filter that rejects a long stretch
@@ -820,6 +890,8 @@ func (f *filterCursor) next() (*Env, bool, error) {
 }
 
 func (f *filterCursor) close() { f.inner.close() }
+
+func (f *filterCursor) reset(env *Env) error { return f.inner.(rewinder).reset(env) }
 
 // --- collection cursors (FROM sources) ---
 
