@@ -134,8 +134,10 @@ type ChannelSource = core.ChannelAdapter
 
 // SetFeedSource installs the source factory for a declared feed whose
 // adapter is "channel_adapter" (socket feeds configure themselves from
-// the DDL). The factory is invoked once per intake node.
-func (c *Cluster) SetFeedSource(feed string, factory func(node int) (FeedSource, error)) error {
+// the DDL). The factory runs once per adapter slot each time the feed
+// starts, failover restarts included; a feed declared in DDL has one
+// slot, 0.
+func (c *Cluster) SetFeedSource(feed string, factory func(slot int) (FeedSource, error)) error {
 	return c.mgr.SetAdapterFactory(feed, factory)
 }
 

@@ -1,9 +1,13 @@
 // Package cluster simulates the AsterixDB cluster the ingestion
 // framework runs on: one Cluster Controller (metadata catalog,
-// predeployed-job registry, job dispatch) plus N Node Controllers (each
-// owning a partition-holder manager and one storage partition per
-// dataset). Nodes are in-process — see docs/ARCHITECTURE.md for why the
-// simulation preserves the paper's experimental shapes.
+// predeployed-job registry, job dispatch) plus N Node Controllers. A
+// node is in-process and is what the runtime observes of it: a liveness
+// flag, a partition-holder registry, and one unit of the dispatch and
+// invoke overhead. A dataset has as many storage partitions as the
+// cluster has nodes, but no node owns one (a killed node's partitions
+// stay writable), and operators are not placed on nodes — see
+// docs/ARCHITECTURE.md for why the simulation preserves the paper's
+// experimental shapes.
 package cluster
 
 import (
@@ -103,7 +107,6 @@ type Cluster struct {
 	tuning Tuning
 	cache  *lsm.BlockCache // shared block cache (nil when disabled)
 	nodes  []*NodeController
-	jobSeq atomic.Uint64
 	closed atomic.Bool
 
 	mu          sync.RWMutex
@@ -378,15 +381,10 @@ func (c *Cluster) Native(ns, name string) (func([]adm.Value) (adm.Value, error),
 
 // --- job dispatch ---
 
-// NextJobID allocates a cluster-unique job id.
-func (c *Cluster) NextJobID(prefix string) string {
-	return fmt.Sprintf("%s-%d", prefix, c.jobSeq.Add(1))
-}
-
 // StartJob compiles-and-distributes a job: full dispatch overhead.
-func (c *Cluster) StartJob(ctx context.Context, spec *hyracks.JobSpec, name string) (*hyracks.Job, error) {
+func (c *Cluster) StartJob(ctx context.Context, spec *hyracks.JobSpec) (*hyracks.Job, error) {
 	c.chargeOverhead(c.tuning.DispatchOverheadPerNode)
-	return spec.Run(ctx, c.NextJobID(name))
+	return spec.Run(ctx)
 }
 
 // Predeploy registers a job template on every node (the paper's
@@ -418,7 +416,7 @@ func (c *Cluster) InvokePredeployed(ctx context.Context, id string, spec *hyrack
 		return nil, fmt.Errorf("cluster: no predeployed job %q", id)
 	}
 	c.chargeOverhead(c.tuning.InvokeOverheadPerNode)
-	return spec.Run(ctx, c.NextJobID(id))
+	return spec.Run(ctx)
 }
 
 // Undeploy removes a predeployed job.

@@ -181,7 +181,7 @@ func TestDispatchOverheadCharged(t *testing.T) {
 		},
 	})
 	start := time.Now()
-	job, err := c.StartJob(context.Background(), spec, "t")
+	job, err := c.StartJob(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +195,6 @@ func TestDispatchOverheadCharged(t *testing.T) {
 	job.Wait()
 	if elapsed := time.Since(start); elapsed > 12*time.Millisecond {
 		t.Errorf("predeployed invocation should be much cheaper, took %v", elapsed)
-	}
-}
-
-func TestNextJobIDUnique(t *testing.T) {
-	c := newTestCluster(t, 1)
-	a, b := c.NextJobID("x"), c.NextJobID("x")
-	if a == b {
-		t.Errorf("job ids must be unique: %s vs %s", a, b)
 	}
 }
 

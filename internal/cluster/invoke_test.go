@@ -21,8 +21,8 @@ func (passPipe) Close(*hyracks.TaskContext, hyracks.Writer) error { return nil }
 // BenchmarkInvokePredeployed prices one invocation of a predeployed job
 // that moves no data — a source, a pass-through and a sink on each of
 // two nodes, the computing job's shape — so what is left is the job
-// machinery every invocation builds (channels, connector writers, task
-// contexts) and the simulated invocation message of DefaultTuning.
+// machinery every invocation builds (channels, connector writers, the
+// task context) and the simulated invocation message of DefaultTuning.
 // Divided by the records an invocation carries, it is the per-record
 // share of invoking a job per batch. core's BenchmarkInvokeComputeJob
 // prices the feed's own computing job the same way.

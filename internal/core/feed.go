@@ -31,13 +31,12 @@ type Config struct {
 	// BatchSize is the records consumed per computing-job invocation
 	// across the cluster (the paper's 1X = 420).
 	BatchSize int
-	// IntakeNodes lists the nodes running adapters (default node 0; all
-	// nodes = the paper's "balanced" variants). The slice index is the
-	// adapter's *slot*: checkpoints are scoped per slot, and failover
-	// re-places a dead slot's node while preserving the slot identity.
-	IntakeNodes []int
-	// NewAdapter builds the adapter for intake slot i (0 ≤ i <
-	// len(IntakeNodes)).
+	// Adapters is the number of adapter instances (default 1; one per
+	// node = the paper's "balanced" variants). Adapter i is checkpoint
+	// slot i: checkpoints are scoped per slot, and a failover restart
+	// keeps the count, so every slot resumes from its own watermark.
+	Adapters int
+	// NewAdapter builds adapter i (0 ≤ i < Adapters).
 	NewAdapter func(i int) (Adapter, error)
 	// DisableIndexes applies the paper's no-index query hint (Naive
 	// Nearby Monuments).
@@ -241,7 +240,7 @@ type Feed struct {
 	native *udf.Native       // native attachment
 
 	// nodes are the cluster nodes this incarnation runs on (cfg.Nodes or
-	// all); pipeline partition p lives on cluster node nodes[p].
+	// all); pipeline partition p's holders register with node nodes[p].
 	nodes []int
 
 	intakeHolders  []*hyracks.PassiveHolder
@@ -331,10 +330,6 @@ func (f *Feed) SpillBacklog() int {
 	}
 	return frames
 }
-
-// Config returns the feed's configuration (the manager's failover path
-// rebuilds a successor config from it).
-func (f *Feed) Config() Config { return f.cfg }
 
 // resolveFunction splits the attached function into a native UDF or a
 // compiled SQL++ enrichment plan.
@@ -444,8 +439,8 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 420 // the paper's 1X
 	}
-	if len(cfg.IntakeNodes) == 0 {
-		cfg.IntakeNodes = []int{0}
+	if cfg.Adapters <= 0 {
+		cfg.Adapters = 1
 	}
 	if cfg.NewAdapter == nil {
 		return nil, errors.New("core: feed needs an adapter factory")
@@ -531,8 +526,8 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	// Resume state: one tracker per adapter slot, seeded from the last
 	// durable checkpoint so the watermark never regresses across
 	// restarts.
-	f.trackers = make([]*offsetTracker, len(cfg.IntakeNodes))
-	f.lastCkpt = make([]uint64, len(cfg.IntakeNodes))
+	f.trackers = make([]*offsetTracker, cfg.Adapters)
+	f.lastCkpt = make([]uint64, cfg.Adapters)
 	for i := range f.trackers {
 		f.trackers[i] = &offsetTracker{}
 		if w := ds.Checkpoint(ckptScope(cfg.Name, i)); w > 0 {
@@ -569,7 +564,7 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	// storage into each computing job instead.
 	if !cfg.FusedInsert {
 		storageSpec := f.buildStorageSpec()
-		f.storageJob, err = c.StartJob(jobCtx, storageSpec, cfg.Name+"-storage")
+		f.storageJob, err = c.StartJob(jobCtx, storageSpec)
 		if err != nil {
 			return nil, err
 		}
@@ -578,7 +573,7 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	// Intake job (long-running).
 	intakeSpec, err := f.buildIntakeSpec()
 	if err == nil {
-		f.intakeJob, err = c.StartJob(jobCtx, intakeSpec, cfg.Name+"-intake")
+		f.intakeJob, err = c.StartJob(jobCtx, intakeSpec)
 	}
 	if err != nil {
 		return nil, err
@@ -633,8 +628,7 @@ func (f *Feed) buildIntakeSpec() (*hyracks.JobSpec, error) {
 	}
 	adapterOp := spec.AddOperator(&hyracks.Descriptor{
 		Name:        "adapter",
-		Parallelism: len(cfg.IntakeNodes),
-		NodeOf:      func(p int) int { return cfg.IntakeNodes[p] },
+		Parallelism: cfg.Adapters,
 		NewSource: func(p int) (hyracks.Source, error) {
 			adapter, err := cfg.NewAdapter(p)
 			if err != nil {
@@ -672,7 +666,6 @@ func (f *Feed) buildIntakeSpec() (*hyracks.JobSpec, error) {
 	holderOp := spec.AddOperator(&hyracks.Descriptor{
 		Name:        "intake-partition-holder",
 		Parallelism: len(f.nodes),
-		NodeOf:      func(p int) int { return f.nodes[p] },
 		NewPipe: func(p int) (hyracks.Pipe, error) {
 			return f.intakeHolders[p], nil
 		},
@@ -694,12 +687,11 @@ func (f *Feed) buildStorageSpec() *hyracks.JobSpec {
 	holderOp := spec.AddOperator(&hyracks.Descriptor{
 		Name:        "storage-partition-holder",
 		Parallelism: len(f.nodes),
-		NodeOf:      func(p int) int { return f.nodes[p] },
 		NewSource: func(p int) (hyracks.Source, error) {
 			return f.storageHolders[p], nil
 		},
 	})
-	connectStorage(spec, holderOp, "storage-partition-writer", f.ds, f.nodes, &f.stats.Stored)
+	connectStorage(spec, holderOp, "storage-partition-writer", f.ds, &f.stats.Stored)
 	return spec
 }
 
@@ -1107,12 +1099,10 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 	spec := hyracks.NewJobSpec()
 	spec.QueueCapacity = f.cluster.Tuning().HolderCapacity
 	n := len(f.nodes)
-	nodeOf := func(p int) int { return f.nodes[p] }
 
 	collectorOp := spec.AddOperator(&hyracks.Descriptor{
 		Name:        "collector-parser",
 		Parallelism: n,
-		NodeOf:      nodeOf,
 		NewSource: func(p int) (hyracks.Source, error) {
 			inv := f.curInv.Load()
 			return hyracks.SourceFunc(func(tc *hyracks.TaskContext, out hyracks.Writer) error {
@@ -1173,7 +1163,6 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 		last = spec.AddOperator(&hyracks.Descriptor{
 			Name:        "udf-evaluator",
 			Parallelism: n,
-			NodeOf:      nodeOf,
 			NewPipe: func(p int) (hyracks.Pipe, error) {
 				inv := f.curInv.Load()
 				ev := &evaluator{router: &f.routers[p], prepared: inv.prepared}
@@ -1189,14 +1178,13 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 	if f.cfg.FusedInsert {
 		// Section 5.1's insert job: UDF evaluation and storage write in
 		// one job — the write (and its log flush) gates the invocation.
-		connectStorage(spec, last, "fused-storage-writer", f.ds, f.nodes, &f.stats.Stored)
+		connectStorage(spec, last, "fused-storage-writer", f.ds, &f.stats.Stored)
 		return spec
 	}
 
 	sinkOp := spec.AddOperator(&hyracks.Descriptor{
 		Name:        "feed-pipeline-sink",
 		Parallelism: n,
-		NodeOf:      nodeOf,
 		NewPipe: func(p int) (hyracks.Pipe, error) {
 			return &hyracks.SinkPipe{
 				Fn: func(tc *hyracks.TaskContext, fr hyracks.Frame) error {
@@ -1242,7 +1230,7 @@ func (f *Feed) runAFM() {
 		if f.cfg.RecompilePerBatch {
 			// Ablation: rebuild the whole spec skeleton per batch, the
 			// cost the predeployed path caches away.
-			job, err = f.cluster.StartJob(f.jobCtx, f.buildComputeSpec(), f.computeID)
+			job, err = f.cluster.StartJob(f.jobCtx, f.buildComputeSpec())
 		} else {
 			job, err = f.cluster.InvokePredeployed(f.jobCtx, f.computeID, f.computeSpec)
 		}

@@ -475,12 +475,12 @@ func TestFeedBalancedIntake(t *testing.T) {
 	const n = 800
 	all := g.Tweets(0, n)
 	cfg := Config{
-		Name:        "balanced",
-		Dataset:     "Tweets",
-		IntakeNodes: []int{0, 1, 2, 3},
-		BatchSize:   128,
+		Name:      "balanced",
+		Dataset:   "Tweets",
+		Adapters:  4,
+		BatchSize: 128,
 		NewAdapter: func(i int) (Adapter, error) {
-			// Shard the stream across intake nodes.
+			// Shard the stream across the adapters.
 			var shard [][]byte
 			for j := i; j < n; j += 4 {
 				shard = append(shard, all[j])

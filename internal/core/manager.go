@@ -233,7 +233,6 @@ func (m *Manager) watch(mf *managedFeed, f *Feed) {
 	m.mu.Unlock()
 
 	cfg.Nodes = live
-	cfg.IntakeNodes = remapIntakeNodes(f.Config().IntakeNodes, live)
 	cfg.Stats = f.Stats()
 	nf, serr := Start(ctx, m.cluster, cfg)
 	if serr != nil {
@@ -259,26 +258,6 @@ func (m *Manager) watch(mf *managedFeed, f *Feed) {
 	mf.last = nf
 	m.mu.Unlock()
 	go m.watch(mf, nf)
-}
-
-// remapIntakeNodes preserves adapter slot identity across failover:
-// slot i keeps its node when that node survived, and moves to a
-// surviving node otherwise. The slot count never changes — checkpoints
-// are scoped per slot.
-func remapIntakeNodes(orig, live []int) []int {
-	alive := make(map[int]bool, len(live))
-	for _, n := range live {
-		alive[n] = true
-	}
-	out := make([]int, len(orig))
-	for i, n := range orig {
-		if alive[n] {
-			out[i] = n
-		} else {
-			out[i] = live[i%len(live)]
-		}
-	}
-	return out
 }
 
 // StopFeed gracefully stops a running feed and waits for it to drain.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -422,6 +423,77 @@ func TestFeedCheckpointReplayIdempotent(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fromRecorder is a generator that remembers the offset it was resumed
+// from.
+type fromRecorder struct {
+	*GeneratorAdapter
+	from *atomic.Uint64
+}
+
+func (a fromRecorder) RunFrom(ctx context.Context, from uint64, emit func(uint64, []byte) error) error {
+	a.from.Store(from)
+	return a.GeneratorAdapter.RunFrom(ctx, from, emit)
+}
+
+// TestAdapterSlotsCheckpointApart: each adapter of a feed is a checkpoint
+// slot of its own. Two resumable streams of unequal length each
+// checkpoint to their own watermark, and a restart under the same name
+// hands each adapter its own slot's offset back, so neither re-emits
+// anything.
+func TestAdapterSlotsCheckpointApart(t *testing.T) {
+	c := durableTestCluster(t, lsm.NewMemFS(), 2)
+	defer c.Close()
+	lens := []int{300, 500}
+	streams := make([][][]byte, len(lens))
+	for s, n := range lens {
+		for i := 0; i < n; i++ {
+			id := (s+1)*1000 + i
+			streams[s] = append(streams[s], []byte(fmt.Sprintf(`{"id":%d,"v":%d}`, id, id*3)))
+		}
+	}
+	froms := make([]atomic.Uint64, len(lens))
+	cfg := crashFeedConfig(nil)
+	cfg.Name = "slots"
+	cfg.Adapters = len(lens)
+	cfg.NewAdapter = func(i int) (Adapter, error) {
+		return fromRecorder{&GeneratorAdapter{Records: streams[i]}, &froms[i]}, nil
+	}
+	run := func() *Feed {
+		t.Helper()
+		f, err := Start(context.Background(), c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+
+	if got := run().Stats().Stored.Load(); got != 800 {
+		t.Fatalf("first run stored %d, want 800", got)
+	}
+	ds, _ := c.Dataset("Events")
+	for s, n := range lens {
+		if w := ds.Checkpoint(ckptScope(cfg.Name, s)); w != uint64(n) {
+			t.Errorf("slot %d checkpointed at %d, want %d", s, w, n)
+		}
+	}
+
+	f := run()
+	for s, n := range lens {
+		if got := froms[s].Load(); got != uint64(n) {
+			t.Errorf("restarted adapter %d resumed from %d, want its slot's %d", s, got, n)
+		}
+	}
+	if got := f.Stats().Stored.Load(); got != 0 {
+		t.Errorf("restart re-emitted %d records", got)
+	}
+	if ds.Len() != 800 {
+		t.Errorf("dataset holds %d records, want 800", ds.Len())
 	}
 }
 

@@ -19,14 +19,12 @@ var ErrStatefulUDF = errors.New(
 	"core: static pipeline cannot evaluate stateful SQL++ UDFs (the streaming model would freeze their intermediate state)")
 
 // StaticFeed is the old AsterixDB ingestion pipeline baseline: one
-// continuous job in which the adapter and parser are coupled on the
-// intake node(s), the attached UDF is evaluated with the streaming model
+// continuous job in which the adapter and parser are coupled in each
+// adapter instance, the attached UDF is evaluated with the streaming model
 // (state initialized once for the feed's lifetime), and records flow
 // straight to storage. It is "Static Ingestion" / "Static Enrichment w/
 // Java" in the paper's figures.
 type StaticFeed struct {
-	cfg       Config
-	cluster   *cluster.Cluster
 	job       *hyracks.Job
 	cancel    context.CancelFunc
 	adaptCtx  context.Context
@@ -39,8 +37,8 @@ func (s *StaticFeed) Stats() *Stats { return &s.stats }
 
 // StartStatic launches the old-framework pipeline.
 func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFeed, error) {
-	if len(cfg.IntakeNodes) == 0 {
-		cfg.IntakeNodes = []int{0}
+	if cfg.Adapters <= 0 {
+		cfg.Adapters = 1
 	}
 	if cfg.NewAdapter == nil {
 		return nil, errors.New("core: feed needs an adapter factory")
@@ -59,14 +57,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 
 	jobCtx, cancel := context.WithCancel(ctx)
 	adaptCtx, adaptStop := context.WithCancel(jobCtx)
-	sf := &StaticFeed{
-		cfg: cfg, cluster: c, cancel: cancel,
-		adaptCtx: adaptCtx, adaptStop: adaptStop,
-	}
-	nodes := make([]int, c.NumNodes())
-	for i := range nodes {
-		nodes[i] = i
-	}
+	sf := &StaticFeed{cancel: cancel, adaptCtx: adaptCtx, adaptStop: adaptStop}
 	tuning := c.Tuning()
 	dt := ds.Datatype()
 	pk := ds.PrimaryKey()
@@ -82,7 +73,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 	}
 	var instances []udf.Instance
 	if native != nil {
-		if instances, err = newInstances(native, len(nodes)); err != nil {
+		if instances, err = newInstances(native, c.NumNodes()); err != nil {
 			cancel()
 			return nil, err
 		}
@@ -91,8 +82,8 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 	spec := hyracks.NewJobSpec()
 	spec.QueueCapacity = tuning.HolderCapacity
 
-	// Adapter + parser, coupled on the intake node(s) — the old
-	// framework's bottleneck when there is a single intake node. Lines
+	// Adapter + parser, coupled in each adapter instance — the old
+	// framework's bottleneck when there is a single adapter. Lines
 	// become records as in the dynamic feed's collector (recordEncoder):
 	// with no function, framed per storage partition; with one, in one
 	// frame for the evaluator.
@@ -102,8 +93,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 	}
 	adapterOp := spec.AddOperator(&hyracks.Descriptor{
 		Name:        "adapter-parser",
-		Parallelism: len(cfg.IntakeNodes),
-		NodeOf:      func(p int) int { return cfg.IntakeNodes[p] },
+		Parallelism: cfg.Adapters,
 		NewSource: func(p int) (hyracks.Source, error) {
 			adapter, err := cfg.NewAdapter(p)
 			if err != nil {
@@ -138,7 +128,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 	if route == nil {
 		last = spec.AddOperator(&hyracks.Descriptor{
 			Name:        "stream-udf-evaluator",
-			Parallelism: len(nodes),
+			Parallelism: c.NumNodes(),
 			NewPipe: func(p int) (hyracks.Pipe, error) {
 				router := newFrameRouter(tuning.FrameCapacity, ds.NumPartitions(), pk, ds.Route)
 				ev := &frameEvaluator{evaluator{router: &router, prepared: prepared}}
@@ -151,9 +141,9 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 		spec.Connect(adapterOp, last, hyracks.RoundRobin, nil)
 	}
 	// Frame-granular batch writes, same as the dynamic feed.
-	connectStorage(spec, last, "storage-partition-writer", ds, nodes, &sf.stats.Stored)
+	connectStorage(spec, last, "storage-partition-writer", ds, &sf.stats.Stored)
 
-	sf.job, err = c.StartJob(jobCtx, spec, cfg.Name+"-static")
+	sf.job, err = c.StartJob(jobCtx, spec)
 	if err != nil {
 		cancel()
 		return nil, err

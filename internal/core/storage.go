@@ -60,16 +60,14 @@ func newStorageWriter(part *lsm.Partition, pk string, stored *atomic.Int64) *hyr
 }
 
 // connectStorage adds the storage writers to spec — one per partition of
-// ds, partition p's on nodes[p%len(nodes)] — and connects from to them
-// through the storage exchange. Every frame from must be routed
+// ds — and connects from to them through the storage exchange. Every frame from must be routed
 // (frameRouter): the exchange forwards it whole to the writer its
 // records hash to.
-func connectStorage(spec *hyracks.JobSpec, from int, name string, ds *lsm.Dataset, nodes []int, stored *atomic.Int64) {
+func connectStorage(spec *hyracks.JobSpec, from int, name string, ds *lsm.Dataset, stored *atomic.Int64) {
 	pk := ds.PrimaryKey()
 	writerOp := spec.AddOperator(&hyracks.Descriptor{
 		Name:        name,
 		Parallelism: ds.NumPartitions(),
-		NodeOf:      func(p int) int { return nodes[p%len(nodes)] },
 		NewPipe: func(p int) (hyracks.Pipe, error) {
 			return newStorageWriter(ds.Partition(p), pk, stored), nil
 		},

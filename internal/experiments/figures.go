@@ -11,8 +11,8 @@ var fig24Nodes = []int{1, 2, 3, 4, 5, 6, 12, 18, 24}
 
 // Fig24BasicIngestion reproduces Figure 24: 10M-tweet ingestion (no UDF)
 // across cluster sizes, comparing the old coupled pipeline ("Static"),
-// its all-nodes-intake variant ("Balanced Static"), and the new
-// framework at three batch sizes with one or all intake nodes.
+// its one-adapter-per-node variant ("Balanced Static"), and the new
+// framework at three batch sizes with one adapter or one per node.
 func Fig24BasicIngestion(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	tweets := opts.tweetCount(10_000_000)

@@ -69,7 +69,7 @@ type runSpec struct {
 	tweets   int
 	fn       string // "" = plain ingestion
 	batch    int
-	balanced bool // adapters on every node
+	balanced bool // one adapter per node
 	static   bool // old-framework pipeline
 	naive    bool // disable indexes
 	fused    bool // fused insert-job ablation
@@ -85,7 +85,6 @@ type result struct {
 	throughput  float64 // records/second end-to-end
 	refresh     time.Duration
 	invocations int64
-	stored      int64
 }
 
 // run executes one pipeline to completion against the bench cluster.
@@ -101,12 +100,9 @@ func (b *bench) run(spec runSpec) (result, error) {
 		target = "EnrichedTweets"
 	}
 
-	intakeNodes := []int{0}
+	adapters := 1
 	if spec.balanced {
-		intakeNodes = make([]int, b.cluster.NumNodes())
-		for i := range intakeNodes {
-			intakeNodes[i] = i
-		}
+		adapters = b.cluster.NumNodes()
 	}
 	all := b.gen.Tweets(0, spec.tweets)
 	newAdapter := func(i int) (core.Adapter, error) {
@@ -114,7 +110,7 @@ func (b *bench) run(spec runSpec) (result, error) {
 			return &core.GeneratorAdapter{Records: all}, nil
 		}
 		var shard [][]byte
-		for j := i; j < len(all); j += len(intakeNodes) {
+		for j := i; j < len(all); j += adapters {
 			shard = append(shard, all[j])
 		}
 		return &core.GeneratorAdapter{Records: shard}, nil
@@ -125,7 +121,7 @@ func (b *bench) run(spec runSpec) (result, error) {
 		Dataset:           target,
 		Function:          spec.fn,
 		BatchSize:         spec.batch,
-		IntakeNodes:       intakeNodes,
+		Adapters:          adapters,
 		NewAdapter:        newAdapter,
 		DisableIndexes:    spec.naive,
 		Natives:           b.natives,
@@ -176,7 +172,6 @@ func (b *bench) run(spec runSpec) (result, error) {
 		throughput:  float64(stored) / elapsed.Seconds(),
 		refresh:     stats.RefreshPeriod(),
 		invocations: stats.Invocations.Load(),
-		stored:      stored,
 	}
 	b.opts.logf("    %-34s %10.0f rec/s  refresh=%v", spec.name, res.throughput, res.refresh)
 	return res, nil

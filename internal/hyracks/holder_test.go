@@ -143,7 +143,7 @@ func TestPassiveHolderRunForwarding(t *testing.T) {
 		NewPipe: func(int) (Pipe, error) { return col.Sink(), nil },
 	})
 	spec.Connect(src, sink, OneToOne, nil)
-	job, err := spec.Run(context.Background(), "storage")
+	job, err := spec.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestIntakeComputeStoragePattern(t *testing.T) {
 		NewPipe: func(p int) (Pipe, error) { return holders[p], nil },
 	})
 	intake.Connect(isrc, ih, RoundRobin, nil)
-	intakeJob, err := intake.Run(ctx, "intake")
+	intakeJob, err := intake.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestIntakeComputeStoragePattern(t *testing.T) {
 		NewPipe: func(int) (Pipe, error) { return stored.Sink(), nil },
 	})
 	storage.Connect(ssrc, ssink, OneToOne, nil)
-	storageJob, err := storage.Run(ctx, "storage")
+	storageJob, err := storage.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

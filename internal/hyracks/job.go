@@ -27,16 +27,11 @@ const (
 	HashPartition
 )
 
-// TaskContext is handed to each operator instance.
+// TaskContext is handed to the operator instances of a job; one is
+// shared by all of them.
 type TaskContext struct {
-	// Ctx is canceled when the job fails or is aborted.
+	// Ctx is canceled when the job fails, is aborted or has finished.
 	Ctx context.Context
-	// JobID identifies the running job.
-	JobID string
-	// Partition is this instance's partition number.
-	Partition int
-	// Node is the simulated node hosting this partition.
-	Node int
 }
 
 // Source is a self-driving operator instance (adapters, holders): it
@@ -64,9 +59,6 @@ func (f SourceFunc) Run(tc *TaskContext, out Writer) error { return f(tc, out) }
 type Descriptor struct {
 	Name        string
 	Parallelism int
-	// NodeOf maps a partition to its simulated node (defaults to
-	// identity modulo the cluster size the caller uses).
-	NodeOf func(partition int) int
 	// NewSource builds a source instance for a partition.
 	NewSource func(partition int) (Source, error)
 	// NewPipe builds a push-driven instance for a partition.
@@ -108,7 +100,6 @@ func (s *JobSpec) Connect(from, to int, routing Routing, hashKey func(adm.Value)
 
 // Job is one running instantiation of a JobSpec.
 type Job struct {
-	id     string
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
@@ -128,10 +119,11 @@ func (j *Job) fail(err error) {
 	j.cancel()
 }
 
-// Wait blocks until every operator instance finishes and returns the
-// first error.
+// Wait blocks until every operator instance finishes, releases the
+// job's context, and returns the first error.
 func (j *Job) Wait() error {
 	j.wg.Wait()
+	j.cancel()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
@@ -143,12 +135,13 @@ func (j *Job) Abort() { j.cancel() }
 // Run validates the spec, instantiates every operator partition, wires
 // the connectors, and starts the dataflow. The returned Job is already
 // running; call Wait for the outcome.
-func (s *JobSpec) Run(parent context.Context, jobID string) (*Job, error) {
+func (s *JobSpec) Run(parent context.Context) (*Job, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(parent)
-	job := &Job{id: jobID, cancel: cancel}
+	job := &Job{cancel: cancel}
+	tc := &TaskContext{Ctx: ctx}
 
 	// inputs[op][partition] is the channel feeding that pipe instance;
 	// nil for sources.
@@ -209,10 +202,6 @@ func (s *JobSpec) Run(parent context.Context, jobID string) (*Job, error) {
 	// Launch instances.
 	for i, d := range s.ops {
 		for p := 0; p < d.Parallelism; p++ {
-			tc := &TaskContext{Ctx: ctx, JobID: jobID, Partition: p, Node: p}
-			if d.NodeOf != nil {
-				tc.Node = d.NodeOf(p)
-			}
 			out := outputs[i][p]
 			job.wg.Add(1)
 			switch {

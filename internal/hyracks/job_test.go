@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,7 +48,7 @@ func TestJobLinearPipeline(t *testing.T) {
 	spec.Connect(src, mapped, OneToOne, nil)
 	spec.Connect(mapped, sink, OneToOne, nil)
 
-	job, err := spec.Run(context.Background(), "test")
+	job, err := spec.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +81,14 @@ func TestJobRoundRobinBalances(t *testing.T) {
 	sink := spec.AddOperator(&Descriptor{
 		Name: "sink", Parallelism: parts,
 		NewPipe: func(p int) (Pipe, error) {
-			return &SinkPipe{Fn: func(tc *TaskContext, f Frame) error {
-				counts[tc.Partition].Add(int64(f.Len()))
+			return &SinkPipe{Fn: func(_ *TaskContext, f Frame) error {
+				counts[p].Add(int64(f.Len()))
 				return nil
 			}}, nil
 		},
 	})
 	spec.Connect(src, sink, RoundRobin, nil)
-	job, err := spec.Run(context.Background(), "rr")
+	job, err := spec.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestJobHashPartitioning(t *testing.T) {
 		NewPipe: func(p int) (Pipe, error) { return collectors[p].Sink(), nil },
 	})
 	spec.Connect(src, sink, HashPartition, keyFn)
-	job, err := spec.Run(context.Background(), "hash")
+	job, err := spec.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestHashConnectorRejectsUnroutedFrame(t *testing.T) {
 		NewPipe: func(p int) (Pipe, error) { return collectors[p].Sink(), nil },
 	})
 	spec.Connect(src, sink, HashPartition, keyFn)
-	job, err := spec.Run(context.Background(), "unrouted")
+	job, err := spec.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestJobErrorPropagation(t *testing.T) {
 		},
 	})
 	spec.Connect(src, sink, OneToOne, nil)
-	job, err := spec.Run(context.Background(), "err")
+	job, err := spec.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestJobAbort(t *testing.T) {
 			}), nil
 		},
 	})
-	job, err := spec.Run(context.Background(), "abort")
+	job, err := spec.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,6 +257,73 @@ func TestJobAbort(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("abort did not unblock the job")
+	}
+}
+
+// foreignCtx is a parent context the context package cannot see into:
+// a cancelable child of it is watched by a goroutine of its own until
+// the child is canceled.
+type foreignCtx struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c foreignCtx) Done() <-chan struct{} { return c.done }
+
+func (c foreignCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// TestFinishedJobReleasesItsContext: a job that ran to completion cancels
+// its context, so it is no longer a child of the caller's (a feed runs
+// one computing job per batch under one long-lived context), and under a
+// parent like foreignCtx it leaves no goroutine behind.
+func TestFinishedJobReleasesItsContext(t *testing.T) {
+	parent := foreignCtx{Context: context.Background(), done: make(chan struct{})}
+	defer close(parent.done)
+	var jobCtx context.Context
+	spec := NewJobSpec()
+	src := spec.AddOperator(&Descriptor{Name: "src", Parallelism: 1,
+		NewSource: func(int) (Source, error) {
+			return SourceFunc(func(tc *TaskContext, out Writer) error {
+				jobCtx = tc.Ctx
+				return out.Open()
+			}), nil
+		}})
+	sink := spec.AddOperator(&Descriptor{Name: "sink", Parallelism: 1,
+		NewPipe: func(int) (Pipe, error) { return &SinkPipe{Fn: func(*TaskContext, Frame) error { return nil }}, nil }})
+	spec.Connect(src, sink, OneToOne, nil)
+	run := func() {
+		job, err := spec.Run(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := job.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if jobCtx.Err() == nil {
+		t.Error("a finished job's context is still live")
+	}
+	base := runtime.NumGoroutine()
+	const jobs = 200
+	for i := 0; i < jobs; i++ {
+		run()
+	}
+	// The instances' goroutines end just after Wait returns; give them a
+	// moment, then compare with the baseline.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if extra := runtime.NumGoroutine() - base; extra > 0 {
+		t.Fatalf("%d finished jobs left %d goroutines behind", jobs, extra)
 	}
 }
 
@@ -272,27 +340,27 @@ func TestJobSpecValidation(t *testing.T) {
 	spec := NewJobSpec()
 	a, b := mkSrc(spec, 2), mkSink(spec, 3)
 	spec.Connect(a, b, OneToOne, nil)
-	if _, err := spec.Run(context.Background(), "v"); err == nil {
+	if _, err := spec.Run(context.Background()); err == nil {
 		t.Error("mismatched one-to-one should fail validation")
 	}
 	// Hash without key.
 	spec = NewJobSpec()
 	a, b = mkSrc(spec, 1), mkSink(spec, 2)
 	spec.Connect(a, b, HashPartition, nil)
-	if _, err := spec.Run(context.Background(), "v"); err == nil {
+	if _, err := spec.Run(context.Background()); err == nil {
 		t.Error("hash without key should fail validation")
 	}
 	// Pipe with no input.
 	spec = NewJobSpec()
 	mkSink(spec, 1)
-	if _, err := spec.Run(context.Background(), "v"); err == nil {
+	if _, err := spec.Run(context.Background()); err == nil {
 		t.Error("pipe with no input should fail validation")
 	}
 	// Source with input.
 	spec = NewJobSpec()
 	a, b = mkSrc(spec, 1), mkSrc(spec, 1)
 	spec.Connect(a, b, OneToOne, nil)
-	if _, err := spec.Run(context.Background(), "v"); err == nil {
+	if _, err := spec.Run(context.Background()); err == nil {
 		t.Error("source with input should fail validation")
 	}
 	// Multiple inputs.
@@ -302,7 +370,7 @@ func TestJobSpecValidation(t *testing.T) {
 	b = mkSink(spec, 1)
 	spec.Connect(a, b, OneToOne, nil)
 	spec.Connect(c, b, OneToOne, nil)
-	if _, err := spec.Run(context.Background(), "v"); err == nil {
+	if _, err := spec.Run(context.Background()); err == nil {
 		t.Error("multiple inputs should fail validation")
 	}
 }
@@ -342,7 +410,7 @@ func ExampleJobSpec() {
 		NewPipe: func(int) (Pipe, error) { return col.Sink(), nil },
 	})
 	spec.Connect(src, sink, OneToOne, nil)
-	job, _ := spec.Run(context.Background(), "example")
+	job, _ := spec.Run(context.Background())
 	_ = job.Wait()
 	fmt.Println(col.Len())
 	// Output: 3

@@ -131,7 +131,7 @@ func (p *Partition) flushOnce() (bool, error) {
 	p.mu.Lock()
 	for i, pc := range p.components {
 		if pc == c {
-			p.components[i] = &component{run: rf, upToLSN: c.upToLSN, bytes: rf.size}
+			p.components[i] = &component{run: rf, upToLSN: c.upToLSN}
 			break
 		}
 	}
@@ -251,7 +251,7 @@ func (p *Partition) compactOnce() (bool, error) {
 	}
 	spliced := make([]*component, 0, len(p.components)-(hi-lo)+1)
 	spliced = append(spliced, p.components[:loC]...)
-	spliced = append(spliced, &component{run: rf, upToLSN: merged.MaxLSN, bytes: rf.size})
+	spliced = append(spliced, &component{run: rf, upToLSN: merged.MaxLSN})
 	spliced = append(spliced, p.components[hiC:]...)
 	p.components = spliced
 	p.stats.Merges++

@@ -96,9 +96,6 @@ type component struct {
 	// uses it as the durable watermark: once this component is a run
 	// file, WAL segments at or below upToLSN are dead.
 	upToLSN uint64
-	// bytes is the on-disk size of a run-backed component (compaction
-	// tiering input).
-	bytes int64
 }
 
 // runCursor streams one component in key order: an index.BTree cursor

@@ -70,7 +70,7 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 			p.closeRunsLocked()
 			return nil, err
 		}
-		p.components = append(p.components, &component{run: rf, upToLSN: rm.MaxLSN, bytes: rf.size})
+		p.components = append(p.components, &component{run: rf, upToLSN: rm.MaxLSN})
 	}
 	if err := removeOrphans(fsys, dir, man); err != nil {
 		p.closeRunsLocked()

@@ -457,9 +457,6 @@ func (pe *PreparedEnrich) openBody(st evalState, env *Env) (*RowCursor, error) {
 	return openSelect(st, env, sel, nil)
 }
 
-// Context exposes the pinned evaluation context (tests inspect it).
-func (pe *PreparedEnrich) Context() *Context { return pe.ctx }
-
 // recordScratch is what one EvalRecord call borrows from its state: the
 // parameter's binding box and the pipelines kept across records, the
 // body's at kept[0] and each compiled probe's at its slot.
