@@ -91,8 +91,8 @@ func run(listen string, nodes int) error {
 	}
 	fmt.Printf("ideafeed: ingested=%d stored=%d computing-jobs=%d mean-refresh=%v\n",
 		stats.Ingested, stats.Stored, stats.Invocations, stats.MeanRefresh)
-	fmt.Printf("ideafeed: enrichment-state builds=%d reuses=%d structures-built=%d\n",
-		stats.StateBuilds, stats.StateReuses, stats.AccessBuilds)
+	fmt.Printf("ideafeed: enrichment-state builds=%d reuses=%d structures-built=%d structures-patched=%d\n",
+		stats.StateBuilds, stats.StateReuses, stats.AccessBuilds, stats.AccessPatches)
 	fmt.Printf("ideafeed: spilled=%d frames (%d records) shed=%d frames (%d records) sampled-out=%d frames (%d records)\n",
 		stats.SpilledFrames, stats.SpilledRecords, stats.ShedFrames, stats.ShedRecords,
 		stats.SampledFrames, stats.SampledRecords)

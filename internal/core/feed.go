@@ -94,16 +94,19 @@ type Stats struct {
 	Invocations atomic.Int64
 	// BatchNanos accumulates computing-job wall time (refresh periods).
 	BatchNanos atomic.Int64
-	// StateBuilds counts invocations of a SQL++ UDF that built
-	// enrichment state — all of it, or the part whose reference data had
-	// changed — and StateReuses those that reused the previous
+	// StateBuilds counts invocations of a SQL++ UDF that built or
+	// patched enrichment state — all of it, or the part whose reference
+	// data had changed — and StateReuses those that reused the previous
 	// invocation's state whole. AccessBuilds counts the hash tables,
 	// R-trees, scan shards and const-subquery results the builds
-	// produced. A feed whose StateBuilds tracks Invocations is paying
-	// the rebuild on every batch.
-	StateBuilds  atomic.Int64
-	StateReuses  atomic.Int64
-	AccessBuilds atomic.Int64
+	// produced, and AccessPatches the hash tables patched in place from
+	// the writes since the previous batch instead. A feed whose
+	// AccessBuilds track Invocations is paying the rebuild on every
+	// batch.
+	StateBuilds   atomic.Int64
+	StateReuses   atomic.Int64
+	AccessBuilds  atomic.Int64
+	AccessPatches atomic.Int64
 
 	// SpilledFrames/SpilledRecords count intake overflow diverted to the
 	// disk spill lane (Spill policy; nothing is lost).
@@ -151,16 +154,19 @@ type FeedStats struct {
 	// MeanRefresh is the mean computing-job duration — the paper's
 	// refresh-period metric (Figure 26).
 	MeanRefresh time.Duration
-	// StateBuilds counts invocations of a SQL++ UDF that built
-	// enrichment state (hash tables, R-trees, ...) because reference
-	// data had changed since the previous batch; StateReuses counts
+	// StateBuilds counts invocations of a SQL++ UDF that built or
+	// patched enrichment state (hash tables, R-trees, ...) because
+	// reference data had changed since the previous batch; StateReuses counts
 	// those that reused the previous batch's state whole. AccessBuilds
-	// counts the individual structures the builds produced. A feed whose
-	// StateBuilds keeps pace with Invocations pays the rebuild on every
+	// counts the individual structures the builds produced, and
+	// AccessPatches the hash tables patched in place from the reference
+	// writes since the previous batch instead of rebuilt. A feed whose
+	// AccessBuilds keep pace with Invocations pays the rebuild on every
 	// batch.
-	StateBuilds  int64
-	StateReuses  int64
-	AccessBuilds int64
+	StateBuilds   int64
+	StateReuses   int64
+	AccessBuilds  int64
+	AccessPatches int64
 	// Running reports whether the pipeline is still live; false means
 	// the counters are the feed's final numbers.
 	Running bool
@@ -207,6 +213,7 @@ func (f *Feed) Snapshot(running bool) FeedStats {
 		StateBuilds:    s.StateBuilds.Load(),
 		StateReuses:    s.StateReuses.Load(),
 		AccessBuilds:   s.AccessBuilds.Load(),
+		AccessPatches:  s.AccessPatches.Load(),
 		Running:        running,
 		SpilledFrames:  s.SpilledFrames.Load(),
 		SpilledRecords: s.SpilledRecords.Load(),
@@ -738,6 +745,7 @@ func (f *Feed) newInvocation() (*invocation, error) {
 		} else {
 			f.stats.StateBuilds.Add(1)
 			f.stats.AccessBuilds.Add(int64(pe.Built()))
+			f.stats.AccessPatches.Add(int64(pe.Patched()))
 		}
 		if !f.cfg.RecompilePerBatch {
 			f.prepared = pe

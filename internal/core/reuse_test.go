@@ -313,6 +313,9 @@ func TestModel2Invariant(t *testing.T) {
 		if st.StateBuilds.Load() < 295 {
 			t.Errorf("builds = %d, fewer than the scripted writes alone require", st.StateBuilds.Load())
 		}
+		if st.AccessPatches.Load() == 0 {
+			t.Error("no refresh patched the hash table")
+		}
 	})
 	t.Run("reuse equals rebuild-every-batch", func(t *testing.T) {
 		reuse, st := runModel2(t, 120, false, false)
@@ -320,6 +323,9 @@ func TestModel2Invariant(t *testing.T) {
 		// the initial build; every other batch must have reused.
 		if b, r := st.StateBuilds.Load(), st.StateReuses.Load(); b != 55 || r != 121-55 {
 			t.Errorf("reuse run: %d builds, %d reuses; want 55 and 66", b, r)
+		}
+		if st.AccessPatches.Load() == 0 {
+			t.Error("reuse run: no refresh patched the hash table")
 		}
 		rebuild, st := runModel2(t, 120, true, false)
 		if b, r := st.StateBuilds.Load(), st.StateReuses.Load(); b != 121 || r != 0 {
@@ -421,7 +427,7 @@ func TestReuseWithLazilyPinnedDataset(t *testing.T) {
 
 // TestReuseRebuildsOnlyTheWrittenDataset: a UDF over two reference
 // datasets, one of which is written between batches. Exactly one access
-// structure is rebuilt, and the record enriched from the patched state
+// structure is patched, and the record enriched from the patched state
 // equals what a full rebuild produces.
 func TestReuseRebuildsOnlyTheWrittenDataset(t *testing.T) {
 	c := reuseCluster(t)
@@ -451,8 +457,9 @@ func TestReuseRebuildsOnlyTheWrittenDataset(t *testing.T) {
 	stored := s.finish(c)
 
 	st := s.f.Stats()
-	if b, a, r := st.StateBuilds.Load(), st.AccessBuilds.Load(), st.StateReuses.Load(); b != 2 || a != 3 || r != 3 {
-		t.Errorf("builds=%d accesses=%d reuses=%d; want 2 builds making 2+1 structures and 3 reuses", b, a, r)
+	b, a, p, r := st.StateBuilds.Load(), st.AccessBuilds.Load(), st.AccessPatches.Load(), st.StateReuses.Load()
+	if b != 2 || a != 2 || p != 1 || r != 3 {
+		t.Errorf("builds=%d accesses built=%d patched=%d reuses=%d; want 2 builds, 2 structures built then 1 patched, and 3 reuses", b, a, p, r)
 	}
 	full, err := plan.Prepare(c)
 	if err != nil {

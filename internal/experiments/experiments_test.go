@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/ideadb/idea/internal/cluster"
+	"github.com/ideadb/idea/internal/workload"
 )
 
 // tinyOptions keeps the full figure sweeps fast enough for unit tests.
@@ -124,6 +125,17 @@ func TestFig27Tiny(t *testing.T) {
 	}
 	if len(table.Rows) != 5*len(fig27Rates) {
 		t.Fatalf("fig27 rows = %d", len(table.Rows))
+	}
+	// With no reference writes the feed builds its state once and never
+	// patches it.
+	for _, fn := range fig25UseCases {
+		cell := map[string]string{"use case": workload.UseCaseLabels[fn], "update rate (rec/s)": "0"}
+		if p := cellValue(t, table, cell, "access patches"); p != 0 {
+			t.Errorf("%s at update rate 0: %v access patches, want 0", fn, p)
+		}
+		if b := cellValue(t, table, cell, "access builds"); b > 1 {
+			t.Errorf("%s at update rate 0: %v access builds, want at most 1", fn, b)
+		}
 	}
 }
 

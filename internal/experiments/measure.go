@@ -85,6 +85,9 @@ type result struct {
 	throughput  float64 // records/second end-to-end
 	refresh     time.Duration
 	invocations int64
+	// accessBuilds and accessPatches count the enrichment structures the
+	// feed built and patched (core.Stats).
+	accessBuilds, accessPatches int64
 }
 
 // run executes one pipeline to completion against the bench cluster.
@@ -169,9 +172,11 @@ func (b *bench) run(spec runSpec) (result, error) {
 		return result{}, fmt.Errorf("run %s: stored %d of %d tweets", spec.name, stored, spec.tweets)
 	}
 	res := result{
-		throughput:  float64(stored) / elapsed.Seconds(),
-		refresh:     stats.RefreshPeriod(),
-		invocations: stats.Invocations.Load(),
+		throughput:    float64(stored) / elapsed.Seconds(),
+		refresh:       stats.RefreshPeriod(),
+		invocations:   stats.Invocations.Load(),
+		accessBuilds:  stats.AccessBuilds.Load(),
+		accessPatches: stats.AccessPatches.Load(),
 	}
 	b.opts.logf("    %-34s %10.0f rec/s  refresh=%v", spec.name, res.throughput, res.refresh)
 	return res, nil

@@ -138,6 +138,50 @@ func TestSnapshotErrReportsRunReadFault(t *testing.T) {
 	}
 }
 
+// TestPointLookupNeverAnswersStale: a lookup whose newest run cannot be
+// read must not fall through to an older run and answer with the
+// version the newer one replaced. Here the older run's block is cached,
+// so only the newer run touches the failing device.
+func TestPointLookupNeverAnswersStale(t *testing.T) {
+	fsys := NewMemFS()
+	p, err := OpenPartition(fsys, "part", Options{MemBudget: 1 << 20, MaxComponents: 8, BlockCache: NewBlockCache(1 << 20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	key := adm.Int(7)
+	store := func(v int64) {
+		t.Helper()
+		if err := p.Upsert(key, rec(7, "v", adm.Int(v))); err != nil {
+			t.Fatal(err)
+		}
+		p.Flush()
+		if err := p.WaitForFlush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store(1)
+	if v, ok := p.Get(key); !ok || v.Field("v").IntVal() != 1 {
+		t.Fatalf("Get = %v, %v; want version 1", v, ok)
+	}
+	store(2)
+	if p.Runs() != 2 {
+		t.Fatalf("runs = %d, want the two versions in two runs", p.Runs())
+	}
+	snap := p.Snapshot()
+
+	fsys.FailReads(true)
+	defer fsys.FailReads(false)
+	for name, get := range map[string]func(adm.Value) (adm.Value, bool){"Partition.Get": p.Get, "Snapshot.Get": snap.Get} {
+		if v, ok := get(key); ok {
+			t.Errorf("%s answered %v under a read fault on the run holding version 2", name, v)
+		}
+	}
+	if err := snap.Err(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Snapshot.Err = %v, want the injected read fault", err)
+	}
+}
+
 // TestCreateIndexFailsOverUnreadableRun: the back-fill reads existing
 // records through the same merge as a scan, so a run it cannot read
 // ends it early. CREATE INDEX must then fail with the read error and

@@ -145,7 +145,8 @@ func w2Replay(t *testing.T, fs FS, fn func(uint64, adm.Value, adm.Value)) error 
 func probeGet(rf *runFile, key adm.Value) (adm.Value, bool) {
 	kp := getProbe(key)
 	defer putProbe(kp)
-	return rf.get(kp)
+	v, ok, _ := rf.get(kp)
+	return v, ok
 }
 
 // checkGoldenRun exercises the read side of an open run over the golden

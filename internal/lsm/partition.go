@@ -717,36 +717,35 @@ func (p *Partition) getLocked(key adm.Value) (adm.Value, bool) {
 }
 
 // lookupComponents point-looks-up key across components newest first,
-// mapping tombstones to not-found. Run-backed components share one
-// pooled probe, so the key's bloom hash is computed at most once per
-// lookup (and not at all when fences reject every run).
-func lookupComponents(comps []*component, key adm.Value) (adm.Value, bool) {
+// mapping tombstones to not-found. A run whose block cannot be read ends
+// the lookup as not-found: the key's newest version may be in that
+// block, so no older component may answer for it (the read error stays
+// the run's sticky error, which Snapshot.Err reports). Run-backed
+// components share one pooled probe, so the key's bloom hash is computed
+// at most once per lookup (and not at all when fences reject every run).
+func lookupComponents(comps []*component, key adm.Value) (v adm.Value, found bool) {
 	var kp *pointProbe
 	for _, c := range comps {
-		var v adm.Value
-		var ok bool
+		var failed bool
 		if c.run != nil {
 			if kp == nil {
 				kp = getProbe(key)
 			}
-			v, ok = c.run.get(kp)
+			v, found, failed = c.run.get(kp)
 		} else {
-			v, ok = c.tree.Get(key)
+			v, found = c.tree.Get(key)
 		}
-		if ok {
-			if kp != nil {
-				putProbe(kp)
-			}
-			if v.IsMissing() {
-				return adm.Value{}, false
-			}
-			return v, true
+		if failed || found {
+			break
 		}
 	}
 	if kp != nil {
 		putProbe(kp)
 	}
-	return adm.Value{}, false
+	if !found || v.IsMissing() {
+		return adm.Value{}, false
+	}
+	return v, true
 }
 
 // Get returns the live record stored under key.
@@ -918,6 +917,49 @@ func (cu *Cursor) Next() (key, rec adm.Value, ok bool) {
 // lets go of the snapshot. A cursor holds nothing else, so one that is
 // simply dropped leaks nothing.
 func (cu *Cursor) Close() { cu.snap, cu.m = nil, mergeCursor[*runCursor]{} }
+
+// Changes returns a cursor over every key written after the mutation
+// epoch since (a stamp read from Epoch before some earlier snapshot was
+// taken), each with its newest version in s — a MISSING record for a
+// delete — in key order. It merges the snapshot's leading components
+// whose upToLSN is past since: components are newest first and their
+// watermarks only fall along the slice, and a write with LSN > since
+// lives in a component whose watermark is at least that LSN, so those
+// components hold every such write. They may hold older writes too (a
+// compaction of newer and older runs; a write that raced the earlier
+// stamp and is in the earlier snapshot already): those are yielded as
+// well, at the version s holds, so re-applying them is idempotent.
+//
+// ok is false when those components include the snapshot's oldest. Only
+// a compaction whose window reaches the oldest run drops tombstones, so
+// below the oldest component a delete after since still has its
+// tombstone in s; once the window includes the oldest, a delete could
+// have vanished with the version it removed, and the caller must read
+// s whole instead.
+func (s *Snapshot) Changes(since uint64) (cc *ChangeCursor, ok bool) {
+	n := 0
+	for n < len(s.components) && s.components[n].upToLSN > since {
+		n++
+	}
+	if n > 0 && n == len(s.components) {
+		return nil, false
+	}
+	comps := s.components[:n]
+	return &ChangeCursor{Cursor{snap: s, m: mergeComponentCursors(comps, false)}, comps}, true
+}
+
+// ChangeCursor streams what Snapshot.Changes selected: Next yields
+// tombstones too, as MISSING records.
+type ChangeCursor struct {
+	Cursor
+	comps []*component
+}
+
+// Err returns the first sticky read error among the runs the cursor
+// merges, or nil: like a scan, a change cursor ends early on a block it
+// cannot read, and a consumer that must not mistake that for the end
+// checks Err after.
+func (cc *ChangeCursor) Err() error { return runsErr(cc.comps) }
 
 // Len counts live records in the snapshot.
 func (s *Snapshot) Len() int {

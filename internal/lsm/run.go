@@ -580,19 +580,21 @@ func (r *runFile) err() error {
 // filter, then binary-search the block index for the last block whose
 // first key is <= key and binary-search that block's encoded keys. The
 // record comes back as a view of the block's bytes, so a hit on a
-// resident block decodes and allocates nothing.
-func (r *runFile) get(kp *pointProbe) (adm.Value, bool) {
+// resident block decodes and allocates nothing. failed reports a block
+// that could not be read — it becomes the run's sticky error — so the
+// key may be here after all.
+func (r *runFile) get(kp *pointProbe) (v adm.Value, found, failed bool) {
 	if len(r.blocks) == 0 {
-		return adm.Value{}, false
+		return adm.Value{}, false, false
 	}
 	key := kp.key
 	if adm.Compare(key, r.firstKey) < 0 || adm.Compare(key, r.lastKey) > 0 {
 		r.ctr.fenceSkips.Add(1)
-		return adm.Value{}, false
+		return adm.Value{}, false, false
 	}
 	if r.bloom != nil && !r.bloom.mayContain(kp.keyHash()) {
 		r.ctr.bloomSkips.Add(1)
-		return adm.Value{}, false
+		return adm.Value{}, false, false
 	}
 	lo, hi := 0, len(r.blocks)
 	for lo < hi {
@@ -604,12 +606,12 @@ func (r *runFile) get(kp *pointProbe) (adm.Value, bool) {
 		}
 	}
 	if lo == 0 {
-		return adm.Value{}, false
+		return adm.Value{}, false, false
 	}
 	blk, err := r.block(lo - 1)
 	if err != nil {
 		r.fail(err)
-		return adm.Value{}, false
+		return adm.Value{}, false, true
 	}
 	// The first entry whose key is >= key; loadBlock checked every key.
 	a, b := 0, blk.entries()
@@ -624,9 +626,9 @@ func (r *runFile) get(kp *pointProbe) (adm.Value, bool) {
 		}
 	}
 	if a < blk.entries() && cmp == 0 {
-		return adm.View(blk.val(a)), true
+		return adm.View(blk.val(a)), true, false
 	}
-	return adm.Value{}, false
+	return adm.Value{}, false, false
 }
 
 // incRef adds a keep-open reason (a snapshot).

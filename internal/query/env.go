@@ -140,30 +140,33 @@ func (c *Context) Err() error {
 // Pin returns the pinned per-partition snapshots of the named dataset,
 // taking them on first access.
 func (c *Context) Pin(name string) ([]*lsm.Snapshot, error) {
-	snaps, _, err := c.pin(name)
-	return snaps, err
+	p, _, err := c.pin(name)
+	if err != nil {
+		return nil, err
+	}
+	return p.snaps, nil
 }
 
-// pin is Pin, also reporting whether this call took the snapshots — the
-// only moment the dataset's live secondary indexes are known to agree
-// with them.
-func (c *Context) pin(name string) (snaps []*lsm.Snapshot, took bool, err error) {
+// pin is Pin returning the pin itself, also reporting whether this call
+// took the snapshots — the only moment the dataset's live secondary
+// indexes are known to agree with them.
+func (c *Context) pin(name string) (p *pin, took bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.trace != nil {
 		c.trace[name] = struct{}{}
 	}
 	if p, ok := c.pins[name]; ok {
-		return p.snaps, false, nil
+		return p, false, nil
 	}
 	ds, ok := c.Catalog.Dataset(name)
 	if !ok {
 		return nil, false, fmt.Errorf("query: unknown dataset %q", name)
 	}
-	p := &pin{ds: ds, epoch: ds.Epoch()} // stamp first, then snapshot
+	p = &pin{ds: ds, epoch: ds.Epoch()} // stamp first, then snapshot
 	p.snaps = ds.SnapshotAll()
 	c.pins[name] = p
-	return p.snaps, true, nil
+	return p, true, nil
 }
 
 // traced runs build and returns the datasets it read through c — the

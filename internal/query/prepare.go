@@ -1,7 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -13,9 +15,9 @@ import (
 // PreparedEnrich is the enrichment state of a plan: the paper's
 // "intermediate states" — const-subquery results, hash tables, transient
 // R-trees, scanned records — together with the Context whose pins they were
-// built from. It is read-only once built (EvalRecord is safe for
-// parallel use by every evaluator in a job; only the Context's lazy
-// pins grow, under its lock).
+// built from. It is read-only from when it is built until Refresh
+// consumes it (EvalRecord is safe for parallel use by every evaluator
+// in a job; only the Context's lazy pins grow, under its lock).
 //
 // Model 2 requires that a batch observe every reference write
 // acknowledged before the batch began. A state meets that for as long
@@ -24,11 +26,39 @@ import (
 // invocations and calls Refresh at the start of each: unchanged, the
 // state is reused whole — no snapshot, no memtable freeze, no scan, no
 // build; changed, a successor is prepared that carries over the pins
-// and structures of the datasets that did not change and rebuilds only
-// the rest. Datasets pinned lazily at eval time (uncompiled subqueries)
-// carry stamps like any other and invalidate reuse the same way.
-// Prepare always builds everything afresh; the RecompilePerBatch
+// and structures of the datasets that did not change and brings the
+// rest up to date. Datasets pinned lazily at eval time (uncompiled
+// subqueries) carry stamps like any other and invalidate reuse the same
+// way. Prepare always builds everything afresh; the RecompilePerBatch
 // ablation and the static pipeline use only that.
+//
+// A changed hash access is patched in place rather than rebuilt, so a
+// refresh costs what was written, not the size of the reference data.
+// Four rules govern a patch (patchHash):
+//
+//   - When. Only a hash access whose other deps are unchanged and whose
+//     dataset is the same *lsm.Dataset object, and only when every
+//     partition can enumerate its writes since the old stamp
+//     (lsm.Snapshot.Changes, asked of all partitions before the table
+//     is touched). Otherwise — and always for R-tree, scan and const
+//     state — the access is rebuilt.
+//   - Order. A patched chain reads exactly as a fresh build's does:
+//     partition by partition (Dataset.Route of the primary key), in
+//     primary-key order within one, so an aggregate or ORDER BY … LIMIT
+//     over a multi-entry chain sees what it would after Prepare.
+//   - Garbage. New entries go into chunks the access owns; unlinked
+//     ones stay in theirs. Once unlinked entries outnumber live ones the
+//     access is rebuilt instead, which keeps a patch amortised O(1) per
+//     change and the table within twice a fresh build's entries.
+//   - Poison. A patch moves the table from the old access to the new
+//     one: the old access is spent as soon as the patch touches the
+//     table, so a patch that fails part-way (a filter or key error, a
+//     read fault) leaves an access that only a rebuild may serve, and
+//     the next Refresh rebuilds it.
+//
+// Refresh therefore consumes its receiver: once it has returned a
+// successor, the old state must not be evaluated (the feed drops it),
+// and once it has failed, only another Refresh of it may follow.
 //
 // The probe phase is compiled once and invoked per record too: each
 // EvalRecord borrows a recordScratch from the state's pool, and the
@@ -58,8 +88,9 @@ type PreparedEnrich struct {
 	consts map[*sqlpp.SelectExpr]*preparedConst
 	probes map[*sqlpp.SelectExpr]*preparedSub
 	// built counts the const results and access structures built for
-	// this state rather than carried over from its predecessor.
-	built int
+	// this state rather than carried over from its predecessor, and
+	// patched the hash accesses patched from it.
+	built, patched int
 	// scratch pools the *recordScratch each EvalRecord borrows.
 	scratch sync.Pool
 }
@@ -114,6 +145,14 @@ type preparedAccess struct {
 	deps []string
 
 	hash map[uint64]*hashEntry // accessHash: key hash → chain of entries
+	// extra holds the entries patches added (the build's stay in its
+	// shards' chunks); live counts the entries the chains link, dead
+	// those patches unlinked since the build.
+	extra      [][]hashEntry
+	live, dead int
+	// spent marks an access whose table a patch took over: only a
+	// rebuild may serve it again.
+	spent bool
 
 	rtrees []*index.RTree // accessRTree, sharded per partition
 
@@ -126,6 +165,9 @@ type preparedAccess struct {
 // reusable reports whether pa still answers probes as a fresh build
 // would, given the pins that are unchanged since it was built.
 func (pa *preparedAccess) reusable(cat Catalog, unchanged map[string]*pin) bool {
+	if pa.spent {
+		return false
+	}
 	if pa.plan.kind == accessIndexNLJ {
 		// Probes read the live index and dataset; only identity can go
 		// stale.
@@ -154,8 +196,9 @@ func (plan *EnrichPlan) Prepare(cat Catalog) (*PreparedEnrich, error) {
 
 // Refresh returns the state the next invocation must use: pe itself
 // when nothing it read has changed, otherwise a successor that shares
-// what is still current and rebuilds the rest. Call it between
-// invocations, never while pe is evaluating.
+// what is still current, patches the hash tables it can and rebuilds
+// the rest. Call it between invocations, never while pe is evaluating;
+// it consumes pe (see PreparedEnrich).
 func (pe *PreparedEnrich) Refresh() (*PreparedEnrich, error) {
 	cat := pe.ctx.Catalog
 	pe.ctx.mu.Lock()
@@ -179,12 +222,16 @@ func (pe *PreparedEnrich) Refresh() (*PreparedEnrich, error) {
 }
 
 // Built reports how many const results and access structures were built
-// for this state, as opposed to carried over by Refresh.
+// for this state, as opposed to carried over or patched by Refresh.
 func (pe *PreparedEnrich) Built() int { return pe.built }
+
+// Patched reports how many hash accesses Refresh patched in place for
+// this state rather than rebuilt.
+func (pe *PreparedEnrich) Patched() int { return pe.patched }
 
 // prepare builds a state, taking from prev (nil for a full build) every
 // pin in unchanged and every const result and access structure that
-// read nothing else.
+// read nothing else, and patching from prev what it can.
 func (plan *EnrichPlan) prepare(cat Catalog, prev *PreparedEnrich, unchanged map[string]*pin) (*PreparedEnrich, error) {
 	pe := &PreparedEnrich{
 		plan:   plan,
@@ -216,23 +263,43 @@ func (plan *EnrichPlan) prepare(cat Catalog, prev *PreparedEnrich, unchanged map
 		case probeSub:
 			ps := &preparedSub{plan: sp, slot: len(pe.probes) + 1}
 			for i := range sp.accesses {
+				var old *preparedAccess
 				if prev != nil {
-					if pa := prev.probes[sel].accesses[i]; pa.reusable(cat, unchanged) {
-						ps.accesses = append(ps.accesses, pa)
+					if old = prev.probes[sel].accesses[i]; old.reusable(cat, unchanged) {
+						ps.accesses = append(ps.accesses, old)
 						continue
 					}
 				}
 				var pa *preparedAccess
+				patched := false
 				deps, err := pe.ctx.traced(func() (err error) {
+					if old != nil {
+						pa, err = pe.patchHash(prev, old, unchanged)
+						if patched = pa != nil; patched || err != nil {
+							return err
+						}
+					}
 					pa, err = pe.buildAccess(&sp.accesses[i])
 					return err
 				})
 				if err != nil {
 					return nil, fmt.Errorf("query: %s: build %s: %w", plan.Name, sp.accesses[i].dataset, err)
 				}
-				pa.deps = deps
+				if patched {
+					// What the build read, plus whatever the patch's filters
+					// reached on records the build never saw.
+					pa.deps = slices.Clip(old.deps)
+					for _, name := range deps {
+						if !slices.Contains(pa.deps, name) {
+							pa.deps = append(pa.deps, name)
+						}
+					}
+					pe.patched++
+				} else {
+					pa.deps = deps
+					pe.built++
+				}
 				ps.accesses = append(ps.accesses, pa)
-				pe.built++
 			}
 			pe.probes[sel] = ps
 		}
@@ -286,27 +353,20 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 			env := Bind(nil, acc.alias, adm.Value{})
 			snap.Scan(func(_, rec adm.Value) bool {
 				env.val = rec
-				for _, f := range acc.filters {
-					v, err := eval(st, env, f)
-					if err != nil {
-						res.err = err
-						return false
+				if acc.kind == accessHash {
+					key, ok, err := acc.hashKey(st, env)
+					if ok {
+						res.entries = appendHashEntry(res.entries, hashEntry{key: key, rec: rec})
 					}
-					if !Truthy(v) {
-						return true
-					}
+					res.err = err
+					return err == nil
+				}
+				keep, err := acc.admits(st, env)
+				if err != nil || !keep {
+					res.err = err
+					return err == nil
 				}
 				switch acc.kind {
-				case accessHash:
-					key, err := eval(st, env, acc.buildKey)
-					if err != nil {
-						res.err = err
-						return false
-					}
-					if key.IsUnknown() {
-						return true
-					}
-					res.entries = appendHashEntry(res.entries, hashEntry{key: key, rec: rec})
 				case accessRTree:
 					g, err := eval(st, env, acc.buildRect)
 					if err != nil {
@@ -348,7 +408,7 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 		}
 		// Link back to front, each entry ahead of its chain, so a chain
 		// reads in scan order: shard by shard, key order within a shard.
-		pa.hash = make(map[uint64]*hashEntry, total)
+		pa.hash, pa.live = make(map[uint64]*hashEntry, total), total
 		for i := len(results) - 1; i >= 0; i-- {
 			chunks := results[i].entries
 			for c := len(chunks) - 1; c >= 0; c-- {
@@ -376,6 +436,151 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 		}
 	}
 	return pa, nil
+}
+
+// admits applies the access's alias-only filters to the record env
+// binds.
+func (acc *accessPlan) admits(st evalState, env *Env) (bool, error) {
+	for _, f := range acc.filters {
+		v, err := eval(st, env, f)
+		if err != nil || !Truthy(v) {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// hashKey is what a hash build makes of the record env binds: its build
+// key, or ok=false when a filter drops the record or the key is unknown.
+func (acc *accessPlan) hashKey(st evalState, env *Env) (key adm.Value, ok bool, err error) {
+	if ok, err = acc.admits(st, env); !ok {
+		return key, false, err
+	}
+	key, err = eval(st, env, acc.buildKey)
+	return key, err == nil && !key.IsUnknown(), err
+}
+
+// patchHash brings the hash table of old, an access of prev, up to the
+// pin this state takes of its dataset, in place, and returns the access
+// that now owns the table (the rules are PreparedEnrich's). It reads
+// only the keys written since prev's stamp: for each, the version prev's
+// snapshot held leaves the table and the version the new snapshot holds
+// enters it, each as a build would see it. A key whose version did not
+// change — a write that raced prev's stamp — is unlinked and linked
+// again, to the same place. It returns nil and no error when the access
+// must be rebuilt instead.
+func (pe *PreparedEnrich) patchHash(prev *PreparedEnrich, old *preparedAccess, unchanged map[string]*pin) (*preparedAccess, error) {
+	acc := old.plan
+	if acc.kind != accessHash || old.spent {
+		return nil, nil
+	}
+	for _, name := range old.deps {
+		if name != acc.dataset && unchanged[name] == nil {
+			return nil, nil
+		}
+	}
+	prev.ctx.mu.Lock()
+	was := prev.ctx.pins[acc.dataset]
+	prev.ctx.mu.Unlock()
+	now, _, err := pe.ctx.pin(acc.dataset)
+	if err != nil || was == nil || now.ds != was.ds {
+		return nil, err
+	}
+	changes := make([]*lsm.ChangeCursor, len(now.snaps))
+	for i, snap := range now.snaps {
+		var ok bool
+		if changes[i], ok = snap.Changes(was.epoch[i]); !ok {
+			return nil, nil
+		}
+	}
+	old.spent = true
+	pa := &preparedAccess{plan: acc, hash: old.hash, extra: old.extra, live: old.live, dead: old.dead}
+	st := evalState{ctx: pe.ctx, depth: 1} // as in buildAccess
+	env := Bind(nil, acc.alias, adm.Value{})
+	for part, cc := range changes {
+		for {
+			pk, rec, more := cc.Next()
+			if !more {
+				break
+			}
+			if prior, ok := was.snaps[part].Get(pk); ok {
+				env.val = prior
+				key, in, err := acc.hashKey(st, env)
+				if err != nil {
+					return nil, err
+				}
+				if in {
+					pa.unlink(key, pk, now.ds)
+				}
+			}
+			if !rec.IsMissing() {
+				env.val = rec
+				key, in, err := acc.hashKey(st, env)
+				if err != nil {
+					return nil, err
+				}
+				if in {
+					pa.link(hashEntry{key: key, rec: rec}, part, pk, now.ds)
+				}
+			}
+			if pa.dead > pa.live {
+				return nil, nil
+			}
+		}
+		if err := cmp.Or(cc.Err(), was.snaps[part].Err(), now.snaps[part].Err()); err != nil {
+			return nil, err
+		}
+	}
+	return pa, nil
+}
+
+// unlink takes the entry of primary key pk out of key's chain, if the
+// chain holds one, and clears it so it pins nothing of its record.
+func (pa *preparedAccess) unlink(key, pk adm.Value, ds *lsm.Dataset) {
+	h := adm.Hash(key)
+	var before *hashEntry
+	for e := pa.hash[h]; e != nil; before, e = e, e.next {
+		if adm.Compare(e.rec.Field(ds.PrimaryKey()), pk) != 0 {
+			continue
+		}
+		switch {
+		case before != nil:
+			before.next = e.next
+		case e.next != nil:
+			pa.hash[h] = e.next
+		default:
+			delete(pa.hash, h)
+		}
+		*e = hashEntry{}
+		pa.live--
+		pa.dead++
+		return
+	}
+}
+
+// link adds e, the entry of primary key pk from partition part, to its
+// chain where a fresh build would have put it: partition by partition,
+// in primary-key order within one.
+func (pa *preparedAccess) link(e hashEntry, part int, pk adm.Value, ds *lsm.Dataset) {
+	pa.extra = appendHashEntry(pa.extra, e)
+	chunk := pa.extra[len(pa.extra)-1]
+	ne := &chunk[len(chunk)-1]
+	h := adm.Hash(e.key)
+	var before *hashEntry
+	next := pa.hash[h]
+	for ; next != nil; before, next = next, next.next {
+		npk := next.rec.Field(ds.PrimaryKey())
+		if np := ds.Route(npk); np > part || np == part && adm.Compare(npk, pk) > 0 {
+			break
+		}
+	}
+	ne.next = next
+	if before == nil {
+		pa.hash[h] = ne
+	} else {
+		before.next = ne
+	}
+	pa.live++
 }
 
 // EvalRecord enriches one record: the probe phase. A body that is a
@@ -721,15 +926,5 @@ func (pa *preparedAccess) passesFilters(st evalState, rec adm.Value) (bool, erro
 	if len(pa.plan.filters) == 0 {
 		return true, nil
 	}
-	env := Bind(nil, pa.plan.alias, rec)
-	for _, f := range pa.plan.filters {
-		v, err := eval(st, env, f)
-		if err != nil {
-			return false, err
-		}
-		if !Truthy(v) {
-			return false, nil
-		}
-	}
-	return true, nil
+	return pa.plan.admits(st, Bind(nil, pa.plan.alias, rec))
 }

@@ -87,8 +87,8 @@ func TestRefreshReusesUntilReferenceDataChanges(t *testing.T) {
 		if reused {
 			t.Fatalf("state reused across an acknowledged %s", w.name)
 		}
-		if next.Built() != 1 {
-			t.Errorf("after %s: built %d structures, want 1", w.name, next.Built())
+		if next.Built() != 0 || next.Patched() != 1 {
+			t.Errorf("after %s: built %d, patched %d structures; want the hash table patched", w.name, next.Built(), next.Patched())
 		}
 		if got := rating(next); got != w.want {
 			t.Errorf("after %s: rating %q, want %q", w.name, got, w.want)
@@ -175,8 +175,8 @@ func TestRefreshConstSubquery(t *testing.T) {
 	ratings, _ := cat.Dataset("SafetyRatings")
 	ratings.Upsert(obj("country_code", adm.String("US"), "safety_rating", adm.String("9")))
 	pe, _ = mustRefresh(t, pe)
-	if pe.Built() != 1 {
-		t.Fatalf("writing SafetyRatings built %d structures, want the hash table only", pe.Built())
+	if pe.Built() != 0 || pe.Patched() != 1 {
+		t.Fatalf("writing SafetyRatings built %d, patched %d structures; want the hash table patched", pe.Built(), pe.Patched())
 	}
 
 	words, _ := cat.Dataset("SensitiveWords")
