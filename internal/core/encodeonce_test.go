@@ -24,7 +24,7 @@ import (
 // produces: parse the line, validate (and coerce) the tree, enrich the
 // tree, encode the result. TestModel2Invariant holds the ablation arms
 // to each other; this holds each of them to that oracle, and so does
-// every function whose rows the evaluator cannot keep where they were
+// every function whose rows the collector cannot keep where they were
 // spliced: a row with another key, an Object row, a native UDF's row. A
 // function whose result has no key — a row without it, or two rows —
 // fails the feed as storage finds it. The static pipeline frames records
@@ -246,15 +246,19 @@ func checkRouted(t *testing.T, frames []hyracks.Frame, pk string, route func(adm
 	}
 }
 
-// TestEvaluatorRoutesLikeTheConnector: every frame a function feed's
-// evaluator pushes is single-target at the storage job's HashPartition
-// and carries a slab laid out key, record, ... — what storage logs as it
+// TestEvaluatorRoutesLikeTheConnector: every frame a function feed's rows
+// travel in is single-target at the storage job's HashPartition and
+// carries a slab laid out key, record, ... — what storage logs as it
 // stands — whether its rows were spliced where they lie (Q1) or framed
-// apart: a row under another key, an Object row, a native UDF's row. And
-// every row still reads what the function makes of its record, however
-// many rows were written into the same slabs after it.
+// apart: a row under another key, an Object row, a native UDF's row. That
+// holds for both producers of such frames: the dynamic feed's collector,
+// which runs the function on each line it parses, and the static
+// pipeline's evaluator, which runs it on the adapter-parser's frames of
+// records. And every row still reads what the function makes of its
+// record, however many rows were written into the same slabs after it
+// and however many inputs into the collector's rewound scratch.
 func TestEvaluatorRoutesLikeTheConnector(t *testing.T) {
-	const n = 700
+	const n, frame = 700, 128
 	for nodes := 1; nodes <= 4; nodes++ {
 		c, g := testCluster(t, nodes)
 		createFunction(t, c, `CREATE FUNCTION moveKey(t) { SELECT t.user.*, t.id + t.id % 5 * 1000000 AS id };`)
@@ -263,79 +267,97 @@ func TestEvaluatorRoutesLikeTheConnector(t *testing.T) {
 		lines := g.Tweets(0, n)
 		for _, function := range []string{"enrichTweetQ1", "moveKey", "starless", "tagged"} {
 			t.Run(fmt.Sprintf("%s over %d", function, nodes), func(t *testing.T) {
-				ev := &evaluator{router: new(frameRouter), instance: &udf.FuncInstance{EvalFn: tagged}}
-				*ev.router = newFrameRouter(128, ds.NumPartitions(), "id", ds.Route)
+				fn, rewind := udfCall{instance: &udf.FuncInstance{EvalFn: tagged}}, false
 				enrich := tagged
-				if fn, ok := c.Function(function); ok {
-					plan, err := query.CompileEnrich(fn.Name, fn.Params, fn.Body, c, query.PlanOptions{})
+				if def, ok := c.Function(function); ok {
+					plan, err := query.CompileEnrich(def.Name, def.Params, def.Body, c, query.PlanOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if ev.prepared, err = plan.Prepare(c); err != nil {
+					if fn.prepared, err = plan.Prepare(c); err != nil {
 						t.Fatal(err)
 					}
-					enrich = func(rec adm.Value) (adm.Value, error) { return ev.prepared.EvalRecord(rec) }
-				}
-
-				// The collector's frames of records, each one batch here.
-				collector := newRecordEncoder(128, 1, "", nil)
-				var stats Stats
-				var in, out frameSink
-				collector.begin(n)
-				for _, line := range lines {
-					if ok, err := collector.encode(line, workload.TweetType(), &stats, &in); !ok || err != nil {
-						t.Fatalf("line rejected (%v)", err)
-					}
-				}
-				if err := collector.flush(&in); err != nil {
-					t.Fatal(err)
+					rewind = plan.KeepsNoInput()
+					enrich = func(rec adm.Value) (adm.Value, error) { return fn.prepared.EvalRecord(rec) }
 				}
 				want := map[string][]byte{}
-				for _, fr := range in.frames {
-					for _, rec := range fr.Records {
-						row, err := enrich(rec)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want[row.Field("id").String()] = adm.AppendBinary(nil, row)
+				for _, line := range lines {
+					rec, err := adm.ParseJSON(line)
+					if err == nil {
+						rec, err = workload.TweetType().Validate(rec)
 					}
-					ev.router.begin(len(fr.Records))
-					if err := ev.Push(nil, fr, &out); err != nil {
+					if err == nil {
+						rec, err = enrich(rec)
+					}
+					if err != nil {
 						t.Fatal(err)
 					}
-					if err := ev.Close(nil, &out); err != nil {
+					want[rec.Field("id").String()] = adm.AppendBinary(nil, rec)
+				}
+				var stats Stats
+				encode := func(enc *recordEncoder, lines [][]byte, fn *udfCall, out hyracks.Writer) {
+					enc.begin(len(lines))
+					for _, line := range lines {
+						if ok, err := enc.encode(line, workload.TweetType(), &stats, fn, out); !ok || err != nil {
+							t.Fatalf("line rejected (%v)", err)
+						}
+					}
+					if err := enc.flush(out); err != nil {
 						t.Fatal(err)
 					}
 				}
 
-				checkRouted(t, out.frames, "id", ds.Route)
-				hash, framed := keyHash("id"), 0
-				for _, fr := range out.frames {
-					if fr.Enc == nil {
-						t.Fatal("a frame carries no slab")
+				// The dynamic feed: the collector enriches each line it
+				// parses, a batch of a frame's lines at a time.
+				var collected frameSink
+				collector := newRecordEncoder(frame, ds.NumPartitions(), "id", ds.Route)
+				collector.rewind = rewind
+				for i := 0; i < n; i += frame {
+					encode(&collector, lines[i:min(i+frame, n)], &fn, &collected)
+				}
+				// The static pipeline: the adapter-parser's frames of
+				// records, each one batch at the evaluator.
+				var parsed, evaluated frameSink
+				parser := newRecordEncoder(frame, 1, "", nil)
+				encode(&parser, lines, nil, &parsed)
+				ev := &evaluator{router: newFrameRouter(frame, ds.NumPartitions(), "id", ds.Route), udfCall: fn}
+				for _, fr := range parsed.frames {
+					if err := ev.Push(nil, fr, &evaluated); err != nil {
+						t.Fatal(err)
 					}
-					target := hash(fr.Records[0]) % uint64(ds.NumPartitions())
-					for _, rec := range fr.Records {
-						if hash(rec)%uint64(ds.NumPartitions()) != target {
-							t.Fatalf("a routed frame splits at the connector: %v", rec)
+				}
+
+				batches := (n + frame - 1) / frame
+				for _, out := range []*frameSink{&collected, &evaluated} {
+					checkRouted(t, out.frames, "id", ds.Route)
+					hash, framed := keyHash("id"), 0
+					for _, fr := range out.frames {
+						if fr.Enc == nil {
+							t.Fatal("a frame carries no slab")
 						}
-						key := rec.Field("id").String()
-						if got := adm.AppendBinary(nil, rec); !bytes.Equal(got, want[key]) {
-							t.Fatalf("key %s reads\n %x\nthe function makes\n %x", key, got, want[key])
+						target := hash(fr.Records[0]) % uint64(ds.NumPartitions())
+						for _, rec := range fr.Records {
+							if hash(rec)%uint64(ds.NumPartitions()) != target {
+								t.Fatalf("a routed frame splits at the connector: %v", rec)
+							}
+							key := rec.Field("id").String()
+							if got := adm.AppendBinary(nil, rec); !bytes.Equal(got, want[key]) {
+								t.Fatalf("key %s reads\n %x\nthe function makes\n %x", key, got, want[key])
+							}
 						}
+						framed += len(fr.Records)
 					}
-					framed += len(fr.Records)
+					if framed != n || len(want) != n {
+						t.Fatalf("%d rows framed of %d records, want %d", framed, len(want), n)
+					}
+					// A batch's rows fill a frame or two per partition: one
+					// row that had to be sealed off does not cost each row
+					// after it a frame of its own.
+					if most := batches * (2*ds.NumPartitions() + 1); len(out.frames) > most {
+						t.Fatalf("%d batches of rows took %d frames, want at most %d", batches, len(out.frames), most)
+					}
+					out.recycle()
 				}
-				if framed != n || len(want) != n {
-					t.Fatalf("%d rows framed of %d records, want %d", framed, len(want), n)
-				}
-				// A batch's rows fill a frame or two per partition: one row
-				// that had to be sealed off does not cost each row after it
-				// a frame of its own.
-				if most := len(in.frames) * (2*ds.NumPartitions() + 1); len(out.frames) > most {
-					t.Fatalf("%d batches of rows took %d frames, want at most %d", len(in.frames), len(out.frames), most)
-				}
-				out.recycle()
 			})
 		}
 	}
@@ -347,7 +369,11 @@ func TestEvaluatorRoutesLikeTheConnector(t *testing.T) {
 // handed on is a view of the slab. Routed, that holds per storage
 // partition: a batch costs a slab per partition (two when a partition's
 // share overflows its first), and the slabs hold the records' and keys'
-// bytes with little to spare.
+// bytes with little to spare. A function feed's collector runs the
+// function where it parses and frames the rows the same way: a batch of
+// Q1 rows costs the routed slabs plus the query's own work per record (2
+// allocations, 88 B; query.TestEvalRecordIntoSlabAllocates), because its
+// input is encoded into scratch rewound per record, not into a slab.
 func TestCollectorAllocatesPerFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -357,16 +383,58 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 	for i := range lines {
 		lines[i] = fmt.Appendf(nil, `{"id":%d,"text":"a tweet with some padding text in it","lang":"en","user":{"id":%d,"screen_name":"bench"},"tags":["a","b"]}`, i, i%97)
 	}
-	for _, arm := range encoderArms(targets) {
+	type arm struct {
+		name  string
+		enc   recordEncoder
+		lines [][]byte
+		dt    *adm.Datatype
+		fn    *udfCall
+		// want is what the record framed from a line reads.
+		want func(line []byte) (adm.Value, error)
+		// allocs and bytes are the function's own budget per record.
+		allocs, bytes int
+	}
+	var arms []arm
+	for _, a := range encoderArms(targets) {
+		arms = append(arms, arm{name: a.name, enc: newRecordEncoder(frame, targets, "id", a.route), lines: lines, want: adm.ParseJSON})
+	}
+	c, g := testCluster(t, 2)
+	ds, _ := c.Dataset("EnrichedTweets")
+	def, _ := c.Function("enrichTweetQ1")
+	plan, err := query.CompileEnrich(def.Name, def.Params, def.Body, c, query.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe, err := plan.Prepare(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1 := newRecordEncoder(frame, ds.NumPartitions(), "id", ds.Route)
+	if q1.rewind = plan.KeepsNoInput(); !q1.rewind {
+		t.Fatal("Q1 calls only builtins, yet may keep its input")
+	}
+	arms = append(arms, arm{name: "Q1 rows routed", enc: q1, lines: g.Tweets(0, frame*targets),
+		dt: workload.TweetType(), fn: &udfCall{prepared: pe}, allocs: 2, bytes: 88,
+		want: func(line []byte) (adm.Value, error) {
+			rec, err := adm.ParseJSON(line)
+			if err == nil {
+				rec, err = workload.TweetType().Validate(rec)
+			}
+			if err != nil {
+				return rec, err
+			}
+			return pe.EvalRecord(rec)
+		}})
+	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
-			enc := newRecordEncoder(frame, targets, "id", arm.route)
+			enc, lines := &arm.enc, arm.lines
 			var stats Stats
 			var sink frameSink
 			collect := func() {
 				sink.recycle()
 				enc.begin(len(lines))
 				for _, line := range lines {
-					if ok, err := enc.encode(line, nil, &stats, &sink); !ok || err != nil {
+					if ok, err := enc.encode(line, arm.dt, &stats, arm.fn, &sink); !ok || err != nil {
 						t.Fatalf("line rejected (%v)", err)
 					}
 				}
@@ -374,12 +442,12 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Spines come from a sync.Pool, which a collection empties and
-			// which keeps a list per P: keep both from refilling it
-			// mid-measurement.
+			// Spines and record scratches come from sync.Pools, which a
+			// collection empties and which keep a list per P: keep both
+			// from refilling them mid-measurement.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			collect() // learns the slab sizes; warms the parser's tables, the arena and the spine pool
+			collect() // learns the slab sizes; warms the parser's tables, the arena, the scratch and the pools
 			collect()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -388,16 +456,16 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 				collect()
 			}
 			runtime.ReadMemStats(&after)
-			checkRouted(t, sink.frames, "id", arm.route)
+			checkRouted(t, sink.frames, "id", enc.route)
 			size, records := 0, 0
 			for _, fr := range sink.frames {
 				for _, rec := range fr.Records {
-					want, err := adm.ParseJSON(lines[rec.Field("id").IntVal()])
+					want, err := arm.want(lines[rec.Field("id").IntVal()])
 					if err != nil || !adm.Equal(rec, want) {
 						t.Fatalf("record reads %v, want %v (%v)", rec, want, err)
 					}
 					size += adm.BinarySize(rec)
-					if arm.route != nil {
+					if enc.route != nil {
 						size += adm.BinarySize(rec.Field("id"))
 					}
 				}
@@ -409,11 +477,11 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 			allocs := float64(after.Mallocs-before.Mallocs) / batches
 			bytes := float64(after.TotalAlloc-before.TotalAlloc) / batches
 			t.Logf("%.1f allocations and %.0f bytes per batch of %d records in %d frames (%d bytes encoded)", allocs, bytes, len(lines), len(sink.frames), size)
-			if allocs > float64(2*len(lines)/frame) {
-				t.Fatalf("%.1f allocations per batch of %d records, want a slab or two per frame", allocs, len(lines))
+			if most := 2*len(lines)/frame + arm.allocs*len(lines); allocs > float64(most) {
+				t.Fatalf("%.1f allocations per batch of %d records, want a slab or two per frame and %d per record", allocs, len(lines), arm.allocs)
 			}
-			if bytes > float64(size)*5/4 {
-				t.Fatalf("%.0f bytes allocated per batch whose slabs hold %d", bytes, size)
+			if most := size*5/4 + arm.bytes*len(lines); bytes > float64(most) {
+				t.Fatalf("%.0f bytes allocated per batch whose slabs hold %d, want at most %d", bytes, size, most)
 			}
 		})
 	}
@@ -447,7 +515,7 @@ func TestOutsizedLineDoesNotMultiplyTheSlab(t *testing.T) {
 						if i == outlier {
 							line = big
 						}
-						if ok, err := enc.encode(line, nil, &stats, &sink); !ok || err != nil {
+						if ok, err := enc.encode(line, nil, &stats, nil, &sink); !ok || err != nil {
 							t.Fatalf("line rejected (%v)", err)
 						}
 						for p := range enc.parts {
@@ -503,8 +571,9 @@ func TestOutsizedLineDoesNotMultiplyTheSlab(t *testing.T) {
 // each of its records hashes, as the connector hashes it, to the frame's
 // partition — so the connector forwards it whole, slab and all; and the
 // feed stores, byte for byte, what a feed through an identity function
-// (whose evaluator copies each record into slabs of its own) stores from
-// the same lines.
+// (whose collector encodes each record as the function's input, then
+// copies the row it returns into the routed slab) stores from the same
+// lines.
 func TestCollectorRoutesLikeTheConnector(t *testing.T) {
 	const n = 700
 	reg := udf.NewRegistry()
@@ -550,7 +619,7 @@ func TestCollectorRoutesLikeTheConnector(t *testing.T) {
 				var sink frameSink
 				enc.begin(n)
 				for _, line := range lines {
-					if ok, err := enc.encode(line, nil, &stats, &sink); !ok || err != nil {
+					if ok, err := enc.encode(line, nil, &stats, nil, &sink); !ok || err != nil {
 						t.Fatalf("line rejected (%v)", err)
 					}
 				}

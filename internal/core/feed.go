@@ -256,17 +256,11 @@ type Feed struct {
 	intakeJob      *hyracks.Job
 	storageJob     *hyracks.Job
 
-	// encoders[p] is partition p's line-to-record step (parser, parse
-	// arena, the current frame's slab). Only the collector instance for
-	// partition p touches it, and invocations run sequentially, so no
-	// locking is needed.
+	// encoders[p] is partition p's line-to-storage step (recordEncoder).
+	// It outlives the invocation, so what it learned of its records' size
+	// does too. Only the collector instance for partition p touches it,
+	// and invocations run sequentially, so no locking is needed.
 	encoders []recordEncoder
-	// routers[p] frames evaluator partition p's results per storage
-	// partition when a function is attached. Like encoders it outlives
-	// the invocation, so what it learned of its rows' size does too; the
-	// collector for partition p starts its batch (begin) before pushing
-	// the evaluator anything, and only the evaluator touches it after.
-	routers []frameRouter
 
 	// computeSpec is the predeployed computing job's spec skeleton,
 	// built once at start; per-invocation state lives in curInv. The
@@ -513,21 +507,10 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	if f.quota < 1 {
 		f.quota = 1
 	}
-	// With no function the collector routes each record to the storage
-	// partition that owns its key (recordEncoder); with one, the
-	// evaluator routes what the function makes of it (evaluator).
-	var route func(adm.Value) int
-	if plan == nil && native == nil {
-		route = ds.Route
-	} else {
-		f.routers = make([]frameRouter, n)
-		for p := range f.routers {
-			f.routers[p] = newFrameRouter(f.frameCap, ds.NumPartitions(), ds.PrimaryKey(), ds.Route)
-		}
-	}
 	f.encoders = make([]recordEncoder, n)
 	for p := range f.encoders {
-		f.encoders[p] = newRecordEncoder(f.frameCap, ds.NumPartitions(), ds.PrimaryKey(), route)
+		f.encoders[p] = newRecordEncoder(f.frameCap, ds.NumPartitions(), ds.PrimaryKey(), ds.Route)
+		f.encoders[p].rewind = plan != nil && plan.KeepsNoInput()
 	}
 
 	// Resume state: one tracker per adapter slot, seeded from the last
@@ -702,11 +685,11 @@ func (f *Feed) buildStorageSpec() *hyracks.JobSpec {
 	return spec
 }
 
-// invocation is the per-batch state of one computing job.
+// invocation is the per-batch state of one computing job: the function's
+// call at each partition (none without a function).
 type invocation struct {
-	prepared  *query.PreparedEnrich
-	instances []udf.Instance
-	records   atomic.Int64
+	calls   []udfCall
+	records atomic.Int64
 }
 
 // newInvocation performs the per-batch build phase: bring the SQL++
@@ -716,6 +699,7 @@ type invocation struct {
 // updates are observed.
 func (f *Feed) newInvocation() (*invocation, error) {
 	inv := &invocation{}
+	var pe *query.PreparedEnrich
 	if f.plan != nil {
 		plan, prev := f.plan, f.prepared
 		if f.cfg.RecompilePerBatch {
@@ -730,7 +714,6 @@ func (f *Feed) newInvocation() (*invocation, error) {
 			}
 			plan, prev = recompiled, nil
 		}
-		var pe *query.PreparedEnrich
 		var err error
 		if prev == nil {
 			pe, err = plan.Prepare(f.cluster)
@@ -750,19 +733,18 @@ func (f *Feed) newInvocation() (*invocation, error) {
 		if !f.cfg.RecompilePerBatch {
 			f.prepared = pe
 		}
-		inv.prepared = pe
 	}
-	if f.native != nil {
+	if f.plan != nil || f.native != nil {
 		var err error
-		if inv.instances, err = newInstances(f.native, len(f.nodes)); err != nil {
+		if inv.calls, err = udfCalls(pe, f.native, len(f.nodes)); err != nil {
 			return nil, err
 		}
 	}
 	return inv, nil
 }
 
-// The steps below — admit, recordEncoder, frameRouter, evaluator and
-// the storage writers — are shared with the static pipeline (static.go):
+// The steps below — admit, recordEncoder, frameRouter, udfCall and the
+// storage writers — are shared with the static pipeline (static.go):
 // the two frameworks differ in when UDF state is built, not in what
 // happens to a record.
 
@@ -782,18 +764,35 @@ func admit(dt *adm.Datatype, stats *Stats, rec adm.Value, perr error) (adm.Value
 
 // recordEncoder turns a collector partition's lines into the frames that
 // travel: each line is parsed into the arena, admitted (validated and
-// coerced) as a tree, encoded once into its frame's slab, and handed on
-// as a view of those bytes — the encoding the WAL and the run file will
-// hold. The parse tree is scratch: the arena is reset for the next line.
-// A feed with no function routes where it encodes (frameRouter); a feed
-// with a function has one frame of records, and its evaluator routes
-// what the function makes of them.
+// coerced) as a tree and encoded once. The parse tree is scratch: the
+// arena is reset for the next line.
+//
+// A dynamic feed's encoder routes with the dataset's Route (frameRouter).
+// With no function, the record is encoded into its storage partition's
+// slab and handed on as a view of those bytes — the encoding the WAL and
+// the run file will hold. With one, the function runs right here, as
+// Hyracks runs operators joined one-to-one in one thread, and what it
+// makes of the record is framed instead (udfCall.frame). Its input is
+// encoded into scratch rewound for every record when nothing the
+// function runs can keep it (rewind: query.EnrichPlan.KeepsNoInput), for
+// splice and add copy what a row keeps of it before they return; any
+// other input is appended to a garbage-collected slab nothing rewrites.
+//
+// Unrouted, the encoder frames the records themselves into one frame;
+// that mode serves StartStatic only, whose evaluator takes the frames.
 type recordEncoder struct {
-	parser *adm.Parser // field-name intern table and size hints stay warm
-	arena  *adm.Arena
-	spine  []adm.Value // ParseInto's one-record destination
+	parser  *adm.Parser // field-name intern table and size hints stay warm
+	arena   *adm.Arena
+	spine   []adm.Value // ParseInto's one-record destination
+	rewind  bool
+	scratch []byte
+	kept    []byte // the append-only input slab
 	frameRouter
 }
+
+// inputSlab is the size of an append-only input slab (or of the record,
+// if larger), and the most scratch kept after a record.
+const inputSlab = 32 << 10
 
 // newRecordEncoder returns the encoder of a collector partition whose
 // frames hold up to frameCap records. With a route, records are keyed by
@@ -805,23 +804,44 @@ func newRecordEncoder(frameCap, targets int, pk string, route func(adm.Value) in
 	}
 }
 
-// encode turns raw into a record of its target's frame, pushing frames
-// that fill (or that it does not fit) to out. ok is false when the line
-// was rejected (and counted in stats.ParseErrors).
-func (e *recordEncoder) encode(raw []byte, dt *adm.Datatype, stats *Stats, out hyracks.Writer) (ok bool, err error) {
+// encode turns raw into a record and frames it, or what fn makes of it
+// when fn is not nil, pushing frames that fill (or that it does not fit)
+// to out. ok is false when the line was rejected (and counted in
+// stats.ParseErrors).
+func (e *recordEncoder) encode(raw []byte, dt *adm.Datatype, stats *Stats, fn *udfCall, out hyracks.Writer) (ok bool, err error) {
 	var rec adm.Value
 	spine, perr := e.parser.ParseInto(raw, e.spine, e.arena)
 	if perr == nil {
 		rec = spine[0]
 	}
 	rec, ok = admit(dt, stats, rec, perr)
-	if ok {
+	if ok && fn == nil {
 		err = e.add(rec, out)
+	} else if ok {
+		err = fn.frame(&e.frameRouter, e.input(rec), out)
 	}
 	e.pending--
 	clear(spine)
 	e.arena.Reset()
 	return ok, err
+}
+
+// input encodes rec as the function's input and returns a view of those
+// bytes: the scratch when rewinding, else the append-only slab.
+func (e *recordEncoder) input(rec adm.Value) adm.Value {
+	if e.rewind {
+		if cap(e.scratch) > inputSlab {
+			e.scratch = nil
+		}
+		e.scratch = adm.AppendBinary(e.scratch[:0], rec)
+		return adm.View(e.scratch)
+	}
+	if size := adm.BinarySize(rec); cap(e.kept)-len(e.kept) < size {
+		e.kept = make([]byte, 0, max(size, inputSlab))
+	}
+	at := len(e.kept)
+	e.kept = adm.AppendBinary(e.kept, rec)
+	return adm.View(e.kept[at:])
 }
 
 // frameRouter frames records for their targets, each record encoded into
@@ -836,8 +856,9 @@ func (e *recordEncoder) encode(raw []byte, dt *adm.Datatype, stats *Stats, out h
 // whole, and the partition logs and keeps the slab instead of copying
 // the records into a buffer of its own (lsm.Partition.UpsertFrame). A
 // function-less feed's collector routes the records it parses; a
-// function feed's evaluator routes the rows its function returns, and a
-// SQL++ row is spliced into the slab where it will stay (splice).
+// function feed's collector (the static pipeline's evaluator) routes the
+// rows its function returns, and a SQL++ row is spliced into the slab
+// where it will stay (splice).
 //
 // One frame, one slab. A slab is garbage-collected memory that is only
 // ever appended to, never pooled or rewritten, so whoever is handed a
@@ -1037,72 +1058,51 @@ func (r *frameRouter) flush(out hyracks.Writer) error {
 	return nil
 }
 
-// newInstances creates and initializes one native UDF instance per
-// evaluator partition.
-func newInstances(native *udf.Native, n int) ([]udf.Instance, error) {
-	instances := make([]udf.Instance, n)
-	for p := range instances {
-		instances[p] = native.New()
-		if err := instances[p].Initialize(p); err != nil {
-			return nil, err
-		}
-	}
-	return instances, nil
-}
-
-// evaluator is a function feed's UDF step for one partition: each record
-// is enriched by the prepared SQL++ function or run through the
-// partition's native instance, and the result is framed for the storage
-// partition that owns its key by the partition's router, which outlives
-// the invocation (Feed.routers). A SQL++ row is spliced into its frame's
-// slab (frameRouter.splice), a native UDF's result encoded into it, so
-// every frame carries the slab storage logs.
-type evaluator struct {
-	router   *frameRouter
+// udfCall is a function feed's UDF at one partition: the prepared SQL++
+// function, or else the partition's native instance.
+type udfCall struct {
 	prepared *query.PreparedEnrich
 	instance udf.Instance
 }
 
-// Open implements hyracks.Pipe.
-func (ev *evaluator) Open(*hyracks.TaskContext, hyracks.Writer) error { return nil }
-
-// Push implements hyracks.Pipe.
-func (ev *evaluator) Push(_ *hyracks.TaskContext, fr hyracks.Frame, out hyracks.Writer) error {
-	defer hyracks.RecycleFrame(fr)
-	if len(fr.Raw) > 0 {
-		return errors.New("core: raw-lane frame reached the UDF evaluator; parse records first")
-	}
-	for _, rec := range fr.Records {
-		var err error
-		if ev.prepared != nil {
-			err = ev.router.splice(ev.prepared, rec, out)
-		} else {
-			var row adm.Value
-			if row, err = ev.instance.Evaluate(rec); err == nil {
-				err = ev.router.add(row, out)
+// udfCalls returns the calls of n partitions: prepared shared, or a
+// native instance each, created and initialized.
+func udfCalls(prepared *query.PreparedEnrich, native *udf.Native, n int) ([]udfCall, error) {
+	calls := make([]udfCall, n)
+	for p := range calls {
+		calls[p].prepared = prepared
+		if native != nil {
+			calls[p].instance = native.New()
+			if err := calls[p].instance.Initialize(p); err != nil {
+				return nil, err
 			}
 		}
-		ev.router.pending--
-		if err != nil {
-			return err
-		}
 	}
-	return nil
+	return calls, nil
 }
 
-// Close implements hyracks.Pipe: the batch's frames all go on.
-func (ev *evaluator) Close(_ *hyracks.TaskContext, out hyracks.Writer) error {
-	return ev.router.flush(out)
+// frame frames what the function makes of rec for the storage partition
+// that owns its key: a SQL++ row is spliced into its frame's slab
+// (frameRouter.splice), a native UDF's result encoded into it.
+func (fn *udfCall) frame(r *frameRouter, rec adm.Value, out hyracks.Writer) error {
+	if fn.prepared != nil {
+		return r.splice(fn.prepared, rec, out)
+	}
+	row, err := fn.instance.Evaluate(rec)
+	if err != nil {
+		return err
+	}
+	return r.add(row, out)
 }
 
-// buildComputeSpec assembles the computing job: collector+parser → UDF
-// evaluator → feed pipeline sink, one instance per live node, no
-// cross-node exchange (the frames are routed before the storage job's
-// hash partitioner sees them: by the evaluator, or with no function —
-// and no evaluator — by the collector). The spec is a reusable
-// skeleton: operator factories resolve the current per-batch state
-// through f.curInv when an invocation instantiates them, so the
-// predeployed path builds it once and reuses it for every batch.
+// buildComputeSpec assembles the computing job: collector → feed
+// pipeline sink, one instance per live node, no cross-node exchange. The
+// collector parses, runs the function and routes what it makes of each
+// record (recordEncoder), so its frames are routed before the storage
+// job's hash partitioner sees them. The spec is a reusable skeleton:
+// operator factories resolve the current per-batch state through
+// f.curInv when an invocation instantiates them, so the predeployed path
+// builds it once and reuses it for every batch.
 func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 	spec := hyracks.NewJobSpec()
 	spec.QueueCapacity = f.cluster.Tuning().HolderCapacity
@@ -1113,6 +1113,10 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 		Parallelism: n,
 		NewSource: func(p int) (hyracks.Source, error) {
 			inv := f.curInv.Load()
+			var fn *udfCall
+			if inv.calls != nil {
+				fn = &inv.calls[p]
+			}
 			return hyracks.SourceFunc(func(tc *hyracks.TaskContext, out hyracks.Writer) error {
 				if err := out.Open(); err != nil {
 					return err
@@ -1127,17 +1131,15 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 				if eof {
 					f.eof[p].Store(true)
 				}
-				// Each line becomes a view of its encoding in its frame's
-				// slab (recordEncoder), and full frames are pushed on.
+				// Each line becomes a view of its encoding, or of its
+				// enriched row, in its storage partition's slab
+				// (recordEncoder), and full frames are pushed on.
 				enc := &f.encoders[p]
 				lines := 0
 				for _, fr := range frames {
 					lines += len(fr.Raw)
 				}
 				enc.begin(lines)
-				if f.routers != nil {
-					f.routers[p].begin(lines)
-				}
 				for _, fr := range frames {
 					// Collection is the delivery point for offset
 					// accounting: once this invocation finishes, every
@@ -1146,7 +1148,7 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 					// sunk) covers the rest of the path.
 					f.markDelivered(fr)
 					for _, raw := range fr.Raw {
-						ok, err := enc.encode(raw, f.dt, f.stats, out)
+						ok, err := enc.encode(raw, f.dt, f.stats, fn, out)
 						if err != nil {
 							return err
 						}
@@ -1163,30 +1165,10 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 		},
 	})
 
-	// A feed with no function has nothing to evaluate: its collector's
-	// routed frames go straight on, Enc and all. A function feed's
-	// evaluator routes its own.
-	last := collectorOp
-	if f.plan != nil || f.native != nil {
-		last = spec.AddOperator(&hyracks.Descriptor{
-			Name:        "udf-evaluator",
-			Parallelism: n,
-			NewPipe: func(p int) (hyracks.Pipe, error) {
-				inv := f.curInv.Load()
-				ev := &evaluator{router: &f.routers[p], prepared: inv.prepared}
-				if inv.instances != nil {
-					ev.instance = inv.instances[p]
-				}
-				return ev, nil
-			},
-		})
-		spec.Connect(collectorOp, last, hyracks.OneToOne, nil)
-	}
-
 	if f.cfg.FusedInsert {
 		// Section 5.1's insert job: UDF evaluation and storage write in
 		// one job — the write (and its log flush) gates the invocation.
-		connectStorage(spec, last, "fused-storage-writer", f.ds, &f.stats.Stored)
+		connectStorage(spec, collectorOp, "fused-storage-writer", f.ds, &f.stats.Stored)
 		return spec
 	}
 
@@ -1206,7 +1188,7 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 			}, nil
 		},
 	})
-	spec.Connect(last, sinkOp, hyracks.OneToOne, nil)
+	spec.Connect(collectorOp, sinkOp, hyracks.OneToOne, nil)
 	return spec
 }
 

@@ -70,7 +70,7 @@ func BenchmarkIntakePath(b *testing.B) {
 			for _, fr := range frames {
 				enc.begin(len(fr.Raw))
 				for _, raw := range fr.Raw {
-					if ok, err := enc.encode(raw, nil, &stats, &sink); !ok || err != nil {
+					if ok, err := enc.encode(raw, nil, &stats, nil, &sink); !ok || err != nil {
 						b.Fatalf("line rejected (%v)", err)
 					}
 					parsed++
@@ -96,8 +96,8 @@ func BenchmarkIntakePath(b *testing.B) {
 }
 
 // BenchmarkInvokeComputeJob prices one invocation of a function feed's
-// own predeployed computing job — buildComputeSpec's collector, UDF
-// evaluator and sink on each of two nodes — over a batch of no records
+// own predeployed computing job — buildComputeSpec's collector (which
+// runs the UDF) and sink on each of two nodes — over a batch of no records
 // (every collector's intake is at EOF). Like cluster's
 // BenchmarkInvokePredeployed, what is left is the machinery an
 // invocation builds, here with the feed's closures and queue capacity,
@@ -110,8 +110,7 @@ func BenchmarkInvokeComputeJob(b *testing.B) {
 	}
 	defer c.Close()
 	f := &Feed{cluster: c, plan: &query.EnrichPlan{}, nodes: []int{0, 1}, computeID: "compute",
-		eof: make([]atomic.Bool, nodes), encoders: make([]recordEncoder, nodes),
-		routers: make([]frameRouter, nodes), stats: &Stats{}}
+		eof: make([]atomic.Bool, nodes), encoders: make([]recordEncoder, nodes), stats: &Stats{}}
 	for p := range f.eof {
 		f.eof[p].Store(true)
 	}

@@ -15,7 +15,9 @@ import (
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/cluster"
 	"github.com/ideadb/idea/internal/lsm"
+	"github.com/ideadb/idea/internal/query"
 	"github.com/ideadb/idea/internal/udf"
+	"github.com/ideadb/idea/internal/workload"
 )
 
 // eventRecords builds n deterministic records with ids 1..n (id ==
@@ -658,15 +660,14 @@ func TestFeedStartOnDeadNodeFails(t *testing.T) {
 	}
 }
 
-// TestNativeUDFMayRetainRecords: a record the feed hands on is a view of
-// its frame's slab — garbage-collected bytes nothing pools or rewrites —
-// so a stateful native UDF may keep every record it is given. It keeps
-// the first 300 and the last; a hundred further frames go by (each would
-// overwrite a slab that was reused); the UDF fails on the last record —
-// the evaluator's error path, which recycles the frame it was evaluating — and
-// every stashed record still equals the line it was parsed from. (When
-// record frames carried a pooled parse arena, that recycle zeroed the
-// last frame's objects under the UDF.)
+// TestNativeUDFMayRetainRecords: a record a native UDF is given is a view
+// of the collector's append-only input slab — garbage-collected bytes
+// nothing pools or rewrites — so a stateful native UDF may keep every
+// record it is given. It keeps the first 300 and the last; a hundred
+// further batches go by (each would overwrite a slab that was reused, or
+// a scratch rewound per record); the UDF fails on the last record — the
+// collector's error path — and every stashed record still equals the
+// line it was parsed from.
 func TestNativeUDFMayRetainRecords(t *testing.T) {
 	const kept, batch = 300, 50
 	const n = kept + 100*batch
@@ -758,6 +759,110 @@ func TestNativeUDFMayRetainRecords(t *testing.T) {
 				if !adm.Equal(rec, want) {
 					t.Fatalf("stashed record %d reads %v, want %v", i, rec, want)
 				}
+			}
+		})
+	}
+}
+
+// TestLibraryCallMayRetainItsArguments: a SQL++ body that hands its
+// record to a library function (ns#f) — directly, or through a catalog
+// UDF whose body makes the call — may have it kept, like a native UDF
+// may: such a feed encodes each input into an append-only slab, never
+// into the scratch a builtins-only body's inputs share. The library
+// function keeps the record, a sub-object of it and a string read from
+// it, over several batches on two nodes; after Wait every kept value
+// still reads its own record, and what the feed stored is, byte for
+// byte, what the function makes of each validated line.
+func TestLibraryCallMayRetainItsArguments(t *testing.T) {
+	const n = 600
+	for _, tc := range []struct {
+		name     string
+		function string
+		ddl      []string
+	}{
+		{"library call", "stashing", []string{
+			`CREATE FUNCTION stashing(t) { LET kept = testlib#stash(t, t.user, t.text) SELECT t.*, kept };`}},
+		{"catalog UDF", "viaCatalog", []string{
+			`CREATE FUNCTION stashOf(t) { testlib#stash(t, t.user, t.text) };`,
+			`CREATE FUNCTION viaCatalog(t) { LET kept = stashOf(t) SELECT t.*, kept };`}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, g := testCluster(t, 2)
+			var mu sync.Mutex
+			var stash [][]adm.Value
+			c.RegisterNative("testlib", "stash", func(args []adm.Value) (adm.Value, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				stash = append(stash, args)
+				return args[2], nil
+			})
+			for _, ddl := range tc.ddl {
+				createFunction(t, c, ddl)
+			}
+			lines := g.Tweets(0, n)
+			f, err := Start(context.Background(), c, Config{
+				Name: "stash", Dataset: "EnrichedTweets", Function: tc.function, BatchSize: 64,
+				NewAdapter: func(int) (Adapter, error) { return &GeneratorAdapter{Records: lines}, nil },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			kept := stash
+			stash = nil
+			mu.Unlock()
+
+			validated := func(id int64) adm.Value {
+				rec, err := adm.ParseJSON(lines[id])
+				if err == nil {
+					rec, err = workload.TweetType().Validate(rec)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rec
+			}
+			if len(kept) != n {
+				t.Fatalf("the library function kept %d calls' arguments, want %d", len(kept), n)
+			}
+			for _, args := range kept {
+				id := args[0].Field("id").IntVal()
+				if id < 0 || id >= n {
+					t.Fatalf("a kept record reads id %d", id)
+				}
+				want := validated(id)
+				if !adm.Equal(args[0], want) || !adm.Equal(args[1], want.Field("user")) || !adm.Equal(args[2], want.Field("text")) {
+					t.Fatalf("record %d's kept arguments read %v, %v, %v; want %v", id, args[0], args[1], args[2], want)
+				}
+			}
+
+			def, _ := c.Function(tc.function)
+			plan, err := query.CompileEnrich(def.Name, def.Params, def.Body, c, query.PlanOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pe, err := plan.Prepare(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, _ := c.Dataset("EnrichedTweets")
+			stored := 0
+			ds.ScanAll(func(key, rec adm.Value) bool {
+				stored++
+				row, err := pe.EvalRecord(validated(key.IntVal()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := adm.AppendBinary(nil, rec), adm.AppendBinary(nil, row); !bytes.Equal(got, want) {
+					t.Fatalf("key %v stores\n %x\nthe function makes\n %x", key, got, want)
+				}
+				return true
+			})
+			if stored != n {
+				t.Fatalf("%d records stored, want %d", stored, n)
 			}
 		})
 	}

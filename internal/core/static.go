@@ -9,7 +9,6 @@ import (
 	"github.com/ideadb/idea/internal/cluster"
 	"github.com/ideadb/idea/internal/hyracks"
 	"github.com/ideadb/idea/internal/query"
-	"github.com/ideadb/idea/internal/udf"
 )
 
 // ErrStatefulUDF is returned when a stateful SQL++ UDF is attached to
@@ -71,12 +70,10 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 			return nil, err
 		}
 	}
-	var instances []udf.Instance
-	if native != nil {
-		if instances, err = newInstances(native, c.NumNodes()); err != nil {
-			cancel()
-			return nil, err
-		}
+	calls, err := udfCalls(prepared, native, c.NumNodes())
+	if err != nil {
+		cancel()
+		return nil, err
 	}
 
 	spec := hyracks.NewJobSpec()
@@ -108,7 +105,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 					// A stream has no batch size: every target may expect a
 					// full frame more.
 					enc.begin(tuning.FrameCapacity * len(enc.parts))
-					ok, err := enc.encode(raw, dt, &sf.stats, out)
+					ok, err := enc.encode(raw, dt, &sf.stats, nil, out)
 					if ok {
 						sf.stats.Ingested.Add(1)
 					}
@@ -131,11 +128,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 			Parallelism: c.NumNodes(),
 			NewPipe: func(p int) (hyracks.Pipe, error) {
 				router := newFrameRouter(tuning.FrameCapacity, ds.NumPartitions(), pk, ds.Route)
-				ev := &frameEvaluator{evaluator{router: &router, prepared: prepared}}
-				if instances != nil {
-					ev.instance = instances[p]
-				}
-				return ev, nil
+				return &evaluator{router: router, udfCall: calls[p]}, nil
 			},
 		})
 		spec.Connect(adapterOp, last, hyracks.RoundRobin, nil)
@@ -151,19 +144,36 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 	return sf, nil
 }
 
-// frameEvaluator is the dynamic feed's evaluator in a continuous job:
-// each input frame is a batch of its own, so its rows go on to storage
-// before the next frame is read.
-type frameEvaluator struct{ evaluator }
+// evaluator is the static pipeline's UDF step at one partition, with the
+// function's state frozen for the feed's lifetime: each record of an
+// input frame — a view of the adapter-parser's slab — goes through the
+// function (udfCall.frame), and its row is framed for the storage
+// partition that owns its key. Each input frame is a batch of its own,
+// so its rows go on to storage before the next frame is read.
+type evaluator struct {
+	router frameRouter
+	udfCall
+}
+
+// Open implements hyracks.Pipe.
+func (ev *evaluator) Open(*hyracks.TaskContext, hyracks.Writer) error { return nil }
 
 // Push implements hyracks.Pipe.
-func (ev *frameEvaluator) Push(tc *hyracks.TaskContext, fr hyracks.Frame, out hyracks.Writer) error {
+func (ev *evaluator) Push(_ *hyracks.TaskContext, fr hyracks.Frame, out hyracks.Writer) error {
+	defer hyracks.RecycleFrame(fr)
 	ev.router.begin(len(fr.Records))
-	if err := ev.evaluator.Push(tc, fr, out); err != nil {
-		return err
+	for _, rec := range fr.Records {
+		err := ev.frame(&ev.router, rec, out)
+		ev.router.pending--
+		if err != nil {
+			return err
+		}
 	}
 	return ev.router.flush(out)
 }
+
+// Close implements hyracks.Pipe.
+func (ev *evaluator) Close(*hyracks.TaskContext, hyracks.Writer) error { return nil }
 
 // Stop gracefully stops the adapters; in-flight data drains.
 func (s *StaticFeed) Stop() { s.adaptStop() }

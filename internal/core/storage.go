@@ -17,9 +17,9 @@ import (
 // — one WAL append and group commit, one partition lock acquisition, one
 // sorted bulk insert into the memtable, and grouped secondary-index
 // maintenance — instead of paying each of those per record. Every frame
-// that reaches it was routed — by a collector or static adapter-parser
-// with no function, by an evaluator with one — and carries its slab
-// (Frame.Enc), which the partition logs and keeps as it is.
+// that reaches it was routed — by a collector, a static adapter-parser
+// or a static evaluator — and carries its slab (Frame.Enc), which the
+// partition logs and keeps as it is.
 //
 // The writer is the frame's final consumer: storage retains the
 // records (and a routed frame's slab), the spine recycles.

@@ -51,8 +51,8 @@ type Frame struct {
 	// Enc, when non-nil, is the byte slab the Records are views of, laid
 	// out as a storage partition logs them: each record's primary key
 	// encoding, then the record's, pair after pair, nothing else. A feed
-	// emits such frames, one per storage partition (core's collector with
-	// no function, its evaluator with one); the storage writer hands Enc
+	// emits such frames, one per storage partition (core's collector, or
+	// the static pipeline's evaluator); the storage writer hands Enc
 	// to the partition as the write's log payload. Enc is a hint the
 	// partition verifies, never trusts. It is garbage-collected like the
 	// records, never pooled, and anything that rebuilds a frame's Records

@@ -486,6 +486,23 @@ func (plan *EnrichPlan) Describe() []string {
 // can evaluate correctly.
 func (plan *EnrichPlan) Stateless() bool { return !plan.usesDatasets }
 
+// KeepsNoInput reports whether the body calls only builtins and
+// aggregates, so nothing it runs can keep the record EvalRecord is given
+// once the call returns: a caller may then rewrite that record's bytes
+// for the next one. A library call (ns#f) may stash its arguments, and a
+// catalog UDF may make such a call, so either makes the answer false.
+func (plan *EnrichPlan) KeepsNoInput() bool {
+	keeps := false
+	sqlpp.Inspect(plan.body, func(e sqlpp.Expr) bool {
+		if call, ok := e.(*sqlpp.Call); ok && !keeps {
+			_, builtin := LookupBuiltin(call.Name)
+			keeps = call.Ns != "" || !builtin && !IsAggregate(strings.ToLower(call.Name))
+		}
+		return !keeps
+	})
+	return !keeps
+}
+
 // datasetFor resolves at prepare time.
 func datasetFor(cat Catalog, name string) (*lsm.Dataset, error) {
 	ds, ok := cat.Dataset(name)

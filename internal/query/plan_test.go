@@ -675,6 +675,28 @@ func TestEnrichStatelessUDF1(t *testing.T) {
 	}
 }
 
+// TestKeepsNoInput: a body that calls only builtins and aggregates keeps
+// nothing of its input; a library call anywhere in it (Q4's sits inside a
+// builtin's arguments in a subquery's WHERE), or a call to a catalog UDF,
+// may.
+func TestKeepsNoInput(t *testing.T) {
+	cat := paperCatalog(t)
+	cat.addSQLFunction(t, `CREATE FUNCTION callsQ1(t) { SELECT VALUE enrichTweetQ1(t) };`)
+	cat.addSQLFunction(t, `CREATE FUNCTION libLast(t) {
+		LET n = count(t.tags)
+		SELECT t.*, n, lower(t.text) AS a, testlib#removeSpecial(t.text) AS b, upper(t.text) AS c
+	};`)
+	for name, want := range map[string]bool{
+		"enrichTweetQ1": true, "enrichTweetQ2": true, "enrichTweetQ3": true, "enrichTweetQ4": false,
+		"enrichTweetQ5": true, "enrichTweetQ6": true, "enrichTweetQ7": true, "enrichTweetQ8": true,
+		"callsQ1": false, "libLast": false,
+	} {
+		if got := compilePaperUDF(t, cat, name, PlanOptions{}).KeepsNoInput(); got != want {
+			t.Errorf("%s: KeepsNoInput = %v, want %v", name, got, want)
+		}
+	}
+}
+
 func TestCompileEnrichRejectsMultiParam(t *testing.T) {
 	cat := paperCatalog(t)
 	e, _ := sqlpp.ParseExpr(`a + b`)
