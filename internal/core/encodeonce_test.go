@@ -373,7 +373,10 @@ func TestEvaluatorRoutesLikeTheConnector(t *testing.T) {
 // function where it parses and frames the rows the same way: a batch of
 // Q1 rows costs the routed slabs plus the query's own work per record (2
 // allocations, 88 B; query.TestEvalRecordIntoSlabAllocates), because its
-// input is encoded into scratch rewound per record, not into a slab.
+// input is encoded into scratch rewound per record, not into a slab. A
+// function that may keep its input (here a native identity) costs the
+// routed slabs plus an append-only input slab or two per frame of lines,
+// sized like theirs.
 func TestCollectorAllocatesPerFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -393,6 +396,8 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 		want func(line []byte) (adm.Value, error)
 		// allocs and bytes are the function's own budget per record.
 		allocs, bytes int
+		// kept is set when the inputs go into append-only slabs.
+		kept bool
 	}
 	var arms []arm
 	for _, a := range encoderArms(targets) {
@@ -413,18 +418,26 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 	if q1.rewind = plan.KeepsNoInput(); !q1.rewind {
 		t.Fatal("Q1 calls only builtins, yet may keep its input")
 	}
+	tweet := func(line []byte) (adm.Value, error) {
+		rec, err := adm.ParseJSON(line)
+		if err == nil {
+			rec, err = workload.TweetType().Validate(rec)
+		}
+		return rec, err
+	}
 	arms = append(arms, arm{name: "Q1 rows routed", enc: q1, lines: g.Tweets(0, frame*targets),
 		dt: workload.TweetType(), fn: &udfCall{prepared: pe}, allocs: 2, bytes: 88,
 		want: func(line []byte) (adm.Value, error) {
-			rec, err := adm.ParseJSON(line)
-			if err == nil {
-				rec, err = workload.TweetType().Validate(rec)
-			}
+			rec, err := tweet(line)
 			if err != nil {
 				return rec, err
 			}
 			return pe.EvalRecord(rec)
 		}})
+	identity := func(rec adm.Value) (adm.Value, error) { return rec, nil }
+	arms = append(arms, arm{name: "native rows routed", enc: newRecordEncoder(frame, ds.NumPartitions(), "id", ds.Route),
+		lines: g.Tweets(0, frame*targets), dt: workload.TweetType(), kept: true,
+		fn: &udfCall{instance: &udf.FuncInstance{EvalFn: identity}}, want: tweet})
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
 			enc, lines := &arm.enc, arm.lines
@@ -468,6 +481,9 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 					if enc.route != nil {
 						size += adm.BinarySize(rec.Field("id"))
 					}
+					if arm.kept { // the identity's input is its row
+						size += adm.BinarySize(rec)
+					}
 				}
 				records += len(fr.Records)
 			}
@@ -477,7 +493,11 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 			allocs := float64(after.Mallocs-before.Mallocs) / batches
 			bytes := float64(after.TotalAlloc-before.TotalAlloc) / batches
 			t.Logf("%.1f allocations and %.0f bytes per batch of %d records in %d frames (%d bytes encoded)", allocs, bytes, len(lines), len(sink.frames), size)
-			if most := 2*len(lines)/frame + arm.allocs*len(lines); allocs > float64(most) {
+			slabs := 2 * len(lines) / frame
+			if arm.kept {
+				slabs *= 2
+			}
+			if most := slabs + arm.allocs*len(lines); allocs > float64(most) {
 				t.Fatalf("%.1f allocations per batch of %d records, want a slab or two per frame and %d per record", allocs, len(lines), arm.allocs)
 			}
 			if most := size*5/4 + arm.bytes*len(lines); bytes > float64(most) {

@@ -745,8 +745,8 @@ func (f *Feed) newInvocation() (*invocation, error) {
 
 // The steps below — admit, recordEncoder, frameRouter, udfCall and the
 // storage writers — are shared with the static pipeline (static.go):
-// the two frameworks differ in when UDF state is built, not in what
-// happens to a record.
+// the two frameworks differ in when UDF state is built and in which
+// operator runs the UDF, not in what happens to a record.
 
 // admit decides whether a record enters the pipeline: one that failed to
 // parse (perr) or violates the dataset's datatype is dropped and counted
@@ -776,7 +776,8 @@ func admit(dt *adm.Datatype, stats *Stats, rec adm.Value, perr error) (adm.Value
 // encoded into scratch rewound for every record when nothing the
 // function runs can keep it (rewind: query.EnrichPlan.KeepsNoInput), for
 // splice and add copy what a row keeps of it before they return; any
-// other input is appended to a garbage-collected slab nothing rewrites.
+// other input is appended to a garbage-collected slab nothing rewrites,
+// sized as a frame's is (partFrame.open).
 //
 // Unrouted, the encoder frames the records themselves into one frame;
 // that mode serves StartStatic only, whose evaluator takes the frames.
@@ -785,14 +786,11 @@ type recordEncoder struct {
 	arena   *adm.Arena
 	spine   []adm.Value // ParseInto's one-record destination
 	rewind  bool
-	scratch []byte
-	kept    []byte // the append-only input slab
+	scratch []byte    // keeps the largest input's capacity, as the arena does
+	kept    partFrame // the append-only input slab, holding inputs records
+	inputs  int
 	frameRouter
 }
-
-// inputSlab is the size of an append-only input slab (or of the record,
-// if larger), and the most scratch kept after a record.
-const inputSlab = 32 << 10
 
 // newRecordEncoder returns the encoder of a collector partition whose
 // frames hold up to frameCap records. With a route, records are keyed by
@@ -830,18 +828,20 @@ func (e *recordEncoder) encode(raw []byte, dt *adm.Datatype, stats *Stats, fn *u
 // bytes: the scratch when rewinding, else the append-only slab.
 func (e *recordEncoder) input(rec adm.Value) adm.Value {
 	if e.rewind {
-		if cap(e.scratch) > inputSlab {
-			e.scratch = nil
-		}
 		e.scratch = adm.AppendBinary(e.scratch[:0], rec)
 		return adm.View(e.scratch)
 	}
-	if size := adm.BinarySize(rec); cap(e.kept)-len(e.kept) < size {
-		e.kept = make([]byte, 0, max(size, inputSlab))
+	in := &e.kept
+	if size := adm.BinarySize(rec); cap(in.slab)-len(in.slab) < size {
+		in.learn(e.inputs)
+		in.open(size, min(e.frameCap, e.pending))
+		e.inputs = 0
 	}
-	at := len(e.kept)
-	e.kept = adm.AppendBinary(e.kept, rec)
-	return adm.View(e.kept[at:])
+	at := len(in.slab)
+	in.slab = adm.AppendBinary(in.slab, rec)
+	in.largest = max(in.largest, len(in.slab)-at)
+	e.inputs++
+	return adm.View(in.slab[at:])
 }
 
 // frameRouter frames records for their targets, each record encoded into
@@ -882,7 +882,7 @@ type frameRouter struct {
 }
 
 // partFrame is the frame under construction for one target: its records
-// and the slab they are views of.
+// and the slab they are views of (a recordEncoder's input slab has none).
 type partFrame struct {
 	recs []adm.Value
 	slab []byte
@@ -986,7 +986,9 @@ func encodesTo(v adm.Value, enc []byte) bool {
 }
 
 // reserve makes sure pf's slab has room for size more bytes, closing its
-// frame early and giving it a fresh slab when it has not.
+// frame early when it has not and giving it a fresh slab for the records
+// the target can still expect this batch: its share of the pending
+// records, up to a frame.
 func (r *frameRouter) reserve(pf *partFrame, size int, out hyracks.Writer) error {
 	if cap(pf.slab)-len(pf.slab) >= size {
 		return nil
@@ -996,7 +998,7 @@ func (r *frameRouter) reserve(pf *partFrame, size int, out hyracks.Writer) error
 			return err
 		}
 	}
-	r.open(pf, size)
+	pf.open(size, min(r.frameCap, (r.pending+len(r.parts)-1)/len(r.parts)))
 	return nil
 }
 
@@ -1014,29 +1016,32 @@ func (r *frameRouter) keep(pf *partFrame, rec adm.Value, at int, out hyracks.Wri
 	return nil
 }
 
-// open gives an empty frame the slab it will hold, starting with a
-// record of size bytes. The rest of the slab is room for the records the
-// target can still expect this batch — its share of the pending records,
-// up to a frame — at its learned bytes per record. A target that has
-// learned nothing yet gets room for one more record like this one; so
-// the first frame learns from two records, and an outsized record costs
-// its own bytes, at most twice, never once per record still to come.
-func (r *frameRouter) open(pf *partFrame, size int) {
+// open gives pf a fresh slab starting with a record of size bytes. The
+// rest of the slab is room for expect-1 more records at the learned bytes
+// per record. With nothing learned yet there is room for one more record
+// like this one; so the first slab learns from two records, and an
+// outsized record costs its own bytes, at most twice, never once per
+// record still to come.
+func (pf *partFrame) open(size, expect int) {
 	room := size
 	if pf.perRecord > 0 {
-		expect := min(r.frameCap, (r.pending+len(r.parts)-1)/len(r.parts))
 		room = pf.perRecord * max(expect-1, 0)
 	}
-	pf.slab = make([]byte, 0, size+room)
+	pf.slab, pf.largest = make([]byte, 0, size+room), 0
+}
+
+// learn takes the bytes per record from pf's slab, which holds n records.
+func (pf *partFrame) learn(n int) {
+	if n > 1 {
+		per := (len(pf.slab) - pf.largest) / (n - 1)
+		pf.perRecord = per + per/8 + 1
+	}
 }
 
 // push sends pf's frame to out and leaves pf empty, learning the
 // target's bytes per record from the frame first.
 func (r *frameRouter) push(pf *partFrame, out hyracks.Writer) error {
-	if n := len(pf.recs); n > 1 {
-		per := (len(pf.slab) - pf.largest) / (n - 1)
-		pf.perRecord = per + per/8 + 1
-	}
+	pf.learn(len(pf.recs))
 	fr := hyracks.Frame{Records: pf.recs}
 	if r.route != nil {
 		fr.Enc = pf.slab
