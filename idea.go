@@ -273,14 +273,15 @@ func (c *Cluster) DatasetLen(name string) (int, error) {
 	return ds.Len(), nil
 }
 
-// Get fetches one record by primary key.
+// Get fetches one record by primary key. A storage read fault is the
+// error, never a not-found.
 func (c *Cluster) Get(dataset string, pk Value) (Value, bool, error) {
 	ds, ok := c.inner.Dataset(dataset)
 	if !ok {
 		return Value{}, false, fmt.Errorf("%w %q", ErrUnknownDataset, dataset)
 	}
-	rec, found := ds.Get(pk.v)
-	return Value{rec}, found, nil
+	rec, found, err := ds.Partition(ds.Route(pk.v)).Get(pk.v)
+	return Value{rec}, found, err
 }
 
 // CallFunction invokes a catalog UDF directly (handy for testing

@@ -39,7 +39,8 @@ type Config struct {
 	// NewAdapter builds adapter i (0 ≤ i < Adapters).
 	NewAdapter func(i int) (Adapter, error)
 	// DisableIndexes applies the paper's no-index query hint (Naive
-	// Nearby Monuments).
+	// Nearby Monuments): no index joins, on a spatial index or on the
+	// primary index.
 	DisableIndexes bool
 	// Natives resolves native ("Java") UDFs.
 	Natives *udf.Registry
@@ -94,15 +95,15 @@ type Stats struct {
 	Invocations atomic.Int64
 	// BatchNanos accumulates computing-job wall time (refresh periods).
 	BatchNanos atomic.Int64
-	// StateBuilds counts invocations of a SQL++ UDF that built or
-	// patched enrichment state — all of it, or the part whose reference
-	// data had changed — and StateReuses those that reused the previous
-	// invocation's state whole. AccessBuilds counts the hash tables,
-	// R-trees, scan shards and const-subquery results the builds
+	// StateBuilds counts invocations of a SQL++ UDF that built, patched
+	// or re-pinned enrichment state — all of it, or the part whose
+	// reference data had changed — and StateReuses those that reused the
+	// previous invocation's state whole. AccessBuilds counts the hash
+	// tables, R-trees, scan shards and const-subquery results the builds
 	// produced, and AccessPatches the hash tables patched in place from
-	// the writes since the previous batch instead. A feed whose
-	// AccessBuilds track Invocations is paying the rebuild on every
-	// batch.
+	// the writes since the previous batch instead; a probe of the primary
+	// index is neither. A feed whose AccessBuilds track Invocations is
+	// paying the rebuild on every batch.
 	StateBuilds   atomic.Int64
 	StateReuses   atomic.Int64
 	AccessBuilds  atomic.Int64
@@ -154,15 +155,15 @@ type FeedStats struct {
 	// MeanRefresh is the mean computing-job duration — the paper's
 	// refresh-period metric (Figure 26).
 	MeanRefresh time.Duration
-	// StateBuilds counts invocations of a SQL++ UDF that built or
-	// patched enrichment state (hash tables, R-trees, ...) because
+	// StateBuilds counts invocations of a SQL++ UDF that built, patched
+	// or re-pinned enrichment state (hash tables, R-trees, ...) because
 	// reference data had changed since the previous batch; StateReuses counts
 	// those that reused the previous batch's state whole. AccessBuilds
 	// counts the individual structures the builds produced, and
 	// AccessPatches the hash tables patched in place from the reference
-	// writes since the previous batch instead of rebuilt. A feed whose
-	// AccessBuilds keep pace with Invocations pays the rebuild on every
-	// batch.
+	// writes since the previous batch instead of rebuilt; a probe of the
+	// primary index is neither. A feed whose AccessBuilds keep pace with
+	// Invocations pays the rebuild on every batch.
 	StateBuilds   int64
 	StateReuses   int64
 	AccessBuilds  int64

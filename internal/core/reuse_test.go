@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,6 +71,18 @@ const viewUDF = `CREATE FUNCTION viewOf(t) {
 	SELECT t.*, ratings
 };`
 
+// pkViewUDF carries the same view through five probes of Ratings'
+// primary index, one per key a test writes (the record lists them), so
+// every lookup reads the batch's pinned snapshot.
+const pkViewUDF = `CREATE FUNCTION pkViewOf(t) {
+	LET ratings0 = (SELECT r.k AS k, r.v AS v FROM Ratings r WHERE r.k = t.keys[0]),
+	    ratings1 = (SELECT r.k AS k, r.v AS v FROM Ratings r WHERE r.k = t.keys[1]),
+	    ratings2 = (SELECT r.k AS k, r.v AS v FROM Ratings r WHERE r.k = t.keys[2]),
+	    ratings3 = (SELECT r.k AS k, r.v AS v FROM Ratings r WHERE r.k = t.keys[3]),
+	    ratings4 = (SELECT r.k AS k, r.v AS v FROM Ratings r WHERE r.k = t.keys[4])
+	SELECT t.*, ratings0, ratings1, ratings2, ratings3, ratings4
+};`
+
 // steppedFeed drives a feed one record — one invocation — at a time.
 // The pipeline runs on node 0 alone with BatchSize 1, so every record
 // is its own frame and its own computing job, and the test knows
@@ -132,9 +145,15 @@ func (s *steppedFeed) step(between func()) int {
 	}
 	s.floor = append(s.floor, time.Now())
 	id := s.sent
-	s.ch <- []byte(fmt.Sprintf(`{"id":%d,"grp":"g"}`, id))
+	s.ch <- steppedRecord(id)
 	s.sent++
 	return id
+}
+
+// steppedRecord is the record a stepped feed sends as its id'th: one
+// shared grp for viewOf, and the keys pkViewOf looks up.
+func steppedRecord(id int) []byte {
+	return []byte(fmt.Sprintf(`{"id":%d,"grp":"g","keys":["own","u0","u1","u2","u3"]}`, id))
 }
 
 // finish drains the feed and returns what it stored, by id.
@@ -158,11 +177,18 @@ func (s *steppedFeed) finish(c *cluster.Cluster) map[int]adm.Value {
 	return out
 }
 
-// view extracts key → version from a record enriched by viewOf.
+// view extracts key → version from a record enriched by viewOf or
+// pkViewOf: the rows of every field named ratings….
 func view(rec adm.Value) map[string]int64 {
 	out := map[string]int64{}
-	for _, r := range rec.Field("ratings").ArrayVal() {
-		out[r.Field("k").StringVal()] = r.Field("v").IntVal()
+	o := rec.ObjectVal()
+	for i := range o.Len() {
+		if !strings.HasPrefix(o.Name(i), "ratings") {
+			continue
+		}
+		for _, r := range o.At(i).ArrayVal() {
+			out[r.Field("k").StringVal()] = r.Field("v").IntVal()
+		}
 	}
 	return out
 }
@@ -244,17 +270,22 @@ func (l *refLog) check(t *testing.T, id int, got map[string]int64, floor, ceil t
 	}
 }
 
-// runModel2 drives rounds one-record batches through viewOf. The test
+// runModel2 drives rounds one-record batches through the function ddl
+// declares (viewOf or pkViewOf). The test
 // goroutine writes key "own" between batches on a fixed script; with
 // racing set, a second goroutine upserts and deletes four more keys
 // concurrently for the first two thirds of the run. Every stored record
 // is checked against the invariant.
-func runModel2(t *testing.T, rounds int, recompile, racing bool) (map[int]map[string]int64, *Stats) {
+func runModel2(t *testing.T, ddl string, rounds int, recompile, racing bool) (map[int]map[string]int64, *Stats) {
 	t.Helper()
 	c := reuseCluster(t)
-	createFunction(t, c, viewUDF)
+	createFunction(t, c, ddl)
 	log := newRefLog(mustDataset(t, c, "Ratings"), "own", "u0", "u1", "u2", "u3")
-	s := startStepped(t, c, "viewOf", recompile)
+	fn, err := parseDDL(ddl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := startStepped(t, c, fn.Name, recompile)
 
 	stop := make(chan struct{})
 	var updater sync.WaitGroup
@@ -302,11 +333,12 @@ func runModel2(t *testing.T, rounds int, recompile, racing bool) (map[int]map[st
 // reference rows upserted and deleted beside ingestion, every stored
 // record carries ratings at least as new as the newest acknowledged
 // before its batch began — with state reuse and with the
-// rebuild-every-batch ablation — and on the same scripted input the two
-// store identical data. Run under -race.
+// rebuild-every-batch ablation, through a patched hash table and through
+// probes of the primary index — and on the same scripted input all of
+// them store identical data. Run under -race.
 func TestModel2Invariant(t *testing.T) {
 	t.Run("racing updates", func(t *testing.T) {
-		_, st := runModel2(t, 600, false, true)
+		_, st := runModel2(t, viewUDF, 600, false, true)
 		if st.StateReuses.Load() < 10 {
 			t.Errorf("reuses = %d over a quiet tail of 12 batches", st.StateReuses.Load())
 		}
@@ -317,8 +349,20 @@ func TestModel2Invariant(t *testing.T) {
 			t.Error("no refresh patched the hash table")
 		}
 	})
+	t.Run("pk probe, racing updates", func(t *testing.T) {
+		_, st := runModel2(t, pkViewUDF, 600, false, true)
+		if st.StateReuses.Load() < 10 {
+			t.Errorf("reuses = %d over a quiet tail of 12 batches", st.StateReuses.Load())
+		}
+		if st.StateBuilds.Load() < 295 {
+			t.Errorf("refreshes = %d, fewer than the scripted writes alone require", st.StateBuilds.Load())
+		}
+		if b, p := st.AccessBuilds.Load(), st.AccessPatches.Load(); b != 0 || p != 0 {
+			t.Errorf("%d accesses built, %d patched; a primary-key probe only pins", b, p)
+		}
+	})
 	t.Run("reuse equals rebuild-every-batch", func(t *testing.T) {
-		reuse, st := runModel2(t, 120, false, false)
+		reuse, st := runModel2(t, viewUDF, 120, false, false)
 		// 54 scripted writes, each seen by exactly the next batch, plus
 		// the initial build; every other batch must have reused.
 		if b, r := st.StateBuilds.Load(), st.StateReuses.Load(); b != 55 || r != 121-55 {
@@ -327,12 +371,19 @@ func TestModel2Invariant(t *testing.T) {
 		if st.AccessPatches.Load() == 0 {
 			t.Error("reuse run: no refresh patched the hash table")
 		}
-		rebuild, st := runModel2(t, 120, true, false)
+		rebuild, st := runModel2(t, viewUDF, 120, true, false)
 		if b, r := st.StateBuilds.Load(), st.StateReuses.Load(); b != 121 || r != 0 {
 			t.Errorf("RecompilePerBatch run: %d builds, %d reuses; it must rebuild unconditionally", b, r)
 		}
 		if !reflect.DeepEqual(reuse, rebuild) {
 			t.Errorf("reuse and rebuild-every-batch stored different data:\nreuse   %v\nrebuild %v", reuse, rebuild)
+		}
+		pk, st := runModel2(t, pkViewUDF, 120, false, false)
+		if b, r := st.StateBuilds.Load(), st.StateReuses.Load(); b != 55 || r != 121-55 || st.AccessBuilds.Load() != 0 {
+			t.Errorf("primary-key run: %d refreshes, %d reuses, %d accesses built; want 55, 66 and 0", b, r, st.AccessBuilds.Load())
+		}
+		if !reflect.DeepEqual(reuse, pk) {
+			t.Errorf("the hash join and the primary-key probes stored different data:\nhash %v\npk   %v", reuse, pk)
 		}
 	})
 }
@@ -465,7 +516,10 @@ func TestReuseRebuildsOnlyTheWrittenDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(int64(last)), "grp", adm.String("g")))
+	in, err := adm.ParseJSON(steppedRecord(last))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, err := full.EvalRecord(in)
 	if err != nil {
 		t.Fatal(err)

@@ -137,6 +137,17 @@ func TestFig27Tiny(t *testing.T) {
 			t.Errorf("%s at update rate 0: %v access builds, want at most 1", fn, b)
 		}
 	}
+	// Safety Rating probes the primary index of the dataset the updates
+	// write: at any rate it builds and patches nothing.
+	for _, row := range table.Rows {
+		if row[0] != workload.UseCaseLabels["enrichTweetQ1"] {
+			continue
+		}
+		cell := map[string]string{"use case": row[0], "update rate (rec/s)": row[1]}
+		if b, p := cellValue(t, table, cell, "access builds"), cellValue(t, table, cell, "access patches"); b != 0 || p != 0 {
+			t.Errorf("Safety Rating at update rate %s: %v access builds, %v patches; want none", row[1], b, p)
+		}
+	}
 }
 
 func TestFig28Tiny(t *testing.T) {

@@ -40,7 +40,7 @@ func TestUpsertBatchMatchesModel(t *testing.T) {
 		}
 	}
 	for k, v := range model {
-		got, ok := p.Get(adm.Int(k))
+		got, ok, _ := p.Get(adm.Int(k))
 		if !ok || got.Field("v").IntVal() != v {
 			t.Fatalf("Get(%d) = %v,%v want v=%d", k, got, ok, v)
 		}

@@ -385,7 +385,7 @@ func TestRoutedFrameLayoutFallback(t *testing.T) {
 			if got := charged(pf); got != wantCharge {
 				t.Fatalf("charged %d, want %d", got, wantCharge)
 			}
-			v, ok := pf.Get(c.keys[0])
+			v, ok, _ := pf.Get(c.keys[0])
 			if _, kept := adm.ViewAt(v, c.enc, adm.BinarySize(c.keys[0])); !ok || kept != c.routed {
 				t.Fatalf("the memtable keeps the frame's slab: %v, want %v", kept, c.routed)
 			}

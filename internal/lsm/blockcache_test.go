@@ -144,8 +144,8 @@ func TestBlockCacheDifferential(t *testing.T) {
 	checkKey := func(k adm.Value, tag string) {
 		t.Helper()
 		want, inShadow := shadow[k.IntVal()]
-		gotOn, okOn := pOn.Get(k)
-		gotOff, okOff := pOff.Get(k)
+		gotOn, okOn, _ := pOn.Get(k)
+		gotOff, okOff, _ := pOff.Get(k)
 		if okOn != inShadow || okOff != inShadow {
 			t.Fatalf("%s: key %v presence on=%v off=%v shadow=%v", tag, k, okOn, okOff, inShadow)
 		}
@@ -228,7 +228,7 @@ func TestBlockCacheDifferential(t *testing.T) {
 	defer pOff.Close()
 	pOn = reopened
 	for k, want := range shadow {
-		got, ok := pOn.Get(adm.Int(k))
+		got, ok, _ := pOn.Get(adm.Int(k))
 		if !ok || got.Field("v").IntVal() != want {
 			t.Fatalf("reopen: key %d = %v,%v want %d", k, got, ok, want)
 		}
@@ -290,7 +290,7 @@ func TestBlockCacheConcurrentReaders(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for it := 0; it < 400; it++ {
 				k := r.Int63n(sealed * 2) // half the probes miss
-				got, ok := p.Get(adm.Int(k))
+				got, ok, _ := p.Get(adm.Int(k))
 				if k < sealed {
 					if !ok || got.Field("v").IntVal() != k {
 						t.Errorf("sealed key %d = %v,%v", k, got, ok)

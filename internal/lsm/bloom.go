@@ -3,6 +3,7 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -120,6 +121,8 @@ type pointProbe struct {
 	key    adm.Value
 	buf    []byte
 	hash   uint64
+	alt    uint64 // the hash of the key's other numeric encoding, if hasAlt
+	hasAlt bool
 	hashed bool
 }
 
@@ -137,13 +140,34 @@ func putProbe(kp *pointProbe) {
 	probePool.Put(kp)
 }
 
-// keyHash returns the probe key's stable bloom hash, computing it on
-// first use.
-func (kp *pointProbe) keyHash() uint64 {
+// mayBeIn reports whether f may hold the probe key, hashing the key on
+// first use. A numeric key equals the key of the other numeric kind with
+// the same value (3 = 3.0), whose encoding — and so bloom hash — differs,
+// so it is asked for under both.
+func (kp *pointProbe) mayBeIn(f *bloomFilter) bool {
 	if !kp.hashed {
 		kp.buf = adm.AppendBinary(kp.buf[:0], kp.key)
 		kp.hash = bloomHash(kp.buf)
+		var alt adm.Value
+		if alt, kp.hasAlt = otherNumeric(kp.key); kp.hasAlt {
+			kp.buf = adm.AppendBinary(kp.buf[:0], alt)
+			kp.alt = bloomHash(kp.buf)
+		}
 		kp.hashed = true
 	}
-	return kp.hash
+	return f.mayContain(kp.hash) || kp.hasAlt && f.mayContain(kp.alt)
+}
+
+// otherNumeric returns the value of the other numeric kind that equals v
+// under adm.Compare: an int64's double, an integral double's int64.
+func otherNumeric(v adm.Value) (adm.Value, bool) {
+	switch v.Kind() {
+	case adm.KindInt64:
+		return adm.Double(float64(v.IntVal())), true
+	case adm.KindDouble:
+		if f := v.DoubleVal(); f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+			return adm.Int(int64(f)), true
+		}
+	}
+	return adm.Value{}, false
 }

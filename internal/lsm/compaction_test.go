@@ -275,7 +275,7 @@ func TestCompactionBypassesBlockCache(t *testing.T) {
 	cache := NewBlockCache(8 << 20)
 	p := threeRunPartition(t, NewMemFS(), Options{MemBudget: 1 << 30, MaxComponents: 8, BlockCache: cache})
 	defer p.Close()
-	if _, ok := p.Get(adm.Int(5)); !ok {
+	if _, ok, _ := p.Get(adm.Int(5)); !ok {
 		t.Fatal("Get(5) missed")
 	}
 	before := cache.Stats()

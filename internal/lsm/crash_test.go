@@ -80,7 +80,7 @@ func verifyRecovered(t *testing.T, p *Partition, acked map[int64]int64, tag stri
 	t.Helper()
 	certain := 0
 	for k, v := range acked {
-		got, ok := p.Get(adm.Int(k))
+		got, ok, _ := p.Get(adm.Int(k))
 		if v == -1 {
 			continue // uncertain delete: any state is acceptable
 		}
@@ -105,7 +105,7 @@ func verifyRecovered(t *testing.T, p *Partition, acked map[int64]int64, tag stri
 	if err := p.Err(); err != nil {
 		t.Fatalf("%s: recovered partition rejects writes: %v", tag, err)
 	}
-	if got, ok := p.Get(adm.Int(-99)); !ok || got.Field("ver").IntVal() != -99 {
+	if got, ok, _ := p.Get(adm.Int(-99)); !ok || got.Field("ver").IntVal() != -99 {
 		t.Fatalf("%s: write after recovery not visible", tag)
 	}
 	_ = certain

@@ -235,9 +235,11 @@ func (d *Dataset) Delete(pk adm.Value) (existed bool, err error) {
 	return d.partitions[d.Route(pk)].Delete(pk)
 }
 
-// Get returns the live record with the given primary key.
+// Get returns the live record with the given primary key. A read fault
+// reads as not-found here; Partition.Get reports it.
 func (d *Dataset) Get(pk adm.Value) (adm.Value, bool) {
-	return d.partitions[d.Route(pk)].Get(pk)
+	v, ok, _ := d.partitions[d.Route(pk)].Get(pk)
+	return v, ok
 }
 
 // Epoch returns the per-partition mutation epochs (see Partition.Epoch).

@@ -164,8 +164,8 @@ func diffCheck(t *testing.T, op int, reopened, steady *Partition, shadow map[int
 		t.Fatalf("op %d: never-reopened Len = %d, shadow %d", op, got, want)
 	}
 	for k, v := range shadow {
-		rg, rok := reopened.Get(adm.Int(k))
-		sg, sok := steady.Get(adm.Int(k))
+		rg, rok, _ := reopened.Get(adm.Int(k))
+		sg, sok, _ := steady.Get(adm.Int(k))
 		if !rok || rg.Field("ver").IntVal() != v {
 			t.Fatalf("op %d: reopened Get(%d) = %v,%v want ver=%d", op, k, rg, rok, v)
 		}

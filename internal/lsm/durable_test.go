@@ -175,14 +175,14 @@ func TestDurableBasicReopen(t *testing.T) {
 	if got := p.Len(); got != 99 {
 		t.Fatalf("Len after reopen = %d, want 99", got)
 	}
-	if _, ok := p.Get(adm.Int(7)); ok {
+	if _, ok, _ := p.Get(adm.Int(7)); ok {
 		t.Fatal("deleted key resurrected by replay")
 	}
 	for i := int64(0); i < 100; i++ {
 		if i == 7 {
 			continue
 		}
-		got, ok := p.Get(adm.Int(i))
+		got, ok, _ := p.Get(adm.Int(i))
 		if !ok || got.Field("v").IntVal() != i*i {
 			t.Fatalf("Get(%d) after reopen = %v,%v", i, got, ok)
 		}
@@ -227,7 +227,7 @@ func TestDurableFlushAndReopen(t *testing.T) {
 		t.Fatalf("Len after reopen = %d, want %d", got, want)
 	}
 	for k, v := range model {
-		got, ok := p.Get(adm.Int(k))
+		got, ok, _ := p.Get(adm.Int(k))
 		if !ok || got.Field("v").IntVal() != v {
 			t.Fatalf("Get(%d) = %v,%v want v=%d", k, got, ok, v)
 		}

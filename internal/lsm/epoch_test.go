@@ -140,8 +140,10 @@ func TestSnapshotErrReportsRunReadFault(t *testing.T) {
 
 // TestPointLookupNeverAnswersStale: a lookup whose newest run cannot be
 // read must not fall through to an older run and answer with the
-// version the newer one replaced. Here the older run's block is cached,
-// so only the newer run touches the failing device.
+// version the newer one replaced, nor pass for not-found: it returns the
+// read fault, and an INSERT's duplicate check fails the write with it
+// instead of taking the key for absent. Here the older run's block is
+// cached, so only the newer run touches the failing device.
 func TestPointLookupNeverAnswersStale(t *testing.T) {
 	fsys := NewMemFS()
 	p, err := OpenPartition(fsys, "part", Options{MemBudget: 1 << 20, MaxComponents: 8, BlockCache: NewBlockCache(1 << 20)})
@@ -161,24 +163,66 @@ func TestPointLookupNeverAnswersStale(t *testing.T) {
 		}
 	}
 	store(1)
-	if v, ok := p.Get(key); !ok || v.Field("v").IntVal() != 1 {
-		t.Fatalf("Get = %v, %v; want version 1", v, ok)
+	if v, ok, err := p.Get(key); !ok || err != nil || v.Field("v").IntVal() != 1 {
+		t.Fatalf("Get = %v, %v, %v; want version 1", v, ok, err)
 	}
 	store(2)
 	if p.Runs() != 2 {
 		t.Fatalf("runs = %d, want the two versions in two runs", p.Runs())
 	}
 	snap := p.Snapshot()
+	epoch := p.Epoch()
 
 	fsys.FailReads(true)
 	defer fsys.FailReads(false)
-	for name, get := range map[string]func(adm.Value) (adm.Value, bool){"Partition.Get": p.Get, "Snapshot.Get": snap.Get} {
-		if v, ok := get(key); ok {
-			t.Errorf("%s answered %v under a read fault on the run holding version 2", name, v)
+	for name, get := range map[string]func(adm.Value) (adm.Value, bool, error){"Partition.Get": p.Get, "Snapshot.Get": snap.Get} {
+		if v, ok, err := get(key); ok || !errors.Is(err, ErrInjected) {
+			t.Errorf("%s = %v, %v, %v under a read fault on the run holding version 2; want the fault", name, v, ok, err)
 		}
 	}
 	if err := snap.Err(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Snapshot.Err = %v, want the injected read fault", err)
+	}
+	if err := p.Insert(key, rec(7, "v", adm.Int(3))); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Insert over an unreadable run = %v, want the read fault", err)
+	}
+	if p.Epoch() != epoch {
+		t.Fatal("the failed Insert was logged")
+	}
+}
+
+// TestPointLookupPromotesNumericKeys: a point lookup finds a key stored
+// as the other numeric kind with the same value (7 = 7.0), as
+// adm.Compare equates them, from the memtable and from a run whose bloom
+// filter hashed the stored encoding; a non-integral double matches no
+// int64.
+func TestPointLookupPromotesNumericKeys(t *testing.T) {
+	p, err := OpenPartition(NewMemFS(), "part", Options{MemBudget: 1 << 20, MaxComponents: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for _, k := range []adm.Value{adm.Int(7), adm.Double(9)} {
+		if err := p.Upsert(k, rec(1, "k", k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probes := []struct {
+		key   adm.Value
+		found bool
+	}{{adm.Int(7), true}, {adm.Double(7), true}, {adm.Int(9), true}, {adm.Double(9), true}, {adm.Double(7.5), false}, {adm.Int(8), false}}
+	for _, where := range []string{"memtable", "run"} {
+		if where == "run" {
+			p.Flush()
+			if err := p.WaitForFlush(); err != nil || p.Runs() != 1 {
+				t.Fatalf("flush: %v, %d runs", err, p.Runs())
+			}
+		}
+		for _, pr := range probes {
+			if _, ok, err := p.Get(pr.key); ok != pr.found || err != nil {
+				t.Errorf("%s: Get(%v) = %v, %v; want found=%v", where, pr.key, ok, err, pr.found)
+			}
+		}
 	}
 }
 

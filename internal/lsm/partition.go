@@ -542,7 +542,8 @@ func (p *Partition) write(mode writeMode, keys, recs []adm.Value, routed []byte)
 	case p.closed:
 		err = errClosed
 	case mode == writeInsert || mode == writeDelete:
-		if _, existed = p.getLocked(keys[0]); existed && mode == writeInsert {
+		// A read fault fails the write: it must not pass for an absent key.
+		if _, existed, err = p.getLocked(keys[0]); existed && mode == writeInsert {
 			err = fmt.Errorf("lsm: duplicate key %s", keys[0])
 		}
 	}
@@ -630,7 +631,9 @@ func (p *Partition) maintainIndexesBatchLocked(items []index.Item) {
 	oldB, oldKeys, oldRecs := getValuePairBatch(len(items))
 	newB, newKeys, newRecs := getValuePairBatch(len(items))
 	for _, it := range items {
-		if old, ok := p.getLocked(it.Key); ok {
+		// The batch is logged already, so a read fault cannot fail it; it
+		// stays the run's sticky error, and the old entry stays indexed.
+		if old, ok, _ := p.getLocked(it.Key); ok {
 			oldKeys = append(oldKeys, it.Key)
 			oldRecs = append(oldRecs, old)
 		}
@@ -706,36 +709,35 @@ func (p *Partition) freezeLocked() {
 
 // getLocked performs a point lookup across memtable and components,
 // newest first.
-func (p *Partition) getLocked(key adm.Value) (adm.Value, bool) {
+func (p *Partition) getLocked(key adm.Value) (adm.Value, bool, error) {
 	if v, ok := p.mem.Get(key); ok {
 		if v.IsMissing() {
-			return adm.Value{}, false
+			return adm.Value{}, false, nil
 		}
-		return v, true
+		return v, true, nil
 	}
 	return lookupComponents(p.components, key)
 }
 
 // lookupComponents point-looks-up key across components newest first,
 // mapping tombstones to not-found. A run whose block cannot be read ends
-// the lookup as not-found: the key's newest version may be in that
-// block, so no older component may answer for it (the read error stays
-// the run's sticky error, which Snapshot.Err reports). Run-backed
-// components share one pooled probe, so the key's bloom hash is computed
-// at most once per lookup (and not at all when fences reject every run).
-func lookupComponents(comps []*component, key adm.Value) (v adm.Value, found bool) {
+// the lookup with the read error (also the run's sticky error, which
+// Snapshot.Err reports): the key's newest version may be in that block,
+// so no older component may answer for it. Run-backed components share
+// one pooled probe, so the key's bloom hash is computed at most once per
+// lookup (and not at all when fences reject every run).
+func lookupComponents(comps []*component, key adm.Value) (v adm.Value, found bool, err error) {
 	var kp *pointProbe
 	for _, c := range comps {
-		var failed bool
 		if c.run != nil {
 			if kp == nil {
 				kp = getProbe(key)
 			}
-			v, found, failed = c.run.get(kp)
+			v, found, err = c.run.get(kp)
 		} else {
 			v, found = c.tree.Get(key)
 		}
-		if failed || found {
+		if err != nil || found {
 			break
 		}
 	}
@@ -743,13 +745,14 @@ func lookupComponents(comps []*component, key adm.Value) (v adm.Value, found boo
 		putProbe(kp)
 	}
 	if !found || v.IsMissing() {
-		return adm.Value{}, false
+		return adm.Value{}, false, err
 	}
-	return v, true
+	return v, true, nil
 }
 
-// Get returns the live record stored under key.
-func (p *Partition) Get(key adm.Value) (adm.Value, bool) {
+// Get returns the live record stored under key, or the read fault that
+// kept the lookup from knowing it.
+func (p *Partition) Get(key adm.Value) (adm.Value, bool, error) {
 	p.renv.ctr.gets.Add(1)
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -851,11 +854,12 @@ type Snapshot struct {
 	components []*component // newest first
 }
 
-// Get performs a point lookup in the snapshot.
-func (s *Snapshot) Get(key adm.Value) (adm.Value, bool) {
-	v, ok := lookupComponents(s.components, key)
+// Get performs a point lookup in the snapshot. A block that cannot be
+// read fails the lookup with its read error, never answers not-found.
+func (s *Snapshot) Get(key adm.Value) (adm.Value, bool, error) {
+	v, ok, err := lookupComponents(s.components, key)
 	runtime.KeepAlive(s)
-	return v, ok
+	return v, ok, err
 }
 
 // Scan visits every live record in primary-key order until fn returns
@@ -867,9 +871,9 @@ func (s *Snapshot) Scan(fn func(key, rec adm.Value) bool) {
 }
 
 // Err returns the first sticky read error (I/O, CRC) among the
-// snapshot's run files, or nil. Scans and lookups degrade a failed
-// block read to "no more records"/"not found", so a consumer that
-// builds state from a scan checks Err once the scan returns.
+// snapshot's run files, or nil. A scan degrades a failed block read to
+// "no more records", so a consumer that builds state from a scan checks
+// Err once the scan returns.
 func (s *Snapshot) Err() error { return runsErr(s.components) }
 
 // runsErr returns the first sticky read error among the components' run

@@ -72,16 +72,16 @@ func settle(t testing.TB, p *Partition) {
 func TestPartitionUpsertGet(t *testing.T) {
 	p := memPartition(t, DefaultOptions())
 	p.Upsert(adm.Int(1), rec(1, "v", adm.String("a")))
-	got, ok := p.Get(adm.Int(1))
+	got, ok, _ := p.Get(adm.Int(1))
 	if !ok || got.Field("v").StringVal() != "a" {
 		t.Fatalf("Get = %v,%v", got, ok)
 	}
 	p.Upsert(adm.Int(1), rec(1, "v", adm.String("b")))
-	got, _ = p.Get(adm.Int(1))
+	got, _, _ = p.Get(adm.Int(1))
 	if got.Field("v").StringVal() != "b" {
 		t.Error("upsert should replace")
 	}
-	if _, ok := p.Get(adm.Int(2)); ok {
+	if _, ok, _ := p.Get(adm.Int(2)); ok {
 		t.Error("absent key should miss")
 	}
 }
@@ -102,7 +102,7 @@ func TestPartitionDelete(t *testing.T) {
 	if existed, err := p.Delete(adm.Int(1)); !existed || err != nil {
 		t.Errorf("delete of live record = %v, %v; want true, nil", existed, err)
 	}
-	if _, ok := p.Get(adm.Int(1)); ok {
+	if _, ok, _ := p.Get(adm.Int(1)); ok {
 		t.Error("deleted key still visible")
 	}
 	if existed, err := p.Delete(adm.Int(2)); existed || err != nil {
@@ -114,11 +114,11 @@ func TestPartitionDelete(t *testing.T) {
 	}
 	p.Snapshot() // force freeze
 	p.Delete(adm.Int(100))
-	if _, ok := p.Get(adm.Int(100)); ok {
+	if _, ok, _ := p.Get(adm.Int(100)); ok {
 		t.Error("tombstone must shadow frozen component")
 	}
 	snap := p.Snapshot()
-	if _, ok := snap.Get(adm.Int(100)); ok {
+	if _, ok, _ := snap.Get(adm.Int(100)); ok {
 		t.Error("snapshot must respect tombstone")
 	}
 }
@@ -142,7 +142,7 @@ func TestPartitionFlushAndMerge(t *testing.T) {
 	}
 	// All records still visible.
 	for i := int64(0); i < n; i += 97 {
-		if _, ok := p.Get(adm.Int(i)); !ok {
+		if _, ok, _ := p.Get(adm.Int(i)); !ok {
 			t.Fatalf("key %d lost after flush/merge", i)
 		}
 	}
@@ -173,11 +173,11 @@ func TestSnapshotIsStable(t *testing.T) {
 	if count != 100 {
 		t.Errorf("snapshot scanned %d records, want 100", count)
 	}
-	if _, ok := snap.Get(adm.Int(1000)); ok {
+	if _, ok, _ := snap.Get(adm.Int(1000)); ok {
 		t.Error("snapshot saw record inserted after it was taken")
 	}
 	// A fresh snapshot sees the new state.
-	if v, ok := p.Snapshot().Get(adm.Int(5)); !ok || v.Field("v").IntVal() != 1 {
+	if v, ok, _ := p.Snapshot().Get(adm.Int(5)); !ok || v.Field("v").IntVal() != 1 {
 		t.Error("new snapshot missed update")
 	}
 }
@@ -224,10 +224,10 @@ func TestSnapshotGetAcrossComponents(t *testing.T) {
 	p.Upsert(adm.Int(1), rec(1, "v", adm.Int(2)))
 	p.Upsert(adm.Int(2), rec(2, "v", adm.Int(9)))
 	snap := p.Snapshot()
-	if v, ok := snap.Get(adm.Int(1)); !ok || v.Field("v").IntVal() != 2 {
+	if v, ok, _ := snap.Get(adm.Int(1)); !ok || v.Field("v").IntVal() != 2 {
 		t.Errorf("newest version must win: %v %v", v, ok)
 	}
-	if v, ok := snap.Get(adm.Int(2)); !ok || v.Field("v").IntVal() != 9 {
+	if v, ok, _ := snap.Get(adm.Int(2)); !ok || v.Field("v").IntVal() != 9 {
 		t.Errorf("Get(2) = %v,%v", v, ok)
 	}
 }
@@ -533,7 +533,7 @@ func ExamplePartition() {
 	p, _ := OpenPartition(NewMemFS(), "part", DefaultOptions())
 	defer p.Close()
 	p.Upsert(adm.Int(1), rec(1, "text", adm.String("let there be light")))
-	v, _ := p.Get(adm.Int(1))
+	v, _, _ := p.Get(adm.Int(1))
 	fmt.Println(v.Field("text").StringVal())
 	// Output: let there be light
 }
@@ -627,7 +627,7 @@ func TestFrozenTreeComponentImmutable(t *testing.T) {
 	if n != 100 {
 		t.Fatalf("cursor saw %d records", n)
 	}
-	if v, _ := p.Get(adm.Int(3)); v.Field("v").StringVal() != "new" {
+	if v, _, _ := p.Get(adm.Int(3)); v.Field("v").StringVal() != "new" {
 		t.Fatal("live read should see the new version")
 	}
 }

@@ -59,7 +59,7 @@ func BenchmarkPointLookupDurable(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, ok := p.Get(key(i))
+				_, ok, _ := p.Get(key(i))
 				if ok != wantFound {
 					b.Fatalf("get(%v) found=%v, want %v", key(i), ok, wantFound)
 				}

@@ -580,21 +580,21 @@ func (r *runFile) err() error {
 // filter, then binary-search the block index for the last block whose
 // first key is <= key and binary-search that block's encoded keys. The
 // record comes back as a view of the block's bytes, so a hit on a
-// resident block decodes and allocates nothing. failed reports a block
-// that could not be read — it becomes the run's sticky error — so the
-// key may be here after all.
-func (r *runFile) get(kp *pointProbe) (v adm.Value, found, failed bool) {
+// resident block decodes and allocates nothing. An error is a block that
+// could not be read — it becomes the run's sticky error — so the key may
+// be here after all.
+func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 	if len(r.blocks) == 0 {
-		return adm.Value{}, false, false
+		return adm.Value{}, false, nil
 	}
 	key := kp.key
 	if adm.Compare(key, r.firstKey) < 0 || adm.Compare(key, r.lastKey) > 0 {
 		r.ctr.fenceSkips.Add(1)
-		return adm.Value{}, false, false
+		return adm.Value{}, false, nil
 	}
-	if r.bloom != nil && !r.bloom.mayContain(kp.keyHash()) {
+	if r.bloom != nil && !kp.mayBeIn(r.bloom) {
 		r.ctr.bloomSkips.Add(1)
-		return adm.Value{}, false, false
+		return adm.Value{}, false, nil
 	}
 	lo, hi := 0, len(r.blocks)
 	for lo < hi {
@@ -606,12 +606,12 @@ func (r *runFile) get(kp *pointProbe) (v adm.Value, found, failed bool) {
 		}
 	}
 	if lo == 0 {
-		return adm.Value{}, false, false
+		return adm.Value{}, false, nil
 	}
 	blk, err := r.block(lo - 1)
 	if err != nil {
 		r.fail(err)
-		return adm.Value{}, false, true
+		return adm.Value{}, false, r.err()
 	}
 	// The first entry whose key is >= key; loadBlock checked every key.
 	a, b := 0, blk.entries()
@@ -626,9 +626,9 @@ func (r *runFile) get(kp *pointProbe) (v adm.Value, found, failed bool) {
 		}
 	}
 	if a < blk.entries() && cmp == 0 {
-		return adm.View(blk.val(a)), true, false
+		return adm.View(blk.val(a)), true, nil
 	}
-	return adm.Value{}, false, false
+	return adm.Value{}, false, nil
 }
 
 // incRef adds a keep-open reason (a snapshot).

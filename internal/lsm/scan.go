@@ -15,7 +15,8 @@ import (
 // is a single instant; records are then resolved lazily, one per Next,
 // so a consumer that stops early never materializes the tail. A pk
 // indexed after the snapshot was pinned simply misses in the snapshot
-// and is skipped.
+// and is skipped; a lookup that faults ends the cursor, and the
+// snapshot's Err reports the fault.
 type IndexScanCursor struct {
 	snaps []*Snapshot
 	pks   [][]adm.Value
@@ -52,7 +53,12 @@ func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
 		}
 		pk := c.pks[c.part][c.pos]
 		c.pos++
-		if rec, found := c.snaps[c.part].Get(pk); found {
+		rec, found, err := c.snaps[c.part].Get(pk)
+		if err != nil {
+			c.part = len(c.pks)
+			return adm.Value{}, adm.Value{}, false
+		}
+		if found {
 			return pk, rec, true
 		}
 	}

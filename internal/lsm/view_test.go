@@ -125,7 +125,7 @@ func TestReadPathAllocations(t *testing.T) {
 	drain()
 	key := adm.Int(1234)
 	if n := testing.AllocsPerRun(200, func() {
-		if rec, ok := s.Get(key); !ok || rec.Field("id").IntVal() != 1234 {
+		if rec, ok, _ := s.Get(key); !ok || rec.Field("id").IntVal() != 1234 {
 			t.Fatal("lookup failed")
 		}
 	}); n != 0 {
@@ -247,7 +247,7 @@ func TestWriteDetachesViews(t *testing.T) {
 		runtime.GC()
 		select {
 		case <-collected:
-			rec, ok := dst.Get(adm.Int(7))
+			rec, ok, _ := dst.Get(adm.Int(7))
 			if !ok || !adm.Equal(rec, viewRec(7)) {
 				t.Fatalf("stored copy reads %v, %v", rec, ok)
 			}

@@ -91,11 +91,11 @@ func TestWriteClosedPartition(t *testing.T) {
 				if got := p.Stats(); got != stats {
 					t.Errorf("Stats changed: %+v → %+v", stats, got)
 				}
-				if _, ok := p.Get(adm.Int(1)); !ok {
+				if _, ok, _ := p.Get(adm.Int(1)); !ok {
 					t.Error("key 1 vanished")
 				}
 				for _, k := range []int64{100, 101, 102} {
-					if _, ok := p.Get(adm.Int(k)); ok {
+					if _, ok, _ := p.Get(adm.Int(k)); ok {
 						t.Errorf("key %d was applied", k)
 					}
 				}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,7 +45,9 @@ func sameEnrichment(t *testing.T, round int, plan *EnrichPlan, pe *PreparedEnric
 // filtered multi-entry-chain UDF, each refreshed after every round of
 // random writes to their reference datasets — build keys changed, rows
 // moved in and out of the filter, deleted, re-inserted, and partitions
-// flushed — must enrich exactly as a state prepared from scratch.
+// flushed — must enrich exactly as a state prepared from scratch. The
+// hash accesses are patched; Q1 probes SafetyRatings' primary index, so
+// its refreshes only pin again and never build or patch.
 func TestRefreshPatchMatchesFreshPrepare(t *testing.T) {
 	cat := paperCatalog(t)
 	var members []adm.Value
@@ -95,15 +98,7 @@ func TestRefreshPatchMatchesFreshPrepare(t *testing.T) {
 		}
 	}
 	for round := range 80 {
-		for range r.Intn(4) {
-			c := adm.String(countries[r.Intn(len(countries))])
-			if r.Intn(4) == 0 {
-				_, err := ratings.Delete(c)
-				must(err)
-			} else {
-				must(ratings.Upsert(obj("country_code", c, "safety_rating", adm.String(fmt.Sprint(r.Intn(5)+1)))))
-			}
-		}
+		writeRatings(t, r, ratings, countries)
 		for range r.Intn(6) {
 			rid := adm.String(fmt.Sprintf("rp%d", r.Intn(50)))
 			if r.Intn(4) == 0 {
@@ -133,84 +128,129 @@ func TestRefreshPatchMatchesFreshPrepare(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.patched += next.Patched()
+			if isPK(s.plan) && next.Built()+next.Patched() != 0 {
+				t.Fatalf("round %d, %s: built %d, patched %d; a primary-key probe builds nothing", round, s.plan.Name, next.Built(), next.Patched())
+			}
 			s.pe = next
 			sameEnrichment(t, round, s.plan, s.pe, cat, s.inputs)
 		}
 	}
 	for _, s := range states {
 		t.Logf("%s: %d of 80 refreshes patched", s.plan.Name, s.patched)
-		if s.patched < 40 {
+		if !isPK(s.plan) && s.patched < 40 {
 			t.Errorf("%s: too few refreshes patched", s.plan.Name)
 		}
 	}
 }
 
-// TestRefreshPatchReadFault: a read fault while a patch reads the
-// changed keys fails Refresh with the fault. The access it was patching
-// is spent, so the next Refresh — faults off, the faulted runs
-// compacted away — rebuilds it and matches a fresh Prepare.
-func TestRefreshPatchReadFault(t *testing.T) {
-	fsys := lsm.NewMemFS()
-	ds, err := lsm.OpenDataset(fsys, "ratings", "SafetyRatings", nil, "country_code", 1,
-		lsm.Options{MemBudget: 1 << 20, MaxComponents: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	rating := func(c, v string) adm.Value {
-		return obj("country_code", adm.String(c), "safety_rating", adm.String(v))
-	}
-	for i := range 400 {
-		if err := ds.Upsert(rating(fmt.Sprintf("C%03d", i), "1")); err != nil {
+// writeRatings is one round's random writes to SafetyRatings: up to
+// three upserts of a new rating or deletes, each of a random country.
+func writeRatings(t *testing.T, r *rand.Rand, ratings *lsm.Dataset, countries []string) {
+	t.Helper()
+	for range r.Intn(4) {
+		c := adm.String(countries[r.Intn(len(countries))])
+		var err error
+		if r.Intn(4) == 0 {
+			_, err = ratings.Delete(c)
+		} else {
+			err = ratings.Upsert(obj("country_code", c, "safety_rating", adm.String(fmt.Sprint(r.Intn(5)+1))))
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	flushAll(t, ds)
-	cat := paperCatalog(t)
-	cat.datasets["SafetyRatings"] = ds
-	plan := compilePaperUDF(t, cat, "enrichTweetQ1", PlanOptions{})
-	pe, err := plan.Prepare(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	// The write goes to a run of its own before the fault, so the
-	// flusher has nothing to do while reads fail.
-	if err := ds.Upsert(rating("C007", "2")); err != nil {
-		t.Fatal(err)
-	}
-	flushAll(t, ds)
-	fsys.FailReads(true)
-	_, err = pe.Refresh()
-	fsys.FailReads(false)
-	if !errors.Is(err, lsm.ErrInjected) {
-		t.Fatalf("Refresh with the changed runs unreadable returned %v, want the read fault", err)
-	}
+// isPK reports whether plan's one compiled subquery probes a primary
+// index.
+func isPK(plan *EnrichPlan) bool {
+	d := plan.Describe()
+	return len(d) == 1 && strings.HasPrefix(d[0], "pk(")
+}
 
-	// The faulted runs stay failed. A third run makes the flusher merge
-	// the whole level into a fresh one.
-	p := ds.Partition(0)
-	if err := ds.Upsert(rating("C008", "3")); err != nil {
-		t.Fatal(err)
+// TestRefreshPatchReadFault: a read fault while a patch reads the
+// changed keys fails Refresh with the fault. The access it was patching
+// is spent, so the next Refresh — faults off, the faulted runs
+// compacted away — rebuilds it and matches a fresh Prepare. A
+// primary-key access reads nothing at Refresh: the refresh succeeds, and
+// the first probe into the unreadable run fails its record with the
+// fault instead of enriching it with "no match".
+func TestRefreshPatchReadFault(t *testing.T) {
+	for _, arm := range q1Arms {
+		t.Run(arm.name, func(t *testing.T) {
+			fsys := lsm.NewMemFS()
+			ds, err := lsm.OpenDataset(fsys, "ratings", "SafetyRatings", nil, "country_code", 1,
+				lsm.Options{MemBudget: 1 << 20, MaxComponents: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			rating := func(c, v string) adm.Value {
+				return obj("country_code", adm.String(c), "safety_rating", adm.String(v))
+			}
+			for i := range 400 {
+				if err := ds.Upsert(rating(fmt.Sprintf("C%03d", i), "1")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			flushAll(t, ds)
+			cat := paperCatalog(t)
+			cat.datasets["SafetyRatings"] = ds
+			plan := compilePaperUDF(t, cat, "enrichTweetQ1", arm.opts)
+			if !strings.HasPrefix(plan.Describe()[0], arm.name+"(") {
+				t.Fatalf("plan = %v, want a %s access", plan.Describe(), arm.name)
+			}
+			pe, err := plan.Prepare(cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tweet := func(c string) adm.Value { return obj("id", adm.Int(1), "country", adm.String(c)) }
+
+			// The write goes to a run of its own before the fault, so the
+			// flusher has nothing to do while reads fail.
+			if err := ds.Upsert(rating("C007", "2")); err != nil {
+				t.Fatal(err)
+			}
+			flushAll(t, ds)
+			fsys.FailReads(true)
+			next, err := pe.Refresh()
+			if arm.name == "pk" && err == nil {
+				_, err = next.EvalRecord(tweet("C007"))
+			}
+			fsys.FailReads(false)
+			if !errors.Is(err, lsm.ErrInjected) {
+				t.Fatalf("with the changed runs unreadable, got %v; want the read fault", err)
+			}
+
+			// The faulted runs stay failed. A third run makes the flusher merge
+			// the whole level into a fresh one.
+			p := ds.Partition(0)
+			if err := ds.Upsert(rating("C008", "3")); err != nil {
+				t.Fatal(err)
+			}
+			flushAll(t, ds)
+			for deadline := time.Now().Add(10 * time.Second); p.Runs() != 1; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d runs never compacted into one", p.Runs())
+				}
+			}
+			if next != nil {
+				pe = next // a primary-key access is not spent by a failed probe
+			}
+			next, err = pe.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := map[string]int{"hash": 1, "pk": 0}[arm.name]; next.Built() != want || next.Patched() != 0 {
+				t.Fatalf("after the fault: built %d, patched %d; want %d built, none patched", next.Built(), next.Patched(), want)
+			}
+			var tweets []adm.Value
+			for _, c := range []string{"C007", "C008", "C009", "ZZZ"} {
+				tweets = append(tweets, tweet(c))
+			}
+			sameEnrichment(t, 0, plan, next, cat, tweets)
+		})
 	}
-	flushAll(t, ds)
-	for deadline := time.Now().Add(10 * time.Second); p.Runs() != 1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d runs never compacted into one", p.Runs())
-		}
-	}
-	next, err := pe.Refresh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.Built() != 1 || next.Patched() != 0 {
-		t.Fatalf("after the failed patch: built %d, patched %d; want the access rebuilt", next.Built(), next.Patched())
-	}
-	var tweets []adm.Value
-	for _, c := range []string{"C007", "C008", "C009", "ZZZ"} {
-		tweets = append(tweets, obj("id", adm.Int(1), "country", adm.String(c)))
-	}
-	sameEnrichment(t, 0, plan, next, cat, tweets)
 }
 
 // TestRefreshPatchFailurePoisonsTheAccess: a build filter that fails on

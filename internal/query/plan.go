@@ -11,7 +11,8 @@ import (
 // PlanOptions tunes enrichment compilation.
 type PlanOptions struct {
 	// DisableIndexes forces per-batch structures instead of index
-	// nested-loop joins even when a persistent spatial index exists (the
+	// nested-loop joins even when a persistent spatial index exists, or
+	// the primary index could answer an equi-join on the primary key (the
 	// paper's "Naive Nearby Monuments" query hint).
 	DisableIndexes bool
 }
@@ -50,7 +51,12 @@ const (
 	accessRTree                      // build transient R-tree shards, probe by rect
 	accessIndexNLJ                   // probe the dataset's live spatial index
 	accessScan                       // materialize and scan per record
+	accessPK                         // look the key up in the pinned primary index
 )
+
+// exact reports whether an access yields only records its join conjunct
+// admits, so the conjunct needs no re-check.
+func (k accessKind) exact() bool { return k == accessHash || k == accessPK }
 
 // subPlan is the compile-time shape of one correlated subquery.
 type subPlan struct {
@@ -71,13 +77,13 @@ type accessPlan struct {
 	dataset string
 	filters []sqlpp.Expr // alias-only conjuncts applied while building
 
-	buildKey sqlpp.Expr // accessHash: key over the alias record
-	probeKey sqlpp.Expr // accessHash: key over param/placed bindings
+	buildKey sqlpp.Expr // accessHash/PK: key over the alias record
+	probeKey sqlpp.Expr // accessHash/PK: key over param/placed bindings
 
 	buildRect sqlpp.Expr // accessRTree: geometry over the alias record
 	probeRect sqlpp.Expr // accessRTree/IndexNLJ: geometry over outer bindings
 
-	indexField string  // accessIndexNLJ: indexed field
+	indexField string  // accessIndexNLJ/PK: indexed field (the primary key for PK)
 	expand     float64 // accessIndexNLJ: query-rect expansion radius
 }
 
@@ -266,12 +272,10 @@ func (plan *EnrichPlan) compileProbe(sel *sqlpp.SelectExpr, cat Catalog) *subPla
 			la, lOuter := sideOf(e.L, placed)
 			ra, rOuter := sideOf(e.R, placed)
 			if la != "" && la != "$multi" && la != "$other" && ra == "" && rOuter {
-				return &accessPlan{kind: accessHash, alias: la, dataset: datasets[la],
-					buildKey: e.L, probeKey: e.R}
+				return plan.equiAccess(la, datasets[la], e.L, e.R, cat)
 			}
 			if ra != "" && ra != "$multi" && ra != "$other" && la == "" && lOuter {
-				return &accessPlan{kind: accessHash, alias: ra, dataset: datasets[ra],
-					buildKey: e.R, probeKey: e.L}
+				return plan.equiAccess(ra, datasets[ra], e.R, e.L, cat)
 			}
 		case *sqlpp.Call:
 			if e.Ns != "" || strings.ToLower(e.Name) != "spatial_intersect" || len(e.Args) != 2 {
@@ -289,7 +293,7 @@ func (plan *EnrichPlan) compileProbe(sel *sqlpp.SelectExpr, cat Catalog) *subPla
 		return nil
 	}
 
-	// Step 2: pick the anchor — prefer hash over spatial over scan.
+	// Step 2: pick the anchor — prefer an equi-join over spatial over scan.
 	var anchor *accessPlan
 	anchorConj := -1
 	for pass := 0; pass < 2 && anchor == nil; pass++ {
@@ -301,7 +305,7 @@ func (plan *EnrichPlan) compileProbe(sel *sqlpp.SelectExpr, cat Catalog) *subPla
 			if acc == nil {
 				continue
 			}
-			if pass == 0 && acc.kind != accessHash {
+			if pass == 0 && !acc.kind.exact() {
 				continue
 			}
 			anchor = acc
@@ -322,7 +326,7 @@ func (plan *EnrichPlan) compileProbe(sel *sqlpp.SelectExpr, cat Catalog) *subPla
 		anchor = &accessPlan{kind: accessScan, alias: target, dataset: datasets[target]}
 	} else {
 		consumed[anchorConj] = true
-		if anchor.kind != accessHash {
+		if !anchor.kind.exact() {
 			// Spatial anchors are approximate: re-check the predicate.
 			residuals = append(residuals, infos[anchorConj].expr)
 		}
@@ -366,7 +370,7 @@ func (plan *EnrichPlan) compileProbe(sel *sqlpp.SelectExpr, cat Catalog) *subPla
 				acc.kind = accessRTree
 			}
 			consumed[i] = true
-			if acc.kind != accessHash {
+			if !acc.kind.exact() {
 				residuals = append(residuals, ci.expr)
 			}
 			acc.filters = filters[acc.alias]
@@ -398,6 +402,22 @@ func (plan *EnrichPlan) compileProbe(sel *sqlpp.SelectExpr, cat Catalog) *subPla
 	}
 
 	return &subPlan{kind: probeSub, sel: sel, accesses: accesses, residuals: residuals}
+}
+
+// equiAccess is the access for alias on buildKey = probeKey: a lookup in
+// the pinned primary index when buildKey is exactly the alias's primary
+// key — an index nested-loop join that builds nothing — unless the naive
+// hint asks for the per-batch structure, and a hash table otherwise.
+func (plan *EnrichPlan) equiAccess(alias, dataset string, buildKey, probeKey sqlpp.Expr, cat Catalog) *accessPlan {
+	acc := &accessPlan{kind: accessHash, alias: alias, dataset: dataset, buildKey: buildKey, probeKey: probeKey}
+	if plan.opts.DisableIndexes {
+		return acc
+	}
+	field, ok := aliasField(buildKey, alias)
+	if ds, found := cat.Dataset(dataset); ok && found && field == ds.PrimaryKey() {
+		acc.kind, acc.indexField = accessPK, field
+	}
+	return acc
 }
 
 // spatialAccess builds the R-tree (or index-NLJ) access for a spatial
@@ -474,6 +494,8 @@ func (plan *EnrichPlan) Describe() []string {
 				desc += fmt.Sprintf("indexnlj(%s.%s)", acc.dataset, acc.indexField)
 			case accessScan:
 				desc += fmt.Sprintf("scan(%s)", acc.dataset)
+			case accessPK:
+				desc += fmt.Sprintf("pk(%s)", acc.dataset)
 			}
 		}
 		out = append(out, fmt.Sprintf("%s, %d residual(s)", desc, len(sp.residuals)))

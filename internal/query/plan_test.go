@@ -301,13 +301,13 @@ func TestEnrichPlanShapes(t *testing.T) {
 		udf  string
 		want []string
 	}{
-		{"enrichTweetQ1", []string{"hash(SafetyRatings)"}},
+		{"enrichTweetQ1", []string{"pk(SafetyRatings)"}},
 		{"enrichTweetQ2", []string{"hash(ReligiousPopulations)"}},
 		{"enrichTweetQ3", []string{"hash(ReligiousPopulations)"}},
 		{"enrichTweetQ4", []string{"scan(SensitiveNamesDataset)"}},
 		{"enrichTweetQ5", []string{"indexnlj(monumentList.monument_location)"}},
 		{"enrichTweetQ6", []string{"rtree(Facilities)", "rtree(ReligiousBuildings)", "hash(SuspiciousNames)"}},
-		{"enrichTweetQ7", []string{"rtree(DistrictAreas) + hash(AverageIncomes)",
+		{"enrichTweetQ7", []string{"rtree(DistrictAreas) + pk(AverageIncomes)",
 			"rtree(DistrictAreas) + rtree(Facilities)", "rtree(DistrictAreas) + rtree(Persons)"}},
 		{"enrichTweetQ8", []string{"rtree(ReligiousBuildings) + hash(AttackEvents)"}},
 	}
@@ -325,10 +325,17 @@ func TestEnrichPlanShapes(t *testing.T) {
 		}
 	}
 	// Naive variant: disabling indexes turns Q5's index-NLJ into a
-	// per-batch R-tree build.
-	naive := compilePaperUDF(t, cat, "enrichTweetQ5", PlanOptions{DisableIndexes: true})
-	if !strings.HasPrefix(naive.Describe()[0], "rtree(monumentList)") {
-		t.Errorf("naive Q5 plan = %v", naive.Describe())
+	// per-batch R-tree build, and a probe of the primary index into a
+	// per-batch hash table.
+	for udf, want := range map[string]string{
+		"enrichTweetQ1": "hash(SafetyRatings)",
+		"enrichTweetQ5": "rtree(monumentList)",
+		"enrichTweetQ7": "rtree(DistrictAreas) + hash(AverageIncomes)",
+	} {
+		naive := compilePaperUDF(t, cat, udf, PlanOptions{DisableIndexes: true})
+		if !strings.HasPrefix(naive.Describe()[0], want) {
+			t.Errorf("naive %s plan = %v, want prefix %q", udf, naive.Describe(), want)
+		}
 	}
 }
 

@@ -41,7 +41,9 @@ import (
 //     partition can enumerate its writes since the old stamp
 //     (lsm.Snapshot.Changes, asked of all partitions before the table
 //     is touched). Otherwise — and always for R-tree, scan and const
-//     state — the access is rebuilt.
+//     state — the access is rebuilt. A primary-key access holds no
+//     structure: it probes the snapshots its state pinned, so a changed
+//     dataset is only pinned again.
 //   - Order. A patched chain reads exactly as a fresh build's does:
 //     partition by partition (Dataset.Route of the primary key), in
 //     primary-key order within one, so an aggregate or ORDER BY … LIMIT
@@ -143,6 +145,8 @@ type preparedAccess struct {
 	// build filter reached through a subquery or UDF. Empty for
 	// accessIndexNLJ, which keeps no copy of the data.
 	deps []string
+
+	pin *pin // accessPK: the snapshots every probe looks its key up in
 
 	hash map[uint64]*hashEntry // accessHash: key hash → chain of entries
 	// extra holds the entries patches added (the build's stay in its
@@ -297,7 +301,9 @@ func (plan *EnrichPlan) prepare(cat Catalog, prev *PreparedEnrich, unchanged map
 					pe.patched++
 				} else {
 					pa.deps = deps
-					pe.built++
+					if pa.plan.kind != accessPK { // it pinned, and built nothing
+						pe.built++
+					}
 				}
 				ps.accesses = append(ps.accesses, pa)
 			}
@@ -320,6 +326,17 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 		}
 		pa.liveIndexes = idx
 		pa.liveDataset = ds
+		return pa, nil
+	}
+	if acc.kind == accessPK {
+		p, _, err := pe.ctx.pin(acc.dataset)
+		if err != nil {
+			return nil, err
+		}
+		if p.ds.PrimaryKey() != acc.indexField {
+			return nil, fmt.Errorf("primary key of %s is no longer %s", acc.dataset, acc.indexField)
+		}
+		pa.pin = p
 		return pa, nil
 	}
 
@@ -503,7 +520,11 @@ func (pe *PreparedEnrich) patchHash(prev *PreparedEnrich, old *preparedAccess, u
 			if !more {
 				break
 			}
-			if prior, ok := was.snaps[part].Get(pk); ok {
+			prior, ok, err := was.snaps[part].Get(pk)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
 				env.val = prior
 				key, in, err := acc.hashKey(st, env)
 				if err != nil {
@@ -770,11 +791,11 @@ func (ps *preparedSub) open(st evalState, env *Env, reuse bool) (tupleCursor, er
 }
 
 // accessCursor streams one prepared access, the twin of fromCursor: for
-// every outer tuple it probes the hash chain, the transient R-trees, the
-// live spatial index or the scan records, and yields one extended tuple
-// per record. A chain entry is compared, and a live record read, only
-// when it is pulled, so a consumer that stops early (EXISTS, LIMIT)
-// touches nothing past its last row.
+// every outer tuple it probes the hash chain, the pinned primary index,
+// the transient R-trees, the live spatial index or the scan records, and
+// yields one extended tuple per record. A chain entry is compared, and a
+// live record read, only when it is pulled, so a consumer that stops
+// early (EXISTS, LIMIT) touches nothing past its last row.
 type accessCursor struct {
 	st    evalState
 	outer tupleCursor // nil for the anchor, whose one outer tuple open probed
@@ -785,8 +806,9 @@ type accessCursor struct {
 	env   *Env       // the outer tuple being probed; nil = draw the next
 	key   adm.Value  // accessHash: the probe key
 	chain *hashEntry // accessHash: the rest of its chain
-	// recs are the candidates of the other kinds — R-tree hits, the live
-	// index's primary keys, the scan records — and pos the next of them.
+	// recs are the candidates of the other kinds — the primary-key hit,
+	// R-tree hits, the live index's primary keys, the scan records — and
+	// pos the next of them.
 	recs []adm.Value
 	pos  int
 }
@@ -858,6 +880,21 @@ func (a *accessCursor) probe(env *Env) error {
 			return err
 		}
 		a.key, a.chain = key, pa.hash[adm.Hash(key)]
+	case accessPK:
+		// At most one candidate, read at the pin (Model 2 by construction);
+		// the build filters run on it, as index-NLJ runs them.
+		key, err := eval(a.st, env, acc.probeKey)
+		if err != nil || key.IsUnknown() {
+			return err
+		}
+		rec, found, err := pa.pin.snaps[pa.pin.ds.Route(key)].Get(key)
+		if err != nil || !found {
+			return err
+		}
+		if keep, err := pa.passesFilters(a.st, rec); !keep {
+			return err
+		}
+		a.recs = append(a.recs[:0], rec)
 	case accessRTree, accessIndexNLJ:
 		g, err := eval(a.st, env, acc.probeRect)
 		if err != nil {
@@ -909,7 +946,11 @@ func (a *accessCursor) draw() (adm.Value, bool, error) {
 		if pa.plan.kind != accessIndexNLJ {
 			return v, true, nil
 		}
-		rec, found := pa.liveDataset.Get(v) // fresh read, per paper
+		ds := pa.liveDataset
+		rec, found, err := ds.Partition(ds.Route(v)).Get(v) // fresh read, per paper
+		if err != nil {
+			return adm.Value{}, false, err
+		}
 		if !found {
 			continue
 		}
@@ -920,8 +961,8 @@ func (a *accessCursor) draw() (adm.Value, bool, error) {
 	return adm.Value{}, false, nil
 }
 
-// passesFilters applies alias-only filters at probe time (index-NLJ
-// cannot pre-filter its index).
+// passesFilters applies alias-only filters at probe time (an index —
+// spatial or primary — cannot be pre-filtered).
 func (pa *preparedAccess) passesFilters(st evalState, rec adm.Value) (bool, error) {
 	if len(pa.plan.filters) == 0 {
 		return true, nil

@@ -135,3 +135,47 @@ func TestPrepareConstSubqueryReportsRunReadFault(t *testing.T) {
 		t.Fatalf("Refresh over an unreadable run returned %v, want the read fault", err)
 	}
 }
+
+// TestIndexNLJProbeReportsRunReadFault: the index-NLJ probe reads each
+// candidate the live spatial index names from the dataset, and a read
+// that faults fails the record instead of dropping the candidate.
+func TestIndexNLJProbeReportsRunReadFault(t *testing.T) {
+	fsys := lsm.NewMemFS()
+	ds, err := lsm.OpenDataset(fsys, "m", "Monuments", nil, "id", 2, lsm.Options{MemBudget: 1 << 20, MaxComponents: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	for i := range 50 {
+		if err := ds.Upsert(obj("id", adm.Int(int64(i)), "loc", adm.Point(float64(i), float64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.CreateSpatialIndex("mloc", "loc"); err != nil {
+		t.Fatal(err)
+	}
+	flushAll(t, ds)
+	cat := newTestCatalog()
+	cat.datasets["Monuments"] = ds
+	fn := cat.addSQLFunction(t, `CREATE FUNCTION near(t) {
+		LET ids = (SELECT VALUE m.id FROM Monuments m
+			WHERE spatial_intersect(m.loc, create_circle(create_point(t.x, t.y), 2.0)))
+		SELECT t.*, ids };`)
+	plan := compilePaperUDF(t, cat, fn.Name, PlanOptions{})
+	if d := plan.Describe(); len(d) != 1 || !strings.HasPrefix(d[0], "indexnlj(Monuments.loc)") {
+		t.Fatalf("plan = %v, want an index-NLJ probe", d)
+	}
+	pe, err := plan.Prepare(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tweet := obj("id", adm.Int(1), "x", adm.Double(10), "y", adm.Double(10))
+	if got := mustEval(t, pe, tweet).Field("ids"); len(got.ArrayVal()) != 3 {
+		t.Fatalf("healthy probe: ids = %v, want three monuments", got)
+	}
+	fsys.FailReads(true)
+	defer fsys.FailReads(false)
+	if v, err := pe.EvalRecord(tweet); !errors.Is(err, lsm.ErrInjected) {
+		t.Fatalf("a probe over an unreadable run returned %v, %v; want the read fault", v, err)
+	}
+}

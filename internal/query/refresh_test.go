@@ -35,74 +35,86 @@ func mustEval(t *testing.T, pe *PreparedEnrich, rec adm.Value) adm.Value {
 
 // TestRefreshReusesUntilReferenceDataChanges: an unchanged reference
 // dataset means the same state object, a write of any kind means a
-// successor that sees it, and the successor is reused in turn.
+// successor that sees it, and the successor is reused in turn. Q1's
+// hash table (the naive plan) is built once and patched per write; its
+// primary-key probe builds and patches nothing.
 func TestRefreshReusesUntilReferenceDataChanges(t *testing.T) {
-	cat := paperCatalog(t)
-	plan := compilePaperUDF(t, cat, "enrichTweetQ1", PlanOptions{})
-	pe, err := plan.Prepare(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pe.Built() != 1 {
-		t.Fatalf("Prepare built %d structures, want 1", pe.Built())
-	}
-	ds, _ := cat.Dataset("SafetyRatings")
-	scansBefore := ds.Stats().Scans
-	for i := 0; i < 3; i++ {
-		var reused bool
-		if pe, reused = mustRefresh(t, pe); !reused {
-			t.Fatalf("refresh %d rebuilt state over unchanged data", i)
-		}
-	}
-	if scans := ds.Stats().Scans; scans != scansBefore {
-		t.Errorf("reuse took %d snapshots of the reference dataset", scans-scansBefore)
-	}
-
-	tweet := obj("id", adm.Int(1), "country", adm.String("US"))
-	rating := func(pe *PreparedEnrich) string {
-		arr := mustEval(t, pe, tweet).Field("safety_rating").ArrayVal()
-		if len(arr) == 0 {
-			return ""
-		}
-		return arr[0].StringVal()
-	}
-	writes := []struct {
-		name string
-		do   func()
-		want string
-	}{
-		{"upsert", func() {
-			ds.Upsert(obj("country_code", adm.String("US"), "safety_rating", adm.String("9")))
-		}, "9"},
-		{"delete", func() { ds.Delete(adm.String("US")) }, ""},
-		{"insert", func() {
-			if err := ds.Insert(obj("country_code", adm.String("US"), "safety_rating", adm.String("7"))); err != nil {
+	for _, arm := range []struct {
+		name           string
+		opts           PlanOptions
+		built, patched int // by Prepare, by each refresh after a write
+	}{{"hash", PlanOptions{DisableIndexes: true}, 1, 1}, {"pk", PlanOptions{}, 0, 0}} {
+		t.Run(arm.name, func(t *testing.T) {
+			cat := paperCatalog(t)
+			plan := compilePaperUDF(t, cat, "enrichTweetQ1", arm.opts)
+			pe, err := plan.Prepare(cat)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}, "7"},
-	}
-	for _, w := range writes {
-		w.do()
-		next, reused := mustRefresh(t, pe)
-		if reused {
-			t.Fatalf("state reused across an acknowledged %s", w.name)
-		}
-		if next.Built() != 0 || next.Patched() != 1 {
-			t.Errorf("after %s: built %d, patched %d structures; want the hash table patched", w.name, next.Built(), next.Patched())
-		}
-		if got := rating(next); got != w.want {
-			t.Errorf("after %s: rating %q, want %q", w.name, got, w.want)
-		}
-		if _, reused := mustRefresh(t, next); !reused {
-			t.Errorf("after %s: the successor was not reused", w.name)
-		}
-		pe = next
+			if pe.Built() != arm.built {
+				t.Fatalf("Prepare built %d structures, want %d", pe.Built(), arm.built)
+			}
+			ds, _ := cat.Dataset("SafetyRatings")
+			scansBefore := ds.Stats().Scans
+			for i := 0; i < 3; i++ {
+				var reused bool
+				if pe, reused = mustRefresh(t, pe); !reused {
+					t.Fatalf("refresh %d rebuilt state over unchanged data", i)
+				}
+			}
+			if scans := ds.Stats().Scans; scans != scansBefore {
+				t.Errorf("reuse took %d snapshots of the reference dataset", scans-scansBefore)
+			}
+
+			tweet := obj("id", adm.Int(1), "country", adm.String("US"))
+			rating := func(pe *PreparedEnrich) string {
+				arr := mustEval(t, pe, tweet).Field("safety_rating").ArrayVal()
+				if len(arr) == 0 {
+					return ""
+				}
+				return arr[0].StringVal()
+			}
+			writes := []struct {
+				name string
+				do   func()
+				want string
+			}{
+				{"upsert", func() {
+					ds.Upsert(obj("country_code", adm.String("US"), "safety_rating", adm.String("9")))
+				}, "9"},
+				{"delete", func() { ds.Delete(adm.String("US")) }, ""},
+				{"insert", func() {
+					if err := ds.Insert(obj("country_code", adm.String("US"), "safety_rating", adm.String("7"))); err != nil {
+						t.Fatal(err)
+					}
+				}, "7"},
+			}
+			for _, w := range writes {
+				w.do()
+				next, reused := mustRefresh(t, pe)
+				if reused {
+					t.Fatalf("state reused across an acknowledged %s", w.name)
+				}
+				if next.Built() != 0 || next.Patched() != arm.patched {
+					t.Errorf("after %s: built %d, patched %d structures; want none built, %d patched", w.name, next.Built(), next.Patched(), arm.patched)
+				}
+				if got := rating(next); got != w.want {
+					t.Errorf("after %s: rating %q, want %q", w.name, got, w.want)
+				}
+				if _, reused := mustRefresh(t, next); !reused {
+					t.Errorf("after %s: the successor was not reused", w.name)
+				}
+				pe = next
+			}
+		})
 	}
 }
 
 // TestRefreshRebuildsOnlyWhatChanged: Q7 joins six accesses over four
-// datasets. Writing one dataset rebuilds exactly the accesses that read
-// it, and the patched state answers like a full rebuild.
+// datasets, five of them structures built by Prepare and one a probe of
+// AverageIncomes' primary index. Writing one dataset rebuilds exactly the
+// accesses that read it — none for AverageIncomes, which is only pinned
+// again — and the refreshed state answers like a full rebuild.
 func TestRefreshRebuildsOnlyWhatChanged(t *testing.T) {
 	cat := paperCatalog(t)
 	plan := compilePaperUDF(t, cat, "enrichTweetQ7", PlanOptions{})
@@ -110,8 +122,8 @@ func TestRefreshRebuildsOnlyWhatChanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pe.Built() != 6 {
-		t.Fatalf("Prepare built %d structures, want 6 (%v)", pe.Built(), plan.Describe())
+	if pe.Built() != 5 {
+		t.Fatalf("Prepare built %d structures, want 5 (%v)", pe.Built(), plan.Describe())
 	}
 	r := rand.New(rand.NewSource(7))
 	sameAsFullRebuild := func(pe *PreparedEnrich) {
@@ -145,6 +157,14 @@ func TestRefreshRebuildsOnlyWhatChanged(t *testing.T) {
 	}
 	sameAsFullRebuild(pe)
 
+	incomes, _ := cat.Dataset("AverageIncomes")
+	incomes.Upsert(obj("district_area_id", adm.String("d5"), "average_income", adm.Double(1)))
+	pe, reused = mustRefresh(t, pe)
+	if reused || pe.Built() != 0 || pe.Patched() != 0 {
+		t.Fatalf("after writing AverageIncomes: reused=%v built=%d patched=%d, want it pinned again only", reused, pe.Built(), pe.Patched())
+	}
+	sameAsFullRebuild(pe)
+
 	if _, reused := mustRefresh(t, pe); !reused {
 		t.Error("nothing changed, yet the state was rebuilt")
 	}
@@ -152,7 +172,9 @@ func TestRefreshRebuildsOnlyWhatChanged(t *testing.T) {
 
 // TestRefreshConstSubquery: a const result is state like any other —
 // carried over while the datasets its evaluation read are unchanged,
-// recomputed once one of them is written.
+// recomputed once one of them is written. The primary-key probe beside
+// it is pinned again when its dataset is written, and carried over when
+// only the const's is.
 func TestRefreshConstSubquery(t *testing.T) {
 	cat := paperCatalog(t)
 	cat.addSQLFunction(t, `CREATE FUNCTION riskAndRating(t) {
@@ -162,7 +184,7 @@ func TestRefreshConstSubquery(t *testing.T) {
 		SELECT t.*, risky, safety_rating
 	};`)
 	plan := compilePaperUDF(t, cat, "riskAndRating", PlanOptions{})
-	if got := strings.Join(plan.Describe(), "; "); got != "const; hash(SafetyRatings), 0 residual(s)" {
+	if got := strings.Join(plan.Describe(), "; "); got != "const; pk(SafetyRatings), 0 residual(s)" {
 		t.Fatalf("plan = %s", got)
 	}
 	pe, err := plan.Prepare(cat)
@@ -175,8 +197,8 @@ func TestRefreshConstSubquery(t *testing.T) {
 	ratings, _ := cat.Dataset("SafetyRatings")
 	ratings.Upsert(obj("country_code", adm.String("US"), "safety_rating", adm.String("9")))
 	pe, _ = mustRefresh(t, pe)
-	if pe.Built() != 0 || pe.Patched() != 1 {
-		t.Fatalf("writing SafetyRatings built %d, patched %d structures; want the hash table patched", pe.Built(), pe.Patched())
+	if pe.Built() != 0 || pe.Patched() != 0 {
+		t.Fatalf("writing SafetyRatings built %d, patched %d structures; want none", pe.Built(), pe.Patched())
 	}
 
 	words, _ := cat.Dataset("SensitiveWords")
@@ -190,7 +212,7 @@ func TestRefreshConstSubquery(t *testing.T) {
 		t.Errorf("const result has %d rows after the insert, want %d", got, before+1)
 	}
 	if got := v.Field("safety_rating").Index(0).StringVal(); got != "9" {
-		t.Errorf("carried-over hash table lost the earlier update: rating %q", got)
+		t.Errorf("carried-over probe lost the earlier update: rating %q", got)
 	}
 }
 
@@ -230,6 +252,12 @@ func TestRefreshChecksDatasetIdentity(t *testing.T) {
 	tweet := obj("id", adm.Int(1), "country", adm.String("US"))
 	if got := mustEval(t, pe1, tweet).Field("safety_rating").Index(0).StringVal(); got != "recreated" {
 		t.Errorf("rating %q, want the re-created dataset's", got)
+	}
+	// Re-created under another primary key, the plan's primary-key probe
+	// would look its keys up in the wrong index: the refresh refuses.
+	cat.addDataset(t, "SafetyRatings", "safety_rating", 3, rows...)
+	if _, err := pe1.Refresh(); err == nil || !strings.Contains(err.Error(), "primary key") {
+		t.Fatalf("Refresh over a dataset re-keyed by another field = %v, want a primary-key error", err)
 	}
 
 	// Index-NLJ pins nothing: live reads keep it current across writes…
@@ -300,44 +328,69 @@ func TestRefreshSeesLazilyPinnedDatasets(t *testing.T) {
 
 // TestPrepareFailsOnRunReadFault: a reference run that cannot be read
 // must fail the build. Before Snapshot.Err the scan just ended early and
-// Prepare returned a hash table missing most ratings.
+// Prepare returned a hash table missing most ratings. A primary-key
+// access builds nothing, so Prepare and Refresh succeed, and the first
+// probe into the unreadable run fails its record with the fault.
 func TestPrepareFailsOnRunReadFault(t *testing.T) {
-	cat := paperCatalog(t)
-	fsys := lsm.NewMemFS()
-	ds, err := lsm.OpenDataset(fsys, "ratings", "SafetyRatings", nil, "country_code", 2,
-		lsm.Options{MemBudget: 1 << 20, MaxComponents: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	for i := 0; i < 400; i++ {
-		ds.Upsert(obj("country_code", adm.String(fmt.Sprintf("C%03d", i)), "safety_rating", adm.String("1")))
-	}
-	for i := 0; i < ds.NumPartitions(); i++ {
-		ds.Partition(i).Flush()
-		if err := ds.Partition(i).WaitForFlush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cat.datasets["SafetyRatings"] = ds
-	plan := compilePaperUDF(t, cat, "enrichTweetQ1", PlanOptions{})
-	pe, err := plan.Prepare(cat)
-	if err != nil {
-		t.Fatalf("healthy Prepare: %v", err)
-	}
+	for _, arm := range q1Arms {
+		t.Run(arm.name, func(t *testing.T) {
+			cat := paperCatalog(t)
+			fsys := lsm.NewMemFS()
+			ds, err := lsm.OpenDataset(fsys, "ratings", "SafetyRatings", nil, "country_code", 2,
+				lsm.Options{MemBudget: 1 << 20, MaxComponents: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			for i := 0; i < 400; i++ {
+				ds.Upsert(obj("country_code", adm.String(fmt.Sprintf("C%03d", i)), "safety_rating", adm.String("1")))
+			}
+			flushAll(t, ds)
+			cat.datasets["SafetyRatings"] = ds
+			plan := compilePaperUDF(t, cat, "enrichTweetQ1", arm.opts)
+			pe, err := plan.Prepare(cat)
+			if err != nil {
+				t.Fatalf("healthy Prepare: %v", err)
+			}
+			tweet := obj("id", adm.Int(1), "country", adm.String("C123"))
+			if got := mustEval(t, pe, tweet).Field("safety_rating"); len(got.ArrayVal()) != 1 {
+				t.Fatalf("healthy enrichment: safety_rating = %v", got)
+			}
 
-	fsys.FailReads(true)
-	if _, err := plan.Prepare(cat); !errors.Is(err, lsm.ErrInjected) {
-		t.Fatalf("Prepare over an unreadable run returned %v, want the read fault", err)
-	}
-	// The good state stays good for as long as the data is unchanged…
-	if _, reused := mustRefresh(t, pe); !reused {
-		t.Error("read fault on an unchanged dataset forced a rebuild")
-	}
-	// …and a refresh that does have to re-read fails like Prepare.
-	ds.Upsert(obj("country_code", adm.String("C000"), "safety_rating", adm.String("2")))
-	if _, err := pe.Refresh(); !errors.Is(err, lsm.ErrInjected) {
-		t.Fatalf("Refresh over an unreadable run returned %v, want the read fault", err)
+			fsys.FailReads(true)
+			if arm.name == "pk" {
+				fresh, err := plan.Prepare(cat)
+				if err != nil {
+					t.Fatalf("Prepare of a primary-key probe read the device: %v", err)
+				}
+				for _, state := range []*PreparedEnrich{pe, fresh} {
+					if v, err := state.EvalRecord(tweet); !errors.Is(err, lsm.ErrInjected) {
+						t.Fatalf("a probe into an unreadable run returned %v, %v; want the read fault", v, err)
+					}
+				}
+				ds.Upsert(obj("country_code", adm.String("C000"), "safety_rating", adm.String("2")))
+				next, err := pe.Refresh()
+				if err != nil || next.Built()+next.Patched() != 0 {
+					t.Fatalf("Refresh = %v; want a re-pin that reads nothing", err)
+				}
+				if _, err := next.EvalRecord(tweet); !errors.Is(err, lsm.ErrInjected) {
+					t.Fatalf("a probe after Refresh returned %v; want the read fault", err)
+				}
+				return
+			}
+			if _, err := plan.Prepare(cat); !errors.Is(err, lsm.ErrInjected) {
+				t.Fatalf("Prepare over an unreadable run returned %v, want the read fault", err)
+			}
+			// The good state stays good for as long as the data is unchanged…
+			if _, reused := mustRefresh(t, pe); !reused {
+				t.Error("read fault on an unchanged dataset forced a rebuild")
+			}
+			// …and a refresh that does have to re-read fails like Prepare.
+			ds.Upsert(obj("country_code", adm.String("C000"), "safety_rating", adm.String("2")))
+			if _, err := pe.Refresh(); !errors.Is(err, lsm.ErrInjected) {
+				t.Fatalf("Refresh over an unreadable run returned %v, want the read fault", err)
+			}
+		})
 	}
 }
 

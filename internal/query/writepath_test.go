@@ -142,49 +142,94 @@ func TestEvalRecordAllocations(t *testing.T) {
 // feed's slab, a key already in it — Q1's row over a view is written
 // right after the key, and enriching a record costs two allocations of
 // data — the probe key and the subquery's array — and none of query
-// machinery, whatever the record's width.
+// machinery, whatever the record's width: for Q1's probe of the primary
+// index, whether the ratings are in the memtable or in runs (a cached
+// block's record is a view of it), and for the hash table the naive plan
+// builds instead.
 func TestEvalRecordIntoSlabAllocates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	cat, _ := benchCatalog(t, 50)
-	pe, err := benchPlan(t, cat).Prepare(cat)
-	if err != nil {
-		t.Fatal(err)
+	for _, arm := range []struct {
+		name    string
+		opts    PlanOptions
+		flushed bool
+	}{{"Q1", PlanOptions{}, false}, {"Q1 from runs", PlanOptions{}, true}, {"Q1 hash", PlanOptions{DisableIndexes: true}, false}} {
+		t.Run(arm.name, func(t *testing.T) {
+			cat, ds := benchCatalog(t, 50)
+			if arm.flushed {
+				flushAll(t, ds)
+			}
+			plan := benchPlanWith(t, cat, arm.opts)
+			pe, err := plan.Prepare(cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slab := make([]byte, 0, 16<<10)
+			key := adm.AppendBinary(nil, adm.Int(12345))
+			var dst []byte // lives as long as the slab, as a feed's does
+			eval := func(rec adm.Value) (adm.Value, error) {
+				dst = append(slab[:0], key...)
+				row, err := pe.EvalRecord(rec, &dst)
+				if err != nil {
+					return row, err
+				}
+				if n, ok := adm.ViewAt(row, dst, len(key)); !ok || len(key)+n != len(dst) || unsafe.SliceData(dst) != unsafe.SliceData(slab) {
+					t.Fatalf("the row is not written into the slab after the key: %d bytes written, view=%v", len(dst)-len(key), ok)
+				}
+				return row, nil
+			}
+			const narrow, wide = 100, 4100
+			for _, rec := range tenFieldViews(wide)[:4] {
+				want, err := pe.EvalRecord(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := eval(rec)
+				if err != nil || !bytes.Equal(adm.AppendBinary(nil, got), adm.AppendBinary(nil, want)) {
+					t.Fatalf("into the slab: %v (%v); apart: %v", got, err, want)
+				}
+			}
+			na, nb := evalRecordCost(t, tenFieldViews(narrow), eval)
+			wa, wb := evalRecordCost(t, tenFieldViews(wide), eval)
+			t.Logf("%s: narrow: %.0f allocations, %.0f bytes; wide: %.0f allocations, %.0f bytes", plan.Describe()[0], na, nb, wa, wb)
+			if na != wa || na > 2 {
+				t.Fatalf("%v allocations for a narrow record, %v for a wide one; want the same, at most 2", na, wa)
+			}
+			if nb > 128 || wb > 128 {
+				t.Fatalf("%.0f bytes for a narrow record, %.0f for a wide one; want at most 128", nb, wb)
+			}
+		})
 	}
-	slab := make([]byte, 0, 16<<10)
-	key := adm.AppendBinary(nil, adm.Int(12345))
-	var dst []byte // lives as long as the slab, as a feed's does
-	eval := func(rec adm.Value) (adm.Value, error) {
-		dst = append(slab[:0], key...)
-		row, err := pe.EvalRecord(rec, &dst)
-		if err != nil {
-			return row, err
-		}
-		if n, ok := adm.ViewAt(row, dst, len(key)); !ok || len(key)+n != len(dst) || unsafe.SliceData(dst) != unsafe.SliceData(slab) {
-			t.Fatalf("the row is not written into the slab after the key: %d bytes written, view=%v", len(dst)-len(key), ok)
-		}
-		return row, nil
+}
+
+// TestPKPrepareAllocatesIndependentOfN: preparing Q1 pins SafetyRatings
+// and builds nothing, so it allocates the same over 500 reference rows
+// as over 5 000 — where the naive plan's hash table grows with them.
+func TestPKPrepareAllocatesIndependentOfN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
 	}
-	const narrow, wide = 100, 4100
-	for _, rec := range tenFieldViews(wide)[:4] {
-		want, err := pe.EvalRecord(rec)
-		if err != nil {
-			t.Fatal(err)
+	prepareBytes := func(n int, opts PlanOptions) int64 {
+		cat, ds := benchCatalog(t, n)
+		flushAll(t, ds) // so no pin freezes a memtable the flusher then writes out
+		plan := benchPlanWith(t, cat, opts)
+		const rounds = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range rounds {
+			if _, err := plan.Prepare(cat); err != nil {
+				t.Fatal(err)
+			}
 		}
-		got, err := eval(rec)
-		if err != nil || !bytes.Equal(adm.AppendBinary(nil, got), adm.AppendBinary(nil, want)) {
-			t.Fatalf("into the slab: %v (%v); apart: %v", got, err, want)
-		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / rounds
 	}
-	na, nb := evalRecordCost(t, tenFieldViews(narrow), eval)
-	wa, wb := evalRecordCost(t, tenFieldViews(wide), eval)
-	t.Logf("narrow: %.0f allocations, %.0f bytes; wide: %.0f allocations, %.0f bytes", na, nb, wa, wb)
-	if na != wa || na > 2 {
-		t.Fatalf("%v allocations for a narrow record, %v for a wide one; want the same, at most 2", na, wa)
-	}
-	if nb > 128 || wb > 128 {
-		t.Fatalf("%.0f bytes for a narrow record, %.0f for a wide one; want at most 128", nb, wb)
+	small, large := prepareBytes(500, PlanOptions{}), prepareBytes(5_000, PlanOptions{})
+	hash := prepareBytes(5_000, PlanOptions{DisableIndexes: true})
+	t.Logf("Prepare: %d bytes over 500 rows, %d over 5 000; the hash table over 5 000: %d", small, large, hash)
+	if large > small+512 || large > hash/20 {
+		t.Fatalf("preparing a primary-key probe allocated %d bytes over 500 rows and %d over 5 000 (a hash build %d); want the same few", small, large, hash)
 	}
 }
 
@@ -369,10 +414,10 @@ func TestEvalRecordSharedAcrossPartitions(t *testing.T) {
 	recs := tenFieldViews(20)
 	for _, tc := range []struct{ name, body, plan string }{
 		{"Q1", `LET r = (SELECT VALUE s.safety_rating FROM SafetyRatings s WHERE t.country = s.country_code) SELECT t.*, r`,
-			"hash(SafetyRatings), 0 residual(s)"},
+			"pk(SafetyRatings), 0 residual(s)"},
 		{"a probe with a residual", `LET r = (SELECT VALUE s.safety_rating FROM SafetyRatings s
 			WHERE s.country_code = t.country AND (t.id % 2 = 0 OR s.safety_rating = "1")) SELECT t.*, r`,
-			"hash(SafetyRatings), 1 residual(s)"},
+			"pk(SafetyRatings), 1 residual(s)"},
 		{"two rows", `SELECT t.*, x FROM [1, 2] x`, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

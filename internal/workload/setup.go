@@ -269,7 +269,11 @@ func NativeUDFs(c *cluster.Cluster) (*udf.Registry, error) {
 		// once and re-prepares at Initialize — exactly what a hand-written
 		// Java UDF does with its in-memory tables, so the two attachments
 		// share per-batch cost structure while exercising the native path.
-		plan, err := query.CompileEnrich(fn.Name, fn.Params, fn.Body, c, query.PlanOptions{})
+		// A Java UDF loads its table whole, so the plan takes the naive
+		// hint and builds a hash table where the SQL++ Q1 probes the
+		// primary index; only Q5 keeps its index join.
+		plan, err := query.CompileEnrich(fn.Name, fn.Params, fn.Body, c,
+			query.PlanOptions{DisableIndexes: name != "enrichTweetQ5"})
 		if err != nil {
 			return nil, err
 		}

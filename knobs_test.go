@@ -345,7 +345,7 @@ func getTwice(t *testing.T, p *lsm.Partition) {
 	knobFlush(t, p)
 	for pass := 0; pass < 2; pass++ {
 		for k := int64(0); k < 200; k++ {
-			if _, ok := p.Get(adm.Int(k)); !ok {
+			if _, ok, _ := p.Get(adm.Int(k)); !ok {
 				t.Fatalf("key %d lost", k)
 			}
 		}
