@@ -1,9 +1,22 @@
-// Command linkcheck guards the documentation against rot: it walks a
-// directory tree, extracts every markdown link from every *.md file,
-// and fails when a relative link points at a file that does not exist.
-// CI runs it over the repository root (the docs job), so a renamed or
-// deleted document breaks the build instead of silently orphaning its
-// references.
+// Command linkcheck guards the documentation against rot. It walks a
+// directory tree and fails on three kinds of drift:
+//
+//   - a relative markdown link, in any *.md file, that points at a file
+//     that does not exist;
+//   - a ROADMAP item number ("item 4") in a doc other than ROADMAP.md,
+//     ISSUE.md and CHANGES.md — item numbers change whenever the roadmap
+//     is re-anchored, so a doc cites the mechanism or the PR instead;
+//   - a Test…, Benchmark… or Fuzz… name, cited in a current doc (every
+//     *.md except CHANGES.md, ROADMAP.md and ISSUE.md, plus the CI
+//     workflows under .github/workflows), that is not a prefix of a
+//     function declared in some _test.go file of the tree. Prefix,
+//     because `go test -run` patterns such as TestGolden select by
+//     prefix; a renamed test can no longer leave a doc or a CI step
+//     pointing at nothing.
+//
+// CI runs it over the repository root (the docs job), and the package's
+// own test runs the same checks on the repository, so `go test ./...`
+// enforces them too.
 //
 // External links (http/https/mailto) are not fetched — the check is
 // offline and deterministic. Anchors are stripped before the existence
@@ -20,62 +33,133 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 )
 
-// linkRe matches inline markdown links [text](target). Images and
-// reference-style definitions are rare in this repo; inline links are
-// the form the docs use.
-var linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+var (
+	// linkRe matches inline markdown links [text](target). Images and
+	// reference-style definitions are rare in this repo; inline links
+	// are the form the docs use.
+	linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+	// itemRe matches a ROADMAP item citation.
+	itemRe = regexp.MustCompile(`(?i)\bitems? [0-9]+`)
+	// citedRe matches a test, benchmark or fuzz target name.
+	citedRe = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9]\w*`)
+	// declRe matches a top-level function declaration in a _test.go file.
+	declRe = regexp.MustCompile(`(?m)^func (\w+)\(`)
+)
 
-func main() {
-	root := "."
-	if len(os.Args) > 1 {
-		root = os.Args[1]
-	}
-	broken := 0
-	checked := 0
-	files := 0
+// history names the docs that record the past: they may cite item
+// numbers and tests that no longer exist.
+var history = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
+
+// report is what one walk found.
+type report struct {
+	files, links int
+	failures     []string // "path:line: what", in walk order
+}
+
+// check walks root and reports every broken link, item citation and
+// cited test that does not exist.
+func check(root string) (report, error) {
+	var (
+		r     report
+		docs  []string // current docs: scanned for cited tests
+		decls []string // functions declared in _test.go files
+	)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
+		name := d.Name()
 		if d.IsDir() {
-			name := d.Name()
-			if name == ".git" || name == "node_modules" {
+			// .bench_build holds the benchmark's private build cache.
+			if name == ".git" || name == "node_modules" || name == ".bench_build" {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.EqualFold(filepath.Ext(path), ".md") {
-			return nil
-		}
-		files++
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, m := range linkRe.FindAllSubmatch(data, -1) {
-			target := string(m[1])
-			if !checkable(target) {
-				continue
+		switch {
+		case strings.HasSuffix(name, "_test.go"):
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
 			}
-			checked++
-			if !exists(path, target) {
-				fmt.Fprintf(os.Stderr, "%s: broken link: %s\n", path, target)
-				broken++
+			for _, m := range declRe.FindAllSubmatch(data, -1) {
+				decls = append(decls, string(m[1]))
 			}
+		case strings.EqualFold(filepath.Ext(name), ".md"):
+			r.files++
+			if err := checkMarkdown(&r, path); err != nil {
+				return err
+			}
+			if !history[name] {
+				docs = append(docs, path)
+			}
+		case strings.HasSuffix(filepath.ToSlash(filepath.Dir(path)), ".github/workflows") &&
+			(strings.HasSuffix(name, ".yml") || strings.HasSuffix(name, ".yaml")):
+			docs = append(docs, path)
 		}
 		return nil
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "linkcheck:", err)
-		os.Exit(2)
+		return r, err
 	}
-	fmt.Printf("linkcheck: %d files, %d relative links, %d broken\n", files, checked, broken)
-	if broken > 0 {
-		os.Exit(1)
+	sort.Strings(decls)
+	for _, path := range docs {
+		if err := checkCited(&r, path, decls); err != nil {
+			return r, err
+		}
 	}
+	return r, nil
+}
+
+// checkMarkdown checks one markdown file's links and, unless it is a
+// history doc, its item citations.
+func checkMarkdown(r *report, path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	past := history[filepath.Base(path)]
+	for i, line := range strings.Split(string(data), "\n") {
+		for _, m := range linkRe.FindAllStringSubmatch(line, -1) {
+			target := m[1]
+			if !checkable(target) {
+				continue
+			}
+			r.links++
+			if !exists(path, target) {
+				r.failures = append(r.failures, fmt.Sprintf("%s:%d: broken link: %s", path, i+1, target))
+			}
+		}
+		if past {
+			continue
+		}
+		for _, m := range itemRe.FindAllString(line, -1) {
+			r.failures = append(r.failures, fmt.Sprintf("%s:%d: ROADMAP item number %q: cite the mechanism or the PR", path, i+1, m))
+		}
+	}
+	return nil
+}
+
+// checkCited reports every test name path cites that is not a prefix of
+// a declared function (decls sorted).
+func checkCited(r *report, path string, decls []string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	for i, line := range strings.Split(string(data), "\n") {
+		for _, name := range citedRe.FindAllString(line, -1) {
+			j := sort.SearchStrings(decls, name)
+			if j == len(decls) || !strings.HasPrefix(decls[j], name) {
+				r.failures = append(r.failures, fmt.Sprintf("%s:%d: cites %s, which no _test.go declares", path, i+1, name))
+			}
+		}
+	}
+	return nil
 }
 
 // checkable reports whether target is a relative filesystem link this
@@ -101,4 +185,23 @@ func exists(mdFile, target string) bool {
 	}
 	_, err := os.Stat(filepath.Join(filepath.Dir(mdFile), target))
 	return err == nil
+}
+
+func main() {
+	root := "."
+	if len(os.Args) > 1 {
+		root = os.Args[1]
+	}
+	r, err := check(root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "linkcheck:", err)
+		os.Exit(2)
+	}
+	for _, f := range r.failures {
+		fmt.Fprintln(os.Stderr, f)
+	}
+	fmt.Printf("linkcheck: %d files, %d relative links, %d failures\n", r.files, r.links, len(r.failures))
+	if len(r.failures) > 0 {
+		os.Exit(1)
+	}
 }

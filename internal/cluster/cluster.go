@@ -26,9 +26,10 @@ import (
 )
 
 // Tuning models the costs a real deployment pays that an in-process
-// simulation otherwise would not, and sizes the runtime buffers. All
-// defaults are documented in README.md; experiments print the tuning
-// they ran with.
+// simulation otherwise would not, and sizes the runtime buffers.
+// DefaultTuning states the defaults, and the field docs of idea.Config
+// say which of them the public API exposes; experiments print the
+// tuning they ran with.
 type Tuning struct {
 	// DispatchOverheadPerNode is charged (once per node) when starting a
 	// job from scratch: query compilation + job-specification

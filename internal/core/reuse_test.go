@@ -329,7 +329,7 @@ func runModel2(t *testing.T, ddl string, rounds int, recompile, racing bool) (ma
 	return views, s.f.Stats()
 }
 
-// TestModel2Invariant is ROADMAP aim 3's invariant under reuse: with
+// TestModel2Invariant is the Model-2 invariant under reuse: with
 // reference rows upserted and deleted beside ingestion, every stored
 // record carries ratings at least as new as the newest acknowledged
 // before its batch began — with state reuse and with the
