@@ -3,16 +3,19 @@
 //
 //   - a relative markdown link, in any *.md file, that points at a file
 //     that does not exist;
-//   - a ROADMAP item number ("item 4") in a doc other than ROADMAP.md,
-//     ISSUE.md and CHANGES.md — item numbers change whenever the roadmap
-//     is re-anchored, so a doc cites the mechanism or the PR instead;
-//   - a Test…, Benchmark… or Fuzz… name, cited in a current doc (every
-//     *.md except CHANGES.md, ROADMAP.md and ISSUE.md, plus the CI
-//     workflows under .github/workflows), that is not a prefix of a
+//   - a ROADMAP item number ("item 4") in a current doc — item numbers
+//     change whenever the roadmap is re-anchored, so a doc cites the
+//     mechanism or the PR instead;
+//   - a Test…, Benchmark… or Fuzz… name, cited in a current doc or in a
+//     CI workflow under .github/workflows, that is not a prefix of a
 //     function declared in some _test.go file of the tree. Prefix,
 //     because `go test -run` patterns such as TestGolden select by
 //     prefix; a renamed test can no longer leave a doc or a CI step
 //     pointing at nothing.
+//
+// Every *.md is a current doc except the history docs (CHANGES.md and
+// ROADMAP.md) and plans: a doc with a markdown task list ("- [ ] …")
+// cites roadmap items and tests that are yet to be written.
 //
 // CI runs it over the repository root (the docs job), and the package's
 // own test runs the same checks on the repository, so `go test ./...`
@@ -48,11 +51,13 @@ var (
 	citedRe = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9]\w*`)
 	// declRe matches a top-level function declaration in a _test.go file.
 	declRe = regexp.MustCompile(`(?m)^func (\w+)\(`)
+	// taskRe matches a markdown task-list item, the mark of a plan.
+	taskRe = regexp.MustCompile(`(?m)^\s*[-*] \[[ xX]\] `)
 )
 
 // history names the docs that record the past: they may cite item
 // numbers and tests that no longer exist.
-var history = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
+var history = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true}
 
 // report is what one walk found.
 type report struct {
@@ -91,10 +96,11 @@ func check(root string) (report, error) {
 			}
 		case strings.EqualFold(filepath.Ext(name), ".md"):
 			r.files++
-			if err := checkMarkdown(&r, path); err != nil {
+			past, err := checkMarkdown(&r, path)
+			if err != nil {
 				return err
 			}
-			if !history[name] {
+			if !past {
 				docs = append(docs, path)
 			}
 		case strings.HasSuffix(filepath.ToSlash(filepath.Dir(path)), ".github/workflows") &&
@@ -116,13 +122,14 @@ func check(root string) (report, error) {
 }
 
 // checkMarkdown checks one markdown file's links and, unless it is a
-// history doc, its item citations.
-func checkMarkdown(r *report, path string) error {
+// history doc or a plan, its item citations. It reports whether the file
+// is a history doc or a plan.
+func checkMarkdown(r *report, path string) (past bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return false, err
 	}
-	past := history[filepath.Base(path)]
+	past = history[filepath.Base(path)] || taskRe.Match(data)
 	for i, line := range strings.Split(string(data), "\n") {
 		for _, m := range linkRe.FindAllStringSubmatch(line, -1) {
 			target := m[1]
@@ -141,7 +148,7 @@ func checkMarkdown(r *report, path string) error {
 			r.failures = append(r.failures, fmt.Sprintf("%s:%d: ROADMAP item number %q: cite the mechanism or the PR", path, i+1, m))
 		}
 	}
-	return nil
+	return past, nil
 }
 
 // checkCited reports every test name path cites that is not a prefix of

@@ -24,11 +24,12 @@ func TestCheck(t *testing.T) {
 			want:  []string{"README.md:2: broken link: docs/GONE.md"},
 		},
 		{
-			name: "item number in a history doc",
+			name: "item number in a history doc or a plan",
 			files: map[string]string{
-				"CHANGES.md": "PR 9: ROADMAP item 4 ticked",
-				"ROADMAP.md": "Items 2 and 3",
-				"ISSUE.md":   "item 9",
+				"CHANGES.md":   "PR 9: ROADMAP item 4 ticked",
+				"ROADMAP.md":   "Items 2 and 3",
+				"docs/PLAN.md": "item 9\n\n- [ ] TestNotYetWritten passes",
+				"docs/DONE.md": "- [x] item 2",
 			},
 		},
 		{
