@@ -24,7 +24,11 @@
 // binds $min. Result sets have one column, "value", holding each row's
 // value: scalars arrive as native Go types, objects and arrays as
 // their JSON encoding ([]byte) — scan into an idea.Value to get typed
-// access back. Rows stream: the driver decodes row batches as the
+// access back. The JSON is written straight from the row's wire bytes
+// into one buffer the next row reuses, so scanning into sql.RawBytes
+// costs no allocation per row, and such a RawBytes is valid only until
+// the next call to Next (database/sql copies into every other
+// destination). Rows stream: the driver reads row batches as the
 // server flushes them and never buffers the full result, and closing
 // sql.Rows early tears down the server-side cursor.
 //

@@ -553,7 +553,9 @@ func TestE2E(t *testing.T) {
 }
 
 // BenchmarkWireQueryStream measures rows/s through the whole stack:
-// database/sql -> wire -> server -> engine cursor and back.
+// database/sql -> wire -> server -> engine cursor and back. /ids streams
+// a scalar column; /records streams the stored records themselves, each
+// written as JSON from its wire bytes into sql.RawBytes.
 func BenchmarkWireQueryStream(b *testing.B) {
 	_, addr := startServer(b, server.Config{})
 	db := openDB(b, addr)
@@ -561,32 +563,53 @@ func BenchmarkWireQueryStream(b *testing.B) {
 	ctx := context.Background()
 
 	const rowsPerQuery = 2000
-	if _, err := db.ExecContext(ctx, testSchema+insertScript("D", 0, rowsPerQuery)); err != nil {
+	var script strings.Builder
+	script.WriteString(testSchema + "INSERT INTO D ([")
+	for i := 0; i < rowsPerQuery; i++ {
+		if i > 0 {
+			script.WriteByte(',')
+		}
+		fmt.Fprintf(&script, `{"id": %d, "text": "tweet number %d about the weather in the valley", "lang": "en",`+
+			` "user": {"screen_name": "user%d", "followers_count": %d}, "latitude": 33.64, "retweet_count": %d,`+
+			` "hashtags": ["ca", "wx"]}`, i, i, i%97, i*7, i%13)
+	}
+	script.WriteString("]);")
+	if _, err := db.ExecContext(ctx, script.String()); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		rows, err := db.QueryContext(ctx, `SELECT VALUE d.id FROM D d`)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		for rows.Next() {
-			var id int64
-			if err := rows.Scan(&id); err != nil {
+	stream := func(b *testing.B, query string, scan func(*sql.Rows) error) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		total := 0
+		for i := 0; i < b.N; i++ {
+			rows, err := db.QueryContext(ctx, query)
+			if err != nil {
 				b.Fatal(err)
 			}
-			n++
+			n := 0
+			for rows.Next() {
+				if err := scan(rows); err != nil {
+					b.Fatal(err)
+				}
+				n++
+			}
+			if err := rows.Err(); err != nil {
+				b.Fatal(err)
+			}
+			rows.Close()
+			if n != rowsPerQuery {
+				b.Fatalf("streamed %d rows", n)
+			}
+			total += n
 		}
-		if err := rows.Err(); err != nil {
-			b.Fatal(err)
-		}
-		rows.Close()
-		if n != rowsPerQuery {
-			b.Fatalf("streamed %d rows", n)
-		}
-		total += n
+		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "rows/s")
 	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "rows/s")
+	b.Run("ids", func(b *testing.B) {
+		var id int64
+		stream(b, `SELECT VALUE d.id FROM D d`, func(rows *sql.Rows) error { return rows.Scan(&id) })
+	})
+	b.Run("records", func(b *testing.B) {
+		var raw sql.RawBytes
+		stream(b, `SELECT VALUE d FROM D d`, func(rows *sql.Rows) error { return rows.Scan(&raw) })
+	})
 }

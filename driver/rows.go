@@ -4,11 +4,13 @@ import (
 	"database/sql/driver"
 	"fmt"
 	"io"
+	"unsafe"
 
+	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/wire"
 )
 
-// rows streams one result set. Next decodes rows out of the current
+// rows streams one result set. Next takes rows out of the current
 // batch frame and reads the next frame only when the batch runs dry,
 // so memory stays bounded by one batch regardless of result size.
 type rows struct {
@@ -17,8 +19,9 @@ type rows struct {
 	release func() // stops the ctx guard armed by QueryContext
 
 	batch    *wire.BatchReader
-	done     bool  // Trailer or Error consumed; stream is over
-	finalErr error // terminal error to report from Next after done
+	json     []byte // the current composite row's JSON; the next row overwrites it
+	done     bool   // Trailer or Error consumed; stream is over
+	finalErr error  // terminal error to report from Next after done
 }
 
 // Columns implements driver.Rows.
@@ -39,13 +42,11 @@ func (r *rows) Next(dest []driver.Value) error {
 				r.batch = nil
 				continue
 			}
-			// Scalars as native Go types, composites as their JSON
-			// bytes; scanning a column into an idea.Value reverses it.
 			for i := range dest {
 				dest[i] = nil
 			}
 			if len(dest) > 0 {
-				dest[0] = v.DriverValue()
+				dest[0] = r.value(v)
 			}
 			return nil
 		}
@@ -86,6 +87,30 @@ func (r *rows) Next(dest []driver.Value) error {
 			return err
 		}
 	}
+}
+
+// value is row v as database/sql sees it (adm.Value.DriverValue):
+// scalars as native Go types, composites as their JSON, written from
+// the row's wire bytes into r.json — scanning into an idea.Value parses
+// it back. database/sql lets a driver hand out bytes it owns until the
+// next Next: it copies them into every destination but sql.RawBytes,
+// which is documented to live only that long.
+func (r *rows) value(v adm.Value) driver.Value {
+	if x, ok := v.Scalar(); ok {
+		return x
+	}
+	r.json = adm.AppendJSON(r.json[:0], v)
+	return aliasBytes(&r.json)
+}
+
+// aliasBytes returns *p as an interface that points at *p itself
+// rather than at a copy: putting a []byte in an interface copies its
+// slice header to the heap, which would be one allocation per row. A
+// dest value is read only until the next Next, the only writer of *p.
+func aliasBytes(p *[]byte) driver.Value {
+	v := driver.Value([]byte(nil))
+	(*[2]unsafe.Pointer)(unsafe.Pointer(&v))[1] = unsafe.Pointer(p)
+	return v
 }
 
 // Close implements driver.Rows. On early close it asks the server to

@@ -516,55 +516,30 @@ func parseIntBytes(b []byte) (int64, bool) {
 // tagged strings/arrays that the Datatype coercion layer knows how to
 // read back: datetime → ISO-8601 string, duration → ISO-8601 duration
 // string, point → [x,y], rectangle → [x1,y1,x2,y2], circle → [cx,cy,r].
+// A view is transcoded from its bytes (appendJSONView), to the same
+// JSON its decoded object writes.
 func AppendJSON(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindMissing, KindNull:
 		return append(dst, "null"...)
 	case KindBoolean:
-		if v.i != 0 {
-			return append(dst, "true"...)
-		}
-		return append(dst, "false"...)
+		return appendJSONBool(dst, v.i != 0)
 	case KindInt64:
 		return strconv.AppendInt(dst, v.i, 10)
 	case KindDouble:
-		if math.IsInf(v.f, 0) || math.IsNaN(v.f) {
-			return append(dst, "null"...)
-		}
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return appendJSONDouble(dst, v.f)
 	case KindString:
 		return appendJSONString(dst, v.s)
 	case KindDateTime:
-		return appendJSONString(dst, FormatISODateTime(v.i))
+		return appendJSONDateTime(dst, v.i)
 	case KindDuration:
-		return appendJSONString(dst, FormatISODuration(v.aux, v.i))
+		return appendJSONDuration(dst, v.aux, v.i)
 	case KindPoint:
-		x, y := v.PointVal()
-		dst = append(dst, '[')
-		dst = strconv.AppendFloat(dst, x, 'g', -1, 64)
-		dst = append(dst, ',')
-		dst = strconv.AppendFloat(dst, y, 'g', -1, 64)
-		return append(dst, ']')
-	case KindRectangle:
-		x1, y1, x2, y2 := v.RectVal()
-		dst = append(dst, '[')
-		for i, f := range [...]float64{x1, y1, x2, y2} {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
-		}
-		return append(dst, ']')
+		return appendJSONCoords(dst, v.geo, 2)
 	case KindCircle:
-		cx, cy, r := v.CircleVal()
-		dst = append(dst, '[')
-		for i, f := range [...]float64{cx, cy, r} {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
-		}
-		return append(dst, ']')
+		return appendJSONCoords(dst, v.geo, 3)
+	case KindRectangle:
+		return appendJSONCoords(dst, v.geo, 4)
 	case KindArray:
 		dst = append(dst, '[')
 		for i, e := range v.arr {
@@ -575,8 +550,11 @@ func AppendJSON(dst []byte, v Value) []byte {
 		}
 		return append(dst, ']')
 	case KindObject:
+		if v.isView() {
+			return appendJSONView(dst, v.encoded())
+		}
 		dst = append(dst, '{')
-		if o := v.object(); o != nil {
+		if o := v.obj; o != nil {
 			for i := 0; i < o.Len(); i++ {
 				if i > 0 {
 					dst = append(dst, ',')
@@ -594,27 +572,82 @@ func AppendJSON(dst []byte, v Value) []byte {
 // SerializeJSON returns the JSON encoding of v as a fresh byte slice.
 func SerializeJSON(v Value) []byte { return AppendJSON(nil, v) }
 
-func appendJSONString(dst []byte, s string) []byte {
+func appendJSONBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, "true"...)
+	}
+	return append(dst, "false"...)
+}
+
+// appendJSONDouble writes NaN and ±Inf, which JSON cannot spell, as null.
+func appendJSONDouble(dst []byte, f float64) []byte {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return append(dst, "null"...)
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
+// appendJSONCoords writes the first n coordinates of a spatial value as
+// an array.
+func appendJSONCoords(dst []byte, geo *[4]float64, n int) []byte {
+	var zero [4]float64
+	if geo == nil {
+		geo = &zero
+	}
+	dst = append(dst, '[')
+	for i, f := range geo[:n] {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+	}
+	return append(dst, ']')
+}
+
+// appendJSONDateTime quotes FormatISODateTime's text, which needs no
+// escape, formatted straight into dst.
+func appendJSONDateTime(dst []byte, ms int64) []byte {
 	dst = append(dst, '"')
+	dst = time.UnixMilli(ms).UTC().AppendFormat(dst, isoDateTimeLayout)
+	return append(dst, '"')
+}
+
+// appendJSONDuration quotes FormatISODuration's text, which needs no
+// escape, formatted straight into dst.
+func appendJSONDuration(dst []byte, months int32, millis int64) []byte {
+	dst = append(dst, '"')
+	dst = appendISODuration(dst, months, millis)
+	return append(dst, '"')
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString writes s quoted, copying the runs between the bytes
+// that need an escape.
+func appendJSONString[S string | []byte](dst []byte, s S) []byte {
+	dst = append(dst, '"')
+	from := 0
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		switch {
-		case c == '"':
-			dst = append(dst, '\\', '"')
-		case c == '\\':
-			dst = append(dst, '\\', '\\')
-		case c == '\n':
+		if c >= 0x20 && c != '"' && c != '\\' {
+			continue
+		}
+		dst = append(dst, s[from:i]...)
+		from = i + 1
+		switch c {
+		case '"', '\\':
+			dst = append(dst, '\\', c)
+		case '\n':
 			dst = append(dst, '\\', 'n')
-		case c == '\r':
+		case '\r':
 			dst = append(dst, '\\', 'r')
-		case c == '\t':
+		case '\t':
 			dst = append(dst, '\\', 't')
-		case c < 0x20:
-			dst = append(dst, fmt.Sprintf("\\u%04x", c)...)
 		default:
-			dst = append(dst, c)
+			dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
 		}
 	}
+	dst = append(dst, s[from:]...)
 	return append(dst, '"')
 }
 
@@ -646,10 +679,14 @@ func ParseISODateTime(s string) (int64, bool) {
 // FormatISODuration renders a (months, millis) duration as an ISO-8601
 // duration string, e.g. P2M, P1Y2M, PT4.250S, P2MT12H.
 func FormatISODuration(months int32, millis int64) string {
-	out := []byte{'P'}
+	return string(appendISODuration(nil, months, millis))
+}
+
+func appendISODuration(dst []byte, months int32, millis int64) []byte {
+	start := len(dst)
 	neg := months < 0 || millis < 0
 	if neg {
-		out = []byte{'-', 'P'}
+		dst = append(dst, '-')
 		if months < 0 {
 			months = -months
 		}
@@ -657,31 +694,29 @@ func FormatISODuration(months int32, millis int64) string {
 			millis = -millis
 		}
 	}
+	dst = append(dst, 'P')
 	years := months / 12
 	months %= 12
 	if years > 0 {
-		out = strconv.AppendInt(out, int64(years), 10)
-		out = append(out, 'Y')
+		dst = strconv.AppendInt(dst, int64(years), 10)
+		dst = append(dst, 'Y')
 	}
 	if months > 0 {
-		out = strconv.AppendInt(out, int64(months), 10)
-		out = append(out, 'M')
+		dst = strconv.AppendInt(dst, int64(months), 10)
+		dst = append(dst, 'M')
 	}
 	if millis > 0 {
-		out = append(out, 'T')
-		secs := millis / 1000
-		frac := millis % 1000
-		out = strconv.AppendInt(out, secs, 10)
-		if frac > 0 {
-			out = append(out, '.')
-			out = append(out, fmt.Sprintf("%03d", frac)...)
+		dst = append(dst, 'T')
+		dst = strconv.AppendInt(dst, millis/1000, 10)
+		if frac := millis % 1000; frac > 0 {
+			dst = append(dst, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 		}
-		out = append(out, 'S')
+		dst = append(dst, 'S')
 	}
-	if len(out) == 1 || (neg && len(out) == 2) {
-		out = append(out, 'T', '0', 'S')
+	if n := len(dst) - start; n == 1 || (neg && n == 2) {
+		dst = append(dst, 'T', '0', 'S')
 	}
-	return string(out)
+	return dst
 }
 
 // ParseISODuration parses a subset of ISO-8601 durations covering what

@@ -1,6 +1,8 @@
 package adm
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -135,7 +137,39 @@ func TestSerializeEscapes(t *testing.T) {
 	if back.StringVal() != v.StringVal() {
 		t.Error("escape round trip failed")
 	}
+	// Every control character, as fmt's %04x spells it, between runs
+	// that are copied as they are.
+	var raw, esc strings.Builder
+	esc.WriteByte('"')
+	for c := byte(0); c < 0x20; c++ {
+		raw.WriteString("é")
+		raw.WriteByte(c)
+		esc.WriteString("é")
+		switch c {
+		case '\n':
+			esc.WriteString(`\n`)
+		case '\r':
+			esc.WriteString(`\r`)
+		case '\t':
+			esc.WriteString(`\t`)
+		default:
+			fmt.Fprintf(&esc, "\\u%04x", c)
+		}
+	}
+	raw.WriteString("\x7f~")
+	esc.WriteString("\x7f~\"")
+	if got := string(SerializeJSON(String(raw.String()))); got != esc.String() {
+		t.Errorf("control characters escaped as %s, want %s", got, esc.String())
+	}
+	if back := mustParse(t, esc.String()); back.StringVal() != raw.String() {
+		t.Errorf("control characters round trip to %q", back.StringVal())
+	}
+	if n := testing.AllocsPerRun(10, func() { benchBytes = appendJSONString(benchBytes[:0], raw.String()) }); n != 0 {
+		t.Errorf("escaping control characters into a buffer with room: %v allocations", n)
+	}
 }
+
+var benchBytes = make([]byte, 0, 1<<10)
 
 func TestJSONRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
@@ -199,6 +233,39 @@ func TestISODateTimeRoundTrip(t *testing.T) {
 	}
 	if got, ok := ParseISODateTime("2019-08-23"); !ok || got%86_400_000 != 0 {
 		t.Errorf("date-only parse = %d, %v", got, ok)
+	}
+}
+
+// TestTemporalJSONSpellings pins how datetimes and durations are
+// spelt in JSON — formatted straight into the output, from a value or
+// from its bytes — including years past 9999 and durations whose
+// magnitude overflows.
+func TestTemporalJSONSpellings(t *testing.T) {
+	for _, tc := range []struct {
+		v    Value
+		want string
+	}{
+		{DateTimeMillis(0), `"1970-01-01T00:00:00.000Z"`},
+		{DateTimeMillis(1_566_550_245_250), `"2019-08-23T08:50:45.250Z"`},
+		{DateTimeMillis(-1), `"1969-12-31T23:59:59.999Z"`},
+		{DateTimeMillis(-62_135_596_800_001), `"0000-12-31T23:59:59.999Z"`},
+		{DateTimeMillis(253_402_300_800_000), `"10000-01-01T00:00:00.000Z"`},
+		{Duration(0, 0), `"PT0S"`},
+		{Duration(12, 0), `"P1Y"`},
+		{Duration(14, 93_600_250), `"P1Y2MT93600.250S"`},
+		{Duration(0, 7), `"PT0.007S"`},
+		{Duration(0, 1050), `"PT1.050S"`},
+		{Duration(-3, 0), `"-P3M"`},
+		{Duration(-1, -5), `"-P1MT0.005S"`},
+		{Duration(0, -2500), `"-PT2.500S"`},
+		{Duration(math.MinInt32, math.MinInt64), `"-PT0S"`},
+	} {
+		if got := string(AppendJSON(nil, tc.v)); got != tc.want {
+			t.Errorf("AppendJSON(%v) = %s, want %s", tc.v, got, tc.want)
+		}
+		if got := string(appendJSONView(nil, AppendBinary(nil, tc.v))); got != tc.want {
+			t.Errorf("transcoding %v wrote %s, want %s", tc.v, got, tc.want)
+		}
 	}
 }
 

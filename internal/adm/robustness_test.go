@@ -85,7 +85,8 @@ func TestCoerceNeverPanics(t *testing.T) {
 // object read in place — the view storage hands up — says what the
 // decoded object says, however it is asked (checkViewAgrees), and one
 // more field spliced onto its bytes is the row Object.Set would build
-// (checkSpliceAgrees).
+// (checkSpliceAgrees). Every value's JSON transcoded from its bytes is
+// byte for byte the JSON of the value they decode to.
 func FuzzDecodeBinary(f *testing.F) {
 	r := rand.New(rand.NewSource(16))
 	for i := 0; i < 64; i++ {
@@ -127,6 +128,13 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		if got := BinarySize(v); got != len(enc) {
 			t.Fatalf("BinarySize(%v) = %d, AppendBinary wrote %d", v, got, len(enc))
+		}
+		want := AppendJSON(nil, v)
+		if got := AppendJSON(nil, View(data[:n])); !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON(View(%x)) = %s, decoded %s", data[:n], got, want)
+		}
+		if got := appendJSONView(nil, data); !bytes.Equal(got, want) {
+			t.Fatalf("transcoding %x wrote %s, decoded %s", data, got, want)
 		}
 		if v.Kind() == KindObject {
 			checkViewAgrees(t, data[:n], v)

@@ -2,6 +2,8 @@ package adm
 
 import (
 	"encoding/binary"
+	"math"
+	"strconv"
 	"strings"
 	"unsafe"
 )
@@ -18,20 +20,26 @@ import (
 //     field comes back as a sub-view. The last of several fields with one
 //     name wins, as Object.Set lets it.
 //   - AppendBinary copies the bytes.
-//   - ObjectVal, Compare, Hash, AppendJSON, Clone, String decode the whole
-//     object into a fresh value nothing else shares. Nothing is memoised:
-//     a view is immutable and safe to read from any number of goroutines.
+//   - AppendJSON transcodes the bytes: names, strings and numbers are
+//     written from where they lie, a datetime formatted straight into
+//     the output, and nothing is decoded (appendJSONView).
+//   - ObjectVal, Compare, Hash, Clone, String decode the whole object
+//     into a fresh value nothing else shares. Nothing is memoised: a
+//     view is immutable and safe to read from any number of goroutines.
 //
 // The bytes are checked once, when View's caller loads them; after that
-// no operation on the view fails or panics. Retaining a view is always
-// correct — the bytes it aliases are immutable and garbage-collected —
-// but keeps the whole buffer they are part of alive; a long-lived holder
-// keeps Detached() instead.
+// no operation on the view fails or panics. A view lives as long as the
+// bytes it aliases stay as they are. Storage's never change: retaining
+// one of its views is always correct, but keeps the whole buffer the
+// bytes are part of alive, so a long-lived holder keeps Detached()
+// instead. A row the driver reads off the wire (wire.BatchReader) is a
+// view of a read buffer that the next frame overwrites, and is rendered
+// as JSON before then.
 
 // View returns the value enc encodes. enc must be exactly one value
-// SkipBinary accepts, and must never change afterwards. An object is not
-// decoded: the result is a view aliasing enc. Any other kind decodes as
-// DecodeBinary does and owns its memory.
+// SkipBinary accepts, and must not change while the result is in use.
+// An object is not decoded: the result is a view aliasing enc. Any other
+// kind decodes as DecodeBinary does and owns its memory.
 func View(enc []byte) Value {
 	if len(enc) > 0 && Kind(enc[0]) == KindObject {
 		return Value{kind: KindObject, s: unsafe.String(&enc[0], len(enc))}
@@ -114,6 +122,114 @@ func (v Value) viewField(name string) Value {
 	}
 	f, _, _ := decodeBinary(data[at:at+size], 0)
 	return f
+}
+
+// appendJSONView is AppendJSON on a view: the JSON of the object its
+// bytes decode to, written from the bytes. Bytes that do not decode
+// write {}, as the object decoding them yields (nil) does.
+func appendJSONView(dst, enc []byte) []byte {
+	if _, err := skipBinary(enc, 0); err != nil {
+		return append(dst, "{}"...)
+	}
+	dst, _ = appendJSONBinary(dst, enc)
+	return dst
+}
+
+// appendJSONBinary appends the JSON of the value enc starts with, which
+// skipBinary has accepted, and returns the bytes that value spans.
+func appendJSONBinary(dst, enc []byte) ([]byte, int) {
+	kind := Kind(enc[0])
+	switch kind {
+	case KindMissing, KindNull:
+		return append(dst, "null"...), 1
+	case KindBoolean:
+		return appendJSONBool(dst, enc[1] != 0), 2
+	case KindInt64:
+		i, n := binary.Varint(enc[1:])
+		return strconv.AppendInt(dst, i, 10), 1 + n
+	case KindDateTime:
+		ms, n := binary.Varint(enc[1:])
+		return appendJSONDateTime(dst, ms), 1 + n
+	case KindDouble:
+		return appendJSONDouble(dst, math.Float64frombits(binary.LittleEndian.Uint64(enc[1:]))), 9
+	case KindString:
+		l, n, _ := decodeLen(enc[1:], kind)
+		return appendJSONString(dst, enc[1+n:1+n+l]), 1 + n + l
+	case KindDuration:
+		months, n := binary.Varint(enc[1:])
+		millis, m := binary.Varint(enc[1+n:])
+		return appendJSONDuration(dst, int32(months), millis), 1 + n + m
+	case KindPoint, KindCircle, KindRectangle:
+		coords := 2
+		if kind == KindCircle {
+			coords = 3
+		} else if kind == KindRectangle {
+			coords = 4
+		}
+		var geo [4]float64
+		for i := range coords {
+			geo[i] = math.Float64frombits(binary.LittleEndian.Uint64(enc[1+8*i:]))
+		}
+		return appendJSONCoords(dst, &geo, coords), 1 + 8*coords
+	case KindArray:
+		count, n, _ := decodeLen(enc[1:], kind)
+		pos := 1 + n
+		dst = append(dst, '[')
+		for i := 0; i < count; i++ {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			var en int
+			dst, en = appendJSONBinary(dst, enc[pos:])
+			pos += en
+		}
+		return append(dst, ']'), pos
+	}
+	return appendJSONObject(dst, enc)
+}
+
+// maxTranscodedFields is the widest object appendJSONObject compares
+// names across; a row is a handful of fields.
+const maxTranscodedFields = 32
+
+// appendJSONObject transcodes an encoded object one field at a time.
+// Object.Set keeps a repeated name at its first position with its last
+// value, which a single pass cannot know when it writes the first: an
+// object whose names repeat (no encoder here writes one) or that is
+// wider than maxTranscodedFields is decoded and written as that Object.
+func appendJSONObject(dst, enc []byte) ([]byte, int) {
+	count, n, _ := decodeLen(enc[1:], KindObject)
+	if count > maxTranscodedFields {
+		return appendJSONDecoded(dst, enc)
+	}
+	start, pos := len(dst), 1+n
+	var names [maxTranscodedFields]string
+	dst = append(dst, '{')
+	for i := 0; i < count; i++ {
+		l, n, _ := decodeLen(enc[pos:], KindObject)
+		name := enc[pos+n : pos+n+l]
+		for _, prev := range names[:i] {
+			if prev == string(name) {
+				return appendJSONDecoded(dst[:start], enc)
+			}
+		}
+		names[i] = unsafe.String(unsafe.SliceData(name), l)
+		pos += n + l
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, name)
+		dst = append(dst, ':')
+		var vn int
+		dst, vn = appendJSONBinary(dst, enc[pos:])
+		pos += vn
+	}
+	return append(dst, '}'), pos
+}
+
+func appendJSONDecoded(dst, enc []byte) ([]byte, int) {
+	v, n, _ := decodeBinary(enc, 0)
+	return AppendJSON(dst, v), n
 }
 
 // RowPart is one item of a SELECT clause evaluated for a row: a named

@@ -3,6 +3,7 @@ package adm
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -28,8 +29,15 @@ func checkViewAgrees(t *testing.T, enc []byte, v Value) {
 	if Compare(view, v) != 0 || Compare(v, view) != 0 || !Equal(view, v) || Hash(view) != Hash(v) {
 		t.Fatalf("View(%x) = %v, decoded %v (hash %x vs %x)", enc, view, v, Hash(view), Hash(v))
 	}
-	if got, want := AppendJSON(nil, view), AppendJSON(nil, v); !bytes.Equal(got, want) {
+	want := AppendJSON(nil, v)
+	if got := AppendJSON(nil, view); !bytes.Equal(got, want) {
 		t.Fatalf("View(%x) JSON %s, decoded %s", enc, got, want)
+	}
+	// After output already in the buffer, as a row's JSON lands in the
+	// driver's reused one (a name repeated inside rewinds to its start).
+	prefix := []byte(`{"row":`)
+	if got := AppendJSON(prefix, view); !bytes.Equal(got[len(prefix):], want) || string(got[:len(prefix)]) != string(prefix) {
+		t.Fatalf("View(%x) JSON after %s: %s, decoded %s", enc, prefix, got, want)
 	}
 	if got := AppendBinary(nil, view); !bytes.Equal(got, enc) {
 		t.Fatalf("AppendBinary(View(%x)) = %x", enc, got)
@@ -95,16 +103,44 @@ func viewSeeds() [][]byte {
 	for i := 0; i < 40; i++ {
 		wide.Set(fmt.Sprintf("f%02d", i), Int(int64(i)))
 	}
-	deep := Int(1)
+	deep, mixed := Int(1), Int(1)
 	for i := 0; i < MaxDepth; i++ {
 		deep = ObjectValue(ObjectFromPairs("d", deep))
+		if i%2 == 0 {
+			mixed = Array([]Value{mixed, Null()})
+		} else {
+			mixed = ObjectValue(ObjectFromPairs("m", mixed))
+		}
 	}
+	// The kinds JSON writes its own way: NaN and ±Inf as null, temporal
+	// kinds as ISO-8601 strings, spatial ones as arrays, control
+	// characters escaped — in names too.
+	kinds := ObjectFromPairs(
+		"nan", Double(math.NaN()), "inf", Double(math.Inf(1)), "-inf", Double(math.Inf(-1)),
+		"neg0", Double(math.Copysign(0, -1)), "tiny", Double(5e-324), "int", Int(math.MinInt64),
+		"epoch", DateTimeMillis(0), "then", DateTimeMillis(1_560_000_000_123), "before", DateTimeMillis(-62_135_596_800_001),
+		"dur", Duration(14, 93_600_250), "negdur", Duration(-1, -5), "zerodur", Duration(0, 0),
+		"pt", Point(1.5, math.NaN()), "rect", Rectangle(0, 0, 1e300, -2), "circle", Circle(3, 4, math.Inf(1)),
+		"ctl\x00\x01\x1f\t\"\\", String("a\x00b\x07c\x1fd\n\r\t\"\\\x7fé"),
+		"", Bool(false), "miss", Missing(), "null", Null(),
+		"arr", Array([]Value{Double(math.NaN()), DateTimeMillis(1), ObjectValue(NewObject(0)), EmptyArray()}),
+	)
+	// A repeated name below the top, inside an array: the transcoder
+	// has written output for the object around it when it meets the
+	// repeat.
+	nestedDup := []byte{byte(KindObject), 2}
+	nestedDup = field(nestedDup, "x", Int(1))
+	nestedDup = append(nestedDup, 1, 'l', byte(KindArray), 2, byte(KindNull))
+	nestedDup = append(nestedDup, dup...)
 	return [][]byte{
 		dup,
 		AppendBinary(nil, ObjectValue(NewObject(0))),
 		AppendBinary(nil, ObjectValue(wide)),
 		AppendBinary(nil, deep),
 		AppendBinary(nil, benchTweet()),
+		nestedDup,
+		AppendBinary(nil, mixed),
+		AppendBinary(nil, ObjectValue(kinds)),
 	}
 }
 
@@ -189,6 +225,39 @@ func TestViewFieldAllocatesNothingForFixedWidthKinds(t *testing.T) {
 			t.Errorf("Field(%q) on a view: %v allocations", name, n)
 		}
 	}
+}
+
+// TestAppendJSONViewAllocatesNothing: a stored record's JSON is
+// transcoded from its bytes — a datetime included — into a buffer with
+// room without one allocation, where decoding it first built a tree.
+func TestAppendJSONViewAllocatesNothing(t *testing.T) {
+	view := View(AppendBinary(nil, benchTweet()))
+	buf := AppendJSON(nil, view)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendJSON(buf[:0], view) }); n != 0 {
+		t.Fatalf("AppendJSON of a view into a buffer with room: %v allocations", n)
+	}
+}
+
+// BenchmarkAppendJSON prices a stored record's JSON as a view's
+// transcoding against decoding it and writing the tree, which is what
+// the driver paid per composite row before.
+func BenchmarkAppendJSON(b *testing.B) {
+	enc := AppendBinary(nil, benchTweet())
+	view := View(enc)
+	buf := AppendJSON(nil, view)
+	b.Run("view", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = AppendJSON(buf[:0], view)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			v, _, _ := DecodeBinary(enc)
+			buf = SerializeJSON(v)
+		}
+	})
 }
 
 // BenchmarkFieldView prices a field lookup on a stored record as storage

@@ -121,8 +121,8 @@ func (r *Reader) Value() adm.Value {
 }
 
 // View consumes one adm binary value without decoding it: an object
-// comes back as a view aliasing the payload (which must never change
-// afterwards), any other kind as Value returns it.
+// comes back as a view aliasing the payload (which must not change
+// while the view is in use), any other kind as Value returns it.
 func (r *Reader) View() adm.Value {
 	if r.err != nil {
 		return adm.Value{}

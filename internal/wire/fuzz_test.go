@@ -33,7 +33,9 @@ func fixedPoint[T any](t *testing.T, what string, body []byte, parse func([]byte
 // FuzzWireParse hands arbitrary bytes to every message parser (as a
 // frame body) and to the frame reader (as a byte stream): errors or
 // fixed points, never a panic, and no allocation the input length does
-// not cover — a hostile count must not size a slice.
+// not cover — a hostile count must not size a slice. Every row a batch
+// yields is rendered as JSON from the body's bytes, as the driver does,
+// and must read as the decoded row does.
 func FuzzWireParse(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "conversation-v1.golden"))
 	if err != nil {
@@ -74,6 +76,12 @@ func FuzzWireParse(f *testing.F) {
 				v, ok, err := br.Next()
 				if err != nil || !ok {
 					return rows, err
+				}
+				// The driver renders each row from the body's bytes.
+				enc := adm.AppendBinary(nil, v)
+				decoded, _, derr := adm.DecodeBinary(enc)
+				if got, want := adm.AppendJSON(nil, v), adm.AppendJSON(nil, decoded); derr != nil || !bytes.Equal(got, want) {
+					t.Fatalf("row %x: JSON %s, decoded %s (%v)", enc, got, want, derr)
 				}
 				rows = append(rows, v)
 			}

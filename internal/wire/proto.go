@@ -138,10 +138,10 @@ func AppendRowBatch(dst []byte, rows []adm.Value) []byte {
 	return dst
 }
 
-// BatchReader decodes a RowBatch body incrementally. The body may alias
-// Conn's internal read buffer; decoded values own their memory (adm
-// decoding copies), so they outlive the buffer, but the BatchReader
-// itself must be exhausted before the next ReadFrame call.
+// BatchReader reads a RowBatch body incrementally. The body may alias
+// Conn's internal read buffer, which the next ReadFrame call
+// overwrites: the BatchReader must be exhausted before then, and so
+// must every object row it returned — see Next.
 type BatchReader struct {
 	r   frame.Reader
 	rem int
@@ -160,12 +160,16 @@ func NewBatchReader(body []byte) (*BatchReader, error) {
 // Len reports the rows remaining.
 func (r *BatchReader) Len() int { return r.rem }
 
-// Next decodes the next row; ok is false at exhaustion.
+// Next returns the next row; ok is false at exhaustion. An object row
+// is not decoded: it is a view of the body (adm.View), valid only as
+// long as the body's bytes are — over a Conn, until its next ReadFrame.
+// Render it (adm.AppendJSON) or copy it (Detached) before then. A row
+// of any other kind is decoded and owns its memory.
 func (r *BatchReader) Next() (v adm.Value, ok bool, err error) {
 	if r.rem == 0 {
 		return adm.Value{}, false, wrap("row batch", r.r.Done())
 	}
-	v = r.r.Value()
+	v = r.r.View()
 	if err := r.r.Err(); err != nil {
 		return adm.Value{}, false, wrap("row batch", err)
 	}
