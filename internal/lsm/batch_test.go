@@ -156,11 +156,11 @@ func checkIndexesAgainstScan(t *testing.T, label string, p *Partition, bt *BTree
 	})
 	for ks, want := range postings {
 		slices.Sort(want)
-		if got := ints(bt.Lookup(keyOf[ks])); !slices.Equal(got, want) {
-			t.Fatalf("%s: %s Lookup(%s) = %s", label, bt.Name(), ks, mismatch(got, want))
+		if got := ints(postingsOf(bt, keyOf[ks])); !slices.Equal(got, want) {
+			t.Fatalf("%s: %s postings of %s = %s", label, bt.Name(), ks, mismatch(got, want))
 		}
 	}
-	if got := len(bt.LookupRangeBounds(index.Unbounded(), index.Unbounded())); got != total {
+	if got := len(postingsIn(bt, index.Unbounded(), index.Unbounded())); got != total {
 		t.Fatalf("%s: %s holds %d entries, scan says %d", label, bt.Name(), got, total)
 	}
 	if got := rt.Len(); got != len(rects) {
@@ -216,7 +216,7 @@ func TestUpsertBatchSecondaryIndexes(t *testing.T) {
 		[]adm.Value{mk(2, "DE", 9), adm.Missing(), mk(4, "FR", 4)},
 	)
 	checkIndexesAgainstScan(t, "replace+delete batch", p, bt, rt)
-	if got := len(bt.Lookup(adm.String("US"))); got != 1 {
+	if got := len(postingsOf(bt, adm.String("US"))); got != 1 {
 		t.Fatalf("US entries after replace = %d, want 1", got)
 	}
 	// The R-tree must have dropped point (2,2) and gained (9,9).

@@ -184,6 +184,21 @@ func TestDatasetBTreeIndex(t *testing.T) {
 	}
 }
 
+// postingsIn returns the primary keys ix holds in [lo, hi], flattened.
+func postingsIn(ix *BTreeIndex, lo, hi index.Bound) []adm.Value {
+	var pks []adm.Value
+	for _, list := range ix.LookupRangeBounds(lo, hi, nil) {
+		pks = append(pks, list...)
+	}
+	return pks
+}
+
+// postingsOf returns the primary keys ix holds under exactly key: the
+// point range [key, key].
+func postingsOf(ix *BTreeIndex, key adm.Value) []adm.Value {
+	return postingsIn(ix, index.Include(key), index.Include(key))
+}
+
 func TestBTreeIndexDirect(t *testing.T) {
 	ix := NewBTreeIndex("byCountry", FieldKeyExtractor("country"))
 	mk := func(id int64, c string) adm.Value {
@@ -194,31 +209,32 @@ func TestBTreeIndexDirect(t *testing.T) {
 	insert(1, mk(1, "US"))
 	insert(2, mk(2, "US"))
 	insert(3, mk(3, "FR"))
-	if got := ix.Lookup(adm.String("US")); len(got) != 2 {
-		t.Fatalf("Lookup(US) = %d entries", len(got))
+	if got := postingsOf(ix, adm.String("US")); len(got) != 2 {
+		t.Fatalf("postingsOf(US) = %d entries", len(got))
 	}
-	if got := ix.Lookup(adm.String("XX")); got != nil {
-		t.Fatalf("Lookup miss should be nil, got %v", got)
+	if got := postingsOf(ix, adm.String("XX")); got != nil {
+		t.Fatalf("postingsOf miss should be nil, got %v", got)
 	}
 	remove(1, mk(1, "US"))
-	if got := ix.Lookup(adm.String("US")); len(got) != 1 || got[0].IntVal() != 2 {
-		t.Fatalf("after delete Lookup(US) = %v", got)
+	if got := postingsOf(ix, adm.String("US")); len(got) != 1 || got[0].IntVal() != 2 {
+		t.Fatalf("after delete postingsOf(US) = %v", got)
 	}
 	remove(3, mk(3, "FR"))
-	if got := ix.Lookup(adm.String("FR")); got != nil {
-		t.Fatal("empty posting list should be removed")
+	fr := index.Include(adm.String("FR"))
+	if got := ix.LookupRangeBounds(fr, fr, nil); got != nil {
+		t.Fatalf("empty posting list should be removed, got %v", got)
 	}
 	// Range lookup, on the bounds the planner uses.
 	insert(4, mk(4, "AA"))
 	insert(5, mk(5, "MM"))
 	insert(6, mk(6, "ZZ"))
-	got := ix.LookupRangeBounds(index.Include(adm.String("AA")), index.Include(adm.String("US")))
+	got := postingsIn(ix, index.Include(adm.String("AA")), index.Include(adm.String("US")))
 	if len(got) != 3 { // AA, MM, US
 		t.Fatalf("LookupRangeBounds[AA,US] = %v", got)
 	}
 	// Records without the field are skipped, not indexed.
 	insert(9, adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(9))))
-	if got := ix.Lookup(adm.Missing()); got != nil {
+	if got := postingsOf(ix, adm.Missing()); got != nil {
 		t.Error("missing key should not be indexed")
 	}
 }

@@ -32,6 +32,16 @@
 // buffer is the frame's slab itself. Upsert, Insert, Delete and
 // PutCheckpoint are batches of one on the same path (see
 // Partition.write).
+//
+// # Reads keep what writes never rewrite
+//
+// A reader keeps what storage hands it without a copy. A record is a
+// view of a batch buffer or a run block, bytes that are never rewritten.
+// An index scan (IndexScanCursor) keeps the secondary index's own
+// postings arrays: a published postings array is never written, because
+// every index write builds a new one (BTreeIndex). The one thing a read
+// gives back is a parallel scan's record batches, which
+// ParallelScanCursor.Close returns to a shared pool, cleared.
 package lsm
 
 import (

@@ -9,59 +9,68 @@ import (
 
 // IndexScanCursor streams the records selected by a secondary-index
 // range probe, resolving postings through the primary store of pinned
-// snapshots. The postings (primary keys only — never records) are
-// captured per partition at construction time, immediately after the
-// query pinned its snapshots, so the live-index/pinned-snapshot window
-// is a single instant; records are then resolved lazily, one per Next,
+// snapshots. The in-range postings arrays (primary keys only — never
+// records) are captured per partition at construction time,
+// immediately after the query pinned its snapshots, so the
+// live-index/pinned-snapshot window is a single instant. The cursor
+// keeps the index's own arrays and reads them in place: a published
+// postings array is never written (BTreeIndex), so writes after the
+// capture cannot reach them. Records are resolved lazily, one per Next,
 // so a consumer that stops early never materializes the tail. A pk
 // indexed after the snapshot was pinned simply misses in the snapshot
 // and is skipped; a lookup that faults ends the cursor, and the
 // snapshot's Err reports the fault.
 type IndexScanCursor struct {
 	snaps []*Snapshot
-	pks   [][]adm.Value
+	lists [][]adm.Value // the captured postings arrays, all partitions
+	ends  []int         // lists[ends[p-1]:ends[p]] are partition p's
 	part  int
+	list  int
 	pos   int
 }
 
 // NewIndexScanCursor probes one *BTreeIndex per partition snapshot
 // (idxs[i] belongs to snaps[i]'s partition) for the keys within
 // [lo, hi] and returns a cursor over the matching records. The probe
-// copies primary keys out under the index read lock and resolves them
-// afterwards, so no partition lock is ever taken while an index lock is
-// held.
+// captures the postings arrays under the index read lock and resolves
+// them afterwards, so no partition lock is ever taken while an index
+// lock is held.
 func NewIndexScanCursor(snaps []*Snapshot, idxs []*BTreeIndex, lo, hi index.Bound) *IndexScanCursor {
-	pks := make([][]adm.Value, len(idxs))
+	c := &IndexScanCursor{snaps: snaps, ends: make([]int, len(idxs))}
 	for i, ix := range idxs {
-		pks[i] = ix.LookupRangeBounds(lo, hi)
+		c.lists = ix.LookupRangeBounds(lo, hi, c.lists)
+		c.ends[i] = len(c.lists)
 	}
-	return &IndexScanCursor{snaps: snaps, pks: pks}
+	return c
 }
 
 // Next resolves and returns the next matched record. Output order is
-// postings order per partition (insertion order within a secondary
-// key), not primary-key order; consumers needing an order sort above.
+// postings order per partition (secondary-key order, insertion order
+// within a secondary key), not primary-key order; consumers needing an
+// order sort above.
 func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
-	for {
-		if c.part >= len(c.pks) {
-			return adm.Value{}, adm.Value{}, false
-		}
-		if c.pos >= len(c.pks[c.part]) {
-			c.part++
+	for c.list < len(c.lists) {
+		pks := c.lists[c.list]
+		if c.pos >= len(pks) {
+			c.list++
 			c.pos = 0
 			continue
 		}
-		pk := c.pks[c.part][c.pos]
+		for c.list >= c.ends[c.part] {
+			c.part++
+		}
+		pk := pks[c.pos]
 		c.pos++
 		rec, found, err := c.snaps[c.part].Get(pk)
 		if err != nil {
-			c.part = len(c.pks)
+			c.list = len(c.lists)
 			return adm.Value{}, adm.Value{}, false
 		}
 		if found {
 			return pk, rec, true
 		}
 	}
+	return adm.Value{}, adm.Value{}, false
 }
 
 // ScanOrder selects how a parallel scan's partition streams are
@@ -103,6 +112,19 @@ const scanBatchSize = 128
 // workers ahead of the consumer without buffering whole partitions.
 const scanChanBatches = 8
 
+// scanBatches recycles batches across parallel scans. A pooled batch is
+// cleared first (ParallelScanCursor.Close), so it pins no block. The
+// pool holds array pointers, so a Put boxes nothing.
+var scanBatches = sync.Pool{New: func() any { return new([scanBatchSize]parItem) }}
+
+// putScanBatch clears b and returns it to scanBatches. Every batch a
+// scan makes has capacity scanBatchSize.
+func putScanBatch(b []parItem) {
+	arr := (*[scanBatchSize]parItem)(b[:scanBatchSize])
+	clear(arr[:])
+	scanBatches.Put(arr)
+}
+
 // ParallelScanCursor scans partition snapshots concurrently: one
 // goroutine per partition walks its Snapshot.Cursor (optionally
 // applying a pushed-down filter) and feeds a bounded channel in
@@ -143,17 +165,14 @@ func NewParallelScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (b
 	for i := range c.chans {
 		c.chans[i] = make(chan []parItem, scanChanBatches)
 	}
-	// The free list is prefilled with the in-flight maximum (channel
-	// buffers + one per worker + one per consumer stream + transit
-	// slack), carved from one backing array: workers recycle drained
-	// batches instead of allocating, so a scan's allocation count is a
-	// small constant independent of partition size.
+	// The free list holds up to the in-flight maximum (channel buffers
+	// + one per worker + one per consumer stream + transit slack):
+	// workers recycle drained batches instead of allocating, so a scan's
+	// allocation count is a small constant independent of partition
+	// size. It starts empty — a worker short of a batch takes one from
+	// scanBatches — so a scan that stops early never builds them all.
 	nbatch := nchans*scanChanBatches + len(snaps) + nchans + 2
 	c.free = make(chan []parItem, nbatch)
-	backing := make([]parItem, nbatch*scanBatchSize)
-	for i := 0; i < nbatch; i++ {
-		c.free <- backing[i*scanBatchSize : i*scanBatchSize : (i+1)*scanBatchSize]
-	}
 	c.bufs = make([][]parItem, nchans)
 	c.poss = make([]int, nchans)
 	c.wg.Add(len(snaps))
@@ -185,10 +204,13 @@ func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Va
 		case b := <-c.free:
 			return b[:0]
 		default:
-			return make([]parItem, 0, scanBatchSize)
+			return scanBatches.Get().(*[scanBatchSize]parItem)[:0]
 		}
 	}
 	batch := getBatch()
+	// A batch the worker still holds when it exits goes to the free
+	// list, where Close finds it.
+	defer func() { c.recycle(batch) }()
 	flush := func() bool {
 		if len(batch) == 0 {
 			return true
@@ -239,10 +261,7 @@ func (c *ParallelScanCursor) fetch(i int) (parItem, bool) {
 			return parItem{}, false
 		}
 		if old := c.bufs[i]; old != nil {
-			select {
-			case c.free <- old:
-			default:
-			}
+			c.recycle(old)
 		}
 		c.bufs[i], c.poss[i] = b, 0
 	}
@@ -319,15 +338,54 @@ func (c *ParallelScanCursor) fail(err error) {
 	c.Close()
 }
 
+// recycle hands a drained batch back to the workers, or to scanBatches
+// when the free list is full.
+func (c *ParallelScanCursor) recycle(b []parItem) {
+	select {
+	case c.free <- b:
+	default:
+		putScanBatch(b)
+	}
+}
+
 // Close stops the workers and waits for them to exit. It is safe to
-// call mid-scan, after exhaustion, and repeatedly.
+// call mid-scan, after exhaustion, and repeatedly. Once they have
+// exited, every batch the cursor owns — free, buffered in a channel or
+// being drained — is cleared and returned to scanBatches.
 func (c *ParallelScanCursor) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
 	close(c.done)
-	// Drain nothing: workers select on done for every send, so they
-	// observe the close even while blocked on a full channel.
+	// Workers select on done for every send, so they observe the close
+	// even while blocked on a full channel.
 	c.wg.Wait()
+	for _, b := range c.bufs {
+		if b != nil {
+			putScanBatch(b)
+		}
+	}
+	c.bufs = nil
+	for _, ch := range c.chans {
+		drainBatches(ch)
+	}
+	drainBatches(c.free)
+}
+
+// drainBatches returns every batch waiting in ch to scanBatches. No
+// worker sends any more; the Unordered fan-in channel may be closed
+// meanwhile.
+func drainBatches(ch chan []parItem) {
+	for {
+		select {
+		case b, open := <-ch:
+			if !open {
+				return
+			}
+			putScanBatch(b)
+		default:
+			return
+		}
+	}
 }

@@ -3,7 +3,9 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -260,6 +262,135 @@ func TestParallelScanCloseMidScan(t *testing.T) {
 			if _, _, ok, _ := cur.Next(); ok {
 				t.Fatalf("order %d: Next yielded after Close", order)
 			}
+		}
+	}
+}
+
+// TestParallelScanPoolsClearedBatches: scans recycle their batches
+// through scanBatches, and Close clears every batch it hands back, so a
+// pooled batch pins no record (nor the block a view of it aliases).
+// Concurrent scans stopped at every stage share the pool and leave only
+// cleared batches in it.
+func TestParallelScanPoolsClearedBatches(t *testing.T) {
+	const parts, perPart = 3, (scanChanBatches + 3) * scanBatchSize
+	ds := scanDataset(t, parts*perPart, parts)
+	snaps := ds.SnapshotAll()
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, order := range []ScanOrder{PartitionOrder, KeyOrder, Unordered} {
+				for _, stop := range []int{0, 1, 500, -1} {
+					cur := NewParallelScanCursor(snaps, nil, order)
+					for i := 0; stop < 0 || i < stop; i++ {
+						if _, _, ok, err := cur.Next(); err != nil {
+							t.Error(err)
+						} else if !ok {
+							break
+						}
+					}
+					cur.Close()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var taken []*[scanBatchSize]parItem
+	for range 4 * scanChanBatches * parts {
+		b := scanBatches.Get().(*[scanBatchSize]parItem)
+		for i := range b {
+			if !reflect.ValueOf(b[i]).IsZero() {
+				t.Fatalf("a pooled batch holds item %d: %v", i, b[i].key)
+			}
+		}
+		taken = append(taken, b)
+	}
+	for _, b := range taken {
+		scanBatches.Put(b)
+	}
+}
+
+// TestIndexScanSharesPostings: an index scan reads the index's own
+// postings arrays, so writes to the index after the cursor is opened
+// must build new arrays rather than write the captured ones. Cursors
+// opened before a DeleteBatch and an InsertBatch on their key yield
+// exactly the postings they captured — one paused mid-drain until the
+// writes are done, one drained while they run (the race detector's
+// case) — and a cursor opened afterwards sees the writes.
+func TestIndexScanSharesPostings(t *testing.T) {
+	ds := scanDataset(t, 1_000, 3)
+	if err := ds.CreateFieldBTreeIndex("by_cat", "cat"); err != nil {
+		t.Fatal(err)
+	}
+	_, idxs := ds.BTreeIndexForField("cat")
+	snaps := ds.SnapshotAll()
+	key := index.Include(adm.String("c007"))
+	var want []int64
+	for _, ix := range idxs {
+		for _, pk := range postingsIn(ix, key, key) {
+			want = append(want, pk.IntVal())
+		}
+	}
+	drain := func(cur *IndexScanCursor) []int64 {
+		var got []int64
+		for {
+			pk, _, ok := cur.Next()
+			if !ok {
+				return got
+			}
+			got = append(got, pk.IntVal())
+		}
+	}
+
+	paused := NewIndexScanCursor(snaps, idxs, key, key)
+	first, _, ok := paused.Next()
+	if !ok {
+		t.Fatal("empty index scan")
+	}
+	concurrent := NewIndexScanCursor(snaps, idxs, key, key)
+	// Per partition, delete the first c007 posting and index a record of
+	// another category under c007 — each moves a primary key the
+	// snapshots hold, so a cursor that saw either write would say so.
+	var added, removed []int64
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		for p, ix := range idxs {
+			var other adm.Value
+			snaps[p].Scan(func(pk, rec adm.Value) bool {
+				if rec.Field("cat").StringVal() != "c007" {
+					other = pk
+					return false
+				}
+				return true
+			})
+			pks := postingsIn(ix, key, key)
+			rec := func(pk adm.Value) []adm.Value {
+				return []adm.Value{adm.ObjectValue(adm.ObjectFromPairs("id", pk, "cat", adm.String("c007")))}
+			}
+			ix.DeleteBatch(pks[:1], rec(pks[0]))
+			ix.InsertBatch([]adm.Value{other}, rec(other))
+			added, removed = append(added, other.IntVal()), append(removed, pks[0].IntVal())
+		}
+	}()
+	if got := drain(concurrent); !slices.Equal(got, want) {
+		t.Errorf("cursor drained during the writes yielded %v, captured %v", got, want)
+	}
+	<-wrote
+	if got := append([]int64{first.IntVal()}, drain(paused)...); !slices.Equal(got, want) {
+		t.Errorf("cursor paused across the writes yielded %v, captured %v", got, want)
+	}
+
+	after := drain(NewIndexScanCursor(snaps, idxs, key, key))
+	for _, pk := range added {
+		if !slices.Contains(after, pk) {
+			t.Errorf("a cursor opened after the writes misses the inserted posting %d", pk)
+		}
+	}
+	for _, pk := range removed {
+		if slices.Contains(after, pk) {
+			t.Errorf("a cursor opened after the writes still yields the deleted posting %d", pk)
 		}
 	}
 }

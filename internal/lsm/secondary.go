@@ -139,6 +139,12 @@ func FieldKeyExtractor(field string) KeyExtractor {
 
 // BTreeIndex is an ordered secondary index: key(record) → set of primary
 // keys (duplicates allowed across records).
+//
+// A key's primary keys are one postings array, and a published postings
+// array is never written: InsertBatch and deleteGroupLocked always build
+// a new array and Put it in the old one's place. So a reader may keep
+// the arrays LookupRangeBounds hands out past the read lock, and they
+// still hold exactly what the index held at that instant.
 type BTreeIndex struct {
 	name    string
 	extract KeyExtractor
@@ -263,35 +269,27 @@ func (ix *BTreeIndex) deleteGroupLocked(key adm.Value, pairs []index.Item) {
 	}
 }
 
-// Lookup returns the primary keys indexed under exactly key.
-func (ix *BTreeIndex) Lookup(key adm.Value) []adm.Value {
+// LookupRangeBounds appends to dst the postings array of every
+// secondary key within the bound pair (either end may be unbounded or
+// exclusive), in key order, walking only the in-range portion of the
+// tree via a bounded cursor. The arrays are the index's own, not
+// copies: a published postings array is never written (see BTreeIndex),
+// so the caller may read them after this call returns — resolving the
+// keys against the primary store without holding the index lock, which
+// keeps the index-lock → partition-lock order out of the read path
+// entirely — and they stay the postings of the instant of the call
+// whatever the index is given afterwards. The caller must not write
+// them.
+func (ix *BTreeIndex) LookupRangeBounds(lo, hi index.Bound, dst [][]adm.Value) [][]adm.Value {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	v, ok := ix.tree.Get(key)
-	if !ok {
-		return nil
-	}
-	return append([]adm.Value(nil), v.ArrayVal()...)
-}
-
-// LookupRangeBounds returns the primary keys whose secondary key falls
-// within the bound pair (either end may be unbounded or exclusive),
-// walking only the in-range portion of the tree via a bounded cursor.
-// The returned pk slice is freshly built, so the caller may resolve the
-// keys against the primary store after this call returns — without
-// holding the index lock, which keeps the index-lock → partition-lock
-// order out of the read path entirely.
-func (ix *BTreeIndex) LookupRangeBounds(lo, hi index.Bound) []adm.Value {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var pks []adm.Value
 	cur := ix.tree.CursorRange(lo, hi)
 	for {
 		it, ok := cur.Next()
 		if !ok {
-			return pks
+			return dst
 		}
-		pks = append(pks, it.Val.ArrayVal()...)
+		dst = append(dst, it.Val.ArrayVal())
 	}
 }
 

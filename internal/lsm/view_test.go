@@ -205,7 +205,7 @@ func TestIndexBackfillRetainsNoBlockMemory(t *testing.T) {
 				opts.BlockCache.dropRun(r.id)
 			}
 			after := heapAfterGC()
-			if got := len(ix.LookupRangeBounds(index.Unbounded(), index.Unbounded())); got != n {
+			if got := len(postingsIn(ix, index.Unbounded(), index.Unbounded())); got != n {
 				t.Fatalf("index on %s holds %d entries", field, got)
 			}
 			runtime.KeepAlive(p)

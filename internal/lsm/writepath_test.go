@@ -99,7 +99,7 @@ func TestWriteClosedPartition(t *testing.T) {
 						t.Errorf("key %d was applied", k)
 					}
 				}
-				if got := bt.Lookup(adm.Int(1)); len(got) != 1 || got[0].IntVal() != 1 {
+				if got := postingsOf(bt, adm.Int(1)); len(got) != 1 || got[0].IntVal() != 1 {
 					t.Errorf("index postings for grp=1 = %v, want [1]", got)
 				}
 				if got := p.Checkpoint("feed"); got != 5 {

@@ -105,6 +105,20 @@ var diffCorpus = []string{
 	// UDFs whose bodies are SELECTs, called per row and per group.
 	`SELECT r.cat AS c, cat_size(r.cat) AS n FROM R r WHERE r.id < 10 ORDER BY r.id`,
 	`SELECT c, cat_size(c) = count(*) AS same FROM R r GROUP BY r.cat AS c ORDER BY c`,
+	// Every ungrouped pipeline with no top-k stage rebinds one box per
+	// record at its FROM leaf, whatever sits above it (envReuse).
+	`SELECT VALUE [e.id, n] FROM Events e, [0, 1] n WHERE e.id < 6 AND e.score + n IN (SELECT VALUE r.score FROM R r WHERE r.id < e.id + 2)`,
+	`SELECT VALUE [e.id, d] FROM Events e LET d = e.score * 2 WHERE e.id < 50 AND EXISTS (SELECT r FROM R r WHERE r.score = d)`,
+	`SELECT VALUE r.id FROM R r WHERE r.score < 20 AND cat_size(r.cat) = 50`,
+	`SELECT DISTINCT e.grp FROM Events e WHERE e.score > 10 LIMIT 4`,
+	`SELECT VALUE e.id FROM Events e WHERE e.score > 40 ORDER BY e.id`,
+	`SELECT VALUE e.id FROM Events e WHERE e.score > 40 ORDER BY e.id LIMIT 7`,
+	`SELECT VALUE {"id": e.id, "same": (SELECT VALUE x.id FROM Events x WHERE x.score = e.score AND x.id < e.id ORDER BY x.id)} FROM Events e WHERE e.grp = "g2" LIMIT 5`,
+	`SELECT r.id AS id, (SELECT VALUE count(*) FROM Events e WHERE e.score = r.score)[0] AS n FROM R r WHERE r.cat = "c5"`,
+	// The two operators that keep an env copy only its top node, so
+	// under a second FROM or a FROM-LET their leaf binds afresh.
+	`SELECT VALUE [e.id, n] FROM Events e, [1, 2] n WHERE e.id < 30 ORDER BY e.score DESC, e.id, n LIMIT 5`,
+	`SELECT g, e.grp AS same, count(*) AS n FROM Events e LET d = e.score GROUP BY e.grp AS g ORDER BY g`,
 	// Both engines must refuse these.
 	`SELECT VALUE loop_forever(1) FROM [1] x`,
 	`SELECT VALUE sum() FROM R r`,

@@ -164,9 +164,7 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 	reuse := false
 	var cur tupleCursor
 	if ps != nil {
-		// A plain projection retains no env at all, so the probe's
-		// accessCursors may recycle their candidate boxes under any FROM.
-		reuse = envReuse(sel, grouped, limit, false, false) || !grouped && len(sel.OrderBy) == 0
+		reuse = envReuse(sel, grouped, limit, false, false)
 		var err error
 		if cur, err = ps.open(st, env, reuse); err != nil {
 			return nil, err
@@ -240,16 +238,31 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 }
 
 // envReuse is the env-reuse rule: the FROM leaf — a scan, or a compiled
-// probe's accessCursor — recycles one binding box per record, so the
-// bounded top-k heap and the streaming hash aggregate run
-// allocation-flat. Only legal when nothing between the leaf and the
-// consumer retains an env without copying: single FROM, no FROM-LETs, a
+// probe's accessCursor — recycles one binding box per record instead of
+// allocating a binding. Only two operators keep an env past the next
+// pull, and each copies what it keeps:
+//
+//   - the top-k heap (topkRows, copyEnv) keeps its winners' envs until
+//     the input is drained, copying the top node only;
+//   - the hash aggregate (aggRows, copyRep) keeps one representative
+//     env per group, copying the top node only.
+//
+// Every other pipeline — ungrouped, with no ORDER BY or one the
+// key-ordered merge answers — keeps no env under any FROM, LET or WHERE
+// shape: projection, DISTINCT and LIMIT keep values, a subquery or
+// EXISTS in WHERE or in the projection is drained before the next pull,
+// and UDF bodies close over nothing. So its leaf always reuses.
+//
+// A copied top node is enough only when it is the leaf's box itself, so
+// the two keeping operators also need a single FROM, no FROM-LETs, a
 // WHERE (if any) pushed into the scan or free of calls and subqueries,
-// and a consumer that copies what it keeps — the top-k heap (copyEnv) or
-// the hash aggregate (copyRep, one snapshot per new group).
+// and for the heap a LIMIT without DISTINCT (a bounded heap).
 func envReuse(sel *sqlpp.SelectExpr, grouped bool, limit int64, wherePushed, keyOrdered bool) bool {
+	if !grouped && (len(sel.OrderBy) == 0 || keyOrdered) {
+		return true
+	}
 	safeWhere := sel.Where == nil || wherePushed || safeParallelPred(sel.Where)
-	topkReuse := !grouped && len(sel.OrderBy) > 0 && !keyOrdered && limit >= 0 && !sel.Distinct
+	topkReuse := !grouped && limit >= 0 && !sel.Distinct
 	return len(sel.From) == 1 && len(sel.FromLets) == 0 && safeWhere && (topkReuse || grouped)
 }
 

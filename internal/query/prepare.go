@@ -73,9 +73,9 @@ import (
 //     the caller's slab, and an Object row may hold a LET's array, so a
 //     drained subquery's array is allocated per record.
 //  2. Candidate binding. A probe's accessCursor rebinds one box per
-//     candidate only where nothing downstream retains an env: the
-//     planner's env-reuse rule (envReuse), or a plain projection. Every
-//     other candidate is a new binding.
+//     candidate only where the planner's env-reuse rule (envReuse)
+//     allows it — the one rule every FROM leaf follows. Every other
+//     candidate is a new binding.
 //  3. Re-entry. A kept pipeline is busy while it is open, and serves
 //     only the evaluation depth it was first opened at. A block opened
 //     again while busy — a UDF that reaches its own body through

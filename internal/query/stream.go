@@ -757,7 +757,7 @@ func (s *singleCursor) reset(env *Env) error {
 // or parallel partition scan). In reuse mode it mutates one env box in
 // place per record instead of allocating a binding — valid only when
 // the planner proved no downstream operator retains the env without
-// copying it (the top-k heap copies on acceptance).
+// copying it (envReuse).
 type scanFromCursor struct {
 	base  *Env
 	alias string
