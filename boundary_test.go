@@ -35,7 +35,7 @@ func TestOneConversionTable(t *testing.T) {
 		for caller, got := range map[string]adm.Value{
 			"Obj":    Obj("f", x).Field("f").v,
 			"Arr":    Arr(x).Index(0).v,
-			"$param": params["1"],
+			"$param": params.Values[0],
 			"Scan":   scanned.v,
 		} {
 			if got.Kind() != want.Kind() || adm.Compare(got, want) != 0 {

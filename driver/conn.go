@@ -293,8 +293,9 @@ func (r execResult) LastInsertId() (int64, error) {
 func (r execResult) RowsAffected() (int64, error) { return r.rows, nil }
 
 // stmt is a client-side prepared statement: just the text, re-shipped
-// per execution (the tinydb-driver pattern — the server is stateless
-// between requests).
+// per execution (the tinydb-driver pattern — the server keeps no
+// per-session statement state; its cluster's statement cache finds the
+// repeated text already parsed).
 type stmt struct {
 	c    *conn
 	text string

@@ -57,6 +57,7 @@ type Cluster struct {
 	inner *cluster.Cluster
 	mgr   *core.Manager
 	ctx   context.Context
+	stmts stmtCache
 }
 
 // NewCluster boots a cluster.

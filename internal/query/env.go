@@ -67,6 +67,26 @@ type Catalog interface {
 	Native(ns, name string) (func([]adm.Value) (adm.Value, error), bool)
 }
 
+// Params binds statement parameters by slot: Values[i] is the argument
+// for $Names[i]. Names is typically the referenced-parameter list of a
+// parsed statement, shared by every call that runs it, so binding one
+// call fills a slice and builds no map. Neither slice is written after
+// the Context that carries it is built.
+type Params struct {
+	Names  []string
+	Values []adm.Value
+}
+
+// Get returns the argument bound to $name.
+func (p Params) Get(name string) (adm.Value, bool) {
+	for i, n := range p.Names {
+		if n == name {
+			return p.Values[i], true
+		}
+	}
+	return adm.Value{}, false
+}
+
 // Context carries evaluation state shared across one logical evaluation
 // scope (one query, or the enrichment state of a feed's computing job).
 // Dataset snapshots are pinned on first access, which implements the
@@ -80,9 +100,10 @@ type Context struct {
 
 	// Params are the statement parameters bound for this evaluation:
 	// $name references resolve here (positional $1, $2, ... bind under
-	// "1", "2", ...). Nil means the statement was bound without
-	// arguments; referencing a parameter then fails at evaluation.
-	Params map[string]adm.Value
+	// "1", "2", ...). The zero value means the statement was bound
+	// without arguments; referencing a parameter then fails at
+	// evaluation.
+	Params Params
 
 	// Std is the caller's cancellation context. Row-producing loops poll
 	// it via Err so a cancelled statement stops between rows rather than

@@ -25,7 +25,7 @@ func eval(st evalState, env *Env, e sqlpp.Expr) (adm.Value, error) {
 		}
 		return adm.Value{}, fmt.Errorf("query: unbound variable %q", n.Name)
 	case *sqlpp.Param:
-		if v, ok := st.ctx.Params[n.Name]; ok {
+		if v, ok := st.ctx.Params.Get(n.Name); ok {
 			return v, nil
 		}
 		return adm.Value{}, fmt.Errorf("query: unbound parameter $%s (offset %d): no argument was supplied", n.Name, n.Off)
@@ -423,7 +423,7 @@ func evalExists(st evalState, env *Env, n *sqlpp.Exists) (adm.Value, error) {
 	// One row answers the question; closing the cursor there stops the
 	// scan (and any scan workers), or a compiled probe, without reading
 	// the rest.
-	rc, err := openSelect(st, env, n.Sub, nil)
+	rc, err := openSelect(st, env, n.Sub)
 	if err != nil {
 		return adm.Value{}, err
 	}

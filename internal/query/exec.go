@@ -22,7 +22,7 @@ func ExecuteSelect(ctx *Context, env *Env, sel *sqlpp.SelectExpr) (adm.Value, er
 // body, a const-subquery of the enrichment build phase: open the
 // pipeline, drain it into an array.
 func runSelect(st evalState, env *Env, sel *sqlpp.SelectExpr) (adm.Value, error) {
-	rc, err := openSelect(st, env, sel, nil)
+	rc, err := openSelect(st, env, sel)
 	if err != nil {
 		return adm.Value{}, err
 	}

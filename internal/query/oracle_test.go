@@ -546,7 +546,7 @@ func (o oracle) eval(env *Env, e sqlpp.Expr) (adm.Value, error) {
 		}
 		return adm.Value{}, fmt.Errorf("oracle: unbound variable %q", n.Name)
 	case *sqlpp.Param:
-		if v, ok := o.ctx.Params[n.Name]; ok {
+		if v, ok := o.ctx.Params.Get(n.Name); ok {
 			return v, nil
 		}
 		return adm.Value{}, fmt.Errorf("oracle: unbound parameter $%s", n.Name)

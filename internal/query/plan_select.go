@@ -40,18 +40,7 @@ import (
 //     scan workers per row costs more than it overlaps.
 //  3. Serial scan — everything else.
 func ExecuteSelectCursor(ctx *Context, env *Env, sel *sqlpp.SelectExpr) (*RowCursor, error) {
-	return openSelect(evalState{ctx: ctx}, env, sel, &planLog{})
-}
-
-// planLog collects the operator names behind RowCursor.Plan. Only the
-// cursor ExecuteSelectCursor hands out can be asked for its plan; every
-// other pipeline passes nil and formats nothing.
-type planLog struct{ steps []string }
-
-func (p *planLog) stepf(format string, args ...any) {
-	if p != nil {
-		p.steps = append(p.steps, fmt.Sprintf(format, args...))
-	}
+	return openSelect(evalState{ctx: ctx}, env, sel)
 }
 
 // openSelect enters a query block — one nesting level down, outside any
@@ -62,7 +51,7 @@ func (p *planLog) stepf(format string, args ...any) {
 // level of the expression that opened it. While a record is enriched,
 // the body's and each probe's pipeline is kept and rewound instead of
 // opened anew (keptPipeline).
-func openSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, pl *planLog) (*RowCursor, error) {
+func openSelect(st evalState, env *Env, sel *sqlpp.SelectExpr) (*RowCursor, error) {
 	var ps *preparedSub
 	if st.prepared != nil {
 		ps = st.prepared.probes[sel]
@@ -70,13 +59,13 @@ func openSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, pl *planLog) (*Ro
 	if kp := st.scratch.pipeline(sel, ps); kp != nil {
 		return kp.open(st, env, sel, ps)
 	}
-	return openBlock(st, env, sel, ps, pl)
+	return openBlock(st, env, sel, ps)
 }
 
 // openBlock is openSelect with no kept pipeline: every operator is built.
-func openBlock(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, pl *planLog) (*RowCursor, error) {
+func openBlock(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub) (*RowCursor, error) {
 	if ps != nil {
-		return openPipeline(st.noGroup(), env, sel, ps, false, pl)
+		return openPipeline(st.noGroup(), env, sel, ps, false)
 	}
 	st, err := st.deeper()
 	if err != nil {
@@ -116,7 +105,7 @@ func openBlock(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, p
 		// scope by binding it to MISSING (only presence matters here).
 		scope = Bind(scope, fc.Alias, adm.Missing())
 	}
-	return openPipeline(st, env, sel, nil, livePin, pl)
+	return openPipeline(st, env, sel, nil, livePin)
 }
 
 // openPipeline evaluates LIMIT, assembles the operators and wraps them
@@ -125,7 +114,7 @@ func openBlock(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, p
 // (preparedSub.open) stands in for the FROM, LET and WHERE operators.
 // livePin says the caller pinned the first FROM dataset just now (see
 // planScanLeaf).
-func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, livePin bool, pl *planLog) (*RowCursor, error) {
+func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, livePin bool) (*RowCursor, error) {
 	rc := &RowCursor{st: st, sel: sel, limit: -1}
 	if sel.Limit != nil {
 		lv, err := eval(st, nil, sel.Limit)
@@ -139,7 +128,7 @@ func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub
 		rc.limit = n
 	}
 	rc.limit0 = rc.limit
-	rows, err := planSelect(st, env, sel, rc.limit, ps, livePin, pl)
+	rows, err := planSelect(st, env, sel, rc.limit, ps, livePin)
 	if err != nil {
 		return nil, err
 	}
@@ -147,16 +136,13 @@ func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub
 	if sel.Distinct {
 		rc.dedup = newValueDedup()
 	}
-	if pl != nil {
-		rc.plan = strings.Join(pl.steps, "→")
-	}
 	return rc, nil
 }
 
 // planSelect assembles the operator pipeline under the base env (with
 // leading LETs already bound): FROM → LET → WHERE, or a compiled probe's
 // FROM product when ps is non-nil, then aggregate and order.
-func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *preparedSub, livePin bool, pl *planLog) (rowSrc, error) {
+func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *preparedSub, livePin bool) (rowSrc, error) {
 	aggCalls := collectSelectAggs(sel)
 	grouped := len(sel.GroupBy) > 0 || len(aggCalls) > 0
 
@@ -173,7 +159,7 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 		wherePushed := false
 		from := sel.From
 		if len(from) > 0 {
-			leaf, pushed, keyOrdered, err := planScanLeaf(st, env, sel, grouped, aggCalls, limit, livePin, pl)
+			leaf, pushed, keyOrdered, err := planScanLeaf(st, env, sel, grouped, aggCalls, limit, livePin)
 			if err != nil {
 				return nil, err
 			}
@@ -189,29 +175,22 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 		}
 		for _, fc := range from {
 			cur = &fromCursor{st: st, outer: cur, src: fc.Source, alias: fc.Alias}
-			pl.stepf("from(%s)", fc.Alias)
 		}
 		if len(sel.FromLets) > 0 {
 			cur = &letCursor{st: st, inner: cur, lets: sel.FromLets}
-			pl.stepf("let")
 		}
 		if sel.Where != nil && !wherePushed {
 			cur = &filterCursor{st: st, inner: cur, pred: sel.Where}
-			pl.stepf("filter")
 		}
 	}
 
 	var rows rowSrc
 	if grouped {
 		rows = &aggRows{st: st, inner: cur, keys: sel.GroupBy, calls: aggCalls, copyRep: reuse}
-		pl.stepf("aggregate(%dkeys,%daggs)", len(sel.GroupBy), len(aggCalls))
 	} else {
 		rows = &tupleRows{inner: cur}
 	}
-	switch {
-	case orderHandled:
-		pl.stepf("ordered-by-key")
-	case len(sel.OrderBy) > 0:
+	if len(sel.OrderBy) > 0 && !orderHandled {
 		k := int64(-1)
 		if limit >= 0 && !sel.Distinct {
 			// DISTINCT limits distinct projected rows, not input rows, so
@@ -221,18 +200,6 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 		// Grouped rows carry per-group envs already (aggRows copied the
 		// representatives); only raw scan rows need copying on accept.
 		rows = &topkRows{st: st, inner: rows, orderBy: sel.OrderBy, k: k, copyEnv: reuse && !grouped}
-		if k >= 0 {
-			pl.stepf("topk(%d)", k)
-		} else {
-			pl.stepf("sort")
-		}
-	}
-	pl.stepf("project")
-	if sel.Distinct {
-		pl.stepf("distinct")
-	}
-	if limit >= 0 {
-		pl.stepf("limit(%d)", limit)
 	}
 	return rows, nil
 }
@@ -278,7 +245,7 @@ func envReuse(sel *sqlpp.SelectExpr, grouped bool, limit int64, wherePushed, key
 // A nested SELECT runs later, maybe once per outer row, against the
 // statement's or the batch's older pin — as does a block reached with
 // the dataset already pinned — and scans the snapshot instead.
-func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, aggCalls []*sqlpp.Call, limit int64, livePin bool, pl *planLog) (leaf collCursor, pushed, keyOrdered bool, err error) {
+func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, aggCalls []*sqlpp.Call, limit int64, livePin bool) (leaf collCursor, pushed, keyOrdered bool, err error) {
 	fc := sel.From[0]
 	id, isIdent := fc.Source.(*sqlpp.Ident)
 	if !isIdent || st.ctx.Catalog == nil {
@@ -299,8 +266,7 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 	// 1. Index pushdown (outermost SELECT on its own fresh pin only).
 	if !st.ctx.DisableIndexScan && st.depth == 1 && livePin && sel.Where != nil {
 		if field, idxName, idxs, lo, hi, found := pickIndexRange(st.ctx, ds, fc.Alias, sel.Where); found {
-			pl.stepf("iscan(%s.%s on %s)", id.Name, idxName, field)
-			return &indexScanColl{sc: lsm.NewIndexScanCursor(snaps, idxs, lo, hi), snaps: snaps}, false, false, nil
+			return &indexScanColl{sc: lsm.NewIndexScanCursor(snaps, idxs, lo, hi), snaps: snaps, index: idxName, field: field}, false, false, nil
 		}
 	}
 
@@ -316,7 +282,6 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 			order = lsm.Unordered
 		}
 		var filter func(key, rec adm.Value) (bool, error)
-		pushedMark := ""
 		if sel.Where != nil && len(sel.From) == 1 && len(sel.FromLets) == 0 && safeParallelPred(sel.Where) {
 			where, alias, base, fst := sel.Where, fc.Alias, env, st
 			// Workers call the filter concurrently; each call borrows a
@@ -333,14 +298,12 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 				}
 				return Truthy(v), nil
 			}
-			pushed, pushedMark = true, "+filter"
+			pushed = true
 		}
-		pl.stepf("pscan(%s,%s,%d)%s", id.Name, orderName(order), parts, pushedMark)
-		return &parallelColl{pc: lsm.NewParallelScanCursor(snaps, filter, order), snaps: snaps}, pushed, keyOrdered, nil
+		return &parallelColl{pc: lsm.NewParallelScanCursor(snaps, filter, order), snaps: snaps, order: order, filtered: pushed}, pushed, keyOrdered, nil
 	}
 
 	// 3. Serial scan.
-	pl.stepf("scan(%s)", id.Name)
 	return newDatasetCursor(snaps), false, false, nil
 }
 
@@ -475,7 +438,7 @@ func pickIndexRange(ctx *Context, ds *lsm.Dataset, alias string, where sqlpp.Exp
 // `const OP alias.field` (OP flipped), where const is a literal or a
 // bound parameter. Unknown-valued constants are not sargable (the
 // predicate is uniformly NULL; the full scan handles it).
-func sargable(e sqlpp.Expr, alias string, params map[string]adm.Value) (field, op string, val adm.Value, ok bool) {
+func sargable(e sqlpp.Expr, alias string, params Params) (field, op string, val adm.Value, ok bool) {
 	b, isBin := e.(*sqlpp.Binary)
 	if !isBin {
 		return "", "", adm.Value{}, false
@@ -514,13 +477,12 @@ func aliasField(e sqlpp.Expr, alias string) (string, bool) {
 	return fa.Field, true
 }
 
-func constOperand(e sqlpp.Expr, params map[string]adm.Value) (adm.Value, bool) {
+func constOperand(e sqlpp.Expr, params Params) (adm.Value, bool) {
 	switch n := e.(type) {
 	case *sqlpp.Literal:
 		return n.Val, true
 	case *sqlpp.Param:
-		v, ok := params[n.Name]
-		return v, ok
+		return params.Get(n.Name)
 	}
 	return adm.Value{}, false
 }

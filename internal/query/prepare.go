@@ -680,7 +680,7 @@ func (pe *PreparedEnrich) openBody(st evalState, env *Env) (*RowCursor, error) {
 	if !ok || pe.consts[sel] != nil {
 		return nil, nil
 	}
-	return openSelect(st, env, sel, nil)
+	return openSelect(st, env, sel)
 }
 
 // recordScratch is what one EvalRecord call borrows from its state: the
@@ -742,7 +742,7 @@ type keptPipeline struct {
 func (kp *keptPipeline) open(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub) (*RowCursor, error) {
 	rc := kp.rc
 	if rc == nil || !rc.done || kp.depth != st.depth {
-		fresh, err := openBlock(st, env, sel, ps, nil)
+		fresh, err := openBlock(st, env, sel, ps)
 		if err == nil && rc == nil && !kp.never {
 			if kp.never = !rewindable(fresh.rows); !kp.never {
 				kp.rc, kp.depth, kp.lets = fresh, st.depth, make([]Env, len(sel.Lets))

@@ -37,7 +37,6 @@ type RowCursor struct {
 	st   evalState
 	sel  *sqlpp.SelectExpr
 	rows rowSrc
-	plan string // set only on the cursor ExecuteSelectCursor hands out
 
 	limit  int64 // rows still to emit; -1 = unlimited
 	limit0 int64 // limit as opened, restored by reset
@@ -168,8 +167,76 @@ func rewindable(rows rowSrc) bool {
 // Plan describes the operator pipeline this cursor executes, e.g.
 // "iscan(Events.by_grp on grp)→filter→project→limit(4)". Tests assert
 // planner decisions (index use, parallelism) against it rather than
-// inferring them from timing.
-func (rc *RowCursor) Plan() string { return rc.plan }
+// inferring them from timing. Opening a cursor formats nothing: the
+// string is read off the operators it was opened with, on demand.
+func (rc *RowCursor) Plan() string {
+	rows := rc.rows
+	order, _ := rows.(*topkRows)
+	if order != nil {
+		rows = order.inner
+	}
+	var steps []string
+	keyOrdered := false
+	switch r := rows.(type) {
+	case *tupleRows:
+		steps, keyOrdered = rc.tupleSteps(steps, r.inner)
+	case *aggRows:
+		steps, _ = rc.tupleSteps(steps, r.inner)
+		steps = append(steps, fmt.Sprintf("aggregate(%dkeys,%daggs)", len(r.keys), len(r.calls)))
+	}
+	switch {
+	case keyOrdered:
+		steps = append(steps, "ordered-by-key")
+	case order != nil && order.k >= 0:
+		steps = append(steps, fmt.Sprintf("topk(%d)", order.k))
+	case order != nil:
+		steps = append(steps, "sort")
+	}
+	steps = append(steps, "project")
+	if rc.dedup != nil {
+		steps = append(steps, "distinct")
+	}
+	if rc.limit0 >= 0 {
+		steps = append(steps, fmt.Sprintf("limit(%d)", rc.limit0))
+	}
+	return strings.Join(steps, "→")
+}
+
+// tupleSteps appends the plan steps of a tuple pipeline, leaf first,
+// and reports whether its leaf merges partitions in key order (the
+// ORDER BY it answers then has no operator of its own).
+func (rc *RowCursor) tupleSteps(steps []string, cur tupleCursor) ([]string, bool) {
+	keyOrdered := false
+	switch c := cur.(type) {
+	case *scanFromCursor:
+		// The planned leaf always covers the first FROM clause, a
+		// dataset named by an identifier (planScanLeaf).
+		ds := rc.sel.From[0].Source.(*sqlpp.Ident).Name
+		switch leaf := c.leaf.(type) {
+		case *indexScanColl:
+			steps = append(steps, fmt.Sprintf("iscan(%s.%s on %s)", ds, leaf.index, leaf.field))
+		case *parallelColl:
+			mark := ""
+			if leaf.filtered {
+				mark = "+filter"
+			}
+			steps = append(steps, fmt.Sprintf("pscan(%s,%s,%d)%s", ds, orderName(leaf.order), len(leaf.snaps), mark))
+			keyOrdered = leaf.order == lsm.KeyOrder
+		default:
+			steps = append(steps, fmt.Sprintf("scan(%s)", ds))
+		}
+	case *fromCursor:
+		steps, keyOrdered = rc.tupleSteps(steps, c.outer)
+		steps = append(steps, "from("+c.alias+")")
+	case *letCursor:
+		steps, keyOrdered = rc.tupleSteps(steps, c.inner)
+		steps = append(steps, "let")
+	case *filterCursor:
+		steps, keyOrdered = rc.tupleSteps(steps, c.inner)
+		steps = append(steps, "filter")
+	}
+	return steps, keyOrdered
+}
 
 // drain pulls the cursor to exhaustion: the collection a SELECT in
 // expression position evaluates to.
@@ -969,10 +1036,13 @@ func (d *datasetCursor) next() (adm.Value, bool, error) {
 
 func (d *datasetCursor) close() { d.sc.Close() }
 
-// indexScanColl adapts a secondary-index range scan.
+// indexScanColl adapts a secondary-index range scan of the index
+// named index, on field.
 type indexScanColl struct {
 	sc    *lsm.IndexScanCursor
 	snaps []*lsm.Snapshot
+	index string
+	field string
 }
 
 func (c *indexScanColl) next() (adm.Value, bool, error) {
@@ -986,10 +1056,12 @@ func (c *indexScanColl) next() (adm.Value, bool, error) {
 func (c *indexScanColl) close() {}
 
 // parallelColl adapts a parallel partition scan; close stops and joins
-// the workers.
+// the workers. filtered says the workers evaluate the WHERE clause.
 type parallelColl struct {
-	pc    *lsm.ParallelScanCursor
-	snaps []*lsm.Snapshot
+	pc       *lsm.ParallelScanCursor
+	snaps    []*lsm.Snapshot
+	order    lsm.ScanOrder
+	filtered bool
 }
 
 func (c *parallelColl) next() (adm.Value, bool, error) {

@@ -199,7 +199,7 @@ func TestSelectAllocationsIndependentOfN(t *testing.T) {
 		cat.datasets["R"] = ds
 		return cat
 	}
-	allocs := func(cat *testCatalog, q, plan string, params map[string]adm.Value, rows int) float64 {
+	allocs := func(cat *testCatalog, q, plan string, params Params, rows int) float64 {
 		sel := benchSel(t, q)
 		run := func() {
 			ctx := NewContext(cat)
@@ -231,15 +231,15 @@ func TestSelectAllocationsIndependentOfN(t *testing.T) {
 	}
 
 	const probe = `SELECT VALUE r.id FROM R r WHERE r.grp = 1`
-	small := allocs(catalog(2_000, 100), probe, "iscan", nil, 100)
-	large := allocs(catalog(2_000, 1_000), probe, "iscan", nil, 1_000)
+	small := allocs(catalog(2_000, 100), probe, "iscan", Params{}, 100)
+	large := allocs(catalog(2_000, 1_000), probe, "iscan", Params{}, 1_000)
 	if large > small+8 {
 		t.Errorf("%s:\n %.0f allocations matching 100 records, %.0f matching 1 000", probe, small, large)
 	}
 
 	// The last 100 records match, so LIMIT 100 reads every record.
 	const limited = `SELECT VALUE r.id FROM R r WHERE r.score >= $1 LIMIT 100`
-	from := func(n int) map[string]adm.Value { return map[string]adm.Value{"1": adm.Int(int64(n - 100))} }
+	from := func(n int) Params { return Params{Names: []string{"1"}, Values: []adm.Value{adm.Int(int64(n - 100))}} }
 	small = allocs(catalog(1_000, 0), limited, "scan", from(1_000), 100)
 	large = allocs(catalog(10_000, 0), limited, "scan", from(10_000), 100)
 	if large > small+32 {

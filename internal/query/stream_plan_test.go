@@ -200,7 +200,7 @@ func TestNestedSelectScansSerially(t *testing.T) {
 		{evalState{depth: 7}, "scan(R)→filter→project"},
 	} {
 		tc.outer.ctx = NewContext(cat)
-		rc, err := openSelect(tc.outer, env, sel, &planLog{})
+		rc, err := openSelect(tc.outer, env, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestNestedSelectScansSerially(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rc, err := openSelect(tc.outer, nil, indexed, &planLog{})
+		rc, err := openSelect(tc.outer, nil, indexed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,7 +77,7 @@ func TestCursorParams(t *testing.T) {
 	sel := e.(*sqlpp.SelectExpr)
 
 	ctx := NewContext(cat)
-	ctx.Params = map[string]adm.Value{"want": adm.String("4")}
+	ctx.Params = Params{Names: []string{"want"}, Values: []adm.Value{adm.String("4")}}
 	rc, err := ExecuteSelectCursor(ctx, nil, sel)
 	if err != nil {
 		t.Fatal(err)

@@ -92,6 +92,12 @@ type Stats struct {
 	// open — the leak detector: it must return to zero when no query is
 	// streaming, including after abrupt client death.
 	OpenCursors int64
+	// StatementCacheHits / StatementCacheMisses / StatementCacheEvictions
+	// count the cluster's parsed-statement cache: a repeated statement
+	// text is a hit and skips parsing (idea.StatementCacheStats).
+	StatementCacheHits      int64
+	StatementCacheMisses    int64
+	StatementCacheEvictions int64
 	// Storage holds the cluster's storage counters (block cache,
 	// bloom/fence skips, block reads, flushes, merges, ...); its fields
 	// sit beside the server's own in the reply.
@@ -169,6 +175,7 @@ func New(cluster *idea.Cluster, cfg Config) *Server {
 // totals include live connections (each connection's counters fold into
 // the server's when it ends).
 func (s *Server) Stats() Stats {
+	sc := s.cluster.StatementCacheStats()
 	st := Stats{
 		Server:         serverName,
 		UptimeMs:       time.Since(s.start).Milliseconds(),
@@ -184,7 +191,12 @@ func (s *Server) Stats() Stats {
 		BytesReceived:  s.bytesRecv.Load(),
 		Errors:         s.errorsSent.Load(),
 		OpenCursors:    s.openCursors.Load(),
-		Storage:        s.cluster.StorageStats(),
+
+		StatementCacheHits:      sc.Hits,
+		StatementCacheMisses:    sc.Misses,
+		StatementCacheEvictions: sc.Evictions,
+
+		Storage: s.cluster.StorageStats(),
 	}
 	s.mu.Lock()
 	for c := range s.conns {

@@ -128,3 +128,45 @@ func TestStatsReplyCoversEverySnapshotField(t *testing.T) {
 		t.Errorf("never-started feed Idle reports stored = %d", got)
 	}
 }
+
+// TestStatsCountStatementCacheHits: the cluster's parsed-statement
+// cache reports through STATS, and a text sent again is a hit.
+func TestStatsCountStatementCacheHits(t *testing.T) {
+	c := newCluster(t, idea.Config{})
+	c.MustExecute(testSchema)
+	_, addr := startServer(t, c, Config{})
+	wc := wireDial(t, addr, "")
+	stats := func() adm.Value {
+		t.Helper()
+		rt, rb := call(t, wc, wire.TypeStats, nil)
+		if rt != wire.TypeStatsReply {
+			t.Fatalf("stats answered %v", rt)
+		}
+		v, err := wire.ParseValue(rb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	before := stats()
+	for _, key := range []string{"statement_cache_hits", "statement_cache_misses", "statement_cache_evictions"} {
+		if before.Field(key).Kind() != adm.KindInt64 {
+			t.Errorf("reply has no integer %q: %v", key, before.Field(key))
+		}
+	}
+	const upsert = `UPSERT INTO D ([{"id": $id}]);`
+	for i := range 3 {
+		mustExec(t, wc, upsert, wire.Param{Name: "id", Value: adm.Int(int64(i))})
+	}
+	after := stats()
+	if got := after.Field("statement_cache_hits").IntVal() - before.Field("statement_cache_hits").IntVal(); got != 2 {
+		t.Errorf("three runs of one text added %d hits, want 2", got)
+	}
+	if got := after.Field("statement_cache_misses").IntVal() - before.Field("statement_cache_misses").IntVal(); got != 1 {
+		t.Errorf("three runs of one text added %d misses, want 1", got)
+	}
+	if n, err := c.DatasetLen("D"); err != nil || n != 3 {
+		t.Errorf("D holds %d records (%v), want 3", n, err)
+	}
+}

@@ -3,6 +3,7 @@ package idea
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -82,16 +83,16 @@ func (rs Results) RowsAffected() int {
 // *StatementError locating the failure (index, byte offset, snippet,
 // and the unwrapped cause).
 func (c *Cluster) Execute(ctx context.Context, script string, args ...any) (Results, error) {
-	stmts, err := sqlpp.Parse(script)
+	parsed, err := c.stmts.parse(script)
 	if err != nil {
 		return nil, err
 	}
-	params, err := bindArgs(sqlpp.CollectParams(stmts), args)
+	params, err := bindArgs(parsed.params, args)
 	if err != nil {
 		return nil, err
 	}
 	var results Results
-	for i, stmt := range stmts {
+	for i, stmt := range parsed.stmts {
 		if err := ctx.Err(); err != nil {
 			return results, err
 		}
@@ -148,14 +149,14 @@ func (c *Cluster) MustExecute(script string, args ...any) Results {
 // parameters and the caller's cancellation context. Each statement gets
 // its own context so snapshot pinning never lets one statement observe
 // pre-script data after an earlier statement wrote.
-func (c *Cluster) queryContext(ctx context.Context, params map[string]adm.Value) *query.Context {
+func (c *Cluster) queryContext(ctx context.Context, params query.Params) *query.Context {
 	qctx := query.NewContext(c.inner)
 	qctx.Params = params
 	qctx.Std = ctx
 	return qctx
 }
 
-func (c *Cluster) executeStmt(ctx context.Context, stmt sqlpp.Statement, params map[string]adm.Value) (Result, error) {
+func (c *Cluster) executeStmt(ctx context.Context, stmt sqlpp.Statement, params query.Params) (Result, error) {
 	switch s := stmt.(type) {
 	case *sqlpp.CreateType:
 		dt, err := adm.NewDatatype(s.Name, s.Open, s.Fields)
@@ -206,7 +207,7 @@ func (c *Cluster) executeStmt(ctx context.Context, stmt sqlpp.Statement, params 
 
 // executeInsert evaluates the source expression (a literal array or a
 // query) and inserts/upserts each record, returning the record count.
-func (c *Cluster) executeInsert(ctx context.Context, ins *sqlpp.Insert, params map[string]adm.Value) (int, error) {
+func (c *Cluster) executeInsert(ctx context.Context, ins *sqlpp.Insert, params query.Params) (int, error) {
 	ds, ok := c.inner.Dataset(ins.Dataset)
 	if !ok {
 		return 0, fmt.Errorf("%w %q", ErrUnknownDataset, ins.Dataset)
@@ -252,14 +253,20 @@ func (c *Cluster) executeInsert(ctx context.Context, ins *sqlpp.Insert, params m
 // query evaluate against current data — the paper's Option 1,
 // enrich-during-querying.
 //
+// A text is parsed once: the cluster keeps recently run texts parsed
+// (Execute shares the cache), and a repeat binds its arguments into the
+// cached statement. Planning and snapshot pinning still happen on every
+// call, so each call sees the data and the indexes as of its start.
+//
 // The returned Rows pulls rows on demand (see Rows for lifetime and
 // cancellation semantics); Close it when done. For small results,
 // Rows.Collect materializes a slice.
 func (c *Cluster) Query(ctx context.Context, q string, args ...any) (*Rows, error) {
-	stmts, err := sqlpp.Parse(q)
+	parsed, err := c.stmts.parse(q)
 	if err != nil {
 		return nil, err
 	}
+	stmts := parsed.stmts
 	if len(stmts) != 1 {
 		return nil, fmt.Errorf("idea: Query expects exactly one statement")
 	}
@@ -267,7 +274,7 @@ func (c *Cluster) Query(ctx context.Context, q string, args ...any) (*Rows, erro
 	if !ok {
 		return nil, fmt.Errorf("idea: Query expects a SELECT, got %T (use Execute)", stmts[0])
 	}
-	params, err := bindArgs(sqlpp.CollectParams(stmts), args)
+	params, err := bindArgs(parsed.params, args)
 	if err != nil {
 		return nil, err
 	}
@@ -278,15 +285,24 @@ func (c *Cluster) Query(ctx context.Context, q string, args ...any) (*Rows, erro
 	return &Rows{ctx: ctx, cur: cur}, nil
 }
 
-// bindArgs converts the caller's arguments into the engine's parameter
-// map and validates the binding set both ways: every referenced $name
-// needs an argument, and every argument must be referenced (a stray
-// argument is almost always a typo'd name or a forgotten edit).
-func bindArgs(referenced []string, args []any) (map[string]adm.Value, error) {
+// bindArgs converts the caller's arguments into slots aligned with the
+// statement's referenced parameter names and validates the binding set
+// both ways: every referenced $name needs an argument, and every
+// argument must be referenced (a stray argument is almost always a
+// typo'd name or a forgotten edit). Arguments are checked in order —
+// name, duplicate, conversion — before either direction; of several
+// stray arguments, the first is named.
+func bindArgs(referenced []string, args []any) (query.Params, error) {
 	if len(args) == 0 && len(referenced) == 0 {
-		return nil, nil
+		return query.Params{}, nil
 	}
-	params := make(map[string]adm.Value, len(args))
+	values := make([]adm.Value, len(referenced))
+	var small [8]bool // which slots are bound; on the stack for short lists
+	filled := small[:min(len(referenced), len(small))]
+	if len(referenced) > len(small) {
+		filled = make([]bool, len(referenced))
+	}
+	var strays []string // bound names the statement never references
 	pos := 0
 	for _, a := range args {
 		name := ""
@@ -295,34 +311,33 @@ func bindArgs(referenced []string, args []any) (map[string]adm.Value, error) {
 			name = strings.TrimPrefix(na.Name, "$")
 			value = na.Value
 			if name == "" {
-				return nil, fmt.Errorf("idea: NamedArg with empty name")
+				return query.Params{}, fmt.Errorf("idea: NamedArg with empty name")
 			}
 		} else {
 			pos++
 			name = strconv.Itoa(pos)
 		}
-		if _, dup := params[name]; dup {
-			return nil, fmt.Errorf("idea: parameter $%s bound twice", name)
+		slot := slices.Index(referenced, name)
+		if slot >= 0 && filled[slot] || slot < 0 && slices.Contains(strays, name) {
+			return query.Params{}, fmt.Errorf("idea: parameter $%s bound twice", name)
 		}
 		v, err := valueFromAny(value)
 		if err != nil {
-			return nil, fmt.Errorf("idea: argument $%s: %w", name, err)
+			return query.Params{}, fmt.Errorf("idea: argument $%s: %w", name, err)
 		}
-		params[name] = v
-	}
-	ref := make(map[string]bool, len(referenced))
-	for _, n := range referenced {
-		ref[n] = true
-	}
-	for name := range params {
-		if !ref[name] {
-			return nil, fmt.Errorf("idea: argument $%s is not referenced by the statement", name)
+		if slot < 0 {
+			strays = append(strays, name)
+			continue
 		}
+		values[slot], filled[slot] = v, true
 	}
-	for _, n := range referenced {
-		if _, bound := params[n]; !bound {
-			return nil, fmt.Errorf("idea: missing argument for parameter $%s", n)
+	if len(strays) > 0 {
+		return query.Params{}, fmt.Errorf("idea: argument $%s is not referenced by the statement", strays[0])
+	}
+	for i, n := range referenced {
+		if !filled[i] {
+			return query.Params{}, fmt.Errorf("idea: missing argument for parameter $%s", n)
 		}
 	}
-	return params, nil
+	return query.Params{Names: referenced, Values: values}, nil
 }

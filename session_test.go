@@ -66,6 +66,38 @@ func TestQueryParamBinding(t *testing.T) {
 	if _, err := c.Query(ctx, `SELECT VALUE d.id FROM D d LIMIT $1`, struct{}{}); err == nil {
 		t.Error("unconvertible arg should fail")
 	}
+
+	// Every bind error, word for word, on the call that parses the text
+	// and on the one that finds it cached.
+	for _, tc := range []struct {
+		q    string
+		args []any
+		want string
+	}{
+		{`SELECT VALUE d.id FROM D d WHERE d.grp = $g OR d.id = 0`, []any{Named("", 1)},
+			"idea: NamedArg with empty name"},
+		{`SELECT VALUE d.id FROM D d WHERE d.grp = $g OR d.id = 1`, []any{Named("g", "a"), Named("g", "b")},
+			"idea: parameter $g bound twice"},
+		{`SELECT VALUE d.id FROM D d WHERE d.grp = $1 OR d.id = 2`, []any{Named("1", "a"), "b"},
+			"idea: parameter $1 bound twice"},
+		{`SELECT VALUE d.id FROM D d WHERE d.id = 3`, []any{Named("g", "a")},
+			"idea: argument $g is not referenced by the statement"},
+		{`SELECT VALUE d.id FROM D d WHERE d.grp = $g OR d.id = 4`, nil,
+			"idea: missing argument for parameter $g"},
+		{`SELECT VALUE d.id FROM D d WHERE d.id = 5 LIMIT $1`, []any{struct{}{}},
+			"idea: argument $1: cannot convert struct {} to an ADM value"},
+	} {
+		for _, run := range []string{"miss", "hit"} {
+			hits := c.StatementCacheStats().Hits
+			_, err := c.Query(ctx, tc.q, tc.args...)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s (%s): error %v, want %q", tc.q, run, err, tc.want)
+			}
+			if wantHit := run == "hit"; (c.StatementCacheStats().Hits > hits) != wantHit {
+				t.Errorf("%s: the %s run was not a cache %s", tc.q, run, run)
+			}
+		}
+	}
 }
 
 func TestExecuteParamsInDML(t *testing.T) {
