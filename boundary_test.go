@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/lsm"
 )
 
 // TestOneConversionTable: the builders, $param binding and Scan all
@@ -473,5 +474,41 @@ func TestDeepRecordNeverReachesTheWAL(t *testing.T) {
 		if got[id] != acked[id] {
 			t.Errorf("id %d: stored %v, acknowledged %v", id, got[id], acked[id])
 		}
+	}
+}
+
+// TestDatasetLenReturnsRunReadFault: counting a dataset whose runs cannot
+// be read returns the read fault, as a point read does, never a short
+// count with a nil error.
+func TestDatasetLenReturnsRunReadFault(t *testing.T) {
+	c, err := NewCluster(Config{Nodes: 1, BlockCacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	c.MustExecute(`CREATE TYPE T AS OPEN { id: int64 }; CREATE DATASET D(T) PRIMARY KEY id;`)
+	ds, _ := c.inner.Dataset("D")
+	const n = 300
+	for i := 0; i < n; i++ {
+		if err := ds.Upsert(adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(int64(i))))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < ds.NumPartitions(); i++ {
+		p := ds.Partition(i)
+		p.Flush()
+		if err := p.WaitForFlush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := c.DatasetLen("D"); got != n || err != nil {
+		t.Fatalf("DatasetLen = %d, %v; want %d", got, err, n)
+	}
+	c.inner.Tuning().StorageFS.(*lsm.MemFS).FailReads(true)
+	if _, _, err := ds.Partition(0).Get(adm.Int(7)); !errors.Is(err, lsm.ErrInjected) {
+		t.Fatalf("Get under a read fault: %v, want the injected fault", err)
+	}
+	if got, err := c.DatasetLen("D"); !errors.Is(err, lsm.ErrInjected) {
+		t.Fatalf("DatasetLen under a read fault = %d, %v; want the injected fault", got, err)
 	}
 }

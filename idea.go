@@ -265,13 +265,14 @@ type StorageStats = cluster.StorageStats
 // StorageStats reports the cluster's storage counters.
 func (c *Cluster) StorageStats() StorageStats { return c.inner.StorageStats() }
 
-// DatasetLen returns the number of live records in a dataset.
+// DatasetLen returns the number of live records in a dataset, or the
+// read fault of a run it cannot read.
 func (c *Cluster) DatasetLen(name string) (int, error) {
 	ds, ok := c.inner.Dataset(name)
 	if !ok {
 		return 0, fmt.Errorf("%w %q", ErrUnknownDataset, name)
 	}
-	return ds.Len(), nil
+	return ds.Len()
 }
 
 // Get fetches one record by primary key. A storage read fault is the

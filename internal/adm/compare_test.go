@@ -175,7 +175,10 @@ func TestHashConsistentWithEqual(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 3000; i++ {
 		a := randomValue(r, 3)
-		b := a.Clone()
+		b, _, err := DecodeBinary(AppendBinary(nil, a))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if Hash(a) != Hash(b) {
 			t.Fatalf("clone hash differs for %v", a)
 		}

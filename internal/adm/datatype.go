@@ -50,14 +50,6 @@ func MustDatatype(name string, open bool, fields []FieldDef) *Datatype {
 	return dt
 }
 
-// Field returns the declared definition of the named field.
-func (dt *Datatype) Field(name string) (FieldDef, bool) {
-	if i, ok := dt.byName[name]; ok {
-		return dt.Fields[i], true
-	}
-	return FieldDef{}, false
-}
-
 // ErrNotObject is returned when a non-object record reaches validation.
 var ErrNotObject = errors.New("adm: record is not an object")
 

@@ -124,11 +124,11 @@ func TestCoerceKindFailures(t *testing.T) {
 
 func TestDatatypeFieldLookup(t *testing.T) {
 	dt := tweetType(t)
-	f, ok := dt.Field("text")
-	if !ok || f.Kind != KindString {
+	i, ok := dt.byName["text"]
+	if !ok || dt.Fields[i].Name != "text" || dt.Fields[i].Kind != KindString {
 		t.Error("Field lookup failed")
 	}
-	if _, ok := dt.Field("nope"); ok {
+	if _, ok := dt.byName["nope"]; ok {
 		t.Error("Field lookup should miss")
 	}
 }

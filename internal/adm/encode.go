@@ -16,11 +16,12 @@ import (
 // and geometry are fixed-width little-endian, and containers carry an
 // element count followed by their children.
 //
-// BinaryVersion is stamped into every file header that carries this
-// encoding (WAL segments, run files). Any change to the byte layout —
-// a new kind, a different varint scheme, reordered payload fields —
-// must bump it; the golden-file tests under internal/lsm/testdata fail
-// loudly on accidental drift.
+// BinaryVersion numbers this encoding. No file header carries it: WAL
+// segments and run files are stamped with their own versions (walVersion,
+// runVersion in internal/lsm), and any change to the byte layout — a new
+// kind, a different varint scheme, reordered payload fields — must bump
+// those. It is a tripwire: the golden tests of internal/lsm and
+// internal/wire pin it beside them and fail loudly on accidental drift.
 const BinaryVersion = 1
 
 // AppendBinary appends the binary encoding of v to dst and returns the

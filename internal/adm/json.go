@@ -612,7 +612,7 @@ func appendJSONDateTime(dst []byte, ms int64) []byte {
 	return append(dst, '"')
 }
 
-// appendJSONDuration quotes FormatISODuration's text, which needs no
+// appendJSONDuration quotes appendISODuration's text, which needs no
 // escape, formatted straight into dst.
 func appendJSONDuration(dst []byte, months int32, millis int64) []byte {
 	dst = append(dst, '"')
@@ -674,12 +674,6 @@ func ParseISODateTime(s string) (int64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// FormatISODuration renders a (months, millis) duration as an ISO-8601
-// duration string, e.g. P2M, P1Y2M, PT4.250S, P2MT12H.
-func FormatISODuration(months int32, millis int64) string {
-	return string(appendISODuration(nil, months, millis))
 }
 
 func appendISODuration(dst []byte, months int32, millis int64) []byte {

@@ -23,10 +23,12 @@ func BenchmarkParseJSON(b *testing.B) {
 // runs with.
 func BenchmarkParseJSONParser(b *testing.B) {
 	p := NewParser()
+	spine := make([]Value, 0, 1)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(tweetJSON)))
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Parse(tweetJSON); err != nil {
+		var err error
+		if spine, err = p.ParseInto(tweetJSON, spine[:0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,10 +47,12 @@ var escapeHeavyJSON = []byte(`{"id":991827,"text":"\"quoted\" text\nwith\tmany\\
 func BenchmarkParseEscapeHeavy(b *testing.B) {
 	b.Run("heap", func(b *testing.B) {
 		p := NewParser()
+		spine := make([]Value, 0, 1)
 		b.ReportAllocs()
 		b.SetBytes(int64(len(escapeHeavyJSON)))
 		for i := 0; i < b.N; i++ {
-			if _, err := p.Parse(escapeHeavyJSON); err != nil {
+			var err error
+			if spine, err = p.ParseInto(escapeHeavyJSON, spine[:0], nil); err != nil {
 				b.Fatal(err)
 			}
 		}

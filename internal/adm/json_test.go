@@ -277,7 +277,7 @@ func TestISODurationRoundTrip(t *testing.T) {
 		{2, 0}, {14, 0}, {0, 1500}, {3, 7_200_000}, {0, 250}, {0, 0},
 	}
 	for _, tc := range cases {
-		s := FormatISODuration(tc.months, tc.millis)
+		s := string(appendISODuration(nil, tc.months, tc.millis))
 		months, millis, ok := ParseISODuration(s)
 		if !ok || months != tc.months || millis != tc.millis {
 			t.Errorf("duration roundtrip %q: got %d,%d,%v want %d,%d",

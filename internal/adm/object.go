@@ -85,48 +85,6 @@ func (o *Object) Set(name string, v Value) {
 	}
 }
 
-// Delete removes the named field, reporting whether it was present.
-func (o *Object) Delete(name string) bool {
-	i := o.find(name)
-	if i < 0 {
-		return false
-	}
-	o.names = append(o.names[:i], o.names[i+1:]...)
-	o.values = append(o.values[:i], o.values[i+1:]...)
-	if o.index != nil {
-		o.buildIndex() // positions shifted; rebuild
-	}
-	return true
-}
-
-// Clone returns a deep copy of the object; string payloads stay shared.
-func (o *Object) Clone() *Object {
-	c := NewObject(len(o.names))
-	c.names = append(c.names, o.names...)
-	c.values = make([]Value, len(o.values))
-	for i, v := range o.values {
-		c.values[i] = v.Clone()
-	}
-	if len(c.names) > indexThreshold {
-		c.buildIndex()
-	}
-	return c
-}
-
-// CopyShallow returns a new object sharing the field values (but not the
-// field table) with o. It is the cheap way for a UDF to produce
-// "SELECT t.*, extra" output without deep-copying the input record.
-func (o *Object) CopyShallow() *Object {
-	c := &Object{
-		names:  append([]string(nil), o.names...),
-		values: append([]Value(nil), o.values...),
-	}
-	if len(c.names) > indexThreshold {
-		c.buildIndex()
-	}
-	return c
-}
-
 func (o *Object) find(name string) int {
 	if o.index != nil {
 		if i, ok := o.index[name]; ok {

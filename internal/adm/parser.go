@@ -3,7 +3,7 @@ package adm
 // Parser is a reusable JSON parser for record streams whose records
 // share a schema shape, like the feed hot path: millions of tweet-shaped
 // records with the same handful of field names. It keeps two pieces of
-// state across Parse calls:
+// state across ParseInto calls:
 //
 //   - a field-name intern table, so repeated object keys ("id", "text",
 //     "geo", ...) share one string allocation for the life of the parser
@@ -43,14 +43,6 @@ const (
 // NewParser returns a parser with an empty intern table.
 func NewParser() *Parser {
 	return &Parser{intern: make(map[string]string, 32)}
-}
-
-// Parse parses one JSON value, interning field names and pre-sizing
-// objects from earlier records. It is the hot-path replacement for
-// ParseJSON.
-func (pp *Parser) Parse(data []byte) (Value, error) {
-	p := jsonParser{data: data, owner: pp}
-	return p.parseDocument()
 }
 
 // ParseInto parses one JSON value and appends it to dst, the

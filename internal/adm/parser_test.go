@@ -7,6 +7,15 @@ import (
 	"unsafe"
 )
 
+// parseOne parses one JSON value onto the heap.
+func parseOne(p *Parser, data []byte) (Value, error) {
+	spine, err := p.ParseInto(data, nil, nil)
+	if err != nil {
+		return Value{}, err
+	}
+	return spine[0], nil
+}
+
 // TestParserMatchesParseJSON: the interning parser must produce values
 // identical to the stateless ParseJSON across representative documents,
 // including repeat parses that exercise warmed hints and intern table.
@@ -30,7 +39,7 @@ func TestParserMatchesParseJSON(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, doc := range docs {
 			want, wantErr := ParseJSON([]byte(doc))
-			got, gotErr := p.Parse([]byte(doc))
+			got, gotErr := parseOne(p, []byte(doc))
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("round %d %q: err mismatch %v vs %v", round, doc, wantErr, gotErr)
 			}
@@ -50,8 +59,8 @@ func TestParserErrors(t *testing.T) {
 	bad := []string{``, `{`, `{"a"`, `{"a":}`, `[1,`, `"unterminated`, `{"a":1}x`, `tru`, `--1`}
 	p := NewParser()
 	for _, doc := range bad {
-		if _, err := p.Parse([]byte(doc)); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", doc)
+		if _, err := parseOne(p, []byte(doc)); err == nil {
+			t.Errorf("parse of %q succeeded, want error", doc)
 		}
 	}
 }
@@ -60,11 +69,11 @@ func TestParserErrors(t *testing.T) {
 // up with the same backing string, not two allocations.
 func TestParserInternsFieldNames(t *testing.T) {
 	p := NewParser()
-	a, err := p.Parse([]byte(`{"field_name":1}`))
+	a, err := parseOne(p, []byte(`{"field_name":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.Parse([]byte(`{"field_name":2}`))
+	b, err := parseOne(p, []byte(`{"field_name":2}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +82,7 @@ func TestParserInternsFieldNames(t *testing.T) {
 		t.Error("field names of consecutive records are distinct allocations; want interned")
 	}
 	// Escaped keys intern too (via the slow path).
-	c, _ := p.Parse([]byte(`{"field\u005fname":3}`))
+	c, _ := parseOne(p, []byte(`{"field\u005fname":3}`))
 	if nc := c.ObjectVal().Name(0); nc != "field_name" || unsafe.StringData(nc) != unsafe.StringData(na) {
 		t.Errorf("escaped key %q not interned with plain form", c.ObjectVal().Name(0))
 	}
@@ -85,7 +94,7 @@ func TestParserInternBound(t *testing.T) {
 	p := NewParser()
 	for i := 0; i < maxInternedNames+100; i++ {
 		doc := fmt.Sprintf(`{"k%d":1}`, i)
-		if _, err := p.Parse([]byte(doc)); err != nil {
+		if _, err := parseOne(p, []byte(doc)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +106,7 @@ func TestParserInternBound(t *testing.T) {
 	// could otherwise pin megabytes per key for the parser's lifetime.
 	p2 := NewParser()
 	huge := strings.Repeat("k", maxInternedNameLen+1)
-	v, err := p2.Parse([]byte(`{"` + huge + `":1}`))
+	v, err := parseOne(p2, []byte(`{"`+huge+`":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,16 +160,17 @@ func TestParserAllocsTweet(t *testing.T) {
 		t.Skip("alloc counting in -short")
 	}
 	p := NewParser()
-	if _, err := p.Parse(tweetJSON); err != nil {
+	spine, err := p.ParseInto(tweetJSON, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := p.Parse(tweetJSON); err != nil {
+		if spine, err = p.ParseInto(tweetJSON, spine[:0], nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	const budget = 20
 	if allocs > budget {
-		t.Errorf("Parse(tweet) = %.1f allocs/op, budget %d", allocs, budget)
+		t.Errorf("ParseInto(tweet) = %.1f allocs/op, budget %d", allocs, budget)
 	}
 }

@@ -68,7 +68,7 @@ func checkSpliceAgrees(t *testing.T, parts []RowPart) bool {
 	canonical := true
 	for _, p := range parts {
 		if p.Val.isView() {
-			canonical = canonical && bytes.Equal(AppendBinary(nil, p.Val.Clone()), p.Val.encoded())
+			canonical = canonical && bytes.Equal(AppendBinary(nil, ObjectValue(p.Val.ObjectVal())), p.Val.encoded())
 		}
 	}
 	if enc, wantEnc := AppendBinary(nil, got), AppendBinary(nil, want); canonical && !bytes.Equal(enc, wantEnc) {

@@ -11,8 +11,7 @@ import (
 // Value is a single ADM value: a compact tagged union covering every
 // kind in the data model. Values are cheap to copy (the struct is a few
 // machine words); the heap payloads (strings, arrays, objects, geometry)
-// are shared on copy, so callers must treat reachable data as immutable
-// and use Clone before mutating.
+// are shared on copy, so callers must treat reachable data as immutable.
 type Value struct {
 	kind Kind
 	aux  int32       // Duration: months component
@@ -225,39 +224,6 @@ func (v Value) Field(name string) Value {
 		return missingValue
 	}
 	return f
-}
-
-// Clone returns a deep copy of v; mutating the copy's objects or arrays
-// never affects the original.
-func (v Value) Clone() Value {
-	switch v.kind {
-	case KindArray:
-		if v.arr == nil {
-			return v
-		}
-		elems := make([]Value, len(v.arr))
-		for i, e := range v.arr {
-			elems[i] = e.Clone()
-		}
-		return Array(elems)
-	case KindObject:
-		if v.isView() {
-			return ObjectValue(v.object()) // decoded afresh: already unshared
-		}
-		if v.obj == nil {
-			return v
-		}
-		return ObjectValue(v.obj.Clone())
-	case KindPoint, KindRectangle, KindCircle:
-		if v.geo == nil {
-			return v
-		}
-		g := *v.geo
-		v.geo = &g
-		return v
-	default:
-		return v
-	}
 }
 
 // String renders the value in ADM literal syntax; it is meant for

@@ -163,24 +163,6 @@ func TestNestedPathAccess(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	inner := ObjectFromPairs("k", Int(1))
-	orig := ObjectValue(ObjectFromPairs("nested", ObjectValue(inner), "arr", Array([]Value{Int(5)})))
-	cp := orig.Clone()
-	cp.ObjectVal().Get("nested")
-	nested, _ := cp.ObjectVal().Get("nested")
-	nested.ObjectVal().Set("k", Int(99))
-	if v, _ := inner.Get("k"); v.IntVal() != 1 {
-		t.Error("Clone shared nested object")
-	}
-
-	pt := Point(1, 2)
-	cpt := pt.Clone()
-	if &pt.geo[0] == &cpt.geo[0] {
-		t.Error("Clone shared geometry payload")
-	}
-}
-
 func TestValueStringRendering(t *testing.T) {
 	v := ObjectValue(ObjectFromPairs(
 		"i", Int(1),
@@ -197,19 +179,13 @@ func TestValueStringRendering(t *testing.T) {
 	}
 }
 
-func TestObjectSetReplaceDelete(t *testing.T) {
+func TestObjectSetReplaceKeepsPosition(t *testing.T) {
 	o := NewObject(2)
 	o.Set("x", Int(1))
 	o.Set("y", Int(2))
 	o.Set("x", Int(3)) // replace keeps position
 	if o.Len() != 2 || o.Name(0) != "x" || o.At(0).IntVal() != 3 {
 		t.Errorf("replace failed: %v", ObjectValue(o))
-	}
-	if !o.Delete("x") || o.Delete("x") {
-		t.Error("delete semantics failed")
-	}
-	if o.Len() != 1 || o.Name(0) != "y" {
-		t.Error("delete should compact fields")
 	}
 }
 
@@ -226,26 +202,6 @@ func TestObjectLargeUsesIndex(t *testing.T) {
 		if !ok || v.IntVal() != int64(i) {
 			t.Fatalf("lookup %d failed", i)
 		}
-	}
-	// Delete must keep the index coherent.
-	o.Delete("a")
-	if _, ok := o.Get("a"); ok {
-		t.Error("deleted field still visible")
-	}
-	if v, ok := o.Get("b"); !ok || v.IntVal() != 1 {
-		t.Error("index stale after delete")
-	}
-}
-
-func TestCopyShallowSharesValues(t *testing.T) {
-	o := ObjectFromPairs("a", Int(1))
-	c := o.CopyShallow()
-	c.Set("b", Int(2))
-	if _, ok := o.Get("b"); ok {
-		t.Error("CopyShallow leaked new field into original")
-	}
-	if v, _ := c.Get("a"); v.IntVal() != 1 {
-		t.Error("CopyShallow lost existing field")
 	}
 }
 

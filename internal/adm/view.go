@@ -23,7 +23,7 @@ import (
 //   - AppendJSON transcodes the bytes: names, strings and numbers are
 //     written from where they lie, a datetime formatted straight into
 //     the output, and nothing is decoded (appendJSONView).
-//   - ObjectVal, Compare, Hash, Clone, String decode the whole object
+//   - ObjectVal, Compare, Hash, String decode the whole object
 //     into a fresh value nothing else shares. Nothing is memoised: a
 //     view is immutable and safe to read from any number of goroutines.
 //

@@ -51,9 +51,6 @@ func checkViewAgrees(t *testing.T, enc []byte, v Value) {
 	if size := BinarySize(view); size != len(enc) {
 		t.Fatalf("BinarySize(View(%x)) = %d", enc, size)
 	}
-	if c := view.Clone(); Compare(c, v) != 0 || c.isView() {
-		t.Fatalf("View(%x).Clone() = %v", enc, c)
-	}
 	if d := view.Detached(); Compare(d, v) != 0 || (view.isView() && unsafe.StringData(d.s) == unsafe.StringData(view.s)) {
 		t.Fatalf("View(%x).Detached() = %v, sharing bytes or not equal", enc, d)
 	}

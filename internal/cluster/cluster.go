@@ -236,14 +236,6 @@ func (c *Cluster) CreateDatatype(dt *adm.Datatype) error {
 	return nil
 }
 
-// Datatype resolves a datatype by name.
-func (c *Cluster) Datatype(name string) (*adm.Datatype, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	dt, ok := c.datatypes[name]
-	return dt, ok
-}
-
 // CreateDataset creates a dataset with one storage partition per node,
 // recovering whatever its directory already holds. The name is reserved
 // under the catalog lock and the storage opened outside it: recovery

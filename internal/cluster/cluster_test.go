@@ -51,12 +51,12 @@ func TestCatalogDatatypesAndDatasets(t *testing.T) {
 	if err := c.CreateDatatype(dt); err == nil {
 		t.Error("duplicate datatype should fail")
 	}
-	if got, ok := c.Datatype("T"); !ok || got != dt {
-		t.Error("datatype lookup failed")
-	}
 	ds, err := c.CreateDataset("D", "T", "id")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ds.Datatype() != dt {
+		t.Error("dataset did not resolve its datatype")
 	}
 	if ds.NumPartitions() != 2 {
 		t.Errorf("partitions = %d, want one per node", ds.NumPartitions())
@@ -146,7 +146,7 @@ func TestPredeployLifecycle(t *testing.T) {
 	spec.AddOperator(&hyracks.Descriptor{
 		Name: "src", Parallelism: 1,
 		NewSource: func(int) (hyracks.Source, error) {
-			return &hyracks.SliceSource{Records: []adm.Value{adm.Int(1)}}, nil
+			return hyracks.SourceFunc(func(*hyracks.TaskContext, hyracks.Writer) error { return nil }), nil
 		},
 	})
 	job, err := c.InvokePredeployed(context.Background(), "job1", spec)
@@ -177,7 +177,7 @@ func TestDispatchOverheadCharged(t *testing.T) {
 	spec.AddOperator(&hyracks.Descriptor{
 		Name: "src", Parallelism: 1,
 		NewSource: func(int) (hyracks.Source, error) {
-			return &hyracks.SliceSource{}, nil
+			return hyracks.SourceFunc(func(*hyracks.TaskContext, hyracks.Writer) error { return nil }), nil
 		},
 	})
 	start := time.Now()
@@ -345,8 +345,8 @@ func TestDropDatasetReleasesStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := again.Len(); n != 0 {
-		t.Errorf("re-created dataset recovered %d dropped rows", n)
+	if n, err := again.Len(); err != nil || n != 0 {
+		t.Errorf("re-created dataset recovered %d dropped rows (%v)", n, err)
 	}
 }
 
@@ -482,8 +482,8 @@ func TestInMemoryClusterRunsTheOneEngine(t *testing.T) {
 	// compaction has stopped replacing the runs in between.
 	st := c.StorageStats()
 	for deadline := time.Now().Add(5 * time.Second); st.BlockCacheHits == 0 && time.Now().Before(deadline); st = c.StorageStats() {
-		if n := ds.Len(); n != len(batch) {
-			t.Fatalf("Len = %d, want %d", n, len(batch))
+		if n, err := ds.Len(); err != nil || n != len(batch) {
+			t.Fatalf("Len = %d, %v; want %d", n, err, len(batch))
 		}
 	}
 	if st.FlushedRuns == 0 || st.OpenRunFiles == 0 || st.BlockReads == 0 || st.BlockCacheHits == 0 {
@@ -498,8 +498,8 @@ func TestInMemoryClusterRunsTheOneEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := again.Len(); n != 0 {
-		t.Fatalf("re-created dataset holds %d dropped rows", n)
+	if n, err := again.Len(); err != nil || n != 0 {
+		t.Fatalf("re-created dataset holds %d dropped rows (%v)", n, err)
 	}
 
 	if err := c.Close(); err != nil {

@@ -155,13 +155,13 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 			}
 			ds, _ := c.Dataset("EnrichedTweets")
 			stored := 0
-			ds.ScanAll(func(key, rec adm.Value) bool {
+			sc := ds.Scan()
+			for key, rec, ok := sc.Next(); ok; key, rec, ok = sc.Next() {
 				stored++
 				if got := adm.AppendBinary(nil, rec); !bytes.Equal(got, want[key.String()]) {
 					t.Fatalf("key %v stores\n %x\nthe oracle encodes\n %x", key, got, want[key.String()])
 				}
-				return true
-			})
+			}
 			if stored != len(want) || stored != n+1 {
 				t.Fatalf("%d records stored, the oracle has %d, want %d", stored, len(want), n+1)
 			}
@@ -679,10 +679,10 @@ func TestCollectorRoutesLikeTheConnector(t *testing.T) {
 				}
 				scan := func(name string) (out [][]byte) {
 					ds, _ := c.Dataset(name)
-					ds.ScanAll(func(k, rec adm.Value) bool {
+					sc := ds.Scan()
+					for k, rec, ok := sc.Next(); ok; k, rec, ok = sc.Next() {
 						out = append(out, adm.AppendBinary(adm.AppendBinary(nil, k), rec))
-						return true
-					})
+					}
 					return out
 				}
 				got, want := scan("Routed"), scan("Copied")

@@ -273,9 +273,7 @@ func TestFeedStorageFailureDoesNotHang(t *testing.T) {
 				EvalFn: func(rec adm.Value) (adm.Value, error) {
 					// Strip the primary key — the storage writer will
 					// reject this downstream.
-					out := rec.ObjectVal().CopyShallow()
-					out.Delete("id")
-					return adm.ObjectValue(out), nil
+					return adm.ObjectValue(copyFields(rec, "id")), nil
 				},
 			}
 		},

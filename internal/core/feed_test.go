@@ -11,6 +11,7 @@ import (
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/cluster"
+	"github.com/ideadb/idea/internal/lsm"
 	"github.com/ideadb/idea/internal/udf"
 	"github.com/ideadb/idea/internal/workload"
 )
@@ -46,6 +47,28 @@ func generatorConfig(name string, g *workload.Generator, n int) Config {
 	}
 }
 
+// copyFields returns a new object holding rec's fields but drop.
+func copyFields(rec adm.Value, drop string) *adm.Object {
+	in := rec.ObjectVal()
+	out := adm.NewObject(in.Len() + 1)
+	for i := 0; i < in.Len(); i++ {
+		if in.Name(i) != drop {
+			out.Set(in.Name(i), in.At(i))
+		}
+	}
+	return out
+}
+
+// liveLen counts ds's live records and fails the test on a read fault.
+func liveLen(t testing.TB, ds *lsm.Dataset) int {
+	t.Helper()
+	n, err := ds.Len()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestFeedBasicIngestion(t *testing.T) {
 	c, g := testCluster(t, 3)
 	const n = 1000
@@ -67,8 +90,8 @@ func TestFeedBasicIngestion(t *testing.T) {
 		t.Errorf("suspiciously few invocations: %d", st.Invocations.Load())
 	}
 	ds, _ := c.Dataset("Tweets")
-	if ds.Len() != n {
-		t.Errorf("dataset holds %d, want %d", ds.Len(), n)
+	if liveLen(t, ds) != n {
+		t.Errorf("dataset holds %d, want %d", liveLen(t, ds), n)
 	}
 	// Records are properly typed (created_at coerced to datetime).
 	rec, ok := ds.Get(adm.Int(0))
@@ -94,12 +117,13 @@ func TestFeedWithSQLPPUDF(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds, _ := c.Dataset("EnrichedTweets")
-	if ds.Len() != n {
-		t.Fatalf("enriched %d, want %d", ds.Len(), n)
+	if liveLen(t, ds) != n {
+		t.Fatalf("enriched %d, want %d", liveLen(t, ds), n)
 	}
 	// Every stored tweet carries the enrichment field with a real rating.
 	checked := 0
-	ds.ScanAll(func(_, rec adm.Value) bool {
+	sc := ds.Scan()
+	for _, rec, ok := sc.Next(); ok; _, rec, ok = sc.Next() {
 		ratings := rec.Field("safety_rating")
 		if ratings.Kind() != adm.KindArray {
 			t.Fatalf("missing safety_rating on %v", rec.Field("id"))
@@ -108,8 +132,7 @@ func TestFeedWithSQLPPUDF(t *testing.T) {
 			t.Fatalf("tweet country should match exactly one rating, got %d", len(ratings.ArrayVal()))
 		}
 		checked++
-		return true
-	})
+	}
 	if checked != n {
 		t.Errorf("checked %d", checked)
 	}
@@ -125,7 +148,7 @@ func TestFeedWithNativeUDF(t *testing.T) {
 			return &udf.FuncInstance{
 				InitFn: func(int) error { initCount++; return nil },
 				EvalFn: func(rec adm.Value) (adm.Value, error) {
-					out := rec.ObjectVal().CopyShallow()
+					out := copyFields(rec, "")
 					out.Set("flag", adm.String("seen"))
 					return adm.ObjectValue(out), nil
 				},
@@ -147,15 +170,15 @@ func TestFeedWithNativeUDF(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds, _ := c.Dataset("EnrichedTweets")
-	if ds.Len() != n {
-		t.Fatalf("stored %d", ds.Len())
+	if liveLen(t, ds) != n {
+		t.Fatalf("stored %d", liveLen(t, ds))
 	}
-	ds.ScanAll(func(_, rec adm.Value) bool {
+	sc := ds.Scan()
+	for _, rec, ok := sc.Next(); ok; _, rec, ok = sc.Next() {
 		if rec.Field("flag").StringVal() != "seen" {
 			t.Fatal("native UDF did not run")
 		}
-		return true
-	})
+	}
 	// Dynamic framework re-initializes per invocation per node.
 	wantMin := int(f.Stats().Invocations.Load()) * 2
 	if initCount < wantMin {
@@ -251,6 +274,37 @@ func TestStaticFeedIngestion(t *testing.T) {
 	}
 }
 
+// TestStaticFeedStopsWithItsContext: a static feed over an adapter that
+// never ends stops only when the context StartStatic was given is
+// canceled, and Wait then returns the cancellation promptly.
+func TestStaticFeedStopsWithItsContext(t *testing.T) {
+	c, g := testCluster(t, 2)
+	cfg := generatorConfig("static-forever", g, 0)
+	cfg.NewAdapter = func(int) (Adapter, error) { return &ChannelAdapter{C: make(chan []byte)}, nil }
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sf, err := StartStatic(ctx, c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- sf.Wait() }()
+	select {
+	case err := <-done:
+		t.Fatalf("Wait returned %v before the context was canceled", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Wait = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait did not return after the context was canceled")
+	}
+}
+
 func TestStaticFeedRejectsStatefulSQLPP(t *testing.T) {
 	c, g := testCluster(t, 2)
 	cfg := generatorConfig("staticq1", g, 10)
@@ -273,12 +327,12 @@ func TestStaticFeedRejectsStatefulSQLPP(t *testing.T) {
 	}
 	ds, _ := c.Dataset("EnrichedTweets")
 	found := 0
-	ds.ScanAll(func(_, rec adm.Value) bool {
+	sc := ds.Scan()
+	for _, rec, ok := sc.Next(); ok; _, rec, ok = sc.Next() {
 		if rec.Field("safety_check_flag").Kind() == adm.KindString {
 			found++
 		}
-		return true
-	})
+	}
 	if found != 50 {
 		t.Errorf("flagged %d of 50", found)
 	}
@@ -301,7 +355,7 @@ func TestStaticNativeUDFStateIsStale(t *testing.T) {
 					return nil
 				},
 				EvalFn: func(rec adm.Value) (adm.Value, error) {
-					out := rec.ObjectVal().CopyShallow()
+					out := copyFields(rec, "")
 					out.Set("kw", adm.String(fmt.Sprintf("%v", words)))
 					return adm.ObjectValue(out), nil
 				},
@@ -386,15 +440,15 @@ func TestSocketAdapterFeed(t *testing.T) {
 	// Wait for arrival, then stop the feed.
 	ds, _ := c.Dataset("Tweets")
 	deadline := time.Now().Add(10 * time.Second)
-	for ds.Len() < n && time.Now().Before(deadline) {
+	for liveLen(t, ds) < n && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	f.Stop()
 	if err := f.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if ds.Len() != n {
-		t.Errorf("stored %d, want %d", ds.Len(), n)
+	if liveLen(t, ds) != n {
+		t.Errorf("stored %d, want %d", liveLen(t, ds), n)
 	}
 }
 
@@ -434,8 +488,8 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds, _ := c.Dataset("Tweets")
-	if ds.Len() != 100 {
-		t.Errorf("stored %d", ds.Len())
+	if liveLen(t, ds) != 100 {
+		t.Errorf("stored %d", liveLen(t, ds))
 	}
 }
 
@@ -496,7 +550,7 @@ func TestFeedBalancedIntake(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds, _ := c.Dataset("Tweets")
-	if ds.Len() != n {
-		t.Errorf("stored %d, want %d", ds.Len(), n)
+	if liveLen(t, ds) != n {
+		t.Errorf("stored %d, want %d", liveLen(t, ds), n)
 	}
 }

@@ -164,10 +164,10 @@ func (s *steppedFeed) finish(c *cluster.Cluster) map[int]adm.Value {
 		s.t.Fatal(err)
 	}
 	out := make(map[int]adm.Value, s.sent)
-	mustDataset(s.t, c, "Out").ScanAll(func(key, rec adm.Value) bool {
+	sc := mustDataset(s.t, c, "Out").Scan()
+	for key, rec, ok := sc.Next(); ok; key, rec, ok = sc.Next() {
 		out[int(key.IntVal())] = rec
-		return true
-	})
+	}
 	if len(out) != s.sent {
 		s.t.Fatalf("stored %d records, sent %d", len(out), s.sent)
 	}

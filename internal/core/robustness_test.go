@@ -120,8 +120,8 @@ func TestIntakePolicyHammer(t *testing.T) {
 			ds, _ := c.Dataset("Events")
 			switch policy {
 			case "spill":
-				if stored != n || ds.Len() != n {
-					t.Errorf("spill lost data: stored=%d dataset=%d want %d", stored, ds.Len(), n)
+				if stored != n || liveLen(t, ds) != n {
+					t.Errorf("spill lost data: stored=%d dataset=%d want %d", stored, liveLen(t, ds), n)
 				}
 				if st.SpilledFrames.Load() == 0 {
 					t.Error("hammer never spilled: congestion was not real")
@@ -272,13 +272,13 @@ func verifyCrashImage(t *testing.T, c *cluster.Cluster, n int, tag string) uint6
 			t.Fatalf("%s: id %d recovered v=%d, want %d", tag, id, got, id*3)
 		}
 	}
-	ds.ScanAll(func(k, rec adm.Value) bool {
+	sc := ds.Scan()
+	for k, rec, ok := sc.Next(); ok; k, rec, ok = sc.Next() {
 		id := k.IntVal()
 		if id < 1 || id > int64(n) || rec.Field("v").IntVal() != id*3 {
 			t.Fatalf("%s: dataset holds record outside the model: id=%d v=%v", tag, id, rec.Field("v"))
 		}
-		return true
-	})
+	}
 	return ckpt
 }
 
@@ -345,8 +345,8 @@ func TestFeedCrashRecovery(t *testing.T) {
 				t.Fatalf("%s: resume: %v", tag, err)
 			}
 			ds, _ := recovered.Dataset("Events")
-			if ds.Len() != n {
-				t.Fatalf("%s: resumed dataset holds %d records, want %d", tag, ds.Len(), n)
+			if liveLen(t, ds) != n {
+				t.Fatalf("%s: resumed dataset holds %d records, want %d", tag, liveLen(t, ds), n)
 			}
 			for id := 1; id <= n; id++ {
 				rec, ok := ds.Get(adm.Int(int64(id)))
@@ -383,8 +383,8 @@ func TestFeedCheckpointReplayIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds, _ := c.Dataset("Events")
-	if ds.Len() != n {
-		t.Fatalf("first run stored %d", ds.Len())
+	if liveLen(t, ds) != n {
+		t.Fatalf("first run stored %d", liveLen(t, ds))
 	}
 
 	// Same feed name restarts: the checkpoint says everything was
@@ -414,8 +414,8 @@ func TestFeedCheckpointReplayIdempotent(t *testing.T) {
 	if f3.Stats().Stored.Load() != n {
 		t.Errorf("redelivery stored %d, want %d", f3.Stats().Stored.Load(), n)
 	}
-	if ds.Len() != n {
-		t.Errorf("redelivery changed the dataset: %d records, want %d", ds.Len(), n)
+	if liveLen(t, ds) != n {
+		t.Errorf("redelivery changed the dataset: %d records, want %d", liveLen(t, ds), n)
 	}
 	for id := 1; id <= n; id++ {
 		rec, ok := ds.Get(adm.Int(int64(id)))
@@ -494,8 +494,8 @@ func TestAdapterSlotsCheckpointApart(t *testing.T) {
 	if got := f.Stats().Stored.Load(); got != 0 {
 		t.Errorf("restart re-emitted %d records", got)
 	}
-	if ds.Len() != 800 {
-		t.Errorf("dataset holds %d records, want 800", ds.Len())
+	if liveLen(t, ds) != 800 {
+		t.Errorf("dataset holds %d records, want 800", liveLen(t, ds))
 	}
 }
 
@@ -560,10 +560,10 @@ func TestFeedKillNodeFailover(t *testing.T) {
 	// Let some data land, then kill a node that hosts pipeline partitions.
 	ds, _ := c.Dataset("Tweets")
 	deadline := time.Now().Add(30 * time.Second)
-	for ds.Len() < 100 && time.Now().Before(deadline) {
+	for liveLen(t, ds) < 100 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if ds.Len() < 100 {
+	if liveLen(t, ds) < 100 {
 		t.Fatal("feed never made progress")
 	}
 	c.KillNode(2)
@@ -577,13 +577,13 @@ func TestFeedKillNodeFailover(t *testing.T) {
 	}
 	// ...and the manager's restarted incarnation finishes the stream.
 	for time.Now().Before(deadline) {
-		if ds.Len() == n {
+		if liveLen(t, ds) == n {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if ds.Len() != n {
-		t.Fatalf("dataset holds %d records after failover, want %d", ds.Len(), n)
+	if liveLen(t, ds) != n {
+		t.Fatalf("dataset holds %d records after failover, want %d", liveLen(t, ds), n)
 	}
 	for id := 1; id <= n; id++ {
 		if _, ok := ds.Get(adm.Int(int64(id))); !ok {
@@ -850,7 +850,8 @@ func TestLibraryCallMayRetainItsArguments(t *testing.T) {
 			}
 			ds, _ := c.Dataset("EnrichedTweets")
 			stored := 0
-			ds.ScanAll(func(key, rec adm.Value) bool {
+			sc := ds.Scan()
+			for key, rec, ok := sc.Next(); ok; key, rec, ok = sc.Next() {
 				stored++
 				row, err := pe.EvalRecord(validated(key.IntVal()))
 				if err != nil {
@@ -859,8 +860,7 @@ func TestLibraryCallMayRetainItsArguments(t *testing.T) {
 				if got, want := adm.AppendBinary(nil, rec), adm.AppendBinary(nil, row); !bytes.Equal(got, want) {
 					t.Fatalf("key %v stores\n %x\nthe function makes\n %x", key, got, want)
 				}
-				return true
-			})
+			}
 			if stored != n {
 				t.Fatalf("%d records stored, want %d", stored, n)
 			}

@@ -22,13 +22,11 @@ var ErrStatefulUDF = errors.New(
 // adapter instance, the attached UDF is evaluated with the streaming model
 // (state initialized once for the feed's lifetime), and records flow
 // straight to storage. It is "Static Ingestion" / "Static Enrichment w/
-// Java" in the paper's figures.
+// Java" in the paper's figures. It runs until its adapters end or the
+// context StartStatic was given is canceled.
 type StaticFeed struct {
-	job       *hyracks.Job
-	cancel    context.CancelFunc
-	adaptCtx  context.Context
-	adaptStop context.CancelFunc
-	stats     Stats
+	job   *hyracks.Job
+	stats Stats
 }
 
 // Stats returns the pipeline's counters.
@@ -54,9 +52,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 		return nil, ErrStatefulUDF
 	}
 
-	jobCtx, cancel := context.WithCancel(ctx)
-	adaptCtx, adaptStop := context.WithCancel(jobCtx)
-	sf := &StaticFeed{cancel: cancel, adaptCtx: adaptCtx, adaptStop: adaptStop}
+	sf := &StaticFeed{}
 	tuning := c.Tuning()
 	dt := ds.Datatype()
 	pk := ds.PrimaryKey()
@@ -66,13 +62,11 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 	if plan != nil {
 		prepared, err = plan.Prepare(c)
 		if err != nil {
-			cancel()
 			return nil, err
 		}
 	}
 	calls, err := udfCalls(prepared, native, c.NumNodes())
 	if err != nil {
-		cancel()
 		return nil, err
 	}
 
@@ -101,7 +95,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 					return err
 				}
 				enc := newRecordEncoder(tuning.FrameCapacity, ds.NumPartitions(), pk, route)
-				err := adapter.Run(sf.adaptCtx, func(raw []byte) error {
+				err := adapter.Run(tc.Ctx, func(raw []byte) error {
 					// A stream has no batch size: every target may expect a
 					// full frame more.
 					enc.begin(tuning.FrameCapacity * len(enc.parts))
@@ -111,7 +105,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 					}
 					return err
 				})
-				if err != nil && !(errors.Is(err, context.Canceled) && sf.adaptCtx.Err() != nil) {
+				if err != nil {
 					return err
 				}
 				return enc.flush(out)
@@ -136,9 +130,8 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 	// Frame-granular batch writes, same as the dynamic feed.
 	connectStorage(spec, last, "storage-partition-writer", ds, &sf.stats.Stored)
 
-	sf.job, err = c.StartJob(jobCtx, spec)
+	sf.job, err = c.StartJob(ctx, spec)
 	if err != nil {
-		cancel()
 		return nil, err
 	}
 	return sf, nil
@@ -175,12 +168,5 @@ func (ev *evaluator) Push(_ *hyracks.TaskContext, fr hyracks.Frame, out hyracks.
 // Close implements hyracks.Pipe.
 func (ev *evaluator) Close(*hyracks.TaskContext, hyracks.Writer) error { return nil }
 
-// Stop gracefully stops the adapters; in-flight data drains.
-func (s *StaticFeed) Stop() { s.adaptStop() }
-
 // Wait blocks until the pipeline finishes.
-func (s *StaticFeed) Wait() error {
-	err := s.job.Wait()
-	s.cancel()
-	return err
-}
+func (s *StaticFeed) Wait() error { return s.job.Wait() }

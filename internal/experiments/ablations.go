@@ -355,23 +355,34 @@ func AblationFailover(opts Options) (*Table, error) {
 			return err
 		}
 		ds, _ := b.cluster.Dataset("Tweets")
-		if kill {
+		// waitFor polls until the dataset holds want records or two
+		// minutes pass, and returns the last count.
+		waitFor := func(want int, poll time.Duration) (int, error) {
 			deadline := time.Now().Add(2 * time.Minute)
-			for ds.Len() < tweets/4 && time.Now().Before(deadline) {
-				time.Sleep(200 * time.Microsecond)
+			for {
+				n, err := ds.Len()
+				if err != nil || n >= want || !time.Now().Before(deadline) {
+					return n, err
+				}
+				time.Sleep(poll)
+			}
+		}
+		if kill {
+			if _, err := waitFor(tweets/4, 200*time.Microsecond); err != nil {
+				return err
 			}
 			b.cluster.KillNode(nodes - 1)
 		}
 		if err := f.Wait(); err != nil && !errors.Is(err, cluster.ErrPartitionDown) {
 			return err
 		}
-		deadline := time.Now().Add(2 * time.Minute)
-		for ds.Len() < tweets && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+		n, err := waitFor(tweets, time.Millisecond)
+		if err != nil {
+			return err
 		}
 		elapsed := time.Since(start)
-		if ds.Len() != tweets {
-			return fmt.Errorf("failover run %s: dataset holds %d of %d", name, ds.Len(), tweets)
+		if n != tweets {
+			return fmt.Errorf("failover run %s: dataset holds %d of %d", name, n, tweets)
 		}
 		st := f.Stats()
 		table.Rows = append(table.Rows, []string{

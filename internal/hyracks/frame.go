@@ -40,7 +40,7 @@ import (
 // transfer between operators. It uses one of two lanes: Raw carries an
 // adapter's unparsed lines, staged by a FrameBuilder, so they reach the
 // parser without being copied or wrapped again; Records carries ADM
-// values — what a parser, an evaluator or a SliceSource emits.
+// values — what a parser or an evaluator emits.
 type Frame struct {
 	Records []adm.Value
 	Raw     [][]byte

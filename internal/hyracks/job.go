@@ -129,9 +129,6 @@ func (j *Job) Wait() error {
 	return j.err
 }
 
-// Abort cancels the job; Wait still reports the outcome.
-func (j *Job) Abort() { j.cancel() }
-
 // Run validates the spec, instantiates every operator partition, wires
 // the connectors, and starts the dataflow. The returned Job is already
 // running; call Wait for the outcome.

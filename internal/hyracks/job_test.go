@@ -235,6 +235,7 @@ func TestJobErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestJobAbort: cancelling the context a job runs under aborts it.
 func TestJobAbort(t *testing.T) {
 	spec := NewJobSpec()
 	spec.AddOperator(&Descriptor{
@@ -246,17 +247,21 @@ func TestJobAbort(t *testing.T) {
 			}), nil
 		},
 	})
-	job, err := spec.Run(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
+	job, err := spec.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- job.Wait() }()
-	job.Abort()
+	cancel()
 	select {
-	case <-done:
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Wait = %v, want context.Canceled", err)
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("abort did not unblock the job")
+		t.Fatal("cancelling the parent context did not unblock the job")
 	}
 }
 

@@ -29,7 +29,6 @@ type rtreeNode struct {
 // per-batch probe structures built by the enrichment planner.
 type RTree struct {
 	root *rtreeNode
-	size int
 }
 
 // NewRTree returns an empty R-tree.
@@ -37,12 +36,8 @@ func NewRTree() *RTree {
 	return &RTree{root: &rtreeNode{leaf: true}}
 }
 
-// Len returns the number of stored entries.
-func (t *RTree) Len() int { return t.size }
-
 // Insert adds an entry.
 func (t *RTree) Insert(rect spatial.Rect, data any) {
-	t.size++
 	split := t.root.insert(RTreeEntry{rect, data})
 	if split != nil {
 		old := t.root
@@ -234,26 +229,12 @@ func (n *rtreeNode) search(query spatial.Rect, fn func(RTreeEntry) bool) bool {
 	return true
 }
 
-// SearchAll returns every entry intersecting query.
-func (t *RTree) SearchAll(query spatial.Rect) []RTreeEntry {
-	var out []RTreeEntry
-	t.Search(query, func(e RTreeEntry) bool {
-		out = append(out, e)
-		return true
-	})
-	return out
-}
-
 // Delete removes one entry with an identical rectangle for which eq
 // returns true, reporting whether one was found. The R-tree performs no
 // rebalancing on delete (underfull nodes are tolerated), which is the
 // usual trade-off for in-memory R-trees with churn.
 func (t *RTree) Delete(rect spatial.Rect, eq func(data any) bool) bool {
-	if t.root.delete(rect, eq) {
-		t.size--
-		return true
-	}
-	return false
+	return t.root.delete(rect, eq)
 }
 
 func (n *rtreeNode) delete(rect spatial.Rect, eq func(any) bool) bool {

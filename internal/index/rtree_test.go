@@ -9,17 +9,27 @@ import (
 
 func pt(x, y float64) spatial.Rect { return spatial.BoundsPoint(spatial.Point{X: x, Y: y}) }
 
+// searchAll returns every entry of rt intersecting query.
+func searchAll(rt *RTree, query spatial.Rect) []RTreeEntry {
+	var out []RTreeEntry
+	rt.Search(query, func(e RTreeEntry) bool {
+		out = append(out, e)
+		return true
+	})
+	return out
+}
+
 func TestRTreeInsertSearchSmall(t *testing.T) {
 	rt := NewRTree()
 	rt.Insert(pt(1, 1), "a")
 	rt.Insert(pt(5, 5), "b")
 	rt.Insert(pt(9, 9), "c")
-	if rt.Len() != 3 {
-		t.Fatalf("Len = %d", rt.Len())
+	if n := len(searchAll(rt, spatial.NewRect(0, 0, 10, 10))); n != 3 {
+		t.Fatalf("tree holds %d entries, want 3", n)
 	}
-	got := rt.SearchAll(spatial.NewRect(0, 0, 6, 6))
+	got := searchAll(rt, spatial.NewRect(0, 0, 6, 6))
 	if len(got) != 2 {
-		t.Fatalf("SearchAll found %d entries, want 2", len(got))
+		t.Fatalf("search found %d entries, want 2", len(got))
 	}
 	names := map[any]bool{}
 	for _, e := range got {
@@ -32,7 +42,7 @@ func TestRTreeInsertSearchSmall(t *testing.T) {
 
 func TestRTreeSearchEmpty(t *testing.T) {
 	rt := NewRTree()
-	if got := rt.SearchAll(spatial.NewRect(0, 0, 100, 100)); len(got) != 0 {
+	if got := searchAll(rt, spatial.NewRect(0, 0, 100, 100)); len(got) != 0 {
 		t.Errorf("empty tree returned %d entries", len(got))
 	}
 }
@@ -58,8 +68,8 @@ func TestRTreeMatchesLinearScan(t *testing.T) {
 		rt.Insert(rc, i)
 		all = append(all, rec{rc, i})
 	}
-	if rt.Len() != n {
-		t.Fatalf("Len = %d", rt.Len())
+	if got := len(searchAll(rt, spatial.NewRect(-1, -1, 103, 103))); got != n {
+		t.Fatalf("tree holds %d entries, want %d", got, n)
 	}
 	for q := 0; q < 200; q++ {
 		x, y := r.Float64()*100, r.Float64()*100
@@ -113,12 +123,9 @@ func TestRTreeDelete(t *testing.T) {
 			t.Fatalf("Delete(%d) missed", i)
 		}
 	}
-	if rt.Len() != 250 {
-		t.Fatalf("Len = %d, want 250", rt.Len())
-	}
-	got := rt.SearchAll(spatial.NewRect(-1, -1, 100, 100))
+	got := searchAll(rt, spatial.NewRect(-1, -1, 100, 100))
 	if len(got) != 250 {
-		t.Fatalf("SearchAll found %d", len(got))
+		t.Fatalf("tree holds %d entries, want 250", len(got))
 	}
 	for _, e := range got {
 		if e.Data.(int)%2 == 0 {
@@ -136,7 +143,7 @@ func TestRTreeDuplicateRects(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		rt.Insert(pt(1, 1), i) // all identical
 	}
-	got := rt.SearchAll(pt(1, 1))
+	got := searchAll(rt, pt(1, 1))
 	if len(got) != 50 {
 		t.Fatalf("found %d of 50 duplicates", len(got))
 	}
@@ -144,7 +151,7 @@ func TestRTreeDuplicateRects(t *testing.T) {
 	if !rt.Delete(pt(1, 1), func(d any) bool { return d.(int) == 33 }) {
 		t.Fatal("targeted delete failed")
 	}
-	for _, e := range rt.SearchAll(pt(1, 1)) {
+	for _, e := range searchAll(rt, pt(1, 1)) {
 		if e.Data.(int) == 33 {
 			t.Fatal("entry 33 still present")
 		}

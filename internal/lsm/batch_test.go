@@ -78,7 +78,7 @@ func TestUpsertBatchWAL(t *testing.T) {
 	if got := p.WAL().Commits(); got != 1 {
 		t.Fatalf("Commits = %d, want 1 (one group commit per frame)", got)
 	}
-	if got := p.WAL().Committed(); got != 3 {
+	if got := committedLSN(p.WAL()); got != 3 {
 		t.Fatalf("Committed = %d, want 3", got)
 	}
 	if got := p.Stats().Upserts; got != 3 {
@@ -106,7 +106,7 @@ func TestUpsertBatchFlushThreshold(t *testing.T) {
 	if s.MemEntries != 0 {
 		t.Fatalf("MemEntries = %d, want 0 after freeze", s.MemEntries)
 	}
-	if got := p.Len(); got != n {
+	if got := liveLen(t, p.Snapshot()); got != n {
 		t.Fatalf("Len = %d, want %d", got, n)
 	}
 }
@@ -163,8 +163,8 @@ func checkIndexesAgainstScan(t *testing.T, label string, p *Partition, bt *BTree
 	if got := len(postingsIn(bt, index.Unbounded(), index.Unbounded())); got != total {
 		t.Fatalf("%s: %s holds %d entries, scan says %d", label, bt.Name(), got, total)
 	}
-	if got := rt.Len(); got != len(rects) {
-		t.Fatalf("%s: %s Len = %d, scan says %d", label, rt.Name(), got, len(rects))
+	if got := len(rt.Search(spatial.NewRect(-1e9, -1e9, 1e9, 1e9))); got != len(rects) {
+		t.Fatalf("%s: %s holds %d entries, scan says %d", label, rt.Name(), got, len(rects))
 	}
 	for _, q := range []spatial.Rect{
 		spatial.NewRect(-1e9, -1e9, 1e9, 1e9),
@@ -260,8 +260,8 @@ func TestUpsertBatchSecondaryIndexes(t *testing.T) {
 		[]adm.Value{adm.Int(10), adm.Int(11), adm.Int(5000)},
 		[]adm.Value{mk(10, "JP", 3), adm.Missing(), mk(5000, "BR", 8)},
 	)
-	if st := p.Stats(); st.Components == 0 || st.MemEntries == 0 || p.Len() <= 2*backfillChunk {
-		t.Fatalf("back-fill setup: %d components, %d memtable entries, %d records", st.Components, st.MemEntries, p.Len())
+	if st := p.Stats(); st.Components == 0 || st.MemEntries == 0 || liveLen(t, p.Snapshot()) <= 2*backfillChunk {
+		t.Fatalf("back-fill setup: %d components, %d memtable entries, %d records", st.Components, st.MemEntries, liveLen(t, p.Snapshot()))
 	}
 	checkIndexesAgainstScan(t, "maintained across flushes", p, bt, rt)
 	lateBT := NewBTreeIndex("lateCountry", FieldKeyExtractor("country"))
@@ -290,7 +290,7 @@ func TestDatasetUpsertBatch(t *testing.T) {
 	if err := ds.UpsertBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	if got := ds.Len(); got != 50 {
+	if got := liveLen(t, ds); got != 50 {
 		t.Fatalf("Len = %d, want 50", got)
 	}
 	for i := 0; i < 50; i += 7 {
@@ -306,7 +306,7 @@ func TestDatasetUpsertBatch(t *testing.T) {
 	if err := ds2.UpsertBatch(bad); err == nil {
 		t.Fatal("batch with invalid record must fail")
 	}
-	if got := ds2.Len(); got != 0 {
+	if got := liveLen(t, ds2); got != 0 {
 		t.Fatalf("failed batch wrote %d records, want 0", got)
 	}
 }

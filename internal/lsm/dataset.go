@@ -84,9 +84,6 @@ func (d *Dataset) Drop() error {
 	return err
 }
 
-// Name returns the dataset name.
-func (d *Dataset) Name() string { return d.name }
-
 // Datatype returns the declared record type (may be nil for untyped
 // internal datasets).
 func (d *Dataset) Datatype() *adm.Datatype { return d.datatype }
@@ -266,21 +263,6 @@ func (d *Dataset) SnapshotAll() []*Snapshot {
 	return snaps
 }
 
-// ScanAll visits every live record across partitions (partition by
-// partition, each in key order) until fn returns false.
-func (d *Dataset) ScanAll(fn func(key, rec adm.Value) bool) {
-	sc := d.Scan()
-	for {
-		k, r, ok := sc.Next()
-		if !ok {
-			return
-		}
-		if !fn(k, r) {
-			return
-		}
-	}
-}
-
 // Scan returns a pull cursor over the dataset's live records (partition
 // by partition, each partition in primary-key order). The cursor reads
 // from a snapshot taken at call time and never copies the dataset into
@@ -329,13 +311,18 @@ func (sc *ScanCursor) Next() (key, rec adm.Value, ok bool) {
 // memory, so one that is dropped unclosed leaks nothing.
 func (sc *ScanCursor) Close() { sc.snaps, sc.cur, sc.i = nil, nil, 0 }
 
-// Len counts live records across all partitions.
-func (d *Dataset) Len() int {
-	n := 0
+// Len counts live records across all partitions. A run that cannot be
+// read fails the count with its read fault.
+func (d *Dataset) Len() (int, error) {
+	total := 0
 	for _, p := range d.partitions {
-		n += p.Len()
+		n, err := p.Snapshot().Len()
+		if err != nil {
+			return 0, err
+		}
+		total += n
 	}
-	return n
+	return total, nil
 }
 
 // CreateSpatialIndex attaches a spatial secondary index over a named

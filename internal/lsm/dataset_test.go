@@ -29,12 +29,12 @@ func TestDatasetRouteAndCRUD(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ds.Len() != 100 {
-		t.Fatalf("Len = %d", ds.Len())
+	if liveLen(t, ds) != 100 {
+		t.Fatalf("Len = %d", liveLen(t, ds))
 	}
 	// Every partition should own some records under hash routing.
 	for i := 0; i < ds.NumPartitions(); i++ {
-		if ds.Partition(i).Len() == 0 {
+		if liveLen(t, ds.Partition(i).Snapshot()) == 0 {
 			t.Errorf("partition %d empty — hash routing is skewed", i)
 		}
 	}
@@ -161,17 +161,12 @@ func TestDatasetBTreeIndex(t *testing.T) {
 	// Collect across partitions.
 	lookup := func(rating string) int {
 		n := 0
-		for i := 0; i < ds.NumPartitions(); i++ {
-			// indexes map is internal; use the secondary attached to partitions
-			// via a fresh probe through RTreeIndexes-equivalent path.
-			_ = i
-		}
-		ds.ScanAll(func(_, r adm.Value) bool {
+		sc := ds.Scan()
+		for _, r, ok := sc.Next(); ok; _, r, ok = sc.Next() {
 			if r.Field("safety_rating").StringVal() == rating {
 				n++
 			}
-			return true
-		})
+		}
 		return n
 	}
 	if lookup("4") != 2 {
@@ -250,13 +245,13 @@ func TestDatasetSnapshotAllStable(t *testing.T) {
 	}
 	total := 0
 	for _, s := range snaps {
-		total += s.Len()
+		total += liveLen(t, s)
 	}
 	if total != 90 {
 		t.Errorf("snapshots saw %d records, want 90", total)
 	}
-	if ds.Len() != 180 {
-		t.Errorf("dataset should now hold 180, has %d", ds.Len())
+	if liveLen(t, ds) != 180 {
+		t.Errorf("dataset should now hold 180, has %d", liveLen(t, ds))
 	}
 }
 

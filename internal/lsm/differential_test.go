@@ -157,10 +157,10 @@ func TestDurableDifferential(t *testing.T) {
 // diffCheck compares the three arms exhaustively.
 func diffCheck(t *testing.T, op int, reopened, steady *Partition, shadow map[int64]int64) {
 	t.Helper()
-	if got, want := reopened.Len(), len(shadow); got != want {
+	if got, want := liveLen(t, reopened.Snapshot()), len(shadow); got != want {
 		t.Fatalf("op %d: reopened Len = %d, shadow %d", op, got, want)
 	}
-	if got, want := steady.Len(), len(shadow); got != want {
+	if got, want := liveLen(t, steady.Snapshot()), len(shadow); got != want {
 		t.Fatalf("op %d: never-reopened Len = %d, shadow %d", op, got, want)
 	}
 	for k, v := range shadow {

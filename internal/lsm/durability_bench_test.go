@@ -90,8 +90,8 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				if rp.Len() != n {
-					b.Fatalf("recovered %d records, want %d", rp.Len(), n)
+				if liveLen(b, rp.Snapshot()) != n {
+					b.Fatalf("recovered %d records, want %d", liveLen(b, rp.Snapshot()), n)
 				}
 				rp.Close()
 				b.StartTimer()

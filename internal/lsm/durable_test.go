@@ -125,8 +125,8 @@ func TestReopenEndsQuiescent(t *testing.T) {
 			if st.MemEntries != 0 || p.Runs() != runs+1 || st.Components != runs+1 || st.FlushedRuns != 1 {
 				t.Fatalf("reopened over a tail: %d memtable entries, %d runs (closed with %d), %d components, %d runs flushed", st.MemEntries, p.Runs(), runs, st.Components, st.FlushedRuns)
 			}
-			if p.FlushedLSN() != p.Epoch() {
-				t.Fatalf("the manifest covers LSN %d of %d", p.FlushedLSN(), p.Epoch())
+			if flushedLSN(p) != p.Epoch() {
+				t.Fatalf("the manifest covers LSN %d of %d", flushedLSN(p), p.Epoch())
 			}
 			if cs := opts.BlockCache.Stats(); cs.BlockCacheEntries != 0 {
 				t.Fatalf("recovery left %d blocks in the cache", cs.BlockCacheEntries)
@@ -172,7 +172,7 @@ func TestDurableBasicReopen(t *testing.T) {
 	}
 	p = reopen(t, p, fsys, "part", opts)
 	defer p.Close()
-	if got := p.Len(); got != 99 {
+	if got := liveLen(t, p.Snapshot()); got != 99 {
 		t.Fatalf("Len after reopen = %d, want 99", got)
 	}
 	if _, ok, _ := p.Get(adm.Int(7)); ok {
@@ -217,13 +217,13 @@ func TestDurableFlushAndReopen(t *testing.T) {
 	if got := p.Stats().FlushedRuns; got == 0 {
 		t.Fatal("expected at least one flushed run")
 	}
-	if got := p.FlushedLSN(); got == 0 {
+	if got := flushedLSN(p); got == 0 {
 		t.Fatal("FlushedLSN still zero after flushes")
 	}
 
 	p = reopen(t, p, fsys, "part", opts)
 	defer p.Close()
-	if got, want := p.Len(), len(model); got != want {
+	if got, want := liveLen(t, p.Snapshot()), len(model); got != want {
 		t.Fatalf("Len after reopen = %d, want %d", got, want)
 	}
 	for k, v := range model {
@@ -284,7 +284,7 @@ func TestDurableCompaction(t *testing.T) {
 	if s.Merges == 0 || p.Runs() >= int(s.FlushedRuns) {
 		t.Fatalf("Merges=%d Runs=%d FlushedRuns=%d: compaction did not shrink the level", s.Merges, p.Runs(), s.FlushedRuns)
 	}
-	if got := p.Len(); got != 24*64 {
+	if got := liveLen(t, p.Snapshot()); got != 24*64 {
 		t.Fatalf("Len after compaction = %d, want %d", got, 24*64)
 	}
 	if err := p.Err(); err != nil {
@@ -319,10 +319,10 @@ func TestDurableSnapshotSurvivesCompaction(t *testing.T) {
 	if err := p.WaitForFlush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.Len(); got != 1500 {
+	if got := liveLen(t, snap); got != 1500 {
 		t.Fatalf("snapshot Len = %d, want 1500 (snapshot must be stable)", got)
 	}
-	if got := p.Len(); got != 3000 {
+	if got := liveLen(t, p.Snapshot()); got != 3000 {
 		t.Fatalf("partition Len = %d, want 3000", got)
 	}
 }
@@ -399,7 +399,7 @@ func TestWALCommitCoalescing(t *testing.T) {
 	fsys.release()
 	wg.Wait()
 
-	if got, want := w.Committed(), w.LSN(); got != want {
+	if got, want := committedLSN(w), w.LSN(); got != want {
 		t.Fatalf("Committed = %d, want %d (every writer returned)", got, want)
 	}
 	if commits := w.Commits() - base; commits != 2 {
@@ -480,7 +480,7 @@ func TestOpenDatasetReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	if got := ds.Len(); got != n {
+	if got := liveLen(t, ds); got != n {
 		t.Fatalf("Len after reopen = %d, want %d", got, n)
 	}
 	for i := int64(0); i < n; i += 37 {
@@ -534,7 +534,7 @@ func TestRoutingSurvivesRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := ds.Len(); n != keys {
+	if n := liveLen(t, ds); n != keys {
 		t.Fatalf("the scan counts %d records after upserting %d keys again, want %d", n, keys, keys)
 	}
 	for i := int64(0); i < keys; i++ {

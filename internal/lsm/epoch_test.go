@@ -91,7 +91,7 @@ func TestEpochMovesOnWritesOnly(t *testing.T) {
 				settle(t, p)
 			}
 			still("freeze, flush and compaction")
-			if got := ds.Len(); got != 393 {
+			if got := liveLen(t, ds); got != 393 {
 				t.Fatalf("Len = %d, want 393", got)
 			}
 		})
@@ -121,12 +121,12 @@ func TestSnapshotErrReportsRunReadFault(t *testing.T) {
 	}
 
 	snap := p.Snapshot()
-	if got := snap.Len(); got != n || snap.Err() != nil {
-		t.Fatalf("healthy scan: %d records, err %v", got, snap.Err())
+	if got, err := snap.Len(); got != n || err != nil {
+		t.Fatalf("healthy scan: %d records, err %v", got, err)
 	}
 	fsys.FailReads(true)
-	if got := snap.Len(); got >= n {
-		t.Fatalf("scan under a read fault still returned %d records", got)
+	if got, err := snap.Len(); got >= n || !errors.Is(err, ErrInjected) {
+		t.Fatalf("count under a read fault = %d, %v; want fewer records and the injected read fault", got, err)
 	}
 	if err := snap.Err(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Snapshot.Err = %v, want the injected read fault", err)

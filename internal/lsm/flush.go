@@ -293,14 +293,6 @@ func (p *Partition) WaitForFlush() error {
 	}
 }
 
-// FlushedLSN returns the durable-run watermark: every WAL entry at or
-// below it is contained in a persisted run file.
-func (p *Partition) FlushedLSN() uint64 {
-	p.flushMu.Lock()
-	defer p.flushMu.Unlock()
-	return p.man.FlushedLSN
-}
-
 // Runs reports how many run files back the partition.
 func (p *Partition) Runs() int {
 	p.flushMu.Lock()

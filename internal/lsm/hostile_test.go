@@ -338,7 +338,7 @@ func newManifestFixture(t testing.TB) *manifestFixture {
 	if err := p.WaitForFlush(); err != nil {
 		t.Fatal(err)
 	}
-	fx.runUpTo = p.FlushedLSN()
+	fx.runUpTo = flushedLSN(p)
 	write(60, 100)
 	if err := p.Close(); err != nil {
 		t.Fatal(err)

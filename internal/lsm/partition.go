@@ -830,16 +830,6 @@ func dropRunRefs(comps []*component) {
 	}
 }
 
-// Len returns the number of live records (scanning all components).
-func (p *Partition) Len() int {
-	n := 0
-	p.Snapshot().Scan(func(adm.Value, adm.Value) bool {
-		n++
-		return true
-	})
-	return n
-}
-
 // Stats returns a copy of the activity counters.
 func (p *Partition) Stats() Stats {
 	p.mu.RLock()
@@ -975,16 +965,13 @@ type ChangeCursor struct {
 // checks Err after.
 func (cc *ChangeCursor) Err() error { return runsErr(cc.comps) }
 
-// Len counts live records in the snapshot.
-func (s *Snapshot) Len() int {
+// Len counts live records in the snapshot. A run that cannot be read
+// fails the count with its read fault.
+func (s *Snapshot) Len() (int, error) {
 	n := 0
 	s.Scan(func(adm.Value, adm.Value) bool { n++; return true })
-	return n
+	return n, s.Err()
 }
-
-// Components reports how many immutable components back the snapshot
-// (observable cost of update activity).
-func (s *Snapshot) Components() int { return len(s.components) }
 
 // scanMerged visits the live records of the merged components in key
 // order until fn returns false.

@@ -16,6 +16,31 @@ func rec(id int64, fields ...any) adm.Value {
 	return adm.ObjectValue(adm.ObjectFromPairs(pairs...))
 }
 
+// liveLen counts c's live records and fails the test on a read fault.
+func liveLen(t testing.TB, c interface{ Len() (int, error) }) int {
+	t.Helper()
+	n, err := c.Len()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// committedLSN is the highest LSN w has made durable.
+func committedLSN(w *WAL) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.committed
+}
+
+// flushedLSN is p's durable-run watermark: every WAL entry at or below it
+// is in a persisted run file.
+func flushedLSN(p *Partition) uint64 {
+	p.flushMu.Lock()
+	defer p.flushMu.Unlock()
+	return p.man.FlushedLSN
+}
+
 func smallOpts() Options {
 	return Options{MemBudget: 16 << 10, MaxComponents: 4}
 }
@@ -146,7 +171,7 @@ func TestPartitionFlushAndMerge(t *testing.T) {
 			t.Fatalf("key %d lost after flush/merge", i)
 		}
 	}
-	if got := p.Len(); got != n {
+	if got := liveLen(t, p.Snapshot()); got != n {
 		t.Errorf("Len = %d, want %d", got, n)
 	}
 }
@@ -195,8 +220,8 @@ func TestSnapshotScanOrderedDeduped(t *testing.T) {
 		p.Snapshot() // freeze between rounds
 	}
 	snap := p.Snapshot()
-	if snap.Components() < 2 {
-		t.Skipf("expected multiple components, got %d", snap.Components())
+	if len(snap.components) < 2 {
+		t.Skipf("expected multiple components, got %d", len(snap.components))
 	}
 	prev := int64(-1)
 	count := 0
@@ -334,14 +359,14 @@ func TestWALGroupCommit(t *testing.T) {
 
 	// The first commit creates the segment (header fsync) before its own.
 	w.appendEncoded(two, 2)
-	if w.LSN() != 2 || w.Committed() != 0 {
-		t.Fatalf("after append: LSN = %d, Committed = %d; want 2, 0", w.LSN(), w.Committed())
+	if w.LSN() != 2 || committedLSN(w) != 0 {
+		t.Fatalf("after append: LSN = %d, Committed = %d; want 2, 0", w.LSN(), committedLSN(w))
 	}
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Committed() != 2 || w.Commits() != 1 {
-		t.Fatalf("Committed=%d Commits=%d, want 2, 1", w.Committed(), w.Commits())
+	if committedLSN(w) != 2 || w.Commits() != 1 {
+		t.Fatalf("Committed=%d Commits=%d, want 2, 1", committedLSN(w), w.Commits())
 	}
 
 	// A leader parked in its fsync has committed nothing yet; two more
@@ -361,7 +386,7 @@ func TestWALGroupCommit(t *testing.T) {
 		t.Fatalf("Commit returned (%v) while the fsync was still outstanding", err)
 	case <-time.After(5 * time.Millisecond):
 	}
-	if got := w.Committed(); got != 2 {
+	if got := committedLSN(w); got != 2 {
 		t.Fatalf("Committed = %d during the fsync, want 2", got)
 	}
 	fsys.release()
@@ -370,8 +395,8 @@ func TestWALGroupCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Committed() != 5 || w.Commits() != 3 {
-		t.Fatalf("Committed=%d Commits=%d, want 5, 3", w.Committed(), w.Commits())
+	if committedLSN(w) != 5 || w.Commits() != 3 {
+		t.Fatalf("Committed=%d Commits=%d, want 5, 3", committedLSN(w), w.Commits())
 	}
 	if got := fsys.syncs.Load() - base; got != 2 {
 		t.Fatalf("%d fsyncs for a leader and its two followers, want 2", got)
@@ -437,7 +462,7 @@ func TestPartitionConcurrentReadersAndWriters(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("concurrent workload deadlocked")
 	}
-	if got := p.Len(); got != 1000 {
+	if got := liveLen(t, p.Snapshot()); got != 1000 {
 		t.Errorf("Len = %d, want 1000", got)
 	}
 }
@@ -595,7 +620,7 @@ func TestSnapshotCursorEarlyStop(t *testing.T) {
 	}
 	// Writes proceed and a fresh snapshot sees everything.
 	p.Upsert(adm.Int(999), rec(999))
-	if n := p.Len(); n != 501 {
+	if n := liveLen(t, p.Snapshot()); n != 501 {
 		t.Fatalf("Len after abandoned cursor = %d", n)
 	}
 }

@@ -245,7 +245,7 @@ func TestParallelScanCloseMidScan(t *testing.T) {
 	ds := scanDataset(t, parts*perPart, parts)
 	snaps := ds.SnapshotAll()
 	for i, s := range snaps {
-		if n := s.Len(); n <= (scanChanBatches+2)*scanBatchSize {
+		if n := liveLen(t, s); n <= (scanChanBatches+2)*scanBatchSize {
 			t.Fatalf("partition %d holds %d records: too few to block its worker", i, n)
 		}
 	}

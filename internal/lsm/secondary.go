@@ -112,13 +112,6 @@ func (ix *RTreeIndex) Search(query spatial.Rect) []adm.Value {
 	return pks
 }
 
-// Len returns the number of indexed entries.
-func (ix *RTreeIndex) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.tree.Len()
-}
-
 // KeyExtractor derives the indexed key from a record. ok=false skips the
 // record (e.g. the field is missing).
 type KeyExtractor func(rec adm.Value) (adm.Value, bool)

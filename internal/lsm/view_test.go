@@ -63,7 +63,7 @@ func TestBlockCacheBudgetIsExact(t *testing.T) {
 	opts := cachedOptions()
 	p := flushedPartition(t, opts, 2000)
 	run := partitionRuns(p)[0]
-	if n := p.Snapshot().Len(); n != 2000 {
+	if n := liveLen(t, p.Snapshot()); n != 2000 {
 		t.Fatalf("scanned %d records", n)
 	}
 	var want int64

@@ -453,13 +453,6 @@ func (w *WAL) LSN() uint64 {
 	return w.lsn
 }
 
-// Committed returns the highest durable LSN.
-func (w *WAL) Committed() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.committed
-}
-
 // Commits returns how many durability points (group commits) have
 // completed — with coalescing this counts fsyncs, not Commit calls.
 func (w *WAL) Commits() uint64 {

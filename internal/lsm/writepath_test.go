@@ -49,7 +49,7 @@ func TestWriteCommitRule(t *testing.T) {
 			if err := m.run(p); err != nil {
 				t.Fatalf("%s %s: %v", mode.name, m.name, err)
 			}
-			if lsn, committed := p.WAL().LSN(), p.WAL().Committed(); lsn == before || committed != lsn {
+			if lsn, committed := p.WAL().LSN(), committedLSN(p.WAL()); lsn == before || committed != lsn {
 				t.Fatalf("%s %s: LSN %d → %d, Committed = %d; want an append and Committed == LSN", mode.name, m.name, before, lsn, committed)
 			}
 		}

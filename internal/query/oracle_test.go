@@ -141,11 +141,12 @@ func (o oracle) fromCollection(env *Env, src sqlpp.Expr) ([]adm.Value, error) {
 				var recs []adm.Value
 				for _, s := range snaps {
 					s.Scan(func(_, rec adm.Value) bool {
-						recs = append(recs, rec.Clone())
-						return true
+						rec, _, err = adm.DecodeBinary(adm.AppendBinary(nil, rec))
+						recs = append(recs, rec)
+						return err == nil
 					})
 				}
-				return recs, nil
+				return recs, err
 			}
 		}
 		return nil, fmt.Errorf("%w: FROM source %q is neither a binding nor a dataset", ErrUnknownDataset, id.Name)

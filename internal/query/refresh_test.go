@@ -237,10 +237,10 @@ func TestRefreshChecksDatasetIdentity(t *testing.T) {
 	// different ratings.
 	old, _ := cat.Dataset("SafetyRatings")
 	var rows []adm.Value
-	old.ScanAll(func(_, rec adm.Value) bool {
+	sc := old.Scan()
+	for _, rec, ok := sc.Next(); ok; _, rec, ok = sc.Next() {
 		rows = append(rows, obj("country_code", rec.Field("country_code"), "safety_rating", adm.String("recreated")))
-		return true
-	})
+	}
 	fresh := cat.addDataset(t, "SafetyRatings", "country_code", old.NumPartitions(), rows...)
 	if !slices.Equal(fresh.Epoch(), old.Epoch()) {
 		t.Fatalf("test needs coinciding epochs, got %v vs %v", fresh.Epoch(), old.Epoch())

@@ -119,8 +119,8 @@ func TestCursorLimitStopsScan(t *testing.T) {
 	if len(got) != 7 {
 		t.Fatalf("limit rows = %d", len(got))
 	}
-	if ds.Len() != 5000 {
-		t.Fatalf("dataset disturbed: %d", ds.Len())
+	if n, err := ds.Len(); err != nil || n != 5000 {
+		t.Fatalf("dataset disturbed: %d, %v", n, err)
 	}
 	all := cursorStr(t, cat, nil, `SELECT VALUE b.id FROM Big b`)
 	if len(all) != 5000 {

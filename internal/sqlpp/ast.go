@@ -253,11 +253,12 @@ func Inspect(e Expr, f func(Expr) bool) {
 	}
 }
 
-// Statement is any top-level parsed statement. Pos reports the byte
-// offset of the statement's first token in the parsed source, so
-// executors can point errors at the failing statement.
+// Statement is any top-level parsed statement: a node that embeds
+// stmtBase. Pos reports the byte offset of the statement's first token
+// in the parsed source, so executors can point errors at the failing
+// statement.
 type Statement interface {
-	stmtNode()
+	setPos(at int)
 	Pos() int
 }
 
@@ -269,6 +270,7 @@ type stmtBase struct {
 // Pos returns the statement's byte offset in the parsed source.
 func (s stmtBase) Pos() int { return s.At }
 
+// setPos records the statement's offset; the parser sets it.
 func (s *stmtBase) setPos(at int) { s.At = at }
 
 // CreateType is CREATE TYPE name AS OPEN|CLOSED { field: type, ... }.
@@ -344,14 +346,3 @@ type Query struct {
 	stmtBase
 	Sel *SelectExpr
 }
-
-func (*CreateType) stmtNode()     {}
-func (*CreateDataset) stmtNode()  {}
-func (*CreateIndex) stmtNode()    {}
-func (*CreateFunction) stmtNode() {}
-func (*CreateFeed) stmtNode()     {}
-func (*ConnectFeed) stmtNode()    {}
-func (*StartFeed) stmtNode()      {}
-func (*StopFeed) stmtNode()       {}
-func (*Insert) stmtNode()         {}
-func (*Query) stmtNode()          {}

@@ -27,9 +27,7 @@ func Parse(src string) ([]Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ps, ok := s.(interface{ setPos(int) }); ok {
-			ps.setPos(at)
-		}
+		s.setPos(at)
 		stmts = append(stmts, s)
 		if !p.at(TokOp, ";") && !p.at(TokEOF, "") {
 			return nil, p.errorf("expected ';' after statement")

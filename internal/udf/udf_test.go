@@ -63,7 +63,7 @@ func TestFuncInstanceLifecycle(t *testing.T) {
 			if rec.Field("id").IntVal() == 13 {
 				return adm.Value{}, boom
 			}
-			o := rec.ObjectVal().CopyShallow()
+			o := copyFields(rec)
 			o.Set("seen", adm.Bool(true))
 			return adm.ObjectValue(o), nil
 		},
@@ -141,7 +141,7 @@ func TestPaperKeywordUDF(t *testing.T) {
 						break
 					}
 				}
-				o := rec.ObjectVal().CopyShallow()
+				o := copyFields(rec)
 				o.Set("safety_check_flag", adm.String(flag))
 				return adm.ObjectValue(o), nil
 			},
@@ -180,6 +180,16 @@ func TestPaperKeywordUDF(t *testing.T) {
 	if stale.Field("safety_check_flag").StringVal() != "Green" {
 		t.Error("stale instance must not see the update")
 	}
+}
+
+// copyFields returns a new object holding rec's fields.
+func copyFields(rec adm.Value) *adm.Object {
+	in := rec.ObjectVal()
+	out := adm.NewObject(in.Len() + 1)
+	for i := 0; i < in.Len(); i++ {
+		out.Set(in.Name(i), in.At(i))
+	}
+	return out
 }
 
 func splitPipe(s string) []string {

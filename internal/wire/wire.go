@@ -152,9 +152,6 @@ const (
 // caller's size bound — a corrupt length or a hostile peer.
 var ErrFrameTooLarge = frame.ErrTooLarge
 
-// ErrBadCRC reports a frame whose payload fails its checksum.
-var ErrBadCRC = frame.ErrCRC
-
 // AppendFrame appends one framed payload (type byte + body) to dst and
 // returns the extended slice. It is the single encoder behind
 // Conn.WriteFrame; golden tests use it directly to pin frame bytes.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/frame"
 )
 
 // fakeConn adapts in-memory buffers to net.Conn for deterministic
@@ -79,8 +80,8 @@ func TestFrameCRCMismatch(t *testing.T) {
 	data := AppendFrame(nil, TypePing, []byte("payload"))
 	data[len(data)-1] ^= 0xFF // flip a payload byte; the CRC must catch it
 	_, _, err := connOver(data).ReadFrame(MaxFrame)
-	if !errors.Is(err, ErrBadCRC) {
-		t.Fatalf("err = %v, want ErrBadCRC", err)
+	if !errors.Is(err, frame.ErrCRC) {
+		t.Fatalf("err = %v, want frame.ErrCRC", err)
 	}
 }
 

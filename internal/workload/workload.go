@@ -142,9 +142,6 @@ func NewGenerator(seed int64, sizes Sizes) *Generator {
 	return &Generator{rng: rand.New(rand.NewSource(seed)), sizes: sizes, countries: countries}
 }
 
-// Sizes returns the generator's dataset sizes.
-func (g *Generator) Sizes() Sizes { return g.sizes }
-
 func (g *Generator) country(i int) string { return fmt.Sprintf("C%06d", i) }
 
 func (g *Generator) randomCountry() string {

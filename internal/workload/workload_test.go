@@ -94,7 +94,7 @@ func newLoadedCluster(t *testing.T) (*cluster.Cluster, *Generator) {
 
 func TestSetupLoadsEverything(t *testing.T) {
 	c, g := newLoadedCluster(t)
-	sizes := g.Sizes()
+	sizes := g.sizes
 	checks := map[string]int{
 		"SafetyRatings":        sizes.SafetyRatings,
 		"ReligiousPopulations": sizes.ReligiousPopulations,
@@ -115,8 +115,8 @@ func TestSetupLoadsEverything(t *testing.T) {
 			t.Errorf("dataset %s missing", name)
 			continue
 		}
-		if got := ds.Len(); got != want {
-			t.Errorf("%s has %d records, want %d", name, got, want)
+		if got, err := ds.Len(); err != nil || got != want {
+			t.Errorf("%s has %d records (%v), want %d", name, got, err, want)
 		}
 	}
 	// All UDFs resolvable and compilable.
