@@ -243,16 +243,21 @@ type FeedStats = core.FeedStats
 // numbers; a stopped feed reports its final numbers (Running false).
 // The error is non-nil — wrapping ErrUnknownFeed or ErrFeedNotRunning —
 // when the manager has nothing to report: the feed was never declared,
-// or was declared but never started.
+// or was declared but never started. The stats carry the feed's name
+// either way.
 func (f *Feed) Stats() (FeedStats, error) {
 	inner, running, known := f.c.mgr.Lookup(f.name)
 	if !known {
-		return FeedStats{}, fmt.Errorf("%w: %q", ErrUnknownFeed, f.name)
+		return FeedStats{Name: f.name}, fmt.Errorf("%w: %q", ErrUnknownFeed, f.name)
 	}
 	if inner == nil {
-		return FeedStats{}, fmt.Errorf("%w: %q never started", ErrFeedNotRunning, f.name)
+		return FeedStats{Name: f.name}, fmt.Errorf("%w: %q never started", ErrFeedNotRunning, f.name)
 	}
-	return inner.Snapshot(running), nil
+	st := inner.Stats()
+	if running {
+		st.Running, st.BufferedFrames, st.SpillBacklog = true, inner.Buffered(), inner.SpillBacklog()
+	}
+	return st, nil
 }
 
 // StorageStats is a point-in-time snapshot of the cluster's storage:

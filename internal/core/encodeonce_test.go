@@ -92,20 +92,20 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 				RecompilePerBatch: arm.recompile, FusedInsert: arm.fused,
 				NewAdapter: func(int) (Adapter, error) { return &GeneratorAdapter{Records: lines}, nil },
 			}
-			var stats *Stats
+			var stats func() FeedStats
 			var wait func() error
 			if arm.static {
 				sf, err := StartStatic(context.Background(), c, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				stats, wait = sf.Stats(), sf.Wait
+				stats, wait = sf.Stats, sf.Wait
 			} else {
 				f, err := Start(context.Background(), c, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				stats, wait = f.Stats(), f.Wait
+				stats, wait = f.Stats, f.Wait
 			}
 			err := wait()
 			if arm.fails != "" {
@@ -150,7 +150,7 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 				}
 				want[out.Field("id").String()] = adm.AppendBinary(nil, out)
 			}
-			if got := stats.ParseErrors.Load(); int(got) != rejected || rejected != 3 {
+			if got := stats().ParseErrors; int(got) != rejected || rejected != 3 {
 				t.Fatalf("feed rejected %d lines, the oracle %d, want 3", got, rejected)
 			}
 			ds, _ := c.Dataset("EnrichedTweets")
@@ -294,11 +294,10 @@ func TestEvaluatorRoutesLikeTheConnector(t *testing.T) {
 					}
 					want[rec.Field("id").String()] = adm.AppendBinary(nil, rec)
 				}
-				var stats Stats
 				encode := func(enc *recordEncoder, lines [][]byte, fn *udfCall, out hyracks.Writer) {
 					enc.begin(len(lines))
 					for _, line := range lines {
-						if ok, err := enc.encode(line, workload.TweetType(), &stats, fn, out); !ok || err != nil {
+						if ok, err := enc.encode(line, workload.TweetType(), fn, out); !ok || err != nil {
 							t.Fatalf("line rejected (%v)", err)
 						}
 					}
@@ -441,13 +440,12 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
 			enc, lines := &arm.enc, arm.lines
-			var stats Stats
 			var sink frameSink
 			collect := func() {
 				sink.recycle()
 				enc.begin(len(lines))
 				for _, line := range lines {
-					if ok, err := enc.encode(line, arm.dt, &stats, arm.fn, &sink); !ok || err != nil {
+					if ok, err := enc.encode(line, arm.dt, arm.fn, &sink); !ok || err != nil {
 						t.Fatalf("line rejected (%v)", err)
 					}
 				}
@@ -524,7 +522,6 @@ func TestOutsizedLineDoesNotMultiplyTheSlab(t *testing.T) {
 		for _, at := range []int{0, 1, 5, frame / 2, frame - 1} {
 			for _, learned := range []bool{false, true} {
 				enc := newRecordEncoder(frame, targets, "id", arm.route)
-				var stats Stats
 				var sink frameSink
 				// slabs sums the capacity of every slab the batch was given.
 				collect := func(outlier int) (slabs, encoded int) {
@@ -535,7 +532,7 @@ func TestOutsizedLineDoesNotMultiplyTheSlab(t *testing.T) {
 						if i == outlier {
 							line = big
 						}
-						if ok, err := enc.encode(line, nil, &stats, nil, &sink); !ok || err != nil {
+						if ok, err := enc.encode(line, nil, nil, &sink); !ok || err != nil {
 							t.Fatalf("line rejected (%v)", err)
 						}
 						for p := range enc.parts {
@@ -635,11 +632,10 @@ func TestCollectorRoutesLikeTheConnector(t *testing.T) {
 
 				// What the collector emits, against the storage exchange's hash.
 				enc := newRecordEncoder(128, routed.NumPartitions(), "k", routed.Route)
-				var stats Stats
 				var sink frameSink
 				enc.begin(n)
 				for _, line := range lines {
-					if ok, err := enc.encode(line, nil, &stats, nil, &sink); !ok || err != nil {
+					if ok, err := enc.encode(line, nil, nil, &sink); !ok || err != nil {
 						t.Fatalf("line rejected (%v)", err)
 					}
 				}

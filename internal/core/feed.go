@@ -64,10 +64,10 @@ type Config struct {
 	// partition stays writable via the surviving nodes (shared-storage
 	// model, see docs/ARCHITECTURE.md).
 	Nodes []int
-	// Stats, when non-nil, is the counter block to use — failover
-	// restarts hand the previous incarnation's block over so cumulative
-	// counters survive the hop.
-	Stats *Stats
+	// counters, when non-nil, is the report to keep — failover restarts
+	// hand the previous incarnation's over so cumulative counters
+	// survive the hop.
+	counters *feedCounters
 
 	// RecompilePerBatch disables the predeployed-job optimization: every
 	// invocation re-runs UDF compilation, rebuilds the enrichment state
@@ -81,69 +81,15 @@ type Config struct {
 	FusedInsert bool
 }
 
-// Stats are live feed counters. One block can outlive a single pipeline
-// incarnation: failover restarts share it, so the counters are
-// cumulative across partition failures.
-type Stats struct {
-	// Ingested counts records consumed by computing jobs.
-	Ingested atomic.Int64
-	// Stored counts records written to storage partitions.
-	Stored atomic.Int64
-	// ParseErrors counts malformed records dropped by the parser.
-	ParseErrors atomic.Int64
-	// Invocations counts computing-job invocations.
-	Invocations atomic.Int64
-	// BatchNanos accumulates computing-job wall time (refresh periods).
-	BatchNanos atomic.Int64
-	// StateBuilds counts invocations of a SQL++ UDF that built, patched
-	// or re-pinned enrichment state — all of it, or the part whose
-	// reference data had changed — and StateReuses those that reused the
-	// previous invocation's state whole. AccessBuilds counts the hash
-	// tables, R-trees, scan shards and const-subquery results the builds
-	// produced, and AccessPatches the hash tables patched in place from
-	// the writes since the previous batch instead; a probe of the primary
-	// index is neither. A feed whose AccessBuilds track Invocations is
-	// paying the rebuild on every batch.
-	StateBuilds   atomic.Int64
-	StateReuses   atomic.Int64
-	AccessBuilds  atomic.Int64
-	AccessPatches atomic.Int64
-
-	// SpilledFrames/SpilledRecords count intake overflow diverted to the
-	// disk spill lane (Spill policy; nothing is lost).
-	SpilledFrames  atomic.Int64
-	SpilledRecords atomic.Int64
-	// ShedFrames/ShedRecords count intake overflow dropped by the Shed
-	// policy — exact loss accounting.
-	ShedFrames  atomic.Int64
-	ShedRecords atomic.Int64
-	// SampledFrames/SampledRecords count intake overflow dropped by the
-	// Sample policy (the kept fraction is not counted here).
-	SampledFrames  atomic.Int64
-	SampledRecords atomic.Int64
-	// LastCheckpoint is the highest source offset durably checkpointed
-	// (across adapter slots).
-	LastCheckpoint atomic.Uint64
-	// Resumptions counts failover restarts of the pipeline.
-	Resumptions atomic.Int64
-}
-
-// RefreshPeriod returns the mean computing-job duration — the paper's
-// Figure 26 metric.
-func (s *Stats) RefreshPeriod() time.Duration {
-	inv := s.Invocations.Load()
-	if inv == 0 {
-		return 0
-	}
-	return time.Duration(s.BatchNanos.Load() / inv)
-}
-
-// FeedStats is a point-in-time snapshot of a feed: the live counter
-// block copied out, plus the gauges only a running pipeline has. It is
-// the one declaration of the feed report — the public idea.FeedStats is
-// this type and the STATS verb is generated from it, so a field added
-// here (and to Snapshot below) needs no further edit.
+// FeedStats is a feed's report: the counters its pipeline keeps, plus
+// the gauges only a running pipeline has. It is the one declaration of
+// the report — the live counters are a FeedStats (feedCounters), the
+// public idea.FeedStats is this type and the STATS verb is generated
+// from it, so a counter is one field here and the statement that bumps
+// it.
 type FeedStats struct {
+	// Name is the feed's name.
+	Name string
 	// Ingested counts records consumed by computing jobs.
 	Ingested int64
 	// Stored counts records written to storage partitions.
@@ -200,34 +146,48 @@ type FeedStats struct {
 	Resumptions int64
 }
 
-// Snapshot copies the feed's counters out. running is the manager's
-// verdict on whether this pipeline is still the feed's live one; only
-// then are the ring and spill-lane gauges read.
-func (f *Feed) Snapshot(running bool) FeedStats {
-	s := f.stats
-	st := FeedStats{
-		Ingested:       s.Ingested.Load(),
-		Stored:         s.Stored.Load(),
-		ParseErrors:    s.ParseErrors.Load(),
-		Invocations:    s.Invocations.Load(),
-		MeanRefresh:    s.RefreshPeriod(),
-		StateBuilds:    s.StateBuilds.Load(),
-		StateReuses:    s.StateReuses.Load(),
-		AccessBuilds:   s.AccessBuilds.Load(),
-		AccessPatches:  s.AccessPatches.Load(),
-		Running:        running,
-		SpilledFrames:  s.SpilledFrames.Load(),
-		SpilledRecords: s.SpilledRecords.Load(),
-		ShedFrames:     s.ShedFrames.Load(),
-		ShedRecords:    s.ShedRecords.Load(),
-		SampledFrames:  s.SampledFrames.Load(),
-		SampledRecords: s.SampledRecords.Load(),
-		LastCheckpoint: s.LastCheckpoint.Load(),
-		Resumptions:    s.Resumptions.Load(),
-	}
-	if running {
-		st.BufferedFrames = f.Buffered()
-		st.SpillBacklog = f.SpillBacklog()
+// feedCounters holds a pipeline's live report: the counters of st are
+// bumped in place under mu, once per frame or per invocation, and
+// snapshot copies them out. One holder can outlive a single pipeline
+// incarnation: failover restarts share it, so the counters are
+// cumulative across partition failures.
+type feedCounters struct {
+	mu sync.Mutex
+	st FeedStats
+	// batchNanos sums computing-job wall time; snapshot derives
+	// MeanRefresh from it.
+	batchNanos int64
+}
+
+// add bumps one counter of the report by n.
+func (c *feedCounters) add(counter *int64, n int64) {
+	c.mu.Lock()
+	*counter += n
+	c.mu.Unlock()
+}
+
+// intake adds a collector's admitted and rejected lines.
+func (c *feedCounters) intake(admitted, rejected int64) {
+	c.mu.Lock()
+	c.st.Ingested += admitted
+	c.st.ParseErrors += rejected
+	c.mu.Unlock()
+}
+
+// checkpointed raises LastCheckpoint to w.
+func (c *feedCounters) checkpointed(w uint64) {
+	c.mu.Lock()
+	c.st.LastCheckpoint = max(c.st.LastCheckpoint, w)
+	c.mu.Unlock()
+}
+
+// snapshot copies the counters out.
+func (c *feedCounters) snapshot() FeedStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.st
+	if st.Invocations > 0 {
+		st.MeanRefresh = time.Duration(c.batchNanos / st.Invocations)
 	}
 	return st
 }
@@ -281,8 +241,8 @@ type Feed struct {
 	// watermark written through the partition WALs (AFM goroutine only);
 	// sunk counts records pushed into storage holders, the barrier
 	// target a checkpoint waits on. Both sunk and the barrier count
-	// this incarnation only: stats.Stored is cumulative across failover
-	// restarts (the manager hands the successor the same Stats block),
+	// this incarnation only: Stored is cumulative across failover
+	// restarts (the manager hands the successor the same counters),
 	// so storedBase snapshots it at Start and the barrier compares the
 	// delta.
 	trackers   []*offsetTracker
@@ -299,7 +259,7 @@ type Feed struct {
 	frameCap  int
 	quota     int
 
-	stats   *Stats
+	stats   *feedCounters
 	errOnce sync.Once
 	// feedErr holds the first pipeline failure. It is written once by
 	// fail() — which runs on the AFM goroutine and the intake/storage
@@ -311,8 +271,10 @@ type Feed struct {
 	waitErr  error
 }
 
-// Stats returns the feed's counters.
-func (f *Feed) Stats() *Stats { return f.stats }
+// Stats returns the feed's counters. The gauges and Running are left
+// zero: whether this pipeline is still the feed's live one is the
+// manager's verdict.
+func (f *Feed) Stats() FeedStats { return f.stats.snapshot() }
 
 // Buffered reports the frames currently ringed in intake memory — the
 // bounded-intake gauge (never exceeds partitions × ring capacity).
@@ -378,8 +340,10 @@ func (f *Feed) congestionOptions(p int) (hyracks.HolderOptions, error) {
 		opts.MaxSpilledFrames = maxSpill
 		opts.Overloaded = ErrFeedOverloaded
 		opts.OnSpill = func(records int) {
-			f.stats.SpilledFrames.Add(1)
-			f.stats.SpilledRecords.Add(int64(records))
+			f.stats.mu.Lock()
+			f.stats.st.SpilledFrames++
+			f.stats.st.SpilledRecords += int64(records)
+			f.stats.mu.Unlock()
 		}
 	case "shed":
 		opts.Policy = hyracks.Shed
@@ -405,13 +369,15 @@ func (f *Feed) congestionOptions(p int) (hyracks.HolderOptions, error) {
 // the resume watermark back), and recycle.
 func (f *Feed) dropFrame(fr hyracks.Frame, sampled bool) {
 	n := int64(fr.Len())
+	f.stats.mu.Lock()
 	if sampled {
-		f.stats.SampledFrames.Add(1)
-		f.stats.SampledRecords.Add(n)
+		f.stats.st.SampledFrames++
+		f.stats.st.SampledRecords += n
 	} else {
-		f.stats.ShedFrames.Add(1)
-		f.stats.ShedRecords.Add(n)
+		f.stats.st.ShedFrames++
+		f.stats.st.ShedRecords += n
 	}
+	f.stats.mu.Unlock()
 	f.markDelivered(fr)
 	hyracks.RecycleFrame(fr)
 }
@@ -469,9 +435,9 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 
 	n := len(cfg.Nodes)
 	tuning := c.Tuning()
-	stats := cfg.Stats
+	stats := cfg.counters
 	if stats == nil {
-		stats = &Stats{}
+		stats = &feedCounters{st: FeedStats{Name: cfg.Name}}
 	}
 	jobCtx, jobCancel := context.WithCancel(ctx)
 	adaptCtx, adaptStop := context.WithCancel(jobCtx)
@@ -493,10 +459,10 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 		eof:       make([]atomic.Bool, n),
 		stats:     stats,
 		spillers:  make([]*lsm.SpillQueue, n),
-		// On failover the manager passes the old incarnation's Stats, so
-		// Stored may already be non-zero; the storage barrier measures
+		// On failover the manager passes the old incarnation's counters,
+		// so Stored may already be non-zero; the storage barrier measures
 		// this incarnation's stores relative to this snapshot.
-		storedBase: stats.Stored.Load(),
+		storedBase: stats.snapshot().Stored,
 	}
 	defer func() {
 		if err != nil {
@@ -524,9 +490,7 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 		if w := ds.Checkpoint(ckptScope(cfg.Name, i)); w > 0 {
 			f.trackers[i].seed(w)
 			f.lastCkpt[i] = w
-			if w > stats.LastCheckpoint.Load() {
-				stats.LastCheckpoint.Store(w)
-			}
+			stats.checkpointed(w)
 		}
 	}
 
@@ -682,15 +646,14 @@ func (f *Feed) buildStorageSpec() *hyracks.JobSpec {
 			return f.storageHolders[p], nil
 		},
 	})
-	connectStorage(spec, holderOp, "storage-partition-writer", f.ds, &f.stats.Stored)
+	connectStorage(spec, holderOp, "storage-partition-writer", f.ds, f.stats)
 	return spec
 }
 
 // invocation is the per-batch state of one computing job: the function's
 // call at each partition (none without a function).
 type invocation struct {
-	calls   []udfCall
-	records atomic.Int64
+	calls []udfCall
 }
 
 // newInvocation performs the per-batch build phase: bring the SQL++
@@ -724,13 +687,15 @@ func (f *Feed) newInvocation() (*invocation, error) {
 		if err != nil {
 			return nil, err
 		}
+		f.stats.mu.Lock()
 		if pe == prev {
-			f.stats.StateReuses.Add(1)
+			f.stats.st.StateReuses++
 		} else {
-			f.stats.StateBuilds.Add(1)
-			f.stats.AccessBuilds.Add(int64(pe.Built()))
-			f.stats.AccessPatches.Add(int64(pe.Patched()))
+			f.stats.st.StateBuilds++
+			f.stats.st.AccessBuilds += int64(pe.Built())
+			f.stats.st.AccessPatches += int64(pe.Patched())
 		}
+		f.stats.mu.Unlock()
 		if !f.cfg.RecompilePerBatch {
 			f.prepared = pe
 		}
@@ -750,14 +715,14 @@ func (f *Feed) newInvocation() (*invocation, error) {
 // operator runs the UDF, not in what happens to a record.
 
 // admit decides whether a record enters the pipeline: one that failed to
-// parse (perr) or violates the dataset's datatype is dropped and counted
-// as a parse error; any other comes back in its validated form.
-func admit(dt *adm.Datatype, stats *Stats, rec adm.Value, perr error) (adm.Value, bool) {
+// parse (perr) or violates the dataset's datatype is dropped, for its
+// caller to count as a parse error; any other comes back in its
+// validated form.
+func admit(dt *adm.Datatype, rec adm.Value, perr error) (adm.Value, bool) {
 	if perr == nil && dt != nil {
 		rec, perr = dt.Validate(rec)
 	}
 	if perr != nil {
-		stats.ParseErrors.Add(1)
 		return adm.Value{}, false
 	}
 	return rec, true
@@ -805,15 +770,15 @@ func newRecordEncoder(frameCap, targets int, pk string, route func(adm.Value) in
 
 // encode turns raw into a record and frames it, or what fn makes of it
 // when fn is not nil, pushing frames that fill (or that it does not fit)
-// to out. ok is false when the line was rejected (and counted in
-// stats.ParseErrors).
-func (e *recordEncoder) encode(raw []byte, dt *adm.Datatype, stats *Stats, fn *udfCall, out hyracks.Writer) (ok bool, err error) {
+// to out. ok is false when the line was rejected, for the caller to
+// count in ParseErrors.
+func (e *recordEncoder) encode(raw []byte, dt *adm.Datatype, fn *udfCall, out hyracks.Writer) (ok bool, err error) {
 	var rec adm.Value
 	spine, perr := e.parser.ParseInto(raw, e.spine, e.arena)
 	if perr == nil {
 		rec = spine[0]
 	}
-	rec, ok = admit(dt, stats, rec, perr)
+	rec, ok = admit(dt, rec, perr)
 	if ok && fn == nil {
 		err = e.add(rec, out)
 	} else if ok {
@@ -1146,6 +1111,7 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 					lines += len(fr.Raw)
 				}
 				enc.begin(lines)
+				var admitted, rejected int64
 				for _, fr := range frames {
 					// Collection is the delivery point for offset
 					// accounting: once this invocation finishes, every
@@ -1154,18 +1120,21 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 					// sunk) covers the rest of the path.
 					f.markDelivered(fr)
 					for _, raw := range fr.Raw {
-						ok, err := enc.encode(raw, f.dt, f.stats, fn, out)
+						ok, err := enc.encode(raw, f.dt, fn, out)
 						if err != nil {
 							return err
 						}
 						if ok {
-							inv.records.Add(1)
+							admitted++
+						} else {
+							rejected++
 						}
 					}
 					// The lines are encoded, so the line arena goes back
 					// to the pool for the adapter's next frame.
 					hyracks.RecycleFrame(fr)
 				}
+				f.stats.intake(admitted, rejected)
 				return enc.flush(out)
 			}), nil
 		},
@@ -1174,7 +1143,7 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 	if f.cfg.FusedInsert {
 		// Section 5.1's insert job: UDF evaluation and storage write in
 		// one job — the write (and its log flush) gates the invocation.
-		connectStorage(spec, collectorOp, "fused-storage-writer", f.ds, &f.stats.Stored)
+		connectStorage(spec, collectorOp, "fused-storage-writer", f.ds, f.stats)
 		return spec
 	}
 
@@ -1238,9 +1207,10 @@ func (f *Feed) runAFM() {
 			f.fail(err)
 			break
 		}
-		f.stats.Invocations.Add(1)
-		f.stats.BatchNanos.Add(time.Since(start).Nanoseconds())
-		f.stats.Ingested.Add(inv.records.Load())
+		f.stats.mu.Lock()
+		f.stats.st.Invocations++
+		f.stats.batchNanos += time.Since(start).Nanoseconds()
+		f.stats.mu.Unlock()
 		if sinceCkpt++; sinceCkpt >= ckptEvery {
 			sinceCkpt = 0
 			f.checkpoint()
@@ -1259,14 +1229,14 @@ func (f *Feed) runAFM() {
 // false when the feed is going down instead.
 //
 // Both sides of the comparison are per-incarnation: sunk starts at zero
-// every Start, while stats.Stored is cumulative across failover
+// every Start, while Stored is cumulative across failover
 // restarts, so the barrier measures it relative to storedBase. Without
 // that base a resumed feed's barrier would be trivially satisfied by
 // the previous incarnation's stores and checkpoints could cover
 // offsets whose records are still sitting un-stored in holder rings.
 func (f *Feed) storageBarrier() bool {
 	target := f.sunk.Load()
-	for f.stats.Stored.Load()-f.storedBase < target {
+	for f.stats.snapshot().Stored-f.storedBase < target {
 		if f.jobCtx.Err() != nil {
 			return false
 		}
@@ -1303,9 +1273,7 @@ func (f *Feed) checkpoint() {
 			return
 		}
 		f.lastCkpt[i] = w
-		if w > f.stats.LastCheckpoint.Load() {
-			f.stats.LastCheckpoint.Store(w)
-		}
+		f.stats.checkpointed(w)
 	}
 }
 

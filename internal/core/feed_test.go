@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -80,14 +81,14 @@ func TestFeedBasicIngestion(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := f.Stats()
-	if st.Stored.Load() != n {
-		t.Errorf("stored %d, want %d", st.Stored.Load(), n)
+	if st.Stored != n {
+		t.Errorf("stored %d, want %d", st.Stored, n)
 	}
-	if st.Ingested.Load() != n {
-		t.Errorf("ingested %d, want %d", st.Ingested.Load(), n)
+	if st.Ingested != n {
+		t.Errorf("ingested %d, want %d", st.Ingested, n)
 	}
-	if st.Invocations.Load() < int64(n)/64 {
-		t.Errorf("suspiciously few invocations: %d", st.Invocations.Load())
+	if st.Invocations < int64(n)/64 {
+		t.Errorf("suspiciously few invocations: %d", st.Invocations)
 	}
 	ds, _ := c.Dataset("Tweets")
 	if liveLen(t, ds) != n {
@@ -180,7 +181,7 @@ func TestFeedWithNativeUDF(t *testing.T) {
 		}
 	}
 	// Dynamic framework re-initializes per invocation per node.
-	wantMin := int(f.Stats().Invocations.Load()) * 2
+	wantMin := int(f.Stats().Invocations) * 2
 	if initCount < wantMin {
 		t.Errorf("initialized %d times, want >= %d (per batch per node)", initCount, wantMin)
 	}
@@ -258,19 +259,41 @@ func TestFeedObservesReferenceUpdatesBetweenBatches(t *testing.T) {
 	}
 }
 
+// TestStaticFeedIngestion: the static pipeline stores every well-formed
+// line and reports what it took in — admitted lines as Ingested, the
+// rest as ParseErrors — through StaticFeed.Stats.
 func TestStaticFeedIngestion(t *testing.T) {
-	c, g := testCluster(t, 3)
 	const n = 500
-	cfg := generatorConfig("static", g, n)
-	sf, err := StartStatic(context.Background(), c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sf.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if sf.Stats().Stored.Load() != n {
-		t.Errorf("stored %d", sf.Stats().Stored.Load())
+	for _, bad := range []int{0, 3} {
+		t.Run(fmt.Sprintf("malformed=%d", bad), func(t *testing.T) {
+			c, g := testCluster(t, 3)
+			// The malformed lines sit among the tweets, so the counts
+			// cross the frames the adapter-parser reports them by.
+			lines := g.Tweets(0, n)
+			for i := range bad {
+				at := (i + 1) * n / (bad + 1)
+				lines = slices.Insert(lines, at, []byte(`{"id":`))
+			}
+			cfg := Config{
+				Name:    "static",
+				Dataset: "Tweets",
+				NewAdapter: func(int) (Adapter, error) {
+					return &GeneratorAdapter{Records: lines}, nil
+				},
+			}
+			sf, err := StartStatic(context.Background(), c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sf.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			st := sf.Stats()
+			if st.Name != "static" || st.Ingested != n || st.Stored != n || st.ParseErrors != int64(bad) {
+				t.Errorf("%s: ingested %d, stored %d, parse errors %d; want %d, %d and %d",
+					st.Name, st.Ingested, st.Stored, st.ParseErrors, n, n, bad)
+			}
+		})
 	}
 }
 
@@ -516,10 +539,10 @@ func TestFeedParseErrorsAreCountedNotFatal(t *testing.T) {
 	if err := f.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Stats().Stored.Load(); got != 3 {
+	if got := f.Stats().Stored; got != 3 {
 		t.Errorf("stored %d, want 3", got)
 	}
-	if got := f.Stats().ParseErrors.Load(); got != 2 {
+	if got := f.Stats().ParseErrors; got != 2 {
 		t.Errorf("parse errors %d, want 2", got)
 	}
 }

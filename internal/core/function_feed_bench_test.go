@@ -71,7 +71,7 @@ func BenchmarkFunctionFeed(b *testing.B) {
 					seconds += busy() - busy0
 					runtime.ReadMemStats(&after)
 					allocated += after.TotalAlloc - before.TotalAlloc
-					if stored := f.Stats().Stored.Load(); stored != n {
+					if stored := f.Stats().Stored; stored != n {
 						b.Fatalf("stored %d of %d", stored, n)
 					}
 					c.Close()

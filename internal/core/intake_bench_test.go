@@ -59,7 +59,6 @@ func BenchmarkIntakePath(b *testing.B) {
 			h.CloseInput()
 		}()
 		enc := newRecordEncoder(128, 1, "", nil)
-		var stats Stats
 		var sink frameSink
 		parsed := 0
 		for {
@@ -70,7 +69,7 @@ func BenchmarkIntakePath(b *testing.B) {
 			for _, fr := range frames {
 				enc.begin(len(fr.Raw))
 				for _, raw := range fr.Raw {
-					if ok, err := enc.encode(raw, nil, &stats, nil, &sink); !ok || err != nil {
+					if ok, err := enc.encode(raw, nil, nil, &sink); !ok || err != nil {
 						b.Fatalf("line rejected (%v)", err)
 					}
 					parsed++
@@ -110,7 +109,7 @@ func BenchmarkInvokeComputeJob(b *testing.B) {
 	}
 	defer c.Close()
 	f := &Feed{cluster: c, plan: &query.EnrichPlan{}, nodes: []int{0, 1}, computeID: "compute",
-		eof: make([]atomic.Bool, nodes), encoders: make([]recordEncoder, nodes), stats: &Stats{}}
+		eof: make([]atomic.Bool, nodes), encoders: make([]recordEncoder, nodes), stats: &feedCounters{}}
 	for p := range f.eof {
 		f.eof[p].Store(true)
 	}

@@ -233,7 +233,7 @@ func (m *Manager) watch(mf *managedFeed, f *Feed) {
 	m.mu.Unlock()
 
 	cfg.Nodes = live
-	cfg.Stats = f.Stats()
+	cfg.counters = f.stats
 	nf, serr := Start(ctx, m.cluster, cfg)
 	if serr != nil {
 		// The restart itself failed: the feed is dead. Record why so
@@ -245,7 +245,7 @@ func (m *Manager) watch(mf *managedFeed, f *Feed) {
 		m.mu.Unlock()
 		return
 	}
-	cfg.Stats.Resumptions.Add(1)
+	cfg.counters.add(&cfg.counters.st.Resumptions, 1)
 	m.mu.Lock()
 	if mf.running != nil {
 		// Raced with a manual StartFeed; yield to it.

@@ -121,7 +121,7 @@ func startStepped(t *testing.T, c *cluster.Cluster, function string, recompile b
 // started counts invocations whose state is ready.
 func (s *steppedFeed) started() int {
 	st := s.f.Stats()
-	return int(st.StateBuilds.Load() + st.StateReuses.Load())
+	return int(st.StateBuilds + st.StateReuses)
 }
 
 // step waits until the invocation that will take the next record holds
@@ -276,7 +276,7 @@ func (l *refLog) check(t *testing.T, id int, got map[string]int64, floor, ceil t
 // racing set, a second goroutine upserts and deletes four more keys
 // concurrently for the first two thirds of the run. Every stored record
 // is checked against the invariant.
-func runModel2(t *testing.T, ddl string, rounds int, recompile, racing bool) (map[int]map[string]int64, *Stats) {
+func runModel2(t *testing.T, ddl string, rounds int, recompile, racing bool) (map[int]map[string]int64, FeedStats) {
 	t.Helper()
 	c := reuseCluster(t)
 	createFunction(t, c, ddl)
@@ -339,25 +339,25 @@ func runModel2(t *testing.T, ddl string, rounds int, recompile, racing bool) (ma
 func TestModel2Invariant(t *testing.T) {
 	t.Run("racing updates", func(t *testing.T) {
 		_, st := runModel2(t, viewUDF, 600, false, true)
-		if st.StateReuses.Load() < 10 {
-			t.Errorf("reuses = %d over a quiet tail of 12 batches", st.StateReuses.Load())
+		if st.StateReuses < 10 {
+			t.Errorf("reuses = %d over a quiet tail of 12 batches", st.StateReuses)
 		}
-		if st.StateBuilds.Load() < 295 {
-			t.Errorf("builds = %d, fewer than the scripted writes alone require", st.StateBuilds.Load())
+		if st.StateBuilds < 295 {
+			t.Errorf("builds = %d, fewer than the scripted writes alone require", st.StateBuilds)
 		}
-		if st.AccessPatches.Load() == 0 {
+		if st.AccessPatches == 0 {
 			t.Error("no refresh patched the hash table")
 		}
 	})
 	t.Run("pk probe, racing updates", func(t *testing.T) {
 		_, st := runModel2(t, pkViewUDF, 600, false, true)
-		if st.StateReuses.Load() < 10 {
-			t.Errorf("reuses = %d over a quiet tail of 12 batches", st.StateReuses.Load())
+		if st.StateReuses < 10 {
+			t.Errorf("reuses = %d over a quiet tail of 12 batches", st.StateReuses)
 		}
-		if st.StateBuilds.Load() < 295 {
-			t.Errorf("refreshes = %d, fewer than the scripted writes alone require", st.StateBuilds.Load())
+		if st.StateBuilds < 295 {
+			t.Errorf("refreshes = %d, fewer than the scripted writes alone require", st.StateBuilds)
 		}
-		if b, p := st.AccessBuilds.Load(), st.AccessPatches.Load(); b != 0 || p != 0 {
+		if b, p := st.AccessBuilds, st.AccessPatches; b != 0 || p != 0 {
 			t.Errorf("%d accesses built, %d patched; a primary-key probe only pins", b, p)
 		}
 	})
@@ -365,22 +365,22 @@ func TestModel2Invariant(t *testing.T) {
 		reuse, st := runModel2(t, viewUDF, 120, false, false)
 		// 54 scripted writes, each seen by exactly the next batch, plus
 		// the initial build; every other batch must have reused.
-		if b, r := st.StateBuilds.Load(), st.StateReuses.Load(); b != 55 || r != 121-55 {
+		if b, r := st.StateBuilds, st.StateReuses; b != 55 || r != 121-55 {
 			t.Errorf("reuse run: %d builds, %d reuses; want 55 and 66", b, r)
 		}
-		if st.AccessPatches.Load() == 0 {
+		if st.AccessPatches == 0 {
 			t.Error("reuse run: no refresh patched the hash table")
 		}
 		rebuild, st := runModel2(t, viewUDF, 120, true, false)
-		if b, r := st.StateBuilds.Load(), st.StateReuses.Load(); b != 121 || r != 0 {
+		if b, r := st.StateBuilds, st.StateReuses; b != 121 || r != 0 {
 			t.Errorf("RecompilePerBatch run: %d builds, %d reuses; it must rebuild unconditionally", b, r)
 		}
 		if !reflect.DeepEqual(reuse, rebuild) {
 			t.Errorf("reuse and rebuild-every-batch stored different data:\nreuse   %v\nrebuild %v", reuse, rebuild)
 		}
 		pk, st := runModel2(t, pkViewUDF, 120, false, false)
-		if b, r := st.StateBuilds.Load(), st.StateReuses.Load(); b != 55 || r != 121-55 || st.AccessBuilds.Load() != 0 {
-			t.Errorf("primary-key run: %d refreshes, %d reuses, %d accesses built; want 55, 66 and 0", b, r, st.AccessBuilds.Load())
+		if b, r := st.StateBuilds, st.StateReuses; b != 55 || r != 121-55 || st.AccessBuilds != 0 {
+			t.Errorf("primary-key run: %d refreshes, %d reuses, %d accesses built; want 55, 66 and 0", b, r, st.AccessBuilds)
 		}
 		if !reflect.DeepEqual(reuse, pk) {
 			t.Errorf("the hash join and the primary-key probes stored different data:\nhash %v\npk   %v", reuse, pk)
@@ -468,11 +468,11 @@ func TestReuseWithLazilyPinnedDataset(t *testing.T) {
 		t.Errorf("record batched after the acknowledged write shows version %d, want 2", got)
 	}
 	st := s.f.Stats()
-	if st.StateReuses.Load() == 0 {
+	if st.StateReuses == 0 {
 		t.Error("the quiet batch did not reuse the state")
 	}
-	if st.AccessBuilds.Load() != 0 {
-		t.Errorf("AccessBuilds = %d for a plan with nothing compiled", st.AccessBuilds.Load())
+	if st.AccessBuilds != 0 {
+		t.Errorf("AccessBuilds = %d for a plan with nothing compiled", st.AccessBuilds)
 	}
 }
 
@@ -508,7 +508,7 @@ func TestReuseRebuildsOnlyTheWrittenDataset(t *testing.T) {
 	stored := s.finish(c)
 
 	st := s.f.Stats()
-	b, a, p, r := st.StateBuilds.Load(), st.AccessBuilds.Load(), st.AccessPatches.Load(), st.StateReuses.Load()
+	b, a, p, r := st.StateBuilds, st.AccessBuilds, st.AccessPatches, st.StateReuses
 	if b != 2 || a != 2 || p != 1 || r != 3 {
 		t.Errorf("builds=%d accesses built=%d patched=%d reuses=%d; want 2 builds, 2 structures built then 1 patched, and 3 reuses", b, a, p, r)
 	}

@@ -116,31 +116,31 @@ func TestIntakePolicyHammer(t *testing.T) {
 			close(stop)
 
 			st := f.Stats()
-			stored := st.Stored.Load()
+			stored := st.Stored
 			ds, _ := c.Dataset("Events")
 			switch policy {
 			case "spill":
 				if stored != n || liveLen(t, ds) != n {
 					t.Errorf("spill lost data: stored=%d dataset=%d want %d", stored, liveLen(t, ds), n)
 				}
-				if st.SpilledFrames.Load() == 0 {
+				if st.SpilledFrames == 0 {
 					t.Error("hammer never spilled: congestion was not real")
 				}
-				if st.ShedRecords.Load() != 0 || st.SampledRecords.Load() != 0 {
+				if st.ShedRecords != 0 || st.SampledRecords != 0 {
 					t.Error("spill policy dropped records")
 				}
 			case "shed":
-				if stored+st.ShedRecords.Load() != n {
-					t.Errorf("shed accounting: stored=%d + shed=%d != %d", stored, st.ShedRecords.Load(), n)
+				if stored+st.ShedRecords != n {
+					t.Errorf("shed accounting: stored=%d + shed=%d != %d", stored, st.ShedRecords, n)
 				}
-				if st.ShedRecords.Load() == 0 {
+				if st.ShedRecords == 0 {
 					t.Error("hammer never shed: congestion was not real")
 				}
 			case "sample":
-				if stored+st.SampledRecords.Load() != n {
-					t.Errorf("sample accounting: stored=%d + sampled=%d != %d", stored, st.SampledRecords.Load(), n)
+				if stored+st.SampledRecords != n {
+					t.Errorf("sample accounting: stored=%d + sampled=%d != %d", stored, st.SampledRecords, n)
 				}
-				if st.SampledRecords.Load() == 0 {
+				if st.SampledRecords == 0 {
 					t.Error("hammer never sampled out: congestion was not real")
 				}
 			}
@@ -303,10 +303,10 @@ func TestFeedCrashRecovery(t *testing.T) {
 	if err := f.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Stats().SpilledFrames.Load() == 0 {
+	if f.Stats().SpilledFrames == 0 {
 		t.Fatal("crash workload never spilled; kill points would miss the spill path")
 	}
-	if got := f.Stats().LastCheckpoint.Load(); got != n {
+	if got := f.Stats().LastCheckpoint; got != n {
 		t.Fatalf("clean run checkpoint = %d, want %d", got, n)
 	}
 	if err := c.Close(); err != nil {
@@ -354,7 +354,7 @@ func TestFeedCrashRecovery(t *testing.T) {
 					t.Fatalf("%s: id %d wrong after resume", tag, id)
 				}
 			}
-			if got := rf.Stats().LastCheckpoint.Load(); got != n {
+			if got := rf.Stats().LastCheckpoint; got != n {
 				t.Fatalf("%s: resumed checkpoint = %d, want %d", tag, got, n)
 			}
 			if err := recovered.Close(); err != nil {
@@ -396,7 +396,7 @@ func TestFeedCheckpointReplayIdempotent(t *testing.T) {
 	if err := f2.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if got := f2.Stats().Stored.Load(); got != 0 {
+	if got := f2.Stats().Stored; got != 0 {
 		t.Errorf("checkpointed restart redelivered %d records", got)
 	}
 
@@ -411,8 +411,8 @@ func TestFeedCheckpointReplayIdempotent(t *testing.T) {
 	if err := f3.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if f3.Stats().Stored.Load() != n {
-		t.Errorf("redelivery stored %d, want %d", f3.Stats().Stored.Load(), n)
+	if f3.Stats().Stored != n {
+		t.Errorf("redelivery stored %d, want %d", f3.Stats().Stored, n)
 	}
 	if liveLen(t, ds) != n {
 		t.Errorf("redelivery changed the dataset: %d records, want %d", liveLen(t, ds), n)
@@ -475,7 +475,7 @@ func TestAdapterSlotsCheckpointApart(t *testing.T) {
 		return f
 	}
 
-	if got := run().Stats().Stored.Load(); got != 800 {
+	if got := run().Stats().Stored; got != 800 {
 		t.Fatalf("first run stored %d, want 800", got)
 	}
 	ds, _ := c.Dataset("Events")
@@ -491,7 +491,7 @@ func TestAdapterSlotsCheckpointApart(t *testing.T) {
 			t.Errorf("restarted adapter %d resumed from %d, want its slot's %d", s, got, n)
 		}
 	}
-	if got := f.Stats().Stored.Load(); got != 0 {
+	if got := f.Stats().Stored; got != 0 {
 		t.Errorf("restart re-emitted %d records", got)
 	}
 	if liveLen(t, ds) != 800 {
@@ -591,8 +591,8 @@ func TestFeedKillNodeFailover(t *testing.T) {
 		}
 	}
 	st := f.Stats()
-	if st.Resumptions.Load() < 1 {
-		t.Errorf("resumptions = %d, want >= 1", st.Resumptions.Load())
+	if st.Resumptions < 1 {
+		t.Errorf("resumptions = %d, want >= 1", st.Resumptions)
 	}
 	// The successor must be waitable through the manager and healthy.
 	nf, running, known := m.Lookup("kfeed")
@@ -608,17 +608,16 @@ func TestFeedKillNodeFailover(t *testing.T) {
 
 // TestStorageBarrierAcrossIncarnations: the checkpoint barrier compares
 // this incarnation's stores against this incarnation's sunk count. A
-// failover successor inherits the predecessor's cumulative Stats block
+// failover successor inherits the predecessor's cumulative counters
 // (Stored already large), so without the storedBase snapshot the
 // barrier would be trivially satisfied and a checkpoint could cover
 // offsets whose records are still un-stored — acknowledged data lost on
 // the next crash.
 func TestStorageBarrierAcrossIncarnations(t *testing.T) {
-	stats := &Stats{}
-	stats.Stored.Store(1000) // predecessor's cumulative stores
+	stats := &feedCounters{st: FeedStats{Stored: 1000}} // predecessor's cumulative stores
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	f := &Feed{stats: stats, storedBase: stats.Stored.Load(), jobCtx: ctx, jobCancel: cancel}
+	f := &Feed{stats: stats, storedBase: stats.st.Stored, jobCtx: ctx, jobCancel: cancel}
 	f.sunk.Store(5) // this incarnation has handed 5 records to storage holders
 
 	done := make(chan bool, 1)
@@ -628,7 +627,7 @@ func TestStorageBarrierAcrossIncarnations(t *testing.T) {
 		t.Fatal("barrier passed while this incarnation's records are un-stored")
 	case <-time.After(30 * time.Millisecond):
 	}
-	stats.Stored.Add(5) // this incarnation's stores land
+	stats.add(&stats.st.Stored, 5) // this incarnation's stores land
 	select {
 	case ok := <-done:
 		if !ok {

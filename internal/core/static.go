@@ -26,11 +26,11 @@ var ErrStatefulUDF = errors.New(
 // context StartStatic was given is canceled.
 type StaticFeed struct {
 	job   *hyracks.Job
-	stats Stats
+	stats feedCounters
 }
 
 // Stats returns the pipeline's counters.
-func (s *StaticFeed) Stats() *Stats { return &s.stats }
+func (s *StaticFeed) Stats() FeedStats { return s.stats.snapshot() }
 
 // StartStatic launches the old-framework pipeline.
 func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFeed, error) {
@@ -52,7 +52,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 		return nil, ErrStatefulUDF
 	}
 
-	sf := &StaticFeed{}
+	sf := &StaticFeed{stats: feedCounters{st: FeedStats{Name: cfg.Name}}}
 	tuning := c.Tuning()
 	dt := ds.Datatype()
 	pk := ds.PrimaryKey()
@@ -95,16 +95,26 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 					return err
 				}
 				enc := newRecordEncoder(tuning.FrameCapacity, ds.NumPartitions(), pk, route)
+				// Lines are counted here and reported a frame's worth at a
+				// time, and once more at the end of the stream.
+				var admitted, rejected int64
 				err := adapter.Run(tc.Ctx, func(raw []byte) error {
 					// A stream has no batch size: every target may expect a
 					// full frame more.
 					enc.begin(tuning.FrameCapacity * len(enc.parts))
-					ok, err := enc.encode(raw, dt, &sf.stats, nil, out)
+					ok, err := enc.encode(raw, dt, nil, out)
 					if ok {
-						sf.stats.Ingested.Add(1)
+						admitted++
+					} else {
+						rejected++
+					}
+					if admitted+rejected == int64(tuning.FrameCapacity) {
+						sf.stats.intake(admitted, rejected)
+						admitted, rejected = 0, 0
 					}
 					return err
 				})
+				sf.stats.intake(admitted, rejected)
 				if err != nil {
 					return err
 				}
@@ -128,7 +138,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 		spec.Connect(adapterOp, last, hyracks.RoundRobin, nil)
 	}
 	// Frame-granular batch writes, same as the dynamic feed.
-	connectStorage(spec, last, "storage-partition-writer", ds, &sf.stats.Stored)
+	connectStorage(spec, last, "storage-partition-writer", ds, &sf.stats)
 
 	sf.job, err = c.StartJob(ctx, spec)
 	if err != nil {

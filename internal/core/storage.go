@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/hyracks"
@@ -22,8 +21,9 @@ import (
 // partition logs and keeps as it is.
 //
 // The writer is the frame's final consumer: storage retains the
-// records (and a routed frame's slab), the spine recycles.
-func newStorageWriter(part *lsm.Partition, pk string, stored *atomic.Int64) *hyracks.SinkPipe {
+// records (and a routed frame's slab), the spine recycles. Each stored
+// frame is counted in stats' Stored.
+func newStorageWriter(part *lsm.Partition, pk string, stats *feedCounters) *hyracks.SinkPipe {
 	// The key scratch persists across frames: a pipe instance is driven
 	// by one goroutine, so no pooling (or locking) is needed and a
 	// steady frame stream extracts keys with zero allocations.
@@ -52,7 +52,7 @@ func newStorageWriter(part *lsm.Partition, pk string, stored *atomic.Int64) *hyr
 				return err
 			}
 			clear(keys) // key headers were copied into the memtable
-			stored.Add(int64(len(fr.Records)))
+			stats.add(&stats.st.Stored, int64(len(fr.Records)))
 			hyracks.RecycleFrame(fr)
 			return nil
 		},
@@ -63,13 +63,13 @@ func newStorageWriter(part *lsm.Partition, pk string, stored *atomic.Int64) *hyr
 // ds — and connects from to them through the storage exchange. Every frame from must be routed
 // (frameRouter): the exchange forwards it whole to the writer its
 // records hash to.
-func connectStorage(spec *hyracks.JobSpec, from int, name string, ds *lsm.Dataset, stored *atomic.Int64) {
+func connectStorage(spec *hyracks.JobSpec, from int, name string, ds *lsm.Dataset, stats *feedCounters) {
 	pk := ds.PrimaryKey()
 	writerOp := spec.AddOperator(&hyracks.Descriptor{
 		Name:        name,
 		Parallelism: ds.NumPartitions(),
 		NewPipe: func(p int) (hyracks.Pipe, error) {
-			return newStorageWriter(ds.Partition(p), pk, stored), nil
+			return newStorageWriter(ds.Partition(p), pk, stats), nil
 		},
 	})
 	spec.Connect(from, writerOp, hyracks.HashPartition, keyHash(pk))

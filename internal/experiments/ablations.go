@@ -387,12 +387,12 @@ func AblationFailover(opts Options) (*Table, error) {
 		st := f.Stats()
 		table.Rows = append(table.Rows, []string{
 			name,
-			fmt.Sprint(st.Stored.Load()),
-			fmt.Sprint(st.Stored.Load() - int64(tweets)),
-			fmt.Sprint(st.Resumptions.Load()),
+			fmt.Sprint(st.Stored),
+			fmt.Sprint(st.Stored - int64(tweets)),
+			fmt.Sprint(st.Resumptions),
 			fmtDuration(elapsed),
 		})
-		b.opts.logf("    %-24s stored=%d resumptions=%d %v", name, st.Stored.Load(), st.Resumptions.Load(), elapsed)
+		b.opts.logf("    %-24s stored=%d resumptions=%d %v", name, st.Stored, st.Resumptions, elapsed)
 		return nil
 	}
 	if err := runOnce("failover-baseline", false); err != nil {

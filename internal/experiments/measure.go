@@ -86,7 +86,7 @@ type result struct {
 	refresh     time.Duration
 	invocations int64
 	// accessBuilds and accessPatches count the enrichment structures the
-	// feed built and patched (core.Stats).
+	// feed built and patched (core.FeedStats).
 	accessBuilds, accessPatches int64
 }
 
@@ -145,7 +145,7 @@ func (b *bench) run(spec runSpec) (result, error) {
 	}
 
 	start := time.Now()
-	var stats *core.Stats
+	var stats core.FeedStats
 	if spec.static {
 		sf, err := core.StartStatic(ctx, b.cluster, cfg)
 		if err != nil {
@@ -167,16 +167,16 @@ func (b *bench) run(spec runSpec) (result, error) {
 	}
 	elapsed := time.Since(start)
 
-	stored := stats.Stored.Load()
+	stored := stats.Stored
 	if stored != int64(spec.tweets) {
 		return result{}, fmt.Errorf("run %s: stored %d of %d tweets", spec.name, stored, spec.tweets)
 	}
 	res := result{
 		throughput:    float64(stored) / elapsed.Seconds(),
-		refresh:       stats.RefreshPeriod(),
-		invocations:   stats.Invocations.Load(),
-		accessBuilds:  stats.AccessBuilds.Load(),
-		accessPatches: stats.AccessPatches.Load(),
+		refresh:       stats.MeanRefresh,
+		invocations:   stats.Invocations,
+		accessBuilds:  stats.AccessBuilds,
+		accessPatches: stats.AccessPatches,
 	}
 	b.opts.logf("    %-34s %10.0f rec/s  refresh=%v", spec.name, res.throughput, res.refresh)
 	return res, nil

@@ -55,27 +55,25 @@ func (c *conn) beginDrain() {
 func (s *Server) serveConn(nc net.Conn) {
 	wc := wire.NewConn(nc)
 	c := &conn{srv: s, wc: wc}
-	defer func() {
-		// Fold the connection's byte counters into the server totals
-		// (live connections are summed at snapshot time instead).
-		s.bytesSent.Add(wc.BytesWritten())
-		s.bytesRecv.Add(wc.BytesRead())
-		wc.Close()
-	}()
+	defer wc.Close()
+	// unregister folds the connection's bytes into the server totals, a
+	// refused connection's included.
+	defer s.unregister(c)
 	if !s.register(c) {
-		s.connsRejected.Add(1)
+		s.add(&s.stats.ConnsRejected, 1)
 		c.refuse(wire.CodeTooManySessions,
 			fmt.Sprintf("server at its %d-session limit", s.cfg.MaxSessions))
 		return
 	}
-	defer s.unregister(c)
 	if !c.handshake() {
-		s.connsRejected.Add(1)
+		s.add(&s.stats.ConnsRejected, 1)
 		return
 	}
-	s.connsAccepted.Add(1)
-	s.sessions.Add(1)
-	defer s.sessions.Add(-1)
+	s.mu.Lock()
+	s.stats.ConnsAccepted++
+	s.stats.SessionsActive++
+	s.mu.Unlock()
+	defer s.add(&s.stats.SessionsActive, -1)
 	for {
 		if c.closeAfter.Load() {
 			return
@@ -128,7 +126,7 @@ func (c *conn) handshake() bool {
 	}
 	if len(c.srv.tokens) > 0 {
 		if _, ok := c.srv.tokens[h.Token]; !ok {
-			c.srv.authFailures.Add(1)
+			c.srv.add(&c.srv.stats.AuthFailures, 1)
 			c.refuse(wire.CodeAuth, "bad or missing auth token")
 			return false
 		}
@@ -181,7 +179,7 @@ func (c *conn) handleExecute(body []byte) error {
 		c.refuse(wire.CodeProtocol, perr.Error())
 		return fmt.Errorf("%w: %v", errProtocol, perr)
 	}
-	c.srv.statements.Add(1)
+	c.srv.add(&c.srv.stats.Statements, 1)
 	results, err := c.srv.cluster.Execute(c.srv.baseCtx, req.Text, requestArgs(req)...)
 	if err != nil {
 		return c.writeError(err)
@@ -216,15 +214,15 @@ func (c *conn) handleQuery(body []byte) error {
 		c.refuse(wire.CodeProtocol, perr.Error())
 		return fmt.Errorf("%w: %v", errProtocol, perr)
 	}
-	c.srv.queries.Add(1)
+	c.srv.add(&c.srv.stats.Queries, 1)
 	rows, err := c.srv.cluster.Query(c.srv.baseCtx, req.Text, requestArgs(req)...)
 	if err != nil {
 		return c.writeError(err)
 	}
-	c.srv.openCursors.Add(1)
+	c.srv.add(&c.srv.stats.OpenCursors, 1)
 	defer func() {
 		rows.Close()
-		c.srv.openCursors.Add(-1)
+		c.srv.add(&c.srv.stats.OpenCursors, -1)
 	}()
 	c.body = wire.AppendHeader(c.body[:0], wire.Header{Columns: []string{"value"}})
 	if err := c.wc.WriteFrame(wire.TypeHeader, c.body); err != nil {
@@ -277,7 +275,7 @@ func (c *conn) handleQuery(body []byte) error {
 				return err
 			}
 			sent += uint64(len(c.batch))
-			c.srv.rowsSent.Add(int64(len(c.batch)))
+			c.srv.add(&c.srv.stats.RowsSent, int64(len(c.batch)))
 		}
 		if exhausted {
 			if err := rows.Err(); err != nil {
@@ -308,7 +306,7 @@ func (c *conn) statsReply() error {
 // writeError answers a statement failure with a typed error frame and
 // keeps the session alive.
 func (c *conn) writeError(err error) error {
-	c.srv.errorsSent.Add(1)
+	c.srv.add(&c.srv.stats.Errors, 1)
 	c.body = wire.AppendError(c.body[:0], errorMsg(err))
 	if werr := c.wc.WriteFrame(wire.TypeError, c.body); werr != nil {
 		return werr
@@ -319,7 +317,7 @@ func (c *conn) writeError(err error) error {
 // refuse sends a one-shot error frame on a connection that is about to
 // close (handshake failures, protocol violations); best-effort.
 func (c *conn) refuse(code, msg string) {
-	c.srv.errorsSent.Add(1)
+	c.srv.add(&c.srv.stats.Errors, 1)
 	body := wire.AppendError(nil, wire.ErrorMsg{Code: code, Message: msg})
 	if c.wc.WriteFrame(wire.TypeError, body) == nil {
 		c.flush()

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/ideadb/idea"
@@ -63,6 +62,9 @@ const serverName = "ideaserver"
 // Stats is the server's snapshot. The STATS admin verb is generated from
 // this declaration (see statsValue): every field below, of the storage
 // snapshot and of each feed's, is on the wire under its snake_case name.
+// The server's own counters are a Stats too, bumped in place under the
+// server's lock, so a counter is one field here and the statement that
+// bumps it.
 type Stats struct {
 	// Server is the announced server name; UptimeMs the milliseconds
 	// since New; Nodes the cluster size.
@@ -92,25 +94,16 @@ type Stats struct {
 	// open — the leak detector: it must return to zero when no query is
 	// streaming, including after abrupt client death.
 	OpenCursors int64
-	// StatementCacheHits / StatementCacheMisses / StatementCacheEvictions
-	// count the cluster's parsed-statement cache: a repeated statement
-	// text is a hit and skips parsing (idea.StatementCacheStats).
-	StatementCacheHits      int64
-	StatementCacheMisses    int64
-	StatementCacheEvictions int64
+	// StatementCacheStats counts the cluster's parsed-statement cache: a
+	// repeated statement text is a hit and skips parsing.
+	idea.StatementCacheStats
 	// Storage holds the cluster's storage counters (block cache,
 	// bloom/fence skips, block reads, flushes, merges, ...); its fields
 	// sit beside the server's own in the reply.
 	Storage idea.StorageStats
 	// Feeds holds one snapshot per declared feed, sorted by name; a feed
 	// that was never started reports zeros.
-	Feeds []FeedStats
-}
-
-// FeedStats is one entry of Stats.Feeds: a feed's name and snapshot.
-type FeedStats struct {
-	Name string
-	idea.FeedStats
+	Feeds []idea.FeedStats
 }
 
 // Server serves the wire protocol over an idea.Cluster. Create with
@@ -135,20 +128,11 @@ type Server struct {
 	listeners map[net.Listener]struct{}
 	conns     map[*conn]struct{}
 	draining  bool
+	// stats holds the server's own counters, under mu; the bytes of a
+	// live connection join them when it is unregistered.
+	stats Stats
 
 	wg sync.WaitGroup
-
-	connsAccepted atomic.Int64
-	connsRejected atomic.Int64
-	authFailures  atomic.Int64
-	sessions      atomic.Int64
-	queries       atomic.Int64
-	statements    atomic.Int64
-	rowsSent      atomic.Int64
-	bytesSent     atomic.Int64
-	bytesRecv     atomic.Int64
-	errorsSent    atomic.Int64
-	openCursors   atomic.Int64
 }
 
 // New builds a Server over cluster.
@@ -172,45 +156,35 @@ func New(cluster *idea.Cluster, cfg Config) *Server {
 }
 
 // Stats snapshots the server, its cluster's storage and its feeds. Byte
-// totals include live connections (each connection's counters fold into
-// the server's when it ends).
+// totals include live connections (unregister folds a connection's
+// bytes into the server's in the critical section that ends it).
 func (s *Server) Stats() Stats {
-	sc := s.cluster.StatementCacheStats()
-	st := Stats{
-		Server:         serverName,
-		UptimeMs:       time.Since(s.start).Milliseconds(),
-		Nodes:          s.cluster.Nodes(),
-		ConnsAccepted:  s.connsAccepted.Load(),
-		ConnsRejected:  s.connsRejected.Load(),
-		AuthFailures:   s.authFailures.Load(),
-		SessionsActive: s.sessions.Load(),
-		Queries:        s.queries.Load(),
-		Statements:     s.statements.Load(),
-		RowsSent:       s.rowsSent.Load(),
-		BytesSent:      s.bytesSent.Load(),
-		BytesReceived:  s.bytesRecv.Load(),
-		Errors:         s.errorsSent.Load(),
-		OpenCursors:    s.openCursors.Load(),
-
-		StatementCacheHits:      sc.Hits,
-		StatementCacheMisses:    sc.Misses,
-		StatementCacheEvictions: sc.Evictions,
-
-		Storage: s.cluster.StorageStats(),
-	}
 	s.mu.Lock()
+	st := s.stats
 	for c := range s.conns {
 		st.BytesSent += c.wc.BytesWritten()
 		st.BytesReceived += c.wc.BytesRead()
 	}
 	s.mu.Unlock()
+	st.Server = serverName
+	st.UptimeMs = time.Since(s.start).Milliseconds()
+	st.Nodes = s.cluster.Nodes()
+	st.StatementCacheStats = s.cluster.StatementCacheStats()
+	st.Storage = s.cluster.StorageStats()
 	for _, f := range s.cluster.Feeds() {
 		// A declared feed that never started has no counters yet: the
-		// error says so, and its entry stays zero.
+		// error says so, and its entry is its name and zeros.
 		fs, _ := f.Stats()
-		st.Feeds = append(st.Feeds, FeedStats{Name: f.Name(), FeedStats: fs})
+		st.Feeds = append(st.Feeds, fs)
 	}
 	return st
+}
+
+// add bumps one of the server's counters by n.
+func (s *Server) add(counter *int64, n int64) {
+	s.mu.Lock()
+	*counter += n
+	s.mu.Unlock()
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -310,9 +284,15 @@ func (s *Server) register(c *conn) bool {
 	return true
 }
 
+// unregister ends c's part in the live set: it leaves s.conns and its
+// byte counters join the server's totals in one critical section, so
+// Stats counts them exactly once. A connection register refused is
+// folded the same way.
 func (s *Server) unregister(c *conn) {
 	s.mu.Lock()
 	delete(s.conns, c)
+	s.stats.BytesSent += c.wc.BytesWritten()
+	s.stats.BytesReceived += c.wc.BytesRead()
 	s.mu.Unlock()
 }
 

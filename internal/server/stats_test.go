@@ -2,7 +2,10 @@ package server
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/ideadb/idea"
@@ -21,6 +24,57 @@ var legacyStatsKeys = []string{
 	"block_cache_hits", "block_cache_misses", "block_cache_evictions",
 	"block_cache_entries", "block_cache_bytes",
 	"bloom_skips", "fence_skips", "block_reads", "open_run_files",
+}
+
+// statsReplyKeys and feedStatsKeys are the STATS reply's keys in wire
+// order: the top level, and one entry of its feeds array. Every value is
+// an integer except the kinds nonIntegerStatsKeys names.
+var (
+	statsReplyKeys = []string{
+		"server", "uptime_ms", "nodes",
+		"conns_accepted", "conns_rejected", "auth_failures", "sessions_active",
+		"queries", "statements", "rows_sent", "bytes_sent", "bytes_received",
+		"errors", "open_cursors",
+		"statement_cache_hits", "statement_cache_misses", "statement_cache_evictions",
+		"block_cache_hits", "block_cache_misses", "block_cache_evictions",
+		"block_cache_entries", "block_cache_bytes",
+		"gets", "scans", "upserts", "deletes", "flushes", "merges", "flushed_runs",
+		"components", "mem_entries", "fence_skips", "bloom_skips", "block_reads",
+		"open_run_files",
+		"feeds",
+	}
+	feedStatsKeys = []string{
+		"name", "ingested", "stored", "parse_errors", "invocations", "mean_refresh",
+		"state_builds", "state_reuses", "access_builds", "access_patches",
+		"running", "buffered_frames", "spill_backlog",
+		"spilled_frames", "spilled_records", "shed_frames", "shed_records",
+		"sampled_frames", "sampled_records", "last_checkpoint", "resumptions",
+	}
+	nonIntegerStatsKeys = map[string]adm.Kind{
+		"server": adm.KindString, "feeds": adm.KindArray,
+		"name": adm.KindString, "running": adm.KindBoolean,
+	}
+)
+
+// checkStatsKeys fails t unless the object v holds exactly want's keys,
+// in want's order, each with its pinned kind.
+func checkStatsKeys(t *testing.T, what string, v adm.Value, want []string) {
+	t.Helper()
+	o := v.ObjectVal()
+	got := make([]string, o.Len())
+	for i := range got {
+		got[i] = o.Name(i)
+		kind, ok := nonIntegerStatsKeys[got[i]]
+		if !ok {
+			kind = adm.KindInt64
+		}
+		if o.At(i).Kind() != kind {
+			t.Errorf("%s: %q is a %v, want a %v", what, got[i], o.At(i).Kind(), kind)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("%s keys =\n%q\nwant\n%q", what, got, want)
+	}
 }
 
 func TestSnakeCase(t *testing.T) {
@@ -58,7 +112,9 @@ func numericFields(typ reflect.Type) []string {
 // the snapshot declarations, so every numeric field of server.Stats —
 // the storage snapshot's included — and of each feed's snapshot is on
 // the wire under its snake_case name, no two fields collide on a key,
-// and the keys served before the generator keep their names.
+// and the keys served before the generator keep their names. The whole
+// reply is pinned key for key (statsReplyKeys, feedStatsKeys): moving,
+// renaming or retyping a snapshot field changes what clients read.
 func TestStatsReplyCoversEverySnapshotField(t *testing.T) {
 	c := newCluster(t, idea.Config{})
 	c.MustExecute(testSchema + `
@@ -90,6 +146,7 @@ func TestStatsReplyCoversEverySnapshotField(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	checkStatsKeys(t, "reply", v, statsReplyKeys)
 	for _, key := range legacyStatsKeys {
 		if v.Field(key).IsMissing() {
 			t.Errorf("reply lost the key %q", key)
@@ -112,6 +169,7 @@ func TestStatsReplyCoversEverySnapshotField(t *testing.T) {
 		t.Fatalf("feeds = %v, want Idle and Ran in name order", v.Field("feeds"))
 	}
 	for _, feed := range feeds {
+		checkStatsKeys(t, "feed "+feed.Field("name").StringVal(), feed, feedStatsKeys)
 		for _, key := range numericFields(reflect.TypeOf(idea.FeedStats{})) {
 			if feed.Field(key).Kind() != adm.KindInt64 {
 				t.Errorf("feed %v has no integer %q", feed.Field("name"), key)
@@ -168,5 +226,36 @@ func TestStatsCountStatementCacheHits(t *testing.T) {
 	}
 	if n, err := c.DatasetLen("D"); err != nil || n != 3 {
 		t.Errorf("D holds %d records (%v), want 3", n, err)
+	}
+}
+
+// TestStatsCountAClosingConnectionOnce: a connection's bytes are counted
+// once, live or folded, so the server's totals never go backwards while
+// it closes. unregister folds them in the critical section that removes
+// the connection from the live set.
+func TestStatsCountAClosingConnectionOnce(t *testing.T) {
+	s := New(newCluster(t, idea.Config{}), Config{})
+	client, server := net.Pipe()
+	defer client.Close()
+	c := &conn{srv: s, wc: wire.NewConn(server)}
+	defer c.wc.Close()
+	if !s.register(c) {
+		t.Fatal("register refused the first connection")
+	}
+	go io.Copy(io.Discard, client)
+	c.body = wire.AppendValue(c.body[:0], adm.String("one frame"))
+	if err := c.wc.WriteFrame(wire.TypeStatsReply, c.body); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().BytesSent
+	if before == 0 {
+		t.Fatal("a live connection's frame is not in BytesSent")
+	}
+	s.unregister(c)
+	if after := s.Stats().BytesSent; after != before {
+		t.Errorf("BytesSent went from %d to %d when the connection closed", before, after)
 	}
 }

@@ -88,12 +88,12 @@ func TestQueryParamBinding(t *testing.T) {
 			"idea: argument $1: cannot convert struct {} to an ADM value"},
 	} {
 		for _, run := range []string{"miss", "hit"} {
-			hits := c.StatementCacheStats().Hits
+			hits := c.StatementCacheStats().StatementCacheHits
 			_, err := c.Query(ctx, tc.q, tc.args...)
 			if err == nil || err.Error() != tc.want {
 				t.Errorf("%s (%s): error %v, want %q", tc.q, run, err, tc.want)
 			}
-			if wantHit := run == "hit"; (c.StatementCacheStats().Hits > hits) != wantHit {
+			if wantHit := run == "hit"; (c.StatementCacheStats().StatementCacheHits > hits) != wantHit {
 				t.Errorf("%s: the %s run was not a cache %s", tc.q, run, run)
 			}
 		}

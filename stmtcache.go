@@ -45,9 +45,10 @@ type cacheEntry struct {
 // StatementCacheStats counts a cluster's statement cache traffic: a hit
 // reuses a parsed text, a miss parses one (an oversize text or a parse
 // error included), and an eviction drops the least recently used text
-// to make room.
+// to make room. The fields carry their report's name, as
+// lsm.CacheStats's do, so a snapshot embedding it reads them flat.
 type StatementCacheStats struct {
-	Hits, Misses, Evictions int64
+	StatementCacheHits, StatementCacheMisses, StatementCacheEvictions int64
 }
 
 // StatementCacheStats reports the cluster's statement cache counters.
@@ -63,11 +64,11 @@ func (sc *stmtCache) parse(text string) (*parsedText, error) {
 	sc.mu.Lock()
 	if el, ok := sc.entries[text]; ok {
 		sc.lru.MoveToFront(el)
-		sc.stats.Hits++
+		sc.stats.StatementCacheHits++
 		sc.mu.Unlock()
 		return el.Value.(*cacheEntry).parsed, nil
 	}
-	sc.stats.Misses++
+	sc.stats.StatementCacheMisses++
 	sc.mu.Unlock()
 
 	stmts, err := sqlpp.Parse(text)
@@ -93,7 +94,7 @@ func (sc *stmtCache) parse(text string) (*parsedText, error) {
 		oldest := sc.lru.Back()
 		sc.lru.Remove(oldest)
 		delete(sc.entries, oldest.Value.(*cacheEntry).text)
-		sc.stats.Evictions++
+		sc.stats.StatementCacheEvictions++
 	}
 	sc.entries[text] = sc.lru.PushFront(&cacheEntry{text: text, parsed: p})
 	return p, nil

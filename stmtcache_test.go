@@ -111,7 +111,7 @@ func TestStatementCacheMatchesFreshParse(t *testing.T) {
 	}
 	// The corpus, the schema script and its bulk UPSERT, the UPSERT and
 	// the check.
-	if st, n := c.StatementCacheStats(), c.stmts.cached(); st.Hits == 0 || n != len(corpus)+4 {
+	if st, n := c.StatementCacheStats(), c.stmts.cached(); st.StatementCacheHits == 0 || n != len(corpus)+4 {
 		t.Errorf("cache stats %+v, %d texts cached: want hits and %d texts", st, n, len(corpus)+4)
 	}
 }
@@ -140,11 +140,11 @@ func TestStatementCachePlansPerCall(t *testing.T) {
 		t.Fatalf("before CREATE INDEX: plan %q, want %q", got, want)
 	}
 	c.MustExecute(`CREATE INDEX by_grp ON D(grp);`)
-	hits := c.StatementCacheStats().Hits
+	hits := c.StatementCacheStats().StatementCacheHits
 	if got, want := plan("b"), "iscan(D.by_grp on grp)→filter→project"; got != want {
 		t.Errorf("after CREATE INDEX: plan %q, want %q", got, want)
 	}
-	if c.StatementCacheStats().Hits != hits+1 {
+	if c.StatementCacheStats().StatementCacheHits != hits+1 {
 		t.Errorf("the second run parsed its text again")
 	}
 }
@@ -193,7 +193,7 @@ func TestStatementCacheConcurrentBinds(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if st := c.StatementCacheStats(); st.Hits+st.Misses < 160 || st.Misses > 8+2 {
+	if st := c.StatementCacheStats(); st.StatementCacheHits+st.StatementCacheMisses < 160 || st.StatementCacheMisses > 8+2 {
 		t.Errorf("cache stats %+v after 160 runs of one text", st)
 	}
 }
@@ -208,12 +208,12 @@ func TestStatementCacheQueryChecksOnHit(t *testing.T) {
 		{`UPSERT INTO D ([{"id": 9999}])`, "idea: Query expects a SELECT, got *sqlpp.Insert (use Execute)"},
 	} {
 		for run := range 2 {
-			hits := c.StatementCacheStats().Hits
+			hits := c.StatementCacheStats().StatementCacheHits
 			_, err := c.Query(context.Background(), tc.q)
 			if err == nil || err.Error() != tc.want {
 				t.Errorf("%s, run %d: error %v, want %q", tc.q, run, err, tc.want)
 			}
-			if got := c.StatementCacheStats().Hits - hits; got != int64(run) {
+			if got := c.StatementCacheStats().StatementCacheHits - hits; got != int64(run) {
 				t.Errorf("%s, run %d: %d hits", tc.q, run, got)
 			}
 		}
@@ -237,7 +237,7 @@ func TestStatementCacheSkipsErrorsAndOversizeTexts(t *testing.T) {
 	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
 		t.Errorf("parse errors %v and %v, want one error twice", err1, err2)
 	}
-	if st := c.StatementCacheStats(); c.stmts.cached() != 0 || st.Hits != 0 || st.Misses != 2 {
+	if st := c.StatementCacheStats(); c.stmts.cached() != 0 || st.StatementCacheHits != 0 || st.StatementCacheMisses != 2 {
 		t.Errorf("after a parse error twice: %+v, want 2 misses and nothing cached", st)
 	}
 
@@ -247,7 +247,7 @@ func TestStatementCacheSkipsErrorsAndOversizeTexts(t *testing.T) {
 			t.Fatalf("oversize text: %d rows, want 40", len(got))
 		}
 	}
-	if st := c.StatementCacheStats(); c.stmts.cached() != 0 || st.Hits != 0 || st.Misses != 4 {
+	if st := c.StatementCacheStats(); c.stmts.cached() != 0 || st.StatementCacheHits != 0 || st.StatementCacheMisses != 4 {
 		t.Errorf("after an oversize text twice: %+v, want 4 misses and nothing cached", st)
 	}
 }
@@ -272,15 +272,15 @@ func TestStatementCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	run(0) // 0 is now the most recently used; 1 the least
 	run(stmtCacheEntries)
 	st := c.StatementCacheStats()
-	if c.stmts.cached() != stmtCacheEntries || st.Evictions != 1 || st.Hits != 1 {
+	if c.stmts.cached() != stmtCacheEntries || st.StatementCacheEvictions != 1 || st.StatementCacheHits != 1 {
 		t.Fatalf("at capacity plus one: %+v", st)
 	}
 	run(0)
-	if got := c.StatementCacheStats().Hits; got != 2 {
+	if got := c.StatementCacheStats().StatementCacheHits; got != 2 {
 		t.Errorf("the recently used text was evicted (hits %d)", got)
 	}
 	run(1)
-	if st := c.StatementCacheStats(); st.Hits != 2 || st.Evictions != 2 {
+	if st := c.StatementCacheStats(); st.StatementCacheHits != 2 || st.StatementCacheEvictions != 2 {
 		t.Errorf("the least recently used text was kept: %+v", st)
 	}
 }
@@ -337,7 +337,7 @@ func TestCachedStatementAllocations(t *testing.T) {
 		}
 	}
 	probe()
-	if got := c.StatementCacheStats().Hits; got == 0 {
+	if got := c.StatementCacheStats().StatementCacheHits; got == 0 {
 		t.Fatal("the probe's text is not cached")
 	}
 	if n := testing.AllocsPerRun(200, probe); n > pinned {
