@@ -9,8 +9,9 @@
 //     UDF against freshly-prepared state, forward to the local storage
 //     holder), and
 //   - a long-running *storage job* (active storage partition holders →
-//     hash partitioner on primary key → LSM storage partitions, with
-//     group-committed log writes),
+//     the exchange that forwards each frame to the partition owning its
+//     primary keys → LSM storage partitions, with group-committed log
+//     writes),
 //
 // orchestrated by the Active Feed Manager on the cluster controller.
 // The package also implements the old coupled ("static") pipeline as the

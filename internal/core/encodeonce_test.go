@@ -214,7 +214,8 @@ func encoderArms(targets int) []encoderArm {
 // checkRouted fails unless every frame is what storage takes as its log
 // payload: Enc holds each record's key, then the record as a view of the
 // bytes that follow, and nothing else; and every key routes to the
-// frame's target, the same for all its records.
+// partition the frame is addressed to (Part), where the storage exchange
+// takes it.
 func checkRouted(t *testing.T, frames []hyracks.Frame, pk string, route func(adm.Value) int) {
 	t.Helper()
 	for _, fr := range frames {
@@ -227,8 +228,8 @@ func checkRouted(t *testing.T, frames []hyracks.Frame, pk string, route func(adm
 		off := 0
 		for _, rec := range fr.Records {
 			key := rec.Field(pk)
-			if route(key) != route(fr.Records[0].Field(pk)) {
-				t.Fatal("a routed frame's records go to different partitions")
+			if got := route(key); got != fr.Part {
+				t.Fatalf("key %v routes to partition %d in a frame addressed to %d", key, got, fr.Part)
 			}
 			k := adm.AppendBinary(nil, key)
 			if !bytes.HasPrefix(fr.Enc[off:], k) {
@@ -247,8 +248,9 @@ func checkRouted(t *testing.T, frames []hyracks.Frame, pk string, route func(adm
 }
 
 // TestEvaluatorRoutesLikeTheConnector: every frame a function feed's rows
-// travel in is single-target at the storage job's HashPartition and
-// carries a slab laid out key, record, ... — what storage logs as it
+// travel in is addressed to the storage partition each of its rows'
+// keys routes to — the partition the storage exchange forwards it to —
+// and carries a slab laid out key, record, ... — what storage logs as it
 // stands — whether its rows were spliced where they lie (Q1) or framed
 // apart: a row under another key, an Object row, a native UDF's row. That
 // holds for both producers of such frames: the dynamic feed's collector,
@@ -329,16 +331,12 @@ func TestEvaluatorRoutesLikeTheConnector(t *testing.T) {
 				batches := (n + frame - 1) / frame
 				for _, out := range []*frameSink{&collected, &evaluated} {
 					checkRouted(t, out.frames, "id", ds.Route)
-					hash, framed := keyHash("id"), 0
+					framed := 0
 					for _, fr := range out.frames {
 						if fr.Enc == nil {
 							t.Fatal("a frame carries no slab")
 						}
-						target := hash(fr.Records[0]) % uint64(ds.NumPartitions())
 						for _, rec := range fr.Records {
-							if hash(rec)%uint64(ds.NumPartitions()) != target {
-								t.Fatalf("a routed frame splits at the connector: %v", rec)
-							}
 							key := rec.Field("id").String()
 							if got := adm.AppendBinary(nil, rec); !bytes.Equal(got, want[key]) {
 								t.Fatalf("key %s reads\n %x\nthe function makes\n %x", key, got, want[key])
@@ -584,9 +582,9 @@ func TestOutsizedLineDoesNotMultiplyTheSlab(t *testing.T) {
 
 // TestCollectorRoutesLikeTheConnector: over int and string primary keys
 // and one to four storage partitions, every frame a function-less feed's
-// collector emits is single-target at the storage job's HashPartition —
-// each of its records hashes, as the connector hashes it, to the frame's
-// partition — so the connector forwards it whole, slab and all; and the
+// collector emits is addressed to the partition each of its records'
+// keys routes to (Part), so the storage exchange forwards it whole, slab
+// and all, to the writer that owns every key in it; and the
 // feed stores, byte for byte, what a feed through an identity function
 // (whose collector encodes each record as the function's input, then
 // copies the row it returns into the routed slab) stores from the same
@@ -630,7 +628,7 @@ func TestCollectorRoutesLikeTheConnector(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// What the collector emits, against the storage exchange's hash.
+				// What the collector emits, against the dataset's Route.
 				enc := newRecordEncoder(128, routed.NumPartitions(), "k", routed.Route)
 				var sink frameSink
 				enc.begin(n)
@@ -643,14 +641,8 @@ func TestCollectorRoutesLikeTheConnector(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkRouted(t, sink.frames, "k", routed.Route)
-				hash, framed := keyHash("k"), 0
+				framed := 0
 				for _, fr := range sink.frames {
-					target := hash(fr.Records[0]) % uint64(routed.NumPartitions())
-					for _, rec := range fr.Records {
-						if hash(rec)%uint64(routed.NumPartitions()) != target {
-							t.Fatalf("a routed frame splits at the connector: %v", rec)
-						}
-					}
 					framed += len(fr.Records)
 				}
 				if framed != n {

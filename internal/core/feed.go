@@ -630,7 +630,7 @@ func (f *Feed) buildIntakeSpec() (*hyracks.JobSpec, error) {
 }
 
 // buildStorageSpec assembles storage holders (each heading the job as
-// its Source) → hash partitioner → LSM partition writers. Holder
+// its Source) → storage exchange → LSM partition writers. Holder
 // parallelism follows the live nodes;
 // writer parallelism always equals the dataset's partition count so
 // primary-key routing is stable across failover (dead nodes' partitions
@@ -814,17 +814,18 @@ func (e *recordEncoder) input(rec adm.Value) adm.Value {
 // its frame's slab and handed on as a view of those bytes.
 //
 // Routed, it frames where storage will log. A record's primary key is
-// hashed to its storage partition with the dataset's own Route — what
-// the storage job's hash connector computes from the record — and each
-// partition has a frame of its own whose slab holds key, record, key,
-// record, ...: byte for byte the payload its WAL logs. Such a frame
-// carries the slab as hyracks.Frame.Enc, the connector forwards it
-// whole, and the partition logs and keeps the slab instead of copying
-// the records into a buffer of its own (lsm.Partition.UpsertFrame). A
-// function-less feed's collector routes the records it parses; a
-// function feed's collector (the static pipeline's evaluator) routes the
-// rows its function returns, and a SQL++ row is spliced into the slab
-// where it will stay (splice).
+// hashed to its storage partition with the dataset's own Route — the
+// one place the routing rule is stated — and each partition has a frame
+// of its own, addressed to it (hyracks.Frame.Part), whose slab holds
+// key, record, key, record, ...: byte for byte the payload its WAL logs.
+// Such a frame carries the slab as hyracks.Frame.Enc, the storage
+// exchange forwards it whole to the partition it names, whose writer
+// checks that it owns every key, and the partition logs and keeps the
+// slab instead of copying the records into a buffer of its own
+// (lsm.Partition.UpsertFrame). A function-less feed's collector routes
+// the records it parses; a function feed's collector (the static
+// pipeline's evaluator) routes the rows its function returns, and a
+// SQL++ row is spliced into the slab where it will stay (splice).
 //
 // One frame, one slab. A slab is garbage-collected memory that is only
 // ever appended to, never pooled or rewritten, so whoever is handed a
@@ -881,17 +882,17 @@ func (r *frameRouter) add(rec adm.Value, out hyracks.Writer) error {
 		t = r.route(key)
 		size += adm.BinarySize(key)
 	}
-	pf := &r.parts[t]
-	if err := r.reserve(pf, size, out); err != nil {
+	if err := r.reserve(t, size, out); err != nil {
 		return err
 	}
+	pf := &r.parts[t]
 	at := len(pf.slab)
 	if r.route != nil {
 		pf.slab = adm.AppendBinary(pf.slab, key)
 	}
 	view := len(pf.slab)
 	pf.slab = adm.AppendBinary(pf.slab, rec)
-	return r.keep(pf, adm.View(pf.slab[view:]), at, out)
+	return r.keep(t, adm.View(pf.slab[view:]), at, out)
 }
 
 // splice frames what pe makes of rec, having the row written where
@@ -913,12 +914,13 @@ func (r *frameRouter) splice(pe *query.PreparedEnrich, rec adm.Value, out hyrack
 		return r.add(row, out)
 	}
 	key := rec.Field(r.pk)
-	pf := &r.parts[r.route(key)]
+	t := r.route(key)
+	pf := &r.parts[t]
 	need := pf.perRecord
 	if need == 0 { // nothing learned: room for a row twice the record
 		need = adm.BinarySize(key) + 2*adm.BinarySize(rec)
 	}
-	if err := r.reserve(pf, need, out); err != nil {
+	if err := r.reserve(t, need, out); err != nil {
 		return err
 	}
 	at := len(pf.slab)
@@ -929,7 +931,7 @@ func (r *frameRouter) splice(pe *query.PreparedEnrich, rec adm.Value, out hyrack
 		return err
 	}
 	if n, ok := adm.ViewAt(row, pf.slab, view); ok && view+n == len(pf.slab) && encodesTo(row.Field(r.pk), pf.slab[at:view]) {
-		return r.keep(pf, row, at, out)
+		return r.keep(t, row, at, out)
 	}
 	spliced := len(pf.slab) > view
 	pf.slab = pf.slab[:at]
@@ -937,7 +939,7 @@ func (r *frameRouter) splice(pe *query.PreparedEnrich, rec adm.Value, out hyrack
 		r.apart = true
 		if len(pf.recs) == 0 {
 			pf.slab = nil
-		} else if err := r.push(pf, out); err != nil {
+		} else if err := r.push(t, out); err != nil {
 			return err
 		}
 	}
@@ -951,16 +953,17 @@ func encodesTo(v adm.Value, enc []byte) bool {
 	return bytes.Equal(adm.AppendBinary(buf[:0], v), enc)
 }
 
-// reserve makes sure pf's slab has room for size more bytes, closing its
-// frame early when it has not and giving it a fresh slab for the records
-// the target can still expect this batch: its share of the pending
-// records, up to a frame.
-func (r *frameRouter) reserve(pf *partFrame, size int, out hyracks.Writer) error {
+// reserve makes sure target t's slab has room for size more bytes,
+// closing its frame early when it has not and giving it a fresh slab for
+// the records the target can still expect this batch: its share of the
+// pending records, up to a frame.
+func (r *frameRouter) reserve(t, size int, out hyracks.Writer) error {
+	pf := &r.parts[t]
 	if cap(pf.slab)-len(pf.slab) >= size {
 		return nil
 	}
 	if len(pf.recs) > 0 {
-		if err := r.push(pf, out); err != nil {
+		if err := r.push(t, out); err != nil {
 			return err
 		}
 	}
@@ -969,15 +972,17 @@ func (r *frameRouter) reserve(pf *partFrame, size int, out hyracks.Writer) error
 }
 
 // keep adds rec, whose bytes (its key's included) start at slab offset
-// at and end the slab, to pf's frame, pushing the frame once it is full.
-func (r *frameRouter) keep(pf *partFrame, rec adm.Value, at int, out hyracks.Writer) error {
+// at and end the slab, to target t's frame, pushing the frame once it is
+// full.
+func (r *frameRouter) keep(t int, rec adm.Value, at int, out hyracks.Writer) error {
+	pf := &r.parts[t]
 	if pf.recs == nil {
 		pf.recs = hyracks.GetRecordSlice(r.frameCap)
 	}
 	pf.recs = append(pf.recs, rec)
 	pf.largest = max(pf.largest, len(pf.slab)-at)
 	if len(pf.recs) == r.frameCap {
-		return r.push(pf, out)
+		return r.push(t, out)
 	}
 	return nil
 }
@@ -1004,11 +1009,12 @@ func (pf *partFrame) learn(n int) {
 	}
 }
 
-// push sends pf's frame to out and leaves pf empty, learning the
-// target's bytes per record from the frame first.
-func (r *frameRouter) push(pf *partFrame, out hyracks.Writer) error {
+// push sends target t's frame to out, addressed to t, and leaves it
+// empty, learning the target's bytes per record from the frame first.
+func (r *frameRouter) push(t int, out hyracks.Writer) error {
+	pf := &r.parts[t]
 	pf.learn(len(pf.recs))
-	fr := hyracks.Frame{Records: pf.recs}
+	fr := hyracks.Frame{Records: pf.recs, Part: t}
 	if r.route != nil {
 		fr.Enc = pf.slab
 	}
@@ -1020,8 +1026,8 @@ func (r *frameRouter) push(pf *partFrame, out hyracks.Writer) error {
 // reach storage within its invocation.
 func (r *frameRouter) flush(out hyracks.Writer) error {
 	for t := range r.parts {
-		if pf := &r.parts[t]; len(pf.recs) > 0 {
-			if err := r.push(pf, out); err != nil {
+		if len(r.parts[t].recs) > 0 {
+			if err := r.push(t, out); err != nil {
 				return err
 			}
 		}
@@ -1066,14 +1072,16 @@ func (fn *udfCall) frame(r *frameRouter, rec adm.Value, out hyracks.Writer) erro
 	return r.add(row, out)
 }
 
-// buildComputeSpec assembles the computing job: collector → feed
-// pipeline sink, one instance per live node, no cross-node exchange. The
-// collector parses, runs the function and routes what it makes of each
-// record (recordEncoder), so its frames are routed before the storage
-// job's hash partitioner sees them. The spec is a reusable skeleton:
-// operator factories resolve the current per-batch state through
-// f.curInv when an invocation instantiates them, so the predeployed path
-// builds it once and reuses it for every batch.
+// buildComputeSpec assembles the computing job: one collector per live
+// node and no connector. The collector parses, runs the function and
+// routes what it makes of each record (recordEncoder), and pushes each
+// frame, addressed to its storage partition, straight into its node's
+// storage holder (holderWriter); the storage job forwards it from there.
+// Under FusedInsert the collector feeds the storage writers through the
+// storage exchange instead. The spec is a reusable skeleton: operator
+// factories resolve the current per-batch state through f.curInv when an
+// invocation instantiates them, so the predeployed path builds it once
+// and reuses it for every batch.
 func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 	spec := hyracks.NewJobSpec()
 	spec.QueueCapacity = f.cluster.Tuning().HolderCapacity
@@ -1094,6 +1102,9 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 				}
 				if f.eof[p].Load() {
 					return nil
+				}
+				if !f.cfg.FusedInsert {
+					out = holderWriter{ctx: tc.Ctx, sunk: &f.sunk, holder: f.storageHolders[p]}
 				}
 				frames, eof, err := f.intakeHolders[p].PullFrames(tc.Ctx, f.quota)
 				if err != nil {
@@ -1144,27 +1155,25 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 		// Section 5.1's insert job: UDF evaluation and storage write in
 		// one job — the write (and its log flush) gates the invocation.
 		connectStorage(spec, collectorOp, "fused-storage-writer", f.ds, f.stats)
-		return spec
 	}
-
-	sinkOp := spec.AddOperator(&hyracks.Descriptor{
-		Name:        "feed-pipeline-sink",
-		Parallelism: n,
-		NewPipe: func(p int) (hyracks.Pipe, error) {
-			return &hyracks.SinkPipe{
-				Fn: func(tc *hyracks.TaskContext, fr hyracks.Frame) error {
-					// Count before the push: once pushed the frame is
-					// owned downstream, and the checkpoint barrier
-					// needs sunk >= every record the sink ever handed
-					// to storage.
-					f.sunk.Add(int64(fr.Len()))
-					return f.storageHolders[p].PushFrame(tc.Ctx, fr)
-				},
-			}, nil
-		},
-	})
-	spec.Connect(collectorOp, sinkOp, hyracks.OneToOne, nil)
 	return spec
+}
+
+// holderWriter is a collector's output in the decoupled pipeline: it
+// hands each frame to the node's storage holder, counting its records in
+// sunk first — once pushed the frame is owned downstream, and the
+// checkpoint barrier needs sunk >= every record ever handed to storage.
+type holderWriter struct {
+	ctx    context.Context
+	sunk   *atomic.Int64
+	holder *hyracks.PassiveHolder
+}
+
+func (w holderWriter) Open() error  { return nil }
+func (w holderWriter) Close() error { return nil }
+func (w holderWriter) Push(fr hyracks.Frame) error {
+	w.sunk.Add(int64(fr.Len()))
+	return w.holder.PushFrame(w.ctx, fr)
 }
 
 // runAFM is the Active Feed Manager loop: keep invoking computing jobs
@@ -1221,12 +1230,12 @@ func (f *Feed) runAFM() {
 	}
 }
 
-// storageBarrier waits until every record the sinks handed to storage
-// holders has been written (stored >= sunk) — the ordering that makes a
-// checkpoint truthful: offsets at or below the watermark were collected
-// in finished invocations, so their records are counted in sunk, and
-// the barrier sees them through the partition WAL commits. Returns
-// false when the feed is going down instead.
+// storageBarrier waits until every record the collectors handed to
+// storage holders has been written (stored >= sunk) — the ordering that
+// makes a checkpoint truthful: offsets at or below the watermark were
+// collected in finished invocations, so their records are counted in
+// sunk, and the barrier sees them through the partition WAL commits.
+// Returns false when the feed is going down instead.
 //
 // Both sides of the comparison are per-incarnation: sunk starts at zero
 // every Start, while Stored is cumulative across failover

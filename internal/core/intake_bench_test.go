@@ -95,9 +95,10 @@ func BenchmarkIntakePath(b *testing.B) {
 }
 
 // BenchmarkInvokeComputeJob prices one invocation of a function feed's
-// own predeployed computing job — buildComputeSpec's collector (which
-// runs the UDF) and sink on each of two nodes — over a batch of no records
-// (every collector's intake is at EOF). Like cluster's
+// own predeployed computing job — buildComputeSpec's collector, which
+// runs the UDF and writes into its node's storage holder, on each of two
+// nodes — over a batch of no records (every collector's intake is at
+// EOF). Like cluster's
 // BenchmarkInvokePredeployed, what is left is the machinery an
 // invocation builds, here with the feed's closures and queue capacity,
 // plus the simulated invocation message of DefaultTuning.

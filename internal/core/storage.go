@@ -8,22 +8,28 @@ import (
 	"github.com/ideadb/idea/internal/lsm"
 )
 
-// newStorageWriter returns the frame-granular LSM storage writer shared
-// by the feed storage job, the fused-insert ablation, and the static
-// pipeline (connectStorage). Each incoming frame becomes one storage
-// operation: the primary keys are extracted in a single pass into a
-// pooled scratch and the whole frame goes through Partition.UpsertFrame
-// — one WAL append and group commit, one partition lock acquisition, one
-// sorted bulk insert into the memtable, and grouped secondary-index
-// maintenance — instead of paying each of those per record. Every frame
-// that reaches it was routed — by a collector, a static adapter-parser
-// or a static evaluator — and carries its slab (Frame.Enc), which the
-// partition logs and keeps as it is.
+// newStorageWriter returns the frame-granular LSM storage writer of
+// partition p of ds, shared by the feed storage job, the fused-insert
+// ablation, and the static pipeline (connectStorage). Each incoming frame
+// becomes one storage operation: the primary keys are extracted in a
+// single pass into a pooled scratch and the whole frame goes through
+// Partition.UpsertFrame — one WAL append and group commit, one partition
+// lock acquisition, one sorted bulk insert into the memtable, and grouped
+// secondary-index maintenance — instead of paying each of those per
+// record. Every frame that reaches it was routed — by a collector, a
+// static adapter-parser or a static evaluator — and carries its slab
+// (Frame.Enc), which the partition logs and keeps as it is.
+//
+// The writer stores only keys p owns: a frame holding a record that
+// Dataset.Route sends elsewhere fails before any of it is written. That
+// is the one check of the producer's routing; the exchange forwards by
+// the partition a frame names (Frame.Part) and hashes nothing.
 //
 // The writer is the frame's final consumer: storage retains the
 // records (and a routed frame's slab), the spine recycles. Each stored
 // frame is counted in stats' Stored.
-func newStorageWriter(part *lsm.Partition, pk string, stats *feedCounters) *hyracks.SinkPipe {
+func newStorageWriter(ds *lsm.Dataset, p int, stats *feedCounters) *hyracks.SinkPipe {
+	part, pk := ds.Partition(p), ds.PrimaryKey()
 	// The key scratch persists across frames: a pipe instance is driven
 	// by one goroutine, so no pooling (or locking) is needed and a
 	// steady frame stream extracts keys with zero allocations.
@@ -46,6 +52,9 @@ func newStorageWriter(part *lsm.Partition, pk string, stats *feedCounters) *hyra
 				if key.IsUnknown() {
 					return fmt.Errorf("core: record missing primary key %q", pk)
 				}
+				if owner := ds.Route(key); owner != p {
+					return fmt.Errorf("core: storage partition %d was sent key %v, which partition %d owns", p, key, owner)
+				}
 				keys = append(keys, key)
 			}
 			if err := part.UpsertFrame(keys, fr.Records, fr.Enc); err != nil {
@@ -60,26 +69,16 @@ func newStorageWriter(part *lsm.Partition, pk string, stats *feedCounters) *hyra
 }
 
 // connectStorage adds the storage writers to spec — one per partition of
-// ds — and connects from to them through the storage exchange. Every frame from must be routed
-// (frameRouter): the exchange forwards it whole to the writer its
-// records hash to.
+// ds — and connects from to them through the storage exchange, which
+// forwards each frame whole to the writer its Part names. Every frame
+// from must be routed (frameRouter).
 func connectStorage(spec *hyracks.JobSpec, from int, name string, ds *lsm.Dataset, stats *feedCounters) {
-	pk := ds.PrimaryKey()
 	writerOp := spec.AddOperator(&hyracks.Descriptor{
 		Name:        name,
 		Parallelism: ds.NumPartitions(),
 		NewPipe: func(p int) (hyracks.Pipe, error) {
-			return newStorageWriter(ds.Partition(p), pk, stats), nil
+			return newStorageWriter(ds, p, stats), nil
 		},
 	})
-	spec.Connect(from, writerOp, hyracks.HashPartition, keyHash(pk))
-}
-
-// keyHash is the storage exchange's key function: the record's primary
-// key through adm.Hash. The hash connector takes it modulo the writer
-// count, the dataset's partition count, which is what Dataset.Route
-// computes from the key — so every frame a collector, adapter-parser
-// or evaluator routes is single-target here and forwarded whole.
-func keyHash(pk string) func(adm.Value) uint64 {
-	return func(rec adm.Value) uint64 { return adm.Hash(rec.Field(pk)) }
+	spec.Connect(from, writerOp, hyracks.Partitioned, nil)
 }

@@ -94,18 +94,16 @@ func TestAddRawCopyStagesVolatileBuffers(t *testing.T) {
 	RecycleFrame(got[0])
 }
 
-// TestHashConnectorWholesaleForwarding: a frame whose records all hash
-// to one target is forwarded untouched — same spine, Enc kept.
-func TestHashConnectorWholesaleForwarding(t *testing.T) {
+// TestPartitionedConnectorWholesaleForwarding: a Partitioned connector
+// forwards a frame to the target its Part names untouched — same spine,
+// Enc kept.
+func TestPartitionedConnectorWholesaleForwarding(t *testing.T) {
 	targets := []chan Frame{make(chan Frame, 8), make(chan Frame, 8)}
 	var done sync.WaitGroup
 	done.Add(1)
 	w := &connectorWriter{
-		ctx: context.Background(),
-		spec: connectorSpec{
-			routing: HashPartition,
-			hashKey: func(v adm.Value) uint64 { return uint64(v.IntVal()) },
-		},
+		ctx:     context.Background(),
+		spec:    connectorSpec{routing: Partitioned},
 		targets: targets,
 		done:    &done,
 	}
@@ -114,22 +112,22 @@ func TestHashConnectorWholesaleForwarding(t *testing.T) {
 	}
 
 	single := GetRecordSlice(4)
-	single = append(single, adm.Int(1), adm.Int(3), adm.Int(5)) // all hash to 1
+	single = append(single, adm.Int(1), adm.Int(3), adm.Int(5))
 	enc := []byte("slab")
-	if err := w.Push(Frame{Records: single, Enc: enc}); err != nil {
+	if err := w.Push(Frame{Records: single, Enc: enc, Part: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case f := <-targets[1]:
 		if len(f.Records) != 3 || &f.Records[0] != &single[0] {
-			t.Fatal("single-target frame was copied instead of forwarded")
+			t.Fatal("frame was copied instead of forwarded")
 		}
 		if &f.Enc[0] != &enc[0] {
-			t.Fatal("single-target frame lost its Enc")
+			t.Fatal("frame lost its Enc")
 		}
 		RecycleFrame(f)
 	default:
-		t.Fatal("single-target frame not delivered")
+		t.Fatal("frame not delivered to the target its Part names")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

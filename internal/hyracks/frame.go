@@ -3,7 +3,8 @@
 // Hyracks engine underneath AsterixDB: jobs are DAGs of operators and
 // connectors; data flows in frames of records; each operator runs one
 // instance per partition; connectors move whole frames between
-// partitions (one-to-one, round-robin, hash).
+// partitions (one-to-one, round-robin, or to the partition each frame
+// names).
 //
 // It also provides the paper's partition holders: queue-guarded
 // endpoints that let one job hand frames to another at runtime, which
@@ -56,8 +57,13 @@ type Frame struct {
 	// to the partition as the write's log payload. Enc is a hint the
 	// partition verifies, never trusts. It is garbage-collected like the
 	// records, never pooled, and anything that rebuilds a frame's Records
-	// (a MapPipe) drops it; a hash connector forwards it with the frame.
+	// (a MapPipe) drops it; a Partitioned connector forwards it with the
+	// frame.
 	Enc []byte
+	// Part is the target partition a Partitioned connector sends the
+	// frame to: its producer routed every record of it there (core's
+	// frameRouter names a storage partition). Other routings ignore it.
+	Part int
 
 	// Adapter and FirstOff/LastOff locate the frame in its source
 	// adapter's offset space for at-least-once checkpointing: the frame

@@ -2,7 +2,6 @@ package hyracks
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -19,12 +18,11 @@ const (
 	// RoundRobin spreads frames evenly over target partitions — the
 	// intake job uses it so expensive UDF work is balanced (Section 6.2).
 	RoundRobin
-	// HashPartition sends each frame to the partition its records' key
-	// hash names — the storage exchange, into the partition that owns
-	// their primary key. Its producers route: every record of a frame
-	// must hash to the same target, or the job fails with
-	// ErrUnroutedFrame.
-	HashPartition
+	// Partitioned sends each frame whole to the target partition its
+	// Part names — the storage exchange, into the partition that owns
+	// the frame's primary keys. Its producers route; a Part outside the
+	// targets fails the job.
+	Partitioned
 )
 
 // TaskContext is handed to the operator instances of a job; one is
@@ -69,7 +67,6 @@ type Descriptor struct {
 type connectorSpec struct {
 	from, to int
 	routing  Routing
-	hashKey  func(adm.Value) uint64
 }
 
 // JobSpec is the compiled description of a dataflow job (the paper's
@@ -92,10 +89,11 @@ func (s *JobSpec) AddOperator(d *Descriptor) int {
 	return len(s.ops) - 1
 }
 
-// Connect links from → to with the given routing. HashPartition requires
-// hashKey.
+// Connect links from → to with the given routing. No routing reads
+// hashKey: a Partitioned frame names its target (Frame.Part). The
+// parameter stays because bench/ passes nil for it.
 func (s *JobSpec) Connect(from, to int, routing Routing, hashKey func(adm.Value) uint64) {
-	s.connectors = append(s.connectors, connectorSpec{from: from, to: to, routing: routing, hashKey: hashKey})
+	s.connectors = append(s.connectors, connectorSpec{from: from, to: to, routing: routing})
 }
 
 // Job is one running instantiation of a JobSpec.
@@ -280,9 +278,6 @@ func (s *JobSpec) validate() error {
 			return fmt.Errorf("hyracks: one-to-one connector between %s and %s with mismatched parallelism",
 				s.ops[c.from].Name, s.ops[c.to].Name)
 		}
-		if c.routing == HashPartition && c.hashKey == nil {
-			return fmt.Errorf("hyracks: hash connector from %s needs a key function", s.ops[c.from].Name)
-		}
 	}
 	for i, d := range s.ops {
 		if d.Parallelism <= 0 {
@@ -300,11 +295,6 @@ func (s *JobSpec) validate() error {
 	}
 	return nil
 }
-
-// ErrUnroutedFrame fails a job whose hash connector is pushed a frame
-// whose records hash to more than one target. The connector moves whole
-// frames; deciding which record goes where is the producer's job.
-var ErrUnroutedFrame = errors.New("hyracks: a frame's records hash to different targets; route records before a hash connector")
 
 // connectorWriter routes one upstream partition's frames to the target
 // partitions' channels.
@@ -338,31 +328,12 @@ func (w *connectorWriter) Push(f Frame) error {
 		t := w.rr % len(w.targets)
 		w.rr++
 		return w.send(t, f)
-	default: // HashPartition
-		if len(f.Raw) > 0 {
-			// Hash routing keys off parsed records; forwarding would
-			// break partitioning and dropping would lose data.
-			return fmt.Errorf("hyracks: raw-lane frame reached hash connector; parse records first")
+	default: // Partitioned
+		if f.Part < 0 || f.Part >= len(w.targets) {
+			return fmt.Errorf("hyracks: frame for partition %d reached a connector with %d targets", f.Part, len(w.targets))
 		}
-		if len(f.Records) == 0 {
-			RecycleFrame(f)
-			return nil
-		}
-		// Every record is hashed as the check that its producer routed
-		// it here; the frame then goes on whole, Enc included.
-		t := w.target(f.Records[0])
-		for _, rec := range f.Records[1:] {
-			if w.target(rec) != t {
-				return ErrUnroutedFrame
-			}
-		}
-		return w.send(t, f)
+		return w.send(f.Part, f)
 	}
-}
-
-// target is the partition a record hashes to.
-func (w *connectorWriter) target(rec adm.Value) int {
-	return int(w.spec.hashKey(rec) % uint64(len(w.targets)))
 }
 
 func (w *connectorWriter) Close() error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -108,8 +109,9 @@ func TestJobRoundRobinBalances(t *testing.T) {
 	}
 }
 
-// routedSource emits records as a hash connector's producer must: each
-// frame holds records of one target only.
+// routedSource emits records as a Partitioned connector's producer
+// must: each frame holds records of one target only and names it in
+// Part.
 func routedSource(recs []adm.Value, frameCap, targets int, keyFn func(adm.Value) uint64) Source {
 	return SourceFunc(func(tc *TaskContext, out Writer) error {
 		if err := out.Open(); err != nil {
@@ -122,14 +124,20 @@ func routedSource(recs []adm.Value, frameCap, targets int, keyFn func(adm.Value)
 					mine = append(mine, rec)
 				}
 			}
-			if err := (&SliceSource{Records: mine, FrameCap: frameCap}).Run(tc, out); err != nil {
-				return err
+			for len(mine) > 0 {
+				n := min(frameCap, len(mine))
+				if err := out.Push(Frame{Records: append(GetRecordSlice(n), mine[:n]...), Part: t}); err != nil {
+					return err
+				}
+				mine = mine[n:]
 			}
 		}
 		return nil
 	})
 }
 
+// TestJobHashPartitioning: frames a producer addresses by Part reach
+// exactly that partition, all of them.
 func TestJobHashPartitioning(t *testing.T) {
 	const parts = 3
 	keyFn := func(rec adm.Value) uint64 { return adm.Hash(rec.Field("id")) }
@@ -145,7 +153,7 @@ func TestJobHashPartitioning(t *testing.T) {
 		Name: "sink", Parallelism: parts,
 		NewPipe: func(p int) (Pipe, error) { return collectors[p].Sink(), nil },
 	})
-	spec.Connect(src, sink, HashPartition, keyFn)
+	spec.Connect(src, sink, Partitioned, nil)
 	job, err := spec.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -157,10 +165,10 @@ func TestJobHashPartitioning(t *testing.T) {
 	for p := 0; p < parts; p++ {
 		recs := collectors[p].Records()
 		total += len(recs)
-		// Every record in partition p must hash there.
+		// Every record in partition p was addressed there.
 		for _, r := range recs {
 			if int(keyFn(r)%parts) != p {
-				t.Fatalf("record %v routed to wrong partition %d", r, p)
+				t.Fatalf("record %v addressed elsewhere reached partition %d", r, p)
 			}
 		}
 	}
@@ -169,35 +177,41 @@ func TestJobHashPartitioning(t *testing.T) {
 	}
 }
 
-// TestHashConnectorRejectsUnroutedFrame: a frame whose records hash to
-// two targets fails the job with ErrUnroutedFrame, and nothing reaches
-// any target — the connector moves frames, it does not split them.
-func TestHashConnectorRejectsUnroutedFrame(t *testing.T) {
+// TestPartitionedConnectorRejectsOutOfRangePart: a frame whose Part
+// names no target fails the job, and nothing reaches any target.
+func TestPartitionedConnectorRejectsOutOfRangePart(t *testing.T) {
 	const parts = 2
-	keyFn := func(rec adm.Value) uint64 { return uint64(rec.Field("id").IntVal()) }
-	spec := NewJobSpec()
-	src := spec.AddOperator(&Descriptor{
-		Name: "src", Parallelism: 1,
-		NewSource: func(int) (Source, error) {
-			return &SliceSource{Records: intRecords(2), FrameCap: 64}, nil // ids 0 and 1
-		},
-	})
-	var collectors [parts]Collector
-	sink := spec.AddOperator(&Descriptor{
-		Name: "sink", Parallelism: parts,
-		NewPipe: func(p int) (Pipe, error) { return collectors[p].Sink(), nil },
-	})
-	spec.Connect(src, sink, HashPartition, keyFn)
-	job, err := spec.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := job.Wait(); !errors.Is(err, ErrUnroutedFrame) {
-		t.Fatalf("Wait = %v, want ErrUnroutedFrame", err)
-	}
-	for p := range collectors {
-		if n := collectors[p].Len(); n != 0 {
-			t.Fatalf("target %d received %d records of an unrouted frame", p, n)
+	for _, part := range []int{parts, -1} {
+		spec := NewJobSpec()
+		src := spec.AddOperator(&Descriptor{
+			Name: "src", Parallelism: 1,
+			NewSource: func(int) (Source, error) {
+				return SourceFunc(func(_ *TaskContext, out Writer) error {
+					if err := out.Open(); err != nil {
+						return err
+					}
+					return out.Push(Frame{Records: append(GetRecordSlice(2), intRecords(2)...), Part: part})
+				}), nil
+			},
+		})
+		var collectors [parts]Collector
+		sink := spec.AddOperator(&Descriptor{
+			Name: "sink", Parallelism: parts,
+			NewPipe: func(p int) (Pipe, error) { return collectors[p].Sink(), nil },
+		})
+		spec.Connect(src, sink, Partitioned, nil)
+		job, err := spec.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("frame for partition %d", part)
+		if err := job.Wait(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Part %d: Wait = %v, want an error naming %q", part, err, want)
+		}
+		for p := range collectors {
+			if n := collectors[p].Len(); n != 0 {
+				t.Fatalf("Part %d: target %d received %d records", part, p, n)
+			}
 		}
 	}
 }
@@ -347,13 +361,6 @@ func TestJobSpecValidation(t *testing.T) {
 	spec.Connect(a, b, OneToOne, nil)
 	if _, err := spec.Run(context.Background()); err == nil {
 		t.Error("mismatched one-to-one should fail validation")
-	}
-	// Hash without key.
-	spec = NewJobSpec()
-	a, b = mkSrc(spec, 1), mkSink(spec, 2)
-	spec.Connect(a, b, HashPartition, nil)
-	if _, err := spec.Run(context.Background()); err == nil {
-		t.Error("hash without key should fail validation")
 	}
 	// Pipe with no input.
 	spec = NewJobSpec()

@@ -47,8 +47,7 @@ func (m *MapPipe) Close(*TaskContext, Writer) error { return nil }
 
 // SinkPipe consumes records with fn and forwards nothing.
 type SinkPipe struct {
-	Fn      func(tc *TaskContext, f Frame) error
-	OnClose func(tc *TaskContext) error
+	Fn func(tc *TaskContext, f Frame) error
 }
 
 // Open implements Pipe.
@@ -60,9 +59,4 @@ func (s *SinkPipe) Push(tc *TaskContext, f Frame, _ Writer) error {
 }
 
 // Close implements Pipe.
-func (s *SinkPipe) Close(tc *TaskContext, _ Writer) error {
-	if s.OnClose != nil {
-		return s.OnClose(tc)
-	}
-	return nil
-}
+func (s *SinkPipe) Close(*TaskContext, Writer) error { return nil }

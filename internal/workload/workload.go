@@ -227,123 +227,116 @@ func pad(n int) adm.Value {
 	return adm.String(strings.Repeat("p", n))
 }
 
-// FillSafetyRatings loads the Q1 reference dataset.
-func (g *Generator) FillSafetyRatings(ds *lsm.Dataset) error {
-	for i := 0; i < g.sizes.SafetyRatings; i++ {
-		rec := adm.ObjectFromPairs(
-			"country_code", adm.String(g.country(i)),
-			"safety_rating", adm.String(fmt.Sprintf("%d", g.rng.Intn(5)+1)),
-			"pad", pad(30),
-		)
-		if err := ds.Upsert(adm.ObjectValue(rec)); err != nil {
-			return err
+// fillChunk is how many rows a Fill loader hands Dataset.UpsertBatch at
+// a time: one group commit per partition per chunk instead of one per row.
+const fillChunk = 1024
+
+// fill loads n rows into ds, row(i) building row i. Rows are built in
+// order, so they draw from the generator's RNG as a row-at-a-time loop
+// would, and are stored through Dataset.UpsertBatch in chunks.
+func fill(ds *lsm.Dataset, n int, row func(i int) *adm.Object) error {
+	batch := make([]adm.Value, 0, min(n, fillChunk))
+	for i := 0; i < n; i++ {
+		batch = append(batch, adm.ObjectValue(row(i)))
+		if len(batch) == cap(batch) || i == n-1 {
+			if err := ds.UpsertBatch(batch); err != nil {
+				return err
+			}
+			batch = batch[:0]
 		}
 	}
 	return nil
 }
 
+// FillSafetyRatings loads the Q1 reference dataset.
+func (g *Generator) FillSafetyRatings(ds *lsm.Dataset) error {
+	return fill(ds, g.sizes.SafetyRatings, func(i int) *adm.Object {
+		return adm.ObjectFromPairs(
+			"country_code", adm.String(g.country(i)),
+			"safety_rating", adm.String(fmt.Sprintf("%d", g.rng.Intn(5)+1)),
+			"pad", pad(30),
+		)
+	})
+}
+
 // FillReligiousPopulations loads the Q2/Q3 reference dataset: one row
 // per (country, religion).
 func (g *Generator) FillReligiousPopulations(ds *lsm.Dataset) error {
-	for i := 0; i < g.sizes.ReligiousPopulations; i++ {
+	return fill(ds, g.sizes.ReligiousPopulations, func(i int) *adm.Object {
 		country := i / len(religions)
-		rec := adm.ObjectFromPairs(
+		return adm.ObjectFromPairs(
 			"rid", adm.String(fmt.Sprintf("rp%08d", i)),
 			"country_name", adm.String(g.country(country%g.countries)),
 			"religion_name", adm.String(religions[i%len(religions)]),
 			"population", adm.Int(int64(g.rng.Intn(5_000_000))),
 			"pad", pad(60),
 		)
-		if err := ds.Upsert(adm.ObjectValue(rec)); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // FillSuspectsNames loads the Q4 reference dataset (the paper's
 // SensitiveNamesDataset for the fuzzy similarity join).
 func (g *Generator) FillSuspectsNames(ds *lsm.Dataset) error {
-	for i := 0; i < g.sizes.SuspectsNames; i++ {
-		rec := adm.ObjectFromPairs(
+	return fill(ds, g.sizes.SuspectsNames, func(i int) *adm.Object {
+		return adm.ObjectFromPairs(
 			"id", adm.Int(int64(i)),
 			"sensitiveName", adm.String(fmt.Sprintf("user%06d", i)),
 			"religionName", adm.String(religions[i%len(religions)]),
 			"pad", pad(70),
 		)
-		if err := ds.Upsert(adm.ObjectValue(rec)); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // FillMonumentList loads the Q5 reference dataset.
 func (g *Generator) FillMonumentList(ds *lsm.Dataset) error {
-	for i := 0; i < g.sizes.MonumentList; i++ {
+	return fill(ds, g.sizes.MonumentList, func(i int) *adm.Object {
 		x, y := g.point()
-		rec := adm.ObjectFromPairs(
+		return adm.ObjectFromPairs(
 			"monument_id", adm.String(fmt.Sprintf("m%08d", i)),
 			"monument_location", adm.Point(x, y),
 			"pad", pad(40),
 		)
-		if err := ds.Upsert(adm.ObjectValue(rec)); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // FillReligiousBuildings loads the Q6/Q8 reference dataset.
 func (g *Generator) FillReligiousBuildings(ds *lsm.Dataset) error {
-	for i := 0; i < g.sizes.ReligiousBuildings; i++ {
+	return fill(ds, g.sizes.ReligiousBuildings, func(i int) *adm.Object {
 		x, y := g.point()
-		rec := adm.ObjectFromPairs(
+		return adm.ObjectFromPairs(
 			"religious_building_id", adm.String(fmt.Sprintf("b%07d", i)),
 			"religion_name", adm.String(religions[i%len(religions)]),
 			"building_location", adm.Point(x, y),
 			"registered_believer", adm.Int(int64(g.rng.Intn(50_000))),
 			"pad", pad(110),
 		)
-		if err := ds.Upsert(adm.ObjectValue(rec)); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // FillFacilities loads the Q6/Q7 reference dataset.
 func (g *Generator) FillFacilities(ds *lsm.Dataset) error {
-	for i := 0; i < g.sizes.Facilities; i++ {
+	return fill(ds, g.sizes.Facilities, func(i int) *adm.Object {
 		x, y := g.point()
-		rec := adm.ObjectFromPairs(
+		return adm.ObjectFromPairs(
 			"facility_id", adm.String(fmt.Sprintf("f%07d", i)),
 			"facility_location", adm.Point(x, y),
 			"facility_type", adm.String(facilityTypes[g.rng.Intn(len(facilityTypes))]),
 			"pad", pad(70),
 		)
-		if err := ds.Upsert(adm.ObjectValue(rec)); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // FillSensitiveNames loads the Q6 reference dataset (exact-name join).
 func (g *Generator) FillSensitiveNames(ds *lsm.Dataset) error {
-	for i := 0; i < g.sizes.SensitiveNames; i++ {
-		rec := adm.ObjectFromPairs(
+	return fill(ds, g.sizes.SensitiveNames, func(i int) *adm.Object {
+		return adm.ObjectFromPairs(
 			"suspicious_name_id", adm.String(fmt.Sprintf("s%08d", i)),
 			"suspicious_name", adm.String(fmt.Sprintf("Name %06d", i)),
 			"religion_name", adm.String(religions[i%len(religions)]),
 			"threat_level", adm.Int(int64(g.rng.Intn(10))),
 			"pad", pad(70),
 		)
-		if err := ds.Upsert(adm.ObjectValue(rec)); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // districtGrid computes the district tiling: cols × rows == n exactly
@@ -372,35 +365,27 @@ func DistrictRect(i, total int) (x1, y1, x2, y2 float64) {
 
 // FillDistrictAreas loads the Q7 district tiling.
 func (g *Generator) FillDistrictAreas(ds *lsm.Dataset) error {
-	for i := 0; i < g.sizes.DistrictArea; i++ {
+	return fill(ds, g.sizes.DistrictArea, func(i int) *adm.Object {
 		x1, y1, x2, y2 := DistrictRect(i, g.sizes.DistrictArea)
-		rec := adm.ObjectFromPairs(
+		return adm.ObjectFromPairs(
 			"district_area_id", adm.String(fmt.Sprintf("d%05d", i)),
 			"district_area", adm.Rectangle(x1, y1, x2, y2),
 			"pad", pad(60),
 		)
-		if err := ds.Upsert(adm.ObjectValue(rec)); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // FillAverageIncomes loads the Q7 income table. It is keyed by
 // district_area_id (the paper's schema), so its effective cardinality is
 // capped at the district count; IncomeRows reports the loaded count.
 func (g *Generator) FillAverageIncomes(ds *lsm.Dataset) error {
-	for i := 0; i < g.IncomeRows(); i++ {
-		rec := adm.ObjectFromPairs(
+	return fill(ds, g.IncomeRows(), func(i int) *adm.Object {
+		return adm.ObjectFromPairs(
 			"district_area_id", adm.String(fmt.Sprintf("d%05d", i)),
 			"average_income", adm.Double(20_000+g.rng.Float64()*90_000),
 			"pad", pad(50),
 		)
-		if err := ds.Upsert(adm.ObjectValue(rec)); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // IncomeRows is the effective AverageIncomes cardinality: one row per
@@ -417,54 +402,42 @@ func (g *Generator) IncomeRows() int {
 // for the 10⁹ → scaled substitution).
 func (g *Generator) FillResidents(ds *lsm.Dataset) error {
 	ethnicities := []string{"e1", "e2", "e3", "e4", "e5", "e6"}
-	for i := 0; i < g.sizes.Residents; i++ {
+	return fill(ds, g.sizes.Residents, func(i int) *adm.Object {
 		x, y := g.point()
-		rec := adm.ObjectFromPairs(
+		return adm.ObjectFromPairs(
 			"person_id", adm.String(fmt.Sprintf("p%09d", i)),
 			"ethnicity", adm.String(ethnicities[g.rng.Intn(len(ethnicities))]),
 			"location", adm.Point(x, y),
 			"pad", pad(50),
 		)
-		if err := ds.Upsert(adm.ObjectValue(rec)); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // FillAttackEvents loads the Q8 reference dataset: events in the two
 // months before Epoch so the temporal window matches.
 func (g *Generator) FillAttackEvents(ds *lsm.Dataset) error {
-	for i := 0; i < g.sizes.AttackEvents; i++ {
+	return fill(ds, g.sizes.AttackEvents, func(i int) *adm.Object {
 		x, y := g.point()
 		at := Epoch - int64(g.rng.Intn(75*24*3600))*1000
-		rec := adm.ObjectFromPairs(
+		return adm.ObjectFromPairs(
 			"attack_record_id", adm.String(fmt.Sprintf("a%06d", i)),
 			"attack_datetime", adm.DateTimeMillis(at),
 			"attack_location", adm.Point(x, y),
 			"related_religion", adm.String(religions[i%len(religions)]),
 			"pad", pad(90),
 		)
-		if err := ds.Upsert(adm.ObjectValue(rec)); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // FillSensitiveWords loads the UDF-2 keyword list.
 func (g *Generator) FillSensitiveWords(ds *lsm.Dataset) error {
-	for i := 0; i < g.sizes.SensitiveWords; i++ {
-		rec := adm.ObjectFromPairs(
+	return fill(ds, g.sizes.SensitiveWords, func(i int) *adm.Object {
+		return adm.ObjectFromPairs(
 			"id", adm.Int(int64(i)),
 			"country", adm.String(g.randomCountry()),
 			"word", adm.String(sensitiveWords[i%len(sensitiveWords)]),
 		)
-		if err := ds.Upsert(adm.ObjectValue(rec)); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // UpdateRecord produces a fresh upsert for the named reference dataset —
