@@ -15,25 +15,46 @@ import (
 // retired run's entries can never be confused with its successor's.
 //
 // The cache is sharded to keep the lock off the read hot path's
-// profile; each shard runs its own LRU list under its own mutex within
-// an even split of the byte budget.
+// profile; each shard keeps its entries under its own mutex within an
+// even split of the byte budget, on one of two lists, the way 2Q does
+// (Johnson & Shasha, VLDB 1994):
+//
+//   - hot, an LRU of the blocks point reads asked for;
+//   - ring, a FIFO of the blocks scans loaded.
+//
+// A point miss enters hot; a point hit moves its entry to hot's head,
+// out of the ring if it was there. A scan miss joins the ring; a scan
+// hit moves nothing. So a scan never reorders hot, and it displaces hot
+// only while the ring holds no more than its share (ringShare) of the
+// shard: past that, a scan recycles the ring's own oldest blocks. The
+// ring is what lets concurrent scans of the same data share loads — a
+// trailing scan hits the blocks a leading one just brought in.
 //
 // Residency is all the cache decides. Block bytes are garbage-collected,
 // so a reader keeps the block it was handed — and every view into it —
 // through eviction, dropRun and the cache itself, and there is nothing
-// to give back. The budget is enforced at admission time: an insert
-// evicts from the cold end until the shard fits, the block just inserted
-// included when it alone exceeds the shard's split.
+// to give back. The budget is enforced at admission time, and only a
+// shard over its split evicts, so while there is room a scan fills the
+// cache as a point read would. An over-budget insert evicts one victim
+// at a time until the shard fits — the ring's oldest entry when the ring
+// holds more than its share or hot is empty, else hot's coldest — the
+// block just inserted included when it alone exceeds the shard's split.
 type BlockCache struct {
 	shardBudget int64
 	shards      [blockCacheShards]cacheShard
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
+	hits, scanHits     atomic.Uint64
+	misses, scanMisses atomic.Uint64
+	evictions          atomic.Uint64
 }
 
 const blockCacheShards = 8
+
+// An over-budget shard evicts from its scan ring first while the ring
+// holds more than 1/ringShare of the shard's split: a quarter, 2Q's
+// published default for its probationary queue (Kin = 25 %), not a
+// figure tuned to any workload.
+const ringShare = 4
 
 // DefaultBlockCacheBytes is the budget used when a cluster does not set
 // one explicitly.
@@ -50,6 +71,10 @@ type CacheStats struct {
 	// Entries / Bytes gauge the cached population.
 	BlockCacheEntries int
 	BlockCacheBytes   int64
+	// ScanHits / ScanMisses are the share of Hits / Misses that scans
+	// made; point reads made the rest.
+	BlockCacheScanHits   uint64
+	BlockCacheScanMisses uint64
 }
 
 type blockKey struct {
@@ -58,25 +83,37 @@ type blockKey struct {
 }
 
 // blockEntry is one cached block. blk is immutable once published; the
-// LRU links are owned by the shard lock.
+// list links and inRing are owned by the shard lock.
 type blockEntry struct {
 	key        blockKey
 	blk        block
+	inRing     bool
 	prev, next *blockEntry
 }
 
-// cacheShard is one LRU region: head is hottest, tail coldest.
+// blockList is an intrusive list: entries join at head and leave from
+// tail, so it is an LRU when a touched entry moves back to head (hot)
+// and a FIFO when nothing moves (ring).
+type blockList struct {
+	head, tail *blockEntry
+}
+
+// cacheShard is one region of the cache: its two lists, and the bytes
+// all of its entries and the ring's alone hold.
 type cacheShard struct {
-	mu      sync.Mutex
-	used    int64
-	entries map[blockKey]*blockEntry
-	head    *blockEntry
-	tail    *blockEntry
+	mu       sync.Mutex
+	used     int64
+	ringUsed int64
+	entries  map[blockKey]*blockEntry
+	hot      blockList
+	ring     blockList
 }
 
 // NewBlockCache creates a cache with the given byte budget across all
-// shards. Budgets smaller than the shard count are clamped so every
-// shard can hold at least something.
+// shards. Budgets smaller than the shard count are clamped to one byte a
+// shard, so no split is zero or negative and eviction always stops, at
+// the latest at an empty shard; a split smaller than a block keeps
+// nothing resident (every block is handed to its reader and dropped).
 func NewBlockCache(budget int64) *BlockCache {
 	if budget < blockCacheShards {
 		budget = blockCacheShards
@@ -94,41 +131,54 @@ func (c *BlockCache) shard(k blockKey) *cacheShard {
 	return &c.shards[(k.run*31+uint64(k.block))%blockCacheShards]
 }
 
-// get returns the resident block, or false on a miss.
-func (c *BlockCache) get(run uint64, i int) (block, bool) {
+// get returns the resident block, or false on a miss. scan says whether
+// a scan or a point read asks, which decides what a hit moves.
+func (c *BlockCache) get(run uint64, i int, scan bool) (block, bool) {
 	k := blockKey{run: run, block: i}
 	s := c.shard(k)
 	s.mu.Lock()
 	e, ok := s.entries[k]
+	if ok {
+		s.touch(e, scan)
+	}
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		c.misses.Add(1)
+		if scan {
+			c.scanMisses.Add(1)
+		}
 		return block{}, false
 	}
-	s.moveToFront(e)
-	s.mu.Unlock()
 	c.hits.Add(1)
+	if scan {
+		c.scanHits.Add(1)
+	}
 	return e.blk, true
 }
 
-// insert publishes a freshly loaded block and returns the block to read.
-// If another reader raced the same block in, the resident copy wins (and
-// is returned) so concurrent readers share one.
-func (c *BlockCache) insert(run uint64, i int, blk block) block {
+// insert publishes a freshly loaded block — into hot for a point read,
+// into the ring for a scan — and returns the block to read. If another
+// reader raced the same block in, the resident copy wins (and is
+// returned, touched as a hit) so concurrent readers share one.
+func (c *BlockCache) insert(run uint64, i int, blk block, scan bool) block {
 	k := blockKey{run: run, block: i}
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[k]; ok {
-		s.moveToFront(e)
+		s.touch(e, scan)
 		return e.blk
 	}
 	e := &blockEntry{key: k, blk: blk}
 	s.entries[k] = e
-	s.pushFront(e)
 	s.used += blk.size()
+	s.link(e, scan)
 	for s.used > c.shardBudget {
-		s.remove(s.tail)
+		victim := s.hot.tail
+		if s.ringUsed > c.shardBudget/ringShare || victim == nil {
+			victim = s.ring.tail
+		}
+		s.remove(victim)
 		c.evictions.Add(1)
 	}
 	return blk
@@ -148,19 +198,51 @@ func (c *BlockCache) dropRun(run uint64) {
 	}
 }
 
-// remove takes e out of the shard: map, list and byte count.
+// touch applies a hit: a point read moves e to hot's head, out of the
+// ring if it was there; a scan moves nothing.
+func (s *cacheShard) touch(e *blockEntry, scan bool) {
+	if !scan {
+		s.unlink(e)
+		s.link(e, false)
+	}
+}
+
+// remove takes e out of the shard: map, list and byte counts.
 func (s *cacheShard) remove(e *blockEntry) {
 	delete(s.entries, e.key)
-	s.unlink(e)
 	s.used -= e.blk.size()
+	s.unlink(e)
+}
+
+// link puts e at the head of the ring (a scan's block) or of hot.
+func (s *cacheShard) link(e *blockEntry, scan bool) {
+	e.inRing = scan
+	if scan {
+		s.ringUsed += e.blk.size()
+		s.ring.pushFront(e)
+	} else {
+		s.hot.pushFront(e)
+	}
+}
+
+// unlink takes e off whichever list holds it.
+func (s *cacheShard) unlink(e *blockEntry) {
+	if e.inRing {
+		s.ringUsed -= e.blk.size()
+		s.ring.unlink(e)
+	} else {
+		s.hot.unlink(e)
+	}
 }
 
 // Stats snapshots the cache counters and gauges.
 func (c *BlockCache) Stats() CacheStats {
 	st := CacheStats{
-		BlockCacheHits:      c.hits.Load(),
-		BlockCacheMisses:    c.misses.Load(),
-		BlockCacheEvictions: c.evictions.Load(),
+		BlockCacheHits:       c.hits.Load(),
+		BlockCacheMisses:     c.misses.Load(),
+		BlockCacheEvictions:  c.evictions.Load(),
+		BlockCacheScanHits:   c.scanHits.Load(),
+		BlockCacheScanMisses: c.scanMisses.Load(),
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -172,36 +254,28 @@ func (c *BlockCache) Stats() CacheStats {
 	return st
 }
 
-func (s *cacheShard) pushFront(e *blockEntry) {
+func (l *blockList) pushFront(e *blockEntry) {
 	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
+	e.next = l.head
+	if l.head != nil {
+		l.head.prev = e
 	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+	l.head = e
+	if l.tail == nil {
+		l.tail = e
 	}
 }
 
-func (s *cacheShard) unlink(e *blockEntry) {
+func (l *blockList) unlink(e *blockEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
-	} else if s.head == e {
-		s.head = e.next
+	} else if l.head == e {
+		l.head = e.next
 	}
 	if e.next != nil {
 		e.next.prev = e.prev
-	} else if s.tail == e {
-		s.tail = e.prev
+	} else if l.tail == e {
+		l.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
-}
-
-func (s *cacheShard) moveToFront(e *blockEntry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
 }

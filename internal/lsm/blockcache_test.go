@@ -3,6 +3,7 @@ package lsm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,16 +12,17 @@ import (
 )
 
 // TestBlockCacheOps unit-tests the shard accounting: get/insert, LRU
-// eviction under budget pressure, dropRun, and a block no shard can hold.
+// eviction under budget pressure, the scan ring beside the hot list,
+// dropRun, and a block no shard can hold.
 func TestBlockCacheOps(t *testing.T) {
 	blk := loadTestBlock(t, []index.Item{{Key: adm.Int(1), Val: adm.String("x")}})
 	perEntry := blk.size()
 
 	c := NewBlockCache(perEntry * blockCacheShards * 2) // 2 entries per shard
-	if _, ok := c.get(1, 0); ok {
+	if _, ok := c.get(1, 0, false); ok {
 		t.Fatal("get on empty cache hit")
 	}
-	c.insert(1, 0, blk)
+	c.insert(1, 0, blk, false)
 	st := c.Stats()
 	if st.BlockCacheEntries != 1 || st.BlockCacheBytes != perEntry || st.BlockCacheMisses != 1 {
 		t.Fatalf("after insert: %+v", st)
@@ -28,15 +30,21 @@ func TestBlockCacheOps(t *testing.T) {
 	// A second reader gets the resident block; a racing insert of the same
 	// block does too, and adds nothing.
 	other := loadTestBlock(t, []index.Item{{Key: adm.Int(1), Val: adm.String("x")}})
-	got, ok := c.get(1, 0)
+	got, ok := c.get(1, 0, false)
 	if !ok || &got.data[0] != &blk.data[0] {
 		t.Fatal("get did not return the resident block")
 	}
-	if got = c.insert(1, 0, other); &got.data[0] != &blk.data[0] {
+	if got = c.insert(1, 0, other, false); &got.data[0] != &blk.data[0] {
 		t.Fatal("a racing insert replaced the resident block")
 	}
 	if st = c.Stats(); st.BlockCacheEntries != 1 || st.BlockCacheBytes != perEntry || st.BlockCacheHits != 1 {
 		t.Fatalf("after the second reader: %+v", st)
+	}
+	// Scan traffic is counted apart, inside the totals.
+	c.get(1, 0, true)
+	c.get(1, 1, true)
+	if st = c.Stats(); st.BlockCacheScanHits != 1 || st.BlockCacheScanMisses != 1 || st.BlockCacheHits != 2 || st.BlockCacheMisses != 2 {
+		t.Fatalf("after a scan hit and a scan miss: %+v", st)
 	}
 
 	// dropRun frees the run's entries; the block a reader holds stays
@@ -51,21 +59,23 @@ func TestBlockCacheOps(t *testing.T) {
 
 	// Budget pressure evicts from the cold end, and a get warms: the block
 	// touched before every insert survives 64 of them.
-	c.insert(3, 0, blk)
+	c.insert(3, 0, blk, false)
 	for i := 1; i < 64; i++ {
-		if _, ok := c.get(3, 0); !ok {
+		if _, ok := c.get(3, 0, false); !ok {
 			t.Fatalf("the hottest block was evicted at insert %d", i)
 		}
-		c.insert(3, i, blk)
+		c.insert(3, i, blk, false)
 	}
 	st = c.Stats()
 	if st.BlockCacheEvictions == 0 || st.BlockCacheBytes > perEntry*blockCacheShards*2 {
 		t.Fatalf("under %dx budget pressure: %+v", 64, st)
 	}
 
+	checkRing(t, blk)
+
 	// A block larger than a shard's split is handed back to its reader and
-	// is not resident afterwards; what the shard held goes with it and the
-	// list stays usable.
+	// is not resident afterwards; what the shard held, on either list,
+	// goes with it and both lists stay usable.
 	items := make([]index.Item, 8)
 	for i := range items {
 		items[i] = index.Item{Key: adm.Int(int64(i)), Val: adm.String("payload-payload-payload-payload")}
@@ -74,20 +84,95 @@ func TestBlockCacheOps(t *testing.T) {
 	if big.size() <= 2*perEntry {
 		t.Fatalf("the large block is %d bytes, a shard's split %d", big.size(), 2*perEntry)
 	}
-	if got = c.insert(4, 0, big); got.entries() != len(items) {
+	s := c.shard(blockKey{run: 4, block: 0})
+	// Run 4's blocks 0, 8, 16, ... share s: (4*31+8i) % 8 == (4*31) % 8.
+	c.dropRun(3) // room for a scan's block: a full shard this small keeps none
+	c.insert(4, 16, blk, true)
+	if s.ring.head == nil {
+		t.Fatal("a scan's block did not join the ring")
+	}
+	if got = c.insert(4, 0, big, false); got.entries() != len(items) {
 		t.Fatalf("insert returned a block of %d entries, want %d", got.entries(), len(items))
 	}
-	if _, ok := c.get(4, 0); ok {
+	if _, ok := c.get(4, 0, false); ok {
 		t.Fatal("a block larger than its shard's split stayed resident")
 	}
-	s := c.shard(blockKey{run: 4, block: 0})
-	if s.used != 0 || len(s.entries) != 0 || s.head != nil || s.tail != nil {
-		t.Fatalf("the shard after the large block: used %d, %d entries, head %v, tail %v", s.used, len(s.entries), s.head, s.tail)
+	if s.used != 0 || s.ringUsed != 0 || len(s.entries) != 0 || s.hot != (blockList{}) || s.ring != (blockList{}) {
+		t.Fatalf("the shard after the large block: used %d (ring %d), %d entries, hot %v, ring %v", s.used, s.ringUsed, len(s.entries), s.hot, s.ring)
 	}
-	c.insert(4, 8, blk) // the same shard: (4*31+8) % 8 == (4*31+0) % 8
-	if _, ok := c.get(4, 8); !ok || s.head == nil || s.head != s.tail || s.used != perEntry {
-		t.Fatalf("the shard does not take a block after the large one: used %d", s.used)
+	c.insert(4, 8, blk, false)
+	c.insert(4, 24, blk, true)
+	if s.hot.head == nil || s.hot.head != s.hot.tail || s.ring.head == nil || s.ring.head != s.ring.tail || s.used != 2*perEntry || s.ringUsed != perEntry {
+		t.Fatalf("the shard does not take a block on each list after the large one: used %d (ring %d)", s.used, s.ringUsed)
 	}
+	// A scan's oversized block takes the ring with it and leaves hot be.
+	c.insert(4, 32, big, true)
+	if _, ok := s.entries[blockKey{run: 4, block: 8}]; !ok || s.ring != (blockList{}) || s.ringUsed != 0 || s.used != perEntry {
+		t.Fatalf("after a scan's large block: hot kept %v, used %d (ring %d)", ok, s.used, s.ringUsed)
+	}
+}
+
+// checkRing drives one shard of a fresh cache, eight blocks large,
+// through the scan ring's rules: once point reads have filled the shard
+// the ring never holds more than its share, a scan hit reorders
+// nothing, and a point hit promotes a ring entry into hot.
+func checkRing(t *testing.T, blk block) {
+	t.Helper()
+	c := NewBlockCache(blk.size() * blockCacheShards * 8)
+	s := c.shard(blockKey{run: 5, block: 0})
+	key := func(i int) blockKey { return blockKey{run: 5, block: i * blockCacheShards} } // all in s
+	for i := 0; i < 8; i++ {
+		c.insert(5, key(i).block, blk, false)
+	}
+	if s.used != c.shardBudget || s.ring.head != nil {
+		t.Fatalf("eight point reads: used %d of %d, ring %v", s.used, c.shardBudget, s.ring)
+	}
+	for i := 8; i < 40; i++ {
+		c.insert(5, key(i).block, blk, true)
+		if s.ringUsed > c.shardBudget/ringShare || s.used > c.shardBudget {
+			t.Fatalf("scan insert %d: the ring holds %d bytes, its share %d (shard %d of %d)", i, s.ringUsed, c.shardBudget/ringShare, s.used, c.shardBudget)
+		}
+	}
+	// The ring took two hot blocks, the coldest, and has recycled itself
+	// since: the six hottest point blocks are still resident.
+	for i := 2; i < 8; i++ {
+		if _, ok := s.entries[key(i)]; !ok {
+			t.Fatalf("point block %d was evicted by a scan", i)
+		}
+	}
+
+	hot, ring := listKeys(s.hot), listKeys(s.ring)
+	if len(ring) != 2 || ring[0] != key(39) {
+		t.Fatalf("the ring is %v, want the scan's last two blocks, newest first", ring)
+	}
+	for _, k := range []blockKey{hot[len(hot)-1], ring[len(ring)-1]} {
+		if _, ok := c.get(k.run, k.block, true); !ok {
+			t.Fatalf("scan get of resident %v missed", k)
+		}
+	}
+	if !slices.Equal(listKeys(s.hot), hot) || !slices.Equal(listKeys(s.ring), ring) {
+		t.Fatalf("a scan hit reordered: hot %v -> %v, ring %v -> %v", hot, listKeys(s.hot), ring, listKeys(s.ring))
+	}
+
+	promoted := ring[1]
+	if _, ok := c.get(promoted.run, promoted.block, false); !ok {
+		t.Fatal("point get of a ring entry missed")
+	}
+	if e := s.entries[promoted]; e.inRing || s.hot.head != e || s.ringUsed != blk.size() || !slices.Equal(listKeys(s.ring), ring[:1]) {
+		t.Fatalf("a point hit did not promote %v: hot %v, ring %v (%d bytes)", promoted, listKeys(s.hot), listKeys(s.ring), s.ringUsed)
+	}
+	if s.used != c.shardBudget || len(s.entries) != 8 {
+		t.Fatalf("a promotion changed the shard's bytes: used %d in %d entries", s.used, len(s.entries))
+	}
+}
+
+// listKeys walks l from head to tail.
+func listKeys(l blockList) []blockKey {
+	var keys []blockKey
+	for e := l.head; e != nil; e = e.next {
+		keys = append(keys, e.key)
+	}
+	return keys
 }
 
 // loadTestBlock writes items as a one-block run and loads that block.
@@ -103,6 +188,94 @@ func loadTestBlock(t *testing.T, items []index.Item) block {
 		t.Fatalf("%d blocks, %v", len(rf.blocks), err)
 	}
 	return blk
+}
+
+// overBudgetPartition flushes records into one run of at least twice
+// the cache's budget and returns the partition and its run.
+func overBudgetPartition(t *testing.T, budget int64) (*Partition, *runFile) {
+	t.Helper()
+	opts := cachedOptions()
+	opts.MemBudget = 1 << 30
+	opts.BlockCache = NewBlockCache(budget)
+	p := flushedPartition(t, opts, 16000)
+	runs := partitionRuns(p)
+	if len(runs) != 1 {
+		t.Fatalf("%d runs, want 1", len(runs))
+	}
+	var size int64
+	for _, m := range runs[0].blocks {
+		size += int64(m.length)
+	}
+	if size < 2*budget {
+		t.Fatalf("the run holds %d bytes, not twice the cache's %d", size, budget)
+	}
+	return p, runs[0]
+}
+
+// TestBlockCacheScanKeepsPointBlocks: full scans of data twice the
+// cache's size pass through the scan ring and leave the blocks point
+// reads warmed resident — under a plain LRU the scans flushed them.
+func TestBlockCacheScanKeepsPointBlocks(t *testing.T) {
+	const n = 16000
+	p, _ := overBudgetPartition(t, 2<<20)
+	read := func() {
+		t.Helper()
+		for i := 0; i < 8; i++ {
+			k := int64(i*n/8 + 17)
+			if v, ok, err := p.Get(adm.Int(k)); !ok || err != nil || v.Field("id").IntVal() != k {
+				t.Fatalf("get %d = %v, %v, %v", k, v, ok, err)
+			}
+		}
+	}
+	read()
+	for i := 0; i < 2; i++ {
+		if got := liveLen(t, p.Snapshot()); got != n {
+			t.Fatalf("scan %d saw %d records", i, got)
+		}
+	}
+	before, cs := p.renv.ctr.blockReads.Load(), p.opts.BlockCache.Stats()
+	read()
+	if reads := p.renv.ctr.blockReads.Load() - before; reads != 0 || cs.BlockCacheEvictions == 0 {
+		t.Fatalf("point reads after two scans loaded %d blocks (the scans evicted %d)", reads, cs.BlockCacheEvictions)
+	}
+}
+
+// TestBlockCacheConcurrentScansShare: two cursors walk a run larger than
+// the cache in lockstep, the trailing one a few blocks behind, and every
+// block is loaded once — the trailer hits what the leader's scan put in
+// the ring. (A cache that never admitted a scan's block once full would
+// load each of those twice.)
+func TestBlockCacheConcurrentScansShare(t *testing.T) {
+	const gap = 4
+	p, run := overBudgetPartition(t, 1<<20)
+	step := func(c *runFileCursor) bool { // onto the next block's first entry
+		for b := c.block; c.block == b; {
+			if _, ok := c.next(); !ok {
+				return false
+			}
+		}
+		return true
+	}
+	before := p.renv.ctr.blockReads.Load()
+	lead, trail := run.cursor(), run.cursor()
+	for i := 0; i < gap; i++ {
+		step(lead)
+	}
+	for step(lead) {
+		step(trail)
+	}
+	for step(trail) {
+	}
+	if err := run.err(); err != nil {
+		t.Fatal(err)
+	}
+	cs := p.opts.BlockCache.Stats()
+	if reads := p.renv.ctr.blockReads.Load() - before; reads != uint64(len(run.blocks)) || cs.BlockCacheEvictions == 0 {
+		t.Fatalf("two scans of a %d-block run loaded %d blocks (%d evictions)", len(run.blocks), reads, cs.BlockCacheEvictions)
+	}
+	if cs.BlockCacheScanHits != uint64(len(run.blocks)) {
+		t.Fatalf("the trailing scan hit %d blocks of %d", cs.BlockCacheScanHits, len(run.blocks))
+	}
 }
 
 // diffOp drives one deterministic mixed workload step.

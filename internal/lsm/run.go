@@ -548,19 +548,21 @@ func parseBlock(data []byte, offs []uint32) (block, error) {
 }
 
 // block returns block i, through the cache when one is wired: a hit
-// returns the resident block, a miss loads it and publishes it.
-func (r *runFile) block(i int) (block, error) {
+// returns the resident block, a miss loads it and publishes it. scan
+// says a cursor asks rather than a point read, which decides where the
+// cache keeps the block (BlockCache).
+func (r *runFile) block(i int, scan bool) (block, error) {
 	if r.cache == nil {
 		return r.loadBlock(i, block{})
 	}
-	if b, ok := r.cache.get(r.id, i); ok {
+	if b, ok := r.cache.get(r.id, i, scan); ok {
 		return b, nil
 	}
 	b, err := r.loadBlock(i, block{})
 	if err != nil {
 		return block{}, err
 	}
-	return r.cache.insert(r.id, i, b), nil
+	return r.cache.insert(r.id, i, b, scan), nil
 }
 
 func (r *runFile) fail(err error) {
@@ -608,7 +610,7 @@ func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 	if lo == 0 {
 		return adm.Value{}, false, nil
 	}
-	blk, err := r.block(lo - 1)
+	blk, err := r.block(lo-1, false)
 	if err != nil {
 		r.fail(err)
 		return adm.Value{}, false, r.err()
@@ -677,7 +679,7 @@ func (c *runFileCursor) next() (index.Item, bool) {
 		if c.block >= len(c.r.blocks) {
 			return index.Item{}, false
 		}
-		blk, err := c.r.block(c.block)
+		blk, err := c.r.block(c.block, true)
 		if err != nil {
 			c.r.fail(err)
 			c.block = len(c.r.blocks)

@@ -87,7 +87,7 @@ func TestBlockCacheBudgetIsExact(t *testing.T) {
 		t.Fatalf("block 0 costs %d bytes, %v", blk.size(), err)
 	}
 	for i := 0; i < 4; i++ {
-		c.insert(1, i*blockCacheShards, blk) // same shard
+		c.insert(1, i*blockCacheShards, blk, false) // same shard
 		if st := c.Stats(); st.BlockCacheEntries != min(i+1, 3) {
 			t.Fatalf("after %d inserts: %+v", i+1, st)
 		}
