@@ -86,7 +86,7 @@ func testFrames(t testing.TB) [][]byte {
 		head, footer int // bytes around the frame sequence
 	}{
 		{"../lsm/testdata/wal-v1.golden", 8, 0},
-		{"../lsm/testdata/run-v2.golden", 8, 16},
+		{"../lsm/testdata/run-v3.golden", 8, 16},
 		{"../wire/testdata/conversation-v1.golden", 0, 0},
 	} {
 		data, err := os.ReadFile(filepath.FromSlash(g.path))

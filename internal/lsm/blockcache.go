@@ -5,14 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// BlockCache caches run-file blocks as the bytes the file holds (plus an
-// entry-offset table, see block), so warm point lookups and scans touch
-// no filesystem, and — records being handed up as views of those bytes —
-// decode nothing either. An entry costs exactly the bytes it holds, so
-// the budget is exact. One cache is shared by every partition of a
-// cluster (the budget is a deployment-level knob, like a buffer pool),
-// keyed by (run file id, block index) — run ids are process-unique, so a
-// retired run's entries can never be confused with its successor's.
+// BlockCache caches run-file blocks as their decoded payloads (plus
+// an entry-offset table, see block), so warm point lookups and scans
+// touch no filesystem and expand no lz stream, and — records being
+// handed up as views of those bytes — decode nothing either. An entry
+// costs exactly the bytes it holds, so the budget is exact. One cache
+// is shared by every partition of a cluster (the budget is a
+// deployment-level knob, like a buffer pool), keyed by (run file id,
+// block index) — run ids are process-unique, so a retired run's
+// entries can never be confused with its successor's.
 //
 // The cache is sharded to keep the lock off the read hot path's
 // profile; each shard keeps its entries under its own mutex within an
@@ -82,11 +83,14 @@ type blockKey struct {
 	block int
 }
 
-// blockEntry is one cached block. blk is immutable once published; the
-// list links and inRing are owned by the shard lock.
+// blockEntry is one cached block, or one being loaded. blk and err are
+// written once, by the load, before loaded is done; the list links and
+// inRing are owned by the shard lock.
 type blockEntry struct {
 	key        blockKey
 	blk        block
+	err        error
+	loaded     sync.WaitGroup
 	inRing     bool
 	prev, next *blockEntry
 }
@@ -98,13 +102,14 @@ type blockList struct {
 	head, tail *blockEntry
 }
 
-// cacheShard is one region of the cache: its two lists, and the bytes
-// all of its entries and the ring's alone hold.
+// cacheShard is one region of the cache: its two lists, the bytes all
+// of its entries and the ring's alone hold, and the loads in flight.
 type cacheShard struct {
 	mu       sync.Mutex
 	used     int64
 	ringUsed int64
 	entries  map[blockKey]*blockEntry
+	loading  map[blockKey]*blockEntry
 	hot      blockList
 	ring     blockList
 }
@@ -121,6 +126,7 @@ func NewBlockCache(budget int64) *BlockCache {
 	c := &BlockCache{shardBudget: budget / blockCacheShards}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[blockKey]*blockEntry)
+		c.shards[i].loading = make(map[blockKey]*blockEntry)
 	}
 	return c
 }
@@ -131,47 +137,70 @@ func (c *BlockCache) shard(k blockKey) *cacheShard {
 	return &c.shards[(k.run*31+uint64(k.block))%blockCacheShards]
 }
 
-// get returns the resident block, or false on a miss. scan says whether
-// a scan or a point read asks, which decides what a hit moves.
-func (c *BlockCache) get(run uint64, i int, scan bool) (block, bool) {
+// fetch returns block i of run: the resident block on a hit, else the
+// block load returns, published — into hot for a point read, into the
+// ring for a scan. scan also decides what a hit moves. A block is loaded
+// once however many readers miss it together: the first registers its
+// load, and the others wait for it and share its block (or its error),
+// counted as hits — they read nothing. Readers that each loaded a copy
+// would read and allocate the block once each.
+func (c *BlockCache) fetch(run uint64, i int, scan bool, load func() (block, error)) (block, error) {
 	k := blockKey{run: run, block: i}
 	s := c.shard(k)
 	s.mu.Lock()
 	e, ok := s.entries[k]
 	if ok {
 		s.touch(e, scan)
+	} else if e, ok = s.loading[k]; !ok {
+		// The entry is made before the load, so waiters have something to
+		// wait on and a miss allocates no more than it did.
+		e = &blockEntry{key: k}
+		e.loaded.Add(1)
+		s.loading[k] = e
+		s.mu.Unlock()
+		c.count(false, scan)
+		c.load(s, e, scan, load)
+		return e.blk, e.err
 	}
 	s.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		if scan {
-			c.scanMisses.Add(1)
-		}
-		return block{}, false
-	}
-	c.hits.Add(1)
-	if scan {
-		c.scanHits.Add(1)
-	}
-	return e.blk, true
+	c.count(true, scan)
+	e.loaded.Wait() // at once for a resident entry
+	return e.blk, e.err
 }
 
-// insert publishes a freshly loaded block — into hot for a point read,
-// into the ring for a scan — and returns the block to read. If another
-// reader raced the same block in, the resident copy wins (and is
-// returned, touched as a hit) so concurrent readers share one.
-func (c *BlockCache) insert(run uint64, i int, blk block, scan bool) block {
-	k := blockKey{run: run, block: i}
-	s := c.shard(k)
+// load runs a registered load and publishes its outcome: a block is
+// admitted, an error handed to the waiters alone.
+func (c *BlockCache) load(s *cacheShard, e *blockEntry, scan bool, load func() (block, error)) {
+	defer e.loaded.Done()
+	e.blk, e.err = load()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok {
-		s.touch(e, scan)
-		return e.blk
+	delete(s.loading, e.key)
+	if e.err == nil {
+		c.admit(s, e, scan)
 	}
-	e := &blockEntry{key: k, blk: blk}
-	s.entries[k] = e
-	s.used += blk.size()
+}
+
+// count records a lookup; scans are counted apart inside the totals.
+func (c *BlockCache) count(hit, scan bool) {
+	if hit {
+		c.hits.Add(1)
+		if scan {
+			c.scanHits.Add(1)
+		}
+		return
+	}
+	c.misses.Add(1)
+	if scan {
+		c.scanMisses.Add(1)
+	}
+}
+
+// admit makes e resident in s, under s's lock, and evicts until the
+// shard fits its split — e itself included, when it alone exceeds it.
+func (c *BlockCache) admit(s *cacheShard, e *blockEntry, scan bool) {
+	s.entries[e.key] = e
+	s.used += e.blk.size()
 	s.link(e, scan)
 	for s.used > c.shardBudget {
 		victim := s.hot.tail
@@ -181,7 +210,6 @@ func (c *BlockCache) insert(run uint64, i int, blk block, scan bool) block {
 		s.remove(victim)
 		c.evictions.Add(1)
 	}
-	return blk
 }
 
 // dropRun unlinks every entry of a retired run.

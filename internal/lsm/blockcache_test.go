@@ -1,15 +1,43 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/index"
 )
+
+// get is a lookup that never loads: the resident block (a hit, touched
+// as fetch touches it), or false (a miss).
+func (c *BlockCache) get(run uint64, i int, scan bool) (block, bool) {
+	b, err := c.fetch(run, i, scan, func() (block, error) { return block{}, errNotResident })
+	return b, err == nil
+}
+
+var errNotResident = errors.New("not resident")
+
+// insert publishes blk as a load that raced fetch's lookup would: the
+// resident copy, if there is one, wins and is touched; nothing is
+// counted.
+func (c *BlockCache) insert(run uint64, i int, blk block, scan bool) block {
+	k := blockKey{run: run, block: i}
+	s := c.shard(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.entries[k]; ok {
+		s.touch(e, scan)
+		return e.blk
+	}
+	c.admit(s, &blockEntry{key: k, blk: blk}, scan)
+	return blk
+}
 
 // TestBlockCacheOps unit-tests the shard accounting: get/insert, LRU
 // eviction under budget pressure, the scan ring beside the hot list,
@@ -191,7 +219,8 @@ func loadTestBlock(t *testing.T, items []index.Item) block {
 }
 
 // overBudgetPartition flushes records into one run of at least twice
-// the cache's budget and returns the partition and its run.
+// the cache's budget — in the decoded bytes the cache charges, not the
+// compressed bytes on disk — and returns the partition and its run.
 func overBudgetPartition(t *testing.T, budget int64) (*Partition, *runFile) {
 	t.Helper()
 	opts := cachedOptions()
@@ -203,8 +232,12 @@ func overBudgetPartition(t *testing.T, budget int64) (*Partition, *runFile) {
 		t.Fatalf("%d runs, want 1", len(runs))
 	}
 	var size int64
-	for _, m := range runs[0].blocks {
-		size += int64(m.length)
+	for i := range runs[0].blocks {
+		blk, err := runs[0].loadBlock(i, block{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += blk.size()
 	}
 	if size < 2*budget {
 		t.Fatalf("the run holds %d bytes, not twice the cache's %d", size, budget)
@@ -404,6 +437,66 @@ func TestBlockCacheDifferential(t *testing.T) {
 		got, ok, _ := pOn.Get(adm.Int(k))
 		if !ok || got.Field("v").IntVal() != want {
 			t.Fatalf("reopen: key %d = %v,%v want %d", k, got, ok, want)
+		}
+	}
+}
+
+// TestBlockCacheConcurrentMissesLoadOnce: readers that miss a block
+// while another reader loads it wait for that load and share its block —
+// or its error, after which the block is not resident and the next miss
+// loads again. Without the wait each loaded a copy of its own, and the
+// longer a load takes (a decode), the more of them did.
+func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
+	const waiters = 8
+	blk := loadTestBlock(t, []index.Item{{Key: adm.Int(1), Val: adm.String("x")}})
+	failed := errors.New("the one load failed")
+	for _, loadErr := range []error{nil, failed} {
+		c := NewBlockCache(1 << 20)
+		release := make(chan struct{})
+		var loads atomic.Int32
+		load := func() (block, error) {
+			loads.Add(1)
+			<-release
+			return blk, loadErr
+		}
+		var wg sync.WaitGroup
+		got := make([]block, waiters+1)
+		errs := make([]error, waiters+1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[0], errs[0] = c.fetch(7, 0, false, load)
+		}()
+		for loads.Load() == 0 {
+			runtime.Gosched()
+		}
+		for w := 1; w <= waiters; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[w], errs[w] = c.fetch(7, 0, w%2 == 0, load)
+			}()
+		}
+		for c.Stats().BlockCacheHits+uint64(loads.Load()-1) < waiters { // each joined the load, or started one
+			runtime.Gosched()
+		}
+		close(release)
+		wg.Wait()
+		if n := loads.Load(); n != 1 {
+			t.Fatalf("%d readers missing one block loaded it %d times", waiters+1, n)
+		}
+		for w := range got {
+			if errs[w] != loadErr || loadErr == nil && &got[w].data[0] != &blk.data[0] {
+				t.Fatalf("reader %d got %v, %v; the load returned %v", w, got[w].entries(), errs[w], loadErr)
+			}
+		}
+		st := c.Stats()
+		if resident := loadErr == nil; st.BlockCacheMisses != 1 || (st.BlockCacheEntries == 1) != resident || len(c.shard(blockKey{run: 7}).loading) != 0 {
+			t.Fatalf("after the shared load (error %v): %+v", loadErr, st)
+		}
+		again := 0
+		if _, err := c.fetch(7, 0, false, func() (block, error) { again++; return blk, nil }); err != nil || (again == 0) != (loadErr == nil) {
+			t.Fatalf("the next reader after a load that returned %v: %v, loading %d times", loadErr, err, again)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"github.com/ideadb/idea/internal/frame"
 )
 
-// Per-run bloom filters: a v2 run file carries one filter over its key
+// Per-run bloom filters: a run file carries one filter over its key
 // set, sized at build time from the entry count, so point lookups skip
 // the block read entirely for keys the run cannot contain.
 //
@@ -93,7 +93,7 @@ func (f *bloomFilter) mayContain(h uint64) bool {
 	return true
 }
 
-// appendPayload encodes the filter as the bloom-section payload of a v2
+// appendPayload encodes the filter as the bloom-section payload of a
 // run file: nbits:uvarint bits:ceil(nbits/8)B.
 func (f *bloomFilter) appendPayload(b []byte) []byte {
 	b = binary.AppendUvarint(b, f.nbits)

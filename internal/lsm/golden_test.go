@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/frame"
 	"github.com/ideadb/idea/internal/index"
 )
 
@@ -183,17 +184,59 @@ func checkGoldenRun(t *testing.T, rf *runFile, items []index.Item) {
 	}
 }
 
+// goldenItems is the golden record set, then repetitive records up to
+// the writer's cut — so they fill an lz-coded block — then one record of
+// incompressible bytes that the tail block stores as it is: the fixture
+// pins both codec bytes.
 func goldenItems() []index.Item {
 	keys, recs := goldenValues()
-	items := make([]index.Item, len(keys))
-	for i := range keys {
-		items[i] = index.Item{Key: keys[i], Val: recs[i]}
+	var items []index.Item
+	size := 0 // what the writer's first block holds
+	add := func(key, val adm.Value) {
+		items = append(items, index.Item{Key: key, Val: val})
+		size += len(adm.AppendBinary(adm.AppendBinary(nil, key), val))
 	}
+	for i := range 3 {
+		add(keys[i], recs[i])
+	}
+	for k := int64(4); size < runBlockTarget; k++ {
+		add(adm.Int(k), rec(k, "text", adm.String("the same few words, over and over again"), "n", adm.Int(k%7)))
+	}
+	add(adm.Int(1000), rec(1000, "noise", adm.String(noise(0, 1024))))
+	add(keys[3], recs[3])
 	return items
 }
 
-// TestGoldenRunFile pins the version-2 run-file format: header, block
-// framing, bloom section, extended block index, footer.
+// noise is n bytes of the pseudo-random sequence seed names, over 64
+// letters: no four of them repeat often enough for the lz codec to
+// shorten them.
+func noise(seed uint64, n int) string {
+	const letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	b := make([]byte, n)
+	x := 0x9E3779B97F4A7C15 ^ seed
+	for i := range b {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		b[i] = letters[x>>58]
+	}
+	return string(b)
+}
+
+// blockCodecs reads the codec byte of each of a run's blocks.
+func blockCodecs(t testing.TB, rf *runFile) []byte {
+	t.Helper()
+	codecs := make([]byte, len(rf.blocks))
+	for i, b := range rf.blocks {
+		if _, err := rf.f.ReadAt(codecs[i:i+1], b.off+frame.HeaderSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return codecs
+}
+
+// TestGoldenRunFile pins the version-3 run-file format: header, block
+// framing and codecs, bloom section, extended block index, footer.
 func TestGoldenRunFile(t *testing.T) {
 	items := goldenItems()
 	fs := NewMemFS()
@@ -207,7 +250,7 @@ func TestGoldenRunFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "run-v2.golden", data)
+	checkGolden(t, "run-v3.golden", data)
 
 	// Read side: the golden bytes must open, point-look-up, and scan.
 	rf, err = openRun(fs, "runs", "golden.run", runEnv{})
@@ -218,7 +261,10 @@ func TestGoldenRunFile(t *testing.T) {
 	// (openRun accepts no version byte but runVersion; see
 	// TestGoldenVersionBytes.)
 	if rf.bloom == nil {
-		t.Fatal("v2 run opened without a bloom filter")
+		t.Fatal("v3 run opened without a bloom filter")
+	}
+	if codecs := blockCodecs(t, rf); !bytes.Equal(codecs, []byte{codecLZ, codecStored}) {
+		t.Fatalf("block codecs %v, want one lz block and one stored", codecs)
 	}
 	checkGoldenRun(t, rf, items)
 }
@@ -226,7 +272,7 @@ func TestGoldenRunFile(t *testing.T) {
 // TestGoldenVersionBytes pins the version constants themselves: bumping
 // one without regenerating fixtures (or vice versa) fails loudly.
 func TestGoldenVersionBytes(t *testing.T) {
-	if walVersion != 1 || runVersion != 2 || adm.BinaryVersion != 1 {
+	if walVersion != 1 || runVersion != 3 || adm.BinaryVersion != 1 {
 		t.Fatalf("format versions changed (wal=%d run=%d adm=%d): regenerate golden files with -update and update this test",
 			walVersion, runVersion, adm.BinaryVersion)
 	}
@@ -237,16 +283,16 @@ func TestGoldenVersionBytes(t *testing.T) {
 	if string(wal[:len(walMagic)]) != walMagic || wal[len(walMagic)] != walVersion {
 		t.Fatal("WAL golden header does not carry the current magic+version")
 	}
-	run, err := os.ReadFile(filepath.Join("testdata", "run-v2.golden"))
+	run, err := os.ReadFile(filepath.Join("testdata", "run-v3.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(run[:len(runMagic)]) != runMagic || run[len(runMagic)] != runVersion {
 		t.Fatal("run golden header does not carry the current magic+version")
 	}
-	// Version 2 is the only run format: any other version byte — the
-	// retired v1 included — is refused at open, not guessed at.
-	for _, v := range []byte{1, 0xFF} {
+	// Version 3 is the only run format: any other version byte — the
+	// retired v1 and v2 included — is refused at open, not guessed at.
+	for _, v := range []byte{1, 2, 0xFF} {
 		other := append([]byte(nil), run...)
 		other[len(runMagic)] = v
 		fs := NewMemFS()

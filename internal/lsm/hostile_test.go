@@ -67,8 +67,8 @@ func runIndex(data []byte) (indexOff, footerOff int, ok bool) {
 // from the lie.
 func TestOpenRunHostileIndex(t *testing.T) {
 	items := make([]index.Item, 4000)
-	for i := range items {
-		items[i] = index.Item{Key: adm.Int(int64(i)), Val: rec(int64(i), "pad", adm.String("0123456789012345678901234567890123456789"))}
+	for i := range items { // pads of noise keep the blocks near their payload's size
+		items[i] = index.Item{Key: adm.Int(int64(i)), Val: rec(int64(i), "pad", adm.String(noise(uint64(i), 48)))}
 	}
 	fs := NewMemFS()
 	rf, err := writeRun(fs, "runs", "good.run", runEnv{}, fillItems(items))
@@ -129,17 +129,36 @@ func TestOpenRunHostileIndex(t *testing.T) {
 }
 
 // TestLoadBlockHostileStructure: a block whose checksum holds but whose
-// entries do not — an unknown kind tag inside a record, a count that
-// leaves bytes over or runs short — is refused whole when it is loaded,
-// by queries and by compaction alike: the lookup misses, the scan stops,
-// the merge aborts, and the run's sticky error says why. Nothing is
-// handed up from it, so no view is ever asked to read bad bytes.
+// contents do not — an unknown codec, an lz stream that does not decode
+// to the length it declares, or a payload whose entries do not parse (an
+// unknown kind tag inside a record, a count that leaves bytes over or
+// runs short) — is refused whole when it is loaded, by queries and by
+// compaction alike: the lookup misses, the scan stops, the merge aborts,
+// and the run's sticky error says why. Nothing is handed up from it, so
+// no view is ever asked to read bad bytes.
 func TestLoadBlockHostileStructure(t *testing.T) {
 	items := make([]index.Item, 100) // one block, a one-byte count
 	for i := range items {
 		items[i] = index.Item{Key: adm.Int(int64(i)), Val: rec(int64(i), "pad", adm.String("0123456789012345678901234567890123456789"))}
 	}
 	fs := NewMemFS()
+	// A payload that does not parse is made before the writer encodes it,
+	// so the codec and the checksum hold around it.
+	writeLying := func(lie func(*runWriter)) {
+		t.Helper()
+		rf, err := writeRun(fs, "runs", "bad.run", runEnv{}, func(w *runWriter) error {
+			err := fillItems(items)(w)
+			lie(w)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if codecs := blockCodecs(t, rf); !bytes.Equal(codecs, []byte{codecLZ}) {
+			t.Fatalf("block codecs %v, want one lz block", codecs)
+		}
+		rf.close()
+	}
 	rf, err := writeRun(fs, "runs", "good.run", runEnv{}, fillItems(items))
 	if err != nil {
 		t.Fatal(err)
@@ -150,16 +169,36 @@ func TestLoadBlockHostileStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloadAt := int(first.off) + frame.HeaderSize
-	for name, edit := range map[string]func(payload []byte){
-		"unknown kind tag in a record": func(p []byte) { p[3] = 0xEE }, // count, key tag, key varint, record tag
-		"count one short":              func(p []byte) { p[0]-- },
-		"count one over":               func(p []byte) { p[0]++ },
-	} {
+	// A codec that lies is an edit of the body on disk, resealed.
+	writeEdited := func(edit func(body []byte)) {
+		t.Helper()
 		bad := append([]byte(nil), good...)
-		edit(bad[payloadAt : int(first.off)+first.length])
+		edit(bad[int(first.off)+frame.HeaderSize : int(first.off)+first.length])
 		frame.Seal(bad[:int(first.off)+first.length], int(first.off))
 		writeFile(t, fs, "runs/bad.run", bad)
+	}
+	// redeclare rewrites the lz body's raw length in place.
+	redeclare := func(delta int) func([]byte) {
+		return func(body []byte) {
+			n, k := binary.Uvarint(body[1:])
+			if binary.PutUvarint(body[1:], uint64(int(n)+delta)) != k {
+				t.Fatalf("raw length %d%+d changes its width", n, delta)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		write      func()
+	}{
+		{"unknown codec", "unknown codec 7", func() { writeEdited(func(b []byte) { b[0] = 7 }) }},
+		{"raw length one short", errLZOverrun.Error(), func() { writeEdited(redeclare(-1)) }},
+		{"raw length one over", errLZShort.Error(), func() { writeEdited(redeclare(+1)) }},
+		{"unknown kind tag in a record", "kind tag", func() { writeLying(func(w *runWriter) { w.scratch[2] = 0xEE }) }}, // key tag, key varint, record tag
+		{"count one short", "trailing bytes", func() { writeLying(func(w *runWriter) { w.count-- }) }},
+		{"count one over", "truncated", func() { writeLying(func(w *runWriter) { w.count++ }) }},
+	} {
+		name := tc.name
+		tc.write()
 		rf, err := openRun(fs, "runs", "bad.run", runEnv{cache: NewBlockCache(1 << 20)})
 		if err != nil {
 			t.Fatalf("%s: openRun: %v", name, err)
@@ -167,8 +206,8 @@ func TestLoadBlockHostileStructure(t *testing.T) {
 		if v, ok := probeGet(rf, adm.Int(1)); ok {
 			t.Errorf("%s: lookup returned %v", name, v)
 		}
-		if rf.err() == nil {
-			t.Errorf("%s: lookup left no error", name)
+		if err := rf.err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: lookup left error %v, want %q", name, err, tc.want)
 		}
 		c := rf.cursor()
 		if it, ok := c.next(); ok {
@@ -196,7 +235,7 @@ func goldenFile(t testing.TB, name string) []byte {
 // frames the footer and the index point at, so the fuzzer reaches the
 // payload parsers behind the CRC.
 func FuzzOpenRun(f *testing.F) {
-	golden := goldenFile(f, "run-v2.golden")
+	golden := goldenFile(f, "run-v3.golden")
 	f.Add(golden, false)
 	f.Add(golden, true)
 	f.Add(golden[:len(golden)-1], true)

@@ -210,9 +210,9 @@ type Partition struct {
 
 	fs  FS
 	dir string
-	// renv is the read-path environment (shared block cache + this
-	// partition's lock-free counters) threaded into every run file
-	// opened.
+	// renv is the run environment (shared block cache, this
+	// partition's lock-free counters and the flusher's block encoder)
+	// threaded into every run file written or opened.
 	renv runEnv
 	// flushMu serializes the flusher's work units (flush, compaction,
 	// manifest stores) against Close. man is flusher-owned: read or

@@ -52,7 +52,7 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 		fs:          fsys,
 		dir:         dir,
 		man:         man,
-		renv:        runEnv{cache: opts.BlockCache, ctr: new(counters)},
+		renv:        runEnv{cache: opts.BlockCache, ctr: new(counters), lz: new(lzEncoder)},
 		flushC:      make(chan struct{}, 1),
 		flusherDone: make(chan struct{}),
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -18,11 +19,14 @@ import (
 // by block through the same runCursor/k-way merge machinery that walks
 // in-memory components.
 //
-// # On-disk format (version 2)
+// # On-disk format (version 3)
 //
 //	run      := header block* bloom index footer
 //	header   := "IDEARUN" version:1B
-//	block    := frame(count:uvarint (key:adm-binary record:adm-binary){count})
+//	block    := frame(codec:1B body)
+//	body     := payload                          (codec 0, stored)
+//	          | rawLen:uvarint lz(payload)       (codec 1, lz)
+//	payload  := count:uvarint (key:adm-binary record:adm-binary){count}
 //	bloom    := frame(nbits:uvarint bits:(nbits/8)B)
 //	index    := frame(entries:uvarint blocks:uvarint
 //	            (off:uvarint len:uvarint firstKey:adm-binary){blocks}
@@ -31,19 +35,23 @@ import (
 //
 // frame(p) is the byte envelope of docs/ARCHITECTURE.md around p; every
 // off/len names a whole frame and lies between the header and the
-// index, which openRun checks before any block is read.
+// index, which openRun checks before any block is read. lz(p) is the
+// stream lz.go describes, decoding to exactly rawLen bytes. The writer
+// picks the codec per block from its bytes: lz, unless the stream does
+// not save a byte, in which case the payload is stored as it is. The
+// checksum covers the bytes on disk; the block cache holds payloads.
 //
-// Version 2 is the only format read or written (version 1 lacked the
-// bloom section and the persisted last key; no release ever wrote it).
-// An empty run (a compaction that dropped every entry) writes
-// bloomOff=0 bloomLen=0 and a MISSING lastKey.
+// Version 3 is the only format read or written (version 2 stored every
+// payload as it is; version 1 also lacked the bloom section and the
+// persisted last key). An empty run (a compaction that dropped every
+// entry) writes bloomOff=0 bloomLen=0 and a MISSING lastKey.
 //
 // Tombstones (MISSING records) are stored: a run flushed from a
 // memtable must shadow older runs. Only a compaction that includes the
 // oldest run drops them.
 const (
 	runMagic       = "IDEARUN"
-	runVersion     = 2
+	runVersion     = 3
 	runHeaderSize  = len(runMagic) + 1
 	runFooterMagic = "IDEARUNF"
 	runFooterSize  = 8 + len(runFooterMagic)
@@ -51,6 +59,10 @@ const (
 	// runBlockTarget is the block payload size a writer flushes at.
 	// Small enough that typical test datasets span multiple blocks.
 	runBlockTarget = 16 << 10
+
+	// The codec byte that leads each block frame.
+	codecStored = 0
+	codecLZ     = 1
 )
 
 // runFileSeq hands out process-unique run file ids — the run half of
@@ -74,20 +86,24 @@ type counters struct {
 	openRuns   atomic.Int64
 }
 
-// runEnv is the read-path environment threaded into every run file a
-// partition opens: the (cluster-shared) block cache and the partition's
-// counters. The zero value — no cache, private counters — is what
-// standalone opens (tests) get.
+// runEnv is the environment threaded into every run file a partition
+// writes or opens: the (cluster-shared) block cache, the partition's
+// counters and its block encoder, which only the flusher uses, under
+// flushMu. The zero value — no cache, private counters, a fresh
+// encoder per run written — is what standalone runs (tests) get.
 type runEnv struct {
 	cache *BlockCache
 	ctr   *counters
+	lz    *lzEncoder
 }
 
 // runWriter streams sorted items into a run file.
 type runWriter struct {
 	f       File
+	lz      *lzEncoder
 	off     int64
 	scratch []byte // current block payload being built (entries only)
+	raw     []byte // the current block's whole payload, count first
 	count   int    // entries in the current block
 	first   []byte // encoded first key of the current block
 	last    []byte // encoded last key seen (fence)
@@ -102,10 +118,6 @@ type blockMeta struct {
 	off      int64
 	length   int
 	firstKey adm.Value
-}
-
-func newRunWriter(f File) *runWriter {
-	return &runWriter{f: f}
 }
 
 func (w *runWriter) writeHeader() error {
@@ -159,13 +171,30 @@ func (w *runWriter) flushBlock() error {
 	if err != nil {
 		return fmt.Errorf("lsm: run writer first key: %w", err)
 	}
-	w.frame = frame.Begin(w.frame[:0])
-	w.frame = binary.AppendUvarint(w.frame, uint64(w.count))
-	w.frame = append(w.frame, w.scratch...)
+	w.raw = binary.AppendUvarint(w.raw[:0], uint64(w.count))
+	w.raw = append(w.raw, w.scratch...)
+	w.frame = appendBlockBody(frame.Begin(w.frame[:0]), w.raw, w.lz)
 	w.blocks = append(w.blocks, blockMeta{off: w.off, length: len(w.frame), firstKey: firstKey})
 	w.scratch = w.scratch[:0]
 	w.count = 0
 	return w.writeFrame()
+}
+
+// appendBlockBody appends the codec byte and body that carry payload:
+// its lz stream, or the payload itself when the stream would not be
+// shorter (the reader's bound, math.MaxInt32, is never reached by a
+// block a writer builds; one past it is stored too).
+func appendBlockBody(dst, payload []byte, lz *lzEncoder) []byte {
+	start := len(dst)
+	if len(payload) < math.MaxInt32 {
+		dst = append(dst, codecLZ)
+		dst = binary.AppendUvarint(dst, uint64(len(payload)))
+		dst = lz.encode(dst, payload)
+		if len(dst)-start <= len(payload) {
+			return dst
+		}
+	}
+	return append(append(dst[:start], codecStored), payload...)
 }
 
 // writeFrame seals and writes the one frame assembled in w.frame.
@@ -244,7 +273,11 @@ func writeRun(fsys FS, dir, name string, env runEnv, fill func(*runWriter) error
 	if err != nil {
 		return nil, err
 	}
-	w := newRunWriter(f)
+	lz := env.lz
+	if lz == nil {
+		lz = new(lzEncoder)
+	}
+	w := &runWriter{f: f, lz: lz}
 	if err = w.writeHeader(); err == nil {
 		if err = fill(w); err == nil {
 			_, _, err = w.finish()
@@ -468,11 +501,12 @@ func (r *runFile) load() error {
 	return err
 }
 
-// block is one run-file block in memory: the frame exactly as the file
-// holds it, checksum-verified, plus the offsets of its entries. data is
-// never written after loadBlock returns, and a block handed to queries
-// is garbage-collected, never pooled: the record views a lookup or
-// cursor returns alias it for as long as anything keeps them.
+// block is one run-file block in memory: the payload its frame
+// carries, checksum-verified and decoded, plus the offsets of its
+// entries. data is never written after loadBlock returns, and a block
+// handed to queries is garbage-collected, never pooled: the record views
+// a lookup or cursor returns alias it for as long as anything keeps
+// them.
 type block struct {
 	data []byte
 	// offs locates entry i in data: its key starts at offs[2i], its record
@@ -488,26 +522,41 @@ func (b block) val(i int) []byte { return b.data[b.offs[2*i+1]:b.offs[2*i+2]] }
 // size is what a resident block costs: its bytes and its offset table.
 func (b block) size() int64 { return int64(len(b.data)) + 4*int64(len(b.offs)) }
 
+// frameBufs lends loadBlock the buffer a frame is read into: the bytes
+// on disk are garbage once decoded, so no block read allocates for them.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // loadBlock is the one block reader, under queries and compaction alike:
-// one ReadAt of the whole frame, the checksum, then one walk that checks
-// the structure of every key and record (adm.SkipBinary) and refuses
-// trailing bytes. Whatever reads the block afterwards — a key compare, a
-// field of a record view — cannot fail. reuse lends its buffers to a
-// caller that hands out nothing aliasing them (compaction); queries pass
-// the zero block and get memory of their own.
+// one ReadAt of the whole frame, the checksum over the bytes on disk,
+// the decode into a buffer of exactly the payload's length, then one
+// walk that checks the structure of every key and record
+// (adm.SkipBinary) and refuses trailing bytes. Whatever reads the block
+// afterwards — a key compare, a field of a record view — cannot fail.
+// reuse lends its buffers to a caller that hands out nothing aliasing
+// them (compaction); queries pass the zero block and get memory of
+// their own.
 func (r *runFile) loadBlock(i int, reuse block) (block, error) {
 	r.ctr.blockReads.Add(1)
 	m := r.blocks[i]
 	if m.length > math.MaxInt32 {
 		return block{}, fmt.Errorf("block %d: %d bytes is no block", i, m.length)
 	}
-	data := reuse.data
-	if cap(data) < m.length {
-		data = make([]byte, m.length)
+	bp := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(bp)
+	if cap(*bp) < m.length {
+		*bp = make([]byte, m.length)
 	}
-	data = data[:m.length]
-	if n, err := r.f.ReadAt(data, m.off); n < m.length {
+	buf := (*bp)[:m.length]
+	if n, err := r.f.ReadAt(buf, m.off); n < m.length {
 		return block{}, fmt.Errorf("block %d: read %d of %d bytes: %w", i, n, m.length, err)
+	}
+	body, _, err := frame.Decode(buf, int64(m.length)-frame.HeaderSize)
+	if err != nil {
+		return block{}, fmt.Errorf("block %d: %w", i, err)
+	}
+	data, err := decodeBlockBody(body, reuse.data)
+	if err != nil {
+		return block{}, fmt.Errorf("block %d: %w", i, err)
 	}
 	b, err := parseBlock(data, reuse.offs)
 	if err != nil {
@@ -516,14 +565,38 @@ func (r *runFile) loadBlock(i int, reuse block) (block, error) {
 	return b, nil
 }
 
-// parseBlock makes a block of one sealed frame: it verifies the checksum
-// and builds the offset table, into offs when that has the room.
-func parseBlock(data []byte, offs []uint32) (block, error) {
-	payload, size, err := frame.Decode(data, int64(len(data))-frame.HeaderSize)
-	if err != nil {
-		return block{}, err
+// decodeBlockBody returns the payload a block frame's body carries, in
+// dst when that has the room. A declared length is bounded by what the
+// stream could decode to before anything is sized from it.
+func decodeBlockBody(body, dst []byte) ([]byte, error) {
+	switch body[0] {
+	case codecStored:
+		return append(dst[:0], body[1:]...), nil
+	case codecLZ:
+		n, k := binary.Uvarint(body[1:])
+		if k <= 0 {
+			return nil, fmt.Errorf("lz block: bad length")
+		}
+		stream := body[1+k:]
+		if n > lzMaxExpansion*uint64(len(stream)) || n > math.MaxInt32 {
+			return nil, fmt.Errorf("lz block: %d bytes declared for a %d-byte stream", n, len(stream))
+		}
+		if uint64(cap(dst)) < n {
+			dst = make([]byte, n)
+		}
+		dst = dst[:n]
+		if err := lzDecode(dst, stream); err != nil {
+			return nil, fmt.Errorf("lz block: %w", err)
+		}
+		return dst, nil
 	}
-	p := frame.NewReader(payload)
+	return nil, fmt.Errorf("unknown codec %d", body[0])
+}
+
+// parseBlock makes a block of one decoded payload: it builds the offset
+// table, into offs when that has the room.
+func parseBlock(data []byte, offs []uint32) (block, error) {
+	p := frame.NewReader(data)
 	n := p.Count(2)
 	if err := p.Err(); err != nil {
 		return block{}, err
@@ -532,37 +605,31 @@ func parseBlock(data []byte, offs []uint32) (block, error) {
 	if cap(offs) < 2*n+1 {
 		offs = make([]uint32, 0, 2*n+1)
 	}
-	pos := size - p.Len()
+	pos := len(data) - p.Len()
 	for range 2 * n { // key, record, key, record, ...
 		offs = append(offs, uint32(pos))
-		vn, err := adm.SkipBinary(data[pos:size])
+		vn, err := adm.SkipBinary(data[pos:])
 		if err != nil {
 			return block{}, fmt.Errorf("offset %d: %w", pos, err)
 		}
 		pos += vn
 	}
-	if pos != size {
-		return block{}, fmt.Errorf("%d trailing bytes", size-pos)
+	if pos != len(data) {
+		return block{}, fmt.Errorf("%d trailing bytes", len(data)-pos)
 	}
-	return block{data: data[:size], offs: append(offs, uint32(pos))}, nil
+	return block{data: data, offs: append(offs, uint32(pos))}, nil
 }
 
 // block returns block i, through the cache when one is wired: a hit
-// returns the resident block, a miss loads it and publishes it. scan
-// says a cursor asks rather than a point read, which decides where the
-// cache keeps the block (BlockCache).
+// returns the resident block, a miss loads it (once, however many
+// readers miss it together) and publishes it. scan says a cursor asks
+// rather than a point read, which decides where the cache keeps the
+// block (BlockCache).
 func (r *runFile) block(i int, scan bool) (block, error) {
 	if r.cache == nil {
 		return r.loadBlock(i, block{})
 	}
-	if b, ok := r.cache.get(r.id, i, scan); ok {
-		return b, nil
-	}
-	b, err := r.loadBlock(i, block{})
-	if err != nil {
-		return block{}, err
-	}
-	return r.cache.insert(r.id, i, b, scan), nil
+	return r.cache.fetch(r.id, i, scan, func() (block, error) { return r.loadBlock(i, block{}) })
 }
 
 func (r *runFile) fail(err error) {

@@ -55,10 +55,10 @@ func partitionRuns(p *Partition) []*runFile {
 }
 
 // TestBlockCacheBudgetIsExact: a cached block costs the bytes it holds —
-// its frame as the file stores it plus four bytes per entry offset — so
-// BlockCacheBytes is a sum one can do by hand, and a 64 KiB budget holds
-// three 16 KiB blocks. (Budgeted as decoded objects, ≈ 6× their stored
-// size, that cache held none of them.)
+// its decoded payload plus four bytes per entry offset, whatever the
+// file spends on it — so BlockCacheBytes is a sum one can do by hand,
+// and a 64 KiB budget holds three 16 KiB blocks. (Budgeted as decoded
+// objects, ≈ 6× their payload, that cache held none of them.)
 func TestBlockCacheBudgetIsExact(t *testing.T) {
 	opts := cachedOptions()
 	p := flushedPartition(t, opts, 2000)
@@ -67,12 +67,12 @@ func TestBlockCacheBudgetIsExact(t *testing.T) {
 		t.Fatalf("scanned %d records", n)
 	}
 	var want int64
-	for i, m := range run.blocks {
+	for i := range run.blocks {
 		blk, err := run.loadBlock(i, block{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want += int64(m.length) + 4*int64(2*blk.entries()+1)
+		want += int64(len(blk.data)) + 4*int64(2*blk.entries()+1)
 	}
 	st := opts.BlockCache.Stats()
 	if st.BlockCacheBytes != want || st.BlockCacheEntries != len(run.blocks) || st.BlockCacheEvictions != 0 {
