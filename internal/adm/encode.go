@@ -150,22 +150,16 @@ func DecodeBinary(data []byte) (Value, int, error) {
 
 // MaxDepth bounds container nesting: no value sits inside more than
 // MaxDepth arrays and objects. Every entrance enforces it — the JSON
-// parser, DecodeBinary/SkipBinary (so corrupt counts cannot recurse
-// unboundedly) and, through CheckDepth, the storage write path — so
-// whatever is stored decodes again.
+// parser, and DecodeBinary/SkipBinary (so corrupt counts cannot recurse
+// unboundedly), which are also what the storage write path reads a batch
+// with before logging it — so whatever is stored decodes again.
 const MaxDepth = 200
 
 var errTooDeep = fmt.Errorf("adm: value nested deeper than %d", MaxDepth)
 
-// CheckDepth returns an error when v nests deeper than MaxDepth, i.e.
-// exactly when DecodeBinary would refuse v's encoding.
-func CheckDepth(v Value) error {
-	if !v.nestsWithin(MaxDepth) {
-		return errTooDeep
-	}
-	return nil
-}
-
+// nestsWithin reports whether v nests at most depth containers deep;
+// v.nestsWithin(MaxDepth) is exactly DecodeBinary's verdict on v's
+// encoding.
 func (v Value) nestsWithin(depth int) bool {
 	if depth < 0 {
 		return false
@@ -332,8 +326,8 @@ func decodeBinary(data []byte, depth int) (Value, int, error) {
 // DecodeBinaryAlias is DecodeBinary for a caller that reads the value
 // only while data is unchanged: a top-level string aliases data instead
 // of copying it. Every other kind decodes exactly as DecodeBinary does.
-// The compaction merge decodes each entry's key this way, so comparing
-// string keys costs no allocation per record.
+// The storage write path and the compaction merge decode each entry's
+// key this way, so reading a string key costs no allocation per record.
 func DecodeBinaryAlias(data []byte) (Value, int, error) {
 	if len(data) == 0 || Kind(data[0]) != KindString {
 		return DecodeBinary(data)

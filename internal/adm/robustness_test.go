@@ -172,24 +172,25 @@ func TestParseDepthBounded(t *testing.T) {
 		if !tc.ok {
 			continue
 		}
-		if err := CheckDepth(v); err != nil {
-			t.Fatalf("%s: parsed value fails CheckDepth: %v", tc.name, err)
+		if !v.nestsWithin(MaxDepth) {
+			t.Fatalf("%s: parsed value is not within MaxDepth", tc.name)
 		}
 		if _, _, err := DecodeBinary(AppendBinary(nil, v)); err != nil {
 			t.Fatalf("%s: parsed value does not decode again: %v", tc.name, err)
 		}
 	}
-	// CheckDepth is DecodeBinary's verdict for values no parser built.
+	// nestsWithin(MaxDepth) is DecodeBinary's verdict for values no
+	// parser built.
 	deep := Int(1)
 	for i := 0; i <= MaxDepth; i++ {
 		deep = Array([]Value{deep})
 		_, _, derr := DecodeBinary(AppendBinary(nil, deep))
-		if cerr := CheckDepth(deep); (cerr == nil) != (derr == nil) {
-			t.Fatalf("%d arrays deep: CheckDepth %v, DecodeBinary %v", i+1, cerr, derr)
+		if within := deep.nestsWithin(MaxDepth); within != (derr == nil) {
+			t.Fatalf("%d arrays deep: nestsWithin %v, DecodeBinary %v", i+1, within, derr)
 		}
 	}
-	if CheckDepth(deep) == nil {
-		t.Fatalf("%d arrays deep passed CheckDepth", MaxDepth+1)
+	if deep.nestsWithin(MaxDepth) {
+		t.Fatalf("%d arrays deep nest within MaxDepth", MaxDepth+1)
 	}
 }
 

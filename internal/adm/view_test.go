@@ -45,8 +45,8 @@ func checkViewAgrees(t *testing.T, enc []byte, v Value) {
 	if back, n, err := DecodeBinary(AppendBinary(nil, view)); err != nil || n != len(enc) || Compare(back, v) != 0 {
 		t.Fatalf("DecodeBinary(AppendBinary(View(%x))) = %v, %d, %v", enc, back, n, err)
 	}
-	if err := CheckDepth(view); err != nil {
-		t.Fatalf("View(%x): %v", enc, err)
+	if !view.nestsWithin(MaxDepth) {
+		t.Fatalf("View(%x) is not within MaxDepth", enc)
 	}
 	if size := BinarySize(view); size != len(enc) {
 		t.Fatalf("BinarySize(View(%x)) = %d", enc, size)
@@ -185,7 +185,7 @@ func TestViewNeverPanics(t *testing.T) {
 		_ = v.ObjectVal()
 		_ = Hash(v)
 		_ = v.String()
-		_ = CheckDepth(v)
+		_ = v.nestsWithin(MaxDepth)
 	}
 }
 

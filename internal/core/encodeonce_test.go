@@ -27,9 +27,10 @@ import (
 // every function whose rows the collector cannot keep where they were
 // spliced: a row with another key, an Object row, a native UDF's row. A
 // function whose result has no key — a row without it, or two rows —
-// fails the feed as storage finds it. The static pipeline frames records
-// with the same steps, so it is held to the same oracle and fails the
-// same way.
+// fails the feed where the row is routed, in the operator that ran the
+// function. The static pipeline frames records with the same steps, so
+// it is held to the same oracle and fails the same way, in its
+// evaluator.
 func TestFeedStoresOracleBytes(t *testing.T) {
 	const n = 300
 	natives := udf.NewRegistry()
@@ -39,7 +40,10 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	const keyless = `storage-partition-writer: core: record missing primary key "id"`
+	const (
+		keyless       = `collector-parser: core: record missing primary key "id"`
+		staticKeyless = `stream-udf-evaluator: core: record missing primary key "id"`
+	)
 	for _, arm := range []struct {
 		name             string
 		function, ddl    string // ddl declares function unless it is enrichTweetQ1 or native
@@ -66,7 +70,7 @@ func TestFeedStoresOracleBytes(t *testing.T) {
 		{name: "static, a row with no star source", function: "starless", static: true,
 			ddl: `CREATE FUNCTION starless(t) { SELECT t.id AS id, t.country AS country, t.text AS text };`},
 		{name: "static, a native UDF", function: "tagged", static: true},
-		{name: "static, a row without the key", function: "keyless", static: true, fails: keyless,
+		{name: "static, a row without the key", function: "keyless", static: true, fails: staticKeyless,
 			ddl: `CREATE FUNCTION keyless(t) { SELECT t.user.*, t.text AS text };`},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
@@ -410,6 +414,19 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 	pe, err := plan.Prepare(c)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Prepare's snapshots froze the memtables of the datasets Q1 reads,
+	// and their flushers write them out in the background: an arm counts
+	// the process's allocations, so it must not start before they are
+	// done. Runs waits out the last flush's tail (the log truncation).
+	for _, name := range workload.ReferenceDatasets[def.Name] {
+		ref, _ := c.Dataset(name)
+		for i := range ref.NumPartitions() {
+			if err := ref.Partition(i).WaitForFlush(); err != nil {
+				t.Fatal(err)
+			}
+			ref.Partition(i).Runs()
+		}
 	}
 	q1 := newRecordEncoder(frame, ds.NumPartitions(), "id", ds.Route)
 	if q1.rewind = plan.KeepsNoInput(); !q1.rewind {

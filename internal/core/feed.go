@@ -819,10 +819,12 @@ func (e *recordEncoder) input(rec adm.Value) adm.Value {
 // of its own, addressed to it (hyracks.Frame.Part), whose slab holds
 // key, record, key, record, ...: byte for byte the payload its WAL logs.
 // Such a frame carries the slab as hyracks.Frame.Enc, the storage
-// exchange forwards it whole to the partition it names, whose writer
-// checks that it owns every key, and the partition logs and keeps the
-// slab instead of copying the records into a buffer of its own
-// (lsm.Partition.UpsertFrame). A function-less feed's collector routes
+// exchange forwards it whole to the partition it names, and the
+// partition reads the frame off the slab — checking that it owns every
+// key — and logs and keeps the slab instead of copying the records into
+// a buffer of its own (lsm.Dataset.UpsertFrame). A record without a
+// primary key cannot be routed and fails here, where the key is read.
+// A function-less feed's collector routes
 // the records it parses; a function feed's collector (the static
 // pipeline's evaluator) routes the rows its function returns, and a
 // SQL++ row is spliced into the slab where it will stay (splice).
@@ -878,7 +880,9 @@ func (r *frameRouter) begin(n int) { r.pending, r.apart = n, false }
 func (r *frameRouter) add(rec adm.Value, out hyracks.Writer) error {
 	t, key, size := 0, adm.Value{}, adm.BinarySize(rec)
 	if r.route != nil {
-		key = rec.Field(r.pk)
+		if key = rec.Field(r.pk); key.IsUnknown() {
+			return fmt.Errorf("core: record missing primary key %q", r.pk)
+		}
 		t = r.route(key)
 		size += adm.BinarySize(key)
 	}
@@ -904,16 +908,17 @@ func (r *frameRouter) add(rec adm.Value, out hyracks.Writer) error {
 // goes through add. If nothing was written past the key, the key is
 // taken back; otherwise the frame is sealed before it, so no byte a view
 // may alias is ever rewritten, and the batch's remaining rows are built
-// apart.
+// apart. So is the row of an input without the key: only the row can
+// tell where it goes.
 func (r *frameRouter) splice(pe *query.PreparedEnrich, rec adm.Value, out hyracks.Writer) error {
-	if r.apart {
+	key := rec.Field(r.pk)
+	if r.apart || key.IsUnknown() {
 		row, err := pe.EvalRecord(rec)
 		if err != nil {
 			return err
 		}
 		return r.add(row, out)
 	}
-	key := rec.Field(r.pk)
 	t := r.route(key)
 	pf := &r.parts[t]
 	need := pf.perRecord

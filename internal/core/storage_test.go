@@ -11,10 +11,11 @@ import (
 )
 
 // TestStorageWriterRefusesKeysItDoesNotOwn: a storage writer stores only
-// keys its partition owns. A frame holding one record whose key routes to
-// another partition is refused whole, with an error naming the key and
-// the partition, and nothing of it is stored; the frames a collector
-// routes are stored by the writers they are addressed to.
+// keys its partition owns. A frame whose slab holds one record whose key
+// routes to another partition is refused whole, with an error naming the
+// key and the partition, and nothing of it is stored; so is a frame with
+// no slab at all. The frames a collector routes are stored by the
+// writers they are addressed to.
 func TestStorageWriterRefusesKeysItDoesNotOwn(t *testing.T) {
 	tuning := cluster.DefaultTuning()
 	tuning.DispatchOverheadPerNode, tuning.InvokeOverheadPerNode = 0, 0
@@ -63,14 +64,22 @@ func TestStorageWriterRefusesKeysItDoesNotOwn(t *testing.T) {
 		return n
 	}
 	stats := &feedCounters{}
-	// Partition 0's records with one of partition 1's last: no slab, as a
-	// frame rebuilt record by record would be.
+	// Partition 0's slab, copied (its spare room is not the test's to
+	// write), with one of partition 1's key, record pairs appended.
 	foreign := other.Records[0]
-	mixed := hyracks.Frame{Records: append(append([]adm.Value(nil), own.Records...), foreign)}
+	slab := append([]byte(nil), own.Enc...)
+	slab = adm.AppendBinary(adm.AppendBinary(slab, foreign.Field("k")), foreign)
+	mixed := hyracks.Frame{Records: append(append([]adm.Value(nil), own.Records...), foreign), Enc: slab}
 	err = newStorageWriter(ds, 0, stats).Fn(nil, mixed)
 	want := fmt.Sprintf("storage partition 0 was sent key %v, which partition 1 owns", foreign.Field("k"))
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("writing a misrouted record = %v, want an error containing %q", err, want)
+	}
+	// Partition 0's records with no slab, as a frame rebuilt record by
+	// record would be.
+	bare := hyracks.Frame{Records: append([]adm.Value(nil), own.Records...)}
+	if err := newStorageWriter(ds, 0, stats).Fn(nil, bare); err == nil || !strings.Contains(err.Error(), "without a slab") {
+		t.Fatalf("writing a frame with no slab = %v, want it refused", err)
 	}
 	if n := stored(); n != 0 {
 		t.Fatalf("%d records of a refused frame were stored", n)

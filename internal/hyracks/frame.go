@@ -54,11 +54,12 @@ type Frame struct {
 	// encoding, then the record's, pair after pair, nothing else. A feed
 	// emits such frames, one per storage partition (core's collector, or
 	// the static pipeline's evaluator); the storage writer hands Enc
-	// to the partition as the write's log payload. Enc is a hint the
-	// partition verifies, never trusts. It is garbage-collected like the
-	// records, never pooled, and anything that rebuilds a frame's Records
-	// (a MapPipe) drops it; a Partitioned connector forwards it with the
-	// frame.
+	// to the partition as the write's log payload, and the partition
+	// reads the frame's keys and records off it — Records is the spine
+	// operators and counters see, not what storage stores. It is
+	// garbage-collected like the records, never pooled, and anything
+	// that rebuilds a frame's Records (a MapPipe) drops it; a
+	// Partitioned connector forwards it with the frame.
 	Enc []byte
 	// Part is the target partition a Partitioned connector sends the
 	// frame to: its producer routed every record of it there (core's

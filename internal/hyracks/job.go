@@ -236,7 +236,16 @@ func (s *JobSpec) Run(parent context.Context) (*Job, error) {
 	return job, nil
 }
 
-func runPipe(tc *TaskContext, pipe Pipe, in <-chan Frame, out Writer) error {
+// runPipe drives one pipe instance until its input closes or the job's
+// context ends. It closes its output on every path, a failed Push's
+// included, so the operator downstream always learns this sender is
+// done and its input channels close.
+func runPipe(tc *TaskContext, pipe Pipe, in <-chan Frame, out Writer) (err error) {
+	defer func() {
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	if err := out.Open(); err != nil {
 		return err
 	}
@@ -247,10 +256,7 @@ func runPipe(tc *TaskContext, pipe Pipe, in <-chan Frame, out Writer) error {
 		select {
 		case f, ok := <-in:
 			if !ok {
-				if err := pipe.Close(tc, out); err != nil {
-					return err
-				}
-				return out.Close()
+				return pipe.Close(tc, out)
 			}
 			if err := pipe.Push(tc, f, out); err != nil {
 				return err
@@ -258,7 +264,6 @@ func runPipe(tc *TaskContext, pipe Pipe, in <-chan Frame, out Writer) error {
 		case <-tc.Ctx.Done():
 			// Drain nothing; the job is failing or aborted.
 			_ = pipe.Close(tc, out)
-			_ = out.Close()
 			return tc.Ctx.Err()
 		}
 	}

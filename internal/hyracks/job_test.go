@@ -346,6 +346,42 @@ func TestFinishedJobReleasesItsContext(t *testing.T) {
 	}
 }
 
+// TestFailedPipeClosesItsOutput: a pipe whose Push fails still closes its
+// output, so the operator after it sees its input end: a job that fails
+// in a middle operator leaves no goroutine behind.
+func TestFailedPipeClosesItsOutput(t *testing.T) {
+	boom := errors.New("boom")
+	spec := NewJobSpec()
+	src := spec.AddOperator(&Descriptor{Name: "src", Parallelism: 1,
+		NewSource: func(int) (Source, error) { return &SliceSource{Records: intRecords(64), FrameCap: 8}, nil }})
+	mid := spec.AddOperator(&Descriptor{Name: "mid", Parallelism: 2,
+		NewPipe: func(int) (Pipe, error) {
+			return &SinkPipe{Fn: func(*TaskContext, Frame) error { return boom }}, nil
+		}})
+	sink := spec.AddOperator(&Descriptor{Name: "sink", Parallelism: 1,
+		NewPipe: func(int) (Pipe, error) { return &SinkPipe{Fn: func(*TaskContext, Frame) error { return nil }}, nil }})
+	spec.Connect(src, mid, RoundRobin, nil)
+	spec.Connect(mid, sink, RoundRobin, nil)
+	base := runtime.NumGoroutine()
+	const jobs = 50
+	for range jobs {
+		job, err := spec.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := job.Wait(); !errors.Is(err, boom) {
+			t.Fatalf("Wait = %v, want boom", err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if extra := runtime.NumGoroutine() - base; extra > 0 {
+		t.Fatalf("%d jobs that failed in a middle operator left %d goroutines behind", jobs, extra)
+	}
+}
+
 func TestJobSpecValidation(t *testing.T) {
 	mkSrc := func(spec *JobSpec, par int) int {
 		return spec.AddOperator(&Descriptor{Name: "s", Parallelism: par,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -311,84 +312,206 @@ func TestRoutedFrameWritesNoCopy(t *testing.T) {
 	}
 }
 
-// TestRoutedFrameLayoutFallback: the partition verifies a frame's slab
-// before it logs it. A slab of the wrong length, a record that is not a
-// view of the slab, a key whose bytes differ and a frame cut short of its
-// slab all take the copy path — each logs exactly what UpsertBatch logs
-// and is charged what UpsertBatch charges — and a well-formed frame logs
-// the same bytes while the memtable keeps its slab.
-func TestRoutedFrameLayoutFallback(t *testing.T) {
-	const n = 16
-	keys, recs := make([]adm.Value, n), make([]adm.Value, n)
+// UpsertFrame writes a routed frame as Dataset.UpsertFrame does, minus
+// the routing rule, for tests that build keys and recs beside the slab
+// (routedFrame). enc must hold exactly those keys, each followed by its
+// record as a view of the bytes after it: the write reads them from enc.
+func (p *Partition) UpsertFrame(keys, recs []adm.Value, enc []byte) error {
+	off := 0
 	for i := range keys {
-		keys[i], recs[i] = adm.Int(int64(i)), padRec(i, 30)
+		key, n, err := adm.DecodeBinaryAlias(enc[off:])
+		if err != nil || adm.Compare(key, keys[i]) != 0 {
+			return fmt.Errorf("key %d is not %v at offset %d of the slab", i, keys[i], off)
+		}
+		m, ok := adm.ViewAt(recs[i], enc, off+n)
+		if !ok {
+			return fmt.Errorf("record %d is not a view of the slab after its key", i)
+		}
+		off += n + m
 	}
-	good, views := routedFrame(keys, recs, 5)
-	long, longViews := routedFrame(keys, recs, 1)
-	long = append(long, 0)
-	otherKeys := append([]adm.Value(nil), keys...)
-	otherKeys[n/2] = adm.Int(-1)
-	copied := make([]adm.Value, n)
-	for i := range recs {
-		copied[i] = adm.View(adm.AppendBinary(nil, recs[i]))
+	if off != len(enc) {
+		return fmt.Errorf("the slab holds %d bytes past its records", len(enc)-off)
 	}
+	_, err := p.write(writeUpsert, enc, len(keys), nil)
+	return err
+}
+
+// TestUpsertFrameMatchesUpsertBatch: a well-formed slab written through
+// Dataset.UpsertFrame and its keys and records written through
+// UpsertBatch come to the same thing — the same WAL bytes, the same
+// point reads and scan, the same state after a reopen — and the memtable
+// is charged the same, but for the slab's spare room, which it keeps
+// alive too. Only the slab path keeps its records where they lie.
+func TestUpsertFrameMatchesUpsertBatch(t *testing.T) {
+	const n, spare = 16, 5
+	var keys, recs []adm.Value
+	for i := range n {
+		keys, recs = append(keys, adm.Int(int64(i))), append(recs, padRec(i, 30))
+	}
+	// A string key, and a key written twice: the later record wins.
+	keys, recs = append(keys, adm.String("k"), adm.Int(3)), append(recs, padRec(100, 10), padRec(103, 20))
+	enc, _ := routedFrame(keys, recs, spare)
+	opts := Options{MemBudget: 1 << 30}
+	type arm struct {
+		fs *MemFS
+		ds *Dataset
+	}
+	open := func(fs *MemFS) *Dataset {
+		t.Helper()
+		ds, err := OpenDataset(fs, "ds", "D", nil, "id", 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		return ds
+	}
+	slab, values := arm{fs: NewMemFS()}, arm{fs: NewMemFS()}
+	slab.ds, values.ds = open(slab.fs), open(values.fs)
+	if err := slab.ds.UpsertFrame(0, enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := values.ds.Partition(0).UpsertBatch(keys, recs); err != nil {
+		t.Fatal(err)
+	}
+
+	walBytes := func(a arm) []byte {
+		t.Helper()
+		b, err := readFileAll(a.fs, "ds/p000/"+walSegmentName(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if got, want := walBytes(slab), walBytes(values); !bytes.Equal(got, want) {
+		t.Fatalf("the slab logged\n %x\nUpsertBatch logs\n %x", got, want)
+	}
+	charged := func(p *Partition) int {
+		p.mu.RLock()
+		defer p.mu.RUnlock()
+		return p.memBytes
+	}
+	if got, want := charged(slab.ds.Partition(0)), charged(values.ds.Partition(0))+spare; got != want {
+		t.Fatalf("the slab is charged %d, want %d", got, want)
+	}
+	for _, key := range keys {
+		got, gok, gerr := slab.ds.Partition(0).Get(key)
+		want, wok, werr := values.ds.Partition(0).Get(key)
+		if gerr != nil || werr != nil || !gok || !wok || !bytes.Equal(adm.AppendBinary(nil, got), adm.AppendBinary(nil, want)) {
+			t.Fatalf("key %v: the slab path reads %v (%v, %v), UpsertBatch %v (%v, %v)", key, got, gok, gerr, want, wok, werr)
+		}
+	}
+	got, _, _ := slab.ds.Partition(0).Get(keys[0])
+	if _, kept := adm.ViewAt(got, enc, adm.BinarySize(keys[0])); !kept {
+		t.Fatal("the memtable does not keep the slab's record where it lies")
+	}
+	scan := func(ds *Dataset) (out []string) {
+		sc := ds.Scan()
+		for key, rec, ok := sc.Next(); ok; key, rec, ok = sc.Next() {
+			out = append(out, fmt.Sprintf("%v=%x", key, adm.AppendBinary(nil, rec)))
+		}
+		return out
+	}
+	want := scan(values.ds)
+	if got := scan(slab.ds); !slices.Equal(got, want) || len(want) != n+1 {
+		t.Fatalf("the slab path scans\n %v\nUpsertBatch\n %v", got, want)
+	}
+	for _, a := range []*arm{&slab, &values} {
+		if err := a.ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		a.ds = open(a.fs)
+	}
+	if got := scan(slab.ds); !slices.Equal(got, want) || !slices.Equal(scan(values.ds), want) {
+		t.Fatalf("after a reopen the slab path scans\n %v\nUpsertBatch\n %v", got, want)
+	}
+}
+
+// TestUpsertFrameRefusesMalformedSlab: a slab the write path cannot read
+// back entry by entry — cut inside a key or a record, with a byte or a
+// key left over, holding a record nested deeper than the decoder
+// accepts — or one holding a key its partition does not own is refused
+// before anything is logged: the WAL's LSN and bytes and the memtable
+// are as they were.
+func TestUpsertFrameRefusesMalformedSlab(t *testing.T) {
+	fs := NewMemFS()
+	ds, err := OpenDataset(fs, "ds", "D", nil, "id", 2, Options{MemBudget: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	// Keys partition 0 owns, and one partition 1 owns.
+	var own []adm.Value
+	var foreign adm.Value
+	for i := 0; len(own) < 4 || foreign.Kind() == adm.KindMissing; i++ {
+		key := adm.String(fmt.Sprintf("key-%d", i))
+		if ds.Route(key) == 0 {
+			own = append(own, key)
+		} else {
+			foreign = key
+		}
+	}
+	pair := func(key, rec adm.Value) []byte {
+		return adm.AppendBinary(adm.AppendBinary(nil, key), rec)
+	}
+	good := pair(own[0], padRec(0, 20))
+	if err := ds.UpsertFrame(0, good); err != nil {
+		t.Fatal(err)
+	}
+	deep := adm.Int(7)
+	for range adm.MaxDepth {
+		deep = adm.Array([]adm.Value{deep})
+	}
+	deepRec := adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(1), "v", deep))
+	if _, err := adm.SkipBinary(adm.AppendBinary(nil, deepRec)); err == nil {
+		t.Fatalf("a record nested %d deep decodes", adm.MaxDepth+1)
+	}
+	ownPair := pair(own[1], padRec(1, 20))
+	keyBytes := adm.AppendBinary(nil, own[2])
 	for _, c := range []struct {
-		name       string
-		keys, recs []adm.Value
-		enc        []byte
-		routed     bool
+		name string
+		enc  []byte
 	}{
-		{"well-formed", keys, views, good, true},
-		{"slab of the wrong length", keys, longViews, long, false},
-		{"records not views of the slab", keys, copied, good, false},
-		{"a key that differs", otherKeys, views, good, false},
-		{"split by a connector that kept the slab", keys[:n/2], views[:n/2], good, false},
+		{"a truncated key", append(slices.Clone(ownPair), keyBytes[:len(keyBytes)-1]...)},
+		{"a truncated record", ownPair[:len(ownPair)-1]},
+		{"one trailing byte", append(slices.Clone(ownPair), 0xff)},
+		{"a key with no record", append(slices.Clone(ownPair), keyBytes...)},
+		{"a record nested too deep", append(slices.Clone(ownPair), pair(own[3], deepRec)...)},
+		{"a key the partition does not own", append(slices.Clone(ownPair), pair(foreign, padRec(2, 20))...)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			framedFS, copiedFS := NewMemFS(), NewMemFS()
-			pf, err := OpenPartition(framedFS, "part", Options{MemBudget: 1 << 30})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pf.Close()
-			pc, err := OpenPartition(copiedFS, "part", Options{MemBudget: 1 << 30})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pc.Close()
-			if err := pf.UpsertFrame(c.keys, c.recs, c.enc); err != nil {
-				t.Fatal(err)
-			}
-			if err := pc.UpsertBatch(c.keys, c.recs); err != nil {
-				t.Fatal(err)
-			}
-			got, err := readFileAll(framedFS, "part/"+walSegmentName(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := readFileAll(copiedFS, "part/"+walSegmentName(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("the frame logged\n %x\nUpsertBatch logs\n %x", got, want)
-			}
-			charged := func(p *Partition) int {
+			p := ds.Partition(0)
+			state := func() (lsn uint64, wal []byte, entries, charged int) {
+				t.Helper()
+				wal, err := readFileAll(fs, "ds/p000/"+walSegmentName(1))
+				if err != nil {
+					t.Fatal(err)
+				}
 				p.mu.RLock()
 				defer p.mu.RUnlock()
-				return p.memBytes
+				return p.wal.LSN(), wal, p.mem.Len(), p.memBytes
 			}
-			wantCharge := charged(pc)
-			if c.routed {
-				wantCharge += cap(c.enc) - len(c.enc) // the slab's spare room is held too
+			lsn0, wal0, entries0, charged0 := state()
+			err := ds.UpsertFrame(0, c.enc)
+			if err == nil {
+				t.Fatal("the slab was written")
 			}
-			if got := charged(pf); got != wantCharge {
-				t.Fatalf("charged %d, want %d", got, wantCharge)
+			t.Log(err)
+			lsn1, wal1, entries1, charged1 := state()
+			if lsn1 != lsn0 || !bytes.Equal(wal1, wal0) || entries1 != entries0 || charged1 != charged0 {
+				t.Fatalf("a refused slab moved the partition: LSN %d → %d, WAL %d → %d bytes, %d → %d entries charged %d → %d",
+					lsn0, lsn1, len(wal0), len(wal1), entries0, entries1, charged0, charged1)
 			}
-			v, ok, _ := pf.Get(c.keys[0])
-			if _, kept := adm.ViewAt(v, c.enc, adm.BinarySize(c.keys[0])); !ok || kept != c.routed {
-				t.Fatalf("the memtable keeps the frame's slab: %v, want %v", kept, c.routed)
+			if _, ok, _ := p.Get(own[1]); ok {
+				t.Fatal("the refused slab's first record is stored")
 			}
 		})
+	}
+	want := fmt.Sprintf("storage partition 0 was sent key %v, which partition 1 owns", foreign)
+	if err := ds.UpsertFrame(0, pair(foreign, padRec(2, 20))); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("writing a foreign key = %v, want an error containing %q", err, want)
+	}
+	deepErr := ds.UpsertFrame(0, pair(own[3], deepRec))
+	if deepErr == nil || !strings.Contains(deepErr.Error(), "lsm: write refused:") {
+		t.Fatalf("writing a record nested too deep = %v, want it refused", deepErr)
 	}
 }

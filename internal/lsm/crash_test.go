@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/index"
 )
 
 // The crash-injection suite: run a deterministic workload against a
@@ -297,7 +298,7 @@ func TestWALReplayTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Replay(0, func(uint64, []adm.Value, []adm.Value) error { return nil }); err != nil {
+	if err := w.Replay(0, func(uint64, []index.Item) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	var enc []byte
@@ -332,9 +333,9 @@ func TestWALReplayTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []int64
-	err = w2.Replay(0, func(_ uint64, keys, _ []adm.Value) error {
-		for _, key := range keys {
-			got = append(got, key.IntVal())
+	err = w2.Replay(0, func(_ uint64, items []index.Item) error {
+		for _, it := range items {
+			got = append(got, it.Key.IntVal())
 		}
 		return nil
 	})
@@ -363,7 +364,7 @@ func TestWALReplayTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := w3.Replay(0, func(_ uint64, keys, _ []adm.Value) error { count += len(keys); return nil }); err != nil {
+	if err := w3.Replay(0, func(_ uint64, items []index.Item) error { count += len(items); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 6 {

@@ -102,6 +102,23 @@ func (d *Dataset) Route(pk adm.Value) int {
 	return int(adm.Hash(pk) % uint64(len(d.partitions)))
 }
 
+// UpsertFrame stores a routed frame in partition part: enc is its slab
+// (hyracks.Frame.Enc), key, record, key, record, …, the write's log
+// payload as it stands. The partition logs enc and its memtable keeps the
+// records where they lie, charged enc's capacity, since it keeps the
+// whole slab alive. Every key must be one Route sends to part: a slab
+// holding any other key, or one that does not decode, is refused before
+// anything is logged. The caller must not change enc afterwards.
+func (d *Dataset) UpsertFrame(part int, enc []byte) error {
+	_, err := d.partitions[part].write(writeUpsert, enc, 0, func(key adm.Value) error {
+		if owner := d.Route(key); owner != part {
+			return fmt.Errorf("lsm: storage partition %d was sent key %v, which partition %d owns", part, key, owner)
+		}
+		return nil
+	})
+	return err
+}
+
 // PutCheckpoint records a feed-resume checkpoint on every partition
 // (see Partition.PutCheckpoint), so losing any subset of partitions
 // still leaves the full watermark recoverable from the survivors.

@@ -133,9 +133,9 @@ func w2Replay(t *testing.T, fs FS, fn func(uint64, adm.Value, adm.Value)) error 
 		return err
 	}
 	defer w.Close()
-	return w.Replay(0, func(lsn uint64, keys, recs []adm.Value) error {
-		for i := range keys {
-			fn(lsn+uint64(i), keys[i], recs[i])
+	return w.Replay(0, func(lsn uint64, items []index.Item) error {
+		for i, it := range items {
+			fn(lsn+uint64(i), it.Key, it.Val)
 		}
 		return nil
 	})

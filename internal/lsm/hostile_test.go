@@ -316,7 +316,7 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			err = w.Replay(0, func(_ uint64, keys, _ []adm.Value) error { n += len(keys); return nil })
+			err = w.Replay(0, func(_ uint64, items []index.Item) error { n += len(items); return nil })
 			return n, err
 		}
 		var n int

@@ -17,21 +17,21 @@
 //
 // # Frame-granular batch writes
 //
-// The write path is frame-granular: storage consumers hand a whole
-// dataflow frame's records to Partition.UpsertBatch, which costs one
-// WAL append+commit, one partition lock acquisition, one sort, one bulk
-// memtable insert (index.BTree.PutBatch), grouped secondary-index
-// maintenance, and one flush-threshold check for the entire frame.
-// Ownership follows the hyracks frame rules: the call transfers the
-// frame downstream, storage keeps one buffer per batch, which the WAL is
-// handed and the memtable's records are views of, and the writer
-// recycles the spines after UpsertBatch returns. That buffer is a copy
-// of the records' encodings, so nothing of the caller's is kept —
-// unless the frame arrives as its own log payload (UpsertFrame: a feed
-// with no function routes and encodes its records that way), when the
-// buffer is the frame's slab itself. Upsert, Insert, Delete and
-// PutCheckpoint are batches of one on the same path (see
-// Partition.write).
+// The write path is frame-granular: a whole dataflow frame is one
+// storage operation, costing one WAL append+commit, one partition lock
+// acquisition, one sort, one bulk memtable insert
+// (index.BTree.PutBatch), grouped secondary-index maintenance, and one
+// flush-threshold check for the entire frame. A write is the bytes the
+// WAL will log — key, record, key, record, … — and storage keeps that
+// one buffer per batch: the WAL is handed it, and the memtable's items
+// are decoded from it, each record a view of it (decodeBatch, which WAL
+// replay reads the log with too). A feed's frame arrives as that
+// payload already: its producer routed it (hyracks.Frame.Enc), and
+// Dataset.UpsertFrame stores the slab as it stands, checking that the
+// partition owns every key it decodes. Every other write — UpsertBatch,
+// and Upsert, Insert, Delete and PutCheckpoint, which are batches of
+// one — is first encoded into a buffer of its own (encodeBatch), so
+// nothing of the caller's is kept. See Partition.write.
 //
 // # Reads keep what writes never rewrite
 //
@@ -45,7 +45,6 @@
 package lsm
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -62,9 +61,10 @@ import (
 type Options struct {
 	// MemBudget is the memtable size in bytes that triggers a freeze,
 	// and with it a flush to a run file. The memtable is charged what it
-	// holds — the encoded bytes of every key and record written since
-	// the last freeze plus memItemOverhead per entry, or for a routed
-	// frame (UpsertFrame) its slab's capacity — which for an
+	// holds — each batch's buffer at its capacity (a copy sized exactly,
+	// or a routed frame's slab, spare room included: see
+	// Dataset.UpsertFrame) plus memItemOverhead per entry written since
+	// the last freeze — which for an
 	// enriched tweet is ≈ 650 B where the decoded tree it used to hold
 	// was estimated at ≈ 1.9 KB: the same budget holds ≈ 3× the records,
 	// so flushes are fewer and larger, and (Close does not flush) more of
@@ -190,11 +190,10 @@ type Partition struct {
 
 	mu  sync.RWMutex
 	mem *index.BTree
-	// memBytes is what the memtable holds: the encoded bytes of every
-	// entry written since the last freeze plus memItemOverhead each —
-	// replaced entries included, their bytes are still in their batch's
-	// buffer. A routed frame's buffer is charged its capacity: the
-	// memtable keeps the whole slab alive.
+	// memBytes is what the memtable holds: the capacity of every batch
+	// buffer written since the last freeze plus memItemOverhead per
+	// entry — replaced entries included, their bytes are still in their
+	// batch's buffer, which the memtable keeps whole.
 	memBytes   int
 	components []*component // newest first
 	secondary  []SecondaryIndex
@@ -253,7 +252,7 @@ func checkpointScope(key adm.Value) (string, bool) {
 // scope; a stale offset is logged but does not regress the table.
 func (p *Partition) PutCheckpoint(scope string, off uint64) error {
 	key, rec := [1]adm.Value{adm.String(ckptKeyPrefix + scope)}, [1]adm.Value{adm.Int(int64(off))}
-	_, err := p.write(writeCheckpoint, key[:], rec[:], nil)
+	_, err := p.write(writeCheckpoint, encodeBatch(key[:], rec[:]), 1, nil)
 	return err
 }
 
@@ -287,7 +286,7 @@ func (p *Partition) raiseCheckpointLocked(scope string, off uint64) {
 		p.ckpts = make(map[string]uint64)
 	}
 	if off > p.ckpts[scope] {
-		p.ckpts[scope] = off
+		p.ckpts[strings.Clone(scope)] = off // scope may alias a whole WAL segment
 	}
 }
 
@@ -307,7 +306,7 @@ func (p *Partition) AttachIndex(idx SecondaryIndex) error {
 	box, keys, recs := getValuePairBatch(backfillChunk)
 	comps := append([]*component{{tree: p.mem}}, p.components...)
 	scanMerged(comps, func(key, rec adm.Value) bool {
-		keys, recs = append(keys, key), append(recs, rec)
+		keys, recs = append(keys, ownKey(key)), append(recs, rec)
 		if len(keys) == backfillChunk {
 			idx.InsertBatch(keys, recs)
 			clear(keys) // the pool clears only up to the final length
@@ -359,7 +358,7 @@ func (p *Partition) Err() error {
 // Upsert inserts or replaces the record under key: a batch of one.
 func (p *Partition) Upsert(key, rec adm.Value) error {
 	k, r := [1]adm.Value{key}, [1]adm.Value{rec}
-	_, err := p.write(writeUpsert, k[:], r[:], nil)
+	_, err := p.write(writeUpsert, encodeBatch(k[:], r[:]), 1, nil)
 	return err
 }
 
@@ -368,7 +367,7 @@ func (p *Partition) Upsert(key, rec adm.Value) error {
 // replay cannot apply it and the epoch does not move.
 func (p *Partition) Insert(key, rec adm.Value) error {
 	k, r := [1]adm.Value{key}, [1]adm.Value{rec}
-	_, err := p.write(writeInsert, k[:], r[:], nil)
+	_, err := p.write(writeInsert, encodeBatch(k[:], r[:]), 1, nil)
 	return err
 }
 
@@ -377,7 +376,7 @@ func (p *Partition) Insert(key, rec adm.Value) error {
 // before the delete.
 func (p *Partition) Delete(key adm.Value) (existed bool, err error) {
 	k, r := [1]adm.Value{key}, [1]adm.Value{adm.Missing()}
-	return p.write(writeDelete, k[:], r[:], nil)
+	return p.write(writeDelete, encodeBatch(k[:], r[:]), 1, nil)
 }
 
 // itemBatchPool recycles the sorted-run scratch built by UpsertBatch so
@@ -420,57 +419,56 @@ func putItemBatch(b *[]index.Item) {
 // check. Duplicate keys within the batch collapse to the last
 // occurrence; a MISSING record is a tombstone. The caller keeps
 // ownership of the keys/recs slices and of the records: storage keeps
-// its own copy of their encodings (the keys' headers are copied into
-// the memtable as they are).
+// its own copy of their encodings (encodeBatch).
 //
 // The batch is WAL-framed as one record (encoded in original order —
 // replay applies sequentially, so last-wins dedupe is reproduced) and
 // the call returns after one group commit; the error is that commit's
 // result.
 func (p *Partition) UpsertBatch(keys, recs []adm.Value) error {
-	return p.UpsertFrame(keys, recs, nil)
-}
-
-// UpsertFrame is UpsertBatch for a frame that may carry its own
-// encoding (hyracks.Frame.Enc): keys[0]'s encoding, then recs[0] as a
-// view of the bytes right after it, and so on to the end of enc. Such a
-// frame is logged as it stands and the memtable keeps its records where
-// they lie — enc is the write's one buffer, and the memtable is charged
-// its capacity, since it keeps the whole slab alive. The layout is
-// verified, not trusted: an enc it does not match (or nil) costs the copy
-// UpsertBatch makes, never a different result. The caller must not
-// change enc afterwards.
-func (p *Partition) UpsertFrame(keys, recs []adm.Value, enc []byte) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	if len(keys) != len(recs) {
-		panic("lsm: UpsertFrame keys/recs length mismatch")
-	}
-	_, err := p.write(writeUpsert, keys, recs, enc)
+	_, err := p.write(writeUpsert, encodeBatch(keys, recs), len(keys), nil)
 	return err
 }
 
-// framedBy reports whether enc is exactly the log payload of keys and
-// recs: for each pair, the key's encoding, then the record as a view of
-// the bytes that follow it, with nothing left over. A key is compared
-// through a stack buffer, so checking a frame allocates nothing unless a
-// key encodes to more than its 64 bytes.
-func framedBy(enc []byte, keys, recs []adm.Value) bool {
-	var kb [64]byte
-	off := 0
+// encodeBatch lays keys[i], recs[i] out as a write's log payload — key,
+// record, key, record, … — in a buffer sized exactly. A record that
+// arrives as a view is copied in, so nothing the caller read it from
+// stays reachable.
+func encodeBatch(keys, recs []adm.Value) []byte {
+	size := 0
 	for i := range keys {
-		k := adm.AppendBinary(kb[:0], keys[i])
-		if !bytes.HasPrefix(enc[off:], k) {
-			return false
-		}
-		n, ok := adm.ViewAt(recs[i], enc, off+len(k))
-		if !ok {
-			return false
-		}
-		off += len(k) + n
+		size += adm.BinarySize(keys[i]) + adm.BinarySize(recs[i])
 	}
-	return off == len(enc)
+	enc := make([]byte, 0, size)
+	for i := range keys {
+		enc = adm.AppendBinary(enc, keys[i])
+		enc = adm.AppendBinary(enc, recs[i])
+	}
+	return enc
+}
+
+// decodeBatch appends the entries of enc, a write's log payload, to
+// items in log order: a key is decoded (a string key aliases enc,
+// adm.DecodeBinaryAlias) and a record is a view of enc. It is the one
+// reader of that layout — write builds a batch's memtable items with it
+// before the batch is logged, and WAL replay every logged batch's — so a
+// batch the write path accepts is one recovery reads back. enc that is
+// not exactly whole entries, or holds a value the decoder refuses (one
+// nested deeper than adm.MaxDepth, say), is an error.
+func decodeBatch(items []index.Item, enc []byte) ([]index.Item, error) {
+	for off := 0; off < len(enc); {
+		key, n, err := adm.DecodeBinaryAlias(enc[off:])
+		if err != nil {
+			return items, fmt.Errorf("key at offset %d: %w", off, err)
+		}
+		off += n
+		if n, err = adm.SkipBinary(enc[off:]); err != nil {
+			return items, fmt.Errorf("record at offset %d: %w", off, err)
+		}
+		items = append(items, index.Item{Key: key, Val: adm.View(enc[off : off+n])})
+		off += n
+	}
+	return items, nil
 }
 
 // writeMode selects the pre-check and the apply target of one write.
@@ -488,64 +486,42 @@ const (
 const memItemOverhead = int(unsafe.Sizeof(index.Item{}))
 
 // write is the partition's one mutation sequence; every public mutator
-// is a thin caller. Encoding and sorting happen outside the lock; a
-// value the decoder would refuse (adm.MaxDepth) is refused here, before
-// anything is appended, or recovery could not read the log back. The
-// batch lives in one garbage-collected buffer: the WAL is handed those
-// bytes and the memtable's records are views of them, which is also
-// what a flush copies into its run file and what recovery rebuilds over
-// the log's own bytes. That buffer is routed when it already is the
-// batch's log payload (see UpsertFrame); otherwise the batch is encoded
-// into a fresh one sized exactly (a record that arrives as a view is
-// copied in, so nothing the caller read it from stays reachable). Under
-// p.mu: a closed partition or a failed pre-check
-// returns before anything is logged; otherwise the batch is appended to
-// the WAL and applied — in that order under the same lock, which is the
-// invariant that makes recovery exact: LSNs are assigned in memtable
-// apply order, so a freeze's LSN watermark covers precisely the entries
-// in the frozen tree. After the unlock comes one group commit, whose
-// error is the write's error and is recorded stickily (the in-memory
-// state is ahead of the log at that point, but so is a crashed process;
-// recovery replays only what was acknowledged).
-func (p *Partition) write(mode writeMode, keys, recs []adm.Value, routed []byte) (existed bool, err error) {
-	size := 0
-	for i := range keys {
-		if err = adm.CheckDepth(keys[i]); err == nil {
-			err = adm.CheckDepth(recs[i])
-		}
-		if err != nil {
-			return false, fmt.Errorf("lsm: write refused: %w", err)
-		}
-		size += adm.BinarySize(keys[i]) + adm.BinarySize(recs[i])
+// is a thin caller, handing it the batch as the bytes the WAL will log
+// (enc: key, record, key, record, …). Outside the lock the batch's
+// memtable items are decoded from enc (decodeBatch), so an enc the
+// decoder refuses — a value nested deeper than adm.MaxDepth included —
+// is refused here, before anything is appended, or recovery could not
+// read the log back; owns, when set, then vets every key. hint is how
+// many entries enc holds when the caller knows (0 when not): it sizes
+// the item scratch, which otherwise grows as enc is read. The items'
+// records are views of enc, which is also what a flush copies into its
+// run file and what recovery rebuilds over the log's own bytes; the
+// memtable is charged enc's capacity, since it keeps all of enc alive.
+// Under p.mu: a closed partition or a failed pre-check returns before
+// anything is logged; otherwise the batch is appended to the WAL and
+// applied — in that order under the same lock, which is the invariant
+// that makes recovery exact: LSNs are assigned in memtable apply order,
+// so a freeze's LSN watermark covers precisely the entries in the frozen
+// tree. After the unlock comes one group commit, whose error is the
+// write's error and is recorded stickily (the in-memory state is ahead
+// of the log at that point, but so is a crashed process; recovery
+// replays only what was acknowledged).
+func (p *Partition) write(mode writeMode, enc []byte, hint int, owns func(key adm.Value) error) (existed bool, err error) {
+	batch := getItemBatch(hint)
+	items, err := decodeBatch(*batch, enc)
+	n := len(items)
+	if err != nil {
+		err = fmt.Errorf("lsm: write refused: %w", err)
 	}
-	var batch *[]index.Item
-	var items []index.Item
-	if mode != writeCheckpoint {
-		batch = getItemBatch(len(keys))
-		items = *batch
+	for i := 0; err == nil && owns != nil && i < n; i++ {
+		err = owns(items[i].Key)
 	}
-	var enc []byte
-	held := len(keys) * memItemOverhead
-	if routed != nil && framedBy(routed, keys, recs) {
-		enc = routed
-		held += cap(enc)
-		if batch != nil {
-			for i := range keys {
-				items = append(items, index.Item{Key: keys[i], Val: recs[i]})
-			}
-		}
-	} else {
-		enc = make([]byte, 0, size)
-		for i := range keys {
-			enc = adm.AppendBinary(enc, keys[i])
-			at := len(enc)
-			enc = adm.AppendBinary(enc, recs[i])
-			if batch != nil {
-				items = append(items, index.Item{Key: keys[i], Val: adm.View(enc[at:])})
-			}
-		}
-		held += len(enc)
+	if err != nil || n == 0 {
+		*batch = items // the high-water length, for the pool's clear
+		putItemBatch(batch)
+		return false, err
 	}
+	held := n*memItemOverhead + cap(enc)
 	items = sortBatch(items)
 	p.mu.Lock()
 	switch {
@@ -553,29 +529,27 @@ func (p *Partition) write(mode writeMode, keys, recs []adm.Value, routed []byte)
 		err = errClosed
 	case mode == writeInsert || mode == writeDelete:
 		// A read fault fails the write: it must not pass for an absent key.
-		if _, existed, err = p.getLocked(keys[0]); existed && mode == writeInsert {
-			err = fmt.Errorf("lsm: duplicate key %s", keys[0])
+		if _, existed, err = p.getLocked(items[0].Key); existed && mode == writeInsert {
+			err = fmt.Errorf("lsm: duplicate key %s", items[0].Key)
 		}
 	}
 	if err == nil {
-		p.wal.appendEncoded(enc, len(keys))
+		p.wal.appendEncoded(enc, n)
 		switch mode {
 		case writeCheckpoint:
-			scope, _ := checkpointScope(keys[0])
-			p.raiseCheckpointLocked(scope, uint64(recs[0].IntVal()))
+			scope, _ := checkpointScope(items[0].Key)
+			p.raiseCheckpointLocked(scope, uint64(items[0].Val.IntVal()))
 		case writeDelete:
 			p.stats.Deletes++
 			p.applyBatchLocked(items, held)
 		default:
-			p.stats.Upserts += uint64(len(keys))
+			p.stats.Upserts += uint64(n)
 			p.applyBatchLocked(items, held)
 		}
 	}
 	p.mu.Unlock()
-	if batch != nil {
-		*batch = items[:len(keys)] // restore the written length for the clear
-		putItemBatch(batch)
-	}
+	*batch = items[:n] // restore the written length for the clear
+	putItemBatch(batch)
 	if err != nil {
 		return existed, err
 	}
@@ -648,7 +622,7 @@ func (p *Partition) maintainIndexesBatchLocked(items []index.Item) {
 			oldRecs = append(oldRecs, old)
 		}
 		if !it.Val.IsMissing() {
-			newKeys = append(newKeys, it.Key)
+			newKeys = append(newKeys, ownKey(it.Key))
 			newRecs = append(newRecs, it.Val)
 		}
 	}
@@ -660,6 +634,16 @@ func (p *Partition) maintainIndexesBatchLocked(items []index.Item) {
 	}
 	putValuePairBatch(oldB, oldKeys, oldRecs)
 	putValuePairBatch(newB, newKeys, newRecs)
+}
+
+// ownKey returns key as a value that keeps nothing else alive, for a
+// secondary index, which keeps its primary keys for good: a memtable's
+// string key aliases the buffer of the batch it came in (decodeBatch).
+func ownKey(key adm.Value) adm.Value {
+	if key.Kind() == adm.KindString {
+		return adm.String(strings.Clone(key.StringVal()))
+	}
+	return key
 }
 
 // valuePair is a pooled pair of key/record scratch slices for the

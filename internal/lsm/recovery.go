@@ -91,30 +91,27 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 	// Replay applies straight to the fresh memtable: no locks are
 	// needed (the partition is not yet published) and no re-logging
 	// happens (the entries are already in the WAL). Each logged frame is
-	// applied as the write that logged it was — sorted, duplicate keys
-	// collapsed to the last, one PutBatch. A record is a view of the
-	// segment bytes replay read. Tombstones stay in the memtable as
-	// MISSING so they shadow older runs. Checkpoint entries (reserved key
-	// prefix) route to the checkpoint table instead of the memtable.
-	batch := getItemBatch(0)
-	items, written := *batch, 0
-	err = wal.Replay(man.FlushedLSN, func(_ uint64, keys, recs []adm.Value) error {
-		items = items[:0]
-		for i, key := range keys {
-			if scope, ok := checkpointScope(key); ok {
-				if off, ok := recs[i].AsInt(); ok {
+	// decoded and applied as the write that logged it was — sorted,
+	// duplicate keys collapsed to the last, one PutBatch — its items
+	// aliasing the segment bytes replay read. Tombstones stay in the
+	// memtable as MISSING so they shadow older runs. Checkpoint entries
+	// (reserved key prefix) route to the checkpoint table instead of the
+	// memtable.
+	err = wal.Replay(man.FlushedLSN, func(_ uint64, items []index.Item) error {
+		w := 0
+		for _, it := range items {
+			if scope, ok := checkpointScope(it.Key); ok {
+				if off, ok := it.Val.AsInt(); ok {
 					p.raiseCheckpointLocked(scope, uint64(off))
 				}
 				continue
 			}
-			items = append(items, index.Item{Key: key, Val: recs[i]})
+			items[w] = it
+			w++
 		}
-		written = max(written, len(items))
-		p.mem.PutBatch(sortBatch(items), nil)
+		p.mem.PutBatch(sortBatch(items[:w]), nil)
 		return nil
 	})
-	*batch = items[:written] // the high-water length, for the pool's clear
-	putItemBatch(batch)
 	if err != nil {
 		p.closeRunsLocked()
 		return nil, fmt.Errorf("lsm: recovery: %w", err)

@@ -257,3 +257,44 @@ func TestWriteDetachesViews(t *testing.T) {
 	}
 	t.Fatal("the source block is still reachable from the memtable it was copied into")
 }
+
+// TestIndexKeepsNoBatchBuffer: a memtable's string keys alias the buffer
+// their batch arrived in, but a secondary index keeps its primary keys
+// for good, so it is handed copies — once the memtable is flushed, the
+// batch's buffer is collectable while the index still answers.
+func TestIndexKeepsNoBatchBuffer(t *testing.T) {
+	p := memPartition(t, Options{MemBudget: 1 << 30, MaxComponents: 8})
+	ix := NewBTreeIndex("cat", FieldKeyExtractor("cat"))
+	if err := p.AttachIndex(ix); err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	func() {
+		keys, recs := make([]adm.Value, 32), make([]adm.Value, 32)
+		for i := range keys {
+			keys[i], recs[i] = adm.String(fmt.Sprintf("key-%03d", i)), padRec(i, 20)
+		}
+		enc, views := routedFrame(keys, recs, 0)
+		runtime.SetFinalizer(&enc[0], func(*byte) { close(collected) })
+		if err := p.UpsertFrame(keys, views, enc); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	p.Flush()
+	if err := p.WaitForFlush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			cat := index.Include(adm.String("c0007"))
+			if pks := ix.LookupRangeBounds(cat, cat, nil); len(pks) != 1 || len(pks[0]) != 1 || !adm.Equal(pks[0][0], adm.String("key-007")) {
+				t.Fatalf("the index maps c0007 to %v, want [[key-007]]", pks)
+			}
+			return
+		default:
+		}
+	}
+	t.Fatal("the batch's buffer is still reachable from the index")
+}

@@ -3,13 +3,12 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
 
-	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/frame"
+	"github.com/ideadb/idea/internal/index"
 )
 
 // WAL is the storage log a partition appends to before applying a
@@ -117,15 +116,16 @@ func parseWALSegmentName(name string) (int, bool) {
 
 // Replay scans the on-disk segments in order, invoking apply once per
 // logged frame — one storage batch — with the frame's entries whose LSN
-// is > from, in log order (lsn is keys[0]'s; the rest follow densely),
-// and leaves the log positioned for appending. A key is decoded and owns
-// its memory; an object rec is a view of the segment's bytes, which
-// replay read into memory nothing else writes. The keys and recs slices
-// are reused from one call to the next. A torn or corrupt frame at the
-// tail of the last segment is truncated away (a crash mid-write);
-// corruption anywhere else fails recovery loudly. Replay must be called
-// exactly once, before any append.
-func (w *WAL) Replay(from uint64, apply func(lsn uint64, keys, recs []adm.Value) error) error {
+// is > from, in log order (lsn is items[0]'s; the rest follow densely),
+// and leaves the log positioned for appending. The entries are decoded
+// as the write that logged them decoded them (decodeBatch), over the
+// segment's bytes, which replay read into memory nothing else writes: a
+// string key and an object record alias them. items is scratch reused
+// from one call to the next, which apply may reorder. A torn or corrupt
+// frame at the tail of the last segment is truncated away (a crash
+// mid-write); corruption anywhere else fails recovery loudly. Replay
+// must be called exactly once, before any append.
+func (w *WAL) Replay(from uint64, apply func(lsn uint64, items []index.Item) error) error {
 	names, err := w.fs.List(w.dir)
 	if err != nil {
 		return err
@@ -139,10 +139,10 @@ func (w *WAL) Replay(from uint64, apply func(lsn uint64, keys, recs []adm.Value)
 	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
 
 	maxLSN := from
-	var batch walBatch
+	var items []index.Item
 	for i := range segs {
 		last := i == len(segs)-1
-		lsn, first, err := w.replaySegment(&segs[i], last, from, &batch, apply)
+		lsn, first, err := w.replaySegment(&segs[i], last, from, &items, apply)
 		if err != nil {
 			return err
 		}
@@ -177,13 +177,10 @@ func (w *WAL) Replay(from uint64, apply func(lsn uint64, keys, recs []adm.Value)
 	return nil
 }
 
-// walBatch is the scratch Replay decodes one frame's entries into.
-type walBatch struct{ keys, recs []adm.Value }
-
 // replaySegment reads one segment, applying each frame's entries past
 // from. It returns the highest LSN seen and the segment's first LSN.
 // Torn tails are truncated when last is set.
-func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, b *walBatch, apply func(uint64, []adm.Value, []adm.Value) error) (maxLSN, firstLSN uint64, err error) {
+func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, items *[]index.Item, apply func(uint64, []index.Item) error) (maxLSN, firstLSN uint64, err error) {
 	pathname := joinPath(w.dir, seg.name)
 	data, err := readFileAll(w.fs, pathname)
 	if err != nil {
@@ -228,31 +225,24 @@ func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, b *walBatch
 		}
 		r := frame.NewReader(payload)
 		first, count := r.Uvarint(), r.Count(2) // an entry is two values of >= 1 byte
-		clear(b.keys)
-		clear(b.recs)
-		b.keys, b.recs = slices.Grow(b.keys[:0], count), slices.Grow(b.recs[:0], count)
-		applyFrom := first
-		for i := 0; i < count; i++ {
-			key, rec := r.Value(), r.View()
-			if r.Err() != nil {
-				break
-			}
-			lsn := first + uint64(i)
-			if lsn > maxLSN {
-				maxLSN = lsn
-			}
-			if lsn > from {
-				if len(b.keys) == 0 {
-					applyFrom = lsn
-				}
-				b.keys, b.recs = append(b.keys, key), append(b.recs, rec)
-			}
+		if err = r.Err(); err == nil {
+			*items, err = decodeBatch((*items)[:0], r.Take(r.Len()))
 		}
-		if err := r.Done(); err != nil {
+		if err == nil && len(*items) != count {
+			err = fmt.Errorf("%d entries, its header counts %d", len(*items), count)
+		}
+		if err != nil {
 			return 0, 0, fmt.Errorf("lsm: wal segment %s frame at %d: %w", seg.name, off, err)
 		}
-		if len(b.keys) > 0 {
-			if err := apply(applyFrom, b.keys, b.recs); err != nil {
+		if count > 0 {
+			maxLSN = max(maxLSN, first+uint64(count)-1)
+		}
+		skip := 0 // entries at or below from, which run files hold already
+		if from >= first {
+			skip = int(min(from-first+1, uint64(count)))
+		}
+		if skip < count {
+			if err := apply(first+uint64(skip), (*items)[skip:]); err != nil {
 				return 0, 0, err
 			}
 		}
