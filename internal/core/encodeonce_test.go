@@ -191,12 +191,10 @@ func (*frameSink) Open() error                   { return nil }
 func (s *frameSink) Push(fr hyracks.Frame) error { s.frames = append(s.frames, fr); return nil }
 func (*frameSink) Close() error                  { return nil }
 
-// recycle hands the collected frames' spines back to the pool, as the
-// storage writer does.
-func (s *frameSink) recycle() {
-	for _, fr := range s.frames {
-		hyracks.RecycleFrame(fr)
-	}
+// reset drops the collected frames, as the storage writer does: a slab
+// frame holds nothing pooled.
+func (s *frameSink) reset() {
+	clear(s.frames)
 	s.frames = s.frames[:0]
 }
 
@@ -215,40 +213,67 @@ func encoderArms(targets int) []encoderArm {
 	}
 }
 
-// checkRouted fails unless every frame is what storage takes as its log
-// payload: Enc holds each record's key, then the record as a view of the
-// bytes that follow, and nothing else; and every key routes to the
-// partition the frame is addressed to (Part), where the storage exchange
-// takes it.
+// checkRouted fails unless every frame is a slab and a count and nothing
+// else: its N records are all it holds, and its slab decodes to exactly
+// N entries (slabRecords). A routed frame is what storage takes as its
+// log payload: Enc holds each record's key, then the record, and
+// nothing else; and every key is its record's and routes to the
+// partition the frame is addressed to (Part), where the storage
+// exchange takes it. An unrouted frame names no partition (-1), so no
+// storage exchange takes it.
 func checkRouted(t *testing.T, frames []hyracks.Frame, pk string, route func(adm.Value) int) {
 	t.Helper()
 	for _, fr := range frames {
+		if fr.Len() != fr.N {
+			t.Fatalf("a frame holds %d records beside the %d of its slab", fr.Len()-fr.N, fr.N)
+		}
 		if route == nil {
-			if fr.Enc != nil {
-				t.Fatal("an unrouted frame carries a slab")
+			if fr.Part != -1 {
+				t.Fatalf("an unrouted frame names partition %d, want -1", fr.Part)
 			}
+			slabRecords(t, fr)
 			continue
 		}
-		off := 0
-		for _, rec := range fr.Records {
-			key := rec.Field(pk)
+		recs, keys := slabRecords(t, fr)
+		for i, rec := range recs {
+			key := keys[i]
 			if got := route(key); got != fr.Part {
 				t.Fatalf("key %v routes to partition %d in a frame addressed to %d", key, got, fr.Part)
 			}
-			k := adm.AppendBinary(nil, key)
-			if !bytes.HasPrefix(fr.Enc[off:], k) {
-				t.Fatalf("key %v is not at offset %d of its frame's slab", key, off)
+			if !bytes.Equal(adm.AppendBinary(nil, rec.Field(pk)), adm.AppendBinary(nil, key)) {
+				t.Fatalf("key %v precedes a record whose key is %v", key, rec.Field(pk))
 			}
-			n, ok := adm.ViewAt(rec, fr.Enc, off+len(k))
-			if !ok {
-				t.Fatalf("record %v is not a view of the slab after its key", key)
-			}
-			off += len(k) + n
-		}
-		if off != len(fr.Enc) {
-			t.Fatalf("a frame's slab holds %d bytes past its records", len(fr.Enc)-off)
 		}
 	}
+}
+
+// slabRecords reads a frame's records off its slab (Frame.Enc) as views
+// of it, each after its key — returned beside it — when the frame names
+// a storage partition, on their own when it names none (-1). It fails
+// the test unless the slab is whole entries, as many as the frame counts
+// (Frame.N).
+func slabRecords(t *testing.T, fr hyracks.Frame) (recs, keys []adm.Value) {
+	t.Helper()
+	for off := 0; off < len(fr.Enc); {
+		if fr.Part >= 0 {
+			key, n, err := adm.DecodeBinary(fr.Enc[off:])
+			if err != nil {
+				t.Fatalf("key at offset %d of a frame's slab: %v", off, err)
+			}
+			keys = append(keys, key)
+			off += n
+		}
+		n, err := adm.SkipBinary(fr.Enc[off:])
+		if err != nil {
+			t.Fatalf("record at offset %d of a frame's slab: %v", off, err)
+		}
+		recs = append(recs, adm.View(fr.Enc[off:off+n]))
+		off += n
+	}
+	if len(recs) != fr.N {
+		t.Fatalf("a frame counts %d records, its slab holds %d", fr.N, len(recs))
+	}
+	return recs, keys
 }
 
 // TestEvaluatorRoutesLikeTheConnector: every frame a function feed's rows
@@ -325,6 +350,7 @@ func TestEvaluatorRoutesLikeTheConnector(t *testing.T) {
 				var parsed, evaluated frameSink
 				parser := newRecordEncoder(frame, 1, "", nil)
 				encode(&parser, lines, nil, &parsed)
+				checkRouted(t, parsed.frames, "id", nil)
 				ev := &evaluator{router: newFrameRouter(frame, ds.NumPartitions(), "id", ds.Route), udfCall: fn}
 				for _, fr := range parsed.frames {
 					if err := ev.Push(nil, fr, &evaluated); err != nil {
@@ -340,13 +366,14 @@ func TestEvaluatorRoutesLikeTheConnector(t *testing.T) {
 						if fr.Enc == nil {
 							t.Fatal("a frame carries no slab")
 						}
-						for _, rec := range fr.Records {
+						recs, _ := slabRecords(t, fr)
+						for _, rec := range recs {
 							key := rec.Field("id").String()
 							if got := adm.AppendBinary(nil, rec); !bytes.Equal(got, want[key]) {
 								t.Fatalf("key %s reads\n %x\nthe function makes\n %x", key, got, want[key])
 							}
 						}
-						framed += len(fr.Records)
+						framed += len(recs)
 					}
 					if framed != n || len(want) != n {
 						t.Fatalf("%d rows framed of %d records, want %d", framed, len(want), n)
@@ -357,7 +384,7 @@ func TestEvaluatorRoutesLikeTheConnector(t *testing.T) {
 					if most := batches * (2*ds.NumPartitions() + 1); len(out.frames) > most {
 						t.Fatalf("%d batches of rows took %d frames, want at most %d", batches, len(out.frames), most)
 					}
-					out.recycle()
+					out.reset()
 				}
 			})
 		}
@@ -457,7 +484,7 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 			enc, lines := &arm.enc, arm.lines
 			var sink frameSink
 			collect := func() {
-				sink.recycle()
+				sink.reset()
 				enc.begin(len(lines))
 				for _, line := range lines {
 					if ok, err := enc.encode(line, arm.dt, arm.fn, &sink); !ok || err != nil {
@@ -485,7 +512,8 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 			checkRouted(t, sink.frames, "id", enc.route)
 			size, records := 0, 0
 			for _, fr := range sink.frames {
-				for _, rec := range fr.Records {
+				recs, _ := slabRecords(t, fr)
+				for _, rec := range recs {
 					want, err := arm.want(lines[rec.Field("id").IntVal()])
 					if err != nil || !adm.Equal(rec, want) {
 						t.Fatalf("record reads %v, want %v (%v)", rec, want, err)
@@ -498,7 +526,7 @@ func TestCollectorAllocatesPerFrame(t *testing.T) {
 						size += adm.BinarySize(rec)
 					}
 				}
-				records += len(fr.Records)
+				records += len(recs)
 			}
 			if records != len(lines) {
 				t.Fatalf("%d records framed, want %d", records, len(lines))
@@ -562,7 +590,8 @@ func TestOutsizedLineDoesNotMultiplyTheSlab(t *testing.T) {
 					}
 					checkRouted(t, sink.frames, "id", arm.route)
 					for _, fr := range sink.frames {
-						for _, rec := range fr.Records {
+						recs, _ := slabRecords(t, fr)
+						for _, rec := range recs {
 							id := rec.Field("id").IntVal()
 							line := big
 							if id >= 0 {
@@ -577,7 +606,7 @@ func TestOutsizedLineDoesNotMultiplyTheSlab(t *testing.T) {
 							}
 						}
 					}
-					sink.recycle()
+					sink.reset()
 					return slabs, encoded
 				}
 				if learned {
@@ -660,12 +689,12 @@ func TestCollectorRoutesLikeTheConnector(t *testing.T) {
 				checkRouted(t, sink.frames, "k", routed.Route)
 				framed := 0
 				for _, fr := range sink.frames {
-					framed += len(fr.Records)
+					framed += fr.N
 				}
 				if framed != n {
 					t.Fatalf("%d records framed, want %d", framed, n)
 				}
-				sink.recycle()
+				sink.reset()
 
 				// The two feeds store the same bytes.
 				for _, feed := range []Config{

@@ -735,8 +735,8 @@ func admit(dt *adm.Datatype, rec adm.Value, perr error) (adm.Value, bool) {
 //
 // A dynamic feed's encoder routes with the dataset's Route (frameRouter).
 // With no function, the record is encoded into its storage partition's
-// slab and handed on as a view of those bytes — the encoding the WAL and
-// the run file will hold. With one, the function runs right here, as
+// slab and handed on as those bytes — the encoding the WAL and the run
+// file will hold. With one, the function runs right here, as
 // Hyracks runs operators joined one-to-one in one thread, and what it
 // makes of the record is framed instead (udfCall.frame). Its input is
 // encoded into scratch rewound for every record when nothing the
@@ -745,8 +745,9 @@ func admit(dt *adm.Datatype, rec adm.Value, perr error) (adm.Value, bool) {
 // other input is appended to a garbage-collected slab nothing rewrites,
 // sized as a frame's is (partFrame.open).
 //
-// Unrouted, the encoder frames the records themselves into one frame;
-// that mode serves StartStatic only, whose evaluator takes the frames.
+// Unrouted, the encoder frames the records themselves, without keys,
+// into one frame that names no partition; that mode serves StartStatic
+// only, whose evaluator takes the frames.
 type recordEncoder struct {
 	parser  *adm.Parser // field-name intern table and size hints stay warm
 	arena   *adm.Arena
@@ -810,19 +811,18 @@ func (e *recordEncoder) input(rec adm.Value) adm.Value {
 	return adm.View(in.slab[at:])
 }
 
-// frameRouter frames records for their targets, each record encoded into
-// its frame's slab and handed on as a view of those bytes.
+// frameRouter frames records for their targets: a frame is the slab its
+// records are encoded into and a count of them (hyracks.Frame.Enc, N).
 //
 // Routed, it frames where storage will log. A record's primary key is
 // hashed to its storage partition with the dataset's own Route — the
 // one place the routing rule is stated — and each partition has a frame
 // of its own, addressed to it (hyracks.Frame.Part), whose slab holds
 // key, record, key, record, ...: byte for byte the payload its WAL logs.
-// Such a frame carries the slab as hyracks.Frame.Enc, the storage
-// exchange forwards it whole to the partition it names, and the
-// partition reads the frame off the slab — checking that it owns every
-// key — and logs and keeps the slab instead of copying the records into
-// a buffer of its own (lsm.Dataset.UpsertFrame). A record without a
+// The storage exchange forwards such a frame whole to the partition it
+// names, and the partition reads the frame off the slab — checking that
+// it owns every key — and logs and keeps the slab instead of copying the
+// records into a buffer of its own (lsm.Dataset.UpsertFrame). A record without a
 // primary key cannot be routed and fails here, where the key is read.
 // A function-less feed's collector routes
 // the records it parses; a function feed's collector (the static
@@ -850,10 +850,11 @@ type frameRouter struct {
 	apart bool
 }
 
-// partFrame is the frame under construction for one target: its records
-// and the slab they are views of (a recordEncoder's input slab has none).
+// partFrame is the frame under construction for one target: the slab
+// its records are encoded into, and how many it holds (a recordEncoder's
+// input slab counts none).
 type partFrame struct {
-	recs []adm.Value
+	n    int
 	slab []byte
 	// largest is the most slab bytes one record of the frame took.
 	largest int
@@ -894,9 +895,8 @@ func (r *frameRouter) add(rec adm.Value, out hyracks.Writer) error {
 	if r.route != nil {
 		pf.slab = adm.AppendBinary(pf.slab, key)
 	}
-	view := len(pf.slab)
 	pf.slab = adm.AppendBinary(pf.slab, rec)
-	return r.keep(t, adm.View(pf.slab[view:]), at, out)
+	return r.keep(t, at, out)
 }
 
 // splice frames what pe makes of rec, having the row written where
@@ -936,13 +936,13 @@ func (r *frameRouter) splice(pe *query.PreparedEnrich, rec adm.Value, out hyrack
 		return err
 	}
 	if n, ok := adm.ViewAt(row, pf.slab, view); ok && view+n == len(pf.slab) && encodesTo(row.Field(r.pk), pf.slab[at:view]) {
-		return r.keep(t, row, at, out)
+		return r.keep(t, at, out)
 	}
 	spliced := len(pf.slab) > view
 	pf.slab = pf.slab[:at]
 	if spliced {
 		r.apart = true
-		if len(pf.recs) == 0 {
+		if pf.n == 0 {
 			pf.slab = nil
 		} else if err := r.push(t, out); err != nil {
 			return err
@@ -967,7 +967,7 @@ func (r *frameRouter) reserve(t, size int, out hyracks.Writer) error {
 	if cap(pf.slab)-len(pf.slab) >= size {
 		return nil
 	}
-	if len(pf.recs) > 0 {
+	if pf.n > 0 {
 		if err := r.push(t, out); err != nil {
 			return err
 		}
@@ -976,17 +976,14 @@ func (r *frameRouter) reserve(t, size int, out hyracks.Writer) error {
 	return nil
 }
 
-// keep adds rec, whose bytes (its key's included) start at slab offset
-// at and end the slab, to target t's frame, pushing the frame once it is
-// full.
-func (r *frameRouter) keep(t int, rec adm.Value, at int, out hyracks.Writer) error {
+// keep counts the record whose bytes (its key's included) start at slab
+// offset at and end the slab into target t's frame, pushing the frame
+// once it is full.
+func (r *frameRouter) keep(t, at int, out hyracks.Writer) error {
 	pf := &r.parts[t]
-	if pf.recs == nil {
-		pf.recs = hyracks.GetRecordSlice(r.frameCap)
-	}
-	pf.recs = append(pf.recs, rec)
+	pf.n++
 	pf.largest = max(pf.largest, len(pf.slab)-at)
-	if len(pf.recs) == r.frameCap {
+	if pf.n == r.frameCap {
 		return r.push(t, out)
 	}
 	return nil
@@ -1014,16 +1011,17 @@ func (pf *partFrame) learn(n int) {
 	}
 }
 
-// push sends target t's frame to out, addressed to t, and leaves it
-// empty, learning the target's bytes per record from the frame first.
+// push sends target t's frame to out, addressed to t when routing and
+// to no partition (-1) when not, and leaves it empty, learning the
+// target's bytes per record from the frame first.
 func (r *frameRouter) push(t int, out hyracks.Writer) error {
 	pf := &r.parts[t]
-	pf.learn(len(pf.recs))
-	fr := hyracks.Frame{Records: pf.recs, Part: t}
-	if r.route != nil {
-		fr.Enc = pf.slab
+	pf.learn(pf.n)
+	fr := hyracks.Frame{Enc: pf.slab, N: pf.n, Part: t}
+	if r.route == nil {
+		fr.Part = -1
 	}
-	pf.recs, pf.slab, pf.largest = nil, nil, 0
+	pf.n, pf.slab, pf.largest = 0, nil, 0
 	return out.Push(fr)
 }
 
@@ -1031,7 +1029,7 @@ func (r *frameRouter) push(t int, out hyracks.Writer) error {
 // reach storage within its invocation.
 func (r *frameRouter) flush(out hyracks.Writer) error {
 	for t := range r.parts {
-		if len(r.parts[t].recs) > 0 {
+		if r.parts[t].n > 0 {
 			if err := r.push(t, out); err != nil {
 				return err
 			}

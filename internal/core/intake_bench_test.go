@@ -80,7 +80,7 @@ func BenchmarkIntakePath(b *testing.B) {
 				}
 				// A real collector pushes its frames downstream, and the
 				// records keep their frame's slab alive.
-				sink.recycle()
+				sink.reset()
 			}
 			if eof {
 				break

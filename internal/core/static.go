@@ -149,10 +149,10 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 
 // evaluator is the static pipeline's UDF step at one partition, with the
 // function's state frozen for the feed's lifetime: each record of an
-// input frame — a view of the adapter-parser's slab — goes through the
-// function (udfCall.frame), and its row is framed for the storage
-// partition that owns its key. Each input frame is a batch of its own,
-// so its rows go on to storage before the next frame is read.
+// input frame — read as a view of the adapter-parser's slab — goes
+// through the function (udfCall.frame), and its row is framed for the
+// storage partition that owns its key. Each input frame is a batch of
+// its own, so its rows go on to storage before the next frame is read.
 type evaluator struct {
 	router frameRouter
 	udfCall
@@ -163,14 +163,18 @@ func (ev *evaluator) Open(*hyracks.TaskContext, hyracks.Writer) error { return n
 
 // Push implements hyracks.Pipe.
 func (ev *evaluator) Push(_ *hyracks.TaskContext, fr hyracks.Frame, out hyracks.Writer) error {
-	defer hyracks.RecycleFrame(fr)
-	ev.router.begin(len(fr.Records))
-	for _, rec := range fr.Records {
-		err := ev.frame(&ev.router, rec, out)
+	ev.router.begin(fr.N)
+	for off := 0; off < len(fr.Enc); {
+		n, err := adm.SkipBinary(fr.Enc[off:])
+		if err != nil {
+			return fmt.Errorf("core: evaluator input at offset %d: %w", off, err)
+		}
+		err = ev.frame(&ev.router, adm.View(fr.Enc[off:off+n]), out)
 		ev.router.pending--
 		if err != nil {
 			return err
 		}
+		off += n
 	}
 	return ev.router.flush(out)
 }

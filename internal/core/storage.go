@@ -11,38 +11,34 @@ import (
 // partition p of ds, shared by the feed storage job, the fused-insert
 // ablation, and the static pipeline (connectStorage). Every frame that
 // reaches it was routed — by a collector, a static adapter-parser or a
-// static evaluator (frameRouter) — and carries its slab (Frame.Enc):
-// key, record, key, record, …, the payload p's WAL logs. The frame is
-// stored from that slab alone, as one Dataset.UpsertFrame — one WAL
-// append and group commit, one partition lock acquisition, one sorted
-// bulk insert into the memtable, and grouped secondary-index
-// maintenance — instead of paying each of those per record. The
-// partition reads each key off the slab and refuses the whole frame,
-// before any of it is written, if one is not a key p owns: that is the
-// one check of the producer's routing; the exchange forwards by the
-// partition a frame names (Frame.Part) and hashes nothing. A frame with
-// no slab fails the job.
+// static evaluator (frameRouter) — and carries its slab and the count of
+// records in it (Frame.Enc, N): key, record, key, record, …, the payload
+// p's WAL logs. The frame is stored from that slab alone, as one
+// Dataset.UpsertFrame — one WAL append and group commit, one partition
+// lock acquisition, one sorted bulk insert into the memtable, and
+// grouped secondary-index maintenance — instead of paying each of those
+// per record. The partition reads each key off the slab and refuses the
+// whole frame, before any of it is written, if one is not a key p owns:
+// that is the one check of the producer's routing; the exchange forwards
+// by the partition a frame names (Frame.Part) and hashes nothing. A
+// frame of records with no slab fails the job.
 //
 // The writer is the frame's final consumer: storage retains the slab,
-// the spine recycles. Each stored frame is counted in stats' Stored.
+// and nothing else of the frame is pooled. Each stored frame's count is
+// added to stats' Stored.
 func newStorageWriter(ds *lsm.Dataset, p int, stats *feedCounters) *hyracks.SinkPipe {
 	return &hyracks.SinkPipe{
 		Fn: func(_ *hyracks.TaskContext, fr hyracks.Frame) error {
 			if len(fr.Raw) > 0 {
 				return fmt.Errorf("core: raw-lane frame reached storage writer; parse records first")
 			}
-			if len(fr.Records) == 0 {
-				hyracks.RecycleFrame(fr)
-				return nil
-			}
-			if fr.Enc == nil {
+			if fr.Enc == nil && fr.Len() > 0 {
 				return fmt.Errorf("core: frame without a slab reached storage writer; route records first")
 			}
 			if err := ds.UpsertFrame(p, fr.Enc); err != nil {
 				return err
 			}
-			stats.add(&stats.st.Stored, int64(len(fr.Records)))
-			hyracks.RecycleFrame(fr)
+			stats.add(&stats.st.Stored, int64(fr.N))
 			return nil
 		},
 	}

@@ -46,13 +46,13 @@ func TestStorageWriterRefusesKeysItDoesNotOwn(t *testing.T) {
 	}
 	var first [2]hyracks.Frame
 	for _, fr := range sink.frames {
-		if first[fr.Part].Records == nil {
+		if first[fr.Part].Enc == nil {
 			first[fr.Part] = fr
 		}
 	}
 	own, other := first[0], first[1]
-	if len(own.Records) == 0 || len(other.Records) == 0 {
-		t.Fatalf("routing left a partition empty: %d and %d records", len(own.Records), len(other.Records))
+	if own.N == 0 || other.N == 0 {
+		t.Fatalf("routing left a partition empty: %d and %d records", own.N, other.N)
 	}
 
 	stored := func() int {
@@ -66,18 +66,18 @@ func TestStorageWriterRefusesKeysItDoesNotOwn(t *testing.T) {
 	stats := &feedCounters{}
 	// Partition 0's slab, copied (its spare room is not the test's to
 	// write), with one of partition 1's key, record pairs appended.
-	foreign := other.Records[0]
+	foreign, _ := slabRecords(t, other)
 	slab := append([]byte(nil), own.Enc...)
-	slab = adm.AppendBinary(adm.AppendBinary(slab, foreign.Field("k")), foreign)
-	mixed := hyracks.Frame{Records: append(append([]adm.Value(nil), own.Records...), foreign), Enc: slab}
+	slab = adm.AppendBinary(adm.AppendBinary(slab, foreign[0].Field("k")), foreign[0])
+	mixed := hyracks.Frame{Enc: slab, N: own.N + 1}
 	err = newStorageWriter(ds, 0, stats).Fn(nil, mixed)
-	want := fmt.Sprintf("storage partition 0 was sent key %v, which partition 1 owns", foreign.Field("k"))
+	want := fmt.Sprintf("storage partition 0 was sent key %v, which partition 1 owns", foreign[0].Field("k"))
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("writing a misrouted record = %v, want an error containing %q", err, want)
 	}
-	// Partition 0's records with no slab, as a frame rebuilt record by
-	// record would be.
-	bare := hyracks.Frame{Records: append([]adm.Value(nil), own.Records...)}
+	// Partition 0's count with no slab, as a frame whose producer lost
+	// its bytes would be.
+	bare := hyracks.Frame{N: own.N}
 	if err := newStorageWriter(ds, 0, stats).Fn(nil, bare); err == nil || !strings.Contains(err.Error(), "without a slab") {
 		t.Fatalf("writing a frame with no slab = %v, want it refused", err)
 	}

@@ -19,16 +19,18 @@
 // Bytes are pooled, values are garbage-collected. Three rules:
 //
 //   - Pushing a frame into a Writer or holder (or handing it to the
-//     storage layer) transfers ownership of its Records/Raw slices and
-//     its Arena downstream; the producer must not touch them
-//     afterwards. A frame has exactly one consumer.
+//     storage layer) transfers ownership of its slices and its Arena
+//     downstream; the producer must not touch them afterwards. A frame
+//     has exactly one consumer.
 //   - A raw frame's Arena backs its Raw lines and nothing else. The
 //     lines are valid until the frame's consumer calls RecycleFrame,
 //     which is always safe on a frame it consumed: the spines and the
 //     line arena go back to their pools.
-//   - Record values are never pooled and never invalidated: adm.Value
-//     payloads are immutable-by-convention and live as long as anything
-//     references them, so operators, UDFs and storage may keep them.
+//   - Encoded records (Enc) and record values are never pooled and never
+//     invalidated: a slab is only ever appended to, and adm.Value
+//     payloads are immutable-by-convention, so both live as long as
+//     anything references them, and operators, UDFs and storage may
+//     keep them.
 package hyracks
 
 import (
@@ -40,8 +42,10 @@ import (
 // Frame is a batch of records moving through a dataflow, the unit of
 // transfer between operators. It uses one of two lanes: Raw carries an
 // adapter's unparsed lines, staged by a FrameBuilder, so they reach the
-// parser without being copied or wrapped again; Records carries ADM
-// values — what a parser or an evaluator emits.
+// parser without being copied or wrapped again; Enc carries N records
+// encoded back to back — what a parser or an evaluator emits. Records,
+// a spine of ADM values, is the lane of MapPipe and of frames built by
+// hand; no feed uses it.
 type Frame struct {
 	Records []adm.Value
 	Raw     [][]byte
@@ -49,21 +53,25 @@ type Frame struct {
 	// those). It moves with the frame and is reset + pooled by
 	// RecycleFrame.
 	Arena *adm.Arena
-	// Enc, when non-nil, is the byte slab the Records are views of, laid
-	// out as a storage partition logs them: each record's primary key
-	// encoding, then the record's, pair after pair, nothing else. A feed
-	// emits such frames, one per storage partition (core's collector, or
-	// the static pipeline's evaluator); the storage writer hands Enc
-	// to the partition as the write's log payload, and the partition
-	// reads the frame's keys and records off it — Records is the spine
-	// operators and counters see, not what storage stores. It is
-	// garbage-collected like the records, never pooled, and anything
-	// that rebuilds a frame's Records (a MapPipe) drops it; a
-	// Partitioned connector forwards it with the frame.
+	// Enc is the byte slab of the frame's N records. A frame routed to a
+	// storage partition (Part ≥ 0) lays it out as that partition logs a
+	// write: each record's primary key encoding, then the record's, pair
+	// after pair, nothing else. A feed emits such frames, one per storage
+	// partition (core's collector, or the static pipeline's evaluator);
+	// the storage writer hands Enc to the partition as the write's log
+	// payload, and the partition reads the frame's keys and records off
+	// it. An unrouted frame (Part -1: the static pipeline's frames from
+	// its adapter-parser to its evaluator) holds the records alone. The
+	// slab is garbage-collected like the records, never pooled; a
+	// connector forwards it with the frame.
 	Enc []byte
+	// N is the number of records in Enc.
+	N int
 	// Part is the target partition a Partitioned connector sends the
 	// frame to: its producer routed every record of it there (core's
-	// frameRouter names a storage partition). Other routings ignore it.
+	// frameRouter names a storage partition). An unrouted frame names
+	// -1, which every Partitioned connector refuses. Other routings
+	// ignore it.
 	Part int
 
 	// Adapter and FirstOff/LastOff locate the frame in its source
@@ -79,8 +87,8 @@ type Frame struct {
 	LastOff  uint64
 }
 
-// Len returns the number of records in the frame across both lanes.
-func (f Frame) Len() int { return len(f.Records) + len(f.Raw) }
+// Len returns the number of records in the frame across its lanes.
+func (f Frame) Len() int { return len(f.Raw) + len(f.Records) + f.N }
 
 // Writer is the push-based receiving surface of a downstream operator or
 // connector (Hyracks' IFrameWriter).

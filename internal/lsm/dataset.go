@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"github.com/ideadb/idea/internal/adm"
-	"github.com/ideadb/idea/internal/hyracks"
+	"github.com/ideadb/idea/internal/index"
 )
 
 // Dataset is a hash-partitioned collection of records of one datatype,
@@ -179,26 +179,26 @@ func (d *Dataset) Upsert(rec adm.Value) error {
 }
 
 // UpsertBatch validates, routes, and stores a whole batch of records,
-// handing each touched partition one frame-granular UpsertBatch (one
-// WAL append+commit, one lock, one bulk memtable insert) instead of a
-// batch of one per record. Validation runs for the entire batch before
-// anything is written, so a bad record fails the batch without leaving
-// a prefix behind. The caller keeps ownership of recs; the record
-// payloads are retained by storage.
+// handing each touched partition one frame-granular write (one WAL
+// append+commit, one lock, one bulk memtable insert) instead of a batch
+// of one per record: the records are grouped per partition into pooled
+// item batches, each encoded as its partition's log payload
+// (encodeBatch). Validation runs for the entire batch before anything is
+// written, so a bad record fails the batch without leaving a prefix
+// behind. The caller keeps ownership of recs; storage keeps its own copy
+// of their encodings.
 func (d *Dataset) UpsertBatch(recs []adm.Value) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	perKeys := make([][]adm.Value, len(d.partitions))
-	perRecs := make([][]adm.Value, len(d.partitions))
-	// Return every drawn scratch to the pool on all paths — including a
-	// mid-batch validation error, which would otherwise leak the slices
+	per := make([]*[]index.Item, len(d.partitions))
+	// Return every drawn batch to the pool on all paths — including a
+	// mid-batch validation error, which would otherwise leak the batches
 	// drawn for partitions grouped so far.
 	defer func() {
-		for t := range perKeys {
-			if perKeys[t] != nil {
-				hyracks.PutRecordSlice(perKeys[t])
-				hyracks.PutRecordSlice(perRecs[t])
+		for _, batch := range per {
+			if batch != nil {
+				putItemBatch(batch)
 			}
 		}
 	}()
@@ -208,28 +208,26 @@ func (d *Dataset) UpsertBatch(recs []adm.Value) error {
 			return err
 		}
 		t := d.Route(pk)
-		if perKeys[t] == nil {
-			perKeys[t] = hyracks.GetRecordSlice(len(recs))
-			perRecs[t] = hyracks.GetRecordSlice(len(recs))
+		if per[t] == nil {
+			per[t] = getItemBatch(len(recs))
 		}
-		perKeys[t] = append(perKeys[t], pk)
-		perRecs[t] = append(perRecs[t], rec)
+		*per[t] = append(*per[t], index.Item{Key: pk, Val: rec})
 	}
 	var firstErr error
-	for t, keys := range perKeys {
-		if keys == nil {
+	for t, batch := range per {
+		if batch == nil {
 			continue
 		}
+		n, enc := len(*batch), encodeBatch(*batch)
+		putItemBatch(batch)
+		per[t] = nil
 		// Keep writing the remaining partitions even after one fails:
 		// the batch has no cross-partition atomicity either way, and
 		// stopping early would lose committed-elsewhere records' chance
 		// to commit.
-		if err := d.partitions[t].UpsertBatch(keys, perRecs[t]); err != nil && firstErr == nil {
+		if _, err := d.partitions[t].write(writeUpsert, enc, n, nil); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		hyracks.PutRecordSlice(keys)
-		hyracks.PutRecordSlice(perRecs[t])
-		perKeys[t], perRecs[t] = nil, nil
 	}
 	return firstErr
 }

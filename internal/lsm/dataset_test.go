@@ -199,8 +199,8 @@ func TestBTreeIndexDirect(t *testing.T) {
 	mk := func(id int64, c string) adm.Value {
 		return adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(id), "country", adm.String(c)))
 	}
-	insert := func(id int64, r adm.Value) { ix.InsertBatch([]adm.Value{adm.Int(id)}, []adm.Value{r}) }
-	remove := func(id int64, r adm.Value) { ix.DeleteBatch([]adm.Value{adm.Int(id)}, []adm.Value{r}) }
+	insert := func(id int64, r adm.Value) { ix.InsertBatch([]index.Item{{Key: adm.Int(id), Val: r}}) }
+	remove := func(id int64, r adm.Value) { ix.DeleteBatch([]index.Item{{Key: adm.Int(id), Val: r}}) }
 	insert(1, mk(1, "US"))
 	insert(2, mk(2, "US"))
 	insert(3, mk(3, "FR"))

@@ -454,6 +454,14 @@ func hostileManifests(valid manifest) []hostileManifest {
 		{"runs[1].file \"run-000001.run\" is named twice", second("run-000001.run", valid.FlushedLSN)},
 		{"runs[0].max_lsn", func(m *manifest) { m.Runs[0].MaxLSN = valid.FlushedLSN + 1 }},
 		{"runs[1].max_lsn", second("run-000002.run", valid.FlushedLSN-1)},
+		// A run described by fences that name other keys, and one of 40
+		// entries named without any: neither manifest describes the file.
+		{"manifest fences [100, 139] do not match file fences [0, 39]", func(m *manifest) {
+			m.Runs[0].FirstKey, m.Runs[0].LastKey = adm.AppendBinary(nil, adm.Int(100)), adm.AppendBinary(nil, adm.Int(139))
+		}},
+		{"manifest names a run of 40 entries without its fences", func(m *manifest) {
+			m.Runs[0].FirstKey, m.Runs[0].LastKey = nil, nil
+		}},
 	}
 }
 

@@ -46,9 +46,9 @@ type runMeta struct {
 	Bytes   int64  `json:"bytes"`
 	// FirstKey/LastKey are the run's key-range fences (adm binary
 	// encoding; JSON base64). Recovery cross-checks them against the
-	// fences derived from the run file itself — a mismatch means the
-	// manifest references a file it did not describe. Absent (nil) in
-	// manifests written before fences existed and for empty runs.
+	// fences derived from the run file itself — a mismatch, or no fences
+	// for a run that has entries, means the manifest references a file
+	// it did not describe. Absent (nil) only for empty runs.
 	FirstKey []byte `json:"first_key,omitempty"`
 	LastKey  []byte `json:"last_key,omitempty"`
 }

@@ -251,8 +251,8 @@ func checkpointScope(key adm.Value) (string, bool) {
 // checkpoint itself (same log, earlier LSNs). Offsets are monotonic per
 // scope; a stale offset is logged but does not regress the table.
 func (p *Partition) PutCheckpoint(scope string, off uint64) error {
-	key, rec := [1]adm.Value{adm.String(ckptKeyPrefix + scope)}, [1]adm.Value{adm.Int(int64(off))}
-	_, err := p.write(writeCheckpoint, encodeBatch(key[:], rec[:]), 1, nil)
+	entry := [1]index.Item{{Key: adm.String(ckptKeyPrefix + scope), Val: adm.Int(int64(off))}}
+	_, err := p.write(writeCheckpoint, encodeBatch(entry[:]), 1, nil)
 	return err
 }
 
@@ -295,28 +295,29 @@ func (p *Partition) raiseCheckpointLocked(scope string, off uint64) {
 const backfillChunk = 1024
 
 // AttachIndex registers a secondary index. Existing records are
-// back-filled so an index created after a load is immediately complete.
-// The memtable joins the merge as a transient tree-backed run — read-only
-// under the write lock, so no freeze is needed. A run the back-fill could
-// not read ends the merge early, so then the index is not attached and
-// the run's read error is returned.
+// back-filled so an index created after a load is immediately complete:
+// they are handed over in chunks of items (primary key, record) drawn
+// from the write path's item-batch pool. The memtable joins the merge as
+// a transient tree-backed run — read-only under the write lock, so no
+// freeze is needed. A run the back-fill could not read ends the merge
+// early, so then the index is not attached and the run's read error is
+// returned.
 func (p *Partition) AttachIndex(idx SecondaryIndex) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	box, keys, recs := getValuePairBatch(backfillChunk)
+	batch := getItemBatch(backfillChunk)
 	comps := append([]*component{{tree: p.mem}}, p.components...)
 	scanMerged(comps, func(key, rec adm.Value) bool {
-		keys, recs = append(keys, ownKey(key)), append(recs, rec)
-		if len(keys) == backfillChunk {
-			idx.InsertBatch(keys, recs)
-			clear(keys) // the pool clears only up to the final length
-			clear(recs)
-			keys, recs = keys[:0], recs[:0]
+		*batch = append(*batch, index.Item{Key: ownKey(key), Val: rec})
+		if len(*batch) == backfillChunk {
+			idx.InsertBatch(*batch)
+			clear(*batch) // the pool clears only up to the final length
+			*batch = (*batch)[:0]
 		}
 		return true
 	})
-	idx.InsertBatch(keys, recs)
-	putValuePairBatch(box, keys, recs)
+	idx.InsertBatch(*batch)
+	putItemBatch(batch)
 	if err := runsErr(comps); err != nil {
 		return err
 	}
@@ -357,8 +358,8 @@ func (p *Partition) Err() error {
 
 // Upsert inserts or replaces the record under key: a batch of one.
 func (p *Partition) Upsert(key, rec adm.Value) error {
-	k, r := [1]adm.Value{key}, [1]adm.Value{rec}
-	_, err := p.write(writeUpsert, encodeBatch(k[:], r[:]), 1, nil)
+	entry := [1]index.Item{{Key: key, Val: rec}}
+	_, err := p.write(writeUpsert, encodeBatch(entry[:]), 1, nil)
 	return err
 }
 
@@ -366,8 +367,8 @@ func (p *Partition) Upsert(key, rec adm.Value) error {
 // the INSERT (vs UPSERT) DML semantic. A rejected insert logs nothing, so
 // replay cannot apply it and the epoch does not move.
 func (p *Partition) Insert(key, rec adm.Value) error {
-	k, r := [1]adm.Value{key}, [1]adm.Value{rec}
-	_, err := p.write(writeInsert, encodeBatch(k[:], r[:]), 1, nil)
+	entry := [1]index.Item{{Key: key, Val: rec}}
+	_, err := p.write(writeInsert, encodeBatch(entry[:]), 1, nil)
 	return err
 }
 
@@ -375,14 +376,16 @@ func (p *Partition) Insert(key, rec adm.Value) error {
 // record is MISSING). It reports whether a live record was visible
 // before the delete.
 func (p *Partition) Delete(key adm.Value) (existed bool, err error) {
-	k, r := [1]adm.Value{key}, [1]adm.Value{adm.Missing()}
-	return p.write(writeDelete, encodeBatch(k[:], r[:]), 1, nil)
+	entry := [1]index.Item{{Key: key, Val: adm.Missing()}}
+	return p.write(writeDelete, encodeBatch(entry[:]), 1, nil)
 }
 
-// itemBatchPool recycles the sorted-run scratch built by UpsertBatch so
-// a steady frame stream reuses one buffer per partition instead of
-// allocating per frame. It holds *[]index.Item boxes; callers keep the
-// box across their get/put pair so pooling itself never allocates.
+// itemBatchPool recycles the item batches storage holds a batch in — a
+// write's memtable items, a batch grouped for a partition, the batches a
+// secondary index is maintained with — so a steady frame stream reuses
+// its buffers instead of allocating per frame. It holds *[]index.Item
+// boxes; callers keep the box across their get/put pair so pooling
+// itself never allocates.
 var itemBatchPool sync.Pool
 
 func getItemBatch(capacity int) *[]index.Item {
@@ -426,23 +429,28 @@ func putItemBatch(b *[]index.Item) {
 // the call returns after one group commit; the error is that commit's
 // result.
 func (p *Partition) UpsertBatch(keys, recs []adm.Value) error {
-	_, err := p.write(writeUpsert, encodeBatch(keys, recs), len(keys), nil)
+	batch := getItemBatch(len(keys))
+	for i, key := range keys {
+		*batch = append(*batch, index.Item{Key: key, Val: recs[i]})
+	}
+	enc := encodeBatch(*batch)
+	putItemBatch(batch)
+	_, err := p.write(writeUpsert, enc, len(keys), nil)
 	return err
 }
 
-// encodeBatch lays keys[i], recs[i] out as a write's log payload — key,
-// record, key, record, … — in a buffer sized exactly. A record that
-// arrives as a view is copied in, so nothing the caller read it from
-// stays reachable.
-func encodeBatch(keys, recs []adm.Value) []byte {
+// encodeBatch lays items out as a write's log payload — key, record,
+// key, record, … — in a buffer sized exactly. A record that arrives as a
+// view is copied in, so nothing the caller read it from stays reachable.
+func encodeBatch(items []index.Item) []byte {
 	size := 0
-	for i := range keys {
-		size += adm.BinarySize(keys[i]) + adm.BinarySize(recs[i])
+	for _, it := range items {
+		size += adm.BinarySize(it.Key) + adm.BinarySize(it.Val)
 	}
 	enc := make([]byte, 0, size)
-	for i := range keys {
-		enc = adm.AppendBinary(enc, keys[i])
-		enc = adm.AppendBinary(enc, recs[i])
+	for _, it := range items {
+		enc = adm.AppendBinary(enc, it.Key)
+		enc = adm.AppendBinary(enc, it.Val)
 	}
 	return enc
 }
@@ -610,30 +618,28 @@ func (p *Partition) applyBatchLocked(items []index.Item, held int) {
 // the batch, then hands each secondary index a grouped delete batch
 // (old entries being replaced) and a grouped insert batch (new live
 // records) — two lock acquisitions per index per frame instead of two
-// per record.
+// per record. Both are item batches (primary key, record) from the
+// write path's pool.
 func (p *Partition) maintainIndexesBatchLocked(items []index.Item) {
-	oldB, oldKeys, oldRecs := getValuePairBatch(len(items))
-	newB, newKeys, newRecs := getValuePairBatch(len(items))
+	olds, news := getItemBatch(len(items)), getItemBatch(len(items))
 	for _, it := range items {
 		// The batch is logged already, so a read fault cannot fail it; it
 		// stays the run's sticky error, and the old entry stays indexed.
 		if old, ok, _ := p.getLocked(it.Key); ok {
-			oldKeys = append(oldKeys, it.Key)
-			oldRecs = append(oldRecs, old)
+			*olds = append(*olds, index.Item{Key: it.Key, Val: old})
 		}
 		if !it.Val.IsMissing() {
-			newKeys = append(newKeys, ownKey(it.Key))
-			newRecs = append(newRecs, it.Val)
+			*news = append(*news, index.Item{Key: ownKey(it.Key), Val: it.Val})
 		}
 	}
 	for _, idx := range p.secondary {
-		idx.DeleteBatch(oldKeys, oldRecs)
+		idx.DeleteBatch(*olds)
 	}
 	for _, idx := range p.secondary {
-		idx.InsertBatch(newKeys, newRecs)
+		idx.InsertBatch(*news)
 	}
-	putValuePairBatch(oldB, oldKeys, oldRecs)
-	putValuePairBatch(newB, newKeys, newRecs)
+	putItemBatch(olds)
+	putItemBatch(news)
 }
 
 // ownKey returns key as a value that keeps nothing else alive, for a
@@ -644,41 +650,6 @@ func ownKey(key adm.Value) adm.Value {
 		return adm.String(strings.Clone(key.StringVal()))
 	}
 	return key
-}
-
-// valuePair is a pooled pair of key/record scratch slices for the
-// batched secondary-index maintenance pass. The pair (and its pool box)
-// round-trips through each call so pooling never allocates.
-type valuePair struct {
-	keys, recs []adm.Value
-}
-
-var valuePairPool sync.Pool
-
-func getValuePairBatch(capacity int) (*valuePair, []adm.Value, []adm.Value) {
-	if v := valuePairPool.Get(); v != nil {
-		b := v.(*valuePair)
-		if cap(b.keys) >= capacity {
-			return b, b.keys[:0], b.recs[:0]
-		}
-		b.keys = make([]adm.Value, 0, capacity)
-		b.recs = make([]adm.Value, 0, capacity)
-		return b, b.keys, b.recs
-	}
-	b := &valuePair{
-		keys: make([]adm.Value, 0, capacity),
-		recs: make([]adm.Value, 0, capacity),
-	}
-	return b, b.keys, b.recs
-}
-
-// putValuePairBatch clears only the written prefixes (callers only
-// append, so len is the high-water mark) and recycles the pair.
-func putValuePairBatch(b *valuePair, keys, recs []adm.Value) {
-	clear(keys)
-	clear(recs)
-	b.keys, b.recs = keys[:0], recs[:0]
-	valuePairPool.Put(b)
 }
 
 // freezeLocked turns the memtable into an immutable component and wakes

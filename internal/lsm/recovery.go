@@ -131,11 +131,15 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 }
 
 // checkFences cross-checks the key-range fences the manifest recorded
-// for a run against the ones derived from the file itself. Manifests
-// written before fences existed (nil FirstKey) are accepted as-is.
+// for a run against the ones derived from the file itself. Every run
+// with entries is recorded with its fences (runMetaFor), so one named
+// without them is refused like one whose fences name other keys.
 func checkFences(rm runMeta, rf *runFile) error {
-	if rm.FirstKey == nil || len(rf.blocks) == 0 {
+	if len(rf.blocks) == 0 {
 		return nil
+	}
+	if rm.FirstKey == nil || rm.LastKey == nil {
+		return fmt.Errorf("lsm: run %s: manifest names a run of %d entries without its fences", rm.File, rf.entries)
 	}
 	first, _, err := adm.DecodeBinary(rm.FirstKey)
 	if err != nil {

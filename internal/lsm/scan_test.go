@@ -366,11 +366,11 @@ func TestIndexScanSharesPostings(t *testing.T) {
 				return true
 			})
 			pks := postingsIn(ix, key, key)
-			rec := func(pk adm.Value) []adm.Value {
-				return []adm.Value{adm.ObjectValue(adm.ObjectFromPairs("id", pk, "cat", adm.String("c007")))}
+			item := func(pk adm.Value) []index.Item {
+				return []index.Item{{Key: pk, Val: adm.ObjectValue(adm.ObjectFromPairs("id", pk, "cat", adm.String("c007")))}}
 			}
-			ix.DeleteBatch(pks[:1], rec(pks[0]))
-			ix.InsertBatch([]adm.Value{other}, rec(other))
+			ix.DeleteBatch(item(pks[0]))
+			ix.InsertBatch(item(other))
 			added, removed = append(added, other.IntVal()), append(removed, pks[0].IntVal())
 		}
 	}()

@@ -10,18 +10,21 @@ import (
 )
 
 // SecondaryIndex is a per-partition index maintained synchronously on
-// the write path (AsterixDB's local secondary indexes). The probe
-// surface is type-specific; callers type-assert to *RTreeIndex or
-// *BTreeIndex.
+// the write path (AsterixDB's local secondary indexes). It is handed
+// batches in the shape the partition's own write path holds them:
+// items whose Key is a record's primary key and whose Val is the
+// record. The probe surface is type-specific; callers type-assert to
+// *RTreeIndex or *BTreeIndex.
 type SecondaryIndex interface {
 	// Name is the index name from CREATE INDEX.
 	Name() string
-	// InsertBatch adds every (pks[i], recs[i]) entry under a single
-	// lock acquisition — the write path's grouped maintenance.
-	InsertBatch(pks, recs []adm.Value)
-	// DeleteBatch removes the entry previously inserted for every
-	// (pks[i], old recs[i]) under a single lock acquisition.
-	DeleteBatch(pks, recs []adm.Value)
+	// InsertBatch adds an entry for every item under a single lock
+	// acquisition — the write path's grouped maintenance. The index may
+	// keep the items' keys and records, not the slice.
+	InsertBatch(items []index.Item)
+	// DeleteBatch removes the entry previously inserted for every item
+	// (primary key, old record) under a single lock acquisition.
+	DeleteBatch(items []index.Item)
 }
 
 // RectExtractor derives the indexed bounding rectangle from a record
@@ -69,30 +72,30 @@ func NewRTreeIndex(name string, extract RectExtractor) *RTreeIndex {
 func (ix *RTreeIndex) Name() string { return ix.name }
 
 // InsertBatch implements SecondaryIndex: one lock for the whole frame.
-func (ix *RTreeIndex) InsertBatch(pks, recs []adm.Value) {
-	if len(pks) == 0 {
+func (ix *RTreeIndex) InsertBatch(items []index.Item) {
+	if len(items) == 0 {
 		return
 	}
 	ix.mu.Lock()
-	for i, pk := range pks {
-		if rect, ok := ix.extract(recs[i]); ok {
-			ix.tree.Insert(rect, pk)
+	for _, it := range items {
+		if rect, ok := ix.extract(it.Val); ok {
+			ix.tree.Insert(rect, it.Key)
 		}
 	}
 	ix.mu.Unlock()
 }
 
 // DeleteBatch implements SecondaryIndex: one lock for the whole frame.
-func (ix *RTreeIndex) DeleteBatch(pks, recs []adm.Value) {
-	if len(pks) == 0 {
+func (ix *RTreeIndex) DeleteBatch(items []index.Item) {
+	if len(items) == 0 {
 		return
 	}
 	ix.mu.Lock()
-	for i, pk := range pks {
-		if rect, ok := ix.extract(recs[i]); ok {
+	for _, it := range items {
+		if rect, ok := ix.extract(it.Val); ok {
 			ix.tree.Delete(rect, func(d any) bool {
 				v, isVal := d.(adm.Value)
-				return isVal && adm.Equal(v, pk)
+				return isVal && adm.Equal(v, it.Key)
 			})
 		}
 	}
@@ -154,17 +157,17 @@ func NewBTreeIndex(name string, extract KeyExtractor) *BTreeIndex {
 // Name implements SecondaryIndex.
 func (ix *BTreeIndex) Name() string { return ix.name }
 
-// groupPairs extracts the secondary key of every record and returns the
-// (key, pk) pairs sorted by key (stable, so pk order within a key
-// matches record order). The batch box comes from the shared item-batch
-// pool; the caller returns it with putItemBatch after restoring the
-// written length.
-func (ix *BTreeIndex) groupPairs(pks, recs []adm.Value) (*[]index.Item, []index.Item) {
-	batch := getItemBatch(len(pks))
+// groupPairs extracts the secondary key of every item's record and
+// returns the (key, pk) pairs sorted by key (stable, so pk order within
+// a key matches item order). The batch box comes from the shared
+// item-batch pool; the caller returns it with putItemBatch after
+// restoring the written length.
+func (ix *BTreeIndex) groupPairs(items []index.Item) (*[]index.Item, []index.Item) {
+	batch := getItemBatch(len(items))
 	pairs := *batch
-	for i := range pks {
-		if key, ok := ix.extract(recs[i]); ok {
-			pairs = append(pairs, index.Item{Key: key, Val: pks[i]})
+	for _, it := range items {
+		if key, ok := ix.extract(it.Val); ok {
+			pairs = append(pairs, index.Item{Key: key, Val: it.Key})
 		}
 	}
 	slices.SortStableFunc(pairs, func(a, b index.Item) int {
@@ -178,11 +181,11 @@ func (ix *BTreeIndex) groupPairs(pks, recs []adm.Value) (*[]index.Item, []index.
 // rebuild per distinct key instead of one per record. For
 // low-cardinality keys (every tweet sharing a language) a batch of one
 // re-copies the whole postings array per record; a frame copies it once.
-func (ix *BTreeIndex) InsertBatch(pks, recs []adm.Value) {
-	if len(pks) == 0 {
+func (ix *BTreeIndex) InsertBatch(items []index.Item) {
+	if len(items) == 0 {
 		return
 	}
-	batch, pairs := ix.groupPairs(pks, recs)
+	batch, pairs := ix.groupPairs(items)
 	ix.mu.Lock()
 	for i := 0; i < len(pairs); {
 		j := i + 1
@@ -207,11 +210,11 @@ func (ix *BTreeIndex) InsertBatch(pks, recs []adm.Value) {
 // DeleteBatch implements SecondaryIndex: one lock for the whole frame
 // and one postings rebuild per distinct key, removing one occurrence
 // per (key, pk) pair.
-func (ix *BTreeIndex) DeleteBatch(pks, recs []adm.Value) {
-	if len(pks) == 0 {
+func (ix *BTreeIndex) DeleteBatch(items []index.Item) {
+	if len(items) == 0 {
 		return
 	}
-	batch, pairs := ix.groupPairs(pks, recs)
+	batch, pairs := ix.groupPairs(items)
 	ix.mu.Lock()
 	for i := 0; i < len(pairs); {
 		j := i + 1

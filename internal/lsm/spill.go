@@ -76,7 +76,7 @@ func (q *SpillQueue) Spill(f hyracks.Frame) error {
 	if q.closed {
 		return fmt.Errorf("lsm: spill queue closed")
 	}
-	if len(f.Records) > 0 {
+	if f.Len() > len(f.Raw) {
 		return fmt.Errorf("lsm: spill: record-lane frame (the intake lane is raw-only)")
 	}
 

@@ -51,8 +51,8 @@ func TestSpillQueueRoundTrip(t *testing.T) {
 		if f.Adapter != 2 || f.FirstOff != wantFirst || f.LastOff != wantFirst+3 {
 			t.Fatalf("frame %d provenance = adapter=%d %d..%d", i, f.Adapter, f.FirstOff, f.LastOff)
 		}
-		if len(f.Records) != 0 || len(f.Raw) != 4 {
-			t.Fatalf("frame %d has %d records / %d raw", i, len(f.Records), len(f.Raw))
+		if f.Len() != 4 || len(f.Raw) != 4 {
+			t.Fatalf("frame %d has %d records / %d raw", i, f.Len(), len(f.Raw))
 		}
 		for j, line := range f.Raw {
 			if want := fmt.Sprintf(`{"id": %d}`, j); string(line) != want {
@@ -66,8 +66,8 @@ func TestSpillQueueRoundTrip(t *testing.T) {
 	}
 	// The lane carries intake frames, which are raw-only: parsed records
 	// are refused, not silently dropped.
-	if err := q.Spill(hyracks.Frame{Records: []adm.Value{adm.Int(1)}}); err == nil {
-		t.Fatal("record-lane frame spilled without error")
+	if err := q.Spill(hyracks.Frame{Enc: adm.AppendBinary(nil, adm.Int(1)), N: 1}); err == nil {
+		t.Fatal("encoded frame spilled without error")
 	}
 }
 

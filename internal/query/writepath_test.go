@@ -165,6 +165,17 @@ func TestEvalRecordIntoSlabAllocates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Prepare's snapshots froze the memtables, and their flushers
+			// write them out in the background: the cost counts the
+			// process's allocations, so it must not be read before they
+			// are done. Runs waits out the last flush's tail (the log
+			// truncation). The snapshots still read the frozen trees.
+			for i := range ds.NumPartitions() {
+				if err := ds.Partition(i).WaitForFlush(); err != nil {
+					t.Fatal(err)
+				}
+				ds.Partition(i).Runs()
+			}
 			slab := make([]byte, 0, 16<<10)
 			key := adm.AppendBinary(nil, adm.Int(12345))
 			var dst []byte // lives as long as the slab, as a feed's does
