@@ -276,7 +276,8 @@ func (c *Cluster) CreateDataset(name, typeName, primaryKey string) (*lsm.Dataset
 }
 
 // Close shuts down every dataset's storage (partitions drain their
-// flushers, commit and close their WALs, and close run files).
+// flushers, flush their memtables, delete their covered WALs and close
+// run files: see lsm.Partition.Close).
 // The cluster must not execute statements afterwards. Close is
 // idempotent: a second call is a no-op.
 func (c *Cluster) Close() error {

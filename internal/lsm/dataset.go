@@ -62,8 +62,8 @@ func OpenDataset(fsys FS, dir, name string, dt *adm.Datatype, primaryKey string,
 	return ds, nil
 }
 
-// Close shuts down every partition (flusher drained, WAL committed and
-// closed, run files closed).
+// Close shuts down every partition as a checkpoint (see
+// Partition.Close): memtables flushed, logs deleted, run files closed.
 func (d *Dataset) Close() error {
 	var firstErr error
 	for _, p := range d.partitions {

@@ -37,14 +37,15 @@ func attachDiffIndexes(t testing.TB, p *Partition) diffIndexes {
 // TestDurableDifferential: a randomized write stream — single upserts,
 // inserts (fresh and duplicate), deletes, and small frames that may
 // repeat a key or carry tombstones — applied in lockstep to three arms —
-// a partition that is closed and reopened every N ops (forcing recovery
-// mid-stream), a partition that is never reopened, and a shadow map,
+// a partition that is reopened every N ops, after a clean close and
+// from a crash image by turns (so the checkpoint and the WAL replay
+// both run mid-stream), a partition that is never reopened, and a shadow map,
 // which is the oracle — must agree on every point lookup, the live
 // count, and full ordered scans at every checkpoint. Both partitions
 // carry a B-tree and an R-tree index: the never-reopened pair is
 // maintained write by write for the whole stream, the reopened pair is
-// re-attached (and so back-filled from run files plus the replayed
-// memtable) after every reopen, and both must equal the brute-force
+// re-attached (and so back-filled from run files, which after a crash
+// include the replayed tail recovery flushed) after every reopen, and both must equal the brute-force
 // oracle at every checkpoint. Small budgets keep flushes, compactions,
 // and WAL rotation continuously in play.
 func TestDurableDifferential(t *testing.T) {
@@ -129,12 +130,20 @@ func TestDurableDifferential(t *testing.T) {
 				}
 
 				if op%reopenEvery == 0 {
-					if err := durable.Close(); err != nil {
+					crash, tail := op/reopenEvery%2 == 0, durable.Stats().MemEntries
+					if crash {
+						fsys = crashImage(t, durable).(*MemFS)
+					} else if err := durable.Close(); err != nil {
 						t.Fatalf("op %d: close: %v", op, err)
 					}
 					durable, err = OpenPartition(fsys, dir, opts)
 					if err != nil {
 						t.Fatalf("op %d: reopen: %v", op, err)
+					}
+					if flushed := durable.Stats().FlushedRuns; crash && tail > 0 && flushed == 0 {
+						t.Fatalf("op %d: recovered from a crash with %d memtable entries but replayed nothing", op, tail)
+					} else if !crash && flushed != 0 {
+						t.Fatalf("op %d: reopened after a clean close and flushed %d runs", op, flushed)
 					}
 					durableIx = attachDiffIndexes(t, durable)
 				}

@@ -59,9 +59,10 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkRecoveryReplay measures cold-start recovery: replaying a
-// WAL tail of n records into a fresh memtable (manifest load and run
-// opening are included but empty — the workload never flushes).
+// BenchmarkRecoveryReplay measures crash recovery: replaying a WAL tail
+// of n records into a fresh memtable and flushing it (manifest load and
+// run opening are included but empty — the workload never flushes). The
+// tail is a crash image's: a clean Close leaves no log to replay.
 func BenchmarkRecoveryReplay(b *testing.B) {
 	for _, n := range []int{1_000, 10_000} {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
@@ -78,10 +79,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if err := p.Close(); err != nil {
-				b.Fatal(err)
-			}
-			img := fsys.Crash()
+			img := crashImage(b, p).(*MemFS)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -95,6 +93,44 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 				}
 				rp.Close()
 				b.StartTimer()
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
+}
+
+// BenchmarkCloseCheckpoint measures a clean Close over a memtable of n
+// records: the flush, the manifest store and the log's deletion, which
+// leave the next open nothing to replay — the work BenchmarkRecoveryReplay
+// times at open after a crash, moved into Close.
+func BenchmarkCloseCheckpoint(b *testing.B) {
+	for _, n := range []int{1_000, 10_000} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			opts := Options{MemBudget: 1 << 30, MaxComponents: 8}
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				fsys := NewMemFS()
+				p, err := OpenPartition(fsys, "bench", opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				const frame = 1000
+				for done := 0; done < n; done += frame {
+					keys, recs := storageFrame(int64(done), min(frame, n-done))
+					if err := p.UpsertBatch(keys, recs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if err := p.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if names, _ := fsys.List("bench"); len(names) != 2 {
+					b.Fatalf("Close left %v, want the manifest and one run", names)
+				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 		})

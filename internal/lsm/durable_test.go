@@ -33,6 +33,24 @@ func reopen(t *testing.T, p *Partition, fsys FS, dir string, opts Options) *Part
 	return np
 }
 
+// crashImage stops p and returns its filesystem as a crash at this
+// instant leaves it. A MemFS yields its synced prefixes (p then closes
+// on the doomed original); a directory is taken as it stands once p
+// stops without Close's checkpoint, since every write p acknowledged
+// was fsynced. Either way the log still holds the memtable's tail.
+func crashImage(t testing.TB, p *Partition) FS {
+	t.Helper()
+	if m, ok := p.fs.(*MemFS); ok {
+		img := m.Crash()
+		p.Close()
+		return img
+	}
+	if err := p.close(false); err != nil {
+		t.Fatal(err)
+	}
+	return p.fs
+}
+
 // dirImage reads every file of dir: what a reopen may not change.
 func dirImage(t testing.TB, fsys FS, dir string) map[string]string {
 	t.Helper()
@@ -51,12 +69,13 @@ func dirImage(t testing.TB, fsys FS, dir string) map[string]string {
 	return image
 }
 
-// TestReopenEndsQuiescent: recovery replays the WAL tail and then flushes
-// it as the flusher would, before the partition serves anything. A
-// reopened partition has an empty memtable, one more run than it closed
-// with when there was a tail (none when there was not), its log covered
-// by the manifest and nothing published in the block cache; a second
-// reopen finds nothing to apply and writes no file.
+// TestReopenEndsQuiescent: recovery replays the WAL tail a crash left
+// and then flushes it as the flusher would, before the partition serves
+// anything. A partition recovered from a crash image has an empty
+// memtable, one more run than it crashed with when there was a tail
+// (none when there was not), its log covered by the manifest and
+// nothing published in the block cache; a reopen after its clean close
+// finds nothing to apply and writes no file.
 func TestReopenEndsQuiescent(t *testing.T) {
 	filesystems := map[string]func(t *testing.T) (FS, string){
 		"MemFS": func(*testing.T) (FS, string) { return NewMemFS(), "part" },
@@ -110,20 +129,23 @@ func TestReopenEndsQuiescent(t *testing.T) {
 				}
 			}
 			// One run from the flusher, then a tail that overwrites part of
-			// it and is still in the log when the partition closes.
+			// it and is still in the log when the partition crashes.
 			write(0, 600)
 			p.Flush()
 			settle(t, p)
 			write(300, 900)
 			runs := p.Runs()
 			if runs != 1 || p.Stats().MemEntries == 0 {
-				t.Fatalf("closing with %d runs and %d memtable entries, want 1 and a tail", runs, p.Stats().MemEntries)
+				t.Fatalf("crashing with %d runs and %d memtable entries, want 1 and a tail", runs, p.Stats().MemEntries)
 			}
 
-			p = reopen(t, p, fsys, dir, opts)
+			fsys = crashImage(t, p)
+			if p, err = OpenPartition(fsys, dir, opts); err != nil {
+				t.Fatal(err)
+			}
 			st := p.Stats()
 			if st.MemEntries != 0 || p.Runs() != runs+1 || st.Components != runs+1 || st.FlushedRuns != 1 {
-				t.Fatalf("reopened over a tail: %d memtable entries, %d runs (closed with %d), %d components, %d runs flushed", st.MemEntries, p.Runs(), runs, st.Components, st.FlushedRuns)
+				t.Fatalf("recovered over a tail: %d memtable entries, %d runs (crashed with %d), %d components, %d runs flushed", st.MemEntries, p.Runs(), runs, st.Components, st.FlushedRuns)
 			}
 			if flushedLSN(p) != p.Epoch() {
 				t.Fatalf("the manifest covers LSN %d of %d", flushedLSN(p), p.Epoch())
@@ -154,8 +176,10 @@ func TestReopenEndsQuiescent(t *testing.T) {
 	}
 }
 
-// TestDurableBasicReopen: committed writes survive a clean close and
-// reopen, memtable-only (no flush ever happened).
+// TestDurableBasicReopen: committed writes survive a crash and reopen,
+// memtable-only (no flush ever happened): recovery replays them,
+// tombstone included, from the log. A clean close of the recovered
+// partition then serves the same state from the run recovery flushed.
 func TestDurableBasicReopen(t *testing.T) {
 	fsys := NewMemFS()
 	opts := Options{MemBudget: 1 << 20, MaxComponents: 8}
@@ -170,28 +194,40 @@ func TestDurableBasicReopen(t *testing.T) {
 	if s := p.Stats(); s.FlushedRuns != 0 {
 		t.Fatalf("unexpected flush: %d runs", s.FlushedRuns)
 	}
+	check := func(p *Partition, after string) {
+		t.Helper()
+		if got := liveLen(t, p.Snapshot()); got != 99 {
+			t.Fatalf("Len after %s = %d, want 99", after, got)
+		}
+		if _, ok, _ := p.Get(adm.Int(7)); ok {
+			t.Fatalf("deleted key resurrected by %s", after)
+		}
+		for i := int64(0); i < 100; i++ {
+			if i == 7 {
+				continue
+			}
+			got, ok, _ := p.Get(adm.Int(i))
+			if !ok || got.Field("v").IntVal() != i*i {
+				t.Fatalf("Get(%d) after %s = %v,%v", i, after, got, ok)
+			}
+		}
+	}
+	fsys = crashImage(t, p).(*MemFS)
+	if p, err = OpenPartition(fsys, "part", opts); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.FlushedRuns != 1 {
+		t.Fatalf("recovery flushed %d runs, want 1: the replayed tail", st.FlushedRuns)
+	}
+	check(p, "replay")
 	p = reopen(t, p, fsys, "part", opts)
 	defer p.Close()
-	if got := liveLen(t, p.Snapshot()); got != 99 {
-		t.Fatalf("Len after reopen = %d, want 99", got)
-	}
-	if _, ok, _ := p.Get(adm.Int(7)); ok {
-		t.Fatal("deleted key resurrected by replay")
-	}
-	for i := int64(0); i < 100; i++ {
-		if i == 7 {
-			continue
-		}
-		got, ok, _ := p.Get(adm.Int(i))
-		if !ok || got.Field("v").IntVal() != i*i {
-			t.Fatalf("Get(%d) after reopen = %v,%v", i, got, ok)
-		}
-	}
+	check(p, "a clean close")
 }
 
 // TestDurableFlushAndReopen: a dataset larger than the memtable budget
-// flushes to run files; close/reopen serves identical data from runs +
-// replayed tail, and the WAL has been truncated behind the flushes.
+// flushes to run files; a crash and reopen serves identical data from
+// runs + the replayed tail.
 func TestDurableFlushAndReopen(t *testing.T) {
 	fsys := NewMemFS()
 	opts := durableOpts()
@@ -220,8 +256,22 @@ func TestDurableFlushAndReopen(t *testing.T) {
 	if got := flushedLSN(p); got == 0 {
 		t.Fatal("FlushedLSN still zero after flushes")
 	}
+	// A tail the flushes have not covered: a new key, an overwrite and a
+	// delete of flushed keys.
+	p.Upsert(adm.Int(600), rec(600, "v", adm.Int(n)))
+	model[600] = n
+	p.Upsert(adm.Int(1), rec(1, "v", adm.Int(n+1)))
+	model[1] = n + 1
+	p.Delete(adm.Int(2))
+	delete(model, 2)
+	if p.Stats().MemEntries == 0 {
+		t.Fatal("no tail in the memtable to replay")
+	}
 
-	p = reopen(t, p, fsys, "part", opts)
+	fsys = crashImage(t, p).(*MemFS)
+	if p, err = OpenPartition(fsys, "part", opts); err != nil {
+		t.Fatal(err)
+	}
 	defer p.Close()
 	if got, want := liveLen(t, p.Snapshot()), len(model); got != want {
 		t.Fatalf("Len after reopen = %d, want %d", got, want)

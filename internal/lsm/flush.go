@@ -18,11 +18,17 @@ import (
 //     commit the replacement manifest, swap components, delete the
 //     input files.
 //
+// A clean Close ends with the same two steps, run until nothing is
+// frozen and no window qualifies, then covers the whole log with the
+// manifest (checkpoint) and deletes every WAL segment: the data rests
+// in run files alone, and the next open replays nothing.
+//
 // Every step is ordered so that a crash between any two leaves a
 // recoverable image: a run file not yet in the manifest is an orphan
 // (deleted at open), a manifest lacking a just-written run still has
-// the covering WAL tail (replayed at open), and input runs are removed
-// only after the manifest stopped referencing them.
+// the covering WAL tail (replayed at open), input runs are removed
+// only after the manifest stopped referencing them, and a WAL segment
+// only after the manifest covers every entry in it.
 
 const (
 	// compactionMinWidth is how many similar-sized adjacent runs it
@@ -146,6 +152,42 @@ func (p *Partition) flushOnce() (bool, error) {
 		return false, fmt.Errorf("lsm: wal truncate: %w", err)
 	}
 	return true, nil
+}
+
+// checkpoint is a clean Close's flush, on a partition whose flusher has
+// exited and which accepts no more writes: the memtable is frozen and
+// flushed, compaction runs as the flusher's would after that flush, and
+// the manifest is made to cover the whole log, so the caller may delete
+// every WAL segment once it returns nil. A flush covers the log when the
+// frozen tree held the whole tail; a tail of PutCheckpoint entries alone
+// leaves an empty memtable, which freezeLocked skips, so then the
+// manifest is stored here, with the checkpoint table and the log's last
+// LSN as its watermark.
+func (p *Partition) checkpoint() error {
+	p.mu.Lock()
+	p.freezeLocked()
+	p.mu.Unlock()
+	p.flushAndCompact()
+	if err := p.Err(); err != nil {
+		return err
+	}
+	if err := p.wal.Commit(); err != nil {
+		return fmt.Errorf("lsm: checkpoint: %w", err)
+	}
+	p.flushMu.Lock()
+	defer p.flushMu.Unlock()
+	lsn := p.wal.LSN()
+	if p.man.FlushedLSN == lsn {
+		return nil
+	}
+	man := p.man
+	man.FlushedLSN = lsn
+	man.Checkpoints = p.checkpointsSnapshot()
+	if err := storeManifest(p.fs, p.dir, man); err != nil {
+		return fmt.Errorf("lsm: checkpoint: %w", err)
+	}
+	p.man = man
+	return nil
 }
 
 // pickCompaction chooses a window of adjacent runs to merge, on the

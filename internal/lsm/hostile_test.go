@@ -333,11 +333,11 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// manifestFixture is a partition directory "p" whose valid manifest
-// names one run holding the first half of ops; its one WAL segment (the
-// current one, which truncation never removes) holds all of them. Beside
-// it, in "q", lies a copy of the run that is none of the partition's
-// business.
+// manifestFixture is a partition directory "p" as a crash left it: its
+// valid manifest names one run holding the first half of ops, and its
+// one WAL segment (the current one, which truncation never removes)
+// holds all of them. Beside it, in "q", lies a copy of the run that is
+// none of the partition's business.
 type manifestFixture struct {
 	files   map[string][]byte // path -> content, MANIFEST included
 	ops     []index.Item      // ops[i] was logged at LSN i+1; MISSING deletes
@@ -379,14 +379,12 @@ func newManifestFixture(t testing.TB) *manifestFixture {
 	}
 	fx.runUpTo = flushedLSN(p)
 	write(60, 100)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range dirImage(t, fs, "p") {
+	img := crashImage(t, p)
+	for name, data := range dirImage(t, img, "p") {
 		fx.files["p/"+name] = []byte(data)
 	}
 	fx.files[bystander] = fx.files[fixtureRun]
-	if fx.valid, err = loadManifest(fs, "p"); err != nil || len(fx.files) != 4 || fx.runUpTo != 60 || len(fx.valid.Runs) != 1 {
+	if fx.valid, err = loadManifest(img, "p"); err != nil || len(fx.files) != 4 || fx.runUpTo != 60 || len(fx.valid.Runs) != 1 {
 		t.Fatalf("fixture: %d files, run up to LSN %d, manifest %+v, %v", len(fx.files), fx.runUpTo, fx.valid, err)
 	}
 	return fx

@@ -67,9 +67,10 @@ type Options struct {
 	// the last freeze — which for an
 	// enriched tweet is ≈ 650 B where the decoded tree it used to hold
 	// was estimated at ≈ 1.9 KB: the same budget holds ≈ 3× the records,
-	// so flushes are fewer and larger, and (Close does not flush) more of
-	// a small dataset is still in the WAL when the process exits; the
-	// next open flushes that tail before it serves anything.
+	// so flushes are fewer and larger. The budget also bounds the WAL
+	// tail a crash leaves, which the next open flushes before it serves
+	// anything; a clean Close flushes the memtable itself and leaves no
+	// log.
 	MemBudget int
 	// MaxComponents is the number of run files past which the whole level
 	// is compacted into one regardless of size tiers (the

@@ -24,14 +24,17 @@ import (
 //  4. replay the WAL tail — every entry past the manifest's flushed
 //     watermark — into a fresh memtable, then freeze and flush it as the
 //     flusher would (flushOnce), so an open partition starts quiescent:
-//     empty memtable, the tail in an ordinary run, the log truncated;
+//     empty memtable, the tail in an ordinary run, the log truncated.
+//     Only a crash leaves a tail: a clean Close deletes the log once the
+//     manifest covers it, so after one there is nothing to replay, the
+//     empty log starts at the watermark, and the open writes nothing;
 //  5. start the background flusher.
 //
-// A partition that crashed at any point — inside step 4's flush
-// included — reopens to exactly the state covered by acknowledged
-// commits: run files hold LSNs <= FlushedLSN, the WAL holds the rest,
-// and the one frame a crash may have torn is all-or-nothing by CRC
-// framing.
+// A partition that crashed at any point — inside step 4's flush or
+// Close's checkpoint included — reopens to exactly the state covered by
+// acknowledged commits: run files hold LSNs <= FlushedLSN, the WAL holds
+// the rest, and the one frame a crash may have torn is all-or-nothing
+// by CRC framing.
 func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 	if opts.MemBudget <= 0 {
 		opts.MemBudget = DefaultOptions().MemBudget
@@ -200,15 +203,25 @@ func (p *Partition) closeRunsLocked() error {
 	return err
 }
 
-// Close shuts the partition down: the flusher drains and exits, the
-// WAL commits its tail and closes, the components' run files close. A
-// run compaction had already replaced is not the partition's any more:
-// it closes with its last reader (see runFile). The partition must not
-// be used afterwards. Close does NOT force a final memtable flush —
-// the WAL already holds everything, and reopening replays and flushes
-// it; that keeps Close cheap and crash-equivalent (closing and crashing
-// recover identically, through the one path tested against crashes).
-func (p *Partition) Close() error {
+// Close shuts the partition down as a checkpoint. The flusher drains
+// and exits; the memtable is frozen, flushed and compacted as the
+// flusher would; the manifest is made to cover every logged entry,
+// feed-resume checkpoints included; then every WAL segment is deleted,
+// oldest first. A cleanly closed directory holds the manifest and run
+// files only, so the next open replays nothing and writes nothing, and
+// the data rests compressed instead of in the log. A crash at any point
+// of it recovers like any other (see OpenPartition): the log goes only
+// after the manifest covers it. A partition that has failed (Err) skips
+// all of this and keeps its log, which the next open replays as after a
+// crash; Close then returns the failure. The run files close last. A run
+// compaction had already replaced is not the partition's any more: it
+// closes with its last reader (see runFile). The partition must not be
+// used afterwards.
+func (p *Partition) Close() error { return p.close(true) }
+
+// close is Close, and with checkpoint false Drop's close: the files are
+// about to be deleted, so flushing them first would be wasted I/O.
+func (p *Partition) close(checkpoint bool) error {
 	p.mu.Lock()
 	if p.closed {
 		err := p.perr
@@ -219,7 +232,14 @@ func (p *Partition) Close() error {
 	p.mu.Unlock()
 	close(p.flushC)
 	<-p.flusherDone
+	checkpoint = checkpoint && p.Err() == nil
+	if checkpoint {
+		p.fail(p.checkpoint())
+	}
 	err := p.wal.Close()
+	if checkpoint && err == nil && p.Err() == nil {
+		err = p.wal.retire()
+	}
 	p.mu.Lock()
 	if cerr := p.closeRunsLocked(); err == nil {
 		err = cerr
@@ -236,9 +256,9 @@ func (p *Partition) Close() error {
 // first, then the manifest, then the run files: a crash in between
 // reopens cleanly at every point, because without a manifest the run
 // files are orphans that recovery removes. Close's error is reported
-// but does not stop the removal.
+// but does not stop the removal. Nothing is flushed first.
 func (p *Partition) Drop() error {
-	err := p.Close()
+	err := p.close(false)
 	names, lerr := p.fs.List(p.dir)
 	if lerr != nil {
 		return errors.Join(err, lerr)

@@ -20,7 +20,7 @@ import (
 // files; each frame carries a whole storage batch of binary-encoded
 // key/record pairs (adm.AppendBinary), so one storage batch costs one
 // write and one fsync. Segments fully covered by flushed run files are
-// deleted by TruncateTo.
+// deleted by TruncateTo, and a clean close deletes them all (retire).
 //
 // # Group commit
 //
@@ -392,7 +392,7 @@ func (w *WAL) rotate(firstLSN uint64) error {
 // TruncateTo deletes segments wholly covered by flushed runs: every
 // entry with LSN <= upto is durable in a run file, so any segment
 // whose entire LSN range is at or below upto is dead weight. The
-// current segment is never deleted.
+// current segment is never deleted here; a clean close retires it.
 func (w *WAL) TruncateTo(upto uint64) error {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
@@ -419,6 +419,26 @@ func (w *WAL) TruncateTo(upto uint64) error {
 		w.mu.Unlock()
 	}
 	return nil
+}
+
+// retire deletes every segment, oldest first, the current one included,
+// and syncs the directory. A clean close calls it on the closed log once
+// the manifest covers every entry: the directory is then the manifest
+// and run files alone, and the next Replay starts an empty log at the
+// manifest's watermark. A crash part-way leaves a suffix of segments
+// whose entries the manifest covers, which replay skips.
+func (w *WAL) retire() error {
+	w.ioMu.Lock()
+	defer w.ioMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for len(w.segments) > 0 {
+		if err := w.fs.Remove(joinPath(w.dir, w.segments[0].name)); err != nil {
+			return err
+		}
+		w.segments = w.segments[1:]
+	}
+	return w.fs.SyncDir(w.dir)
 }
 
 // Close flushes pending appends and closes the segment file. The

@@ -61,7 +61,8 @@ func TestWriteCommitRule(t *testing.T) {
 
 // TestWriteClosedPartition: after Close every mutator returns the same
 // error and leaves no trace — no WAL append (so Epoch does not move), no
-// memtable, index or checkpoint change.
+// memtable, index or checkpoint change. What Close stored is read back
+// by reopening: the closed partition's run files are closed.
 func TestWriteClosedPartition(t *testing.T) {
 	for _, mode := range openModes {
 		for _, m := range partitionMutators {
@@ -91,19 +92,28 @@ func TestWriteClosedPartition(t *testing.T) {
 				if got := p.Stats(); got != stats {
 					t.Errorf("Stats changed: %+v → %+v", stats, got)
 				}
-				if _, ok, _ := p.Get(adm.Int(1)); !ok {
-					t.Error("key 1 vanished")
-				}
-				for _, k := range []int64{100, 101, 102} {
-					if _, ok, _ := p.Get(adm.Int(k)); ok {
-						t.Errorf("key %d was applied", k)
-					}
-				}
 				if got := postingsOf(bt, adm.Int(1)); len(got) != 1 || got[0].IntVal() != 1 {
 					t.Errorf("index postings for grp=1 = %v, want [1]", got)
 				}
 				if got := p.Checkpoint("feed"); got != 5 {
 					t.Errorf("Checkpoint = %d, want 5", got)
+				}
+
+				rp, err := OpenPartition(p.fs, p.dir, p.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rp.Close()
+				if _, ok, _ := rp.Get(adm.Int(1)); !ok {
+					t.Error("key 1 vanished")
+				}
+				for _, k := range []int64{100, 101, 102} {
+					if _, ok, _ := rp.Get(adm.Int(k)); ok {
+						t.Errorf("key %d was applied", k)
+					}
+				}
+				if got := rp.Checkpoint("feed"); got != 5 {
+					t.Errorf("reopened Checkpoint = %d, want 5", got)
 				}
 			})
 		}

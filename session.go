@@ -111,9 +111,10 @@ func (c *Cluster) Execute(ctx context.Context, script string, args ...any) (Resu
 	return results, nil
 }
 
-// Close shuts the cluster's storage down cleanly: datasets drain their
-// background flushers, group-commit their WAL tails, and close their
-// run files. A cluster with a DataDir that is closed (or killed) reopens
+// Close shuts the cluster's storage down cleanly: every partition drains
+// its background flusher, flushes its memtable into a run file, and
+// deletes its WAL once the manifest covers it, so the next NewCluster
+// has no log to replay. A cluster with a DataDir that is closed (or killed) reopens
 // to exactly the committed state on the next NewCluster with the same
 // DataDir. The cluster must not execute statements or run feeds after
 // Close.
