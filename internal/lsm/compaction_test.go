@@ -316,14 +316,17 @@ func TestCompactionAbortsOnCorruptInput(t *testing.T) {
 	p := threeRunPartition(t, fsys, opts)
 
 	p.flushMu.Lock()
-	oldest := p.man.Runs[0].File
-	inputs := []string{p.man.Runs[0].File, p.man.Runs[1].File, p.man.Runs[2].File}
-	output := runFileName(p.man.NextSeq)
+	output := runFileName(p.nextSeq)
 	p.flushMu.Unlock()
 	p.mu.RLock()
-	block := p.components[len(p.components)-1].run.blocks[1]
+	runs := p.runsLocked()
 	p.mu.RUnlock()
-	if err := fsys.Corrupt(joinPath("part", oldest), block.off+frame.HeaderSize+5); err != nil {
+	var inputs []string
+	for _, c := range runs {
+		inputs = append(inputs, c.run.name)
+	}
+	oldest := runs[len(runs)-1].run
+	if err := fsys.Corrupt(joinPath("part", oldest.name), oldest.blocks[1].off+frame.HeaderSize+5); err != nil {
 		t.Fatal(err)
 	}
 	manifestBefore, err := readFileAll(fsys, joinPath("part", manifestName))
@@ -368,5 +371,80 @@ func TestCompactionAbortsOnCorruptInput(t *testing.T) {
 	}
 	if err := p.Close(); !errors.Is(err, frame.ErrCRC) {
 		t.Fatalf("Close after reopen = %v, want the CRC error", err)
+	}
+}
+
+// TestCompactionPicksNewestTier: pickCompaction merges the newest size
+// tier once it is compactionMinWidth runs wide, and every run past
+// MaxComponents; a merge drops tombstones only when its window reaches
+// the oldest run.
+func TestCompactionPicksNewestTier(t *testing.T) {
+	cases := []struct {
+		name  string
+		sizes []int64 // newest first
+		max   int
+		want  int
+	}{
+		{"four similar runs merge", []int64{100, 120, 90, 110}, 8, 4},
+		{"three do not", []int64{100, 120, 90}, 8, 0},
+		{"a ratio of 4 stays in the tier", []int64{100, 100, 400, 100}, 8, 4},
+		{"a ratio above 4 ends the tier", []int64{100, 100, 100, 401, 100}, 8, 0},
+		{"the tier stops at an older large run", []int64{100, 100, 100, 100, 5000}, 8, 4},
+		{"a small newest run ends the tier", []int64{10, 100, 100, 100, 100}, 8, 0},
+		{"past MaxComponents every run merges", []int64{1, 5000, 10, 900, 3}, 4, 5},
+		{"at MaxComponents the tiers decide", []int64{1, 5000, 10, 900}, 4, 0},
+		{"one run never merges", []int64{100}, 0, 0},
+	}
+	for _, tc := range cases {
+		runs := make([]*component, len(tc.sizes))
+		for i, b := range tc.sizes {
+			runs[i] = &component{run: &runFile{size: b}}
+		}
+		if got := pickCompaction(runs, tc.max); got != tc.want {
+			t.Errorf("%s: pickCompaction(%v, %d) = %d, want %d", tc.name, tc.sizes, tc.max, got, tc.want)
+		}
+	}
+
+	// A tier above an older large run merges with its tombstone kept,
+	// since the large run may hold the key it deletes; merging the whole
+	// level drops it.
+	p := memPartition(t, Options{MemBudget: 1 << 30, MaxComponents: 8})
+	flush := func(lo, hi int64) {
+		t.Helper()
+		for k := lo; k < hi; k++ {
+			if err := p.Upsert(adm.Int(k), tweetRec(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Flush()
+		settle(t, p)
+	}
+	flush(0, 2000)
+	for r := int64(1); r <= 4; r++ {
+		if r == 2 {
+			if _, err := p.Delete(adm.Int(5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flush(10000*r, 10000*r+100)
+	}
+	entries := func() []int {
+		p.mu.RLock()
+		defer p.mu.RUnlock()
+		var n []int
+		for _, c := range p.runsLocked() {
+			n = append(n, c.run.entries)
+		}
+		return n
+	}
+	if got := entries(); !slices.Equal(got, []int{401, 2000}) || p.Stats().Merges != 1 {
+		t.Fatalf("after the newest tier merged: run entries %v, %d merges; want [401 2000] and 1", got, p.Stats().Merges)
+	}
+	forceCompaction(p)
+	if got := entries(); !slices.Equal(got, []int{2399}) {
+		t.Fatalf("after the whole level merged: run entries %v, want [2399]", got)
+	}
+	if _, ok, err := p.Get(adm.Int(5)); ok || err != nil {
+		t.Fatalf("deleted key 5: found %v, err %v", ok, err)
 	}
 }

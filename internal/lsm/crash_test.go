@@ -119,15 +119,18 @@ func TestCrashRecovery(t *testing.T) {
 		frames   int
 		perFrame int
 		points   int
+		// flushes and merges: the dry run's workload must flush, and
+		// compact, before Close, or no injection point lands inside one.
+		flushes, merges bool
 	}{
 		// Everything stays in the memtable: crashes only ever hit WAL
 		// appends and commits.
-		{"memtable-only", Options{MemBudget: 8 << 20, MaxComponents: 8, WALSegBytes: 16 << 10}, 24, 8, 10},
+		{"memtable-only", Options{MemBudget: 8 << 20, MaxComponents: 8, WALSegBytes: 16 << 10}, 24, 8, 10, false, false},
 		// Small budget: several flushes, run files, WAL truncation.
-		{"flushed", Options{MemBudget: 8 << 10, MaxComponents: 8, WALSegBytes: 8 << 10}, 40, 12, 12},
+		{"flushed", Options{MemBudget: 8 << 10, MaxComponents: 8, WALSegBytes: 8 << 10}, 40, 12, 12, true, false},
 		// Tiny budget + low component cap: compactions run during the
 		// workload, so injection points land mid-compaction too.
-		{"mid-compaction", Options{MemBudget: 4 << 10, MaxComponents: 3, WALSegBytes: 8 << 10}, 60, 12, 14},
+		{"mid-compaction", Options{MemBudget: 4 << 10, MaxComponents: 3, WALSegBytes: 8 << 10}, 60, 12, 14, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -139,8 +142,9 @@ func TestCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			acked := crashWorkload(p, tc.frames, tc.perFrame)
-			if err := p.WaitForFlush(); err != nil {
-				t.Fatal(err)
+			settle(t, p)
+			if st := p.Stats(); tc.flushes && st.FlushedRuns == 0 || tc.merges && st.Merges == 0 {
+				t.Fatalf("the workload flushed %d runs and merged %d times before Close", st.FlushedRuns, st.Merges)
 			}
 			if err := p.Close(); err != nil {
 				t.Fatal(err)

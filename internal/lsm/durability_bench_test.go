@@ -165,11 +165,11 @@ func BenchmarkFlushThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		p.flushMu.Lock()
-		for _, rm := range p.man.Runs {
-			bytes += rm.Bytes
+		p.mu.RLock()
+		for _, c := range p.runsLocked() {
+			bytes += c.run.size
 		}
-		p.flushMu.Unlock()
+		p.mu.RUnlock()
 		if err := p.Close(); err != nil {
 			b.Fatal(err)
 		}

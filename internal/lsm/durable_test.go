@@ -35,9 +35,10 @@ func reopen(t *testing.T, p *Partition, fsys FS, dir string, opts Options) *Part
 
 // crashImage stops p and returns its filesystem as a crash at this
 // instant leaves it. A MemFS yields its synced prefixes (p then closes
-// on the doomed original); a directory is taken as it stands once p
-// stops without Close's checkpoint, since every write p acknowledged
-// was fsynced. Either way the log still holds the memtable's tail.
+// on the doomed original). A directory's bytes are copied as they stand
+// between two flusher steps — every write p acknowledged was fsynced —
+// and put back once p has closed. Either way the log still holds the
+// memtable's tail.
 func crashImage(t testing.TB, p *Partition) FS {
 	t.Helper()
 	if m, ok := p.fs.(*MemFS); ok {
@@ -45,8 +46,25 @@ func crashImage(t testing.TB, p *Partition) FS {
 		p.Close()
 		return img
 	}
-	if err := p.close(false); err != nil {
+	p.flushMu.Lock()
+	image := dirImage(t, p.fs, p.dir)
+	p.flushMu.Unlock()
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+	names, err := p.fs.List(p.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if err := p.fs.Remove(joinPath(p.dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, data := range image {
+		if err := os.WriteFile(joinPath(p.dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return p.fs
 }

@@ -7,19 +7,21 @@ import (
 
 // Background flush and compaction.
 //
-// The flusher goroutine owns every manifest write, which gives the
-// durability protocol a single serialization point:
+// The partition's runs are the run-backed suffix of its components,
+// newest first (runsLocked): the one run list. The flusher goroutine
+// alone changes it, and every manifest is written from it (storeRuns),
+// which gives the durability protocol a single serialization point:
 //
 //  1. flush: write the oldest frozen memtable as a run file (file
-//     fsync + dir sync), commit it into the manifest (tmp + rename),
-//     swap the in-memory component for its run-backed twin, then
-//     truncate WAL segments the manifest now covers;
-//  2. compact: merge a size-tiered window of adjacent runs into one,
-//     commit the replacement manifest, swap components, delete the
-//     input files.
+//     fsync + dir sync), store the manifest of the runs with it
+//     (tmp + rename), swap the in-memory component for its run-backed
+//     twin, then truncate WAL segments the manifest now covers;
+//  2. compact: merge the newest size tier of runs into one, store the
+//     manifest of the runs with the merged one in the tier's place,
+//     replace the run suffix, delete the input files.
 //
 // A clean Close ends with the same two steps, run until nothing is
-// frozen and no window qualifies, then covers the whole log with the
+// frozen and no tier qualifies, then covers the whole log with the
 // manifest (checkpoint) and deletes every WAL segment: the data rests
 // in run files alone, and the next open replays nothing.
 //
@@ -77,14 +79,40 @@ func (p *Partition) flushAndCompact() {
 }
 
 // oldestFrozenLocked returns the oldest not-yet-persisted component.
-// Components are newest-first and flushes proceed oldest-first, so
-// run-backed components always form the suffix of the slice.
+// Flushes proceed oldest-first, so it sits just ahead of the runs.
 func (p *Partition) oldestFrozenLocked() *component {
-	for i := len(p.components) - 1; i >= 0; i-- {
-		if p.components[i].run == nil {
-			return p.components[i]
-		}
+	if i := len(p.components) - len(p.runsLocked()); i > 0 {
+		return p.components[i-1]
 	}
+	return nil
+}
+
+// runsLocked returns the partition's runs, newest first: the run-backed
+// suffix of the components. It is the one run list; every manifest is
+// written from it (storeRuns). Only the flusher changes it, under
+// flushMu: a flush turns the component just ahead of it into a run, a
+// compaction gives the partition a new slice. Neither writes inside a
+// suffix already returned, so the flusher may keep one past p.mu.
+func (p *Partition) runsLocked() []*component {
+	i := len(p.components)
+	for i > 0 && p.components[i-1].run != nil {
+		i--
+	}
+	return p.components[i:]
+}
+
+// storeRuns stores the manifest of runs (newest first), the log covered
+// up to flushed and the next run file sequence number, with the
+// checkpoint table as it stands. Called with flushMu held.
+func (p *Partition) storeRuns(runs []*component, flushed, nextSeq uint64) error {
+	man := manifest{FlushedLSN: flushed, NextSeq: nextSeq, Checkpoints: p.checkpointsSnapshot()}
+	for i := len(runs) - 1; i >= 0; i-- {
+		man.Runs = append(man.Runs, runMetaFor(runs[i]))
+	}
+	if err := storeManifest(p.fs, p.dir, man); err != nil {
+		return err
+	}
+	p.flushedLSN, p.nextSeq = flushed, nextSeq
 	return nil
 }
 
@@ -95,7 +123,7 @@ func (p *Partition) flushOnce() (bool, error) {
 	defer p.flushMu.Unlock()
 
 	p.mu.RLock()
-	c := p.oldestFrozenLocked()
+	c, runs := p.oldestFrozenLocked(), p.runsLocked()
 	p.mu.RUnlock()
 	if c == nil {
 		return false, nil
@@ -109,46 +137,33 @@ func (p *Partition) flushOnce() (bool, error) {
 	}
 
 	// The component is immutable; write it without any partition lock.
-	seq := p.man.NextSeq
-	name := runFileName(seq)
-	rf, err := writeRun(p.fs, p.dir, name, p.renv, fillFromComponent(c))
+	rf, err := writeRun(p.fs, p.dir, runFileName(p.nextSeq), p.renv, fillFromComponent(c))
 	if err != nil {
 		return false, fmt.Errorf("lsm: flush: %w", err)
 	}
-
-	man := p.man
-	man.NextSeq = seq + 1
-	man.FlushedLSN = c.upToLSN
-	man.Runs = append(append([]runMeta(nil), man.Runs...), runMetaFor(name, c.upToLSN, rf))
-	// Snapshot the checkpoint table before the WAL truncation below can
-	// drop the segments the checkpoint entries live in. Including
-	// checkpoints newer than FlushedLSN is safe: a checkpoint is only
-	// written after the records it covers were group-committed.
-	man.Checkpoints = p.checkpointsSnapshot()
-	if err := storeManifest(p.fs, p.dir, man); err != nil {
+	flushed := &component{run: rf, upToLSN: c.upToLSN}
+	// The checkpoint table is stored before the WAL truncation below can
+	// drop the segments its entries live in. Including checkpoints newer
+	// than the watermark is safe: a checkpoint is only written after the
+	// records it covers were group-committed.
+	if err := p.storeRuns(append([]*component{flushed}, runs...), c.upToLSN, p.nextSeq+1); err != nil {
 		rf.close()
 		return false, fmt.Errorf("lsm: flush: %w", err)
 	}
-	p.man = man
 
-	// Swap the frozen tree for its run-backed twin. The component
-	// pointer is replaced, never mutated: snapshots that copied the old
-	// pointer keep reading the tree.
+	// Swap the frozen tree, still just ahead of the runs, for its
+	// run-backed twin. The component pointer is replaced, never mutated:
+	// snapshots that copied the old pointer keep reading the tree.
 	p.mu.Lock()
-	for i, pc := range p.components {
-		if pc == c {
-			p.components[i] = &component{run: rf, upToLSN: c.upToLSN}
-			break
-		}
-	}
+	p.components[len(p.components)-len(runs)-1] = flushed
 	p.stats.FlushedRuns++
 	p.mu.Unlock()
 
-	// The manifest covers everything at or below FlushedLSN; the WAL
+	// The manifest covers everything at or below the watermark; the WAL
 	// segments wholly under it are dead. Truncation failure is not a
 	// durability problem (just disk amplification), but it is still an
 	// IO error worth surfacing.
-	if err := p.wal.TruncateTo(man.FlushedLSN); err != nil {
+	if err := p.wal.TruncateTo(c.upToLSN); err != nil {
 		return false, fmt.Errorf("lsm: wal truncate: %w", err)
 	}
 	return true, nil
@@ -177,132 +192,97 @@ func (p *Partition) checkpoint() error {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
 	lsn := p.wal.LSN()
-	if p.man.FlushedLSN == lsn {
+	if p.flushedLSN == lsn {
 		return nil
 	}
-	man := p.man
-	man.FlushedLSN = lsn
-	man.Checkpoints = p.checkpointsSnapshot()
-	if err := storeManifest(p.fs, p.dir, man); err != nil {
+	p.mu.RLock()
+	runs := p.runsLocked()
+	p.mu.RUnlock()
+	if err := p.storeRuns(runs, lsn, p.nextSeq); err != nil {
 		return fmt.Errorf("lsm: checkpoint: %w", err)
 	}
-	p.man = man
 	return nil
 }
 
-// pickCompaction chooses a window of adjacent runs to merge, on the
-// oldest-first manifest order: the longest newest suffix whose sizes
-// stay within compactionRatio of each other, if it is at least
-// compactionMinWidth wide — plain size-tiering, newest tier first.
-// When the run count exceeds maxRuns the whole level merges regardless
-// (the read-amplification backstop).
-func pickCompaction(runs []runMeta, maxRuns int) (lo, hi int, ok bool) {
+// pickCompaction chooses how many of the newest runs (runs is newest
+// first) to merge: the newest size tier — the longest run of newest
+// runs whose sizes stay within compactionRatio of each other — if it is
+// at least compactionMinWidth wide, and 0 otherwise. When the run count
+// exceeds maxRuns every run merges regardless (the read-amplification
+// backstop).
+func pickCompaction(runs []*component, maxRuns int) int {
 	n := len(runs)
 	if n < 2 {
-		return 0, 0, false
+		return 0
 	}
 	if n > maxRuns {
-		return 0, n, true
+		return n
 	}
-	start := n - 1
-	maxB, minB := runs[start].Bytes, runs[start].Bytes
-	for i := n - 2; i >= 0; i-- {
-		b := runs[i].Bytes
+	w, maxB, minB := 1, runs[0].run.size, runs[0].run.size
+	for ; w < n; w++ {
+		b := runs[w].run.size
 		nmax, nmin := max(maxB, b), min(minB, b)
 		if float64(nmax) > compactionRatio*float64(max(nmin, 1)) {
 			break
 		}
-		start, maxB, minB = i, nmax, nmin
+		maxB, minB = nmax, nmin
 	}
-	if n-start >= compactionMinWidth {
-		return start, n, true
+	if w >= compactionMinWidth {
+		return w
 	}
-	return 0, 0, false
+	return 0
 }
 
-// compactOnce merges one size-tiered window of adjacent run files into
-// a single run. It reports whether a compaction ran. A merge that fails
-// — an input block that cannot be read, fails its checksum or does not
-// parse — changes nothing: no output file, the manifest, the inputs and
-// the components as they were.
+// compactOnce merges the newest size tier of runs into a single run. It
+// reports whether a compaction ran. A merge that fails — an input block
+// that cannot be read, fails its checksum or does not parse — changes
+// nothing: no output file, the manifest, the inputs and the components
+// as they were.
 func (p *Partition) compactOnce() (bool, error) {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
 
-	lo, hi, ok := pickCompaction(p.man.Runs, p.opts.MaxComponents)
-	if !ok {
+	p.mu.RLock()
+	runs := p.runsLocked()
+	p.mu.RUnlock()
+	w := pickCompaction(runs, p.opts.MaxComponents)
+	if w == 0 {
 		return false, nil
 	}
-
-	// Map the manifest window (oldest first) onto the component slice
-	// (newest first): run-backed components are its suffix, in reverse
-	// manifest order.
-	p.mu.RLock()
-	firstRun := len(p.components)
-	for firstRun > 0 && p.components[firstRun-1].run != nil {
-		firstRun--
+	inputs := make([]*runFile, w)
+	for i, c := range runs[:w] {
+		inputs[i] = c.run
 	}
-	nRuns := len(p.components) - firstRun
-	if nRuns != len(p.man.Runs) {
-		p.mu.RUnlock()
-		return false, fmt.Errorf("lsm: compact: %d run components vs %d manifest runs", nRuns, len(p.man.Runs))
-	}
-	// Manifest index i lives at component index len(components)-1-i.
-	runs := make([]*runFile, 0, hi-lo)
-	for i := hi - 1; i >= lo; i-- {
-		runs = append(runs, p.components[len(p.components)-1-i].run)
-	}
-	p.mu.RUnlock()
-
 	// Tombstones may only vanish when nothing older could be shadowed.
-	dropTombstones := lo == 0
-	seq := p.man.NextSeq
-	name := runFileName(seq)
-	rf, err := writeRun(p.fs, p.dir, name, p.renv, fillFromRuns(runs, dropTombstones))
+	rf, err := writeRun(p.fs, p.dir, runFileName(p.nextSeq), p.renv, fillFromRuns(inputs, w == len(runs)))
 	if err != nil {
 		return false, fmt.Errorf("lsm: compact: %w", err)
 	}
-
-	man := p.man
-	man.NextSeq = seq + 1
-	merged := runMetaFor(name, man.Runs[hi-1].MaxLSN, rf)
-	newRuns := make([]runMeta, 0, len(man.Runs)-(hi-lo)+1)
-	newRuns = append(newRuns, man.Runs[:lo]...)
-	newRuns = append(newRuns, merged)
-	newRuns = append(newRuns, man.Runs[hi:]...)
-	oldRuns := man.Runs[lo:hi]
-	man.Runs = newRuns
-	man.Checkpoints = p.checkpointsSnapshot()
-	if err := storeManifest(p.fs, p.dir, man); err != nil {
+	merged := append([]*component{{run: rf, upToLSN: runs[0].upToLSN}}, runs[w:]...)
+	if err := p.storeRuns(merged, p.flushedLSN, p.nextSeq+1); err != nil {
 		rf.close()
 		return false, fmt.Errorf("lsm: compact: %w", err)
 	}
-	p.man = man
 
-	// Splice the merged component in place of its inputs (they sit
-	// contiguously; newer memory components may have been prepended in
-	// the meantime, which does not move the suffix mapping).
+	// Replace the run suffix; newer memory components may have been
+	// prepended in the meantime, which does not move it. The new slice
+	// leaves runs, and the snapshots' copies, as they were.
 	p.mu.Lock()
-	loC := len(p.components) - hi // component index of manifest run hi-1
-	hiC := len(p.components) - lo // one past manifest run lo
-	for _, pc := range p.components[loC:hiC] {
+	for _, in := range inputs {
 		// Point lookups hold p.mu (we hold it exclusively); a snapshot
 		// that reaches the run keeps its own reference. Drop the owner's,
 		// so the file closes with the last of them.
-		pc.run.retire()
+		in.retire()
 	}
-	spliced := make([]*component, 0, len(p.components)-(hi-lo)+1)
-	spliced = append(spliced, p.components[:loC]...)
-	spliced = append(spliced, &component{run: rf, upToLSN: merged.MaxLSN})
-	spliced = append(spliced, p.components[hiC:]...)
-	p.components = spliced
+	k := len(p.components) - len(runs)
+	p.components = append(p.components[:k:k], merged...)
 	p.stats.Merges++
 	p.mu.Unlock()
 
 	// The manifest no longer references the inputs; a live snapshot's
 	// open handles keep reading the unlinked files.
-	for _, rm := range oldRuns {
-		if err := p.fs.Remove(joinPath(p.dir, rm.File)); err != nil {
+	for _, in := range inputs {
+		if err := p.fs.Remove(joinPath(p.dir, in.name)); err != nil {
 			return false, fmt.Errorf("lsm: compact: %w", err)
 		}
 	}
@@ -337,7 +317,7 @@ func (p *Partition) WaitForFlush() error {
 
 // Runs reports how many run files back the partition.
 func (p *Partition) Runs() int {
-	p.flushMu.Lock()
-	defer p.flushMu.Unlock()
-	return len(p.man.Runs)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return len(p.runsLocked())
 }

@@ -312,3 +312,52 @@ func TestGoldenVersionBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenManifest pins the MANIFEST bytes a fixed history leaves on a
+// MemFS, one line per store: three explicit flushes; a fourth, which
+// completes a size tier whose compaction reaches the oldest run and so
+// drops the tombstone; a fifth flush; then a checkpoint-only tail that
+// Close's checkpoint stores. The flusher and Close write every manifest,
+// so this covers each path that builds one.
+func TestGoldenManifest(t *testing.T) {
+	fs := NewMemFS()
+	p, err := OpenPartition(fs, "p", Options{MemBudget: 1 << 30, MaxComponents: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []byte
+	capture := func(when string) {
+		t.Helper()
+		data, err := readFileAll(fs, "p/"+manifestName)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		lines = append(append(lines, data...), '\n')
+	}
+	for run := int64(0); run < 5; run++ {
+		for k := run * 100; k < run*100+100; k++ {
+			if err := p.Upsert(adm.Int(k), rec(k, "text", adm.String(noise(uint64(k), 48)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if run == 2 {
+			if _, err := p.Delete(adm.Int(7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Flush()
+		settle(t, p)
+		capture(fmt.Sprintf("flush %d", run+1))
+	}
+	if st := p.Stats(); st.Merges != 1 || p.Runs() != 2 {
+		t.Fatalf("%d merges, %d runs; want the first four runs merged", st.Merges, p.Runs())
+	}
+	if err := p.PutCheckpoint("feed", 500); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	capture("close")
+	checkGolden(t, "manifest-v1.golden", lines)
+}

@@ -18,7 +18,8 @@ import (
 // manifest are garbage from an interrupted flush or compaction and are
 // deleted on open.
 //
-// Only the flusher goroutine writes the manifest, so stores need no
+// Only the flusher goroutine and Close write the manifest, each store
+// from the partition's run list (Partition.storeRuns), so stores need no
 // locking beyond the partition's own flush serialization.
 const (
 	manifestName    = "MANIFEST"
@@ -53,10 +54,11 @@ type runMeta struct {
 	LastKey  []byte `json:"last_key,omitempty"`
 }
 
-// runMetaFor describes a freshly written run for the manifest,
+// runMetaFor describes a run-backed component for the manifest,
 // including its key-range fences.
-func runMetaFor(name string, maxLSN uint64, rf *runFile) runMeta {
-	rm := runMeta{File: name, MaxLSN: maxLSN, Entries: rf.entries, Bytes: rf.size}
+func runMetaFor(c *component) runMeta {
+	rf := c.run
+	rm := runMeta{File: rf.name, MaxLSN: c.upToLSN, Entries: rf.entries, Bytes: rf.size}
 	if len(rf.blocks) > 0 {
 		rm.FirstKey = adm.AppendBinary(nil, rf.firstKey)
 		rm.LastKey = adm.AppendBinary(nil, rf.lastKey)

@@ -215,10 +215,12 @@ type Partition struct {
 	// threaded into every run file written or opened.
 	renv runEnv
 	// flushMu serializes the flusher's work units (flush, compaction,
-	// manifest stores) against Close. man is flusher-owned: read or
-	// written only under flushMu.
+	// manifest stores) against Close. flushedLSN and nextSeq are the
+	// last stored manifest's watermark and next run file sequence
+	// number, flusher-owned: read or written only under flushMu.
 	flushMu     sync.Mutex
-	man         manifest
+	flushedLSN  uint64
+	nextSeq     uint64
 	flushC      chan struct{}
 	flusherDone chan struct{}
 }

@@ -39,7 +39,7 @@ func committedLSN(w *WAL) uint64 {
 func flushedLSN(p *Partition) uint64 {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
-	return p.man.FlushedLSN
+	return p.flushedLSN
 }
 
 func smallOpts() Options {
@@ -78,18 +78,23 @@ func memDataset(t testing.TB, name string, dt *adm.Datatype, primaryKey string, 
 }
 
 // settle waits until the flusher has nothing left to do: every frozen
-// memtable is a run file and no compaction window qualifies.
+// memtable is a run file and no compaction is due.
 func settle(t testing.TB, p *Partition) {
 	t.Helper()
-	for {
+	for start := time.Now(); ; {
 		if err := p.WaitForFlush(); err != nil {
 			t.Fatal(err)
 		}
 		p.flushMu.Lock()
-		_, _, more := pickCompaction(p.man.Runs, p.opts.MaxComponents)
+		p.mu.RLock()
+		w := pickCompaction(p.runsLocked(), p.opts.MaxComponents)
+		p.mu.RUnlock()
 		p.flushMu.Unlock()
-		if !more {
+		if w == 0 {
 			return
+		}
+		if time.Since(start) > time.Minute {
+			t.Fatalf("a compaction of %d runs stayed due for a minute", w)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}

@@ -54,7 +54,8 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 		mem:         index.NewBTree(),
 		fs:          fsys,
 		dir:         dir,
-		man:         man,
+		flushedLSN:  man.FlushedLSN,
+		nextSeq:     man.NextSeq,
 		renv:        runEnv{cache: opts.BlockCache, ctr: new(counters), lz: new(lzEncoder)},
 		flushC:      make(chan struct{}, 1),
 		flusherDone: make(chan struct{}),
@@ -217,11 +218,7 @@ func (p *Partition) closeRunsLocked() error {
 // compaction had already replaced is not the partition's any more: it
 // closes with its last reader (see runFile). The partition must not be
 // used afterwards.
-func (p *Partition) Close() error { return p.close(true) }
-
-// close is Close, and with checkpoint false Drop's close: the files are
-// about to be deleted, so flushing them first would be wasted I/O.
-func (p *Partition) close(checkpoint bool) error {
+func (p *Partition) Close() error {
 	p.mu.Lock()
 	if p.closed {
 		err := p.perr
@@ -232,12 +229,11 @@ func (p *Partition) close(checkpoint bool) error {
 	p.mu.Unlock()
 	close(p.flushC)
 	<-p.flusherDone
-	checkpoint = checkpoint && p.Err() == nil
-	if checkpoint {
+	if p.Err() == nil {
 		p.fail(p.checkpoint())
 	}
 	err := p.wal.Close()
-	if checkpoint && err == nil && p.Err() == nil {
+	if err == nil && p.Err() == nil {
 		err = p.wal.retire()
 	}
 	p.mu.Lock()
@@ -251,14 +247,15 @@ func (p *Partition) close(checkpoint bool) error {
 	return err
 }
 
-// Drop closes the partition and deletes its files, so a partition
-// opened in the same directory afterwards starts empty. WAL segments go
-// first, then the manifest, then the run files: a crash in between
+// Drop closes the partition (Close) and deletes its files, so a
+// partition opened in the same directory afterwards starts empty. WAL
+// segments — left only by a Close that failed — go first, then the
+// manifest, then the run files: a crash in between
 // reopens cleanly at every point, because without a manifest the run
 // files are orphans that recovery removes. Close's error is reported
-// but does not stop the removal. Nothing is flushed first.
+// but does not stop the removal.
 func (p *Partition) Drop() error {
-	err := p.close(false)
+	err := p.Close()
 	names, lerr := p.fs.List(p.dir)
 	if lerr != nil {
 		return errors.Join(err, lerr)
