@@ -135,6 +135,11 @@ func ApproachesComparison(opts Options) (*Table, error) {
 			}
 		}
 	}
+	// A staging read that faulted ended the scan early: timing the prefix
+	// would report a throughput for records never copied.
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
 	if err := flush(); err != nil {
 		return nil, err
 	}

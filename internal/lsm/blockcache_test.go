@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -299,7 +300,7 @@ func TestBlockCacheConcurrentScansShare(t *testing.T) {
 	}
 	for step(trail) {
 	}
-	if err := run.err(); err != nil {
+	if err := cmp.Or(lead.err, trail.err); err != nil {
 		t.Fatal(err)
 	}
 	cs := p.opts.BlockCache.Stats()

@@ -51,11 +51,10 @@ func TestSnapshotChangesMatchesModel(t *testing.T) {
 			}
 			contents := func(s *Snapshot) map[int64]adm.Value {
 				m := map[int64]adm.Value{}
-				s.Scan(func(k, v adm.Value) bool {
+				if err := s.Scan(func(k, v adm.Value) bool {
 					m[k.IntVal()] = v
 					return true
-				})
-				if err := s.Err(); err != nil {
+				}); err != nil {
 					t.Fatal(err)
 				}
 				return m

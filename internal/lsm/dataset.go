@@ -297,11 +297,14 @@ func NewScanCursor(snaps []*Snapshot) *ScanCursor {
 	return &ScanCursor{snaps: snaps}
 }
 
-// ScanCursor streams a dataset's live records across partitions.
+// ScanCursor streams a dataset's live records across partitions. A
+// partition cursor that stops on a read fault ends it, and Err reports
+// the fault.
 type ScanCursor struct {
 	snaps []*Snapshot
 	cur   *Cursor
 	i     int
+	err   error
 }
 
 // Next returns the next live record.
@@ -317,9 +320,16 @@ func (sc *ScanCursor) Next() (key, rec adm.Value, ok bool) {
 		if k, r, ok := sc.cur.Next(); ok {
 			return k, r, true
 		}
+		if sc.err = sc.cur.Err(); sc.err != nil {
+			sc.Close()
+			return adm.Value{}, adm.Value{}, false
+		}
 		sc.cur = nil
 	}
 }
+
+// Err returns the read fault that ended the scan early, or nil.
+func (sc *ScanCursor) Err() error { return sc.err }
 
 // Close stops the cursor and drops its snapshots: Next reports
 // exhaustion from then on. Idempotent. A cursor holds nothing but

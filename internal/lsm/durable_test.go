@@ -131,15 +131,14 @@ func TestReopenEndsQuiescent(t *testing.T) {
 			check := func(when string) {
 				t.Helper()
 				n := 0
-				s := p.Snapshot()
-				s.Scan(func(key, rec adm.Value) bool {
+				err := p.Snapshot().Scan(func(key, rec adm.Value) bool {
 					if want, ok := model[key.IntVal()]; !ok || rec.Field("v").IntVal() != want {
 						t.Fatalf("%s: key %s = %s, model says %d (present %v)", when, key, rec, want, ok)
 					}
 					n++
 					return true
 				})
-				if err := s.Err(); err != nil || n != len(model) {
+				if err != nil || n != len(model) {
 					t.Fatalf("%s: scanned %d of %d records, err %v", when, n, len(model), err)
 				}
 				if got := p.Checkpoint("feed"); got != 900 {

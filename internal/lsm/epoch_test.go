@@ -99,8 +99,9 @@ func TestEpochMovesOnWritesOnly(t *testing.T) {
 }
 
 // TestSnapshotErrReportsRunReadFault: a block read that fails mid-scan
-// ends the scan early and silently; Snapshot.Err is how a consumer
-// tells that partial scan from a complete one.
+// ends the scan early, and the reader reports the fault, so a partial
+// scan never passes for a complete one. The fault is the reader's, not
+// the run's: once reads answer again, the same snapshot scans whole.
 func TestSnapshotErrReportsRunReadFault(t *testing.T) {
 	fsys := NewMemFS()
 	p, err := OpenPartition(fsys, "part", Options{MemBudget: 1 << 20, MaxComponents: 8})
@@ -128,13 +129,15 @@ func TestSnapshotErrReportsRunReadFault(t *testing.T) {
 	if got, err := snap.Len(); got >= n || !errors.Is(err, ErrInjected) {
 		t.Fatalf("count under a read fault = %d, %v; want fewer records and the injected read fault", got, err)
 	}
-	if err := snap.Err(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Snapshot.Err = %v, want the injected read fault", err)
+	cu := snap.Cursor()
+	for _, _, ok := cu.Next(); ok; _, _, ok = cu.Next() {
 	}
-	// Sticky: the run stays failed for every snapshot that reaches it.
+	if err := cu.Err(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Cursor.Err = %v, want the injected read fault", err)
+	}
 	fsys.FailReads(false)
-	if err := p.Snapshot().Err(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("a later snapshot over the same run reports %v", err)
+	if got, err := snap.Len(); got != n || err != nil {
+		t.Fatalf("the same snapshot with reads answering again: %d records, err %v; want all %d", got, err, n)
 	}
 }
 
@@ -179,9 +182,6 @@ func TestPointLookupNeverAnswersStale(t *testing.T) {
 		if v, ok, err := get(key); ok || !errors.Is(err, ErrInjected) {
 			t.Errorf("%s = %v, %v, %v under a read fault on the run holding version 2; want the fault", name, v, ok, err)
 		}
-	}
-	if err := snap.Err(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Snapshot.Err = %v, want the injected read fault", err)
 	}
 	if err := p.Insert(key, rec(7, "v", adm.Int(3))); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Insert over an unreadable run = %v, want the read fault", err)

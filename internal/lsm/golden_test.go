@@ -143,11 +143,10 @@ func w2Replay(t *testing.T, fs FS, fn func(uint64, adm.Value, adm.Value)) error 
 
 // probeGet is the test shorthand for a single-run point lookup through
 // the pooled probe API.
-func probeGet(rf *runFile, key adm.Value) (adm.Value, bool) {
+func probeGet(rf *runFile, key adm.Value) (adm.Value, bool, error) {
 	kp := getProbe(key)
 	defer putProbe(kp)
-	v, ok, _ := rf.get(kp)
-	return v, ok
+	return rf.get(kp)
 }
 
 // checkGoldenRun exercises the read side of an open run over the golden
@@ -158,13 +157,13 @@ func checkGoldenRun(t *testing.T, rf *runFile, items []index.Item) {
 		t.Fatalf("entries = %d, want %d", rf.entries, len(items))
 	}
 	for i, it := range items {
-		got, ok := probeGet(rf, it.Key)
-		if !ok || adm.Compare(got, it.Val) != 0 {
-			t.Fatalf("get(item %d) = %v,%v", i, got, ok)
+		got, ok, err := probeGet(rf, it.Key)
+		if !ok || err != nil || adm.Compare(got, it.Val) != 0 {
+			t.Fatalf("get(item %d) = %v,%v,%v", i, got, ok, err)
 		}
 	}
-	if _, ok := probeGet(rf, adm.Int(999)); ok {
-		t.Fatal("get(absent key) found something")
+	if _, ok, err := probeGet(rf, adm.Int(999)); ok || err != nil {
+		t.Fatalf("get(absent key) found something (%v)", err)
 	}
 	c := rf.cursor()
 	for i := range items {
@@ -179,8 +178,8 @@ func checkGoldenRun(t *testing.T, rf *runFile, items []index.Item) {
 	if adm.Compare(rf.firstKey, items[0].Key) != 0 || adm.Compare(rf.lastKey, items[len(items)-1].Key) != 0 {
 		t.Fatalf("fences = [%v, %v], want [%v, %v]", rf.firstKey, rf.lastKey, items[0].Key, items[len(items)-1].Key)
 	}
-	if err := rf.err(); err != nil {
-		t.Fatal(err)
+	if c.err != nil {
+		t.Fatal(c.err)
 	}
 }
 

@@ -133,8 +133,8 @@ func TestOpenRunHostileIndex(t *testing.T) {
 // to the length it declares, or a payload whose entries do not parse (an
 // unknown kind tag inside a record, a count that leaves bytes over or
 // runs short) — is refused whole when it is loaded, by queries and by
-// compaction alike: the lookup misses, the scan stops, the merge aborts,
-// and the run's sticky error says why. Nothing is handed up from it, so
+// compaction alike: the lookup fails, the scan stops, the merge aborts,
+// and each reader's error says why. Nothing is handed up from it, so
 // no view is ever asked to read bad bytes.
 func TestLoadBlockHostileStructure(t *testing.T) {
 	items := make([]index.Item, 100) // one block, a one-byte count
@@ -203,19 +203,16 @@ func TestLoadBlockHostileStructure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: openRun: %v", name, err)
 		}
-		if v, ok := probeGet(rf, adm.Int(1)); ok {
-			t.Errorf("%s: lookup returned %v", name, v)
-		}
-		if err := rf.err(); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: lookup left error %v, want %q", name, err, tc.want)
+		if v, ok, err := probeGet(rf, adm.Int(1)); ok || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: lookup returned %v, %v, error %v; want %q", name, v, ok, err, tc.want)
 		}
 		c := rf.cursor()
-		if it, ok := c.next(); ok {
-			t.Errorf("%s: cursor yielded %v", name, it)
+		if it, ok := c.next(); ok || c.err == nil || !strings.Contains(c.err.Error(), tc.want) {
+			t.Errorf("%s: cursor yielded %v (%v), error %v; want %q", name, it, ok, c.err, tc.want)
 		}
 		raw := rf.rawReader()
-		if _, _, ok := raw.advance(); ok || raw.err == nil {
-			t.Errorf("%s: raw reader advanced (err %v)", name, raw.err)
+		if _, _, ok, err := raw.advance(); ok || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: raw reader advanced (%v), error %v; want %q", name, ok, err, tc.want)
 		}
 		rf.close()
 	}
@@ -545,15 +542,14 @@ func FuzzLoadManifest(f *testing.F) {
 		}
 		want := fx.state(namesRun, m.FlushedLSN)
 		n := 0
-		s := p.Snapshot()
-		s.Scan(func(key, rec adm.Value) bool {
+		err = p.Snapshot().Scan(func(key, rec adm.Value) bool {
 			if v, ok := want[key.IntVal()]; !ok || rec.Field("v").IntVal() != v {
 				t.Fatalf("key %s = %s, the manifest describes %d (present %v)", key, rec, v, ok)
 			}
 			n++
 			return true
 		})
-		if err := s.Err(); err != nil || n != len(want) || p.Stats().MemEntries != 0 {
+		if err != nil || n != len(want) || p.Stats().MemEntries != 0 {
 			t.Fatalf("scanned %d of %d records, err %v, %d memtable entries", n, len(want), err, p.Stats().MemEntries)
 		}
 	})

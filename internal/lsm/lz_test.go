@@ -211,12 +211,11 @@ func TestRunBlocksCompress(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mem [][]byte // the memtable's items, key then record
-	s := p.Snapshot()
-	s.Scan(func(key, rec adm.Value) bool {
+	err := p.Snapshot().Scan(func(key, rec adm.Value) bool {
 		mem = append(mem, adm.AppendBinary(nil, key), adm.AppendBinary(nil, rec))
 		return true
 	})
-	if err := s.Err(); err != nil || len(mem) != 2*n {
+	if err != nil || len(mem) != 2*n {
 		t.Fatalf("memtable scan: %d items, %v", len(mem)/2, err)
 	}
 	p.Flush()
@@ -244,8 +243,8 @@ func TestRunBlocksCompress(t *testing.T) {
 			t.Fatalf("scan item %d (%v) differs from the memtable's", i, ok)
 		}
 	}
-	if _, ok := c.next(); ok || run.err() != nil {
-		t.Fatalf("scan overran or failed: %v", run.err())
+	if _, ok := c.next(); ok || c.err != nil {
+		t.Fatalf("scan overran or failed: %v", c.err)
 	}
 
 	stored := []index.Item{{Key: adm.Int(1), Val: rec(1, "noise", adm.String(noise(2, 2048)))}}

@@ -133,9 +133,11 @@ func (rc *runCursor) next() (index.Item, bool) {
 }
 
 // advance makes runCursor a mergeInput: the merged entry is rc.cur.
-func (rc *runCursor) advance() (key adm.Value, tombstone, ok bool) {
-	rc.cur, ok = rc.next()
-	return rc.cur.Key, rc.cur.Val.IsMissing(), ok
+func (rc *runCursor) advance() (key adm.Value, tombstone, ok bool, err error) {
+	if rc.cur, ok = rc.next(); !ok && rc.fc != nil {
+		err = rc.fc.err
+	}
+	return rc.cur.Key, rc.cur.Val.IsMissing(), ok, err
 }
 
 // Stats is a point-in-time copy of partition activity counters. It is
@@ -300,28 +302,28 @@ const backfillChunk = 1024
 // AttachIndex registers a secondary index. Existing records are
 // back-filled so an index created after a load is immediately complete:
 // they are handed over in chunks of items (primary key, record) drawn
-// from the write path's item-batch pool. The memtable joins the merge as
-// a transient tree-backed run — read-only under the write lock, so no
-// freeze is needed. A run the back-fill could not read ends the merge
-// early, so then the index is not attached and the run's read error is
-// returned.
+// from the write path's item-batch pool. The back-fill reads through a
+// Cursor in which the memtable joins the merge as a transient
+// tree-backed run — read-only under the write lock, so no freeze is
+// needed; under the lock the partition owns every run, so they are
+// open. A run the cursor could not read ends it early, so then the
+// index is not attached and the cursor's read fault is returned.
 func (p *Partition) AttachIndex(idx SecondaryIndex) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	batch := getItemBatch(backfillChunk)
-	comps := append([]*component{{tree: p.mem}}, p.components...)
-	scanMerged(comps, func(key, rec adm.Value) bool {
+	cu := &Cursor{m: mergeComponentCursors(append([]*component{{tree: p.mem}}, p.components...), true)}
+	for key, rec, ok := cu.Next(); ok; key, rec, ok = cu.Next() {
 		*batch = append(*batch, index.Item{Key: ownKey(key), Val: rec})
 		if len(*batch) == backfillChunk {
 			idx.InsertBatch(*batch)
 			clear(*batch) // the pool clears only up to the final length
 			*batch = (*batch)[:0]
 		}
-		return true
-	})
+	}
 	idx.InsertBatch(*batch)
 	putItemBatch(batch)
-	if err := runsErr(comps); err != nil {
+	if err := cu.Err(); err != nil {
 		return err
 	}
 	p.secondary = append(p.secondary, idx)
@@ -626,8 +628,8 @@ func (p *Partition) applyBatchLocked(items []index.Item, held int) {
 func (p *Partition) maintainIndexesBatchLocked(items []index.Item) {
 	olds, news := getItemBatch(len(items)), getItemBatch(len(items))
 	for _, it := range items {
-		// The batch is logged already, so a read fault cannot fail it; it
-		// stays the run's sticky error, and the old entry stays indexed.
+		// The batch is logged already, so a read fault cannot fail it: the
+		// old entry stays indexed.
 		if old, ok, _ := p.getLocked(it.Key); ok {
 			*olds = append(*olds, index.Item{Key: it.Key, Val: old})
 		}
@@ -689,11 +691,10 @@ func (p *Partition) getLocked(key adm.Value) (adm.Value, bool, error) {
 
 // lookupComponents point-looks-up key across components newest first,
 // mapping tombstones to not-found. A run whose block cannot be read ends
-// the lookup with the read error (also the run's sticky error, which
-// Snapshot.Err reports): the key's newest version may be in that block,
-// so no older component may answer for it. Run-backed components share
-// one pooled probe, so the key's bloom hash is computed at most once per
-// lookup (and not at all when fences reject every run).
+// the lookup with the read error: the key's newest version may be in
+// that block, so no older component may answer for it. Run-backed
+// components share one pooled probe, so the key's bloom hash is computed
+// at most once per lookup (and not at all when fences reject every run).
 func lookupComponents(comps []*component, key adm.Value) (v adm.Value, found bool, err error) {
 	var kp *pointProbe
 	for _, c := range comps {
@@ -821,30 +822,17 @@ func (s *Snapshot) Get(key adm.Value) (adm.Value, bool, error) {
 }
 
 // Scan visits every live record in primary-key order until fn returns
-// false. A run-file read error also ends the scan early; callers that
-// must not mistake a partial scan for a complete one check Err after.
-func (s *Snapshot) Scan(fn func(key, rec adm.Value) bool) {
-	scanMerged(s.components, fn)
-	runtime.KeepAlive(s)
-}
-
-// Err returns the first sticky read error (I/O, CRC) among the
-// snapshot's run files, or nil. A scan degrades a failed block read to
-// "no more records", so a consumer that builds state from a scan checks
-// Err once the scan returns.
-func (s *Snapshot) Err() error { return runsErr(s.components) }
-
-// runsErr returns the first sticky read error among the components' run
-// files, or nil.
-func runsErr(comps []*component) error {
-	for _, c := range comps {
-		if c.run != nil {
-			if err := c.run.err(); err != nil {
-				return err
-			}
+// false, through a Cursor. It returns the read fault (I/O, CRC) that
+// ended the scan early, if one did, so a partial scan never passes for a
+// complete one.
+func (s *Snapshot) Scan(fn func(key, rec adm.Value) bool) error {
+	cu := s.Cursor()
+	for key, rec, ok := cu.Next(); ok; key, rec, ok = cu.Next() {
+		if !fn(key, rec) {
+			return nil
 		}
 	}
-	return nil
+	return cu.Err()
 }
 
 // Cursor returns a pull iterator over the snapshot's live records in
@@ -857,16 +845,22 @@ func (s *Snapshot) Cursor() *Cursor {
 	return &Cursor{snap: s, m: mergeComponentCursors(s.components, true)}
 }
 
-// Cursor streams a snapshot's live records.
+// Cursor streams a snapshot's live records. A run block it cannot read
+// (I/O, CRC) ends it: Next reports ok=false as at the end, and Err
+// tells the two apart.
 type Cursor struct {
 	snap *Snapshot // what keeps the runs under m open
 	m    mergeCursor[*runCursor]
+	err  error
 }
 
 // Next returns the next live record in key order.
 func (cu *Cursor) Next() (key, rec adm.Value, ok bool) {
-	rc, ok := cu.m.next()
+	rc, ok, err := cu.m.next()
 	if !ok {
+		if err != nil {
+			cu.err = err
+		}
 		cu.Close()
 		return adm.Value{}, adm.Value{}, false
 	}
@@ -874,6 +868,9 @@ func (cu *Cursor) Next() (key, rec adm.Value, ok bool) {
 	runtime.KeepAlive(cu) // see Snapshot: cu.snap must outlive the read
 	return key, rec, true
 }
+
+// Err returns the read fault that ended the cursor early, or nil.
+func (cu *Cursor) Err() error { return cu.err }
 
 // Close stops the cursor — Next reports exhaustion from then on — and
 // lets go of the snapshot. A cursor holds nothing else, so one that is
@@ -906,41 +903,20 @@ func (s *Snapshot) Changes(since uint64) (cc *ChangeCursor, ok bool) {
 	if n > 0 && n == len(s.components) {
 		return nil, false
 	}
-	comps := s.components[:n]
-	return &ChangeCursor{Cursor{snap: s, m: mergeComponentCursors(comps, false)}, comps}, true
+	return &ChangeCursor{Cursor{snap: s, m: mergeComponentCursors(s.components[:n], false)}}, true
 }
 
 // ChangeCursor streams what Snapshot.Changes selected: Next yields
-// tombstones too, as MISSING records.
-type ChangeCursor struct {
-	Cursor
-	comps []*component
-}
-
-// Err returns the first sticky read error among the runs the cursor
-// merges, or nil: like a scan, a change cursor ends early on a block it
-// cannot read, and a consumer that must not mistake that for the end
-// checks Err after.
-func (cc *ChangeCursor) Err() error { return runsErr(cc.comps) }
+// tombstones too, as MISSING records. Like any Cursor it ends early on a
+// block it cannot read, and Err reports the fault.
+type ChangeCursor struct{ Cursor }
 
 // Len counts live records in the snapshot. A run that cannot be read
 // fails the count with its read fault.
 func (s *Snapshot) Len() (int, error) {
 	n := 0
-	s.Scan(func(adm.Value, adm.Value) bool { n++; return true })
-	return n, s.Err()
-}
-
-// scanMerged visits the live records of the merged components in key
-// order until fn returns false.
-func scanMerged(comps []*component, fn func(key, rec adm.Value) bool) {
-	m := mergeComponentCursors(comps, true)
-	for {
-		rc, ok := m.next()
-		if !ok || !fn(rc.cur.Key, rc.cur.Val) {
-			return
-		}
-	}
+	err := s.Scan(func(adm.Value, adm.Value) bool { n++; return true })
+	return n, err
 }
 
 // mergeInput is one sorted input of a k-way merge: a component cursor
@@ -949,8 +925,9 @@ func scanMerged(comps []*component, fn func(key, rec adm.Value) bool) {
 type mergeInput interface {
 	// advance steps onto the input's next entry and reports its key and
 	// whether it is a tombstone; the input exposes the entry itself.
-	// ok=false means exhausted — or failed, which the input remembers.
-	advance() (key adm.Value, tombstone, ok bool)
+	// ok=false means exhausted, or failed when err says why; a failed
+	// input keeps returning its err.
+	advance() (key adm.Value, tombstone, ok bool, err error)
 }
 
 // mergeCursor is an incremental k-way merge over sorted inputs, newest
@@ -995,8 +972,9 @@ func mergeComponentCursors(comps []*component, dropTombstones bool) mergeCursor[
 }
 
 // next returns the input standing on the next merged entry; the entry
-// is valid until the following call.
-func (m *mergeCursor[I]) next() (winner I, ok bool) {
+// is valid until the following call. An input that fails ends the merge
+// with its error: what it could not read may shadow any key to come.
+func (m *mergeCursor[I]) next() (winner I, ok bool, err error) {
 	for {
 		// Lowest key wins; among equal keys the first (newest) input wins
 		// because the scan takes the earliest index.
@@ -1004,7 +982,9 @@ func (m *mergeCursor[I]) next() (winner I, ok bool) {
 		for i := range m.heads {
 			h := &m.heads[i]
 			if !h.fresh {
-				h.key, h.tombstone, h.live = m.inputs[i].advance()
+				if h.key, h.tombstone, h.live, err = m.inputs[i].advance(); err != nil {
+					return winner, false, err
+				}
 				h.fresh = true
 			}
 			if h.live && (best == -1 || adm.Less(h.key, m.heads[best].key)) {
@@ -1012,7 +992,7 @@ func (m *mergeCursor[I]) next() (winner I, ok bool) {
 			}
 		}
 		if best == -1 {
-			return winner, false
+			return winner, false, nil
 		}
 		// Every input holding this key moves on (shadowed versions are
 		// consumed and dropped).
@@ -1025,6 +1005,6 @@ func (m *mergeCursor[I]) next() (winner I, ok bool) {
 		if m.heads[best].tombstone && m.dropTombstones {
 			continue
 		}
-		return m.inputs[best], true
+		return m.inputs[best], true, nil
 	}
 }

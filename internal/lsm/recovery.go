@@ -196,9 +196,6 @@ func (p *Partition) closeRunsLocked() error {
 			if cerr := c.run.close(); err == nil {
 				err = cerr
 			}
-			if rerr := c.run.err(); err == nil {
-				err = rerr
-			}
 		}
 	}
 	return err
@@ -214,10 +211,11 @@ func (p *Partition) closeRunsLocked() error {
 // of it recovers like any other (see OpenPartition): the log goes only
 // after the manifest covers it. A partition that has failed (Err) skips
 // all of this and keeps its log, which the next open replays as after a
-// crash; Close then returns the failure. The run files close last. A run
-// compaction had already replaced is not the partition's any more: it
-// closes with its last reader (see runFile). The partition must not be
-// used afterwards.
+// crash; Close then returns the failure. A read fault is not a failure
+// of the partition: the reader it stopped reported it, and Close does
+// not report it again. The run files close last. A run compaction had
+// already replaced is not the partition's any more: it closes with its
+// last reader (see runFile). The partition must not be used afterwards.
 func (p *Partition) Close() error {
 	p.mu.Lock()
 	if p.closed {

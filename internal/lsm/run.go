@@ -331,21 +331,14 @@ func fillFromRuns(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 		w.hashes = make([]uint64, 0, entries) // an upper bound: the merge may drop some
 		m := newMergeCursor(readers, dropTombstones)
 		for {
-			rd, ok := m.next()
+			rd, ok, err := m.next()
 			if !ok {
-				break
+				return err
 			}
 			if err := w.addRaw(rd.key, rd.val); err != nil {
 				return err
 			}
 		}
-		// An input that failed looks exhausted to the merge.
-		for _, rd := range readers {
-			if rd.err != nil {
-				return rd.err
-			}
-		}
-		return nil
 	}
 }
 
@@ -389,11 +382,6 @@ type runFile struct {
 
 	refs   atomic.Int32
 	closed atomic.Bool
-
-	// readErr records the first IO/corruption error hit by a reader;
-	// lookups degrade to not-found (the partition surfaces the error
-	// via Err()/Close()).
-	readErr atomic.Pointer[error]
 }
 
 // openRun opens and validates a run file, loading its block index,
@@ -534,12 +522,18 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 // afterwards — a key compare, a field of a record view — cannot fail.
 // reuse lends its buffers to a caller that hands out nothing aliasing
 // them (compaction); queries pass the zero block and get memory of
-// their own.
-func (r *runFile) loadBlock(i int, reuse block) (block, error) {
+// their own. An error names the run and the block: it is the read fault
+// the reader that asked for the block reports.
+func (r *runFile) loadBlock(i int, reuse block) (b block, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("lsm: run %s: block %d: %w", r.name, i, err)
+		}
+	}()
 	r.ctr.blockReads.Add(1)
 	m := r.blocks[i]
 	if m.length > math.MaxInt32 {
-		return block{}, fmt.Errorf("block %d: %d bytes is no block", i, m.length)
+		return block{}, fmt.Errorf("%d bytes is no block", m.length)
 	}
 	bp := frameBufs.Get().(*[]byte)
 	defer frameBufs.Put(bp)
@@ -548,21 +542,17 @@ func (r *runFile) loadBlock(i int, reuse block) (block, error) {
 	}
 	buf := (*bp)[:m.length]
 	if n, err := r.f.ReadAt(buf, m.off); n < m.length {
-		return block{}, fmt.Errorf("block %d: read %d of %d bytes: %w", i, n, m.length, err)
+		return block{}, fmt.Errorf("read %d of %d bytes: %w", n, m.length, err)
 	}
 	body, _, err := frame.Decode(buf, int64(m.length)-frame.HeaderSize)
 	if err != nil {
-		return block{}, fmt.Errorf("block %d: %w", i, err)
+		return block{}, err
 	}
 	data, err := decodeBlockBody(body, reuse.data)
 	if err != nil {
-		return block{}, fmt.Errorf("block %d: %w", i, err)
+		return block{}, err
 	}
-	b, err := parseBlock(data, reuse.offs)
-	if err != nil {
-		return block{}, fmt.Errorf("block %d: %w", i, err)
-	}
-	return b, nil
+	return parseBlock(data, reuse.offs)
 }
 
 // decodeBlockBody returns the payload a block frame's body carries, in
@@ -632,26 +622,12 @@ func (r *runFile) block(i int, scan bool) (block, error) {
 	return r.cache.fetch(r.id, i, scan, func() (block, error) { return r.loadBlock(i, block{}) })
 }
 
-func (r *runFile) fail(err error) {
-	e := fmt.Errorf("lsm: run %s: %w", r.name, err)
-	r.readErr.CompareAndSwap(nil, &e)
-}
-
-// err returns the sticky read error, if any.
-func (r *runFile) err() error {
-	if p := r.readErr.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // get performs a point lookup: reject by key-range fence, then by bloom
 // filter, then binary-search the block index for the last block whose
 // first key is <= key and binary-search that block's encoded keys. The
 // record comes back as a view of the block's bytes, so a hit on a
 // resident block decodes and allocates nothing. An error is a block that
-// could not be read — it becomes the run's sticky error — so the key may
-// be here after all.
+// could not be read, so the key may be here after all.
 func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 	if len(r.blocks) == 0 {
 		return adm.Value{}, false, nil
@@ -679,8 +655,7 @@ func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 	}
 	blk, err := r.block(lo-1, false)
 	if err != nil {
-		r.fail(err)
-		return adm.Value{}, false, r.err()
+		return adm.Value{}, false, err
 	}
 	// The first entry whose key is >= key; loadBlock checked every key.
 	a, b := 0, blk.entries()
@@ -731,12 +706,13 @@ func (r *runFile) close() error {
 // runFileCursor streams a run's items block by block in key order: the
 // key decoded (it owns its memory), the record a view of the block. It
 // holds nothing to give back: whoever made it keeps the run open (see
-// runFile).
+// runFile). A block it cannot load ends it, and err says why.
 type runFileCursor struct {
 	r     *runFile
 	block int // next block to load
 	blk   block
 	pos   int
+	err   error
 }
 
 func (r *runFile) cursor() *runFileCursor { return &runFileCursor{r: r} }
@@ -748,8 +724,7 @@ func (c *runFileCursor) next() (index.Item, bool) {
 		}
 		blk, err := c.r.block(c.block, true)
 		if err != nil {
-			c.r.fail(err)
-			c.block = len(c.r.blocks)
+			c.err, c.block = err, len(c.r.blocks)
 			return index.Item{}, false
 		}
 		c.blk, c.pos = blk, 0
@@ -780,17 +755,15 @@ type rawRunReader struct {
 
 func (r *runFile) rawReader() *rawRunReader { return &rawRunReader{r: r} }
 
-func (c *rawRunReader) advance() (key adm.Value, tombstone, ok bool) {
+func (c *rawRunReader) advance() (key adm.Value, tombstone, ok bool, err error) {
 	for c.pos == c.blk.entries() {
 		if c.block >= len(c.r.blocks) {
-			return adm.Value{}, false, false
+			return adm.Value{}, false, false, c.err
 		}
 		blk, err := c.r.loadBlock(c.block, c.blk)
 		if err != nil {
-			c.r.fail(err)
-			c.err = c.r.err()
-			c.block = len(c.r.blocks)
-			return adm.Value{}, false, false
+			c.err, c.block = err, len(c.r.blocks)
+			return adm.Value{}, false, false, err
 		}
 		c.blk, c.pos = blk, 0
 		c.block++
@@ -800,5 +773,5 @@ func (c *rawRunReader) advance() (key adm.Value, tombstone, ok bool) {
 	// A string key aliases the block buffer: valid, like key and val,
 	// until the next advance.
 	key, _, _ = adm.DecodeBinaryAlias(c.key)
-	return key, adm.Kind(c.val[0]) == adm.KindMissing, true
+	return key, adm.Kind(c.val[0]) == adm.KindMissing, true, nil
 }

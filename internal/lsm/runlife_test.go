@@ -77,14 +77,14 @@ func TestReplacedRunsCloseWithLastReader(t *testing.T) {
 			}
 			for i, v := range views {
 				n := 0
-				v.snap.Scan(func(key, rec adm.Value) bool {
+				err := v.snap.Scan(func(key, rec adm.Value) bool {
 					if want, ok := v.model[key.IntVal()]; !ok || rec.Field("v").IntVal() != want {
 						t.Fatalf("snapshot %d: key %s = %s, model says %d (present %v)", i, key, rec, want, ok)
 					}
 					n++
 					return true
 				})
-				if err := v.snap.Err(); err != nil || n != len(v.model) {
+				if err != nil || n != len(v.model) {
 					t.Fatalf("snapshot %d scanned %d of %d records, err %v", i, n, len(v.model), err)
 				}
 			}

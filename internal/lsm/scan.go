@@ -18,8 +18,8 @@ import (
 // capture cannot reach them. Records are resolved lazily, one per Next,
 // so a consumer that stops early never materializes the tail. A pk
 // indexed after the snapshot was pinned simply misses in the snapshot
-// and is skipped; a lookup that faults ends the cursor, and the
-// snapshot's Err reports the fault.
+// and is skipped; a lookup that faults ends the cursor, and Err reports
+// the fault.
 type IndexScanCursor struct {
 	snaps []*Snapshot
 	lists [][]adm.Value // the captured postings arrays, all partitions
@@ -27,6 +27,7 @@ type IndexScanCursor struct {
 	part  int
 	list  int
 	pos   int
+	err   error
 }
 
 // NewIndexScanCursor probes one *BTreeIndex per partition snapshot
@@ -63,7 +64,7 @@ func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
 		c.pos++
 		rec, found, err := c.snaps[c.part].Get(pk)
 		if err != nil {
-			c.list = len(c.lists)
+			c.err, c.list = err, len(c.lists)
 			return adm.Value{}, adm.Value{}, false
 		}
 		if found {
@@ -72,6 +73,9 @@ func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
 	}
 	return adm.Value{}, adm.Value{}, false
 }
+
+// Err returns the read fault that ended the cursor early, or nil.
+func (c *IndexScanCursor) Err() error { return c.err }
 
 // ScanOrder selects how a parallel scan's partition streams are
 // combined.
@@ -128,9 +132,11 @@ func putScanBatch(b []parItem) {
 // ParallelScanCursor scans partition snapshots concurrently: one
 // goroutine per partition walks its Snapshot.Cursor (optionally
 // applying a pushed-down filter) and feeds a bounded channel in
-// batches; Next combines the streams per the ScanOrder. Close tears
-// the workers down and blocks until they exit, so an abandoned scan
-// leaks nothing. Next and Close must be called from one goroutine (the
+// batches; Next combines the streams per the ScanOrder. A worker whose
+// cursor stops on a read fault, or whose filter fails, sends the error
+// as its last item, and Next returns it once it reaches that item.
+// Close tears the workers down and blocks until they exit, so an
+// abandoned scan leaks nothing. Next and Close must be called from one goroutine (the
 // cursor, like Rows, is not concurrent-safe); Close is idempotent and
 // safe mid-scan.
 type ParallelScanCursor struct {
@@ -226,6 +232,9 @@ func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Va
 	for {
 		k, r, ok := cur.Next()
 		if !ok {
+			if err := cur.Err(); err != nil {
+				batch = append(batch, parItem{err: err})
+			}
 			flush()
 			return
 		}

@@ -394,3 +394,118 @@ func TestIndexScanSharesPostings(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorsReportTheirReadFault: every lsm reader that a failed block
+// read stops says so itself — a pull cursor from its Err, a parallel
+// scan from Next, its worker forwarding the fault across the goroutine —
+// instead of passing for one that ran out. The fault is the reader's
+// alone: once reads answer again, a fresh reader of each kind over the
+// same snapshots returns every record and no error. There is no block
+// cache, so every block read goes to the device.
+func TestCursorsReportTheirReadFault(t *testing.T) {
+	fsys := NewMemFS()
+	ds, err := OpenDataset(fsys, "d", "D", nil, "id", 2, Options{MemBudget: 1 << 20, MaxComponents: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	if err := ds.CreateFieldBTreeIndex("by_cat", "cat"); err != nil {
+		t.Fatal(err)
+	}
+	const n = 600
+	load := func(lo, hi int64) { // one flushed run per partition
+		t.Helper()
+		var recs []adm.Value
+		for i := lo; i < hi; i++ {
+			recs = append(recs, rec(i, "cat", adm.String(fmt.Sprintf("c%d", i%8))))
+		}
+		if err := ds.UpsertBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		for i := range ds.NumPartitions() {
+			ds.Partition(i).Flush()
+			settle(t, ds.Partition(i))
+		}
+	}
+	load(0, n/2)
+	since := ds.Epoch()
+	load(n/2, n) // the run Changes(since) reads
+	snaps := ds.SnapshotAll()
+	_, idxs := ds.BTreeIndexForField("cat")
+
+	// drain pulls a cursor dry: how many records it yielded, and its error.
+	drain := func(next func() (adm.Value, adm.Value, bool), errOf func() error) (int, error) {
+		got := 0
+		for _, _, ok := next(); ok; _, _, ok = next() {
+			got++
+		}
+		return got, errOf()
+	}
+	type reader struct {
+		name string
+		want int
+		read func() (int, error)
+	}
+	readers := []reader{
+		{"Snapshot.Cursor", n, func() (int, error) {
+			total := 0
+			for _, s := range snaps {
+				cu := s.Cursor()
+				got, err := drain(cu.Next, cu.Err)
+				if total += got; err != nil {
+					return total, err
+				}
+			}
+			return total, nil
+		}},
+		{"Snapshot.Changes", n / 2, func() (int, error) {
+			total := 0
+			for i, s := range snaps {
+				cc, ok := s.Changes(since[i])
+				if !ok {
+					t.Fatalf("partition %d: Changes reaches the oldest run", i)
+				}
+				got, err := drain(cc.Next, cc.Err)
+				if total += got; err != nil {
+					return total, err
+				}
+			}
+			return total, nil
+		}},
+		{"NewScanCursor", n, func() (int, error) {
+			sc := NewScanCursor(snaps)
+			return drain(sc.Next, sc.Err)
+		}},
+		{"NewIndexScanCursor", n, func() (int, error) {
+			c := NewIndexScanCursor(snaps, idxs, index.Unbounded(), index.Unbounded())
+			return drain(c.Next, c.Err)
+		}},
+	}
+	for _, o := range []struct {
+		name  string
+		order ScanOrder
+	}{{"PartitionOrder", PartitionOrder}, {"KeyOrder", KeyOrder}, {"Unordered", Unordered}} {
+		readers = append(readers, reader{"NewParallelScanCursor/" + o.name, n, func() (int, error) {
+			c := NewParallelScanCursor(snaps, nil, o.order)
+			defer c.Close()
+			for got := 0; ; got++ {
+				if _, _, ok, err := c.Next(); !ok {
+					return got, err
+				}
+			}
+		}})
+	}
+	for _, r := range readers {
+		t.Run(r.name, func(t *testing.T) {
+			fsys.FailReads(true)
+			got, err := r.read()
+			fsys.FailReads(false)
+			if got >= r.want || !errors.Is(err, ErrInjected) {
+				t.Errorf("with reads failing: %d of %d records, err %v; want fewer and the injected fault", got, r.want, err)
+			}
+			if got, err := r.read(); got != r.want || err != nil {
+				t.Errorf("with reads answering again: %d of %d records, err %v", got, r.want, err)
+			}
+		})
+	}
+}

@@ -118,8 +118,8 @@ func TestReadPathAllocations(t *testing.T) {
 		for _, _, ok := cur.Next(); ok; _, _, ok = cur.Next() {
 			n++
 		}
-		if n != 4000 {
-			t.Fatalf("scanned %d records", n)
+		if n != 4000 || cur.Err() != nil {
+			t.Fatalf("scanned %d records, err %v", n, cur.Err())
 		}
 	}
 	drain()
@@ -155,9 +155,6 @@ func TestReadPathAllocations(t *testing.T) {
 	s = bare.Snapshot()
 	if n := testing.AllocsPerRun(5, drain); n > warm+2*float64(blocks) {
 		t.Errorf("uncached scan: %.0f allocations over %d blocks, want <= 2 per block", n, blocks)
-	}
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
 	}
 }
 

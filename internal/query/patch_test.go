@@ -222,8 +222,8 @@ func TestRefreshPatchReadFault(t *testing.T) {
 				t.Fatalf("with the changed runs unreadable, got %v; want the read fault", err)
 			}
 
-			// The faulted runs stay failed. A third run makes the flusher merge
-			// the whole level into a fresh one.
+			// A third run makes the flusher merge the whole level into a
+			// fresh one.
 			p := ds.Partition(0)
 			if err := ds.Upsert(rating("C008", "3")); err != nil {
 				t.Fatal(err)

@@ -266,7 +266,7 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 	// 1. Index pushdown (outermost SELECT on its own fresh pin only).
 	if !st.ctx.DisableIndexScan && st.depth == 1 && livePin && sel.Where != nil {
 		if field, idxName, idxs, lo, hi, found := pickIndexRange(st.ctx, ds, fc.Alias, sel.Where); found {
-			return &indexScanColl{sc: lsm.NewIndexScanCursor(snaps, idxs, lo, hi), snaps: snaps, index: idxName, field: field}, false, false, nil
+			return &indexScanColl{sc: lsm.NewIndexScanCursor(snaps, idxs, lo, hi), index: idxName, field: field}, false, false, nil
 		}
 	}
 
@@ -300,11 +300,11 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 			}
 			pushed = true
 		}
-		return &parallelColl{pc: lsm.NewParallelScanCursor(snaps, filter, order), snaps: snaps, order: order, filtered: pushed}, pushed, keyOrdered, nil
+		return &parallelColl{pc: lsm.NewParallelScanCursor(snaps, filter, order), parts: parts, order: order, filtered: pushed}, pushed, keyOrdered, nil
 	}
 
 	// 3. Serial scan.
-	return newDatasetCursor(snaps), false, false, nil
+	return &datasetCursor{lsm.NewScanCursor(snaps)}, false, false, nil
 }
 
 func orderName(o lsm.ScanOrder) string {

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -368,7 +367,7 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 			// One binding, rebound per record: eval returns values, and
 			// no value refers to the environment it was computed in.
 			env := Bind(nil, acc.alias, adm.Value{})
-			snap.Scan(func(_, rec adm.Value) bool {
+			err := snap.Scan(func(_, rec adm.Value) bool {
 				env.val = rec
 				if acc.kind == accessHash {
 					key, ok, err := acc.hashKey(st, env)
@@ -400,11 +399,10 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 				}
 				return true
 			})
-			// A run-file read error ends the scan early without a word;
-			// a partial shard must fail the build, all the more now that
+			// A partial shard must fail the build, all the more now that
 			// the structure may serve many batches.
 			if res.err == nil {
-				res.err = snap.Err()
+				res.err = err
 			}
 		}(i, snap)
 	}
@@ -548,7 +546,7 @@ func (pe *PreparedEnrich) patchHash(prev *PreparedEnrich, old *preparedAccess, u
 				return nil, nil
 			}
 		}
-		if err := cmp.Or(cc.Err(), was.snaps[part].Err(), now.snaps[part].Err()); err != nil {
+		if err := cc.Err(); err != nil {
 			return nil, err
 		}
 	}

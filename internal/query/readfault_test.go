@@ -13,10 +13,9 @@ import (
 // faultyCatalog holds one durable dataset D (2 partitions, 600 rows
 // flushed to run files, B-tree index by_cat on cat) on a MemFS whose
 // reads the test can fail, and no block cache, so every scan goes to the
-// "device". lsm degrades a failed block read to "no more records" / "not
-// found"; each test below flips FailReads and requires the engine to
-// report the fault instead of a short result. (A faulted run stays
-// failed, hence one catalog per test.)
+// "device". Each test below flips FailReads and requires the engine to
+// report the fault instead of a short result: the lsm reader a failed
+// block read stops reports it, and the query passes it on.
 func faultyCatalog(t *testing.T) (*testCatalog, *lsm.MemFS) {
 	t.Helper()
 	fsys := lsm.NewMemFS()

@@ -327,7 +327,7 @@ func TestRefreshSeesLazilyPinnedDatasets(t *testing.T) {
 }
 
 // TestPrepareFailsOnRunReadFault: a reference run that cannot be read
-// must fail the build. Before Snapshot.Err the scan just ended early and
+// must fail the build. Once the scan ended early without a word, and
 // Prepare returned a hash table missing most ratings. A primary-key
 // access builds nothing, so Prepare and Refresh succeed, and the first
 // probe into the unreadable run fails its record with the fault.

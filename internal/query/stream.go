@@ -220,7 +220,7 @@ func (rc *RowCursor) tupleSteps(steps []string, cur tupleCursor) ([]string, bool
 			if leaf.filtered {
 				mark = "+filter"
 			}
-			steps = append(steps, fmt.Sprintf("pscan(%s,%s,%d)%s", ds, orderName(leaf.order), len(leaf.snaps), mark))
+			steps = append(steps, fmt.Sprintf("pscan(%s,%s,%d)%s", ds, orderName(leaf.order), leaf.parts, mark))
 			keyOrdered = leaf.order == lsm.KeyOrder
 		default:
 			steps = append(steps, fmt.Sprintf("scan(%s)", ds))
@@ -999,37 +999,20 @@ func (s *singleValueCursor) next() (adm.Value, bool, error) {
 
 func (s *singleValueCursor) close() {}
 
-// The three dataset leaves below report a run-file read fault when they
-// run dry. lsm degrades a failed block read (I/O, CRC) to "no more
-// records" / "not found" and parks the cause in the snapshot, so
-// exhaustion is the moment to ask: without it a faulted scan would pass
-// for a short result. An early-out consumer (LIMIT, EXISTS) that stops
-// before exhaustion read every row it used successfully.
-func scanErr(snaps []*lsm.Snapshot) error {
-	for _, s := range snaps {
-		if err := s.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// The three dataset leaves below end with their lsm cursor's read fault
+// (I/O, CRC), if one stopped it, so a faulted scan never passes for a
+// short result. An early-out consumer (LIMIT, EXISTS) that stops before
+// the end read every row it used successfully.
 
 // datasetCursor adapts an LSM scan cursor (which walks the pinned
 // snapshots' memtable trees and sorted runs in place) to a collection
 // cursor.
-type datasetCursor struct {
-	sc    *lsm.ScanCursor
-	snaps []*lsm.Snapshot
-}
-
-func newDatasetCursor(snaps []*lsm.Snapshot) *datasetCursor {
-	return &datasetCursor{sc: lsm.NewScanCursor(snaps), snaps: snaps}
-}
+type datasetCursor struct{ sc *lsm.ScanCursor }
 
 func (d *datasetCursor) next() (adm.Value, bool, error) {
 	_, rec, ok := d.sc.Next()
 	if !ok {
-		return adm.Value{}, false, scanErr(d.snaps)
+		return adm.Value{}, false, d.sc.Err()
 	}
 	return rec, true, nil
 }
@@ -1040,7 +1023,6 @@ func (d *datasetCursor) close() { d.sc.Close() }
 // named index, on field.
 type indexScanColl struct {
 	sc    *lsm.IndexScanCursor
-	snaps []*lsm.Snapshot
 	index string
 	field string
 }
@@ -1048,27 +1030,25 @@ type indexScanColl struct {
 func (c *indexScanColl) next() (adm.Value, bool, error) {
 	_, rec, ok := c.sc.Next()
 	if !ok {
-		return adm.Value{}, false, scanErr(c.snaps)
+		return adm.Value{}, false, c.sc.Err()
 	}
 	return rec, true, nil
 }
 
 func (c *indexScanColl) close() {}
 
-// parallelColl adapts a parallel partition scan; close stops and joins
-// the workers. filtered says the workers evaluate the WHERE clause.
+// parallelColl adapts a parallel scan of parts partitions; close stops
+// and joins the workers. filtered says the workers evaluate the WHERE
+// clause.
 type parallelColl struct {
 	pc       *lsm.ParallelScanCursor
-	snaps    []*lsm.Snapshot
+	parts    int
 	order    lsm.ScanOrder
 	filtered bool
 }
 
 func (c *parallelColl) next() (adm.Value, bool, error) {
 	_, rec, ok, err := c.pc.Next()
-	if !ok && err == nil {
-		err = scanErr(c.snaps)
-	}
 	return rec, ok, err
 }
 
@@ -1088,7 +1068,7 @@ func openFromSource(st evalState, env *Env, src sqlpp.Expr) (collCursor, error) 
 				if err != nil {
 					return nil, err
 				}
-				return newDatasetCursor(snaps), nil
+				return &datasetCursor{lsm.NewScanCursor(snaps)}, nil
 			}
 		}
 		return nil, fmt.Errorf("%w: FROM source %q is neither a binding nor a dataset", ErrUnknownDataset, id.Name)
