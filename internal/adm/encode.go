@@ -16,6 +16,14 @@ import (
 // and geometry are fixed-width little-endian, and containers carry an
 // element count followed by their children.
 //
+// Bytes are checked once. SkipBinary is the one statement of what a
+// valid encoding is; buildBinary builds a value from bytes it accepted
+// and checks nothing. DecodeBinary and DecodeBinaryAlias are the two
+// together. Every reader of bytes from outside the process checks them
+// with SkipBinary where they enter — a frame's slab and WAL replay, a
+// run block's load, a wire or index payload, a manifest's fence keys —
+// and from then on reads them as views (View) that never re-check.
+//
 // BinaryVersion numbers this encoding. No file header carries it: WAL
 // segments and run files are stamped with their own versions (walVersion,
 // runVersion in internal/lsm), and any change to the byte layout — a new
@@ -50,12 +58,8 @@ func AppendBinary(dst []byte, v Value) []byte {
 	case KindDuration:
 		dst = binary.AppendVarint(dst, int64(v.aux))
 		dst = binary.AppendVarint(dst, v.i)
-	case KindPoint:
-		dst = appendGeo(dst, v.geo, 2)
-	case KindCircle:
-		dst = appendGeo(dst, v.geo, 3)
-	case KindRectangle:
-		dst = appendGeo(dst, v.geo, 4)
+	case KindPoint, KindRectangle, KindCircle:
+		dst = appendGeo(dst, v.geo, geoCoords(v.kind))
 	case KindArray:
 		dst = binary.AppendUvarint(dst, uint64(len(v.arr)))
 		for _, e := range v.arr {
@@ -95,12 +99,8 @@ func BinarySize(v Value) int {
 		return 1 + uvarintLen(len(v.s)) + len(v.s)
 	case KindDuration:
 		return 1 + varintLen(int64(v.aux)) + varintLen(v.i)
-	case KindPoint:
-		return 17
-	case KindCircle:
-		return 25
-	case KindRectangle:
-		return 33
+	case KindPoint, KindRectangle, KindCircle:
+		return 1 + 8*geoCoords(v.kind)
 	case KindArray:
 		n := 1 + uvarintLen(len(v.arr))
 		for _, e := range v.arr {
@@ -137,28 +137,32 @@ func appendGeo(dst []byte, geo *[4]float64, n int) []byte {
 }
 
 // DecodeBinary decodes one value from the front of data, returning the
-// value and the number of bytes consumed. Decoded values own their
-// memory (string payloads are copied), so they are safe to retain —
-// recovery replay feeds them straight into the memtable.
+// value and the number of bytes consumed. Whether data starts with a
+// valid encoding, and how long it is, is SkipBinary's verdict and error;
+// the value is then built from bytes known to be whole. Decoded values
+// own their memory (string payloads are copied), so they are safe to
+// retain.
 func DecodeBinary(data []byte) (Value, int, error) {
-	v, n, err := decodeBinary(data, 0)
+	n, err := SkipBinary(data)
 	if err != nil {
 		return Value{}, 0, err
 	}
+	v, _ := buildBinary(data)
 	return v, n, nil
 }
 
 // MaxDepth bounds container nesting: no value sits inside more than
 // MaxDepth arrays and objects. Every entrance enforces it — the JSON
-// parser, and DecodeBinary/SkipBinary (so corrupt counts cannot recurse
-// unboundedly), which are also what the storage write path reads a batch
-// with before logging it — so whatever is stored decodes again.
+// parser, and SkipBinary (so corrupt counts cannot recurse unboundedly),
+// which every reader of encoded bytes checks them with, the storage
+// write path before logging a batch among them — so whatever is stored
+// decodes again.
 const MaxDepth = 200
 
 var errTooDeep = fmt.Errorf("adm: value nested deeper than %d", MaxDepth)
 
 // nestsWithin reports whether v nests at most depth containers deep;
-// v.nestsWithin(MaxDepth) is exactly DecodeBinary's verdict on v's
+// v.nestsWithin(MaxDepth) is exactly SkipBinary's verdict on v's
 // encoding.
 func (v Value) nestsWithin(depth int) bool {
 	if depth < 0 {
@@ -173,7 +177,7 @@ func (v Value) nestsWithin(depth int) bool {
 		}
 	case KindObject:
 		if v.isView() {
-			// Decoding nests at depth d exactly when nestsWithin(MaxDepth-d).
+			// Skipping nests at depth d exactly when nestsWithin(MaxDepth-d).
 			_, err := skipBinary(v.encoded(), MaxDepth-depth)
 			return err == nil
 		}
@@ -188,162 +192,102 @@ func (v Value) nestsWithin(depth int) bool {
 	return true
 }
 
-// maxDecodePrealloc caps the capacity a container's count may reserve
-// before its elements are decoded; append follows the elements actually
-// present. A count is bounded only by the bytes left, at every nesting
-// level, so trusting it would let a crafted payload ask for MaxDepth
-// times its own length in Values before failing as truncated.
-const maxDecodePrealloc = 64
-
-func decodeBinary(data []byte, depth int) (Value, int, error) {
-	if depth > MaxDepth {
-		return Value{}, 0, errTooDeep
-	}
-	if len(data) == 0 {
-		return Value{}, 0, fmt.Errorf("adm: truncated binary value: missing kind tag")
-	}
-	kind := Kind(data[0])
-	pos := 1
+// buildBinary builds the value enc starts with and returns it with the
+// bytes it spans. enc must start with a value SkipBinary accepted:
+// nothing here checks a tag, a length, a count, a range or the depth,
+// and every container is sized from its count.
+func buildBinary(enc []byte) (Value, int) {
+	kind := Kind(enc[0])
 	switch kind {
 	case KindMissing:
-		return Missing(), pos, nil
+		return Missing(), 1
 	case KindNull:
-		return Null(), pos, nil
+		return Null(), 1
 	case KindBoolean:
-		if len(data) < pos+1 {
-			return Value{}, 0, errTruncated(kind)
-		}
-		return Bool(data[pos] != 0), pos + 1, nil
+		return Bool(enc[1] != 0), 2
 	case KindInt64, KindDateTime:
-		i, n := binary.Varint(data[pos:])
-		if n <= 0 {
-			return Value{}, 0, errTruncated(kind)
-		}
-		return Value{kind: kind, i: i}, pos + n, nil
+		i, n := binary.Varint(enc[1:])
+		return Value{kind: kind, i: i}, 1 + n
 	case KindDouble:
-		if len(data) < pos+8 {
-			return Value{}, 0, errTruncated(kind)
-		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
-		return Double(f), pos + 8, nil
+		return Double(math.Float64frombits(binary.LittleEndian.Uint64(enc[1:]))), 9
 	case KindString:
-		l, n, err := decodeLen(data[pos:], kind)
-		if err != nil {
-			return Value{}, 0, err
-		}
-		pos += n
-		if len(data) < pos+l {
-			return Value{}, 0, errTruncated(kind)
-		}
-		return String(string(data[pos : pos+l])), pos + l, nil
+		l, n, _ := decodeLen(enc[1:], kind)
+		return String(string(enc[1+n : 1+n+l])), 1 + n + l
 	case KindDuration:
-		months, n := binary.Varint(data[pos:])
-		if n <= 0 {
-			return Value{}, 0, errTruncated(kind)
-		}
-		pos += n
-		millis, n := binary.Varint(data[pos:])
-		if n <= 0 {
-			return Value{}, 0, errTruncated(kind)
-		}
-		if months < math.MinInt32 || months > math.MaxInt32 {
-			return Value{}, 0, fmt.Errorf("adm: binary duration months %d out of range", months)
-		}
-		return Duration(int32(months), millis), pos + n, nil
-	case KindPoint, KindCircle, KindRectangle:
-		coords := 2
-		if kind == KindCircle {
-			coords = 3
-		} else if kind == KindRectangle {
-			coords = 4
-		}
-		if len(data) < pos+8*coords {
-			return Value{}, 0, errTruncated(kind)
-		}
-		var geo [4]float64
-		for i := 0; i < coords; i++ {
-			geo[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
-			pos += 8
-		}
-		return Value{kind: kind, geo: &geo}, pos, nil
+		months, n := binary.Varint(enc[1:])
+		millis, m := binary.Varint(enc[1+n:])
+		return Duration(int32(months), millis), 1 + n + m
+	case KindPoint, KindRectangle, KindCircle:
+		geo, coords := readGeo(enc)
+		return Value{kind: kind, geo: &geo}, 1 + 8*coords
 	case KindArray:
-		count, n, err := decodeLen(data[pos:], kind)
-		if err != nil {
-			return Value{}, 0, err
-		}
-		pos += n
+		count, n, _ := decodeLen(enc[1:], kind)
+		pos := 1 + n
 		if count == 0 {
-			return EmptyArray(), pos, nil
+			return EmptyArray(), pos
 		}
-		// A corrupt count could claim more elements than the buffer can
-		// possibly hold (each takes >= 1 byte).
-		if count > len(data)-pos {
-			return Value{}, 0, errTruncated(kind)
-		}
-		elems := make([]Value, 0, min(count, maxDecodePrealloc))
-		for i := 0; i < count; i++ {
-			e, n, err := decodeBinary(data[pos:], depth+1)
-			if err != nil {
-				return Value{}, 0, err
-			}
-			elems = append(elems, e)
+		elems := make([]Value, count)
+		for i := range elems {
+			elems[i], n = buildBinary(enc[pos:])
 			pos += n
 		}
-		return Array(elems), pos, nil
-	case KindObject:
-		count, n, err := decodeLen(data[pos:], kind)
-		if err != nil {
-			return Value{}, 0, err
-		}
-		pos += n
-		if count > len(data)-pos {
-			return Value{}, 0, errTruncated(kind)
-		}
-		obj := NewObject(min(count, maxDecodePrealloc))
-		for i := 0; i < count; i++ {
-			l, n, err := decodeLen(data[pos:], kind)
-			if err != nil {
-				return Value{}, 0, err
-			}
-			pos += n
-			if len(data) < pos+l {
-				return Value{}, 0, errTruncated(kind)
-			}
-			name := string(data[pos : pos+l])
-			pos += l
-			fv, n, err := decodeBinary(data[pos:], depth+1)
-			if err != nil {
-				return Value{}, 0, err
-			}
-			obj.Set(name, fv)
-			pos += n
-		}
-		return ObjectValue(obj), pos, nil
+		return Array(elems), pos
 	}
-	return Value{}, 0, fmt.Errorf("adm: unknown binary kind tag 0x%02x", byte(kind))
+	count, n, _ := decodeLen(enc[1:], KindObject)
+	pos := 1 + n
+	obj := NewObject(count)
+	for range count {
+		l, n, _ := decodeLen(enc[pos:], KindObject)
+		name := string(enc[pos+n : pos+n+l])
+		pos += n + l
+		v, vn := buildBinary(enc[pos:])
+		obj.Set(name, v)
+		pos += vn
+	}
+	return ObjectValue(obj), pos
+}
+
+// readGeo reads the coordinates of the point, rectangle or circle enc
+// starts with.
+func readGeo(enc []byte) (geo [4]float64, coords int) {
+	coords = geoCoords(Kind(enc[0]))
+	for i := range coords {
+		geo[i] = math.Float64frombits(binary.LittleEndian.Uint64(enc[1+8*i:]))
+	}
+	return geo, coords
+}
+
+// geoCoords is the number of coordinates a spatial kind carries.
+func geoCoords(k Kind) int {
+	switch k {
+	case KindRectangle:
+		return 4
+	case KindCircle:
+		return 3
+	}
+	return 2
 }
 
 // DecodeBinaryAlias is DecodeBinary for a caller that reads the value
 // only while data is unchanged: a top-level string aliases data instead
-// of copying it. Every other kind decodes exactly as DecodeBinary does.
-// The storage write path and the compaction merge decode each entry's
-// key this way, so reading a string key costs no allocation per record.
+// of copying it. Every other kind decodes exactly as DecodeBinary does,
+// and it accepts and rejects what DecodeBinary does. The storage write
+// path and the compaction merge decode each entry's key this way, so
+// reading a string key costs no allocation per record.
 func DecodeBinaryAlias(data []byte) (Value, int, error) {
-	if len(data) == 0 || Kind(data[0]) != KindString {
-		return DecodeBinary(data)
-	}
-	l, n, err := decodeLen(data[1:], KindString)
+	n, err := SkipBinary(data)
 	if err != nil {
 		return Value{}, 0, err
 	}
-	pos := 1 + n
-	if len(data) < pos+l {
-		return Value{}, 0, errTruncated(KindString)
+	if Kind(data[0]) != KindString {
+		v, _ := buildBinary(data)
+		return v, n, nil
 	}
+	l, m, _ := decodeLen(data[1:], KindString)
 	if l == 0 {
-		return String(""), pos, nil
+		return String(""), n, nil
 	}
-	return String(unsafe.String(&data[pos], l)), pos + l, nil
+	return String(unsafe.String(&data[1+m], l)), n, nil
 }
 
 // CompareBinary is Compare(a, v) for the value a that enc encodes (enc
@@ -374,10 +318,11 @@ func CompareBinary(enc []byte, v Value) int {
 }
 
 // SkipBinary returns the encoded length of the value at the front of
-// data without building it. It accepts exactly the inputs DecodeBinary
-// accepts — the same kind tags, length and count bounds, duration range
-// and nesting limit — so bytes it passes over can be moved as they are
-// and will decode later.
+// data without building it, or why data does not start with one. It is
+// the one statement of what a valid encoding is — kind tags, length and
+// count bounds, the duration range and the nesting limit: DecodeBinary
+// and DecodeBinaryAlias build only what it accepted, and bytes it passes
+// over can be moved as they are, read as a View, and will decode later.
 func SkipBinary(data []byte) (int, error) {
 	return skipBinary(data, 0)
 }
@@ -400,12 +345,8 @@ func skipBinary(data []byte, depth int) (int, error) {
 		fixed = 1
 	case KindDouble:
 		fixed = 8
-	case KindPoint:
-		fixed = 16
-	case KindCircle:
-		fixed = 24
-	case KindRectangle:
-		fixed = 32
+	case KindPoint, KindRectangle, KindCircle:
+		fixed = 8 * geoCoords(kind)
 	case KindInt64, KindDateTime:
 		_, n := binary.Varint(data[pos:])
 		if n <= 0 {

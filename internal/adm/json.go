@@ -516,7 +516,7 @@ func parseIntBytes(b []byte) (int64, bool) {
 // tagged strings/arrays that the Datatype coercion layer knows how to
 // read back: datetime → ISO-8601 string, duration → ISO-8601 duration
 // string, point → [x,y], rectangle → [x1,y1,x2,y2], circle → [cx,cy,r].
-// A view is transcoded from its bytes (appendJSONView), to the same
+// A view is transcoded from its bytes (appendJSONObject), to the same
 // JSON its decoded object writes.
 func AppendJSON(dst []byte, v Value) []byte {
 	switch v.kind {
@@ -551,7 +551,8 @@ func AppendJSON(dst []byte, v Value) []byte {
 		return append(dst, ']')
 	case KindObject:
 		if v.isView() {
-			return appendJSONView(dst, v.encoded())
+			dst, _ = appendJSONObject(dst, v.encoded())
+			return dst
 		}
 		dst = append(dst, '{')
 		if o := v.obj; o != nil {

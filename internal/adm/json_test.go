@@ -263,7 +263,7 @@ func TestTemporalJSONSpellings(t *testing.T) {
 		if got := string(AppendJSON(nil, tc.v)); got != tc.want {
 			t.Errorf("AppendJSON(%v) = %s, want %s", tc.v, got, tc.want)
 		}
-		if got := string(appendJSONView(nil, AppendBinary(nil, tc.v))); got != tc.want {
+		if got, _ := appendJSONBinary(nil, AppendBinary(nil, tc.v)); string(got) != tc.want {
 			t.Errorf("transcoding %v wrote %s, want %s", tc.v, got, tc.want)
 		}
 	}

@@ -22,29 +22,33 @@ import (
 //   - AppendBinary copies the bytes.
 //   - AppendJSON transcodes the bytes: names, strings and numbers are
 //     written from where they lie, a datetime formatted straight into
-//     the output, and nothing is decoded (appendJSONView).
+//     the output, and nothing is decoded (appendJSONObject).
 //   - ObjectVal, Compare, Hash, String decode the whole object
 //     into a fresh value nothing else shares. Nothing is memoised: a
 //     view is immutable and safe to read from any number of goroutines.
 //
-// The bytes are checked once, when View's caller loads them; after that
-// no operation on the view fails or panics. A view lives as long as the
-// bytes it aliases stay as they are. Storage's never change: retaining
-// one of its views is always correct, but keeps the whole buffer the
-// bytes are part of alive, so a long-lived holder keeps Detached()
-// instead. A row the driver reads off the wire (wire.BatchReader) is a
-// view of a read buffer that the next frame overwrites, and is rendered
-// as JSON before then.
+// The bytes are checked once, by SkipBinary, when View's caller loads
+// them. Nothing here checks them again: every operation on a view
+// trusts that verdict — it walks the fields with no error branch and
+// builds what it returns with buildBinary — so none fails, and a view of
+// bytes nothing checked is a bug in the code that made it. A view lives
+// as long as the bytes it aliases stay as they are. Storage's never
+// change: retaining one of its views is always correct, but keeps the
+// whole buffer the bytes are part of alive, so a long-lived holder keeps
+// Detached() instead. A row the driver reads off the wire
+// (wire.BatchReader) is a view of a read buffer that the next frame
+// overwrites, and is rendered as JSON before then.
 
 // View returns the value enc encodes. enc must be exactly one value
 // SkipBinary accepts, and must not change while the result is in use.
 // An object is not decoded: the result is a view aliasing enc. Any other
-// kind decodes as DecodeBinary does and owns its memory.
+// kind is built as DecodeBinary builds it, without checking enc again,
+// and owns its memory.
 func View(enc []byte) Value {
-	if len(enc) > 0 && Kind(enc[0]) == KindObject {
+	if Kind(enc[0]) == KindObject {
 		return Value{kind: KindObject, s: unsafe.String(&enc[0], len(enc))}
 	}
-	v, _, _ := DecodeBinary(enc)
+	v, _ := buildBinary(enc)
 	return v
 }
 
@@ -74,7 +78,7 @@ func (v Value) object() *Object {
 	if !v.isView() {
 		return v.obj
 	}
-	d, _, _ := decodeBinary(v.encoded(), 0)
+	d, _ := buildBinary(v.encoded())
 	return d.obj
 }
 
@@ -91,24 +95,14 @@ func (v Value) Detached() Value {
 // comparing names in place and stepping over values.
 func (v Value) viewField(name string) Value {
 	data := v.encoded()
-	count, n, err := decodeLen(data[1:], KindObject)
-	if err != nil {
-		return missingValue
-	}
+	count, n, _ := decodeLen(data[1:], KindObject)
 	pos := 1 + n
 	at, size := -1, 0
-	for i := 0; i < count; i++ {
-		l, n, err := decodeLen(data[pos:], KindObject)
-		if err != nil || len(data)-pos-n < l {
-			return missingValue
-		}
-		pos += n
-		match := string(data[pos:pos+l]) == name
-		pos += l
-		vn, err := skipBinary(data[pos:], 0)
-		if err != nil {
-			return missingValue
-		}
+	for range count {
+		l, n, _ := decodeLen(data[pos:], KindObject)
+		match := string(data[pos+n:pos+n+l]) == name
+		pos += n + l
+		vn, _ := skipBinary(data[pos:], 0)
 		if match {
 			at, size = pos, vn
 		}
@@ -120,23 +114,12 @@ func (v Value) viewField(name string) Value {
 	if Kind(data[at]) == KindObject {
 		return Value{kind: KindObject, s: v.s[at : at+size]}
 	}
-	f, _, _ := decodeBinary(data[at:at+size], 0)
+	f, _ := buildBinary(data[at:])
 	return f
 }
 
-// appendJSONView is AppendJSON on a view: the JSON of the object its
-// bytes decode to, written from the bytes. Bytes that do not decode
-// write {}, as the object decoding them yields (nil) does.
-func appendJSONView(dst, enc []byte) []byte {
-	if _, err := skipBinary(enc, 0); err != nil {
-		return append(dst, "{}"...)
-	}
-	dst, _ = appendJSONBinary(dst, enc)
-	return dst
-}
-
 // appendJSONBinary appends the JSON of the value enc starts with, which
-// skipBinary has accepted, and returns the bytes that value spans.
+// SkipBinary has accepted, and returns the bytes that value spans.
 func appendJSONBinary(dst, enc []byte) ([]byte, int) {
 	kind := Kind(enc[0])
 	switch kind {
@@ -159,17 +142,8 @@ func appendJSONBinary(dst, enc []byte) ([]byte, int) {
 		months, n := binary.Varint(enc[1:])
 		millis, m := binary.Varint(enc[1+n:])
 		return appendJSONDuration(dst, int32(months), millis), 1 + n + m
-	case KindPoint, KindCircle, KindRectangle:
-		coords := 2
-		if kind == KindCircle {
-			coords = 3
-		} else if kind == KindRectangle {
-			coords = 4
-		}
-		var geo [4]float64
-		for i := range coords {
-			geo[i] = math.Float64frombits(binary.LittleEndian.Uint64(enc[1+8*i:]))
-		}
+	case KindPoint, KindRectangle, KindCircle:
+		geo, coords := readGeo(enc)
 		return appendJSONCoords(dst, &geo, coords), 1 + 8*coords
 	case KindArray:
 		count, n, _ := decodeLen(enc[1:], kind)
@@ -228,7 +202,7 @@ func appendJSONObject(dst, enc []byte) ([]byte, int) {
 }
 
 func appendJSONDecoded(dst, enc []byte) ([]byte, int) {
-	v, n, _ := decodeBinary(enc, 0)
+	v, n := buildBinary(enc)
 	return AppendJSON(dst, v), n
 }
 
@@ -272,9 +246,7 @@ func AppendRow(dst []byte, parts []RowPart) (out []byte, row Value, ok bool) {
 		if !p.Val.isView() {
 			return dst, Value{}, false
 		}
-		if names, ok = p.Val.appendFieldNames(names); !ok {
-			return dst, Value{}, false
-		}
+		names = p.Val.appendFieldNames(names)
 		_, n, _ := decodeLen(p.Val.encoded()[1:], KindObject)
 		size += len(p.Val.s) - 1 - n
 		spliced = true
@@ -310,28 +282,18 @@ func AppendRow(dst []byte, parts []RowPart) (out []byte, row Value, ok bool) {
 }
 
 // appendFieldNames appends the field names of a view, aliasing it.
-func (v Value) appendFieldNames(names []string) ([]string, bool) {
+func (v Value) appendFieldNames(names []string) []string {
 	enc := v.encoded()
-	count, n, err := decodeLen(enc[1:], KindObject)
-	if err != nil {
-		return names, false
-	}
+	count, n, _ := decodeLen(enc[1:], KindObject)
 	pos := 1 + n
-	for i := 0; i < count; i++ {
-		l, n, err := decodeLen(enc[pos:], KindObject)
-		if err != nil || len(enc)-pos-n < l {
-			return names, false
-		}
-		pos += n
-		names = append(names, v.s[pos:pos+l])
-		pos += l
-		vn, err := skipBinary(enc[pos:], 0)
-		if err != nil {
-			return names, false
-		}
+	for range count {
+		l, n, _ := decodeLen(enc[pos:], KindObject)
+		names = append(names, v.s[pos+n:pos+n+l])
+		pos += n + l
+		vn, _ := skipBinary(enc[pos:], 0)
 		pos += vn
 	}
-	return names, true
+	return names
 }
 
 // distinct reports whether no name occurs twice. Rows are a handful of

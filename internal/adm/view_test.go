@@ -174,21 +174,6 @@ func TestViewAgreesWithDecode(t *testing.T) {
 	}
 }
 
-// TestViewNeverPanics: a view over bytes nothing checked (a bug in a
-// caller, not an input) still answers without panicking.
-func TestViewNeverPanics(t *testing.T) {
-	enc := AppendBinary(nil, benchTweet())
-	for cut := 1; cut < len(enc); cut++ {
-		v := View(enc[:cut])
-		v.Field("id")
-		v.Field("matching_rules")
-		_ = v.ObjectVal()
-		_ = Hash(v)
-		_ = v.String()
-		_ = v.nestsWithin(MaxDepth)
-	}
-}
-
 // benchTweet is a 16-field record shaped like the benchmark's tweets.
 func benchTweet() Value {
 	o := NewObject(16)

@@ -730,8 +730,7 @@ func (c *runFileCursor) next() (index.Item, bool) {
 		c.blk, c.pos = blk, 0
 		c.block++
 	}
-	key, _, _ := adm.DecodeBinary(c.blk.key(c.pos))
-	it := index.Item{Key: key, Val: adm.View(c.blk.val(c.pos))}
+	it := index.Item{Key: adm.View(c.blk.key(c.pos)), Val: adm.View(c.blk.val(c.pos))}
 	c.pos++
 	return it, true
 }

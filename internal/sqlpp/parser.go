@@ -1049,7 +1049,7 @@ func (p *parser) parseObjectCtor() (Expr, error) {
 }
 
 // constEval evaluates constant expressions (literals, arrays, objects,
-// unary minus) — enough for feed configs and INSERT literals.
+// unary minus) — enough for feed configs.
 func constEval(e Expr) (adm.Value, error) {
 	switch n := e.(type) {
 	case *Literal:
@@ -1090,7 +1090,3 @@ func constEval(e Expr) (adm.Value, error) {
 	}
 	return adm.Value{}, fmt.Errorf("not a constant expression")
 }
-
-// ConstEval exposes constant folding for callers that accept literal
-// arrays/objects in DML position (INSERT INTO ds ([...])).
-func ConstEval(e Expr) (adm.Value, error) { return constEval(e) }

@@ -149,7 +149,7 @@ func TestParseInsertPaperFig3(t *testing.T) {
 	if !ok || len(arr.Elems) != 1 {
 		t.Fatalf("source = %T", ins.Source)
 	}
-	v, err := ConstEval(ins.Source)
+	v, err := constEval(ins.Source)
 	if err != nil {
 		t.Fatal(err)
 	}

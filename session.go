@@ -213,15 +213,9 @@ func (c *Cluster) executeInsert(ctx context.Context, ins *sqlpp.Insert, params q
 	if !ok {
 		return 0, fmt.Errorf("%w %q", ErrUnknownDataset, ins.Dataset)
 	}
-	var src adm.Value
-	if v, err := sqlpp.ConstEval(ins.Source); err == nil {
-		src = v
-	} else {
-		v, err := query.Eval(c.queryContext(ctx, params), nil, ins.Source)
-		if err != nil {
-			return 0, err
-		}
-		src = v
+	src, err := query.Eval(c.queryContext(ctx, params), nil, ins.Source)
+	if err != nil {
+		return 0, err
 	}
 	records := src.ArrayVal()
 	if records == nil && src.Kind() == adm.KindObject {
