@@ -1,6 +1,7 @@
 package adm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -18,11 +19,12 @@ import (
 //
 // Bytes are checked once. SkipBinary is the one statement of what a
 // valid encoding is; buildBinary builds a value from bytes it accepted
-// and checks nothing. DecodeBinary and DecodeBinaryAlias are the two
-// together. Every reader of bytes from outside the process checks them
-// with SkipBinary where they enter — a frame's slab and WAL replay, a
-// run block's load, a wire or index payload, a manifest's fence keys —
-// and from then on reads them as views (View) that never re-check.
+// and checks nothing. DecodeBinary is the two together. Every reader of
+// bytes from outside the process checks them with SkipBinary where they
+// enter — a frame's slab and WAL replay, a run block's load, a wire or
+// index payload, a manifest's fence keys — and from then on reads them
+// as views (View, ViewAlias) or compares them where they lie
+// (CompareBinary, CompareEncoded), never re-checking.
 //
 // BinaryVersion numbers this encoding. No file header carries it: WAL
 // segments and run files are stamped with their own versions (walVersion,
@@ -268,61 +270,84 @@ func geoCoords(k Kind) int {
 	return 2
 }
 
-// DecodeBinaryAlias is DecodeBinary for a caller that reads the value
-// only while data is unchanged: a top-level string aliases data instead
-// of copying it. Every other kind decodes exactly as DecodeBinary does,
-// and it accepts and rejects what DecodeBinary does. The storage write
-// path and the compaction merge decode each entry's key this way, so
-// reading a string key costs no allocation per record.
-func DecodeBinaryAlias(data []byte) (Value, int, error) {
-	n, err := SkipBinary(data)
-	if err != nil {
-		return Value{}, 0, err
+// aliasString returns the string enc encodes (as SkipBinary accepts
+// it) aliasing enc's bytes.
+func aliasString(enc []byte) Value {
+	s := stringBytes(enc)
+	if len(s) == 0 {
+		return String("")
 	}
-	if Kind(data[0]) != KindString {
-		v, _ := buildBinary(data)
-		return v, n, nil
-	}
-	l, m, _ := decodeLen(data[1:], KindString)
-	if l == 0 {
-		return String(""), n, nil
-	}
-	return String(unsafe.String(&data[1+m], l)), n, nil
+	return String(unsafe.String(&s[0], len(s)))
+}
+
+// stringBytes returns the payload of the string enc encodes.
+func stringBytes(enc []byte) []byte {
+	l, n, _ := decodeLen(enc[1:], KindString)
+	return enc[1+n : 1+n+l]
 }
 
 // CompareBinary is Compare(a, v) for the value a that enc encodes (enc
 // as SkipBinary accepts it). When both are int64s or both strings — the
 // kinds primary keys have — a is compared where it lies; a block's key
-// search builds no Value per probe.
+// search and a memtable lookup build no Value per probe.
 func CompareBinary(enc []byte, v Value) int {
-	if len(enc) > 1 && Kind(enc[0]) == v.kind {
+	if Kind(enc[0]) == v.kind {
 		switch v.kind {
 		case KindInt64:
-			i, _ := binary.Varint(enc[1:])
-			return cmpInt64(i, v.i)
+			return cmpInt64(varintOf(enc), v.i)
 		case KindString:
-			if l, n, err := decodeLen(enc[1:], KindString); err == nil && len(enc)-1-n >= l {
-				a := enc[1+n : 1+n+l]
-				switch {
-				case string(a) < v.s:
-					return -1
-				case string(a) > v.s:
-					return 1
-				}
-				return 0
+			a := stringBytes(enc)
+			switch {
+			case string(a) < v.s:
+				return -1
+			case string(a) > v.s:
+				return 1
 			}
+			return 0
 		}
 	}
-	a, _, _ := DecodeBinaryAlias(enc)
-	return Compare(a, v)
+	return Compare(ViewAlias(enc), v)
+}
+
+// varintOf returns the int64 enc encodes (as SkipBinary accepts it): a
+// zigzag varint after the tag, read without binary.Varint's bound and
+// overflow checks, which SkipBinary has made.
+func varintOf(enc []byte) int64 {
+	var u uint64
+	for i, c := range enc[1:] {
+		u |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			break
+		}
+	}
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// CompareEncoded is Compare(a, b) for the values a and b encode (each
+// as SkipBinary accepts it): the one order of storage's encoded keys —
+// a memtable's tree, a batch's sort and every merge. Two int64s or two
+// strings are compared where they lie, as CompareBinary compares them;
+// any other pair is built and compared by value, so 7 and 7.0 are one
+// key.
+func CompareEncoded(a, b []byte) int {
+	if a[0] == b[0] {
+		switch Kind(a[0]) {
+		case KindInt64:
+			return cmpInt64(varintOf(a), varintOf(b))
+		case KindString:
+			return bytes.Compare(stringBytes(a), stringBytes(b))
+		}
+	}
+	return Compare(ViewAlias(a), ViewAlias(b))
 }
 
 // SkipBinary returns the encoded length of the value at the front of
 // data without building it, or why data does not start with one. It is
 // the one statement of what a valid encoding is — kind tags, length and
 // count bounds, the duration range and the nesting limit: DecodeBinary
-// and DecodeBinaryAlias build only what it accepted, and bytes it passes
-// over can be moved as they are, read as a View, and will decode later.
+// builds only what it accepted, and bytes it passes over can be moved as
+// they are, read as a View, compared where they lie, and will decode
+// later.
 func SkipBinary(data []byte) (int, error) {
 	return skipBinary(data, 0)
 }

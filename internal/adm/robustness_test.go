@@ -3,10 +3,12 @@ package adm
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -79,26 +81,19 @@ func TestCoerceNeverPanics(t *testing.T) {
 // FuzzDecodeBinary: arbitrary bytes decode or error, never panic, and a
 // decoded value is a fixed point of encode → decode → encode (the bytes
 // storage and the wire would write for it read back as themselves).
-// SkipBinary and DecodeBinaryAlias — what compaction walks run blocks
-// with — accept exactly the inputs DecodeBinary accepts and agree with
-// it on the value's length (and, for the alias, on the value). On every
-// input SkipBinary accepts, the unchecked builder behind all three spans
-// exactly SkipBinary's length and builds the value DecodeBinary returns.
+// SkipBinary — what block loads and batches are checked with — accepts
+// exactly the inputs DecodeBinary accepts and agrees with it on the
+// value's length. On every input SkipBinary accepts, the unchecked
+// builder behind DecodeBinary spans exactly SkipBinary's length and
+// builds the value DecodeBinary returns, and ViewAlias — how storage
+// hands a key up — reads the value DecodeBinary returns.
 // And an object read in place — the view storage hands up — says what
 // the decoded object says, however it is asked (checkViewAgrees), and
 // one more field spliced onto its bytes is the row Object.Set would
 // build (checkSpliceAgrees). Every value's JSON transcoded from its bytes is
 // byte for byte the JSON of the value they decode to.
 func FuzzDecodeBinary(f *testing.F) {
-	r := rand.New(rand.NewSource(16))
-	for i := 0; i < 64; i++ {
-		f.Add(AppendBinary(nil, randomValue(r, 3)))
-	}
-	// The WAL fixture's first frame payload: LSN, count, then values.
-	if wal, err := os.ReadFile(filepath.FromSlash("../lsm/testdata/wal-v1.golden")); err == nil && len(wal) > 18 {
-		f.Add(wal[18:])
-	}
-	for _, seed := range viewSeeds() {
+	for _, seed := range decodeBinarySeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -106,11 +101,11 @@ func FuzzDecodeBinary(f *testing.F) {
 		if sn, serr := SkipBinary(data); (serr == nil) != (err == nil) || sn != n {
 			t.Fatalf("SkipBinary(%x) = %d, %v; DecodeBinary = %d, %v", data, sn, serr, n, err)
 		}
-		if av, an, aerr := DecodeBinaryAlias(data); (aerr == nil) != (err == nil) || an != n || Compare(av, v) != 0 {
-			t.Fatalf("DecodeBinaryAlias(%x) = %v, %d, %v; DecodeBinary = %v, %d, %v", data, av, an, aerr, v, n, err)
-		}
 		if err != nil {
 			return
+		}
+		if av := ViewAlias(data[:n]); Compare(av, v) != 0 {
+			t.Fatalf("ViewAlias(%x) = %v; DecodeBinary = %v", data[:n], av, v)
 		}
 		if bv, bn := buildBinary(data); bn != n || !bytes.Equal(AppendBinary(nil, bv), AppendBinary(nil, v)) {
 			t.Fatalf("buildBinary(%x) = %v, %d; DecodeBinary = %v, %d", data, bv, bn, v, n)
@@ -147,6 +142,102 @@ func FuzzDecodeBinary(f *testing.F) {
 			checkSpliceAgrees(t, []RowPart{{Val: View(data[:n]), Star: true}, {Name: "m", Val: String("extra")}})
 		}
 	})
+}
+
+// decodeBinarySeeds are FuzzDecodeBinary's seeds: random values, the
+// WAL fixture's first frame payload (LSN, count, then values) and the
+// view seeds.
+func decodeBinarySeeds() [][]byte {
+	var seeds [][]byte
+	r := rand.New(rand.NewSource(16))
+	for i := 0; i < 64; i++ {
+		seeds = append(seeds, AppendBinary(nil, randomValue(r, 3)))
+	}
+	if wal, err := os.ReadFile(filepath.FromSlash("../lsm/testdata/wal-v1.golden")); err == nil && len(wal) > 18 {
+		seeds = append(seeds, wal[18:])
+	}
+	return append(seeds, viewSeeds()...)
+}
+
+// FuzzCompareEncoded: the storage order of encoded keys is adm.Compare's
+// order of the values they encode. For any two values, CompareEncoded
+// over their encodings equals Compare, and CompareBinary — a block's or
+// a memtable's key against a probe — has Compare's sign. Seeds: pairs
+// drawn from FuzzDecodeBinary's seeds and its committed corpus, and the
+// edges where a fast path could part from Compare — 7 against 7.0, ±0.0,
+// int64s around 2^53 against doubles, strings sharing a prefix, NaN and
+// mixed kinds.
+func FuzzCompareEncoded(f *testing.F) {
+	seeds := decodeBinarySeeds()
+	corpus, _ := filepath.Glob(filepath.FromSlash("testdata/fuzz/FuzzDecodeBinary/*"))
+	for _, name := range corpus {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// "go test fuzz v1" then one []byte("...") line.
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		arg := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+		seed, err := strconv.Unquote(arg)
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		seeds = append(seeds, []byte(seed))
+	}
+	for i, seed := range seeds {
+		f.Add(seed, seeds[(i+1)%len(seeds)])
+		f.Add(seed, seed)
+	}
+	const p53 = 1 << 53
+	edges := [][2]Value{
+		{Int(7), Double(7)}, {Double(7), Int(7)}, {Int(7), Double(7.5)},
+		{Double(0), Double(math.Copysign(0, -1))}, {Int(0), Double(math.Copysign(0, -1))},
+		{Int(p53), Double(p53)}, {Int(p53 + 1), Double(p53)}, {Int(p53 - 1), Double(p53)},
+		{Int(-p53 - 1), Double(-p53)}, {Int(p53 + 1), Int(p53)},
+		{Int(math.MaxInt64), Double(math.MaxInt64)}, {Int(math.MinInt64), Double(math.MinInt64)},
+		{Int(-1), Int(1)}, {Int(-64), Int(63)}, {Int(math.MinInt64), Int(math.MaxInt64)},
+		{String("abc"), String("abcd")}, {String(""), String("a")}, {String("ab\xff"), String("ab")},
+		{String("key-10"), String("key-9")},
+		{Double(math.NaN()), Double(math.NaN())}, {Double(math.NaN()), Int(1)},
+		{Int(1), String("1")}, {Null(), Missing()}, {Bool(true), Int(0)},
+		{DateTimeMillis(5), Int(5)}, {Array([]Value{Int(1)}), ObjectValue(ObjectFromPairs("a", Int(1)))},
+		{Array([]Value{Int(7)}), Array([]Value{Double(7)})},
+	}
+	for _, e := range edges {
+		f.Add(AppendBinary(nil, e[0]), AppendBinary(nil, e[1]))
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		va, _, err := DecodeBinary(a)
+		if err != nil {
+			return
+		}
+		vb, _, err := DecodeBinary(b)
+		if err != nil {
+			return
+		}
+		ea, eb := AppendBinary(nil, va), AppendBinary(nil, vb)
+		want := Compare(va, vb)
+		if got := CompareEncoded(ea, eb); got != want {
+			t.Fatalf("CompareEncoded(%x, %x) = %d, Compare(%v, %v) = %d", ea, eb, got, va, vb, want)
+		}
+		if got, back := CompareEncoded(eb, ea), Compare(vb, va); got != back {
+			t.Fatalf("CompareEncoded(%x, %x) = %d, Compare(%v, %v) = %d", eb, ea, got, vb, va, back)
+		}
+		if got := CompareBinary(ea, vb); sign(got) != sign(want) {
+			t.Fatalf("CompareBinary(%x, %v) = %d, Compare = %d", ea, vb, got, want)
+		}
+	})
+}
+
+// sign is -1, 0 or 1 as c is negative, zero or positive.
+func sign(c int) int {
+	switch {
+	case c < 0:
+		return -1
+	case c > 0:
+		return 1
+	}
+	return 0
 }
 
 // nestedJSON wraps a scalar in n arrays.

@@ -52,6 +52,16 @@ func View(enc []byte) Value {
 	return v
 }
 
+// ViewAlias is View, except that a string aliases enc too instead of
+// being copied: storage builds the key it hands up beside a record this
+// way, from bytes that never change, so a scan allocates no key.
+func ViewAlias(enc []byte) Value {
+	if Kind(enc[0]) == KindString {
+		return aliasString(enc)
+	}
+	return View(enc)
+}
+
 func (v Value) isView() bool {
 	return v.kind == KindObject && v.obj == nil && len(v.s) > 0
 }

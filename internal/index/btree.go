@@ -20,92 +20,120 @@ import (
 // point lookups still binary-search within a node. A node's item array
 // holds maxItems items, and nodes on the right spine split full (see
 // chunk), so a tree built from ascending keys — a memtable fed in key
-// order — costs about one Item per stored item.
+// order — costs about one entry per stored item.
 const btreeDegree = 64
 
-// Item is one key/value pair stored in a B-tree.
-type Item struct {
-	Key adm.Value
-	Val adm.Value
+// Entry is one key/value pair stored in a Tree.
+type Entry[K, V any] struct {
+	Key K
+	Val V
 }
 
-type btreeNode struct {
-	items    []Item
-	children []*btreeNode // len(children) == len(items)+1, or 0 for leaves
+type btreeNode[K, V any] struct {
+	items    []Entry[K, V]
+	children []*btreeNode[K, V] // len(children) == len(items)+1, or 0 for leaves
 }
 
-// BTree is an in-memory B-tree over ADM values ordered by adm.Compare.
-// Keys are unique: Put replaces the value of an existing key.
-type BTree struct {
-	root *btreeNode
+// Tree is an in-memory B-tree of entries ordered by key under the
+// comparison it was made with (New). Keys are unique: Put replaces the
+// value of an existing key. There is one implementation, instantiated
+// twice: BTree over ADM values, and the LSM memtable's tree over the
+// encodings a batch's buffer holds.
+type Tree[K, V any] struct {
+	root *btreeNode[K, V]
 	size int
+	cmp  func(a, b K) int
 }
 
-// NewBTree returns an empty tree.
-func NewBTree() *BTree { return &BTree{} }
+// New returns an empty tree ordered by cmp, which returns a negative
+// number, zero or a positive number as a sorts before, with or after b.
+func New[K, V any](cmp func(a, b K) int) *Tree[K, V] { return &Tree[K, V]{cmp: cmp} }
+
+// Item is one key/value pair of ADM values: a BTree's entry.
+type Item = Entry[adm.Value, adm.Value]
+
+// BTree is the tree of ADM values ordered by adm.Compare.
+type BTree = Tree[adm.Value, adm.Value]
+
+// NewBTree returns an empty BTree.
+func NewBTree() *BTree { return New[adm.Value, adm.Value](adm.Compare) }
 
 const (
 	maxItems = 2*btreeDegree - 1
 	minItems = btreeDegree - 1
 )
 
-// newNode allocates a node with room for maxItems items — with the
-// allocator's 8-byte header, 127 Items fill one 20 KiB size class
-// exactly — and, for an internal node, their maxItems+1 children.
-func newNode(internal bool) *btreeNode {
-	n := &btreeNode{items: make([]Item, 0, maxItems)}
+// newNode allocates a node with room for maxItems items and, for an
+// internal node, their maxItems+1 children. With the allocator's 8-byte
+// header, an array of 127 ADM Items (160 B) fits a 20 KiB size class and
+// one of 127 memtable entries (32 B) a 4 KiB class, each with less than
+// 0.8 % to spare.
+func newNode[K, V any](internal bool) *btreeNode[K, V] {
+	n := &btreeNode[K, V]{items: make([]Entry[K, V], 0, maxItems)}
 	if internal {
-		n.children = make([]*btreeNode, 0, maxItems+1)
+		n.children = make([]*btreeNode[K, V], 0, maxItems+1)
 	}
 	return n
 }
 
 // Len returns the number of stored items.
-func (t *BTree) Len() int { return t.size }
+func (t *Tree[K, V]) Len() int { return t.size }
 
-func (n *btreeNode) leaf() bool { return len(n.children) == 0 }
+func (n *btreeNode[K, V]) leaf() bool { return len(n.children) == 0 }
 
-// find locates key in the node's items: returns the index of the first
-// item >= key and whether it is an exact match.
-func (n *btreeNode) find(key adm.Value) (int, bool) {
-	lo, hi := 0, len(n.items)
+// search locates the probe's key in the node's items: it returns the
+// index of the first item whose key is not below it, and whether that
+// key is the probe's. probe(k) compares key k with the sought one.
+func (n *btreeNode[K, V]) search(probe func(K) int) (int, bool) {
+	lo, hi, found := 0, len(n.items), false
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if adm.Less(n.items[mid].Key, key) {
+		mid := int(uint(lo+hi) >> 1)
+		if c := probe(n.items[mid].Key); c < 0 {
 			lo = mid + 1
 		} else {
-			hi = mid
+			hi, found = mid, c == 0
 		}
 	}
-	if lo < len(n.items) && adm.Compare(n.items[lo].Key, key) == 0 {
-		return lo, true
-	}
-	return lo, false
+	return lo, found
+}
+
+// find is search for a key of the tree's own type.
+func (t *Tree[K, V]) find(n *btreeNode[K, V], key K) (int, bool) {
+	return n.search(func(k K) int { return t.cmp(k, key) })
 }
 
 // Get returns the value stored under key.
-func (t *BTree) Get(key adm.Value) (adm.Value, bool) {
+func (t *Tree[K, V]) Get(key K) (V, bool) {
+	return t.Search(func(k K) int { return t.cmp(k, key) })
+}
+
+// Search returns the value stored under the key probe matches: probe(k)
+// compares key k with the sought key, in the tree's order. It is how a
+// tree is searched for a key of another type — the memtable, keyed by
+// encodings, for a decoded key.
+func (t *Tree[K, V]) Search(probe func(K) int) (V, bool) {
 	n := t.root
 	for n != nil {
-		i, ok := n.find(key)
+		i, ok := n.search(probe)
 		if ok {
 			return n.items[i].Val, true
 		}
 		if n.leaf() {
-			return adm.Value{}, false
+			break
 		}
 		n = n.children[i]
 	}
-	return adm.Value{}, false
+	var zero V
+	return zero, false
 }
 
 // Put inserts key/val, replacing any previous value for key. It reports
 // whether an existing item was replaced.
-func (t *BTree) Put(key, val adm.Value) bool {
+func (t *Tree[K, V]) Put(key K, val V) bool {
 	if t.root == nil {
-		t.root = newNode(false)
+		t.root = newNode[K, V](false)
 	}
-	replaced, promoted, siblings := t.root.insert(key, val, true)
+	replaced, promoted, siblings := t.insert(t.root, key, val, true)
 	t.grow(promoted, siblings)
 	if !replaced {
 		t.size++
@@ -118,40 +146,40 @@ func (t *BTree) Put(key, val adm.Value) bool {
 // replaced. A node the insert overflows splits on the way back up and
 // returns the separators and new right siblings for its parent to
 // adopt.
-func (n *btreeNode) insert(key, val adm.Value, edge bool) (bool, []Item, []*btreeNode) {
-	i, found := n.find(key)
+func (t *Tree[K, V]) insert(n *btreeNode[K, V], key K, val V, edge bool) (bool, []Entry[K, V], []*btreeNode[K, V]) {
+	i, found := t.find(n, key)
 	switch {
 	case found:
 		n.items[i].Val = val
 		return true, nil, nil
 	case !n.leaf():
-		replaced, promoted, siblings := n.children[i].insert(key, val, edge && i == len(n.items))
+		replaced, promoted, siblings := t.insert(n.children[i], key, val, edge && i == len(n.items))
 		n.adopt(i, promoted, siblings)
 		promoted, siblings = n.splitOverfull(edge)
 		return replaced, promoted, siblings
 	case len(n.items) < maxItems:
-		n.items = slices.Insert(n.items, i, Item{key, val})
+		n.items = slices.Insert(n.items, i, Entry[K, V]{key, val})
 		return false, nil, nil
 	default:
 		// A full leaf splits as the merge of a batch of one does, so its
 		// array never grows.
-		_, promoted, siblings := n.mergeLeaf([]Item{{key, val}}, nil, edge)
+		_, promoted, siblings := t.mergeLeaf(n, []Entry[K, V]{{key, val}}, nil, edge)
 		return false, promoted, siblings
 	}
 }
 
 // adopt splices in the separators and new right siblings child i split
 // into, right after it.
-func (n *btreeNode) adopt(i int, promoted []Item, siblings []*btreeNode) {
+func (n *btreeNode[K, V]) adopt(i int, promoted []Entry[K, V], siblings []*btreeNode[K, V]) {
 	n.items = slices.Insert(n.items, i, promoted...)
 	n.children = slices.Insert(n.children, i+1, siblings...)
 }
 
 // grow roots the tree above the old root and the siblings it split into,
 // one level per pass while the new root overflows too.
-func (t *BTree) grow(promoted []Item, siblings []*btreeNode) {
+func (t *Tree[K, V]) grow(promoted []Entry[K, V], siblings []*btreeNode[K, V]) {
 	for len(siblings) > 0 {
-		root := newNode(true)
+		root := newNode[K, V](true)
 		root.items = append(root.items, promoted...)
 		root.children = append(append(root.children, t.root), siblings...)
 		t.root = root
@@ -165,10 +193,9 @@ func (t *BTree) grow(promoted []Item, siblings []*btreeNode) {
 // are merged into it in a single pass, and nodes that overflow are
 // split into however many siblings they need in one step. Existing keys
 // are replaced in place. onNew, when non-nil, is invoked for each item
-// that created a new entry rather than replacing one (the LSM memtable
-// uses it for byte accounting without a per-item pre-lookup). A run
-// that is unsorted or contains duplicate keys corrupts the tree.
-func (t *BTree) PutBatch(run []Item, onNew func(Item)) {
+// that created a new entry rather than replacing one. A run that is
+// unsorted or contains duplicate keys corrupts the tree.
+func (t *Tree[K, V]) PutBatch(run []Entry[K, V], onNew func(Entry[K, V])) {
 	if len(run) == 0 {
 		return
 	}
@@ -181,9 +208,9 @@ func (t *BTree) PutBatch(run []Item, onNew func(Item)) {
 		return
 	}
 	if t.root == nil {
-		t.root = newNode(false)
+		t.root = newNode[K, V](false)
 	}
-	inserted, promoted, siblings := t.root.insertBatch(run, onNew, true)
+	inserted, promoted, siblings := t.insertBatch(t.root, run, onNew, true)
 	t.size += inserted
 	t.grow(promoted, siblings)
 }
@@ -192,9 +219,9 @@ func (t *BTree) PutBatch(run []Item, onNew func(Item)) {
 // is on the right spine when edge is set, and returns the number of
 // newly created entries. Like insert, a node that overflows splits and
 // returns the separators and new right siblings for its parent.
-func (n *btreeNode) insertBatch(run []Item, onNew func(Item), edge bool) (int, []Item, []*btreeNode) {
+func (t *Tree[K, V]) insertBatch(n *btreeNode[K, V], run []Entry[K, V], onNew func(Entry[K, V]), edge bool) (int, []Entry[K, V], []*btreeNode[K, V]) {
 	if n.leaf() {
-		return n.mergeLeaf(run, onNew, edge)
+		return t.mergeLeaf(n, run, onNew, edge)
 	}
 	// Segment the run across children, replacing items that match
 	// separators in place. Segments are gathered first and processed
@@ -205,14 +232,14 @@ func (n *btreeNode) insertBatch(run []Item, onNew func(Item), edge bool) (int, [
 	segs := segBuf[:0]
 	i := 0
 	for i < len(run) {
-		c, exact := n.find(run[i].Key)
+		c, exact := t.find(n, run[i].Key)
 		if exact {
 			n.items[c].Val = run[i].Val
 			i++
 			continue
 		}
 		j := i + 1
-		for j < len(run) && (c >= len(n.items) || adm.Less(run[j].Key, n.items[c].Key)) {
+		for j < len(run) && (c >= len(n.items) || t.cmp(run[j].Key, n.items[c].Key) < 0) {
 			j++
 		}
 		segs = append(segs, segment{child: c, lo: i, hi: j})
@@ -222,7 +249,7 @@ func (n *btreeNode) insertBatch(run []Item, onNew func(Item), edge bool) (int, [
 	inserted := 0
 	for k := len(segs) - 1; k >= 0; k-- {
 		s := segs[k]
-		added, promoted, siblings := n.children[s.child].insertBatch(run[s.lo:s.hi], onNew, edge && s.child == last)
+		added, promoted, siblings := t.insertBatch(n.children[s.child], run[s.lo:s.hi], onNew, edge && s.child == last)
 		inserted += added
 		n.adopt(s.child, promoted, siblings)
 	}
@@ -238,12 +265,12 @@ func (n *btreeNode) insertBatch(run []Item, onNew func(Item), edge bool) (int, [
 // returned with them, and the leftmost chunk goes back into the leaf's
 // own array — safe, because the read index never passes the write
 // index. No array ever holds more than one node's items.
-func (n *btreeNode) mergeLeaf(run []Item, onNew func(Item), edge bool) (int, []Item, []*btreeNode) {
+func (t *Tree[K, V]) mergeLeaf(n *btreeNode[K, V], run []Entry[K, V], onNew func(Entry[K, V]), edge bool) (int, []Entry[K, V], []*btreeNode[K, V]) {
 	// Count the keys not already present to size the result.
 	newCount := 0
 	i, j := 0, 0
 	for i < len(n.items) && j < len(run) {
-		switch c := adm.Compare(n.items[i].Key, run[j].Key); {
+		switch c := t.cmp(n.items[i].Key, run[j].Key); {
 		case c < 0:
 			i++
 		case c > 0:
@@ -258,7 +285,7 @@ func (n *btreeNode) mergeLeaf(run []Item, onNew func(Item), edge bool) (int, []I
 	if newCount == 0 {
 		// Pure replacement: every run key already exists.
 		for _, it := range run {
-			at, _ := n.find(it.Key)
+			at, _ := t.find(n, it.Key)
 			n.items[at].Val = it.Val
 		}
 		return 0, nil, nil
@@ -269,15 +296,15 @@ func (n *btreeNode) mergeLeaf(run []Item, onNew func(Item), edge bool) (int, []I
 	n.items = n.items[:max(old, first)]
 	// The destinations, left to right: the leaf's own chunk, then each
 	// separator and the new sibling it precedes.
-	dsts := append(make([][]Item, 0, 8), n.items[:first])
-	var siblings []*btreeNode
+	dsts := append(make([][]Entry[K, V], 0, 8), n.items[:first])
+	var siblings []*btreeNode[K, V]
 	for pos := first; pos < total; {
-		s := newNode(false)
+		s := newNode[K, V](false)
 		s.items = s.items[:chunk(total-pos-1, edge)]
 		siblings = append(siblings, s)
 		pos += 1 + len(s.items)
 	}
-	promoted := make([]Item, len(siblings))
+	promoted := make([]Entry[K, V], len(siblings))
 	for k, s := range siblings {
 		dsts = append(dsts, promoted[k:k+1], s.items)
 	}
@@ -291,7 +318,7 @@ func (n *btreeNode) mergeLeaf(run []Item, onNew func(Item), edge bool) (int, []I
 			if j >= 0 {
 				c = -1
 				if i >= 0 {
-					c = adm.Compare(n.items[i].Key, run[j].Key)
+					c = t.cmp(n.items[i].Key, run[j].Key)
 				}
 			}
 			switch {
@@ -299,8 +326,8 @@ func (n *btreeNode) mergeLeaf(run []Item, onNew func(Item), edge bool) (int, []I
 				dst[w] = n.items[i]
 				i--
 			case c == 0:
-				// Replacement keeps the existing key header, like Put.
-				dst[w] = Item{n.items[i].Key, run[j].Val}
+				// Replacement keeps the existing key, like Put.
+				dst[w] = Entry[K, V]{n.items[i].Key, run[j].Val}
 				i--
 				j--
 			default:
@@ -344,7 +371,7 @@ func chunk(rem int, edge bool) int {
 // it; chunk sets the sizes. The single pass matters: chaining binary
 // splits would re-copy the remaining tail once per split, going
 // quadratic exactly when a large sorted run lands in one node.
-func (n *btreeNode) splitOverfull(edge bool) (promoted []Item, siblings []*btreeNode) {
+func (n *btreeNode[K, V]) splitOverfull(edge bool) (promoted []Entry[K, V], siblings []*btreeNode[K, V]) {
 	items, children := n.items, n.children
 	if len(items) <= maxItems {
 		return nil, nil
@@ -354,7 +381,7 @@ func (n *btreeNode) splitOverfull(edge bool) (promoted []Item, siblings []*btree
 		promoted = append(promoted, items[pos])
 		pos++
 		size := chunk(len(items)-pos, edge)
-		s := newNode(true)
+		s := newNode[K, V](true)
 		s.items = append(s.items, items[pos:pos+size]...)
 		s.children = append(s.children, children[pos:pos+size+1]...)
 		siblings = append(siblings, s)
@@ -381,8 +408,8 @@ func truncate[E any](s []E, k, limit int) []E {
 // It walks the tree in key order without materializing items into a
 // slice — the read path for frozen LSM memtables and streaming query
 // scans. The tree must not be mutated while the cursor is in use.
-func (t *BTree) Cursor() *Cursor {
-	c := &Cursor{}
+func (t *Tree[K, V]) Cursor() *Cursor[K, V] {
+	c := &Cursor[K, V]{cmp: t.cmp}
 	c.stack = c.buf[:0]
 	if t.root != nil {
 		c.descendFirst(t.root)
@@ -390,13 +417,16 @@ func (t *BTree) Cursor() *Cursor {
 	return c
 }
 
-// Bound is one end of a key range for bounded cursors. The zero value
-// is unbounded (no constraint at that end).
-type Bound struct {
-	key       adm.Value
+// KeyBound is one end of a key range for bounded cursors. The zero
+// value is unbounded (no constraint at that end).
+type KeyBound[K any] struct {
+	key       K
 	inclusive bool
 	set       bool
 }
+
+// Bound is a bound on a BTree's keys.
+type Bound = KeyBound[adm.Value]
 
 // Include bounds a range at key, with key itself in range.
 func Include(key adm.Value) Bound { return Bound{key: key, inclusive: true, set: true} }
@@ -408,23 +438,23 @@ func Exclude(key adm.Value) Bound { return Bound{key: key, set: true} }
 func Unbounded() Bound { return Bound{} }
 
 // Unbounded reports whether the bound imposes no constraint.
-func (b Bound) Unbounded() bool { return !b.set }
+func (b KeyBound[K]) Unbounded() bool { return !b.set }
 
 // Key returns the bounding key and whether it is inclusive; meaningless
 // for unbounded bounds.
-func (b Bound) Key() (adm.Value, bool) { return b.key, b.inclusive }
+func (b KeyBound[K]) Key() (K, bool) { return b.key, b.inclusive }
 
 // Inclusive reports whether the bound includes its key; meaningless for
 // unbounded bounds.
-func (b Bound) Inclusive() bool { return b.inclusive }
+func (b KeyBound[K]) Inclusive() bool { return b.inclusive }
 
 // CursorRange returns a cursor over the items within the bound pair, in
 // ascending key order. Unlike CursorAt plus a caller-side check, the
 // upper bound stops the walk inside the tree: a range predicate over a
 // large index touches one descent plus the in-range leaves, never the
 // tail of the tree.
-func (t *BTree) CursorRange(lo, hi Bound) *Cursor {
-	var c *Cursor
+func (t *Tree[K, V]) CursorRange(lo, hi KeyBound[K]) *Cursor[K, V] {
+	var c *Cursor[K, V]
 	if lo.set {
 		c = t.CursorAt(lo.key)
 		if !lo.inclusive {
@@ -439,13 +469,13 @@ func (t *BTree) CursorRange(lo, hi Bound) *Cursor {
 
 // CursorAt returns a cursor positioned before the first item whose key
 // is >= from.
-func (t *BTree) CursorAt(from adm.Value) *Cursor {
-	c := &Cursor{}
+func (t *Tree[K, V]) CursorAt(from K) *Cursor[K, V] {
+	c := &Cursor[K, V]{cmp: t.cmp}
 	c.stack = c.buf[:0]
 	n := t.root
 	for n != nil {
-		i, ok := n.find(from)
-		c.stack = append(c.stack, cursorFrame{node: n, idx: i})
+		i, ok := t.find(n, from)
+		c.stack = append(c.stack, cursorFrame[K, V]{node: n, idx: i})
 		if ok || n.leaf() {
 			break
 		}
@@ -460,27 +490,28 @@ func (t *BTree) CursorAt(from adm.Value) *Cursor {
 
 // cursorFrame is one level of a cursor's descent: node plus the index
 // of the next item to yield there.
-type cursorFrame struct {
-	node *btreeNode
+type cursorFrame[K, V any] struct {
+	node *btreeNode[K, V]
 	idx  int
 }
 
-// Cursor iterates a BTree in ascending key order, one item per Next
+// Cursor iterates a Tree in ascending key order, one item per Next
 // call. The zero value is not usable; obtain cursors from
-// BTree.Cursor/CursorAt/CursorRange.
-type Cursor struct {
-	stack []cursorFrame
-	buf   [8]cursorFrame // inline storage: tree heights stay tiny
+// Tree.Cursor/CursorAt/CursorRange.
+type Cursor[K, V any] struct {
+	stack []cursorFrame[K, V]
+	buf   [8]cursorFrame[K, V] // inline storage: tree heights stay tiny
+	cmp   func(a, b K) int
 
-	hi      Bound     // upper bound; zero value = unbounded
-	skip    adm.Value // exclusive lower bound to swallow once
+	hi      KeyBound[K] // upper bound; zero value = unbounded
+	skip    K           // exclusive lower bound to swallow once
 	skipSet bool
 }
 
 // descendFirst pushes the path to the leftmost leaf of the subtree.
-func (c *Cursor) descendFirst(n *btreeNode) {
+func (c *Cursor[K, V]) descendFirst(n *btreeNode[K, V]) {
 	for {
-		c.stack = append(c.stack, cursorFrame{node: n})
+		c.stack = append(c.stack, cursorFrame[K, V]{node: n})
 		if n.leaf() {
 			return
 		}
@@ -490,7 +521,7 @@ func (c *Cursor) descendFirst(n *btreeNode) {
 
 // Next returns the next item in key order (within the cursor's bounds,
 // for bounded cursors).
-func (c *Cursor) Next() (Item, bool) {
+func (c *Cursor[K, V]) Next() (Entry[K, V], bool) {
 	for len(c.stack) > 0 {
 		top := &c.stack[len(c.stack)-1]
 		n := top.node
@@ -514,35 +545,35 @@ func (c *Cursor) Next() (Item, bool) {
 		}
 		c.stack = c.stack[:len(c.stack)-1]
 	}
-	return Item{}, false
+	return Entry[K, V]{}, false
 }
 
 // emit applies the cursor's range bounds to a candidate item: it
 // swallows the exclusive lower bound key (at most once — keys are
 // unique) and exhausts the cursor at the first item past the upper
 // bound.
-func (c *Cursor) emit(it Item) (Item, bool) {
+func (c *Cursor[K, V]) emit(it Entry[K, V]) (Entry[K, V], bool) {
 	if c.skipSet {
 		c.skipSet = false
-		if adm.Compare(it.Key, c.skip) == 0 {
+		if c.cmp(it.Key, c.skip) == 0 {
 			return c.Next()
 		}
 	}
 	if c.hi.set {
-		if cmp := adm.Compare(it.Key, c.hi.key); cmp > 0 || (cmp == 0 && !c.hi.inclusive) {
+		if cmp := c.cmp(it.Key, c.hi.key); cmp > 0 || (cmp == 0 && !c.hi.inclusive) {
 			c.stack = c.stack[:0]
-			return Item{}, false
+			return Entry[K, V]{}, false
 		}
 	}
 	return it, true
 }
 
 // Delete removes key, reporting whether it was present.
-func (t *BTree) Delete(key adm.Value) bool {
+func (t *Tree[K, V]) Delete(key K) bool {
 	if t.root == nil {
 		return false
 	}
-	removed := t.root.remove(key)
+	removed := t.remove(t.root, key)
 	if len(t.root.items) == 0 && !t.root.leaf() {
 		t.root = t.root.children[0]
 	}
@@ -555,8 +586,8 @@ func (t *BTree) Delete(key adm.Value) bool {
 	return removed
 }
 
-func (n *btreeNode) remove(key adm.Value) bool {
-	i, found := n.find(key)
+func (t *Tree[K, V]) remove(n *btreeNode[K, V], key K) bool {
+	i, found := t.find(n, key)
 	if n.leaf() {
 		if !found {
 			return false
@@ -566,18 +597,18 @@ func (n *btreeNode) remove(key adm.Value) bool {
 	}
 	if found {
 		// Replace with predecessor (max of left child) then remove it.
-		child := n.growChildIfNeeded(i, key)
-		i, found = n.find(key)
+		child := n.growChildIfNeeded(i)
+		i, found = t.find(n, key)
 		if !found {
-			return child.remove(key)
+			return t.remove(child, key)
 		}
 		left := n.children[i]
 		pred := left.max()
 		n.items[i] = pred
-		return left.remove(pred.Key) // pred removal never misses
+		return t.remove(left, pred.Key) // pred removal never misses
 	}
-	child := n.growChildIfNeeded(i, key)
-	return child.remove(key)
+	child := n.growChildIfNeeded(i)
+	return t.remove(child, key)
 }
 
 // growChildIfNeeded ensures the child the removal will descend into can
@@ -585,7 +616,7 @@ func (n *btreeNode) remove(key adm.Value) bool {
 // minItems, or — a right-spine node, which may hold fewer — one more
 // than it had. It returns the child to descend into (which may have
 // changed due to merging).
-func (n *btreeNode) growChildIfNeeded(i int, key adm.Value) *btreeNode {
+func (n *btreeNode[K, V]) growChildIfNeeded(i int) *btreeNode[K, V] {
 	if i > len(n.items) {
 		i = len(n.items)
 	}
@@ -596,7 +627,7 @@ func (n *btreeNode) growChildIfNeeded(i int, key adm.Value) *btreeNode {
 	// Borrow from left sibling.
 	if i > 0 && len(n.children[i-1].items) > minItems {
 		left := n.children[i-1]
-		child.items = append(child.items, Item{})
+		child.items = append(child.items, Entry[K, V]{})
 		copy(child.items[1:], child.items)
 		child.items[0] = n.items[i-1]
 		n.items[i-1] = left.items[len(left.items)-1]
@@ -635,7 +666,7 @@ func (n *btreeNode) growChildIfNeeded(i int, key adm.Value) *btreeNode {
 	return child
 }
 
-func (n *btreeNode) max() Item {
+func (n *btreeNode[K, V]) max() Entry[K, V] {
 	for !n.leaf() {
 		n = n.children[len(n.children)-1]
 	}

@@ -203,7 +203,7 @@ func TestBTreeMatchesMapModel(t *testing.T) {
 // sorted items, uniform leaf depth, fill bounds on every non-root node
 // (1..maxItems on the right spine, minItems..maxItems elsewhere), no
 // array larger than a node, child counts, and separator ordering.
-func checkInvariants(t *testing.T, bt *BTree) {
+func checkInvariants[K, V any](t *testing.T, bt *Tree[K, V]) {
 	t.Helper()
 	if bt.root == nil {
 		if bt.size != 0 {
@@ -213,8 +213,9 @@ func checkInvariants(t *testing.T, bt *BTree) {
 	}
 	leafDepth := -1
 	counted := 0
-	var walk func(n *btreeNode, depth int, edge bool, min, max *adm.Value)
-	walk = func(n *btreeNode, depth int, edge bool, min, max *adm.Value) {
+	less := func(a, b K) bool { return bt.cmp(a, b) < 0 }
+	var walk func(n *btreeNode[K, V], depth int, edge bool, min, max *K)
+	walk = func(n *btreeNode[K, V], depth int, edge bool, min, max *K) {
 		least := minItems
 		if edge {
 			least = 1
@@ -230,13 +231,13 @@ func checkInvariants(t *testing.T, bt *BTree) {
 		}
 		counted += len(n.items)
 		for i, it := range n.items {
-			if i > 0 && !adm.Less(n.items[i-1].Key, it.Key) {
+			if i > 0 && !less(n.items[i-1].Key, it.Key) {
 				t.Fatalf("items out of order at depth %d", depth)
 			}
-			if min != nil && !adm.Less(*min, it.Key) {
+			if min != nil && !less(*min, it.Key) {
 				t.Fatalf("item below subtree lower bound at depth %d", depth)
 			}
-			if max != nil && !adm.Less(it.Key, *max) {
+			if max != nil && !less(it.Key, *max) {
 				t.Fatalf("item above subtree upper bound at depth %d", depth)
 			}
 		}
@@ -449,10 +450,10 @@ func TestBTreePutBatchMatchesMapModel(t *testing.T) {
 
 // leafFill walks the tree and returns the item count of every leaf off
 // the right spine.
-func leafFill(bt *BTree) []int {
+func leafFill[K, V any](bt *Tree[K, V]) []int {
 	var fill []int
-	var walk func(n *btreeNode, edge bool)
-	walk = func(n *btreeNode, edge bool) {
+	var walk func(n *btreeNode[K, V], edge bool)
+	walk = func(n *btreeNode[K, V], edge bool) {
 		if n.leaf() {
 			if !edge {
 				fill = append(fill, len(n.items))
@@ -472,7 +473,12 @@ func leafFill(bt *BTree) []int {
 // buildCost builds a tree from the batches and returns it with the
 // bytes allocated per item stored.
 func buildCost(batches [][]Item) (*BTree, float64) {
-	bt := NewBTree()
+	return buildTreeCost(NewBTree(), batches)
+}
+
+// buildTreeCost puts the batches into bt and returns it with the bytes
+// allocated per item stored.
+func buildTreeCost[K, V any](bt *Tree[K, V], batches [][]Entry[K, V]) (*Tree[K, V], float64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, run := range batches {
@@ -576,10 +582,33 @@ func BenchmarkBTreeGet(b *testing.B) {
 	}
 }
 
+// encodedTree is the LSM memtable's instantiation: entries are a key's
+// and a record's encodings, ordered by adm.CompareEncoded.
+func encodedTree() *Tree[string, string] {
+	return New[string, string](func(a, b string) int {
+		return adm.CompareEncoded(unsafe.Slice(unsafe.StringData(a), len(a)), unsafe.Slice(unsafe.StringData(b), len(b)))
+	})
+}
+
+// encodedBatches is batches with every item encoded, as the memtable
+// holds it.
+func encodedBatches(batches [][]Item) [][]Entry[string, string] {
+	out := make([][]Entry[string, string], len(batches))
+	for i, run := range batches {
+		out[i] = make([]Entry[string, string], len(run))
+		for j, it := range run {
+			out[i][j] = Entry[string, string]{string(adm.AppendBinary(nil, it.Key)), string(adm.AppendBinary(nil, it.Val))}
+		}
+	}
+	return out
+}
+
 // BenchmarkBTreePutBatch builds a 64 Ki-item tree from 128-item batches
 // (a storage frame) per iteration: keys in order, in order but with
 // every third pair of batches swapped (two collectors' frames), and
-// random. B/item is what the tree allocated per item stored.
+// random. B/item is what the tree allocated per item stored: each shape
+// runs over ADM Items (BTree) and, as "<shape>-bytes", over the
+// memtable's entries of encodings.
 func BenchmarkBTreePutBatch(b *testing.B) {
 	const n, size = 1 << 16, 128
 	asc := inBatches(sortedRun(keyRange(0, n), 0), size)
@@ -596,6 +625,16 @@ func BenchmarkBTreePutBatch(b *testing.B) {
 			var bytes float64
 			for i := 0; i < b.N; i++ {
 				_, perItem := buildCost(arm.batches)
+				bytes += perItem
+			}
+			b.ReportMetric(bytes/float64(b.N), "B/item")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/item")
+		})
+		encoded := encodedBatches(arm.batches)
+		b.Run(arm.name+"-bytes", func(b *testing.B) {
+			var bytes float64
+			for i := 0; i < b.N; i++ {
+				_, perItem := buildTreeCost(encodedTree(), encoded)
 				bytes += perItem
 			}
 			b.ReportMetric(bytes/float64(b.N), "B/item")

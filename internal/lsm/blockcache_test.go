@@ -284,7 +284,7 @@ func TestBlockCacheConcurrentScansShare(t *testing.T) {
 	p, run := overBudgetPartition(t, 1<<20)
 	step := func(c *runFileCursor) bool { // onto the next block's first entry
 		for b := c.block; c.block == b; {
-			if _, ok := c.next(); !ok {
+			if _, _, ok, _ := c.advance(); !ok {
 				return false
 			}
 		}

@@ -14,9 +14,8 @@ import (
 )
 
 // fillDecoded is the compaction the engine ran before it merged bytes,
-// kept as the oracle: every record of every input is decoded (the
-// component cursors yield views; Clone decodes them in full), the
-// decoded items are merged, and the survivors are encoded again.
+// kept as the oracle: every surviving key and record of the merge of
+// the inputs' component cursors is decoded in full and encoded again.
 func fillDecoded(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 	return func(w *runWriter) error {
 		comps := make([]*component, len(runs))
@@ -29,11 +28,15 @@ func fillDecoded(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 			if !ok {
 				return err
 			}
-			val, _, err := adm.DecodeBinary(adm.AppendBinary(nil, rc.cur.Val))
+			key, _, err := adm.DecodeBinary(rc.key)
 			if err != nil {
 				return err
 			}
-			if err := w.add(index.Item{Key: rc.cur.Key, Val: val}); err != nil {
+			val, _, err := adm.DecodeBinary(rc.val)
+			if err != nil {
+				return err
+			}
+			if err := addItem(w, index.Item{Key: key, Val: val}); err != nil {
 				return err
 			}
 		}
@@ -57,11 +60,16 @@ func tweetRec(id int64) adm.Value {
 	))
 }
 
+// addItem encodes one item into the writer's current block.
+func addItem(w *runWriter, it index.Item) error {
+	return w.addRaw(adm.AppendBinary(nil, it.Key), adm.AppendBinary(nil, it.Val))
+}
+
 // fillItems encodes items (ascending by key) in order, as a flush would.
 func fillItems(items []index.Item) func(*runWriter) error {
 	return func(w *runWriter) error {
 		for _, it := range items {
-			if err := w.add(it); err != nil {
+			if err := addItem(w, it); err != nil {
 				return err
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
-	"github.com/ideadb/idea/internal/index"
 )
 
 // The crash-injection suite: run a deterministic workload against a
@@ -302,7 +301,7 @@ func TestWALReplayTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Replay(0, func(uint64, []index.Item) error { return nil }); err != nil {
+	if err := w.Replay(0, func(uint64, []entry) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	var enc []byte
@@ -337,9 +336,9 @@ func TestWALReplayTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []int64
-	err = w2.Replay(0, func(_ uint64, items []index.Item) error {
-		for _, it := range items {
-			got = append(got, it.Key.IntVal())
+	err = w2.Replay(0, func(_ uint64, entries []entry) error {
+		for _, e := range entries {
+			got = append(got, keyOf(e).IntVal())
 		}
 		return nil
 	})
@@ -368,7 +367,7 @@ func TestWALReplayTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := w3.Replay(0, func(_ uint64, items []index.Item) error { count += len(items); return nil }); err != nil {
+	if err := w3.Replay(0, func(_ uint64, entries []entry) error { count += len(entries); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 6 {

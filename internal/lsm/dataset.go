@@ -198,7 +198,7 @@ func (d *Dataset) UpsertBatch(recs []adm.Value) error {
 	defer func() {
 		for _, batch := range per {
 			if batch != nil {
-				putItemBatch(batch)
+				itemBatches.put(batch)
 			}
 		}
 	}()
@@ -209,7 +209,7 @@ func (d *Dataset) UpsertBatch(recs []adm.Value) error {
 		}
 		t := d.Route(pk)
 		if per[t] == nil {
-			per[t] = getItemBatch(len(recs))
+			per[t] = itemBatches.get(len(recs))
 		}
 		*per[t] = append(*per[t], index.Item{Key: pk, Val: rec})
 	}
@@ -219,7 +219,7 @@ func (d *Dataset) UpsertBatch(recs []adm.Value) error {
 			continue
 		}
 		n, enc := len(*batch), encodeBatch(*batch)
-		putItemBatch(batch)
+		itemBatches.put(batch)
 		per[t] = nil
 		// Keep writing the remaining partitions even after one fails:
 		// the batch has no cross-partition atomicity either way, and

@@ -47,7 +47,9 @@ func attachDiffIndexes(t testing.TB, p *Partition) diffIndexes {
 // re-attached (and so back-filled from run files, which after a crash
 // include the replayed tail recovery flushed) after every reopen, and both must equal the brute-force
 // oracle at every checkpoint. Small budgets keep flushes, compactions,
-// and WAL rotation continuously in play.
+// and WAL rotation continuously in play, and every seed must reopen from
+// a crash image at least once with a logged tail to replay — which the
+// open flushes as a run — so the replay arm is never vacuous.
 func TestDurableDifferential(t *testing.T) {
 	const (
 		seeds    = 8
@@ -72,6 +74,7 @@ func TestDurableDifferential(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			reopenEvery := 30 + r.Intn(30)
 			version := int64(0)
+			replays := 0 // crash reopens that replayed a logged entry
 			for op := 1; op <= ops; op++ {
 				k := r.Int63n(keySpace)
 				switch r.Intn(10) {
@@ -144,6 +147,8 @@ func TestDurableDifferential(t *testing.T) {
 						t.Fatalf("op %d: recovered from a crash with %d memtable entries but replayed nothing", op, tail)
 					} else if !crash && flushed != 0 {
 						t.Fatalf("op %d: reopened after a clean close and flushed %d runs", op, flushed)
+					} else if crash && flushed > 0 {
+						replays++
 					}
 					durableIx = attachDiffIndexes(t, durable)
 				}
@@ -158,6 +163,9 @@ func TestDurableDifferential(t *testing.T) {
 			}
 			if err := durable.Close(); err != nil {
 				t.Fatal(err)
+			}
+			if replays == 0 {
+				t.Fatalf("no reopen from a crash image replayed a logged entry (reopening every %d ops)", reopenEvery)
 			}
 		})
 	}

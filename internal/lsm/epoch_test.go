@@ -195,7 +195,7 @@ func TestPointLookupNeverAnswersStale(t *testing.T) {
 // as the other numeric kind with the same value (7 = 7.0), as
 // adm.Compare equates them, from the memtable and from a run whose bloom
 // filter hashed the stored encoding; a non-integral double matches no
-// int64.
+// int64. The memtable arm probes a memtable that holds the keys.
 func TestPointLookupPromotesNumericKeys(t *testing.T) {
 	p, err := OpenPartition(NewMemFS(), "part", Options{MemBudget: 1 << 20, MaxComponents: 8})
 	if err != nil {
@@ -217,6 +217,8 @@ func TestPointLookupPromotesNumericKeys(t *testing.T) {
 			if err := p.WaitForFlush(); err != nil || p.Runs() != 1 {
 				t.Fatalf("flush: %v, %d runs", err, p.Runs())
 			}
+		} else if n := p.Stats().MemEntries; n != 2 {
+			t.Fatalf("memtable holds %d entries, want the 2 keys", n)
 		}
 		for _, pr := range probes {
 			if _, ok, err := p.Get(pr.key); ok != pr.found || err != nil {
@@ -224,6 +226,58 @@ func TestPointLookupPromotesNumericKeys(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReplacedKeyKeepsItsEncoding pins which encoding of a numeric key
+// storage keeps when a write under the other numeric kind replaces it
+// (7.0 after 7: one key under adm.Compare). In the memtable the entry
+// keeps the key it had and takes the new record, and the run its flush
+// writes holds that same key; within one batch the last occurrence wins
+// whole, its key included. A scan hands the kept encoding up, so the
+// key's kind tells which write put the key there.
+func TestReplacedKeyKeepsItsEncoding(t *testing.T) {
+	p := memPartition(t, Options{MemBudget: 1 << 20, MaxComponents: 8})
+	scan := func() []adm.Value {
+		t.Helper()
+		var got []adm.Value
+		if err := p.Snapshot().Scan(func(key, r adm.Value) bool {
+			got = append(got, key, r.Field("v"))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	check := func(where string, want ...adm.Value) {
+		t.Helper()
+		got := scan()
+		if len(got) != len(want) {
+			t.Fatalf("%s: scan = %v, want %v", where, got, want)
+		}
+		for i := range got {
+			if got[i].Kind() != want[i].Kind() || adm.Compare(got[i], want[i]) != 0 {
+				t.Fatalf("%s: scan = %v, want %v (kinds matter)", where, got, want)
+			}
+		}
+	}
+	if err := p.Upsert(adm.Int(7), rec(7, "v", adm.Int(1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Upsert(adm.Double(7), rec(7, "v", adm.Int(2))); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.UpsertBatch([]adm.Value{adm.Int(9), adm.Double(9)}, []adm.Value{rec(9, "v", adm.Int(3)), rec(9, "v", adm.Int(4))}); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.Stats().MemEntries; n != 2 {
+		t.Fatalf("memtable holds %d entries, want 2", n)
+	}
+	check("memtable", adm.Int(7), adm.Int(2), adm.Double(9), adm.Int(4))
+	p.Flush()
+	if err := p.WaitForFlush(); err != nil || p.Runs() != 1 {
+		t.Fatalf("flush: %v, %d runs", err, p.Runs())
+	}
+	check("run", adm.Int(7), adm.Int(2), adm.Double(9), adm.Int(4))
 }
 
 // TestCreateIndexFailsOverUnreadableRun: the back-fill reads existing

@@ -133,9 +133,9 @@ func w2Replay(t *testing.T, fs FS, fn func(uint64, adm.Value, adm.Value)) error 
 		return err
 	}
 	defer w.Close()
-	return w.Replay(0, func(lsn uint64, items []index.Item) error {
-		for i, it := range items {
-			fn(lsn+uint64(i), it.Key, it.Val)
+	return w.Replay(0, func(lsn uint64, entries []entry) error {
+		for i, e := range entries {
+			fn(lsn+uint64(i), keyOf(e), recOf(e))
 		}
 		return nil
 	})
@@ -167,12 +167,12 @@ func checkGoldenRun(t *testing.T, rf *runFile, items []index.Item) {
 	}
 	c := rf.cursor()
 	for i := range items {
-		it, ok := c.next()
-		if !ok || adm.Compare(it.Key, items[i].Key) != 0 {
+		key, _, ok, _ := c.advance()
+		if !ok || adm.CompareBinary(key, items[i].Key) != 0 {
 			t.Fatalf("cursor item %d mismatch", i)
 		}
 	}
-	if _, ok := c.next(); ok {
+	if _, _, ok, _ := c.advance(); ok {
 		t.Fatal("cursor overran")
 	}
 	if adm.Compare(rf.firstKey, items[0].Key) != 0 || adm.Compare(rf.lastKey, items[len(items)-1].Key) != 0 {

@@ -207,8 +207,8 @@ func TestLoadBlockHostileStructure(t *testing.T) {
 			t.Errorf("%s: lookup returned %v, %v, error %v; want %q", name, v, ok, err, tc.want)
 		}
 		c := rf.cursor()
-		if it, ok := c.next(); ok || c.err == nil || !strings.Contains(c.err.Error(), tc.want) {
-			t.Errorf("%s: cursor yielded %v (%v), error %v; want %q", name, it, ok, c.err, tc.want)
+		if key, _, ok, _ := c.advance(); ok || c.err == nil || !strings.Contains(c.err.Error(), tc.want) {
+			t.Errorf("%s: cursor yielded %x (%v), error %v; want %q", name, key, ok, c.err, tc.want)
 		}
 		raw := rf.rawReader()
 		if _, _, ok, err := raw.advance(); ok || err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -267,9 +267,10 @@ func FuzzOpenRun(f *testing.F) {
 			// Structure is checked when a block loads: whatever the cursor
 			// yields reads to the end without failing.
 			c := rf.cursor()
-			for it, ok := c.next(); ok; it, ok = c.next() {
-				it.Val.Field("v")
-				adm.Hash(it.Val)
+			for _, _, ok, _ := c.advance(); ok; _, _, ok, _ = c.advance() {
+				rec := adm.View(c.val)
+				rec.Field("v")
+				adm.Hash(rec)
 			}
 			probeGet(rf, rf.firstKey)
 			probeGet(rf, rf.lastKey)
@@ -313,7 +314,7 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			err = w.Replay(0, func(_ uint64, items []index.Item) error { n += len(items); return nil })
+			err = w.Replay(0, func(_ uint64, entries []entry) error { n += len(entries); return nil })
 			return n, err
 		}
 		var n int

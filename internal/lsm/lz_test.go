@@ -238,12 +238,12 @@ func TestRunBlocksCompress(t *testing.T) {
 	}
 	c := run.cursor()
 	for i := 0; i < n; i++ {
-		it, ok := c.next()
-		if !ok || !bytes.Equal(adm.AppendBinary(nil, it.Key), mem[2*i]) || !bytes.Equal(adm.AppendBinary(nil, it.Val), mem[2*i+1]) {
+		key, _, ok, _ := c.advance()
+		if !ok || !bytes.Equal(key, mem[2*i]) || !bytes.Equal(c.val, mem[2*i+1]) {
 			t.Fatalf("scan item %d (%v) differs from the memtable's", i, ok)
 		}
 	}
-	if _, ok := c.next(); ok || c.err != nil {
+	if _, _, ok, _ := c.advance(); ok || c.err != nil {
 		t.Fatalf("scan overran or failed: %v", c.err)
 	}
 

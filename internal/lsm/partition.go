@@ -20,15 +20,16 @@
 // The write path is frame-granular: a whole dataflow frame is one
 // storage operation, costing one WAL append+commit, one partition lock
 // acquisition, one sort, one bulk memtable insert
-// (index.BTree.PutBatch), grouped secondary-index maintenance, and one
+// (index.Tree.PutBatch), grouped secondary-index maintenance, and one
 // flush-threshold check for the entire frame. A write is the bytes the
 // WAL will log — key, record, key, record, … — and storage keeps that
-// one buffer per batch: the WAL is handed it, and the memtable's items
-// are decoded from it, each record a view of it (decodeBatch, which WAL
-// replay reads the log with too). A feed's frame arrives as that
-// payload already: its producer routed it (hyracks.Frame.Enc), and
-// Dataset.UpsertFrame stores the slab as it stands, checking that the
-// partition owns every key it decodes. Every other write — UpsertBatch,
+// one buffer per batch: the WAL is handed it, and a memtable entry is
+// an entry's two encodings where they lie in it, sliced, not decoded
+// (decodeBatch, which WAL replay reads the log with too). A feed's frame
+// arrives as that payload already: its producer routed it
+// (hyracks.Frame.Enc), and Dataset.UpsertFrame stores the slab as it
+// stands, checking that the partition owns every key in it. Every other
+// write — UpsertBatch,
 // and Upsert, Insert, Delete and PutCheckpoint, which are batches of
 // one — is first encoded into a buffer of its own (encodeBatch), so
 // nothing of the caller's is kept. See Partition.write.
@@ -36,7 +37,8 @@
 // # Reads keep what writes never rewrite
 //
 // A reader keeps what storage hands it without a copy. A record is a
-// view of a batch buffer or a run block, bytes that are never rewritten.
+// view of a batch buffer or a run block, bytes that are never rewritten,
+// and so is a key: a string key aliases them (adm.ViewAlias).
 // An index scan (IndexScanCursor) keeps the secondary index's own
 // postings arrays: a published postings array is never written, because
 // every index write builds a new one (BTreeIndex). The one thing a read
@@ -64,13 +66,13 @@ type Options struct {
 	// holds — each batch's buffer at its capacity (a copy sized exactly,
 	// or a routed frame's slab, spare room included: see
 	// Dataset.UpsertFrame) plus memItemOverhead per entry written since
-	// the last freeze — which for an
-	// enriched tweet is ≈ 650 B where the decoded tree it used to hold
-	// was estimated at ≈ 1.9 KB: the same budget holds ≈ 3× the records,
-	// so flushes are fewer and larger. The budget also bounds the WAL
-	// tail a crash leaves, which the next open flushes before it serves
-	// anything; a clean Close flushes the memtable itself and leaves no
-	// log.
+	// the last freeze — which for an enriched tweet is ≈ 520 B (its
+	// ≈ 490 encoded bytes and a 32-byte entry) where the decoded tree it
+	// once held was estimated at ≈ 1.9 KB: the same budget holds ≈ 3.6×
+	// the records, so flushes are fewer and larger. The budget also
+	// bounds the WAL tail a crash leaves, which the next open flushes
+	// before it serves anything; a clean Close flushes the memtable itself
+	// and leaves no log.
 	MemBudget int
 	// MaxComponents is the number of run files past which the whole level
 	// is compacted into one regardless of size tiers (the
@@ -99,8 +101,8 @@ func DefaultOptions() Options {
 // flusher has written it out, a run file (the output of a flush or a
 // compaction) from then on. Tombstones are MISSING values.
 type component struct {
-	tree *index.BTree // frozen memtable awaiting its flush
-	run  *runFile     // run file; nil while tree-backed
+	tree *memtable // frozen memtable awaiting its flush
+	run  *runFile  // run file; nil while tree-backed
 
 	// upToLSN is the highest WAL sequence number whose effect the
 	// component (together with everything older) contains. The flusher
@@ -109,13 +111,52 @@ type component struct {
 	upToLSN uint64
 }
 
-// runCursor streams one component in key order: an index.BTree cursor
-// or a block-streaming run-file cursor, depending on how the component
-// is backed.
+// entry is a memtable entry: the encodings of a key and of its record
+// (a tombstone's is MISSING), string headers over the bytes of the batch
+// they came in — its buffer, or the WAL segment replay read — which
+// nothing rewrites. Storage holds bytes: an entry is decoded only when a
+// reader asks (keyOf, recOf).
+type entry = index.Entry[string, string]
+
+// memtable is the tree of a partition's entries, in the encoded keys'
+// order (compareKeys).
+type memtable = index.Tree[string, string]
+
+func newMemtable() *memtable { return index.New[string, string](compareKeys) }
+
+// compareKeys orders encoded keys as adm.Compare orders the keys they
+// encode.
+func compareKeys(a, b string) int { return adm.CompareEncoded(bytesOf(a), bytesOf(b)) }
+
+// bytesOf returns the bytes s holds, without a copy: read-only.
+func bytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
+
+// stringOf returns b as a string, without a copy: b must never change.
+func stringOf(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// keyOf is e's key, a string aliasing the entry's bytes.
+func keyOf(e entry) adm.Value { return adm.ViewAlias(bytesOf(e.Key)) }
+
+// recOf is e's record, a view of the entry's bytes.
+func recOf(e entry) adm.Value { return adm.View(bytesOf(e.Val)) }
+
+// memGet looks key up in a memtable: each stored key is compared with
+// it where it lies (adm.CompareBinary).
+func memGet(t *memtable, key adm.Value) (adm.Value, bool) {
+	rec, ok := t.Search(func(k string) int { return adm.CompareBinary(bytesOf(k), key) })
+	if !ok {
+		return adm.Value{}, false
+	}
+	return adm.View(bytesOf(rec)), true
+}
+
+// runCursor streams one component's entries in key order, as their
+// encoded bytes: a memtable cursor or a block-streaming run-file cursor,
+// depending on how the component is backed.
 type runCursor struct {
-	tc  *index.Cursor
-	fc  *runFileCursor
-	cur index.Item // the entry the last advance stepped onto
+	tc       *index.Cursor[string, string]
+	fc       *runFileCursor
+	key, val []byte // the entry the last advance stepped onto
 }
 
 func (c *component) cursor() runCursor {
@@ -125,19 +166,20 @@ func (c *component) cursor() runCursor {
 	return runCursor{tc: c.tree.Cursor()}
 }
 
-func (rc *runCursor) next() (index.Item, bool) {
+// advance makes runCursor a mergeInput: the merged entry is rc.key,
+// rc.val.
+func (rc *runCursor) advance() (key []byte, tombstone, ok bool, err error) {
 	if rc.fc != nil {
-		return rc.fc.next()
+		key, tombstone, ok, err = rc.fc.advance()
+		rc.key, rc.val = key, rc.fc.val
+		return key, tombstone, ok, err
 	}
-	return rc.tc.Next()
-}
-
-// advance makes runCursor a mergeInput: the merged entry is rc.cur.
-func (rc *runCursor) advance() (key adm.Value, tombstone, ok bool, err error) {
-	if rc.cur, ok = rc.next(); !ok && rc.fc != nil {
-		err = rc.fc.err
+	e, ok := rc.tc.Next()
+	if !ok {
+		return nil, false, false, nil
 	}
-	return rc.cur.Key, rc.cur.Val.IsMissing(), ok, err
+	rc.key, rc.val = bytesOf(e.Key), bytesOf(e.Val)
+	return rc.key, adm.Kind(e.Val[0]) == adm.KindMissing, true, nil
 }
 
 // Stats is a point-in-time copy of partition activity counters. It is
@@ -192,7 +234,7 @@ type Partition struct {
 	wal  *WAL
 
 	mu  sync.RWMutex
-	mem *index.BTree
+	mem *memtable
 	// memBytes is what the memtable holds: the capacity of every batch
 	// buffer written since the last freeze plus memItemOverhead per
 	// entry — replaced entries included, their bytes are still in their
@@ -256,8 +298,8 @@ func checkpointScope(key adm.Value) (string, bool) {
 // checkpoint itself (same log, earlier LSNs). Offsets are monotonic per
 // scope; a stale offset is logged but does not regress the table.
 func (p *Partition) PutCheckpoint(scope string, off uint64) error {
-	entry := [1]index.Item{{Key: adm.String(ckptKeyPrefix + scope), Val: adm.Int(int64(off))}}
-	_, err := p.write(writeCheckpoint, encodeBatch(entry[:]), 1, nil)
+	one := [1]index.Item{{Key: adm.String(ckptKeyPrefix + scope), Val: adm.Int(int64(off))}}
+	_, err := p.write(writeCheckpoint, encodeBatch(one[:]), 1, nil)
 	return err
 }
 
@@ -311,7 +353,7 @@ const backfillChunk = 1024
 func (p *Partition) AttachIndex(idx SecondaryIndex) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	batch := getItemBatch(backfillChunk)
+	batch := itemBatches.get(backfillChunk)
 	cu := &Cursor{m: mergeComponentCursors(append([]*component{{tree: p.mem}}, p.components...), true)}
 	for key, rec, ok := cu.Next(); ok; key, rec, ok = cu.Next() {
 		*batch = append(*batch, index.Item{Key: ownKey(key), Val: rec})
@@ -322,7 +364,7 @@ func (p *Partition) AttachIndex(idx SecondaryIndex) error {
 		}
 	}
 	idx.InsertBatch(*batch)
-	putItemBatch(batch)
+	itemBatches.put(batch)
 	if err := cu.Err(); err != nil {
 		return err
 	}
@@ -363,8 +405,8 @@ func (p *Partition) Err() error {
 
 // Upsert inserts or replaces the record under key: a batch of one.
 func (p *Partition) Upsert(key, rec adm.Value) error {
-	entry := [1]index.Item{{Key: key, Val: rec}}
-	_, err := p.write(writeUpsert, encodeBatch(entry[:]), 1, nil)
+	one := [1]index.Item{{Key: key, Val: rec}}
+	_, err := p.write(writeUpsert, encodeBatch(one[:]), 1, nil)
 	return err
 }
 
@@ -372,8 +414,8 @@ func (p *Partition) Upsert(key, rec adm.Value) error {
 // the INSERT (vs UPSERT) DML semantic. A rejected insert logs nothing, so
 // replay cannot apply it and the epoch does not move.
 func (p *Partition) Insert(key, rec adm.Value) error {
-	entry := [1]index.Item{{Key: key, Val: rec}}
-	_, err := p.write(writeInsert, encodeBatch(entry[:]), 1, nil)
+	one := [1]index.Item{{Key: key, Val: rec}}
+	_, err := p.write(writeInsert, encodeBatch(one[:]), 1, nil)
 	return err
 }
 
@@ -381,48 +423,52 @@ func (p *Partition) Insert(key, rec adm.Value) error {
 // record is MISSING). It reports whether a live record was visible
 // before the delete.
 func (p *Partition) Delete(key adm.Value) (existed bool, err error) {
-	entry := [1]index.Item{{Key: key, Val: adm.Missing()}}
-	return p.write(writeDelete, encodeBatch(entry[:]), 1, nil)
+	one := [1]index.Item{{Key: key, Val: adm.Missing()}}
+	return p.write(writeDelete, encodeBatch(one[:]), 1, nil)
 }
 
-// itemBatchPool recycles the item batches storage holds a batch in — a
-// write's memtable items, a batch grouped for a partition, the batches a
-// secondary index is maintained with — so a steady frame stream reuses
-// its buffers instead of allocating per frame. It holds *[]index.Item
-// boxes; callers keep the box across their get/put pair so pooling
-// itself never allocates.
-var itemBatchPool sync.Pool
+// batchPool recycles the batches storage holds a batch in — a write's
+// memtable entries (entryBatches), a batch grouped for a partition and
+// the batches a secondary index is maintained with (itemBatches) — so a
+// steady frame stream reuses its buffers instead of allocating per
+// frame. It holds *[]E boxes; callers keep the box across their get/put
+// pair so pooling itself never allocates.
+type batchPool[E any] struct{ pool sync.Pool }
 
-func getItemBatch(capacity int) *[]index.Item {
-	if v := itemBatchPool.Get(); v != nil {
-		b := v.(*[]index.Item)
+var (
+	entryBatches batchPool[entry]
+	itemBatches  batchPool[index.Item]
+)
+
+func (bp *batchPool[E]) get(capacity int) *[]E {
+	if v := bp.pool.Get(); v != nil {
+		b := v.(*[]E)
 		*b = (*b)[:0]
-		if cap(*b) >= capacity {
-			return b
+		if cap(*b) < capacity {
+			*b = make([]E, 0, capacity)
 		}
-		*b = make([]index.Item, 0, capacity)
 		return b
 	}
-	b := new([]index.Item)
-	*b = make([]index.Item, 0, capacity)
+	b := new([]E)
+	*b = make([]E, 0, capacity)
 	return b
 }
 
-// putItemBatch recycles a batch scratch box. The box's slice must be at
-// its written high-water length: only that prefix is cleared (the
-// pool's invariant is that everything beyond it is already zero), which
-// keeps the per-frame clear proportional to the frame instead of the
-// pooled capacity.
-func putItemBatch(b *[]index.Item) {
+// put recycles a batch scratch box. The box's slice must be at its
+// written high-water length: only that prefix is cleared (the pool's
+// invariant is that everything beyond it is already zero), which keeps
+// the per-frame clear proportional to the frame instead of the pooled
+// capacity.
+func (bp *batchPool[E]) put(b *[]E) {
 	clear(*b) // don't pin record payloads from the pool
 	*b = (*b)[:0]
-	itemBatchPool.Put(b)
+	bp.pool.Put(b)
 }
 
 // UpsertBatch inserts or replaces a whole frame's records — keys[i]
 // owns recs[i] — as one storage operation: one WAL append and commit,
 // one partition lock acquisition, one sort of the batch, one bulk
-// memtable insert (BTree.PutBatch), one old-value lookup pass with
+// memtable insert (Tree.PutBatch), one old-value lookup pass with
 // grouped per-index delete/insert batches, and one flush-threshold
 // check. Duplicate keys within the batch collapse to the last
 // occurrence; a MISSING record is a tombstone. The caller keeps
@@ -434,12 +480,12 @@ func putItemBatch(b *[]index.Item) {
 // the call returns after one group commit; the error is that commit's
 // result.
 func (p *Partition) UpsertBatch(keys, recs []adm.Value) error {
-	batch := getItemBatch(len(keys))
+	batch := itemBatches.get(len(keys))
 	for i, key := range keys {
 		*batch = append(*batch, index.Item{Key: key, Val: recs[i]})
 	}
 	enc := encodeBatch(*batch)
-	putItemBatch(batch)
+	itemBatches.put(batch)
 	_, err := p.write(writeUpsert, enc, len(keys), nil)
 	return err
 }
@@ -461,27 +507,28 @@ func encodeBatch(items []index.Item) []byte {
 }
 
 // decodeBatch appends the entries of enc, a write's log payload, to
-// items in log order: a key is decoded (a string key aliases enc,
-// adm.DecodeBinaryAlias) and a record is a view of enc. It is the one
-// reader of that layout — write builds a batch's memtable items with it
-// before the batch is logged, and WAL replay every logged batch's — so a
-// batch the write path accepts is one recovery reads back. enc that is
-// not exactly whole entries, or holds a value the decoder refuses (one
-// nested deeper than adm.MaxDepth, say), is an error.
-func decodeBatch(items []index.Item, enc []byte) ([]index.Item, error) {
+// entries in log order: each key and record is sliced out of enc where
+// it lies, its extent and validity SkipBinary's verdict, and nothing is
+// decoded. It is the one reader of that layout — write builds a batch's
+// memtable entries with it before the batch is logged, and WAL replay
+// every logged batch's — so a batch the write path accepts is one
+// recovery reads back. enc that is not exactly whole entries, or holds
+// a value SkipBinary refuses (one nested deeper than adm.MaxDepth, say),
+// is an error.
+func decodeBatch(entries []entry, enc []byte) ([]entry, error) {
 	for off := 0; off < len(enc); {
-		key, n, err := adm.DecodeBinaryAlias(enc[off:])
+		kn, err := adm.SkipBinary(enc[off:])
 		if err != nil {
-			return items, fmt.Errorf("key at offset %d: %w", off, err)
+			return entries, fmt.Errorf("key at offset %d: %w", off, err)
 		}
-		off += n
-		if n, err = adm.SkipBinary(enc[off:]); err != nil {
-			return items, fmt.Errorf("record at offset %d: %w", off, err)
+		vn, err := adm.SkipBinary(enc[off+kn:])
+		if err != nil {
+			return entries, fmt.Errorf("record at offset %d: %w", off+kn, err)
 		}
-		items = append(items, index.Item{Key: key, Val: adm.View(enc[off : off+n])})
-		off += n
+		entries = append(entries, entry{Key: stringOf(enc[off : off+kn]), Val: stringOf(enc[off+kn : off+kn+vn])})
+		off += kn + vn
 	}
-	return items, nil
+	return entries, nil
 }
 
 // writeMode selects the pre-check and the apply target of one write.
@@ -495,20 +542,21 @@ const (
 )
 
 // memItemOverhead is what the memtable is charged per entry on top of
-// the entry's encoded bytes: the B-tree item that points at them.
-const memItemOverhead = int(unsafe.Sizeof(index.Item{}))
+// the entry's encoded bytes: the tree entry that points at them, two
+// string headers.
+const memItemOverhead = int(unsafe.Sizeof(entry{}))
 
 // write is the partition's one mutation sequence; every public mutator
 // is a thin caller, handing it the batch as the bytes the WAL will log
 // (enc: key, record, key, record, …). Outside the lock the batch's
-// memtable items are decoded from enc (decodeBatch), so an enc the
-// decoder refuses — a value nested deeper than adm.MaxDepth included —
-// is refused here, before anything is appended, or recovery could not
+// memtable entries are sliced from enc (decodeBatch), so an enc
+// SkipBinary refuses — a value nested deeper than adm.MaxDepth included
+// — is refused here, before anything is appended, or recovery could not
 // read the log back; owns, when set, then vets every key. hint is how
 // many entries enc holds when the caller knows (0 when not): it sizes
-// the item scratch, which otherwise grows as enc is read. The items'
-// records are views of enc, which is also what a flush copies into its
-// run file and what recovery rebuilds over the log's own bytes; the
+// the entry scratch, which otherwise grows as enc is read. The entries
+// are enc's own bytes, which is also what a flush copies into its run
+// file and what recovery rebuilds over the log's own bytes; the
 // memtable is charged enc's capacity, since it keeps all of enc alive.
 // Under p.mu: a closed partition or a failed pre-check returns before
 // anything is logged; otherwise the batch is appended to the WAL and
@@ -520,49 +568,50 @@ const memItemOverhead = int(unsafe.Sizeof(index.Item{}))
 // of the log at that point, but so is a crashed process; recovery
 // replays only what was acknowledged).
 func (p *Partition) write(mode writeMode, enc []byte, hint int, owns func(key adm.Value) error) (existed bool, err error) {
-	batch := getItemBatch(hint)
-	items, err := decodeBatch(*batch, enc)
-	n := len(items)
+	batch := entryBatches.get(hint)
+	entries, err := decodeBatch(*batch, enc)
+	n := len(entries)
 	if err != nil {
 		err = fmt.Errorf("lsm: write refused: %w", err)
 	}
 	for i := 0; err == nil && owns != nil && i < n; i++ {
-		err = owns(items[i].Key)
+		err = owns(keyOf(entries[i]))
 	}
 	if err != nil || n == 0 {
-		*batch = items // the high-water length, for the pool's clear
-		putItemBatch(batch)
+		*batch = entries // the high-water length, for the pool's clear
+		entryBatches.put(batch)
 		return false, err
 	}
 	held := n*memItemOverhead + cap(enc)
-	items = sortBatch(items)
+	entries = sortBatch(entries)
 	p.mu.Lock()
 	switch {
 	case p.closed:
 		err = errClosed
 	case mode == writeInsert || mode == writeDelete:
 		// A read fault fails the write: it must not pass for an absent key.
-		if _, existed, err = p.getLocked(items[0].Key); existed && mode == writeInsert {
-			err = fmt.Errorf("lsm: duplicate key %s", items[0].Key)
+		key := keyOf(entries[0])
+		if _, existed, err = p.getLocked(key); existed && mode == writeInsert {
+			err = fmt.Errorf("lsm: duplicate key %s", key)
 		}
 	}
 	if err == nil {
 		p.wal.appendEncoded(enc, n)
 		switch mode {
 		case writeCheckpoint:
-			scope, _ := checkpointScope(items[0].Key)
-			p.raiseCheckpointLocked(scope, uint64(items[0].Val.IntVal()))
+			scope, _ := checkpointScope(keyOf(entries[0]))
+			p.raiseCheckpointLocked(scope, uint64(recOf(entries[0]).IntVal()))
 		case writeDelete:
 			p.stats.Deletes++
-			p.applyBatchLocked(items, held)
+			p.applyBatchLocked(entries, held)
 		default:
 			p.stats.Upserts += uint64(n)
-			p.applyBatchLocked(items, held)
+			p.applyBatchLocked(entries, held)
 		}
 	}
 	p.mu.Unlock()
-	*batch = items[:n] // restore the written length for the clear
-	putItemBatch(batch)
+	*batch = entries[:n] // restore the written length for the clear
+	entryBatches.put(batch)
 	if err != nil {
 		return existed, err
 	}
@@ -574,45 +623,45 @@ func (p *Partition) write(mode writeMode, enc []byte, hint int, owns func(key ad
 
 var errClosed = errors.New("lsm: partition closed")
 
-// sortBatch orders a batch's memtable items ascending by key, with
+// sortBatch orders a batch's memtable entries ascending by key, with
 // duplicate keys collapsed to the last occurrence.
-func sortBatch(items []index.Item) []index.Item {
+func sortBatch(entries []entry) []entry {
 	// Frames from ordered sources often arrive already sorted; a linear
 	// pre-check skips the sort (and the dedupe, since strictly
 	// ascending keys cannot repeat).
 	sorted := true
-	for i := 1; i < len(items); i++ {
-		if adm.Compare(items[i-1].Key, items[i].Key) >= 0 {
+	for i := 1; i < len(entries); i++ {
+		if compareKeys(entries[i-1].Key, entries[i].Key) >= 0 {
 			sorted = false
 			break
 		}
 	}
 	if !sorted {
-		slices.SortStableFunc(items, func(a, b index.Item) int {
-			return adm.Compare(a.Key, b.Key)
+		slices.SortStableFunc(entries, func(a, b entry) int {
+			return compareKeys(a.Key, b.Key)
 		})
 		w := 0
-		for i := range items {
-			if i+1 < len(items) && adm.Compare(items[i].Key, items[i+1].Key) == 0 {
+		for i := range entries {
+			if i+1 < len(entries) && compareKeys(entries[i].Key, entries[i+1].Key) == 0 {
 				continue // a later occurrence of the same key wins
 			}
-			items[w] = items[i]
+			entries[w] = entries[i]
 			w++
 		}
-		items = items[:w]
+		entries = entries[:w]
 	}
-	return items
+	return entries
 }
 
 // applyBatchLocked bulk-inserts the sorted, unique-keyed run into the
 // memtable, maintains secondary indexes with grouped batches, charges
 // the memtable the held bytes the batch brings, and checks the flush
 // threshold once for the whole batch.
-func (p *Partition) applyBatchLocked(items []index.Item, held int) {
+func (p *Partition) applyBatchLocked(entries []entry, held int) {
 	if len(p.secondary) > 0 {
-		p.maintainIndexesBatchLocked(items)
+		p.maintainIndexesBatchLocked(entries)
 	}
-	p.mem.PutBatch(items, nil)
+	p.mem.PutBatch(entries, nil)
 	p.memBytes += held
 	if p.memBytes >= p.opts.MemBudget {
 		p.freezeLocked()
@@ -625,16 +674,17 @@ func (p *Partition) applyBatchLocked(items []index.Item, held int) {
 // records) — two lock acquisitions per index per frame instead of two
 // per record. Both are item batches (primary key, record) from the
 // write path's pool.
-func (p *Partition) maintainIndexesBatchLocked(items []index.Item) {
-	olds, news := getItemBatch(len(items)), getItemBatch(len(items))
-	for _, it := range items {
+func (p *Partition) maintainIndexesBatchLocked(entries []entry) {
+	olds, news := itemBatches.get(len(entries)), itemBatches.get(len(entries))
+	for _, e := range entries {
+		key, rec := keyOf(e), recOf(e)
 		// The batch is logged already, so a read fault cannot fail it: the
 		// old entry stays indexed.
-		if old, ok, _ := p.getLocked(it.Key); ok {
-			*olds = append(*olds, index.Item{Key: it.Key, Val: old})
+		if old, ok, _ := p.getLocked(key); ok {
+			*olds = append(*olds, index.Item{Key: key, Val: old})
 		}
-		if !it.Val.IsMissing() {
-			*news = append(*news, index.Item{Key: ownKey(it.Key), Val: it.Val})
+		if !rec.IsMissing() {
+			*news = append(*news, index.Item{Key: ownKey(key), Val: rec})
 		}
 	}
 	for _, idx := range p.secondary {
@@ -643,13 +693,14 @@ func (p *Partition) maintainIndexesBatchLocked(items []index.Item) {
 	for _, idx := range p.secondary {
 		idx.InsertBatch(*news)
 	}
-	putItemBatch(olds)
-	putItemBatch(news)
+	itemBatches.put(olds)
+	itemBatches.put(news)
 }
 
 // ownKey returns key as a value that keeps nothing else alive, for a
-// secondary index, which keeps its primary keys for good: a memtable's
-// string key aliases the buffer of the batch it came in (decodeBatch).
+// secondary index, which keeps its primary keys for good: a stored
+// string key aliases the bytes of the batch or block it lies in
+// (keyOf, Cursor.Next).
 func ownKey(key adm.Value) adm.Value {
 	if key.Kind() == adm.KindString {
 		return adm.String(strings.Clone(key.StringVal()))
@@ -659,9 +710,9 @@ func ownKey(key adm.Value) adm.Value {
 
 // freezeLocked turns the memtable into an immutable component and wakes
 // the flusher to write it out. The tree itself is detached as the
-// component (no item copy): writers get a fresh memtable and the frozen
+// component (no entry copy): writers get a fresh memtable and the frozen
 // tree is never mutated again, so snapshots and scans can walk it
-// concurrently via index.BTree cursors.
+// concurrently via its cursors.
 func (p *Partition) freezeLocked() {
 	if p.mem.Len() == 0 {
 		return
@@ -672,7 +723,7 @@ func (p *Partition) freezeLocked() {
 	// effects of LSNs <= upToLSN not already in older components.
 	c := &component{tree: p.mem, upToLSN: p.wal.LSN()}
 	p.components = append([]*component{c}, p.components...)
-	p.mem = index.NewBTree()
+	p.mem = newMemtable()
 	p.memBytes = 0
 	p.signalFlushLocked()
 }
@@ -680,7 +731,7 @@ func (p *Partition) freezeLocked() {
 // getLocked performs a point lookup across memtable and components,
 // newest first.
 func (p *Partition) getLocked(key adm.Value) (adm.Value, bool, error) {
-	if v, ok := p.mem.Get(key); ok {
+	if v, ok := memGet(p.mem, key); ok {
 		if v.IsMissing() {
 			return adm.Value{}, false, nil
 		}
@@ -704,7 +755,7 @@ func lookupComponents(comps []*component, key adm.Value) (v adm.Value, found boo
 			}
 			v, found, err = c.run.get(kp)
 		} else {
-			v, found = c.tree.Get(key)
+			v, found = memGet(c.tree, key)
 		}
 		if err != nil || found {
 			break
@@ -854,7 +905,10 @@ type Cursor struct {
 	err  error
 }
 
-// Next returns the next live record in key order.
+// Next returns the next live record in key order: the record a view of
+// the bytes it lies in, and the key built once from its encoding, a
+// string key aliasing them too (adm.ViewAlias), so a scan allocates no
+// key.
 func (cu *Cursor) Next() (key, rec adm.Value, ok bool) {
 	rc, ok, err := cu.m.next()
 	if !ok {
@@ -864,7 +918,7 @@ func (cu *Cursor) Next() (key, rec adm.Value, ok bool) {
 		cu.Close()
 		return adm.Value{}, adm.Value{}, false
 	}
-	key, rec = rc.cur.Key, rc.cur.Val
+	key, rec = adm.ViewAlias(rc.key), adm.View(rc.val)
 	runtime.KeepAlive(cu) // see Snapshot: cu.snap must outlive the read
 	return key, rec, true
 }
@@ -919,22 +973,24 @@ func (s *Snapshot) Len() (int, error) {
 	return n, err
 }
 
-// mergeInput is one sorted input of a k-way merge: a component cursor
-// yielding items (reads: a memtable's records, a run's record views) or
-// a raw run reader yielding encoded bytes (compaction).
+// mergeInput is one sorted input of a k-way merge, yielding entries as
+// their encoded bytes: a component cursor (reads: a memtable's entries
+// or a run's) or a run reader that loads around the block cache
+// (compaction).
 type mergeInput interface {
-	// advance steps onto the input's next entry and reports its key and
-	// whether it is a tombstone; the input exposes the entry itself.
-	// ok=false means exhausted, or failed when err says why; a failed
-	// input keeps returning its err.
-	advance() (key adm.Value, tombstone, ok bool, err error)
+	// advance steps onto the input's next entry and reports its encoded
+	// key and whether it is a tombstone; the input exposes the entry
+	// itself. ok=false means exhausted, or failed when err says why; a
+	// failed input keeps returning its err.
+	advance() (key []byte, tombstone, ok bool, err error)
 }
 
 // mergeCursor is an incremental k-way merge over sorted inputs, newest
 // first: the newest (lowest-index) version of each key wins, older
 // versions are skipped, tombstones are optionally dropped. It is the
 // single statement of that rule — under Snapshot.Scan, Snapshot.Cursor
-// and run-file compaction alike.
+// and run-file compaction alike — and orders encoded keys as the
+// memtable does (adm.CompareEncoded), so it decodes none.
 type mergeCursor[I mergeInput] struct {
 	inputs         []I
 	heads          []mergeHead
@@ -943,7 +999,7 @@ type mergeCursor[I mergeInput] struct {
 
 // mergeHead is the merge's view of one input's current entry.
 type mergeHead struct {
-	key       adm.Value
+	key       []byte
 	tombstone bool
 	live      bool
 	// fresh marks a head the merge has not moved past yet. Once it has,
@@ -987,7 +1043,7 @@ func (m *mergeCursor[I]) next() (winner I, ok bool, err error) {
 				}
 				h.fresh = true
 			}
-			if h.live && (best == -1 || adm.Less(h.key, m.heads[best].key)) {
+			if h.live && (best == -1 || adm.CompareEncoded(h.key, m.heads[best].key) < 0) {
 				best = i
 			}
 		}
@@ -998,7 +1054,7 @@ func (m *mergeCursor[I]) next() (winner I, ok bool, err error) {
 		// consumed and dropped).
 		for i := range m.heads {
 			h := &m.heads[i]
-			if h.live && (i == best || adm.Compare(h.key, m.heads[best].key) == 0) {
+			if h.live && (i == best || adm.CompareEncoded(h.key, m.heads[best].key) == 0) {
 				h.fresh = false
 			}
 		}

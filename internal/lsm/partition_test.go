@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/ideadb/idea/internal/adm"
-	"github.com/ideadb/idea/internal/index"
 )
 
 func rec(id int64, fields ...any) adm.Value {
@@ -357,7 +356,7 @@ func TestWALGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Replay(0, func(uint64, []index.Item) error { return nil }); err != nil {
+	if err := w.Replay(0, func(uint64, []entry) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	entry := adm.AppendBinary(adm.AppendBinary(nil, adm.Int(1)), rec(1))

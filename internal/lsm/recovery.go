@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"github.com/ideadb/idea/internal/adm"
-	"github.com/ideadb/idea/internal/index"
 )
 
 // OpenPartition opens (or creates) the partition rooted at dir on fsys —
@@ -51,7 +50,7 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 	}
 	p := &Partition{
 		opts:        opts,
-		mem:         index.NewBTree(),
+		mem:         newMemtable(),
 		fs:          fsys,
 		dir:         dir,
 		flushedLSN:  man.FlushedLSN,
@@ -95,25 +94,24 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 	// Replay applies straight to the fresh memtable: no locks are
 	// needed (the partition is not yet published) and no re-logging
 	// happens (the entries are already in the WAL). Each logged frame is
-	// decoded and applied as the write that logged it was — sorted,
-	// duplicate keys collapsed to the last, one PutBatch — its items
-	// aliasing the segment bytes replay read. Tombstones stay in the
-	// memtable as MISSING so they shadow older runs. Checkpoint entries
-	// (reserved key prefix) route to the checkpoint table instead of the
-	// memtable.
-	err = wal.Replay(man.FlushedLSN, func(_ uint64, items []index.Item) error {
+	// sliced and applied as the write that logged it was — sorted,
+	// duplicate keys collapsed to the last, one PutBatch — its entries
+	// the segment bytes replay read. Tombstones stay in the memtable as
+	// MISSING so they shadow older runs. Checkpoint entries (reserved key
+	// prefix) route to the checkpoint table instead of the memtable.
+	err = wal.Replay(man.FlushedLSN, func(_ uint64, entries []entry) error {
 		w := 0
-		for _, it := range items {
-			if scope, ok := checkpointScope(it.Key); ok {
-				if off, ok := it.Val.AsInt(); ok {
+		for _, e := range entries {
+			if scope, ok := checkpointScope(keyOf(e)); ok {
+				if off, ok := recOf(e).AsInt(); ok {
 					p.raiseCheckpointLocked(scope, uint64(off))
 				}
 				continue
 			}
-			items[w] = it
+			entries[w] = e
 			w++
 		}
-		p.mem.PutBatch(sortBatch(items[:w]), nil)
+		p.mem.PutBatch(sortBatch(entries[:w]), nil)
 		return nil
 	})
 	if err != nil {

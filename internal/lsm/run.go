@@ -9,11 +9,10 @@ import (
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/frame"
-	"github.com/ideadb/idea/internal/index"
 )
 
 // Run files are the on-disk form of an immutable LSM component: the
-// sorted key/record items of a frozen memtable (or of a compaction
+// sorted key/record entries of a frozen memtable (or of a compaction
 // merge), laid out in framed blocks (internal/frame) with a first-key
 // block index so point lookups touch one block and scans stream block
 // by block through the same runCursor/k-way merge machinery that walks
@@ -97,7 +96,8 @@ type runEnv struct {
 	lz    *lzEncoder
 }
 
-// runWriter streams sorted items into a run file.
+// runWriter streams sorted entries, as their encoded bytes, into a run
+// file.
 type runWriter struct {
 	f       File
 	lz      *lzEncoder
@@ -129,27 +129,11 @@ func (w *runWriter) writeHeader() error {
 	return nil
 }
 
-// add encodes one item into the current block.
-func (w *runWriter) add(it index.Item) error {
-	start := len(w.scratch)
-	w.scratch = adm.AppendBinary(w.scratch, it.Key)
-	keyLen := len(w.scratch) - start
-	w.scratch = adm.AppendBinary(w.scratch, it.Val)
-	return w.added(start, keyLen)
-}
-
-// addRaw appends one entry that is already encoded — compaction moves
-// the bytes an input run holds without decoding them.
+// addRaw appends one entry as the bytes it already is: a flush copies a
+// memtable entry's two encodings, compaction the bytes an input run
+// holds, and neither decodes them.
 func (w *runWriter) addRaw(keyEnc, valEnc []byte) error {
-	start := len(w.scratch)
 	w.scratch = append(append(w.scratch, keyEnc...), valEnc...)
-	return w.added(start, len(keyEnc))
-}
-
-// added accounts for the entry just appended at w.scratch[start:],
-// whose first keyLen bytes are its key.
-func (w *runWriter) added(start, keyLen int) error {
-	keyEnc := w.scratch[start : start+keyLen]
 	if w.count == 0 {
 		w.first = append(w.first[:0], keyEnc...)
 	}
@@ -297,32 +281,31 @@ func writeRun(fsys FS, dir, name string, env runEnv, fill func(*runWriter) error
 	return openRun(fsys, dir, name, env)
 }
 
-// fillFromComponent is the flush: one immutable component's items,
-// tombstones included (they must shadow older runs), encoded in order.
+// fillFromComponent is the flush: one frozen memtable's entries,
+// tombstones included (they must shadow older runs), copied in order as
+// the bytes they are.
 func fillFromComponent(c *component) func(*runWriter) error {
 	return func(w *runWriter) error {
 		w.hashes = make([]uint64, 0, c.tree.Len())
-		rc := c.cursor()
-		for {
-			it, ok := rc.next()
-			if !ok {
-				return nil
-			}
-			if err := w.add(it); err != nil {
+		tc := c.tree.Cursor()
+		for e, ok := tc.Next(); ok; e, ok = tc.Next() {
+			if err := w.addRaw(bytesOf(e.Key), bytesOf(e.Val)); err != nil {
 				return err
 			}
 		}
+		return nil
 	}
 }
 
 // fillFromRuns is the compaction: a k-way merge of run files (newest
 // first) that moves every surviving entry as the bytes its input holds.
-// Keys are decoded to be compared; values are only walked (SkipBinary),
-// and a value's kind byte tells a tombstone. Any read, checksum or
-// structure error in an input fails the merge.
+// Keys are compared as they lie (adm.CompareEncoded), values only walked
+// (SkipBinary, when the block loads), and a value's kind byte tells a
+// tombstone. Any read, checksum or structure error in an input fails the
+// merge.
 func fillFromRuns(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 	return func(w *runWriter) error {
-		readers := make([]*rawRunReader, len(runs))
+		readers := make([]*runFileCursor, len(runs))
 		entries := 0
 		for i, r := range runs {
 			readers[i] = r.rawReader()
@@ -703,74 +686,53 @@ func (r *runFile) close() error {
 	return r.f.Close()
 }
 
-// runFileCursor streams a run's items block by block in key order: the
-// key decoded (it owns its memory), the record a view of the block. It
-// holds nothing to give back: whoever made it keeps the run open (see
-// runFile). A block it cannot load ends it, and err says why.
+// runFileCursor streams a run's entries block by block in key order as
+// the encoded bytes the file holds: key and val are the entry the last
+// advance stepped onto. A query's cursor (cursor) loads blocks through
+// the block cache, into memory of their own that nothing rewrites, so
+// what it hands up stays readable for as long as anything keeps it.
+// Compaction's (rawReader) loads them as queries do (loadBlock), but
+// into buffers it reuses, and goes around the block cache in both
+// directions: a compaction reads every block of its inputs exactly
+// once, so caching them would only evict blocks queries want; its
+// entries are valid until the next advance. A cursor holds nothing to
+// give back: whoever made it keeps the run open (see runFile). A block
+// it cannot load ends it, and err says why.
 type runFileCursor struct {
 	r     *runFile
-	block int // next block to load
-	blk   block
-	pos   int
-	err   error
-}
-
-func (r *runFile) cursor() *runFileCursor { return &runFileCursor{r: r} }
-
-func (c *runFileCursor) next() (index.Item, bool) {
-	for c.pos == c.blk.entries() {
-		if c.block >= len(c.r.blocks) {
-			return index.Item{}, false
-		}
-		blk, err := c.r.block(c.block, true)
-		if err != nil {
-			c.err, c.block = err, len(c.r.blocks)
-			return index.Item{}, false
-		}
-		c.blk, c.pos = blk, 0
-		c.block++
-	}
-	it := index.Item{Key: adm.View(c.blk.key(c.pos)), Val: adm.View(c.blk.val(c.pos))}
-	c.pos++
-	return it, true
-}
-
-// rawRunReader streams a run's entries in key order as the encoded
-// bytes the file holds — compaction's input. It loads blocks as queries
-// do (loadBlock), but into buffers it reuses, and goes around the block
-// cache in both directions: a compaction reads every block of its inputs
-// exactly once, so caching them would only evict blocks queries want.
-type rawRunReader struct {
-	r     *runFile
+	raw   bool  // compaction's: reused buffers, around the cache
 	block int   // next block to load
-	blk   block // the current block, in the reader's own buffers
+	blk   block // the current block
 	pos   int
 
-	// key and val are the current entry's encoded bytes, valid until the
-	// next advance; err is why the reader stopped early, if it did.
 	key, val []byte
 	err      error
 }
 
-func (r *runFile) rawReader() *rawRunReader { return &rawRunReader{r: r} }
+func (r *runFile) cursor() *runFileCursor    { return &runFileCursor{r: r} }
+func (r *runFile) rawReader() *runFileCursor { return &runFileCursor{r: r, raw: true} }
 
-func (c *rawRunReader) advance() (key adm.Value, tombstone, ok bool, err error) {
+// advance makes runFileCursor a mergeInput: the merged entry is c.key,
+// c.val.
+func (c *runFileCursor) advance() (key []byte, tombstone, ok bool, err error) {
 	for c.pos == c.blk.entries() {
 		if c.block >= len(c.r.blocks) {
-			return adm.Value{}, false, false, c.err
+			return nil, false, false, c.err
 		}
-		blk, err := c.r.loadBlock(c.block, c.blk)
+		var blk block
+		if c.raw {
+			blk, err = c.r.loadBlock(c.block, c.blk)
+		} else {
+			blk, err = c.r.block(c.block, true)
+		}
 		if err != nil {
 			c.err, c.block = err, len(c.r.blocks)
-			return adm.Value{}, false, false, err
+			return nil, false, false, err
 		}
 		c.blk, c.pos = blk, 0
 		c.block++
 	}
 	c.key, c.val = c.blk.key(c.pos), c.blk.val(c.pos)
 	c.pos++
-	// A string key aliases the block buffer: valid, like key and val,
-	// until the next advance.
-	key, _, _ = adm.DecodeBinaryAlias(c.key)
-	return key, adm.Kind(c.val[0]) == adm.KindMissing, true, nil
+	return c.key, adm.Kind(c.val[0]) == adm.KindMissing, true, nil
 }

@@ -160,10 +160,10 @@ func (ix *BTreeIndex) Name() string { return ix.name }
 // groupPairs extracts the secondary key of every item's record and
 // returns the (key, pk) pairs sorted by key (stable, so pk order within
 // a key matches item order). The batch box comes from the shared
-// item-batch pool; the caller returns it with putItemBatch after
+// item-batch pool; the caller returns it with itemBatches.put after
 // restoring the written length.
 func (ix *BTreeIndex) groupPairs(items []index.Item) (*[]index.Item, []index.Item) {
-	batch := getItemBatch(len(items))
+	batch := itemBatches.get(len(items))
 	pairs := *batch
 	for _, it := range items {
 		if key, ok := ix.extract(it.Val); ok {
@@ -204,7 +204,7 @@ func (ix *BTreeIndex) InsertBatch(items []index.Item) {
 	}
 	ix.mu.Unlock()
 	*batch = pairs
-	putItemBatch(batch)
+	itemBatches.put(batch)
 }
 
 // DeleteBatch implements SecondaryIndex: one lock for the whole frame
@@ -226,7 +226,7 @@ func (ix *BTreeIndex) DeleteBatch(items []index.Item) {
 	}
 	ix.mu.Unlock()
 	*batch = pairs
-	putItemBatch(batch)
+	itemBatches.put(batch)
 }
 
 // deleteGroupLocked removes one postings occurrence per pair (all pairs

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"github.com/ideadb/idea/internal/frame"
-	"github.com/ideadb/idea/internal/index"
 )
 
 // WAL is the storage log a partition appends to before applying a
@@ -116,16 +115,16 @@ func parseWALSegmentName(name string) (int, bool) {
 
 // Replay scans the on-disk segments in order, invoking apply once per
 // logged frame — one storage batch — with the frame's entries whose LSN
-// is > from, in log order (lsn is items[0]'s; the rest follow densely),
-// and leaves the log positioned for appending. The entries are decoded
-// as the write that logged them decoded them (decodeBatch), over the
-// segment's bytes, which replay read into memory nothing else writes: a
-// string key and an object record alias them. items is scratch reused
-// from one call to the next, which apply may reorder. A torn or corrupt
+// is > from, in log order (lsn is entries[0]'s; the rest follow
+// densely), and leaves the log positioned for appending. The entries are
+// sliced as the write that logged them sliced them (decodeBatch): they
+// are the segment's bytes, which replay read into memory nothing else
+// writes. entries is scratch reused from one call to the next, which
+// apply may reorder. A torn or corrupt
 // frame at the tail of the last segment is truncated away (a crash
 // mid-write); corruption anywhere else fails recovery loudly. Replay
 // must be called exactly once, before any append.
-func (w *WAL) Replay(from uint64, apply func(lsn uint64, items []index.Item) error) error {
+func (w *WAL) Replay(from uint64, apply func(lsn uint64, entries []entry) error) error {
 	names, err := w.fs.List(w.dir)
 	if err != nil {
 		return err
@@ -139,10 +138,10 @@ func (w *WAL) Replay(from uint64, apply func(lsn uint64, items []index.Item) err
 	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
 
 	maxLSN := from
-	var items []index.Item
+	var entries []entry
 	for i := range segs {
 		last := i == len(segs)-1
-		lsn, first, err := w.replaySegment(&segs[i], last, from, &items, apply)
+		lsn, first, err := w.replaySegment(&segs[i], last, from, &entries, apply)
 		if err != nil {
 			return err
 		}
@@ -180,7 +179,7 @@ func (w *WAL) Replay(from uint64, apply func(lsn uint64, items []index.Item) err
 // replaySegment reads one segment, applying each frame's entries past
 // from. It returns the highest LSN seen and the segment's first LSN.
 // Torn tails are truncated when last is set.
-func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, items *[]index.Item, apply func(uint64, []index.Item) error) (maxLSN, firstLSN uint64, err error) {
+func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, entries *[]entry, apply func(uint64, []entry) error) (maxLSN, firstLSN uint64, err error) {
 	pathname := joinPath(w.dir, seg.name)
 	data, err := readFileAll(w.fs, pathname)
 	if err != nil {
@@ -226,10 +225,10 @@ func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, items *[]in
 		r := frame.NewReader(payload)
 		first, count := r.Uvarint(), r.Count(2) // an entry is two values of >= 1 byte
 		if err = r.Err(); err == nil {
-			*items, err = decodeBatch((*items)[:0], r.Take(r.Len()))
+			*entries, err = decodeBatch((*entries)[:0], r.Take(r.Len()))
 		}
-		if err == nil && len(*items) != count {
-			err = fmt.Errorf("%d entries, its header counts %d", len(*items), count)
+		if err == nil && len(*entries) != count {
+			err = fmt.Errorf("%d entries, its header counts %d", len(*entries), count)
 		}
 		if err != nil {
 			return 0, 0, fmt.Errorf("lsm: wal segment %s frame at %d: %w", seg.name, off, err)
@@ -242,7 +241,7 @@ func (w *WAL) replaySegment(seg *walSegment, last bool, from uint64, items *[]in
 			skip = int(min(from-first+1, uint64(count)))
 		}
 		if skip < count {
-			if err := apply(first+uint64(skip), (*items)[skip:]); err != nil {
+			if err := apply(first+uint64(skip), (*entries)[skip:]); err != nil {
 				return 0, 0, err
 			}
 		}
