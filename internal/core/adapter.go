@@ -1,9 +1,9 @@
 // Package core implements the paper's contribution: the decoupled
 // ingestion framework. A feed is three cooperating layers —
 //
-//   - a long-running *intake job* (adapters receive raw bytes, a
-//     round-robin partitioner spreads them over passive intake partition
-//     holders on every node),
+//   - a long-running *intake job* (adapters receive raw bytes and push
+//     frames of them round-robin straight into the passive intake
+//     partition holders, one per node, whose rings are its only queue),
 //   - a short-lived but repeatedly-invoked *computing job* (per batch:
 //     collect from the local intake holder, parse, evaluate the attached
 //     UDF against freshly-prepared state, forward to the local storage

@@ -277,7 +277,8 @@ type Feed struct {
 func (f *Feed) Stats() FeedStats { return f.stats.snapshot() }
 
 // Buffered reports the frames currently ringed in intake memory — the
-// bounded-intake gauge (never exceeds partitions × ring capacity).
+// bounded-intake gauge (never exceeds partitions × ring capacity), and
+// the whole intake buffer: adapters push straight into the rings.
 func (f *Feed) Buffered() int {
 	frames := 0
 	for _, h := range f.intakeHolders {
@@ -526,10 +527,7 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	}
 
 	// Intake job (long-running).
-	intakeSpec, err := f.buildIntakeSpec()
-	if err == nil {
-		f.intakeJob, err = c.StartJob(jobCtx, intakeSpec)
-	}
+	f.intakeJob, err = c.StartJob(jobCtx, f.buildIntakeSpec())
 	if err != nil {
 		return nil, err
 	}
@@ -537,7 +535,8 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	// Watchdogs: a storage-job failure must tear the feed down, or the
 	// AFM would block pushing batches into dead storage holders; an
 	// intake-job failure (spill lane exhausted, partition down) must
-	// too, or the AFM would wait forever for frames that cannot come.
+	// too. However the intake job ends, after its last adapter, its
+	// error is recorded and then the intake holders' input is closed.
 	if f.storageJob != nil {
 		go func() {
 			if werr := f.storageJob.Wait(); werr != nil {
@@ -546,8 +545,9 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 		}()
 	}
 	go func() {
-		if werr := f.intakeJob.Wait(); werr != nil {
-			f.fail(werr)
+		f.fail(f.intakeJob.Wait())
+		for _, h := range f.intakeHolders {
+			h.CloseInput()
 		}
 	}()
 
@@ -566,12 +566,13 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	return f, nil
 }
 
-// buildIntakeSpec assembles adapter sources → round-robin → passive
-// intake holders. Resumable adapters run from their slot's recovered
-// checkpoint and stamp offset provenance onto every frame.
-func (f *Feed) buildIntakeSpec() (*hyracks.JobSpec, error) {
+// buildIntakeSpec assembles the intake job: adapters alone, each pushing
+// its frames round-robin straight into the intake holders (holderWriter),
+// whose rings are the intake's only queue. Resumable adapters run from
+// their slot's recovered checkpoint and stamp offset provenance onto
+// every frame.
+func (f *Feed) buildIntakeSpec() *hyracks.JobSpec {
 	spec := hyracks.NewJobSpec()
-	spec.QueueCapacity = f.cluster.Tuning().HolderCapacity
 	cfg := f.cfg
 	// The collector consumes whole frames (PullFrames never splits one),
 	// which makes the intake frame size the batch-size granularity: cap
@@ -581,7 +582,7 @@ func (f *Feed) buildIntakeSpec() (*hyracks.JobSpec, error) {
 	if f.quota < intakeCap {
 		intakeCap = f.quota
 	}
-	adapterOp := spec.AddOperator(&hyracks.Descriptor{
+	spec.AddOperator(&hyracks.Descriptor{
 		Name:        "adapter",
 		Parallelism: cfg.Adapters,
 		NewSource: func(p int) (hyracks.Source, error) {
@@ -589,14 +590,11 @@ func (f *Feed) buildIntakeSpec() (*hyracks.JobSpec, error) {
 			if err != nil {
 				return nil, err
 			}
-			return hyracks.SourceFunc(func(tc *hyracks.TaskContext, out hyracks.Writer) error {
-				if err := out.Open(); err != nil {
-					return err
-				}
+			return hyracks.SourceFunc(func(tc *hyracks.TaskContext, _ hyracks.Writer) error {
 				// Every emit is staged into the frame's pooled line arena
 				// (one memcpy, no per-record allocation) and rides the
 				// raw lane to the collector's parser.
-				b := hyracks.NewFrameBuilder(intakeCap, out)
+				b := hyracks.NewFrameBuilder(intakeCap, &holderWriter{ctx: tc.Ctx, holders: f.intakeHolders})
 				var err error
 				if ra, ok := adapter.(ResumableAdapter); ok {
 					// Resume past everything already checkpointed; each
@@ -618,15 +616,7 @@ func (f *Feed) buildIntakeSpec() (*hyracks.JobSpec, error) {
 			}), nil
 		},
 	})
-	holderOp := spec.AddOperator(&hyracks.Descriptor{
-		Name:        "intake-partition-holder",
-		Parallelism: len(f.nodes),
-		NewPipe: func(p int) (hyracks.Pipe, error) {
-			return f.intakeHolders[p], nil
-		},
-	})
-	spec.Connect(adapterOp, holderOp, hyracks.RoundRobin, nil)
-	return spec, nil
+	return spec
 }
 
 // buildStorageSpec assembles storage holders (each heading the job as
@@ -1107,7 +1097,7 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 					return nil
 				}
 				if !f.cfg.FusedInsert {
-					out = holderWriter{ctx: tc.Ctx, sunk: &f.sunk, holder: f.storageHolders[p]}
+					out = &holderWriter{ctx: tc.Ctx, holders: f.storageHolders[p : p+1], sunk: &f.sunk}
 				}
 				frames, eof, err := f.intakeHolders[p].PullFrames(tc.Ctx, f.quota)
 				if err != nil {
@@ -1162,21 +1152,27 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 	return spec
 }
 
-// holderWriter is a collector's output in the decoupled pipeline: it
-// hands each frame to the node's storage holder, counting its records in
-// sunk first — once pushed the frame is owned downstream, and the
-// checkpoint barrier needs sunk >= every record ever handed to storage.
+// holderWriter pushes each frame into the next of its holders: an
+// adapter's rotates over the intake holders, a collector's has its node's
+// storage holder and counts each frame's records in sunk first — once
+// pushed the frame is owned downstream, and the checkpoint barrier needs
+// sunk >= every record ever handed to storage.
 type holderWriter struct {
-	ctx    context.Context
-	sunk   *atomic.Int64
-	holder *hyracks.PassiveHolder
+	ctx     context.Context
+	holders []*hyracks.PassiveHolder
+	next    int           // the holder the next frame goes to
+	sunk    *atomic.Int64 // nil on the intake side
 }
 
-func (w holderWriter) Open() error  { return nil }
-func (w holderWriter) Close() error { return nil }
-func (w holderWriter) Push(fr hyracks.Frame) error {
-	w.sunk.Add(int64(fr.Len()))
-	return w.holder.PushFrame(w.ctx, fr)
+func (w *holderWriter) Open() error  { return nil }
+func (w *holderWriter) Close() error { return nil }
+func (w *holderWriter) Push(fr hyracks.Frame) error {
+	if w.sunk != nil {
+		w.sunk.Add(int64(fr.Len()))
+	}
+	h := w.holders[w.next]
+	w.next = (w.next + 1) % len(w.holders)
+	return h.PushFrame(w.ctx, fr)
 }
 
 // runAFM is the Active Feed Manager loop: keep invoking computing jobs

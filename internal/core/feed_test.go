@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -547,33 +548,76 @@ func TestFeedParseErrorsAreCountedNotFatal(t *testing.T) {
 	}
 }
 
+// TestFeedBalancedIntake: a feed with as many adapters as nodes stores
+// every record of the sharded stream. In the uneven arm the adapters end
+// far apart — one has nothing to emit, one starts emitting only after
+// all the others have returned — so the intake holders must close after
+// the last adapter, not the first.
 func TestFeedBalancedIntake(t *testing.T) {
-	c, g := testCluster(t, 4)
-	const n = 800
-	all := g.Tweets(0, n)
-	cfg := Config{
-		Name:      "balanced",
-		Dataset:   "Tweets",
-		Adapters:  4,
-		BatchSize: 128,
-		NewAdapter: func(i int) (Adapter, error) {
+	const adapters, n = 4, 800
+	run := func(t *testing.T, newAdapter func(i int, all [][]byte) Adapter) {
+		c, g := testCluster(t, adapters)
+		all := g.Tweets(0, n)
+		cfg := Config{
+			Name:      "balanced",
+			Dataset:   "Tweets",
+			Adapters:  adapters,
+			BatchSize: 128,
+			NewAdapter: func(i int) (Adapter, error) {
+				return newAdapter(i, all), nil
+			},
+		}
+		f, err := Start(context.Background(), c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		ds, _ := c.Dataset("Tweets")
+		if liveLen(t, ds) != n {
+			t.Errorf("stored %d, want %d", liveLen(t, ds), n)
+		}
+	}
+	t.Run("even", func(t *testing.T) {
+		run(t, func(i int, all [][]byte) Adapter {
 			// Shard the stream across the adapters.
 			var shard [][]byte
-			for j := i; j < n; j += 4 {
+			for j := i; j < n; j += adapters {
 				shard = append(shard, all[j])
 			}
-			return &GeneratorAdapter{Records: shard}, nil
-		},
-	}
-	f, err := Start(context.Background(), c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	ds, _ := c.Dataset("Tweets")
-	if liveLen(t, ds) != n {
-		t.Errorf("stored %d, want %d", liveLen(t, ds), n)
-	}
+			return &GeneratorAdapter{Records: shard}
+		})
+	})
+	t.Run("uneven", func(t *testing.T) {
+		// Adapter 0 has no records, 1 and 2 a quarter of the stream each,
+		// and 3 the last half, which it emits slowly once 0–2 have all
+		// returned.
+		var others sync.WaitGroup
+		others.Add(adapters - 1)
+		run(t, func(i int, all [][]byte) Adapter {
+			if i == adapters-1 {
+				return adapterFunc(func(ctx context.Context, emit func([]byte) error) error {
+					others.Wait()
+					for j, rec := range all[n/2:] {
+						if j%50 == 0 {
+							time.Sleep(time.Millisecond)
+						}
+						if err := emit(rec); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			}
+			var shard [][]byte
+			if i > 0 {
+				shard = all[(i-1)*n/4 : i*n/4]
+			}
+			return adapterFunc(func(ctx context.Context, emit func([]byte) error) error {
+				defer others.Done()
+				return (&GeneratorAdapter{Records: shard}).Run(ctx, emit)
+			})
+		})
+	})
 }

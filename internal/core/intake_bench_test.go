@@ -11,19 +11,6 @@ import (
 	"github.com/ideadb/idea/internal/query"
 )
 
-// pushWriter bridges a FrameBuilder to a PassiveHolder for the intake
-// micro-benchmark.
-type pushWriter struct {
-	ctx context.Context
-	h   *hyracks.PassiveHolder
-}
-
-func (w *pushWriter) Open() error { return nil }
-func (w *pushWriter) Push(f hyracks.Frame) error {
-	return w.h.PushFrame(w.ctx, f)
-}
-func (w *pushWriter) Close() error { return nil }
-
 // BenchmarkIntakePath measures the intake→parse half of the feed in
 // isolation: adapter bytes ride raw frames through a partition holder
 // and come out as parsed ADM records — no UDF, no storage, no cluster
@@ -47,7 +34,7 @@ func BenchmarkIntakePath(b *testing.B) {
 		h := hyracks.NewPassiveHolder(64)
 		adapter := &GeneratorAdapter{Records: records}
 		go func() {
-			builder := hyracks.NewFrameBuilder(128, &pushWriter{ctx: ctx, h: h})
+			builder := hyracks.NewFrameBuilder(128, &holderWriter{ctx: ctx, holders: []*hyracks.PassiveHolder{h}})
 			if err := adapter.Run(ctx, builder.AddRawCopy); err != nil {
 				b.Error(err)
 				return

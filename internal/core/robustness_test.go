@@ -57,11 +57,26 @@ func slowRegistry(t *testing.T, perRecord time.Duration) *udf.Registry {
 // producer against a deliberately slow consumer on a tiny ring (run
 // under -race in CI): intake memory must stay bounded by the ring, and
 // the policy's loss accounting must be exact — Spill loses nothing,
-// Shed/Sample drop counts plus stored records add up to the input.
+// Shed/Sample drop counts plus stored records add up to the input. Each
+// policy also runs with two adapters sharding the stream, so the
+// holders' policy state (the spill lane, the sample accumulator) sees
+// concurrent pushers.
 func TestIntakePolicyHammer(t *testing.T) {
 	const n = 2000
+	type arm struct {
+		policy   string
+		adapters int
+	}
+	var arms []arm
 	for _, policy := range []string{"spill", "shed", "sample"} {
-		t.Run(policy, func(t *testing.T) {
+		arms = append(arms, arm{policy, 1}, arm{policy, 2})
+	}
+	for _, a := range arms {
+		policy, name := a.policy, a.policy
+		if a.adapters > 1 {
+			name = fmt.Sprintf("%s-%d-adapters", policy, a.adapters)
+		}
+		t.Run(name, func(t *testing.T) {
 			tuning := cluster.DefaultTuning()
 			tuning.DispatchOverheadPerNode = 0
 			tuning.InvokeOverheadPerNode = 0
@@ -75,16 +90,18 @@ func TestIntakePolicyHammer(t *testing.T) {
 				t.Fatal(err)
 			}
 			records := eventRecords(n)
+			shard := n / a.adapters
 			cfg := Config{
-				Name:       "hammer-" + policy,
+				Name:       "hammer-" + name,
 				Dataset:    "Events",
 				Function:   "slowpoke",
 				Natives:    slowRegistry(t, 20*time.Microsecond),
 				BatchSize:  64,
 				Congestion: policy,
 				SampleRate: 0.25,
-				NewAdapter: func(int) (Adapter, error) {
-					return &GeneratorAdapter{Records: records}, nil
+				Adapters:   a.adapters,
+				NewAdapter: func(i int) (Adapter, error) {
+					return &GeneratorAdapter{Records: records[i*shard : (i+1)*shard]}, nil
 				},
 			}
 			f, err := Start(context.Background(), c, cfg)
@@ -149,6 +166,93 @@ func TestIntakePolicyHammer(t *testing.T) {
 				t.Errorf("drained feed still buffers %d ring / %d spilled frames", f.Buffered(), f.SpillBacklog())
 			}
 		})
+	}
+}
+
+// TestBackpressureHoldsOnlyTheRing: the intake holders' rings are the
+// whole intake buffer. With every collector stalled in its function
+// after its first pull, a backpressure feed's adapter can run ahead of
+// the consumers by the rings, the frames those pulls took and the frame
+// it is filling — and no further: no queue sits between an adapter and
+// a ring.
+func TestBackpressureHoldsOnlyTheRing(t *testing.T) {
+	const n = 2000
+	tuning := cluster.DefaultTuning()
+	tuning.DispatchOverheadPerNode = 0
+	tuning.InvokeOverheadPerNode = 0
+	tuning.HolderCapacity = 4
+	tuning.FrameCapacity = 8
+	c, err := cluster.New(2, tuning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.CreateDataset("Events", "", "id"); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	reg := udf.NewRegistry()
+	if err := reg.Register(&udf.Native{
+		Name: "blocker",
+		New: func() udf.Instance {
+			return &udf.FuncInstance{EvalFn: func(rec adm.Value) (adm.Value, error) {
+				<-release
+				return rec, nil
+			}}
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	records := eventRecords(n)
+	var emitted atomic.Int64
+	// BatchSize 16 on two nodes is a quota of 8 records: one frame per
+	// pull.
+	const batch, framesPerPull = 16, 1
+	f, err := Start(context.Background(), c, Config{
+		Name:       "ring-only",
+		Dataset:    "Events",
+		Function:   "blocker",
+		Natives:    reg,
+		BatchSize:  batch,
+		Congestion: "backpressure",
+		NewAdapter: func(int) (Adapter, error) {
+			return adapterFunc(func(ctx context.Context, emit func([]byte) error) error {
+				for _, rec := range records {
+					if err := emit(rec); err != nil {
+						return err
+					}
+					emitted.Add(1)
+				}
+				return nil
+			}), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wait for the adapter to stop making progress.
+	last, still := int64(-1), 0
+	for deadline := time.Now().Add(20 * time.Second); still < 20; still++ {
+		if now := emitted.Load(); now != last {
+			last, still = now, 0
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("adapter never stalled: %d of %d records emitted", last, n)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	bound := int64((c.NumNodes()*(tuning.HolderCapacity+framesPerPull) + 1) * tuning.FrameCapacity)
+	t.Logf("adapter stalled after %d records (bound %d)", last, bound)
+	if last > bound {
+		t.Errorf("stalled feed let the adapter emit %d records ahead of its consumers, bound is %d", last, bound)
+	}
+	close(release)
+	if err := f.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Stats().Stored; got != n {
+		t.Errorf("stored %d, want %d", got, n)
 	}
 }
 

@@ -206,9 +206,9 @@ var arenaPool = sync.Pool{}
 func GetArena() *adm.Arena { return getArena(defaultArenaBytes) }
 
 // getArena is GetArena with the byte capacity a fresh arena should start
-// at. Each of the ~300 frames a feed has in flight warms up its own
-// arena, so starting one at the size its frame will need saves the
-// doublings that would get it there.
+// at. Each raw frame a feed has in flight (up to a ring per node, plus
+// those pulled or being filled) warms up its own arena, so starting one
+// at the size its frame will need saves the doublings to get there.
 func getArena(size int) *adm.Arena {
 	if v := arenaPool.Get(); v != nil {
 		return v.(*adm.Arena)

@@ -103,9 +103,10 @@ type HolderOptions struct {
 // that frames can cross job boundaries. The paper's two kinds are the
 // two ways a job attaches to one:
 //
-//   - passive: the owning job pushes frames in (the holder is its sink,
-//     a Pipe) and other jobs pull batches out with PullFrames. The
-//     intake job ends in one so computing jobs can collect their input.
+//   - passive: the owning job's instances push frames in with
+//     PushFrame and other jobs pull batches out with PullFrames. The
+//     intake job's adapters push into one on every node so computing
+//     jobs can collect their input; its ring is the intake's only queue.
 //   - active: the holder heads its own job (Run makes it the job's
 //     Source) and other jobs push frames in with PushFrame. The storage
 //     job starts at one, fed by the computing jobs' sinks.
@@ -120,13 +121,13 @@ type HolderOptions struct {
 // never a panic, never a silent drop (Shed/Sample drops are deliberate
 // and routed to OnDrop).
 //
-// FIFO across the two lanes: ring frames are always older than spilled
-// frames. A producer spills whenever the spill lane is non-empty (even
-// if the ring has room again) and the consumer drains the ring before
-// unspilling, so order is preserved end to end. This holds under the
-// holders' actual concurrency: one pushing goroutine (the intake job's
-// holder task) and one pulling goroutine (the collector; invocations
-// run sequentially).
+// FIFO across the two lanes: a pusher's ring frames are always older
+// than its spilled frames. A producer spills whenever the spill lane is
+// non-empty (even if the ring has room again) and the consumer drains
+// the ring before unspilling, so each pusher's frames drain in the order
+// it pushed them. An intake holder has one pushing goroutine per adapter
+// of its feed, whose frames interleave, and one pulling goroutine (the
+// collector; invocations run sequentially).
 type PassiveHolder struct {
 	queue    chan Frame
 	done     chan struct{}
@@ -135,13 +136,12 @@ type PassiveHolder struct {
 
 	opts HolderOptions
 
-	// spillMu serializes spill-lane access between the producer's
-	// overflow path and the consumer's unspill; spillC (cap 1) wakes a
-	// blocked consumer when the lane becomes non-empty.
-	spillMu sync.Mutex
-	spillC  chan struct{}
-	// sampleAcc is the Sample policy's keep accumulator; touched only
-	// by the single pushing goroutine.
+	// spillMu serializes the policies' state across pushers: the spill
+	// lane (the consumer's unspill too) and sampleAcc, the Sample keep
+	// accumulator. spillC (cap 1) wakes a blocked consumer when the lane
+	// becomes non-empty.
+	spillMu   sync.Mutex
+	spillC    chan struct{}
 	sampleAcc float64
 
 	// Failure poisoning (partition failover): failedC closes once and
@@ -183,23 +183,8 @@ func NewPassiveHolderOpts(opts HolderOptions) *PassiveHolder {
 	}
 }
 
-// Open implements Pipe.
-func (h *PassiveHolder) Open(*TaskContext, Writer) error { return nil }
-
-// Push implements Pipe: PushFrame under the task's context.
-func (h *PassiveHolder) Push(tc *TaskContext, f Frame, _ Writer) error {
-	return h.PushFrame(tc.Ctx, f)
-}
-
-// Close implements Pipe: marks end of input. Pulls drain the ring and
-// spill lane, then report EOF.
-func (h *PassiveHolder) Close(*TaskContext, Writer) error {
-	h.CloseInput()
-	return nil
-}
-
-// CloseInput marks the holder's input as finished (the "EOF record" of
-// the paper's stop-feed protocol). Idempotent.
+// CloseInput marks the holder's input as finished once every pusher is
+// done (the paper's stop-feed "EOF record"). Idempotent.
 func (h *PassiveHolder) CloseInput() {
 	h.once.Do(func() { close(h.done) })
 }
@@ -331,9 +316,14 @@ func (h *PassiveHolder) pushSample(ctx context.Context, f Frame) error {
 		return nil
 	default:
 	}
+	h.spillMu.Lock()
 	h.sampleAcc += h.opts.SampleRate
-	if h.sampleAcc >= 1 {
+	keep := h.sampleAcc >= 1
+	if keep {
 		h.sampleAcc--
+	}
+	h.spillMu.Unlock()
+	if keep {
 		return h.pushBlocking(ctx, f)
 	}
 	h.drop(f, true)
@@ -448,7 +438,8 @@ func (h *PassiveHolder) Run(tc *TaskContext, out Writer) error {
 
 // Pending reports frames ringed in memory (indicative only; a frame
 // holds many records). Spilled frames are NOT included — Pending is the
-// bounded-intake gauge, never exceeding the ring capacity.
+// bounded-intake gauge, never exceeding the ring capacity; nothing
+// queues in front of the ring, so it is the whole intake buffer.
 func (h *PassiveHolder) Pending() int { return len(h.queue) }
 
 // SpilledPending reports frames currently parked in the spill lane.

@@ -199,30 +199,39 @@ func TestHolderManager(t *testing.T) {
 }
 
 // TestIntakeComputeStoragePattern wires the paper's three-job layering
-// in miniature: an intake job ends in holders; computing "invocations"
-// pull batches and push them into a holder heading a storage job.
+// in miniature: intake adapters push frames round-robin straight into
+// the holders and close their input once the last adapter is done;
+// computing "invocations" pull batches and push them into a holder
+// heading a storage job.
 func TestIntakeComputeStoragePattern(t *testing.T) {
 	ctx := context.Background()
-	const total = 500
+	const total, adapters, frameCap = 500, 2, 16
 
-	// Intake job: source → round robin → holders (2 partitions).
-	intake := NewJobSpec()
-	isrc := intake.AddOperator(&Descriptor{
-		Name: "adapter", Parallelism: 1,
-		NewSource: func(int) (Source, error) {
-			return &SliceSource{Records: intRecords(total), FrameCap: 16}, nil
-		},
-	})
+	// Intake: two adapters → holders (2 partitions), no queue between.
 	holders := []*PassiveHolder{NewPassiveHolder(16), NewPassiveHolder(16)}
-	ih := intake.AddOperator(&Descriptor{
-		Name: "intake-holder", Parallelism: 2,
-		NewPipe: func(p int) (Pipe, error) { return holders[p], nil },
-	})
-	intake.Connect(isrc, ih, RoundRobin, nil)
-	intakeJob, err := intake.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
+	intakeErr := make(chan error, adapters)
+	var pushers sync.WaitGroup
+	for a := 0; a < adapters; a++ {
+		pushers.Add(1)
+		go func() {
+			defer pushers.Done()
+			// Each frame owns its spine: the consumer recycles it.
+			for sent, next := 0, a; sent < total/adapters; sent, next = sent+frameCap, next+1 {
+				fr := Frame{Records: intRecords(min(frameCap, total/adapters-sent))}
+				if err := holders[next%len(holders)].PushFrame(ctx, fr); err != nil {
+					intakeErr <- err
+					return
+				}
+			}
+		}()
 	}
+	go func() {
+		pushers.Wait()
+		for _, h := range holders {
+			h.CloseInput()
+		}
+		close(intakeErr)
+	}()
 
 	// Storage job: holder → collector.
 	storageHolder := NewPassiveHolder(16)
@@ -262,7 +271,7 @@ func TestIntakeComputeStoragePattern(t *testing.T) {
 			}
 		}
 	}
-	if err := intakeJob.Wait(); err != nil {
+	if err := <-intakeErr; err != nil {
 		t.Fatal(err)
 	}
 	storageHolder.CloseInput()

@@ -16,7 +16,7 @@ const (
 	// match).
 	OneToOne Routing = iota
 	// RoundRobin spreads frames evenly over target partitions — the
-	// intake job uses it so expensive UDF work is balanced (Section 6.2).
+	// static pipeline uses it so UDF work is balanced (Section 6.2).
 	RoundRobin
 	// Partitioned sends each frame whole to the target partition its
 	// Part names — the storage exchange, into the partition that owns
@@ -75,8 +75,8 @@ type connectorSpec struct {
 type JobSpec struct {
 	ops        []*Descriptor
 	connectors []connectorSpec
-	// QueueCapacity bounds each connector channel (frames); this is the
-	// backpressure knob.
+	// QueueCapacity bounds each connector channel (frames); a feed's
+	// backpressure knob is its holders' rings.
 	QueueCapacity int
 }
 
