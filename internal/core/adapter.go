@@ -22,6 +22,7 @@ package core
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -106,8 +107,10 @@ func (a *ChannelAdapter) Run(ctx context.Context, emit func([]byte) error) error
 
 // SocketAdapter listens on a TCP socket and emits newline-delimited
 // records — the paper's socket_adapter. It serves any number of
-// sequential or concurrent connections; Run ends when the listener is
-// closed (StopFeed) or ctx is canceled.
+// sequential or concurrent connections. Run ends once the listener is
+// closed — by Stop, or when ctx ends — and every open connection has
+// ended. Connections are read to EOF, unless ctx ends hard: any cause
+// but the feed's Stop cuts them, so a failed feed waits for no client.
 type SocketAdapter struct {
 	// Addr is the listen address, e.g. "127.0.0.1:10001".
 	Addr string
@@ -125,10 +128,7 @@ func (a *SocketAdapter) Run(ctx context.Context, emit func([]byte) error) error 
 	a.mu.Lock()
 	a.ln = ln
 	a.mu.Unlock()
-	go func() {
-		<-ctx.Done()
-		a.Stop()
-	}()
+	defer context.AfterFunc(ctx, a.Stop)()
 
 	var wg sync.WaitGroup
 	var emitMu sync.Mutex // serialize emits across connections
@@ -143,6 +143,11 @@ func (a *SocketAdapter) Run(ctx context.Context, emit func([]byte) error) error 
 		go func(conn net.Conn) {
 			defer wg.Done()
 			defer conn.Close()
+			defer context.AfterFunc(ctx, func() {
+				if !errors.Is(context.Cause(ctx), errStopped) {
+					conn.Close()
+				}
+			})()
 			sc := bufio.NewScanner(conn)
 			sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 			for sc.Scan() {

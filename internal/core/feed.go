@@ -250,25 +250,24 @@ type Feed struct {
 	sunk       atomic.Int64
 	storedBase int64
 
-	jobCtx    context.Context
-	jobCancel context.CancelFunc
-	adaptCtx  context.Context
-	adaptStop context.CancelFunc
-	afmDone   chan struct{}
+	// ctx is the feed's context: every job runs under it, and its cause
+	// is the feed's first failure (fail), which nothing later
+	// overwrites. adapters is its child the adapters run under; Stop
+	// cancels only that, the one graceful end.
+	ctx      context.Context
+	cancel   context.CancelCauseFunc
+	adapters context.Context
+	stop     context.CancelCauseFunc
+	// done closes once the supervisor (run) has torn the feed down;
+	// doneErr is then the feed's error.
+	done    chan struct{}
+	doneErr error
+
 	computeID string
 	frameCap  int
 	quota     int
 
-	stats   *feedCounters
-	errOnce sync.Once
-	// feedErr holds the first pipeline failure. It is written once by
-	// fail() — which runs on the AFM goroutine and the intake/storage
-	// watchdogs — and read by waitInner, so it must be an atomic, not a
-	// plain field guarded only on the write side.
-	feedErr atomic.Pointer[error]
-
-	waitOnce sync.Once
-	waitErr  error
+	stats *feedCounters
 }
 
 // Stats returns the feed's counters. The gauges and Running are left
@@ -440,8 +439,8 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	if stats == nil {
 		stats = &feedCounters{st: FeedStats{Name: cfg.Name}}
 	}
-	jobCtx, jobCancel := context.WithCancel(ctx)
-	adaptCtx, adaptStop := context.WithCancel(jobCtx)
+	ctx, cancel := context.WithCancelCause(ctx)
+	adapters, stop := context.WithCancelCause(ctx)
 	f := &Feed{
 		cfg:       cfg,
 		cluster:   c,
@@ -450,11 +449,11 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 		plan:      plan,
 		native:    native,
 		nodes:     cfg.Nodes,
-		jobCtx:    jobCtx,
-		jobCancel: jobCancel,
-		adaptCtx:  adaptCtx,
-		adaptStop: adaptStop,
-		afmDone:   make(chan struct{}),
+		ctx:       ctx,
+		cancel:    cancel,
+		adapters:  adapters,
+		stop:      stop,
+		done:      make(chan struct{}),
 		computeID: cfg.Name + "-compute",
 		frameCap:  tuning.FrameCapacity,
 		eof:       make([]atomic.Bool, n),
@@ -468,7 +467,7 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	defer func() {
 		if err != nil {
 			f.teardownHolders()
-			jobCancel()
+			cancel(err)
 		}
 	}()
 	f.quota = cfg.BatchSize / n
@@ -520,36 +519,17 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	// storage into each computing job instead.
 	if !cfg.FusedInsert {
 		storageSpec := f.buildStorageSpec()
-		f.storageJob, err = c.StartJob(jobCtx, storageSpec)
+		f.storageJob, err = c.StartJob(ctx, storageSpec)
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	// Intake job (long-running).
-	f.intakeJob, err = c.StartJob(jobCtx, f.buildIntakeSpec())
+	f.intakeJob, err = c.StartJob(ctx, f.buildIntakeSpec())
 	if err != nil {
 		return nil, err
 	}
-
-	// Watchdogs: a storage-job failure must tear the feed down, or the
-	// AFM would block pushing batches into dead storage holders; an
-	// intake-job failure (spill lane exhausted, partition down) must
-	// too. However the intake job ends, after its last adapter, its
-	// error is recorded and then the intake holders' input is closed.
-	if f.storageJob != nil {
-		go func() {
-			if werr := f.storageJob.Wait(); werr != nil {
-				f.fail(werr)
-			}
-		}()
-	}
-	go func() {
-		f.fail(f.intakeJob.Wait())
-		for _, h := range f.intakeHolders {
-			h.CloseInput()
-		}
-	}()
 
 	// Predeploy the computing job template, then let the AFM invoke it
 	// per batch (unless the predeploy ablation is off). The spec
@@ -562,7 +542,7 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 		}
 		f.computeSpec = f.buildComputeSpec()
 	}
-	go f.runAFM()
+	go f.run()
 	return f, nil
 }
 
@@ -591,6 +571,11 @@ func (f *Feed) buildIntakeSpec() *hyracks.JobSpec {
 				return nil, err
 			}
 			return hyracks.SourceFunc(func(tc *hyracks.TaskContext, _ hyracks.Writer) error {
+				// The adapter runs until Stop, or until its job ends: a
+				// sibling's failure cancels tc.Ctx, and so does the feed's.
+				ctx, cancel := context.WithCancel(f.adapters)
+				defer cancel()
+				defer context.AfterFunc(tc.Ctx, cancel)()
 				// Every emit is staged into the frame's pooled line arena
 				// (one memcpy, no per-record allocation) and rides the
 				// raw lane to the collector's parser.
@@ -602,17 +587,20 @@ func (f *Feed) buildIntakeSpec() *hyracks.JobSpec {
 					// provenance the checkpointer needs.
 					b.SetAdapter(p)
 					from := f.trackers[p].cut()
-					err = ra.RunFrom(f.adaptCtx, from, func(off uint64, raw []byte) error {
+					err = ra.RunFrom(ctx, from, func(off uint64, raw []byte) error {
 						b.NoteOffset(off)
 						return b.AddRawCopy(raw)
 					})
 				} else {
-					err = adapter.Run(f.adaptCtx, b.AddRawCopy)
+					err = adapter.Run(ctx, b.AddRawCopy)
 				}
-				if err != nil && !(errors.Is(err, context.Canceled) && f.adaptCtx.Err() != nil) {
-					return err
+				if err == nil || (errors.Is(err, context.Canceled) && ctx.Err() != nil) {
+					err = b.Flush()
 				}
-				return b.Flush()
+				if err != nil {
+					return fmt.Errorf("slot %d: %w", p, err)
+				}
+				return nil
 			}), nil
 		},
 	})
@@ -1175,11 +1163,49 @@ func (w *holderWriter) Push(fr hyracks.Frame) error {
 	return h.PushFrame(w.ctx, fr)
 }
 
+// run is the feed's supervisor. It watches the intake and storage jobs,
+// whose failure fails the feed at once, so no stage waits on one that
+// is gone; it runs the Active Feed Manager loop, closes the storage
+// input, waits for both jobs, takes the final checkpoint after a clean
+// drain, tears the feed down and records the feed's error: the cause of
+// its context, nil unless it failed.
+func (f *Feed) run() {
+	// The intake holders close once the last adapter has returned, after
+	// the intake job's error is recorded: their EOF ends the AFM loop.
+	go func() {
+		f.fail(f.intakeJob.Wait())
+		for _, h := range f.intakeHolders {
+			h.CloseInput()
+		}
+	}()
+	if f.storageJob != nil {
+		go func() { f.fail(f.storageJob.Wait()) }()
+	}
+	f.runAFM()
+	for _, sh := range f.storageHolders {
+		sh.CloseInput()
+	}
+	f.fail(f.intakeJob.Wait())
+	if f.storageJob != nil {
+		f.fail(f.storageJob.Wait())
+	}
+	// Final checkpoint: after a clean drain everything sunk is stored,
+	// so the barrier is already satisfied and the last watermark covers
+	// the whole stream.
+	if f.ctx.Err() == nil {
+		f.checkpoint()
+	}
+	f.teardownHolders()
+	f.cluster.Undeploy(f.computeID)
+	f.doneErr = context.Cause(f.ctx)
+	f.cancel(nil)
+	close(f.done)
+}
+
 // runAFM is the Active Feed Manager loop: keep invoking computing jobs
-// while any intake partition still has data, checkpointing delivered
-// offsets between batches, then shut the storage job down.
+// while any intake partition still has data and the feed has not
+// failed, checkpointing delivered offsets between batches.
 func (f *Feed) runAFM() {
-	defer close(f.afmDone)
 	// The manager keeps a stopped feed around for its final counters;
 	// its enrichment state must not stay reachable with it.
 	defer func() {
@@ -1191,29 +1217,28 @@ func (f *Feed) runAFM() {
 		ckptEvery = 1
 	}
 	sinceCkpt := 0
-	for f.jobCtx.Err() == nil && !f.allEOF() {
+	for f.ctx.Err() == nil && !f.allEOF() {
 		start := time.Now()
 		inv, err := f.newInvocation()
 		if err != nil {
 			f.fail(err)
-			break
+			return
 		}
 		f.curInv.Store(inv)
 		var job *hyracks.Job
 		if f.cfg.RecompilePerBatch {
 			// Ablation: rebuild the whole spec skeleton per batch, the
 			// cost the predeployed path caches away.
-			job, err = f.cluster.StartJob(f.jobCtx, f.buildComputeSpec())
+			job, err = f.cluster.StartJob(f.ctx, f.buildComputeSpec())
 		} else {
-			job, err = f.cluster.InvokePredeployed(f.jobCtx, f.computeID, f.computeSpec)
+			job, err = f.cluster.InvokePredeployed(f.ctx, f.computeID, f.computeSpec)
+		}
+		if err == nil {
+			err = job.Wait()
 		}
 		if err != nil {
 			f.fail(err)
-			break
-		}
-		if err := job.Wait(); err != nil {
-			f.fail(err)
-			break
+			return
 		}
 		f.stats.mu.Lock()
 		f.stats.st.Invocations++
@@ -1223,9 +1248,6 @@ func (f *Feed) runAFM() {
 			sinceCkpt = 0
 			f.checkpoint()
 		}
-	}
-	for _, sh := range f.storageHolders {
-		sh.CloseInput()
 	}
 }
 
@@ -1245,7 +1267,7 @@ func (f *Feed) runAFM() {
 func (f *Feed) storageBarrier() bool {
 	target := f.sunk.Load()
 	for f.stats.snapshot().Stored-f.storedBase < target {
-		if f.jobCtx.Err() != nil {
+		if f.ctx.Err() != nil {
 			return false
 		}
 		time.Sleep(50 * time.Microsecond)
@@ -1294,62 +1316,29 @@ func (f *Feed) allEOF() bool {
 	return true
 }
 
+// fail ends the feed with err as its error, unless it has one already.
 func (f *Feed) fail(err error) {
-	if err == nil {
-		return
+	if err != nil {
+		f.cancel(err)
 	}
-	f.errOnce.Do(func() { f.feedErr.Store(&err) })
-	f.jobCancel()
 }
 
-// err returns the first recorded pipeline failure, or nil.
-func (f *Feed) err() error {
-	if p := f.feedErr.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+// errStopped is the cause Stop cancels the adapters with: the graceful
+// end, which lets a socket drain its open connections.
+var errStopped = errors.New("core: feed stopped")
 
 // Stop gracefully ends the feed: adapters stop taking new data, the
 // remaining batches drain, then the storage job finishes.
-func (f *Feed) Stop() { f.adaptStop() }
+func (f *Feed) Stop() { f.stop(errStopped) }
 
-// Wait blocks until the whole pipeline has drained and returns the first
-// error. For generator-backed feeds it returns once all generated data
-// is stored; socket/channel feeds need Stop first. Safe to call from
-// multiple goroutines (the manager's failover watcher and StopFeed both
-// wait); every caller gets the same result.
+// Wait blocks until the feed has gone down and returns its error: the
+// first failure of any stage, or the parent context's cause. For
+// generator-backed feeds it returns once all generated data is stored;
+// socket/channel feeds need Stop first. Any number of goroutines may
+// wait; every one gets the same result.
 func (f *Feed) Wait() error {
-	f.waitOnce.Do(func() { f.waitErr = f.waitInner() })
-	return f.waitErr
-}
-
-func (f *Feed) waitInner() error {
-	intakeErr := f.intakeJob.Wait()
-	<-f.afmDone
-	var storageErr error
-	if f.storageJob != nil {
-		storageErr = f.storageJob.Wait()
-	}
-	// Final checkpoint: after a clean drain everything sunk is stored,
-	// so the barrier is already satisfied and the last watermark covers
-	// the whole stream.
-	if f.err() == nil && intakeErr == nil && storageErr == nil {
-		f.checkpoint()
-	}
-	f.teardownHolders()
-	f.cluster.Undeploy(f.computeID)
-	f.jobCancel()
-	switch {
-	// Re-read after checkpoint: a failed final checkpoint records its
-	// error through fail() and must surface here.
-	case f.err() != nil:
-		return f.err()
-	case intakeErr != nil:
-		return intakeErr
-	default:
-		return storageErr
-	}
+	<-f.done
+	return f.doneErr
 }
 
 func (f *Feed) teardownHolders() {

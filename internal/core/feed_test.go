@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"slices"
 	"sync"
 	"testing"
@@ -442,18 +441,7 @@ func TestSocketAdapterFeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Give the listener a moment, then send records.
-	var conn net.Conn
-	for i := 0; i < 100; i++ {
-		conn, err = net.Dial("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dial(t, addr)
 	w := bufio.NewWriter(conn)
 	const n = 250
 	for i := 0; i < n; i++ {
@@ -461,10 +449,12 @@ func TestSocketAdapterFeed(t *testing.T) {
 	}
 	w.Flush()
 	conn.Close()
-	// Wait for arrival, then stop the feed.
+	// Wait for the first full frame, which proves the connection was
+	// accepted, then stop the feed: the last partial frame is stored only
+	// then, so the count below pins Stop's drain.
 	ds, _ := c.Dataset("Tweets")
 	deadline := time.Now().Add(10 * time.Second)
-	for liveLen(t, ds) < n && time.Now().Before(deadline) {
+	for liveLen(t, ds) < c.Tuning().FrameCapacity && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	f.Stop()

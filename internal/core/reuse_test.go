@@ -131,7 +131,7 @@ func (s *steppedFeed) step(between func()) int {
 	s.t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for s.started() < s.sent+1 {
-		if err := s.f.err(); err != nil {
+		if err := context.Cause(s.f.ctx); err != nil {
 			s.t.Fatalf("feed failed: %v", err)
 		}
 		if time.Now().After(deadline) {

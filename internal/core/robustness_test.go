@@ -721,7 +721,7 @@ func TestStorageBarrierAcrossIncarnations(t *testing.T) {
 	stats := &feedCounters{st: FeedStats{Stored: 1000}} // predecessor's cumulative stores
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	f := &Feed{stats: stats, storedBase: stats.st.Stored, jobCtx: ctx, jobCancel: cancel}
+	f := &Feed{stats: stats, storedBase: stats.st.Stored, ctx: ctx}
 	f.sunk.Store(5) // this incarnation has handed 5 records to storage holders
 
 	done := make(chan bool, 1)
