@@ -78,9 +78,6 @@ func Compare(a, b Value) int {
 // Equal reports whether two values are equal under Compare.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-// Less reports whether a sorts strictly before b.
-func Less(a, b Value) bool { return Compare(a, b) < 0 }
-
 func compareObjects(a, b *Object) int {
 	an, bn := 0, 0
 	if a != nil {

@@ -80,6 +80,9 @@ func TestCompareStringsArraysObjects(t *testing.T) {
 	}
 }
 
+// Less reports whether a sorts strictly before b.
+func Less(a, b Value) bool { return Compare(a, b) < 0 }
+
 func TestEqualAndLess(t *testing.T) {
 	if !Equal(String("x"), String("x")) || Equal(Int(1), Int(2)) {
 		t.Error("Equal failed")

@@ -195,10 +195,15 @@ func (v Value) nestsWithin(depth int) bool {
 }
 
 // buildBinary builds the value enc starts with and returns it with the
-// bytes it spans. enc must start with a value SkipBinary accepted:
-// nothing here checks a tag, a length, a count, a range or the depth,
-// and every container is sized from its count.
-func buildBinary(enc []byte) (Value, int) {
+// bytes it spans, owning its memory. enc must start with a value
+// SkipBinary accepted: nothing here checks a tag, a length, a count, a
+// range or the depth, and every container is sized from its count.
+func buildBinary(enc []byte) (Value, int) { return build(enc, false) }
+
+// build is buildBinary, except that with stable set — enc never changes
+// (ViewAlias) — every string and field name it builds aliases enc
+// instead of copying it.
+func build(enc []byte, stable bool) (Value, int) {
 	kind := Kind(enc[0])
 	switch kind {
 	case KindMissing:
@@ -214,7 +219,7 @@ func buildBinary(enc []byte) (Value, int) {
 		return Double(math.Float64frombits(binary.LittleEndian.Uint64(enc[1:]))), 9
 	case KindString:
 		l, n, _ := decodeLen(enc[1:], kind)
-		return String(string(enc[1+n : 1+n+l])), 1 + n + l
+		return String(stringAt(enc[1+n:1+n+l], stable)), 1 + n + l
 	case KindDuration:
 		months, n := binary.Varint(enc[1:])
 		millis, m := binary.Varint(enc[1+n:])
@@ -230,7 +235,7 @@ func buildBinary(enc []byte) (Value, int) {
 		}
 		elems := make([]Value, count)
 		for i := range elems {
-			elems[i], n = buildBinary(enc[pos:])
+			elems[i], n = build(enc[pos:], stable)
 			pos += n
 		}
 		return Array(elems), pos
@@ -240,9 +245,9 @@ func buildBinary(enc []byte) (Value, int) {
 	obj := NewObject(count)
 	for range count {
 		l, n, _ := decodeLen(enc[pos:], KindObject)
-		name := string(enc[pos+n : pos+n+l])
+		name := stringAt(enc[pos+n:pos+n+l], stable)
 		pos += n + l
-		v, vn := buildBinary(enc[pos:])
+		v, vn := build(enc[pos:], stable)
 		obj.Set(name, v)
 		pos += vn
 	}
@@ -270,14 +275,13 @@ func geoCoords(k Kind) int {
 	return 2
 }
 
-// aliasString returns the string enc encodes (as SkipBinary accepts
-// it) aliasing enc's bytes.
-func aliasString(enc []byte) Value {
-	s := stringBytes(enc)
-	if len(s) == 0 {
-		return String("")
+// stringAt returns b as a string: aliasing b when it is stable, else a
+// copy. An empty string is "" either way, pinning nothing.
+func stringAt(b []byte, stable bool) string {
+	if stable && len(b) > 0 {
+		return unsafe.String(unsafe.SliceData(b), len(b))
 	}
-	return String(unsafe.String(&s[0], len(s)))
+	return string(b)
 }
 
 // stringBytes returns the payload of the string enc encodes.

@@ -14,13 +14,16 @@ import (
 // are shared on copy, so callers must treat reachable data as immutable.
 type Value struct {
 	kind Kind
-	aux  int32       // Duration: months component
-	i    int64       // Int64, Boolean (0/1), DateTime millis, Duration millis
-	f    float64     // Double
-	s    string      // String; the encoded bytes of an object view (view.go)
-	arr  []Value     // Array elements
-	obj  *Object     // Object fields (nil for a view)
-	geo  *[4]float64 // Point(x,y), Rectangle(x1,y1,x2,y2), Circle(cx,cy,r)
+	// stable marks a view of bytes that never change (ViewAlias): the
+	// strings it hands up alias them. It rides in kind's padding.
+	stable bool
+	aux    int32       // Duration: months component
+	i      int64       // Int64, Boolean (0/1), DateTime millis, Duration millis
+	f      float64     // Double
+	s      string      // String; the encoded bytes of an object view (view.go)
+	arr    []Value     // Array elements
+	obj    *Object     // Object fields (nil for a view)
+	geo    *[4]float64 // Point(x,y), Rectangle(x1,y1,x2,y2), Circle(cx,cy,r)
 }
 
 // Canonical singletons for the two unknown values and the booleans.

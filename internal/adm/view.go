@@ -15,51 +15,62 @@ import (
 // view over the run-file block it lies in, and the record is decoded one
 // field at a time, when and if something asks:
 //
-//   - Field walks the encoding to the named field. A scalar or array
-//     field is decoded owning its memory, as DecodeBinary does; an object
-//     field comes back as a sub-view. The last of several fields with one
-//     name wins, as Object.Set lets it.
+//   - Field walks the encoding to the named field. An object field comes
+//     back as a sub-view; any other field is decoded as DecodeBinary
+//     would, except that on a view of bytes that never change
+//     (ViewAlias: storage's) a string field, and every string inside an
+//     array field, aliases those bytes instead of being copied. A
+//     sub-view keeps its view's kind. The last of several fields with
+//     one name wins, as Object.Set lets it.
 //   - AppendBinary copies the bytes.
 //   - AppendJSON transcodes the bytes: names, strings and numbers are
 //     written from where they lie, a datetime formatted straight into
 //     the output, and nothing is decoded (appendJSONObject).
 //   - ObjectVal, Compare, Hash, String decode the whole object
-//     into a fresh value nothing else shares. Nothing is memoised: a
-//     view is immutable and safe to read from any number of goroutines.
+//     into a fresh value nothing else shares (its strings and names
+//     alias the bytes, as Field's do, on a ViewAlias view). Nothing is
+//     memoised: a view is immutable and safe to read from any number of
+//     goroutines.
 //
 // The bytes are checked once, by SkipBinary, when View's caller loads
 // them. Nothing here checks them again: every operation on a view
 // trusts that verdict — it walks the fields with no error branch and
-// builds what it returns with buildBinary — so none fails, and a view of
+// builds what it returns with build — so none fails, and a view of
 // bytes nothing checked is a bug in the code that made it. A view lives
-// as long as the bytes it aliases stay as they are. Storage's never
-// change: retaining one of its views is always correct, but keeps the
-// whole buffer the bytes are part of alive, so a long-lived holder keeps
-// Detached() instead. A row the driver reads off the wire
-// (wire.BatchReader) is a view of a read buffer that the next frame
-// overwrites, and is rendered as JSON before then.
+// as long as the bytes it aliases stay as they are.
+//
+// Two kinds of view differ in what they hand up. Storage's bytes — a
+// run block, a batch buffer a memtable keeps — never change, so storage
+// makes its views with ViewAlias, and a string read out of one shares
+// those bytes: a scan that reads a string field allocates nothing for
+// it. Retaining such a view or string is always correct, but keeps the
+// whole buffer the bytes are part of alive, so a holder that outlives a
+// statement keeps Detached() instead, which copies every byte it
+// reaches. A view over a buffer that is reused — a row the driver reads
+// off the wire (wire.BatchReader), whose read buffer the next frame
+// overwrites; a record the feed's collector reads off its scratch or
+// slab — is made with View, and every string read out of it is a copy.
 
 // View returns the value enc encodes. enc must be exactly one value
 // SkipBinary accepts, and must not change while the result is in use.
-// An object is not decoded: the result is a view aliasing enc. Any other
-// kind is built as DecodeBinary builds it, without checking enc again,
-// and owns its memory.
-func View(enc []byte) Value {
-	if Kind(enc[0]) == KindObject {
-		return Value{kind: KindObject, s: unsafe.String(&enc[0], len(enc))}
-	}
-	v, _ := buildBinary(enc)
-	return v
-}
+// An object is not decoded: the result is a view aliasing enc, whose
+// strings are copies. Any other kind is built as DecodeBinary builds it,
+// without checking enc again, and owns its memory.
+func View(enc []byte) Value { return view(enc, false) }
 
-// ViewAlias is View, except that a string aliases enc too instead of
-// being copied: storage builds the key it hands up beside a record this
-// way, from bytes that never change, so a scan allocates no key.
-func ViewAlias(enc []byte) Value {
-	if Kind(enc[0]) == KindString {
-		return aliasString(enc)
+// ViewAlias is View over bytes that never change: every string the
+// result hands up — itself, an object's field, an element of an array
+// field, at any depth — aliases enc instead of being copied. Storage
+// makes the keys and records it hands up this way, so a scan allocates
+// neither a key nor a string field it reads.
+func ViewAlias(enc []byte) Value { return view(enc, true) }
+
+func view(enc []byte, stable bool) Value {
+	if Kind(enc[0]) == KindObject {
+		return Value{kind: KindObject, stable: stable, s: unsafe.String(&enc[0], len(enc))}
 	}
-	return View(enc)
+	v, _ := build(enc, stable)
+	return v
 }
 
 func (v Value) isView() bool {
@@ -88,15 +99,32 @@ func (v Value) object() *Object {
 	if !v.isView() {
 		return v.obj
 	}
-	d, _ := buildBinary(v.encoded())
+	d, _ := build(v.encoded(), v.stable)
 	return d.obj
 }
 
-// Detached returns v, or for a view an equal view over a private copy of
-// its bytes, so that keeping it keeps nothing else alive.
+// Detached returns a deep copy of v that keeps nothing else alive: a
+// view over a private copy of its bytes (which never change, so its
+// strings alias them), a string copied, an array or object rebuilt
+// from detached elements. Scalars are returned as they are.
 func (v Value) Detached() Value {
-	if v.isView() {
+	switch {
+	case v.isView():
+		v.s, v.stable = strings.Clone(v.s), true
+	case v.kind == KindString:
 		v.s = strings.Clone(v.s)
+	case v.kind == KindArray && len(v.arr) > 0:
+		arr := make([]Value, len(v.arr))
+		for i, e := range v.arr {
+			arr[i] = e.Detached()
+		}
+		v.arr = arr
+	case v.kind == KindObject && v.obj != nil:
+		o := NewObject(v.obj.Len())
+		for i, name := range v.obj.names {
+			o.Set(strings.Clone(name), v.obj.values[i].Detached())
+		}
+		v.obj = o
 	}
 	return v
 }
@@ -122,9 +150,9 @@ func (v Value) viewField(name string) Value {
 		return missingValue
 	}
 	if Kind(data[at]) == KindObject {
-		return Value{kind: KindObject, s: v.s[at : at+size]}
+		return Value{kind: KindObject, stable: v.stable, s: v.s[at : at+size]}
 	}
-	f, _ := buildBinary(data[at:])
+	f, _ := build(data[at:], v.stable)
 	return f
 }
 

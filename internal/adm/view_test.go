@@ -17,12 +17,18 @@ func TestValueSizePinned(t *testing.T) {
 	}
 }
 
-// checkViewAgrees holds View(enc) to the value DecodeBinary(enc)
-// returned: every way of reading the view says what the decoded object
-// says. FuzzDecodeBinary runs it on every object it decodes.
+// checkViewAgrees holds View(enc) and ViewAlias(enc) to the value
+// DecodeBinary(enc) returned: every way of reading either view says what
+// the decoded object says. FuzzDecodeBinary runs it on every object it
+// decodes.
 func checkViewAgrees(t *testing.T, enc []byte, v Value) {
 	t.Helper()
-	view := View(enc)
+	checkOneViewAgrees(t, enc, View(enc), v)
+	checkOneViewAgrees(t, enc, ViewAlias(enc), v)
+}
+
+func checkOneViewAgrees(t *testing.T, enc []byte, view, v Value) {
+	t.Helper()
 	if view.Kind() != v.Kind() {
 		t.Fatalf("View(%x) is a %s, decoded a %s", enc, view.Kind(), v.Kind())
 	}
@@ -205,6 +211,112 @@ func TestViewFieldAllocatesNothingForFixedWidthKinds(t *testing.T) {
 	for _, name := range []string{"id", "latitude", "created_at", "verified", "timestamp_ms", "no_such_field"} {
 		if n := testing.AllocsPerRun(100, func() { benchSink = view.Field(name) }); n != 0 {
 			t.Errorf("Field(%q) on a view: %v allocations", name, n)
+		}
+	}
+}
+
+// aliases reports whether s lies inside enc.
+func aliases(s string, enc []byte) bool {
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(&enc[0]))
+	return len(s) > 0 && p >= lo && p+uintptr(len(s)) <= lo+uintptr(len(enc))
+}
+
+// storageRecord is benchTweet with a wider array of strings.
+func storageRecord() []byte {
+	tags := make([]Value, 8)
+	for i := range tags {
+		tags[i] = String(fmt.Sprintf("tag-%d", i))
+	}
+	o := benchTweet().ObjectVal()
+	o.Set("tags", Array(tags))
+	return AppendBinary(nil, ObjectValue(o))
+}
+
+// TestStorageViewStringsAllocateNothing: a view of bytes that never
+// change (ViewAlias, how storage hands records up) hands up strings that
+// alias those bytes. A string field — of the record or of a sub-view —
+// allocates nothing, and an array of strings allocates its elements'
+// slice and nothing per string, where a View copies each (an array of
+// eight strings: 1 allocation against 9). Detached copies every one.
+func TestStorageViewStringsAllocateNothing(t *testing.T) {
+	enc := storageRecord()
+	view := ViewAlias(enc)
+	for _, path := range [][]string{{"text"}, {"country"}, {"filler"}, {"user", "screen_name"}} {
+		read := func() Value {
+			v := view
+			for _, name := range path {
+				v = v.Field(name)
+			}
+			return v
+		}
+		if n := testing.AllocsPerRun(100, func() { benchSink = read() }); n != 0 {
+			t.Errorf("string field %v of a storage view: %v allocations, want 0", path, n)
+		}
+		if s := read().StringVal(); !aliases(s, enc) {
+			t.Errorf("string field %v of a storage view is a copy", path)
+		}
+		if s := read().Detached().StringVal(); aliases(s, enc) {
+			t.Errorf("string field %v of a storage view, detached, still aliases the record", path)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { benchSink = view.Field("tags") }); n != 1 {
+		t.Errorf("array of 8 strings of a storage view: %v allocations, want 1 (its elements)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { benchSink = View(enc).Field("tags") }); n != 9 {
+		t.Errorf("array of 8 strings of a copying view: %v allocations, want 9", n)
+	}
+	tags, detached := view.Field("tags"), view.Field("tags").Detached()
+	for i := range 8 {
+		if s := tags.Index(i).StringVal(); !aliases(s, enc) || s != fmt.Sprintf("tag-%d", i) {
+			t.Errorf("tags[%d] of a storage view = %q, aliasing the record: %v", i, s, aliases(s, enc))
+		}
+		if s := detached.Index(i).StringVal(); aliases(s, enc) {
+			t.Errorf("tags[%d] of a storage view, detached, still aliases the record", i)
+		}
+	}
+	// Decoding the whole record aliases its strings and names too; a
+	// detached copy of the decoded object none.
+	o, d := view.ObjectVal(), ObjectValue(view.ObjectVal()).Detached().ObjectVal()
+	for i := 0; i < o.Len(); i++ {
+		if !aliases(o.Name(i), enc) || aliases(d.Name(i), enc) {
+			t.Errorf("field name %q: decoded aliases the record %v, detached %v", o.Name(i), aliases(o.Name(i), enc), aliases(d.Name(i), enc))
+		}
+		if s := d.At(i); s.Kind() == KindString && aliases(s.StringVal(), enc) {
+			t.Errorf("field %q of a detached decoded object aliases the record", o.Name(i))
+		}
+	}
+	if Compare(ObjectValue(d), View(enc)) != 0 {
+		t.Error("a detached copy of a decoded storage view differs from the record")
+	}
+}
+
+// TestReusedBufferViewStringsAreCopies: a View is made over a buffer
+// that is reused — a wire frame, a collector's scratch — so what it
+// hands up must not change when the buffer is overwritten: every string
+// field, string array element, sub-view's string field and decoded
+// object read before the overwrite still reads as the original record.
+func TestReusedBufferViewStringsAreCopies(t *testing.T) {
+	enc := storageRecord()
+	want, _, err := DecodeBinary(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := View(enc)
+	text, tags, name, obj := view.Field("text"), view.Field("tags"), view.Field("user").Field("screen_name"), view.ObjectVal()
+	for i := range enc {
+		enc[i] = 'X'
+	}
+	for _, c := range []struct {
+		what      string
+		got, want Value
+	}{
+		{"text", text, want.Field("text")},
+		{"tags", tags, want.Field("tags")},
+		{"user.screen_name", name, want.Field("user").Field("screen_name")},
+		{"the decoded record", ObjectValue(obj), want},
+	} {
+		if !Equal(c.got, c.want) {
+			t.Errorf("%s read from a View before its buffer was overwritten: %v, want %v", c.what, c.got, c.want)
 		}
 	}
 }

@@ -333,6 +333,49 @@ func (a *faultAdapter) RunFrom(ctx context.Context, from uint64, emit func(uint6
 	return ctx.Err()
 }
 
+// TestQuietSourceEndsItsInvocation: a source that goes quiet after
+// leaving frames on only some nodes still gets its last records
+// checkpointed, with no Stop. One record per frame (BatchSize 2 over two
+// nodes) and three records: one intake holder gets two frames, the other
+// one, so the invocation that takes the last frame finds the other
+// node's holder empty, and its collector there must stop waiting once
+// the sibling that pulled has finished.
+func TestQuietSourceEndsItsInvocation(t *testing.T) {
+	c, g := testCluster(t, 2)
+	release := make(chan struct{})
+	close(release)
+	cfg := Config{
+		Name:      "quiet",
+		Dataset:   "Tweets",
+		BatchSize: 2,
+		NewAdapter: func(int) (Adapter, error) {
+			return &faultAdapter{records: g.Tweets(0, 3), release: release}, nil
+		},
+	}
+	f, err := Start(context.Background(), c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		f.Stop()
+		if err := f.Wait(); err != nil {
+			t.Errorf("Wait = %v", err)
+		}
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		st := f.Stats()
+		if st.Stored == 3 && st.LastCheckpoint == 3 && st.Invocations >= 2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("source quiet for 2 s: stored %d, last checkpoint %d, %d invocations; want 3, 3, >= 2",
+				st.Stored, st.LastCheckpoint, st.Invocations)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // freeAddr returns a loopback address nothing listens on.
 func freeAddr(t *testing.T) string {
 	t.Helper()

@@ -629,9 +629,60 @@ func (f *Feed) buildStorageSpec() *hyracks.JobSpec {
 }
 
 // invocation is the per-batch state of one computing job: the function's
-// call at each partition (none without a function).
+// call at each partition (none without a function), and what ends its
+// collectors' wait for a first frame.
 type invocation struct {
 	calls []udfCall
+
+	// A collector blocks in PullFrames until its holder has a frame, and
+	// the invocation ends when every collector has returned — so a quiet
+	// source that left frames on only some nodes would hold it open for
+	// good, its records stored but never checkpointed. The rule: a
+	// collector with nothing to pull stops waiting once every sibling
+	// that pulled frames has finished with them (await), and keeps
+	// waiting while none has pulled.
+	mu      sync.Mutex
+	pulled  int                       // collectors that pulled frames
+	working int                       // of those, collectors not yet finished
+	waiting []context.CancelCauseFunc // collectors waiting for a first frame
+}
+
+// errSiblingsDone ends a collector's wait for a first frame: the
+// siblings that pulled frames in its invocation have all finished.
+var errSiblingsDone = errors.New("core: siblings finished their frames")
+
+// await returns the context a collector waits for its first frame under:
+// ctx, ended with errSiblingsDone once some sibling has pulled frames and
+// every one that did has finished. The caller calls stop when done.
+func (inv *invocation) await(ctx context.Context) (wctx context.Context, stop func()) {
+	wctx, cancel := context.WithCancelCause(ctx)
+	inv.mu.Lock()
+	if inv.pulled > 0 && inv.working == 0 {
+		cancel(errSiblingsDone)
+	} else {
+		inv.waiting = append(inv.waiting, cancel)
+	}
+	inv.mu.Unlock()
+	return wctx, func() { cancel(nil) }
+}
+
+// pull records that a collector pulled frames, and returns what it calls
+// once it has pushed on what it made of them.
+func (inv *invocation) pull() (finished func()) {
+	inv.mu.Lock()
+	inv.pulled++
+	inv.working++
+	inv.mu.Unlock()
+	return func() {
+		inv.mu.Lock()
+		if inv.working--; inv.working == 0 {
+			for _, cancel := range inv.waiting {
+				cancel(errSiblingsDone)
+			}
+			inv.waiting = nil
+		}
+		inv.mu.Unlock()
+	}
 }
 
 // newInvocation performs the per-batch build phase: bring the SQL++
@@ -1087,12 +1138,21 @@ func (f *Feed) buildComputeSpec() *hyracks.JobSpec {
 				if !f.cfg.FusedInsert {
 					out = &holderWriter{ctx: tc.Ctx, holders: f.storageHolders[p : p+1], sunk: &f.sunk}
 				}
-				frames, eof, err := f.intakeHolders[p].PullFrames(tc.Ctx, f.quota)
+				wctx, stop := inv.await(tc.Ctx)
+				frames, eof, err := f.intakeHolders[p].PullFrames(wctx, f.quota)
+				stop()
 				if err != nil {
+					if context.Cause(wctx) == errSiblingsDone && tc.Ctx.Err() == nil {
+						return nil // nothing came; the frames pulled elsewhere are done
+					}
 					return err
 				}
 				if eof {
 					f.eof[p].Store(true)
+				}
+				if len(frames) > 0 {
+					finished := inv.pull()
+					defer finished()
 				}
 				// Each line becomes a view of its encoding, or of its
 				// enriched row, in its storage partition's slab

@@ -46,6 +46,19 @@ func Begin(dst []byte) []byte {
 	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 }
 
+// Grow returns buf with room for n more bytes, its contents kept. A
+// buffer that has to grow at least doubles its capacity, though not past
+// limit bytes unless n needs more, so a stream of frames of sizes up to
+// S reallocates its buffer O(log S) times.
+func Grow(buf []byte, n, limit int) []byte {
+	if cap(buf)-len(buf) >= n {
+		return buf
+	}
+	grown := make([]byte, len(buf), max(len(buf)+n, min(2*cap(buf), limit)))
+	copy(grown, buf)
+	return grown
+}
+
 // Seal fills the header reserved at buf[start:] for the payload that
 // runs from there to the end of buf.
 func Seal(buf []byte, start int) {
@@ -118,21 +131,21 @@ func ReadAt(r io.ReaderAt, off, limit int64) ([]byte, error) {
 }
 
 // Read reads and verifies the next frame of a stream into buf, growing
-// it (to at most limit bytes) only when the payload does not fit. The
-// returned payload aliases the buffer to hand back on the next call.
+// it (Grow: doubling, to at most limit bytes) only when the payload does
+// not fit, so reading a stream allocates only to grow. The returned
+// payload aliases the buffer to hand back on the next call.
 func Read(r io.Reader, limit int64, buf []byte) ([]byte, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read into buf too: an array handed to r would
+	// escape, an allocation per frame.
+	hdr := Grow(buf[:0], HeaderSize, HeaderSize)[:HeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, short(err)
 	}
-	n, crc, err := header(hdr[:], limit)
+	n, crc, err := header(hdr, limit)
 	if err != nil {
 		return nil, err
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	payload := buf[:n]
+	payload := Grow(hdr[:0], n, int(limit))[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, short(err)
 	}

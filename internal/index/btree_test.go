@@ -161,7 +161,7 @@ func TestBTreeStringKeys(t *testing.T) {
 	}
 	sorted := items(bt)
 	for i := 1; i < len(sorted); i++ {
-		if !adm.Less(sorted[i-1].Key, sorted[i].Key) {
+		if adm.Compare(sorted[i-1].Key, sorted[i].Key) >= 0 {
 			t.Fatal("string keys out of order")
 		}
 	}

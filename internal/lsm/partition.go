@@ -38,7 +38,10 @@
 //
 // A reader keeps what storage hands it without a copy. A record is a
 // view of a batch buffer or a run block, bytes that are never rewritten,
-// and so is a key: a string key aliases them (adm.ViewAlias).
+// and so is a key, both made with adm.ViewAlias: a string key, and every
+// string read out of a record, aliases those bytes. A holder that
+// outlives a statement — a secondary index, enrichment state patched
+// across batches — keeps adm.Value.Detached copies instead.
 // An index scan (IndexScanCursor) keeps the secondary index's own
 // postings arrays: a published postings array is never written, because
 // every index write builds a new one (BTreeIndex). The one thing a read
@@ -138,7 +141,7 @@ func stringOf(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b
 func keyOf(e entry) adm.Value { return adm.ViewAlias(bytesOf(e.Key)) }
 
 // recOf is e's record, a view of the entry's bytes.
-func recOf(e entry) adm.Value { return adm.View(bytesOf(e.Val)) }
+func recOf(e entry) adm.Value { return adm.ViewAlias(bytesOf(e.Val)) }
 
 // memGet looks key up in a memtable: each stored key is compared with
 // it where it lies (adm.CompareBinary).
@@ -147,7 +150,7 @@ func memGet(t *memtable, key adm.Value) (adm.Value, bool) {
 	if !ok {
 		return adm.Value{}, false
 	}
-	return adm.View(bytesOf(rec)), true
+	return adm.ViewAlias(bytesOf(rec)), true
 }
 
 // runCursor streams one component's entries in key order, as their
@@ -356,7 +359,7 @@ func (p *Partition) AttachIndex(idx SecondaryIndex) error {
 	batch := itemBatches.get(backfillChunk)
 	cu := &Cursor{m: mergeComponentCursors(append([]*component{{tree: p.mem}}, p.components...), true)}
 	for key, rec, ok := cu.Next(); ok; key, rec, ok = cu.Next() {
-		*batch = append(*batch, index.Item{Key: ownKey(key), Val: rec})
+		*batch = append(*batch, index.Item{Key: key.Detached(), Val: rec}) // an index keeps its keys for good
 		if len(*batch) == backfillChunk {
 			idx.InsertBatch(*batch)
 			clear(*batch) // the pool clears only up to the final length
@@ -684,7 +687,9 @@ func (p *Partition) maintainIndexesBatchLocked(entries []entry) {
 			*olds = append(*olds, index.Item{Key: key, Val: old})
 		}
 		if !rec.IsMissing() {
-			*news = append(*news, index.Item{Key: ownKey(key), Val: rec})
+			// An index keeps its primary keys for good: a string key
+			// aliases the batch's buffer (keyOf), so it gets a copy.
+			*news = append(*news, index.Item{Key: key.Detached(), Val: rec})
 		}
 	}
 	for _, idx := range p.secondary {
@@ -695,17 +700,6 @@ func (p *Partition) maintainIndexesBatchLocked(entries []entry) {
 	}
 	itemBatches.put(olds)
 	itemBatches.put(news)
-}
-
-// ownKey returns key as a value that keeps nothing else alive, for a
-// secondary index, which keeps its primary keys for good: a stored
-// string key aliases the bytes of the batch or block it lies in
-// (keyOf, Cursor.Next).
-func ownKey(key adm.Value) adm.Value {
-	if key.Kind() == adm.KindString {
-		return adm.String(strings.Clone(key.StringVal()))
-	}
-	return key
 }
 
 // freezeLocked turns the memtable into an immutable component and wakes
@@ -906,21 +900,30 @@ type Cursor struct {
 }
 
 // Next returns the next live record in key order: the record a view of
-// the bytes it lies in, and the key built once from its encoding, a
-// string key aliasing them too (adm.ViewAlias), so a scan allocates no
-// key.
+// the bytes it lies in, and the key built once from its encoding, both
+// made with adm.ViewAlias, so a scan allocates neither a key nor a
+// string it reads.
 func (cu *Cursor) Next() (key, rec adm.Value, ok bool) {
+	k, r, ok := cu.nextEncoded()
+	if !ok {
+		return adm.Value{}, adm.Value{}, false
+	}
+	return adm.ViewAlias(k), adm.ViewAlias(r), true
+}
+
+// nextEncoded is Next's entry as the encodings of its key and record:
+// bytes that are never rewritten.
+func (cu *Cursor) nextEncoded() (key, rec []byte, ok bool) {
 	rc, ok, err := cu.m.next()
 	if !ok {
 		if err != nil {
 			cu.err = err
 		}
 		cu.Close()
-		return adm.Value{}, adm.Value{}, false
+		return nil, nil, false
 	}
-	key, rec = adm.ViewAlias(rc.key), adm.View(rc.val)
 	runtime.KeepAlive(cu) // see Snapshot: cu.snap must outlive the read
-	return key, rec, true
+	return rc.key, rc.val, true
 }
 
 // Err returns the read fault that ended the cursor early, or nil.

@@ -653,7 +653,7 @@ func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 		}
 	}
 	if a < blk.entries() && cmp == 0 {
-		return adm.View(blk.val(a)), true, nil
+		return adm.ViewAlias(blk.val(a)), true, nil
 	}
 	return adm.Value{}, false, nil
 }

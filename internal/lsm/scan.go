@@ -100,9 +100,11 @@ const (
 )
 
 // parItem is one record (or a terminal worker error) in flight from a
-// scan worker to the consumer.
+// scan worker to the consumer: the encodings of its key and record, of
+// which Next makes the views — 64 bytes an item, against 176 for two
+// adm.Values and the error.
 type parItem struct {
-	key, rec adm.Value
+	key, rec []byte
 	err      error
 }
 
@@ -230,7 +232,7 @@ func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Va
 		}
 	}
 	for {
-		k, r, ok := cur.Next()
+		k, r, ok := cur.nextEncoded()
 		if !ok {
 			if err := cur.Err(); err != nil {
 				batch = append(batch, parItem{err: err})
@@ -239,7 +241,7 @@ func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Va
 			return
 		}
 		if filter != nil {
-			pass, err := filter(k, r)
+			pass, err := filter(adm.ViewAlias(k), adm.ViewAlias(r))
 			if err != nil {
 				batch = append(batch, parItem{err: err})
 				flush()
@@ -295,7 +297,7 @@ func (c *ParallelScanCursor) Next() (key, rec adm.Value, ok bool, err error) {
 			c.fail(it.err)
 			return adm.Value{}, adm.Value{}, false, c.err
 		}
-		return it.key, it.rec, true, nil
+		return adm.ViewAlias(it.key), adm.ViewAlias(it.rec), true, nil
 	}
 	return adm.Value{}, adm.Value{}, false, nil
 }
@@ -313,7 +315,7 @@ func (c *ParallelScanCursor) nextKeyOrder() (key, rec adm.Value, ok bool, err er
 	}
 	best := -1
 	for i := range c.heads {
-		if c.live[i] && (best < 0 || adm.Less(c.heads[i].key, c.heads[best].key)) {
+		if c.live[i] && (best < 0 || adm.CompareEncoded(c.heads[i].key, c.heads[best].key) < 0) {
 			best = i
 		}
 	}
@@ -324,7 +326,7 @@ func (c *ParallelScanCursor) nextKeyOrder() (key, rec adm.Value, ok bool, err er
 	if c.recv(best); c.err != nil {
 		return adm.Value{}, adm.Value{}, false, c.err
 	}
-	return out.key, out.rec, true, nil
+	return adm.ViewAlias(out.key), adm.ViewAlias(out.rec), true, nil
 }
 
 // recv refills head i, recording a worker error in c.err (and tearing

@@ -120,9 +120,10 @@ func (ix *RTreeIndex) Search(query spatial.Rect) []adm.Value {
 type KeyExtractor func(rec adm.Value) (adm.Value, bool)
 
 // FieldKeyExtractor indexes a top-level field by value. The index keeps
-// the value for good, so it must keep nothing else alive: a field of a
-// stored record already owns its memory unless it is an object, and
-// that one is detached from the record's block.
+// the value for good, so it must keep nothing else alive: a string
+// field of a stored record, or a string inside an array or object
+// field, aliases the record's block or batch buffer (adm.ViewAlias), so
+// the key is a detached deep copy.
 func FieldKeyExtractor(field string) KeyExtractor {
 	return func(rec adm.Value) (adm.Value, bool) {
 		v := rec.Field(field)

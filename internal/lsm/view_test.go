@@ -255,6 +255,54 @@ func TestWriteDetachesViews(t *testing.T) {
 	t.Fatal("the source block is still reachable from the memtable it was copied into")
 }
 
+// TestWriteDetachesStringKeyedViews is TestWriteDetachesViews with
+// string keys, read as storage hands them up (adm.ViewAlias): the key and
+// every string of the record alias the block, and the memtable that
+// received them keeps copies — the block is collectable while it still
+// answers, by key and with the record's strings.
+func TestWriteDetachesStringKeyedViews(t *testing.T) {
+	opts := Options{MemBudget: 1 << 30, MaxComponents: 8} // no cache: the views alone hold the block
+	src := memPartition(t, opts)
+	keys, recs := make([]adm.Value, 100), make([]adm.Value, 100)
+	for i := range keys {
+		keys[i], recs[i] = adm.String(fmt.Sprintf("key-%03d", i)), viewRec(i)
+	}
+	if err := src.UpsertBatch(keys, recs); err != nil {
+		t.Fatal(err)
+	}
+	src.Flush()
+	settle(t, src)
+	run := partitionRuns(src)[0]
+	dst := memPartition(t, opts)
+
+	collected := make(chan struct{})
+	func() {
+		blk, err := run.loadBlock(0, block{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(&blk.data[0], func(*byte) { close(collected) })
+		for i := 0; i < blk.entries(); i++ {
+			if err := dst.Upsert(adm.ViewAlias(blk.key(i)), adm.ViewAlias(blk.val(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			rec, ok, _ := dst.Get(adm.String("key-007"))
+			if !ok || !adm.Equal(rec, viewRec(7)) || rec.Field("cat").StringVal() != "c0007" {
+				t.Fatalf("stored copy reads %v, %v", rec, ok)
+			}
+			return
+		default:
+		}
+	}
+	t.Fatal("the source block is still reachable from the memtable it was copied into")
+}
+
 // TestIndexKeepsNoBatchBuffer: a memtable's string keys alias the buffer
 // their batch arrived in, but a secondary index keeps its primary keys
 // for good, so it is handed copies — once the memtable is flushed, the

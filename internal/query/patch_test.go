@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/lsm"
@@ -352,4 +354,80 @@ func TestRefreshPatchCollectsGarbage(t *testing.T) {
 		sameEnrichment(t, round, plan, next, cat, []adm.Value{member(0, 0, true), member(0, 1, true), member(0, 2, true)})
 		pe = next
 	}
+}
+
+// TestPatchedStateKeepsNoRetiredComponent: enrichment state patched
+// across batches keeps detached copies of what a patch read, never the
+// bytes it read them from. A patch reads a changed record where storage
+// holds it — here the batch buffer of the memtable that took the write —
+// and the table keeps that one record for as long as the state is
+// refreshed without touching its key. Once the memtable is flushed and
+// its run compacted with three earlier ones (the oldest, larger run
+// stays apart, so the next refresh still patches) and the next patch
+// has replaced the state, no component holds the buffer any more: it
+// must be collectable while the state still enriches with the record.
+func TestPatchedStateKeepsNoRetiredComponent(t *testing.T) {
+	cat := newTestCatalog()
+	var rows []adm.Value
+	for i := range int64(300) {
+		rows = append(rows, member(i, int(i%7), true))
+	}
+	ds := cat.addDataset(t, "Members", "id", 1, rows...)
+	cat.addSQLFunction(t, membersUDF)
+	flushAll(t, ds)
+	for i := range int64(3) { // three small runs, a size tier short of compacting
+		if err := ds.Upsert(member(1000+i, 0, true)); err != nil {
+			t.Fatal(err)
+		}
+		flushAll(t, ds)
+	}
+	plan := compilePaperUDF(t, cat, "activeMembers", PlanOptions{})
+	pe, err := plan.Prepare(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	collected := make(chan struct{})
+	func() {
+		if err := ds.Upsert(member(2000, 99, true)); err != nil {
+			t.Fatal(err)
+		}
+		rec, ok := ds.Get(adm.Int(2000))
+		if !ok {
+			t.Fatal("the write is not visible")
+		}
+		// The string aliases the memtable's batch buffer (adm.ViewAlias).
+		runtime.SetFinalizer(unsafe.StringData(rec.Field("grp").StringVal()), func(*byte) { close(collected) })
+	}()
+	pe, _ = mustRefresh(t, pe) // links member 2000, read off the buffer
+	if pe.Patched() != 1 {
+		t.Fatalf("the refresh patched %d accesses, built %d; want one patched", pe.Patched(), pe.Built())
+	}
+	flushAll(t, ds)
+	for deadline := time.Now().Add(10 * time.Second); ds.Partition(0).Runs() != 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d runs, want the four small ones compacted into one beside the oldest", ds.Partition(0).Runs())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := ds.Upsert(member(3000, 1, true)); err != nil {
+		t.Fatal(err)
+	}
+	pe, _ = mustRefresh(t, pe) // patches member 3000 alone, carrying member 2000's entry
+	if pe.Patched() != 1 {
+		t.Fatalf("the second refresh patched %d accesses, built %d; want one patched", pe.Patched(), pe.Built())
+	}
+	for range 10 {
+		runtime.GC()
+		select {
+		case <-collected:
+			got := mustEval(t, pe, member(0, 99, true)).Field("ids")
+			if !adm.Equal(got, adm.Array([]adm.Value{adm.Int(2000)})) {
+				t.Fatalf("group g99 enriches with ids %v, want [2000]", got)
+			}
+			return
+		default:
+		}
+	}
+	t.Fatal("the patched state keeps the batch buffer of a memtable flushed and compacted away")
 }

@@ -51,6 +51,14 @@ import (
 //     ones stay in theirs. Once unlinked entries outnumber live ones the
 //     access is rebuilt instead, which keeps a patch amortised O(1) per
 //     change and the table within twice a fresh build's entries.
+//   - Retention. The entries a patch links are detached copies
+//     (adm.Value.Detached) of the key and record it read: those lie in
+//     a memtable's batch buffer or a run's block, of which the table
+//     keeps one record, and a view or an aliased string would keep the
+//     whole buffer alive for as long as the table lives, long after a
+//     flush and a compaction have retired the component it belonged to.
+//     A build's entries stay views: a build reads every record of a
+//     block, so the blocks are its data.
 //   - Poison. A patch moves the table from the old access to the new
 //     one: the old access is spent as soon as the patch touches the
 //     table, so a patch that fails part-way (a filter or key error, a
@@ -261,7 +269,9 @@ func (plan *EnrichPlan) prepare(cat Catalog, prev *PreparedEnrich, unchanged map
 			if err != nil {
 				return nil, fmt.Errorf("query: %s: const subquery: %w", plan.Name, err)
 			}
-			pe.consts[sel] = &preparedConst{val: val, deps: deps}
+			// Carried into successors while its deps are unchanged: it
+			// keeps no block its strings were read from.
+			pe.consts[sel] = &preparedConst{val: val.Detached(), deps: deps}
 			pe.built++
 		case probeSub:
 			ps := &preparedSub{plan: sp, slot: len(pe.probes) + 1}
@@ -539,7 +549,7 @@ func (pe *PreparedEnrich) patchHash(prev *PreparedEnrich, old *preparedAccess, u
 					return nil, err
 				}
 				if in {
-					pa.link(hashEntry{key: key, rec: rec}, part, pk, now.ds)
+					pa.link(hashEntry{key: key.Detached(), rec: rec.Detached()}, part, pk, now.ds)
 				}
 			}
 			if pa.dead > pa.live {

@@ -157,6 +157,10 @@ var ErrFrameTooLarge = frame.ErrTooLarge
 // Conn.WriteFrame; golden tests use it directly to pin frame bytes.
 func AppendFrame(dst []byte, t Type, body []byte) []byte {
 	start := len(dst)
+	// Grown as frame.Read grows a read buffer: doubling, so a stream of
+	// ever larger replies reallocates the writer's scratch O(log size)
+	// times. No frame past MaxFrame is sent, so it never doubles past one.
+	dst = frame.Grow(dst, frame.HeaderSize+1+len(body), start+frame.HeaderSize+MaxFrame)
 	dst = append(frame.Begin(dst), byte(t))
 	dst = append(dst, body...)
 	frame.Seal(dst, start)

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/bits"
+	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -73,6 +76,46 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if got := rc.BytesRead(); got != int64(fc.w.Len()) {
 		t.Fatalf("BytesRead = %d, want %d", got, fc.w.Len())
+	}
+}
+
+// TestFrameBuffersGrowGeometrically: a connection reads 1 000 frames of
+// random sizes up to S with O(log S) allocations, because its read
+// buffer at least doubles whenever a payload does not fit, and
+// AppendFrame grows a writer's scratch the same way. The sizes come in
+// ascending order, the worst case — every frame the largest yet — where
+// growing to exactly each new size took an allocation per frame.
+func TestFrameBuffersGrowGeometrically(t *testing.T) {
+	const frames, S = 1000, 1 << 14
+	r := rand.New(rand.NewSource(57))
+	sizes := make([]int, frames)
+	for i := range sizes {
+		sizes[i] = 1 + r.Intn(S)
+	}
+	slices.Sort(sizes)
+	body := make([]byte, S)
+	var stream []byte
+	for _, n := range sizes {
+		stream = AppendFrame(stream, TypeRowBatch, body[:n])
+	}
+	bound := float64(bits.Len(S) + 8) // the doublings, and the connection's own few
+	reads := testing.AllocsPerRun(3, func() {
+		c := connOver(stream)
+		for _, n := range sizes {
+			if _, got, err := c.ReadFrame(MaxFrame); err != nil || len(got) != n {
+				t.Fatalf("read a %d-byte body, %v; want %d", len(got), err, n)
+			}
+		}
+	})
+	writes := testing.AllocsPerRun(3, func() {
+		var scratch []byte
+		for _, n := range sizes {
+			scratch = AppendFrame(scratch[:0], TypeRowBatch, body[:n])
+		}
+	})
+	t.Logf("%d frames up to %d bytes: %v allocations reading, %v writing", frames, S, reads, writes)
+	if reads > bound || writes > bound {
+		t.Errorf("%d frames up to %d bytes: %v allocations reading, %v writing; want <= %v each", frames, S, reads, writes, bound)
 	}
 }
 

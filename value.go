@@ -11,6 +11,12 @@ import (
 // superset of JSON with datetime, duration, and spatial types). Values
 // are immutable; accessors on absent fields return MISSING values rather
 // than errors, matching SQL++'s forgiving path semantics.
+//
+// A record read from a dataset is read where it is stored: a string
+// field of it (Field, Str, Native) shares the bytes of the stored block
+// it lies in. That is always correct — stored bytes never change — but
+// a string kept for long keeps that whole block alive; keep a
+// strings.Clone of it instead.
 type Value struct {
 	v adm.Value
 }
@@ -58,7 +64,8 @@ func (v Value) IsMissing() bool { return v.v.IsMissing() }
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.v.IsNull() }
 
-// Field returns the named field of an object (MISSING when absent).
+// Field returns the named field of an object (MISSING when absent). A
+// field of a stored record shares its bytes (see Value).
 func (v Value) Field(name string) Value { return Value{v.v.Field(name)} }
 
 // Index returns element i of an array (MISSING when out of range).
@@ -78,7 +85,9 @@ func (v Value) Len() int {
 	return 0
 }
 
-// Str returns the string payload ("" for non-strings).
+// Str returns the string payload ("" for non-strings). A string read
+// from a stored record shares its bytes: use strings.Clone to keep one
+// apart from them.
 func (v Value) Str() string { return v.v.StringVal() }
 
 // Int returns the value as int64 (0 when not numeric).
@@ -118,7 +127,8 @@ func (v Value) Elems() []Value {
 }
 
 // Native converts the value into plain Go data: nil, bool, int64,
-// float64, string, time.Time, []any, or map[string]any.
+// float64, string, time.Time, []any, or map[string]any. Its strings
+// share a stored record's bytes as Str's do.
 func (v Value) Native() any { return toNative(v.v) }
 
 func toNative(v adm.Value) any {
