@@ -23,6 +23,11 @@ type conn struct {
 	nc  net.Conn
 	wc  *wire.Conn
 	bad atomic.Bool
+	// json holds the current composite row's JSON for whichever result
+	// set the conn is streaming (rows.value): database/sql runs one at a
+	// time on a conn, and the bytes it hands out live only until the
+	// next Next or Close, so every statement reuses what the first grew.
+	json []byte
 }
 
 var errTxUnsupported = errors.New("idea: transactions are not supported (statements are the unit of atomicity)")

@@ -19,9 +19,8 @@ type rows struct {
 	release func() // stops the ctx guard armed by QueryContext
 
 	batch    *wire.BatchReader
-	json     []byte // the current composite row's JSON; the next row overwrites it
-	done     bool   // Trailer or Error consumed; stream is over
-	finalErr error  // terminal error to report from Next after done
+	done     bool  // Trailer or Error consumed; stream is over
+	finalErr error // terminal error to report from Next after done
 }
 
 // Columns implements driver.Rows.
@@ -91,16 +90,16 @@ func (r *rows) Next(dest []driver.Value) error {
 
 // value is row v as database/sql sees it (adm.Value.DriverValue):
 // scalars as native Go types, composites as their JSON, written from
-// the row's wire bytes into r.json — scanning into an idea.Value parses
-// it back. database/sql lets a driver hand out bytes it owns until the
-// next Next: it copies them into every destination but sql.RawBytes,
-// which is documented to live only that long.
+// the row's wire bytes into the conn's JSON buffer — scanning into an
+// idea.Value parses it back. database/sql lets a driver hand out bytes
+// it owns until the next Next: it copies them into every destination
+// but sql.RawBytes, which is documented to live only that long.
 func (r *rows) value(v adm.Value) driver.Value {
 	if x, ok := v.Scalar(); ok {
 		return x
 	}
-	r.json = adm.AppendJSON(r.json[:0], v)
-	return aliasBytes(&r.json)
+	r.c.json = adm.AppendJSON(r.c.json[:0], v)
+	return aliasBytes(&r.c.json)
 }
 
 // aliasBytes returns *p as an interface that points at *p itself

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"testing"
+	"unsafe"
 
 	"github.com/ideadb/idea"
 	"github.com/ideadb/idea/internal/adm"
@@ -133,12 +134,17 @@ func cannedDB(t *testing.T, batches, perBatch int) *sql.DB {
 // TestDriverRowAllocations: draining object rows into sql.RawBytes
 // allocates per statement and per batch, never per row — a batch of
 // 500 rows costs what a batch of 5 does. Each row's JSON is written
-// from its wire bytes into one buffer the rows reuse; decoding each
+// from its wire bytes into one buffer the conn owns; decoding each
 // row into a tree and serializing it into a fresh slice cost tens of
-// allocations a row.
+// allocations a row, and a buffer of each result set's own was regrown
+// from nothing by every statement. So a second statement on a warm conn
+// writes its rows into the buffer the first one grew.
 func TestDriverRowAllocations(t *testing.T) {
 	const batches = 4
-	drain := func(db *sql.DB, perBatch int) func() {
+	type querier interface {
+		QueryContext(context.Context, string, ...any) (*sql.Rows, error)
+	}
+	drain := func(db querier, perBatch int) func() {
 		return func() {
 			rows, err := db.QueryContext(context.Background(), `SELECT VALUE d FROM D d`)
 			if err != nil {
@@ -167,5 +173,28 @@ func TestDriverRowAllocations(t *testing.T) {
 	t.Logf("%d batches: %v allocations at 5 rows a batch, %v at 500", batches, a, b)
 	if b > a+batches {
 		t.Fatalf("%d more rows cost %v more allocations: the driver allocates per row", batches*495, b-a)
+	}
+
+	sc, err := few.Conn(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	jsonBuf := func() (p *byte, n int) {
+		t.Helper()
+		if err := sc.Raw(func(dc any) error {
+			c := dc.(*conn)
+			p, n = unsafe.SliceData(c.json), cap(c.json)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return p, n
+	}
+	drain(sc, 5)()
+	grown, n := jsonBuf()
+	drain(sc, 5)()
+	if again, m := jsonBuf(); grown == nil || again != grown || m != n {
+		t.Fatalf("a second statement on a warm conn wrote its rows into a buffer of %d bytes at %p, not the %d bytes at %p the first grew", m, again, n, grown)
 	}
 }

@@ -17,19 +17,30 @@ import (
 //
 // The cache is sharded to keep the lock off the read hot path's
 // profile; each shard keeps its entries under its own mutex within an
-// even split of the byte budget, on one of two lists, the way 2Q does
-// (Johnson & Shasha, VLDB 1994):
+// even split of the byte budget, the way 2Q does (Johnson & Shasha,
+// VLDB 1994):
 //
-//   - hot, an LRU of the blocks point reads asked for;
-//   - ring, a FIFO of the blocks scans loaded.
+//   - hot (2Q's Am), an LRU of the blocks point reads asked for;
+//   - ring (2Q's A1in), a FIFO of the blocks scans loaded;
+//   - ghosts (2Q's A1out), a FIFO of the keys — no bytes — of the point
+//     misses the shard last declined.
 //
-// A point miss enters hot; a point hit moves its entry to hot's head,
-// out of the ring if it was there. A scan miss joins the ring; a scan
-// hit moves nothing. So a scan never reorders hot, and it displaces hot
-// only while the ring holds no more than its share (ringShare) of the
-// shard: past that, a scan recycles the ring's own oldest blocks. The
-// ring is what lets concurrent scans of the same data share loads — a
-// trailing scan hits the blocks a leading one just brought in.
+// A point hit moves its entry to hot's head, out of the ring if it was
+// there. A point miss enters hot while the shard has room for a block of
+// runBlockTarget bytes; once the shard is full it enters hot only if its
+// key is a ghost (a second touch, which takes the key off the ghost
+// list), and otherwise it is not admitted: its key becomes a ghost and
+// fetch tells the reader, which reads the block privately and keeps
+// only its record (runFile.get). So a one-off point read on a full cache
+// neither allocates a block nor evicts one, and a block read twice
+// within the ghost list's memory replaces hot's coldest — the ghosts are
+// what lets the hot set change while the cache stays full. A scan miss
+// joins the ring; a scan hit moves nothing. So a scan never reorders
+// hot, and it displaces hot only while the ring holds no more than its
+// share (ringShare) of the shard: past that, a scan recycles the ring's
+// own oldest blocks. The ring is what lets concurrent scans of the same
+// data share loads — a trailing scan hits the blocks a leading one just
+// brought in.
 //
 // Residency is all the cache decides. Block bytes are garbage-collected,
 // so a reader keeps the block it was handed — and every view into it —
@@ -46,6 +57,7 @@ type BlockCache struct {
 
 	hits, scanHits     atomic.Uint64
 	misses, scanMisses atomic.Uint64
+	bypasses           atomic.Uint64
 	evictions          atomic.Uint64
 }
 
@@ -56,6 +68,11 @@ const blockCacheShards = 8
 // published default for its probationary queue (Kin = 25 %), not a
 // figure tuned to any workload.
 const ringShare = 4
+
+// A shard remembers as many ghosts as half the blocks of runBlockTarget
+// bytes its split holds (at least one): 2Q's published default for its
+// ghost list (Kout = 50 %), again not a tuned figure.
+const ghostShare = 2
 
 // DefaultBlockCacheBytes is the budget used when a cluster does not set
 // one explicitly.
@@ -76,8 +93,13 @@ type CacheStats struct {
 	// made; point reads made the rest.
 	BlockCacheScanHits   uint64
 	BlockCacheScanMisses uint64
+	// Bypasses is the share of point misses a full shard did not admit:
+	// their readers read the block privately and kept only the record.
+	BlockCacheBypasses uint64
 }
 
+// blockKey names a block. Run ids start at 1, so the zero key names no
+// block and marks an empty ghost slot.
 type blockKey struct {
 	run   uint64
 	block int
@@ -103,15 +125,19 @@ type blockList struct {
 }
 
 // cacheShard is one region of the cache: its two lists, the bytes all
-// of its entries and the ring's alone hold, and the loads in flight.
+// of its entries and the ring's alone hold, the loads in flight and the
+// ghost list — a ring of keys, allocated once, whose oldest slot
+// (nextGhost) the next declined miss overwrites.
 type cacheShard struct {
-	mu       sync.Mutex
-	used     int64
-	ringUsed int64
-	entries  map[blockKey]*blockEntry
-	loading  map[blockKey]*blockEntry
-	hot      blockList
-	ring     blockList
+	mu        sync.Mutex
+	used      int64
+	ringUsed  int64
+	entries   map[blockKey]*blockEntry
+	loading   map[blockKey]*blockEntry
+	hot       blockList
+	ring      blockList
+	ghosts    []blockKey
+	nextGhost int
 }
 
 // NewBlockCache creates a cache with the given byte budget across all
@@ -124,9 +150,11 @@ func NewBlockCache(budget int64) *BlockCache {
 		budget = blockCacheShards
 	}
 	c := &BlockCache{shardBudget: budget / blockCacheShards}
+	ghosts := max(1, int(c.shardBudget/runBlockTarget/ghostShare))
 	for i := range c.shards {
 		c.shards[i].entries = make(map[blockKey]*blockEntry)
 		c.shards[i].loading = make(map[blockKey]*blockEntry)
+		c.shards[i].ghosts = make([]blockKey, ghosts)
 	}
 	return c
 }
@@ -143,8 +171,10 @@ func (c *BlockCache) shard(k blockKey) *cacheShard {
 // once however many readers miss it together: the first registers its
 // load, and the others wait for it and share its block (or its error),
 // counted as hits — they read nothing. Readers that each loaded a copy
-// would read and allocate the block once each.
-func (c *BlockCache) fetch(run uint64, i int, scan bool, load func() (block, error)) (block, error) {
+// would read and allocate the block once each. A point miss the shard
+// does not admit (admits) loads nothing here: fetch returns ok false,
+// and the reader reads the block itself.
+func (c *BlockCache) fetch(run uint64, i int, scan bool, load func() (block, error)) (block, bool, error) {
 	k := blockKey{run: run, block: i}
 	s := c.shard(k)
 	s.mu.Lock()
@@ -152,6 +182,12 @@ func (c *BlockCache) fetch(run uint64, i int, scan bool, load func() (block, err
 	if ok {
 		s.touch(e, scan)
 	} else if e, ok = s.loading[k]; !ok {
+		if !scan && !c.admits(s, k) {
+			s.mu.Unlock()
+			c.count(false, false)
+			c.bypasses.Add(1)
+			return block{}, false, nil
+		}
 		// The entry is made before the load, so waiters have something to
 		// wait on and a miss allocates no more than it did.
 		e = &blockEntry{key: k}
@@ -160,12 +196,34 @@ func (c *BlockCache) fetch(run uint64, i int, scan bool, load func() (block, err
 		s.mu.Unlock()
 		c.count(false, scan)
 		c.load(s, e, scan, load)
-		return e.blk, e.err
+		return e.blk, true, e.err
 	}
 	s.mu.Unlock()
 	c.count(true, scan)
 	e.loaded.Wait() // at once for a resident entry
-	return e.blk, e.err
+	return e.blk, true, e.err
+}
+
+// admits decides, under s's lock, whether a point miss on k earns
+// residency: always while the shard has room for a block of
+// runBlockTarget bytes; on a full shard only when k is a ghost, which
+// the admission takes off the list. A miss not admitted becomes the
+// newest ghost. The list is searched in place: it is searched only
+// before a block is read and decoded anyway, and at 16 bytes a key a
+// default cache's shard searches 4 KiB.
+func (c *BlockCache) admits(s *cacheShard, k blockKey) bool {
+	if s.used+runBlockTarget <= c.shardBudget {
+		return true
+	}
+	for j, g := range s.ghosts {
+		if g == k {
+			s.ghosts[j] = blockKey{}
+			return true
+		}
+	}
+	s.ghosts[s.nextGhost] = k
+	s.nextGhost = (s.nextGhost + 1) % len(s.ghosts)
+	return false
 }
 
 // load runs a registered load and publishes its outcome: a block is
@@ -212,7 +270,9 @@ func (c *BlockCache) admit(s *cacheShard, e *blockEntry, scan bool) {
 	}
 }
 
-// dropRun unlinks every entry of a retired run.
+// dropRun unlinks every entry of a retired run. Its ghosts stay until
+// newer ones overwrite them: run ids never repeat, so no key matches
+// them again.
 func (c *BlockCache) dropRun(run uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -271,6 +331,7 @@ func (c *BlockCache) Stats() CacheStats {
 		BlockCacheEvictions:  c.evictions.Load(),
 		BlockCacheScanHits:   c.scanHits.Load(),
 		BlockCacheScanMisses: c.scanMisses.Load(),
+		BlockCacheBypasses:   c.bypasses.Load(),
 	}
 	for i := range c.shards {
 		s := &c.shards[i]

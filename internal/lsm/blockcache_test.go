@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,10 +17,10 @@ import (
 )
 
 // get is a lookup that never loads: the resident block (a hit, touched
-// as fetch touches it), or false (a miss).
+// as fetch touches it), or false (a miss, declined or not).
 func (c *BlockCache) get(run uint64, i int, scan bool) (block, bool) {
-	b, err := c.fetch(run, i, scan, func() (block, error) { return block{}, errNotResident })
-	return b, err == nil
+	b, ok, err := c.fetch(run, i, scan, func() (block, error) { return block{}, errNotResident })
+	return b, ok && err == nil
 }
 
 var errNotResident = errors.New("not resident")
@@ -101,6 +102,7 @@ func TestBlockCacheOps(t *testing.T) {
 	}
 
 	checkRing(t, blk)
+	checkGhosts(t)
 
 	// A block larger than a shard's split is handed back to its reader and
 	// is not resident afterwards; what the shard held, on either list,
@@ -192,6 +194,66 @@ func checkRing(t *testing.T, blk block) {
 	}
 	if s.used != c.shardBudget || len(s.entries) != 8 {
 		t.Fatalf("a promotion changed the shard's bytes: used %d in %d entries", s.used, len(s.entries))
+	}
+}
+
+// checkGhosts drives one shard of a fresh cache, four runBlockTarget
+// blocks large, through the ghost list's rules: while the shard has room
+// for a block of runBlockTarget bytes a point miss is admitted; once it
+// has none a first point miss loads nothing, is not admitted and becomes
+// a ghost; the list forgets its oldest ghost once as many newer ones have
+// come as it holds (two); and a ghost's next miss is admitted into hot,
+// evicting hot's coldest, and leaves the list.
+func checkGhosts(t *testing.T) {
+	t.Helper()
+	items := make([]index.Item, 63) // one block just over runBlockTarget
+	for i := range items {
+		items[i] = index.Item{Key: adm.Int(int64(i)), Val: adm.String(strings.Repeat("g", 250))}
+	}
+	blk := loadTestBlock(t, items)
+	if blk.size() <= runBlockTarget || 3*blk.size() > 4*runBlockTarget {
+		t.Fatalf("a %d-byte block: three must fit a split of four runBlockTargets, with no room for a fourth", blk.size())
+	}
+	c := NewBlockCache(4 * runBlockTarget * blockCacheShards)
+	s := c.shard(blockKey{run: 6})
+	key := func(i int) blockKey { return blockKey{run: 6, block: i * blockCacheShards} } // all in s
+	if len(s.ghosts) != 2 {
+		t.Fatalf("a split of four blocks holds %d ghosts, want 2", len(s.ghosts))
+	}
+	loads := 0
+	fetch := func(i int) bool {
+		t.Helper()
+		b, ok, err := c.fetch(6, key(i).block, false, func() (block, error) { loads++; return blk, nil })
+		if err != nil || ok && b.entries() != blk.entries() {
+			t.Fatalf("fetch %d: %v, %d entries", i, err, b.entries())
+		}
+		return ok
+	}
+	for i := 0; i < 3; i++ {
+		if !fetch(i) || loads != i+1 {
+			t.Fatalf("miss %d on a shard with room was not admitted", i)
+		}
+	}
+	for i := 3; i < 6; i++ { // 5 overwrites 3
+		if fetch(i) || loads != 3 {
+			t.Fatalf("first miss %d on a full shard: admitted, or %d loads", i, loads)
+		}
+	}
+	if want := []blockKey{key(5), key(4)}; !slices.Equal(s.ghosts, want) {
+		t.Fatalf("ghosts %v, want %v", s.ghosts, want)
+	}
+	if fetch(3) || loads != 3 { // forgotten: a first touch again, overwriting 4
+		t.Fatal("an overwritten ghost was admitted")
+	}
+	cold := s.hot.tail.key
+	if !fetch(5) || loads != 4 || s.hot.head.key != key(5) {
+		t.Fatalf("a ghost's second miss was not admitted at hot's head (%d loads)", loads)
+	}
+	if _, ok := s.entries[cold]; ok || slices.Contains(s.ghosts, key(5)) || !slices.Contains(s.ghosts, key(3)) {
+		t.Fatalf("after the admission: hot's coldest %v resident %v, ghosts %v", cold, ok, s.ghosts)
+	}
+	if st := c.Stats(); st.BlockCacheBypasses != 4 || st.BlockCacheMisses != 8 || st.BlockCacheEvictions != 1 || st.BlockCacheEntries != 3 {
+		t.Fatalf("after the ghost rules: %+v", st)
 	}
 }
 
@@ -312,6 +374,151 @@ func TestBlockCacheConcurrentScansShare(t *testing.T) {
 	}
 }
 
+// fillPointReads point-reads one key in each of run's blocks from the
+// first on, until every shard of cache is full — no room left for a
+// block of runBlockTarget bytes, so a point miss needs a ghost to be
+// admitted — and returns the first block not read.
+func fillPointReads(t *testing.T, p *Partition, run *runFile, cache *BlockCache) int {
+	t.Helper()
+	full := func() bool {
+		for i := range cache.shards {
+			s := &cache.shards[i]
+			s.mu.Lock()
+			room := s.used+runBlockTarget <= cache.shardBudget
+			s.mu.Unlock()
+			if room {
+				return false
+			}
+		}
+		return true
+	}
+	for b := range run.blocks {
+		if full() {
+			return b
+		}
+		getBlockKey(t, p, run, b)
+	}
+	t.Fatalf("%d blocks did not fill the cache", len(run.blocks))
+	return 0
+}
+
+// getBlockKey point-reads the first key of run's block b and checks the
+// record it returns.
+func getBlockKey(t *testing.T, p *Partition, run *runFile, b int) {
+	t.Helper()
+	k := run.blocks[b].firstKey
+	if v, ok, err := p.Get(k); !ok || err != nil || v.Field("id").IntVal() != k.IntVal() {
+		t.Fatalf("get %v = %v, %v, %v", k, v, ok, err)
+	}
+}
+
+// TestFullCachePointMissKeepsOnlyItsRecord: a point read that misses a
+// full cache, first touch of its block, reads the block into pooled
+// buffers and keeps only a copy of its record — it neither allocates a
+// block nor evicts one — and a run with no cache reads every block that
+// way. The record such a read hands up is a copy, which the reads after
+// it, decoding into the same pooled buffers, leave as it was. Admitting
+// each such miss cost a decoded block (16 KiB and its offset table) and
+// an eviction per read.
+func TestFullCachePointMissKeepsOnlyItsRecord(t *testing.T) {
+	const budget = 512 << 10
+	perMiss := func(t *testing.T, p *Partition, run *runFile, from int) float64 {
+		t.Helper()
+		getBlockKey(t, p, run, from) // the pooled buffers' first use
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for b := from + 1; b < len(run.blocks); b++ {
+			getBlockKey(t, p, run, b)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(run.blocks)-from-1)
+	}
+	t.Run("full", func(t *testing.T) {
+		p, run := overBudgetPartition(t, budget)
+		cache := p.opts.BlockCache
+		from := fillPointReads(t, p, run, cache)
+		before := cache.Stats()
+		got := perMiss(t, p, run, from)
+		st := cache.Stats()
+		misses := uint64(len(run.blocks) - from)
+		if st.BlockCacheMisses-before.BlockCacheMisses != misses || st.BlockCacheBypasses-before.BlockCacheBypasses != misses || st.BlockCacheEvictions != before.BlockCacheEvictions {
+			t.Fatalf("%d first touches on a full cache: %d misses, %d bypasses, %d evictions", misses,
+				st.BlockCacheMisses-before.BlockCacheMisses, st.BlockCacheBypasses-before.BlockCacheBypasses, st.BlockCacheEvictions-before.BlockCacheEvictions)
+		}
+		t.Logf("%d blocks, cache full after %d: %.0f B a missed get", len(run.blocks), from, got)
+		if got > 2048 && !raceEnabled { // sync.Pool drops a quarter of its Puts at random under -race
+			t.Fatalf("a point read that missed a full cache allocated %.0f B: it kept its block", got)
+		}
+	})
+	t.Run("nocache", func(t *testing.T) {
+		opts := DefaultOptions()
+		opts.MemBudget = 1 << 30
+		p := flushedPartition(t, opts, 16000)
+		run := partitionRuns(p)[0]
+		// The largest block first: every read after it decodes its block
+		// into the pooled buffers that block was decoded into.
+		largest, size := 0, int64(0)
+		for i := range run.blocks {
+			blk, err := run.loadBlock(i, block{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if blk.size() > size {
+				largest, size = i, blk.size()
+			}
+		}
+		k := run.blocks[largest].firstKey
+		first, _, _ := p.Get(k)
+		got := perMiss(t, p, run, 0)
+		if adm.Compare(first, viewRec(int(k.IntVal()))) != 0 {
+			t.Fatalf("a record read privately is not a copy: it now reads %v", first)
+		}
+		t.Logf("%d blocks: %.0f B a get", len(run.blocks), got)
+		if got > 2048 && !raceEnabled { // sync.Pool drops a quarter of its Puts at random under -race
+			t.Fatalf("a point read of a run with no cache allocated %.0f B: it kept its block", got)
+		}
+	})
+}
+
+// TestBlockCacheAdmitsReReferencedPointBlocks: on a full cache a small
+// hot set is declined on its first read and admitted on its second — its
+// keys are ghosts by then — and then stays resident through a burst of
+// one-off point reads of more blocks than the cache holds, so its third
+// read loads nothing. A cache that admitted every point miss let the
+// burst's blocks evict it; one that admitted none once full never
+// admitted it at all.
+func TestBlockCacheAdmitsReReferencedPointBlocks(t *testing.T) {
+	p, run := overBudgetPartition(t, 512<<10)
+	cache := p.opts.BlockCache
+	from := fillPointReads(t, p, run, cache)
+	hotSet := []int{from, from + 1, from + 2, from + 3} // four shards, one ghost each
+	burst := from + len(hotSet)
+	if len(run.blocks)-burst < 2*len(cache.shards)*int(cache.shardBudget/runBlockTarget) {
+		t.Fatalf("%d blocks after the hot set: no burst larger than the cache", len(run.blocks)-burst)
+	}
+	readHot := func() uint64 {
+		t.Helper()
+		before := p.renv.ctr.blockReads.Load()
+		for _, b := range hotSet {
+			getBlockKey(t, p, run, b)
+		}
+		return p.renv.ctr.blockReads.Load() - before
+	}
+	st0 := cache.Stats()
+	first, second := readHot(), readHot()
+	st := cache.Stats()
+	if first != 4 || second != 4 || st.BlockCacheBypasses-st0.BlockCacheBypasses != 4 || st.BlockCacheEntries != st0.BlockCacheEntries {
+		t.Fatalf("two reads of the hot set: %d and %d block reads, %d bypasses, %d -> %d entries",
+			first, second, st.BlockCacheBypasses-st0.BlockCacheBypasses, st0.BlockCacheEntries, st.BlockCacheEntries)
+	}
+	for b := burst; b < len(run.blocks); b++ {
+		getBlockKey(t, p, run, b)
+	}
+	if third := readHot(); third != 0 {
+		t.Fatalf("the hot set's third read, after a burst of %d one-off reads, loaded %d blocks", len(run.blocks)-burst, third)
+	}
+}
+
 // diffOp drives one deterministic mixed workload step.
 func diffKey(r *rand.Rand, space int64) adm.Value { return adm.Int(r.Int63n(space)) }
 
@@ -421,6 +628,15 @@ func TestBlockCacheDifferential(t *testing.T) {
 	if cs := cache.Stats(); st.BlockReads == 0 || cs.BlockCacheHits == 0 || cs.BlockCacheEvictions == 0 {
 		t.Fatalf("workload never exercised the cache: part=%+v cache=%+v", st, cache.Stats())
 	}
+	// Both ways a point miss can go ran: read privately (a bypass) and
+	// admitted. A split smaller than runBlockTarget is never roomy, so
+	// every point miss admitted was a ghost's second touch.
+	if cache.shardBudget >= runBlockTarget {
+		t.Fatalf("a %d-byte split has room for a block", cache.shardBudget)
+	}
+	if cs := cache.Stats(); cs.BlockCacheBypasses == 0 || pointAdmissions(cs) == 0 {
+		t.Fatalf("point misses: %d bypassed, %d admitted as ghosts (%+v)", cs.BlockCacheBypasses, pointAdmissions(cs), cs)
+	}
 
 	// A clean close and reopen (fresh cache) must converge to the same
 	// state.
@@ -440,6 +656,11 @@ func TestBlockCacheDifferential(t *testing.T) {
 			t.Fatalf("reopen: key %d = %v,%v want %d", k, got, ok, want)
 		}
 	}
+}
+
+// pointAdmissions is how many point misses a cache admitted.
+func pointAdmissions(cs CacheStats) uint64 {
+	return cs.BlockCacheMisses - cs.BlockCacheScanMisses - cs.BlockCacheBypasses
 }
 
 // TestBlockCacheConcurrentMissesLoadOnce: readers that miss a block
@@ -466,7 +687,7 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[0], errs[0] = c.fetch(7, 0, false, load)
+			got[0], _, errs[0] = c.fetch(7, 0, false, load)
 		}()
 		for loads.Load() == 0 {
 			runtime.Gosched()
@@ -475,7 +696,7 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[w], errs[w] = c.fetch(7, 0, w%2 == 0, load)
+				got[w], _, errs[w] = c.fetch(7, 0, w%2 == 0, load)
 			}()
 		}
 		for c.Stats().BlockCacheHits+uint64(loads.Load()-1) < waiters { // each joined the load, or started one
@@ -496,7 +717,7 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 			t.Fatalf("after the shared load (error %v): %+v", loadErr, st)
 		}
 		again := 0
-		if _, err := c.fetch(7, 0, false, func() (block, error) { again++; return blk, nil }); err != nil || (again == 0) != (loadErr == nil) {
+		if _, _, err := c.fetch(7, 0, false, func() (block, error) { again++; return blk, nil }); err != nil || (again == 0) != (loadErr == nil) {
 			t.Fatalf("the next reader after a load that returned %v: %v, loading %d times", loadErr, err, again)
 		}
 	}
@@ -505,7 +726,11 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 // TestBlockCacheConcurrentReaders hammers one cached partition under the
 // race detector: a writer keeps upserting and flushing (so compaction
 // retires runs and drops their cache entries) while readers point-look-up
-// a sealed key range and walk snapshot cursors, sharing the cache.
+// a sealed key range and walk snapshot cursors, sharing the cache, and
+// two more read a few sealed keys twice in a row, so that one reader's
+// private read of a block (a bypass) races another's admission of it
+// (a ghost's second touch). The cache's splits are smaller than a
+// block: every point miss is declined or admitted as a ghost.
 func TestBlockCacheConcurrentReaders(t *testing.T) {
 	const sealed = 300
 	cache := NewBlockCache(16 << 10)
@@ -576,6 +801,22 @@ func TestBlockCacheConcurrentReaders(t *testing.T) {
 			}
 		}(int64(g) + 77)
 	}
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(seed int64) {
+			defer readers.Done()
+			r := rand.New(rand.NewSource(seed))
+			for it := 0; it < 400; it++ {
+				k := int64(r.Intn(8) * sealed / 8)
+				for range 2 {
+					if got, ok, _ := p.Get(adm.Int(k)); !ok || got.Field("v").IntVal() != k {
+						t.Errorf("sealed key %d = %v,%v", k, got, ok)
+						return
+					}
+				}
+			}
+		}(int64(g) + 91)
+	}
 	// Readers drive the duration; stop the writer when they finish.
 	readers.Wait()
 	close(done)
@@ -583,5 +824,8 @@ func TestBlockCacheConcurrentReaders(t *testing.T) {
 
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if cs := cache.Stats(); cs.BlockCacheBypasses == 0 || pointAdmissions(cs) == 0 {
+		t.Fatalf("point misses: %d bypassed, %d admitted as ghosts", cs.BlockCacheBypasses, pointAdmissions(cs))
 	}
 }

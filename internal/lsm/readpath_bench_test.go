@@ -83,9 +83,40 @@ func BenchmarkPointLookupDurable(b *testing.B) {
 	// Warm cache hits: every probed block is resident, so the lookup
 	// does zero filesystem reads and no allocation.
 	run("hit/warm", NewBlockCache(DefaultBlockCacheBytes), func(i int) adm.Value { return adm.Int(int64(2 * (i % 1000))) }, true, true)
-	// Cache-off baseline: every hit loads its block from the
-	// filesystem (its bytes and offset table, two allocations).
+	// Cache-off baseline: every hit reads its block from the filesystem
+	// into pooled buffers and keeps a copy of its record.
 	run("hit/nocache", nil, func(i int) adm.Value { return adm.Int(int64(2 * (i % 1000))) }, true, false)
+
+	// A full cache, every probe a first touch: a cache of one byte a shard
+	// never has room for a block, and the probes cycle through the first
+	// keys of ten times as many blocks, so between two probes of a block
+	// its shard declines others and the ghost list (one key a shard here)
+	// has forgotten it. Each probe is declined, reads its block into
+	// pooled buffers and keeps a copy of its record; bypasses/op must be 1.
+	b.Run("miss/full", func(b *testing.B) {
+		cache := NewBlockCache(blockCacheShards)
+		p := benchReadPartition(b, 10*n, cache)
+		var keys []adm.Value
+		for _, r := range partitionRuns(p) {
+			for _, m := range r.blocks {
+				keys = append(keys, m.firstKey)
+			}
+		}
+		before := cache.Stats().BlockCacheBypasses
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok, _ := p.Get(keys[i%len(keys)]); !ok {
+				b.Fatalf("get(%v) found nothing", keys[i%len(keys)])
+			}
+		}
+		b.StopTimer()
+		bypasses := cache.Stats().BlockCacheBypasses - before
+		b.ReportMetric(float64(bypasses)/float64(b.N), "bypasses/op")
+		if bypasses != uint64(b.N) {
+			b.Fatalf("%d of %d probes bypassed the cache", bypasses, b.N)
+		}
+	})
 }
 
 // BenchmarkScanWarmCache measures full-snapshot scans over the same

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -477,7 +478,8 @@ func (r *runFile) load() error {
 // entries. data is never written after loadBlock returns, and a block
 // handed to queries is garbage-collected, never pooled: the record views
 // a lookup or cursor returns alias it for as long as anything keeps
-// them.
+// them. (The blocks compaction and readRecord reuse are handed to no
+// one.)
 type block struct {
 	data []byte
 	// offs locates entry i in data: its key starts at offs[2i], its record
@@ -504,7 +506,9 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 // (adm.SkipBinary) and refuses trailing bytes. Whatever reads the block
 // afterwards — a key compare, a field of a record view — cannot fail.
 // reuse lends its buffers to a caller that hands out nothing aliasing
-// them (compaction); queries pass the zero block and get memory of
+// them — compaction, and a point read whose block the cache does not
+// keep (readRecord), which copies its one record out; readers whose
+// block is cached or scanned pass the zero block and get memory of
 // their own. An error names the run and the block: it is the read fault
 // the reader that asked for the block reports.
 func (r *runFile) loadBlock(i int, reuse block) (b block, err error) {
@@ -593,24 +597,46 @@ func parseBlock(data []byte, offs []uint32) (block, error) {
 	return block{data: data, offs: append(offs, uint32(pos))}, nil
 }
 
-// block returns block i, through the cache when one is wired: a hit
-// returns the resident block, a miss loads it (once, however many
-// readers miss it together) and publishes it. scan says a cursor asks
-// rather than a point read, which decides where the cache keeps the
-// block (BlockCache).
-func (r *runFile) block(i int, scan bool) (block, error) {
+// scanBlock returns block i to a cursor, through the cache's scan ring
+// when one is wired: a hit returns the resident block, a miss loads it
+// (once, however many readers miss it together) and publishes it.
+func (r *runFile) scanBlock(i int) (block, error) {
 	if r.cache == nil {
 		return r.loadBlock(i, block{})
 	}
-	return r.cache.fetch(r.id, i, scan, func() (block, error) { return r.loadBlock(i, block{}) })
+	blk, _, err := r.cache.fetch(r.id, i, true, func() (block, error) { return r.loadBlock(i, block{}) })
+	return blk, err
+}
+
+// lookup binary-searches the block's encoded keys for key and returns
+// the record stored under it, or nil (a record is never empty).
+// loadBlock checked every key.
+func (b block) lookup(key adm.Value) []byte {
+	lo, hi := 0, b.entries()
+	cmp := -1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if c := adm.CompareBinary(b.key(mid), key); c < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+			cmp = c
+		}
+	}
+	if lo < b.entries() && cmp == 0 {
+		return b.val(lo)
+	}
+	return nil
 }
 
 // get performs a point lookup: reject by key-range fence, then by bloom
 // filter, then binary-search the block index for the last block whose
-// first key is <= key and binary-search that block's encoded keys. The
-// record comes back as a view of the block's bytes, so a hit on a
-// resident block decodes and allocates nothing. An error is a block that
-// could not be read, so the key may be here after all.
+// first key is <= key and binary-search that block's encoded keys. A
+// block the cache keeps serves the record as a view of its bytes, so a
+// hit on a resident block decodes and allocates nothing. A block it does
+// not keep — a first touch on a full shard (BlockCache), or any block
+// of a run with no cache — is read privately (readRecord). An error is
+// a block that could not be read, so the key may be here after all.
 func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 	if len(r.blocks) == 0 {
 		return adm.Value{}, false, nil
@@ -636,26 +662,45 @@ func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 	if lo == 0 {
 		return adm.Value{}, false, nil
 	}
-	blk, err := r.block(lo-1, false)
+	i := lo - 1
+	if r.cache != nil {
+		blk, ok, err := r.cache.fetch(r.id, i, false, func() (block, error) { return r.loadBlock(i, block{}) })
+		if err != nil {
+			return adm.Value{}, false, err
+		}
+		if ok {
+			if rec := blk.lookup(key); rec != nil {
+				return adm.ViewAlias(rec), true, nil
+			}
+			return adm.Value{}, false, nil
+		}
+	}
+	return r.readRecord(i, key)
+}
+
+// blockBufs lends readRecord the buffers a block is decoded into: the
+// payload and the offset table are garbage once the record is copied
+// out, so a point read that keeps no block allocates none.
+var blockBufs = sync.Pool{New: func() any { return new(block) }}
+
+// readRecord is a point read that keeps no block: it loads block i into
+// pooled buffers, on the one path every block read takes (loadBlock:
+// checksum, decode, structure walk), and copies the record stored under
+// key out of it. The view it returns aliases that copy, never the
+// pooled bytes, which the next such read overwrites.
+func (r *runFile) readRecord(i int, key adm.Value) (adm.Value, bool, error) {
+	bp := blockBufs.Get().(*block)
+	defer blockBufs.Put(bp)
+	blk, err := r.loadBlock(i, *bp)
 	if err != nil {
 		return adm.Value{}, false, err
 	}
-	// The first entry whose key is >= key; loadBlock checked every key.
-	a, b := 0, blk.entries()
-	cmp := -1
-	for a < b {
-		mid := (a + b) / 2
-		if c := adm.CompareBinary(blk.key(mid), key); c < 0 {
-			a = mid + 1
-		} else {
-			b = mid
-			cmp = c
-		}
+	*bp = blk
+	rec := blk.lookup(key)
+	if rec == nil {
+		return adm.Value{}, false, nil
 	}
-	if a < blk.entries() && cmp == 0 {
-		return adm.ViewAlias(blk.val(a)), true, nil
-	}
-	return adm.Value{}, false, nil
+	return adm.ViewAlias(bytes.Clone(rec)), true, nil
 }
 
 // incRef adds a keep-open reason (a snapshot).
@@ -723,7 +768,7 @@ func (c *runFileCursor) advance() (key []byte, tombstone, ok bool, err error) {
 		if c.raw {
 			blk, err = c.r.loadBlock(c.block, c.blk)
 		} else {
-			blk, err = c.r.block(c.block, true)
+			blk, err = c.r.scanBlock(c.block)
 		}
 		if err != nil {
 			c.err, c.block = err, len(c.r.blocks)
