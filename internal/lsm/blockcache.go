@@ -3,6 +3,7 @@ package lsm
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // BlockCache caches run-file blocks as their decoded payloads (plus
@@ -37,20 +38,47 @@ import (
 // what lets the hot set change while the cache stays full. A scan miss
 // joins the ring; a scan hit moves nothing. So a scan never reorders
 // hot, and it displaces hot only while the ring holds no more than its
-// share (ringShare) of the shard: past that, a scan recycles the ring's
+// share (ringShare) of the shard: past that, a scan evicts the ring's
 // own oldest blocks. The ring is what lets concurrent scans of the same
 // data share loads — a trailing scan hits the blocks a leading one just
 // brought in.
 //
-// Residency is all the cache decides. Block bytes are garbage-collected,
-// so a reader keeps the block it was handed — and every view into it —
-// through eviction, dropRun and the cache itself, and there is nothing
-// to give back. The budget is enforced at admission time, and only a
-// shard over its split evicts, so while there is room a scan fills the
-// cache as a point read would. An over-budget insert evicts one victim
-// at a time until the shard fits — the ring's oldest entry when the ring
-// holds more than its share or hot is empty, else hot's coldest — the
-// block just inserted included when it alone exceeds the shard's split.
+// Residency is all the cache decides. An over-budget insert evicts one
+// victim at a time until the shard fits — the ring's oldest entry when
+// the ring holds more than its share or hot is empty, else hot's coldest
+// — the block just inserted included when it alone exceeds the shard's
+// split. The budget is enforced at admission time, and only a shard over
+// its split evicts, so while there is room a scan fills the cache as a
+// point read would.
+//
+// Where an evicted block's bytes go is decided apart, by who read it.
+// Most readers keep the block they were handed — and every view into it
+// — through eviction, dropRun and the cache itself: a point read, a
+// serial scan, a parallel scan that streams its rows out, the index
+// back-fill. Such a block is escaped, and the garbage collector frees
+// it. A parallel scan whose rows only a top-k heap or a hash aggregate
+// keeps, and those copy what they keep (see the query package's
+// envReuse), instead leases the blocks it reads (readMode leasedScan):
+// it pins each one it fetches until the consumer has pulled past every
+// row of it (ParallelScanCursor). Each entry keeps a pin count and an
+// escaped bit under its shard's lock:
+//
+//   - a leased fetch pins an entry that has not escaped;
+//   - every other fetch, a single-flight waiter included, marks it
+//     escaped for good;
+//   - a leased miss on a shard that must evict to admit it — one without
+//     the room of a pooled buffer, recycledRoom — decodes into a pooled
+//     block (blockBufs) and enters unescaped; every other load,
+//     a leased miss on a shard with room included, is escaped from birth,
+//     so a cache that never fills recycles nothing;
+//   - eviction and dropRun hand an unescaped victim's payload and offset
+//     table back to blockBufs — at once if nothing pins it, else at its
+//     last release — overwritten with recycledByte first, so a view that
+//     outlived its lease fails to decode instead of reading another
+//     block's records. The next full-shard leased miss decodes into them.
+//
+// Pins change no residency: a pinned entry is evicted as any other, and
+// only the reuse of its bytes waits.
 type BlockCache struct {
 	shardBudget int64
 	shards      [blockCacheShards]cacheShard
@@ -59,6 +87,7 @@ type BlockCache struct {
 	misses, scanMisses atomic.Uint64
 	bypasses           atomic.Uint64
 	evictions          atomic.Uint64
+	recycled           atomic.Uint64
 }
 
 const blockCacheShards = 8
@@ -96,7 +125,40 @@ type CacheStats struct {
 	// Bypasses is the share of point misses a full shard did not admit:
 	// their readers read the block privately and kept only the record.
 	BlockCacheBypasses uint64
+	// Recycled counts the block loads that decoded into the memory of a
+	// block the cache had let go of (blockBufs) instead of allocating.
+	BlockCacheRecycled uint64
 }
+
+// readMode says who reads a block: it decides where a miss is admitted,
+// what a hit moves and whether the reader leases the block.
+type readMode uint8
+
+const (
+	// pointRead is runFile.get: hot, admitted by admits.
+	pointRead readMode = iota
+	// scanRead is a cursor whose rows may outlive its next advance.
+	scanRead
+	// leasedScan is a parallel scan's cursor whose rows only a keeping
+	// operator keeps, as copies: it pins what it reads.
+	leasedScan
+)
+
+// recycledByte overwrites a recycled payload: no ADM kind has it, so a
+// view left over the bytes fails to decode.
+const recycledByte = 0xff
+
+// maxRecycled bounds a recycled buffer: a larger one would be charged
+// for room no block of runBlockTarget bytes uses.
+const maxRecycled = 2 * runBlockTarget
+
+// recycledRoom is the room a leased miss gives a pooled payload buffer
+// that has less: a writer flushes a block once its payload reaches
+// runBlockTarget, so a block of records under 2 KiB fits, and any buffer
+// the pool holds fits any such block. It is the allocator's size class
+// for payloads just over runBlockTarget, so it takes no more memory than
+// a buffer of exactly their length does.
+const recycledRoom = runBlockTarget + runBlockTarget/8
 
 // blockKey names a block. Run ids start at 1, so the zero key names no
 // block and marks an empty ghost slot.
@@ -106,14 +168,25 @@ type blockKey struct {
 }
 
 // blockEntry is one cached block, or one being loaded. blk and err are
-// written once, by the load, before loaded is done; the list links and
-// inRing are owned by the shard lock.
+// written once, by the load, before loaded is done; box too, under the
+// lock. The list links, inRing, pins, escaped and gone are owned by the
+// shard lock.
 type blockEntry struct {
-	key        blockKey
-	blk        block
-	err        error
-	loaded     sync.WaitGroup
-	inRing     bool
+	key    blockKey
+	shard  *cacheShard
+	blk    block
+	err    error
+	loaded sync.WaitGroup
+	// box is the pooled block whose buffers a leased miss decoded into:
+	// where blk's buffers go back when the cache lets go of them (recycle).
+	box *block
+	// pins counts the leases held on the entry; escaped says a reader
+	// that does not lease has it; gone says the cache let go of it.
+	pins    int32
+	escaped bool
+	gone    bool
+	inRing  bool
+
 	prev, next *blockEntry
 }
 
@@ -167,16 +240,20 @@ func (c *BlockCache) shard(k blockKey) *cacheShard {
 
 // fetch returns block i of run: the resident block on a hit, else the
 // block load returns, published — into hot for a point read, into the
-// ring for a scan. scan also decides what a hit moves. A block is loaded
-// once however many readers miss it together: the first registers its
-// load, and the others wait for it and share its block (or its error),
-// counted as hits — they read nothing. Readers that each loaded a copy
-// would read and allocate the block once each. A point miss the shard
-// does not admit (admits) loads nothing here: fetch returns ok false,
-// and the reader reads the block itself.
-func (c *BlockCache) fetch(run uint64, i int, scan bool, load func() (block, error)) (block, bool, error) {
+// ring for a scan. The mode also decides what a hit moves, and whether
+// the reader leases the block: lease, when non-nil, is a pin the reader
+// ends with release once nothing it handed up reads the block any more.
+// A block is loaded once however many readers miss it together: the
+// first registers its load, and the others wait for it and share its
+// block (or its error), counted as hits — they read nothing. Readers that
+// each loaded a copy would read and allocate the block once each. A
+// point miss the shard does not admit (admits) loads nothing here: fetch
+// returns ok false, and the reader reads the block itself. load decodes
+// into reuse's buffers when they have the room.
+func (c *BlockCache) fetch(run uint64, i int, mode readMode, load func(reuse block) (block, error)) (blk block, lease *blockEntry, ok bool, err error) {
 	k := blockKey{run: run, block: i}
 	s := c.shard(k)
+	scan := mode != pointRead
 	s.mu.Lock()
 	e, ok := s.entries[k]
 	if ok {
@@ -186,22 +263,81 @@ func (c *BlockCache) fetch(run uint64, i int, scan bool, load func() (block, err
 			s.mu.Unlock()
 			c.count(false, false)
 			c.bypasses.Add(1)
-			return block{}, false, nil
+			return block{}, nil, false, nil
 		}
 		// The entry is made before the load, so waiters have something to
 		// wait on and a miss allocates no more than it did.
-		e = &blockEntry{key: k}
+		reuse := mode == leasedScan && s.used+recycledRoom > c.shardBudget
+		e = &blockEntry{key: k, shard: s, escaped: !reuse}
+		lease = e.hold(mode)
 		e.loaded.Add(1)
 		s.loading[k] = e
 		s.mu.Unlock()
 		c.count(false, scan)
-		c.load(s, e, scan, load)
-		return e.blk, true, e.err
+		c.load(s, e, scan, reuse, load)
+		if e.err != nil {
+			return block{}, nil, true, e.err
+		}
+		return e.blk, lease, true, nil
 	}
+	lease = e.hold(mode)
 	s.mu.Unlock()
 	c.count(true, scan)
 	e.loaded.Wait() // at once for a resident entry
-	return e.blk, true, e.err
+	if e.err != nil {
+		return block{}, nil, true, e.err
+	}
+	return e.blk, lease, true, nil
+}
+
+// hold applies a fetch's mode to e, under its shard's lock: a leased
+// scan pins an entry that has not escaped and returns it as its lease;
+// any other reader marks it escaped.
+func (e *blockEntry) hold(mode readMode) *blockEntry {
+	if mode != leasedScan {
+		e.escaped = true
+		return nil
+	}
+	if e.escaped {
+		return nil
+	}
+	e.pins++
+	return e
+}
+
+// release ends a lease fetch handed out. The last one out of an entry
+// the cache has let go of recycles its buffers.
+func (e *blockEntry) release() {
+	e.shard.mu.Lock()
+	e.pins--
+	e.recycle()
+	e.shard.mu.Unlock()
+}
+
+// recycle hands e's buffers back to blockBufs, under its shard's lock,
+// once the cache has let go of e and no lease or escaped reader can
+// still read them. The payload is overwritten first (recycledByte);
+// a buffer larger than maxRecycled is left to the garbage collector.
+func (e *blockEntry) recycle() {
+	if !e.gone || e.pins > 0 || e.escaped || e.box == nil {
+		return
+	}
+	b := e.blk
+	if len(b.data) > 0 {
+		b.data[0] = recycledByte
+		for n := 1; n < len(b.data); n *= 2 {
+			copy(b.data[n:], b.data[:n])
+		}
+	}
+	if cap(b.data) > maxRecycled {
+		b.data = nil
+	}
+	if 4*cap(b.offs) > maxRecycled {
+		b.offs = nil
+	}
+	*e.box = b
+	blockBufs.Put(e.box)
+	e.box, e.blk = nil, block{}
 }
 
 // admits decides, under s's lock, whether a point miss on k earns
@@ -227,16 +363,39 @@ func (c *BlockCache) admits(s *cacheShard, k blockKey) bool {
 }
 
 // load runs a registered load and publishes its outcome: a block is
-// admitted, an error handed to the waiters alone.
-func (c *BlockCache) load(s *cacheShard, e *blockEntry, scan bool, load func() (block, error)) {
+// admitted, an error handed to the waiters alone. A load that reuses
+// decodes into a block from blockBufs — its payload buffer given
+// recycledRoom first if it has less — whose box the entry keeps.
+func (c *BlockCache) load(s *cacheShard, e *blockEntry, scan, reuse bool, load func(block) (block, error)) {
 	defer e.loaded.Done()
-	e.blk, e.err = load()
+	var bp *block
+	var pooled *byte
+	if reuse {
+		bp = blockBufs.Get().(*block)
+		if pooled = unsafe.SliceData(bp.data); cap(bp.data) < recycledRoom {
+			bp.data, pooled = make([]byte, 0, recycledRoom), nil
+		}
+		e.blk, e.err = load(*bp)
+	} else {
+		e.blk, e.err = load(block{})
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.loading, e.key)
-	if e.err == nil {
-		c.admit(s, e, scan)
+	if e.err != nil {
+		if bp != nil {
+			blockBufs.Put(bp)
+		}
+		return
 	}
+	if bp != nil {
+		if pooled != nil && pooled == unsafe.SliceData(e.blk.data) {
+			c.recycled.Add(1)
+		}
+		*bp = block{}
+		e.box = bp
+	}
+	c.admit(s, e, scan)
 }
 
 // count records a lookup; scans are counted apart inside the totals.
@@ -295,11 +454,14 @@ func (s *cacheShard) touch(e *blockEntry, scan bool) {
 	}
 }
 
-// remove takes e out of the shard: map, list and byte counts.
+// remove takes e out of the shard — map, list and byte counts — and
+// recycles its buffers if nothing can read them any more.
 func (s *cacheShard) remove(e *blockEntry) {
 	delete(s.entries, e.key)
 	s.used -= e.blk.size()
 	s.unlink(e)
+	e.gone = true
+	e.recycle()
 }
 
 // link puts e at the head of the ring (a scan's block) or of hot.
@@ -332,6 +494,7 @@ func (c *BlockCache) Stats() CacheStats {
 		BlockCacheScanHits:   c.scanHits.Load(),
 		BlockCacheScanMisses: c.scanMisses.Load(),
 		BlockCacheBypasses:   c.bypasses.Load(),
+		BlockCacheRecycled:   c.recycled.Load(),
 	}
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -19,8 +19,16 @@ import (
 // get is a lookup that never loads: the resident block (a hit, touched
 // as fetch touches it), or false (a miss, declined or not).
 func (c *BlockCache) get(run uint64, i int, scan bool) (block, bool) {
-	b, ok, err := c.fetch(run, i, scan, func() (block, error) { return block{}, errNotResident })
+	b, _, ok, err := c.fetch(run, i, modeOf(scan), func(block) (block, error) { return block{}, errNotResident })
 	return b, ok && err == nil
+}
+
+// modeOf is the unleased read mode of a point read or a scan.
+func modeOf(scan bool) readMode {
+	if scan {
+		return scanRead
+	}
+	return pointRead
 }
 
 var errNotResident = errors.New("not resident")
@@ -223,7 +231,7 @@ func checkGhosts(t *testing.T) {
 	loads := 0
 	fetch := func(i int) bool {
 		t.Helper()
-		b, ok, err := c.fetch(6, key(i).block, false, func() (block, error) { loads++; return blk, nil })
+		b, _, ok, err := c.fetch(6, key(i).block, pointRead, func(block) (block, error) { loads++; return blk, nil })
 		if err != nil || ok && b.entries() != blk.entries() {
 			t.Fatalf("fetch %d: %v, %d entries", i, err, b.entries())
 		}
@@ -676,7 +684,7 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 		c := NewBlockCache(1 << 20)
 		release := make(chan struct{})
 		var loads atomic.Int32
-		load := func() (block, error) {
+		load := func(block) (block, error) {
 			loads.Add(1)
 			<-release
 			return blk, loadErr
@@ -687,7 +695,7 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[0], _, errs[0] = c.fetch(7, 0, false, load)
+			got[0], _, _, errs[0] = c.fetch(7, 0, pointRead, load)
 		}()
 		for loads.Load() == 0 {
 			runtime.Gosched()
@@ -696,7 +704,7 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[w], _, errs[w] = c.fetch(7, 0, w%2 == 0, load)
+				got[w], _, _, errs[w] = c.fetch(7, 0, modeOf(w%2 == 0), load)
 			}()
 		}
 		for c.Stats().BlockCacheHits+uint64(loads.Load()-1) < waiters { // each joined the load, or started one
@@ -717,7 +725,7 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 			t.Fatalf("after the shared load (error %v): %+v", loadErr, st)
 		}
 		again := 0
-		if _, _, err := c.fetch(7, 0, false, func() (block, error) { again++; return blk, nil }); err != nil || (again == 0) != (loadErr == nil) {
+		if _, _, _, err := c.fetch(7, 0, pointRead, func(block) (block, error) { again++; return blk, nil }); err != nil || (again == 0) != (loadErr == nil) {
 			t.Fatalf("the next reader after a load that returned %v: %v, loading %d times", loadErr, err, again)
 		}
 	}
@@ -729,8 +737,12 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 // a sealed key range and walk snapshot cursors, sharing the cache, and
 // two more read a few sealed keys twice in a row, so that one reader's
 // private read of a block (a bypass) races another's admission of it
-// (a ghost's second touch). The cache's splits are smaller than a
-// block: every point miss is declined or admitted as a ghost.
+// (a ghost's second touch), and two run leased scans, whose every load
+// decodes into recycled memory, racing the point reads that escape the
+// blocks they share and the compactions that drop them. The cache's
+// splits are smaller than a block: every point miss is declined or
+// admitted as a ghost, and every leased block is evicted as it is
+// admitted and recycled at its release.
 func TestBlockCacheConcurrentReaders(t *testing.T) {
 	const sealed = 300
 	cache := NewBlockCache(16 << 10)
@@ -817,6 +829,38 @@ func TestBlockCacheConcurrentReaders(t *testing.T) {
 			}
 		}(int64(g) + 91)
 	}
+	for g := 0; g < 2; g++ { // leased scans: every block they load is recycled at its release
+		readers.Add(1)
+		go func(order ScanOrder) {
+			defer readers.Done()
+			for it := 0; it < 20; it++ {
+				cur := NewLeasedScanCursor([]*Snapshot{p.Snapshot()}, nil, order)
+				n := 0
+				for {
+					k, rec, ok, err := cur.Next()
+					if err != nil || !ok {
+						if err != nil {
+							t.Error(err)
+						}
+						break
+					}
+					if id := k.IntVal(); id < sealed {
+						if rec.Field("v").IntVal() != id {
+							t.Errorf("a leased scan read sealed key %d = %v", id, rec)
+							cur.Close()
+							return
+						}
+						n++
+					}
+				}
+				cur.Close()
+				if n != sealed {
+					t.Errorf("a leased scan saw %d sealed keys", n)
+					return
+				}
+			}
+		}([]ScanOrder{PartitionOrder, Unordered}[g])
+	}
 	// Readers drive the duration; stop the writer when they finish.
 	readers.Wait()
 	close(done)
@@ -825,7 +869,7 @@ func TestBlockCacheConcurrentReaders(t *testing.T) {
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if cs := cache.Stats(); cs.BlockCacheBypasses == 0 || pointAdmissions(cs) == 0 {
-		t.Fatalf("point misses: %d bypassed, %d admitted as ghosts", cs.BlockCacheBypasses, pointAdmissions(cs))
+	if cs := cache.Stats(); cs.BlockCacheBypasses == 0 || pointAdmissions(cs) == 0 || cs.BlockCacheRecycled == 0 {
+		t.Fatalf("point misses: %d bypassed, %d admitted as ghosts; %d blocks recycled", cs.BlockCacheBypasses, pointAdmissions(cs), cs.BlockCacheRecycled)
 	}
 }

@@ -44,9 +44,13 @@
 // across batches — keeps adm.Value.Detached copies instead.
 // An index scan (IndexScanCursor) keeps the secondary index's own
 // postings arrays: a published postings array is never written, because
-// every index write builds a new one (BTreeIndex). The one thing a read
-// gives back is a parallel scan's record batches, which
-// ParallelScanCursor.Close returns to a shared pool, cleared.
+// every index write builds a new one (BTreeIndex). What a read gives
+// back is a parallel scan's record batches, which ParallelScanCursor
+// returns to a shared pool, cleared, and a leased scan's pins on the
+// blocks it read. The one exception to "never rewritten" is that scan's:
+// its consumer keeps copies of what it keeps (NewLeasedScanCursor), so
+// once a pin is released the cache may recycle the block's bytes
+// (BlockCache).
 package lsm
 
 import (
@@ -890,6 +894,27 @@ func (s *Snapshot) Cursor() *Cursor {
 	return &Cursor{snap: s, m: mergeComponentCursors(s.components, true)}
 }
 
+// lease makes a fresh cursor's run cursors lease the blocks they read
+// (BlockCache), for a parallel scan whose rows only a keeping operator
+// keeps, as copies: every pin a run cursor lets go of — by leaving its
+// block, or at Close — lands in l, for the scan to release once the
+// consumer has pulled past the block's rows (ParallelScanCursor).
+func (cu *Cursor) lease(l *leaseList) {
+	for _, in := range cu.m.inputs {
+		if in.fc != nil {
+			in.fc.leases = l
+		}
+	}
+}
+
+// leaseList is where a leased cursor's run cursors hand the pins of the
+// blocks they leave (left), and how many pins they hold now (held): an
+// entry the cursor returns while held is zero lies in no pinned block.
+type leaseList struct {
+	left []*blockEntry
+	held int
+}
+
 // Cursor streams a snapshot's live records. A run block it cannot read
 // (I/O, CRC) ends it: Next reports ok=false as at the end, and Err
 // tells the two apart.
@@ -930,9 +955,18 @@ func (cu *Cursor) nextEncoded() (key, rec []byte, ok bool) {
 func (cu *Cursor) Err() error { return cu.err }
 
 // Close stops the cursor — Next reports exhaustion from then on — and
-// lets go of the snapshot. A cursor holds nothing else, so one that is
-// simply dropped leaks nothing.
-func (cu *Cursor) Close() { cu.snap, cu.m = nil, mergeCursor[*runCursor]{} }
+// lets go of the snapshot; a leased cursor's runs hand the pins of the
+// blocks they stand on to its leaseList. A cursor holds nothing else, so one
+// that is simply dropped leaks nothing (a dropped pin only keeps its
+// block from being recycled).
+func (cu *Cursor) Close() {
+	for _, in := range cu.m.inputs {
+		if in.fc != nil {
+			in.fc.leave()
+		}
+	}
+	cu.snap, cu.m = nil, mergeCursor[*runCursor]{}
+}
 
 // Changes returns a cursor over every key written after the mutation
 // epoch since (a stamp read from Epoch before some earlier snapshot was

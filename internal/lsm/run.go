@@ -475,11 +475,11 @@ func (r *runFile) load() error {
 
 // block is one run-file block in memory: the payload its frame
 // carries, checksum-verified and decoded, plus the offsets of its
-// entries. data is never written after loadBlock returns, and a block
-// handed to queries is garbage-collected, never pooled: the record views
-// a lookup or cursor returns alias it for as long as anything keeps
-// them. (The blocks compaction and readRecord reuse are handed to no
-// one.)
+// entries. data is never written after loadBlock returns while anything
+// can read it: the record views a lookup or cursor returns alias it for
+// as long as anything keeps them, and the cache recycles a block's
+// buffers only once no reader can (BlockCache: leases and escape). (The
+// blocks compaction and readRecord reuse are handed to no one.)
 type block struct {
 	data []byte
 	// offs locates entry i in data: its key starts at offs[2i], its record
@@ -492,8 +492,11 @@ func (b block) entries() int     { return len(b.offs) / 2 }
 func (b block) key(i int) []byte { return b.data[b.offs[2*i]:b.offs[2*i+1]] }
 func (b block) val(i int) []byte { return b.data[b.offs[2*i+1]:b.offs[2*i+2]] }
 
-// size is what a resident block costs: its bytes and its offset table.
-func (b block) size() int64 { return int64(len(b.data)) + 4*int64(len(b.offs)) }
+// size is what a resident block costs: the capacity of its bytes and of
+// its offset table, which is what it holds — a stored payload appended
+// into a fresh slice has its size class's room, a recycled buffer the
+// room of the block it came from.
+func (b block) size() int64 { return int64(cap(b.data)) + 4*int64(cap(b.offs)) }
 
 // frameBufs lends loadBlock the buffer a frame is read into: the bytes
 // on disk are garbage once decoded, so no block read allocates for them.
@@ -506,10 +509,11 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 // (adm.SkipBinary) and refuses trailing bytes. Whatever reads the block
 // afterwards — a key compare, a field of a record view — cannot fail.
 // reuse lends its buffers to a caller that hands out nothing aliasing
-// them — compaction, and a point read whose block the cache does not
-// keep (readRecord), which copies its one record out; readers whose
-// block is cached or scanned pass the zero block and get memory of
-// their own. An error names the run and the block: it is the read fault
+// them past their reuse — compaction; a point read whose block the cache
+// does not keep (readRecord), which copies its one record out; and a
+// leased scan miss on a full shard, whose block the cache recycles only
+// once its leases are released (BlockCache). Every other reader passes
+// the zero block and gets memory of its own. An error names the run and the block: it is the read fault
 // the reader that asked for the block reports.
 func (r *runFile) loadBlock(i int, reuse block) (b block, err error) {
 	defer func() {
@@ -599,13 +603,20 @@ func parseBlock(data []byte, offs []uint32) (block, error) {
 
 // scanBlock returns block i to a cursor, through the cache's scan ring
 // when one is wired: a hit returns the resident block, a miss loads it
-// (once, however many readers miss it together) and publishes it.
-func (r *runFile) scanBlock(i int) (block, error) {
+// (once, however many readers miss it together) and publishes it. A
+// leased cursor's read may pin the block: lease, when non-nil, is the
+// pin the cursor hands up when it leaves the block (runFileCursor).
+func (r *runFile) scanBlock(i int, leased bool) (blk block, lease *blockEntry, err error) {
 	if r.cache == nil {
-		return r.loadBlock(i, block{})
+		blk, err = r.loadBlock(i, block{})
+		return blk, nil, err
 	}
-	blk, _, err := r.cache.fetch(r.id, i, true, func() (block, error) { return r.loadBlock(i, block{}) })
-	return blk, err
+	mode := scanRead
+	if leased {
+		mode = leasedScan
+	}
+	blk, lease, _, err = r.cache.fetch(r.id, i, mode, func(reuse block) (block, error) { return r.loadBlock(i, reuse) })
+	return blk, lease, err
 }
 
 // lookup binary-searches the block's encoded keys for key and returns
@@ -664,7 +675,7 @@ func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 	}
 	i := lo - 1
 	if r.cache != nil {
-		blk, ok, err := r.cache.fetch(r.id, i, false, func() (block, error) { return r.loadBlock(i, block{}) })
+		blk, _, ok, err := r.cache.fetch(r.id, i, pointRead, func(reuse block) (block, error) { return r.loadBlock(i, reuse) })
 		if err != nil {
 			return adm.Value{}, false, err
 		}
@@ -734,21 +745,26 @@ func (r *runFile) close() error {
 // runFileCursor streams a run's entries block by block in key order as
 // the encoded bytes the file holds: key and val are the entry the last
 // advance stepped onto. A query's cursor (cursor) loads blocks through
-// the block cache, into memory of their own that nothing rewrites, so
-// what it hands up stays readable for as long as anything keeps it.
-// Compaction's (rawReader) loads them as queries do (loadBlock), but
+// the block cache, and what it hands up stays readable for as long as
+// anything keeps it — unless the cursor is leased: then each block it
+// reads may be pinned (lease), and when the cursor leaves a block it
+// hands the pin to its scan's leaseList (leases), whose owner releases
+// it once nothing reads the block's rows any more (ParallelScanCursor).
+// Compaction's (rawReader) loads blocks as queries do (loadBlock), but
 // into buffers it reuses, and goes around the block cache in both
 // directions: a compaction reads every block of its inputs exactly
 // once, so caching them would only evict blocks queries want; its
-// entries are valid until the next advance. A cursor holds nothing to
-// give back: whoever made it keeps the run open (see runFile). A block
-// it cannot load ends it, and err says why.
+// entries are valid until the next advance. A cursor holds nothing else
+// to give back: whoever made it keeps the run open (see runFile). A
+// block it cannot load ends it, and err says why.
 type runFileCursor struct {
-	r     *runFile
-	raw   bool  // compaction's: reused buffers, around the cache
-	block int   // next block to load
-	blk   block // the current block
-	pos   int
+	r      *runFile
+	raw    bool        // compaction's: reused buffers, around the cache
+	leases *leaseList  // a leased cursor's: where left pins go
+	lease  *blockEntry // the current block's pin, if any
+	block  int         // next block to load
+	blk    block       // the current block
+	pos    int
 
 	key, val []byte
 	err      error
@@ -761,6 +777,7 @@ func (r *runFile) rawReader() *runFileCursor { return &runFileCursor{r: r, raw: 
 // c.val.
 func (c *runFileCursor) advance() (key []byte, tombstone, ok bool, err error) {
 	for c.pos == c.blk.entries() {
+		c.leave()
 		if c.block >= len(c.r.blocks) {
 			return nil, false, false, c.err
 		}
@@ -768,7 +785,10 @@ func (c *runFileCursor) advance() (key []byte, tombstone, ok bool, err error) {
 		if c.raw {
 			blk, err = c.r.loadBlock(c.block, c.blk)
 		} else {
-			blk, err = c.r.scanBlock(c.block)
+			blk, c.lease, err = c.r.scanBlock(c.block, c.leases != nil)
+			if c.lease != nil {
+				c.leases.held++
+			}
 		}
 		if err != nil {
 			c.err, c.block = err, len(c.r.blocks)
@@ -780,4 +800,14 @@ func (c *runFileCursor) advance() (key []byte, tombstone, ok bool, err error) {
 	c.key, c.val = c.blk.key(c.pos), c.blk.val(c.pos)
 	c.pos++
 	return c.key, adm.Kind(c.val[0]) == adm.KindMissing, true, nil
+}
+
+// leave hands the current block's pin, if it holds one, to the scan's
+// leaseList: the cursor reads the block no more.
+func (c *runFileCursor) leave() {
+	if c.lease != nil {
+		c.leases.left = append(c.leases.left, c.lease)
+		c.leases.held--
+		c.lease = nil
+	}
 }

@@ -118,17 +118,56 @@ const scanBatchSize = 128
 // workers ahead of the consumer without buffering whole partitions.
 const scanChanBatches = 8
 
-// scanBatches recycles batches across parallel scans. A pooled batch is
-// cleared first (ParallelScanCursor.Close), so it pins no block. The
-// pool holds array pointers, so a Put boxes nothing.
-var scanBatches = sync.Pool{New: func() any { return new([scanBatchSize]parItem) }}
+// scanBatchLeases bounds the pins a leased scan's batch carries: a
+// worker sends its batch, however few rows it holds, once it has left
+// that many blocks. A filter that passes few rows would otherwise let one
+// batch pin every block its worker reads, so none of them, evicted, could
+// be recycled until the batch filled. A stream's channel then holds the
+// pins of about scanChanBatches·scanBatchLeases blocks at most, about
+// what full batches of rows of a few hundred bytes span.
+const scanBatchLeases = 4
 
-// putScanBatch clears b and returns it to scanBatches. Every batch a
-// scan makes has capacity scanBatchSize.
-func putScanBatch(b []parItem) {
-	arr := (*[scanBatchSize]parItem)(b[:scanBatchSize])
-	clear(arr[:])
-	scanBatches.Put(arr)
+// scanBatch is what a worker sends: up to scanBatchSize items, and, in a
+// leased scan, the pins of the blocks its worker left while filling it
+// (leases, a few more than scanBatchLeases at most), released when the
+// consumer recycles it. transient says an item may lie in a pinned block
+// — its worker held a pin when the item was added — whose bytes the
+// cache may recycle once the batch is.
+type scanBatch struct {
+	items     []parItem
+	leases    []*blockEntry
+	transient bool
+}
+
+// take moves the pins a leased cursor has let go of onto b (l is nil
+// for a scan that leases nothing).
+func (b *scanBatch) take(l *leaseList) {
+	if l != nil && len(l.left) > 0 {
+		b.leases = append(b.leases, l.left...)
+		clear(l.left)
+		l.left = l.left[:0]
+	}
+}
+
+// release ends b's leases and empties it for refilling.
+func (b *scanBatch) release() {
+	for _, e := range b.leases {
+		e.release()
+	}
+	clear(b.leases)
+	b.items, b.leases, b.transient = b.items[:0], b.leases[:0], false
+}
+
+// scanBatches recycles batches across parallel scans. A pooled batch is
+// cleared first (putScanBatch), so it pins nothing: no record, no block a
+// view of one aliases, no cache entry.
+var scanBatches = sync.Pool{New: func() any { return &scanBatch{items: make([]parItem, 0, scanBatchSize)} }}
+
+// putScanBatch releases and clears b and returns it to scanBatches.
+func putScanBatch(b *scanBatch) {
+	b.release()
+	clear(b.items[:cap(b.items)])
+	scanBatches.Put(b)
 }
 
 // ParallelScanCursor scans partition snapshots concurrently: one
@@ -141,19 +180,31 @@ func putScanBatch(b []parItem) {
 // abandoned scan leaks nothing. Next and Close must be called from one goroutine (the
 // cursor, like Rows, is not concurrent-safe); Close is idempotent and
 // safe mid-scan.
+//
+// A leased scan (NewLeasedScanCursor) leases the blocks it reads from the
+// block cache: each batch carries the pins of the blocks its worker left
+// while filling it (scanBatchLeases bounds them), and the cursor
+// releases them when it recycles the batch (fetch, Close) — after the
+// consumer has pulled past every row in it, and in it every row of those
+// blocks. Once released, a block the cache has evicted may be recycled:
+// its bytes rewritten under views of it. So a leased scan's consumer must
+// copy (adm.Value.Detached) what it keeps of a row for which Transient
+// reports true before it calls Next again, and the rows themselves must
+// reach no one else.
 type ParallelScanCursor struct {
 	order ScanOrder
-	chans []chan []parItem
-	free  chan []parItem // drained batches recycled back to workers
+	chans []chan *scanBatch
+	free  chan *scanBatch // drained batches recycled back to workers
 	done  chan struct{}
 	wg    sync.WaitGroup
 
-	cur    int // PartitionOrder/Unordered: channel being drained
-	bufs   [][]parItem
-	poss   []int
-	heads  []parItem
-	live   []bool
-	primed bool
+	cur       int // PartitionOrder/Unordered: channel being drained
+	bufs      []*scanBatch
+	poss      []int
+	heads     []parItem
+	live      []bool
+	primed    bool
+	transient bool // the last row Next returned may lie in a pinned block
 
 	err    error
 	closed bool
@@ -164,14 +215,28 @@ type ParallelScanCursor struct {
 // concurrent calls — and drops records it returns false for; an error
 // aborts the scan and surfaces from Next.
 func NewParallelScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (bool, error), order ScanOrder) *ParallelScanCursor {
+	return newParallelScanCursor(snaps, filter, order, false)
+}
+
+// NewLeasedScanCursor is NewParallelScanCursor for a consumer that keeps
+// only copies of the rows Transient marks: the scan leases the blocks it
+// reads (see ParallelScanCursor), so that on a full block cache the
+// blocks it evicts are decoded into again. KeyOrder is never leased: its
+// merge refills a stream's head before it returns the popped row, which
+// could recycle that row's batch under it.
+func NewLeasedScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (bool, error), order ScanOrder) *ParallelScanCursor {
+	return newParallelScanCursor(snaps, filter, order, order != KeyOrder)
+}
+
+func newParallelScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (bool, error), order ScanOrder, lease bool) *ParallelScanCursor {
 	c := &ParallelScanCursor{order: order, done: make(chan struct{})}
 	nchans := len(snaps)
 	if order == Unordered {
 		nchans = 1
 	}
-	c.chans = make([]chan []parItem, nchans)
+	c.chans = make([]chan *scanBatch, nchans)
 	for i := range c.chans {
-		c.chans[i] = make(chan []parItem, scanChanBatches)
+		c.chans[i] = make(chan *scanBatch, scanChanBatches)
 	}
 	// The free list holds up to the in-flight maximum (channel buffers
 	// + one per worker + one per consumer stream + transit slack):
@@ -180,16 +245,24 @@ func NewParallelScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (b
 	// size. It starts empty — a worker short of a batch takes one from
 	// scanBatches — so a scan that stops early never builds them all.
 	nbatch := nchans*scanChanBatches + len(snaps) + nchans + 2
-	c.free = make(chan []parItem, nbatch)
-	c.bufs = make([][]parItem, nchans)
+	c.free = make(chan *scanBatch, nbatch)
+	c.bufs = make([]*scanBatch, nchans)
 	c.poss = make([]int, nchans)
+	var leases []leaseList // one per worker, for a leased scan
+	if lease {
+		leases = make([]leaseList, len(snaps))
+	}
 	c.wg.Add(len(snaps))
 	for i, s := range snaps {
 		out := c.chans[0]
 		if order != Unordered {
 			out = c.chans[i]
 		}
-		go c.scanWorker(s, filter, out, order != Unordered)
+		var l *leaseList
+		if lease {
+			l = &leases[i]
+		}
+		go c.scanWorker(s, filter, l, out, order != Unordered)
 	}
 	if order == Unordered {
 		// The shared channel closes once after every worker exits.
@@ -201,26 +274,36 @@ func NewParallelScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (b
 	return c
 }
 
-func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Value) (bool, error), out chan<- []parItem, ownsChan bool) {
+// scanWorker walks s into out; leases, when non-nil, is the leaseList
+// its cursor leases into.
+func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Value) (bool, error), leases *leaseList, out chan<- *scanBatch, ownsChan bool) {
 	defer c.wg.Done()
 	if ownsChan {
 		defer close(out)
 	}
 	cur := s.Cursor()
-	getBatch := func() []parItem {
+	if leases != nil {
+		cur.lease(leases)
+	}
+	getBatch := func() *scanBatch {
 		select {
 		case b := <-c.free:
-			return b[:0]
+			return b
 		default:
-			return scanBatches.Get().(*[scanBatchSize]parItem)[:0]
+			return scanBatches.Get().(*scanBatch)
 		}
 	}
 	batch := getBatch()
-	// A batch the worker still holds when it exits goes to the free
-	// list, where Close finds it.
-	defer func() { c.recycle(batch) }()
+	// A batch the worker still holds when it exits early goes to the free
+	// list, where Close finds it, and the pins its cursor still holds are
+	// released with it: the scan is closing, and nothing reads its rows.
+	defer func() {
+		cur.Close()
+		batch.take(leases)
+		c.recycle(batch)
+	}()
 	flush := func() bool {
-		if len(batch) == 0 {
+		if len(batch.items) == 0 && len(batch.leases) == 0 {
 			return true
 		}
 		select {
@@ -231,44 +314,62 @@ func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Va
 			return false
 		}
 	}
+	// end sends the stream's last batch: with the pins the cursor still
+	// holds, which must reach the consumer behind the rows of their
+	// blocks, and err, if any, as its last item.
+	end := func(err error) {
+		cur.Close()
+		batch.take(leases)
+		if err != nil {
+			batch.items = append(batch.items, parItem{err: err})
+		}
+		flush()
+	}
 	for {
 		k, r, ok := cur.nextEncoded()
+		batch.take(leases)
 		if !ok {
-			if err := cur.Err(); err != nil {
-				batch = append(batch, parItem{err: err})
-			}
-			flush()
+			end(cur.Err())
+			return
+		}
+		if len(batch.leases) >= scanBatchLeases && !flush() {
 			return
 		}
 		if filter != nil {
 			pass, err := filter(adm.ViewAlias(k), adm.ViewAlias(r))
 			if err != nil {
-				batch = append(batch, parItem{err: err})
-				flush()
+				end(err)
 				return
 			}
 			if !pass {
 				continue
 			}
 		}
-		batch = append(batch, parItem{key: k, rec: r})
-		if len(batch) == scanBatchSize && !flush() {
+		batch.items = append(batch.items, parItem{key: k, rec: r})
+		batch.transient = batch.transient || leases != nil && leases.held > 0
+		if len(batch.items) == scanBatchSize && !flush() {
 			return
 		}
 	}
 }
 
 // fetch returns the next item of stream i, refilling its batch buffer
-// from the channel as needed. ok=false means the stream is exhausted.
+// from the channel as needed — recycling the drained one, whose rows the
+// consumer has all pulled past. ok=false means the stream is exhausted.
 func (c *ParallelScanCursor) fetch(i int) (parItem, bool) {
 	for {
-		if c.poss[i] < len(c.bufs[i]) {
-			it := c.bufs[i][c.poss[i]]
+		if b := c.bufs[i]; b != nil && c.poss[i] < len(b.items) {
+			it := b.items[c.poss[i]]
 			c.poss[i]++
+			c.transient = b.transient
 			return it, true
 		}
 		b, open := <-c.chans[i]
 		if !open {
+			if old := c.bufs[i]; old != nil {
+				c.recycle(old)
+				c.bufs[i] = nil
+			}
 			return parItem{}, false
 		}
 		if old := c.bufs[i]; old != nil {
@@ -344,14 +445,21 @@ func (c *ParallelScanCursor) recv(i int) {
 	c.heads[i], c.live[i] = it, true
 }
 
+// Transient reports whether the row Next last returned may lie in a
+// block this leased scan pinned: once Next is called again, its bytes —
+// and every view of them — may be rewritten. It is always false for a
+// scan that leases nothing, or whose blocks never filled the cache.
+func (c *ParallelScanCursor) Transient() bool { return c.transient }
+
 func (c *ParallelScanCursor) fail(err error) {
 	c.err = err
 	c.Close()
 }
 
-// recycle hands a drained batch back to the workers, or to scanBatches
-// when the free list is full.
-func (c *ParallelScanCursor) recycle(b []parItem) {
+// recycle releases a drained batch's leases and hands it back to the
+// workers, or to scanBatches when the free list is full.
+func (c *ParallelScanCursor) recycle(b *scanBatch) {
+	b.release()
 	select {
 	case c.free <- b:
 	default:
@@ -362,7 +470,8 @@ func (c *ParallelScanCursor) recycle(b []parItem) {
 // Close stops the workers and waits for them to exit. It is safe to
 // call mid-scan, after exhaustion, and repeatedly. Once they have
 // exited, every batch the cursor owns — free, buffered in a channel or
-// being drained — is cleared and returned to scanBatches.
+// being drained — has its leases released and is cleared and returned to
+// scanBatches.
 func (c *ParallelScanCursor) Close() {
 	if c.closed {
 		return
@@ -387,7 +496,7 @@ func (c *ParallelScanCursor) Close() {
 // drainBatches returns every batch waiting in ch to scanBatches. No
 // worker sends any more; the Unordered fan-in channel may be closed
 // meanwhile.
-func drainBatches(ch chan []parItem) {
+func drainBatches(ch chan *scanBatch) {
 	for {
 		select {
 		case b, open := <-ch:

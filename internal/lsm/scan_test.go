@@ -297,13 +297,16 @@ func TestParallelScanPoolsClearedBatches(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	var taken []*[scanBatchSize]parItem
+	var taken []*scanBatch
 	for range 4 * scanChanBatches * parts {
-		b := scanBatches.Get().(*[scanBatchSize]parItem)
-		for i := range b {
-			if !reflect.ValueOf(b[i]).IsZero() {
-				t.Fatalf("a pooled batch holds item %d: %v", i, b[i].key)
+		b := scanBatches.Get().(*scanBatch)
+		for i, it := range b.items[:cap(b.items)] {
+			if !reflect.ValueOf(it).IsZero() {
+				t.Fatalf("a pooled batch holds item %d: %v", i, it.key)
 			}
+		}
+		if len(b.items) != 0 || len(b.leases) != 0 || b.transient || slices.ContainsFunc(b.leases[:cap(b.leases)], func(e *blockEntry) bool { return e != nil }) {
+			t.Fatalf("a pooled batch holds %d items, leases %v, transient %v", len(b.items), b.leases[:cap(b.leases)], b.transient)
 		}
 		taken = append(taken, b)
 	}

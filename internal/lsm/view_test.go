@@ -3,6 +3,7 @@ package lsm
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -55,10 +56,12 @@ func partitionRuns(p *Partition) []*runFile {
 }
 
 // TestBlockCacheBudgetIsExact: a cached block costs the bytes it holds —
-// its decoded payload plus four bytes per entry offset, whatever the
-// file spends on it — so BlockCacheBytes is a sum one can do by hand,
-// and a 64 KiB budget holds three 16 KiB blocks. (Budgeted as decoded
-// objects, ≈ 6× their payload, that cache held none of them.)
+// the room of its payload buffer plus four bytes per offset-table slot,
+// whatever the file spends on it — so BlockCacheBytes is a sum one can do
+// by hand, and a 64 KiB budget holds three 16 KiB blocks. (Budgeted as
+// decoded objects, ≈ 6× their payload, that cache held none of them.) A
+// stored payload's buffer and a recycled one have room past the payload,
+// and are charged it; a recycled buffer is bounded (maxRecycled).
 func TestBlockCacheBudgetIsExact(t *testing.T) {
 	opts := cachedOptions()
 	p := flushedPartition(t, opts, 2000)
@@ -92,6 +95,49 @@ func TestBlockCacheBudgetIsExact(t *testing.T) {
 			t.Fatalf("after %d inserts: %+v", i+1, st)
 		}
 	}
+
+	// A stored payload is appended into a fresh slice, which has its size
+	// class's room: the block is charged that room.
+	rnd := rand.New(rand.NewSource(1))
+	var items []index.Item
+	for i := range 30 {
+		items = append(items, index.Item{Key: adm.Int(int64(i)), Val: adm.String(randomBytes(rnd, 480))})
+	}
+	stored := loadTestBlock(t, items)
+	if cap(stored.data) == len(stored.data) {
+		t.Fatalf("a stored %d-byte payload has no spare room (capacity %d)", len(stored.data), cap(stored.data))
+	}
+	// A recycled buffer keeps the room of the block it came from.
+	roomy := block{data: make([]byte, 0, maxRecycled), offs: make([]uint32, 0, 4*blk.entries())}
+	recycled, err := run.loadBlock(0, roomy)
+	if err != nil || &recycled.data[0] != &roomy.data[:1][0] || &recycled.offs[0] != &roomy.offs[:1][0] {
+		t.Fatalf("block 0 was not read into the buffers it was lent: %v", err)
+	}
+	for _, arm := range []struct {
+		name string
+		blk  block
+	}{{"stored", stored}, {"recycled", recycled}} {
+		c := NewBlockCache(1 << 20)
+		c.insert(1, 0, arm.blk, false)
+		want := int64(cap(arm.blk.data)) + 4*int64(cap(arm.blk.offs))
+		if st := c.Stats(); st.BlockCacheBytes != want {
+			t.Fatalf("a %s block holding %d bytes is charged %d", arm.name, want, st.BlockCacheBytes)
+		}
+	}
+	// Buffers larger than maxRecycled are not handed back for recycling.
+	e := &blockEntry{blk: block{data: make([]byte, 1, maxRecycled+1), offs: make([]uint32, 1, 8)}, box: new(block), gone: true}
+	box := e.box
+	e.recycle()
+	if box.data != nil || cap(box.offs) != 8 {
+		t.Fatalf("recycled a %d-byte payload buffer and a %d-entry offset table", cap(box.data), cap(box.offs))
+	}
+}
+
+// randomBytes is a string of n random bytes, which lz cannot shorten.
+func randomBytes(rnd *rand.Rand, n int) string {
+	b := make([]byte, n)
+	rnd.Read(b)
+	return string(b)
 }
 
 // TestReadPathAllocations pins what the read path allocates: nothing for

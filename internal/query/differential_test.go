@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/lsm"
 	"github.com/ideadb/idea/internal/sqlpp"
 )
 
@@ -19,7 +20,16 @@ import (
 // recurses forever.
 func diffCatalog(t testing.TB) *testCatalog {
 	t.Helper()
-	cat := planCatalog(t, 400)
+	return diffCatalogOn(t, nil)
+}
+
+// diffCatalogOn is diffCatalog behind cache (nil: one of the default
+// budget per dataset).
+func diffCatalogOn(t testing.TB, cache *lsm.BlockCache) *testCatalog {
+	t.Helper()
+	cat := newTestCatalog()
+	cat.cache = cache
+	planCatalogOn(t, cat, 400)
 	var recs []adm.Value
 	for i := 0; i < 300; i++ {
 		recs = append(recs, obj(
@@ -228,7 +238,12 @@ func TestCursorMatchesEagerExecutor(t *testing.T) {
 }
 
 func flushedDiffCatalog(t testing.TB) *testCatalog {
-	cat := diffCatalog(t)
+	return flushedDiffCatalogOn(t, nil)
+}
+
+// flushedDiffCatalogOn is flushedDiffCatalog behind cache.
+func flushedDiffCatalogOn(t testing.TB, cache *lsm.BlockCache) *testCatalog {
+	cat := diffCatalogOn(t, cache)
 	for _, ds := range cat.datasets {
 		flushAll(t, ds)
 	}
@@ -264,8 +279,14 @@ func sameArms(t testing.TB, q string, rows []adm.Value, plan string, frows []adm
 // ORDER BY — which a mutated query cannot be relied on to carry — makes
 // a LIMIT prefix over one comparable. TestIndexScanMatchesFullScan and
 // the randomized differential cover that leaf.
+//
+// The third arm is the flushed catalog behind a cache whose splits are
+// smaller than any block: every block a leased scan reads is evicted as
+// it is admitted and recycled once released, so a top-k or an aggregate
+// that kept a row it did not copy reads another block's bytes.
 func FuzzSelectMatchesOracle(f *testing.F) {
 	loaded, flushed := diffCatalog(f), flushedDiffCatalog(f)
+	recycling := flushedDiffCatalogOn(f, lsm.NewBlockCache(8<<10))
 	for _, q := range diffCorpus {
 		f.Add(q)
 	}
@@ -289,5 +310,7 @@ func FuzzSelectMatchesOracle(f *testing.F) {
 		rows, plan := arm(loaded)
 		frows, fplan := arm(flushed)
 		sameArms(t, q, rows, plan, frows, fplan)
+		rrows, rplan := arm(recycling)
+		sameArms(t, q, rows, plan, rrows, rplan)
 	})
 }

@@ -130,7 +130,7 @@ func evalCall(st evalState, env *Env, call *sqlpp.Call) (adm.Value, error) {
 			return adm.Null(), nil
 		}
 		for _, v := range arg.ArrayVal() {
-			acc.fold(v)
+			acc.fold(v, false)
 		}
 		return acc.final()
 	}

@@ -9,8 +9,10 @@ import (
 	"github.com/ideadb/idea/internal/sqlpp"
 )
 
-// testCatalog is a minimal in-memory catalog for engine tests.
+// testCatalog is a minimal in-memory catalog for engine tests. cache,
+// when set, is the block cache addDataset opens datasets behind.
 type testCatalog struct {
+	cache     *lsm.BlockCache
 	datasets  map[string]*lsm.Dataset
 	functions map[string]*Function
 	natives   map[string]func([]adm.Value) (adm.Value, error)
@@ -41,10 +43,13 @@ func (c *testCatalog) Native(ns, name string) (func([]adm.Value) (adm.Value, err
 
 // memDataset opens an untyped dataset as a cluster without a data
 // directory does — on a private in-memory filesystem, behind a block
-// cache — and closes it with the test.
+// cache (opts', or one of the default budget) — and closes it with the
+// test.
 func memDataset(t testing.TB, name, pk string, parts int, opts lsm.Options) *lsm.Dataset {
 	t.Helper()
-	opts.BlockCache = lsm.NewBlockCache(lsm.DefaultBlockCacheBytes)
+	if opts.BlockCache == nil {
+		opts.BlockCache = lsm.NewBlockCache(lsm.DefaultBlockCacheBytes)
+	}
 	ds, err := lsm.OpenDataset(lsm.NewMemFS(), name, name, nil, pk, parts, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +60,9 @@ func memDataset(t testing.TB, name, pk string, parts int, opts lsm.Options) *lsm
 
 func (c *testCatalog) addDataset(t testing.TB, name, pk string, parts int, recs ...adm.Value) *lsm.Dataset {
 	t.Helper()
-	ds := memDataset(t, name, pk, parts, lsm.DefaultOptions())
+	opts := lsm.DefaultOptions()
+	opts.BlockCache = c.cache
+	ds := memDataset(t, name, pk, parts, opts)
 	for _, r := range recs {
 		if err := ds.Upsert(r); err != nil {
 			t.Fatal(err)

@@ -148,6 +148,7 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 
 	orderHandled := false
 	reuse := false
+	var scan *lsm.ParallelScanCursor // the leaf, when a parallel scan
 	var cur tupleCursor
 	if ps != nil {
 		reuse = envReuse(sel, grouped, limit, false, false)
@@ -165,6 +166,9 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 			}
 			if leaf != nil {
 				reuse = envReuse(sel, grouped, limit, pushed, keyOrdered)
+				if pc, ok := leaf.(*parallelColl); ok {
+					scan = pc.pc
+				}
 				cur = &scanFromCursor{base: env, alias: from[0].Alias, leaf: leaf, reuse: reuse}
 				wherePushed, orderHandled = pushed, keyOrdered
 				from = from[1:] // the planned leaf covers the first clause
@@ -186,7 +190,7 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 
 	var rows rowSrc
 	if grouped {
-		rows = &aggRows{st: st, inner: cur, keys: sel.GroupBy, calls: aggCalls, copyRep: reuse}
+		rows = &aggRows{st: st, inner: cur, keys: sel.GroupBy, calls: aggCalls, copyRep: reuse, scan: scan}
 	} else {
 		rows = &tupleRows{inner: cur}
 	}
@@ -199,7 +203,7 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 		}
 		// Grouped rows carry per-group envs already (aggRows copied the
 		// representatives); only raw scan rows need copying on accept.
-		rows = &topkRows{st: st, inner: rows, orderBy: sel.OrderBy, k: k, copyEnv: reuse && !grouped}
+		rows = &topkRows{st: st, inner: rows, orderBy: sel.OrderBy, k: k, copyEnv: reuse && !grouped, scan: scan}
 	}
 	return rows, nil
 }
@@ -224,6 +228,16 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 // the two keeping operators also need a single FROM, no FROM-LETs, a
 // WHERE (if any) pushed into the scan or free of calls and subqueries,
 // and for the heap a LIMIT without DISTINCT (a bounded heap).
+//
+// The same holds for the bytes under the box. Where the leaf reuses
+// through this arm — the heap or the aggregate is then all that keeps
+// anything of a row — and is a parallel scan, the scan leases its blocks
+// (lsm.NewLeasedScanCursor), and on a full block cache a row's bytes may
+// be recycled once the next row is pulled: the scan then reports the row
+// transient (Transient), and the two keeping operators — the heap's
+// winners and their order keys, the aggregate's representatives, group
+// keys and min/max — keep adm.Value.Detached copies of what they keep of
+// it. A scan that leases nothing reports no row transient.
 func envReuse(sel *sqlpp.SelectExpr, grouped bool, limit int64, wherePushed, keyOrdered bool) bool {
 	if !grouped && (len(sel.OrderBy) == 0 || keyOrdered) {
 		return true
@@ -300,7 +314,13 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 			}
 			pushed = true
 		}
-		return &parallelColl{pc: lsm.NewParallelScanCursor(snaps, filter, order), parts: parts, order: order, filtered: pushed}, pushed, keyOrdered, nil
+		// A scan whose rows only the heap or the aggregate keeps — its
+		// env reused through envReuse's keeping arm — leases its blocks.
+		open := lsm.NewParallelScanCursor
+		if (grouped || len(sel.OrderBy) > 0 && !keyOrdered) && envReuse(sel, grouped, limit, pushed, keyOrdered) {
+			open = lsm.NewLeasedScanCursor
+		}
+		return &parallelColl{pc: open(snaps, filter, order), parts: parts, order: order, filtered: pushed}, pushed, keyOrdered, nil
 	}
 
 	// 3. Serial scan.

@@ -323,7 +323,9 @@ func newAggAcc(call *sqlpp.Call) (aggAcc, error) {
 	return aggAcc{name: name, allInt: true, arg: call.Args[0]}, nil
 }
 
-func (a *aggAcc) add(st evalState, tu *Env) error {
+// add folds tu in; transient says its record may lie in bytes that are
+// recycled once the next row is pulled (envReuse).
+func (a *aggAcc) add(st evalState, tu *Env, transient bool) error {
 	if a.star {
 		a.count++
 		return nil
@@ -332,11 +334,13 @@ func (a *aggAcc) add(st evalState, tu *Env) error {
 	if err != nil {
 		return err
 	}
-	a.fold(v)
+	a.fold(v, transient)
 	return nil
 }
 
-func (a *aggAcc) fold(v adm.Value) {
+// fold folds v in; transient says v may alias bytes that are recycled
+// once the next row is pulled, so min/max keep a copy.
+func (a *aggAcc) fold(v adm.Value, transient bool) {
 	if v.IsUnknown() {
 		return
 	}
@@ -358,14 +362,16 @@ func (a *aggAcc) fold(v adm.Value) {
 		a.sum += f
 		a.n++
 	case "min", "max":
-		if !a.has {
-			a.best, a.has = v, true
-			return
+		if a.has {
+			c := adm.Compare(v, a.best)
+			if (a.name == "min" && c >= 0) || (a.name == "max" && c <= 0) {
+				return
+			}
 		}
-		c := adm.Compare(v, a.best)
-		if (a.name == "min" && c < 0) || (a.name == "max" && c > 0) {
-			a.best = v
+		if transient {
+			v = v.Detached()
 		}
+		a.best, a.has = v, true
 	}
 }
 
@@ -414,6 +420,9 @@ type aggRows struct {
 	// record (env-reuse mode): the representative tuple of each new
 	// group must then be copied out of the box before it is retained.
 	copyRep bool
+	// scan is the leaf when it is a parallel scan: what a group keeps of
+	// a row it reports transient is a copy (envReuse).
+	scan *lsm.ParallelScanCursor
 
 	built bool
 	out   []rowT
@@ -453,10 +462,11 @@ func (a *aggRows) build() error {
 		if !ok {
 			break
 		}
+		transient := a.scan != nil && a.scan.Transient()
 		var g *aggGroup
 		if len(a.keys) == 0 {
 			if len(groups) == 0 {
-				ng, err := a.newGroup(tu, nil)
+				ng, err := a.newGroup(tu, nil, transient)
 				if err != nil {
 					return err
 				}
@@ -480,7 +490,7 @@ func (a *aggRows) build() error {
 				}
 			}
 			if found < 0 {
-				ng, err := a.newGroup(tu, kv)
+				ng, err := a.newGroup(tu, kv, transient)
 				if err != nil {
 					return err
 				}
@@ -491,7 +501,7 @@ func (a *aggRows) build() error {
 			g = groups[found]
 		}
 		for i := range g.accs {
-			if err := g.accs[i].add(inner, tu); err != nil {
+			if err := g.accs[i].add(inner, tu, transient); err != nil {
 				return err
 			}
 		}
@@ -500,7 +510,7 @@ func (a *aggRows) build() error {
 	// An aggregate query without GROUP BY has exactly one group, even
 	// over empty input (COUNT(*) of nothing is 0, not no-rows).
 	if len(a.keys) == 0 && len(groups) == 0 {
-		ng, err := a.newGroup(nil, nil)
+		ng, err := a.newGroup(nil, nil, false)
 		if err != nil {
 			return err
 		}
@@ -521,16 +531,28 @@ func (a *aggRows) build() error {
 	return nil
 }
 
-func (a *aggRows) newGroup(tu *Env, kv []adm.Value) (*aggGroup, error) {
+// newGroup starts a group represented by tu under the key values kv;
+// transient says tu's record may lie in bytes that are recycled once the
+// next row is pulled.
+func (a *aggRows) newGroup(tu *Env, kv []adm.Value, transient bool) (*aggGroup, error) {
 	if a.copyRep && tu != nil {
 		// tu is the scan leaf's reused box (a single Env node over the
-		// stable base chain); snapshot it before retaining.
+		// stable base chain); snapshot it before retaining, and its record
+		// too when the bytes under it are recycled (envReuse).
 		cp := *tu
+		if transient {
+			cp.val = cp.val.Detached()
+		}
 		tu = &cp
 	}
 	g := &aggGroup{rep: tu}
 	if kv != nil {
 		g.kv = append([]adm.Value(nil), kv...)
+		if transient {
+			for i := range g.kv {
+				g.kv[i] = g.kv[i].Detached()
+			}
+		}
 		for i, k := range a.keys {
 			if k.Alias != "" {
 				g.rep = Bind(g.rep, k.Alias, g.kv[i])
@@ -611,6 +633,9 @@ type topkRows struct {
 	orderBy []sqlpp.OrderKey
 	k       int64 // -1 = retain everything
 	copyEnv bool  // input env is a reused box; copy on acceptance
+	// scan is the leaf when it is a parallel scan: a row of its box
+	// (copyEnv) that it reports transient is kept as copies (envReuse).
+	scan *lsm.ParallelScanCursor
 
 	built   bool
 	heap    []*topkEntry
@@ -698,10 +723,19 @@ func (t *topkRows) offer(r rowT) {
 	t.siftDown(0)
 }
 
+// take makes e keep r, whose order keys e.keys already holds: a copy of
+// the scan's reused box in copyEnv mode, and copies of its record and
+// keys too when the bytes under the box are recycled (envReuse).
 func (t *topkRows) take(e *topkEntry, r rowT) {
 	e.row = r
 	if t.copyEnv && r.env != nil {
 		e.envBox = *r.env
+		if t.scan != nil && t.scan.Transient() {
+			e.envBox.val = e.envBox.val.Detached()
+			for j := range e.keys {
+				e.keys[j] = e.keys[j].Detached()
+			}
+		}
 		e.row.env = &e.envBox
 	}
 }

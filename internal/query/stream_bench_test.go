@@ -17,8 +17,15 @@ import (
 // and score in [0,97).
 func benchStreamCatalog(b testing.TB, n int) *testCatalog {
 	b.Helper()
+	return benchCatalogOn(b, n, nil)
+}
+
+// benchCatalogOn is benchStreamCatalog behind cache (nil: one of the
+// default budget).
+func benchCatalogOn(b testing.TB, n int, cache *lsm.BlockCache) *testCatalog {
+	b.Helper()
 	cat := newTestCatalog()
-	ds := memDataset(b, "R", "id", 4, lsm.Options{MemBudget: 1 << 30, MaxComponents: 64})
+	ds := memDataset(b, "R", "id", 4, lsm.Options{MemBudget: 1 << 30, MaxComponents: 64, BlockCache: cache})
 	recs := make([]adm.Value, n)
 	for i := range recs {
 		recs[i] = obj(
@@ -59,6 +66,26 @@ func benchFlushedCatalog(b testing.TB, n int) *testCatalog {
 	cat := benchStreamCatalog(b, n)
 	flushAll(b, cat.datasets["R"])
 	return cat
+}
+
+// benchFullCacheCatalog is benchFlushedCatalog behind a cache of 9 bytes
+// a record, which the flushed records — ≈ 39 decoded bytes each — fill
+// over four times: every block a scan reads misses a full cache.
+func benchFullCacheCatalog(b testing.TB, n int) *testCatalog {
+	cat := benchCatalogOn(b, n, lsm.NewBlockCache(int64(9*n)))
+	flushAll(b, cat.datasets["R"])
+	return cat
+}
+
+// scanBenchCatalogs are the arms of the top-k and group-by benchmarks:
+// benchCatalogs', and one whose cache the data fills four times over.
+var scanBenchCatalogs = []struct {
+	suffix string
+	open   func(testing.TB, int) *testCatalog
+}{
+	benchCatalogs[0],
+	benchCatalogs[1],
+	{"/fullcache", benchFullCacheCatalog},
 }
 
 // settle readies a benchmark catalog for the timed loop. A first drain
@@ -106,7 +133,7 @@ func drainBench(b testing.TB, ctx *Context, sel *sqlpp.SelectExpr) int {
 func BenchmarkQueryTopK(b *testing.B) {
 	sel := benchSel(b, benchTopKQuery)
 	for _, size := range []int{10_000, 100_000} {
-		for _, arm := range benchCatalogs {
+		for _, arm := range scanBenchCatalogs {
 			b.Run(fmt.Sprintf("size=%d%s", size, arm.suffix), func(b *testing.B) {
 				cat := arm.open(b, size)
 				settle(b, cat, sel)
@@ -278,7 +305,7 @@ func TestSelectAllocationsIndependentOfN(t *testing.T) {
 func BenchmarkQueryGroupBy(b *testing.B) {
 	sel := benchSel(b, benchGroupByQuery)
 	for _, size := range []int{10_000, 100_000} {
-		for _, arm := range benchCatalogs {
+		for _, arm := range scanBenchCatalogs {
 			b.Run(fmt.Sprintf("size=%d%s", size, arm.suffix), func(b *testing.B) {
 				cat := arm.open(b, size)
 				settle(b, cat, sel)

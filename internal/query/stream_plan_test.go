@@ -17,7 +17,12 @@ import (
 // ("c0".."c7", secondary B-tree index by_cat), and score in [0,97).
 func planCatalog(t testing.TB, n int) *testCatalog {
 	t.Helper()
-	cat := newTestCatalog()
+	return planCatalogOn(t, newTestCatalog(), n)
+}
+
+// planCatalogOn adds planCatalog's dataset to cat.
+func planCatalogOn(t testing.TB, cat *testCatalog, n int) *testCatalog {
+	t.Helper()
 	var recs []adm.Value
 	for i := 0; i < n; i++ {
 		recs = append(recs, obj(
