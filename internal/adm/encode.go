@@ -22,9 +22,10 @@ import (
 // and checks nothing. DecodeBinary is the two together. Every reader of
 // bytes from outside the process checks them with SkipBinary where they
 // enter — a frame's slab and WAL replay, a run block's load, a wire or
-// index payload, a manifest's fence keys — and from then on reads them
-// as views (View, ViewAlias) or compares them where they lie
-// (CompareBinary, CompareEncoded), never re-checking.
+// index payload — and from then on reads them as views (View,
+// ViewAlias) or compares them where they lie (CompareEncoded), never
+// re-checking. (A manifest's fence keys are only ever compared byte for
+// byte with the checked fences of their run.)
 //
 // BinaryVersion numbers this encoding. No file header carries it: WAL
 // segments and run files are stamped with their own versions (walVersion,
@@ -290,49 +291,31 @@ func stringBytes(enc []byte) []byte {
 	return enc[1+n : 1+n+l]
 }
 
-// CompareBinary is Compare(a, v) for the value a that enc encodes (enc
-// as SkipBinary accepts it). When both are int64s or both strings — the
-// kinds primary keys have — a is compared where it lies; a block's key
-// search and a memtable lookup build no Value per probe.
-func CompareBinary(enc []byte, v Value) int {
-	if Kind(enc[0]) == v.kind {
-		switch v.kind {
-		case KindInt64:
-			return cmpInt64(varintOf(enc), v.i)
-		case KindString:
-			a := stringBytes(enc)
-			switch {
-			case string(a) < v.s:
-				return -1
-			case string(a) > v.s:
-				return 1
-			}
-			return 0
-		}
-	}
-	return Compare(ViewAlias(enc), v)
-}
-
 // varintOf returns the int64 enc encodes (as SkipBinary accepts it): a
 // zigzag varint after the tag, read without binary.Varint's bound and
-// overflow checks, which SkipBinary has made.
+// overflow checks, which SkipBinary has made. The shift count is masked
+// to 63, which no varint SkipBinary accepts exceeds, so the compiler
+// emits no check for a larger count: this runs twice in every
+// comparison of two encoded int64 keys.
 func varintOf(enc []byte) int64 {
 	var u uint64
-	for i, c := range enc[1:] {
-		u |= uint64(c&0x7f) << (7 * i)
+	var shift uint
+	for _, c := range enc[1:] {
+		u |= uint64(c&0x7f) << (shift & 63)
 		if c < 0x80 {
 			break
 		}
+		shift += 7
 	}
 	return int64(u>>1) ^ -int64(u&1)
 }
 
 // CompareEncoded is Compare(a, b) for the values a and b encode (each
 // as SkipBinary accepts it): the one order of storage's encoded keys —
-// a memtable's tree, a batch's sort and every merge. Two int64s or two
-// strings are compared where they lie, as CompareBinary compares them;
-// any other pair is built and compared by value, so 7 and 7.0 are one
-// key.
+// a memtable's tree, a batch's sort, every merge, a run's fences, block
+// index and blocks, and a secondary index's entries. Two int64s or two
+// strings are compared where they lie; any other pair is built and
+// compared by value, so 7 and 7.0 are one key.
 func CompareEncoded(a, b []byte) int {
 	if a[0] == b[0] {
 		switch Kind(a[0]) {

@@ -111,8 +111,8 @@ func FuzzDecodeBinary(f *testing.F) {
 			t.Fatalf("buildBinary(%x) = %v, %d; DecodeBinary = %v, %d", data, bv, bn, v, n)
 		}
 		for _, x := range []Value{v, Int(0), String("m")} {
-			if got, want := CompareBinary(data[:n], x), Compare(v, x); got != want {
-				t.Fatalf("CompareBinary(%x, %v) = %d, Compare = %d", data[:n], x, got, want)
+			if got, want := CompareEncoded(data[:n], AppendBinary(nil, x)), Compare(v, x); got != want {
+				t.Fatalf("CompareEncoded(%x, %v) = %d, Compare = %d", data[:n], x, got, want)
 			}
 		}
 		if n <= 0 || n > len(data) {
@@ -161,8 +161,7 @@ func decodeBinarySeeds() [][]byte {
 
 // FuzzCompareEncoded: the storage order of encoded keys is adm.Compare's
 // order of the values they encode. For any two values, CompareEncoded
-// over their encodings equals Compare, and CompareBinary — a block's or
-// a memtable's key against a probe — has Compare's sign. Seeds: pairs
+// over their encodings equals Compare, either way round. Seeds: pairs
 // drawn from FuzzDecodeBinary's seeds and its committed corpus, and the
 // edges where a fast path could part from Compare — 7 against 7.0, ±0.0,
 // int64s around 2^53 against doubles, strings sharing a prefix, NaN and
@@ -223,21 +222,7 @@ func FuzzCompareEncoded(f *testing.F) {
 		if got, back := CompareEncoded(eb, ea), Compare(vb, va); got != back {
 			t.Fatalf("CompareEncoded(%x, %x) = %d, Compare(%v, %v) = %d", eb, ea, got, vb, va, back)
 		}
-		if got := CompareBinary(ea, vb); sign(got) != sign(want) {
-			t.Fatalf("CompareBinary(%x, %v) = %d, Compare = %d", ea, vb, got, want)
-		}
 	})
-}
-
-// sign is -1, 0 or 1 as c is negative, zero or positive.
-func sign(c int) int {
-	switch {
-	case c < 0:
-		return -1
-	case c > 0:
-		return 1
-	}
-	return 0
 }
 
 // nestedJSON wraps a scalar in n arrays.

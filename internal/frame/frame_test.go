@@ -203,6 +203,7 @@ func TestReader(t *testing.T) {
 	b = binary.AppendUvarint(b, 2) // count of two strings
 	b = append(b, 1, 'a', 2, 'b', 'c')
 	b = adm.AppendBinary(b, adm.String("v"))
+	b = adm.AppendBinary(b, adm.Int(-9))
 
 	r := NewReader(b)
 	if got := string(r.Take(4)); got != "IDEA" {
@@ -213,6 +214,9 @@ func TestReader(t *testing.T) {
 	}
 	if v := r.Value(); v.StringVal() != "v" {
 		t.Fatalf("Value = %v", v)
+	}
+	if enc := r.Encoded(); !bytes.Equal(enc, adm.AppendBinary(nil, adm.Int(-9))) {
+		t.Fatalf("Encoded = %x", enc)
 	}
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
@@ -231,6 +235,7 @@ func TestReader(t *testing.T) {
 		"Uvarint torn":     func(r *Reader) { *r = NewReader([]byte{0x80}); r.Uvarint() },
 		"Uvarint overlong": func(r *Reader) { *r = NewReader(bytes.Repeat([]byte{0xFF}, 11)); r.Uvarint() },
 		"Value corrupt":    func(r *Reader) { *r = NewReader([]byte{0xEE}); r.Value() },
+		"Encoded corrupt":  func(r *Reader) { *r = NewReader([]byte{0xEE}); r.Encoded() },
 		"Byte at end":      func(r *Reader) { *r = NewReader(nil); r.Byte() },
 	} {
 		r := NewReader(b)
@@ -240,7 +245,7 @@ func TestReader(t *testing.T) {
 			t.Errorf("%s: no error", name)
 			continue
 		}
-		if r.Take(1) != nil || r.Byte() != 0 || r.Uvarint() != 0 || r.Count(1) != 0 || r.Int(9) != 0 || r.Str() != "" || r.Value().Kind() != 0 {
+		if r.Take(1) != nil || r.Byte() != 0 || r.Uvarint() != 0 || r.Count(1) != 0 || r.Int(9) != 0 || r.Str() != "" || r.Value().Kind() != 0 || r.Encoded() != nil {
 			t.Errorf("%s: reads after the failure returned data", name)
 		}
 		if r.Err() != first || r.Done() != first {

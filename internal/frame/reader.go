@@ -120,17 +120,28 @@ func (r *Reader) Value() adm.Value {
 	return v
 }
 
-// View consumes one adm binary value without decoding it: an object
-// comes back as a view aliasing the payload (which must not change
-// while the view is in use), any other kind as Value returns it.
-func (r *Reader) View() adm.Value {
+// Encoded consumes one adm binary value without decoding it and
+// returns its bytes, a slice of the payload that SkipBinary accepted
+// (nil once the reader has failed): a value that can be compared where
+// it lies (adm.CompareEncoded) or read later without a check.
+func (r *Reader) Encoded() []byte {
 	if r.err != nil {
-		return adm.Value{}
+		return nil
 	}
 	n, err := adm.SkipBinary(r.b)
 	if err != nil {
 		r.fail("%w", err)
-		return adm.Value{}
+		return nil
 	}
-	return adm.View(r.Take(n))
+	return r.Take(n)
+}
+
+// View consumes one adm binary value without decoding it: an object
+// comes back as a view aliasing the payload (which must not change
+// while the view is in use), any other kind as Value returns it.
+func (r *Reader) View() adm.Value {
+	if enc := r.Encoded(); enc != nil {
+		return adm.View(enc)
+	}
+	return adm.Value{}
 }

@@ -37,8 +37,9 @@ type btreeNode[K, V any] struct {
 // Tree is an in-memory B-tree of entries ordered by key under the
 // comparison it was made with (New). Keys are unique: Put replaces the
 // value of an existing key. There is one implementation, instantiated
-// twice: BTree over ADM values, and the LSM memtable's tree over the
-// encodings a batch's buffer holds.
+// over ADM values (BTree) and over encodings: the LSM memtable's tree of
+// the encodings a batch's buffer holds, and a secondary index's tree of
+// (secondary key, primary key) entries.
 type Tree[K, V any] struct {
 	root *btreeNode[K, V]
 	size int
@@ -104,17 +105,9 @@ func (t *Tree[K, V]) find(n *btreeNode[K, V], key K) (int, bool) {
 
 // Get returns the value stored under key.
 func (t *Tree[K, V]) Get(key K) (V, bool) {
-	return t.Search(func(k K) int { return t.cmp(k, key) })
-}
-
-// Search returns the value stored under the key probe matches: probe(k)
-// compares key k with the sought key, in the tree's order. It is how a
-// tree is searched for a key of another type — the memtable, keyed by
-// encodings, for a decoded key.
-func (t *Tree[K, V]) Search(probe func(K) int) (V, bool) {
 	n := t.root
 	for n != nil {
-		i, ok := n.search(probe)
+		i, ok := t.find(n, key)
 		if ok {
 			return n.items[i].Val, true
 		}
@@ -409,7 +402,7 @@ func truncate[E any](s []E, k, limit int) []E {
 // slice — the read path for frozen LSM memtables and streaming query
 // scans. The tree must not be mutated while the cursor is in use.
 func (t *Tree[K, V]) Cursor() *Cursor[K, V] {
-	c := &Cursor[K, V]{cmp: t.cmp}
+	c := &Cursor[K, V]{}
 	c.stack = c.buf[:0]
 	if t.root != nil {
 		c.descendFirst(t.root)
@@ -417,64 +410,18 @@ func (t *Tree[K, V]) Cursor() *Cursor[K, V] {
 	return c
 }
 
-// KeyBound is one end of a key range for bounded cursors. The zero
-// value is unbounded (no constraint at that end).
-type KeyBound[K any] struct {
-	key       K
-	inclusive bool
-	set       bool
-}
-
-// Bound is a bound on a BTree's keys.
-type Bound = KeyBound[adm.Value]
-
-// Include bounds a range at key, with key itself in range.
-func Include(key adm.Value) Bound { return Bound{key: key, inclusive: true, set: true} }
-
-// Exclude bounds a range at key, with key itself out of range.
-func Exclude(key adm.Value) Bound { return Bound{key: key, set: true} }
-
-// Unbounded leaves one end of a range open.
-func Unbounded() Bound { return Bound{} }
-
-// Unbounded reports whether the bound imposes no constraint.
-func (b KeyBound[K]) Unbounded() bool { return !b.set }
-
-// Key returns the bounding key and whether it is inclusive; meaningless
-// for unbounded bounds.
-func (b KeyBound[K]) Key() (K, bool) { return b.key, b.inclusive }
-
-// Inclusive reports whether the bound includes its key; meaningless for
-// unbounded bounds.
-func (b KeyBound[K]) Inclusive() bool { return b.inclusive }
-
-// CursorRange returns a cursor over the items within the bound pair, in
-// ascending key order. Unlike CursorAt plus a caller-side check, the
-// upper bound stops the walk inside the tree: a range predicate over a
-// large index touches one descent plus the in-range leaves, never the
-// tail of the tree.
-func (t *Tree[K, V]) CursorRange(lo, hi KeyBound[K]) *Cursor[K, V] {
-	var c *Cursor[K, V]
-	if lo.set {
-		c = t.CursorAt(lo.key)
-		if !lo.inclusive {
-			c.skip, c.skipSet = lo.key, true
-		}
-	} else {
-		c = t.Cursor()
-	}
-	c.hi = hi
-	return c
-}
-
-// CursorAt returns a cursor positioned before the first item whose key
-// is >= from.
-func (t *Tree[K, V]) CursorAt(from K) *Cursor[K, V] {
-	c := &Cursor[K, V]{cmp: t.cmp}
+// CursorAt returns a cursor positioned before the first item at or
+// after the sought position: probe(k) is negative for a key k before it
+// and zero or positive for one at or after it, in the tree's order. A
+// probe that never returns zero positions the cursor between two keys:
+// that is how a secondary index starts a range on the secondary-key
+// part of its entries.
+func (t *Tree[K, V]) CursorAt(probe func(K) int) *Cursor[K, V] {
+	c := &Cursor[K, V]{}
 	c.stack = c.buf[:0]
 	n := t.root
 	for n != nil {
-		i, ok := t.find(n, from)
+		i, ok := n.search(probe)
 		c.stack = append(c.stack, cursorFrame[K, V]{node: n, idx: i})
 		if ok || n.leaf() {
 			break
@@ -488,6 +435,35 @@ func (t *Tree[K, V]) CursorAt(from K) *Cursor[K, V] {
 	return c
 }
 
+// Bound is one end of a range of keys, as the query planner hands it to
+// a secondary index. The zero value is unbounded (no constraint at that
+// end).
+type Bound struct {
+	key       adm.Value
+	inclusive bool
+	set       bool
+}
+
+// Include bounds a range at key, with key itself in range.
+func Include(key adm.Value) Bound { return Bound{key: key, inclusive: true, set: true} }
+
+// Exclude bounds a range at key, with key itself out of range.
+func Exclude(key adm.Value) Bound { return Bound{key: key, set: true} }
+
+// Unbounded leaves one end of a range open.
+func Unbounded() Bound { return Bound{} }
+
+// Unbounded reports whether the bound imposes no constraint.
+func (b Bound) Unbounded() bool { return !b.set }
+
+// Key returns the bounding key and whether it is inclusive; meaningless
+// for unbounded bounds.
+func (b Bound) Key() (adm.Value, bool) { return b.key, b.inclusive }
+
+// Inclusive reports whether the bound includes its key; meaningless for
+// unbounded bounds.
+func (b Bound) Inclusive() bool { return b.inclusive }
+
 // cursorFrame is one level of a cursor's descent: node plus the index
 // of the next item to yield there.
 type cursorFrame[K, V any] struct {
@@ -497,15 +473,10 @@ type cursorFrame[K, V any] struct {
 
 // Cursor iterates a Tree in ascending key order, one item per Next
 // call. The zero value is not usable; obtain cursors from
-// Tree.Cursor/CursorAt/CursorRange.
+// Tree.Cursor/CursorAt.
 type Cursor[K, V any] struct {
 	stack []cursorFrame[K, V]
 	buf   [8]cursorFrame[K, V] // inline storage: tree heights stay tiny
-	cmp   func(a, b K) int
-
-	hi      KeyBound[K] // upper bound; zero value = unbounded
-	skip    K           // exclusive lower bound to swallow once
-	skipSet bool
 }
 
 // descendFirst pushes the path to the leftmost leaf of the subtree.
@@ -519,8 +490,7 @@ func (c *Cursor[K, V]) descendFirst(n *btreeNode[K, V]) {
 	}
 }
 
-// Next returns the next item in key order (within the cursor's bounds,
-// for bounded cursors).
+// Next returns the next item in key order.
 func (c *Cursor[K, V]) Next() (Entry[K, V], bool) {
 	for len(c.stack) > 0 {
 		top := &c.stack[len(c.stack)-1]
@@ -529,7 +499,7 @@ func (c *Cursor[K, V]) Next() (Entry[K, V], bool) {
 			if top.idx < len(n.items) {
 				it := n.items[top.idx]
 				top.idx++
-				return c.emit(it)
+				return it, true
 			}
 			c.stack = c.stack[:len(c.stack)-1]
 			continue
@@ -541,31 +511,11 @@ func (c *Cursor[K, V]) Next() (Entry[K, V], bool) {
 			// capture the child before growing the stack.
 			child := n.children[top.idx]
 			c.descendFirst(child)
-			return c.emit(it)
+			return it, true
 		}
 		c.stack = c.stack[:len(c.stack)-1]
 	}
 	return Entry[K, V]{}, false
-}
-
-// emit applies the cursor's range bounds to a candidate item: it
-// swallows the exclusive lower bound key (at most once — keys are
-// unique) and exhausts the cursor at the first item past the upper
-// bound.
-func (c *Cursor[K, V]) emit(it Entry[K, V]) (Entry[K, V], bool) {
-	if c.skipSet {
-		c.skipSet = false
-		if c.cmp(it.Key, c.skip) == 0 {
-			return c.Next()
-		}
-	}
-	if c.hi.set {
-		if cmp := c.cmp(it.Key, c.hi.key); cmp > 0 || (cmp == 0 && !c.hi.inclusive) {
-			c.stack = c.stack[:0]
-			return Entry[K, V]{}, false
-		}
-	}
-	return it, true
 }
 
 // Delete removes key, reporting whether it was present.

@@ -706,7 +706,7 @@ func TestBTreeCursorAt(t *testing.T) {
 		bt.Put(adm.Int(i), adm.Int(i))
 	}
 	for _, from := range []int64{-1, 0, 1, 2, 499, 500, 997, 998, 999} {
-		cu := bt.CursorAt(adm.Int(from))
+		cu := bt.CursorAt(func(k adm.Value) int { return adm.Compare(k, adm.Int(from)) })
 		it, ok := cu.Next()
 		want := from
 		if want%2 != 0 {
@@ -742,7 +742,9 @@ func TestBTreeCursorAt(t *testing.T) {
 	}
 }
 
-// TestBTreeCursorRange checks bounded cursors against every bound-kind
+// TestBTreeCursorRange checks a range walk — a cursor positioned at the
+// lower bound by a probe that never returns zero (CursorAt), stopped at
+// the first key past the upper bound — against every bound-kind
 // combination over a dense key space, including batch-built trees.
 func TestBTreeCursorRange(t *testing.T) {
 	for _, batch := range []bool{false, true} {
@@ -760,11 +762,26 @@ func TestBTreeCursorRange(t *testing.T) {
 		}
 		collect := func(lo, hi Bound) []int64 {
 			var out []int64
-			cur := bt.CursorRange(lo, hi)
+			cur := bt.Cursor()
+			if !lo.Unbounded() {
+				from, incl := lo.Key()
+				cur = bt.CursorAt(func(k adm.Value) int {
+					if c := adm.Compare(k, from); c > 0 || c == 0 && incl {
+						return 1
+					}
+					return -1
+				})
+			}
 			for {
 				it, ok := cur.Next()
 				if !ok {
 					return out
+				}
+				if !hi.Unbounded() {
+					to, incl := hi.Key()
+					if c := adm.Compare(it.Key, to); c > 0 || c == 0 && !incl {
+						return out
+					}
 				}
 				out = append(out, it.Key.IntVal())
 			}
@@ -798,7 +815,7 @@ func TestBTreeCursorRange(t *testing.T) {
 		for _, tc := range cases {
 			got := collect(tc.lo, tc.hi)
 			if !slices.Equal(got, tc.want) {
-				t.Errorf("batch=%v CursorRange(%v,%v) = %v, want %v", batch, tc.lo, tc.hi, got, tc.want)
+				t.Errorf("batch=%v range (%v,%v) = %v, want %v", batch, tc.lo, tc.hi, got, tc.want)
 			}
 		}
 	}

@@ -334,7 +334,7 @@ func (p *Partition) UpsertFrame(keys, recs []adm.Value, enc []byte) error {
 	off := 0
 	for i := range keys {
 		n, err := adm.SkipBinary(enc[off:])
-		if err != nil || adm.CompareBinary(enc[off:off+n], keys[i]) != 0 {
+		if err != nil || adm.Compare(adm.ViewAlias(enc[off:off+n]), keys[i]) != 0 {
 			return fmt.Errorf("key %d is not %v at offset %d of the slab", i, keys[i], off)
 		}
 		m, ok := adm.ViewAt(recs[i], enc, off+n)

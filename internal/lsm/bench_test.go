@@ -67,8 +67,8 @@ func BenchmarkStorageUpsert(b *testing.B) {
 
 // BenchmarkStorageUpsertIndexed is the same comparison with a secondary
 // B-tree index attached, adding the get-before-put old-value pass and
-// index maintenance to both sides (a batch of one rebuilds its key's
-// postings once per record, a frame once per distinct key). The old
+// index maintenance to both sides (an entry deleted and one put per
+// record, under one index lock per batch). The old
 // values are read back from run files: the plain sub-benchmarks open the
 // partition bare, as DefaultOptions leaves it, and load a block per
 // lookup; the -cached ones wire the block cache every cluster partition

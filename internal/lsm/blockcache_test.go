@@ -414,7 +414,7 @@ func fillPointReads(t *testing.T, p *Partition, run *runFile, cache *BlockCache)
 // record it returns.
 func getBlockKey(t *testing.T, p *Partition, run *runFile, b int) {
 	t.Helper()
-	k := run.blocks[b].firstKey
+	k := adm.ViewAlias(run.blocks[b].firstKey)
 	if v, ok, err := p.Get(k); !ok || err != nil || v.Field("id").IntVal() != k.IntVal() {
 		t.Fatalf("get %v = %v, %v, %v", k, v, ok, err)
 	}
@@ -475,7 +475,7 @@ func TestFullCachePointMissKeepsOnlyItsRecord(t *testing.T) {
 				largest, size = i, blk.size()
 			}
 		}
-		k := run.blocks[largest].firstKey
+		k := adm.ViewAlias(run.blocks[largest].firstKey)
 		first, _, _ := p.Get(k)
 		got := perMiss(t, p, run, 0)
 		if adm.Compare(first, viewRec(int(k.IntVal()))) != 0 {

@@ -111,51 +111,78 @@ func parseBloom(payload []byte) (*bloomFilter, error) {
 	return &bloomFilter{nbits: nbits, bits: bits}, nil
 }
 
-// pointProbe carries one point lookup's key through the component walk,
-// computing the key's bloom hash at most once no matter how many
-// run-backed components are consulted — and not at all when every run
-// is rejected by its fence (or none has a filter). Probes are pooled;
-// the encoding scratch rides along so a steady lookup stream allocates
-// nothing.
+// pointProbe carries one point lookup's key, as its encoding, through
+// the memtable and the component walk, computing the key's bloom hash at
+// most once no matter how many run-backed components are consulted — and
+// not at all when every run is rejected by its fence (or none has a
+// filter). Probes are pooled; the encoding scratch rides along so a
+// steady lookup stream allocates nothing.
 type pointProbe struct {
-	key    adm.Value
-	buf    []byte
-	hash   uint64
-	alt    uint64 // the hash of the key's other numeric encoding, if hasAlt
-	hasAlt bool
-	hashed bool
+	key     []byte // the key's encoding: buf, or bytes the caller keeps
+	buf     []byte // scratch a decoded key is encoded into
+	altBuf  []byte // scratch the key's other numeric encoding is hashed from
+	hash    uint64
+	alt     uint64 // the hash of the key's other numeric encoding, if hasAlt
+	hasAlt  bool
+	hashed  bool
+	altDone bool // hasAlt and alt are set
 }
 
 var probePool = sync.Pool{New: func() any { return new(pointProbe) }}
 
-func getProbe(key adm.Value) *pointProbe {
+// getProbe returns a pooled probe for the key enc encodes (see at).
+func getProbe(enc []byte) *pointProbe {
 	kp := probePool.Get().(*pointProbe)
-	kp.key = key
-	kp.hashed = false
+	kp.at(enc)
 	return kp
 }
 
+// encodeProbe returns a pooled probe for key, encoded once into the
+// probe's scratch.
+func encodeProbe(key adm.Value) *pointProbe {
+	kp := probePool.Get().(*pointProbe)
+	kp.buf = adm.AppendBinary(kp.buf[:0], key)
+	kp.at(kp.buf)
+	return kp
+}
+
+// at points the probe at the key enc encodes (as SkipBinary accepts it),
+// which the caller keeps unchanged while the probe is in use.
+func (kp *pointProbe) at(enc []byte) {
+	kp.key = enc
+	kp.hashed, kp.altDone = false, false
+}
+
 func putProbe(kp *pointProbe) {
-	kp.key = adm.Value{} // don't pin record arenas from the pool
+	kp.key = nil // don't pin what the caller pointed it at from the pool
 	probePool.Put(kp)
 }
 
 // mayBeIn reports whether f may hold the probe key, hashing the key on
 // first use. A numeric key equals the key of the other numeric kind with
 // the same value (3 = 3.0), whose encoding — and so bloom hash — differs,
-// so it is asked for under both.
+// so a filter that rules the key's own encoding out is asked for the
+// other one too, hashed the first time one is.
 func (kp *pointProbe) mayBeIn(f *bloomFilter) bool {
 	if !kp.hashed {
-		kp.buf = adm.AppendBinary(kp.buf[:0], kp.key)
-		kp.hash = bloomHash(kp.buf)
-		var alt adm.Value
-		if alt, kp.hasAlt = otherNumeric(kp.key); kp.hasAlt {
-			kp.buf = adm.AppendBinary(kp.buf[:0], alt)
-			kp.alt = bloomHash(kp.buf)
-		}
+		kp.hash = bloomHash(kp.key)
 		kp.hashed = true
 	}
-	return f.mayContain(kp.hash) || kp.hasAlt && f.mayContain(kp.alt)
+	if f.mayContain(kp.hash) {
+		return true
+	}
+	if !kp.altDone {
+		kp.hasAlt = false
+		if k := adm.Kind(kp.key[0]); k == adm.KindInt64 || k == adm.KindDouble {
+			var alt adm.Value
+			if alt, kp.hasAlt = otherNumeric(adm.ViewAlias(kp.key)); kp.hasAlt {
+				kp.altBuf = adm.AppendBinary(kp.altBuf[:0], alt)
+				kp.alt = bloomHash(kp.altBuf)
+			}
+		}
+		kp.altDone = true
+	}
+	return kp.hasAlt && f.mayContain(kp.alt)
 }
 
 // otherNumeric returns the value of the other numeric kind that equals v

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -179,13 +180,25 @@ func TestDatasetBTreeIndex(t *testing.T) {
 	}
 }
 
-// postingsIn returns the primary keys ix holds in [lo, hi], flattened.
+// postingsIn returns the primary keys ix holds in [lo, hi], in entry
+// order (secondary key, then primary key).
 func postingsIn(ix *BTreeIndex, lo, hi index.Bound) []adm.Value {
+	loB, _ := encodeBound(nil, lo)
+	hiB, _ := encodeBound(nil, hi)
 	var pks []adm.Value
-	for _, list := range ix.LookupRangeBounds(lo, hi, nil) {
-		pks = append(pks, list...)
+	for _, pk := range ix.lookupRange(loB, hiB, nil) {
+		pks = append(pks, adm.ViewAlias(bytesOf(pk)))
 	}
 	return pks
+}
+
+// intsOf returns the int64s of vals.
+func intsOf(vals []adm.Value) []int64 {
+	var out []int64
+	for _, v := range vals {
+		out = append(out, v.IntVal())
+	}
+	return out
 }
 
 // postingsOf returns the primary keys ix holds under exactly key: the
@@ -215,9 +228,8 @@ func TestBTreeIndexDirect(t *testing.T) {
 		t.Fatalf("after delete postingsOf(US) = %v", got)
 	}
 	remove(3, mk(3, "FR"))
-	fr := index.Include(adm.String("FR"))
-	if got := ix.LookupRangeBounds(fr, fr, nil); got != nil {
-		t.Fatalf("empty posting list should be removed, got %v", got)
+	if got := postingsOf(ix, adm.String("FR")); got != nil {
+		t.Fatalf("a deleted record's entry should be gone, got %v", got)
 	}
 	// Range lookup, on the bounds the planner uses.
 	insert(4, mk(4, "AA"))
@@ -225,12 +237,59 @@ func TestBTreeIndexDirect(t *testing.T) {
 	insert(6, mk(6, "ZZ"))
 	got := postingsIn(ix, index.Include(adm.String("AA")), index.Include(adm.String("US")))
 	if len(got) != 3 { // AA, MM, US
-		t.Fatalf("LookupRangeBounds[AA,US] = %v", got)
+		t.Fatalf("range [AA,US] = %v", got)
+	}
+	// Exclusive bounds on a key many entries share: the range walk skips
+	// every entry under the low bound and stops before the first under
+	// the high one, whatever their primary keys.
+	for id := int64(100); id < 400; id++ {
+		insert(id, mk(id, "MM"))
+	}
+	if got := intsOf(postingsIn(ix, index.Exclude(adm.String("MM")), index.Unbounded())); !slices.Equal(got, []int64{2, 6}) {
+		t.Fatalf("range (MM, ∞) = %v, want [2 6]", got) // US, ZZ
+	}
+	if got := intsOf(postingsIn(ix, index.Unbounded(), index.Exclude(adm.String("MM")))); !slices.Equal(got, []int64{4}) {
+		t.Fatalf("range (-∞, MM) = %v, want [4]", got) // AA
+	}
+	if got := postingsIn(ix, index.Exclude(adm.String("MM")), index.Exclude(adm.String("US"))); got != nil {
+		t.Fatalf("range (MM, US) = %v, want none", got)
+	}
+	if got := postingsIn(ix, index.Include(adm.String("MM")), index.Include(adm.String("MM"))); len(got) != 301 {
+		t.Fatalf("range [MM, MM] = %d entries, want 301", len(got))
+	}
+	if got := postingsIn(ix, index.Unbounded(), index.Unbounded()); len(got) != 304 {
+		t.Fatalf("unbounded range = %d entries, want 304", len(got))
 	}
 	// Records without the field are skipped, not indexed.
 	insert(9, adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(9))))
 	if got := postingsOf(ix, adm.Missing()); got != nil {
 		t.Error("missing key should not be indexed")
+	}
+
+	// 7 and 7.0 under different records are one secondary key, as
+	// adm.Compare has it: a probe of either kind reads both records, in
+	// primary-key order, and a delete removes only its own record's entry.
+	nx := NewBTreeIndex("byNum", FieldKeyExtractor("n"))
+	num := func(id int64, n adm.Value) adm.Value {
+		return adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(id), "n", n))
+	}
+	for _, r := range []adm.Value{num(3, adm.Int(7)), num(1, adm.Double(7)), num(2, adm.Int(7)), num(4, adm.Int(8)), num(5, adm.Double(6.5))} {
+		nx.InsertBatch([]index.Item{{Key: r.Field("id"), Val: r}})
+	}
+	for _, probe := range []adm.Value{adm.Int(7), adm.Double(7)} {
+		if got := intsOf(postingsOf(nx, probe)); !slices.Equal(got, []int64{1, 2, 3}) {
+			t.Fatalf("postingsOf(%v) = %v, want [1 2 3]", probe, got)
+		}
+		if got := intsOf(postingsIn(nx, index.Exclude(probe), index.Unbounded())); !slices.Equal(got, []int64{4}) {
+			t.Fatalf("range (%v, ∞) = %v, want [4]", probe, got)
+		}
+		if got := intsOf(postingsIn(nx, index.Unbounded(), index.Exclude(probe))); !slices.Equal(got, []int64{5}) {
+			t.Fatalf("range (-∞, %v) = %v, want [5]", probe, got)
+		}
+	}
+	nx.DeleteBatch([]index.Item{{Key: adm.Int(1), Val: num(1, adm.Double(7))}})
+	if got := intsOf(postingsOf(nx, adm.Int(7))); !slices.Equal(got, []int64{2, 3}) {
+		t.Fatalf("after deleting record 1, postingsOf(7) = %v, want [2 3]", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -195,30 +196,48 @@ func TestPointLookupNeverAnswersStale(t *testing.T) {
 // as the other numeric kind with the same value (7 = 7.0), as
 // adm.Compare equates them, from the memtable and from a run whose bloom
 // filter hashed the stored encoding; a non-integral double matches no
-// int64. The memtable arm probes a memtable that holds the keys.
+// int64. The memtable arm probes a memtable that holds the keys. The run
+// spans several blocks, so a probe crosses the block index, whose first
+// keys are of both kinds, to a block whose keys may be of the other kind.
 func TestPointLookupPromotesNumericKeys(t *testing.T) {
 	p, err := OpenPartition(NewMemFS(), "part", Options{MemBudget: 1 << 20, MaxComponents: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	for _, k := range []adm.Value{adm.Int(7), adm.Double(9)} {
-		if err := p.Upsert(k, rec(1, "k", k)); err != nil {
+	type probe struct {
+		key   adm.Value
+		found bool
+	}
+	keys := []adm.Value{adm.Int(7), adm.Double(9)}
+	probes := []probe{{adm.Int(7), true}, {adm.Double(7), true}, {adm.Int(9), true}, {adm.Double(9), true}, {adm.Double(7.5), false}, {adm.Int(8), false}}
+	// Keys 100..139 besides, even ones int64s and odd ones doubles, with
+	// records of a quarter block each.
+	for i := int64(100); i < 140; i++ {
+		if i%2 == 0 {
+			keys = append(keys, adm.Int(i))
+		} else {
+			keys = append(keys, adm.Double(float64(i)))
+		}
+		probes = append(probes, probe{adm.Int(i), true}, probe{adm.Double(float64(i)), true}, probe{adm.Double(float64(i) + 0.5), false})
+	}
+	pad := adm.String(strings.Repeat("p", runBlockTarget/4))
+	for _, k := range keys {
+		if err := p.Upsert(k, rec(1, "k", k, "pad", pad)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	probes := []struct {
-		key   adm.Value
-		found bool
-	}{{adm.Int(7), true}, {adm.Double(7), true}, {adm.Int(9), true}, {adm.Double(9), true}, {adm.Double(7.5), false}, {adm.Int(8), false}}
 	for _, where := range []string{"memtable", "run"} {
 		if where == "run" {
 			p.Flush()
 			if err := p.WaitForFlush(); err != nil || p.Runs() != 1 {
 				t.Fatalf("flush: %v, %d runs", err, p.Runs())
 			}
-		} else if n := p.Stats().MemEntries; n != 2 {
-			t.Fatalf("memtable holds %d entries, want the 2 keys", n)
+			if n := len(partitionRuns(p)[0].blocks); n < 8 {
+				t.Fatalf("the run holds %d blocks, want several", n)
+			}
+		} else if n := p.Stats().MemEntries; n != len(keys) {
+			t.Fatalf("memtable holds %d entries, want the %d keys", n, len(keys))
 		}
 		for _, pr := range probes {
 			if _, ok, err := p.Get(pr.key); ok != pr.found || err != nil {

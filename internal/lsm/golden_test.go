@@ -144,7 +144,7 @@ func w2Replay(t *testing.T, fs FS, fn func(uint64, adm.Value, adm.Value)) error 
 // probeGet is the test shorthand for a single-run point lookup through
 // the pooled probe API.
 func probeGet(rf *runFile, key adm.Value) (adm.Value, bool, error) {
-	kp := getProbe(key)
+	kp := encodeProbe(key)
 	defer putProbe(kp)
 	return rf.get(kp)
 }
@@ -168,15 +168,15 @@ func checkGoldenRun(t *testing.T, rf *runFile, items []index.Item) {
 	c := rf.cursor()
 	for i := range items {
 		key, _, ok, _ := c.advance()
-		if !ok || adm.CompareBinary(key, items[i].Key) != 0 {
+		if !ok || adm.Compare(adm.ViewAlias(key), items[i].Key) != 0 {
 			t.Fatalf("cursor item %d mismatch", i)
 		}
 	}
 	if _, _, ok, _ := c.advance(); ok {
 		t.Fatal("cursor overran")
 	}
-	if adm.Compare(rf.firstKey, items[0].Key) != 0 || adm.Compare(rf.lastKey, items[len(items)-1].Key) != 0 {
-		t.Fatalf("fences = [%v, %v], want [%v, %v]", rf.firstKey, rf.lastKey, items[0].Key, items[len(items)-1].Key)
+	if first, last := adm.ViewAlias(rf.firstKey), adm.ViewAlias(rf.lastKey); adm.Compare(first, items[0].Key) != 0 || adm.Compare(last, items[len(items)-1].Key) != 0 {
+		t.Fatalf("fences = [%v, %v], want [%v, %v]", first, last, items[0].Key, items[len(items)-1].Key)
 	}
 	if c.err != nil {
 		t.Fatal(c.err)

@@ -272,8 +272,11 @@ func FuzzOpenRun(f *testing.F) {
 				rec.Field("v")
 				adm.Hash(rec)
 			}
-			probeGet(rf, rf.firstKey)
-			probeGet(rf, rf.lastKey)
+			for _, fence := range [][]byte{rf.firstKey, rf.lastKey} {
+				kp := getProbe(fence)
+				rf.get(kp)
+				putProbe(kp)
+			}
 		}); grew > decodeHeapBound(len(data)) {
 			t.Fatalf("reading the run allocated %d bytes for a %d-byte file", grew, len(data))
 		}

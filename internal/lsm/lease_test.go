@@ -139,7 +139,7 @@ func TestEscapedBlockIsNeverRecycled(t *testing.T) {
 	}{
 		{"point-hit", func(t *testing.T, p *Partition, run *runFile, b int) []byte {
 			leaseAndRelease(t, run, b)
-			v, ok, err := p.Get(run.blocks[b].firstKey)
+			v, ok, err := p.Get(adm.ViewAlias(run.blocks[b].firstKey))
 			if !ok || err != nil {
 				t.Fatalf("get = %v, %v", ok, err)
 			}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-
-	"github.com/ideadb/idea/internal/adm"
 )
 
 // The manifest is the durable root of a partition directory: it names
@@ -46,24 +44,20 @@ type runMeta struct {
 	Entries int    `json:"entries"`
 	Bytes   int64  `json:"bytes"`
 	// FirstKey/LastKey are the run's key-range fences (adm binary
-	// encoding; JSON base64). Recovery cross-checks them against the
-	// fences derived from the run file itself — a mismatch, or no fences
-	// for a run that has entries, means the manifest references a file
-	// it did not describe. Absent (nil) only for empty runs.
+	// encoding, the bytes the run file holds; JSON base64). Recovery
+	// cross-checks them against the fences of the run file itself — a
+	// mismatch, or no fences for a run that has entries, means the
+	// manifest references a file it did not describe. Absent (nil) only
+	// for empty runs.
 	FirstKey []byte `json:"first_key,omitempty"`
 	LastKey  []byte `json:"last_key,omitempty"`
 }
 
 // runMetaFor describes a run-backed component for the manifest,
-// including its key-range fences.
+// including its key-range fences as the run holds them.
 func runMetaFor(c *component) runMeta {
 	rf := c.run
-	rm := runMeta{File: rf.name, MaxLSN: c.upToLSN, Entries: rf.entries, Bytes: rf.size}
-	if len(rf.blocks) > 0 {
-		rm.FirstKey = adm.AppendBinary(nil, rf.firstKey)
-		rm.LastKey = adm.AppendBinary(nil, rf.lastKey)
-	}
-	return rm
+	return runMeta{File: rf.name, MaxLSN: c.upToLSN, Entries: rf.entries, Bytes: rf.size, FirstKey: rf.firstKey, LastKey: rf.lastKey}
 }
 
 // check refuses a manifest no flush or compaction could have written.

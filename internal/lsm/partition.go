@@ -41,13 +41,15 @@
 // and so is a key, both made with adm.ViewAlias: a string key, and every
 // string read out of a record, aliases those bytes. A holder that
 // outlives a statement — a secondary index, enrichment state patched
-// across batches — keeps adm.Value.Detached copies instead.
-// An index scan (IndexScanCursor) keeps the secondary index's own
-// postings arrays: a published postings array is never written, because
-// every index write builds a new one (BTreeIndex). What a read gives
-// back is a parallel scan's record batches, which ParallelScanCursor
-// returns to a shared pool, cleared, and a leased scan's pins on the
-// blocks it read. The one exception to "never rewritten" is that scan's:
+// across batches — keeps copies instead: a B-tree index its entries'
+// encodings, an R-tree index and enrichment state adm.Value.Detached
+// values. An index scan (IndexScanCursor) keeps the primary keys of the
+// index's own entries, which no write rewrites: a write puts or deletes
+// whole entries (BTreeIndex). What a read gives back is an index scan's
+// capture buffers, which IndexScanCursor.Close returns to a pool, a
+// parallel scan's record batches, which ParallelScanCursor returns to a
+// shared pool, cleared, and a leased scan's pins on the blocks it read.
+// The one exception to "never rewritten" is that scan's:
 // its consumer keeps copies of what it keeps (NewLeasedScanCursor), so
 // once a pin is released the cache may recycle the block's bytes
 // (BlockCache).
@@ -147,10 +149,9 @@ func keyOf(e entry) adm.Value { return adm.ViewAlias(bytesOf(e.Key)) }
 // recOf is e's record, a view of the entry's bytes.
 func recOf(e entry) adm.Value { return adm.ViewAlias(bytesOf(e.Val)) }
 
-// memGet looks key up in a memtable: each stored key is compared with
-// it where it lies (adm.CompareBinary).
-func memGet(t *memtable, key adm.Value) (adm.Value, bool) {
-	rec, ok := t.Search(func(k string) int { return adm.CompareBinary(bytesOf(k), key) })
+// memGet looks the probe's key up in a memtable, by its encoding.
+func memGet(t *memtable, kp *pointProbe) (adm.Value, bool) {
+	rec, ok := t.Get(stringOf(kp.key))
 	if !ok {
 		return adm.Value{}, false
 	}
@@ -363,7 +364,7 @@ func (p *Partition) AttachIndex(idx SecondaryIndex) error {
 	batch := itemBatches.get(backfillChunk)
 	cu := &Cursor{m: mergeComponentCursors(append([]*component{{tree: p.mem}}, p.components...), true)}
 	for key, rec, ok := cu.Next(); ok; key, rec, ok = cu.Next() {
-		*batch = append(*batch, index.Item{Key: key.Detached(), Val: rec}) // an index keeps its keys for good
+		*batch = append(*batch, index.Item{Key: key, Val: rec})
 		if len(*batch) == backfillChunk {
 			idx.InsertBatch(*batch)
 			clear(*batch) // the pool clears only up to the final length
@@ -597,10 +598,11 @@ func (p *Partition) write(mode writeMode, enc []byte, hint int, owns func(key ad
 		err = errClosed
 	case mode == writeInsert || mode == writeDelete:
 		// A read fault fails the write: it must not pass for an absent key.
-		key := keyOf(entries[0])
-		if _, existed, err = p.getLocked(key); existed && mode == writeInsert {
-			err = fmt.Errorf("lsm: duplicate key %s", key)
+		kp := getProbe(bytesOf(entries[0].Key))
+		if _, existed, err = p.getLocked(kp); existed && mode == writeInsert {
+			err = fmt.Errorf("lsm: duplicate key %s", keyOf(entries[0]))
 		}
+		putProbe(kp)
 	}
 	if err == nil {
 		p.wal.appendEncoded(enc, n)
@@ -683,19 +685,20 @@ func (p *Partition) applyBatchLocked(entries []entry, held int) {
 // write path's pool.
 func (p *Partition) maintainIndexesBatchLocked(entries []entry) {
 	olds, news := itemBatches.get(len(entries)), itemBatches.get(len(entries))
+	kp := getProbe(nil)
 	for _, e := range entries {
 		key, rec := keyOf(e), recOf(e)
 		// The batch is logged already, so a read fault cannot fail it: the
 		// old entry stays indexed.
-		if old, ok, _ := p.getLocked(key); ok {
+		kp.at(bytesOf(e.Key))
+		if old, ok, _ := p.getLocked(kp); ok {
 			*olds = append(*olds, index.Item{Key: key, Val: old})
 		}
 		if !rec.IsMissing() {
-			// An index keeps its primary keys for good: a string key
-			// aliases the batch's buffer (keyOf), so it gets a copy.
-			*news = append(*news, index.Item{Key: key.Detached(), Val: rec})
+			*news = append(*news, index.Item{Key: key, Val: rec})
 		}
 	}
+	putProbe(kp)
 	for _, idx := range p.secondary {
 		idx.DeleteBatch(*olds)
 	}
@@ -726,41 +729,35 @@ func (p *Partition) freezeLocked() {
 	p.signalFlushLocked()
 }
 
-// getLocked performs a point lookup across memtable and components,
-// newest first.
-func (p *Partition) getLocked(key adm.Value) (adm.Value, bool, error) {
-	if v, ok := memGet(p.mem, key); ok {
+// getLocked performs a point lookup of the probe's key across memtable
+// and components, newest first.
+func (p *Partition) getLocked(kp *pointProbe) (adm.Value, bool, error) {
+	if v, ok := memGet(p.mem, kp); ok {
 		if v.IsMissing() {
 			return adm.Value{}, false, nil
 		}
 		return v, true, nil
 	}
-	return lookupComponents(p.components, key)
+	return lookupComponents(p.components, kp)
 }
 
-// lookupComponents point-looks-up key across components newest first,
-// mapping tombstones to not-found. A run whose block cannot be read ends
-// the lookup with the read error: the key's newest version may be in
-// that block, so no older component may answer for it. Run-backed
-// components share one pooled probe, so the key's bloom hash is computed
-// at most once per lookup (and not at all when fences reject every run).
-func lookupComponents(comps []*component, key adm.Value) (v adm.Value, found bool, err error) {
-	var kp *pointProbe
+// lookupComponents point-looks-up the probe's key across components
+// newest first, mapping tombstones to not-found. A run whose block
+// cannot be read ends the lookup with the read error: the key's newest
+// version may be in that block, so no older component may answer for
+// it. Every component is searched with the key's one encoding, and the
+// probe computes its bloom hash at most once per lookup (and not at all
+// when fences reject every run).
+func lookupComponents(comps []*component, kp *pointProbe) (v adm.Value, found bool, err error) {
 	for _, c := range comps {
 		if c.run != nil {
-			if kp == nil {
-				kp = getProbe(key)
-			}
 			v, found, err = c.run.get(kp)
 		} else {
-			v, found = memGet(c.tree, key)
+			v, found = memGet(c.tree, kp)
 		}
 		if err != nil || found {
 			break
 		}
-	}
-	if kp != nil {
-		putProbe(kp)
 	}
 	if !found || v.IsMissing() {
 		return adm.Value{}, false, err
@@ -772,9 +769,12 @@ func lookupComponents(comps []*component, key adm.Value) (v adm.Value, found boo
 // kept the lookup from knowing it.
 func (p *Partition) Get(key adm.Value) (adm.Value, bool, error) {
 	p.renv.ctr.gets.Add(1)
+	kp := encodeProbe(key)
 	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.getLocked(key)
+	v, ok, err := p.getLocked(kp)
+	p.mu.RUnlock()
+	putProbe(kp)
+	return v, ok, err
 }
 
 // Epoch returns the partition's mutation epoch: the WAL's last assigned
@@ -865,7 +865,19 @@ type Snapshot struct {
 // Get performs a point lookup in the snapshot. A block that cannot be
 // read fails the lookup with its read error, never answers not-found.
 func (s *Snapshot) Get(key adm.Value) (adm.Value, bool, error) {
-	v, ok, err := lookupComponents(s.components, key)
+	kp := encodeProbe(key)
+	v, ok, err := lookupComponents(s.components, kp)
+	putProbe(kp)
+	runtime.KeepAlive(s)
+	return v, ok, err
+}
+
+// getEncoded is Get for the key enc encodes: an index scan's primary
+// keys are encodings, looked up as they are.
+func (s *Snapshot) getEncoded(enc []byte) (adm.Value, bool, error) {
+	kp := getProbe(enc)
+	v, ok, err := lookupComponents(s.components, kp)
+	putProbe(kp)
 	runtime.KeepAlive(s)
 	return v, ok, err
 }

@@ -99,7 +99,7 @@ func BenchmarkPointLookupDurable(b *testing.B) {
 		var keys []adm.Value
 		for _, r := range partitionRuns(p) {
 			for _, m := range r.blocks {
-				keys = append(keys, m.firstKey)
+				keys = append(keys, adm.ViewAlias(m.firstKey))
 			}
 		}
 		before := cache.Stats().BlockCacheBypasses

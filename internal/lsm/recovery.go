@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -133,9 +134,10 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 }
 
 // checkFences cross-checks the key-range fences the manifest recorded
-// for a run against the ones derived from the file itself. Every run
-// with entries is recorded with its fences (runMetaFor), so one named
-// without them is refused like one whose fences name other keys.
+// for a run against the run file's own, byte for byte: both are the
+// encodings the run file holds. Every run with entries is recorded with
+// its fences (runMetaFor), so one named without them is refused like one
+// whose fences name other keys.
 func checkFences(rm runMeta, rf *runFile) error {
 	if len(rf.blocks) == 0 {
 		return nil
@@ -143,19 +145,20 @@ func checkFences(rm runMeta, rf *runFile) error {
 	if rm.FirstKey == nil || rm.LastKey == nil {
 		return fmt.Errorf("lsm: run %s: manifest names a run of %d entries without its fences", rm.File, rf.entries)
 	}
-	first, _, err := adm.DecodeBinary(rm.FirstKey)
-	if err != nil {
-		return fmt.Errorf("lsm: run %s: manifest first key: %w", rm.File, err)
-	}
-	last, _, err := adm.DecodeBinary(rm.LastKey)
-	if err != nil {
-		return fmt.Errorf("lsm: run %s: manifest last key: %w", rm.File, err)
-	}
-	if adm.Compare(first, rf.firstKey) != 0 || adm.Compare(last, rf.lastKey) != 0 {
-		return fmt.Errorf("lsm: run %s: manifest fences [%s, %s] do not match file fences [%s, %s]",
-			rm.File, first, last, rf.firstKey, rf.lastKey)
+	if !bytes.Equal(rm.FirstKey, rf.firstKey) || !bytes.Equal(rm.LastKey, rf.lastKey) {
+		return fmt.Errorf("lsm: run %s: manifest fences [%v, %v] do not match file fences [%v, %v]",
+			rm.File, fenceText(rm.FirstKey), fenceText(rm.LastKey), adm.ViewAlias(rf.firstKey), adm.ViewAlias(rf.lastKey))
 	}
 	return nil
+}
+
+// fenceText renders a manifest's fence for an error: the key it
+// encodes, or its bytes when they encode none.
+func fenceText(b []byte) any {
+	if n, err := adm.SkipBinary(b); err == nil && n == len(b) {
+		return adm.ViewAlias(b)
+	}
+	return fmt.Sprintf("%x", b)
 }
 
 // removeOrphans deletes files in dir that neither the manifest nor the

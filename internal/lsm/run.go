@@ -109,16 +109,17 @@ type runWriter struct {
 	first   []byte // encoded first key of the current block
 	last    []byte // encoded last key seen (fence)
 	frame   []byte // assembly buffer for framed blocks
-	blocks  []blockMeta
+	blocks  int    // blocks written
+	index   []byte // their index entries: off, len and first key each
 	entries int
 	hashes  []uint64 // bloom hash per entry, in add order; the fill sizes it
 }
 
-// blockMeta locates one block and remembers its first key.
+// blockMeta locates one block and holds its first key's encoding.
 type blockMeta struct {
 	off      int64
 	length   int
-	firstKey adm.Value
+	firstKey []byte
 }
 
 func (w *runWriter) writeHeader() error {
@@ -152,14 +153,13 @@ func (w *runWriter) flushBlock() error {
 	if w.count == 0 {
 		return nil
 	}
-	firstKey, _, err := adm.DecodeBinary(w.first)
-	if err != nil {
-		return fmt.Errorf("lsm: run writer first key: %w", err)
-	}
 	w.raw = binary.AppendUvarint(w.raw[:0], uint64(w.count))
 	w.raw = append(w.raw, w.scratch...)
 	w.frame = appendBlockBody(frame.Begin(w.frame[:0]), w.raw, w.lz)
-	w.blocks = append(w.blocks, blockMeta{off: w.off, length: len(w.frame), firstKey: firstKey})
+	w.index = binary.AppendUvarint(w.index, uint64(w.off))
+	w.index = binary.AppendUvarint(w.index, uint64(len(w.frame)))
+	w.index = append(w.index, w.first...)
+	w.blocks++
 	w.scratch = w.scratch[:0]
 	w.count = 0
 	return w.writeFrame()
@@ -218,12 +218,8 @@ func (w *runWriter) finish() (entries int, size int64, err error) {
 
 	w.frame = frame.Begin(w.frame[:0])
 	w.frame = binary.AppendUvarint(w.frame, uint64(w.entries))
-	w.frame = binary.AppendUvarint(w.frame, uint64(len(w.blocks)))
-	for _, b := range w.blocks {
-		w.frame = binary.AppendUvarint(w.frame, uint64(b.off))
-		w.frame = binary.AppendUvarint(w.frame, uint64(b.length))
-		w.frame = adm.AppendBinary(w.frame, b.firstKey)
-	}
+	w.frame = binary.AppendUvarint(w.frame, uint64(w.blocks))
+	w.frame = append(w.frame, w.index...)
 	w.frame = binary.AppendUvarint(w.frame, uint64(bloomOff))
 	w.frame = binary.AppendUvarint(w.frame, uint64(bloomLen))
 	if w.entries > 0 {
@@ -355,11 +351,11 @@ type runFile struct {
 	entries int
 
 	// bloom is the per-run key filter (nil for empty runs).
-	// firstKey/lastKey fence the run's key range; valid when the run has
-	// at least one block.
+	// firstKey/lastKey fence the run's key range, as encodings in the
+	// loaded index payload; nil when the run has no block.
 	bloom    *bloomFilter
-	firstKey adm.Value
-	lastKey  adm.Value
+	firstKey []byte
+	lastKey  []byte
 
 	cache *BlockCache
 	ctr   *counters
@@ -442,7 +438,7 @@ func (r *runFile) load() error {
 	r.blocks = make([]blockMeta, p.Count(3))
 	for i := range r.blocks {
 		off, length, ok := section()
-		r.blocks[i] = blockMeta{off: off, length: length, firstKey: p.Value()}
+		r.blocks[i] = blockMeta{off: off, length: length, firstKey: p.Encoded()}
 		if p.Err() != nil {
 			break
 		}
@@ -451,7 +447,7 @@ func (r *runFile) load() error {
 		}
 	}
 	bloomOff, bloomLen, ok := section()
-	lastKey := p.Value()
+	lastKey := p.Encoded()
 	if err := p.Done(); err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
@@ -619,15 +615,15 @@ func (r *runFile) scanBlock(i int, leased bool) (blk block, lease *blockEntry, e
 	return blk, lease, err
 }
 
-// lookup binary-searches the block's encoded keys for key and returns
-// the record stored under it, or nil (a record is never empty).
-// loadBlock checked every key.
-func (b block) lookup(key adm.Value) []byte {
+// lookup binary-searches the block's encoded keys for key, an encoding,
+// and returns the record stored under it, or nil (a record is never
+// empty). loadBlock checked every key.
+func (b block) lookup(key []byte) []byte {
 	lo, hi := 0, b.entries()
 	cmp := -1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if c := adm.CompareBinary(b.key(mid), key); c < 0 {
+		if c := adm.CompareEncoded(b.key(mid), key); c < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -642,7 +638,8 @@ func (b block) lookup(key adm.Value) []byte {
 
 // get performs a point lookup: reject by key-range fence, then by bloom
 // filter, then binary-search the block index for the last block whose
-// first key is <= key and binary-search that block's encoded keys. A
+// first key is <= key and binary-search that block's encoded keys, every
+// comparison one of encodings (adm.CompareEncoded). A
 // block the cache keeps serves the record as a view of its bytes, so a
 // hit on a resident block decodes and allocates nothing. A block it does
 // not keep — a first touch on a full shard (BlockCache), or any block
@@ -653,7 +650,7 @@ func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 		return adm.Value{}, false, nil
 	}
 	key := kp.key
-	if adm.Compare(key, r.firstKey) < 0 || adm.Compare(key, r.lastKey) > 0 {
+	if adm.CompareEncoded(key, r.firstKey) < 0 || adm.CompareEncoded(key, r.lastKey) > 0 {
 		r.ctr.fenceSkips.Add(1)
 		return adm.Value{}, false, nil
 	}
@@ -664,7 +661,7 @@ func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 	lo, hi := 0, len(r.blocks)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if adm.Compare(r.blocks[mid].firstKey, key) <= 0 {
+		if adm.CompareEncoded(r.blocks[mid].firstKey, key) <= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -699,7 +696,7 @@ var blockBufs = sync.Pool{New: func() any { return new(block) }}
 // checksum, decode, structure walk), and copies the record stored under
 // key out of it. The view it returns aliases that copy, never the
 // pooled bytes, which the next such read overwrites.
-func (r *runFile) readRecord(i int, key adm.Value) (adm.Value, bool, error) {
+func (r *runFile) readRecord(i int, key []byte) (adm.Value, bool, error) {
 	bp := blockBufs.Get().(*block)
 	defer blockBufs.Put(bp)
 	blk, err := r.loadBlock(i, *bp)

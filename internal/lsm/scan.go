@@ -8,74 +8,93 @@ import (
 )
 
 // IndexScanCursor streams the records selected by a secondary-index
-// range probe, resolving postings through the primary store of pinned
-// snapshots. The in-range postings arrays (primary keys only — never
-// records) are captured per partition at construction time,
-// immediately after the query pinned its snapshots, so the
-// live-index/pinned-snapshot window is a single instant. The cursor
-// keeps the index's own arrays and reads them in place: a published
-// postings array is never written (BTreeIndex), so writes after the
-// capture cannot reach them. Records are resolved lazily, one per Next,
-// so a consumer that stops early never materializes the tail. A pk
-// indexed after the snapshot was pinned simply misses in the snapshot
-// and is skipped; a lookup that faults ends the cursor, and Err reports
-// the fault.
+// range probe, resolving primary keys through the primary store of
+// pinned snapshots. The in-range primary keys (encodings only — never
+// records) are captured per partition at construction time, immediately
+// after the query pinned its snapshots, so the live-index/pinned-snapshot
+// window is a single instant. The captured keys are substrings of the
+// index's own entries, which no write rewrites (BTreeIndex), so writes
+// after the capture cannot reach them. Records are resolved lazily, one
+// per Next, by the key's encoding, so a consumer that stops early never
+// materializes the tail and no key is decoded. A pk indexed after the
+// snapshot was pinned simply misses in the snapshot and is skipped; a
+// lookup that faults ends the cursor, and Err reports the fault.
 type IndexScanCursor struct {
 	snaps []*Snapshot
-	lists [][]adm.Value // the captured postings arrays, all partitions
-	ends  []int         // lists[ends[p-1]:ends[p]] are partition p's
+	capt  *indexCapture // nil once closed
 	part  int
-	list  int
 	pos   int
 	err   error
 }
 
+// indexCapture is the buffers an index scan captures into, pooled: a
+// statement's probe reuses an earlier one's instead of growing its own.
+type indexCapture struct {
+	pks    []string // the captured primary keys, all partitions
+	ends   []int    // pks[ends[p-1]:ends[p]] are partition p's
+	lo, hi []byte   // the range's encoded bounds
+}
+
+var indexCaptures = sync.Pool{New: func() any { return new(indexCapture) }}
+
 // NewIndexScanCursor probes one *BTreeIndex per partition snapshot
 // (idxs[i] belongs to snaps[i]'s partition) for the keys within
 // [lo, hi] and returns a cursor over the matching records. The probe
-// captures the postings arrays under the index read lock and resolves
+// captures the primary keys under each index's read lock and resolves
 // them afterwards, so no partition lock is ever taken while an index
 // lock is held.
 func NewIndexScanCursor(snaps []*Snapshot, idxs []*BTreeIndex, lo, hi index.Bound) *IndexScanCursor {
-	c := &IndexScanCursor{snaps: snaps, ends: make([]int, len(idxs))}
-	for i, ix := range idxs {
-		c.lists = ix.LookupRangeBounds(lo, hi, c.lists)
-		c.ends[i] = len(c.lists)
+	cp := indexCaptures.Get().(*indexCapture)
+	var loB, hiB keyBound
+	loB, cp.lo = encodeBound(cp.lo, lo)
+	hiB, cp.hi = encodeBound(cp.hi, hi)
+	for _, ix := range idxs {
+		cp.pks = ix.lookupRange(loB, hiB, cp.pks)
+		cp.ends = append(cp.ends, len(cp.pks))
 	}
-	return c
+	return &IndexScanCursor{snaps: snaps, capt: cp}
 }
 
-// Next resolves and returns the next matched record. Output order is
-// postings order per partition (secondary-key order, insertion order
-// within a secondary key), not primary-key order; consumers needing an
-// order sort above.
+// Next resolves and returns the next matched record, with its primary
+// key a view of the index entry's bytes. Output order is entry order
+// per partition (secondary key, then primary key), not global
+// primary-key order; consumers needing an order sort above. At the end,
+// or on a fault, the cursor closes itself.
 func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
-	for c.list < len(c.lists) {
-		pks := c.lists[c.list]
-		if c.pos >= len(pks) {
-			c.list++
-			c.pos = 0
-			continue
-		}
-		for c.list >= c.ends[c.part] {
+	for c.capt != nil && c.pos < len(c.capt.pks) {
+		for c.pos >= c.capt.ends[c.part] {
 			c.part++
 		}
-		pk := pks[c.pos]
+		pk := bytesOf(c.capt.pks[c.pos])
 		c.pos++
-		rec, found, err := c.snaps[c.part].Get(pk)
+		rec, found, err := c.snaps[c.part].getEncoded(pk)
 		if err != nil {
-			c.err, c.list = err, len(c.lists)
-			return adm.Value{}, adm.Value{}, false
+			c.err = err
+			break
 		}
 		if found {
-			return pk, rec, true
+			return adm.ViewAlias(pk), rec, true
 		}
 	}
+	c.Close()
 	return adm.Value{}, adm.Value{}, false
 }
 
 // Err returns the read fault that ended the cursor early, or nil.
 func (c *IndexScanCursor) Err() error { return c.err }
+
+// Close returns the capture's buffers to the pool; Next reports
+// exhaustion from then on. Closing twice is harmless.
+func (c *IndexScanCursor) Close() {
+	cp := c.capt
+	if cp == nil {
+		return
+	}
+	c.capt, c.snaps = nil, nil
+	clear(cp.pks) // don't pin index entries from the pool
+	cp.pks, cp.ends = cp.pks[:0], cp.ends[:0]
+	indexCaptures.Put(cp)
+}
 
 // ScanOrder selects how a parallel scan's partition streams are
 // combined.

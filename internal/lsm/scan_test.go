@@ -72,7 +72,8 @@ func TestIndexForFieldPicksFirstDeclared(t *testing.T) {
 
 // TestIndexScanCursorMatchesFullScan checks that an index range scan
 // returns exactly the records a filtered full scan returns, across
-// equality and range bounds, as a multiset of ids.
+// equality and range bounds, as a multiset of ids, and that a closed
+// cursor yields nothing more.
 func TestIndexScanCursorMatchesFullScan(t *testing.T) {
 	ds := scanDataset(t, 2_000, 4)
 	if err := ds.CreateFieldBTreeIndex("by_cat", "cat"); err != nil {
@@ -119,6 +120,15 @@ func TestIndexScanCursorMatchesFullScan(t *testing.T) {
 		slices.Sort(got)
 		if !slices.Equal(got, want) {
 			t.Errorf("case %d: index scan %d rows, full scan %d rows", ci, len(got), len(want))
+		}
+		// A cursor closed — drained or not, once or twice — is exhausted.
+		mid := NewIndexScanCursor(snaps, idxs, tc.lo, tc.hi)
+		mid.Next()
+		for _, c := range []*IndexScanCursor{cur, cur, mid, mid} {
+			c.Close()
+			if _, _, ok := c.Next(); ok {
+				t.Errorf("case %d: a closed cursor yields a row", ci)
+			}
 		}
 	}
 }
@@ -373,14 +383,15 @@ func TestParallelScanAllocationsIndependentOfN(t *testing.T) {
 	}
 }
 
-// TestIndexScanSharesPostings: an index scan reads the index's own
-// postings arrays, so writes to the index after the cursor is opened
-// must build new arrays rather than write the captured ones. Cursors
+// TestIndexScanSeesItsInstant: an index scan captures, when it opens,
+// the primary keys of the index entries in its range — substrings of the
+// entries themselves — so writes to the index afterwards, which put and
+// delete whole entries and never rewrite one, must not reach it. Cursors
 // opened before a DeleteBatch and an InsertBatch on their key yield
-// exactly the postings they captured — one paused mid-drain until the
-// writes are done, one drained while they run (the race detector's
+// exactly the primary keys they captured — one paused mid-drain until
+// the writes are done, one drained while they run (the race detector's
 // case) — and a cursor opened afterwards sees the writes.
-func TestIndexScanSharesPostings(t *testing.T) {
+func TestIndexScanSeesItsInstant(t *testing.T) {
 	ds := scanDataset(t, 1_000, 3)
 	if err := ds.CreateFieldBTreeIndex("by_cat", "cat"); err != nil {
 		t.Fatal(err)
@@ -411,7 +422,7 @@ func TestIndexScanSharesPostings(t *testing.T) {
 		t.Fatal("empty index scan")
 	}
 	concurrent := NewIndexScanCursor(snaps, idxs, key, key)
-	// Per partition, delete the first c007 posting and index a record of
+	// Per partition, delete the first c007 entry and index a record of
 	// another category under c007 — each moves a primary key the
 	// snapshots hold, so a cursor that saw either write would say so.
 	var added, removed []int64
@@ -447,12 +458,12 @@ func TestIndexScanSharesPostings(t *testing.T) {
 	after := drain(NewIndexScanCursor(snaps, idxs, key, key))
 	for _, pk := range added {
 		if !slices.Contains(after, pk) {
-			t.Errorf("a cursor opened after the writes misses the inserted posting %d", pk)
+			t.Errorf("a cursor opened after the writes misses the inserted entry of %d", pk)
 		}
 	}
 	for _, pk := range removed {
 		if slices.Contains(after, pk) {
-			t.Errorf("a cursor opened after the writes still yields the deleted posting %d", pk)
+			t.Errorf("a cursor opened after the writes still yields the deleted entry of %d", pk)
 		}
 	}
 }

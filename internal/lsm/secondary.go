@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"slices"
 	"sync"
 
 	"github.com/ideadb/idea/internal/adm"
@@ -19,8 +18,9 @@ type SecondaryIndex interface {
 	// Name is the index name from CREATE INDEX.
 	Name() string
 	// InsertBatch adds an entry for every item under a single lock
-	// acquisition — the write path's grouped maintenance. The index may
-	// keep the items' keys and records, not the slice.
+	// acquisition — the write path's grouped maintenance. A key or record
+	// may alias a batch's buffer or a run's block, so what the index keeps
+	// of them it copies.
 	InsertBatch(items []index.Item)
 	// DeleteBatch removes the entry previously inserted for every item
 	// (primary key, old record) under a single lock acquisition.
@@ -72,6 +72,7 @@ func NewRTreeIndex(name string, extract RectExtractor) *RTreeIndex {
 func (ix *RTreeIndex) Name() string { return ix.name }
 
 // InsertBatch implements SecondaryIndex: one lock for the whole frame.
+// The tree keeps each primary key for good, so it keeps a detached copy.
 func (ix *RTreeIndex) InsertBatch(items []index.Item) {
 	if len(items) == 0 {
 		return
@@ -79,7 +80,7 @@ func (ix *RTreeIndex) InsertBatch(items []index.Item) {
 	ix.mu.Lock()
 	for _, it := range items {
 		if rect, ok := ix.extract(it.Val); ok {
-			ix.tree.Insert(rect, it.Key)
+			ix.tree.Insert(rect, it.Key.Detached())
 		}
 	}
 	ix.mu.Unlock()
@@ -119,175 +120,155 @@ func (ix *RTreeIndex) Search(query spatial.Rect) []adm.Value {
 // record (e.g. the field is missing).
 type KeyExtractor func(rec adm.Value) (adm.Value, bool)
 
-// FieldKeyExtractor indexes a top-level field by value. The index keeps
-// the value for good, so it must keep nothing else alive: a string
-// field of a stored record, or a string inside an array or object
-// field, aliases the record's block or batch buffer (adm.ViewAlias), so
-// the key is a detached deep copy.
+// FieldKeyExtractor indexes a top-level field by value. The key may
+// alias the record's bytes: the index keeps its encoding, not the key.
 func FieldKeyExtractor(field string) KeyExtractor {
 	return func(rec adm.Value) (adm.Value, bool) {
 		v := rec.Field(field)
-		if v.IsUnknown() {
-			return adm.Value{}, false
-		}
-		return v.Detached(), true
+		return v, !v.IsUnknown()
 	}
 }
 
-// BTreeIndex is an ordered secondary index: key(record) → set of primary
-// keys (duplicates allowed across records).
-//
-// A key's primary keys are one postings array, and a published postings
-// array is never written: InsertBatch and deleteGroupLocked always build
-// a new array and Put it in the old one's place. So a reader may keep
-// the arrays LookupRangeBounds hands out past the read lock, and they
-// still hold exactly what the index held at that instant.
+// BTreeIndex is an ordered secondary index: one entry per indexed
+// record, the encodings of its secondary key and of its primary key
+// concatenated (sk‖pk) in a string of its own, ordered by the secondary
+// key and then by the primary key (compareIndexEntries) — AsterixDB's
+// composite [SK, PK] B-tree entry. A write puts or deletes one entry per
+// record, O(log n) whatever the number of records under its key, and
+// never rewrites an entry's bytes. So a reader may keep the primary keys
+// lookupRange hands out, substrings of the entries, past the read lock:
+// they are the entries of the instant of the call whatever the index is
+// given afterwards.
 type BTreeIndex struct {
 	name    string
 	extract KeyExtractor
 
 	mu   sync.RWMutex
-	tree *index.BTree // key → adm array of pks
+	tree *index.Tree[string, struct{}]
+	buf  []byte // scratch an entry is encoded into, under mu
 }
 
 // NewBTreeIndex returns an empty ordered index over extract.
 func NewBTreeIndex(name string, extract KeyExtractor) *BTreeIndex {
-	return &BTreeIndex{name: name, extract: extract, tree: index.NewBTree()}
+	return &BTreeIndex{name: name, extract: extract, tree: index.New[string, struct{}](compareIndexEntries)}
 }
 
 // Name implements SecondaryIndex.
 func (ix *BTreeIndex) Name() string { return ix.name }
 
-// groupPairs extracts the secondary key of every item's record and
-// returns the (key, pk) pairs sorted by key (stable, so pk order within
-// a key matches item order). The batch box comes from the shared
-// item-batch pool; the caller returns it with itemBatches.put after
-// restoring the written length.
-func (ix *BTreeIndex) groupPairs(items []index.Item) (*[]index.Item, []index.Item) {
-	batch := itemBatches.get(len(items))
-	pairs := *batch
-	for _, it := range items {
-		if key, ok := ix.extract(it.Val); ok {
-			pairs = append(pairs, index.Item{Key: key, Val: it.Key})
-		}
-	}
-	slices.SortStableFunc(pairs, func(a, b index.Item) int {
-		return adm.Compare(a.Key, b.Key)
-	})
-	return batch, pairs
+// splitIndexEntry splits an entry into the encodings of its secondary
+// key and its primary key. The entry was encoded by the index itself.
+func splitIndexEntry(e string) (sk, pk []byte) {
+	b := bytesOf(e)
+	n, _ := adm.SkipBinary(b)
+	return b[:n], b[n:]
 }
 
-// InsertBatch implements SecondaryIndex: one lock for the whole frame,
-// and — because entries are grouped by secondary key — one postings
-// rebuild per distinct key instead of one per record. For
-// low-cardinality keys (every tweet sharing a language) a batch of one
-// re-copies the whole postings array per record; a frame copies it once.
+// compareIndexEntries orders entries by secondary key, then by primary
+// key, each as adm.Compare orders the values they encode: 7 and 7.0 are
+// one secondary key.
+func compareIndexEntries(a, b string) int {
+	ska, pka := splitIndexEntry(a)
+	skb, pkb := splitIndexEntry(b)
+	if c := adm.CompareEncoded(ska, skb); c != 0 {
+		return c
+	}
+	return adm.CompareEncoded(pka, pkb)
+}
+
+// entryLocked encodes the entry of the record rec stored under pk into
+// the index's scratch, or reports that the record has no secondary key.
+func (ix *BTreeIndex) entryLocked(pk, rec adm.Value) ([]byte, bool) {
+	sk, ok := ix.extract(rec)
+	if !ok {
+		return nil, false
+	}
+	ix.buf = adm.AppendBinary(adm.AppendBinary(ix.buf[:0], sk), pk)
+	return ix.buf, true
+}
+
+// InsertBatch implements SecondaryIndex: one lock for the whole frame
+// and one entry per record, a string the index allocates for it.
 func (ix *BTreeIndex) InsertBatch(items []index.Item) {
 	if len(items) == 0 {
 		return
 	}
-	batch, pairs := ix.groupPairs(items)
 	ix.mu.Lock()
-	for i := 0; i < len(pairs); {
-		j := i + 1
-		for j < len(pairs) && adm.Compare(pairs[i].Key, pairs[j].Key) == 0 {
-			j++
+	for _, it := range items {
+		if e, ok := ix.entryLocked(it.Key, it.Val); ok {
+			ix.tree.Put(string(e), struct{}{})
 		}
-		cur, _ := ix.tree.Get(pairs[i].Key)
-		elems := cur.ArrayVal()
-		out := make([]adm.Value, 0, len(elems)+(j-i))
-		out = append(out, elems...)
-		for k := i; k < j; k++ {
-			out = append(out, pairs[k].Val)
-		}
-		ix.tree.Put(pairs[i].Key, adm.Array(out))
-		i = j
 	}
 	ix.mu.Unlock()
-	*batch = pairs
-	itemBatches.put(batch)
 }
 
 // DeleteBatch implements SecondaryIndex: one lock for the whole frame
-// and one postings rebuild per distinct key, removing one occurrence
-// per (key, pk) pair.
+// and one entry deleted per (primary key, old record) item.
 func (ix *BTreeIndex) DeleteBatch(items []index.Item) {
 	if len(items) == 0 {
 		return
 	}
-	batch, pairs := ix.groupPairs(items)
 	ix.mu.Lock()
-	for i := 0; i < len(pairs); {
-		j := i + 1
-		for j < len(pairs) && adm.Compare(pairs[i].Key, pairs[j].Key) == 0 {
-			j++
+	for _, it := range items {
+		if e, ok := ix.entryLocked(it.Key, it.Val); ok {
+			ix.tree.Delete(stringOf(e))
 		}
-		ix.deleteGroupLocked(pairs[i].Key, pairs[i:j])
-		i = j
 	}
 	ix.mu.Unlock()
-	*batch = pairs
-	itemBatches.put(batch)
 }
 
-// deleteGroupLocked removes one postings occurrence per pair (all pairs
-// share the key) in a single rebuild of the postings array.
-func (ix *BTreeIndex) deleteGroupLocked(key adm.Value, pairs []index.Item) {
-	cur, found := ix.tree.Get(key)
-	if !found {
-		return
-	}
-	elems := cur.ArrayVal()
-	out := make([]adm.Value, 0, len(elems))
-	remaining := len(pairs)
-	for _, e := range elems {
-		if remaining > 0 {
-			matched := false
-			for k := range pairs {
-				// Consumed pairs are marked by blanking their key
-				// (extract never yields MISSING keys).
-				if !pairs[k].Key.IsMissing() && adm.Equal(e, pairs[k].Val) {
-					pairs[k].Key = adm.Missing()
-					remaining--
-					matched = true
-					break
-				}
-			}
-			if matched {
-				continue
-			}
-		}
-		out = append(out, e)
-	}
-	if len(out) == 0 {
-		ix.tree.Delete(key)
-	} else {
-		ix.tree.Put(key, adm.Array(out))
-	}
+// keyBound is one end of a secondary-key range as the index compares
+// it: the bound's encoding, nil for an unbounded end.
+type keyBound struct {
+	enc       []byte
+	inclusive bool
 }
 
-// LookupRangeBounds appends to dst the postings array of every
-// secondary key within the bound pair (either end may be unbounded or
-// exclusive), in key order, walking only the in-range portion of the
-// tree via a bounded cursor. The arrays are the index's own, not
-// copies: a published postings array is never written (see BTreeIndex),
-// so the caller may read them after this call returns — resolving the
-// keys against the primary store without holding the index lock, which
-// keeps the index-lock → partition-lock order out of the read path
-// entirely — and they stay the postings of the instant of the call
-// whatever the index is given afterwards. The caller must not write
-// them.
-func (ix *BTreeIndex) LookupRangeBounds(lo, hi index.Bound, dst [][]adm.Value) [][]adm.Value {
+// encodeBound encodes b into dst and returns it as a keyBound, with dst
+// grown to hold it.
+func encodeBound(dst []byte, b index.Bound) (keyBound, []byte) {
+	if b.Unbounded() {
+		return keyBound{}, dst
+	}
+	key, inclusive := b.Key()
+	dst = adm.AppendBinary(dst[:0], key)
+	return keyBound{enc: dst, inclusive: inclusive}, dst
+}
+
+// lookupRange appends to dst the encoded primary key of every entry
+// whose secondary key lies within [lo, hi], in entry order (secondary
+// key, then primary key). It walks the tree from the first entry past
+// the low bound and stops at the first entry past the high bound,
+// comparing secondary keys only. A primary key is a substring of its
+// entry, which nothing rewrites (see BTreeIndex), so the caller may read
+// it after this call returns — resolving the keys against the primary
+// store without holding the index lock, which keeps the index-lock →
+// partition-lock order out of the read path entirely.
+func (ix *BTreeIndex) lookupRange(lo, hi keyBound, dst []string) []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	cur := ix.tree.CursorRange(lo, hi)
-	for {
-		it, ok := cur.Next()
-		if !ok {
-			return dst
-		}
-		dst = append(dst, it.Val.ArrayVal())
+	var cur *index.Cursor[string, struct{}]
+	if lo.enc == nil {
+		cur = ix.tree.Cursor()
+	} else {
+		cur = ix.tree.CursorAt(func(e string) int {
+			sk, _ := splitIndexEntry(e)
+			if c := adm.CompareEncoded(sk, lo.enc); c > 0 || c == 0 && lo.inclusive {
+				return 1
+			}
+			return -1
+		})
 	}
+	for e, ok := cur.Next(); ok; e, ok = cur.Next() {
+		sk, _ := splitIndexEntry(e.Key)
+		if hi.enc != nil {
+			if c := adm.CompareEncoded(sk, hi.enc); c > 0 || c == 0 && !hi.inclusive {
+				break
+			}
+		}
+		dst = append(dst, e.Key[len(sk):])
+	}
+	return dst
 }
 
 var (

@@ -1069,7 +1069,7 @@ func (c *indexScanColl) next() (adm.Value, bool, error) {
 	return rec, true, nil
 }
 
-func (c *indexScanColl) close() {}
+func (c *indexScanColl) close() { c.sc.Close() }
 
 // parallelColl adapts a parallel scan of parts partitions; close stops
 // and joins the workers. filtered says the workers evaluate the WHERE
