@@ -410,29 +410,43 @@ func (t *Tree[K, V]) Cursor() *Cursor[K, V] {
 	return c
 }
 
-// CursorAt returns a cursor positioned before the first item at or
-// after the sought position: probe(k) is negative for a key k before it
-// and zero or positive for one at or after it, in the tree's order. A
-// probe that never returns zero positions the cursor between two keys:
-// that is how a secondary index starts a range on the secondary-key
-// part of its entries.
-func (t *Tree[K, V]) CursorAt(probe func(K) int) *Cursor[K, V] {
-	c := &Cursor[K, V]{}
-	c.stack = c.buf[:0]
-	n := t.root
-	for n != nil {
-		i, ok := n.search(probe)
-		c.stack = append(c.stack, cursorFrame[K, V]{node: n, idx: i})
-		if ok || n.leaf() {
-			break
-		}
-		// The next item at this node comes after the subtree we are
-		// descending into; idx already points at it.
-		n = n.children[i]
+// AscendFrom calls fn on every item at or after the sought position, in
+// key order, until fn returns false: probe(k) is negative for a key k
+// before the position, zero for the key at it and positive for one
+// after it, in the tree's order, and a nil probe starts at the smallest
+// item. A probe
+// that never returns zero starts between two keys: that is how a
+// secondary index starts a range on the secondary-key part of its
+// entries. The walk recurses down the tree's few levels instead of
+// keeping a cursor's stack, so it allocates nothing. The tree must not
+// be mutated during the walk.
+func (t *Tree[K, V]) AscendFrom(probe func(K) int, fn func(Entry[K, V]) bool) {
+	if t.root != nil {
+		t.root.ascend(probe, fn)
 	}
-	// A leaf frame may be positioned past its last item; Next pops
-	// exhausted frames itself.
-	return c
+}
+
+// ascend is AscendFrom over the subtree rooted at n; it reports whether
+// fn asked for more.
+func (n *btreeNode[K, V]) ascend(probe func(K) int, fn func(Entry[K, V]) bool) bool {
+	i, at := 0, false
+	if probe != nil {
+		i, at = n.search(probe)
+	}
+	// Unless item i is the sought position itself, child i may hold items
+	// at or after it.
+	if !at && !n.leaf() && !n.children[i].ascend(probe, fn) {
+		return false
+	}
+	for ; i < len(n.items); i++ {
+		if !fn(n.items[i]) {
+			return false
+		}
+		if !n.leaf() && !n.children[i+1].ascend(nil, fn) {
+			return false
+		}
+	}
+	return true
 }
 
 // Bound is one end of a range of keys, as the query planner hands it to
@@ -472,8 +486,7 @@ type cursorFrame[K, V any] struct {
 }
 
 // Cursor iterates a Tree in ascending key order, one item per Next
-// call. The zero value is not usable; obtain cursors from
-// Tree.Cursor/CursorAt.
+// call. The zero value is not usable; obtain cursors from Tree.Cursor.
 type Cursor[K, V any] struct {
 	stack []cursorFrame[K, V]
 	buf   [8]cursorFrame[K, V] // inline storage: tree heights stay tiny

@@ -10,7 +10,7 @@ import (
 	"github.com/ideadb/idea/internal/adm"
 )
 
-// items drains a full-range cursor: the tree's one iteration mechanism.
+// items drains a full-range cursor.
 func items(bt *BTree) []Item {
 	var out []Item
 	cu := bt.Cursor()
@@ -700,52 +700,52 @@ func TestBTreeCursorAfterPutBatch(t *testing.T) {
 	}
 }
 
-func TestBTreeCursorAt(t *testing.T) {
+// TestBTreeAscendFrom: a walk started at each position — before the
+// smallest key, on a key, between two keys, past the largest — visits
+// every key from there on in order, a walk stopped early visits no more,
+// and a nil probe starts at the smallest key.
+func TestBTreeAscendFrom(t *testing.T) {
 	bt := NewBTree()
 	for i := int64(0); i < 1000; i += 2 { // even keys only
 		bt.Put(adm.Int(i), adm.Int(i))
 	}
+	walk := func(probe func(adm.Value) int, limit int) []int64 {
+		var got []int64
+		bt.AscendFrom(probe, func(it Item) bool {
+			got = append(got, it.Key.IntVal())
+			return len(got) < limit
+		})
+		return got
+	}
+	want := func(from int64, limit int) []int64 {
+		var out []int64
+		for i := max(0, from+from%2); i < 1000 && len(out) < limit; i += 2 {
+			out = append(out, i)
+		}
+		return out
+	}
 	for _, from := range []int64{-1, 0, 1, 2, 499, 500, 997, 998, 999} {
-		cu := bt.CursorAt(func(k adm.Value) int { return adm.Compare(k, adm.Int(from)) })
-		it, ok := cu.Next()
-		want := from
-		if want%2 != 0 {
-			want++
-		}
-		if want < 0 {
-			want = 0
-		}
-		if want > 998 {
-			if ok {
-				t.Fatalf("CursorAt(%d): got %v, want exhausted", from, it.Key)
+		probe := func(k adm.Value) int { return adm.Compare(k, adm.Int(from)) }
+		for _, limit := range []int{1, 3, 1000} {
+			if got, w := walk(probe, limit), want(from, limit); !slices.Equal(got, w) {
+				t.Fatalf("AscendFrom(%d) stopped after %d: %v, want %v", from, limit, got, w)
 			}
-			continue
 		}
-		if !ok || it.Key.IntVal() != want {
-			t.Fatalf("CursorAt(%d) first = %v,%v want %d", from, it.Key, ok, want)
-		}
-		// The remainder must continue in order from there.
-		prev := it.Key.IntVal()
-		for {
-			it, ok := cu.Next()
-			if !ok {
-				break
-			}
-			if it.Key.IntVal() != prev+2 {
-				t.Fatalf("CursorAt(%d): %d after %d", from, it.Key.IntVal(), prev)
-			}
-			prev = it.Key.IntVal()
-		}
-		if prev != 998 {
-			t.Fatalf("CursorAt(%d) ended at %d", from, prev)
-		}
+	}
+	if got := walk(nil, 1000); !slices.Equal(got, want(0, 1000)) {
+		t.Fatalf("AscendFrom(nil) visited %d keys", len(got))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		walk(func(k adm.Value) int { return adm.Compare(k, adm.Int(500)) }, 0)
+	}); n > 1 { // the walk's result slice
+		t.Fatalf("a walk allocated %v times", n)
 	}
 }
 
-// TestBTreeCursorRange checks a range walk — a cursor positioned at the
-// lower bound by a probe that never returns zero (CursorAt), stopped at
-// the first key past the upper bound — against every bound-kind
-// combination over a dense key space, including batch-built trees.
+// TestBTreeCursorRange checks a range walk — AscendFrom started at the
+// lower bound by a probe that never returns zero, stopped at the first
+// key past the upper bound — against every bound-kind combination over a
+// dense key space, including batch-built trees.
 func TestBTreeCursorRange(t *testing.T) {
 	for _, batch := range []bool{false, true} {
 		bt := NewBTree()
@@ -762,29 +762,27 @@ func TestBTreeCursorRange(t *testing.T) {
 		}
 		collect := func(lo, hi Bound) []int64 {
 			var out []int64
-			cur := bt.Cursor()
+			var probe func(adm.Value) int
 			if !lo.Unbounded() {
 				from, incl := lo.Key()
-				cur = bt.CursorAt(func(k adm.Value) int {
+				probe = func(k adm.Value) int {
 					if c := adm.Compare(k, from); c > 0 || c == 0 && incl {
 						return 1
 					}
 					return -1
-				})
-			}
-			for {
-				it, ok := cur.Next()
-				if !ok {
-					return out
 				}
+			}
+			bt.AscendFrom(probe, func(it Item) bool {
 				if !hi.Unbounded() {
 					to, incl := hi.Key()
 					if c := adm.Compare(it.Key, to); c > 0 || c == 0 && !incl {
-						return out
+						return false
 					}
 				}
 				out = append(out, it.Key.IntVal())
-			}
+				return true
+			})
+			return out
 		}
 		want := func(from, to int64, loIncl, hiIncl bool) []int64 {
 			var out []int64

@@ -52,33 +52,45 @@ import (
 // point read would.
 //
 // Where an evicted block's bytes go is decided apart, by who read it.
-// Most readers keep the block they were handed — and every view into it
-// — through eviction, dropRun and the cache itself: a point read, a
-// serial scan, a parallel scan that streams its rows out, the index
-// back-fill. Such a block is escaped, and the garbage collector frees
-// it. A parallel scan whose rows only a top-k heap or a hash aggregate
-// keeps, and those copy what they keep (see the query package's
-// envReuse), instead leases the blocks it reads (readMode leasedScan):
-// it pins each one it fetches until the consumer has pulled past every
-// row of it (ParallelScanCursor). Each entry keeps a pin count and an
-// escaped bit under its shard's lock:
+// Some readers keep the block they were handed — and every view into it
+// — through eviction, dropRun and the cache itself: a serial scan, a
+// parallel scan that streams its rows out, and a point read on a shard
+// with room, which hands up a view of the block. Such a block is
+// escaped, and the garbage collector frees it. Every other reader keeps
+// nothing aliasing the block past a pin it holds while it reads:
 //
-//   - a leased fetch pins an entry that has not escaped;
+//   - a parallel scan whose rows only a top-k heap or a hash aggregate
+//     keeps, and those copy what they keep (see the query package's
+//     envReuse), leases the blocks it reads (readMode leasedScan): it
+//     pins each one it fetches until the consumer has pulled past every
+//     row of it (ParallelScanCursor);
+//   - the index back-fill (Partition.AttachIndex) leases its cursor's
+//     blocks and releases them after each chunk the index has copied;
+//   - a point read on a full shard — one without the room of a pooled
+//     buffer, recycledRoom — pins the block, copies its one record out
+//     and releases the pin (runFile.get).
+//
+// Each entry keeps a pin count and an escaped bit under its shard's
+// lock:
+//
+//   - a pinning fetch pins an entry that has not escaped;
 //   - every other fetch, a single-flight waiter included, marks it
 //     escaped for good;
-//   - a leased miss on a shard that must evict to admit it — one without
-//     the room of a pooled buffer, recycledRoom — decodes into a pooled
-//     block (blockBufs) and enters unescaped; every other load,
-//     a leased miss on a shard with room included, is escaped from birth,
-//     so a cache that never fills recycles nothing;
+//   - a pinning miss enters unescaped, and on a full shard it decodes
+//     into a pooled block (blockBufs); every other load is escaped from
+//     birth, so a cache that never fills holds point blocks as views;
 //   - eviction and dropRun hand an unescaped victim's payload and offset
 //     table back to blockBufs — at once if nothing pins it, else at its
 //     last release — overwritten with recycledByte first, so a view that
-//     outlived its lease fails to decode instead of reading another
-//     block's records. The next full-shard leased miss decodes into them.
+//     outlived its pin fails to decode instead of reading another
+//     block's records. The next full-shard pinning miss decodes into
+//     them.
 //
 // Pins change no residency: a pinned entry is evicted as any other, and
-// only the reuse of its bytes waits.
+// only the reuse of its bytes waits. The budget counts payload lengths
+// (block.size), not the allocator's size classes, whoever loaded a
+// block: a fresh payload just over runBlockTarget and a recycled one
+// both lie in a buffer of recycledRoom bytes.
 type BlockCache struct {
 	shardBudget int64
 	shards      [blockCacheShards]cacheShard
@@ -135,12 +147,14 @@ type CacheStats struct {
 type readMode uint8
 
 const (
-	// pointRead is runFile.get: hot, admitted by admits.
+	// pointRead is runFile.get: hot, admitted by admits; it pins what
+	// it reads on a full shard, where it copies its record out.
 	pointRead readMode = iota
 	// scanRead is a cursor whose rows may outlive its next advance.
 	scanRead
-	// leasedScan is a parallel scan's cursor whose rows only a keeping
-	// operator keeps, as copies: it pins what it reads.
+	// leasedScan is a cursor whose rows are copied before its lease ends
+	// (a parallel scan's under a keeping operator, the index back-fill's):
+	// it pins what it reads.
 	leasedScan
 )
 
@@ -148,16 +162,19 @@ const (
 // view left over the bytes fails to decode.
 const recycledByte = 0xff
 
-// maxRecycled bounds a recycled buffer: a larger one would be charged
-// for room no block of runBlockTarget bytes uses.
+// maxRecycled bounds a recycled buffer: the budget charges a block its
+// payload's length, so a larger one would hold room no block of
+// runBlockTarget bytes uses, uncharged.
 const maxRecycled = 2 * runBlockTarget
 
-// recycledRoom is the room a leased miss gives a pooled payload buffer
-// that has less: a writer flushes a block once its payload reaches
-// runBlockTarget, so a block of records under 2 KiB fits, and any buffer
-// the pool holds fits any such block. It is the allocator's size class
-// for payloads just over runBlockTarget, so it takes no more memory than
-// a buffer of exactly their length does.
+// recycledRoom is the room a full-shard miss gives a pooled payload
+// buffer that has less, and the room a fresh payload just over
+// runBlockTarget is decoded into (decodeBlockBody): a writer flushes a
+// block once its payload reaches runBlockTarget, so a block of records
+// under 2 KiB fits, and any buffer the pool holds fits any such block.
+// It is the allocator's size class for payloads just over
+// runBlockTarget, so it takes no more memory than a buffer of exactly
+// their length does.
 const recycledRoom = runBlockTarget + runBlockTarget/8
 
 // blockKey names a block. Run ids start at 1, so the zero key names no
@@ -177,11 +194,13 @@ type blockEntry struct {
 	blk    block
 	err    error
 	loaded sync.WaitGroup
-	// box is the pooled block whose buffers a leased miss decoded into:
-	// where blk's buffers go back when the cache lets go of them (recycle).
+	// box is the pooled block whose buffers a full-shard miss decoded
+	// into: where blk's buffers go back when the cache lets go of them
+	// (recycle, which allocates one for a block loaded into fresh
+	// memory).
 	box *block
-	// pins counts the leases held on the entry; escaped says a reader
-	// that does not lease has it; gone says the cache let go of it.
+	// pins counts the pins held on the entry; escaped says a reader that
+	// does not pin has it; gone says the cache let go of it.
 	pins    int32
 	escaped bool
 	gone    bool
@@ -241,12 +260,12 @@ func (c *BlockCache) shard(k blockKey) *cacheShard {
 // fetch returns block i of run: the resident block on a hit, else the
 // block load returns, published — into hot for a point read, into the
 // ring for a scan. The mode also decides what a hit moves, and whether
-// the reader leases the block: lease, when non-nil, is a pin the reader
-// ends with release once nothing it handed up reads the block any more.
-// A block is loaded once however many readers miss it together: the
-// first registers its load, and the others wait for it and share its
-// block (or its error), counted as hits — they read nothing. Readers that
-// each loaded a copy would read and allocate the block once each. A
+// the reader pins the block: lease, when non-nil, is a pin the
+// reader ends with release once nothing it handed up reads the block any
+// more. A block is loaded once however many readers miss it together:
+// the first registers its load, and the others wait for it and share its
+// block (or its error), counted as hits — they read nothing. Readers
+// that each loaded a copy would read and allocate the block once each. A
 // point miss the shard does not admit (admits) loads nothing here: fetch
 // returns ok false, and the reader reads the block itself. load decodes
 // into reuse's buffers when they have the room.
@@ -255,6 +274,11 @@ func (c *BlockCache) fetch(run uint64, i int, mode readMode, load func(reuse blo
 	s := c.shard(k)
 	scan := mode != pointRead
 	s.mu.Lock()
+	// A leased scan pins what it reads, and so does a point read on a
+	// full shard, which copies its record out; every other reader
+	// escapes the block.
+	full := s.used+recycledRoom > c.shardBudget
+	pin := mode == leasedScan || mode == pointRead && full
 	e, ok := s.entries[k]
 	if ok {
 		s.touch(e, scan)
@@ -267,20 +291,19 @@ func (c *BlockCache) fetch(run uint64, i int, mode readMode, load func(reuse blo
 		}
 		// The entry is made before the load, so waiters have something to
 		// wait on and a miss allocates no more than it did.
-		reuse := mode == leasedScan && s.used+recycledRoom > c.shardBudget
-		e = &blockEntry{key: k, shard: s, escaped: !reuse}
-		lease = e.hold(mode)
+		e = &blockEntry{key: k, shard: s, escaped: !pin}
+		lease = e.hold(pin)
 		e.loaded.Add(1)
 		s.loading[k] = e
 		s.mu.Unlock()
 		c.count(false, scan)
-		c.load(s, e, scan, reuse, load)
+		c.load(s, e, scan, pin && full, load)
 		if e.err != nil {
 			return block{}, nil, true, e.err
 		}
 		return e.blk, lease, true, nil
 	}
-	lease = e.hold(mode)
+	lease = e.hold(pin)
 	s.mu.Unlock()
 	c.count(true, scan)
 	e.loaded.Wait() // at once for a resident entry
@@ -290,11 +313,11 @@ func (c *BlockCache) fetch(run uint64, i int, mode readMode, load func(reuse blo
 	return e.blk, lease, true, nil
 }
 
-// hold applies a fetch's mode to e, under its shard's lock: a leased
-// scan pins an entry that has not escaped and returns it as its lease;
-// any other reader marks it escaped.
-func (e *blockEntry) hold(mode readMode) *blockEntry {
-	if mode != leasedScan {
+// hold applies a fetch to e, under its shard's lock: a pinning reader
+// pins an entry that has not escaped and returns it as its lease; any
+// other reader marks it escaped.
+func (e *blockEntry) hold(pin bool) *blockEntry {
+	if !pin {
 		e.escaped = true
 		return nil
 	}
@@ -315,12 +338,16 @@ func (e *blockEntry) release() {
 }
 
 // recycle hands e's buffers back to blockBufs, under its shard's lock,
-// once the cache has let go of e and no lease or escaped reader can
-// still read them. The payload is overwritten first (recycledByte);
-// a buffer larger than maxRecycled is left to the garbage collector.
+// once the cache has let go of e and no pin or escaped reader can still
+// read them. The payload is overwritten first (recycledByte); a buffer
+// larger than maxRecycled is left to the garbage collector. A block
+// loaded into fresh memory gets its box here.
 func (e *blockEntry) recycle() {
-	if !e.gone || e.pins > 0 || e.escaped || e.box == nil {
+	if !e.gone || e.pins > 0 || e.escaped {
 		return
+	}
+	if e.box == nil {
+		e.box = new(block)
 	}
 	b := e.blk
 	if len(b.data) > 0 {
@@ -363,9 +390,10 @@ func (c *BlockCache) admits(s *cacheShard, k blockKey) bool {
 }
 
 // load runs a registered load and publishes its outcome: a block is
-// admitted, an error handed to the waiters alone. A load that reuses
-// decodes into a block from blockBufs — its payload buffer given
-// recycledRoom first if it has less — whose box the entry keeps.
+// admitted, an error handed to the waiters alone. A load that reuses — a
+// pinning miss on a full shard — decodes into a block from blockBufs,
+// its payload buffer given recycledRoom first if it has less, whose box
+// the entry keeps.
 func (c *BlockCache) load(s *cacheShard, e *blockEntry, scan, reuse bool, load func(block) (block, error)) {
 	defer e.loaded.Done()
 	var bp *block

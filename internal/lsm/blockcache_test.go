@@ -738,11 +738,11 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 // two more read a few sealed keys twice in a row, so that one reader's
 // private read of a block (a bypass) races another's admission of it
 // (a ghost's second touch), and two run leased scans, whose every load
-// decodes into recycled memory, racing the point reads that escape the
-// blocks they share and the compactions that drop them. The cache's
-// splits are smaller than a block: every point miss is declined or
-// admitted as a ghost, and every leased block is evicted as it is
-// admitted and recycled at its release.
+// decodes into recycled memory, racing the point reads that pin the
+// blocks they share and copy their records out, and the compactions
+// that drop them. The cache's splits are smaller than a block: every
+// point miss is declined or admitted as a ghost, and every pinned block
+// is evicted as it is admitted and recycled at its last release.
 func TestBlockCacheConcurrentReaders(t *testing.T) {
 	const sealed = 300
 	cache := NewBlockCache(16 << 10)

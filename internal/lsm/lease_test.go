@@ -3,12 +3,14 @@ package lsm
 import (
 	"bytes"
 	"errors"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/index"
 )
 
 // runBytes is what the cache would be charged for every block of run.
@@ -125,11 +127,12 @@ func TestFullCacheScanRecyclesRingBlocks(t *testing.T) {
 }
 
 // TestEscapedBlockIsNeverRecycled: a ring block a leased scan loaded
-// into recycled memory escapes once a reader that does not lease has
-// it — a point hit, a serial scan's cursor, a waiter on the leased load
+// escapes once a reader that does not pin has it — a point hit on a
+// shard with room, a serial scan's cursor, a waiter on the leased load
 // — and its eviction leaves its bytes to the garbage collector: what
 // that reader was handed still equals the copy taken at read time after
-// leased scans have recycled every other block.
+// leased scans have recycled every other block. (On a full shard a
+// point read pins instead: TestFullCachePointReadLeavesBlockRecyclable.)
 func TestEscapedBlockIsNeverRecycled(t *testing.T) {
 	arms := []struct {
 		name string
@@ -138,6 +141,7 @@ func TestEscapedBlockIsNeverRecycled(t *testing.T) {
 		read func(t *testing.T, p *Partition, run *runFile, b int) []byte
 	}{
 		{"point-hit", func(t *testing.T, p *Partition, run *runFile, b int) []byte {
+			run.cache.dropRun(run.id) // the shard has room again
 			leaseAndRelease(t, run, b)
 			v, ok, err := p.Get(adm.ViewAlias(run.blocks[b].firstKey))
 			if !ok || err != nil {
@@ -398,5 +402,168 @@ func TestSelectiveLeasedScanBoundsPins(t *testing.T) {
 	}
 	if alloc > budget/ringShare {
 		t.Fatalf("a selective leased scan allocated %d bytes: want at most the ring's share (%d)", alloc, budget/ringShare)
+	}
+}
+
+// TestFullCachePointReadLeavesBlockRecyclable: on a full shard a point
+// read pins the block it reads, copies its one record out and releases
+// the pin, so the block stays unescaped — a ghost admission decoding into
+// the memory of a block the cache let go of. Evicted, the block's bytes
+// are overwritten (recycledByte) and handed to the next full-shard load,
+// and the record the read returned reads as it did. A point read that
+// returned a view of its block escaped it, and the block's memory went
+// to the garbage collector.
+func TestFullCachePointReadLeavesBlockRecyclable(t *testing.T) {
+	p, run, b := fullShardRun(t)
+	cache := run.cache
+	// admit point-reads block b's first key twice — a first touch on a
+	// full shard is declined, the second admitted — and returns the
+	// second read's record.
+	admit := func(b int) adm.Value {
+		t.Helper()
+		getBlockKey(t, p, run, b)
+		k := adm.ViewAlias(run.blocks[b].firstKey)
+		v, ok, err := p.Get(k)
+		if !ok || err != nil || v.Field("id").IntVal() != k.IntVal() {
+			t.Fatalf("get %v = %v, %v, %v", k, v, ok, err)
+		}
+		if e := residentEntry(t, run, b); e == nil || e.escaped || e.pins != 0 {
+			t.Fatalf("block %d after a point read on a full shard: resident %v, escaped or pinned", b, e != nil)
+		}
+		return v
+	}
+	recycled := cache.Stats().BlockCacheRecycled
+	v := admit(b)
+	if !raceEnabled && cache.Stats().BlockCacheRecycled == recycled {
+		t.Fatal("a ghost admission on a full shard decoded into fresh memory")
+	}
+	keep := adm.AppendBinary(nil, v)
+	e := residentEntry(t, run, b)
+	e.shard.mu.Lock()
+	data := e.blk.data
+	e.shard.mu.Unlock()
+	// Two more point blocks of b's shard: the first evicts the ring's
+	// block, the second hot's coldest, b.
+	admit(b + blockCacheShards)
+	evictions := cache.Stats().BlockCacheEvictions
+	admit(b + 2*blockCacheShards)
+	if residentEntry(t, run, b) != nil || cache.Stats().BlockCacheEvictions == evictions {
+		t.Fatalf("block %d is still resident", b)
+	}
+	if bytes.Count(data, []byte{recycledByte}) != len(data) {
+		t.Fatal("an evicted point block's bytes were not overwritten and handed back")
+	}
+	recycled = cache.Stats().BlockCacheRecycled
+	admit(b + 3*blockCacheShards) // decodes into what the cache let go of
+	if !raceEnabled && cache.Stats().BlockCacheRecycled == recycled {
+		t.Fatal("the load after a point block's eviction recycled nothing")
+	}
+	if got := adm.AppendBinary(nil, v); !bytes.Equal(got, keep) || adm.Compare(v, viewRec(int(v.Field("id").IntVal()))) != 0 {
+		t.Fatal("the record a point read returned changed after its block was recycled")
+	}
+}
+
+// indexEntries lists ix's entries in order.
+func indexEntries(ix *BTreeIndex) []string {
+	var out []string
+	ix.tree.AscendFrom(nil, func(e index.Entry[string, struct{}]) bool {
+		out = append(out, e.Key)
+		return true
+	})
+	return out
+}
+
+// TestIndexBackfillLeasesItsBlocks: a back-fill over a run three times
+// the size of a small cache leases the blocks it reads and releases them
+// chunk by chunk, so it leaves no escaped block in the cache and, once
+// the cache is full, decodes into the memory of the blocks it evicts.
+// The index it builds is the one a back-fill over a run with no cache
+// builds, entry for entry, after leased scans have recycled every block
+// it read.
+func TestIndexBackfillLeasesItsBlocks(t *testing.T) {
+	const budget, n = 2 << 20, 24000
+	p := overBudgetRun(t, budget, n)
+	if size := runBytes(t, partitionRuns(p)[0]); size < 3*budget {
+		t.Fatalf("the run holds %d bytes, not three times the cache's %d", size, budget)
+	}
+	cache := p.opts.BlockCache
+	ix := NewBTreeIndex("byCat", FieldKeyExtractor("cat"))
+	if err := p.AttachIndex(ix); err != nil {
+		t.Fatal(err)
+	}
+	st := cache.Stats()
+	if st.BlockCacheEntries == 0 || st.BlockCacheEvictions == 0 || !raceEnabled && st.BlockCacheRecycled == 0 {
+		t.Fatalf("a back-fill over a full cache: %+v", st)
+	}
+	for i := range cache.shards {
+		s := &cache.shards[i]
+		s.mu.Lock()
+		for k, e := range s.entries {
+			if e.escaped || e.pins != 0 {
+				t.Errorf("block %d after the back-fill: escaped %v, %d pins", k.block, e.escaped, e.pins)
+			}
+		}
+		s.mu.Unlock()
+	}
+	snaps := []*Snapshot{p.Snapshot()}
+	for range 2 {
+		if rows, _, err := countScan(NewLeasedScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || err != nil {
+			t.Fatalf("a leased scan saw %d rows: %v", rows, err)
+		}
+	}
+	bare := flushedPartition(t, Options{MemBudget: 1 << 30, MaxComponents: 8}, n)
+	want := NewBTreeIndex("byCat", FieldKeyExtractor("cat"))
+	if err := bare.AttachIndex(want); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := indexEntries(ix), indexEntries(want); len(got) != n || !slices.Equal(got, want) {
+		t.Fatalf("a leased back-fill built %d entries unlike an unleased one's %d", len(got), len(want))
+	}
+}
+
+// TestFullCachePointReadAllocationsIndependentOfN: point reads between
+// leased scans, over runs three and six times the size of a small cache,
+// allocate about one copy of their record each — about 300 bytes here —
+// whatever the data size: a ghost admission decodes into the memory of a
+// block the scans evicted, and a hit copies its record out of a pinned
+// block. Admitting a point block into fresh memory cost 17 KB a block.
+func TestFullCachePointReadAllocationsIndependentOfN(t *testing.T) {
+	const budget, reads = 2 << 20, 200
+	for _, n := range []int{24000, 48000} {
+		p := overBudgetRun(t, budget, n)
+		if size := runBytes(t, partitionRuns(p)[0]); size < 3*budget {
+			t.Fatalf("the run holds %d bytes, not three times the cache's %d", size, budget)
+		}
+		snaps := []*Snapshot{p.Snapshot()}
+		scan := func() {
+			t.Helper()
+			if rows, _, err := countScan(NewLeasedScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || err != nil {
+				t.Fatalf("a leased scan saw %d rows: %v", rows, err)
+			}
+		}
+		scan() // fills the cache
+		perRead := math.Inf(1)
+		for round := range 3 {
+			scan()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := range reads / 2 {
+				// Each key twice: on a full shard its first read is declined
+				// and its second admitted.
+				k := int64((round*reads + i) * 7919 % n)
+				for range 2 {
+					if v, ok, err := p.Get(adm.Int(k)); !ok || err != nil || v.Field("id").IntVal() != k {
+						t.Fatalf("get %d = %v, %v, %v", k, v, ok, err)
+					}
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perRead = min(perRead, float64(after.TotalAlloc-before.TotalAlloc)/reads)
+		}
+		st := p.opts.BlockCache.Stats()
+		t.Logf("%d records: %.0f B a point read (%d point admissions, %d recycled loads)", n, perRead, pointAdmissions(st), st.BlockCacheRecycled)
+		if perRead > 1024 && !raceEnabled { // sync.Pool drops a quarter of its Puts at random under -race
+			t.Errorf("%d records: a point read between leased scans allocated %.0f B: want about one record copy", n, perRead)
+		}
 	}
 }

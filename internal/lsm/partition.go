@@ -356,23 +356,31 @@ const backfillChunk = 1024
 // Cursor in which the memtable joins the merge as a transient
 // tree-backed run — read-only under the write lock, so no freeze is
 // needed; under the lock the partition owns every run, so they are
-// open. A run the cursor could not read ends it early, so then the
-// index is not attached and the cursor's read fault is returned.
+// open. The cursor leases the blocks it reads (BlockCache): an index
+// copies what it keeps of an item, so the pins of the blocks the cursor
+// has left are released once each chunk is inserted, and on a full
+// cache the back-fill decodes into the memory of the blocks it evicts.
+// A run the cursor could not read ends it early, so then the index is
+// not attached and the cursor's read fault is returned.
 func (p *Partition) AttachIndex(idx SecondaryIndex) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	batch := itemBatches.get(backfillChunk)
+	var leases leaseList
 	cu := &Cursor{m: mergeComponentCursors(append([]*component{{tree: p.mem}}, p.components...), true)}
+	cu.lease(&leases)
 	for key, rec, ok := cu.Next(); ok; key, rec, ok = cu.Next() {
 		*batch = append(*batch, index.Item{Key: key, Val: rec})
 		if len(*batch) == backfillChunk {
 			idx.InsertBatch(*batch)
 			clear(*batch) // the pool clears only up to the final length
 			*batch = (*batch)[:0]
+			leases.release()
 		}
 	}
 	idx.InsertBatch(*batch)
 	itemBatches.put(batch)
+	leases.release() // the drained cursor left every block
 	if err := cu.Err(); err != nil {
 		return err
 	}
@@ -907,10 +915,11 @@ func (s *Snapshot) Cursor() *Cursor {
 }
 
 // lease makes a fresh cursor's run cursors lease the blocks they read
-// (BlockCache), for a parallel scan whose rows only a keeping operator
-// keeps, as copies: every pin a run cursor lets go of — by leaving its
-// block, or at Close — lands in l, for the scan to release once the
-// consumer has pulled past the block's rows (ParallelScanCursor).
+// (BlockCache), for a reader that copies what it keeps — a parallel scan
+// under a keeping operator, the index back-fill: every pin a run cursor
+// lets go of — by leaving its block, or at Close — lands in l, for the
+// reader to release once nothing reads the block's rows
+// (ParallelScanCursor, Partition.AttachIndex).
 func (cu *Cursor) lease(l *leaseList) {
 	for _, in := range cu.m.inputs {
 		if in.fc != nil {
@@ -925,6 +934,15 @@ func (cu *Cursor) lease(l *leaseList) {
 type leaseList struct {
 	left []*blockEntry
 	held int
+}
+
+// release ends the pins of the blocks the cursor has left.
+func (l *leaseList) release() {
+	for _, e := range l.left {
+		e.release()
+	}
+	clear(l.left)
+	l.left = l.left[:0]
 }
 
 // Cursor streams a snapshot's live records. A run block it cannot read

@@ -474,7 +474,7 @@ func (r *runFile) load() error {
 // entries. data is never written after loadBlock returns while anything
 // can read it: the record views a lookup or cursor returns alias it for
 // as long as anything keeps them, and the cache recycles a block's
-// buffers only once no reader can (BlockCache: leases and escape). (The
+// buffers only once no reader can (BlockCache: pins and escape). (The
 // blocks compaction and readRecord reuse are handed to no one.)
 type block struct {
 	data []byte
@@ -488,11 +488,12 @@ func (b block) entries() int     { return len(b.offs) / 2 }
 func (b block) key(i int) []byte { return b.data[b.offs[2*i]:b.offs[2*i+1]] }
 func (b block) val(i int) []byte { return b.data[b.offs[2*i+1]:b.offs[2*i+2]] }
 
-// size is what a resident block costs: the capacity of its bytes and of
-// its offset table, which is what it holds — a stored payload appended
-// into a fresh slice has its size class's room, a recycled buffer the
-// room of the block it came from.
-func (b block) size() int64 { return int64(cap(b.data)) + 4*int64(cap(b.offs)) }
+// size is what a resident block costs: the length of its payload and of
+// its offset table, whoever loaded it — a fresh buffer and a recycled one
+// are charged alike, so residency does not depend on which reader
+// missed. A payload just over runBlockTarget lies in a buffer of
+// recycledRoom bytes either way (decodeBlockBody, BlockCache.load).
+func (b block) size() int64 { return int64(len(b.data)) + 4*int64(len(b.offs)) }
 
 // frameBufs lends loadBlock the buffer a frame is read into: the bytes
 // on disk are garbage once decoded, so no block read allocates for them.
@@ -507,10 +508,11 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 // reuse lends its buffers to a caller that hands out nothing aliasing
 // them past their reuse — compaction; a point read whose block the cache
 // does not keep (readRecord), which copies its one record out; and a
-// leased scan miss on a full shard, whose block the cache recycles only
-// once its leases are released (BlockCache). Every other reader passes
-// the zero block and gets memory of its own. An error names the run and the block: it is the read fault
-// the reader that asked for the block reports.
+// pinning miss on a full shard, whose block the cache recycles only once
+// its pins are released (BlockCache). Every other reader passes the zero
+// block and gets memory of its own. An error names the run and the
+// block: it is the read fault the reader that asked for the block
+// reports.
 func (r *runFile) loadBlock(i int, reuse block) (b block, err error) {
 	defer func() {
 		if err != nil {
@@ -544,7 +546,10 @@ func (r *runFile) loadBlock(i int, reuse block) (b block, err error) {
 
 // decodeBlockBody returns the payload a block frame's body carries, in
 // dst when that has the room. A declared length is bounded by what the
-// stream could decode to before anything is sized from it.
+// stream could decode to before anything is sized from it. A fresh
+// payload just over runBlockTarget is given recycledRoom, the size class
+// the allocator gives it anyway, so that once the cache recycles its
+// buffer (BlockCache) that buffer fits any later block.
 func decodeBlockBody(body, dst []byte) ([]byte, error) {
 	switch body[0] {
 	case codecStored:
@@ -559,7 +564,11 @@ func decodeBlockBody(body, dst []byte) ([]byte, error) {
 			return nil, fmt.Errorf("lz block: %d bytes declared for a %d-byte stream", n, len(stream))
 		}
 		if uint64(cap(dst)) < n {
-			dst = make([]byte, n)
+			room := n
+			if n > runBlockTarget && n < recycledRoom {
+				room = recycledRoom
+			}
+			dst = make([]byte, n, room)
 		}
 		dst = dst[:n]
 		if err := lzDecode(dst, stream); err != nil {
@@ -639,12 +648,15 @@ func (b block) lookup(key []byte) []byte {
 // get performs a point lookup: reject by key-range fence, then by bloom
 // filter, then binary-search the block index for the last block whose
 // first key is <= key and binary-search that block's encoded keys, every
-// comparison one of encodings (adm.CompareEncoded). A
-// block the cache keeps serves the record as a view of its bytes, so a
-// hit on a resident block decodes and allocates nothing. A block it does
-// not keep — a first touch on a full shard (BlockCache), or any block
-// of a run with no cache — is read privately (readRecord). An error is
-// a block that could not be read, so the key may be here after all.
+// comparison one of encodings (adm.CompareEncoded). On a shard with
+// room, a block the cache keeps serves the record as a view of its
+// bytes, so a hit decodes and allocates nothing. On a full shard the
+// read pins the block, copies its one record out and releases the pin,
+// so the block stays recyclable (BlockCache); a block that has escaped
+// already serves a view. A block the cache does not keep — a first
+// touch on a full shard, or any block of a run with no cache — is read
+// privately (readRecord). An error is a block that could not be read, so
+// the key may be here after all.
 func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 	if len(r.blocks) == 0 {
 		return adm.Value{}, false, nil
@@ -672,15 +684,20 @@ func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 	}
 	i := lo - 1
 	if r.cache != nil {
-		blk, _, ok, err := r.cache.fetch(r.id, i, pointRead, func(reuse block) (block, error) { return r.loadBlock(i, reuse) })
+		blk, lease, ok, err := r.cache.fetch(r.id, i, pointRead, func(reuse block) (block, error) { return r.loadBlock(i, reuse) })
 		if err != nil {
 			return adm.Value{}, false, err
 		}
 		if ok {
-			if rec := blk.lookup(key); rec != nil {
-				return adm.ViewAlias(rec), true, nil
+			rec := blk.lookup(key)
+			if lease != nil {
+				rec = bytes.Clone(rec) // nil stays nil
+				lease.release()
 			}
-			return adm.Value{}, false, nil
+			if rec == nil {
+				return adm.Value{}, false, nil
+			}
+			return adm.ViewAlias(rec), true, nil
 		}
 	}
 	return r.readRecord(i, key)
@@ -745,8 +762,9 @@ func (r *runFile) close() error {
 // the block cache, and what it hands up stays readable for as long as
 // anything keeps it — unless the cursor is leased: then each block it
 // reads may be pinned (lease), and when the cursor leaves a block it
-// hands the pin to its scan's leaseList (leases), whose owner releases
-// it once nothing reads the block's rows any more (ParallelScanCursor).
+// hands the pin to its leaseList (leases), whose owner releases it once
+// nothing reads the block's rows any more (ParallelScanCursor,
+// Partition.AttachIndex).
 // Compaction's (rawReader) loads blocks as queries do (loadBlock), but
 // into buffers it reuses, and goes around the block cache in both
 // directions: a compaction reads every block of its inputs exactly

@@ -238,36 +238,36 @@ func encodeBound(dst []byte, b index.Bound) (keyBound, []byte) {
 // lookupRange appends to dst the encoded primary key of every entry
 // whose secondary key lies within [lo, hi], in entry order (secondary
 // key, then primary key). It walks the tree from the first entry past
-// the low bound and stops at the first entry past the high bound,
-// comparing secondary keys only. A primary key is a substring of its
-// entry, which nothing rewrites (see BTreeIndex), so the caller may read
-// it after this call returns — resolving the keys against the primary
-// store without holding the index lock, which keeps the index-lock →
-// partition-lock order out of the read path entirely.
+// the low bound (Tree.AscendFrom, which allocates nothing) and stops at
+// the first entry past the high bound, comparing secondary keys only. A
+// primary key is a substring of its entry, which nothing rewrites (see
+// BTreeIndex), so the caller may read it after this call returns —
+// resolving the keys against the primary store without holding the
+// index lock, which keeps the index-lock → partition-lock order out of
+// the read path entirely.
 func (ix *BTreeIndex) lookupRange(lo, hi keyBound, dst []string) []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	var cur *index.Cursor[string, struct{}]
-	if lo.enc == nil {
-		cur = ix.tree.Cursor()
-	} else {
-		cur = ix.tree.CursorAt(func(e string) int {
+	var from func(e string) int
+	if lo.enc != nil {
+		from = func(e string) int {
 			sk, _ := splitIndexEntry(e)
 			if c := adm.CompareEncoded(sk, lo.enc); c > 0 || c == 0 && lo.inclusive {
 				return 1
 			}
 			return -1
-		})
+		}
 	}
-	for e, ok := cur.Next(); ok; e, ok = cur.Next() {
+	ix.tree.AscendFrom(from, func(e index.Entry[string, struct{}]) bool {
 		sk, _ := splitIndexEntry(e.Key)
 		if hi.enc != nil {
 			if c := adm.CompareEncoded(sk, hi.enc); c > 0 || c == 0 && !hi.inclusive {
-				break
+				return false
 			}
 		}
 		dst = append(dst, e.Key[len(sk):])
-	}
+		return true
+	})
 	return dst
 }
 

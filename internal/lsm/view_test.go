@@ -56,12 +56,15 @@ func partitionRuns(p *Partition) []*runFile {
 }
 
 // TestBlockCacheBudgetIsExact: a cached block costs the bytes it holds —
-// the room of its payload buffer plus four bytes per offset-table slot,
-// whatever the file spends on it — so BlockCacheBytes is a sum one can do
-// by hand, and a 64 KiB budget holds three 16 KiB blocks. (Budgeted as
-// decoded objects, ≈ 6× their payload, that cache held none of them.) A
-// stored payload's buffer and a recycled one have room past the payload,
-// and are charged it; a recycled buffer is bounded (maxRecycled).
+// its payload's length plus four bytes per offset-table entry, whatever
+// the file spends on it and whoever loaded it — so BlockCacheBytes is a
+// sum one can do by hand, and a 64 KiB budget holds three 16 KiB blocks.
+// (Budgeted as decoded objects, ≈ 6× their payload, that cache held none
+// of them.) A stored payload's buffer and a recycled one have room past
+// the payload, and are not charged it: a fresh payload just over
+// runBlockTarget is given a recycled buffer's room (recycledRoom), so a
+// block costs the same read into fresh memory or recycled, and a
+// recycled buffer is bounded (maxRecycled).
 func TestBlockCacheBudgetIsExact(t *testing.T) {
 	opts := cachedOptions()
 	p := flushedPartition(t, opts, 2000)
@@ -97,7 +100,7 @@ func TestBlockCacheBudgetIsExact(t *testing.T) {
 	}
 
 	// A stored payload is appended into a fresh slice, which has its size
-	// class's room: the block is charged that room.
+	// class's room: the block is charged its length alone.
 	rnd := rand.New(rand.NewSource(1))
 	var items []index.Item
 	for i := range 30 {
@@ -119,10 +122,17 @@ func TestBlockCacheBudgetIsExact(t *testing.T) {
 	}{{"stored", stored}, {"recycled", recycled}} {
 		c := NewBlockCache(1 << 20)
 		c.insert(1, 0, arm.blk, false)
-		want := int64(cap(arm.blk.data)) + 4*int64(cap(arm.blk.offs))
+		want := int64(len(arm.blk.data)) + 4*int64(len(arm.blk.offs))
 		if st := c.Stats(); st.BlockCacheBytes != want {
-			t.Fatalf("a %s block holding %d bytes is charged %d", arm.name, want, st.BlockCacheBytes)
+			t.Fatalf("a %s block of %d bytes (room for %d) is charged %d", arm.name, want, cap(arm.blk.data)+4*cap(arm.blk.offs), st.BlockCacheBytes)
 		}
+	}
+	// Block 0 read into fresh memory is an lz payload just over
+	// runBlockTarget: it gets a recycled buffer's room, and costs what it
+	// costs read into recycled memory.
+	if len(blk.data) <= runBlockTarget || cap(blk.data) != recycledRoom || blk.size() != recycled.size() {
+		t.Fatalf("a fresh %d-byte payload has room for %d and costs %d; read into recycled memory it costs %d",
+			len(blk.data), cap(blk.data), blk.size(), recycled.size())
 	}
 	// Buffers larger than maxRecycled are not handed back for recycling.
 	e := &blockEntry{blk: block{data: make([]byte, 1, maxRecycled+1), offs: make([]uint32, 1, 8)}, box: new(block), gone: true}
