@@ -391,6 +391,92 @@ func TestEvaluatorRoutesLikeTheConnector(t *testing.T) {
 	}
 }
 
+// recyclingSink is storage as a slab reused once its memtable is
+// flushed unread meets a frame: it keeps a copy of the frame's slab, then
+// overwrites the slab, spare capacity included, as the partition does
+// before it hands the slab to a later frame (lsm.Dataset.Slab).
+type recyclingSink struct{ frames []hyracks.Frame }
+
+func (*recyclingSink) Open() error  { return nil }
+func (*recyclingSink) Close() error { return nil }
+
+func (s *recyclingSink) Push(fr hyracks.Frame) error {
+	kept := fr
+	kept.Enc = bytes.Clone(fr.Enc)
+	s.frames = append(s.frames, kept)
+	b := fr.Enc[:cap(fr.Enc)]
+	for i := range b {
+		b[i] = 0xff // lsm's recycledByte
+	}
+	return nil
+}
+
+// TestSpliceApartRowSurvivesRecycle: a row spliced into its input's slab
+// under another key has to be framed apart, and the frame it was spliced
+// into is sealed and pushed first. The row lies in that slab's spare
+// bytes, which storage may recycle once the frame is pushed, so it is
+// encoded before the push: every row reads what the function makes of
+// its record.
+func TestSpliceApartRowSurvivesRecycle(t *testing.T) {
+	const n, frame = 300, 64
+	c, g := testCluster(t, 2)
+	createFunction(t, c, `CREATE FUNCTION moveKey(t) { SELECT t.user.*, t.id + t.id % 5 * 1000000 AS id };`)
+	ds, _ := c.Dataset("EnrichedTweets")
+	def, _ := c.Function("moveKey")
+	plan, err := query.CompileEnrich(def.Name, def.Params, def.Body, c, query.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := udfCall{}
+	if fn.prepared, err = plan.Prepare(c); err != nil {
+		t.Fatal(err)
+	}
+	lines := g.Tweets(0, n)
+	want := map[string][]byte{}
+	for _, line := range lines {
+		rec, err := adm.ParseJSON(line)
+		if err == nil {
+			rec, err = workload.TweetType().Validate(rec)
+		}
+		if err == nil {
+			rec, err = fn.prepared.EvalRecord(rec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[rec.Field("id").String()] = adm.AppendBinary(nil, rec)
+	}
+	enc := newRecordEncoder(frame, ds.NumPartitions(), "id", ds.Route)
+	enc.rewind = plan.KeepsNoInput()
+	var out recyclingSink
+	for i := 0; i < n; i += frame {
+		batch := lines[i:min(i+frame, n)]
+		enc.begin(len(batch))
+		for _, line := range batch {
+			if ok, err := enc.encode(line, workload.TweetType(), &fn, &out); !ok || err != nil {
+				t.Fatalf("line rejected (%v)", err)
+			}
+		}
+		if err := enc.flush(&out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	framed := 0
+	for _, fr := range out.frames {
+		recs, _ := slabRecords(t, fr)
+		for _, rec := range recs {
+			key := rec.Field("id").String()
+			if got := adm.AppendBinary(nil, rec); !bytes.Equal(got, want[key]) {
+				t.Fatalf("key %s reads\n %x\nthe function makes\n %x", key, got, want[key])
+			}
+		}
+		framed += len(recs)
+	}
+	if framed != n || len(want) != n {
+		t.Fatalf("%d rows framed of %d records, want %d", framed, len(want), n)
+	}
+}
+
 // TestCollectorAllocatesPerFrame: in steady state turning lines into
 // records costs each frame its slab and nothing per record — the parse
 // tree lives in an arena that is reset line by line, and the record

@@ -477,6 +477,7 @@ func Start(ctx context.Context, c *cluster.Cluster, cfg Config) (_ *Feed, err er
 	f.encoders = make([]recordEncoder, n)
 	for p := range f.encoders {
 		f.encoders[p] = newRecordEncoder(f.frameCap, ds.NumPartitions(), ds.PrimaryKey(), ds.Route)
+		f.encoders[p].slab = ds.Slab
 		f.encoders[p].rewind = plan != nil && plan.KeepsNoInput()
 	}
 
@@ -772,7 +773,7 @@ func admit(dt *adm.Datatype, rec adm.Value, perr error) (adm.Value, bool) {
 // function runs can keep it (rewind: query.EnrichPlan.KeepsNoInput), for
 // splice and add copy what a row keeps of it before they return; any
 // other input is appended to a garbage-collected slab nothing rewrites,
-// sized as a frame's is (partFrame.open).
+// sized as a frame's is (partFrame.slabSize).
 //
 // Unrouted, the encoder frames the records themselves, without keys,
 // into one frame that names no partition; that mode serves StartStatic
@@ -830,7 +831,7 @@ func (e *recordEncoder) input(rec adm.Value) adm.Value {
 	in := &e.kept
 	if size := adm.BinarySize(rec); cap(in.slab)-len(in.slab) < size {
 		in.learn(e.inputs)
-		in.open(size, min(e.frameCap, e.pending))
+		in.open(make([]byte, 0, in.slabSize(size, min(e.frameCap, e.pending))))
 		e.inputs = 0
 	}
 	at := len(in.slab)
@@ -858,18 +859,27 @@ func (e *recordEncoder) input(rec adm.Value) adm.Value {
 // pipeline's evaluator) routes the rows its function returns, and a
 // SQL++ row is spliced into the slab where it will stay (splice).
 //
-// One frame, one slab. A slab is garbage-collected memory that is only
-// ever appended to, never pooled or rewritten, so whoever is handed a
-// record may keep it for as long as it likes; it keeps its frame's slab
-// with it. A record the slab has no room for closes its frame early, and
-// the fresh slab is sized from the partition's bytes per record times
-// the records still expected for it — plus the record itself, which is
-// never taken for the size of the others (see open).
+// One frame, one slab. A slab is only ever appended to while its frame
+// is built, and once pushed it is storage's: a routed slab's records are
+// the memtable's, and their bytes are never rewritten while a reader may
+// see them. A slab may be reused once its memtable is flushed unread:
+// with slab set, a routed frame's slab comes from its storage partition,
+// which hands out the slabs of memtables no reader saw
+// (lsm.Dataset.Slab). So nothing here reads a slab's bytes after its
+// frame is pushed. A record the slab has no room for closes its frame
+// early, and the next slab is sized from the partition's bytes per
+// record times the records still expected for it — plus the record
+// itself, which is never taken for the size of the others (see
+// slabSize).
 type frameRouter struct {
 	// pk and route are set when routing: route maps a primary key to the
 	// storage partition that owns it.
-	pk       string
-	route    func(key adm.Value) int
+	pk    string
+	route func(key adm.Value) int
+	// slab, when set, returns an empty slab of at least n bytes for a
+	// frame routed to storage partition t (lsm.Dataset.Slab); else a
+	// slab is fresh memory.
+	slab     func(t, n int) []byte
 	frameCap int
 	parts    []partFrame // one per storage partition when routing, else one
 	// pending counts the records of the current batch not yet framed.
@@ -973,8 +983,14 @@ func (r *frameRouter) splice(pe *query.PreparedEnrich, rec adm.Value, out hyrack
 		r.apart = true
 		if pf.n == 0 {
 			pf.slab = nil
-		} else if err := r.push(t, out); err != nil {
-			return err
+		} else {
+			// The row may lie in the sealed slab's tail, which storage
+			// may recycle once the frame is pushed: it is encoded apart
+			// first.
+			row = adm.ViewAlias(adm.AppendBinary(nil, row))
+			if err := r.push(t, out); err != nil {
+				return err
+			}
 		}
 	}
 	return r.add(row, out)
@@ -1001,7 +1017,12 @@ func (r *frameRouter) reserve(t, size int, out hyracks.Writer) error {
 			return err
 		}
 	}
-	pf.open(size, min(r.frameCap, (r.pending+len(r.parts)-1)/len(r.parts)))
+	n := pf.slabSize(size, min(r.frameCap, (r.pending+len(r.parts)-1)/len(r.parts)))
+	if r.slab != nil {
+		pf.open(r.slab(t, n))
+	} else {
+		pf.open(make([]byte, 0, n))
+	}
 	return nil
 }
 
@@ -1018,19 +1039,22 @@ func (r *frameRouter) keep(t, at int, out hyracks.Writer) error {
 	return nil
 }
 
-// open gives pf a fresh slab starting with a record of size bytes. The
-// rest of the slab is room for expect-1 more records at the learned bytes
-// per record. With nothing learned yet there is room for one more record
-// like this one; so the first slab learns from two records, and an
-// outsized record costs its own bytes, at most twice, never once per
-// record still to come.
-func (pf *partFrame) open(size, expect int) {
+// slabSize is the size of a slab for pf starting with a record of size
+// bytes. The rest of the slab is room for expect-1 more records at the
+// learned bytes per record. With nothing learned yet there is room for
+// one more record like this one; so the first slab learns from two
+// records, and an outsized record costs its own bytes, at most twice,
+// never once per record still to come.
+func (pf *partFrame) slabSize(size, expect int) int {
 	room := size
 	if pf.perRecord > 0 {
 		room = pf.perRecord * max(expect-1, 0)
 	}
-	pf.slab, pf.largest = make([]byte, 0, size+room), 0
+	return size + room
 }
+
+// open gives pf slab, empty, for its next records.
+func (pf *partFrame) open(slab []byte) { pf.slab, pf.largest = slab, 0 }
 
 // learn takes the bytes per record from pf's slab, which holds n records.
 func (pf *partFrame) learn(n int) {

@@ -95,6 +95,9 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 					return err
 				}
 				enc := newRecordEncoder(tuning.FrameCapacity, ds.NumPartitions(), pk, route)
+				if route != nil {
+					enc.slab = ds.Slab
+				}
 				// Lines are counted here and reported a frame's worth at a
 				// time, and once more at the end of the stream.
 				var admitted, rejected int64
@@ -132,6 +135,7 @@ func StartStatic(ctx context.Context, c *cluster.Cluster, cfg Config) (*StaticFe
 			Parallelism: c.NumNodes(),
 			NewPipe: func(p int) (hyracks.Pipe, error) {
 				router := newFrameRouter(tuning.FrameCapacity, ds.NumPartitions(), pk, ds.Route)
+				router.slab = ds.Slab
 				return &evaluator{router: router, udfCall: calls[p]}, nil
 			},
 		})

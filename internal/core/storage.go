@@ -23,9 +23,10 @@ import (
 // by the partition a frame names (Frame.Part) and hashes nothing. A
 // frame of records with no slab fails the job.
 //
-// The writer is the frame's final consumer: storage retains the slab,
-// and nothing else of the frame is pooled. Each stored frame's count is
-// added to stats' Stored.
+// The writer is the frame's final consumer: storage retains the slab —
+// and reuses it for a later frame once its memtable is flushed unread
+// (lsm.Dataset.Slab) — and nothing else of the frame is pooled. Each
+// stored frame's count is added to stats' Stored.
 func newStorageWriter(ds *lsm.Dataset, p int, stats *feedCounters) *hyracks.SinkPipe {
 	return &hyracks.SinkPipe{
 		Fn: func(_ *hyracks.TaskContext, fr hyracks.Frame) error {

@@ -26,11 +26,14 @@
 //     lines are valid until the frame's consumer calls RecycleFrame,
 //     which is always safe on a frame it consumed: the spines and the
 //     line arena go back to their pools.
-//   - Encoded records (Enc) and record values are never pooled and never
-//     invalidated: a slab is only ever appended to, and adm.Value
-//     payloads are immutable-by-convention, so both live as long as
-//     anything references them, and operators, UDFs and storage may
-//     keep them.
+//   - Record values are never pooled and never invalidated, and neither
+//     is an encoded record (Enc) anyone was handed: a slab is only ever
+//     appended to, and adm.Value payloads are immutable-by-convention, so
+//     operators, UDFs and storage may keep them. A slab may be reused
+//     once its memtable is flushed unread: storage hands a routed slab
+//     none of whose records reached a reader to the next frames
+//     (lsm.Dataset.Slab), so a producer never reads a slab, spare
+//     capacity included, after pushing its frame.
 package hyracks
 
 import (
@@ -61,9 +64,10 @@ type Frame struct {
 	// the storage writer hands Enc to the partition as the write's log
 	// payload, and the partition reads the frame's keys and records off
 	// it. An unrouted frame (Part -1: the static pipeline's frames from
-	// its adapter-parser to its evaluator) holds the records alone. The
-	// slab is garbage-collected like the records, never pooled; a
-	// connector forwards it with the frame.
+	// its adapter-parser to its evaluator) holds the records alone. A
+	// connector forwards the slab with the frame. A routed slab may be
+	// reused once its memtable is flushed unread (lsm.Dataset.Slab); any
+	// other slab is garbage-collected like the records.
 	Enc []byte
 	// N is the number of records in Enc.
 	N int

@@ -327,9 +327,11 @@ func TestRoutedFrameWritesNoCopy(t *testing.T) {
 }
 
 // UpsertFrame writes a routed frame as Dataset.UpsertFrame does, minus
-// the routing rule, for tests that build keys and recs beside the slab
-// (routedFrame). enc must hold exactly those keys, each followed by its
-// record as a view of the bytes after it: the write reads them from enc.
+// the routing rule and the slab's reuse, for tests that build keys and
+// recs beside the slab (routedFrame) and may read them after a flush:
+// the memtable keeps enc as it keeps any batch buffer. enc must hold
+// exactly those keys, each followed by its record as a view of the bytes
+// after it: the write reads them from enc.
 func (p *Partition) UpsertFrame(keys, recs []adm.Value, enc []byte) error {
 	off := 0
 	for i := range keys {

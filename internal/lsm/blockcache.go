@@ -350,12 +350,7 @@ func (e *blockEntry) recycle() {
 		e.box = new(block)
 	}
 	b := e.blk
-	if len(b.data) > 0 {
-		b.data[0] = recycledByte
-		for n := 1; n < len(b.data); n *= 2 {
-			copy(b.data[n:], b.data[:n])
-		}
-	}
+	overwrite(b.data)
 	if cap(b.data) > maxRecycled {
 		b.data = nil
 	}

@@ -108,9 +108,11 @@ func (d *Dataset) Route(pk adm.Value) int {
 // records where they lie, charged enc's capacity, since it keeps the
 // whole slab alive. Every key must be one Route sends to part: a slab
 // holding any other key, or one that does not decode, is refused before
-// anything is logged. The caller must not change enc afterwards.
+// anything is logged. The caller must not change enc afterwards, nor
+// read it: once its memtable is flushed unread, the partition overwrites
+// the slab and hands it to a later Slab.
 func (d *Dataset) UpsertFrame(part int, enc []byte) error {
-	_, err := d.partitions[part].write(writeUpsert, enc, 0, func(key adm.Value) error {
+	_, err := d.partitions[part].write(writeFrame, enc, 0, func(key adm.Value) error {
 		if owner := d.Route(key); owner != part {
 			return fmt.Errorf("lsm: storage partition %d was sent key %v, which partition %d owns", part, key, owner)
 		}
@@ -118,6 +120,11 @@ func (d *Dataset) UpsertFrame(part int, enc []byte) error {
 	})
 	return err
 }
+
+// Slab returns an empty slab of at least n bytes for a frame routed to
+// partition t: the slab of a memtable that partition flushed unread, of
+// n to n+n/4 bytes, when it has one, else a fresh one.
+func (d *Dataset) Slab(t, n int) []byte { return d.partitions[t].slab(n) }
 
 // PutCheckpoint records a feed-resume checkpoint on every partition
 // (see Partition.PutCheckpoint), so losing any subset of partitions

@@ -154,10 +154,17 @@ func (p *Partition) flushOnce() (bool, error) {
 	// Swap the frozen tree, still just ahead of the runs, for its
 	// run-backed twin. The component pointer is replaced, never mutated:
 	// snapshots that copied the old pointer keep reading the tree.
+	// Once swapped, the tree is no reader's to see: whether one saw it
+	// (frameSlabs) is settled, and if none did, its slabs go to the free
+	// list — but not on a closing partition, whose list is dropped.
 	p.mu.Lock()
 	p.components[len(p.components)-len(runs)-1] = flushed
 	p.stats.FlushedRuns++
+	recycle := c.slabs != nil && !c.slabs.escaped.Load() && !p.closed
 	p.mu.Unlock()
+	if recycle {
+		p.free.put(c.slabs.slabs, p.opts.MemBudget)
+	}
 
 	// The manifest covers everything at or below the watermark; the WAL
 	// segments wholly under it are dead. Truncation failure is not a

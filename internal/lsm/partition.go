@@ -49,10 +49,15 @@
 // capture buffers, which IndexScanCursor.Close returns to a pool, a
 // parallel scan's record batches, which ParallelScanCursor returns to a
 // shared pool, cleared, and a leased scan's pins on the blocks it read.
-// The one exception to "never rewritten" is that scan's:
-// its consumer keeps copies of what it keeps (NewLeasedScanCursor), so
-// once a pin is released the cache may recycle the block's bytes
-// (BlockCache).
+// The one exception to "never rewritten" among a reader's bytes is that
+// scan's: its consumer keeps copies of what it keeps
+// (NewLeasedScanCursor), so once a pin is released the cache may recycle
+// the block's bytes (BlockCache). A write's bytes have one more: a
+// routed frame's slab may be reused once its memtable is flushed unread.
+// Partition.Get and Snapshot mark every memtable and frozen tree they
+// may show a reader, so a slab whose memtable neither marked was never
+// read; its flush overwrites it and hands it to the next frames
+// (Dataset.Slab, slabs.go).
 package lsm
 
 import (
@@ -110,8 +115,9 @@ func DefaultOptions() Options {
 // flusher has written it out, a run file (the output of a flush or a
 // compaction) from then on. Tombstones are MISSING values.
 type component struct {
-	tree *memtable // frozen memtable awaiting its flush
-	run  *runFile  // run file; nil while tree-backed
+	tree  *memtable   // frozen memtable awaiting its flush
+	slabs *frameSlabs // the frame slabs tree keeps; nil when none
+	run   *runFile    // run file; nil while tree-backed
 
 	// upToLSN is the highest WAL sequence number whose effect the
 	// component (together with everything older) contains. The flusher
@@ -214,6 +220,9 @@ type Stats struct {
 	// OpenRunFiles gauges run files currently open: the run-backed
 	// components plus replaced runs a snapshot still reaches.
 	OpenRunFiles int
+	// RecycledSlabs counts the routed frame slabs Dataset.Slab served
+	// from the slabs of memtables flushed unread instead of allocating.
+	RecycledSlabs uint64
 }
 
 // Add accumulates o into s: a dataset sums its partitions, a cluster
@@ -232,6 +241,7 @@ func (s *Stats) Add(o Stats) {
 	s.BloomSkips += o.BloomSkips
 	s.BlockReads += o.BlockReads
 	s.OpenRunFiles += o.OpenRunFiles
+	s.RecycledSlabs += o.RecycledSlabs
 }
 
 // Partition is a single LSM storage partition: one primary-key-ordered
@@ -247,7 +257,12 @@ type Partition struct {
 	// buffer written since the last freeze plus memItemOverhead per
 	// entry — replaced entries included, their bytes are still in their
 	// batch's buffer, which the memtable keeps whole.
-	memBytes   int
+	memBytes int
+	// slabs are the routed frame slabs the memtable keeps, and free, under
+	// a lock of its own, the slabs of flushed memtables no reader saw, for
+	// the next frames (slabs.go).
+	slabs      *frameSlabs
+	free       slabList
 	components []*component // newest first
 	secondary  []SecondaryIndex
 	stats      Stats
@@ -552,6 +567,7 @@ type writeMode uint8
 
 const (
 	writeUpsert     writeMode = iota // insert or replace the batch
+	writeFrame                       // writeUpsert of a routed frame's slab, which the memtable records (slabs.go)
 	writeInsert                      // one record; a live duplicate fails the write
 	writeDelete                      // one tombstone; reports whether a live record was visible
 	writeCheckpoint                  // one feed-resume entry, applied to ckpts instead of the memtable
@@ -623,6 +639,9 @@ func (p *Partition) write(mode writeMode, enc []byte, hint int, owns func(key ad
 			p.applyBatchLocked(entries, held)
 		default:
 			p.stats.Upserts += uint64(n)
+			if mode == writeFrame {
+				p.keepSlabLocked(enc)
+			}
 			p.applyBatchLocked(entries, held)
 		}
 	}
@@ -730,9 +749,9 @@ func (p *Partition) freezeLocked() {
 	// The watermark is exact because every WAL append happens under the
 	// partition lock we hold: the frozen tree contains precisely the
 	// effects of LSNs <= upToLSN not already in older components.
-	c := &component{tree: p.mem, upToLSN: p.wal.LSN()}
+	c := &component{tree: p.mem, slabs: p.slabs, upToLSN: p.wal.LSN()}
 	p.components = append([]*component{c}, p.components...)
-	p.mem = newMemtable()
+	p.mem, p.slabs = newMemtable(), nil
 	p.memBytes = 0
 	p.signalFlushLocked()
 }
@@ -774,11 +793,13 @@ func lookupComponents(comps []*component, kp *pointProbe) (v adm.Value, found bo
 }
 
 // Get returns the live record stored under key, or the read fault that
-// kept the lookup from knowing it.
+// kept the lookup from knowing it. The record may be a view of the
+// memtable or a frozen tree, so their slabs escape.
 func (p *Partition) Get(key adm.Value) (adm.Value, bool, error) {
 	p.renv.ctr.gets.Add(1)
 	kp := encodeProbe(key)
 	p.mu.RLock()
+	p.escapeTreesLocked()
 	v, ok, err := p.getLocked(kp)
 	p.mu.RUnlock()
 	putProbe(kp)
@@ -811,6 +832,9 @@ func (p *Partition) Epoch() uint64 { return p.wal.LSN() }
 // a quiescent reference dataset is frozen and scanned once, not once
 // per batch.
 //
+// Every frozen tree the snapshot reaches escapes (frameSlabs): its
+// readers may keep views of it.
+//
 // The snapshot holds one reference on every run file it can reach, so a
 // run that compaction replaces stays readable for as long as the
 // snapshot is. There is no release call: the references drop when the
@@ -823,11 +847,13 @@ func (p *Partition) Snapshot() *Snapshot {
 	comps := slices.Clone(p.components)
 	holdsRuns := false
 	for _, c := range comps {
-		if c.run != nil {
-			// Under p.mu the partition still owns the run, so it is open.
-			c.run.incRef()
-			holdsRuns = true
+		if c.run == nil {
+			c.slabs.escape()
+			continue
 		}
+		// Under p.mu the partition still owns the run, so it is open.
+		c.run.incRef()
+		holdsRuns = true
 	}
 	p.mu.Unlock()
 	s := &Snapshot{components: comps}
@@ -859,6 +885,7 @@ func (p *Partition) Stats() Stats {
 	s.OpenRunFiles = int(ctr.openRuns.Load())
 	s.Components = len(p.components)
 	s.MemEntries = p.mem.Len()
+	s.RecycledSlabs = p.free.recycled()
 	return s
 }
 

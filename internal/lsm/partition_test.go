@@ -411,47 +411,99 @@ func TestWALGroupCommit(t *testing.T) {
 	}
 }
 
+// TestPartitionConcurrentReadersAndWriters: point reads and snapshot
+// scans beside writers of both kinds — upserts, and routed frames whose
+// slabs come from the partition (Dataset.Slab) — read every record whole,
+// and a record a reader keeps stays whole while more frames are written:
+// a slab recycled under a reader would read as recycledByte.
 func TestPartitionConcurrentReadersAndWriters(t *testing.T) {
-	p := memPartition(t, Options{MemBudget: 64 << 10, MaxComponents: 4})
+	ds := memDataset(t, "ds", nil, "id", 1, Options{MemBudget: 64 << 10, MaxComponents: 4})
+	p := ds.Partition(0)
 	for i := int64(0); i < 1000; i++ {
 		p.Upsert(adm.Int(i), rec(i))
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Writers: continuous upserts.
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	// Writers: continuous upserts, and frames of eight in pooled slabs.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for !stopped() {
 				k := r.Int63n(1000)
 				p.Upsert(adm.Int(k), rec(k, "w", adm.Int(seed)))
 			}
 		}(int64(w))
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			var pairs []byte
+			for !stopped() {
+				pairs = pairs[:0]
+				for range 8 {
+					k := r.Int63n(1000)
+					pairs = adm.AppendBinary(pairs, adm.Int(k))
+					pairs = adm.AppendBinary(pairs, rec(k, "f", adm.Int(seed)))
+				}
+				if err := ds.UpsertFrame(0, append(ds.Slab(0, len(pairs)), pairs...)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(int64(w + 10))
 	}
-	// Readers: point gets and snapshot scans.
+	// Readers: point gets and snapshot scans, each record checked, and the
+	// last point read checked again once the next is taken. They read
+	// while reading is set, so the memtables written while it is not are
+	// flushed unread and their slabs recycled under the views they keep.
+	var reading atomic.Bool
 	for rdr := 0; rdr < 4; rdr++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed + 100))
-			for i := 0; i < 200; i++ {
+			var kept adm.Value
+			keptKey := int64(-1)
+			checkKept := func() {
+				if keptKey >= 0 && kept.Field("id").IntVal() != keptKey {
+					t.Errorf("the record Get(%d) returned now reads %v", keptKey, kept)
+				}
+			}
+			for !stopped() {
+				if !reading.Load() {
+					time.Sleep(100 * time.Microsecond)
+					continue
+				}
 				if r.Intn(10) == 0 {
 					n := 0
-					p.Snapshot().Scan(func(adm.Value, adm.Value) bool {
+					p.Snapshot().Scan(func(k, v adm.Value) bool {
+						if v.Field("id").IntVal() != k.IntVal() {
+							t.Errorf("scan: key %d reads %v", k.IntVal(), v)
+						}
 						n++
 						return n < 50
 					})
-				} else {
-					p.Get(adm.Int(r.Int63n(1000)))
+					continue
 				}
+				k := r.Int63n(1000)
+				v, ok, err := p.Get(adm.Int(k))
+				if err != nil || !ok || v.Field("id").IntVal() != k {
+					t.Errorf("Get(%d) = %v, %v, %v", k, v, ok, err)
+				}
+				checkKept()
+				kept, keptKey = v, k
 			}
+			checkKept()
 		}(int64(rdr))
 	}
 	done := make(chan struct{})
@@ -459,8 +511,13 @@ func TestPartitionConcurrentReadersAndWriters(t *testing.T) {
 		wg.Wait()
 		close(done)
 	}()
-	// Give readers time to finish, then stop the writers.
-	time.Sleep(50 * time.Millisecond)
+	// Read and pause by turns until slabs were recycled, then stop.
+	for start := time.Now(); p.Stats().RecycledSlabs < 50 && time.Since(start) < 5*time.Second; {
+		reading.Store(true)
+		time.Sleep(5 * time.Millisecond)
+		reading.Store(false)
+		time.Sleep(40 * time.Millisecond)
+	}
 	close(stop)
 	select {
 	case <-done:
@@ -469,6 +526,9 @@ func TestPartitionConcurrentReadersAndWriters(t *testing.T) {
 	}
 	if got := liveLen(t, p.Snapshot()); got != 1000 {
 		t.Errorf("Len = %d, want 1000", got)
+	}
+	if st := p.Stats(); st.RecycledSlabs == 0 {
+		t.Errorf("%d flushes and no slab recycled: the frame writers show nothing", st.FlushedRuns)
 	}
 }
 

@@ -235,6 +235,7 @@ func (p *Partition) Close() error {
 	if err == nil && p.Err() == nil {
 		err = p.wal.retire()
 	}
+	p.free.drop()
 	p.mu.Lock()
 	if cerr := p.closeRunsLocked(); err == nil {
 		err = cerr
