@@ -68,7 +68,9 @@ import (
 //     blocks and releases them after each chunk the index has copied;
 //   - a point read on a full shard — one without the room of a pooled
 //     buffer, recycledRoom — pins the block, copies its one record out
-//     and releases the pin (runFile.get).
+//     and releases the pin (runFile.get); under a leased index scan it
+//     lends the pin to the scan instead, which releases it when its
+//     consumer pulls the next row (IndexScanCursor).
 //
 // Each entry keeps a pin count and an escaped bit under its shard's
 // lock:
@@ -148,7 +150,8 @@ type readMode uint8
 
 const (
 	// pointRead is runFile.get: hot, admitted by admits; it pins what
-	// it reads on a full shard, where it copies its record out.
+	// it reads on a full shard, where it copies its record out or lends
+	// the pin to a leased index scan.
 	pointRead readMode = iota
 	// scanRead is a cursor whose rows may outlive its next advance.
 	scanRead
@@ -275,8 +278,8 @@ func (c *BlockCache) fetch(run uint64, i int, mode readMode, load func(reuse blo
 	scan := mode != pointRead
 	s.mu.Lock()
 	// A leased scan pins what it reads, and so does a point read on a
-	// full shard, which copies its record out; every other reader
-	// escapes the block.
+	// full shard, which copies its record out or lends the pin; every
+	// other reader escapes the block.
 	full := s.used+recycledRoom > c.shardBudget
 	pin := mode == leasedScan || mode == pointRead && full
 	e, ok := s.entries[k]

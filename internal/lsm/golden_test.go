@@ -146,7 +146,7 @@ func w2Replay(t *testing.T, fs FS, fn func(uint64, adm.Value, adm.Value)) error 
 func probeGet(rf *runFile, key adm.Value) (adm.Value, bool, error) {
 	kp := encodeProbe(key)
 	defer putProbe(kp)
-	return rf.get(kp)
+	return rf.get(kp, nil)
 }
 
 // checkGoldenRun exercises the read side of an open run over the golden

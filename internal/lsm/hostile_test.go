@@ -274,7 +274,7 @@ func FuzzOpenRun(f *testing.F) {
 			}
 			for _, fence := range [][]byte{rf.firstKey, rf.lastKey} {
 				kp := getProbe(fence)
-				rf.get(kp)
+				rf.get(kp, nil)
 				putProbe(kp)
 			}
 		}); grew > decodeHeapBound(len(data)) {

@@ -3,9 +3,11 @@ package lsm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -564,6 +566,203 @@ func TestFullCachePointReadAllocationsIndependentOfN(t *testing.T) {
 		t.Logf("%d records: %.0f B a point read (%d point admissions, %d recycled loads)", n, perRead, pointAdmissions(st), st.BlockCacheRecycled)
 		if perRead > 1024 && !raceEnabled { // sync.Pool drops a quarter of its Puts at random under -race
 			t.Errorf("%d records: a point read between leased scans allocated %.0f B: want about one record copy", n, perRead)
+		}
+	}
+}
+
+// blockOf is the block of run whose key range holds key, an encoding.
+func blockOf(run *runFile, key []byte) int {
+	return sort.Search(len(run.blocks), func(i int) bool {
+		return adm.CompareEncoded(run.blocks[i].firstKey, key) > 0
+	}) - 1
+}
+
+// residentPins sums the pins held on the blocks the cache holds.
+func residentPins(cache *BlockCache) int {
+	pins := 0
+	for i := range cache.shards {
+		s := &cache.shards[i]
+		s.mu.Lock()
+		for _, e := range s.entries {
+			pins += int(e.pins)
+		}
+		s.mu.Unlock()
+	}
+	return pins
+}
+
+// indexedOverBudgetRun is overBudgetRun with a B-tree index on cat,
+// back-filled, and a snapshot: a probe's rows are one record in every
+// thousand, each in a block of its own.
+func indexedOverBudgetRun(t *testing.T, budget int64, n int) (*Partition, []*Snapshot, []*BTreeIndex) {
+	t.Helper()
+	p := overBudgetRun(t, budget, n)
+	if size := runBytes(t, partitionRuns(p)[0]); size < 3*budget {
+		t.Fatalf("the run holds %d bytes, not three times the cache's %d", size, budget)
+	}
+	ix := NewBTreeIndex("byCat", FieldKeyExtractor("cat"))
+	if err := p.AttachIndex(ix); err != nil {
+		t.Fatal(err)
+	}
+	return p, []*Snapshot{p.Snapshot()}, []*BTreeIndex{ix}
+}
+
+// probeCat is a leased index scan for the records whose cat is c%04d.
+func probeCat(snaps []*Snapshot, idxs []*BTreeIndex, c int) *IndexScanCursor {
+	cat := index.Include(adm.String(fmt.Sprintf("c%04d", c)))
+	return NewLeasedIndexScanCursor(snaps, idxs, cat, cat)
+}
+
+// TestFullCacheIndexScanHoldsOneBlock: a leased index scan over a run
+// three times the size of a full cache reads each row where it lies — a
+// pinned cached block, or the pooled block a declined miss decoded into
+// — and holds that one block until the next Next or Close. A row stays
+// the record it is while leased scans and point reads evict every other
+// block, its own included; once its block is evicted and the hold let
+// go, the row's bytes read recycledByte. Over runs of n and 2n records,
+// a row costs less than a record's size in allocations: nothing is
+// copied, and the block a ghost admission decodes into was recycled.
+// Copying each row out cost a record a row.
+func TestFullCacheIndexScanHoldsOneBlock(t *testing.T) {
+	const budget, n = 2 << 20, 24000
+	t.Run("one block", func(t *testing.T) { checkIndexScanHolds(t, budget, n) })
+	t.Run("allocations", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("sync.Pool drops a quarter of its Puts at random under -race")
+		}
+		checkIndexScanAllocations(t, budget, n)
+	})
+}
+
+// checkIndexScanHolds is TestFullCacheIndexScanHoldsOneBlock's hold
+// check, over a run of n records behind a cache of budget bytes.
+func checkIndexScanHolds(t *testing.T, budget int64, n int) {
+	p, snaps, idxs := indexedOverBudgetRun(t, budget, n)
+	run := partitionRuns(p)[0]
+	cache := run.cache
+	scan := func() {
+		t.Helper()
+		if rows, _, err := countScan(NewLeasedScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || err != nil {
+			t.Fatalf("a leased scan saw %d rows: %v", rows, err)
+		}
+	}
+	// evict makes every block but b leave the cache, b included: a leased
+	// scan takes the ring, and two point reads of every other block
+	// admit each into hot, whose coldest — b — goes first.
+	evict := func(b int) {
+		t.Helper()
+		scan()
+		for i := range run.blocks {
+			if i != b {
+				getBlockKey(t, p, run, i)
+				getBlockKey(t, p, run, i)
+			}
+		}
+		if residentEntry(t, run, b) != nil {
+			t.Fatalf("block %d is still resident", b)
+		}
+	}
+	scan() // fills the cache
+	for c := range 20 {
+		cur := probeCat(snaps, idxs, c)
+		rows := 0
+		for _, rec, ok := cur.Next(); ok; _, rec, ok = cur.Next() {
+			boxes := 0
+			if cur.capt.hold.box != nil {
+				boxes = 1
+			}
+			if held := residentPins(cache) + boxes; held > 1 || cur.capt.hold.entry != nil && cur.capt.hold.box != nil {
+				t.Fatalf("cat %d row %d: the scan holds %d blocks", c, rows, held)
+			}
+			if id := int(rec.Field("id").IntVal()); !bytes.Equal(adm.AppendBinary(nil, rec), adm.AppendBinary(nil, viewRec(id))) {
+				t.Fatalf("cat %d: row %d is not record %d", c, rows, id)
+			}
+			rows++
+		}
+		if rows != n/1000 || cur.Err() != nil {
+			t.Fatalf("cat %d: %d rows, want %d: %v", c, rows, n/1000, cur.Err())
+		}
+		if cur.Transient() || residentPins(cache) != 0 {
+			t.Fatalf("cat %d: a drained scan holds a block", c)
+		}
+	}
+	// A probe's first row, its block evicted under it: by kind of hold,
+	// a pinned entry or a pooled box.
+	checked := map[string]bool{}
+	for c := 20; c < 1000 && len(checked) < 2; c++ {
+		cur := probeCat(snaps, idxs, c)
+		_, rec, ok := cur.Next()
+		if !ok {
+			t.Fatalf("cat %d: no row", c)
+		}
+		kind, data := "a view", []byte(nil)
+		switch {
+		case cur.capt.hold.entry != nil:
+			kind, data = "a pinned block", cur.capt.hold.entry.blk.data
+		case cur.capt.hold.box != nil:
+			kind, data = "a pooled block", cur.capt.hold.box.data
+		}
+		id := int(rec.Field("id").IntVal())
+		evict(blockOf(run, adm.AppendBinary(nil, adm.Int(int64(id)))))
+		if !bytes.Equal(adm.AppendBinary(nil, rec), adm.AppendBinary(nil, viewRec(id))) {
+			t.Fatalf("cat %d: a row read as %s changed once its block was evicted", c, kind)
+		}
+		if !cur.Transient() {
+			t.Fatalf("cat %d: a row read from a full cache as %s is not transient", c, kind)
+		}
+		cur.Close()
+		if bytes.Count(data, []byte{recycledByte}) != len(data) {
+			t.Fatalf("cat %d: the bytes of %s, released, were not overwritten", c, kind)
+		}
+		checked[kind] = true
+	}
+	if len(checked) < 2 {
+		t.Fatalf("the scans held blocks of the kinds %v, not both", checked)
+	}
+}
+
+// checkIndexScanAllocations is TestFullCacheIndexScanHoldsOneBlock's
+// allocation check, over runs of n and 2n records.
+func checkIndexScanAllocations(t *testing.T, budget int64, n int) {
+	recSize := len(adm.AppendBinary(nil, viewRec(n)))
+	const cats = 40
+	for _, n := range []int{n, 2 * n} {
+		_, snaps, idxs := indexedOverBudgetRun(t, budget, n)
+		scan := func() {
+			t.Helper()
+			if rows, _, err := countScan(NewLeasedScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || err != nil {
+				t.Fatalf("a leased scan saw %d rows: %v", rows, err)
+			}
+		}
+		scan() // fills the cache
+		perRow := math.Inf(1)
+		transient := 0
+		for round := range 3 {
+			scan()
+			var before, after runtime.MemStats
+			rows := 0
+			runtime.ReadMemStats(&before)
+			for c := range cats {
+				cur := probeCat(snaps, idxs, (round*cats+c)*7%1000)
+				for _, rec, ok := cur.Next(); ok; _, rec, ok = cur.Next() {
+					if rec.Field("cat").IsMissing() {
+						t.Fatal("a row without its cat")
+					}
+					if cur.Transient() {
+						transient++
+					}
+					rows++
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if rows != cats*n/1000 {
+				t.Fatalf("%d probes saw %d rows, want %d", cats, rows, cats*n/1000)
+			}
+			perRow = min(perRow, float64(after.TotalAlloc-before.TotalAlloc)/float64(rows))
+		}
+		t.Logf("%d records: %.0f B a row (%d-byte records; %d rows transient)", n, perRow, recSize, transient)
+		if transient == 0 || perRow >= float64(recSize) {
+			t.Errorf("%d records: a leased index scan over a full cache allocated %.0f B a row (%d transient): want less than a record's %d", n, perRow, transient, recSize)
 		}
 	}
 }

@@ -765,7 +765,7 @@ func (p *Partition) getLocked(kp *pointProbe) (adm.Value, bool, error) {
 		}
 		return v, true, nil
 	}
-	return lookupComponents(p.components, kp)
+	return lookupComponents(p.components, kp, nil)
 }
 
 // lookupComponents point-looks-up the probe's key across components
@@ -774,11 +774,12 @@ func (p *Partition) getLocked(kp *pointProbe) (adm.Value, bool, error) {
 // version may be in that block, so no older component may answer for
 // it. Every component is searched with the key's one encoding, and the
 // probe computes its bloom hash at most once per lookup (and not at all
-// when fences reject every run).
-func lookupComponents(comps []*component, kp *pointProbe) (v adm.Value, found bool, err error) {
+// when fences reject every run). h, when non-nil, is the hold a run may
+// lend the record's block to (runFile.get); a tombstone's is let go.
+func lookupComponents(comps []*component, kp *pointProbe, h *blockHold) (v adm.Value, found bool, err error) {
 	for _, c := range comps {
 		if c.run != nil {
-			v, found, err = c.run.get(kp)
+			v, found, err = c.run.get(kp, h)
 		} else {
 			v, found = memGet(c.tree, kp)
 		}
@@ -787,6 +788,9 @@ func lookupComponents(comps []*component, kp *pointProbe) (v adm.Value, found bo
 		}
 	}
 	if !found || v.IsMissing() {
+		if h != nil {
+			h.release()
+		}
 		return adm.Value{}, false, err
 	}
 	return v, true, nil
@@ -901,17 +905,18 @@ type Snapshot struct {
 // read fails the lookup with its read error, never answers not-found.
 func (s *Snapshot) Get(key adm.Value) (adm.Value, bool, error) {
 	kp := encodeProbe(key)
-	v, ok, err := lookupComponents(s.components, kp)
+	v, ok, err := lookupComponents(s.components, kp, nil)
 	putProbe(kp)
 	runtime.KeepAlive(s)
 	return v, ok, err
 }
 
 // getEncoded is Get for the key enc encodes: an index scan's primary
-// keys are encodings, looked up as they are.
-func (s *Snapshot) getEncoded(enc []byte) (adm.Value, bool, error) {
+// keys are encodings, looked up as they are. h, when non-nil, may keep
+// the block the record lies in (runFile.get).
+func (s *Snapshot) getEncoded(enc []byte, h *blockHold) (adm.Value, bool, error) {
 	kp := getProbe(enc)
-	v, ok, err := lookupComponents(s.components, kp)
+	v, ok, err := lookupComponents(s.components, kp, h)
 	putProbe(kp)
 	runtime.KeepAlive(s)
 	return v, ok, err

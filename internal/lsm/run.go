@@ -475,7 +475,8 @@ func (r *runFile) load() error {
 // can read it: the record views a lookup or cursor returns alias it for
 // as long as anything keeps them, and the cache recycles a block's
 // buffers only once no reader can (BlockCache: pins and escape). (The
-// blocks compaction and readRecord reuse are handed to no one.)
+// blocks compaction reuses are handed to no one, and those readRecord
+// reuses to a blockHold at most.)
 type block struct {
 	data []byte
 	// offs locates entry i in data: its key starts at offs[2i], its record
@@ -507,12 +508,12 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 // afterwards — a key compare, a field of a record view — cannot fail.
 // reuse lends its buffers to a caller that hands out nothing aliasing
 // them past their reuse — compaction; a point read whose block the cache
-// does not keep (readRecord), which copies its one record out; and a
-// pinning miss on a full shard, whose block the cache recycles only once
-// its pins are released (BlockCache). Every other reader passes the zero
-// block and gets memory of its own. An error names the run and the
-// block: it is the read fault the reader that asked for the block
-// reports.
+// does not keep (readRecord), which copies its one record out or lends
+// the block to a hold; and a pinning miss on a full shard, whose block
+// the cache recycles only once its pins are released (BlockCache).
+// Every other reader passes the zero block and gets memory of its own.
+// An error names the run and the block: it is the read fault the reader
+// that asked for the block reports.
 func (r *runFile) loadBlock(i int, reuse block) (b block, err error) {
 	defer func() {
 		if err != nil {
@@ -651,13 +652,15 @@ func (b block) lookup(key []byte) []byte {
 // comparison one of encodings (adm.CompareEncoded). On a shard with
 // room, a block the cache keeps serves the record as a view of its
 // bytes, so a hit decodes and allocates nothing. On a full shard the
-// read pins the block, copies its one record out and releases the pin,
-// so the block stays recyclable (BlockCache); a block that has escaped
-// already serves a view. A block the cache does not keep — a first
-// touch on a full shard, or any block of a run with no cache — is read
-// privately (readRecord). An error is a block that could not be read, so
-// the key may be here after all.
-func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
+// read pins the block, so that it stays recyclable (BlockCache): with a
+// hold, the record is a view of the block and h keeps the pin; without
+// one, the read copies its one record out and releases the pin. A block
+// that has escaped already serves a view. A block the cache does not
+// keep — a first touch on a full shard, or any block of a run with no
+// cache — is read privately (readRecord). Only a found record takes h,
+// which must hold nothing. An error is a block that could not be read,
+// so the key may be here after all.
+func (r *runFile) get(kp *pointProbe, h *blockHold) (v adm.Value, found bool, err error) {
 	if len(r.blocks) == 0 {
 		return adm.Value{}, false, nil
 	}
@@ -690,7 +693,11 @@ func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 		}
 		if ok {
 			rec := blk.lookup(key)
-			if lease != nil {
+			switch {
+			case lease == nil:
+			case rec != nil && h != nil:
+				h.entry = lease
+			default:
 				rec = bytes.Clone(rec) // nil stays nil
 				lease.release()
 			}
@@ -700,32 +707,70 @@ func (r *runFile) get(kp *pointProbe) (v adm.Value, found bool, err error) {
 			return adm.ViewAlias(rec), true, nil
 		}
 	}
-	return r.readRecord(i, key)
+	return r.readRecord(i, key, h)
 }
 
 // blockBufs lends readRecord the buffers a block is decoded into: the
 // payload and the offset table are garbage once the record is copied
-// out, so a point read that keeps no block allocates none.
+// out, or once the hold it was lent to lets go, so a point read that
+// keeps no block allocates none.
 var blockBufs = sync.Pool{New: func() any { return new(block) }}
 
 // readRecord is a point read that keeps no block: it loads block i into
 // pooled buffers, on the one path every block read takes (loadBlock:
-// checksum, decode, structure walk), and copies the record stored under
-// key out of it. The view it returns aliases that copy, never the
-// pooled bytes, which the next such read overwrites.
-func (r *runFile) readRecord(i int, key []byte) (adm.Value, bool, error) {
+// checksum, decode, structure walk), and returns the record stored under
+// key. With a hold, the record is a view of the pooled block, which h
+// keeps until it lets go; without one, it is a copy, and the pooled
+// bytes go back at once for the next such read to overwrite.
+func (r *runFile) readRecord(i int, key []byte, h *blockHold) (adm.Value, bool, error) {
 	bp := blockBufs.Get().(*block)
-	defer blockBufs.Put(bp)
 	blk, err := r.loadBlock(i, *bp)
 	if err != nil {
+		blockBufs.Put(bp)
 		return adm.Value{}, false, err
 	}
 	*bp = blk
 	rec := blk.lookup(key)
-	if rec == nil {
+	switch {
+	case rec == nil:
+		blockBufs.Put(bp)
 		return adm.Value{}, false, nil
+	case h != nil:
+		h.box = bp
+		return adm.ViewAlias(rec), true, nil
 	}
-	return adm.ViewAlias(bytes.Clone(rec)), true, nil
+	rec = bytes.Clone(rec)
+	blockBufs.Put(bp)
+	return adm.ViewAlias(rec), true, nil
+}
+
+// blockHold is the block a point read lent the record it returned
+// (get's h): the pin of a cached block (entry), or the pooled block a
+// read the cache declined decoded into (box). Its owner reads the record
+// until it calls release, and keeps nothing aliasing it past that
+// (IndexScanCursor).
+type blockHold struct {
+	entry *blockEntry
+	box   *block
+}
+
+// held reports whether h keeps a block.
+func (h *blockHold) held() bool { return h.entry != nil || h.box != nil }
+
+// release lets go of what h keeps: a pin ends (an evicted block's bytes
+// may be recycled), and a pooled block goes back to blockBufs overwritten
+// (recycledByte), so a view that outlived the hold fails to decode
+// instead of reading another block's records.
+func (h *blockHold) release() {
+	if h.entry != nil {
+		h.entry.release()
+		h.entry = nil
+	}
+	if h.box != nil {
+		overwrite(h.box.data)
+		blockBufs.Put(h.box)
+		h.box = nil
+	}
 }
 
 // incRef adds a keep-open reason (a snapshot).

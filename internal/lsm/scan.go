@@ -19,6 +19,17 @@ import (
 // materializes the tail and no key is decoded. A pk indexed after the
 // snapshot was pinned simply misses in the snapshot and is skipped; a
 // lookup that faults ends the cursor, and Err reports the fault.
+//
+// A leased cursor (NewLeasedIndexScanCursor) reads each record where it
+// lies on a full block cache instead of copying it out: it keeps the
+// pin of the cached block the record lies in, or the pooled block a read
+// the cache declined decoded into (blockHold), until the consumer calls
+// Next again or Close — one block at a time. Transient reports whether
+// the last row lies in such a block: once released, an evicted block's
+// bytes may be rewritten under every view of them, so the consumer must
+// copy (adm.Value.Detached) what it keeps of a transient row before it
+// calls Next again. A block on a shard with room, and a memtable record,
+// are views that stay readable, as an unleased cursor's rows all are.
 type IndexScanCursor struct {
 	snaps []*Snapshot
 	capt  *indexCapture // nil once closed
@@ -27,12 +38,15 @@ type IndexScanCursor struct {
 	err   error
 }
 
-// indexCapture is the buffers an index scan captures into, pooled: a
-// statement's probe reuses an earlier one's instead of growing its own.
+// indexCapture is what an index scan keeps while it is open, pooled: a
+// statement's probe reuses the buffers an earlier one captured into
+// instead of growing its own.
 type indexCapture struct {
 	pks    []string // the captured primary keys, all partitions
 	ends   []int    // pks[ends[p-1]:ends[p]] are partition p's
 	lo, hi []byte   // the range's encoded bounds
+	leased bool
+	hold   blockHold // what the row Next last returned lies in, if leased
 }
 
 var indexCaptures = sync.Pool{New: func() any { return new(indexCapture) }}
@@ -55,19 +69,35 @@ func NewIndexScanCursor(snaps []*Snapshot, idxs []*BTreeIndex, lo, hi index.Boun
 	return &IndexScanCursor{snaps: snaps, capt: cp}
 }
 
+// NewLeasedIndexScanCursor is NewIndexScanCursor for a consumer that
+// keeps only copies of the rows Transient marks: each row may lie in a
+// block the cursor holds until the next Next or Close (see
+// IndexScanCursor).
+func NewLeasedIndexScanCursor(snaps []*Snapshot, idxs []*BTreeIndex, lo, hi index.Bound) *IndexScanCursor {
+	c := NewIndexScanCursor(snaps, idxs, lo, hi)
+	c.capt.leased = true
+	return c
+}
+
 // Next resolves and returns the next matched record, with its primary
 // key a view of the index entry's bytes. Output order is entry order
 // per partition (secondary key, then primary key), not global
 // primary-key order; consumers needing an order sort above. At the end,
-// or on a fault, the cursor closes itself.
+// or on a fault, the cursor closes itself. A leased cursor first lets go
+// of the block the previous row lies in.
 func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
+	var h *blockHold
+	if c.capt != nil && c.capt.leased {
+		h = &c.capt.hold
+		h.release()
+	}
 	for c.capt != nil && c.pos < len(c.capt.pks) {
 		for c.pos >= c.capt.ends[c.part] {
 			c.part++
 		}
 		pk := bytesOf(c.capt.pks[c.pos])
 		c.pos++
-		rec, found, err := c.snaps[c.part].getEncoded(pk)
+		rec, found, err := c.snaps[c.part].getEncoded(pk, h)
 		if err != nil {
 			c.err = err
 			break
@@ -80,19 +110,28 @@ func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
 	return adm.Value{}, adm.Value{}, false
 }
 
+// Transient reports whether the row Next last returned lies in a block
+// this leased cursor holds: once Next or Close is called, its bytes —
+// and every view of them — may be rewritten. It is always false for an
+// unleased cursor, and for a row read from a memtable or from a shard
+// with room.
+func (c *IndexScanCursor) Transient() bool { return c.capt != nil && c.capt.hold.held() }
+
 // Err returns the read fault that ended the cursor early, or nil.
 func (c *IndexScanCursor) Err() error { return c.err }
 
-// Close returns the capture's buffers to the pool; Next reports
-// exhaustion from then on. Closing twice is harmless.
+// Close lets go of the block the last row lies in and returns the
+// capture's buffers to the pool; Next reports exhaustion from then on.
+// Closing twice is harmless.
 func (c *IndexScanCursor) Close() {
 	cp := c.capt
 	if cp == nil {
 		return
 	}
+	cp.hold.release()
 	c.capt, c.snaps = nil, nil
 	clear(cp.pks) // don't pin index entries from the pool
-	cp.pks, cp.ends = cp.pks[:0], cp.ends[:0]
+	cp.pks, cp.ends, cp.leased = cp.pks[:0], cp.ends[:0], false
 	indexCaptures.Put(cp)
 }
 

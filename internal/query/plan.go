@@ -513,9 +513,13 @@ func (plan *EnrichPlan) Stateless() bool { return !plan.usesDatasets }
 // once the call returns: a caller may then rewrite that record's bytes
 // for the next one. A library call (ns#f) may stash its arguments, and a
 // catalog UDF may make such a call, so either makes the answer false.
-func (plan *EnrichPlan) KeepsNoInput() bool {
+func (plan *EnrichPlan) KeepsNoInput() bool { return callsOnlyBuiltins(plan.body) }
+
+// callsOnlyBuiltins reports whether every call in e, at any depth, is a
+// builtin or an aggregate: nothing e runs can keep a value it is handed.
+func callsOnlyBuiltins(e sqlpp.Expr) bool {
 	keeps := false
-	sqlpp.Inspect(plan.body, func(e sqlpp.Expr) bool {
+	sqlpp.Inspect(e, func(e sqlpp.Expr) bool {
 		if call, ok := e.(*sqlpp.Call); ok && !keeps {
 			_, builtin := LookupBuiltin(call.Name)
 			keeps = call.Ns != "" || !builtin && !IsAggregate(strings.ToLower(call.Name))

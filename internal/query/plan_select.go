@@ -39,8 +39,12 @@ import (
 //     one (subquery, UDF body) may run once per outer row, and a set of
 //     scan workers per row costs more than it overlaps.
 //  3. Serial scan — everything else.
+//
+// Its caller is the one consumer whose rows may be transient
+// (RowCursor.Transient): it must copy what it keeps of such a row
+// before it calls Next again.
 func ExecuteSelectCursor(ctx *Context, env *Env, sel *sqlpp.SelectExpr) (*RowCursor, error) {
-	return openSelect(evalState{ctx: ctx}, env, sel)
+	return openBlock(evalState{ctx: ctx}, env, sel, nil, true)
 }
 
 // openSelect enters a query block — one nesting level down, outside any
@@ -59,13 +63,15 @@ func openSelect(st evalState, env *Env, sel *sqlpp.SelectExpr) (*RowCursor, erro
 	if kp := st.scratch.pipeline(sel, ps); kp != nil {
 		return kp.open(st, env, sel, ps)
 	}
-	return openBlock(st, env, sel, ps)
+	return openBlock(st, env, sel, ps, false)
 }
 
 // openBlock is openSelect with no kept pipeline: every operator is built.
-func openBlock(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub) (*RowCursor, error) {
+// streams says the cursor's rows go straight to ExecuteSelectCursor's
+// caller (see leaseRows).
+func openBlock(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, streams bool) (*RowCursor, error) {
 	if ps != nil {
-		return openPipeline(st.noGroup(), env, sel, ps, false)
+		return openPipeline(st.noGroup(), env, sel, ps, false, false)
 	}
 	st, err := st.deeper()
 	if err != nil {
@@ -105,7 +111,7 @@ func openBlock(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub) (
 		// scope by binding it to MISSING (only presence matters here).
 		scope = Bind(scope, fc.Alias, adm.Missing())
 	}
-	return openPipeline(st, env, sel, nil, livePin)
+	return openPipeline(st, env, sel, nil, livePin, streams)
 }
 
 // openPipeline evaluates LIMIT, assembles the operators and wraps them
@@ -113,8 +119,9 @@ func openBlock(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub) (
 // non-nil, is a compiled enrichment probe whose FROM product
 // (preparedSub.open) stands in for the FROM, LET and WHERE operators.
 // livePin says the caller pinned the first FROM dataset just now (see
-// planScanLeaf).
-func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, livePin bool) (*RowCursor, error) {
+// planScanLeaf); streams, that the cursor's rows go straight to
+// ExecuteSelectCursor's caller (see leaseRows).
+func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, livePin, streams bool) (*RowCursor, error) {
 	rc := &RowCursor{st: st, sel: sel, limit: -1}
 	if sel.Limit != nil {
 		lv, err := eval(st, nil, sel.Limit)
@@ -128,11 +135,11 @@ func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub
 		rc.limit = n
 	}
 	rc.limit0 = rc.limit
-	rows, err := planSelect(st, env, sel, rc.limit, ps, livePin)
+	rows, lent, err := planSelect(st, env, sel, rc.limit, ps, livePin, streams)
 	if err != nil {
 		return nil, err
 	}
-	rc.rows = rows
+	rc.rows, rc.lent = rows, lent
 	if sel.Distinct {
 		rc.dedup = newValueDedup()
 	}
@@ -141,10 +148,13 @@ func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub
 
 // planSelect assembles the operator pipeline under the base env (with
 // leading LETs already bound): FROM → LET → WHERE, or a compiled probe's
-// FROM product when ps is non-nil, then aggregate and order.
-func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *preparedSub, livePin bool) (rowSrc, error) {
+// FROM product when ps is non-nil, then aggregate and order. lent is the
+// leaf, when an index scan whose rows may lie in blocks it holds
+// (leaseRows).
+func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *preparedSub, livePin, streams bool) (rows rowSrc, lent *lsm.IndexScanCursor, err error) {
 	aggCalls := collectSelectAggs(sel)
 	grouped := len(sel.GroupBy) > 0 || len(aggCalls) > 0
+	lease := streams && leaseRows(sel, grouped)
 
 	orderHandled := false
 	reuse := false
@@ -152,22 +162,26 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 	var cur tupleCursor
 	if ps != nil {
 		reuse = envReuse(sel, grouped, limit, false, false)
-		var err error
 		if cur, err = ps.open(st, env, reuse); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else {
 		wherePushed := false
 		from := sel.From
 		if len(from) > 0 {
-			leaf, pushed, keyOrdered, err := planScanLeaf(st, env, sel, grouped, aggCalls, limit, livePin)
+			leaf, pushed, keyOrdered, err := planScanLeaf(st, env, sel, grouped, aggCalls, limit, livePin, lease)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if leaf != nil {
 				reuse = envReuse(sel, grouped, limit, pushed, keyOrdered)
-				if pc, ok := leaf.(*parallelColl); ok {
-					scan = pc.pc
+				switch l := leaf.(type) {
+				case *parallelColl:
+					scan = l.pc
+				case *indexScanColl:
+					if lease {
+						lent = l.sc
+					}
 				}
 				cur = &scanFromCursor{base: env, alias: from[0].Alias, leaf: leaf, reuse: reuse}
 				wherePushed, orderHandled = pushed, keyOrdered
@@ -188,7 +202,6 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 		}
 	}
 
-	var rows rowSrc
 	if grouped {
 		rows = &aggRows{st: st, inner: cur, keys: sel.GroupBy, calls: aggCalls, copyRep: reuse, scan: scan}
 	} else {
@@ -205,7 +218,7 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 		// representatives); only raw scan rows need copying on accept.
 		rows = &topkRows{st: st, inner: rows, orderBy: sel.OrderBy, k: k, copyEnv: reuse && !grouped, scan: scan}
 	}
-	return rows, nil
+	return rows, lent, nil
 }
 
 // envReuse is the env-reuse rule: the FROM leaf — a scan, or a compiled
@@ -247,6 +260,22 @@ func envReuse(sel *sqlpp.SelectExpr, grouped bool, limit int64, wherePushed, key
 	return len(sel.From) == 1 && len(sel.FromLets) == 0 && safeWhere && (topkReuse || grouped)
 }
 
+// leaseRows is the rule for an index probe's rows, whose blocks the
+// probe lends them (lsm.NewLeasedIndexScanCursor) where the block's rows
+// stream straight out of ExecuteSelectCursor: ungrouped, with no ORDER BY
+// and no DISTINCT, nothing of a row outlives the next pull but what the
+// cursor hands its caller — projection builds the row and LIMIT counts
+// it, and a FROM, LET, WHERE or subquery reads it before the leaf is
+// pulled again — and that caller copies what it keeps of a row the
+// cursor reports transient (RowCursor.Transient). A library call or a
+// catalog UDF anywhere in the block could keep a value it is handed, so
+// either keeps the copy. A probe under a keeping operator — the top-k
+// heap, the hash aggregate, the DISTINCT set — keeps it too: that is
+// the least code, and the point probe's shape is the streaming one.
+func leaseRows(sel *sqlpp.SelectExpr, grouped bool) bool {
+	return !grouped && len(sel.OrderBy) == 0 && !sel.Distinct && callsOnlyBuiltins(sel)
+}
+
 // planScanLeaf builds the record stream for the first FROM clause when
 // it names a dataset: an index range probe, a parallel partition scan,
 // or a serial scan. A nil leaf means the clause is not a plannable
@@ -258,8 +287,9 @@ func envReuse(sel *sqlpp.SelectExpr, grouped bool, limit int64, wherePushed, key
 // SELECT (depth 1) whose openSelect pinned the dataset itself (livePin).
 // A nested SELECT runs later, maybe once per outer row, against the
 // statement's or the batch's older pin — as does a block reached with
-// the dataset already pinned — and scans the snapshot instead.
-func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, aggCalls []*sqlpp.Call, limit int64, livePin bool) (leaf collCursor, pushed, keyOrdered bool, err error) {
+// the dataset already pinned — and scans the snapshot instead. lease
+// says the probe may lend its rows their blocks (leaseRows).
+func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, aggCalls []*sqlpp.Call, limit int64, livePin, lease bool) (leaf collCursor, pushed, keyOrdered bool, err error) {
 	fc := sel.From[0]
 	id, isIdent := fc.Source.(*sqlpp.Ident)
 	if !isIdent || st.ctx.Catalog == nil {
@@ -280,7 +310,11 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 	// 1. Index pushdown (outermost SELECT on its own fresh pin only).
 	if !st.ctx.DisableIndexScan && st.depth == 1 && livePin && sel.Where != nil {
 		if field, idxName, idxs, lo, hi, found := pickIndexRange(st.ctx, ds, fc.Alias, sel.Where); found {
-			return &indexScanColl{sc: lsm.NewIndexScanCursor(snaps, idxs, lo, hi), index: idxName, field: field}, false, false, nil
+			open := lsm.NewIndexScanCursor
+			if lease {
+				open = lsm.NewLeasedIndexScanCursor
+			}
+			return &indexScanColl{sc: open(snaps, idxs, lo, hi), index: idxName, field: field}, false, false, nil
 		}
 	}
 

@@ -750,7 +750,7 @@ type keptPipeline struct {
 func (kp *keptPipeline) open(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub) (*RowCursor, error) {
 	rc := kp.rc
 	if rc == nil || !rc.done || kp.depth != st.depth {
-		fresh, err := openBlock(st, env, sel, ps)
+		fresh, err := openBlock(st, env, sel, ps, false)
 		if err == nil && rc == nil && !kp.never {
 			if kp.never = !rewindable(fresh.rows); !kp.never {
 				kp.rc, kp.depth, kp.lets = fresh, st.depth, make([]Env, len(sel.Lets))

@@ -48,6 +48,9 @@ type RowCursor struct {
 	// (projectRow). Only the cursor of an enrichment UDF's body has one
 	// (EvalRecord); a SELECT nested in it builds its rows apart.
 	dst *[]byte
+	// lent is the leaf, when an index probe that lends its rows the
+	// blocks they lie in (leaseRows): Transient asks it.
+	lent *lsm.IndexScanCursor
 }
 
 // Next returns the next result row. After ok=false (exhaustion or
@@ -89,6 +92,14 @@ func (rc *RowCursor) Next() (adm.Value, bool, error) {
 		return v, true, nil
 	}
 }
+
+// Transient reports whether the row Next last returned may lie in a
+// storage block the cursor holds only until the next Next or Close (an
+// index probe's, on a full block cache: leaseRows). The row, and every
+// value read out of it — a projected row's strings alias it too — must
+// then be copied (adm.Value.Detached) to be kept past that call. Only a
+// cursor ExecuteSelectCursor opened reports a row transient.
+func (rc *RowCursor) Transient() bool { return rc.lent != nil && rc.lent.Transient() }
 
 func (rc *RowCursor) rowState(r rowT) evalState {
 	if r.grouped {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/ideadb/idea"
-	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/wire"
 )
 
@@ -35,9 +34,8 @@ type conn struct {
 	// request.
 	closeAfter atomic.Bool
 
-	// body and batch are per-session scratch reused across responses.
-	body  []byte
-	batch []adm.Value
+	// body is per-session scratch reused across responses.
+	body []byte
 }
 
 // beginDrain is Shutdown's per-connection half: no more requests will
@@ -205,9 +203,12 @@ func (c *conn) handleExecute(body []byte) error {
 
 // handleQuery streams one SELECT: header, row batches pulled straight
 // from the engine's cursor with a flush per batch, then a trailer.
-// Between batches it polls the client so a CloseRows (or a dead peer)
-// tears the cursor down promptly — a mid-stream disconnect never leaks
-// a server-side cursor or its partition scans.
+// Each row is encoded into the batch body as it is pulled, before the
+// next one (Rows.AppendADM): a row an index probe read where it lies in
+// a full block cache is valid only until then, and is copied once, into
+// the reply. Between batches it polls the client so a CloseRows (or a
+// dead peer) tears the cursor down promptly — a mid-stream disconnect
+// never leaks a server-side cursor or its partition scans.
 func (c *conn) handleQuery(body []byte) error {
 	req, perr := wire.ParseRequest(body)
 	if perr != nil {
@@ -230,9 +231,6 @@ func (c *conn) handleQuery(body []byte) error {
 	}
 	if err := c.flush(); err != nil {
 		return err
-	}
-	if cap(c.batch) < c.srv.cfg.BatchRows {
-		c.batch = make([]adm.Value, 0, c.srv.cfg.BatchRows)
 	}
 	sent := uint64(0)
 	lastPoll := time.Now()
@@ -257,25 +255,26 @@ func (c *conn) handleQuery(body []byte) error {
 				return c.writeTrailer(sent)
 			}
 		}
-		c.batch = c.batch[:0]
+		c.body = wire.BeginRowBatch(c.body)
+		n := 0
 		exhausted := false
-		for len(c.batch) < c.srv.cfg.BatchRows {
+		for n < c.srv.cfg.BatchRows {
 			if !rows.Next() {
 				exhausted = true
 				break
 			}
-			c.batch = append(c.batch, idea.UnwrapADM(rows.Value()))
+			c.body = rows.AppendADM(c.body)
+			n++
 		}
-		if len(c.batch) > 0 {
-			c.body = wire.AppendRowBatch(c.body[:0], c.batch)
-			if err := c.wc.WriteFrame(wire.TypeRowBatch, c.body); err != nil {
+		if n > 0 {
+			if err := c.wc.WriteFrame(wire.TypeRowBatch, wire.EndRowBatch(c.body, n)); err != nil {
 				return err
 			}
 			if err := c.flush(); err != nil {
 				return err
 			}
-			sent += uint64(len(c.batch))
-			c.srv.add(&c.srv.stats.RowsSent, int64(len(c.batch)))
+			sent += uint64(n)
+			c.srv.add(&c.srv.stats.RowsSent, int64(n))
 		}
 		if exhausted {
 			if err := rows.Err(); err != nil {

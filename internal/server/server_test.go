@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/ecdsa"
 	"crypto/elliptic"
@@ -8,6 +9,7 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
+	"database/sql"
 	"encoding/pem"
 	"fmt"
 	"math/big"
@@ -18,6 +20,7 @@ import (
 	"time"
 
 	"github.com/ideadb/idea"
+	"github.com/ideadb/idea/driver"
 	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/wire"
 )
@@ -801,4 +804,84 @@ func TestServerConfigKnobs(t *testing.T) {
 			t.Fatalf("OpenCursors = %d after the stalled session ended", got)
 		}
 	})
+}
+
+// TestFullCacheProbeOverTheWireMatchesQuery: an index probe over a
+// dataset three times the size of a full block cache, whose rows the
+// server encodes into each batch from the blocks they lie in, answers a
+// driver over the wire with the rows Cluster.Query yields, in order, in
+// batches of 200 rows (a two-byte count) and fewer, while leased scans
+// recycle the cache's blocks between the probes.
+func TestFullCacheProbeOverTheWireMatchesQuery(t *testing.T) {
+	const n, cats = 24000, 100
+	schema := testSchema + `CREATE INDEX by_cat ON D(cat) TYPE BTREE;`
+	dir := t.TempDir()
+	// A clean Close writes every record to run files; the reopened
+	// cluster reads them through a cache of a third of their size.
+	load := newCluster(t, idea.Config{Nodes: 2, DataDir: dir})
+	load.MustExecute(schema)
+	for lo := 0; lo < n; lo += 4000 {
+		recs := make([]any, 0, 4000)
+		for i := lo; i < lo+4000; i++ {
+			recs = append(recs, idea.Obj("id", i, "cat", fmt.Sprintf("c%02d", i%cats), "pad", fmt.Sprintf("%0256d", i)))
+		}
+		load.MustExecute(`UPSERT INTO D ($1)`, idea.Arr(recs...))
+	}
+	if err := load.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster(t, idea.Config{Nodes: 2, DataDir: dir, BlockCacheBytes: 2 << 20})
+	c.MustExecute(schema)
+	_, addr := startServer(t, c, Config{BatchRows: 200})
+	conn, err := driver.NewConnector(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := sql.OpenDB(conn)
+	defer db.Close()
+	ctx := context.Background()
+	const probe = `SELECT VALUE t FROM D t WHERE t.cat = $1`
+	recycle := func() {
+		t.Helper()
+		var groups int
+		if err := db.QueryRowContext(ctx, `SELECT VALUE count(*) FROM (SELECT t.cat FROM D t GROUP BY t.cat) g`).Scan(&groups); err != nil || groups != cats {
+			t.Fatalf("%d groups, want %d: %v", groups, cats, err)
+		}
+	}
+	recycle() // fills the cache
+	for cat := range 20 {
+		arg := fmt.Sprintf("c%02d", cat)
+		vals, err := c.Query(ctx, probe, arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := vals.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := db.QueryContext(ctx, probe, arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for ; rows.Next(); got++ {
+			var js []byte
+			if err := rows.Scan(&js); err != nil {
+				t.Fatal(err)
+			}
+			if got >= len(want) || !bytes.Equal(js, want[got].JSON()) {
+				t.Fatalf("cat %d row %d over the wire: %s", cat, got, js)
+			}
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if got != n/cats || len(want) != n/cats {
+			t.Fatalf("cat %d: %d rows over the wire, %d from Query; want %d", cat, got, len(want), n/cats)
+		}
+		recycle()
+	}
+	if st := c.StorageStats(); st.BlockCacheEvictions == 0 || st.BlockCacheRecycled == 0 {
+		t.Fatalf("%d evictions, %d recycled loads: the probes read no full cache", st.BlockCacheEvictions, st.BlockCacheRecycled)
+	}
 }

@@ -129,13 +129,38 @@ func ParseHeader(body []byte) (Header, error) {
 	return h, wrap("header", r.Done())
 }
 
-// AppendRowBatch encodes a batch of result rows.
+// AppendRowBatch encodes a batch of result rows given as one slice
+// (BeginRowBatch builds the same body a row at a time).
 func AppendRowBatch(dst []byte, rows []adm.Value) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
 	for _, v := range rows {
 		dst = adm.AppendBinary(dst, v)
 	}
 	return dst
+}
+
+// A RowBatch body is the count of its rows (a uvarint) and then each
+// row's ADM encoding. The count is known only once the last row is
+// encoded, so a body is built in memory that keeps rowCountRoom bytes
+// for it in front of the rows.
+const rowCountRoom = binary.MaxVarintLen64
+
+// BeginRowBatch starts a RowBatch body in dst's memory: append each
+// row's ADM encoding (adm.AppendBinary) to the slice it returns, and
+// EndRowBatch makes the body of what was appended.
+func BeginRowBatch(dst []byte) []byte {
+	return append(dst[:0], make([]byte, rowCountRoom)...)
+}
+
+// EndRowBatch writes the count of the n rows appended to b, a body
+// BeginRowBatch began, right before them and returns the body, a
+// suffix of b: the bytes AppendRowBatch encodes those rows to.
+func EndRowBatch(b []byte, n int) []byte {
+	var count [rowCountRoom]byte
+	k := binary.PutUvarint(count[:], uint64(n))
+	start := rowCountRoom - k
+	copy(b[start:], count[:k])
+	return b[start:]
 }
 
 // BatchReader reads a RowBatch body incrementally. The body may alias

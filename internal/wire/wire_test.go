@@ -227,6 +227,34 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRowBatchBuiltRowByRow: a body BeginRowBatch began, each row
+// appended as it comes and EndRowBatch closed, is AppendRowBatch's body
+// byte for byte, whatever the length of its count's uvarint — built in
+// a buffer reused from batch to batch, the way a session builds them.
+func TestRowBatchBuiltRowByRow(t *testing.T) {
+	rows := make([]adm.Value, 20000)
+	for i := range rows {
+		switch i % 3 {
+		case 0:
+			rows[i] = adm.Int(int64(i))
+		case 1:
+			rows[i] = adm.String(string(rune('a' + i%26)))
+		default:
+			rows[i] = adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(int64(i)), "tags", adm.Array([]adm.Value{adm.Null()})))
+		}
+	}
+	var buf []byte
+	for _, n := range []int{0, 1, 127, 128, 300, 16383, 16384, len(rows)} {
+		buf = BeginRowBatch(buf)
+		for _, v := range rows[:n] {
+			buf = adm.AppendBinary(buf, v)
+		}
+		if got, want := EndRowBatch(buf, n), AppendRowBatch(nil, rows[:n]); !bytes.Equal(got, want) {
+			t.Fatalf("%d rows: a body built row by row differs from AppendRowBatch's (%d bytes, want %d)", n, len(got), len(want))
+		}
+	}
+}
+
 func TestRowBatchRoundTrip(t *testing.T) {
 	rows := []adm.Value{
 		adm.Int(1),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"iter"
 
+	"github.com/ideadb/idea/internal/adm"
 	"github.com/ideadb/idea/internal/query"
 )
 
@@ -35,18 +36,25 @@ import (
 // as of the call even while feeds keep ingesting (the paper's
 // record-level consistency; a dataset touched only inside a subquery
 // or UDF pins at its first access during iteration).
-// Yielded Values are safe to retain after Close — result rows are
-// either freshly projected objects or records whose backing memory
-// storage retains; they never alias recycled frame arenas (see
-// docs/ARCHITECTURE.md, "Rows lifetime").
+// Values yielded by Value, All and Collect are safe to retain after
+// Close — result rows are freshly projected objects, records whose
+// backing memory storage retains, or, for a row an index probe read
+// where it lies in a full block cache, a copy Value makes; they never
+// alias recycled frame arenas or blocks (see docs/ARCHITECTURE.md,
+// "Rows lifetime"). AppendADM encodes the current row without that
+// copy.
 //
 // Rows is not safe for concurrent use.
 type Rows struct {
-	ctx  context.Context
-	cur  *query.RowCursor
-	val  Value
-	err  error
-	done bool
+	ctx context.Context
+	cur *query.RowCursor
+	val Value
+	// transient says val may lie in a block the cursor holds only until
+	// its next Next or Close (query.RowCursor.Transient): Value copies it
+	// first.
+	transient bool
+	err       error
+	done      bool
 }
 
 // Next advances to the next row, reporting whether one is available.
@@ -63,6 +71,10 @@ func (r *Rows) Next() bool {
 			return false
 		}
 	}
+	if r.transient {
+		// The row no Value call copied goes with the block it lies in.
+		r.val, r.transient = Value{}, false
+	}
 	v, ok, err := r.cur.Next()
 	if err != nil {
 		r.err = err
@@ -73,12 +85,26 @@ func (r *Rows) Next() bool {
 		r.close()
 		return false
 	}
-	r.val = Value{v}
+	r.val, r.transient = Value{v}, r.cur.Transient()
 	return true
 }
 
-// Value returns the row the last successful Next produced.
-func (r *Rows) Value() Value { return r.val }
+// Value returns the row the last successful Next produced, safe to
+// retain: a row that lies in a block the cursor holds is copied here,
+// once. Call it before the next Next — such a row that Value did not
+// copy is gone once the cursor moves on.
+func (r *Rows) Value() Value {
+	if r.transient {
+		r.val, r.transient = Value{r.val.v.Detached()}, false
+	}
+	return r.val
+}
+
+// AppendADM appends the ADM binary encoding of the row the last
+// successful Next produced to dst and returns the extended buffer: the
+// bytes a reply carries for the row, written from wherever the row lies,
+// with no copy of the row kept.
+func (r *Rows) AppendADM(dst []byte) []byte { return adm.AppendBinary(dst, r.val.v) }
 
 // Err returns the error that terminated iteration, if any. It is nil
 // after a clean exhaustion; Close never clears it, so the idiomatic
@@ -96,6 +122,7 @@ func (r *Rows) Close() error {
 func (r *Rows) close() {
 	if !r.done {
 		r.done = true
+		r.Value() // a transient row is copied before its block goes
 		r.cur.Close()
 	}
 }
@@ -107,7 +134,7 @@ func (r *Rows) All() iter.Seq2[Value, error] {
 	return func(yield func(Value, error) bool) {
 		defer r.Close()
 		for r.Next() {
-			if !yield(r.val, nil) {
+			if !yield(r.Value(), nil) {
 				return
 			}
 		}
@@ -124,7 +151,7 @@ func (r *Rows) Collect() ([]Value, error) {
 	defer r.Close()
 	var out []Value
 	for r.Next() {
-		out = append(out, r.val)
+		out = append(out, r.Value())
 	}
 	return out, r.err
 }
