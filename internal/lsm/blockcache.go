@@ -52,12 +52,15 @@ import (
 // point read would.
 //
 // Where an evicted block's bytes go is decided apart, by who read it.
-// Some readers keep the block they were handed — and every view into it
-// — through eviction, dropRun and the cache itself: a serial scan, a
-// parallel scan that streams its rows out, and a point read on a shard
-// with room, which hands up a view of the block. Such a block is
-// escaped, and the garbage collector frees it. Every other reader keeps
-// nothing aliasing the block past a pin it holds while it reads:
+// The unit of block memory is the entry: every load — a miss, and a
+// point miss the cache declined — takes an entry from one pool
+// (entries) and decodes into the entry's own buffers. Some readers keep
+// the block they were handed — and every view into it — through
+// eviction, dropRun and the cache itself: a serial scan, a parallel scan
+// that streams its rows out, and a point read on a shard with room,
+// which hands up a view of the block. Such an entry is escaped, and the
+// garbage collector frees it. Every other reader keeps nothing aliasing
+// the block past a pin it holds on the entry while it reads:
 //
 //   - a parallel scan whose rows only a top-k heap or a hash aggregate
 //     keeps, and those copy what they keep (see the query package's
@@ -69,8 +72,10 @@ import (
 //   - a point read on a full shard — one without the room of a pooled
 //     buffer, recycledRoom — pins the block, copies its one record out
 //     and releases the pin (runFile.get); under a leased index scan it
-//     lends the pin to the scan instead, which releases it when its
-//     consumer pulls the next row (IndexScanCursor).
+//     hands the pin to the scan's leaseList instead, which releases it
+//     when its consumer pulls the next row (IndexScanCursor). A declined
+//     miss's private read is an entry no shard holds, pinned once by its
+//     reader.
 //
 // Each entry keeps a pin count and an escaped bit under its shard's
 // lock:
@@ -78,15 +83,13 @@ import (
 //   - a pinning fetch pins an entry that has not escaped;
 //   - every other fetch, a single-flight waiter included, marks it
 //     escaped for good;
-//   - a pinning miss enters unescaped, and on a full shard it decodes
-//     into a pooled block (blockBufs); every other load is escaped from
+//   - a pinning miss enters unescaped, every other load escaped from
 //     birth, so a cache that never fills holds point blocks as views;
-//   - eviction and dropRun hand an unescaped victim's payload and offset
-//     table back to blockBufs — at once if nothing pins it, else at its
-//     last release — overwritten with recycledByte first, so a view that
-//     outlived its pin fails to decode instead of reading another
-//     block's records. The next full-shard pinning miss decodes into
-//     them.
+//   - an entry the cache has let go of (eviction, dropRun) goes back to
+//     the pool whole once it is also unpinned and unescaped — at once,
+//     or at its last release — its payload overwritten with recycledByte
+//     first, so a view that outlived its pin fails to decode instead of
+//     reading another block's records. The next load decodes into it.
 //
 // Pins change no residency: a pinned entry is evicted as any other, and
 // only the reuse of its bytes waits. The budget counts payload lengths
@@ -140,7 +143,7 @@ type CacheStats struct {
 	// their readers read the block privately and kept only the record.
 	BlockCacheBypasses uint64
 	// Recycled counts the block loads that decoded into the memory of a
-	// block the cache had let go of (blockBufs) instead of allocating.
+	// block the cache had let go of (entries) instead of allocating.
 	BlockCacheRecycled uint64
 }
 
@@ -170,12 +173,11 @@ const recycledByte = 0xff
 // runBlockTarget bytes uses, uncharged.
 const maxRecycled = 2 * runBlockTarget
 
-// recycledRoom is the room a full-shard miss gives a pooled payload
-// buffer that has less, and the room a fresh payload just over
-// runBlockTarget is decoded into (decodeBlockBody): a writer flushes a
-// block once its payload reaches runBlockTarget, so a block of records
-// under 2 KiB fits, and any buffer the pool holds fits any such block.
-// It is the allocator's size class for payloads just over
+// recycledRoom is the room a fresh payload just over runBlockTarget is
+// decoded into (decodeBlockBody): a writer flushes a block once its
+// payload reaches runBlockTarget, so a block of records under 2 KiB
+// fits, and a pooled entry that once held such a block fits any such
+// block. It is the allocator's size class for payloads just over
 // runBlockTarget, so it takes no more memory than a buffer of exactly
 // their length does.
 const recycledRoom = runBlockTarget + runBlockTarget/8
@@ -187,23 +189,20 @@ type blockKey struct {
 	block int
 }
 
-// blockEntry is one cached block, or one being loaded. blk and err are
-// written once, by the load, before loaded is done; box too, under the
-// lock. The list links, inRing, pins, escaped and gone are owned by the
-// shard lock.
+// blockEntry is one block in memory, and the unit the cache keeps,
+// evicts and recycles: one cached or being loaded, or one a declined
+// point miss read privately (no shard, gone from birth). blk and err
+// are written once, by the load, before loaded is done. The list links,
+// inRing, pins, escaped and gone are owned by the shard lock (by the
+// one reader, for a private entry).
 type blockEntry struct {
 	key    blockKey
 	shard  *cacheShard
 	blk    block
 	err    error
 	loaded sync.WaitGroup
-	// box is the pooled block whose buffers a full-shard miss decoded
-	// into: where blk's buffers go back when the cache lets go of them
-	// (recycle, which allocates one for a block loaded into fresh
-	// memory).
-	box *block
 	// pins counts the pins held on the entry; escaped says a reader that
-	// does not pin has it; gone says the cache let go of it.
+	// does not pin has it; gone says no cache holds it.
 	pins    int32
 	escaped bool
 	gone    bool
@@ -260,6 +259,13 @@ func (c *BlockCache) shard(k blockKey) *cacheShard {
 	return &c.shards[(k.run*31+uint64(k.block))%blockCacheShards]
 }
 
+// entries lends every load the entry it decodes into (BlockCache): an
+// entry the cache let go of, unpinned and unescaped, comes back here
+// whole with its buffers, and the next load overwrites them. A pooled
+// entry's WaitGroup is idle: every waiter either pinned the entry, and
+// released it after its Wait returned, or escaped it for good.
+var entries = sync.Pool{New: func() any { return new(blockEntry) }}
+
 // fetch returns block i of run: the resident block on a hit, else the
 // block load returns, published — into hot for a point read, into the
 // ring for a scan. The mode also decides what a hit moves, and whether
@@ -271,7 +277,7 @@ func (c *BlockCache) shard(k blockKey) *cacheShard {
 // that each loaded a copy would read and allocate the block once each. A
 // point miss the shard does not admit (admits) loads nothing here: fetch
 // returns ok false, and the reader reads the block itself. load decodes
-// into reuse's buffers when they have the room.
+// into the buffers of reuse, a pooled entry's, when they have the room.
 func (c *BlockCache) fetch(run uint64, i int, mode readMode, load func(reuse block) (block, error)) (blk block, lease *blockEntry, ok bool, err error) {
 	k := blockKey{run: run, block: i}
 	s := c.shard(k)
@@ -292,15 +298,16 @@ func (c *BlockCache) fetch(run uint64, i int, mode readMode, load func(reuse blo
 			c.bypasses.Add(1)
 			return block{}, nil, false, nil
 		}
-		// The entry is made before the load, so waiters have something to
-		// wait on and a miss allocates no more than it did.
-		e = &blockEntry{key: k, shard: s, escaped: !pin}
+		// The entry is taken before the load, so waiters have something to
+		// wait on.
+		e = entries.Get().(*blockEntry)
+		e.key, e.shard, e.escaped = k, s, !pin
 		lease = e.hold(pin)
 		e.loaded.Add(1)
 		s.loading[k] = e
 		s.mu.Unlock()
 		c.count(false, scan)
-		c.load(s, e, scan, pin && full, load)
+		c.load(s, e, scan, load)
 		if e.err != nil {
 			return block{}, nil, true, e.err
 		}
@@ -331,38 +338,34 @@ func (e *blockEntry) hold(pin bool) *blockEntry {
 	return e
 }
 
-// release ends a lease fetch handed out. The last one out of an entry
-// the cache has let go of recycles its buffers.
+// release ends a pin: a lease fetch handed out, or a private read's.
+// The last one out of an entry no cache holds recycles it.
 func (e *blockEntry) release() {
-	e.shard.mu.Lock()
+	if s := e.shard; s != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
 	e.pins--
 	e.recycle()
-	e.shard.mu.Unlock()
 }
 
-// recycle hands e's buffers back to blockBufs, under its shard's lock,
-// once the cache has let go of e and no pin or escaped reader can still
-// read them. The payload is overwritten first (recycledByte); a buffer
-// larger than maxRecycled is left to the garbage collector. A block
-// loaded into fresh memory gets its box here.
+// recycle hands e back to entries, under its shard's lock, once no
+// cache holds e and no pin or escaped reader can still read its
+// buffers. The payload is overwritten first (recycledByte); a buffer
+// larger than maxRecycled is left to the garbage collector.
 func (e *blockEntry) recycle() {
 	if !e.gone || e.pins > 0 || e.escaped {
 		return
 	}
-	if e.box == nil {
-		e.box = new(block)
+	overwrite(e.blk.data)
+	if cap(e.blk.data) > maxRecycled {
+		e.blk.data = nil
 	}
-	b := e.blk
-	overwrite(b.data)
-	if cap(b.data) > maxRecycled {
-		b.data = nil
+	if 4*cap(e.blk.offs) > maxRecycled {
+		e.blk.offs = nil
 	}
-	if 4*cap(b.offs) > maxRecycled {
-		b.offs = nil
-	}
-	*e.box = b
-	blockBufs.Put(e.box)
-	e.box, e.blk = nil, block{}
+	e.key, e.shard, e.gone = blockKey{}, nil, false
+	entries.Put(e)
 }
 
 // admits decides, under s's lock, whether a point miss on k earns
@@ -387,39 +390,21 @@ func (c *BlockCache) admits(s *cacheShard, k blockKey) bool {
 	return false
 }
 
-// load runs a registered load and publishes its outcome: a block is
-// admitted, an error handed to the waiters alone. A load that reuses — a
-// pinning miss on a full shard — decodes into a block from blockBufs,
-// its payload buffer given recycledRoom first if it has less, whose box
-// the entry keeps.
-func (c *BlockCache) load(s *cacheShard, e *blockEntry, scan, reuse bool, load func(block) (block, error)) {
+// load runs a registered load into e's own buffers and publishes its
+// outcome: a block is admitted, an error handed to the waiters alone (an
+// entry that failed is never admitted, and so never recycled).
+func (c *BlockCache) load(s *cacheShard, e *blockEntry, scan bool, load func(block) (block, error)) {
 	defer e.loaded.Done()
-	var bp *block
-	var pooled *byte
-	if reuse {
-		bp = blockBufs.Get().(*block)
-		if pooled = unsafe.SliceData(bp.data); cap(bp.data) < recycledRoom {
-			bp.data, pooled = make([]byte, 0, recycledRoom), nil
-		}
-		e.blk, e.err = load(*bp)
-	} else {
-		e.blk, e.err = load(block{})
-	}
+	pooled := unsafe.SliceData(e.blk.data)
+	e.blk, e.err = load(e.blk)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.loading, e.key)
 	if e.err != nil {
-		if bp != nil {
-			blockBufs.Put(bp)
-		}
 		return
 	}
-	if bp != nil {
-		if pooled != nil && pooled == unsafe.SliceData(e.blk.data) {
-			c.recycled.Add(1)
-		}
-		*bp = block{}
-		e.box = bp
+	if pooled != nil && pooled == unsafe.SliceData(e.blk.data) {
+		c.recycled.Add(1)
 	}
 	c.admit(s, e, scan)
 }

@@ -227,8 +227,7 @@ func TestEscapedBlockIsNeverRecycled(t *testing.T) {
 // TestLeaseOutlivesEviction: a leased block the cache evicts, or drops
 // with its run, keeps its bytes for as long as the lease is held, however
 // many leased loads recycle other blocks meanwhile; its release hands its
-// buffers back to the pool full-shard leased misses decode into,
-// overwritten.
+// entry back to the pool every load decodes into, overwritten.
 func TestLeaseOutlivesEviction(t *testing.T) {
 	for _, arm := range []string{"evicted", "dropped"} {
 		t.Run(arm, func(t *testing.T) {
@@ -257,8 +256,9 @@ func TestLeaseOutlivesEviction(t *testing.T) {
 				t.Fatal("a leased block's bytes changed while the lease was held")
 			}
 			lease.release()
-			if lease.box != nil || bytes.Count(blk.data, []byte{recycledByte}) != len(blk.data) {
-				t.Fatal("a released block's bytes were not overwritten and handed back")
+			// recycle resets an entry's key and shard just before it pools it.
+			if lease.shard != nil || lease.key != (blockKey{}) || bytes.Count(blk.data, []byte{recycledByte}) != len(blk.data) {
+				t.Fatal("a released block's bytes were not overwritten and its entry handed back")
 			}
 		})
 	}
@@ -295,6 +295,53 @@ func TestLeaseOutlivesEviction(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFullCacheMissesReuseEntries: every load decodes into an entry
+// from the pool the cache's evictions fill, so in steady state leased
+// scans over a full cache allocate no more for missing more blocks:
+// scans of runs of n and 2n records, the second missing about twice the
+// blocks, allocate about as often as each other. An entry allocated per
+// miss cost one allocation a missed block.
+func TestFullCacheMissesReuseEntries(t *testing.T) {
+	const budget, n, rounds = 2 << 20, 24000, 3
+	var allocs, misses [2]float64
+	for i, n := range []int{n, 2 * n} {
+		p := overBudgetRun(t, budget, n)
+		if size := runBytes(t, partitionRuns(p)[0]); size < 3*budget {
+			t.Fatalf("the run holds %d bytes, not three times the cache's %d", size, budget)
+		}
+		cache := p.opts.BlockCache
+		snaps := []*Snapshot{p.Snapshot()}
+		scan := func() {
+			t.Helper()
+			if rows, sum, err := countScan(NewLeasedScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || sum != int64(n)*int64(n-1)/2 || err != nil {
+				t.Fatalf("a leased scan saw %d rows, ids summing to %d: %v", rows, sum, err)
+			}
+		}
+		scan() // fills the cache
+		scan()
+		before := cache.Stats().BlockCacheMisses
+		allocs[i] = math.Inf(1)
+		for range rounds {
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			scan()
+			runtime.ReadMemStats(&ms1)
+			allocs[i] = min(allocs[i], float64(ms1.Mallocs-ms0.Mallocs))
+		}
+		misses[i] = float64(cache.Stats().BlockCacheMisses-before) / rounds
+		t.Logf("%d records: %.0f misses and %.0f allocations a scan", n, misses[i], allocs[i])
+	}
+	if misses[1] < misses[0]*3/2 {
+		t.Fatalf("scans of twice the records missed %.0f blocks against %.0f", misses[1], misses[0])
+	}
+	if raceEnabled {
+		return // sync.Pool drops a quarter of its Puts at random under -race
+	}
+	if grown := allocs[1] - allocs[0]; grown > (misses[1]-misses[0])/10 {
+		t.Fatalf("%.0f more misses a scan cost %.0f more allocations: want about none", misses[1]-misses[0], grown)
+	}
 }
 
 // overBudgetRun is a partition whose one run holds n viewRecs, in
@@ -379,7 +426,7 @@ func TestSelectiveLeasedScanBoundsPins(t *testing.T) {
 	scan := func() uint64 {
 		// Only what the cache lets go of during the scan can be decoded
 		// into.
-		for blockBufs.Get().(*block).data != nil {
+		for entries.Get().(*blockEntry).blk.data != nil {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -615,8 +662,8 @@ func probeCat(snaps []*Snapshot, idxs []*BTreeIndex, c int) *IndexScanCursor {
 
 // TestFullCacheIndexScanHoldsOneBlock: a leased index scan over a run
 // three times the size of a full cache reads each row where it lies — a
-// pinned cached block, or the pooled block a declined miss decoded into
-// — and holds that one block until the next Next or Close. A row stays
+// pinned cached entry, or the private entry a declined miss decoded
+// into — and holds that one entry until the next Next or Close. A row stays
 // the record it is while leased scans and point reads evict every other
 // block, its own included; once its block is evicted and the hold let
 // go, the row's bytes read recycledByte. Over runs of n and 2n records,
@@ -667,12 +714,14 @@ func checkIndexScanHolds(t *testing.T, budget int64, n int) {
 		cur := probeCat(snaps, idxs, c)
 		rows := 0
 		for _, rec, ok := cur.Next(); ok; _, rec, ok = cur.Next() {
-			boxes := 0
-			if cur.capt.hold.box != nil {
-				boxes = 1
+			private := 0
+			for _, e := range cur.capt.leases.left {
+				if e.shard == nil {
+					private++
+				}
 			}
-			if held := residentPins(cache) + boxes; held > 1 || cur.capt.hold.entry != nil && cur.capt.hold.box != nil {
-				t.Fatalf("cat %d row %d: the scan holds %d blocks", c, rows, held)
+			if held := residentPins(cache) + private; held > 1 || len(cur.capt.leases.left) > 1 {
+				t.Fatalf("cat %d row %d: the scan holds %d blocks (%d entries)", c, rows, held, len(cur.capt.leases.left))
 			}
 			if id := int(rec.Field("id").IntVal()); !bytes.Equal(adm.AppendBinary(nil, rec), adm.AppendBinary(nil, viewRec(id))) {
 				t.Fatalf("cat %d: row %d is not record %d", c, rows, id)
@@ -686,8 +735,8 @@ func checkIndexScanHolds(t *testing.T, budget int64, n int) {
 			t.Fatalf("cat %d: a drained scan holds a block", c)
 		}
 	}
-	// A probe's first row, its block evicted under it: by kind of hold,
-	// a pinned entry or a pooled box.
+	// A probe's first row, its block evicted under it: by kind of entry
+	// held, a cached one or a private one.
 	checked := map[string]bool{}
 	for c := 20; c < 1000 && len(checked) < 2; c++ {
 		cur := probeCat(snaps, idxs, c)
@@ -696,11 +745,11 @@ func checkIndexScanHolds(t *testing.T, budget int64, n int) {
 			t.Fatalf("cat %d: no row", c)
 		}
 		kind, data := "a view", []byte(nil)
-		switch {
-		case cur.capt.hold.entry != nil:
-			kind, data = "a pinned block", cur.capt.hold.entry.blk.data
-		case cur.capt.hold.box != nil:
-			kind, data = "a pooled block", cur.capt.hold.box.data
+		if l := cur.capt.leases.left; len(l) == 1 {
+			kind, data = "a private block", l[0].blk.data
+			if l[0].shard != nil {
+				kind = "a pinned block"
+			}
 		}
 		id := int(rec.Field("id").IntVal())
 		evict(blockOf(run, adm.AppendBinary(nil, adm.Int(int64(id)))))

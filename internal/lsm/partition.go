@@ -48,12 +48,16 @@
 // whole entries (BTreeIndex). What a read gives back is an index scan's
 // capture buffers, which IndexScanCursor.Close returns to a pool, a
 // parallel scan's record batches, which ParallelScanCursor returns to a
-// shared pool, cleared, and a leased scan's pins on the blocks it read.
-// The one exception to "never rewritten" among a reader's bytes is that
-// scan's: its consumer keeps copies of what it keeps
-// (NewLeasedScanCursor), so once a pin is released the cache may recycle
-// the block's bytes (BlockCache). A write's bytes have one more: a
-// routed frame's slab may be reused once its memtable is flushed unread.
+// shared pool, cleared, and a leased reader's pins on the blocks it
+// read. The one exception to "never rewritten" among a reader's bytes is
+// a leased reader's: its consumer keeps copies of what it keeps
+// (NewLeasedScanCursor, NewLeasedIndexScanCursor), so once a pin is
+// released the cache may recycle the block's bytes. A block's memory is
+// its cache entry: every load decodes into an entry from one pool, and
+// an entry the cache has let go of goes back to it, overwritten, once
+// it is unpinned and never escaped (BlockCache). A write's bytes have
+// one more: a routed frame's slab may be reused once its memtable is
+// flushed unread.
 // Partition.Get and Snapshot mark every memtable and frozen tree they
 // may show a reader, so a slab whose memtable neither marked was never
 // read; its flush overwrites it and hands it to the next frames
@@ -774,12 +778,13 @@ func (p *Partition) getLocked(kp *pointProbe) (adm.Value, bool, error) {
 // version may be in that block, so no older component may answer for
 // it. Every component is searched with the key's one encoding, and the
 // probe computes its bloom hash at most once per lookup (and not at all
-// when fences reject every run). h, when non-nil, is the hold a run may
-// lend the record's block to (runFile.get); a tombstone's is let go.
-func lookupComponents(comps []*component, kp *pointProbe, h *blockHold) (v adm.Value, found bool, err error) {
+// when fences reject every run). l, when non-nil, is an empty lease
+// list a run may hand the pin of the record's block to (runFile.get); a
+// tombstone's is released.
+func lookupComponents(comps []*component, kp *pointProbe, l *leaseList) (v adm.Value, found bool, err error) {
 	for _, c := range comps {
 		if c.run != nil {
-			v, found, err = c.run.get(kp, h)
+			v, found, err = c.run.get(kp, l)
 		} else {
 			v, found = memGet(c.tree, kp)
 		}
@@ -788,8 +793,8 @@ func lookupComponents(comps []*component, kp *pointProbe, h *blockHold) (v adm.V
 		}
 	}
 	if !found || v.IsMissing() {
-		if h != nil {
-			h.release()
+		if l != nil {
+			l.release()
 		}
 		return adm.Value{}, false, err
 	}
@@ -912,11 +917,11 @@ func (s *Snapshot) Get(key adm.Value) (adm.Value, bool, error) {
 }
 
 // getEncoded is Get for the key enc encodes: an index scan's primary
-// keys are encodings, looked up as they are. h, when non-nil, may keep
-// the block the record lies in (runFile.get).
-func (s *Snapshot) getEncoded(enc []byte, h *blockHold) (adm.Value, bool, error) {
+// keys are encodings, looked up as they are. l, when non-nil, may keep
+// the pin of the block the record lies in (runFile.get).
+func (s *Snapshot) getEncoded(enc []byte, l *leaseList) (adm.Value, bool, error) {
 	kp := getProbe(enc)
-	v, ok, err := lookupComponents(s.components, kp, h)
+	v, ok, err := lookupComponents(s.components, kp, l)
 	putProbe(kp)
 	runtime.KeepAlive(s)
 	return v, ok, err
@@ -962,7 +967,9 @@ func (cu *Cursor) lease(l *leaseList) {
 
 // leaseList is where a leased cursor's run cursors hand the pins of the
 // blocks they leave (left), and how many pins they hold now (held): an
-// entry the cursor returns while held is zero lies in no pinned block.
+// entry the cursor returns while held is zero lies in no pinned block. A
+// leased index scan keeps in left the one entry its last row lies in
+// (IndexScanCursor).
 type leaseList struct {
 	left []*blockEntry
 	held int

@@ -511,12 +511,20 @@ func TestPartitionConcurrentReadersAndWriters(t *testing.T) {
 		wg.Wait()
 		close(done)
 	}()
-	// Read and pause by turns until slabs were recycled, then stop.
-	for start := time.Now(); p.Stats().RecycledSlabs < 50 && time.Since(start) < 5*time.Second; {
+	// Read and pause by turns until slabs were recycled, then stop. A
+	// pause lasts until two trees frozen after it began are flushed: the
+	// second was the memtable from birth to flush with no reader, however
+	// far the flusher lags the writers (as it does under the race
+	// detector), and a fixed pause could end while it was still frozen,
+	// to be escaped by the next reading turn.
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Stats().RecycledSlabs < 50 && time.Now().Before(deadline) {
 		reading.Store(true)
 		time.Sleep(5 * time.Millisecond)
 		reading.Store(false)
-		time.Sleep(40 * time.Millisecond)
+		for frozen := p.Stats().Flushes; p.Stats().FlushedRuns < frozen+2 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 	}
 	close(stop)
 	select {

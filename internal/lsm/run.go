@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -473,10 +474,11 @@ func (r *runFile) load() error {
 // carries, checksum-verified and decoded, plus the offsets of its
 // entries. data is never written after loadBlock returns while anything
 // can read it: the record views a lookup or cursor returns alias it for
-// as long as anything keeps them, and the cache recycles a block's
-// buffers only once no reader can (BlockCache: pins and escape). (The
-// blocks compaction reuses are handed to no one, and those readRecord
-// reuses to a blockHold at most.)
+// as long as anything keeps them. A cached block and a block a declined
+// point miss read privately are the buffers of a pooled entry
+// (blockEntry), which goes back to the pool only once no reader can
+// read them (BlockCache: pins and escape). (The blocks compaction
+// reuses are handed to no one.)
 type block struct {
 	data []byte
 	// offs locates entry i in data: its key starts at offs[2i], its record
@@ -507,11 +509,10 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 // (adm.SkipBinary) and refuses trailing bytes. Whatever reads the block
 // afterwards — a key compare, a field of a record view — cannot fail.
 // reuse lends its buffers to a caller that hands out nothing aliasing
-// them past their reuse — compaction; a point read whose block the cache
-// does not keep (readRecord), which copies its one record out or lends
-// the block to a hold; and a pinning miss on a full shard, whose block
-// the cache recycles only once its pins are released (BlockCache).
-// Every other reader passes the zero block and gets memory of its own.
+// them past their reuse — compaction — or to an entry's load, whose
+// buffers are recycled only once no reader can read them (BlockCache).
+// A scan of a run with no cache passes the zero block and gets memory of
+// its own.
 // An error names the run and the block: it is the read fault the reader
 // that asked for the block reports.
 func (r *runFile) loadBlock(i int, reuse block) (b block, err error) {
@@ -581,17 +582,16 @@ func decodeBlockBody(body, dst []byte) ([]byte, error) {
 }
 
 // parseBlock makes a block of one decoded payload: it builds the offset
-// table, into offs when that has the room.
+// table, into offs when that has the room. A new table is given its
+// allocator size class as room (slices.Grow), so the entry it lies in
+// fits a later block of a few more entries instead of growing again.
 func parseBlock(data []byte, offs []uint32) (block, error) {
 	p := frame.NewReader(data)
 	n := p.Count(2)
 	if err := p.Err(); err != nil {
 		return block{}, err
 	}
-	offs = offs[:0]
-	if cap(offs) < 2*n+1 {
-		offs = make([]uint32, 0, 2*n+1)
-	}
+	offs = slices.Grow(offs[:0], 2*n+1)
 	pos := len(data) - p.Len()
 	for range 2 * n { // key, record, key, record, ...
 		offs = append(offs, uint32(pos))
@@ -652,15 +652,15 @@ func (b block) lookup(key []byte) []byte {
 // comparison one of encodings (adm.CompareEncoded). On a shard with
 // room, a block the cache keeps serves the record as a view of its
 // bytes, so a hit decodes and allocates nothing. On a full shard the
-// read pins the block, so that it stays recyclable (BlockCache): with a
-// hold, the record is a view of the block and h keeps the pin; without
-// one, the read copies its one record out and releases the pin. A block
-// that has escaped already serves a view. A block the cache does not
-// keep — a first touch on a full shard, or any block of a run with no
-// cache — is read privately (readRecord). Only a found record takes h,
-// which must hold nothing. An error is a block that could not be read,
-// so the key may be here after all.
-func (r *runFile) get(kp *pointProbe, h *blockHold) (v adm.Value, found bool, err error) {
+// read pins the block's entry, so that it stays recyclable (BlockCache):
+// with a lease list, the record is a view of the block and l keeps the
+// pin; without one, the read copies its one record out and releases the
+// pin. A block that has escaped already serves a view. A block the cache
+// does not keep — a first touch on a full shard, or any block of a run
+// with no cache — is read privately (readRecord). Only a found record
+// puts an entry on l. An error is a block that could not be read, so
+// the key may be here after all.
+func (r *runFile) get(kp *pointProbe, l *leaseList) (v adm.Value, found bool, err error) {
 	if len(r.blocks) == 0 {
 		return adm.Value{}, false, nil
 	}
@@ -692,85 +692,50 @@ func (r *runFile) get(kp *pointProbe, h *blockHold) (v adm.Value, found bool, er
 			return adm.Value{}, false, err
 		}
 		if ok {
-			rec := blk.lookup(key)
-			switch {
-			case lease == nil:
-			case rec != nil && h != nil:
-				h.entry = lease
-			default:
-				rec = bytes.Clone(rec) // nil stays nil
-				lease.release()
-			}
-			if rec == nil {
-				return adm.Value{}, false, nil
-			}
-			return adm.ViewAlias(rec), true, nil
+			v, found := keepRecord(blk.lookup(key), lease, l)
+			return v, found, nil
 		}
 	}
-	return r.readRecord(i, key, h)
+	return r.readRecord(i, key, l)
 }
 
-// blockBufs lends readRecord the buffers a block is decoded into: the
-// payload and the offset table are garbage once the record is copied
-// out, or once the hold it was lent to lets go, so a point read that
-// keeps no block allocates none.
-var blockBufs = sync.Pool{New: func() any { return new(block) }}
+// keepRecord returns rec, the record a point read found (or nil), from a
+// block it holds by lease, if any: with a lease list, as a view of the
+// block, whose pin the list keeps; without one, as a copy, the pin
+// released. A block held by no lease has escaped and serves a view.
+func keepRecord(rec []byte, lease *blockEntry, l *leaseList) (adm.Value, bool) {
+	switch {
+	case lease == nil:
+	case rec != nil && l != nil:
+		l.left = append(l.left, lease)
+	default:
+		rec = bytes.Clone(rec) // nil stays nil
+		lease.release()
+	}
+	if rec == nil {
+		return adm.Value{}, false
+	}
+	return adm.ViewAlias(rec), true
+}
 
 // readRecord is a point read that keeps no block: it loads block i into
-// pooled buffers, on the one path every block read takes (loadBlock:
-// checksum, decode, structure walk), and returns the record stored under
-// key. With a hold, the record is a view of the pooled block, which h
-// keeps until it lets go; without one, it is a copy, and the pooled
-// bytes go back at once for the next such read to overwrite.
-func (r *runFile) readRecord(i int, key []byte, h *blockHold) (adm.Value, bool, error) {
-	bp := blockBufs.Get().(*block)
-	blk, err := r.loadBlock(i, *bp)
+// a pooled entry no shard holds, pinned once by this read, on the one
+// path every block read takes (loadBlock: checksum, decode, structure
+// walk), and returns the record stored under key. With a lease list, the
+// record is a view of the entry's block, which l keeps until it is
+// released; without one, it is a copy, and the entry goes back to the
+// pool at once, overwritten, for the next load to decode into.
+func (r *runFile) readRecord(i int, key []byte, l *leaseList) (adm.Value, bool, error) {
+	e := entries.Get().(*blockEntry)
+	e.pins, e.gone = 1, true
+	blk, err := r.loadBlock(i, e.blk)
 	if err != nil {
-		blockBufs.Put(bp)
+		e.release()
 		return adm.Value{}, false, err
 	}
-	*bp = blk
-	rec := blk.lookup(key)
-	switch {
-	case rec == nil:
-		blockBufs.Put(bp)
-		return adm.Value{}, false, nil
-	case h != nil:
-		h.box = bp
-		return adm.ViewAlias(rec), true, nil
-	}
-	rec = bytes.Clone(rec)
-	blockBufs.Put(bp)
-	return adm.ViewAlias(rec), true, nil
-}
-
-// blockHold is the block a point read lent the record it returned
-// (get's h): the pin of a cached block (entry), or the pooled block a
-// read the cache declined decoded into (box). Its owner reads the record
-// until it calls release, and keeps nothing aliasing it past that
-// (IndexScanCursor).
-type blockHold struct {
-	entry *blockEntry
-	box   *block
-}
-
-// held reports whether h keeps a block.
-func (h *blockHold) held() bool { return h.entry != nil || h.box != nil }
-
-// release lets go of what h keeps: a pin ends (an evicted block's bytes
-// may be recycled), and a pooled block goes back to blockBufs overwritten
-// (recycledByte), so a view that outlived the hold fails to decode
-// instead of reading another block's records.
-func (h *blockHold) release() {
-	if h.entry != nil {
-		h.entry.release()
-		h.entry = nil
-	}
-	if h.box != nil {
-		overwrite(h.box.data)
-		blockBufs.Put(h.box)
-		h.box = nil
-	}
+	e.blk = blk
+	v, found := keepRecord(blk.lookup(key), e, l)
+	return v, found, nil
 }
 
 // incRef adds a keep-open reason (a snapshot).

@@ -22,14 +22,15 @@ import (
 //
 // A leased cursor (NewLeasedIndexScanCursor) reads each record where it
 // lies on a full block cache instead of copying it out: it keeps the
-// pin of the cached block the record lies in, or the pooled block a read
-// the cache declined decoded into (blockHold), until the consumer calls
-// Next again or Close — one block at a time. Transient reports whether
-// the last row lies in such a block: once released, an evicted block's
-// bytes may be rewritten under every view of them, so the consumer must
-// copy (adm.Value.Detached) what it keeps of a transient row before it
-// calls Next again. A block on a shard with room, and a memtable record,
-// are views that stay readable, as an unleased cursor's rows all are.
+// entry the record lies in — a cached block's, or the private one a read
+// the cache declined decoded into — pinned on its leaseList until the
+// consumer calls Next again or Close, one entry at a time. Transient
+// reports whether the last row lies in such an entry: once released, an
+// evicted entry's bytes may be rewritten under every view of them, so
+// the consumer must copy (adm.Value.Detached) what it keeps of a
+// transient row before it calls Next again. A block on a shard with
+// room, and a memtable record, are views that stay readable, as an
+// unleased cursor's rows all are.
 type IndexScanCursor struct {
 	snaps []*Snapshot
 	capt  *indexCapture // nil once closed
@@ -46,7 +47,7 @@ type indexCapture struct {
 	ends   []int    // pks[ends[p-1]:ends[p]] are partition p's
 	lo, hi []byte   // the range's encoded bounds
 	leased bool
-	hold   blockHold // what the row Next last returned lies in, if leased
+	leases leaseList // the entry the row Next last returned lies in, if leased
 }
 
 var indexCaptures = sync.Pool{New: func() any { return new(indexCapture) }}
@@ -86,10 +87,10 @@ func NewLeasedIndexScanCursor(snaps []*Snapshot, idxs []*BTreeIndex, lo, hi inde
 // or on a fault, the cursor closes itself. A leased cursor first lets go
 // of the block the previous row lies in.
 func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
-	var h *blockHold
+	var l *leaseList
 	if c.capt != nil && c.capt.leased {
-		h = &c.capt.hold
-		h.release()
+		l = &c.capt.leases
+		l.release()
 	}
 	for c.capt != nil && c.pos < len(c.capt.pks) {
 		for c.pos >= c.capt.ends[c.part] {
@@ -97,7 +98,7 @@ func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
 		}
 		pk := bytesOf(c.capt.pks[c.pos])
 		c.pos++
-		rec, found, err := c.snaps[c.part].getEncoded(pk, h)
+		rec, found, err := c.snaps[c.part].getEncoded(pk, l)
 		if err != nil {
 			c.err = err
 			break
@@ -115,7 +116,7 @@ func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
 // and every view of them — may be rewritten. It is always false for an
 // unleased cursor, and for a row read from a memtable or from a shard
 // with room.
-func (c *IndexScanCursor) Transient() bool { return c.capt != nil && c.capt.hold.held() }
+func (c *IndexScanCursor) Transient() bool { return c.capt != nil && len(c.capt.leases.left) > 0 }
 
 // Err returns the read fault that ended the cursor early, or nil.
 func (c *IndexScanCursor) Err() error { return c.err }
@@ -128,7 +129,7 @@ func (c *IndexScanCursor) Close() {
 	if cp == nil {
 		return
 	}
-	cp.hold.release()
+	cp.leases.release()
 	c.capt, c.snaps = nil, nil
 	clear(cp.pks) // don't pin index entries from the pool
 	cp.pks, cp.ends, cp.leased = cp.pks[:0], cp.ends[:0], false

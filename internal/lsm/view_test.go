@@ -135,11 +135,10 @@ func TestBlockCacheBudgetIsExact(t *testing.T) {
 			len(blk.data), cap(blk.data), blk.size(), recycled.size())
 	}
 	// Buffers larger than maxRecycled are not handed back for recycling.
-	e := &blockEntry{blk: block{data: make([]byte, 1, maxRecycled+1), offs: make([]uint32, 1, 8)}, box: new(block), gone: true}
-	box := e.box
+	e := &blockEntry{blk: block{data: make([]byte, 1, maxRecycled+1), offs: make([]uint32, 1, 8)}, gone: true}
 	e.recycle()
-	if box.data != nil || cap(box.offs) != 8 {
-		t.Fatalf("recycled a %d-byte payload buffer and a %d-entry offset table", cap(box.data), cap(box.offs))
+	if e.blk.data != nil || cap(e.blk.offs) != 8 {
+		t.Fatalf("recycled a %d-byte payload buffer and a %d-entry offset table", cap(e.blk.data), cap(e.blk.offs))
 	}
 }
 
