@@ -129,6 +129,20 @@ func (v Value) Detached() Value {
 	return v
 }
 
+// DetachedInto is Detached that copies a view's bytes into buf, reusing
+// its memory when it has the room, and returns the buffer it used; any
+// other value is Detached. The result aliases buf, which the caller must
+// not rewrite while it keeps the result: a holder that replaces what it
+// keeps one value at a time (the top-k heap's slots) copies each into
+// the buffer of the value it drops.
+func (v Value) DetachedInto(buf []byte) (Value, []byte) {
+	if !v.isView() {
+		return v.Detached(), buf
+	}
+	buf = append(buf[:0], v.s...)
+	return ViewAlias(buf), buf
+}
+
 // viewField is Field on a view: one pass over the object's fields,
 // comparing names in place and stepping over values.
 func (v Value) viewField(name string) Value {

@@ -414,3 +414,28 @@ func TestViewAt(t *testing.T) {
 		}
 	}
 }
+
+// TestDetachedIntoReusesItsBuffer: DetachedInto copies a view into the
+// buffer it is given, in place when the buffer has the room, so the copy
+// reads as the view did after the view's bytes are overwritten, and a
+// second copy into the returned buffer allocates nothing. A value that
+// is no view is Detached.
+func TestDetachedIntoReusesItsBuffer(t *testing.T) {
+	enc := AppendBinary(nil, ObjectValue(ObjectFromPairs("id", Int(7), "name", String("seven"))))
+	src := append([]byte(nil), enc...)
+	v := ViewAlias(src)
+	cp, buf := v.DetachedInto(nil)
+	for i := range src {
+		src[i] = 0xff
+	}
+	if !bytes.Equal(AppendBinary(nil, cp), enc) || cp.Field("name").StringVal() != "seven" {
+		t.Fatalf("the copy reads %v once the view's bytes are overwritten", cp)
+	}
+	w := ViewAlias(enc)
+	if n := testing.AllocsPerRun(100, func() { cp, buf = w.DetachedInto(buf) }); n != 0 {
+		t.Fatalf("a copy into a buffer with room allocated %v times", n)
+	}
+	if got, b := String("x").DetachedInto(buf); got.StringVal() != "x" || len(b) != len(buf) || &b[0] != &buf[0] {
+		t.Fatal("a string was not Detached, or its copy touched the buffer")
+	}
+}

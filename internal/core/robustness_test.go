@@ -16,6 +16,7 @@ import (
 	"github.com/ideadb/idea/internal/cluster"
 	"github.com/ideadb/idea/internal/lsm"
 	"github.com/ideadb/idea/internal/query"
+	"github.com/ideadb/idea/internal/sqlpp"
 	"github.com/ideadb/idea/internal/udf"
 	"github.com/ideadb/idea/internal/workload"
 )
@@ -875,8 +876,14 @@ func TestNativeUDFMayRetainRecords(t *testing.T) {
 // function keeps the record, a sub-object of it and a string read from
 // it, over several batches on two nodes; after Wait every kept value
 // still reads its own record, and what the feed stored is, byte for
-// byte, what the function makes of each validated line.
+// byte, what the function makes of each validated line. A query that
+// hands stored records to such a function has them kept too: its scan
+// leaf copies the rows it reads (a row read from a run is valid only
+// until the scan moves on), so what the function kept of records read
+// through a cache too small to hold a block equals the stored records
+// after the statement.
 func TestLibraryCallMayRetainItsArguments(t *testing.T) {
+	t.Run("query", checkQueryLibraryCallMayRetainItsArguments)
 	const n = 600
 	for _, tc := range []struct {
 		name     string
@@ -968,5 +975,71 @@ func TestLibraryCallMayRetainItsArguments(t *testing.T) {
 				t.Fatalf("%d records stored, want %d", stored, n)
 			}
 		})
+	}
+}
+
+// checkQueryLibraryCallMayRetainItsArguments is
+// TestLibraryCallMayRetainItsArguments' query arm: flushed tweets read
+// through an 8 KiB cache, whose every block is recycled once released.
+func checkQueryLibraryCallMayRetainItsArguments(t *testing.T) {
+	const n = 600
+	tuning := cluster.DefaultTuning()
+	tuning.DispatchOverheadPerNode, tuning.InvokeOverheadPerNode = 0, 0
+	tuning.BlockCacheBytes = 8 << 10
+	c, err := cluster.New(2, tuning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	g, err := workload.Setup(c, 42, workload.Scaled(0.002))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stash [][]adm.Value
+	c.RegisterNative("testlib", "stash", func(args []adm.Value) (adm.Value, error) {
+		stash = append(stash, args)
+		return args[2], nil
+	})
+	ds, _ := c.Dataset("Tweets")
+	var recs []adm.Value
+	for _, line := range g.Tweets(0, n) {
+		rec, err := adm.ParseJSON(line)
+		if err == nil {
+			rec, err = workload.TweetType().Validate(rec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	if err := ds.UpsertBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ds.NumPartitions() {
+		p := ds.Partition(i)
+		p.Flush()
+		if err := p.WaitForFlush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sel, err := sqlpp.ParseExpr(`SELECT VALUE testlib#stash(t, t.user, t.text) FROM Tweets t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A serial scan releases each block as it moves past it, so every
+	// block after the first decodes into one the scan released.
+	ctx := query.NewContext(c)
+	ctx.DisableParallelScan = true
+	if _, err := query.ExecuteSelect(ctx, nil, sel.(*sqlpp.SelectExpr)); err != nil {
+		t.Fatal(err)
+	}
+	if len(stash) != n || c.StorageStats().BlockCacheRecycled == 0 {
+		t.Fatalf("the library function kept %d rows' arguments, want %d (%d blocks recycled)", len(stash), n, c.StorageStats().BlockCacheRecycled)
+	}
+	for _, args := range stash {
+		want, ok := ds.Get(args[0].Field("id"))
+		if !ok || !adm.Equal(args[0], want) || !adm.Equal(args[1], want.Field("user")) || !adm.Equal(args[2], want.Field("text")) {
+			t.Fatalf("kept arguments read %v, %v, %v; stored %v", args[0], args[1], args[2], want)
+		}
 	}
 }

@@ -128,6 +128,9 @@ func ApproachesComparison(opts Options) (*Table, error) {
 		if !ok {
 			break
 		}
+		if sc.Transient() { // the batch outlives the scan's next row
+			rec = rec.Detached()
+		}
 		batchRecs = append(batchRecs, rec)
 		if len(batchRecs) >= batch16X {
 			if err := flush(); err != nil {

@@ -51,45 +51,33 @@ import (
 // its split evicts, so while there is room a scan fills the cache as a
 // point read would.
 //
-// Where an evicted block's bytes go is decided apart, by who read it.
-// The unit of block memory is the entry: every load — a miss, and a
-// point miss the cache declined — takes an entry from one pool
-// (entries) and decodes into the entry's own buffers. Some readers keep
-// the block they were handed — and every view into it — through
-// eviction, dropRun and the cache itself: a serial scan, a parallel scan
-// that streams its rows out, and a point read on a shard with room,
-// which hands up a view of the block. Such an entry is escaped, and the
-// garbage collector frees it. Every other reader keeps nothing aliasing
-// the block past a pin it holds on the entry while it reads:
+// Where an evicted block's bytes go is decided by its pins. The unit of
+// block memory is the entry: every load — a miss, and a point miss the
+// cache declined — takes an entry from one pool (entries) and decodes
+// into the entry's own buffers. Every reader pins the entry it reads,
+// and keeps nothing aliasing the block past the pin, the rule
+// AsterixDB's buffer cache keeps for a page frame:
 //
-//   - a parallel scan whose rows only a top-k heap or a hash aggregate
-//     keeps, and those copy what they keep (see the query package's
-//     envReuse), leases the blocks it reads (readMode leasedScan): it
-//     pins each one it fetches until the consumer has pulled past every
-//     row of it (ParallelScanCursor);
-//   - the index back-fill (Partition.AttachIndex) leases its cursor's
-//     blocks and releases them after each chunk the index has copied;
-//   - a point read on a full shard — one without the room of a pooled
-//     buffer, recycledRoom — pins the block, copies its one record out
-//     and releases the pin (runFile.get); under a leased index scan it
-//     hands the pin to the scan's leaseList instead, which releases it
-//     when its consumer pulls the next row (IndexScanCursor). A declined
-//     miss's private read is an entry no shard holds, pinned once by its
-//     reader.
+//   - a cursor (runFileCursor) pins each block it loads and, once it
+//     has moved past the block, hands the pin to its Leases, which
+//     its owner releases once nothing reads the block's rows: a
+//     Cursor at its next Next or Close, a parallel scan once its
+//     consumer has pulled past every row of the block
+//     (ParallelScanCursor), the index back-fill after each chunk the
+//     index has copied (Partition.AttachIndex);
+//   - a point read (runFile.get) copies its one record out and releases
+//     the pin, or, given Leases, leaves the pin there for their owner: an
+//     index scan releases it when its consumer pulls the next row
+//     (IndexScanCursor), an enrichment once its record's row is written
+//     (Snapshot.GetLeased). A declined miss's private read is an entry
+//     no shard holds, pinned once by its reader.
 //
-// Each entry keeps a pin count and an escaped bit under its shard's
-// lock:
-//
-//   - a pinning fetch pins an entry that has not escaped;
-//   - every other fetch, a single-flight waiter included, marks it
-//     escaped for good;
-//   - a pinning miss enters unescaped, every other load escaped from
-//     birth, so a cache that never fills holds point blocks as views;
-//   - an entry the cache has let go of (eviction, dropRun) goes back to
-//     the pool whole once it is also unpinned and unescaped — at once,
-//     or at its last release — its payload overwritten with recycledByte
-//     first, so a view that outlived its pin fails to decode instead of
-//     reading another block's records. The next load decodes into it.
+// Each entry keeps a pin count under its shard's lock, and an entry the
+// cache has let go of (eviction, dropRun) goes back to the pool whole
+// once it is also unpinned — at once, or at its last release — its
+// payload overwritten with recycledByte first, so a view that outlived
+// its pin fails to decode instead of reading another block's records.
+// The next load decodes into it.
 //
 // Pins change no residency: a pinned entry is evicted as any other, and
 // only the reuse of its bytes waits. The budget counts payload lengths
@@ -147,21 +135,15 @@ type CacheStats struct {
 	BlockCacheRecycled uint64
 }
 
-// readMode says who reads a block: it decides where a miss is admitted,
-// what a hit moves and whether the reader leases the block.
+// readMode says who reads a block: it decides where a miss is admitted
+// and what a hit moves.
 type readMode uint8
 
 const (
-	// pointRead is runFile.get: hot, admitted by admits; it pins what
-	// it reads on a full shard, where it copies its record out or lends
-	// the pin to a leased index scan.
+	// pointRead is runFile.get: hot, admitted by admits.
 	pointRead readMode = iota
-	// scanRead is a cursor whose rows may outlive its next advance.
-	scanRead
-	// leasedScan is a cursor whose rows are copied before its lease ends
-	// (a parallel scan's under a keeping operator, the index back-fill's):
-	// it pins what it reads.
-	leasedScan
+	// cursorRead is a cursor's: the ring, always admitted.
+	cursorRead
 )
 
 // recycledByte overwrites a recycled payload: no ADM kind has it, so a
@@ -193,20 +175,19 @@ type blockKey struct {
 // evicts and recycles: one cached or being loaded, or one a declined
 // point miss read privately (no shard, gone from birth). blk and err
 // are written once, by the load, before loaded is done. The list links,
-// inRing, pins, escaped and gone are owned by the shard lock (by the
-// one reader, for a private entry).
+// inRing, pins and gone are owned by the shard lock (by the one reader,
+// for a private entry).
 type blockEntry struct {
 	key    blockKey
 	shard  *cacheShard
 	blk    block
 	err    error
 	loaded sync.WaitGroup
-	// pins counts the pins held on the entry; escaped says a reader that
-	// does not pin has it; gone says no cache holds it.
-	pins    int32
-	escaped bool
-	gone    bool
-	inRing  bool
+	// pins counts the pins held on the entry; gone says no cache holds
+	// it.
+	pins   int32
+	gone   bool
+	inRing bool
 
 	prev, next *blockEntry
 }
@@ -260,18 +241,18 @@ func (c *BlockCache) shard(k blockKey) *cacheShard {
 }
 
 // entries lends every load the entry it decodes into (BlockCache): an
-// entry the cache let go of, unpinned and unescaped, comes back here
-// whole with its buffers, and the next load overwrites them. A pooled
-// entry's WaitGroup is idle: every waiter either pinned the entry, and
-// released it after its Wait returned, or escaped it for good.
+// entry the cache let go of, once unpinned, comes back here whole with
+// its buffers, and the next load overwrites them. A pooled entry's
+// WaitGroup is idle: every waiter pinned the entry, and released it
+// after its Wait returned.
 var entries = sync.Pool{New: func() any { return new(blockEntry) }}
 
 // fetch returns block i of run: the resident block on a hit, else the
 // block load returns, published — into hot for a point read, into the
-// ring for a scan. The mode also decides what a hit moves, and whether
-// the reader pins the block: lease, when non-nil, is a pin the
-// reader ends with release once nothing it handed up reads the block any
-// more. A block is loaded once however many readers miss it together:
+// ring for a scan. The mode also decides what a hit moves. The reader
+// pins the block: lease is the pin, which the reader ends with release
+// once nothing it handed up reads the block any more. A block is loaded
+// once however many readers miss it together:
 // the first registers its load, and the others wait for it and share its
 // block (or its error), counted as hits — they read nothing. Readers
 // that each loaded a copy would read and allocate the block once each. A
@@ -281,17 +262,12 @@ var entries = sync.Pool{New: func() any { return new(blockEntry) }}
 func (c *BlockCache) fetch(run uint64, i int, mode readMode, load func(reuse block) (block, error)) (blk block, lease *blockEntry, ok bool, err error) {
 	k := blockKey{run: run, block: i}
 	s := c.shard(k)
-	scan := mode != pointRead
+	scan := mode == cursorRead
 	s.mu.Lock()
-	// A leased scan pins what it reads, and so does a point read on a
-	// full shard, which copies its record out or lends the pin; every
-	// other reader escapes the block.
-	full := s.used+recycledRoom > c.shardBudget
-	pin := mode == leasedScan || mode == pointRead && full
-	e, ok := s.entries[k]
-	if ok {
+	e, hit := s.entries[k]
+	if hit {
 		s.touch(e, scan)
-	} else if e, ok = s.loading[k]; !ok {
+	} else if e, hit = s.loading[k]; !hit {
 		if !scan && !c.admits(s, k) {
 			s.mu.Unlock()
 			c.count(false, false)
@@ -301,41 +277,22 @@ func (c *BlockCache) fetch(run uint64, i int, mode readMode, load func(reuse blo
 		// The entry is taken before the load, so waiters have something to
 		// wait on.
 		e = entries.Get().(*blockEntry)
-		e.key, e.shard, e.escaped = k, s, !pin
-		lease = e.hold(pin)
+		e.key, e.shard = k, s
 		e.loaded.Add(1)
 		s.loading[k] = e
-		s.mu.Unlock()
-		c.count(false, scan)
-		c.load(s, e, scan, load)
-		if e.err != nil {
-			return block{}, nil, true, e.err
-		}
-		return e.blk, lease, true, nil
 	}
-	lease = e.hold(pin)
+	e.pins++
 	s.mu.Unlock()
-	c.count(true, scan)
-	e.loaded.Wait() // at once for a resident entry
+	c.count(hit, scan)
+	if hit {
+		e.loaded.Wait() // at once for a resident entry
+	} else {
+		c.load(s, e, scan, load)
+	}
 	if e.err != nil {
 		return block{}, nil, true, e.err
 	}
-	return e.blk, lease, true, nil
-}
-
-// hold applies a fetch to e, under its shard's lock: a pinning reader
-// pins an entry that has not escaped and returns it as its lease; any
-// other reader marks it escaped.
-func (e *blockEntry) hold(pin bool) *blockEntry {
-	if !pin {
-		e.escaped = true
-		return nil
-	}
-	if e.escaped {
-		return nil
-	}
-	e.pins++
-	return e
+	return e.blk, e, true, nil
 }
 
 // release ends a pin: a lease fetch handed out, or a private read's.
@@ -350,11 +307,11 @@ func (e *blockEntry) release() {
 }
 
 // recycle hands e back to entries, under its shard's lock, once no
-// cache holds e and no pin or escaped reader can still read its
-// buffers. The payload is overwritten first (recycledByte); a buffer
-// larger than maxRecycled is left to the garbage collector.
+// cache holds e and no pin can still read its buffers. The payload is
+// overwritten first (recycledByte); a buffer larger than maxRecycled is
+// left to the garbage collector.
 func (e *blockEntry) recycle() {
-	if !e.gone || e.pins > 0 || e.escaped {
+	if !e.gone || e.pins > 0 {
 		return
 	}
 	overwrite(e.blk.data)

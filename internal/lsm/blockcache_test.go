@@ -17,16 +17,17 @@ import (
 )
 
 // get is a lookup that never loads: the resident block (a hit, touched
-// as fetch touches it), or false (a miss, declined or not).
+// as fetch touches it), or false (a miss, declined or not). It keeps
+// its pin, so no block it returns is recycled.
 func (c *BlockCache) get(run uint64, i int, scan bool) (block, bool) {
 	b, _, ok, err := c.fetch(run, i, modeOf(scan), func(block) (block, error) { return block{}, errNotResident })
 	return b, ok && err == nil
 }
 
-// modeOf is the unleased read mode of a point read or a scan.
+// modeOf is the read mode of a point read or a scan.
 func modeOf(scan bool) readMode {
 	if scan {
-		return scanRead
+		return cursorRead
 	}
 	return pointRead
 }
@@ -361,7 +362,7 @@ func TestBlockCacheConcurrentScansShare(t *testing.T) {
 		return true
 	}
 	before := p.renv.ctr.blockReads.Load()
-	lead, trail := run.cursor(), run.cursor()
+	lead, trail := run.cursor(new(Leases)), run.cursor(new(Leases))
 	for i := 0; i < gap; i++ {
 		step(lead)
 	}
@@ -834,7 +835,7 @@ func TestBlockCacheConcurrentReaders(t *testing.T) {
 		go func(order ScanOrder) {
 			defer readers.Done()
 			for it := 0; it < 20; it++ {
-				cur := NewLeasedScanCursor([]*Snapshot{p.Snapshot()}, nil, order)
+				cur := NewParallelScanCursor([]*Snapshot{p.Snapshot()}, nil, order)
 				n := 0
 				for {
 					k, rec, ok, err := cur.Next()

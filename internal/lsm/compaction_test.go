@@ -22,7 +22,7 @@ func fillDecoded(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 		for i, r := range runs {
 			comps[i] = &component{run: r}
 		}
-		m := mergeComponentCursors(comps, dropTombstones)
+		m := mergeComponentCursors(comps, dropTombstones, new(Leases))
 		for {
 			rc, ok, err := m.next()
 			if !ok {

@@ -304,9 +304,10 @@ func NewScanCursor(snaps []*Snapshot) *ScanCursor {
 	return &ScanCursor{snaps: snaps}
 }
 
-// ScanCursor streams a dataset's live records across partitions. A
-// partition cursor that stops on a read fault ends it, and Err reports
-// the fault.
+// ScanCursor streams a dataset's live records across partitions, one
+// partition Cursor at a time, whose row rule it keeps: a row read from
+// a run is valid until the next Next or Close (Transient). A partition
+// cursor that stops on a read fault ends it, and Err reports the fault.
 type ScanCursor struct {
 	snaps []*Snapshot
 	cur   *Cursor
@@ -335,13 +336,23 @@ func (sc *ScanCursor) Next() (key, rec adm.Value, ok bool) {
 	}
 }
 
+// Transient reports whether the row Next last returned lies in a pinned
+// block (Cursor.Transient).
+func (sc *ScanCursor) Transient() bool { return sc.cur != nil && sc.cur.Transient() }
+
 // Err returns the read fault that ended the scan early, or nil.
 func (sc *ScanCursor) Err() error { return sc.err }
 
-// Close stops the cursor and drops its snapshots: Next reports
-// exhaustion from then on. Idempotent. A cursor holds nothing but
-// memory, so one that is dropped unclosed leaks nothing.
-func (sc *ScanCursor) Close() { sc.snaps, sc.cur, sc.i = nil, nil, 0 }
+// Close stops the cursor, releases the block it stands on and drops its
+// snapshots: Next reports exhaustion from then on. Idempotent. A cursor
+// holds nothing but memory, so one that is dropped unclosed leaks
+// nothing.
+func (sc *ScanCursor) Close() {
+	if sc.cur != nil {
+		sc.cur.Close()
+	}
+	sc.snaps, sc.cur, sc.i = nil, nil, 0
+}
 
 // Len counts live records across all partitions. A run that cannot be
 // read fails the count with its read fault.

@@ -165,7 +165,7 @@ func checkGoldenRun(t *testing.T, rf *runFile, items []index.Item) {
 	if _, ok, err := probeGet(rf, adm.Int(999)); ok || err != nil {
 		t.Fatalf("get(absent key) found something (%v)", err)
 	}
-	c := rf.cursor()
+	c := rf.cursor(new(Leases))
 	for i := range items {
 		key, _, ok, _ := c.advance()
 		if !ok || adm.Compare(adm.ViewAlias(key), items[i].Key) != 0 {

@@ -206,7 +206,7 @@ func TestLoadBlockHostileStructure(t *testing.T) {
 		if v, ok, err := probeGet(rf, adm.Int(1)); ok || err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: lookup returned %v, %v, error %v; want %q", name, v, ok, err, tc.want)
 		}
-		c := rf.cursor()
+		c := rf.cursor(new(Leases))
 		if key, _, ok, _ := c.advance(); ok || c.err == nil || !strings.Contains(c.err.Error(), tc.want) {
 			t.Errorf("%s: cursor yielded %x (%v), error %v; want %q", name, key, ok, c.err, tc.want)
 		}
@@ -266,7 +266,7 @@ func FuzzOpenRun(f *testing.F) {
 		if grew := heapGrowth(func() {
 			// Structure is checked when a block loads: whatever the cursor
 			// yields reads to the end without failing.
-			c := rf.cursor()
+			c := rf.cursor(new(Leases))
 			for _, _, ok, _ := c.advance(); ok; _, _, ok, _ = c.advance() {
 				rec := adm.View(c.val)
 				rec.Field("v")

@@ -30,8 +30,8 @@ func runBytes(t *testing.T, run *runFile) int64 {
 }
 
 // drainScan pulls c to the end and returns each row's key and record
-// encodings, copied before the next pull — what a consumer of a leased
-// scan must do with what it keeps.
+// encodings, copied before the next pull — what a consumer of a scan
+// must do with what it keeps.
 func drainScan(t *testing.T, c *ParallelScanCursor) []string {
 	t.Helper()
 	defer c.Close()
@@ -63,13 +63,13 @@ func countScan(c *ParallelScanCursor) (n, sum int64, err error) {
 	}
 }
 
-// TestFullCacheScanRecyclesRingBlocks: two leased scans run together
-// over data three times and more the size of a small cache. Once the
-// cache is full, each block they load decodes into the memory of a ring
-// block the cache let go of, so a scan allocates in proportion to the
-// ring's share of the cache, not to the data — an unleased scan
-// allocates every block it misses — and the rows are an unleased scan's
-// rows, byte for byte.
+// TestFullCacheScanRecyclesRingBlocks: two scans run together over
+// data three times and more the size of a small cache. Once the cache
+// is full, each block they load decodes into the memory of a ring block
+// the cache let go of, so a scan allocates in proportion to the ring's
+// share of the cache, not to the data — a scan of a run with no cache
+// allocates every block it reads — and the rows are that scan's rows,
+// byte for byte.
 func TestFullCacheScanRecyclesRingBlocks(t *testing.T) {
 	const budget, n = 2 << 20, 24000
 	p := overBudgetRun(t, budget, n)
@@ -79,9 +79,10 @@ func TestFullCacheScanRecyclesRingBlocks(t *testing.T) {
 	}
 	cache := p.opts.BlockCache
 	snaps := []*Snapshot{p.Snapshot()}
-	want := drainScan(t, NewParallelScanCursor(snaps, nil, PartitionOrder))
+	bare := []*Snapshot{flushedPartition(t, Options{MemBudget: 1 << 30, MaxComponents: 8}, n).Snapshot()}
+	want := drainScan(t, NewParallelScanCursor(bare, nil, PartitionOrder))
 	if len(want) != n {
-		t.Fatalf("an unleased scan saw %d rows", len(want))
+		t.Fatalf("a scan of a run with no cache saw %d rows", len(want))
 	}
 	together := func(scan func(i int)) {
 		var wg sync.WaitGroup
@@ -95,51 +96,52 @@ func TestFullCacheScanRecyclesRingBlocks(t *testing.T) {
 		wg.Wait()
 	}
 	var got [2][]string
-	together(func(i int) { got[i] = drainScan(t, NewLeasedScanCursor(snaps, nil, PartitionOrder)) })
+	together(func(i int) { got[i] = drainScan(t, NewParallelScanCursor(snaps, nil, PartitionOrder)) })
 	for i := range got {
 		if !slices.Equal(got[i], want) {
-			t.Fatalf("leased scan %d saw %d rows unlike an unleased scan's %d", i, len(got[i]), len(want))
+			t.Fatalf("scan %d saw %d rows unlike the %d of a run with no cache", i, len(got[i]), len(want))
 		}
 	}
 	if cs := cache.Stats(); cs.BlockCacheRecycled == 0 || cs.BlockCacheEvictions == 0 {
-		t.Fatalf("two leased scans over a full cache recycled %d blocks (%d evictions)", cs.BlockCacheRecycled, cs.BlockCacheEvictions)
+		t.Fatalf("two scans over a full cache recycled %d blocks (%d evictions)", cs.BlockCacheRecycled, cs.BlockCacheEvictions)
 	}
 	if raceEnabled {
 		return // sync.Pool drops a quarter of its Puts at random under -race
 	}
-	measure := func(open func([]*Snapshot, func(key, rec adm.Value) (bool, error), ScanOrder) *ParallelScanCursor) uint64 {
+	measure := func(snaps []*Snapshot) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		together(func(int) {
-			if rows, sum, err := countScan(open(snaps, nil, PartitionOrder)); rows != n || sum != n*(n-1)/2 || err != nil {
+			if rows, sum, err := countScan(NewParallelScanCursor(snaps, nil, PartitionOrder)); rows != n || sum != n*(n-1)/2 || err != nil {
 				t.Errorf("a scan saw %d rows, ids summing to %d: %v", rows, sum, err)
 			}
 		})
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / 2
 	}
-	leased, unleased := measure(NewLeasedScanCursor), measure(NewParallelScanCursor)
+	cached, uncached := measure(snaps), measure(bare)
 	for range 2 {
-		leased = min(leased, measure(NewLeasedScanCursor))
+		cached = min(cached, measure(snaps))
 	}
-	if leased > budget/ringShare || unleased < budget {
+	if cached > budget/ringShare || uncached < budget {
 		t.Logf("stats %+v", cache.Stats())
-		t.Fatalf("a scan allocated %d bytes leased, %d unleased: want at most the ring's share (%d) leased", leased, unleased, budget/ringShare)
+		t.Fatalf("a scan allocated %d bytes over a full cache, %d over no cache: want at most the ring's share (%d) over the cache", cached, uncached, budget/ringShare)
 	}
 }
 
-// TestEscapedBlockIsNeverRecycled: a ring block a leased scan loaded
-// escapes once a reader that does not pin has it — a point hit on a
-// shard with room, a serial scan's cursor, a waiter on the leased load
-// — and its eviction leaves its bytes to the garbage collector: what
-// that reader was handed still equals the copy taken at read time after
-// leased scans have recycled every other block. (On a full shard a
-// point read pins instead: TestFullCachePointReadLeavesBlockRecyclable.)
-func TestEscapedBlockIsNeverRecycled(t *testing.T) {
+// TestEveryReaderPinsItsBlock: every reader pins the block it reads,
+// and lets go of the pin once it keeps nothing of the block — a point
+// hit on a shard with room copies its record out and releases the pin
+// at once; a serial scan's cursor holds the block its row lies in until
+// it is closed; a waiter on another reader's load pins the entry it
+// shares — so once the cache lets go of the block, its entry goes back
+// to the pool, overwritten (recycledByte), and what each reader kept, a
+// copy, still reads as stored.
+func TestEveryReaderPinsItsBlock(t *testing.T) {
 	arms := []struct {
 		name string
-		// read makes block b resident, or joins its load, as a reader that
-		// does not lease, and returns the bytes it was handed.
+		// read reads block b and returns the copy of a record of it the
+		// reader keeps, once the reader has let go of the block.
 		read func(t *testing.T, p *Partition, run *runFile, b int) []byte
 	}{
 		{"point-hit", func(t *testing.T, p *Partition, run *runFile, b int) []byte {
@@ -153,19 +155,27 @@ func TestEscapedBlockIsNeverRecycled(t *testing.T) {
 		}},
 		{"serial-scan", func(t *testing.T, p *Partition, run *runFile, b int) []byte {
 			leaseAndRelease(t, run, b)
-			c := run.cursor()
-			c.block = b
-			if _, _, ok, err := c.advance(); !ok {
-				t.Fatal(err)
+			cu := p.Snapshot().Cursor()
+			defer cu.Close()
+			for _, rec, ok := cu.Next(); ok; _, rec, ok = cu.Next() {
+				if bytes.Equal(adm.AppendBinary(nil, rec.Field("id")), run.blocks[b].firstKey) {
+					if e := residentEntry(t, run, b); e == nil || e.pins != 1 || !cu.Transient() {
+						t.Fatalf("a cursor standing on block %d: resident %v, transient %v", b, e != nil, cu.Transient())
+					}
+					kept := adm.AppendBinary(nil, rec)
+					cu.Close()
+					return kept
+				}
 			}
-			return c.val
+			t.Fatalf("no row starts block %d: %v", b, cu.Err())
+			return nil
 		}},
-		{"stable-waiter", func(t *testing.T, p *Partition, run *runFile, b int) []byte {
+		{"waiter", func(t *testing.T, p *Partition, run *runFile, b int) []byte {
 			cache := run.cache
 			gate := make(chan struct{})
 			leased := make(chan *blockEntry)
 			go func() {
-				_, lease, _, err := cache.fetch(run.id, b, leasedScan, func(reuse block) (block, error) {
+				_, lease, _, err := cache.fetch(run.id, b, cursorRead, func(reuse block) (block, error) {
 					<-gate
 					return run.loadBlock(b, reuse)
 				})
@@ -182,43 +192,43 @@ func TestEscapedBlockIsNeverRecycled(t *testing.T) {
 				s.mu.Unlock()
 			}
 			hits := cache.Stats().BlockCacheHits
-			waiter := make(chan block)
+			waiter := make(chan []byte)
 			go func() {
-				blk, _, _, err := cache.fetch(run.id, b, scanRead, func(block) (block, error) { return block{}, errNotResident })
-				if err != nil {
-					t.Error(err)
+				blk, lease, _, err := cache.fetch(run.id, b, pointRead, func(block) (block, error) { return block{}, errNotResident })
+				if err != nil || lease == nil {
+					t.Errorf("a waiter's fetch: lease %v, %v", lease, err)
+					waiter <- nil
+					return
 				}
-				waiter <- blk
+				kept := bytes.Clone(blk.val(0))
+				lease.release()
+				waiter <- kept
 			}()
 			for cache.Stats().BlockCacheHits == hits {
 				runtime.Gosched()
 			}
 			close(gate)
-			blk := <-waiter
-			if lease := <-leased; lease != nil {
-				lease.release()
-			}
-			return blk.val(0)
+			kept := <-waiter
+			(<-leased).release()
+			return kept
 		}},
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
 			p, run, b := fullShardRun(t)
-			got := arm.read(t, p, run, b)
-			keep := bytes.Clone(got)
+			id := int(adm.ViewAlias(run.blocks[b].firstKey).IntVal())
+			kept := arm.read(t, p, run, b)
 			e := residentEntry(t, run, b)
-			if e == nil || !e.escaped {
-				t.Fatalf("block %d after a reader that does not lease: %+v", b, e)
+			if e == nil || e.pins != 0 {
+				t.Fatalf("block %d after its reader let go: %+v", b, e)
 			}
-			recycled := run.cache.Stats().BlockCacheRecycled
-			churn(t, run) // evicts block b
+			data := e.blk.data
 			run.cache.dropRun(run.id)
-			churn(t, run) // decodes into every buffer the cache let go of
-			if !bytes.Equal(got, keep) {
-				t.Fatalf("the bytes a reader was handed changed after their block's eviction")
+			if bytes.Count(data, []byte{recycledByte}) != len(data) {
+				t.Fatal("a dropped block nobody pins was not overwritten and handed back")
 			}
-			if !raceEnabled && run.cache.Stats().BlockCacheRecycled == recycled {
-				t.Fatal("the leased scans after the eviction recycled nothing")
+			if !bytes.Equal(kept, adm.AppendBinary(nil, viewRec(id))) {
+				t.Fatalf("the copy a reader kept of record %d changed once its block was recycled", id)
 			}
 		})
 	}
@@ -240,7 +250,7 @@ func TestLeaseOutlivesEviction(t *testing.T) {
 			} else {
 				_, run, b = fullShardRun(t)
 			}
-			blk, lease, err := run.scanBlock(b, true)
+			blk, lease, err := run.scanBlock(b)
 			if err != nil || lease == nil {
 				t.Fatalf("a leased miss on a full shard: lease %v, %v", lease, err)
 			}
@@ -279,7 +289,7 @@ func TestLeaseOutlivesEviction(t *testing.T) {
 			}
 			return true, nil
 		}
-		c := NewLeasedScanCursor(snaps, filter, PartitionOrder)
+		c := NewParallelScanCursor(snaps, filter, PartitionOrder)
 		defer c.Close()
 		c.wg.Wait() // the worker has sent every row and the error, and exited
 		for i := 0; ; i++ {
@@ -315,7 +325,7 @@ func TestFullCacheMissesReuseEntries(t *testing.T) {
 		snaps := []*Snapshot{p.Snapshot()}
 		scan := func() {
 			t.Helper()
-			if rows, sum, err := countScan(NewLeasedScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || sum != int64(n)*int64(n-1)/2 || err != nil {
+			if rows, sum, err := countScan(NewParallelScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || sum != int64(n)*int64(n-1)/2 || err != nil {
 				t.Fatalf("a leased scan saw %d rows, ids summing to %d: %v", rows, sum, err)
 			}
 		}
@@ -378,7 +388,7 @@ func fullShardRun(t *testing.T) (*Partition, *runFile, int) {
 // once.
 func leaseAndRelease(t *testing.T, run *runFile, b int) {
 	t.Helper()
-	if _, lease, err := run.scanBlock(b, true); err != nil {
+	if _, lease, err := run.scanBlock(b); err != nil {
 		t.Fatal(err)
 	} else if lease != nil {
 		lease.release()
@@ -430,7 +440,7 @@ func TestSelectiveLeasedScanBoundsPins(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		rows, sum, err := countScan(NewLeasedScanCursor(snaps, rare, PartitionOrder))
+		rows, sum, err := countScan(NewParallelScanCursor(snaps, rare, PartitionOrder))
 		runtime.ReadMemStats(&after)
 		if rows != 1 || sum != match || err != nil {
 			t.Fatalf("a scan for id %d saw %d rows, ids summing to %d: %v", match, rows, sum, err)
@@ -476,8 +486,8 @@ func TestFullCachePointReadLeavesBlockRecyclable(t *testing.T) {
 		if !ok || err != nil || v.Field("id").IntVal() != k.IntVal() {
 			t.Fatalf("get %v = %v, %v, %v", k, v, ok, err)
 		}
-		if e := residentEntry(t, run, b); e == nil || e.escaped || e.pins != 0 {
-			t.Fatalf("block %d after a point read on a full shard: resident %v, escaped or pinned", b, e != nil)
+		if e := residentEntry(t, run, b); e == nil || e.pins != 0 {
+			t.Fatalf("block %d after a point read on a full shard: resident %v, pinned", b, e != nil)
 		}
 		return v
 	}
@@ -548,15 +558,15 @@ func TestIndexBackfillLeasesItsBlocks(t *testing.T) {
 		s := &cache.shards[i]
 		s.mu.Lock()
 		for k, e := range s.entries {
-			if e.escaped || e.pins != 0 {
-				t.Errorf("block %d after the back-fill: escaped %v, %d pins", k.block, e.escaped, e.pins)
+			if e.pins != 0 {
+				t.Errorf("block %d after the back-fill: %d pins", k.block, e.pins)
 			}
 		}
 		s.mu.Unlock()
 	}
 	snaps := []*Snapshot{p.Snapshot()}
 	for range 2 {
-		if rows, _, err := countScan(NewLeasedScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || err != nil {
+		if rows, _, err := countScan(NewParallelScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || err != nil {
 			t.Fatalf("a leased scan saw %d rows: %v", rows, err)
 		}
 	}
@@ -586,7 +596,7 @@ func TestFullCachePointReadAllocationsIndependentOfN(t *testing.T) {
 		snaps := []*Snapshot{p.Snapshot()}
 		scan := func() {
 			t.Helper()
-			if rows, _, err := countScan(NewLeasedScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || err != nil {
+			if rows, _, err := countScan(NewParallelScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || err != nil {
 				t.Fatalf("a leased scan saw %d rows: %v", rows, err)
 			}
 		}
@@ -657,7 +667,7 @@ func indexedOverBudgetRun(t *testing.T, budget int64, n int) (*Partition, []*Sna
 // probeCat is a leased index scan for the records whose cat is c%04d.
 func probeCat(snaps []*Snapshot, idxs []*BTreeIndex, c int) *IndexScanCursor {
 	cat := index.Include(adm.String(fmt.Sprintf("c%04d", c)))
-	return NewLeasedIndexScanCursor(snaps, idxs, cat, cat)
+	return NewIndexScanCursor(snaps, idxs, cat, cat)
 }
 
 // TestFullCacheIndexScanHoldsOneBlock: a leased index scan over a run
@@ -689,7 +699,7 @@ func checkIndexScanHolds(t *testing.T, budget int64, n int) {
 	cache := run.cache
 	scan := func() {
 		t.Helper()
-		if rows, _, err := countScan(NewLeasedScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || err != nil {
+		if rows, _, err := countScan(NewParallelScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || err != nil {
 			t.Fatalf("a leased scan saw %d rows: %v", rows, err)
 		}
 	}
@@ -779,7 +789,7 @@ func checkIndexScanAllocations(t *testing.T, budget int64, n int) {
 		_, snaps, idxs := indexedOverBudgetRun(t, budget, n)
 		scan := func() {
 			t.Helper()
-			if rows, _, err := countScan(NewLeasedScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || err != nil {
+			if rows, _, err := countScan(NewParallelScanCursor(snaps, nil, PartitionOrder)); rows != int64(n) || err != nil {
 				t.Fatalf("a leased scan saw %d rows: %v", rows, err)
 			}
 		}

@@ -236,7 +236,7 @@ func TestRunBlocksCompress(t *testing.T) {
 	if run.size*2 > decoded {
 		t.Errorf("the run file is %d bytes for %d decoded block bytes, want at most half", run.size, decoded)
 	}
-	c := run.cursor()
+	c := run.cursor(new(Leases))
 	for i := 0; i < n; i++ {
 		key, _, ok, _ := c.advance()
 		if !ok || !bytes.Equal(key, mem[2*i]) || !bytes.Equal(c.val, mem[2*i+1]) {

@@ -36,28 +36,29 @@
 //
 // # Reads keep what writes never rewrite
 //
-// A reader keeps what storage hands it without a copy. A record is a
-// view of a batch buffer or a run block, bytes that are never rewritten,
-// and so is a key, both made with adm.ViewAlias: a string key, and every
-// string read out of a record, aliases those bytes. A holder that
-// outlives a statement — a secondary index, enrichment state patched
-// across batches — keeps copies instead: a B-tree index its entries'
-// encodings, an R-tree index and enrichment state adm.Value.Detached
-// values. An index scan (IndexScanCursor) keeps the primary keys of the
-// index's own entries, which no write rewrites: a write puts or deletes
-// whole entries (BTreeIndex). What a read gives back is an index scan's
-// capture buffers, which IndexScanCursor.Close returns to a pool, a
-// parallel scan's record batches, which ParallelScanCursor returns to a
-// shared pool, cleared, and a leased reader's pins on the blocks it
-// read. The one exception to "never rewritten" among a reader's bytes is
-// a leased reader's: its consumer keeps copies of what it keeps
-// (NewLeasedScanCursor, NewLeasedIndexScanCursor), so once a pin is
-// released the cache may recycle the block's bytes. A block's memory is
-// its cache entry: every load decodes into an entry from one pool, and
-// an entry the cache has let go of goes back to it, overwritten, once
-// it is unpinned and never escaped (BlockCache). A write's bytes have
-// one more: a routed frame's slab may be reused once its memtable is
-// flushed unread.
+// A reader reads what storage hands it without a copy. A record is a
+// view of a batch buffer or a run block, and so is a key, both made with
+// adm.ViewAlias: a string key, and every string read out of a record,
+// aliases those bytes. A run block is read under a pin, and one rule
+// says how long: a row read from a run stays valid until its cursor's
+// next Next or Close, and a point read copies its record out unless a
+// lease list keeps the pin (an index scan's, until its next row).
+// Transient reports whether a row lies in a pinned block; a memtable
+// row never does. Whatever keeps such a row past that copies what it
+// keeps (adm.Value.Detached), and so does a holder that outlives a
+// statement — a secondary index, enrichment state patched across
+// batches: a B-tree index its entries' encodings, an R-tree index and
+// enrichment state detached values. An index scan (IndexScanCursor)
+// keeps the primary keys of the index's own entries, which no write
+// rewrites: a write puts or deletes whole entries (BTreeIndex). What a
+// read gives back is an index scan's capture buffers, which
+// IndexScanCursor.Close returns to a pool, a parallel scan's record
+// batches, which ParallelScanCursor returns to a shared pool, cleared,
+// and its pins on the blocks it read. A block's memory is its cache
+// entry: every load decodes into an entry from one pool, and an entry
+// the cache has let go of goes back to it, overwritten, once it is
+// unpinned (BlockCache). A write's bytes have one more rule: a routed
+// frame's slab may be reused once its memtable is flushed unread.
 // Partition.Get and Snapshot mark every memtable and frozen tree they
 // may show a reader, so a slab whose memtable neither marked was never
 // read; its flush overwrites it and hands it to the next frames
@@ -177,9 +178,11 @@ type runCursor struct {
 	key, val []byte // the entry the last advance stepped onto
 }
 
-func (c *component) cursor() runCursor {
+// cursor opens a cursor over c; a run's hands the pins of the blocks it
+// leaves to l.
+func (c *component) cursor(l *Leases) runCursor {
 	if c.run != nil {
-		return runCursor{fc: c.run.cursor()}
+		return runCursor{fc: c.run.cursor(l)}
 	}
 	return runCursor{tc: c.tree.Cursor()}
 }
@@ -375,7 +378,7 @@ const backfillChunk = 1024
 // Cursor in which the memtable joins the merge as a transient
 // tree-backed run — read-only under the write lock, so no freeze is
 // needed; under the lock the partition owns every run, so they are
-// open. The cursor leases the blocks it reads (BlockCache): an index
+// open. The cursor pins the blocks it reads (BlockCache): an index
 // copies what it keeps of an item, so the pins of the blocks the cursor
 // has left are released once each chunk is inserted, and on a full
 // cache the back-fill decodes into the memory of the blocks it evicts.
@@ -385,21 +388,20 @@ func (p *Partition) AttachIndex(idx SecondaryIndex) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	batch := itemBatches.get(backfillChunk)
-	var leases leaseList
-	cu := &Cursor{m: mergeComponentCursors(append([]*component{{tree: p.mem}}, p.components...), true)}
-	cu.lease(&leases)
-	for key, rec, ok := cu.Next(); ok; key, rec, ok = cu.Next() {
-		*batch = append(*batch, index.Item{Key: key, Val: rec})
+	var cu Cursor
+	cu.open(nil, append([]*component{{tree: p.mem}}, p.components...), true)
+	for key, rec, ok := cu.nextEncoded(); ok; key, rec, ok = cu.nextEncoded() {
+		*batch = append(*batch, index.Item{Key: adm.ViewAlias(key), Val: adm.ViewAlias(rec)})
 		if len(*batch) == backfillChunk {
 			idx.InsertBatch(*batch)
 			clear(*batch) // the pool clears only up to the final length
 			*batch = (*batch)[:0]
-			leases.release()
+			cu.leases.Release()
 		}
 	}
 	idx.InsertBatch(*batch)
 	itemBatches.put(batch)
-	leases.release() // the drained cursor left every block
+	cu.leases.Release() // the drained cursor left every block
 	if err := cu.Err(); err != nil {
 		return err
 	}
@@ -778,10 +780,14 @@ func (p *Partition) getLocked(kp *pointProbe) (adm.Value, bool, error) {
 // version may be in that block, so no older component may answer for
 // it. Every component is searched with the key's one encoding, and the
 // probe computes its bloom hash at most once per lookup (and not at all
-// when fences reject every run). l, when non-nil, is an empty lease
-// list a run may hand the pin of the record's block to (runFile.get); a
-// tombstone's is released.
-func lookupComponents(comps []*component, kp *pointProbe, l *leaseList) (v adm.Value, found bool, err error) {
+// when fences reject every run). l, when non-nil, is where a run may
+// leave the pin of the record's block (runFile.get); a tombstone's is
+// released.
+func lookupComponents(comps []*component, kp *pointProbe, l *Leases) (v adm.Value, found bool, err error) {
+	held := 0
+	if l != nil {
+		held = len(l.left)
+	}
 	for _, c := range comps {
 		if c.run != nil {
 			v, found, err = c.run.get(kp, l)
@@ -794,7 +800,7 @@ func lookupComponents(comps []*component, kp *pointProbe, l *leaseList) (v adm.V
 	}
 	if !found || v.IsMissing() {
 		if l != nil {
-			l.release()
+			l.releaseFrom(held)
 		}
 		return adm.Value{}, false, err
 	}
@@ -906,11 +912,17 @@ type Snapshot struct {
 	components []*component // newest first
 }
 
-// Get performs a point lookup in the snapshot. A block that cannot be
-// read fails the lookup with its read error, never answers not-found.
-func (s *Snapshot) Get(key adm.Value) (adm.Value, bool, error) {
+// Get performs a point lookup in the snapshot: a record read from a run
+// is a copy. A block that cannot be read fails the lookup with its read
+// error, never answers not-found.
+func (s *Snapshot) Get(key adm.Value) (adm.Value, bool, error) { return s.GetLeased(key, nil) }
+
+// GetLeased is Get for a reader that keeps the record only while it
+// reads it: a record read from a run is a view of its block, whose pin
+// l keeps until l.Release.
+func (s *Snapshot) GetLeased(key adm.Value, l *Leases) (adm.Value, bool, error) {
 	kp := encodeProbe(key)
-	v, ok, err := lookupComponents(s.components, kp, nil)
+	v, ok, err := lookupComponents(s.components, kp, l)
 	putProbe(kp)
 	runtime.KeepAlive(s)
 	return v, ok, err
@@ -919,7 +931,7 @@ func (s *Snapshot) Get(key adm.Value) (adm.Value, bool, error) {
 // getEncoded is Get for the key enc encodes: an index scan's primary
 // keys are encodings, looked up as they are. l, when non-nil, may keep
 // the pin of the block the record lies in (runFile.get).
-func (s *Snapshot) getEncoded(enc []byte, l *leaseList) (adm.Value, bool, error) {
+func (s *Snapshot) getEncoded(enc []byte, l *Leases) (adm.Value, bool, error) {
 	kp := getProbe(enc)
 	v, ok, err := lookupComponents(s.components, kp, l)
 	putProbe(kp)
@@ -928,13 +940,15 @@ func (s *Snapshot) getEncoded(enc []byte, l *leaseList) (adm.Value, bool, error)
 }
 
 // Scan visits every live record in primary-key order until fn returns
-// false, through a Cursor. It returns the read fault (I/O, CRC) that
-// ended the scan early, if one did, so a partial scan never passes for a
-// complete one.
+// false, through a Cursor: a row fn is handed is valid until fn returns,
+// so fn copies (adm.Value.Detached) what it keeps. It returns the read
+// fault (I/O, CRC) that ended the scan early, if one did, so a partial
+// scan never passes for a complete one.
 func (s *Snapshot) Scan(fn func(key, rec adm.Value) bool) error {
 	cu := s.Cursor()
 	for key, rec, ok := cu.Next(); ok; key, rec, ok = cu.Next() {
 		if !fn(key, rec) {
+			cu.Close()
 			return nil
 		}
 	}
@@ -948,93 +962,116 @@ func (s *Snapshot) Scan(fn func(key, rec adm.Value) bool) error {
 // O(components), never O(records), and keeps the snapshot reachable —
 // and so its run files open — until it is drained or closed.
 func (s *Snapshot) Cursor() *Cursor {
-	return &Cursor{snap: s, m: mergeComponentCursors(s.components, true)}
+	cu := new(Cursor)
+	cu.open(s, s.components, true)
+	return cu
 }
 
-// lease makes a fresh cursor's run cursors lease the blocks they read
-// (BlockCache), for a reader that copies what it keeps — a parallel scan
-// under a keeping operator, the index back-fill: every pin a run cursor
-// lets go of — by leaving its block, or at Close — lands in l, for the
-// reader to release once nothing reads the block's rows
-// (ParallelScanCursor, Partition.AttachIndex).
-func (cu *Cursor) lease(l *leaseList) {
-	for _, in := range cu.m.inputs {
-		if in.fc != nil {
-			in.fc.leases = l
-		}
-	}
-}
-
-// leaseList is where a leased cursor's run cursors hand the pins of the
-// blocks they leave (left), and how many pins they hold now (held): an
-// entry the cursor returns while held is zero lies in no pinned block. A
-// leased index scan keeps in left the one entry its last row lies in
-// (IndexScanCursor).
-type leaseList struct {
+// Leases holds pins on blocks whose rows a reader still reads: those of
+// the blocks a cursor's run cursors have left (left), or the one entry
+// the record of a leased point read lies in (Snapshot.GetLeased; an
+// index scan keeps its last row's this way, IndexScanCursor).
+type Leases struct {
 	left []*blockEntry
-	held int
 }
 
-// release ends the pins of the blocks the cursor has left.
-func (l *leaseList) release() {
-	for _, e := range l.left {
+// Holds reports whether l holds a pin: whether a record a leased point
+// read returned lies in a pinned block.
+func (l *Leases) Holds() bool { return len(l.left) > 0 }
+
+// Release ends the pins l holds: the rows of their blocks may be
+// rewritten from then on.
+func (l *Leases) Release() { l.releaseFrom(0) }
+
+// releaseFrom ends the pins l took after its first n.
+func (l *Leases) releaseFrom(n int) {
+	for _, e := range l.left[n:] {
 		e.release()
 	}
-	clear(l.left)
-	l.left = l.left[:0]
+	clear(l.left[n:])
+	l.left = l.left[:n]
 }
 
-// Cursor streams a snapshot's live records. A run block it cannot read
-// (I/O, CRC) ends it: Next reports ok=false as at the end, and Err
-// tells the two apart.
+// Cursor streams a snapshot's live records. Its run cursors pin the
+// blocks they read and hand the pins of the blocks they leave to leases.
+// A run block it cannot read (I/O, CRC) ends it: Next reports ok=false
+// as at the end, and Err tells the two apart.
 type Cursor struct {
-	snap *Snapshot // what keeps the runs under m open
-	m    mergeCursor[*runCursor]
-	err  error
+	snap      *Snapshot // what keeps the runs under m open
+	m         mergeCursor[*runCursor]
+	leases    Leases
+	transient bool // the last entry lies in a pinned block
+	err       error
+}
+
+// open starts cu merging comps, which snap keeps open (nil: their
+// partition's lock does).
+func (cu *Cursor) open(snap *Snapshot, comps []*component, dropTombstones bool) {
+	cu.snap, cu.m = snap, mergeComponentCursors(comps, dropTombstones, &cu.leases)
 }
 
 // Next returns the next live record in key order: the record a view of
 // the bytes it lies in, and the key built once from its encoding, both
 // made with adm.ViewAlias, so a scan allocates neither a key nor a
-// string it reads.
+// string it reads. A row read from a run is valid until the next Next
+// or Close, which release the pins of the blocks the cursor has left:
+// a reader copies (adm.Value.Detached) what it keeps of a row Transient
+// reports.
 func (cu *Cursor) Next() (key, rec adm.Value, ok bool) {
 	k, r, ok := cu.nextEncoded()
+	cu.leases.Release()
 	if !ok {
 		return adm.Value{}, adm.Value{}, false
 	}
 	return adm.ViewAlias(k), adm.ViewAlias(r), true
 }
 
-// nextEncoded is Next's entry as the encodings of its key and record:
-// bytes that are never rewritten.
+// nextEncoded is Next's entry as the encodings of its key and record,
+// releasing nothing: the pins of the blocks the cursor leaves stay on
+// its Leases for the caller to release (AttachIndex, a parallel
+// scan's worker).
 func (cu *Cursor) nextEncoded() (key, rec []byte, ok bool) {
 	rc, ok, err := cu.m.next()
 	if !ok {
 		if err != nil {
 			cu.err = err
 		}
-		cu.Close()
+		cu.leave()
+		cu.snap, cu.m = nil, mergeCursor[*runCursor]{}
 		return nil, nil, false
 	}
+	cu.transient = rc.fc != nil && rc.fc.lease != nil
 	runtime.KeepAlive(cu) // see Snapshot: cu.snap must outlive the read
 	return rc.key, rc.val, true
 }
 
+// Transient reports whether the row Next last returned lies in a pinned
+// block, whose bytes may be rewritten once the cursor's next Next or
+// Close releases it. A memtable row never does.
+func (cu *Cursor) Transient() bool { return cu.transient }
+
 // Err returns the read fault that ended the cursor early, or nil.
 func (cu *Cursor) Err() error { return cu.err }
 
-// Close stops the cursor — Next reports exhaustion from then on — and
-// lets go of the snapshot; a leased cursor's runs hand the pins of the
-// blocks they stand on to its leaseList. A cursor holds nothing else, so one
-// that is simply dropped leaks nothing (a dropped pin only keeps its
-// block from being recycled).
+// Close stops the cursor — Next reports exhaustion from then on —
+// releases the pins it holds and lets go of the snapshot. A cursor holds
+// nothing else, so one that is simply dropped leaks nothing (a dropped
+// pin only keeps its block from being recycled).
 func (cu *Cursor) Close() {
+	cu.leave()
+	cu.leases.Release()
+	cu.snap, cu.m = nil, mergeCursor[*runCursor]{}
+}
+
+// leave hands the pins of the blocks the run cursors stand on to the
+// cursor's Leases, which its owner then releases.
+func (cu *Cursor) leave() {
 	for _, in := range cu.m.inputs {
 		if in.fc != nil {
 			in.fc.leave()
 		}
 	}
-	cu.snap, cu.m = nil, mergeCursor[*runCursor]{}
+	cu.transient = false
 }
 
 // Changes returns a cursor over every key written after the mutation
@@ -1063,7 +1100,9 @@ func (s *Snapshot) Changes(since uint64) (cc *ChangeCursor, ok bool) {
 	if n > 0 && n == len(s.components) {
 		return nil, false
 	}
-	return &ChangeCursor{Cursor{snap: s, m: mergeComponentCursors(s.components[:n], false)}}, true
+	cc = new(ChangeCursor)
+	cc.open(s, s.components[:n], false)
+	return cc, true
 }
 
 // ChangeCursor streams what Snapshot.Changes selected: Next yields
@@ -1122,12 +1161,13 @@ func newMergeCursor[I mergeInput](inputs []I, dropTombstones bool) mergeCursor[I
 	}
 }
 
-// mergeComponentCursors opens a merge over the components' cursors.
-func mergeComponentCursors(comps []*component, dropTombstones bool) mergeCursor[*runCursor] {
+// mergeComponentCursors opens a merge over the components' cursors,
+// whose runs hand the pins of the blocks they leave to l.
+func mergeComponentCursors(comps []*component, dropTombstones bool, l *Leases) mergeCursor[*runCursor] {
 	cursors := make([]runCursor, len(comps))
 	inputs := make([]*runCursor, len(comps))
 	for i, c := range comps {
-		cursors[i] = c.cursor()
+		cursors[i] = c.cursor(l)
 		inputs[i] = &cursors[i]
 	}
 	return newMergeCursor(inputs, dropTombstones)

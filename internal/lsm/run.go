@@ -472,13 +472,13 @@ func (r *runFile) load() error {
 
 // block is one run-file block in memory: the payload its frame
 // carries, checksum-verified and decoded, plus the offsets of its
-// entries. data is never written after loadBlock returns while anything
-// can read it: the record views a lookup or cursor returns alias it for
-// as long as anything keeps them. A cached block and a block a declined
-// point miss read privately are the buffers of a pooled entry
-// (blockEntry), which goes back to the pool only once no reader can
-// read them (BlockCache: pins and escape). (The blocks compaction
-// reuses are handed to no one.)
+// entries. data is never written after loadBlock returns while a reader
+// pins it: the record views a lookup or cursor returns alias it until
+// the pin is released. A cached block and a block a declined point miss
+// read privately are the buffers of a pooled entry (blockEntry), which
+// goes back to the pool only once no reader can read them (BlockCache:
+// pins). A block of a run with no cache is fresh memory no pool reuses.
+// (The blocks compaction reuses are handed to no one.)
 type block struct {
 	data []byte
 	// offs locates entry i in data: its key starts at offs[2i], its record
@@ -609,19 +609,16 @@ func parseBlock(data []byte, offs []uint32) (block, error) {
 
 // scanBlock returns block i to a cursor, through the cache's scan ring
 // when one is wired: a hit returns the resident block, a miss loads it
-// (once, however many readers miss it together) and publishes it. A
-// leased cursor's read may pin the block: lease, when non-nil, is the
-// pin the cursor hands up when it leaves the block (runFileCursor).
-func (r *runFile) scanBlock(i int, leased bool) (blk block, lease *blockEntry, err error) {
+// (once, however many readers miss it together) and publishes it. The
+// read pins the block: lease is the pin the cursor hands up when it
+// leaves the block (runFileCursor); nil for a run with no cache, whose
+// block is the cursor's own.
+func (r *runFile) scanBlock(i int) (blk block, lease *blockEntry, err error) {
 	if r.cache == nil {
 		blk, err = r.loadBlock(i, block{})
 		return blk, nil, err
 	}
-	mode := scanRead
-	if leased {
-		mode = leasedScan
-	}
-	blk, lease, _, err = r.cache.fetch(r.id, i, mode, func(reuse block) (block, error) { return r.loadBlock(i, reuse) })
+	blk, lease, _, err = r.cache.fetch(r.id, i, cursorRead, func(reuse block) (block, error) { return r.loadBlock(i, reuse) })
 	return blk, lease, err
 }
 
@@ -649,18 +646,15 @@ func (b block) lookup(key []byte) []byte {
 // get performs a point lookup: reject by key-range fence, then by bloom
 // filter, then binary-search the block index for the last block whose
 // first key is <= key and binary-search that block's encoded keys, every
-// comparison one of encodings (adm.CompareEncoded). On a shard with
-// room, a block the cache keeps serves the record as a view of its
-// bytes, so a hit decodes and allocates nothing. On a full shard the
-// read pins the block's entry, so that it stays recyclable (BlockCache):
-// with a lease list, the record is a view of the block and l keeps the
-// pin; without one, the read copies its one record out and releases the
-// pin. A block that has escaped already serves a view. A block the cache
-// does not keep — a first touch on a full shard, or any block of a run
-// with no cache — is read privately (readRecord). Only a found record
-// puts an entry on l. An error is a block that could not be read, so
-// the key may be here after all.
-func (r *runFile) get(kp *pointProbe, l *leaseList) (v adm.Value, found bool, err error) {
+// comparison one of encodings (adm.CompareEncoded). The read pins the
+// block's entry, so that it stays recyclable (BlockCache): with a lease
+// list, the record is a view of the block and l keeps the pin; without
+// one, the read copies its one record out and releases the pin. A block
+// the cache does not keep — a first touch on a full shard, or any block
+// of a run with no cache — is read privately (readRecord). Only a found
+// record puts an entry on l. An error is a block that could not be
+// read, so the key may be here after all.
+func (r *runFile) get(kp *pointProbe, l *Leases) (v adm.Value, found bool, err error) {
 	if len(r.blocks) == 0 {
 		return adm.Value{}, false, nil
 	}
@@ -700,15 +694,12 @@ func (r *runFile) get(kp *pointProbe, l *leaseList) (v adm.Value, found bool, er
 }
 
 // keepRecord returns rec, the record a point read found (or nil), from a
-// block it holds by lease, if any: with a lease list, as a view of the
-// block, whose pin the list keeps; without one, as a copy, the pin
-// released. A block held by no lease has escaped and serves a view.
-func keepRecord(rec []byte, lease *blockEntry, l *leaseList) (adm.Value, bool) {
-	switch {
-	case lease == nil:
-	case rec != nil && l != nil:
+// block it holds by lease: with a lease list, as a view of the block,
+// whose pin the list keeps; without one, as a copy, the pin released.
+func keepRecord(rec []byte, lease *blockEntry, l *Leases) (adm.Value, bool) {
+	if rec != nil && l != nil {
 		l.left = append(l.left, lease)
-	default:
+	} else {
 		rec = bytes.Clone(rec) // nil stays nil
 		lease.release()
 	}
@@ -725,7 +716,7 @@ func keepRecord(rec []byte, lease *blockEntry, l *leaseList) (adm.Value, bool) {
 // record is a view of the entry's block, which l keeps until it is
 // released; without one, it is a copy, and the entry goes back to the
 // pool at once, overwritten, for the next load to decode into.
-func (r *runFile) readRecord(i int, key []byte, l *leaseList) (adm.Value, bool, error) {
+func (r *runFile) readRecord(i int, key []byte, l *Leases) (adm.Value, bool, error) {
 	e := entries.Get().(*blockEntry)
 	e.pins, e.gone = 1, true
 	blk, err := r.loadBlock(i, e.blk)
@@ -768,13 +759,11 @@ func (r *runFile) close() error {
 
 // runFileCursor streams a run's entries block by block in key order as
 // the encoded bytes the file holds: key and val are the entry the last
-// advance stepped onto. A query's cursor (cursor) loads blocks through
-// the block cache, and what it hands up stays readable for as long as
-// anything keeps it — unless the cursor is leased: then each block it
-// reads may be pinned (lease), and when the cursor leaves a block it
-// hands the pin to its leaseList (leases), whose owner releases it once
-// nothing reads the block's rows any more (ParallelScanCursor,
-// Partition.AttachIndex).
+// advance stepped onto. A reader's cursor (cursor) loads blocks through
+// the block cache and pins each one it reads (lease); when it leaves a
+// block it hands the pin to its Leases (leases), whose owner releases
+// it once nothing reads the block's rows any more (Cursor,
+// ParallelScanCursor, Partition.AttachIndex).
 // Compaction's (rawReader) loads blocks as queries do (loadBlock), but
 // into buffers it reuses, and goes around the block cache in both
 // directions: a compaction reads every block of its inputs exactly
@@ -785,7 +774,7 @@ func (r *runFile) close() error {
 type runFileCursor struct {
 	r      *runFile
 	raw    bool        // compaction's: reused buffers, around the cache
-	leases *leaseList  // a leased cursor's: where left pins go
+	leases *Leases     // where left pins go
 	lease  *blockEntry // the current block's pin, if any
 	block  int         // next block to load
 	blk    block       // the current block
@@ -795,7 +784,9 @@ type runFileCursor struct {
 	err      error
 }
 
-func (r *runFile) cursor() *runFileCursor    { return &runFileCursor{r: r} }
+func (r *runFile) cursor(l *Leases) *runFileCursor {
+	return &runFileCursor{r: r, leases: l}
+}
 func (r *runFile) rawReader() *runFileCursor { return &runFileCursor{r: r, raw: true} }
 
 // advance makes runFileCursor a mergeInput: the merged entry is c.key,
@@ -810,10 +801,7 @@ func (c *runFileCursor) advance() (key []byte, tombstone, ok bool, err error) {
 		if c.raw {
 			blk, err = c.r.loadBlock(c.block, c.blk)
 		} else {
-			blk, c.lease, err = c.r.scanBlock(c.block, c.leases != nil)
-			if c.lease != nil {
-				c.leases.held++
-			}
+			blk, c.lease, err = c.r.scanBlock(c.block)
 		}
 		if err != nil {
 			c.err, c.block = err, len(c.r.blocks)
@@ -828,11 +816,10 @@ func (c *runFileCursor) advance() (key []byte, tombstone, ok bool, err error) {
 }
 
 // leave hands the current block's pin, if it holds one, to the scan's
-// leaseList: the cursor reads the block no more.
+// Leases: the cursor reads the block no more.
 func (c *runFileCursor) leave() {
 	if c.lease != nil {
 		c.leases.left = append(c.leases.left, c.lease)
-		c.leases.held--
 		c.lease = nil
 	}
 }

@@ -20,17 +20,15 @@ import (
 // snapshot was pinned simply misses in the snapshot and is skipped; a
 // lookup that faults ends the cursor, and Err reports the fault.
 //
-// A leased cursor (NewLeasedIndexScanCursor) reads each record where it
-// lies on a full block cache instead of copying it out: it keeps the
-// entry the record lies in — a cached block's, or the private one a read
-// the cache declined decoded into — pinned on its leaseList until the
-// consumer calls Next again or Close, one entry at a time. Transient
-// reports whether the last row lies in such an entry: once released, an
-// evicted entry's bytes may be rewritten under every view of them, so
-// the consumer must copy (adm.Value.Detached) what it keeps of a
-// transient row before it calls Next again. A block on a shard with
-// room, and a memtable record, are views that stay readable, as an
-// unleased cursor's rows all are.
+// The cursor reads each record where it lies instead of copying it out:
+// it keeps the entry the record lies in — a cached block's, or the
+// private one a read the cache declined decoded into — pinned on its
+// Leases until the consumer calls Next again or Close, one entry at
+// a time. Transient reports whether the last row lies in such an entry:
+// once released, an evicted entry's bytes may be rewritten under every
+// view of them, so the consumer must copy (adm.Value.Detached) what it
+// keeps of a transient row before it calls Next again. A memtable
+// record is a view that stays readable.
 type IndexScanCursor struct {
 	snaps []*Snapshot
 	capt  *indexCapture // nil once closed
@@ -46,8 +44,7 @@ type indexCapture struct {
 	pks    []string // the captured primary keys, all partitions
 	ends   []int    // pks[ends[p-1]:ends[p]] are partition p's
 	lo, hi []byte   // the range's encoded bounds
-	leased bool
-	leases leaseList // the entry the row Next last returned lies in, if leased
+	leases Leases   // the entry the row Next last returned lies in, if any
 }
 
 var indexCaptures = sync.Pool{New: func() any { return new(indexCapture) }}
@@ -70,27 +67,15 @@ func NewIndexScanCursor(snaps []*Snapshot, idxs []*BTreeIndex, lo, hi index.Boun
 	return &IndexScanCursor{snaps: snaps, capt: cp}
 }
 
-// NewLeasedIndexScanCursor is NewIndexScanCursor for a consumer that
-// keeps only copies of the rows Transient marks: each row may lie in a
-// block the cursor holds until the next Next or Close (see
-// IndexScanCursor).
-func NewLeasedIndexScanCursor(snaps []*Snapshot, idxs []*BTreeIndex, lo, hi index.Bound) *IndexScanCursor {
-	c := NewIndexScanCursor(snaps, idxs, lo, hi)
-	c.capt.leased = true
-	return c
-}
-
 // Next resolves and returns the next matched record, with its primary
 // key a view of the index entry's bytes. Output order is entry order
 // per partition (secondary key, then primary key), not global
 // primary-key order; consumers needing an order sort above. At the end,
-// or on a fault, the cursor closes itself. A leased cursor first lets go
-// of the block the previous row lies in.
+// or on a fault, the cursor closes itself. It first lets go of the
+// block the previous row lies in.
 func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
-	var l *leaseList
-	if c.capt != nil && c.capt.leased {
-		l = &c.capt.leases
-		l.release()
+	if c.capt != nil {
+		c.capt.leases.Release()
 	}
 	for c.capt != nil && c.pos < len(c.capt.pks) {
 		for c.pos >= c.capt.ends[c.part] {
@@ -98,7 +83,7 @@ func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
 		}
 		pk := bytesOf(c.capt.pks[c.pos])
 		c.pos++
-		rec, found, err := c.snaps[c.part].getEncoded(pk, l)
+		rec, found, err := c.snaps[c.part].getEncoded(pk, &c.capt.leases)
 		if err != nil {
 			c.err = err
 			break
@@ -112,11 +97,10 @@ func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
 }
 
 // Transient reports whether the row Next last returned lies in a block
-// this leased cursor holds: once Next or Close is called, its bytes —
-// and every view of them — may be rewritten. It is always false for an
-// unleased cursor, and for a row read from a memtable or from a shard
-// with room.
-func (c *IndexScanCursor) Transient() bool { return c.capt != nil && len(c.capt.leases.left) > 0 }
+// this cursor holds: once Next or Close is called, its bytes — and every
+// view of them — may be rewritten. It is false for a row read from a
+// memtable.
+func (c *IndexScanCursor) Transient() bool { return c.capt != nil && c.capt.leases.Holds() }
 
 // Err returns the read fault that ended the cursor early, or nil.
 func (c *IndexScanCursor) Err() error { return c.err }
@@ -129,10 +113,10 @@ func (c *IndexScanCursor) Close() {
 	if cp == nil {
 		return
 	}
-	cp.leases.release()
+	cp.leases.Release()
 	c.capt, c.snaps = nil, nil
 	clear(cp.pks) // don't pin index entries from the pool
-	cp.pks, cp.ends, cp.leased = cp.pks[:0], cp.ends[:0], false
+	cp.pks, cp.ends = cp.pks[:0], cp.ends[:0]
 	indexCaptures.Put(cp)
 }
 
@@ -186,22 +170,20 @@ const scanChanBatches = 8
 // what full batches of rows of a few hundred bytes span.
 const scanBatchLeases = 4
 
-// scanBatch is what a worker sends: up to scanBatchSize items, and, in a
-// leased scan, the pins of the blocks its worker left while filling it
-// (leases, a few more than scanBatchLeases at most), released when the
-// consumer recycles it. transient says an item may lie in a pinned block
-// — its worker held a pin when the item was added — whose bytes the
-// cache may recycle once the batch is.
+// scanBatch is what a worker sends: up to scanBatchSize items, and the
+// pins of the blocks its worker left while filling it (leases, a few
+// more than scanBatchLeases at most), released when the consumer
+// recycles it. transient says an item lies in a pinned block, whose
+// bytes the cache may recycle once the batch is.
 type scanBatch struct {
 	items     []parItem
 	leases    []*blockEntry
 	transient bool
 }
 
-// take moves the pins a leased cursor has let go of onto b (l is nil
-// for a scan that leases nothing).
-func (b *scanBatch) take(l *leaseList) {
-	if l != nil && len(l.left) > 0 {
+// take moves the pins a cursor has let go of onto b.
+func (b *scanBatch) take(l *Leases) {
+	if len(l.left) > 0 {
 		b.leases = append(b.leases, l.left...)
 		clear(l.left)
 		l.left = l.left[:0]
@@ -240,16 +222,15 @@ func putScanBatch(b *scanBatch) {
 // cursor, like Rows, is not concurrent-safe); Close is idempotent and
 // safe mid-scan.
 //
-// A leased scan (NewLeasedScanCursor) leases the blocks it reads from the
-// block cache: each batch carries the pins of the blocks its worker left
-// while filling it (scanBatchLeases bounds them), and the cursor
-// releases them when it recycles the batch (fetch, Close) — after the
-// consumer has pulled past every row in it, and in it every row of those
-// blocks. Once released, a block the cache has evicted may be recycled:
-// its bytes rewritten under views of it. So a leased scan's consumer must
-// copy (adm.Value.Detached) what it keeps of a row for which Transient
-// reports true before it calls Next again, and the rows themselves must
-// reach no one else.
+// The scan pins the blocks it reads from the block cache: each batch
+// carries the pins of the blocks its worker left while filling it
+// (scanBatchLeases bounds them), and the cursor releases them when it
+// recycles the batch (fetch, Close) — after the consumer has pulled past
+// every row in it, and in it every row of those blocks. Once released, a
+// block the cache has evicted may be recycled: its bytes rewritten under
+// views of it. So the consumer must copy (adm.Value.Detached) what it
+// keeps of a row for which Transient reports true before it calls Next
+// again, and the rows themselves must reach no one else.
 type ParallelScanCursor struct {
 	order ScanOrder
 	chans []chan *scanBatch
@@ -262,6 +243,7 @@ type ParallelScanCursor struct {
 	poss      []int
 	heads     []parItem
 	live      []bool
+	popped    int // KeyOrder: the stream whose head Next returned last, or -1
 	primed    bool
 	transient bool // the last row Next returned may lie in a pinned block
 
@@ -274,21 +256,7 @@ type ParallelScanCursor struct {
 // concurrent calls — and drops records it returns false for; an error
 // aborts the scan and surfaces from Next.
 func NewParallelScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (bool, error), order ScanOrder) *ParallelScanCursor {
-	return newParallelScanCursor(snaps, filter, order, false)
-}
-
-// NewLeasedScanCursor is NewParallelScanCursor for a consumer that keeps
-// only copies of the rows Transient marks: the scan leases the blocks it
-// reads (see ParallelScanCursor), so that on a full block cache the
-// blocks it evicts are decoded into again. KeyOrder is never leased: its
-// merge refills a stream's head before it returns the popped row, which
-// could recycle that row's batch under it.
-func NewLeasedScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (bool, error), order ScanOrder) *ParallelScanCursor {
-	return newParallelScanCursor(snaps, filter, order, order != KeyOrder)
-}
-
-func newParallelScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (bool, error), order ScanOrder, lease bool) *ParallelScanCursor {
-	c := &ParallelScanCursor{order: order, done: make(chan struct{})}
+	c := &ParallelScanCursor{order: order, done: make(chan struct{}), popped: -1}
 	nchans := len(snaps)
 	if order == Unordered {
 		nchans = 1
@@ -307,21 +275,13 @@ func newParallelScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (b
 	c.free = make(chan *scanBatch, nbatch)
 	c.bufs = make([]*scanBatch, nchans)
 	c.poss = make([]int, nchans)
-	var leases []leaseList // one per worker, for a leased scan
-	if lease {
-		leases = make([]leaseList, len(snaps))
-	}
 	c.wg.Add(len(snaps))
 	for i, s := range snaps {
 		out := c.chans[0]
 		if order != Unordered {
 			out = c.chans[i]
 		}
-		var l *leaseList
-		if lease {
-			l = &leases[i]
-		}
-		go c.scanWorker(s, filter, l, out, order != Unordered)
+		go c.scanWorker(s, filter, out, order != Unordered)
 	}
 	if order == Unordered {
 		// The shared channel closes once after every worker exits.
@@ -333,17 +293,15 @@ func newParallelScanCursor(snaps []*Snapshot, filter func(key, rec adm.Value) (b
 	return c
 }
 
-// scanWorker walks s into out; leases, when non-nil, is the leaseList
-// its cursor leases into.
-func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Value) (bool, error), leases *leaseList, out chan<- *scanBatch, ownsChan bool) {
+// scanWorker walks s into out; the pins its cursor lets go of travel
+// in the batches behind the rows of their blocks.
+func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Value) (bool, error), out chan<- *scanBatch, ownsChan bool) {
 	defer c.wg.Done()
 	if ownsChan {
 		defer close(out)
 	}
 	cur := s.Cursor()
-	if leases != nil {
-		cur.lease(leases)
-	}
+	leases := &cur.leases
 	getBatch := func() *scanBatch {
 		select {
 		case b := <-c.free:
@@ -357,7 +315,7 @@ func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Va
 	// list, where Close finds it, and the pins its cursor still holds are
 	// released with it: the scan is closing, and nothing reads its rows.
 	defer func() {
-		cur.Close()
+		cur.leave()
 		batch.take(leases)
 		c.recycle(batch)
 	}()
@@ -377,7 +335,7 @@ func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Va
 	// holds, which must reach the consumer behind the rows of their
 	// blocks, and err, if any, as its last item.
 	end := func(err error) {
-		cur.Close()
+		cur.leave()
 		batch.take(leases)
 		if err != nil {
 			batch.items = append(batch.items, parItem{err: err})
@@ -405,7 +363,7 @@ func (c *ParallelScanCursor) scanWorker(s *Snapshot, filter func(key, rec adm.Va
 			}
 		}
 		batch.items = append(batch.items, parItem{key: k, rec: r})
-		batch.transient = batch.transient || leases != nil && leases.held > 0
+		batch.transient = batch.transient || cur.Transient()
 		if len(batch.items) == scanBatchSize && !flush() {
 			return
 		}
@@ -462,6 +420,9 @@ func (c *ParallelScanCursor) Next() (key, rec adm.Value, ok bool, err error) {
 	return adm.Value{}, adm.Value{}, false, nil
 }
 
+// nextKeyOrder pops the least head. The popped stream is refilled on the
+// next call, not before the row is returned: the refill may recycle the
+// batch the row lies in.
 func (c *ParallelScanCursor) nextKeyOrder() (key, rec adm.Value, ok bool, err error) {
 	if !c.primed {
 		c.primed = true
@@ -471,6 +432,10 @@ func (c *ParallelScanCursor) nextKeyOrder() (key, rec adm.Value, ok bool, err er
 			if c.recv(i); c.err != nil {
 				return adm.Value{}, adm.Value{}, false, c.err
 			}
+		}
+	} else if c.popped >= 0 {
+		if c.recv(c.popped); c.err != nil {
+			return adm.Value{}, adm.Value{}, false, c.err
 		}
 	}
 	best := -1
@@ -482,10 +447,9 @@ func (c *ParallelScanCursor) nextKeyOrder() (key, rec adm.Value, ok bool, err er
 	if best < 0 {
 		return adm.Value{}, adm.Value{}, false, nil
 	}
+	// heads[best] came from the batch stream best is draining.
 	out := c.heads[best]
-	if c.recv(best); c.err != nil {
-		return adm.Value{}, adm.Value{}, false, c.err
-	}
+	c.popped, c.transient = best, c.bufs[best].transient
 	return adm.ViewAlias(out.key), adm.ViewAlias(out.rec), true, nil
 }
 
@@ -505,9 +469,9 @@ func (c *ParallelScanCursor) recv(i int) {
 }
 
 // Transient reports whether the row Next last returned may lie in a
-// block this leased scan pinned: once Next is called again, its bytes —
-// and every view of them — may be rewritten. It is always false for a
-// scan that leases nothing, or whose blocks never filled the cache.
+// block this scan pinned: once Next is called again, its bytes — and
+// every view of them — may be rewritten. It is false for a row of a
+// batch that holds only memtable rows.
 func (c *ParallelScanCursor) Transient() bool { return c.transient }
 
 func (c *ParallelScanCursor) fail(err error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,8 +17,9 @@ import (
 // diffCatalog is the fixed catalog the differential corpus and the fuzz
 // target run over: R (400 rows, 4 partitions, B-tree index by_cat on
 // cat — see planCatalog), Events (300 rows, 3 partitions, no index),
-// a UDF whose body is a correlated aggregate subquery, and one that
-// recurses forever.
+// a UDF whose body is a correlated aggregate subquery, one that
+// recurses forever, and a library function that keeps its argument
+// (stashIntact).
 func diffCatalog(t testing.TB) *testCatalog {
 	t.Helper()
 	return diffCatalogOn(t, nil)
@@ -41,7 +43,40 @@ func diffCatalogOn(t testing.TB, cache *lsm.BlockCache) *testCatalog {
 	cat.addDataset(t, "Events", "id", 3, recs...)
 	cat.addSQLFunction(t, `CREATE FUNCTION cat_size(c) { (SELECT VALUE count(*) FROM R r WHERE r.cat = c)[0] };`)
 	cat.addSQLFunction(t, `CREATE FUNCTION loop_forever(x) { loop_forever(x) };`)
+	cat.natives["testlib#intact"] = stashIntact()
 	return cat
+}
+
+// stashIntact is a library function that keeps what it is handed, as a
+// library call may: it stashes its argument with the argument's
+// encoding and returns whether each of the last 64 arguments it
+// stashed still encodes as it did when stashed. A stored record kept
+// without a copy reads another block's bytes once its block is
+// recycled, and the call then returns false where the oracle, which
+// hands it decoded records, sees true.
+func stashIntact() func([]adm.Value) (adm.Value, error) {
+	type kept struct {
+		v   adm.Value
+		enc string
+	}
+	var mu sync.Mutex
+	var stash [64]kept
+	n := 0
+	return func(args []adm.Value) (adm.Value, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(args) != 1 {
+			return adm.Value{}, fmt.Errorf("intact takes one argument")
+		}
+		stash[n%len(stash)] = kept{args[0], string(adm.AppendBinary(nil, args[0]))}
+		n++
+		for _, k := range stash[:min(n, len(stash))] {
+			if string(adm.AppendBinary(nil, k.v)) != k.enc {
+				return adm.Bool(false), nil
+			}
+		}
+		return adm.Bool(true), nil
+	}
 }
 
 // diffCorpus is the fixed differential corpus (and the fuzz target's
@@ -129,6 +164,23 @@ var diffCorpus = []string{
 	// under a second FROM or a FROM-LET their leaf binds afresh.
 	`SELECT VALUE [e.id, n] FROM Events e, [1, 2] n WHERE e.id < 30 ORDER BY e.score DESC, e.id, n LIMIT 5`,
 	`SELECT g, e.grp AS same, count(*) AS n FROM Events e LET d = e.score GROUP BY e.grp AS g ORDER BY g`,
+	// Shapes that keep a stored row past the next pull, each of which
+	// copies what it keeps (a row read from a run is valid only until its
+	// leaf moves on): DISTINCT's set (whole records seen again a scan
+	// later, and strings read out of records in another partition's
+	// block), a subquery's drained array, a join's rows under a sort
+	// (both leaves' records), the key-ordered merge's popped row, and a
+	// library call that stashes its argument.
+	`SELECT DISTINCT VALUE r FROM [1, 2] n, R r WHERE r.score < 30`,
+	`SELECT DISTINCT VALUE e.grp FROM Events e`,
+	`SELECT e.id AS id, (SELECT VALUE r FROM R r WHERE r.score = e.score AND r.id < 200) AS rs FROM Events e WHERE e.id < 8`,
+	`SELECT * FROM Events e, R r WHERE e.id < 40 AND r.id = e.id + 100`,
+	`SELECT * FROM Events e, R r WHERE e.id < 40 AND r.id = e.id + 100 ORDER BY e.score DESC, e.id`,
+	`SELECT VALUE r FROM R r WHERE r.score > 20 ORDER BY r.id`,
+	`SELECT r.id AS id, testlib#intact(r) AS intact FROM R r WHERE r.score < 60`,
+	// Whole records an index probe reads where they lie (the recycling
+	// arm's index-scan run).
+	`SELECT VALUE r FROM R r WHERE r.cat = "c7"`,
 	// Both engines must refuse these.
 	`SELECT VALUE loop_forever(1) FROM [1] x`,
 	`SELECT VALUE sum() FROM R r`,
@@ -144,6 +196,20 @@ var diffCorpus = []string{
 	`SELECT VALUE CASE WHEN x > 2 THEN nosuchfn(x) ELSE x END FROM [1, 2, 3, 4] x LIMIT 2`,
 	`SELECT VALUE EXISTS (SELECT VALUE CASE WHEN y > 1 THEN nosuchfn(y) ELSE y END FROM [1, 2] y) FROM [1] x`,
 	`SELECT VALUE [(SELECT VALUE y FROM [1, 2] y LIMIT 1), CASE WHEN x > 2 THEN nosuchfn(x) ELSE x END] FROM [1, 2, 3, 4] x`,
+}
+
+// engineRows runs sel on the engine alone over cat, with index scans off
+// when scan is set, and returns its rows (copies of the transient ones),
+// its plan and the error that ended it.
+func engineRows(std context.Context, cat *testCatalog, sel *sqlpp.SelectExpr, scan bool) ([]adm.Value, string, error) {
+	ctx := NewContext(cat)
+	ctx.Std, ctx.DisableIndexScan = std, scan
+	rc, err := ExecuteSelectCursor(ctx, nil, sel)
+	if err != nil {
+		return nil, "", err
+	}
+	rows, err := drainRows(rc)
+	return rows, rc.Plan(), err
 }
 
 // diffQuery runs one SELECT on the engine, through a cursor opened on
@@ -175,6 +241,9 @@ func diffQuery(t testing.TB, ctx *Context, q string, sel *sqlpp.SelectExpr) (got
 			if !ok {
 				err = nerr
 				break
+			}
+			if rc.Transient() { // the caller keeps a copy (RowCursor.Transient)
+				v = v.Detached()
 			}
 			got = append(got, v)
 		}
@@ -275,15 +344,21 @@ func sameArms(t testing.TB, q string, rows []adm.Value, plan string, frows []adm
 // differential corpus) run under plain `go test`; searching beyond them
 // is `go test -run '^$' -fuzz FuzzSelectMatchesOracle ./internal/query/`.
 //
-// Index scans are off: postings order differs from key order and only an
-// ORDER BY — which a mutated query cannot be relied on to carry — makes
-// a LIMIT prefix over one comparable. TestIndexScanMatchesFullScan and
-// the randomized differential cover that leaf.
+// Index scans are off in the arms compared with each other: postings
+// order differs from key order and only an ORDER BY — which a mutated
+// query cannot be relied on to carry — makes a LIMIT prefix over one
+// comparable. TestIndexScanMatchesFullScan and the randomized
+// differential cover that leaf.
 //
 // The third arm is the flushed catalog behind a cache whose splits are
-// smaller than any block: every block a leased scan reads is evicted as
-// it is admitted and recycled once released, so a top-k or an aggregate
-// that kept a row it did not copy reads another block's bytes.
+// smaller than any block: every block a reader pins is evicted as it is
+// admitted and recycled once released, so anything that kept a row it
+// did not copy — a top-k, an aggregate, DISTINCT, a drained subquery, a
+// library call — reads another block's bytes. It runs once more with
+// index scans on: where the statement becomes an index probe, which
+// reads postings order, its rows must be the third arm's as a multiset,
+// unless a LIMIT takes a prefix or either run fails (the probe reads
+// fewer rows, so it may miss an error a scan meets).
 func FuzzSelectMatchesOracle(f *testing.F) {
 	loaded, flushed := diffCatalog(f), flushedDiffCatalog(f)
 	recycling := flushedDiffCatalogOn(f, lsm.NewBlockCache(8<<10))
@@ -312,5 +387,15 @@ func FuzzSelectMatchesOracle(f *testing.F) {
 		sameArms(t, q, rows, plan, frows, fplan)
 		rrows, rplan := arm(recycling)
 		sameArms(t, q, rows, plan, rrows, rplan)
+		if sel.Limit != nil {
+			return
+		}
+		irows, iplan, err := engineRows(std, recycling, sel, false)
+		if err != nil || !strings.Contains(iplan, "iscan(") {
+			return
+		}
+		if srows, _, err := engineRows(std, recycling, sel, true); err == nil && !sameMultiset(irows, srows) {
+			t.Errorf("%s:\n plan %s\n rows %v\n with index scans off %v", q, iplan, irows, srows)
+		}
 	})
 }

@@ -130,7 +130,7 @@ func evalCall(st evalState, env *Env, call *sqlpp.Call) (adm.Value, error) {
 			return adm.Null(), nil
 		}
 		for _, v := range arg.ArrayVal() {
-			acc.fold(v, false)
+			acc.fold(v)
 		}
 		return acc.final()
 	}

@@ -40,11 +40,10 @@ import (
 //     scan workers per row costs more than it overlaps.
 //  3. Serial scan — everything else.
 //
-// Its caller is the one consumer whose rows may be transient
-// (RowCursor.Transient): it must copy what it keeps of such a row
-// before it calls Next again.
+// A row may be transient (RowCursor.Transient): the caller must copy
+// what it keeps of such a row before it calls Next again.
 func ExecuteSelectCursor(ctx *Context, env *Env, sel *sqlpp.SelectExpr) (*RowCursor, error) {
-	return openBlock(evalState{ctx: ctx}, env, sel, nil, true)
+	return openBlock(evalState{ctx: ctx}, env, sel, nil)
 }
 
 // openSelect enters a query block — one nesting level down, outside any
@@ -63,15 +62,13 @@ func openSelect(st evalState, env *Env, sel *sqlpp.SelectExpr) (*RowCursor, erro
 	if kp := st.scratch.pipeline(sel, ps); kp != nil {
 		return kp.open(st, env, sel, ps)
 	}
-	return openBlock(st, env, sel, ps, false)
+	return openBlock(st, env, sel, ps)
 }
 
 // openBlock is openSelect with no kept pipeline: every operator is built.
-// streams says the cursor's rows go straight to ExecuteSelectCursor's
-// caller (see leaseRows).
-func openBlock(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, streams bool) (*RowCursor, error) {
+func openBlock(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub) (*RowCursor, error) {
 	if ps != nil {
-		return openPipeline(st.noGroup(), env, sel, ps, false, false)
+		return openPipeline(st.noGroup(), env, sel, ps, false)
 	}
 	st, err := st.deeper()
 	if err != nil {
@@ -111,7 +108,7 @@ func openBlock(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, s
 		// scope by binding it to MISSING (only presence matters here).
 		scope = Bind(scope, fc.Alias, adm.Missing())
 	}
-	return openPipeline(st, env, sel, nil, livePin, streams)
+	return openPipeline(st, env, sel, nil, livePin)
 }
 
 // openPipeline evaluates LIMIT, assembles the operators and wraps them
@@ -119,9 +116,8 @@ func openBlock(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, s
 // non-nil, is a compiled enrichment probe whose FROM product
 // (preparedSub.open) stands in for the FROM, LET and WHERE operators.
 // livePin says the caller pinned the first FROM dataset just now (see
-// planScanLeaf); streams, that the cursor's rows go straight to
-// ExecuteSelectCursor's caller (see leaseRows).
-func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, livePin, streams bool) (*RowCursor, error) {
+// planScanLeaf).
+func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub, livePin bool) (*RowCursor, error) {
 	rc := &RowCursor{st: st, sel: sel, limit: -1}
 	if sel.Limit != nil {
 		lv, err := eval(st, nil, sel.Limit)
@@ -135,11 +131,11 @@ func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub
 		rc.limit = n
 	}
 	rc.limit0 = rc.limit
-	rows, lent, err := planSelect(st, env, sel, rc.limit, ps, livePin, streams)
+	rows, err := planSelect(st, env, sel, rc.limit, ps, livePin)
 	if err != nil {
 		return nil, err
 	}
-	rc.rows, rc.lent = rows, lent
+	rc.rows = rows
 	if sel.Distinct {
 		rc.dedup = newValueDedup()
 	}
@@ -148,42 +144,33 @@ func openPipeline(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub
 
 // planSelect assembles the operator pipeline under the base env (with
 // leading LETs already bound): FROM → LET → WHERE, or a compiled probe's
-// FROM product when ps is non-nil, then aggregate and order. lent is the
-// leaf, when an index scan whose rows may lie in blocks it holds
-// (leaseRows).
-func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *preparedSub, livePin, streams bool) (rows rowSrc, lent *lsm.IndexScanCursor, err error) {
+// FROM product when ps is non-nil, then aggregate and order.
+func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *preparedSub, livePin bool) (rows rowSrc, err error) {
 	aggCalls := collectSelectAggs(sel)
 	grouped := len(sel.GroupBy) > 0 || len(aggCalls) > 0
-	lease := streams && leaseRows(sel, grouped)
+	// A library call or a catalog UDF may keep a value it is handed: the
+	// leaves of a block that makes one hand up copies of transient rows.
+	detach := !callsOnlyBuiltins(sel)
 
 	orderHandled := false
 	reuse := false
-	var scan *lsm.ParallelScanCursor // the leaf, when a parallel scan
 	var cur tupleCursor
 	if ps != nil {
 		reuse = envReuse(sel, grouped, limit, false, false)
 		if cur, err = ps.open(st, env, reuse); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	} else {
 		wherePushed := false
 		from := sel.From
 		if len(from) > 0 {
-			leaf, pushed, keyOrdered, err := planScanLeaf(st, env, sel, grouped, aggCalls, limit, livePin, lease)
+			leaf, pushed, keyOrdered, err := planScanLeaf(st, env, sel, grouped, aggCalls, limit, livePin)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if leaf != nil {
 				reuse = envReuse(sel, grouped, limit, pushed, keyOrdered)
-				switch l := leaf.(type) {
-				case *parallelColl:
-					scan = l.pc
-				case *indexScanColl:
-					if lease {
-						lent = l.sc
-					}
-				}
-				cur = &scanFromCursor{base: env, alias: from[0].Alias, leaf: leaf, reuse: reuse}
+				cur = &scanFromCursor{base: env, alias: from[0].Alias, leaf: leaf, reuse: reuse, detach: detach}
 				wherePushed, orderHandled = pushed, keyOrdered
 				from = from[1:] // the planned leaf covers the first clause
 			}
@@ -192,7 +179,7 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 			cur = &singleCursor{env: env}
 		}
 		for _, fc := range from {
-			cur = &fromCursor{st: st, outer: cur, src: fc.Source, alias: fc.Alias}
+			cur = &fromCursor{st: st, outer: cur, src: fc.Source, alias: fc.Alias, detach: detach}
 		}
 		if len(sel.FromLets) > 0 {
 			cur = &letCursor{st: st, inner: cur, lets: sel.FromLets}
@@ -203,7 +190,7 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 	}
 
 	if grouped {
-		rows = &aggRows{st: st, inner: cur, keys: sel.GroupBy, calls: aggCalls, copyRep: reuse, scan: scan}
+		rows = &aggRows{st: st, inner: cur, base: env, keys: sel.GroupBy, calls: aggCalls}
 	} else {
 		rows = &tupleRows{inner: cur}
 	}
@@ -216,9 +203,9 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 		}
 		// Grouped rows carry per-group envs already (aggRows copied the
 		// representatives); only raw scan rows need copying on accept.
-		rows = &topkRows{st: st, inner: rows, orderBy: sel.OrderBy, k: k, copyEnv: reuse && !grouped, scan: scan}
+		rows = &topkRows{st: st, inner: rows, base: env, orderBy: sel.OrderBy, k: k, copyEnv: reuse && !grouped}
 	}
-	return rows, lent, nil
+	return rows, nil
 }
 
 // envReuse is the env-reuse rule: the FROM leaf — a scan, or a compiled
@@ -228,8 +215,8 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 //
 //   - the top-k heap (topkRows, copyEnv) keeps its winners' envs until
 //     the input is drained, copying the top node only;
-//   - the hash aggregate (aggRows, copyRep) keeps one representative
-//     env per group, copying the top node only.
+//   - the hash aggregate (aggRows) keeps one representative env per
+//     group, copying the nodes over the base env.
 //
 // Every other pipeline — ungrouped, with no ORDER BY or one the
 // key-ordered merge answers — keeps no env under any FROM, LET or WHERE
@@ -242,15 +229,10 @@ func planSelect(st evalState, env *Env, sel *sqlpp.SelectExpr, limit int64, ps *
 // WHERE (if any) pushed into the scan or free of calls and subqueries,
 // and for the heap a LIMIT without DISTINCT (a bounded heap).
 //
-// The same holds for the bytes under the box. Where the leaf reuses
-// through this arm — the heap or the aggregate is then all that keeps
-// anything of a row — and is a parallel scan, the scan leases its blocks
-// (lsm.NewLeasedScanCursor), and on a full block cache a row's bytes may
-// be recycled once the next row is pulled: the scan then reports the row
-// transient (Transient), and the two keeping operators — the heap's
-// winners and their order keys, the aggregate's representatives, group
-// keys and min/max — keep adm.Value.Detached copies of what they keep of
-// it. A scan that leases nothing reports no row transient.
+// The bytes under a row follow one rule whatever the leaf: whatever
+// keeps a transient row (tupleCursor.transient) copies what it keeps —
+// the heap its winners and their keys, the aggregate its groups and
+// min/max, DISTINCT its set, a drained subquery its array.
 func envReuse(sel *sqlpp.SelectExpr, grouped bool, limit int64, wherePushed, keyOrdered bool) bool {
 	if !grouped && (len(sel.OrderBy) == 0 || keyOrdered) {
 		return true
@@ -258,22 +240,6 @@ func envReuse(sel *sqlpp.SelectExpr, grouped bool, limit int64, wherePushed, key
 	safeWhere := sel.Where == nil || wherePushed || safeParallelPred(sel.Where)
 	topkReuse := !grouped && limit >= 0 && !sel.Distinct
 	return len(sel.From) == 1 && len(sel.FromLets) == 0 && safeWhere && (topkReuse || grouped)
-}
-
-// leaseRows is the rule for an index probe's rows, whose blocks the
-// probe lends them (lsm.NewLeasedIndexScanCursor) where the block's rows
-// stream straight out of ExecuteSelectCursor: ungrouped, with no ORDER BY
-// and no DISTINCT, nothing of a row outlives the next pull but what the
-// cursor hands its caller — projection builds the row and LIMIT counts
-// it, and a FROM, LET, WHERE or subquery reads it before the leaf is
-// pulled again — and that caller copies what it keeps of a row the
-// cursor reports transient (RowCursor.Transient). A library call or a
-// catalog UDF anywhere in the block could keep a value it is handed, so
-// either keeps the copy. A probe under a keeping operator — the top-k
-// heap, the hash aggregate, the DISTINCT set — keeps it too: that is
-// the least code, and the point probe's shape is the streaming one.
-func leaseRows(sel *sqlpp.SelectExpr, grouped bool) bool {
-	return !grouped && len(sel.OrderBy) == 0 && !sel.Distinct && callsOnlyBuiltins(sel)
 }
 
 // planScanLeaf builds the record stream for the first FROM clause when
@@ -287,9 +253,8 @@ func leaseRows(sel *sqlpp.SelectExpr, grouped bool) bool {
 // SELECT (depth 1) whose openSelect pinned the dataset itself (livePin).
 // A nested SELECT runs later, maybe once per outer row, against the
 // statement's or the batch's older pin — as does a block reached with
-// the dataset already pinned — and scans the snapshot instead. lease
-// says the probe may lend its rows their blocks (leaseRows).
-func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, aggCalls []*sqlpp.Call, limit int64, livePin, lease bool) (leaf collCursor, pushed, keyOrdered bool, err error) {
+// the dataset already pinned — and scans the snapshot instead.
+func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, aggCalls []*sqlpp.Call, limit int64, livePin bool) (leaf collCursor, pushed, keyOrdered bool, err error) {
 	fc := sel.From[0]
 	id, isIdent := fc.Source.(*sqlpp.Ident)
 	if !isIdent || st.ctx.Catalog == nil {
@@ -310,11 +275,7 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 	// 1. Index pushdown (outermost SELECT on its own fresh pin only).
 	if !st.ctx.DisableIndexScan && st.depth == 1 && livePin && sel.Where != nil {
 		if field, idxName, idxs, lo, hi, found := pickIndexRange(st.ctx, ds, fc.Alias, sel.Where); found {
-			open := lsm.NewIndexScanCursor
-			if lease {
-				open = lsm.NewLeasedIndexScanCursor
-			}
-			return &indexScanColl{sc: open(snaps, idxs, lo, hi), index: idxName, field: field}, false, false, nil
+			return &indexScanColl{IndexScanCursor: lsm.NewIndexScanCursor(snaps, idxs, lo, hi), index: idxName, field: field}, false, false, nil
 		}
 	}
 
@@ -348,13 +309,7 @@ func planScanLeaf(st evalState, env *Env, sel *sqlpp.SelectExpr, grouped bool, a
 			}
 			pushed = true
 		}
-		// A scan whose rows only the heap or the aggregate keeps — its
-		// env reused through envReuse's keeping arm — leases its blocks.
-		open := lsm.NewParallelScanCursor
-		if (grouped || len(sel.OrderBy) > 0 && !keyOrdered) && envReuse(sel, grouped, limit, pushed, keyOrdered) {
-			open = lsm.NewLeasedScanCursor
-		}
-		return &parallelColl{pc: open(snaps, filter, order), parts: parts, order: order, filtered: pushed}, pushed, keyOrdered, nil
+		return &parallelColl{ParallelScanCursor: lsm.NewParallelScanCursor(snaps, filter, order), parts: parts, order: order, filtered: pushed}, pushed, keyOrdered, nil
 	}
 
 	// 3. Serial scan.

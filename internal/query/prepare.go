@@ -51,14 +51,12 @@ import (
 //     ones stay in theirs. Once unlinked entries outnumber live ones the
 //     access is rebuilt instead, which keeps a patch amortised O(1) per
 //     change and the table within twice a fresh build's entries.
-//   - Retention. The entries a patch links are detached copies
-//     (adm.Value.Detached) of the key and record it read: those lie in
-//     a memtable's batch buffer or a run's block, of which the table
-//     keeps one record, and a view or an aliased string would keep the
-//     whole buffer alive for as long as the table lives, long after a
-//     flush and a compaction have retired the component it belonged to.
-//     A build's entries stay views: a build reads every record of a
-//     block, so the blocks are its data.
+//   - Retention. The entries a build or a patch keeps are detached
+//     copies (adm.Value.Detached) of the key and record it read: a row
+//     read from a run is valid only until its cursor moves on, and a
+//     memtable's view or an aliased string would keep the whole batch
+//     buffer alive for as long as the table lives, long after a flush
+//     and a compaction have retired the component it belonged to.
 //   - Poison. A patch moves the table from the old access to the new
 //     one: the old access is spent as soon as the patch touches the
 //     table, so a patch that fails part-way (a filter or key error, a
@@ -90,7 +88,8 @@ import (
 //     opened fresh, as every block is outside EvalRecord.
 //  4. Pinning. A scratch goes back to the pool with its boxes, the
 //     probes' candidates, the DISTINCT sets and the destination
-//     cleared, so a pooled scratch pins no record or frame slab.
+//     cleared and its block pins released (probeLeases), so a pooled
+//     scratch pins no record, frame slab or block.
 type PreparedEnrich struct {
 	plan   *EnrichPlan
 	ctx    *Context
@@ -375,14 +374,16 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 			// reference record and is no outermost SELECT.
 			st := evalState{ctx: pe.ctx, depth: 1}
 			// One binding, rebound per record: eval returns values, and
-			// no value refers to the environment it was computed in.
+			// no value refers to the environment it was computed in. What
+			// the structure keeps of a record is a copy: the scan's rows
+			// are valid only until its next row.
 			env := Bind(nil, acc.alias, adm.Value{})
 			err := snap.Scan(func(_, rec adm.Value) bool {
 				env.val = rec
 				if acc.kind == accessHash {
 					key, ok, err := acc.hashKey(st, env)
 					if ok {
-						res.entries = appendHashEntry(res.entries, hashEntry{key: key, rec: rec})
+						res.entries = appendHashEntry(res.entries, hashEntry{key: key.Detached(), rec: rec.Detached()})
 					}
 					res.err = err
 					return err == nil
@@ -403,9 +404,9 @@ func (pe *PreparedEnrich) buildAccess(acc *accessPlan) (*preparedAccess, error) 
 					if !ok {
 						return true
 					}
-					res.tree.Insert(rect, rec)
+					res.tree.Insert(rect, rec.Detached())
 				default: // accessScan
-					res.recs = append(res.recs, rec)
+					res.recs = append(res.recs, rec.Detached())
 				}
 				return true
 			})
@@ -646,6 +647,9 @@ func (pe *PreparedEnrich) EvalRecord(rec adm.Value, dst ...*[]byte) (adm.Value, 
 		if err != nil {
 			return adm.Value{}, err
 		}
+		if s.leases.Holds() {
+			v = v.Detached()
+		}
 		if v.Kind() == adm.KindArray && len(v.ArrayVal()) == 1 {
 			return v.Index(0), nil
 		}
@@ -658,12 +662,19 @@ func (pe *PreparedEnrich) EvalRecord(rec adm.Value, dst ...*[]byte) (adm.Value, 
 	var rows []adm.Value // from the second row on
 	n := 0
 	for ; ; n++ {
+		written := -1
+		if rc.dst != nil {
+			written = len(*rc.dst)
+		}
 		v, ok, err := rc.Next()
 		if err != nil {
 			return adm.Value{}, err
 		}
 		if !ok {
 			break
+		}
+		if (rc.Transient() || s.leases.Holds()) && (rc.dst == nil || len(*rc.dst) == written) {
+			v = v.Detached() // a row spliced into *dst is a copy already
 		}
 		switch n {
 		case 0:
@@ -692,24 +703,39 @@ func (pe *PreparedEnrich) openBody(st evalState, env *Env) (*RowCursor, error) {
 }
 
 // recordScratch is what one EvalRecord call borrows from its state: the
-// parameter's binding box and the pipelines kept across records, the
-// body's at kept[0] and each compiled probe's at its slot.
+// parameter's binding box, the pipelines kept across records, the
+// body's at kept[0] and each compiled probe's at its slot, and the pins
+// of the blocks its primary-key hits lie in (probeLeases).
 type recordScratch struct {
-	param Env
-	body  *sqlpp.SelectExpr // the body, when it is a query block
-	kept  []keptPipeline
+	param  Env
+	body   *sqlpp.SelectExpr // the body, when it is a query block
+	kept   []keptPipeline
+	pins   bool // the body calls only builtins (EnrichPlan.KeepsNoInput)
+	leases lsm.Leases
 }
 
 func (pe *PreparedEnrich) newScratch() *recordScratch {
-	s := &recordScratch{param: Env{name: pe.plan.param}, kept: make([]keptPipeline, len(pe.probes)+1)}
+	s := &recordScratch{param: Env{name: pe.plan.param}, kept: make([]keptPipeline, len(pe.probes)+1), pins: pe.plan.KeepsNoInput()}
 	s.body, _ = pe.plan.body.(*sqlpp.SelectExpr)
 	return s
+}
+
+// probeLeases is where a primary-key probe leaves the pin of its hit's
+// block while a record is enriched: the scratch's, released once
+// EvalRecord's row is spliced or copied. A body that calls a library
+// function or a catalog UDF could keep a hit longer: its probes copy.
+func (s *recordScratch) probeLeases() *lsm.Leases {
+	if s == nil || !s.pins {
+		return nil
+	}
+	return &s.leases
 }
 
 // putScratch returns s to the pool holding no record, candidate, row or
 // destination (rule 4).
 func (pe *PreparedEnrich) putScratch(s *recordScratch) {
 	s.param.val = adm.Value{}
+	s.leases.Release()
 	for i := range s.kept {
 		kp := &s.kept[i]
 		clear(kp.lets)
@@ -750,7 +776,7 @@ type keptPipeline struct {
 func (kp *keptPipeline) open(st evalState, env *Env, sel *sqlpp.SelectExpr, ps *preparedSub) (*RowCursor, error) {
 	rc := kp.rc
 	if rc == nil || !rc.done || kp.depth != st.depth {
-		fresh, err := openBlock(st, env, sel, ps, false)
+		fresh, err := openBlock(st, env, sel, ps)
 		if err == nil && rc == nil && !kp.never {
 			if kp.never = !rewindable(fresh.rows); !kp.never {
 				kp.rc, kp.depth, kp.lets = fresh, st.depth, make([]Env, len(sel.Lets))
@@ -850,6 +876,8 @@ func (a *accessCursor) next() (*Env, bool, error) {
 	}
 }
 
+func (a *accessCursor) transient() bool { return a.outer != nil && a.outer.transient() }
+
 // close drops what the last probe held — its outer tuple, key and
 // candidates — so a kept pipeline pins no record between records.
 func (a *accessCursor) close() {
@@ -895,7 +923,7 @@ func (a *accessCursor) probe(env *Env) error {
 		if err != nil || key.IsUnknown() {
 			return err
 		}
-		rec, found, err := pa.pin.snaps[pa.pin.ds.Route(key)].Get(key)
+		rec, found, err := pa.pin.snaps[pa.pin.ds.Route(key)].GetLeased(key, a.st.scratch.probeLeases())
 		if err != nil || !found {
 			return err
 		}

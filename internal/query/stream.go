@@ -48,9 +48,6 @@ type RowCursor struct {
 	// (projectRow). Only the cursor of an enrichment UDF's body has one
 	// (EvalRecord); a SELECT nested in it builds its rows apart.
 	dst *[]byte
-	// lent is the leaf, when an index probe that lends its rows the
-	// blocks they lie in (leaseRows): Transient asks it.
-	lent *lsm.IndexScanCursor
 }
 
 // Next returns the next result row. After ok=false (exhaustion or
@@ -94,12 +91,10 @@ func (rc *RowCursor) Next() (adm.Value, bool, error) {
 }
 
 // Transient reports whether the row Next last returned may lie in a
-// storage block the cursor holds only until the next Next or Close (an
-// index probe's, on a full block cache: leaseRows). The row, and every
-// value read out of it — a projected row's strings alias it too — must
-// then be copied (adm.Value.Detached) to be kept past that call. Only a
-// cursor ExecuteSelectCursor opened reports a row transient.
-func (rc *RowCursor) Transient() bool { return rc.lent != nil && rc.lent.Transient() }
+// storage block the cursor holds only until the next Next or Close
+// (tupleCursor.transient). The row, and every value read out of it,
+// must then be copied (adm.Value.Detached) to be kept past that call.
+func (rc *RowCursor) Transient() bool { return !rc.done && rowsTransient(rc.rows) }
 
 func (rc *RowCursor) rowState(r rowT) evalState {
 	if r.grouped {
@@ -250,7 +245,7 @@ func (rc *RowCursor) tupleSteps(steps []string, cur tupleCursor) ([]string, bool
 }
 
 // drain pulls the cursor to exhaustion: the collection a SELECT in
-// expression position evaluates to.
+// expression position evaluates to, of copies of its transient rows.
 func (rc *RowCursor) drain() (adm.Value, error) {
 	var out []adm.Value
 	for {
@@ -260,6 +255,9 @@ func (rc *RowCursor) drain() (adm.Value, error) {
 		}
 		if !ok {
 			return adm.Array(out), nil
+		}
+		if rc.Transient() {
+			v = v.Detached()
 		}
 		out = append(out, v)
 	}
@@ -298,6 +296,13 @@ func (t *tupleRows) close() { t.inner.close() }
 
 func (t *tupleRows) reset(env *Env) error { return t.inner.(rewinder).reset(env) }
 
+// rowsTransient reports whether the row rows last yielded may be
+// transient: the aggregate and the heap yield copies.
+func rowsTransient(rows rowSrc) bool {
+	t, ok := rows.(*tupleRows)
+	return ok && t.inner.transient()
+}
+
 // --- streaming hash aggregation ---
 
 // aggAcc incrementally folds one aggregate call; it is where the
@@ -334,9 +339,8 @@ func newAggAcc(call *sqlpp.Call) (aggAcc, error) {
 	return aggAcc{name: name, allInt: true, arg: call.Args[0]}, nil
 }
 
-// add folds tu in; transient says its record may lie in bytes that are
-// recycled once the next row is pulled (envReuse).
-func (a *aggAcc) add(st evalState, tu *Env, transient bool) error {
+// add folds tu in.
+func (a *aggAcc) add(st evalState, tu *Env) error {
 	if a.star {
 		a.count++
 		return nil
@@ -345,13 +349,13 @@ func (a *aggAcc) add(st evalState, tu *Env, transient bool) error {
 	if err != nil {
 		return err
 	}
-	a.fold(v, transient)
+	a.fold(v)
 	return nil
 }
 
-// fold folds v in; transient says v may alias bytes that are recycled
-// once the next row is pulled, so min/max keep a copy.
-func (a *aggAcc) fold(v adm.Value, transient bool) {
+// fold folds v in; min/max keep a copy (adm.Value.Detached), as v may
+// lie in bytes that are recycled once the next row is pulled.
+func (a *aggAcc) fold(v adm.Value) {
 	if v.IsUnknown() {
 		return
 	}
@@ -379,10 +383,7 @@ func (a *aggAcc) fold(v adm.Value, transient bool) {
 				return
 			}
 		}
-		if transient {
-			v = v.Detached()
-		}
-		a.best, a.has = v, true
+		a.best, a.has = v.Detached(), true
 	}
 }
 
@@ -425,15 +426,9 @@ type aggGroup struct {
 type aggRows struct {
 	st    evalState
 	inner tupleCursor
+	base  *Env // the env the pipeline's tuples extend
 	keys  []sqlpp.GroupKey
 	calls []*sqlpp.Call
-	// copyRep is set when the scan leaf recycles one binding box per
-	// record (env-reuse mode): the representative tuple of each new
-	// group must then be copied out of the box before it is retained.
-	copyRep bool
-	// scan is the leaf when it is a parallel scan: what a group keeps of
-	// a row it reports transient is a copy (envReuse).
-	scan *lsm.ParallelScanCursor
 
 	built bool
 	out   []rowT
@@ -473,11 +468,10 @@ func (a *aggRows) build() error {
 		if !ok {
 			break
 		}
-		transient := a.scan != nil && a.scan.Transient()
 		var g *aggGroup
 		if len(a.keys) == 0 {
 			if len(groups) == 0 {
-				ng, err := a.newGroup(tu, nil, transient)
+				ng, err := a.newGroup(tu, nil)
 				if err != nil {
 					return err
 				}
@@ -501,7 +495,7 @@ func (a *aggRows) build() error {
 				}
 			}
 			if found < 0 {
-				ng, err := a.newGroup(tu, kv, transient)
+				ng, err := a.newGroup(tu, kv)
 				if err != nil {
 					return err
 				}
@@ -512,7 +506,7 @@ func (a *aggRows) build() error {
 			g = groups[found]
 		}
 		for i := range g.accs {
-			if err := g.accs[i].add(inner, tu, transient); err != nil {
+			if err := g.accs[i].add(inner, tu); err != nil {
 				return err
 			}
 		}
@@ -521,7 +515,7 @@ func (a *aggRows) build() error {
 	// An aggregate query without GROUP BY has exactly one group, even
 	// over empty input (COUNT(*) of nothing is 0, not no-rows).
 	if len(a.keys) == 0 && len(groups) == 0 {
-		ng, err := a.newGroup(nil, nil, false)
+		ng, err := a.newGroup(nil, nil)
 		if err != nil {
 			return err
 		}
@@ -542,27 +536,16 @@ func (a *aggRows) build() error {
 	return nil
 }
 
-// newGroup starts a group represented by tu under the key values kv;
-// transient says tu's record may lie in bytes that are recycled once the
-// next row is pulled.
-func (a *aggRows) newGroup(tu *Env, kv []adm.Value, transient bool) (*aggGroup, error) {
-	if a.copyRep && tu != nil {
-		// tu is the scan leaf's reused box (a single Env node over the
-		// stable base chain); snapshot it before retaining, and its record
-		// too when the bytes under it are recycled (envReuse).
-		cp := *tu
-		if transient {
-			cp.val = cp.val.Detached()
-		}
-		tu = &cp
-	}
-	g := &aggGroup{rep: tu}
+// newGroup starts a group represented by tu under the key values kv,
+// keeping copies of both (detachEnv): tu may be the scan leaf's reused
+// box (envReuse), and its records may lie in bytes that are recycled
+// once the next row is pulled.
+func (a *aggRows) newGroup(tu *Env, kv []adm.Value) (*aggGroup, error) {
+	g := &aggGroup{rep: detachEnv(tu, a.base)}
 	if kv != nil {
-		g.kv = append([]adm.Value(nil), kv...)
-		if transient {
-			for i := range g.kv {
-				g.kv[i] = g.kv[i].Detached()
-			}
+		g.kv = make([]adm.Value, len(kv))
+		for i, k := range kv {
+			g.kv[i] = k.Detached()
 		}
 		for i, k := range a.keys {
 			if k.Alias != "" {
@@ -629,7 +612,8 @@ type topkEntry struct {
 	row    rowT
 	keys   []adm.Value
 	seq    int
-	envBox Env // copyEnv mode: stable home for a reused scan env
+	envBox Env    // copyEnv mode: stable home for a reused scan env
+	buf    []byte // copyEnv mode: the bytes of envBox's record, when copied
 }
 
 // topkRows implements ORDER BY [+ LIMIT k] as a bounded selection: a
@@ -641,12 +625,10 @@ type topkEntry struct {
 type topkRows struct {
 	st      evalState
 	inner   rowSrc
+	base    *Env // the env the pipeline's tuples extend
 	orderBy []sqlpp.OrderKey
 	k       int64 // -1 = retain everything
 	copyEnv bool  // input env is a reused box; copy on acceptance
-	// scan is the leaf when it is a parallel scan: a row of its box
-	// (copyEnv) that it reports transient is kept as copies (envReuse).
-	scan *lsm.ParallelScanCursor
 
 	built   bool
 	heap    []*topkEntry
@@ -734,20 +716,23 @@ func (t *topkRows) offer(r rowT) {
 	t.siftDown(0)
 }
 
-// take makes e keep r, whose order keys e.keys already holds: a copy of
-// the scan's reused box in copyEnv mode, and copies of its record and
-// keys too when the bytes under the box are recycled (envReuse).
+// take makes e keep r and copies of its order keys, which e.keys already
+// holds: a copy of the scan's reused box in copyEnv mode, and of its
+// records when they are transient.
 func (t *topkRows) take(e *topkEntry, r rowT) {
 	e.row = r
-	if t.copyEnv && r.env != nil {
+	for j := range e.keys {
+		e.keys[j] = e.keys[j].Detached()
+	}
+	switch transient := rowsTransient(t.inner); {
+	case t.copyEnv && r.env != nil:
 		e.envBox = *r.env
-		if t.scan != nil && t.scan.Transient() {
-			e.envBox.val = e.envBox.val.Detached()
-			for j := range e.keys {
-				e.keys[j] = e.keys[j].Detached()
-			}
+		if transient { // into the bytes of the winner it replaced, if any
+			e.envBox.val, e.buf = e.envBox.val.DetachedInto(e.buf)
 		}
 		e.row.env = &e.envBox
+	case transient:
+		e.row.env = detachEnv(r.env, t.base)
 	}
 }
 
@@ -819,7 +804,7 @@ func newValueDedup() *valueDedup {
 	return &valueDedup{seen: make(map[uint64][]adm.Value)}
 }
 
-// add reports whether v is new, recording it if so.
+// add reports whether v is new, recording a copy of it if so.
 func (d *valueDedup) add(v adm.Value) bool {
 	h := adm.Hash(v)
 	for _, prev := range d.seen[h] {
@@ -827,7 +812,7 @@ func (d *valueDedup) add(v adm.Value) bool {
 			return false
 		}
 	}
-	d.seen[h] = append(d.seen[h], v)
+	d.seen[h] = append(d.seen[h], v.Detached())
 	return true
 }
 
@@ -836,10 +821,15 @@ func (d *valueDedup) add(v adm.Value) bool {
 // tupleCursor is the operator contract: each next call yields one
 // binding environment (a row of the FROM product). close releases
 // whatever the pipeline holds (parallel scan workers in particular)
-// and must be idempotent.
+// and must be idempotent. transient reports whether the tuple last
+// yielded holds a record a storage leaf read from a run: it lies in a
+// block the leaf pins only until the leaf is pulled again
+// (lsm.Cursor.Transient). A prepared access's records are copies, or
+// stay valid while the record is enriched (recordScratch.probeLeases).
 type tupleCursor interface {
 	next() (*Env, bool, error)
 	close()
+	transient() bool
 }
 
 // singleCursor yields the base environment exactly once — the seed of
@@ -859,6 +849,8 @@ func (s *singleCursor) next() (*Env, bool, error) {
 
 func (s *singleCursor) close() {}
 
+func (s *singleCursor) transient() bool { return false }
+
 func (s *singleCursor) reset(env *Env) error {
 	s.env, s.used = env, false
 	return nil
@@ -869,18 +861,20 @@ func (s *singleCursor) reset(env *Env) error {
 // or parallel partition scan). In reuse mode it mutates one env box in
 // place per record instead of allocating a binding — valid only when
 // the planner proved no downstream operator retains the env without
-// copying it (envReuse).
+// copying it (envReuse). detach makes it bind copies of transient
+// records (planSelect).
 type scanFromCursor struct {
-	base  *Env
-	alias string
-	leaf  collCursor
-	reuse bool
-	box   Env
-	init  bool
+	base   *Env
+	alias  string
+	leaf   collCursor
+	reuse  bool
+	detach bool
+	box    Env
+	init   bool
 }
 
 func (s *scanFromCursor) next() (*Env, bool, error) {
-	rec, ok, err := s.leaf.next()
+	rec, ok, err := nextRecord(s.leaf, s.detach)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -895,16 +889,20 @@ func (s *scanFromCursor) next() (*Env, bool, error) {
 	return Bind(s.base, s.alias, rec), true, nil
 }
 
-func (s *scanFromCursor) close() { s.leaf.close() }
+func (s *scanFromCursor) close() { s.leaf.Close() }
+
+func (s *scanFromCursor) transient() bool { return s.leaf.Transient() }
 
 // fromCursor streams one FROM clause: for every outer tuple it opens a
 // collection cursor over the source and yields one extended tuple per
-// record. Dataset sources stream straight from the LSM scan cursor.
+// record. Dataset sources stream straight from the LSM scan cursor;
+// detach makes it bind copies of their transient records.
 type fromCursor struct {
-	st    evalState
-	outer tupleCursor
-	src   sqlpp.Expr
-	alias string
+	st     evalState
+	outer  tupleCursor
+	src    sqlpp.Expr
+	alias  string
+	detach bool
 
 	cur    collCursor
 	curEnv *Env
@@ -924,21 +922,21 @@ func (f *fromCursor) next() (*Env, bool, error) {
 			f.cur = cc
 			f.curEnv = oe
 		}
-		rec, ok, err := f.cur.next()
+		rec, ok, err := nextRecord(f.cur, f.detach)
 		if err != nil {
 			return nil, false, err
 		}
 		if ok {
 			return Bind(f.curEnv, f.alias, rec), true, nil
 		}
-		f.cur.close()
+		f.cur.Close()
 		f.cur = nil
 	}
 }
 
 func (f *fromCursor) close() {
 	if f.cur != nil {
-		f.cur.close()
+		f.cur.Close()
 		f.cur = nil
 	}
 	f.curEnv = nil
@@ -946,6 +944,10 @@ func (f *fromCursor) close() {
 }
 
 func (f *fromCursor) reset(env *Env) error { return f.outer.(rewinder).reset(env) }
+
+func (f *fromCursor) transient() bool {
+	return f.cur != nil && f.cur.Transient() || f.outer.transient()
+}
 
 // letCursor binds FROM-position LETs on each tuple as it flows past.
 type letCursor struct {
@@ -970,6 +972,8 @@ func (l *letCursor) next() (*Env, bool, error) {
 }
 
 func (l *letCursor) close() { l.inner.close() }
+
+func (l *letCursor) transient() bool { return l.inner.transient() }
 
 func (l *letCursor) reset(env *Env) error { return l.inner.(rewinder).reset(env) }
 
@@ -1003,14 +1007,37 @@ func (f *filterCursor) next() (*Env, bool, error) {
 
 func (f *filterCursor) close() { f.inner.close() }
 
+func (f *filterCursor) transient() bool { return f.inner.transient() }
+
 func (f *filterCursor) reset(env *Env) error { return f.inner.(rewinder).reset(env) }
+
+// detachEnv copies the bindings tu adds to base, each value detached:
+// what a keeper keeps of a transient tuple.
+func detachEnv(tu, base *Env) *Env {
+	if tu == base || tu == nil {
+		return tu
+	}
+	return &Env{parent: detachEnv(tu.parent, base), name: tu.name, val: tu.val.Detached()}
+}
 
 // --- collection cursors (FROM sources) ---
 
-// collCursor streams the records of one FROM source instance.
+// collCursor streams the records of one FROM source instance; only a
+// dataset's may be transient.
 type collCursor interface {
 	next() (adm.Value, bool, error)
-	close()
+	Close()
+	Transient() bool
+}
+
+// nextRecord pulls c's next record, a copy of it when detach is set and
+// it is transient.
+func nextRecord(c collCursor, detach bool) (adm.Value, bool, error) {
+	rec, ok, err := c.next()
+	if ok && detach && c.Transient() {
+		rec = rec.Detached()
+	}
+	return rec, ok, err
 }
 
 type sliceCursor struct {
@@ -1027,77 +1054,59 @@ func (s *sliceCursor) next() (adm.Value, bool, error) {
 	return v, true, nil
 }
 
-func (s *sliceCursor) close() {}
+func (s *sliceCursor) Close() {}
 
-type singleValueCursor struct {
-	v    adm.Value
-	used bool
-}
-
-func (s *singleValueCursor) next() (adm.Value, bool, error) {
-	if s.used {
-		return adm.Value{}, false, nil
-	}
-	s.used = true
-	return s.v, true, nil
-}
-
-func (s *singleValueCursor) close() {}
+func (s *sliceCursor) Transient() bool { return false }
 
 // The three dataset leaves below end with their lsm cursor's read fault
 // (I/O, CRC), if one stopped it, so a faulted scan never passes for a
 // short result. An early-out consumer (LIMIT, EXISTS) that stops before
-// the end read every row it used successfully.
+// the end read every row it used successfully. Each is its lsm cursor,
+// whose Close and Transient it keeps.
 
 // datasetCursor adapts an LSM scan cursor (which walks the pinned
 // snapshots' memtable trees and sorted runs in place) to a collection
 // cursor.
-type datasetCursor struct{ sc *lsm.ScanCursor }
+type datasetCursor struct{ *lsm.ScanCursor }
 
 func (d *datasetCursor) next() (adm.Value, bool, error) {
-	_, rec, ok := d.sc.Next()
+	_, rec, ok := d.Next()
 	if !ok {
-		return adm.Value{}, false, d.sc.Err()
+		return adm.Value{}, false, d.Err()
 	}
 	return rec, true, nil
 }
 
-func (d *datasetCursor) close() { d.sc.Close() }
-
 // indexScanColl adapts a secondary-index range scan of the index
 // named index, on field.
 type indexScanColl struct {
-	sc    *lsm.IndexScanCursor
+	*lsm.IndexScanCursor
 	index string
 	field string
 }
 
 func (c *indexScanColl) next() (adm.Value, bool, error) {
-	_, rec, ok := c.sc.Next()
+	_, rec, ok := c.Next()
 	if !ok {
-		return adm.Value{}, false, c.sc.Err()
+		return adm.Value{}, false, c.Err()
 	}
 	return rec, true, nil
 }
-
-func (c *indexScanColl) close() { c.sc.Close() }
 
 // parallelColl adapts a parallel scan of parts partitions; close stops
 // and joins the workers. filtered says the workers evaluate the WHERE
 // clause.
 type parallelColl struct {
-	pc       *lsm.ParallelScanCursor
+	*lsm.ParallelScanCursor
 	parts    int
 	order    lsm.ScanOrder
 	filtered bool
 }
 
 func (c *parallelColl) next() (adm.Value, bool, error) {
-	_, rec, ok, err := c.pc.Next()
+	_, rec, ok, err := c.Next()
 	return rec, ok, err
 }
-
-func (c *parallelColl) close() { c.pc.Close() }
 
 // openFromSource resolves one FROM source into a streaming cursor: an
 // in-scope binding, a dataset scan over the pinned snapshots, or any
@@ -1134,6 +1143,6 @@ func collectionCursor(v adm.Value) (collCursor, error) {
 	default:
 		// A single object iterates as a one-element collection, matching
 		// SQL++'s forgiving FROM semantics for non-arrays.
-		return &singleValueCursor{v: v}, nil
+		return &sliceCursor{elems: []adm.Value{v}}, nil
 	}
 }

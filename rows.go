@@ -37,12 +37,12 @@ import (
 // record-level consistency; a dataset touched only inside a subquery
 // or UDF pins at its first access during iteration).
 // Values yielded by Value, All and Collect are safe to retain after
-// Close — result rows are freshly projected objects, records whose
-// backing memory storage retains, or, for a row an index probe read
-// where it lies in a full block cache, a copy Value makes; they never
-// alias recycled frame arenas or blocks (see docs/ARCHITECTURE.md,
-// "Rows lifetime"). AppendADM encodes the current row without that
-// copy.
+// Close: a row read from a run file lies in a block the cursor pins
+// only until its next Next, and Value hands out a copy of such a row;
+// any other row is a freshly projected object or a view of bytes that
+// are never rewritten. They never alias recycled frame arenas or blocks
+// (see docs/ARCHITECTURE.md, "Rows lifetime"). AppendADM encodes the
+// current row without that copy.
 //
 // Rows is not safe for concurrent use.
 type Rows struct {
