@@ -48,7 +48,7 @@ type Config struct {
 	DataDir string
 	// BlockCacheBytes budgets the read path's block cache, shared across
 	// every dataset partition. 0 selects the default (64 MiB); a
-	// negative value disables caching.
+	// negative value keeps no block resident.
 	BlockCacheBytes int64
 }
 

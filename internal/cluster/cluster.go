@@ -59,9 +59,9 @@ type Tuning struct {
 	// always reports the filesystem in use.
 	StorageFS lsm.FS
 	// BlockCacheBytes is the cluster-wide byte budget of the read path's
-	// block cache, shared by every dataset partition. 0 selects the
-	// default (lsm.DefaultBlockCacheBytes); negative disables caching.
-	// Ignored when Storage.BlockCache is already set.
+	// block cache, shared by every dataset partition; New builds
+	// Storage.BlockCache from it. 0 selects the default
+	// (lsm.DefaultBlockCacheBytes); negative keeps no block resident.
 	BlockCacheBytes int64
 }
 
@@ -106,7 +106,7 @@ func (n *NodeController) Alive() bool { return !n.down.Load() }
 // catalog (it is the metadata node).
 type Cluster struct {
 	tuning Tuning
-	cache  *lsm.BlockCache // shared block cache (nil when disabled)
+	cache  *lsm.BlockCache // shared block cache
 	nodes  []*NodeController
 	closed atomic.Bool
 
@@ -137,13 +137,11 @@ func New(numNodes int, tuning Tuning) (*Cluster, error) {
 			tuning.StorageFS = lsm.NewMemFS()
 		}
 	}
-	if tuning.Storage.BlockCache == nil && tuning.BlockCacheBytes >= 0 {
-		budget := tuning.BlockCacheBytes
-		if budget == 0 {
-			budget = lsm.DefaultBlockCacheBytes
-		}
-		tuning.Storage.BlockCache = lsm.NewBlockCache(budget)
+	budget := tuning.BlockCacheBytes
+	if budget == 0 {
+		budget = lsm.DefaultBlockCacheBytes
 	}
+	tuning.Storage.BlockCache = lsm.NewBlockCache(budget)
 	c := &Cluster{
 		tuning:      tuning,
 		cache:       tuning.Storage.BlockCache,
@@ -211,10 +209,7 @@ type StorageStats struct {
 // StorageStats returns a point-in-time snapshot of the storage
 // counters.
 func (c *Cluster) StorageStats() StorageStats {
-	var st StorageStats
-	if c.cache != nil {
-		st.CacheStats = c.cache.Stats()
-	}
+	st := StorageStats{CacheStats: c.cache.Stats()}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, ds := range c.datasets {

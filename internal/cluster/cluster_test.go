@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -189,12 +190,19 @@ func TestDispatchOverheadCharged(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 12*time.Millisecond {
 		t.Errorf("full dispatch should cost >= 4 nodes * 3ms, took %v", elapsed)
 	}
+	// Scheduler delay only adds time, so the fastest of five invocations
+	// is the one that tells: one charged the full dispatch overhead still
+	// takes 12ms or more.
 	c.Predeploy("p")
-	start = time.Now()
-	job, _ = c.InvokePredeployed(context.Background(), "p", spec)
-	job.Wait()
-	if elapsed := time.Since(start); elapsed > 12*time.Millisecond {
-		t.Errorf("predeployed invocation should be much cheaper, took %v", elapsed)
+	fastest := time.Duration(math.MaxInt64)
+	for range 5 {
+		start = time.Now()
+		job, _ = c.InvokePredeployed(context.Background(), "p", spec)
+		job.Wait()
+		fastest = min(fastest, time.Since(start))
+	}
+	if fastest > 12*time.Millisecond {
+		t.Errorf("predeployed invocation should be much cheaper, took %v at the fastest of five", fastest)
 	}
 }
 
@@ -273,7 +281,8 @@ func TestStorageStatsDurable(t *testing.T) {
 		t.Fatalf("out-of-range probe did not fence-skip: %+v", st)
 	}
 
-	// A negative budget disables the cache entirely.
+	// A negative budget keeps no block resident: every read loads its
+	// block again.
 	off := DefaultTuning()
 	off.DataDir = "data"
 	off.StorageFS = lsm.NewMemFS()
@@ -283,8 +292,26 @@ func TestStorageStatsDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if c2.cache != nil {
-		t.Fatal("negative budget still built a cache")
+	ds2, err := c2.CreateDataset("D", "", "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds2.Upsert(adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(1)))); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ds2.NumPartitions(); i++ {
+		ds2.Partition(i).Flush()
+		if err := ds2.Partition(i).WaitForFlush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		if _, ok := ds2.Get(adm.Int(1)); !ok {
+			t.Fatal("key 1 lost")
+		}
+	}
+	if st := c2.StorageStats(); st.BlockReads != 2 || st.BlockCacheHits != 0 || st.BlockCacheEntries != 0 {
+		t.Fatalf("two reads of one block under a negative budget: %+v", st)
 	}
 }
 

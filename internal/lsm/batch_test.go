@@ -146,7 +146,7 @@ func checkIndexesAgainstScan(t *testing.T, label string, p *Partition, bt *BTree
 	p.Snapshot().Scan(func(pk, rec adm.Value) bool {
 		if k, ok := bt.extract(rec); ok {
 			postings[k.String()] = append(postings[k.String()], pk.IntVal())
-			keyOf[k.String()] = k
+			keyOf[k.String()] = k.Detached() // k may lie in the scan's pinned block
 			total++
 		}
 		if rc, ok := rt.extract(rec); ok {

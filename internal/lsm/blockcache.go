@@ -31,9 +31,10 @@ import (
 // runBlockTarget bytes; once the shard is full it enters hot only if its
 // key is a ghost (a second touch, which takes the key off the ghost
 // list), and otherwise it is not admitted: its key becomes a ghost and
-// fetch tells the reader, which reads the block privately and keeps
-// only its record (runFile.get). So a one-off point read on a full cache
-// neither allocates a block nor evicts one, and a block read twice
+// fetch loads the block into an entry no shard holds, which its reader
+// alone pins (runFile.get keeps only its record). So a one-off point
+// read on a full cache neither allocates a block nor evicts one, and a
+// block read twice
 // within the ghost list's memory replaces hot's coldest — the ghosts are
 // what lets the hot set change while the cache stays full. A scan miss
 // joins the ring; a scan hit moves nothing. So a scan never reorders
@@ -128,7 +129,8 @@ type CacheStats struct {
 	BlockCacheScanHits   uint64
 	BlockCacheScanMisses uint64
 	// Bypasses is the share of point misses a full shard did not admit:
-	// their readers read the block privately and kept only the record.
+	// each loaded its block into an entry no shard holds, its reader's
+	// alone.
 	BlockCacheBypasses uint64
 	// Recycled counts the block loads that decoded into the memory of a
 	// block the cache had let go of (entries) instead of allocating.
@@ -219,7 +221,8 @@ type cacheShard struct {
 // shards. Budgets smaller than the shard count are clamped to one byte a
 // shard, so no split is zero or negative and eviction always stops, at
 // the latest at an empty shard; a split smaller than a block keeps
-// nothing resident (every block is handed to its reader and dropped).
+// nothing resident: every block is handed to its reader and recycled at
+// its release (noCache).
 func NewBlockCache(budget int64) *BlockCache {
 	if budget < blockCacheShards {
 		budget = blockCacheShards
@@ -256,46 +259,50 @@ var entries = sync.Pool{New: func() any { return new(blockEntry) }}
 // the first registers its load, and the others wait for it and share its
 // block (or its error), counted as hits — they read nothing. Readers
 // that each loaded a copy would read and allocate the block once each. A
-// point miss the shard does not admit (admits) loads nothing here: fetch
-// returns ok false, and the reader reads the block itself. load decodes
-// into the buffers of reuse, a pooled entry's, when they have the room.
-func (c *BlockCache) fetch(run uint64, i int, mode readMode, load func(reuse block) (block, error)) (blk block, lease *blockEntry, ok bool, err error) {
+// point miss the shard does not admit (admits) registers nothing: its
+// entry is held by no shard, gone from birth and pinned by its reader
+// alone. load decodes into the buffers of reuse, a pooled entry's, when
+// they have the room.
+func (c *BlockCache) fetch(run uint64, i int, mode readMode, load func(reuse block) (block, error)) (blk block, lease *blockEntry, err error) {
 	k := blockKey{run: run, block: i}
 	s := c.shard(k)
 	scan := mode == cursorRead
+	declined := false
 	s.mu.Lock()
 	e, hit := s.entries[k]
 	if hit {
 		s.touch(e, scan)
 	} else if e, hit = s.loading[k]; !hit {
-		if !scan && !c.admits(s, k) {
-			s.mu.Unlock()
-			c.count(false, false)
-			c.bypasses.Add(1)
-			return block{}, nil, false, nil
-		}
 		// The entry is taken before the load, so waiters have something to
 		// wait on.
 		e = entries.Get().(*blockEntry)
-		e.key, e.shard = k, s
-		e.loaded.Add(1)
-		s.loading[k] = e
+		if scan || c.admits(s, k) {
+			e.key, e.shard = k, s
+			e.loaded.Add(1)
+			s.loading[k] = e
+		} else {
+			e.gone, declined = true, true
+			c.bypasses.Add(1)
+		}
 	}
 	e.pins++
 	s.mu.Unlock()
 	c.count(hit, scan)
-	if hit {
+	switch {
+	case hit:
 		e.loaded.Wait() // at once for a resident entry
-	} else {
+	case declined:
+		e.blk, e.err = load(e.blk)
+	default:
 		c.load(s, e, scan, load)
 	}
 	if e.err != nil {
-		return block{}, nil, true, e.err
+		return block{}, nil, e.err
 	}
-	return e.blk, e, true, nil
+	return e.blk, e, nil
 }
 
-// release ends a pin: a lease fetch handed out, or a private read's.
+// release ends a pin: a lease fetch handed out.
 // The last one out of an entry no cache holds recycles it.
 func (e *blockEntry) release() {
 	if s := e.shard; s != nil {

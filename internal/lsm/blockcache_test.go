@@ -17,11 +17,11 @@ import (
 )
 
 // get is a lookup that never loads: the resident block (a hit, touched
-// as fetch touches it), or false (a miss, declined or not). It keeps
-// its pin, so no block it returns is recycled.
+// as fetch touches it), or false (a miss, declined or not: its load
+// fails). It keeps its pin, so no block it returns is recycled.
 func (c *BlockCache) get(run uint64, i int, scan bool) (block, bool) {
-	b, _, ok, err := c.fetch(run, i, modeOf(scan), func(block) (block, error) { return block{}, errNotResident })
-	return b, ok && err == nil
+	b, _, err := c.fetch(run, i, modeOf(scan), func(block) (block, error) { return block{}, errNotResident })
+	return b, err == nil
 }
 
 // modeOf is the read mode of a point read or a scan.
@@ -209,10 +209,10 @@ func checkRing(t *testing.T, blk block) {
 // checkGhosts drives one shard of a fresh cache, four runBlockTarget
 // blocks large, through the ghost list's rules: while the shard has room
 // for a block of runBlockTarget bytes a point miss is admitted; once it
-// has none a first point miss loads nothing, is not admitted and becomes
-// a ghost; the list forgets its oldest ghost once as many newer ones have
-// come as it holds (two); and a ghost's next miss is admitted into hot,
-// evicting hot's coldest, and leaves the list.
+// has none a first point miss is loaded for its reader alone, is not
+// admitted and becomes a ghost; the list forgets its oldest ghost once as
+// many newer ones have come as it holds (two); and a ghost's next miss is
+// admitted into hot, evicting hot's coldest, and leaves the list.
 func checkGhosts(t *testing.T) {
 	t.Helper()
 	items := make([]index.Item, 63) // one block just over runBlockTarget
@@ -229,14 +229,21 @@ func checkGhosts(t *testing.T) {
 	if len(s.ghosts) != 2 {
 		t.Fatalf("a split of four blocks holds %d ghosts, want 2", len(s.ghosts))
 	}
+	// fetch misses block i and reports whether the shard admitted it: a
+	// declined miss counts a bypass, and its entry is no shard's.
 	loads := 0
 	fetch := func(i int) bool {
 		t.Helper()
-		b, _, ok, err := c.fetch(6, key(i).block, pointRead, func(block) (block, error) { loads++; return blk, nil })
-		if err != nil || ok && b.entries() != blk.entries() {
+		bypasses := c.Stats().BlockCacheBypasses
+		b, lease, err := c.fetch(6, key(i).block, pointRead, func(block) (block, error) { loads++; return blk, nil })
+		if err != nil || b.entries() != blk.entries() {
 			t.Fatalf("fetch %d: %v, %d entries", i, err, b.entries())
 		}
-		return ok
+		declined := c.Stats().BlockCacheBypasses != bypasses
+		if _, resident := s.entries[key(i)]; resident == declined || declined != (lease.shard == nil) {
+			t.Fatalf("fetch %d: declined %v, resident %v, entry of a shard %v", i, declined, resident, lease.shard != nil)
+		}
+		return !declined
 	}
 	for i := 0; i < 3; i++ {
 		if !fetch(i) || loads != i+1 {
@@ -244,18 +251,18 @@ func checkGhosts(t *testing.T) {
 		}
 	}
 	for i := 3; i < 6; i++ { // 5 overwrites 3
-		if fetch(i) || loads != 3 {
+		if fetch(i) || loads != i+1 {
 			t.Fatalf("first miss %d on a full shard: admitted, or %d loads", i, loads)
 		}
 	}
 	if want := []blockKey{key(5), key(4)}; !slices.Equal(s.ghosts, want) {
 		t.Fatalf("ghosts %v, want %v", s.ghosts, want)
 	}
-	if fetch(3) || loads != 3 { // forgotten: a first touch again, overwriting 4
+	if fetch(3) || loads != 7 { // forgotten: a first touch again, overwriting 4
 		t.Fatal("an overwritten ghost was admitted")
 	}
 	cold := s.hot.tail.key
-	if !fetch(5) || loads != 4 || s.hot.head.key != key(5) {
+	if !fetch(5) || loads != 8 || s.hot.head.key != key(5) {
 		t.Fatalf("a ghost's second miss was not admitted at hot's head (%d loads)", loads)
 	}
 	if _, ok := s.entries[cold]; ok || slices.Contains(s.ghosts, key(5)) || !slices.Contains(s.ghosts, key(3)) {
@@ -696,7 +703,7 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[0], _, _, errs[0] = c.fetch(7, 0, pointRead, load)
+			got[0], _, errs[0] = c.fetch(7, 0, pointRead, load)
 		}()
 		for loads.Load() == 0 {
 			runtime.Gosched()
@@ -705,7 +712,7 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[w], _, _, errs[w] = c.fetch(7, 0, modeOf(w%2 == 0), load)
+				got[w], _, errs[w] = c.fetch(7, 0, modeOf(w%2 == 0), load)
 			}()
 		}
 		for c.Stats().BlockCacheHits+uint64(loads.Load()-1) < waiters { // each joined the load, or started one
@@ -726,7 +733,7 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 			t.Fatalf("after the shared load (error %v): %+v", loadErr, st)
 		}
 		again := 0
-		if _, _, _, err := c.fetch(7, 0, pointRead, func(block) (block, error) { again++; return blk, nil }); err != nil || (again == 0) != (loadErr == nil) {
+		if _, _, err := c.fetch(7, 0, pointRead, func(block) (block, error) { again++; return blk, nil }); err != nil || (again == 0) != (loadErr == nil) {
 			t.Fatalf("the next reader after a load that returned %v: %v, loading %d times", loadErr, err, again)
 		}
 	}

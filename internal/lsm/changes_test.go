@@ -52,7 +52,7 @@ func TestSnapshotChangesMatchesModel(t *testing.T) {
 			contents := func(s *Snapshot) map[int64]adm.Value {
 				m := map[int64]adm.Value{}
 				if err := s.Scan(func(k, v adm.Value) bool {
-					m[k.IntVal()] = v
+					m[k.IntVal()] = v.Detached() // v may lie in the scan's pinned block
 					return true
 				}); err != nil {
 					t.Fatal(err)
@@ -112,7 +112,7 @@ func TestSnapshotChangesMatchesModel(t *testing.T) {
 					if v.IsMissing() {
 						delete(model, k.IntVal())
 					} else {
-						model[k.IntVal()] = v
+						model[k.IntVal()] = v.Detached()
 					}
 				}
 				if err := cc.Err(); err != nil {

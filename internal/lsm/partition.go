@@ -99,9 +99,10 @@ type Options struct {
 	MaxComponents int
 	// WALSegBytes caps one WAL segment file (0 = default 4 MiB).
 	WALSegBytes int64
-	// BlockCache, when non-nil, caches run-file blocks across every
-	// partition sharing it (the cluster wires one shared cache). Nil
-	// reads every block from the filesystem.
+	// BlockCache caches run-file blocks across every partition sharing
+	// it (the cluster wires one shared cache). Nil keeps no block
+	// resident: every block is read from the filesystem, pinned by its
+	// reader and recycled at release, as a full cache's misses are.
 	BlockCache *BlockCache
 }
 
@@ -921,18 +922,15 @@ func (s *Snapshot) Get(key adm.Value) (adm.Value, bool, error) { return s.GetLea
 // reads it: a record read from a run is a view of its block, whose pin
 // l keeps until l.Release.
 func (s *Snapshot) GetLeased(key adm.Value, l *Leases) (adm.Value, bool, error) {
-	kp := encodeProbe(key)
-	v, ok, err := lookupComponents(s.components, kp, l)
-	putProbe(kp)
-	runtime.KeepAlive(s)
-	return v, ok, err
+	return s.getEncoded(encodeProbe(key), l)
 }
 
-// getEncoded is Get for the key enc encodes: an index scan's primary
-// keys are encodings, looked up as they are. l, when non-nil, may keep
-// the pin of the block the record lies in (runFile.get).
-func (s *Snapshot) getEncoded(enc []byte, l *Leases) (adm.Value, bool, error) {
-	kp := getProbe(enc)
+// getEncoded is the one body of a snapshot's point lookup: Get for the
+// encoded key kp probes, a pooled probe it puts back — a key encoded
+// once (encodeProbe), or an index scan's primary key, an encoding looked
+// up as it is (getProbe). l, when non-nil, may keep the pin of the
+// block the record lies in (runFile.get).
+func (s *Snapshot) getEncoded(kp *pointProbe, l *Leases) (adm.Value, bool, error) {
 	v, ok, err := lookupComponents(s.components, kp, l)
 	putProbe(kp)
 	runtime.KeepAlive(s)

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -90,13 +91,18 @@ type counters struct {
 // runEnv is the environment threaded into every run file a partition
 // writes or opens: the (cluster-shared) block cache, the partition's
 // counters and its block encoder, which only the flusher uses, under
-// flushMu. The zero value — no cache, private counters, a fresh
-// encoder per run written — is what standalone runs (tests) get.
+// flushMu. The zero value — noCache, private counters, a fresh encoder
+// per run written — is what standalone runs (tests) get.
 type runEnv struct {
 	cache *BlockCache
 	ctr   *counters
 	lz    *lzEncoder
 }
+
+// noCache is the cache of a run opened with none wired: its splits are
+// smaller than a block, so it keeps nothing resident, and every block
+// is read, pinned and recycled as a full cache's misses are.
+var noCache = NewBlockCache(0)
 
 // runWriter streams sorted entries, as their encoded bytes, into a run
 // file.
@@ -325,8 +331,8 @@ func fillFromRuns(runs []*runFile, dropTombstones bool) func(*runWriter) error {
 
 // runFile is an open, immutable on-disk run: the block index, bloom
 // filter, and key-range fences live in memory; blocks are loaded on
-// demand (through the block cache when one is wired) and their records
-// handed up as views, never decoded here. Point
+// demand through the block cache and their records handed up as views,
+// never decoded here. Point
 // lookups and cursors are safe for concurrent use (reads go through
 // ReadAt).
 //
@@ -379,7 +385,7 @@ func openRun(fsys FS, dir, name string, env runEnv) (*runFile, error) {
 		name:  name,
 		f:     f,
 		id:    runFileSeq.Add(1),
-		cache: env.cache,
+		cache: cmp.Or(env.cache, noCache),
 		ctr:   env.ctr,
 	}
 	r.refs.Store(1) // owner reference
@@ -474,11 +480,10 @@ func (r *runFile) load() error {
 // carries, checksum-verified and decoded, plus the offsets of its
 // entries. data is never written after loadBlock returns while a reader
 // pins it: the record views a lookup or cursor returns alias it until
-// the pin is released. A cached block and a block a declined point miss
-// read privately are the buffers of a pooled entry (blockEntry), which
-// goes back to the pool only once no reader can read them (BlockCache:
-// pins). A block of a run with no cache is fresh memory no pool reuses.
-// (The blocks compaction reuses are handed to no one.)
+// the pin is released. Every block a reader gets is the buffers of a
+// pooled entry (blockEntry), which goes back to the pool only once no
+// reader can read them (BlockCache: pins). (The blocks compaction reuses
+// are handed to no one.)
 type block struct {
 	data []byte
 	// offs locates entry i in data: its key starts at offs[2i], its record
@@ -511,8 +516,6 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 // reuse lends its buffers to a caller that hands out nothing aliasing
 // them past their reuse — compaction — or to an entry's load, whose
 // buffers are recycled only once no reader can read them (BlockCache).
-// A scan of a run with no cache passes the zero block and gets memory of
-// its own.
 // An error names the run and the block: it is the read fault the reader
 // that asked for the block reports.
 func (r *runFile) loadBlock(i int, reuse block) (b block, err error) {
@@ -607,19 +610,14 @@ func parseBlock(data []byte, offs []uint32) (block, error) {
 	return block{data: data, offs: append(offs, uint32(pos))}, nil
 }
 
-// scanBlock returns block i to a cursor, through the cache's scan ring
-// when one is wired: a hit returns the resident block, a miss loads it
-// (once, however many readers miss it together) and publishes it. The
-// read pins the block: lease is the pin the cursor hands up when it
-// leaves the block (runFileCursor); nil for a run with no cache, whose
-// block is the cursor's own.
-func (r *runFile) scanBlock(i int) (blk block, lease *blockEntry, err error) {
-	if r.cache == nil {
-		blk, err = r.loadBlock(i, block{})
-		return blk, nil, err
-	}
-	blk, lease, _, err = r.cache.fetch(r.id, i, cursorRead, func(reuse block) (block, error) { return r.loadBlock(i, reuse) })
-	return blk, lease, err
+// fetch returns block i to a reader of the given mode through the
+// block cache (BlockCache.fetch), the one way a query reads a run block:
+// a hit returns the resident block, a miss loads it into a pooled entry
+// (loadBlock). The read pins the block: lease is the pin, which the
+// reader releases, or hands to its Leases, once it reads the block no
+// more.
+func (r *runFile) fetch(i int, mode readMode) (blk block, lease *blockEntry, err error) {
+	return r.cache.fetch(r.id, i, mode, func(reuse block) (block, error) { return r.loadBlock(i, reuse) })
 }
 
 // lookup binary-searches the block's encoded keys for key, an encoding,
@@ -649,11 +647,9 @@ func (b block) lookup(key []byte) []byte {
 // comparison one of encodings (adm.CompareEncoded). The read pins the
 // block's entry, so that it stays recyclable (BlockCache): with a lease
 // list, the record is a view of the block and l keeps the pin; without
-// one, the read copies its one record out and releases the pin. A block
-// the cache does not keep — a first touch on a full shard, or any block
-// of a run with no cache — is read privately (readRecord). Only a found
-// record puts an entry on l. An error is a block that could not be
-// read, so the key may be here after all.
+// one, the read copies its one record out and releases the pin. Only a
+// found record puts an entry on l. An error is a block that could not
+// be read, so the key may be here after all.
 func (r *runFile) get(kp *pointProbe, l *Leases) (v adm.Value, found bool, err error) {
 	if len(r.blocks) == 0 {
 		return adm.Value{}, false, nil
@@ -679,18 +675,12 @@ func (r *runFile) get(kp *pointProbe, l *Leases) (v adm.Value, found bool, err e
 	if lo == 0 {
 		return adm.Value{}, false, nil
 	}
-	i := lo - 1
-	if r.cache != nil {
-		blk, lease, ok, err := r.cache.fetch(r.id, i, pointRead, func(reuse block) (block, error) { return r.loadBlock(i, reuse) })
-		if err != nil {
-			return adm.Value{}, false, err
-		}
-		if ok {
-			v, found := keepRecord(blk.lookup(key), lease, l)
-			return v, found, nil
-		}
+	blk, lease, err := r.fetch(lo-1, pointRead)
+	if err != nil {
+		return adm.Value{}, false, err
 	}
-	return r.readRecord(i, key, l)
+	v, found = keepRecord(blk.lookup(key), lease, l)
+	return v, found, nil
 }
 
 // keepRecord returns rec, the record a point read found (or nil), from a
@@ -707,26 +697,6 @@ func keepRecord(rec []byte, lease *blockEntry, l *Leases) (adm.Value, bool) {
 		return adm.Value{}, false
 	}
 	return adm.ViewAlias(rec), true
-}
-
-// readRecord is a point read that keeps no block: it loads block i into
-// a pooled entry no shard holds, pinned once by this read, on the one
-// path every block read takes (loadBlock: checksum, decode, structure
-// walk), and returns the record stored under key. With a lease list, the
-// record is a view of the entry's block, which l keeps until it is
-// released; without one, it is a copy, and the entry goes back to the
-// pool at once, overwritten, for the next load to decode into.
-func (r *runFile) readRecord(i int, key []byte, l *Leases) (adm.Value, bool, error) {
-	e := entries.Get().(*blockEntry)
-	e.pins, e.gone = 1, true
-	blk, err := r.loadBlock(i, e.blk)
-	if err != nil {
-		e.release()
-		return adm.Value{}, false, err
-	}
-	e.blk = blk
-	v, found := keepRecord(blk.lookup(key), e, l)
-	return v, found, nil
 }
 
 // incRef adds a keep-open reason (a snapshot).
@@ -751,9 +721,7 @@ func (r *runFile) close() error {
 		return nil
 	}
 	r.ctr.openRuns.Add(-1)
-	if r.cache != nil {
-		r.cache.dropRun(r.id)
-	}
+	r.cache.dropRun(r.id)
 	return r.f.Close()
 }
 
@@ -801,7 +769,7 @@ func (c *runFileCursor) advance() (key []byte, tombstone, ok bool, err error) {
 		if c.raw {
 			blk, err = c.r.loadBlock(c.block, c.blk)
 		} else {
-			blk, c.lease, err = c.r.scanBlock(c.block)
+			blk, c.lease, err = c.r.fetch(c.block, cursorRead)
 		}
 		if err != nil {
 			c.err, c.block = err, len(c.r.blocks)

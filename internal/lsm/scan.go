@@ -83,7 +83,7 @@ func (c *IndexScanCursor) Next() (key, rec adm.Value, ok bool) {
 		}
 		pk := bytesOf(c.capt.pks[c.pos])
 		c.pos++
-		rec, found, err := c.snaps[c.part].getEncoded(pk, &c.capt.leases)
+		rec, found, err := c.snaps[c.part].getEncoded(getProbe(pk), &c.capt.leases)
 		if err != nil {
 			c.err = err
 			break
