@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -708,6 +709,57 @@ func TestOutsizedLineDoesNotMultiplyTheSlab(t *testing.T) {
 					t.Fatalf("%s, outlier at %d, learned=%v: the next batch was given %d slab bytes for %d encoded", arm.name, at, learned, next, encoded)
 				}
 			}
+		}
+	}
+}
+
+// TestSmallBatchIsChargedWhatItHolds: a storage partition hands out
+// slabs of one size, the largest whole frame asked for (Dataset.Slab),
+// and a memtable is charged each slab's capacity. So once a full batch
+// has set that size, a batch of a few records a target — what a feed
+// not under backpressure sends — must not take the partition's slabs:
+// it is given about what its records encode, as before the full batch.
+func TestSmallBatchIsChargedWhatItHolds(t *testing.T) {
+	const frame, targets, few = 128, 4, 6
+	line := func(i int) []byte {
+		return fmt.Appendf(nil, `{"id":%d,"text":"%0200d","lang":"en"}`, i, i)
+	}
+	for _, arm := range encoderArms(targets) {
+		enc := newRecordEncoder(frame, targets, "id", arm.route)
+		// The partitions' slab lists: one size, the largest asked for.
+		size := make([]int, targets)
+		enc.slab = func(t, n int) []byte {
+			size[t] = max(size[t], n)
+			return make([]byte, 0, size[t])
+		}
+		var sink frameSink
+		// batch sums the capacity of the slabs n records were framed in,
+		// and the bytes those records encode to.
+		batch := func(first, n int) (charged, encoded int) {
+			enc.begin(n)
+			for i := first; i < first+n; i++ {
+				if ok, err := enc.encode(line(i), nil, nil, &sink); !ok || err != nil {
+					t.Fatalf("line rejected (%v)", err)
+				}
+			}
+			if err := enc.flush(&sink); err != nil {
+				t.Fatal(err)
+			}
+			for _, fr := range sink.frames {
+				charged, encoded = charged+cap(fr.Enc), encoded+len(fr.Enc)
+			}
+			sink.reset()
+			return charged, encoded
+		}
+		batch(0, frame*len(enc.parts))
+		batch(frame*len(enc.parts), frame*len(enc.parts))
+		if slices.Max(size) == 0 {
+			t.Fatalf("%s: no full frame asked for the partition's slab: the test shows nothing", arm.name)
+		}
+		charged, encoded := batch(1<<20, few*len(enc.parts))
+		t.Logf("%s: a batch of %d records a target is charged %d slab bytes for %d encoded", arm.name, few, charged, encoded)
+		if most := encoded*5/4 + len(enc.parts)*len(line(0)); charged > most {
+			t.Fatalf("%s: a batch of %d records a target is charged %d slab bytes for %d encoded, want at most %d", arm.name, few, charged, encoded, most)
 		}
 	}
 }

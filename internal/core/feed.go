@@ -867,10 +867,13 @@ func (e *recordEncoder) input(rec adm.Value) adm.Value {
 // which hands out the slabs of memtables no reader saw
 // (lsm.Dataset.Slab). So nothing here reads a slab's bytes after its
 // frame is pushed. A record the slab has no room for closes its frame
-// early, and the next slab is sized from the partition's bytes per
-// record times the records still expected for it — plus the record
-// itself, which is never taken for the size of the others (see
-// slabSize).
+// early. A frame that can still expect a whole frame of records asks
+// the partition for a slab of its one size (a whole frame at the
+// learned bytes per record); a smaller batch's frames, a batch's tail
+// frames and a record that outgrows a whole frame get fresh memory
+// sized for the records still expected — plus the record itself, which
+// is never taken for the size of the others (see slabSize) — so no
+// memtable is charged a whole slab for a few records.
 type frameRouter struct {
 	// pk and route are set when routing: route maps a primary key to the
 	// storage partition that owns it.
@@ -897,10 +900,11 @@ type partFrame struct {
 	slab []byte
 	// largest is the most slab bytes one record of the frame took.
 	largest int
-	// perRecord is the slab bytes to provide per expected record: the
-	// target's last frame of two or more records showed this many on
-	// average, leaving its largest record out, plus an eighth.
-	perRecord int
+	// avg is the slab bytes per record the target's last frame of two or
+	// more records showed on average, leaving its largest record out, and
+	// perRecord the bytes to provide per expected record: avg plus an
+	// eighth.
+	avg, perRecord int
 }
 
 // newFrameRouter returns a router of frames of up to frameCap records.
@@ -1004,9 +1008,14 @@ func encodesTo(v adm.Value, enc []byte) bool {
 }
 
 // reserve makes sure target t's slab has room for size more bytes,
-// closing its frame early when it has not and giving it a fresh slab for
-// the records the target can still expect this batch: its share of the
-// pending records, up to a frame.
+// closing its frame early when it has not and giving it a slab for the
+// records the target can still expect this batch: its share of the
+// pending records, up to a frame. While that is a whole frame, the slab
+// is the storage partition's (slab set), asked for a whole frame at the
+// learned bytes per record, which sets the size of every slab the
+// partition hands out; fewer records, a record larger than that whole
+// frame and a target that has learned nothing yet get fresh memory of
+// the size they need.
 func (r *frameRouter) reserve(t, size int, out hyracks.Writer) error {
 	pf := &r.parts[t]
 	if cap(pf.slab)-len(pf.slab) >= size {
@@ -1017,11 +1026,11 @@ func (r *frameRouter) reserve(t, size int, out hyracks.Writer) error {
 			return err
 		}
 	}
-	n := pf.slabSize(size, min(r.frameCap, (r.pending+len(r.parts)-1)/len(r.parts)))
-	if r.slab != nil {
-		pf.open(r.slab(t, n))
+	expect := min(r.frameCap, (r.pending+len(r.parts)-1)/len(r.parts))
+	if frame := pf.avg * r.frameCap; r.slab != nil && expect == r.frameCap && size <= frame {
+		pf.open(r.slab(t, frame))
 	} else {
-		pf.open(make([]byte, 0, n))
+		pf.open(make([]byte, 0, pf.slabSize(size, expect)))
 	}
 	return nil
 }
@@ -1059,8 +1068,8 @@ func (pf *partFrame) open(slab []byte) { pf.slab, pf.largest = slab, 0 }
 // learn takes the bytes per record from pf's slab, which holds n records.
 func (pf *partFrame) learn(n int) {
 	if n > 1 {
-		per := (len(pf.slab) - pf.largest) / (n - 1)
-		pf.perRecord = per + per/8 + 1
+		pf.avg = (len(pf.slab) - pf.largest) / (n - 1)
+		pf.perRecord = pf.avg + pf.avg/8 + 1
 	}
 }
 

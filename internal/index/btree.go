@@ -10,6 +10,7 @@ package index
 
 import (
 	"slices"
+	"sync"
 
 	"github.com/ideadb/idea/internal/adm"
 )
@@ -41,14 +42,84 @@ type btreeNode[K, V any] struct {
 // the encodings a batch's buffer holds, and a secondary index's tree of
 // (secondary key, primary key) entries.
 type Tree[K, V any] struct {
-	root *btreeNode[K, V]
-	size int
-	cmp  func(a, b K) int
+	root  *btreeNode[K, V]
+	size  int
+	cmp   func(a, b K) int
+	nodes *Nodes[K, V] // where new nodes come from and Release returns them; nil: the heap
 }
 
 // New returns an empty tree ordered by cmp, which returns a negative
 // number, zero or a positive number as a sorts before, with or after b.
 func New[K, V any](cmp func(a, b K) int) *Tree[K, V] { return &Tree[K, V]{cmp: cmp} }
+
+// NewIn is New for a tree that takes its nodes from l, and hands them
+// back to it at Release.
+func NewIn[K, V any](cmp func(a, b K) int, l *Nodes[K, V]) *Tree[K, V] {
+	return &Tree[K, V]{cmp: cmp, nodes: l}
+}
+
+// Nodes is a free list of tree nodes, for trees that are filled, read
+// and then dropped whole, one after another: an LSM partition's
+// memtables. A tree made with NewIn takes its nodes from the list, and
+// Release returns them, cleared, once no reader can reach the tree. It
+// is safe for concurrent use.
+type Nodes[K, V any] struct {
+	mu   sync.Mutex
+	free []*btreeNode[K, V]
+}
+
+// get takes a free node, or returns nil when there is none.
+func (l *Nodes[K, V]) get() *btreeNode[K, V] {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	k := len(l.free)
+	if k == 0 {
+		return nil
+	}
+	n := l.free[k-1]
+	l.free[k-1] = nil
+	l.free = l.free[:k-1]
+	return n
+}
+
+// Drop empties the list.
+func (l *Nodes[K, V]) Drop() {
+	l.mu.Lock()
+	l.free = nil
+	l.mu.Unlock()
+}
+
+// Release empties t and, for a tree made with NewIn, hands its nodes to
+// its list: the caller vouches that nothing reads t or still holds an
+// entry of it by reference (a Cursor, an AscendFrom walk). Each node is
+// cleared first, so a free node keeps no key or value alive. The list
+// keeps at most trees times the nodes of the tree released — the caller
+// knows how many such trees are filled at once — and leaves the rest to
+// the garbage collector.
+func (t *Tree[K, V]) Release(trees int) {
+	root, l := t.root, t.nodes
+	t.root, t.size = nil, 0
+	if root == nil || l == nil {
+		return
+	}
+	var nodes []*btreeNode[K, V]
+	root.collect(&nodes)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	keep := max(0, min(len(nodes), trees*len(nodes)-len(l.free)))
+	l.free = append(l.free, nodes[:keep]...)
+}
+
+// collect appends n and every node below it to nodes, each cleared.
+func (n *btreeNode[K, V]) collect(nodes *[]*btreeNode[K, V]) {
+	for _, c := range n.children {
+		c.collect(nodes)
+	}
+	clear(n.items[:cap(n.items)])
+	clear(n.children[:cap(n.children)])
+	n.items, n.children = n.items[:0], n.children[:0]
+	*nodes = append(*nodes, n)
+}
 
 // Item is one key/value pair of ADM values: a BTree's entry.
 type Item = Entry[adm.Value, adm.Value]
@@ -64,14 +135,22 @@ const (
 	minItems = btreeDegree - 1
 )
 
-// newNode allocates a node with room for maxItems items and, for an
-// internal node, their maxItems+1 children. With the allocator's 8-byte
-// header, an array of 127 ADM Items (160 B) fits a 20 KiB size class and
-// one of 127 memtable entries (32 B) a 4 KiB class, each with less than
-// 0.8 % to spare.
-func newNode[K, V any](internal bool) *btreeNode[K, V] {
-	n := &btreeNode[K, V]{items: make([]Entry[K, V], 0, maxItems)}
-	if internal {
+// newNode returns an empty node with room for maxItems items and, for
+// an internal node, their maxItems+1 children: a free one from t's list
+// when it has one, else a new one. With the allocator's 8-byte header,
+// an array of 127 ADM Items (160 B) fits a 20 KiB size class and one of
+// 127 memtable entries (32 B) a 4 KiB class, each with less than 0.8 %
+// to spare. A free node keeps the children array it had, empty, so it
+// serves as a leaf either way.
+func (t *Tree[K, V]) newNode(internal bool) *btreeNode[K, V] {
+	var n *btreeNode[K, V]
+	if t.nodes != nil {
+		n = t.nodes.get()
+	}
+	if n == nil {
+		n = &btreeNode[K, V]{items: make([]Entry[K, V], 0, maxItems)}
+	}
+	if internal && n.children == nil {
 		n.children = make([]*btreeNode[K, V], 0, maxItems+1)
 	}
 	return n
@@ -124,7 +203,7 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 // whether an existing item was replaced.
 func (t *Tree[K, V]) Put(key K, val V) bool {
 	if t.root == nil {
-		t.root = newNode[K, V](false)
+		t.root = t.newNode(false)
 	}
 	replaced, promoted, siblings := t.insert(t.root, key, val, true)
 	t.grow(promoted, siblings)
@@ -148,7 +227,7 @@ func (t *Tree[K, V]) insert(n *btreeNode[K, V], key K, val V, edge bool) (bool, 
 	case !n.leaf():
 		replaced, promoted, siblings := t.insert(n.children[i], key, val, edge && i == len(n.items))
 		n.adopt(i, promoted, siblings)
-		promoted, siblings = n.splitOverfull(edge)
+		promoted, siblings = t.splitOverfull(n, edge)
 		return replaced, promoted, siblings
 	case len(n.items) < maxItems:
 		n.items = slices.Insert(n.items, i, Entry[K, V]{key, val})
@@ -172,11 +251,11 @@ func (n *btreeNode[K, V]) adopt(i int, promoted []Entry[K, V], siblings []*btree
 // one level per pass while the new root overflows too.
 func (t *Tree[K, V]) grow(promoted []Entry[K, V], siblings []*btreeNode[K, V]) {
 	for len(siblings) > 0 {
-		root := newNode[K, V](true)
+		root := t.newNode(true)
 		root.items = append(root.items, promoted...)
 		root.children = append(append(root.children, t.root), siblings...)
 		t.root = root
-		promoted, siblings = root.splitOverfull(true)
+		promoted, siblings = t.splitOverfull(root, true)
 	}
 }
 
@@ -201,7 +280,7 @@ func (t *Tree[K, V]) PutBatch(run []Entry[K, V], onNew func(Entry[K, V])) {
 		return
 	}
 	if t.root == nil {
-		t.root = newNode[K, V](false)
+		t.root = t.newNode(false)
 	}
 	inserted, promoted, siblings := t.insertBatch(t.root, run, onNew, true)
 	t.size += inserted
@@ -246,7 +325,7 @@ func (t *Tree[K, V]) insertBatch(n *btreeNode[K, V], run []Entry[K, V], onNew fu
 		inserted += added
 		n.adopt(s.child, promoted, siblings)
 	}
-	promoted, siblings := n.splitOverfull(edge)
+	promoted, siblings := t.splitOverfull(n, edge)
 	return inserted, promoted, siblings
 }
 
@@ -292,7 +371,7 @@ func (t *Tree[K, V]) mergeLeaf(n *btreeNode[K, V], run []Entry[K, V], onNew func
 	dsts := append(make([][]Entry[K, V], 0, 8), n.items[:first])
 	var siblings []*btreeNode[K, V]
 	for pos := first; pos < total; {
-		s := newNode[K, V](false)
+		s := t.newNode(false)
 		s.items = s.items[:chunk(total-pos-1, edge)]
 		siblings = append(siblings, s)
 		pos += 1 + len(s.items)
@@ -364,7 +443,7 @@ func chunk(rem int, edge bool) int {
 // it; chunk sets the sizes. The single pass matters: chaining binary
 // splits would re-copy the remaining tail once per split, going
 // quadratic exactly when a large sorted run lands in one node.
-func (n *btreeNode[K, V]) splitOverfull(edge bool) (promoted []Entry[K, V], siblings []*btreeNode[K, V]) {
+func (t *Tree[K, V]) splitOverfull(n *btreeNode[K, V], edge bool) (promoted []Entry[K, V], siblings []*btreeNode[K, V]) {
 	items, children := n.items, n.children
 	if len(items) <= maxItems {
 		return nil, nil
@@ -374,7 +453,7 @@ func (n *btreeNode[K, V]) splitOverfull(edge bool) (promoted []Entry[K, V], sibl
 		promoted = append(promoted, items[pos])
 		pos++
 		size := chunk(len(items)-pos, edge)
-		s := newNode[K, V](true)
+		s := t.newNode(true)
 		s.items = append(s.items, items[pos:pos+size]...)
 		s.children = append(s.children, children[pos:pos+size+1]...)
 		siblings = append(siblings, s)

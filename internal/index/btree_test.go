@@ -818,3 +818,72 @@ func TestBTreeCursorRange(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedNodesServeTheNextTree: Release hands every node of a tree
+// made with NewIn to its list, cleared up to capacity, so a free node
+// keeps no key or value alive; the next tree built from the list takes
+// those nodes instead of new ones, whether it needs a leaf or an
+// internal node; and the list keeps no more than the trees Release is
+// told of times the nodes of the tree released.
+func TestReleasedNodesServeTheNextTree(t *testing.T) {
+	var l Nodes[string, string]
+	batches := encodedBatches(randomBatches(20_000, 300, 3))
+	build := func() *Tree[string, string] {
+		bt := NewIn(encodedTree().cmp, &l)
+		for _, run := range batches {
+			bt.PutBatch(run, nil)
+		}
+		checkInvariants(t, bt)
+		return bt
+	}
+	nodesOf := func(bt *Tree[string, string]) map[*btreeNode[string, string]]bool {
+		seen := map[*btreeNode[string, string]]bool{}
+		var walk func(n *btreeNode[string, string])
+		walk = func(n *btreeNode[string, string]) {
+			seen[n] = true
+			for _, c := range n.children {
+				walk(c)
+			}
+		}
+		walk(bt.root)
+		return seen
+	}
+	first := build()
+	firstNodes := nodesOf(first)
+	first.Release(2)
+	if first.root != nil || first.Len() != 0 || len(l.free) != len(firstNodes) {
+		t.Fatalf("a released tree of %d nodes left root %p, %d items, and %d free nodes", len(firstNodes), first.root, first.Len(), len(l.free))
+	}
+	for _, n := range l.free {
+		if !firstNodes[n] || len(n.items) != 0 || len(n.children) != 0 {
+			t.Fatal("a free node that is not the released tree's, or not empty")
+		}
+		for _, it := range n.items[:cap(n.items)] {
+			if it != (Entry[string, string]{}) {
+				t.Fatal("a free node still holds an entry")
+			}
+		}
+		for _, c := range n.children[:cap(n.children)] {
+			if c != nil {
+				t.Fatal("a free node still holds a child")
+			}
+		}
+	}
+	second := build()
+	for n := range nodesOf(second) {
+		if !firstNodes[n] {
+			t.Fatal("the next tree allocated a node while the list held free ones")
+		}
+	}
+	if len(l.free) != 0 {
+		t.Fatalf("%d free nodes left after a tree of the same shape", len(l.free))
+	}
+	// Three trees' worth come back; the list keeps two.
+	third, fourth := build(), build()
+	second.Release(2)
+	third.Release(2)
+	fourth.Release(2)
+	if len(l.free) != 2*len(firstNodes) {
+		t.Fatalf("the list keeps %d nodes after three trees of %d, want %d", len(l.free), len(firstNodes), 2*len(firstNodes))
+	}
+}

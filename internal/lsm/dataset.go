@@ -122,8 +122,10 @@ func (d *Dataset) UpsertFrame(part int, enc []byte) error {
 }
 
 // Slab returns an empty slab of at least n bytes for a frame routed to
-// partition t: the slab of a memtable that partition flushed unread, of
-// n to n+n/4 bytes, when it has one, else a fresh one.
+// partition t, of the one size all that partition's slabs have — the
+// largest n asked for so far, rounded up to an allocator size class:
+// the slab of a memtable that partition flushed unread when it has one,
+// else a fresh one.
 func (d *Dataset) Slab(t, n int) []byte { return d.partitions[t].slab(n) }
 
 // PutCheckpoint records a feed-resume checkpoint on every partition

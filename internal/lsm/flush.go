@@ -116,6 +116,11 @@ func (p *Partition) storeRuns(runs []*component, flushed, nextSeq uint64) error 
 	return nil
 }
 
+// liveMemtables is how many memtables' worth of slabs and tree nodes
+// the free lists keep for a partition: the memtable filling while the
+// last one flushes, and the next, frames in flight included.
+const liveMemtables = 2
+
 // flushOnce persists the oldest frozen component as a run file. It
 // reports whether there was anything to flush.
 func (p *Partition) flushOnce() (bool, error) {
@@ -155,15 +160,17 @@ func (p *Partition) flushOnce() (bool, error) {
 	// run-backed twin. The component pointer is replaced, never mutated:
 	// snapshots that copied the old pointer keep reading the tree.
 	// Once swapped, the tree is no reader's to see: whether one saw it
-	// (frameSlabs) is settled, and if none did, its slabs go to the free
-	// list — but not on a closing partition, whose list is dropped.
+	// (frameSlabs) is settled, and if none did, its slabs and nodes go to
+	// the free lists — but not on a closing partition, whose lists are
+	// dropped. Both lists keep what liveMemtables memtables take.
 	p.mu.Lock()
 	p.components[len(p.components)-len(runs)-1] = flushed
 	p.stats.FlushedRuns++
 	recycle := c.slabs != nil && !c.slabs.escaped.Load() && !p.closed
 	p.mu.Unlock()
 	if recycle {
-		p.free.put(c.slabs.slabs, p.opts.MemBudget)
+		p.free.put(c.slabs.slabs, liveMemtables*p.opts.MemBudget)
+		c.tree.Release(liveMemtables)
 	}
 
 	// The manifest covers everything at or below the watermark; the WAL

@@ -143,7 +143,9 @@ type entry = index.Entry[string, string]
 // order (compareKeys).
 type memtable = index.Tree[string, string]
 
-func newMemtable() *memtable { return index.New[string, string](compareKeys) }
+// newMemtable returns an empty memtable whose nodes come from, and at a
+// flush no reader saw go back to, the partition's node list (slabs.go).
+func (p *Partition) newMemtable() *memtable { return index.NewIn(compareKeys, &p.nodes) }
 
 // compareKeys orders encoded keys as adm.Compare orders the keys they
 // encode.
@@ -229,8 +231,10 @@ type Stats struct {
 	// components plus replaced runs a snapshot still reaches.
 	OpenRunFiles int
 	// RecycledSlabs counts the routed frame slabs Dataset.Slab served
-	// from the slabs of memtables flushed unread instead of allocating.
+	// from the slabs of memtables flushed unread instead of allocating,
+	// and FreshSlabs the ones it had to allocate.
 	RecycledSlabs uint64
+	FreshSlabs    uint64
 }
 
 // Add accumulates o into s: a dataset sums its partitions, a cluster
@@ -250,6 +254,7 @@ func (s *Stats) Add(o Stats) {
 	s.BlockReads += o.BlockReads
 	s.OpenRunFiles += o.OpenRunFiles
 	s.RecycledSlabs += o.RecycledSlabs
+	s.FreshSlabs += o.FreshSlabs
 }
 
 // Partition is a single LSM storage partition: one primary-key-ordered
@@ -266,11 +271,13 @@ type Partition struct {
 	// entry — replaced entries included, their bytes are still in their
 	// batch's buffer, which the memtable keeps whole.
 	memBytes int
-	// slabs are the routed frame slabs the memtable keeps, and free, under
-	// a lock of its own, the slabs of flushed memtables no reader saw, for
-	// the next frames (slabs.go).
+	// slabs are the routed frame slabs the memtable keeps; free and
+	// nodes, under locks of their own, the slabs and tree nodes of
+	// flushed memtables no reader saw, for the next frames and memtables
+	// (slabs.go).
 	slabs      *frameSlabs
 	free       slabList
+	nodes      index.Nodes[string, string]
 	components []*component // newest first
 	secondary  []SecondaryIndex
 	stats      Stats
@@ -758,7 +765,7 @@ func (p *Partition) freezeLocked() {
 	// effects of LSNs <= upToLSN not already in older components.
 	c := &component{tree: p.mem, slabs: p.slabs, upToLSN: p.wal.LSN()}
 	p.components = append([]*component{c}, p.components...)
-	p.mem, p.slabs = newMemtable(), nil
+	p.mem, p.slabs = p.newMemtable(), nil
 	p.memBytes = 0
 	p.signalFlushLocked()
 }
@@ -901,7 +908,7 @@ func (p *Partition) Stats() Stats {
 	s.OpenRunFiles = int(ctr.openRuns.Load())
 	s.Components = len(p.components)
 	s.MemEntries = p.mem.Len()
-	s.RecycledSlabs = p.free.recycled()
+	s.RecycledSlabs, s.FreshSlabs = p.free.counts()
 	return s
 }
 

@@ -51,7 +51,6 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 	}
 	p := &Partition{
 		opts:        opts,
-		mem:         newMemtable(),
 		fs:          fsys,
 		dir:         dir,
 		flushedLSN:  man.FlushedLSN,
@@ -60,6 +59,7 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 		flushC:      make(chan struct{}, 1),
 		flusherDone: make(chan struct{}),
 	}
+	p.mem = p.newMemtable()
 
 	// Manifest runs are oldest first; components are newest first.
 	for i := len(man.Runs) - 1; i >= 0; i-- {
@@ -236,6 +236,7 @@ func (p *Partition) Close() error {
 		err = p.wal.retire()
 	}
 	p.free.drop()
+	p.nodes.Drop()
 	p.mu.Lock()
 	if cerr := p.closeRunsLocked(); err == nil {
 		err = cerr

@@ -6,15 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// Frame slab recycling.
+// Frame slab and memtable node recycling.
 //
 // A routed frame's slab (Dataset.UpsertFrame) is the memtable's own
 // storage for its records: entries alias it, and a flush copies it into
 // a run file. Once that flush has swapped the memtable for its run, only
-// a reader could still alias the slab. Two readers hand out views of a
-// memtable's bytes: Partition.Get, of the memtable and of every frozen
-// tree, and Snapshot, which freezes first and so covers every reader
-// that goes through one (cursors, index scans, parallel scans,
+// a reader could still alias the slab, or hold the tree whose nodes
+// point into it. Two readers hand out views of a memtable's bytes:
+// Partition.Get, of the memtable and of every frozen tree, and Snapshot,
+// which freezes first and keeps the frozen trees, and so covers every
+// reader that goes through one (cursors, index scans, parallel scans,
 // enrichment state). Each marks the trees it may show a reader escaped
 // (frameSlabs). The write path's own lookups (getLocked) and the index
 // back-fill read under p.mu and keep copies, so they mark nothing.
@@ -22,10 +23,14 @@ import (
 // The flush of a memtable no reader saw hands its slabs to the
 // partition's free list (slabList), overwritten with recycledByte, so a
 // view that outlived its memtable unnoticed fails to decode instead of
-// reading other records; Dataset.Slab serves the next routed frames from
-// it. An escaped memtable's slabs, and every other batch buffer (an
-// encodeBatch copy, a WAL segment replay read), stay with the garbage
-// collector.
+// reading other records, and its tree's nodes, cleared, to the
+// partition's node list (index.Nodes), which the next memtables take
+// their nodes from. Dataset.Slab serves the next routed frames from the
+// slab list. Every slab of a partition has one size, so a flushed
+// memtable's slabs fit the next memtable's frames: a memtable's memory
+// is a budget its flush hands back. An escaped memtable's slabs and
+// nodes, and every other batch buffer (an encodeBatch copy, a WAL
+// segment replay read), stay with the garbage collector.
 
 // frameSlabs are the routed frame slabs one memtable keeps, and whether
 // a reader may ever have held a view of them (escaped). A memtable gets
@@ -43,47 +48,55 @@ func (s *frameSlabs) escape() {
 	}
 }
 
-// slabList is a partition's free frame slabs, ordered by capacity. It
-// holds about MemBudget bytes of capacity — one memtable's worth, what
-// the next memtable needs — and is emptied at Close. Its own mutex
-// guards it, so producers taking slabs do not wait on p.mu. It is not a
-// sync.Pool: slabs come back once per flush, and a collection between
-// two flushes would empty a pool.
+// slabList is a partition's free frame slabs. Every slab it hands out
+// has one capacity, size: the largest frame asked for so far, rounded up
+// to an allocator size class (whose spare bytes the frame may as well
+// use). It grows when a frame outgrows it and never shrinks, so every
+// free slab fits every request and the list is a plain stack. It keeps
+// up to the limit a flush passes (put), about what is live at once —
+// the memtable filling, the one being flushed and the frames in flight
+// — and is emptied at Close. Its own mutex guards it, so producers
+// taking slabs do not wait on p.mu. It is not a sync.Pool: slabs come
+// back once per flush, and a collection between two flushes would empty
+// a pool.
 type slabList struct {
 	mu    sync.Mutex
-	slabs [][]byte // by ascending capacity
-	bytes int      // their summed capacity
-	// hits counts the slabs get handed out (Stats.RecycledSlabs).
-	hits uint64
+	size  int
+	slabs [][]byte // each of capacity size
+	// hits and misses count the slabs get handed out from the list and
+	// the ones it allocated (Stats.RecycledSlabs, FreshSlabs).
+	hits, misses uint64
 }
 
-// slabSlack is how much larger than asked a recycled slab may be, as a
-// share of the request: the memtable is charged a slab's capacity, so a
-// larger one would hold room its frame may not use.
-const slabSlack = 4 // n + n/slabSlack
-
-// get takes the smallest free slab of n to n+n/slabSlack bytes, empty,
-// or returns nil when there is none.
+// get takes a free slab of at least n bytes, empty, or allocates one. A
+// request larger than size raises size, and the slabs on the list, now
+// too small, go to the garbage collector.
 func (l *slabList) get(n int) []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	i, _ := slices.BinarySearchFunc(l.slabs, n, func(s []byte, n int) int { return cap(s) - n })
-	if i == len(l.slabs) || cap(l.slabs[i]) > n+n/slabSlack {
-		return nil
+	if n > l.size {
+		s := slices.Grow([]byte(nil), n) // capacity: n's size class
+		l.size, l.slabs = cap(s), nil
+		l.misses++
+		return s
 	}
-	s := l.slabs[i]
-	l.slabs = slices.Delete(l.slabs, i, i+1)
-	l.bytes -= cap(s)
+	k := len(l.slabs)
+	if k == 0 {
+		l.misses++
+		return make([]byte, 0, l.size)
+	}
+	s := l.slabs[k-1]
+	l.slabs[k-1] = nil
+	l.slabs = l.slabs[:k-1]
 	l.hits++
-	return s[:0]
+	return s
 }
 
 // put overwrites the slabs of a flushed memtable no reader saw, outside
-// the lock, and keeps them while the list holds less than limit bytes;
-// the rest are left to the garbage collector. Every slab is overwritten,
-// kept or not, so a missed escape reads recycledByte either way. A
-// memtable's slabs may hold a little more than its budget — it freezes
-// at the frame that crosses it — so the list keeps that frame's slab too.
+// the lock, and keeps those of the list's size while it holds less than
+// limit bytes; the rest are left to the garbage collector. Every slab is
+// overwritten, kept or not, so a missed escape reads recycledByte either
+// way.
 func (l *slabList) put(slabs [][]byte, limit int) {
 	for _, s := range slabs {
 		overwrite(s[:cap(s)])
@@ -91,27 +104,25 @@ func (l *slabList) put(slabs [][]byte, limit int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, s := range slabs {
-		if l.bytes >= limit {
-			break
+		if cap(s) == l.size && len(l.slabs)*l.size < limit {
+			l.slabs = append(l.slabs, s[:0])
 		}
-		i, _ := slices.BinarySearchFunc(l.slabs, cap(s), func(s []byte, n int) int { return cap(s) - n })
-		l.slabs = slices.Insert(l.slabs, i, s)
-		l.bytes += cap(s)
 	}
 }
 
 // drop empties the list: a closed partition takes no more frames.
 func (l *slabList) drop() {
 	l.mu.Lock()
-	l.slabs, l.bytes = nil, 0
+	l.slabs = nil
 	l.mu.Unlock()
 }
 
-// recycled reports how many slabs the list has handed out.
-func (l *slabList) recycled() uint64 {
+// counts reports how many slabs the list has handed out and how many it
+// allocated.
+func (l *slabList) counts() (recycled, fresh uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.hits
+	return l.hits, l.misses
 }
 
 // overwrite fills b with recycledByte, so a view left over the bytes
@@ -127,14 +138,9 @@ func overwrite(b []byte) {
 }
 
 // slab returns an empty slab of at least n bytes for a frame routed to
-// p: a recycled one when the free list has one that fits, else a fresh
-// one.
-func (p *Partition) slab(n int) []byte {
-	if s := p.free.get(n); s != nil {
-		return s
-	}
-	return make([]byte, 0, n)
-}
+// p, of the partition's one slab size: a recycled one when the free list
+// has one, else a fresh one.
+func (p *Partition) slab(n int) []byte { return p.free.get(n) }
 
 // keepSlabLocked records that the memtable keeps enc, a routed frame's
 // slab.

@@ -41,7 +41,7 @@ var (
 		"block_cache_scan_hits", "block_cache_scan_misses", "block_cache_bypasses", "block_cache_recycled",
 		"gets", "scans", "upserts", "deletes", "flushes", "merges", "flushed_runs",
 		"components", "mem_entries", "fence_skips", "bloom_skips", "block_reads",
-		"open_run_files", "recycled_slabs",
+		"open_run_files", "recycled_slabs", "fresh_slabs",
 		"feeds",
 	}
 	feedStatsKeys = []string{
