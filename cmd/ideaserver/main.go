@@ -35,7 +35,7 @@ func main() {
 		addr         = flag.String("addr", ":7654", "TCP listen address (host:port; port 0 picks a free port)")
 		nodes        = flag.Int("nodes", 1, "simulated cluster size")
 		dataDir      = flag.String("data-dir", "", "storage directory (empty: the files live in process memory)")
-		blockCacheMB = flag.Int64("block-cache-mb", 0, "block cache budget in MiB (0: default 64, negative: no block stays resident)")
+		blockCacheMB = flag.Int64("block-cache-mb", 0, "block cache budget in MiB, decoded blocks plus the on-disk frames kept beside them (0: default 64, negative: no block stays resident)")
 		initScript   = flag.String("init", "", "SQL++ script file executed at boot (DDL, feeds)")
 		tlsCert      = flag.String("tls-cert", "", "TLS certificate file (with -tls-key enables TLS)")
 		tlsKey       = flag.String("tls-key", "", "TLS private key file")

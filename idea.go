@@ -47,7 +47,8 @@ type Config struct {
 	// cache rather than decoded trees, and loses them when it goes.
 	DataDir string
 	// BlockCacheBytes budgets the read path's block cache, shared across
-	// every dataset partition. 0 selects the default (64 MiB); a
+	// every dataset partition: the budget counts decoded blocks plus the
+	// on-disk frames kept beside them. 0 selects the default (64 MiB); a
 	// negative value keeps no block resident.
 	BlockCacheBytes int64
 }

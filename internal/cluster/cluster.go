@@ -59,7 +59,8 @@ type Tuning struct {
 	// always reports the filesystem in use.
 	StorageFS lsm.FS
 	// BlockCacheBytes is the cluster-wide byte budget of the read path's
-	// block cache, shared by every dataset partition; New builds
+	// block cache, shared by every dataset partition: it counts decoded
+	// blocks plus the on-disk frames kept beside them. New builds
 	// Storage.BlockCache from it. 0 selects the default
 	// (lsm.DefaultBlockCacheBytes); negative keeps no block resident.
 	BlockCacheBytes int64

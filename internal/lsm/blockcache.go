@@ -17,40 +17,49 @@ import (
 // entries can never be confused with its successor's.
 //
 // The cache is sharded to keep the lock off the read hot path's
-// profile; each shard keeps its entries under its own mutex within an
+// profile; each shard keeps its blocks under its own mutex within an
 // even split of the byte budget, the way 2Q does (Johnson & Shasha,
 // VLDB 1994):
 //
-//   - hot (2Q's Am), an LRU of the blocks point reads asked for;
-//   - ring (2Q's A1in), a FIFO of the blocks scans loaded;
-//   - ghosts (2Q's A1out), a FIFO of the keys — no bytes — of the point
-//     misses the shard last declined.
+//   - hot (2Q's Am), an LRU of the decoded blocks point reads asked for;
+//   - ring (2Q's A1in), a FIFO of the decoded blocks scans loaded;
+//   - frames (2Q's A1out, keeping its bytes), a FIFO of the frames — the
+//     codec byte, body and checksum, as they lie on disk — of every
+//     block the shard read from a file (frameStore), bounded at
+//     1/ghostShare of the split.
 //
 // A point hit moves its entry to hot's head, out of the ring if it was
-// there. A point miss enters hot while the shard has room for a block of
-// runBlockTarget bytes; once the shard is full it enters hot only if its
-// key is a ghost (a second touch, which takes the key off the ghost
-// list), and otherwise it is not admitted: its key becomes a ghost and
-// fetch loads the block into an entry no shard holds, which its reader
-// alone pins (runFile.get keeps only its record). So a one-off point
-// read on a full cache neither allocates a block nor evicts one, and a
-// block read twice
-// within the ghost list's memory replaces hot's coldest — the ghosts are
-// what lets the hot set change while the cache stays full. A scan miss
-// joins the ring; a scan hit moves nothing. So a scan never reorders
-// hot, and it displaces hot only while the ring holds no more than its
-// share (ringShare) of the shard: past that, a scan evicts the ring's
-// own oldest blocks. The ring is what lets concurrent scans of the same
-// data share loads — a trailing scan hits the blocks a leading one just
-// brought in.
+// there. A decoded miss whose frame is resident copies the frame out
+// under the shard lock and decodes it as a file read's frame is decoded
+// (runFile.decodeFrame: the checksum, the codec, the structure walk): no
+// file is read, and the miss counts a frame hit. A point miss enters hot
+// while the shard has room for a block of runBlockTarget bytes; once the
+// shard is full it enters hot only if its frame is resident (a second
+// touch), and otherwise it is not admitted: fetch loads the block into
+// an entry no shard holds, which its reader alone pins (runFile.get
+// keeps only its record), and its frame joins the store. So a one-off
+// point read on a full cache allocates no block, and a block read twice
+// while its frame is resident replaces hot's coldest without a second
+// file read — the frames are what lets the hot set change while the
+// cache stays full, and, compressed, they keep in memory data its
+// decoded blocks would overflow. A scan miss joins the ring, whether its
+// frame was resident or not; a scan hit moves nothing. So a scan never
+// reorders hot, and it displaces hot only while the ring holds no more
+// than its share (ringShare) of the shard: past that, a scan evicts the
+// ring's own oldest blocks. The ring is what lets concurrent scans of
+// the same data share loads — a trailing scan hits the blocks a leading
+// one just brought in.
 //
-// Residency is all the cache decides. An over-budget insert evicts one
-// victim at a time until the shard fits — the ring's oldest entry when
-// the ring holds more than its share or hot is empty, else hot's coldest
-// — the block just inserted included when it alone exceeds the shard's
-// split. The budget is enforced at admission time, and only a shard over
-// its split evicts, so while there is room a scan fills the cache as a
-// point read would.
+// Residency is all the cache decides. The frames are charged in the
+// shard's bytes, so the budget counts decoded blocks and the frames kept
+// beside them. A frame that does not fit the store's share overwrites
+// the store's oldest; an over-budget insert, of a block or of a frame,
+// then evicts one decoded victim at a time until the shard fits — the
+// ring's oldest entry when the ring holds more than its share or hot is
+// empty, else hot's coldest — the block just inserted included when it
+// alone exceeds what the frames leave of the split. The budget is
+// enforced at admission time, and only a shard over its split evicts,
+// so while there is room a scan fills the cache as a point read would.
 //
 // Where an evicted block's bytes go is decided by its pins. The unit of
 // block memory is the entry: every load — a miss, and a point miss the
@@ -94,6 +103,7 @@ type BlockCache struct {
 	bypasses           atomic.Uint64
 	evictions          atomic.Uint64
 	recycled           atomic.Uint64
+	frameHits          atomic.Uint64
 }
 
 const blockCacheShards = 8
@@ -104,9 +114,9 @@ const blockCacheShards = 8
 // figure tuned to any workload.
 const ringShare = 4
 
-// A shard remembers as many ghosts as half the blocks of runBlockTarget
-// bytes its split holds (at least one): 2Q's published default for its
-// ghost list (Kout = 50 %), again not a tuned figure.
+// A shard's frames take at most 1/ghostShare of its split: half, 2Q's
+// published default for its ghost list (Kout = 50 %), again not a tuned
+// figure.
 const ghostShare = 2
 
 // DefaultBlockCacheBytes is the budget used when a cluster does not set
@@ -135,6 +145,11 @@ type CacheStats struct {
 	// Recycled counts the block loads that decoded into the memory of a
 	// block the cache had let go of (entries) instead of allocating.
 	BlockCacheRecycled uint64
+	// FrameHits is the share of Misses that decoded a frame the shard
+	// kept (frameStore) and read no file.
+	BlockCacheFrameHits uint64
+	// FrameBytes gauges the share of Bytes that the kept frames hold.
+	BlockCacheFrameBytes int64
 }
 
 // readMode says who reads a block: it decides where a miss is admitted
@@ -142,7 +157,8 @@ type CacheStats struct {
 type readMode uint8
 
 const (
-	// pointRead is runFile.get: hot, admitted by admits.
+	// pointRead is runFile.get: hot, admitted while the shard has room
+	// or the block's frame is resident.
 	pointRead readMode = iota
 	// cursorRead is a cursor's: the ring, always admitted.
 	cursorRead
@@ -167,7 +183,7 @@ const maxRecycled = 2 * runBlockTarget
 const recycledRoom = runBlockTarget + runBlockTarget/8
 
 // blockKey names a block. Run ids start at 1, so the zero key names no
-// block and marks an empty ghost slot.
+// block.
 type blockKey struct {
 	run   uint64
 	block int
@@ -201,20 +217,18 @@ type blockList struct {
 	head, tail *blockEntry
 }
 
-// cacheShard is one region of the cache: its two lists, the bytes all
-// of its entries and the ring's alone hold, the loads in flight and the
-// ghost list — a ring of keys, allocated once, whose oldest slot
-// (nextGhost) the next declined miss overwrites.
+// cacheShard is one region of the cache: its two lists, its frames, the
+// bytes its entries and frames hold (used) and the ring's alone, and the
+// loads in flight.
 type cacheShard struct {
-	mu        sync.Mutex
-	used      int64
-	ringUsed  int64
-	entries   map[blockKey]*blockEntry
-	loading   map[blockKey]*blockEntry
-	hot       blockList
-	ring      blockList
-	ghosts    []blockKey
-	nextGhost int
+	mu       sync.Mutex
+	used     int64
+	ringUsed int64
+	entries  map[blockKey]*blockEntry
+	loading  map[blockKey]*blockEntry
+	hot      blockList
+	ring     blockList
+	frames   frameStore
 }
 
 // NewBlockCache creates a cache with the given byte budget across all
@@ -222,17 +236,15 @@ type cacheShard struct {
 // shard, so no split is zero or negative and eviction always stops, at
 // the latest at an empty shard; a split smaller than a block keeps
 // nothing resident: every block is handed to its reader and recycled at
-// its release (noCache).
+// its release (noCache), and no frame either.
 func NewBlockCache(budget int64) *BlockCache {
 	if budget < blockCacheShards {
 		budget = blockCacheShards
 	}
 	c := &BlockCache{shardBudget: budget / blockCacheShards}
-	ghosts := max(1, int(c.shardBudget/runBlockTarget/ghostShare))
 	for i := range c.shards {
 		c.shards[i].entries = make(map[blockKey]*blockEntry)
 		c.shards[i].loading = make(map[blockKey]*blockEntry)
-		c.shards[i].ghosts = make([]blockKey, ghosts)
 	}
 	return c
 }
@@ -250,6 +262,18 @@ func (c *BlockCache) shard(k blockKey) *cacheShard {
 // after its Wait returned.
 var entries = sync.Pool{New: func() any { return new(blockEntry) }}
 
+// blockSource is what a miss reads a block from: a run file
+// (runFile), in two steps, so that the cache keeps the frame between
+// them. Both name the run and the block in their errors.
+type blockSource interface {
+	// readFrame reads block i's frame, as it lies on disk, into buf —
+	// grown when it lacks the room — and counts a block read.
+	readFrame(i int, buf []byte) ([]byte, error)
+	// decodeFrame checks block i's frame and decodes its block into the
+	// buffers of reuse when they have the room.
+	decodeFrame(i int, frame []byte, reuse block) (block, error)
+}
+
 // fetch returns block i of run: the resident block on a hit, else the
 // block load returns, published — into hot for a point read, into the
 // ring for a scan. The mode also decides what a hit moves. The reader
@@ -259,15 +283,18 @@ var entries = sync.Pool{New: func() any { return new(blockEntry) }}
 // the first registers its load, and the others wait for it and share its
 // block (or its error), counted as hits — they read nothing. Readers
 // that each loaded a copy would read and allocate the block once each. A
-// point miss the shard does not admit (admits) registers nothing: its
-// entry is held by no shard, gone from birth and pinned by its reader
-// alone. load decodes into the buffers of reuse, a pooled entry's, when
-// they have the room.
-func (c *BlockCache) fetch(run uint64, i int, mode readMode, load func(reuse block) (block, error)) (blk block, lease *blockEntry, err error) {
+// miss copies its block's frame out of the shard's store when it is
+// resident, and the load decodes that copy instead of reading src. A
+// point miss the shard does not admit registers nothing: its entry is
+// held by no shard, gone from birth and pinned by its reader alone. The
+// load decodes into the buffers of a pooled entry when they have the
+// room.
+func (c *BlockCache) fetch(run uint64, i int, mode readMode, src blockSource) (blk block, lease *blockEntry, err error) {
 	k := blockKey{run: run, block: i}
 	s := c.shard(k)
 	scan := mode == cursorRead
-	declined := false
+	var buf *[]byte // the frame, on a miss
+	framed := false
 	s.mu.Lock()
 	e, hit := s.entries[k]
 	if hit {
@@ -276,25 +303,27 @@ func (c *BlockCache) fetch(run uint64, i int, mode readMode, load func(reuse blo
 		// The entry is taken before the load, so waiters have something to
 		// wait on.
 		e = entries.Get().(*blockEntry)
-		if scan || c.admits(s, k) {
+		buf = frameBufs.Get().(*[]byte)
+		*buf, framed = s.frames.copyOut(k, *buf)
+		if scan || framed || s.used+runBlockTarget <= c.shardBudget {
 			e.key, e.shard = k, s
 			e.loaded.Add(1)
 			s.loading[k] = e
 		} else {
-			e.gone, declined = true, true
+			e.gone = true
 			c.bypasses.Add(1)
 		}
 	}
 	e.pins++
 	s.mu.Unlock()
 	c.count(hit, scan)
-	switch {
-	case hit:
+	if hit {
 		e.loaded.Wait() // at once for a resident entry
-	case declined:
-		e.blk, e.err = load(e.blk)
-	default:
-		c.load(s, e, scan, load)
+	} else {
+		if framed {
+			c.frameHits.Add(1)
+		}
+		c.load(s, e, k, scan, buf, framed, src)
 	}
 	if e.err != nil {
 		return block{}, nil, e.err
@@ -332,39 +361,43 @@ func (e *blockEntry) recycle() {
 	entries.Put(e)
 }
 
-// admits decides, under s's lock, whether a point miss on k earns
-// residency: always while the shard has room for a block of
-// runBlockTarget bytes; on a full shard only when k is a ghost, which
-// the admission takes off the list. A miss not admitted becomes the
-// newest ghost. The list is searched in place: it is searched only
-// before a block is read and decoded anyway, and at 16 bytes a key a
-// default cache's shard searches 4 KiB.
-func (c *BlockCache) admits(s *cacheShard, k blockKey) bool {
-	if s.used+runBlockTarget <= c.shardBudget {
-		return true
+// load reads block k into e's own buffers — decoding the frame fetch
+// copied into buf when one was resident (framed), else reading the frame
+// from src into buf first — and publishes the outcome under s's lock: a
+// frame read from src joins the store, a registered load's block is
+// admitted, and an error is handed to the waiters alone (an entry that
+// failed is never admitted, and so never recycled). A frame that failed
+// to decode is forgotten, so the next miss reads the file. A declined
+// miss's block is its reader's alone.
+func (c *BlockCache) load(s *cacheShard, e *blockEntry, k blockKey, scan bool, buf *[]byte, framed bool, src blockSource) {
+	defer frameBufs.Put(buf)
+	registered := e.shard != nil
+	if registered {
+		defer e.loaded.Done()
 	}
-	for j, g := range s.ghosts {
-		if g == k {
-			s.ghosts[j] = blockKey{}
-			return true
-		}
-	}
-	s.ghosts[s.nextGhost] = k
-	s.nextGhost = (s.nextGhost + 1) % len(s.ghosts)
-	return false
-}
-
-// load runs a registered load into e's own buffers and publishes its
-// outcome: a block is admitted, an error handed to the waiters alone (an
-// entry that failed is never admitted, and so never recycled).
-func (c *BlockCache) load(s *cacheShard, e *blockEntry, scan bool, load func(block) (block, error)) {
-	defer e.loaded.Done()
 	pooled := unsafe.SliceData(e.blk.data)
-	e.blk, e.err = load(e.blk)
+	if !framed {
+		*buf, e.err = src.readFrame(k.block, *buf)
+	}
+	if e.err == nil {
+		e.blk, e.err = src.decodeFrame(k.block, *buf, e.blk)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.loading, e.key)
-	if e.err != nil {
+	if registered {
+		delete(s.loading, k)
+	}
+	switch {
+	case e.err != nil && framed:
+		s.used += s.frames.forgetKey(k)
+		return
+	case e.err != nil:
+		return
+	case !framed:
+		s.used += s.frames.keep(k, *buf, c.shardBudget/ghostShare)
+		c.fit(s)
+	}
+	if !registered {
 		return
 	}
 	if pooled != nil && pooled == unsafe.SliceData(e.blk.data) {
@@ -389,11 +422,19 @@ func (c *BlockCache) count(hit, scan bool) {
 }
 
 // admit makes e resident in s, under s's lock, and evicts until the
-// shard fits its split — e itself included, when it alone exceeds it.
+// shard fits its split — e itself included, when it alone exceeds what
+// the frames leave of it.
 func (c *BlockCache) admit(s *cacheShard, e *blockEntry, scan bool) {
 	s.entries[e.key] = e
 	s.used += e.blk.size()
 	s.link(e, scan)
+	c.fit(s)
+}
+
+// fit evicts decoded blocks from s, under its lock, until s fits its
+// split. The frames never take more than half of it, so the lists run
+// dry no sooner than the shard fits.
+func (c *BlockCache) fit(s *cacheShard) {
 	for s.used > c.shardBudget {
 		victim := s.hot.tail
 		if s.ringUsed > c.shardBudget/ringShare || victim == nil {
@@ -404,9 +445,9 @@ func (c *BlockCache) admit(s *cacheShard, e *blockEntry, scan bool) {
 	}
 }
 
-// dropRun unlinks every entry of a retired run. Its ghosts stay until
-// newer ones overwrite them: run ids never repeat, so no key matches
-// them again.
+// dropRun unlinks every entry of a retired run and forgets its frames,
+// whose bytes stay charged until no live frame is older (frameStore):
+// run ids never repeat, so no key matches them again.
 func (c *BlockCache) dropRun(run uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -416,6 +457,7 @@ func (c *BlockCache) dropRun(run uint64) {
 				s.remove(e)
 			}
 		}
+		s.used += s.frames.forget(run)
 		s.mu.Unlock()
 	}
 }
@@ -470,12 +512,14 @@ func (c *BlockCache) Stats() CacheStats {
 		BlockCacheScanMisses: c.scanMisses.Load(),
 		BlockCacheBypasses:   c.bypasses.Load(),
 		BlockCacheRecycled:   c.recycled.Load(),
+		BlockCacheFrameHits:  c.frameHits.Load(),
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		st.BlockCacheEntries += len(s.entries)
 		st.BlockCacheBytes += s.used
+		st.BlockCacheFrameBytes += s.frames.charged
 		s.mu.Unlock()
 	}
 	return st

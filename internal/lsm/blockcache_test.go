@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -20,9 +21,16 @@ import (
 // as fetch touches it), or false (a miss, declined or not: its load
 // fails). It keeps its pin, so no block it returns is recycled.
 func (c *BlockCache) get(run uint64, i int, scan bool) (block, bool) {
-	b, _, err := c.fetch(run, i, modeOf(scan), func(block) (block, error) { return block{}, errNotResident })
+	b, _, err := c.fetch(run, i, modeOf(scan), loadFunc(func(block) (block, error) { return block{}, errNotResident }))
 	return b, err == nil
 }
+
+// loadFunc is a blockSource made of a test's load function: its frames
+// are empty, and decoding one — read or kept — calls the function.
+type loadFunc func(reuse block) (block, error)
+
+func (f loadFunc) readFrame(int, []byte) ([]byte, error)                   { return nil, nil }
+func (f loadFunc) decodeFrame(_ int, _ []byte, reuse block) (block, error) { return f(reuse) }
 
 // modeOf is the read mode of a point read or a scan.
 func modeOf(scan bool) readMode {
@@ -111,7 +119,7 @@ func TestBlockCacheOps(t *testing.T) {
 	}
 
 	checkRing(t, blk)
-	checkGhosts(t)
+	checkFrames(t)
 
 	// A block larger than a shard's split is handed back to its reader and
 	// is not resident afterwards; what the shard held, on either list,
@@ -206,70 +214,103 @@ func checkRing(t *testing.T, blk block) {
 	}
 }
 
-// checkGhosts drives one shard of a fresh cache, four runBlockTarget
-// blocks large, through the ghost list's rules: while the shard has room
-// for a block of runBlockTarget bytes a point miss is admitted; once it
-// has none a first point miss is loaded for its reader alone, is not
-// admitted and becomes a ghost; the list forgets its oldest ghost once as
-// many newer ones have come as it holds (two); and a ghost's next miss is
-// admitted into hot, evicting hot's coldest, and leaves the list.
-func checkGhosts(t *testing.T) {
+// frameSource is a blockSource whose every block is blk and every frame
+// frame; it counts the frames it reads and fails a decode of any other.
+type frameSource struct {
+	blk   block
+	frame []byte
+	reads int
+}
+
+func (f *frameSource) readFrame(_ int, buf []byte) ([]byte, error) {
+	f.reads++
+	return append(buf[:0], f.frame...), nil
+}
+
+func (f *frameSource) decodeFrame(i int, frame []byte, _ block) (block, error) {
+	if !bytes.Equal(frame, f.frame) {
+		return block{}, fmt.Errorf("block %d: a frame of %d bytes is not the one read", i, len(frame))
+	}
+	return f.blk, nil
+}
+
+// checkFrames drives one shard of a fresh cache, four runBlockTarget
+// blocks large, through the frame store's rules: while the shard has
+// room for a block of runBlockTarget bytes a point miss is admitted;
+// once it has none a first point miss is loaded for its reader alone and
+// is not admitted, and its frame stays resident; the store forgets its
+// oldest frame once a new one would take it past its share (two frames
+// here); and a miss whose frame is resident is admitted into hot from
+// that frame, reading nothing, and evicts hot's coldest. The shard's
+// bytes are its decoded blocks plus its frames, within its split.
+func checkFrames(t *testing.T) {
 	t.Helper()
 	items := make([]index.Item, 63) // one block just over runBlockTarget
 	for i := range items {
 		items[i] = index.Item{Key: adm.Int(int64(i)), Val: adm.String(strings.Repeat("g", 250))}
 	}
-	blk := loadTestBlock(t, items)
-	if blk.size() <= runBlockTarget || 3*blk.size() > 4*runBlockTarget {
-		t.Fatalf("a %d-byte block: three must fit a split of four runBlockTargets, with no room for a fourth", blk.size())
-	}
+	src := &frameSource{blk: loadTestBlock(t, items), frame: make([]byte, 3*runBlockTarget/4)}
+	bs, rec := src.blk.size(), int64(frameRecHeader+len(src.frame))
 	c := NewBlockCache(4 * runBlockTarget * blockCacheShards)
+	if share := c.shardBudget / ghostShare; bs <= runBlockTarget || 2*rec > share || 3*rec <= share {
+		t.Fatalf("a %d-byte block and %d-byte frame records: the %d-byte store must hold two records and not three", bs, rec, share)
+	}
 	s := c.shard(blockKey{run: 6})
 	key := func(i int) blockKey { return blockKey{run: 6, block: i * blockCacheShards} } // all in s
-	if len(s.ghosts) != 2 {
-		t.Fatalf("a split of four blocks holds %d ghosts, want 2", len(s.ghosts))
-	}
 	// fetch misses block i and reports whether the shard admitted it: a
 	// declined miss counts a bypass, and its entry is no shard's.
-	loads := 0
 	fetch := func(i int) bool {
 		t.Helper()
 		bypasses := c.Stats().BlockCacheBypasses
-		b, lease, err := c.fetch(6, key(i).block, pointRead, func(block) (block, error) { loads++; return blk, nil })
-		if err != nil || b.entries() != blk.entries() {
+		b, lease, err := c.fetch(6, key(i).block, pointRead, src)
+		if err != nil || b.entries() != src.blk.entries() {
 			t.Fatalf("fetch %d: %v, %d entries", i, err, b.entries())
 		}
 		declined := c.Stats().BlockCacheBypasses != bypasses
 		if _, resident := s.entries[key(i)]; resident == declined || declined != (lease.shard == nil) {
 			t.Fatalf("fetch %d: declined %v, resident %v, entry of a shard %v", i, declined, resident, lease.shard != nil)
 		}
+		if s.used != int64(len(s.entries))*bs+s.frames.charged || s.used > c.shardBudget {
+			t.Fatalf("fetch %d: the shard holds %d bytes, %d entries and %d frame bytes, its split %d", i, s.used, len(s.entries), s.frames.used, c.shardBudget)
+		}
 		return !declined
 	}
-	for i := 0; i < 3; i++ {
-		if !fetch(i) || loads != i+1 {
+	framed := func(is ...int) bool {
+		for _, i := range is {
+			if _, ok := s.frames.at[key(i)]; !ok {
+				return false
+			}
+		}
+		return len(s.frames.at) == len(is)
+	}
+	for i := 0; i < 2; i++ {
+		if !fetch(i) || src.reads != i+1 {
 			t.Fatalf("miss %d on a shard with room was not admitted", i)
 		}
 	}
-	for i := 3; i < 6; i++ { // 5 overwrites 3
-		if fetch(i) || loads != i+1 {
-			t.Fatalf("first miss %d on a full shard: admitted, or %d loads", i, loads)
-		}
+	if !framed(0, 1) || s.frames.used != 2*rec {
+		t.Fatalf("two loads kept frames %v (%d bytes)", s.frames.at, s.frames.used)
 	}
-	if want := []blockKey{key(5), key(4)}; !slices.Equal(s.ghosts, want) {
-		t.Fatalf("ghosts %v, want %v", s.ghosts, want)
+	if fetch(2) || src.reads != 3 {
+		t.Fatalf("a first miss on a full shard: admitted, or %d reads", src.reads)
 	}
-	if fetch(3) || loads != 7 { // forgotten: a first touch again, overwriting 4
-		t.Fatal("an overwritten ghost was admitted")
+	if !framed(1, 2) || s.frames.used != 2*rec {
+		t.Fatalf("a declined miss past the store's share: frames %v (%d bytes), want blocks 1 and 2", s.frames.at, s.frames.used)
 	}
 	cold := s.hot.tail.key
-	if !fetch(5) || loads != 8 || s.hot.head.key != key(5) {
-		t.Fatalf("a ghost's second miss was not admitted at hot's head (%d loads)", loads)
+	hits := c.Stats().BlockCacheFrameHits
+	if !fetch(2) || src.reads != 3 || s.hot.head.key != key(2) || c.Stats().BlockCacheFrameHits != hits+1 {
+		t.Fatalf("a second miss with its frame resident was not admitted at hot's head from the frame (%d reads)", src.reads)
 	}
-	if _, ok := s.entries[cold]; ok || slices.Contains(s.ghosts, key(5)) || !slices.Contains(s.ghosts, key(3)) {
-		t.Fatalf("after the admission: hot's coldest %v resident %v, ghosts %v", cold, ok, s.ghosts)
+	if _, ok := s.entries[cold]; ok || !framed(1, 2) {
+		t.Fatalf("after the admission: hot's coldest %v resident %v, frames %v", cold, ok, s.frames.at)
 	}
-	if st := c.Stats(); st.BlockCacheBypasses != 4 || st.BlockCacheMisses != 8 || st.BlockCacheEvictions != 1 || st.BlockCacheEntries != 3 {
-		t.Fatalf("after the ghost rules: %+v", st)
+	if fetch(0) || src.reads != 4 || !framed(2, 0) { // its frame forgotten: a first touch again
+		t.Fatalf("a block whose frame the store forgot: admitted, or %d reads, frames %v", src.reads, s.frames.at)
+	}
+	if st := c.Stats(); st.BlockCacheBypasses != 2 || st.BlockCacheMisses != 5 || st.BlockCacheFrameHits != 1 || st.BlockCacheEvictions != 1 ||
+		st.BlockCacheEntries != 2 || st.BlockCacheFrameBytes != 2*rec || st.BlockCacheBytes != 2*bs+2*rec {
+		t.Fatalf("after the frame rules: %+v", st)
 	}
 }
 
@@ -418,6 +459,34 @@ func fillPointReads(t *testing.T, p *Partition, run *runFile, cache *BlockCache)
 	return 0
 }
 
+// growFrames point-reads one key in each of run's blocks from the first
+// on, until every shard of cache has grown its frame store's log to the
+// store's share — which it allocates, and charges, once — and returns
+// the first block not read.
+func growFrames(t *testing.T, p *Partition, run *runFile, cache *BlockCache, from int) int {
+	t.Helper()
+	grown := func() bool {
+		for i := range cache.shards {
+			s := &cache.shards[i]
+			s.mu.Lock()
+			n := int64(len(s.frames.log))
+			s.mu.Unlock()
+			if n != cache.shardBudget/ghostShare {
+				return false
+			}
+		}
+		return true
+	}
+	for b := from; b < len(run.blocks); b++ {
+		if grown() {
+			return b
+		}
+		getBlockKey(t, p, run, b)
+	}
+	t.Fatalf("%d blocks did not grow the frame stores", len(run.blocks))
+	return 0
+}
+
 // getBlockKey point-reads the first key of run's block b and checks the
 // record it returns.
 func getBlockKey(t *testing.T, p *Partition, run *runFile, b int) {
@@ -430,12 +499,13 @@ func getBlockKey(t *testing.T, p *Partition, run *runFile, b int) {
 
 // TestFullCachePointMissKeepsOnlyItsRecord: a point read that misses a
 // full cache, first touch of its block, reads the block into pooled
-// buffers and keeps only a copy of its record — it neither allocates a
-// block nor evicts one — and a run with no cache reads every block that
-// way. The record such a read hands up is a copy, which the reads after
-// it, decoding into the same pooled buffers, leave as it was. Admitting
-// each such miss cost a decoded block (16 KiB and its offset table) and
-// an eviction per read.
+// buffers and keeps only a copy of its record — it allocates no block;
+// only its frame joins the cache — and a run with no cache reads every
+// block that way. The record such a read hands up is a copy, which the
+// reads after it, decoding into the same pooled buffers, leave as it
+// was; a frame joins a log the cache allocated once. Admitting each such
+// miss cost a decoded block (16 KiB and its offset table) and an
+// eviction per read.
 func TestFullCachePointMissKeepsOnlyItsRecord(t *testing.T) {
 	const budget = 512 << 10
 	perMiss := func(t *testing.T, p *Partition, run *runFile, from int) float64 {
@@ -452,16 +522,17 @@ func TestFullCachePointMissKeepsOnlyItsRecord(t *testing.T) {
 	t.Run("full", func(t *testing.T) {
 		p, run := overBudgetPartition(t, budget)
 		cache := p.opts.BlockCache
-		from := fillPointReads(t, p, run, cache)
-		before := cache.Stats()
+		from := growFrames(t, p, run, cache, fillPointReads(t, p, run, cache))
+		before, reads := cache.Stats(), p.renv.ctr.blockReads.Load()
 		got := perMiss(t, p, run, from)
 		st := cache.Stats()
 		misses := uint64(len(run.blocks) - from)
-		if st.BlockCacheMisses-before.BlockCacheMisses != misses || st.BlockCacheBypasses-before.BlockCacheBypasses != misses || st.BlockCacheEvictions != before.BlockCacheEvictions {
-			t.Fatalf("%d first touches on a full cache: %d misses, %d bypasses, %d evictions", misses,
-				st.BlockCacheMisses-before.BlockCacheMisses, st.BlockCacheBypasses-before.BlockCacheBypasses, st.BlockCacheEvictions-before.BlockCacheEvictions)
+		t.Logf("%d first touches: %d bypasses, %d evictions, %d frame bytes", misses, st.BlockCacheBypasses-before.BlockCacheBypasses, st.BlockCacheEvictions-before.BlockCacheEvictions, st.BlockCacheFrameBytes)
+		if st.BlockCacheMisses-before.BlockCacheMisses != misses || p.renv.ctr.blockReads.Load()-reads != misses || st.BlockCacheFrameHits != before.BlockCacheFrameHits {
+			t.Fatalf("%d first touches on a full cache: %d misses, %d block reads, %d frame hits", misses,
+				st.BlockCacheMisses-before.BlockCacheMisses, p.renv.ctr.blockReads.Load()-reads, st.BlockCacheFrameHits-before.BlockCacheFrameHits)
 		}
-		t.Logf("%d blocks, cache full after %d: %.0f B a missed get", len(run.blocks), from, got)
+		t.Logf("%d blocks, cache full and its frames grown after %d: %.0f B a missed get", len(run.blocks), from, got)
 		if got > 2048 && !raceEnabled { // sync.Pool drops a quarter of its Puts at random under -race
 			t.Fatalf("a point read that missed a full cache allocated %.0f B: it kept its block", got)
 		}
@@ -496,18 +567,20 @@ func TestFullCachePointMissKeepsOnlyItsRecord(t *testing.T) {
 	})
 }
 
-// TestBlockCacheAdmitsReReferencedPointBlocks: on a full cache a small
-// hot set is declined on its first read and admitted on its second — its
-// keys are ghosts by then — and then stays resident through a burst of
-// one-off point reads of more blocks than the cache holds, so its third
-// read loads nothing. A cache that admitted every point miss let the
-// burst's blocks evict it; one that admitted none once full never
-// admitted it at all.
+// TestBlockCacheAdmitsReReferencedPointBlocks: on a full cache, its
+// frame stores grown to their share, a small hot set is declined on its
+// first read, which leaves its frames resident, and admitted on its
+// second from those frames, reading no block — and then stays resident
+// through a burst of one-off point reads of more blocks than the cache
+// holds, so its third read loads nothing. A cache that admitted every
+// point miss let the burst's blocks evict it; one that admitted none
+// once full never admitted it at all; one that remembered only the keys
+// it declined read each block twice.
 func TestBlockCacheAdmitsReReferencedPointBlocks(t *testing.T) {
 	p, run := overBudgetPartition(t, 512<<10)
 	cache := p.opts.BlockCache
-	from := fillPointReads(t, p, run, cache)
-	hotSet := []int{from, from + 1, from + 2, from + 3} // four shards, one ghost each
+	from := growFrames(t, p, run, cache, fillPointReads(t, p, run, cache))
+	hotSet := []int{from, from + 1, from + 2, from + 3} // four shards
 	burst := from + len(hotSet)
 	if len(run.blocks)-burst < 2*len(cache.shards)*int(cache.shardBudget/runBlockTarget) {
 		t.Fatalf("%d blocks after the hot set: no burst larger than the cache", len(run.blocks)-burst)
@@ -520,12 +593,30 @@ func TestBlockCacheAdmitsReReferencedPointBlocks(t *testing.T) {
 		}
 		return p.renv.ctr.blockReads.Load() - before
 	}
+	framed := func() bool {
+		for _, b := range hotSet {
+			k := blockKey{run: run.id, block: b}
+			s := cache.shard(k)
+			s.mu.Lock()
+			_, ok := s.frames.at[k]
+			s.mu.Unlock()
+			if !ok {
+				return false
+			}
+		}
+		return true
+	}
 	st0 := cache.Stats()
-	first, second := readHot(), readHot()
+	first := readHot()
+	st1 := cache.Stats()
+	if first != 4 || st1.BlockCacheBypasses-st0.BlockCacheBypasses != 4 || !framed() {
+		t.Fatalf("the hot set's first read: %d block reads, %d bypasses, frames resident %v", first, st1.BlockCacheBypasses-st0.BlockCacheBypasses, framed())
+	}
+	second := readHot()
 	st := cache.Stats()
-	if first != 4 || second != 4 || st.BlockCacheBypasses-st0.BlockCacheBypasses != 4 || st.BlockCacheEntries != st0.BlockCacheEntries {
-		t.Fatalf("two reads of the hot set: %d and %d block reads, %d bypasses, %d -> %d entries",
-			first, second, st.BlockCacheBypasses-st0.BlockCacheBypasses, st0.BlockCacheEntries, st.BlockCacheEntries)
+	if second != 0 || st.BlockCacheFrameHits-st1.BlockCacheFrameHits != 4 || st.BlockCacheBypasses != st1.BlockCacheBypasses {
+		t.Fatalf("the hot set's second read: %d block reads, %d frame hits, %d bypasses",
+			second, st.BlockCacheFrameHits-st1.BlockCacheFrameHits, st.BlockCacheBypasses-st1.BlockCacheBypasses)
 	}
 	for b := burst; b < len(run.blocks); b++ {
 		getBlockKey(t, p, run, b)
@@ -545,19 +636,47 @@ func diffRec(k adm.Value, v int64) adm.Value {
 // TestBlockCacheDifferential runs the same randomized workload — point
 // gets and full scans interleaved with upserts, deletes, and forced
 // flushes (with compactions triggering naturally) — against three
-// stores: a tiny-budget cached partition (evictions constantly), an
-// uncached partition, and a shadow map. All three must agree at every
-// checkpoint, and the cached partition must agree again after a clean
-// reopen.
+// stores: a cached partition, an uncached partition, and a shadow map.
+// All three must agree at every checkpoint, the cache must hold no more
+// than its budget after every operation, and the cached partition must
+// agree again after a clean reopen. Two caches: a tiny one, which evicts
+// constantly, and one whose splits hold every frame the runs have beside
+// few decoded blocks, so decoded misses decode kept frames.
 func TestBlockCacheDifferential(t *testing.T) {
+	// tiny: 8 KiB a shard, so a flush's block fits, a compaction's 16 KiB
+	// block never does, and eviction is constant. (A smaller cache holds
+	// nothing: a block larger than its shard's split does not stay.)
+	// frames: 12 KiB a shard, whose half holds the frames of every block
+	// the workload's runs have at once, and the other half two of the
+	// flushes' decoded blocks and none of the compactions'.
+	t.Run("tiny", func(t *testing.T) {
+		const budget = 64 << 10
+		if budget/blockCacheShards >= runBlockTarget {
+			t.Fatalf("a %d-byte split has room for a block", budget/blockCacheShards)
+		}
+		cs := checkCacheDifferential(t, budget)
+		// Both ways a point miss can go ran: read privately (a bypass) and
+		// admitted. A split smaller than runBlockTarget is never roomy, so
+		// every point miss admitted was a second touch of a resident frame.
+		if cs.BlockCacheEvictions == 0 || cs.BlockCacheBypasses == 0 || pointAdmissions(cs) == 0 {
+			t.Fatalf("%d evictions; point misses: %d bypassed, %d admitted from frames (%+v)", cs.BlockCacheEvictions, cs.BlockCacheBypasses, pointAdmissions(cs), cs)
+		}
+	})
+	t.Run("frames", func(t *testing.T) {
+		if cs := checkCacheDifferential(t, 96<<10); cs.BlockCacheFrameHits == 0 {
+			t.Fatalf("no decoded miss was served from a kept frame (%+v)", cs)
+		}
+	})
+}
+
+// checkCacheDifferential is TestBlockCacheDifferential behind a cache of
+// budget bytes; it returns the cache's counters before the reopen.
+func checkCacheDifferential(t *testing.T, budget int64) CacheStats {
 	const keySpace = 512
 	opts := func(cache *BlockCache) Options {
 		return Options{MemBudget: 4 << 10, MaxComponents: 6, WALSegBytes: 16 << 10, BlockCache: cache}
 	}
-	// 8 KiB a shard: a flush's block fits, a compaction's 16 KiB block
-	// never does, so eviction is constant. (A smaller cache holds nothing:
-	// a block larger than its shard's split does not stay.)
-	cache := NewBlockCache(64 << 10)
+	cache := NewBlockCache(budget)
 	fsOn, fsOff := NewMemFS(), NewMemFS()
 	pOn, err := OpenPartition(fsOn, "part", opts(cache))
 	if err != nil {
@@ -568,13 +687,19 @@ func TestBlockCacheDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	shadow := make(map[int64]int64)
-
+	inBudget := func(tag string) {
+		t.Helper()
+		if st := cache.Stats(); st.BlockCacheBytes > budget {
+			t.Fatalf("%s: the cache holds %d bytes (%d in frames), its budget %d", tag, st.BlockCacheBytes, st.BlockCacheFrameBytes, budget)
+		}
+	}
 	r := rand.New(rand.NewSource(1234))
 	version := int64(0)
 	checkKey := func(k adm.Value, tag string) {
 		t.Helper()
 		want, inShadow := shadow[k.IntVal()]
 		gotOn, okOn, _ := pOn.Get(k)
+		inBudget(tag)
 		gotOff, okOff, _ := pOff.Get(k)
 		if okOn != inShadow || okOff != inShadow {
 			t.Fatalf("%s: key %v presence on=%v off=%v shadow=%v", tag, k, okOn, okOff, inShadow)
@@ -597,6 +722,7 @@ func TestBlockCacheDifferential(t *testing.T) {
 				t.Fatalf("%s: scan saw key %v = %v (shadow %d,%v)", tag, k, rec, want, okS)
 			}
 			seen++
+			inBudget(tag)
 			return true
 		})
 		if seen != len(shadow) {
@@ -618,6 +744,7 @@ func TestBlockCacheDifferential(t *testing.T) {
 				pOff.Upsert(k, diffRec(k, version))
 				shadow[k.IntVal()] = version
 			}
+			inBudget(fmt.Sprintf("round %d op %d", round, op))
 		}
 		// Random gets every round; flush (and let compaction churn runs)
 		// on a cadence so lookups cross memtable, cached runs, and
@@ -634,6 +761,7 @@ func TestBlockCacheDifferential(t *testing.T) {
 			if err := pOff.WaitForFlush(); err != nil {
 				t.Fatal(err)
 			}
+			inBudget(fmt.Sprintf("round %d flush", round))
 		}
 		if round%5 == 0 {
 			checkScan(fmt.Sprintf("round %d", round))
@@ -641,25 +769,17 @@ func TestBlockCacheDifferential(t *testing.T) {
 	}
 	checkScan("final")
 	st := pOn.Stats()
-	if cs := cache.Stats(); st.BlockReads == 0 || cs.BlockCacheHits == 0 || cs.BlockCacheEvictions == 0 {
+	if cs := cache.Stats(); st.BlockReads == 0 || cs.BlockCacheHits == 0 {
 		t.Fatalf("workload never exercised the cache: part=%+v cache=%+v", st, cache.Stats())
 	}
-	// Both ways a point miss can go ran: read privately (a bypass) and
-	// admitted. A split smaller than runBlockTarget is never roomy, so
-	// every point miss admitted was a ghost's second touch.
-	if cache.shardBudget >= runBlockTarget {
-		t.Fatalf("a %d-byte split has room for a block", cache.shardBudget)
-	}
-	if cs := cache.Stats(); cs.BlockCacheBypasses == 0 || pointAdmissions(cs) == 0 {
-		t.Fatalf("point misses: %d bypassed, %d admitted as ghosts (%+v)", cs.BlockCacheBypasses, pointAdmissions(cs), cs)
-	}
+	cs := cache.Stats()
 
 	// A clean close and reopen (fresh cache) must converge to the same
 	// state.
 	if err := pOn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenPartition(fsOn.Crash(), "part", opts(NewBlockCache(64<<10)))
+	reopened, err := OpenPartition(fsOn.Crash(), "part", opts(NewBlockCache(budget)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,6 +792,7 @@ func TestBlockCacheDifferential(t *testing.T) {
 			t.Fatalf("reopen: key %d = %v,%v want %d", k, got, ok, want)
 		}
 	}
+	return cs
 }
 
 // pointAdmissions is how many point misses a cache admitted.
@@ -692,11 +813,11 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 		c := NewBlockCache(1 << 20)
 		release := make(chan struct{})
 		var loads atomic.Int32
-		load := func(block) (block, error) {
+		load := loadFunc(func(block) (block, error) {
 			loads.Add(1)
 			<-release
 			return blk, loadErr
-		}
+		})
 		var wg sync.WaitGroup
 		got := make([]block, waiters+1)
 		errs := make([]error, waiters+1)
@@ -733,7 +854,7 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 			t.Fatalf("after the shared load (error %v): %+v", loadErr, st)
 		}
 		again := 0
-		if _, _, err := c.fetch(7, 0, pointRead, func(block) (block, error) { again++; return blk, nil }); err != nil || (again == 0) != (loadErr == nil) {
+		if _, _, err := c.fetch(7, 0, pointRead, loadFunc(func(block) (block, error) { again++; return blk, nil })); err != nil || (again == 0) != (loadErr == nil) {
 			t.Fatalf("the next reader after a load that returned %v: %v, loading %d times", loadErr, err, again)
 		}
 	}
@@ -745,15 +866,17 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 // a sealed key range and walk snapshot cursors, sharing the cache, and
 // two more read a few sealed keys twice in a row, so that one reader's
 // private read of a block (a bypass) races another's admission of it
-// (a ghost's second touch), and two run leased scans, whose every load
-// decodes into recycled memory, racing the point reads that pin the
-// blocks they share and copy their records out, and the compactions
-// that drop them. The cache's splits are smaller than a block: every
-// point miss is declined or admitted as a ghost, and every pinned block
-// is evicted as it is admitted and recycled at its last release.
+// (a second touch, from its kept frame), and two run leased scans, whose
+// every load decodes into recycled memory, racing the point reads that
+// pin the blocks they share and copy their records out, and the
+// compactions that drop them. The cache's 8 KiB splits hold the frames
+// of a few blocks and no more than one decoded block of runBlockTarget
+// bytes: a point miss on a full shard is declined, or admitted from its
+// frame, and an evicted block that a reader pins is recycled at its last
+// release.
 func TestBlockCacheConcurrentReaders(t *testing.T) {
 	const sealed = 300
-	cache := NewBlockCache(16 << 10)
+	cache := NewBlockCache(64 << 10)
 	fs := NewMemFS()
 	p, err := OpenPartition(fs, "part", Options{MemBudget: 8 << 10, MaxComponents: 4, WALSegBytes: 16 << 10, BlockCache: cache})
 	if err != nil {
@@ -878,6 +1001,6 @@ func TestBlockCacheConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cs := cache.Stats(); cs.BlockCacheBypasses == 0 || pointAdmissions(cs) == 0 || cs.BlockCacheRecycled == 0 {
-		t.Fatalf("point misses: %d bypassed, %d admitted as ghosts; %d blocks recycled", cs.BlockCacheBypasses, pointAdmissions(cs), cs.BlockCacheRecycled)
+		t.Fatalf("point misses: %d bypassed, %d admitted; %d blocks recycled", cs.BlockCacheBypasses, pointAdmissions(cs), cs.BlockCacheRecycled)
 	}
 }

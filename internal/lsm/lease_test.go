@@ -177,10 +177,10 @@ func TestEveryReaderPinsItsBlock(t *testing.T) {
 			gate := make(chan struct{})
 			leased := make(chan *blockEntry)
 			go func() {
-				_, lease, err := cache.fetch(run.id, b, cursorRead, func(reuse block) (block, error) {
+				_, lease, err := cache.fetch(run.id, b, cursorRead, loadFunc(func(reuse block) (block, error) {
 					<-gate
 					return run.loadBlock(b, reuse)
-				})
+				}))
 				if err != nil {
 					t.Error(err)
 				}
@@ -196,7 +196,7 @@ func TestEveryReaderPinsItsBlock(t *testing.T) {
 			hits := cache.Stats().BlockCacheHits
 			waiter := make(chan []byte)
 			go func() {
-				blk, lease, err := cache.fetch(run.id, b, pointRead, func(block) (block, error) { return block{}, errNotResident })
+				blk, lease, err := cache.fetch(run.id, b, pointRead, loadFunc(func(block) (block, error) { return block{}, errNotResident }))
 				if err != nil || lease == nil {
 					t.Errorf("a waiter's fetch: lease %v, %v", lease, err)
 					waiter <- nil
@@ -606,12 +606,12 @@ func TestSelectiveLeasedScanBoundsPins(t *testing.T) {
 
 // TestFullCachePointReadLeavesBlockRecyclable: on a full shard a point
 // read pins the block it reads, copies its one record out and releases
-// the pin, so the block stays unescaped — a ghost admission decoding into
-// the memory of a block the cache let go of. Evicted, the block's bytes
-// are overwritten (recycledByte) and handed to the next full-shard load,
-// and the record the read returned reads as it did. A point read that
-// returned a view of its block escaped it, and the block's memory went
-// to the garbage collector.
+// the pin, so the block stays unescaped — a second touch, admitted from
+// its frame, decoding into the memory of a block the cache let go of.
+// Evicted, the block's bytes are overwritten (recycledByte) and handed
+// to the next full-shard load, and the record the read returned reads as
+// it did. A point read that returned a view of its block escaped it, and
+// the block's memory went to the garbage collector.
 func TestFullCachePointReadLeavesBlockRecyclable(t *testing.T) {
 	p, run, b := fullShardRun(t)
 	cache := run.cache
@@ -634,7 +634,7 @@ func TestFullCachePointReadLeavesBlockRecyclable(t *testing.T) {
 	recycled := cache.Stats().BlockCacheRecycled
 	v := admit(b)
 	if !raceEnabled && cache.Stats().BlockCacheRecycled == recycled {
-		t.Fatal("a ghost admission on a full shard decoded into fresh memory")
+		t.Fatal("a second touch admitted from its frame on a full shard decoded into fresh memory")
 	}
 	keep := adm.AppendBinary(nil, v)
 	e := residentEntry(t, run, b)
@@ -723,9 +723,9 @@ func TestIndexBackfillLeasesItsBlocks(t *testing.T) {
 // TestFullCachePointReadAllocationsIndependentOfN: point reads between
 // leased scans, over runs three and six times the size of a small cache,
 // allocate about one copy of their record each — about 300 bytes here —
-// whatever the data size: a ghost admission decodes into the memory of a
-// block the scans evicted, and a hit copies its record out of a pinned
-// block. Admitting a point block into fresh memory cost 17 KB a block.
+// whatever the data size: a second touch, admitted from its frame,
+// decodes into the memory of a block the scans evicted, and a hit
+// copies its record out of a pinned block. Admitting a point block into fresh memory cost 17 KB a block.
 func TestFullCachePointReadAllocationsIndependentOfN(t *testing.T) {
 	const budget, reads = 2 << 20, 200
 	for _, n := range []int{24000, 48000} {
@@ -818,8 +818,8 @@ func probeCat(snaps []*Snapshot, idxs []*BTreeIndex, c int) *IndexScanCursor {
 // block, its own included; once its block is evicted and the hold let
 // go, the row's bytes read recycledByte. Over runs of n and 2n records,
 // a row costs less than a record's size in allocations: nothing is
-// copied, and the block a ghost admission decodes into was recycled.
-// Copying each row out cost a record a row.
+// copied, and the block a second touch admitted from its frame decodes
+// into was recycled. Copying each row out cost a record a row.
 func TestFullCacheIndexScanHoldsOneBlock(t *testing.T) {
 	const budget, n = 2 << 20, 24000
 	t.Run("one block", func(t *testing.T) { checkIndexScanHolds(t, budget, n) })
@@ -845,7 +845,9 @@ func checkIndexScanHolds(t *testing.T, budget int64, n int) {
 	}
 	// evict makes every block but b leave the cache, b included: a leased
 	// scan takes the ring, and two point reads of every other block
-	// admit each into hot, whose coldest — b — goes first.
+	// admit each into hot, whose coldest — b — goes first. b's frame goes
+	// too, so the next read of b is a first touch, which a full shard
+	// declines.
 	evict := func(b int) {
 		t.Helper()
 		scan()
@@ -858,6 +860,11 @@ func checkIndexScanHolds(t *testing.T, budget int64, n int) {
 		if residentEntry(t, run, b) != nil {
 			t.Fatalf("block %d is still resident", b)
 		}
+		k := blockKey{run: run.id, block: b}
+		s := cache.shard(k)
+		s.mu.Lock()
+		s.used += s.frames.forgetKey(k)
+		s.mu.Unlock()
 	}
 	scan() // fills the cache
 	for c := range 20 {

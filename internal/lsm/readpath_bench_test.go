@@ -88,20 +88,14 @@ func BenchmarkPointLookupDurable(b *testing.B) {
 	run("hit/nocache", nil, func(i int) adm.Value { return adm.Int(int64(2 * (i % 1000))) }, true, false)
 
 	// A full cache, every probe a first touch: a cache of one byte a shard
-	// never has room for a block, and the probes cycle through the first
-	// keys of ten times as many blocks, so between two probes of a block
-	// its shard declines others and the ghost list (one key a shard here)
-	// has forgotten it. Each probe is declined, reads its block into
-	// pooled buffers and keeps a copy of its record; bypasses/op must be 1.
+	// never has room for a block, nor for a frame, and the probes cycle
+	// through the first keys of ten times as many blocks. Each probe is
+	// declined, reads its block into pooled buffers and keeps a copy of
+	// its record; bypasses/op must be 1.
 	b.Run("miss/full", func(b *testing.B) {
 		cache := NewBlockCache(blockCacheShards)
 		p := benchReadPartition(b, 10*n, cache)
-		var keys []adm.Value
-		for _, r := range partitionRuns(p) {
-			for _, m := range r.blocks {
-				keys = append(keys, adm.ViewAlias(m.firstKey))
-			}
-		}
+		keys := blockKeys(p)
 		before := cache.Stats().BlockCacheBypasses
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -117,6 +111,54 @@ func BenchmarkPointLookupDurable(b *testing.B) {
 			b.Fatalf("%d of %d probes bypassed the cache", bypasses, b.N)
 		}
 	})
+	// Every frame resident, few decoded blocks: the cache's budget is four
+	// times the frames of the same ten-times-larger data, so its frame
+	// stores hold every frame, and the probes cycle through the first
+	// keys of more blocks than the rest of it holds decoded. A probe whose
+	// block is not resident decodes its kept frame into a recycled entry
+	// and keeps a copy of its record; block_reads/op must be 0.
+	b.Run("hit/frame", func(b *testing.B) {
+		var frames int64
+		for _, r := range partitionRuns(benchReadPartition(b, 10*n, nil)) {
+			for _, m := range r.blocks {
+				frames += frameRecHeader + int64(m.length)
+			}
+		}
+		cache := NewBlockCache(4 * frames)
+		p := benchReadPartition(b, 10*n, cache)
+		keys := blockKeys(p)
+		for range 2 { // the first pass keeps every frame
+			for _, k := range keys {
+				p.Get(k)
+			}
+		}
+		before, hits := p.renv.ctr.blockReads.Load(), cache.Stats().BlockCacheFrameHits
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok, _ := p.Get(keys[i%len(keys)]); !ok {
+				b.Fatalf("get(%v) found nothing", keys[i%len(keys)])
+			}
+		}
+		b.StopTimer()
+		reads := p.renv.ctr.blockReads.Load() - before
+		b.ReportMetric(float64(reads)/float64(b.N), "block_reads/op")
+		b.ReportMetric(float64(cache.Stats().BlockCacheFrameHits-hits)/float64(b.N), "frame_hits/op")
+		if reads != 0 {
+			b.Fatalf("%d filesystem block reads, want 0", reads)
+		}
+	})
+}
+
+// blockKeys is the first key of every block of p's runs.
+func blockKeys(p *Partition) []adm.Value {
+	var keys []adm.Value
+	for _, r := range partitionRuns(p) {
+		for _, m := range r.blocks {
+			keys = append(keys, adm.ViewAlias(m.firstKey))
+		}
+	}
+	return keys
 }
 
 // BenchmarkScanWarmCache measures full-snapshot scans over the same

@@ -503,50 +503,75 @@ func (b block) val(i int) []byte { return b.data[b.offs[2*i+1]:b.offs[2*i+2]] }
 // recycledRoom bytes either way (decodeBlockBody, BlockCache.load).
 func (b block) size() int64 { return int64(len(b.data)) + 4*int64(len(b.offs)) }
 
-// frameBufs lends loadBlock the buffer a frame is read into: the bytes
-// on disk are garbage once decoded, so no block read allocates for them.
+// frameBufs lends a block read the buffer its frame is read into, and a
+// frame hit the buffer its frame is copied into (BlockCache.fetch): a
+// frame the cache keeps is copied into its store, so the buffer is
+// garbage once decoded, and no block read allocates for it.
 var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // loadBlock is the one block reader, under queries and compaction alike:
-// one ReadAt of the whole frame, the checksum over the bytes on disk,
-// the decode into a buffer of exactly the payload's length, then one
-// walk that checks the structure of every key and record
-// (adm.SkipBinary) and refuses trailing bytes. Whatever reads the block
-// afterwards — a key compare, a field of a record view — cannot fail.
-// reuse lends its buffers to a caller that hands out nothing aliasing
-// them past their reuse — compaction — or to an entry's load, whose
-// buffers are recycled only once no reader can read them (BlockCache).
+// one ReadAt of the whole frame (readFrame), then its decode
+// (decodeFrame). reuse lends its buffers to a caller that hands out
+// nothing aliasing them past their reuse — compaction — or to an entry's
+// load, whose buffers are recycled only once no reader can read them
+// (BlockCache). A query's read goes through the cache
+// (BlockCache.fetch), which calls the two halves itself so that it can
+// keep the frame, and decodes a kept frame as it decodes one just read.
 // An error names the run and the block: it is the read fault the reader
 // that asked for the block reports.
-func (r *runFile) loadBlock(i int, reuse block) (b block, err error) {
-	defer func() {
-		if err != nil {
-			err = fmt.Errorf("lsm: run %s: block %d: %w", r.name, i, err)
-		}
-	}()
+func (r *runFile) loadBlock(i int, reuse block) (block, error) {
+	bp := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(bp)
+	var err error
+	if *bp, err = r.readFrame(i, *bp); err != nil {
+		return block{}, err
+	}
+	return r.decodeFrame(i, *bp, reuse)
+}
+
+// readFrame reads block i's frame, as it lies on disk, into buf — grown
+// when it lacks the room — and counts the block read.
+func (r *runFile) readFrame(i int, buf []byte) ([]byte, error) {
 	r.ctr.blockReads.Add(1)
 	m := r.blocks[i]
 	if m.length > math.MaxInt32 {
-		return block{}, fmt.Errorf("%d bytes is no block", m.length)
+		return buf, r.fault(i, fmt.Errorf("%d bytes is no block", m.length))
 	}
-	bp := frameBufs.Get().(*[]byte)
-	defer frameBufs.Put(bp)
-	if cap(*bp) < m.length {
-		*bp = make([]byte, m.length)
+	if cap(buf) < m.length {
+		buf = make([]byte, m.length)
 	}
-	buf := (*bp)[:m.length]
+	buf = buf[:m.length]
 	if n, err := r.f.ReadAt(buf, m.off); n < m.length {
-		return block{}, fmt.Errorf("read %d of %d bytes: %w", n, m.length, err)
+		return buf, r.fault(i, fmt.Errorf("read %d of %d bytes: %w", n, m.length, err))
 	}
-	body, _, err := frame.Decode(buf, int64(m.length)-frame.HeaderSize)
+	return buf, nil
+}
+
+// decodeFrame decodes block i's frame, read from the file or kept by
+// the cache: the checksum over the frame's bytes, the decode into a
+// buffer of exactly the payload's length (reuse's, when it has the
+// room), then one walk that checks the structure of every key and record
+// (adm.SkipBinary) and refuses trailing bytes. Whatever reads the block
+// afterwards — a key compare, a field of a record view — cannot fail.
+func (r *runFile) decodeFrame(i int, buf []byte, reuse block) (block, error) {
+	body, _, err := frame.Decode(buf, int64(r.blocks[i].length)-frame.HeaderSize)
 	if err != nil {
-		return block{}, err
+		return block{}, r.fault(i, err)
 	}
 	data, err := decodeBlockBody(body, reuse.data)
 	if err != nil {
-		return block{}, err
+		return block{}, r.fault(i, err)
 	}
-	return parseBlock(data, reuse.offs)
+	b, err := parseBlock(data, reuse.offs)
+	if err != nil {
+		return block{}, r.fault(i, err)
+	}
+	return b, nil
+}
+
+// fault names the run and the block a read of block i failed in.
+func (r *runFile) fault(i int, err error) error {
+	return fmt.Errorf("lsm: run %s: block %d: %w", r.name, i, err)
 }
 
 // decodeBlockBody returns the payload a block frame's body carries, in
@@ -612,12 +637,13 @@ func parseBlock(data []byte, offs []uint32) (block, error) {
 
 // fetch returns block i to a reader of the given mode through the
 // block cache (BlockCache.fetch), the one way a query reads a run block:
-// a hit returns the resident block, a miss loads it into a pooled entry
-// (loadBlock). The read pins the block: lease is the pin, which the
+// a hit returns the resident block, a miss decodes it into a pooled
+// entry, from the frame the cache kept or from the file (readFrame,
+// decodeFrame). The read pins the block: lease is the pin, which the
 // reader releases, or hands to its Leases, once it reads the block no
 // more.
 func (r *runFile) fetch(i int, mode readMode) (blk block, lease *blockEntry, err error) {
-	return r.cache.fetch(r.id, i, mode, func(reuse block) (block, error) { return r.loadBlock(i, reuse) })
+	return r.cache.fetch(r.id, i, mode, r)
 }
 
 // lookup binary-searches the block's encoded keys for key, an encoding,

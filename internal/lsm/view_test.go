@@ -57,8 +57,9 @@ func partitionRuns(p *Partition) []*runFile {
 
 // TestBlockCacheBudgetIsExact: a cached block costs the bytes it holds —
 // its payload's length plus four bytes per offset-table entry, whatever
-// the file spends on it and whoever loaded it — so BlockCacheBytes is a
-// sum one can do by hand, and a 64 KiB budget holds three 16 KiB blocks.
+// the file spends on it and whoever loaded it — and a frame kept beside
+// it its length on disk plus its record's header, so BlockCacheBytes is
+// a sum one can do by hand, and a 64 KiB budget holds three 16 KiB blocks.
 // (Budgeted as decoded objects, ≈ 6× their payload, that cache held none
 // of them.) A stored payload's buffer and a recycled one have room past
 // the payload, and are not charged it: a fresh payload just over
@@ -72,17 +73,19 @@ func TestBlockCacheBudgetIsExact(t *testing.T) {
 	if n := liveLen(t, p.Snapshot()); n != 2000 {
 		t.Fatalf("scanned %d records", n)
 	}
-	var want int64
+	var want, frames int64
 	for i := range run.blocks {
 		blk, err := run.loadBlock(i, block{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want += int64(len(blk.data)) + 4*int64(2*blk.entries()+1)
+		frames += frameRecHeader + int64(run.blocks[i].length)
 	}
 	st := opts.BlockCache.Stats()
-	if st.BlockCacheBytes != want || st.BlockCacheEntries != len(run.blocks) || st.BlockCacheEvictions != 0 {
-		t.Fatalf("cache holds %d bytes in %d entries (%d evictions), want %d bytes in %d", st.BlockCacheBytes, st.BlockCacheEntries, st.BlockCacheEvictions, want, len(run.blocks))
+	if st.BlockCacheBytes != want+frames || st.BlockCacheFrameBytes != frames || st.BlockCacheEntries != len(run.blocks) || st.BlockCacheEvictions != 0 {
+		t.Fatalf("cache holds %d bytes (%d in frames) in %d entries (%d evictions), want %d bytes (%d in frames) in %d",
+			st.BlockCacheBytes, st.BlockCacheFrameBytes, st.BlockCacheEntries, st.BlockCacheEvictions, want+frames, frames, len(run.blocks))
 	}
 
 	// One shard's worth: 64 KiB takes three blocks of the 16 KiB target

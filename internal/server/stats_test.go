@@ -39,6 +39,7 @@ var (
 		"block_cache_hits", "block_cache_misses", "block_cache_evictions",
 		"block_cache_entries", "block_cache_bytes",
 		"block_cache_scan_hits", "block_cache_scan_misses", "block_cache_bypasses", "block_cache_recycled",
+		"block_cache_frame_hits", "block_cache_frame_bytes",
 		"gets", "scans", "upserts", "deletes", "flushes", "merges", "flushed_runs",
 		"components", "mem_entries", "fence_skips", "bloom_skips", "block_reads",
 		"open_run_files", "recycled_slabs", "fresh_slabs",
