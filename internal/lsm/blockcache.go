@@ -24,8 +24,8 @@ import (
 //   - hot (2Q's Am), an LRU of the decoded blocks point reads asked for;
 //   - ring (2Q's A1in), a FIFO of the decoded blocks scans loaded;
 //   - frames (2Q's A1out, keeping its bytes), a FIFO of the frames — the
-//     codec byte, body and checksum, as they lie on disk — of every
-//     block the shard read from a file (frameStore), bounded at
+//     codec byte, body and checksum, as they lie on disk — of every block
+//     the shard read from a file (frameStore), in a log bounded at
 //     1/ghostShare of the split.
 //
 // A point hit moves its entry to hot's head, out of the ring if it was
@@ -34,14 +34,15 @@ import (
 // (runFile.decodeFrame: the checksum, the codec, the structure walk): no
 // file is read, and the miss counts a frame hit. A point miss enters hot
 // while the shard has room for a block of runBlockTarget bytes; once the
-// shard is full it enters hot only if its frame is resident (a second
-// touch), and otherwise it is not admitted: fetch loads the block into
-// an entry no shard holds, which its reader alone pins (runFile.get
-// keeps only its record), and its frame joins the store. So a one-off
-// point read on a full cache allocates no block, and a block read twice
-// while its frame is resident replaces hot's coldest without a second
-// file read — the frames are what lets the hot set change while the
-// cache stays full, and, compressed, they keep in memory data its
+// shard is full it enters hot only if the store has a record of it (a
+// second touch), and otherwise it is not admitted: fetch loads the block
+// into an entry no shard holds, which its reader alone pins (runFile.get
+// keeps only its record), and its frame joins the store — its key alone
+// when the frame is larger than the store's share. So a one-off point
+// read on a full cache allocates no block, and a block read twice while
+// its frame is resident replaces hot's coldest without a second file
+// read — the records are what lets the hot set change while the cache
+// stays full, and the frames, compressed, keep in memory data its
 // decoded blocks would overflow. A scan miss joins the ring, whether its
 // frame was resident or not; a scan hit moves nothing. So a scan never
 // reorders hot, and it displaces hot only while the ring holds no more
@@ -50,16 +51,18 @@ import (
 // the same data share loads — a trailing scan hits the blocks a leading
 // one just brought in.
 //
-// Residency is all the cache decides. The frames are charged in the
-// shard's bytes, so the budget counts decoded blocks and the frames kept
-// beside them. A frame that does not fit the store's share overwrites
-// the store's oldest; an over-budget insert, of a block or of a frame,
-// then evicts one decoded victim at a time until the shard fits — the
-// ring's oldest entry when the ring holds more than its share or hot is
-// empty, else hot's coldest — the block just inserted included when it
-// alone exceeds what the frames leave of the split. The budget is
-// enforced at admission time, and only a shard over its split evicts,
-// so while there is room a scan fills the cache as a point read would.
+// Residency is all the cache decides. The frame store is charged its
+// log's length in the shard's bytes, so the budget counts decoded blocks
+// and the memory the frames kept beside them lie in. The log grows,
+// doubling, to its share and no further: a frame that does not fit then
+// overwrites the store's oldest, and a grown log evicts no decoded block
+// for a frame. An over-budget insert, of a block or of the log's growth,
+// evicts one decoded victim at a time until the shard fits — the ring's
+// oldest entry when the ring holds more than its share or hot is empty,
+// else hot's coldest — the block just inserted included when it alone
+// exceeds what the log leaves of the split. The budget is enforced at
+// admission time, and only a shard over its split evicts, so while there
+// is room a scan fills the cache as a point read would.
 //
 // Where an evicted block's bytes go is decided by its pins. The unit of
 // block memory is the entry: every load — a miss, and a point miss the
@@ -114,9 +117,9 @@ const blockCacheShards = 8
 // figure tuned to any workload.
 const ringShare = 4
 
-// A shard's frames take at most 1/ghostShare of its split: half, 2Q's
-// published default for its ghost list (Kout = 50 %), again not a tuned
-// figure.
+// A shard's frame log takes at most 1/ghostShare of its split: half,
+// 2Q's published default for its ghost list (Kout = 50 %), again not a
+// tuned figure.
 const ghostShare = 2
 
 // DefaultBlockCacheBytes is the budget used when a cluster does not set
@@ -148,7 +151,7 @@ type CacheStats struct {
 	// FrameHits is the share of Misses that decoded a frame the shard
 	// kept (frameStore) and read no file.
 	BlockCacheFrameHits uint64
-	// FrameBytes gauges the share of Bytes that the kept frames hold.
+	// FrameBytes gauges the share of Bytes that the frame logs take.
 	BlockCacheFrameBytes int64
 }
 
@@ -158,7 +161,7 @@ type readMode uint8
 
 const (
 	// pointRead is runFile.get: hot, admitted while the shard has room
-	// or the block's frame is resident.
+	// or the frame store has a record of the block.
 	pointRead readMode = iota
 	// cursorRead is a cursor's: the ring, always admitted.
 	cursorRead
@@ -218,8 +221,8 @@ type blockList struct {
 }
 
 // cacheShard is one region of the cache: its two lists, its frames, the
-// bytes its entries and frames hold (used) and the ring's alone, and the
-// loads in flight.
+// bytes its entries and its frame log take (used) and the ring's alone,
+// and the loads in flight.
 type cacheShard struct {
 	mu       sync.Mutex
 	used     int64
@@ -234,9 +237,11 @@ type cacheShard struct {
 // NewBlockCache creates a cache with the given byte budget across all
 // shards. Budgets smaller than the shard count are clamped to one byte a
 // shard, so no split is zero or negative and eviction always stops, at
-// the latest at an empty shard; a split smaller than a block keeps
-// nothing resident: every block is handed to its reader and recycled at
-// its release (noCache), and no frame either.
+// the latest at an empty shard; a split smaller than a block keeps no
+// block resident: every block is handed to its reader and recycled at
+// its release, and its frame store keeps what of the frames, or of their
+// keys, half of it holds — nothing, when that is less than a record's
+// header (noCache).
 func NewBlockCache(budget int64) *BlockCache {
 	if budget < blockCacheShards {
 		budget = blockCacheShards
@@ -272,6 +277,8 @@ type blockSource interface {
 	// decodeFrame checks block i's frame and decodes its block into the
 	// buffers of reuse when they have the room.
 	decodeFrame(i int, frame []byte, reuse block) (block, error)
+	// dropped reports whether the run has been dropped (dropRun).
+	dropped() bool
 }
 
 // fetch returns block i of run: the resident block on a hit, else the
@@ -279,16 +286,17 @@ type blockSource interface {
 // ring for a scan. The mode also decides what a hit moves. The reader
 // pins the block: lease is the pin, which the reader ends with release
 // once nothing it handed up reads the block any more. A block is loaded
-// once however many readers miss it together:
-// the first registers its load, and the others wait for it and share its
-// block (or its error), counted as hits — they read nothing. Readers
-// that each loaded a copy would read and allocate the block once each. A
-// miss copies its block's frame out of the shard's store when it is
-// resident, and the load decodes that copy instead of reading src. A
-// point miss the shard does not admit registers nothing: its entry is
-// held by no shard, gone from birth and pinned by its reader alone. The
-// load decodes into the buffers of a pooled entry when they have the
-// room.
+// once however many readers miss it together: the first registers its
+// load, and the others wait for it and share its block (or its error),
+// counted as hits — they read nothing. Readers that each loaded a copy
+// would read and allocate the block once each. A miss copies its
+// block's frame out of the shard's store when it is resident, and the
+// load decodes that copy instead of reading src. A point miss on a full
+// shard is admitted when the store has a record of the block, with its
+// frame or without; one the shard does not admit registers nothing: its
+// entry is held by no shard, gone from birth and pinned by its reader
+// alone. The load decodes into the buffers of a pooled entry when they
+// have the room.
 func (c *BlockCache) fetch(run uint64, i int, mode readMode, src blockSource) (blk block, lease *blockEntry, err error) {
 	k := blockKey{run: run, block: i}
 	s := c.shard(k)
@@ -304,8 +312,10 @@ func (c *BlockCache) fetch(run uint64, i int, mode readMode, src blockSource) (b
 		// wait on.
 		e = entries.Get().(*blockEntry)
 		buf = frameBufs.Get().(*[]byte)
-		*buf, framed = s.frames.copyOut(k, *buf)
-		if scan || framed || s.used+runBlockTarget <= c.shardBudget {
+		var seen bool
+		*buf, seen = s.frames.lookup(k, *buf)
+		framed = len(*buf) > 0
+		if scan || seen || s.used+runBlockTarget <= c.shardBudget {
 			e.key, e.shard = k, s
 			e.loaded.Add(1)
 			s.loading[k] = e
@@ -368,7 +378,9 @@ func (e *blockEntry) recycle() {
 // admitted, and an error is handed to the waiters alone (an entry that
 // failed is never admitted, and so never recycled). A frame that failed
 // to decode is forgotten, so the next miss reads the file. A declined
-// miss's block is its reader's alone.
+// miss's block is its reader's alone, and so is the block of a run
+// dropped while the load read it: its frame is not kept and its entry
+// not admitted, since no key of the run is asked for again.
 func (c *BlockCache) load(s *cacheShard, e *blockEntry, k blockKey, scan bool, buf *[]byte, framed bool, src blockSource) {
 	defer frameBufs.Put(buf)
 	registered := e.shard != nil
@@ -392,6 +404,9 @@ func (c *BlockCache) load(s *cacheShard, e *blockEntry, k blockKey, scan bool, b
 		s.used += s.frames.forgetKey(k)
 		return
 	case e.err != nil:
+		return
+	case src.dropped():
+		e.gone = true
 		return
 	case !framed:
 		s.used += s.frames.keep(k, *buf, c.shardBudget/ghostShare)
@@ -432,8 +447,8 @@ func (c *BlockCache) admit(s *cacheShard, e *blockEntry, scan bool) {
 }
 
 // fit evicts decoded blocks from s, under its lock, until s fits its
-// split. The frames never take more than half of it, so the lists run
-// dry no sooner than the shard fits.
+// split. The frame log never takes more than half of it, so the lists
+// run dry no sooner than the shard fits.
 func (c *BlockCache) fit(s *cacheShard) {
 	for s.used > c.shardBudget {
 		victim := s.hot.tail
@@ -446,8 +461,10 @@ func (c *BlockCache) fit(s *cacheShard) {
 }
 
 // dropRun unlinks every entry of a retired run and forgets its frames,
-// whose bytes stay charged until no live frame is older (frameStore):
-// run ids never repeat, so no key matches them again.
+// whose bytes the log's later records overwrite (frameStore): run ids
+// never repeat, so no key matches them again. The run is marked dropped
+// first (blockSource.dropped), so a load of it that publishes after this
+// keeps nothing.
 func (c *BlockCache) dropRun(run uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -519,7 +536,7 @@ func (c *BlockCache) Stats() CacheStats {
 		s.mu.Lock()
 		st.BlockCacheEntries += len(s.entries)
 		st.BlockCacheBytes += s.used
-		st.BlockCacheFrameBytes += s.frames.charged
+		st.BlockCacheFrameBytes += int64(len(s.frames.log))
 		s.mu.Unlock()
 	}
 	return st

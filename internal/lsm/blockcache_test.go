@@ -26,11 +26,13 @@ func (c *BlockCache) get(run uint64, i int, scan bool) (block, bool) {
 }
 
 // loadFunc is a blockSource made of a test's load function: its frames
-// are empty, and decoding one — read or kept — calls the function.
+// are empty, so a full shard keeps their keys alone, and decoding one
+// calls the function. Its run is never dropped.
 type loadFunc func(reuse block) (block, error)
 
 func (f loadFunc) readFrame(int, []byte) ([]byte, error)                   { return nil, nil }
 func (f loadFunc) decodeFrame(_ int, _ []byte, reuse block) (block, error) { return f(reuse) }
+func (f loadFunc) dropped() bool                                           { return false }
 
 // modeOf is the read mode of a point read or a scan.
 func modeOf(scan bool) readMode {
@@ -234,26 +236,32 @@ func (f *frameSource) decodeFrame(i int, frame []byte, _ block) (block, error) {
 	return f.blk, nil
 }
 
+func (f *frameSource) dropped() bool { return false }
+
 // checkFrames drives one shard of a fresh cache, four runBlockTarget
-// blocks large, through the frame store's rules: while the shard has
+// blocks large, through the frame store's rules. While the shard has
 // room for a block of runBlockTarget bytes a point miss is admitted;
 // once it has none a first point miss is loaded for its reader alone and
-// is not admitted, and its frame stays resident; the store forgets its
-// oldest frame once a new one would take it past its share (two frames
-// here); and a miss whose frame is resident is admitted into hot from
-// that frame, reading nothing, and evicts hot's coldest. The shard's
-// bytes are its decoded blocks plus its frames, within its split.
+// is not admitted. Either way its frame stays resident, and a miss whose
+// frame is resident is admitted into hot from that frame, reading
+// nothing, and evicts hot's coldest. The log grows, doubling, to its
+// share, evicting decoded blocks as it grows; grown, it forgets its
+// oldest frame for a new one, and a declined miss evicts nothing. The
+// shard's bytes are its decoded blocks plus its log's length, within its
+// split.
 func checkFrames(t *testing.T) {
 	t.Helper()
 	items := make([]index.Item, 63) // one block just over runBlockTarget
 	for i := range items {
 		items[i] = index.Item{Key: adm.Int(int64(i)), Val: adm.String(strings.Repeat("g", 250))}
 	}
-	src := &frameSource{blk: loadTestBlock(t, items), frame: make([]byte, 3*runBlockTarget/4)}
+	src := &frameSource{blk: loadTestBlock(t, items), frame: make([]byte, runBlockTarget/2)}
 	bs, rec := src.blk.size(), int64(frameRecHeader+len(src.frame))
 	c := NewBlockCache(4 * runBlockTarget * blockCacheShards)
-	if share := c.shardBudget / ghostShare; bs <= runBlockTarget || 2*rec > share || 3*rec <= share {
-		t.Fatalf("a %d-byte block and %d-byte frame records: the %d-byte store must hold two records and not three", bs, rec, share)
+	split, share := c.shardBudget, c.shardBudget/ghostShare
+	if bs+rec+runBlockTarget > split || 2*bs+2*rec > split || 2*bs+2*rec+runBlockTarget <= split ||
+		2*bs+share <= split || bs+share > split || bs+share+runBlockTarget <= split || 3*rec > share || 4*rec <= share {
+		t.Fatalf("a %d-byte block and %d-byte frame records in a %d-byte split do not walk the steps below", bs, rec, split)
 	}
 	s := c.shard(blockKey{run: 6})
 	key := func(i int) blockKey { return blockKey{run: 6, block: i * blockCacheShards} } // all in s
@@ -270,8 +278,8 @@ func checkFrames(t *testing.T) {
 		if _, resident := s.entries[key(i)]; resident == declined || declined != (lease.shard == nil) {
 			t.Fatalf("fetch %d: declined %v, resident %v, entry of a shard %v", i, declined, resident, lease.shard != nil)
 		}
-		if s.used != int64(len(s.entries))*bs+s.frames.charged || s.used > c.shardBudget {
-			t.Fatalf("fetch %d: the shard holds %d bytes, %d entries and %d frame bytes, its split %d", i, s.used, len(s.entries), s.frames.used, c.shardBudget)
+		if s.used != int64(len(s.entries))*bs+int64(len(s.frames.log)) || s.used > split {
+			t.Fatalf("fetch %d: the shard holds %d bytes, %d entries and a %d-byte log, its split %d", i, s.used, len(s.entries), len(s.frames.log), split)
 		}
 		return !declined
 	}
@@ -283,33 +291,41 @@ func checkFrames(t *testing.T) {
 		}
 		return len(s.frames.at) == len(is)
 	}
+	resident := func(is ...int) bool {
+		for _, i := range is {
+			if _, ok := s.entries[key(i)]; !ok {
+				return false
+			}
+		}
+		return len(s.entries) == len(is)
+	}
+	evictions := func() uint64 { return c.Stats().BlockCacheEvictions }
 	for i := 0; i < 2; i++ {
 		if !fetch(i) || src.reads != i+1 {
 			t.Fatalf("miss %d on a shard with room was not admitted", i)
 		}
 	}
-	if !framed(0, 1) || s.frames.used != 2*rec {
-		t.Fatalf("two loads kept frames %v (%d bytes)", s.frames.at, s.frames.used)
+	if !framed(0, 1) || int64(len(s.frames.log)) != 2*rec || evictions() != 0 {
+		t.Fatalf("two loads into room: frames %v in a %d-byte log, %d evictions", s.frames.at, len(s.frames.log), evictions())
 	}
-	if fetch(2) || src.reads != 3 {
-		t.Fatalf("a first miss on a full shard: admitted, or %d reads", src.reads)
+	// A first miss on a full shard: declined, its frame kept. The log grows
+	// to its share, and evicts hot's coldest.
+	if fetch(2) || src.reads != 3 || !framed(0, 1, 2) || int64(len(s.frames.log)) != share || !resident(1) {
+		t.Fatalf("a first miss on a full shard: admitted, or %d reads, frames %v in a %d-byte log", src.reads, s.frames.at, len(s.frames.log))
 	}
-	if !framed(1, 2) || s.frames.used != 2*rec {
-		t.Fatalf("a declined miss past the store's share: frames %v (%d bytes), want blocks 1 and 2", s.frames.at, s.frames.used)
-	}
-	cold := s.hot.tail.key
 	hits := c.Stats().BlockCacheFrameHits
-	if !fetch(2) || src.reads != 3 || s.hot.head.key != key(2) || c.Stats().BlockCacheFrameHits != hits+1 {
-		t.Fatalf("a second miss with its frame resident was not admitted at hot's head from the frame (%d reads)", src.reads)
+	if !fetch(2) || src.reads != 3 || s.hot.head.key != key(2) || c.Stats().BlockCacheFrameHits != hits+1 || !resident(2) {
+		t.Fatalf("a second miss with its frame resident was not admitted at hot's head from the frame, evicting block 1 (%d reads)", src.reads)
 	}
-	if _, ok := s.entries[cold]; ok || !framed(1, 2) {
-		t.Fatalf("after the admission: hot's coldest %v resident %v, frames %v", cold, ok, s.frames.at)
+	before := evictions()
+	if fetch(3) || src.reads != 4 || !framed(1, 2, 3) || fetch(0) || src.reads != 5 || !framed(2, 3, 0) || evictions() != before {
+		t.Fatalf("declined misses past the store's share: %d reads, frames %v, want blocks 2, 3 and 0; %d evictions", src.reads, s.frames.at, evictions()-before)
 	}
-	if fetch(0) || src.reads != 4 || !framed(2, 0) { // its frame forgotten: a first touch again
-		t.Fatalf("a block whose frame the store forgot: admitted, or %d reads, frames %v", src.reads, s.frames.at)
+	if !fetch(3) || src.reads != 5 || !resident(3) || !framed(2, 3, 0) {
+		t.Fatalf("a second touch of a block whose frame was kept: declined, or %d reads, frames %v", src.reads, s.frames.at)
 	}
-	if st := c.Stats(); st.BlockCacheBypasses != 2 || st.BlockCacheMisses != 5 || st.BlockCacheFrameHits != 1 || st.BlockCacheEvictions != 1 ||
-		st.BlockCacheEntries != 2 || st.BlockCacheFrameBytes != 2*rec || st.BlockCacheBytes != 2*bs+2*rec {
+	if st := c.Stats(); st.BlockCacheBypasses != 3 || st.BlockCacheMisses != 7 || st.BlockCacheFrameHits != 2 || st.BlockCacheEvictions != 3 ||
+		st.BlockCacheEntries != 1 || st.BlockCacheFrameBytes != share || st.BlockCacheBytes != bs+share {
 		t.Fatalf("after the frame rules: %+v", st)
 	}
 }
@@ -433,8 +449,8 @@ func TestBlockCacheConcurrentScansShare(t *testing.T) {
 
 // fillPointReads point-reads one key in each of run's blocks from the
 // first on, until every shard of cache is full — no room left for a
-// block of runBlockTarget bytes, so a point miss needs a ghost to be
-// admitted — and returns the first block not read.
+// block of runBlockTarget bytes, so a point miss needs its frame store's
+// record to be admitted — and returns the first block not read.
 func fillPointReads(t *testing.T, p *Partition, run *runFile, cache *BlockCache) int {
 	t.Helper()
 	full := func() bool {
@@ -499,13 +515,13 @@ func getBlockKey(t *testing.T, p *Partition, run *runFile, b int) {
 
 // TestFullCachePointMissKeepsOnlyItsRecord: a point read that misses a
 // full cache, first touch of its block, reads the block into pooled
-// buffers and keeps only a copy of its record — it allocates no block;
-// only its frame joins the cache — and a run with no cache reads every
+// buffers and keeps only a copy of its record — it neither allocates a
+// block nor evicts one: its frame joins a log that has grown to its
+// share, which it allocated once — and a run with no cache reads every
 // block that way. The record such a read hands up is a copy, which the
 // reads after it, decoding into the same pooled buffers, leave as it
-// was; a frame joins a log the cache allocated once. Admitting each such
-// miss cost a decoded block (16 KiB and its offset table) and an
-// eviction per read.
+// was. Admitting each such miss cost a decoded block (16 KiB and its
+// offset table) and an eviction per read.
 func TestFullCachePointMissKeepsOnlyItsRecord(t *testing.T) {
 	const budget = 512 << 10
 	perMiss := func(t *testing.T, p *Partition, run *runFile, from int) float64 {
@@ -527,10 +543,11 @@ func TestFullCachePointMissKeepsOnlyItsRecord(t *testing.T) {
 		got := perMiss(t, p, run, from)
 		st := cache.Stats()
 		misses := uint64(len(run.blocks) - from)
-		t.Logf("%d first touches: %d bypasses, %d evictions, %d frame bytes", misses, st.BlockCacheBypasses-before.BlockCacheBypasses, st.BlockCacheEvictions-before.BlockCacheEvictions, st.BlockCacheFrameBytes)
-		if st.BlockCacheMisses-before.BlockCacheMisses != misses || p.renv.ctr.blockReads.Load()-reads != misses || st.BlockCacheFrameHits != before.BlockCacheFrameHits {
-			t.Fatalf("%d first touches on a full cache: %d misses, %d block reads, %d frame hits", misses,
-				st.BlockCacheMisses-before.BlockCacheMisses, p.renv.ctr.blockReads.Load()-reads, st.BlockCacheFrameHits-before.BlockCacheFrameHits)
+		if st.BlockCacheMisses-before.BlockCacheMisses != misses || st.BlockCacheBypasses-before.BlockCacheBypasses != misses || st.BlockCacheEvictions != before.BlockCacheEvictions ||
+			p.renv.ctr.blockReads.Load()-reads != misses || st.BlockCacheFrameHits != before.BlockCacheFrameHits || st.BlockCacheFrameBytes != before.BlockCacheFrameBytes {
+			t.Fatalf("%d first touches on a full cache: %d misses, %d bypasses, %d evictions, %d block reads, %d frame hits, %d → %d frame bytes", misses,
+				st.BlockCacheMisses-before.BlockCacheMisses, st.BlockCacheBypasses-before.BlockCacheBypasses, st.BlockCacheEvictions-before.BlockCacheEvictions,
+				p.renv.ctr.blockReads.Load()-reads, st.BlockCacheFrameHits-before.BlockCacheFrameHits, before.BlockCacheFrameBytes, st.BlockCacheFrameBytes)
 		}
 		t.Logf("%d blocks, cache full and its frames grown after %d: %.0f B a missed get", len(run.blocks), from, got)
 		if got > 2048 && !raceEnabled { // sync.Pool drops a quarter of its Puts at random under -race
@@ -657,9 +674,10 @@ func TestBlockCacheDifferential(t *testing.T) {
 		cs := checkCacheDifferential(t, budget)
 		// Both ways a point miss can go ran: read privately (a bypass) and
 		// admitted. A split smaller than runBlockTarget is never roomy, so
-		// every point miss admitted was a second touch of a resident frame.
+		// every point miss admitted was a second touch of a key its frame
+		// store kept, with its frame or alone.
 		if cs.BlockCacheEvictions == 0 || cs.BlockCacheBypasses == 0 || pointAdmissions(cs) == 0 {
-			t.Fatalf("%d evictions; point misses: %d bypassed, %d admitted from frames (%+v)", cs.BlockCacheEvictions, cs.BlockCacheBypasses, pointAdmissions(cs), cs)
+			t.Fatalf("%d evictions; point misses: %d bypassed, %d admitted as second touches (%+v)", cs.BlockCacheEvictions, cs.BlockCacheBypasses, pointAdmissions(cs), cs)
 		}
 	})
 	t.Run("frames", func(t *testing.T) {
@@ -800,6 +818,71 @@ func pointAdmissions(cs CacheStats) uint64 {
 	return cs.BlockCacheMisses - cs.BlockCacheScanMisses - cs.BlockCacheBypasses
 }
 
+// gatedSource is a frameSource whose frame reads signal reading and then
+// wait for gate, and whose run is dropped once drop is set.
+type gatedSource struct {
+	frameSource
+	reading, gate chan struct{}
+	drop          atomic.Bool
+}
+
+func (g *gatedSource) readFrame(i int, buf []byte) ([]byte, error) {
+	g.reading <- struct{}{}
+	<-g.gate
+	return g.frameSource.readFrame(i, buf)
+}
+
+func (g *gatedSource) dropped() bool { return g.drop.Load() }
+
+// TestBlockCacheDropRunRacesLoad: a run dropped while a load of one of
+// its blocks reads the file — as a run's close does, marking it closed
+// before it drops its blocks — leaves nothing of the run in the cache
+// once the load is done, whichever way the load would have published:
+// no entry admitted into room or into the ring, no frame kept by a miss
+// a full shard declined. The reader still gets its block. A load that
+// published after dropRun left an entry, or a frame, that no key names
+// again, held until the cache evicted it.
+func TestBlockCacheDropRunRacesLoad(t *testing.T) {
+	blk := loadTestBlock(t, []index.Item{{Key: adm.Int(1), Val: adm.String("x")}})
+	for _, arm := range []struct {
+		name   string
+		budget int64
+		mode   readMode
+	}{
+		{"point into room", 4 * runBlockTarget * blockCacheShards, pointRead},
+		{"scan into the ring", 4 * runBlockTarget * blockCacheShards, cursorRead},
+		{"declined point, frame kept", 1 << 10 * blockCacheShards, pointRead},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			c := NewBlockCache(arm.budget)
+			src := &gatedSource{frameSource: frameSource{blk: blk, frame: make([]byte, 100)}, reading: make(chan struct{}), gate: make(chan struct{})}
+			done := make(chan error)
+			go func() {
+				// The lease is kept: the block is the test's, not to be recycled.
+				b, _, err := c.fetch(9, 0, arm.mode, src)
+				if err == nil && b.entries() != blk.entries() {
+					err = fmt.Errorf("the reader got a block of %d entries", b.entries())
+				}
+				done <- err
+			}()
+			<-src.reading
+			src.drop.Store(true)
+			c.dropRun(9)
+			close(src.gate)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			s := c.shard(blockKey{run: 9})
+			s.mu.Lock()
+			loading, kept := len(s.loading), len(s.frames.at)
+			s.mu.Unlock()
+			if st := c.Stats(); st.BlockCacheEntries != 0 || st.BlockCacheBytes != 0 || st.BlockCacheFrameBytes != 0 || loading != 0 || kept != 0 {
+				t.Fatalf("after the dropped run's load: %d loads in flight, %d frames kept, %+v", loading, kept, st)
+			}
+		})
+	}
+}
+
 // TestBlockCacheConcurrentMissesLoadOnce: readers that miss a block
 // while another reader loads it wait for that load and share its block —
 // or its error, after which the block is not resident and the next miss
@@ -866,17 +949,19 @@ func TestBlockCacheConcurrentMissesLoadOnce(t *testing.T) {
 // a sealed key range and walk snapshot cursors, sharing the cache, and
 // two more read a few sealed keys twice in a row, so that one reader's
 // private read of a block (a bypass) races another's admission of it
-// (a second touch, from its kept frame), and two run leased scans, whose
-// every load decodes into recycled memory, racing the point reads that
-// pin the blocks they share and copy their records out, and the
-// compactions that drop them. The cache's 8 KiB splits hold the frames
-// of a few blocks and no more than one decoded block of runBlockTarget
-// bytes: a point miss on a full shard is declined, or admitted from its
-// frame, and an evicted block that a reader pins is recycled at its last
+// (a second touch), and two run leased scans, whose every load decodes
+// into recycled memory, racing the point reads that pin the blocks they
+// share and copy their records out, and the compactions that drop them.
+// The cache's 2 KiB splits are smaller than a block of runBlockTarget
+// bytes, so a shard never has room for a point miss, and their 1 KiB
+// frame shares keep a few small frames and only the keys of larger
+// ones: every point miss is declined, or admitted as a second touch —
+// from its kept frame, or by its key alone and a file read — and a
+// pinned block evicted as others are admitted is recycled at its last
 // release.
 func TestBlockCacheConcurrentReaders(t *testing.T) {
 	const sealed = 300
-	cache := NewBlockCache(64 << 10)
+	cache := NewBlockCache(16 << 10)
 	fs := NewMemFS()
 	p, err := OpenPartition(fs, "part", Options{MemBudget: 8 << 10, MaxComponents: 4, WALSegBytes: 16 << 10, BlockCache: cache})
 	if err != nil {

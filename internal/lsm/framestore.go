@@ -5,53 +5,55 @@ import "encoding/binary"
 // frameStore is a cache shard's A1out with its bytes (BlockCache): the
 // frame of every block the shard read from a file, byte for byte as
 // readFrame read it, oldest first in one circular byte log. The log is
-// allocated when the shard keeps its first frame and grows, doubling,
-// up to the store's share of the split (ghostShare); a frame that does
-// not fit then overwrites the oldest records, so once grown the store
-// allocates nothing per frame. A store that has lost every record to
+// allocated when the shard keeps its first frame and grows, doubling, up
+// to the store's share of the split (ghostShare); a frame that does not
+// fit then overwrites the oldest records, so once grown the store
+// allocates nothing per frame. A frame larger than the share leaves its
+// key alone, as a ghost list would: its block's next miss reads the
+// file, and is its second touch. A store that has lost every record to
 // dropped runs gives its log back.
 //
-// The shard is charged the most the records have held since the store
-// was last empty (charged), not what they hold now: at its share the
-// store's bytes move by up to a frame as frames replace frames, and a
-// charge that followed them would evict a decoded block each time it
-// rose, freeing room a one-off point miss would then be admitted into.
+// The shard is charged the log's length: what the store holds in
+// memory. It rises as the log grows and not afterwards, so a frame kept
+// in a grown log evicts no decoded block.
 //
 // A record is a frameRecHeader-byte header — run, block, the record's
 // length — and the frame. at finds a key's record. A record at no longer
 // names (its run was dropped, or its frame failed to decode) is dead: it
-// stays charged while a live record is older, and the tail passes it as
-// soon as none is (trim).
+// stays in the log while a live record is older, and the tail passes it
+// as soon as none is (trim).
 type frameStore struct {
 	log []byte
 	at  map[blockKey]int
-	// The records lie in [tail, head), or, once the log has wrapped, in
-	// [tail, end) and then [0, head). used is their bytes, headers and
-	// dead records included.
+	// The records, dead ones included, lie in [tail, head), or, once the
+	// log has wrapped, in [tail, end) and then [0, head).
 	head, tail, end int
-	used, charged   int64
 }
 
 // frameRecHeader is a record's header: run (8 bytes), block (4) and the
 // record's length (4).
 const frameRecHeader = 16
 
-// copyOut appends k's resident frame to dst[:0] and reports whether the
-// store held one.
-func (f *frameStore) copyOut(k blockKey, dst []byte) ([]byte, bool) {
+// lookup reports whether k has a record, and appends the frame the
+// record keeps — none, for a key kept alone — to dst[:0].
+func (f *frameStore) lookup(k blockKey, dst []byte) ([]byte, bool) {
 	off, ok := f.at[k]
 	if !ok {
-		return dst, false
+		return dst[:0], false
 	}
 	_, n := f.record(off)
 	return append(dst[:0], f.log[off+frameRecHeader:off+n]...), true
 }
 
-// keep appends k's frame as the newest record, first overwriting the
-// oldest records until it fits in limit bytes, and returns how much the
-// charge grew by. A key already resident, and a frame that alone exceeds
-// limit, are not kept.
+// keep appends k's frame as the newest record — its key alone when the
+// frame exceeds limit — first overwriting the oldest records until it
+// fits in limit bytes, and returns how much the log grew by. A key
+// already resident is not kept again, and a limit below a record's
+// header keeps nothing.
 func (f *frameStore) keep(k blockKey, frame []byte, limit int64) int64 {
+	if int64(frameRecHeader+len(frame)) > limit {
+		frame = nil
+	}
 	n := frameRecHeader + len(frame)
 	if _, ok := f.at[k]; ok || int64(n) > limit {
 		return 0
@@ -68,10 +70,11 @@ func (f *frameStore) keep(k blockKey, frame []byte, limit int64) int64 {
 		}
 		f.dropOldest()
 	}
+	grew := 0
 	if f.head+n > len(f.log) { // not wrapped, and the log short of limit
 		grown := make([]byte, min(limit, int64(max(f.head+n, 2*len(f.log)))))
 		copy(grown, f.log[:f.head])
-		f.log = grown
+		grew, f.log = len(grown)-len(f.log), grown
 	}
 	if f.at == nil {
 		f.at = make(map[blockKey]int)
@@ -83,20 +86,7 @@ func (f *frameStore) keep(k blockKey, frame []byte, limit int64) int64 {
 	copy(rec[frameRecHeader:], frame)
 	f.at[k] = f.head
 	f.head += n
-	f.used += int64(n)
-	f.trim()
-	return f.recharge()
-}
-
-// recharge brings charged up to used, or down to zero with the log given
-// back once the store is empty, and returns how much it grew by.
-func (f *frameStore) recharge() int64 {
-	before := f.charged
-	f.charged = max(f.charged, f.used)
-	if f.used == 0 {
-		f.log, f.charged = nil, 0
-	}
-	return f.charged - before
+	return int64(grew)
 }
 
 // record reads the header of the record at off: its key and length.
@@ -121,23 +111,33 @@ func (f *frameStore) dropOldest() {
 		delete(f.at, k)
 	}
 	f.tail += n
-	f.used -= int64(n)
 	if f.tail == f.end {
 		f.tail, f.end = 0, 0
 	}
-	if f.used == 0 {
-		f.head, f.tail, f.end = 0, 0, 0
+	if f.empty() {
+		f.head, f.tail = 0, 0
 	}
 }
 
-// trim drops the dead records no live one is older than.
-func (f *frameStore) trim() {
-	for f.used > 0 && !f.live(f.tail) {
+// empty reports whether the log holds no record.
+func (f *frameStore) empty() bool { return f.end == 0 && f.head == f.tail }
+
+// trim drops the dead records no live one is older than, gives the log
+// back once no record is left, and returns how much the log grew by
+// (zero or less).
+func (f *frameStore) trim() int64 {
+	for !f.empty() && !f.live(f.tail) {
 		f.dropOldest()
 	}
+	if !f.empty() {
+		return 0
+	}
+	n := len(f.log)
+	f.log = nil
+	return -int64(n)
 }
 
-// forget makes every record of run dead, and returns how much the charge
+// forget makes every record of run dead, and returns how much the log
 // grew by (zero or less).
 func (f *frameStore) forget(run uint64) int64 {
 	for k := range f.at {
@@ -145,14 +145,12 @@ func (f *frameStore) forget(run uint64) int64 {
 			delete(f.at, k)
 		}
 	}
-	f.trim()
-	return f.recharge()
+	return f.trim()
 }
 
-// forgetKey makes k's record dead, and returns how much the charge grew
-// by (zero or less).
+// forgetKey makes k's record dead, and returns how much the log grew by
+// (zero or less).
 func (f *frameStore) forgetKey(k blockKey) int64 {
 	delete(f.at, k)
-	f.trim()
-	return f.recharge()
+	return f.trim()
 }

@@ -15,49 +15,58 @@ import (
 
 // TestFrameStoreReturnsWhatItKept drives one store through random keeps
 // of frames of random sizes — many times its share, so its log wraps
-// again and again — and random forgets, against a model of the frames
-// kept: every resident key copies out the very bytes kept for it, the
-// newest frame is always resident, the log never outgrows its share and
-// the store is charged at least what its records hold. A run forgotten
-// whole leaves no key resident, and an emptied store gives its log back.
+// again and again, and now and then one larger than the share, which
+// leaves its key alone — and random forgets, against a model of the
+// frames kept: every resident key looks up the very bytes kept for it
+// (none for a key kept alone), the newest key is always resident, the
+// log never outgrows its share and holds its records, and the changes
+// the store reports add up to its log's length. A run forgotten whole
+// leaves no key resident, and an emptied store gives its log back.
 func TestFrameStoreReturnsWhatItKept(t *testing.T) {
 	const limit = 8 << 10
 	var f frameStore
 	rnd := rand.New(rand.NewSource(7))
 	kept := map[blockKey][]byte{}
 	var buf []byte
+	var charge int64
 	for op := 0; op < 20000; op++ {
 		k := blockKey{run: uint64(1 + rnd.Intn(4)), block: rnd.Intn(64)}
 		switch r := rnd.Intn(100); {
 		case r < 2:
-			f.forget(k.run)
+			charge += f.forget(k.run)
 			for key := range kept {
 				if key.run == k.run {
 					delete(kept, key)
 				}
 			}
 		case r < 5:
-			f.forgetKey(k)
+			charge += f.forgetKey(k)
 			delete(kept, k)
 		default:
 			_, resident := f.at[k]
 			frame := make([]byte, rnd.Intn(limit/4))
+			if r < 7 {
+				frame = make([]byte, limit)
+			}
 			rnd.Read(frame)
-			f.keep(k, frame, limit)
+			charge += f.keep(k, frame, limit)
 			if !resident {
 				kept[k] = frame
+				if len(frame) > limit-frameRecHeader {
+					kept[k] = nil
+				}
 			}
 			if _, ok := f.at[k]; !ok {
 				t.Fatalf("op %d: a %d-byte frame just kept is not resident", op, len(frame))
 			}
 		}
-		if f.used > limit || len(f.log) > limit || f.charged < f.used {
-			t.Fatalf("op %d: %d bytes used, charged %d, a %d-byte log; the share is %d", op, f.used, f.charged, len(f.log), limit)
+		if len(f.log) > limit || charge != int64(len(f.log)) || f.empty() {
+			t.Fatalf("op %d: a %d-byte log, charged %d, empty %v; the share is %d", op, len(f.log), charge, f.empty(), limit)
 		}
 		for key := range f.at {
 			var ok bool
-			if buf, ok = f.copyOut(key, buf); !ok || !bytes.Equal(buf, kept[key]) {
-				t.Fatalf("op %d: %v copies out %d bytes, kept %d", op, key, len(buf), len(kept[key]))
+			if buf, ok = f.lookup(key, buf); !ok || !bytes.Equal(buf, kept[key]) {
+				t.Fatalf("op %d: %v looks up %d bytes, kept %d", op, key, len(buf), len(kept[key]))
 			}
 		}
 		for key := range kept {
@@ -67,10 +76,13 @@ func TestFrameStoreReturnsWhatItKept(t *testing.T) {
 		}
 	}
 	for run := uint64(1); run <= 4; run++ {
-		f.forget(run)
+		charge += f.forget(run)
 	}
-	if len(f.at) != 0 || f.used != 0 || f.charged != 0 || f.log != nil {
-		t.Fatalf("every run forgotten: %d keys, %d bytes used, charged %d, log %d bytes", len(f.at), f.used, f.charged, len(f.log))
+	if len(f.at) != 0 || !f.empty() || charge != 0 || f.log != nil {
+		t.Fatalf("every run forgotten: %d keys, empty %v, charged %d, log %d bytes", len(f.at), f.empty(), charge, len(f.log))
+	}
+	if f.keep(blockKey{run: 1}, nil, frameRecHeader-1) != 0 || len(f.at) != 0 {
+		t.Fatal("a store whose share is smaller than a record's header kept a key")
 	}
 }
 

@@ -641,19 +641,25 @@ func TestFullCachePointReadLeavesBlockRecyclable(t *testing.T) {
 	e.shard.mu.Lock()
 	data := e.blk.data
 	e.shard.mu.Unlock()
-	// Two more point blocks of b's shard: the first evicts the ring's
-	// block, the second hot's coldest, b.
-	admit(b + blockCacheShards)
-	evictions := cache.Stats().BlockCacheEvictions
-	admit(b + 2*blockCacheShards)
-	if residentEntry(t, run, b) != nil || cache.Stats().BlockCacheEvictions == evictions {
-		t.Fatalf("block %d is still resident", b)
+	// More point blocks of b's shard, each read twice, until b goes: hot's
+	// coldest once the ring's block has gone, evicted by an admission or by
+	// the frame log's growth. Its bytes are overwritten at once.
+	next := b + blockCacheShards
+	for residentEntry(t, run, b) != nil {
+		if next >= len(run.blocks) {
+			t.Fatalf("block %d is still resident", b)
+		}
+		getBlockKey(t, p, run, next)
+		if residentEntry(t, run, b) != nil {
+			getBlockKey(t, p, run, next)
+		}
+		next += blockCacheShards
 	}
 	if bytes.Count(data, []byte{recycledByte}) != len(data) {
 		t.Fatal("an evicted point block's bytes were not overwritten and handed back")
 	}
 	recycled = cache.Stats().BlockCacheRecycled
-	admit(b + 3*blockCacheShards) // decodes into what the cache let go of
+	admit(next) // decodes into what the cache let go of
 	if !raceEnabled && cache.Stats().BlockCacheRecycled == recycled {
 		t.Fatal("the load after a point block's eviction recycled nothing")
 	}

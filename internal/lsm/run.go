@@ -100,8 +100,9 @@ type runEnv struct {
 }
 
 // noCache is the cache of a run opened with none wired: its splits are
-// smaller than a block, so it keeps nothing resident, and every block
-// is read, pinned and recycled as a full cache's misses are.
+// smaller than a block, and than a frame record's header, so it keeps
+// nothing resident, and every block is read, pinned and recycled as a
+// full cache's misses are.
 var noCache = NewBlockCache(0)
 
 // runWriter streams sorted entries, as their encoded bytes, into a run
@@ -645,6 +646,11 @@ func parseBlock(data []byte, offs []uint32) (block, error) {
 func (r *runFile) fetch(i int, mode readMode) (blk block, lease *blockEntry, err error) {
 	return r.cache.fetch(r.id, i, mode, r)
 }
+
+// dropped reports whether the run is closed: close drops its blocks from
+// the cache (BlockCache.dropRun), and a load that finishes afterwards
+// keeps nothing there.
+func (r *runFile) dropped() bool { return r.closed.Load() }
 
 // lookup binary-searches the block's encoded keys for key, an encoding,
 // and returns the record stored under it, or nil (a record is never

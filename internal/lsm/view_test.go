@@ -57,15 +57,17 @@ func partitionRuns(p *Partition) []*runFile {
 
 // TestBlockCacheBudgetIsExact: a cached block costs the bytes it holds —
 // its payload's length plus four bytes per offset-table entry, whatever
-// the file spends on it and whoever loaded it — and a frame kept beside
-// it its length on disk plus its record's header, so BlockCacheBytes is
-// a sum one can do by hand, and a 64 KiB budget holds three 16 KiB blocks.
-// (Budgeted as decoded objects, ≈ 6× their payload, that cache held none
-// of them.) A stored payload's buffer and a recycled one have room past
-// the payload, and are not charged it: a fresh payload just over
-// runBlockTarget is given a recycled buffer's room (recycledRoom), so a
-// block costs the same read into fresh memory or recycled, and a
-// recycled buffer is bounded (maxRecycled).
+// the file spends on it and whoever loaded it — and a shard's frames the
+// length of the log they lie in, so BlockCacheBytes is a sum one can do
+// by hand, and a 64 KiB budget holds three 16 KiB blocks. A shard's log
+// holds the frames it kept in less than twice their bytes, and on a full
+// cache it grows to its share (ghostShare) and stays there. (Budgeted as
+// decoded objects, ≈ 6× their payload, that cache held none of them.) A
+// stored payload's buffer and a recycled one have room past the payload,
+// and are not charged it: a fresh payload just over runBlockTarget is
+// given a recycled buffer's room (recycledRoom), so a block costs the
+// same read into fresh memory or recycled, and a recycled buffer is
+// bounded (maxRecycled).
 func TestBlockCacheBudgetIsExact(t *testing.T) {
 	opts := cachedOptions()
 	p := flushedPartition(t, opts, 2000)
@@ -73,19 +75,56 @@ func TestBlockCacheBudgetIsExact(t *testing.T) {
 	if n := liveLen(t, p.Snapshot()); n != 2000 {
 		t.Fatalf("scanned %d records", n)
 	}
-	var want, frames int64
+	// Every frame is kept, in each shard's log: its records' bytes, in a
+	// log grown by doubling to at least that and less than twice it.
+	var want int64
+	records := map[*cacheShard]int64{}
 	for i := range run.blocks {
 		blk, err := run.loadBlock(i, block{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want += int64(len(blk.data)) + 4*int64(2*blk.entries()+1)
-		frames += frameRecHeader + int64(run.blocks[i].length)
+		k := blockKey{run: run.id, block: i}
+		records[opts.BlockCache.shard(k)] += frameRecHeader + int64(run.blocks[i].length)
 	}
+	var frames int64
+	for i := range opts.BlockCache.shards {
+		s := &opts.BlockCache.shards[i]
+		if n := int64(len(s.frames.log)); n < records[s] || records[s] > 0 && n >= 2*records[s] {
+			t.Fatalf("shard %d keeps %d bytes of frame records in a %d-byte log", i, records[s], n)
+		}
+		frames += int64(len(s.frames.log))
+	}
+	want += frames
 	st := opts.BlockCache.Stats()
-	if st.BlockCacheBytes != want+frames || st.BlockCacheFrameBytes != frames || st.BlockCacheEntries != len(run.blocks) || st.BlockCacheEvictions != 0 {
+	if st.BlockCacheBytes != want || st.BlockCacheFrameBytes != frames || st.BlockCacheEntries != len(run.blocks) || st.BlockCacheEvictions != 0 {
 		t.Fatalf("cache holds %d bytes (%d in frames) in %d entries (%d evictions), want %d bytes (%d in frames) in %d",
-			st.BlockCacheBytes, st.BlockCacheFrameBytes, st.BlockCacheEntries, st.BlockCacheEvictions, want+frames, frames, len(run.blocks))
+			st.BlockCacheBytes, st.BlockCacheFrameBytes, st.BlockCacheEntries, st.BlockCacheEvictions, want, frames, len(run.blocks))
+	}
+
+	// A full cache: its decoded blocks, and every shard's log at its share.
+	full, fullRun := overBudgetPartition(t, 512<<10)
+	cache := full.opts.BlockCache
+	growFrames(t, full, fullRun, cache, fillPointReads(t, full, fullRun, cache))
+	frames = int64(blockCacheShards) * (cache.shardBudget / ghostShare)
+	want = frames
+	for i := range fullRun.blocks {
+		k := blockKey{run: fullRun.id, block: i}
+		s := cache.shard(k)
+		s.mu.Lock()
+		_, resident := s.entries[k]
+		s.mu.Unlock()
+		if resident {
+			blk, err := fullRun.loadBlock(i, block{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += blk.size()
+		}
+	}
+	if st := cache.Stats(); st.BlockCacheBytes != want || st.BlockCacheFrameBytes != frames || st.BlockCacheBytes > 512<<10 {
+		t.Fatalf("a full cache holds %d bytes (%d in frames), want %d (%d in frames)", st.BlockCacheBytes, st.BlockCacheFrameBytes, want, frames)
 	}
 
 	// One shard's worth: 64 KiB takes three blocks of the 16 KiB target
