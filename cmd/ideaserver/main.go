@@ -40,7 +40,7 @@ func main() {
 		tlsCert      = flag.String("tls-cert", "", "TLS certificate file (with -tls-key enables TLS)")
 		tlsKey       = flag.String("tls-key", "", "TLS private key file")
 		authTokens   = flag.String("auth-tokens", "", "comma-separated auth tokens; empty disables auth")
-		maxSessions  = flag.Int("max-sessions", 256, "concurrent session limit")
+		maxSessions  = flag.Int("max-sessions", 256, "concurrent session limit (a session that has sent rows keeps a 32 KiB row-batch encoder)")
 		idleTimeout  = flag.Duration("idle-timeout", 5*time.Minute, "close sessions idle this long")
 		batchRows    = flag.Int("batch-rows", 256, "result rows per streamed batch frame")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on shutdown")

@@ -28,6 +28,12 @@ type conn struct {
 	// time on a conn, and the bytes it hands out live only until the
 	// next Next or Close, so every statement reuses what the first grew.
 	json []byte
+	// batch holds the current RowBatch frame's raw body, decoded from
+	// its coded body (wire.DecodeRowBatch), for the same result set: the
+	// rows it yields alias it until the next frame, and it grows,
+	// doubling, only when a batch does not fit, so every statement
+	// reuses what the earlier ones grew.
+	batch []byte
 }
 
 var errTxUnsupported = errors.New("idea: transactions are not supported (statements are the unit of atomicity)")

@@ -63,7 +63,11 @@ func (r *rows) Next(dest []driver.Value) error {
 		}
 		switch t {
 		case wire.TypeRowBatch:
-			br, err := wire.NewBatchReader(body)
+			if r.c.batch, err = wire.DecodeRowBatch(r.c.batch, body); err != nil {
+				r.done = true
+				return r.c.broken(err)
+			}
+			br, err := wire.NewBatchReader(r.c.batch)
 			if err != nil {
 				r.done = true
 				return r.c.broken(err)
@@ -143,7 +147,8 @@ func (r *rows) Close() error {
 		}
 		switch t {
 		case wire.TypeRowBatch:
-			// In-flight batches written before the server saw CloseRows.
+			// In-flight batches written before the server saw CloseRows,
+			// discarded as they are: not decoded.
 		case wire.TypeTrailer:
 			r.done = true
 		case wire.TypeError:

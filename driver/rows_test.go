@@ -11,6 +11,7 @@ import (
 
 	"github.com/ideadb/idea"
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/frame"
 	"github.com/ideadb/idea/internal/wire"
 )
 
@@ -83,9 +84,10 @@ func TestScanDestinationsSurviveBufferReuse(t *testing.T) {
 
 // cannedDB is a database/sql pool over a stand-in server that answers
 // every query with the same stream — batches RowBatch frames of
-// perBatch tweet-shaped object rows — written from one precomputed
-// buffer, so the server side allocates nothing per row.
-func cannedDB(t *testing.T, batches, perBatch int) *sql.DB {
+// perBatch tweet-shaped object rows, coded as the server codes them —
+// written from one precomputed buffer, so the server side allocates
+// nothing per row. It returns the codec the batches were coded with.
+func cannedDB(t *testing.T, batches, perBatch int) (*sql.DB, byte) {
 	t.Helper()
 	tweet, err := adm.ParseJSON([]byte(`{"id": 7, "text": "lorem ipsum dolor \"sit\" amet", "lang": "en",
 		"user": {"screen_name": "someone", "followers_count": 321}, "latitude": 33.64, "longitude": -117.84,
@@ -100,9 +102,9 @@ func cannedDB(t *testing.T, batches, perBatch int) *sql.DB {
 		rows[i] = adm.ObjectValue(o)
 	}
 	stream := wire.AppendFrame(nil, wire.TypeHeader, wire.AppendHeader(nil, wire.Header{Columns: []string{"value"}}))
-	batch := wire.AppendRowBatch(nil, rows)
+	batch := wire.AppendRowBatchFrame(nil, new(frame.Encoder), wire.AppendRowBatch(nil, rows))
 	for range batches {
-		stream = wire.AppendFrame(stream, wire.TypeRowBatch, batch)
+		stream = append(stream, batch...)
 	}
 	stream = wire.AppendFrame(stream, wire.TypeTrailer, wire.AppendTrailer(nil, wire.Trailer{Rows: uint64(batches * perBatch)}))
 	db := openDB(t, "canned", WithDialer(func(ctx context.Context) (net.Conn, error) {
@@ -128,17 +130,18 @@ func cannedDB(t *testing.T, batches, perBatch int) *sql.DB {
 		return client, nil
 	}))
 	db.SetMaxOpenConns(1)
-	return db
+	return db, batch[frame.HeaderSize+1]
 }
 
 // TestDriverRowAllocations: draining object rows into sql.RawBytes
 // allocates per statement and per batch, never per row — a batch of
-// 500 rows costs what a batch of 5 does. Each row's JSON is written
-// from its wire bytes into one buffer the conn owns; decoding each
-// row into a tree and serializing it into a fresh slice cost tens of
-// allocations a row, and a buffer of each result set's own was regrown
-// from nothing by every statement. So a second statement on a warm conn
-// writes its rows into the buffer the first one grew.
+// 500 rows, lz-coded on the wire, costs what a batch of 5 does. Each
+// batch is decoded into one buffer the conn owns, and each row's JSON
+// is written from those bytes into another; decoding each row into a
+// tree and serializing it into a fresh slice cost tens of allocations a
+// row, and a buffer of each result set's own was regrown from nothing
+// by every statement. So a second statement on a warm conn decodes its
+// batches, and writes its rows, into the buffers the first one grew.
 func TestDriverRowAllocations(t *testing.T) {
 	const batches = 4
 	type querier interface {
@@ -167,7 +170,11 @@ func TestDriverRowAllocations(t *testing.T) {
 			}
 		}
 	}
-	few, many := cannedDB(t, batches, 5), cannedDB(t, batches, 500)
+	few, _ := cannedDB(t, batches, 5)
+	many, codec := cannedDB(t, batches, 500)
+	if codec != frame.CodecLZ {
+		t.Fatalf("500 rows a batch sent with codec %d, want lz", codec)
+	}
 	a := testing.AllocsPerRun(20, drain(few, 5))
 	b := testing.AllocsPerRun(20, drain(many, 500))
 	t.Logf("%d batches: %v allocations at 5 rows a batch, %v at 500", batches, a, b)
@@ -180,11 +187,13 @@ func TestDriverRowAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	jsonBuf := func() (p *byte, n int) {
+	bufs := func() (p [2]*byte, n [2]int) {
 		t.Helper()
 		if err := sc.Raw(func(dc any) error {
 			c := dc.(*conn)
-			p, n = unsafe.SliceData(c.json), cap(c.json)
+			for i, b := range [][]byte{c.json, c.batch} {
+				p[i], n[i] = unsafe.SliceData(b), cap(b)
+			}
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -192,9 +201,12 @@ func TestDriverRowAllocations(t *testing.T) {
 		return p, n
 	}
 	drain(sc, 5)()
-	grown, n := jsonBuf()
+	grown, n := bufs()
 	drain(sc, 5)()
-	if again, m := jsonBuf(); grown == nil || again != grown || m != n {
-		t.Fatalf("a second statement on a warm conn wrote its rows into a buffer of %d bytes at %p, not the %d bytes at %p the first grew", m, again, n, grown)
+	again, m := bufs()
+	for i, what := range []string{"wrote its rows", "decoded its batches"} {
+		if grown[i] == nil || again[i] != grown[i] || m[i] != n[i] {
+			t.Fatalf("a second statement on a warm conn %s into a buffer of %d bytes at %p, not the %d bytes at %p the first grew", what, m[i], again[i], n[i], grown[i])
+		}
 	}
 }

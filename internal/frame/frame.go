@@ -1,6 +1,8 @@
 // Package frame is the one byte envelope shared by the WAL, the run
-// files, the intake spill lane and the client wire, and the one bounded
-// parser for the counted payloads they carry:
+// files, the intake spill lane and the client wire, the one bounded
+// parser for the counted payloads they carry, and the one codec that
+// compresses a payload inside an envelope (a coded body, body.go: run
+// blocks and wire row batches):
 //
 //	frame := payloadLen:4B-LE crc32c(payload):4B-LE payload
 //

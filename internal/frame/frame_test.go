@@ -87,7 +87,7 @@ func testFrames(t testing.TB) [][]byte {
 	}{
 		{"../lsm/testdata/wal-v1.golden", 8, 0},
 		{"../lsm/testdata/run-v3.golden", 8, 16},
-		{"../wire/testdata/conversation-v1.golden", 0, 0},
+		{"../wire/testdata/conversation-v2.golden", 0, 0},
 	} {
 		data, err := os.ReadFile(filepath.FromSlash(g.path))
 		if err != nil {

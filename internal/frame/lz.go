@@ -1,4 +1,4 @@
-package lsm
+package frame
 
 import (
 	"encoding/binary"
@@ -7,8 +7,8 @@ import (
 	"math/bits"
 )
 
-// The run-block codec: LZ77 in the LZ4 block layout, with no entropy
-// stage. A stream is a sequence of
+// The lz codec of a coded body (body.go): LZ77 in the LZ4 block layout,
+// with no entropy stage. A stream is a sequence of
 //
 //	seq := token:1B litLen* literals offset:2B-LE matchLen*
 //
@@ -44,12 +44,13 @@ var (
 	errLZShort     = errors.New("lz: stream ends before the declared length")
 )
 
-// lzEncoder holds the match finder's hash table. One lives in each
-// partition's run environment, owned by its flusher, and is reused for
-// every block it writes: positions are stored offset by a base that
-// moves past each input, so entries left by earlier inputs read as
-// stale and the table is never cleared between blocks.
-type lzEncoder struct {
+// Encoder holds the match finder's hash table, 32 KiB. One is owned by
+// one goroutine at a time and reused for every payload it codes — a
+// partition's flusher keeps one for the run blocks it writes, a server
+// session one for the row batches it sends: positions are stored offset
+// by a base that moves past each input, so entries left by earlier
+// inputs read as stale and the table is never cleared between payloads.
+type Encoder struct {
 	table [1 << lzHashLog]uint32
 	next  uint32 // the base of the next input; 0 until the first
 }
@@ -58,7 +59,7 @@ func lzHash(u uint32) uint32 { return (u * 2654435761) >> (32 - lzHashLog) }
 
 // encode appends the stream of src to dst. src must be shorter than
 // math.MaxInt32 bytes.
-func (e *lzEncoder) encode(dst, src []byte) []byte {
+func (e *Encoder) encode(dst, src []byte) []byte {
 	n := len(src)
 	if e.next == 0 || uint64(e.next)+uint64(n) > math.MaxUint32 {
 		clear(e.table[:])

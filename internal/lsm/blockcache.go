@@ -57,9 +57,10 @@ import (
 // doubling, to its share and no further: a frame that does not fit then
 // overwrites the store's oldest, and a grown log evicts no decoded block
 // for a frame. An over-budget insert, of a block or of the log's growth,
-// evicts one decoded victim at a time until the shard fits — the ring's
-// oldest entry when the ring holds more than its share or hot is empty,
-// else hot's coldest — the block just inserted included when it alone
+// evicts one decoded victim at a time until the shard fits — from the
+// ring when the ring holds more than its share or hot is empty, else
+// from hot, the coldest block no reader pins (of the other list when
+// that one has none) — the block just inserted included when it alone
 // exceeds what the log leaves of the split. The budget is enforced at
 // admission time, and only a shard over its split evicts, so while there
 // is room a scan fills the cache as a point read would.
@@ -92,8 +93,10 @@ import (
 // its pin fails to decode instead of reading another block's records.
 // The next load decodes into it.
 //
-// Pins change no residency: a pinned entry is evicted as any other, and
-// only the reuse of its bytes waits. The budget counts payload lengths
+// Pins steer eviction, not admission: an over-budget shard evicts the
+// coldest block no reader pins, so that the entry goes back to the pool
+// at once (fit), and a pinned block only when every block is, whose
+// bytes' reuse then waits for its last release. The budget counts payload lengths
 // (block.size), not the allocator's size classes, whoever loaded a
 // block: a fresh payload just over runBlockTarget and a recycled one
 // both lie in a buffer of recycledRoom bytes.
@@ -447,13 +450,26 @@ func (c *BlockCache) admit(s *cacheShard, e *blockEntry, scan bool) {
 }
 
 // fit evicts decoded blocks from s, under its lock, until s fits its
-// split. The frame log never takes more than half of it, so the lists
-// run dry no sooner than the shard fits.
+// split. The list it evicts from first is the ring while the ring holds
+// more than its share or hot is empty, else hot; its victim is the
+// coldest block of that list no reader pins, else of the other list, so
+// that the evicted entry goes back to the pool at once and the next
+// load decodes into it. Only when every block is pinned does it evict
+// the first list's coldest, whose bytes wait for their readers, so the
+// budget stays exact. The frame log never takes more than half of the
+// split, so the lists run dry no sooner than the shard fits.
 func (c *BlockCache) fit(s *cacheShard) {
 	for s.used > c.shardBudget {
-		victim := s.hot.tail
-		if s.ringUsed > c.shardBudget/ringShare || victim == nil {
-			victim = s.ring.tail
+		first, second := &s.hot, &s.ring
+		if s.ringUsed > c.shardBudget/ringShare || first.tail == nil {
+			first, second = second, first
+		}
+		victim := first.coldestUnpinned()
+		if victim == nil {
+			victim = second.coldestUnpinned()
+		}
+		if victim == nil {
+			victim = first.tail
 		}
 		s.remove(victim)
 		c.evictions.Add(1)
@@ -552,6 +568,17 @@ func (l *blockList) pushFront(e *blockEntry) {
 	if l.tail == nil {
 		l.tail = e
 	}
+}
+
+// coldestUnpinned is the entry nearest the tail that no reader pins,
+// or nil.
+func (l *blockList) coldestUnpinned() *blockEntry {
+	for e := l.tail; e != nil; e = e.prev {
+		if e.pins == 0 {
+			return e
+		}
+	}
+	return nil
 }
 
 func (l *blockList) unlink(e *blockEntry) {

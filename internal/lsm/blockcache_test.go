@@ -381,6 +381,62 @@ func overBudgetPartition(t *testing.T, budget int64) (*Partition, *runFile) {
 	return p, runs[0]
 }
 
+// TestBlockCacheEvictsUnpinnedBlocks: a scan load that needs room
+// while the ring's oldest block is pinned evicts the oldest block no
+// reader pins, which goes back to the pool at once, and the next load
+// decodes into that block's entry instead of a fresh one. The pinned
+// block stays resident. Evicting the pinned tail — the rule before —
+// let go of bytes no load could reuse until their reader released
+// them, so scans over a full cache loaded into fresh entries.
+func TestBlockCacheEvictsUnpinnedBlocks(t *testing.T) {
+	const size = 4000
+	// Four blocks a shard, and keys that all fall in one shard.
+	c := NewBlockCache(blockCacheShards * (4*size + size/2))
+	key := func(i int) blockKey { return blockKey{run: 1, block: blockCacheShards * i} }
+	s := c.shard(key(0))
+	var data [6][]byte // each block's payload
+	var fresh [6]bool  // whether its load found no buffer to reuse
+	load := func(i int) *blockEntry {
+		t.Helper()
+		blk, lease, err := c.fetch(1, key(i).block, cursorRead, loadFunc(func(reuse block) (block, error) {
+			fresh[i] = reuse.data == nil
+			return block{data: append(reuse.data[:0], make([]byte, size)...)}, nil
+		}))
+		if err != nil || c.shard(key(i)) != s {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		data[i] = blk.data
+		return lease
+	}
+	resident := func(i int) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		_, ok := s.entries[key(i)]
+		return ok
+	}
+	// Empty the entry pool, so a load that finds buffers found a
+	// recycled block's.
+	for entries.Get().(*blockEntry).blk.data != nil {
+	}
+	pinned := load(0)
+	defer pinned.release()
+	for i := 1; i < 4; i++ {
+		load(i).release()
+	}
+	load(4).release()
+	if !resident(0) || resident(1) || !resident(2) || !resident(4) {
+		t.Fatalf("after a load past the budget: resident 0 %v, 1 %v, 2 %v, 4 %v; want the pinned block 0 kept and block 1 evicted",
+			resident(0), resident(1), resident(2), resident(4))
+	}
+	load(5).release()
+	if raceEnabled {
+		return // sync.Pool drops a quarter of its Puts at random under -race
+	}
+	if fresh[5] || &data[5][0] != &data[1][0] {
+		t.Fatalf("the load after the eviction decoded into a fresh entry (%v), not block 1's", fresh[5])
+	}
+}
+
 // TestBlockCacheScanKeepsPointBlocks: full scans of data twice the
 // cache's size pass through the scan ring and leave the blocks point
 // reads warmed resident — under a plain LRU the scans flushed them.

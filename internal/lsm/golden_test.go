@@ -262,7 +262,7 @@ func TestGoldenRunFile(t *testing.T) {
 	if rf.bloom == nil {
 		t.Fatal("v3 run opened without a bloom filter")
 	}
-	if codecs := blockCodecs(t, rf); !bytes.Equal(codecs, []byte{codecLZ, codecStored}) {
+	if codecs := blockCodecs(t, rf); !bytes.Equal(codecs, []byte{frame.CodecLZ, frame.CodecStored}) {
 		t.Fatalf("block codecs %v, want one lz block and one stored", codecs)
 	}
 	checkGoldenRun(t, rf, items)

@@ -154,7 +154,7 @@ func TestLoadBlockHostileStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if codecs := blockCodecs(t, rf); !bytes.Equal(codecs, []byte{codecLZ}) {
+		if codecs := blockCodecs(t, rf); !bytes.Equal(codecs, []byte{frame.CodecLZ}) {
 			t.Fatalf("block codecs %v, want one lz block", codecs)
 		}
 		rf.close()
@@ -191,8 +191,8 @@ func TestLoadBlockHostileStructure(t *testing.T) {
 		write      func()
 	}{
 		{"unknown codec", "unknown codec 7", func() { writeEdited(func(b []byte) { b[0] = 7 }) }},
-		{"raw length one short", errLZOverrun.Error(), func() { writeEdited(redeclare(-1)) }},
-		{"raw length one over", errLZShort.Error(), func() { writeEdited(redeclare(+1)) }},
+		{"raw length one short", "lz: sequence runs past the declared length", func() { writeEdited(redeclare(-1)) }},
+		{"raw length one over", "lz: stream ends before the declared length", func() { writeEdited(redeclare(+1)) }},
 		{"unknown kind tag in a record", "kind tag", func() { writeLying(func(w *runWriter) { w.scratch[2] = 0xEE }) }}, // key tag, key varint, record tag
 		{"count one short", "trailing bytes", func() { writeLying(func(w *runWriter) { w.count-- }) }},
 		{"count one over", "truncated", func() { writeLying(func(w *runWriter) { w.count++ }) }},

@@ -849,13 +849,22 @@ func checkIndexScanHolds(t *testing.T, budget int64, n int) {
 			t.Fatalf("a leased scan saw %d rows: %v", rows, err)
 		}
 	}
-	// evict makes every block but b leave the cache, b included: a leased
-	// scan takes the ring, and two point reads of every other block
-	// admit each into hot, whose coldest — b — goes first. b's frame goes
-	// too, so the next read of b is a first touch, which a full shard
-	// declines.
+	// evict makes block b leave the cache under the probe that pins it,
+	// and the cache full again: b's entry is taken out as fit takes a
+	// pinned block once every block of its shard is pinned (no traffic
+	// of this test pins them all), then a leased scan takes the ring, and
+	// two point reads of every other block admit each into hot, evicting
+	// the copy of b the scan loaded. b's frame goes too, so the next
+	// read of b is a first touch, which a full shard declines.
 	evict := func(b int) {
 		t.Helper()
+		k := blockKey{run: run.id, block: b}
+		s := cache.shard(k)
+		s.mu.Lock()
+		if e := s.entries[k]; e != nil {
+			s.remove(e)
+		}
+		s.mu.Unlock()
 		scan()
 		for i := range run.blocks {
 			if i != b {
@@ -866,8 +875,6 @@ func checkIndexScanHolds(t *testing.T, budget int64, n int) {
 		if residentEntry(t, run, b) != nil {
 			t.Fatalf("block %d is still resident", b)
 		}
-		k := blockKey{run: run.id, block: b}
-		s := cache.shard(k)
 		s.mu.Lock()
 		s.used += s.frames.forgetKey(k)
 		s.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/frame"
 )
 
 // OpenPartition opens (or creates) the partition rooted at dir on fsys —
@@ -55,7 +56,7 @@ func OpenPartition(fsys FS, dir string, opts Options) (*Partition, error) {
 		dir:         dir,
 		flushedLSN:  man.FlushedLSN,
 		nextSeq:     man.NextSeq,
-		renv:        runEnv{cache: opts.BlockCache, ctr: new(counters), lz: new(lzEncoder)},
+		renv:        runEnv{cache: opts.BlockCache, ctr: new(counters), lz: new(frame.Encoder)},
 		flushC:      make(chan struct{}, 1),
 		flusherDone: make(chan struct{}),
 	}

@@ -25,9 +25,7 @@ import (
 //
 //	run      := header block* bloom index footer
 //	header   := "IDEARUN" version:1B
-//	block    := frame(codec:1B body)
-//	body     := payload                          (codec 0, stored)
-//	          | rawLen:uvarint lz(payload)       (codec 1, lz)
+//	block    := frame(coded(payload))
 //	payload  := count:uvarint (key:adm-binary record:adm-binary){count}
 //	bloom    := frame(nbits:uvarint bits:(nbits/8)B)
 //	index    := frame(entries:uvarint blocks:uvarint
@@ -37,10 +35,11 @@ import (
 //
 // frame(p) is the byte envelope of docs/ARCHITECTURE.md around p; every
 // off/len names a whole frame and lies between the header and the
-// index, which openRun checks before any block is read. lz(p) is the
-// stream lz.go describes, decoding to exactly rawLen bytes. The writer
-// picks the codec per block from its bytes: lz, unless the stream does
-// not save a byte, in which case the payload is stored as it is. The
+// index, which openRun checks before any block is read. coded(p) is
+// internal/frame's coded body — a codec byte, then p stored as it is or
+// its rawLen and lz(p), the stream internal/frame/lz.go describes —
+// which the wire's row batches share. The writer picks the codec per
+// block from its bytes: lz, unless the stream does not save a byte. The
 // checksum covers the bytes on disk; the block cache holds payloads.
 //
 // Version 3 is the only format read or written (version 2 stored every
@@ -61,10 +60,6 @@ const (
 	// runBlockTarget is the block payload size a writer flushes at.
 	// Small enough that typical test datasets span multiple blocks.
 	runBlockTarget = 16 << 10
-
-	// The codec byte that leads each block frame.
-	codecStored = 0
-	codecLZ     = 1
 )
 
 // runFileSeq hands out process-unique run file ids — the run half of
@@ -96,7 +91,7 @@ type counters struct {
 type runEnv struct {
 	cache *BlockCache
 	ctr   *counters
-	lz    *lzEncoder
+	lz    *frame.Encoder
 }
 
 // noCache is the cache of a run opened with none wired: its splits are
@@ -109,7 +104,7 @@ var noCache = NewBlockCache(0)
 // file.
 type runWriter struct {
 	f       File
-	lz      *lzEncoder
+	lz      *frame.Encoder
 	off     int64
 	scratch []byte // current block payload being built (entries only)
 	raw     []byte // the current block's whole payload, count first
@@ -163,7 +158,7 @@ func (w *runWriter) flushBlock() error {
 	}
 	w.raw = binary.AppendUvarint(w.raw[:0], uint64(w.count))
 	w.raw = append(w.raw, w.scratch...)
-	w.frame = appendBlockBody(frame.Begin(w.frame[:0]), w.raw, w.lz)
+	w.frame = w.lz.AppendBody(frame.Begin(w.frame[:0]), w.raw)
 	w.index = binary.AppendUvarint(w.index, uint64(w.off))
 	w.index = binary.AppendUvarint(w.index, uint64(len(w.frame)))
 	w.index = append(w.index, w.first...)
@@ -171,23 +166,6 @@ func (w *runWriter) flushBlock() error {
 	w.scratch = w.scratch[:0]
 	w.count = 0
 	return w.writeFrame()
-}
-
-// appendBlockBody appends the codec byte and body that carry payload:
-// its lz stream, or the payload itself when the stream would not be
-// shorter (the reader's bound, math.MaxInt32, is never reached by a
-// block a writer builds; one past it is stored too).
-func appendBlockBody(dst, payload []byte, lz *lzEncoder) []byte {
-	start := len(dst)
-	if len(payload) < math.MaxInt32 {
-		dst = append(dst, codecLZ)
-		dst = binary.AppendUvarint(dst, uint64(len(payload)))
-		dst = lz.encode(dst, payload)
-		if len(dst)-start <= len(payload) {
-			return dst
-		}
-	}
-	return append(append(dst[:start], codecStored), payload...)
 }
 
 // writeFrame seals and writes the one frame assembled in w.frame.
@@ -264,7 +242,7 @@ func writeRun(fsys FS, dir, name string, env runEnv, fill func(*runWriter) error
 	}
 	lz := env.lz
 	if lz == nil {
-		lz = new(lzEncoder)
+		lz = new(frame.Encoder)
 	}
 	w := &runWriter{f: f, lz: lz}
 	if err = w.writeHeader(); err == nil {
@@ -575,39 +553,26 @@ func (r *runFile) fault(i int, err error) error {
 	return fmt.Errorf("lsm: run %s: block %d: %w", r.name, i, err)
 }
 
-// decodeBlockBody returns the payload a block frame's body carries, in
-// dst when that has the room. A declared length is bounded by what the
-// stream could decode to before anything is sized from it. A fresh
-// payload just over runBlockTarget is given recycledRoom, the size class
-// the allocator gives it anyway, so that once the cache recycles its
-// buffer (BlockCache) that buffer fits any later block.
+// decodeBlockBody returns the payload a block frame's coded body
+// carries, in dst when that has the room. The declared length is bounded
+// by what the body could decode to before anything is sized from it
+// (frame.BodyLen). A fresh payload is given the room of its allocator
+// size class, which it takes anyway — recycledRoom for one just over
+// runBlockTarget — so that once the cache recycles its buffer
+// (BlockCache) that buffer fits any later block of that class.
 func decodeBlockBody(body, dst []byte) ([]byte, error) {
-	switch body[0] {
-	case codecStored:
-		return append(dst[:0], body[1:]...), nil
-	case codecLZ:
-		n, k := binary.Uvarint(body[1:])
-		if k <= 0 {
-			return nil, fmt.Errorf("lz block: bad length")
-		}
-		stream := body[1+k:]
-		if n > lzMaxExpansion*uint64(len(stream)) || n > math.MaxInt32 {
-			return nil, fmt.Errorf("lz block: %d bytes declared for a %d-byte stream", n, len(stream))
-		}
-		if uint64(cap(dst)) < n {
-			room := n
-			if n > runBlockTarget && n < recycledRoom {
-				room = recycledRoom
-			}
-			dst = make([]byte, n, room)
-		}
-		dst = dst[:n]
-		if err := lzDecode(dst, stream); err != nil {
-			return nil, fmt.Errorf("lz block: %w", err)
-		}
-		return dst, nil
+	n, err := frame.BodyLen(body, math.MaxInt32)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown codec %d", body[0])
+	if cap(dst) < n {
+		dst = append([]byte(nil), make([]byte, n)...)
+	}
+	dst = dst[:n]
+	if err := frame.DecodeBody(dst, body); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // parseBlock makes a block of one decoded payload: it builds the offset

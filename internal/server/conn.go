@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/ideadb/idea"
+	"github.com/ideadb/idea/internal/frame"
 	"github.com/ideadb/idea/internal/wire"
 )
 
@@ -36,6 +37,9 @@ type conn struct {
 
 	// body is per-session scratch reused across responses.
 	body []byte
+	// enc codes the session's row batches: 32 KiB, made at its first
+	// batch and kept for every later one.
+	enc *frame.Encoder
 }
 
 // beginDrain is Shutdown's per-connection half: no more requests will
@@ -202,7 +206,8 @@ func (c *conn) handleExecute(body []byte) error {
 }
 
 // handleQuery streams one SELECT: header, row batches pulled straight
-// from the engine's cursor with a flush per batch, then a trailer.
+// from the engine's cursor with a flush per batch, then a trailer. A
+// batch is coded as it is written, by the session's one encoder.
 // Each row is encoded into the batch body as it is pulled, before the
 // next one (Rows.AppendADM): a row an index probe read where it lies in
 // a full block cache is valid only until then, and is copied once, into
@@ -267,14 +272,21 @@ func (c *conn) handleQuery(body []byte) error {
 			n++
 		}
 		if n > 0 {
-			if err := c.wc.WriteFrame(wire.TypeRowBatch, wire.EndRowBatch(c.body, n)); err != nil {
+			raw := wire.EndRowBatch(c.body, n)
+			if c.enc == nil {
+				c.enc = new(frame.Encoder)
+			}
+			if err := c.wc.WriteRowBatch(c.enc, raw); err != nil {
 				return err
 			}
 			if err := c.flush(); err != nil {
 				return err
 			}
 			sent += uint64(n)
-			c.srv.add(&c.srv.stats.RowsSent, int64(n))
+			c.srv.mu.Lock()
+			c.srv.stats.RowsSent += int64(n)
+			c.srv.stats.RowBytes += int64(len(raw))
+			c.srv.mu.Unlock()
 		}
 		if exhausted {
 			if err := rows.Err(); err != nil {

@@ -83,8 +83,11 @@ type Stats struct {
 	// Queries / Statements count Query and Execute requests served.
 	Queries    int64
 	Statements int64
-	// RowsSent counts result rows streamed to clients.
+	// RowsSent counts result rows streamed to clients; RowBytes their
+	// row batches' raw bodies before coding, so RowBytes / BytesSent is
+	// about the wire's compression ratio.
 	RowsSent int64
+	RowBytes int64
 	// BytesSent / BytesReceived count framed wire bytes.
 	BytesSent     int64
 	BytesReceived int64

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/big"
 	"net"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"github.com/ideadb/idea"
 	"github.com/ideadb/idea/driver"
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/frame"
 	"github.com/ideadb/idea/internal/wire"
 )
 
@@ -152,10 +154,12 @@ func mustExec(t *testing.T, wc *wire.Conn, script string, params ...wire.Param) 
 }
 
 // drainQuery reads a full result stream (header already consumed) and
-// returns the rows.
+// returns the rows, each a copy: a row batch is decoded into one buffer
+// that the next batch reuses.
 func drainQuery(t *testing.T, wc *wire.Conn) []adm.Value {
 	t.Helper()
 	var rows []adm.Value
+	var raw []byte
 	for {
 		rt, rb, err := wc.ReadFrame(wire.MaxFrame)
 		if err != nil {
@@ -163,7 +167,10 @@ func drainQuery(t *testing.T, wc *wire.Conn) []adm.Value {
 		}
 		switch rt {
 		case wire.TypeRowBatch:
-			br, err := wire.NewBatchReader(rb)
+			if raw, err = wire.DecodeRowBatch(raw, rb); err != nil {
+				t.Fatal(err)
+			}
+			br, err := wire.NewBatchReader(raw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +182,7 @@ func drainQuery(t *testing.T, wc *wire.Conn) []adm.Value {
 				if !ok {
 					break
 				}
-				rows = append(rows, v)
+				rows = append(rows, v.Detached())
 			}
 		case wire.TypeTrailer:
 			tr, err := wire.ParseTrailer(rb)
@@ -883,5 +890,77 @@ func TestFullCacheProbeOverTheWireMatchesQuery(t *testing.T) {
 	}
 	if st := c.StorageStats(); st.BlockCacheEvictions == 0 || st.BlockCacheRecycled == 0 {
 		t.Fatalf("%d evictions, %d recycled loads: the probes read no full cache", st.BlockCacheEvictions, st.BlockCacheRecycled)
+	}
+}
+
+// TestSecondCodedReplyAllocatesNothing: a session codes its row batches
+// with one encoder, made at its first batch, into the frame scratch its
+// wire.Conn keeps, so a second reply of the same size makes neither
+// anew. RowBytes counts the raw bodies the client decodes, more than
+// the coded bytes that crossed the wire.
+func TestSecondCodedReplyAllocatesNothing(t *testing.T) {
+	c := newCluster(t, idea.Config{})
+	srv, addr := startServer(t, c, Config{BatchRows: 64})
+	wc := wireDial(t, addr, "")
+	mustExec(t, wc, testSchema)
+	mustExec(t, wc, insertScript(200))
+	// The encoder of the session's one server-side conn, and the frame
+	// scratch of its wire.Conn.
+	coder := func() (enc *frame.Encoder, scratch uintptr, room int) {
+		t.Helper()
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		if len(srv.conns) != 1 {
+			t.Fatalf("%d sessions, want 1", len(srv.conns))
+		}
+		for sc := range srv.conns {
+			wbuf := reflect.ValueOf(sc.wc).Elem().FieldByName("wbuf")
+			return sc.enc, wbuf.Pointer(), wbuf.Cap()
+		}
+		return nil, 0, 0
+	}
+	query := func() (raw, coded int) {
+		t.Helper()
+		rt, _ := call(t, wc, wire.TypeQuery, wire.AppendRequest(nil, wire.Request{Text: `SELECT VALUE d FROM D d`}))
+		if rt != wire.TypeHeader {
+			t.Fatalf("query answered %v", rt)
+		}
+		var buf []byte
+		for rows := 0; ; {
+			rt, rb, err := wc.ReadFrame(wire.MaxFrame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rt == wire.TypeTrailer {
+				if rows != 200 {
+					t.Fatalf("%d rows, want 200", rows)
+				}
+				return raw, coded
+			}
+			if rt != wire.TypeRowBatch || rb[0] != frame.CodecLZ {
+				t.Fatalf("%v frame, codec %d: want lz-coded row batches", rt, rb[0])
+			}
+			if buf, err = wire.DecodeRowBatch(buf, rb); err != nil {
+				t.Fatal(err)
+			}
+			br, err := wire.NewBatchReader(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += br.Len()
+			raw, coded = raw+len(buf), coded+len(rb)
+		}
+	}
+	raw, coded := query()
+	enc, scratch, room := coder()
+	if enc == nil {
+		t.Fatal("a session that sent row batches holds no encoder")
+	}
+	query()
+	if enc2, scratch2, room2 := coder(); enc2 != enc || scratch2 != scratch || room2 != room {
+		t.Fatalf("the second reply coded with encoder %p into %d bytes at %#x; the first, %p and %d bytes at %#x", enc2, room2, scratch2, enc, room, scratch)
+	}
+	if st := srv.Stats(); st.RowBytes != 2*int64(raw) || 2*coded > raw {
+		t.Fatalf("RowBytes %d for two replies of %d raw bytes, sent as %d coded", st.RowBytes, raw, coded)
 	}
 }

@@ -19,7 +19,7 @@ import (
 var legacyStatsKeys = []string{
 	"server", "uptime_ms", "nodes",
 	"conns_accepted", "conns_rejected", "auth_failures", "sessions_active",
-	"queries", "statements", "rows_sent", "bytes_sent", "bytes_received",
+	"queries", "statements", "rows_sent", "row_bytes", "bytes_sent", "bytes_received",
 	"errors", "open_cursors",
 	"block_cache_hits", "block_cache_misses", "block_cache_evictions",
 	"block_cache_entries", "block_cache_bytes",
@@ -33,7 +33,7 @@ var (
 	statsReplyKeys = []string{
 		"server", "uptime_ms", "nodes",
 		"conns_accepted", "conns_rejected", "auth_failures", "sessions_active",
-		"queries", "statements", "rows_sent", "bytes_sent", "bytes_received",
+		"queries", "statements", "rows_sent", "row_bytes", "bytes_sent", "bytes_received",
 		"errors", "open_cursors",
 		"statement_cache_hits", "statement_cache_misses", "statement_cache_evictions",
 		"block_cache_hits", "block_cache_misses", "block_cache_evictions",

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/frame"
 )
 
 // fixedPoint parses body as one message type. A body that parses must
@@ -30,14 +31,61 @@ func fixedPoint[T any](t *testing.T, what string, body []byte, parse func([]byte
 	}
 }
 
+// hostileRowBatch is a coded RowBatch body that must not decode, named
+// by its defect.
+type hostileRowBatch struct {
+	name string
+	body []byte
+}
+
+func hostileRowBatches() []hostileRowBatch {
+	raw := AppendRowBatch(nil, []adm.Value{adm.String("a row a row a row a row a row")})
+	lz := new(frame.Encoder).AppendBody(nil, raw)
+	// An lz stream that really decodes to MaxFrame+1 bytes: a literal,
+	// then one match whose length runs on in extension bytes.
+	long := []byte{0x1F, 'a', 1, 0}
+	long = append(long, bytes.Repeat([]byte{255}, (MaxFrame+1-1-4-15)/255)...)
+	long = append(long, byte((MaxFrame+1-1-4-15)%255), 0x00)
+	return []hostileRowBatch{
+		{"empty body", []byte{}},
+		{"unknown codec", append([]byte{7}, raw...)},
+		{"torn raw length", []byte{frame.CodecLZ, 0x80}},
+		{"raw length past 255 bytes a stream byte", append(binary.AppendUvarint([]byte{frame.CodecLZ}, 255*uint64(len(lz))), lz[2:]...)},
+		{"raw length past MaxFrame", append(binary.AppendUvarint([]byte{frame.CodecLZ}, MaxFrame+1), long...)},
+		{"raw length one short", append(binary.AppendUvarint([]byte{frame.CodecLZ}, uint64(len(raw)-1)), lz[2:]...)},
+		{"truncated stream", lz[:len(lz)-3]},
+	}
+}
+
+// TestDecodeRowBatchRefuses: each hostile coded body is an error, and
+// none makes DecodeRowBatch allocate for the length it declares.
+func TestDecodeRowBatchRefuses(t *testing.T) {
+	for _, tc := range hostileRowBatches() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeRowBatch(nil, tc.body)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; err == nil || grew > 4<<10 {
+			t.Errorf("%s: %v, %d bytes allocated", tc.name, err, grew)
+		}
+		if tc.name == "raw length past MaxFrame" {
+			// Its stream backs the length: MaxFrame alone refuses it.
+			if n, err := frame.BodyLen(tc.body, math.MaxInt32); n != MaxFrame+1 || err != nil {
+				t.Errorf("%s: the stream backs %d bytes (%v), want %d", tc.name, n, err, MaxFrame+1)
+			}
+		}
+	}
+}
+
 // FuzzWireParse hands arbitrary bytes to every message parser (as a
-// frame body) and to the frame reader (as a byte stream): errors or
-// fixed points, never a panic, and no allocation the input length does
-// not cover — a hostile count must not size a slice. Every row a batch
+// frame body), to DecodeRowBatch (as a coded RowBatch body) and to the
+// frame reader (as a byte stream): errors or fixed points, never a
+// panic, and no allocation the input length does not cover — a hostile
+// count or declared length must not size a slice. Every row a batch
 // yields is rendered as JSON from the body's bytes, as the driver does,
 // and must read as the decoded row does.
 func FuzzWireParse(f *testing.F) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "conversation-v1.golden"))
+	golden, err := os.ReadFile(filepath.Join("testdata", goldenFile))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -45,6 +93,9 @@ func FuzzWireParse(f *testing.F) {
 	// A count of MaxInt32 and nothing behind it: ParseHeader and
 	// ParseExecResults used to size a slice from it.
 	f.Add(binary.AppendUvarint(nil, math.MaxInt32))
+	for _, tc := range hostileRowBatches() {
+		f.Add(tc.body)
+	}
 	for rc := connOver(golden); ; {
 		_, body, err := rc.ReadFrame(MaxFrame)
 		if err != nil {
@@ -52,6 +103,7 @@ func FuzzWireParse(f *testing.F) {
 		}
 		f.Add(append([]byte(nil), body...))
 	}
+	enc := new(frame.Encoder)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -63,7 +115,7 @@ func FuzzWireParse(f *testing.F) {
 		fixedPoint(t, "error", data, ParseError, AppendError)
 		fixedPoint(t, "exec results", data, ParseExecResults, AppendExecResults)
 		fixedPoint(t, "value", data, ParseValue, AppendValue)
-		fixedPoint(t, "row batch", data, func(body []byte) ([]adm.Value, error) {
+		batch := func(body []byte) ([]adm.Value, error) {
 			br, err := NewBatchReader(body)
 			if err != nil {
 				return nil, err
@@ -85,7 +137,17 @@ func FuzzWireParse(f *testing.F) {
 				}
 				rows = append(rows, v)
 			}
-		}, AppendRowBatch)
+		}
+		fixedPoint(t, "row batch", data, batch, AppendRowBatch)
+		// As a coded body: one that decodes re-codes to a body that
+		// decodes to the same raw bytes, which parse as a row batch does.
+		if raw, err := DecodeRowBatch(nil, data); err == nil {
+			again, err := DecodeRowBatch(nil, enc.AppendBody(nil, raw))
+			if err != nil || !bytes.Equal(again, raw) {
+				t.Fatalf("coded row batch %x: re-coded decode %x, %v", raw, again, err)
+			}
+			fixedPoint(t, "coded row batch", raw, batch, AppendRowBatch)
+		}
 		runtime.ReadMemStats(&after)
 		// The multiple is adm's (an array's count is capped by the bytes
 		// that remain, at each of up to 200 nesting levels), times the

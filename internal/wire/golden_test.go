@@ -5,12 +5,17 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/ideadb/idea/internal/adm"
+	"github.com/ideadb/idea/internal/frame"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// goldenFile holds the canned conversation at the current Version.
+const goldenFile = "conversation-v2.golden"
 
 // The golden test pins the wire format byte for byte, the same way the
 // storage layer pins its WAL and run files: a legitimate format change
@@ -41,7 +46,10 @@ func goldenConversation() []byte {
 		},
 	}))
 	b = AppendFrame(b, TypeHeader, AppendHeader(nil, Header{Columns: []string{"value"}}))
-	b = AppendFrame(b, TypeRowBatch, AppendRowBatch(nil, []adm.Value{
+	// Two batches: four rows whose field names and tags repeat, which
+	// the codec lz-codes, and one short string, which it stores.
+	enc := new(frame.Encoder)
+	b = AppendRowBatchFrame(b, enc, AppendRowBatch(nil, []adm.Value{
 		adm.ObjectValue(adm.ObjectFromPairs(
 			"id", adm.Int(1),
 			"name", adm.String("alice"),
@@ -57,8 +65,9 @@ func goldenConversation() []byte {
 		adm.Null(),
 		adm.String("plain"),
 	}))
+	b = AppendRowBatchFrame(b, enc, AppendRowBatch(nil, []adm.Value{adm.String("last")}))
 	b = AppendFrame(b, TypeCloseRows, nil)
-	b = AppendFrame(b, TypeTrailer, AppendTrailer(nil, Trailer{Rows: 4}))
+	b = AppendFrame(b, TypeTrailer, AppendTrailer(nil, Trailer{Rows: 5}))
 	b = AppendFrame(b, TypeError, AppendError(nil, ErrorMsg{
 		Code:    CodeUnknownDataset,
 		Message: "idea: unknown dataset",
@@ -75,7 +84,7 @@ func goldenConversation() []byte {
 // TestGoldenConversation pins a whole canned session's frames.
 func TestGoldenConversation(t *testing.T) {
 	got := goldenConversation()
-	path := filepath.Join("testdata", "conversation-v1.golden")
+	path := filepath.Join("testdata", goldenFile)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -96,7 +105,9 @@ func TestGoldenConversation(t *testing.T) {
 	// The golden bytes must also read back: the decode side is pinned
 	// too. Walk every frame and re-parse each body.
 	rc := connOver(want)
-	var frames int
+	var frames, rows int
+	var codecs, raw []byte
+	var batches []int
 	for {
 		typ, body, err := rc.ReadFrame(MaxFrame)
 		if err != nil {
@@ -124,11 +135,15 @@ func TestGoldenConversation(t *testing.T) {
 				t.Fatalf("header: %+v, %v", h, err)
 			}
 		case TypeRowBatch:
-			br, err := NewBatchReader(body)
+			codecs = append(codecs, body[0])
+			if raw, err = DecodeRowBatch(raw, body); err != nil {
+				t.Fatalf("batch: %v", err)
+			}
+			br, err := NewBatchReader(raw)
 			if err != nil {
 				t.Fatalf("batch: %v", err)
 			}
-			rows := 0
+			batches = append(batches, br.Len())
 			for {
 				_, ok, err := br.Next()
 				if err != nil {
@@ -139,12 +154,9 @@ func TestGoldenConversation(t *testing.T) {
 				}
 				rows++
 			}
-			if rows != 4 {
-				t.Fatalf("batch rows = %d, want 4", rows)
-			}
 		case TypeTrailer:
 			tr, err := ParseTrailer(body)
-			if err != nil || tr.Rows != 4 {
+			if err != nil || tr.Rows != 5 {
 				t.Fatalf("trailer: %+v, %v", tr, err)
 			}
 		case TypeError:
@@ -170,19 +182,22 @@ func TestGoldenConversation(t *testing.T) {
 			t.Fatalf("unknown frame %v in golden", typ)
 		}
 	}
-	if frames != 14 {
-		t.Fatalf("golden holds %d frames, want 14", frames)
+	if frames != 15 || rows != 5 || !slices.Equal(batches, []int{4, 1}) {
+		t.Fatalf("golden holds %d frames and batches of %v rows (%d read), want 15 and [4 1]", frames, batches, rows)
+	}
+	if !bytes.Equal(codecs, []byte{frame.CodecLZ, frame.CodecStored}) {
+		t.Fatalf("row batch codecs %v, want one lz and one stored", codecs)
 	}
 }
 
 // TestGoldenVersionByte pins the version constants: bumping one without
 // regenerating the fixture (or vice versa) fails loudly.
 func TestGoldenVersionByte(t *testing.T) {
-	if Version != 1 || adm.BinaryVersion != 1 {
+	if Version != 2 || adm.BinaryVersion != 1 {
 		t.Fatalf("format versions changed (wire=%d adm=%d): regenerate the golden file with -update and update this test",
 			Version, adm.BinaryVersion)
 	}
-	data, err := os.ReadFile(filepath.Join("testdata", "conversation-v1.golden"))
+	data, err := os.ReadFile(filepath.Join("testdata", goldenFile))
 	if err != nil {
 		t.Skip("golden file not generated yet")
 	}

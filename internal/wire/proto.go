@@ -129,8 +129,14 @@ func ParseHeader(body []byte) (Header, error) {
 	return h, wrap("header", r.Done())
 }
 
-// AppendRowBatch encodes a batch of result rows given as one slice
-// (BeginRowBatch builds the same body a row at a time).
+// A RowBatch frame's body is coded (internal/frame's coded body) around
+// a raw body: the count of its rows (a uvarint) and then each row's ADM
+// encoding. AppendRowBatch, BeginRowBatch/EndRowBatch and BatchReader
+// deal in raw bodies; Conn.WriteRowBatch (AppendRowBatchFrame) codes
+// one and DecodeRowBatch decodes one.
+
+// AppendRowBatch encodes a raw RowBatch body from rows given as one
+// slice (BeginRowBatch builds the same body a row at a time).
 func AppendRowBatch(dst []byte, rows []adm.Value) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
 	for _, v := range rows {
@@ -139,10 +145,9 @@ func AppendRowBatch(dst []byte, rows []adm.Value) []byte {
 	return dst
 }
 
-// A RowBatch body is the count of its rows (a uvarint) and then each
-// row's ADM encoding. The count is known only once the last row is
-// encoded, so a body is built in memory that keeps rowCountRoom bytes
-// for it in front of the rows.
+// The count that leads a raw RowBatch body is known only once the last
+// row is encoded, so a body is built in memory that keeps rowCountRoom
+// bytes for it in front of the rows.
 const rowCountRoom = binary.MaxVarintLen64
 
 // BeginRowBatch starts a RowBatch body in dst's memory: append each
@@ -163,16 +168,32 @@ func EndRowBatch(b []byte, n int) []byte {
 	return b[start:]
 }
 
-// BatchReader reads a RowBatch body incrementally. The body may alias
-// Conn's internal read buffer, which the next ReadFrame call
-// overwrites: the BatchReader must be exhausted before then, and so
-// must every object row it returned — see Next.
+// DecodeRowBatch returns the raw body a RowBatch frame's coded body
+// carries, decoded into buf's memory: buf grows, doubling (frame.Grow),
+// only when the body does not fit, so a reader that hands each result
+// back as the next call's buf allocates O(log size) times over a
+// stream. The declared length is checked against the coded bytes and
+// against MaxFrame before buf grows for it.
+func DecodeRowBatch(buf, body []byte) ([]byte, error) {
+	n, err := frame.BodyLen(body, MaxFrame)
+	if err != nil {
+		return buf[:0], wrap("row batch", err)
+	}
+	raw := frame.Grow(buf[:0], n, MaxFrame)[:n]
+	return raw, wrap("row batch", frame.DecodeBody(raw, body))
+}
+
+// BatchReader reads a raw RowBatch body incrementally. The body may
+// alias a buffer the reader reuses for the next frame (a Conn's read
+// buffer, the driver's decode buffer): the BatchReader must be
+// exhausted before then, and so must every object row it returned —
+// see Next.
 type BatchReader struct {
 	r   frame.Reader
 	rem int
 }
 
-// NewBatchReader wraps one RowBatch body.
+// NewBatchReader wraps one raw RowBatch body.
 func NewBatchReader(body []byte) (*BatchReader, error) {
 	r := frame.NewReader(body)
 	n := r.Count(1) // each value takes at least one byte

@@ -14,6 +14,13 @@
 //	payload  := type:1B body
 //	string   := len:uvarint bytes
 //	value    := adm binary encoding (BinaryVersion 1)
+//	rowbatch := coded(count:uvarint value{count})
+//
+// coded(p) is the storage layer's coded body (internal/frame, body.go)
+// — the codec byte and then p stored as it is or p's length and its lz
+// stream, the layout a run-file block has on disk. The server chooses
+// the codec per batch from its bytes: lz, unless the stream saves no
+// byte. RowBatch is the one coded message; every other body is plain.
 //
 // Conversation. The client speaks first: a Hello frame carrying the
 // protocol magic, the wire version, and an optional auth token. The
@@ -54,7 +61,7 @@ import (
 
 // Version is the wire-protocol version carried in the handshake. Bump
 // on any incompatible change to framing or message layouts.
-const Version = 1
+const Version = 2
 
 // Magic opens every Hello frame; a server reading anything else is
 // talking to something that does not speak this protocol.
@@ -89,7 +96,7 @@ const (
 	TypeStatsReply Type = 0x08 // s->c: adm object of counters
 	TypeCloseRows  Type = 0x09 // c->s: abandon the open stream
 	TypeHeader     Type = 0x0A // s->c: result-set column names
-	TypeRowBatch   Type = 0x0B // s->c: uvarint count + values
+	TypeRowBatch   Type = 0x0B // s->c: coded body of uvarint count + values
 	TypeTrailer    Type = 0x0C // s->c: end of rows + total row count
 	TypeError      Type = 0x0D // s->c: typed error, optional stmt position
 	TypeExecResult Type = 0x0E // s->c: per-statement result summaries
@@ -167,6 +174,21 @@ func AppendFrame(dst []byte, t Type, body []byte) []byte {
 	return dst
 }
 
+// AppendRowBatchFrame appends one RowBatch frame whose body is raw, a
+// RowBatch body as AppendRowBatch or EndRowBatch makes it, coded with
+// enc (frame.Encoder.AppendBody). It is the encoder behind
+// Conn.WriteRowBatch; golden tests use it directly to pin frame bytes.
+func AppendRowBatchFrame(dst []byte, enc *frame.Encoder, raw []byte) []byte {
+	start := len(dst)
+	// No room is kept for the body: the coder appends it, so a scratch
+	// that codes batches grows, geometrically, to the coded size, a
+	// quarter of the raw one for rows alike, and not to the raw size.
+	dst = append(frame.Begin(dst), byte(TypeRowBatch))
+	dst = enc.AppendBody(dst, raw)
+	frame.Seal(dst, start)
+	return dst
+}
+
 // Conn wraps a net.Conn with buffered, framed, CRC-checked I/O and byte
 // accounting. It is not safe for concurrent use except for the
 // BytesRead/BytesWritten counters, which may be read from any
@@ -212,6 +234,24 @@ func (c *Conn) WriteFrame(t Type, body []byte) error {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, 1+len(body))
 	}
 	c.wbuf = AppendFrame(c.wbuf[:0], t, body)
+	return c.write()
+}
+
+// WriteRowBatch buffers one RowBatch frame whose body codes raw, a
+// RowBatch body as AppendRowBatch or EndRowBatch makes it, with enc:
+// coded straight into the frame scratch, with no copy of raw. A raw
+// body that could not be sent stored is refused, as WriteFrame refuses
+// one, before anything is coded.
+func (c *Conn) WriteRowBatch(enc *frame.Encoder, raw []byte) error {
+	if 2+len(raw) > MaxFrame {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, 2+len(raw))
+	}
+	c.wbuf = AppendRowBatchFrame(c.wbuf[:0], enc, raw)
+	return c.write()
+}
+
+// write hands the frame in the scratch to the buffered writer.
+func (c *Conn) write() error {
 	n, err := c.bw.Write(c.wbuf)
 	c.bytesOut.Add(int64(n))
 	return err

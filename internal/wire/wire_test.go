@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"net"
@@ -82,9 +83,11 @@ func TestFrameRoundTrip(t *testing.T) {
 // TestFrameBuffersGrowGeometrically: a connection reads 1 000 frames of
 // random sizes up to S with O(log S) allocations, because its read
 // buffer at least doubles whenever a payload does not fit, and
-// AppendFrame grows a writer's scratch the same way. The sizes come in
-// ascending order, the worst case — every frame the largest yet — where
-// growing to exactly each new size took an allocation per frame.
+// AppendFrame grows a writer's scratch the same way, and so does
+// DecodeRowBatch the buffer a reader decodes coded row batches into.
+// The sizes come in ascending order, the worst case — every frame the
+// largest yet — where growing to exactly each new size took an
+// allocation per frame.
 func TestFrameBuffersGrowGeometrically(t *testing.T) {
 	const frames, S = 1000, 1 << 14
 	r := rand.New(rand.NewSource(57))
@@ -95,8 +98,11 @@ func TestFrameBuffersGrowGeometrically(t *testing.T) {
 	slices.Sort(sizes)
 	body := make([]byte, S)
 	var stream []byte
-	for _, n := range sizes {
+	coded := make([][]byte, len(sizes))
+	enc := new(frame.Encoder)
+	for i, n := range sizes {
 		stream = AppendFrame(stream, TypeRowBatch, body[:n])
+		coded[i] = enc.AppendBody(nil, body[:n])
 	}
 	bound := float64(bits.Len(S) + 8) // the doublings, and the connection's own few
 	reads := testing.AllocsPerRun(3, func() {
@@ -113,9 +119,18 @@ func TestFrameBuffersGrowGeometrically(t *testing.T) {
 			scratch = AppendFrame(scratch[:0], TypeRowBatch, body[:n])
 		}
 	})
-	t.Logf("%d frames up to %d bytes: %v allocations reading, %v writing", frames, S, reads, writes)
-	if reads > bound || writes > bound {
-		t.Errorf("%d frames up to %d bytes: %v allocations reading, %v writing; want <= %v each", frames, S, reads, writes, bound)
+	decodes := testing.AllocsPerRun(3, func() {
+		var buf []byte
+		for i, n := range sizes {
+			var err error
+			if buf, err = DecodeRowBatch(buf, coded[i]); err != nil || len(buf) != n {
+				t.Fatalf("decoded a %d-byte body, %v; want %d", len(buf), err, n)
+			}
+		}
+	})
+	t.Logf("%d frames up to %d bytes: %v allocations reading, %v writing, %v decoding", frames, S, reads, writes, decodes)
+	if reads > bound || writes > bound || decodes > bound {
+		t.Errorf("%d frames up to %d bytes: %v allocations reading, %v writing, %v decoding; want <= %v each", frames, S, reads, writes, decodes, bound)
 	}
 }
 
@@ -407,4 +422,100 @@ func TestPollFrame(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// tweetRows are n tweet-shaped rows, the shape most result sets carry.
+func tweetRows(n int) []adm.Value {
+	rows := make([]adm.Value, n)
+	for i := range rows {
+		id := int64(i)
+		rows[i] = adm.ObjectValue(adm.ObjectFromPairs(
+			"id", adm.Int(id),
+			"text", adm.String(fmt.Sprintf("tweet %d with the usual amount of padding text in it, more or less", id)),
+			"lang", adm.String("en"),
+			"country", adm.String("US"),
+			"created_at", adm.DateTimeMillis(1_500_000_000_000+id),
+			"retweets", adm.Int(id%97),
+			"user", adm.ObjectValue(adm.ObjectFromPairs("id", adm.Int(id%1000), "name", adm.String("someone"))),
+		))
+	}
+	return rows
+}
+
+// TestRowBatchCodedRoundTrip: WriteRowBatch sends a batch of alike rows
+// lz-coded, in well under half its raw bytes, and a batch that does not
+// shrink stored; DecodeRowBatch gives back each raw body byte for byte,
+// and a body of more than MaxFrame is refused before anything is coded.
+func TestRowBatchCodedRoundTrip(t *testing.T) {
+	noise := make([]byte, 300)
+	rand.New(rand.NewSource(70)).Read(noise)
+	raws := [][]byte{
+		AppendRowBatch(nil, tweetRows(100)),
+		AppendRowBatch(nil, []adm.Value{adm.String(string(noise))}),
+	}
+	fc := &fakeConn{}
+	wc := NewConn(fc)
+	enc := new(frame.Encoder)
+	for _, raw := range raws {
+		if err := wc.WriteRowBatch(enc, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wc.WriteRowBatch(enc, make([]byte, MaxFrame-1)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("a body of MaxFrame-1 bytes: %v, want ErrFrameTooLarge", err)
+	}
+	if err := wc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rc := connOver(fc.w.Bytes())
+	var buf []byte
+	for i, raw := range raws {
+		typ, body, err := rc.ReadFrame(MaxFrame)
+		if err != nil || typ != TypeRowBatch {
+			t.Fatalf("batch %d: %v frame, %v", i, typ, err)
+		}
+		if want := []byte{frame.CodecLZ, frame.CodecStored}[i]; body[0] != want {
+			t.Fatalf("batch %d: codec %d, want %d", i, body[0], want)
+		}
+		if i == 0 && 2*len(body) > len(raw) {
+			t.Errorf("100 tweets: %d raw bytes sent as %d", len(raw), len(body))
+		}
+		if buf, err = DecodeRowBatch(buf, body); err != nil || !bytes.Equal(buf, raw) {
+			t.Fatalf("batch %d: decoded %d bytes unlike the %d sent: %v", i, len(buf), len(raw), err)
+		}
+	}
+	if _, _, err := rc.ReadFrame(MaxFrame); err == nil {
+		t.Fatal("a refused batch reached the stream")
+	}
+}
+
+// BenchmarkRowBatchCodec codes and decodes the raw body of one batch of
+// 100 tweet-shaped rows: MB/s of raw body each way, and the ratio.
+func BenchmarkRowBatchCodec(b *testing.B) {
+	raw := AppendRowBatch(nil, tweetRows(100))
+	enc := new(frame.Encoder)
+	coded := AppendRowBatchFrame(nil, enc, raw)
+	body := coded[frame.HeaderSize+1:]
+	ratio := float64(len(raw)) / float64(len(coded))
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(raw)))
+		b.ReportAllocs()
+		var dst []byte
+		for b.Loop() {
+			dst = AppendRowBatchFrame(dst[:0], enc, raw)
+		}
+		b.ReportMetric(ratio, "ratio")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(raw)))
+		b.ReportAllocs()
+		var buf []byte
+		for b.Loop() {
+			var err error
+			if buf, err = DecodeRowBatch(buf, body); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(ratio, "ratio")
+	})
 }
