@@ -143,13 +143,49 @@ func (v Value) DetachedInto(buf []byte) (Value, []byte) {
 	return ViewAlias(buf), buf
 }
 
-// viewField is Field on a view: one pass over the object's fields,
-// comparing names in place and stepping over values.
+// IsView reports whether v is a view: an object that is its encoding,
+// and so holds no value of its own — no array, no object, nothing a
+// copy of its bytes would not carry.
+func (v Value) IsView() bool { return v.isView() }
+
+// FieldEncoding returns the encoding of v's field name, aliasing v's
+// bytes, when v is a view that has the field; else nil. A point lookup
+// probes with the bytes as they lie (a record's key read off it), and
+// ViewAlias of them is the field, for as long as v's bytes stay as they
+// are.
+func (v Value) FieldEncoding(name string) []byte {
+	if !v.isView() {
+		return nil
+	}
+	at, size := v.fieldAt(name)
+	if at < 0 {
+		return nil
+	}
+	return v.encoded()[at : at+size]
+}
+
+// viewField is Field on a view.
 func (v Value) viewField(name string) Value {
+	at, size := v.fieldAt(name)
+	if at < 0 {
+		return missingValue
+	}
+	data := v.encoded()
+	if Kind(data[at]) == KindObject {
+		return Value{kind: KindObject, stable: v.stable, s: v.s[at : at+size]}
+	}
+	f, _ := build(data[at:], v.stable)
+	return f
+}
+
+// fieldAt finds a view's field name in one pass over the object's
+// fields, comparing names in place and stepping over values: the offset
+// of its value's encoding and the bytes that spans, or -1 when absent.
+func (v Value) fieldAt(name string) (at, size int) {
 	data := v.encoded()
 	count, n, _ := decodeLen(data[1:], KindObject)
 	pos := 1 + n
-	at, size := -1, 0
+	at = -1
 	for range count {
 		l, n, _ := decodeLen(data[pos:], KindObject)
 		match := string(data[pos+n:pos+n+l]) == name
@@ -160,14 +196,7 @@ func (v Value) viewField(name string) Value {
 		}
 		pos += vn
 	}
-	if at < 0 {
-		return missingValue
-	}
-	if Kind(data[at]) == KindObject {
-		return Value{kind: KindObject, stable: v.stable, s: v.s[at : at+size]}
-	}
-	f, _ := build(data[at:], v.stable)
-	return f
+	return at, size
 }
 
 // appendJSONBinary appends the JSON of the value enc starts with, which

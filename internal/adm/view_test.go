@@ -74,11 +74,15 @@ func checkOneViewAgrees(t *testing.T, enc []byte, view, v Value) {
 		if got.Kind() != want.Kind() || Compare(got, want) != 0 {
 			t.Fatalf("View(%x).Field(%q) = %v, decoded %v", enc, name, got, want)
 		}
+		// The field's encoding, read where it lies, is the field.
+		if fe := view.FieldEncoding(name); fe == nil || Compare(ViewAlias(fe), want) != 0 || Hash(ViewAlias(fe)) != Hash(want) {
+			t.Fatalf("View(%x).FieldEncoding(%q) = %x, decoded %v", enc, name, fe, want)
+		}
 		if name == absent {
 			absent += "!"
 		}
 	}
-	if got := view.Field(absent); !got.IsMissing() {
+	if got := view.Field(absent); !got.IsMissing() || view.FieldEncoding(absent) != nil {
 		t.Fatalf("View(%x).Field(absent) = %v", enc, got)
 	}
 	if vo := view.ObjectVal(); vo.Len() != o.Len() {

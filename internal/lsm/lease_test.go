@@ -325,6 +325,16 @@ func checkNoCacheReadersPin(t *testing.T) {
 			l.Release()
 			return pinned, kept
 		}},
+		{"point-leased-encoded", func(t *testing.T) ([]byte, []byte) {
+			var l Leases
+			v, ok, err := p.Snapshot().GetEncodedLeased(adm.AppendBinary(nil, key), &l)
+			if !ok || err != nil {
+				t.Fatalf("get %d = %v, %v", id, ok, err)
+			}
+			pinned, kept := held(t, l.left), adm.AppendBinary(nil, v)
+			l.Release()
+			return pinned, kept
+		}},
 		{"index-probe", func(t *testing.T) ([]byte, []byte) {
 			cur := probeCat([]*Snapshot{p.Snapshot()}, []*BTreeIndex{ix}, id%1000)
 			defer cur.Close()

@@ -932,6 +932,14 @@ func (s *Snapshot) GetLeased(key adm.Value, l *Leases) (adm.Value, bool, error) 
 	return s.getEncoded(encodeProbe(key), l)
 }
 
+// GetEncodedLeased is GetLeased for a key given as its encoding — bytes
+// SkipBinary accepted, which the caller keeps unchanged during the call
+// (a field read off a record, adm.Value.FieldEncoding) — probed as it
+// lies, so nothing encodes the key again.
+func (s *Snapshot) GetEncodedLeased(enc []byte, l *Leases) (adm.Value, bool, error) {
+	return s.getEncoded(getProbe(enc), l)
+}
+
 // getEncoded is the one body of a snapshot's point lookup: Get for the
 // encoded key kp probes, a pooled probe it puts back — a key encoded
 // once (encodeProbe), or an index scan's primary key, an encoding looked

@@ -73,10 +73,16 @@ import (
 // probe, rewinding it for the next record (RowCursor.reset) instead of
 // building it again. Four rules make that safe:
 //
-//  1. Lifetime. No value EvalRecord returns aliases the scratch once it
-//     returns. Values never refer to a binding; a spliced row aliases
-//     the caller's slab, and an Object row may hold a LET's array, so a
-//     drained subquery's array is allocated per record.
+//  1. Lifetime. The arrays the record's subqueries drain are carved from
+//     the scratch (recordScratch.carver) and stay as they are for the
+//     whole record — no pipeline's open or rewind rewinds them — until
+//     putScratch clears them. So no value EvalRecord returns points into
+//     the scratch, whose pool every collector shares: a row spliced into
+//     the caller's slab is bytes already, and any other result that may
+//     hold an array — an array, an Object row holding a LET's — is
+//     detached (recordScratch.detach). A body that calls a library
+//     function or a catalog UDF, which may keep its arguments, carves
+//     nothing. Values never refer to a binding.
 //  2. Candidate binding. A probe's accessCursor rebinds one box per
 //     candidate only where the planner's env-reuse rule (envReuse)
 //     allows it — the one rule every FROM leaf follows. Every other
@@ -647,7 +653,7 @@ func (pe *PreparedEnrich) EvalRecord(rec adm.Value, dst ...*[]byte) (adm.Value, 
 		if err != nil {
 			return adm.Value{}, err
 		}
-		if s.leases.Holds() {
+		if s.detach(v) {
 			v = v.Detached()
 		}
 		if v.Kind() == adm.KindArray && len(v.ArrayVal()) == 1 {
@@ -673,7 +679,7 @@ func (pe *PreparedEnrich) EvalRecord(rec adm.Value, dst ...*[]byte) (adm.Value, 
 		if !ok {
 			break
 		}
-		if (rc.Transient() || s.leases.Holds()) && (rc.dst == nil || len(*rc.dst) == written) {
+		if (rc.Transient() || s.detach(v)) && (rc.dst == nil || len(*rc.dst) == written) {
 			v = v.Detached() // a row spliced into *dst is a copy already
 		}
 		switch n {
@@ -707,15 +713,24 @@ func (pe *PreparedEnrich) openBody(st evalState, env *Env) (*RowCursor, error) {
 // body's at kept[0] and each compiled probe's at its slot, and the pins
 // of the blocks its primary-key hits lie in (probeLeases).
 type recordScratch struct {
-	param  Env
-	body   *sqlpp.SelectExpr // the body, when it is a query block
-	kept   []keptPipeline
-	pins   bool // the body calls only builtins (EnrichPlan.KeepsNoInput)
+	param Env
+	body  *sqlpp.SelectExpr // the body, when it is a query block
+	kept  []keptPipeline
+	// local is set when the body calls only builtins
+	// (EnrichPlan.KeepsNoInput): nothing it runs keeps a value past the
+	// record, so its probes lease their hits' blocks and its drained
+	// arrays are carved from rows.
+	local  bool
 	leases lsm.Leases
+	rows   carver
 }
 
+// carvedKept is the most values a pooled scratch keeps room for: a
+// record that drained more leaves the array to the garbage collector.
+const carvedKept = 1024
+
 func (pe *PreparedEnrich) newScratch() *recordScratch {
-	s := &recordScratch{param: Env{name: pe.plan.param}, kept: make([]keptPipeline, len(pe.probes)+1), pins: pe.plan.KeepsNoInput()}
+	s := &recordScratch{param: Env{name: pe.plan.param}, kept: make([]keptPipeline, len(pe.probes)+1), local: pe.plan.KeepsNoInput()}
 	s.body, _ = pe.plan.body.(*sqlpp.SelectExpr)
 	return s
 }
@@ -725,17 +740,45 @@ func (pe *PreparedEnrich) newScratch() *recordScratch {
 // EvalRecord's row is spliced or copied. A body that calls a library
 // function or a catalog UDF could keep a hit longer: its probes copy.
 func (s *recordScratch) probeLeases() *lsm.Leases {
-	if s == nil || !s.pins {
+	if s == nil || !s.local {
 		return nil
 	}
 	return &s.leases
 }
 
-// putScratch returns s to the pool holding no record, candidate, row or
-// destination (rule 4).
+// carver is what a subquery drained while a record is enriched carves
+// its array from: the scratch's, whose arrays stay as they are until the
+// record is done (rule 1), or nil — allocate — when no record is, or the
+// body could keep an array past its record.
+func (s *recordScratch) carver() *carver {
+	if s == nil || !s.local {
+		return nil
+	}
+	return &s.rows
+}
+
+// detach reports whether v, a result EvalRecord is about to return, must
+// be copied first: when it may lie in a block a probe leased, or may hold
+// an array carved from the scratch — an array or an object built field
+// by field may; a view is bytes, and a scalar a word.
+func (s *recordScratch) detach(v adm.Value) bool {
+	if s.leases.Holds() {
+		return true
+	}
+	k := v.Kind()
+	return len(s.rows.vals) > 0 && (k == adm.KindArray || k == adm.KindObject && !v.IsView())
+}
+
+// putScratch returns s to the pool holding no record, candidate, row,
+// carved array or destination (rule 4).
 func (pe *PreparedEnrich) putScratch(s *recordScratch) {
 	s.param.val = adm.Value{}
 	s.leases.Release()
+	if cap(s.rows.vals) > carvedKept {
+		s.rows.vals = nil
+	}
+	clear(s.rows.vals)
+	s.rows.vals = s.rows.vals[:0]
 	for i := range s.kept {
 		kp := &s.kept[i]
 		clear(kp.lets)
@@ -911,7 +954,7 @@ func (a *accessCursor) probe(env *Env) error {
 	a.env, a.chain, a.pos = nil, nil, 0
 	switch acc.kind {
 	case accessHash:
-		key, err := eval(a.st, env, acc.probeKey)
+		key, _, err := probeKey(a.st, env, acc.probeKey)
 		if err != nil || key.IsUnknown() {
 			return err
 		}
@@ -919,11 +962,18 @@ func (a *accessCursor) probe(env *Env) error {
 	case accessPK:
 		// At most one candidate, read at the pin (Model 2 by construction);
 		// the build filters run on it, as index-NLJ runs them.
-		key, err := eval(a.st, env, acc.probeKey)
+		key, enc, err := probeKey(a.st, env, acc.probeKey)
 		if err != nil || key.IsUnknown() {
 			return err
 		}
-		rec, found, err := pa.pin.snaps[pa.pin.ds.Route(key)].GetLeased(key, a.st.scratch.probeLeases())
+		snap, leases := pa.pin.snaps[pa.pin.ds.Route(key)], a.st.scratch.probeLeases()
+		var rec adm.Value
+		var found bool
+		if enc != nil {
+			rec, found, err = snap.GetEncodedLeased(enc, leases)
+		} else {
+			rec, found, err = snap.GetLeased(key, leases)
+		}
 		if err != nil || !found {
 			return err
 		}
@@ -961,6 +1011,29 @@ func (a *accessCursor) probe(env *Env) error {
 	}
 	a.env = env
 	return nil
+}
+
+// probeKey evaluates the key a hash or primary-key access probes with.
+// A field of a view — the record being enriched arrives as one — is read
+// where it lies: enc is its encoding, for a point lookup to probe with as
+// it is, and key aliases it (adm.ViewAlias), so no string is copied out
+// even of a view over reused bytes (adm.View). Neither outlives the
+// probe: the record's bytes stay as they are while it is enriched, and a
+// probe keeps its key only until its cursor closes (accessCursor.close).
+func probeKey(st evalState, env *Env, e sqlpp.Expr) (key adm.Value, enc []byte, err error) {
+	fa, ok := e.(*sqlpp.FieldAccess)
+	if !ok {
+		key, err = eval(st, env, e)
+		return key, nil, err
+	}
+	base, err := eval(st, env, fa.Base)
+	if err != nil {
+		return adm.Value{}, nil, err
+	}
+	if enc = base.FieldEncoding(fa.Field); enc != nil {
+		return adm.ViewAlias(enc), enc, nil
+	}
+	return base.Field(fa.Field), nil, nil
 }
 
 // draw returns the next record the current probe yields.

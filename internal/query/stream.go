@@ -246,21 +246,56 @@ func (rc *RowCursor) tupleSteps(steps []string, cur tupleCursor) ([]string, bool
 
 // drain pulls the cursor to exhaustion: the collection a SELECT in
 // expression position evaluates to, of copies of its transient rows.
+// While a record is enriched, the array is carved from the record's
+// scratch (recordScratch.carver) instead of allocated.
 func (rc *RowCursor) drain() (adm.Value, error) {
-	var out []adm.Value
+	c := rc.st.scratch.carver()
+	if c == nil {
+		c = new(carver)
+	}
+	start, n := len(c.vals), 0
 	for {
 		v, ok, err := rc.Next()
 		if err != nil {
 			return adm.Value{}, err
 		}
 		if !ok {
-			return adm.Array(out), nil
+			return c.array(start, n), nil
 		}
 		if rc.Transient() {
 			v = v.Detached()
 		}
-		out = append(out, v)
+		start = c.add(start, n, v)
+		n++
 	}
+}
+
+// carver is what drained arrays are carved from: values appended, never
+// rewritten. A drain outside a record appends to a carver of its own,
+// the growing slice an array always was; while a record is enriched, its
+// drains share the record's (recordScratch.rows).
+type carver struct{ vals []adm.Value }
+
+// add appends v, the row after the n rows of an array drained into c
+// from start, and returns where the array starts now. A subquery drained
+// between two of its rows (one in the projection or in a filter) appended
+// its own array after the rows so far; they are then moved past it, so
+// an array carved before is never written again.
+func (c *carver) add(start, n int, v adm.Value) int {
+	if len(c.vals) != start+n {
+		c.vals = append(c.vals, c.vals[start:start+n]...)
+		start = len(c.vals) - n
+	}
+	c.vals = append(c.vals, v)
+	return start
+}
+
+// array is the array of the n rows drained into c from start.
+func (c *carver) array(start, n int) adm.Value {
+	if n == 0 {
+		return adm.Array(nil)
+	}
+	return adm.Array(c.vals[start : start+n : start+n])
 }
 
 // --- row operators (post-FROM exchange) ---
